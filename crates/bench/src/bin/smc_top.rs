@@ -226,31 +226,13 @@ fn render(tick: u64, snap: &HeapSnapshot, rt: &Runtime, live: u64, m: &MaintSnap
     );
     let a = &snap.alloc;
     println!(
-        "  alloc: {}  budgeted {}  cached {}  recycled {}  remote {} (drained {})",
-        if a.sharded { "sharded" } else { "shared" },
+        "  alloc: budgeted {}  cached {}  recycled {}  remote {} (drained {})",
         a.budgeted_blocks,
         a.cached_blocks,
         a.blocks_recycled,
         a.remote_frees,
         a.remote_frees_drained,
     );
-    for class in &a.slab_classes {
-        // Only classes that ever carved a page earn a line.
-        if class.pages > 0 {
-            println!(
-                "  slab[{:>4} B]: {} pages  live {}/{} cells {}  total {}",
-                class.cell_size,
-                class.pages,
-                class.cells_live,
-                class.cells_capacity,
-                bar(
-                    class.cells_live as f64 / class.cells_capacity.max(1) as f64,
-                    20
-                ),
-                class.cells_allocated_total,
-            );
-        }
-    }
     println!("  pin hold ns:         {}", fmt_summary(&snap.pin_hold));
     println!(
         "  compaction pass ns:  {}",

@@ -1,4 +1,4 @@
-//! Sharded lock-free block allocation and size-class slabs.
+//! Sharded lock-free block allocation.
 //!
 //! Every `MemoryContext` used to funnel block acquisition through one shared
 //! runtime path — a single budget CAS plus a `malloc` per block — which is
@@ -30,17 +30,10 @@
 //! [`Mutation::DropRemoteDrain`]
 //! seeded bug).
 //!
-//! The **size-class slabs** (`SlabAllocator`) serve variable-size payloads
-//! (strings, varlen columns) from power-of-two cells (32 B … 4 KiB) carved
-//! out of raw budgeted blocks, instead of forcing every byte through one
-//! fixed block geometry. Per-class occupancy is surfaced through
-//! [`AllocSnapshot`] into `HeapSnapshot`, `Smc::verify`, and `smc-top`.
-//!
 //! Accounting contract (checked by `Runtime::verify` at quiescence):
 //! `budgeted == blocks_live + cached` — every block the allocator holds from
-//! the OS is either handed out (`blocks_live`, which includes slab pages) or
-//! parked in a shard cache, and the byte budget gates `budgeted`, not just
-//! live handouts.
+//! the OS is either handed out (`blocks_live`) or parked in a shard cache,
+//! and the byte budget gates `budgeted`, not just live handouts.
 
 use std::sync::atomic::Ordering;
 
@@ -48,11 +41,11 @@ use crate::block::{raw_dealloc_block, BLOCK_SIZE};
 use crate::epoch::MAX_THREADS;
 use crate::mutation::{self, Mutation};
 use crate::stats::MemoryStats;
-use crate::sync::{AtomicBool, AtomicU64, Mutex};
+use crate::sync::AtomicU64;
 
-/// Fresh blocks reserved per slow-path budget CAS when sharding is on: one
-/// handout plus `ALLOC_BATCH - 1` cache refills (fewer when the budget has
-/// less headroom).
+/// Fresh blocks reserved per slow-path budget CAS: one handout plus
+/// `ALLOC_BATCH - 1` cache refills (fewer when the budget has less
+/// headroom).
 pub const ALLOC_BATCH: u64 = 4;
 
 /// Per-shard cap on cached free blocks; frees beyond it go back to the OS.
@@ -107,6 +100,18 @@ fn chain_ends(first: u64) -> (u64, u64) {
     }
 }
 
+/// Returns every block of an **owned** chain to the OS; returns the count.
+fn dealloc_chain(mut chain: u64) -> u64 {
+    let mut n = 0;
+    while chain != NO_BLOCK {
+        let next = unsafe { link(chain) }.load(Ordering::Relaxed);
+        unsafe { raw_dealloc_block(chain as usize) };
+        chain = next;
+        n += 1;
+    }
+    n
+}
+
 /// One thread's allocation shard. Padded to a cache line so neighbouring
 /// shards never false-share.
 #[repr(align(64))]
@@ -143,9 +148,6 @@ pub(crate) struct BlockAllocator {
     /// Blocks currently held from the OS on the budget's account: live
     /// handouts plus shard-cached spares. The byte budget gates this gauge.
     budgeted: AtomicU64,
-    /// When false, the allocator degrades to the legacy shared path: batch
-    /// size 1, no recycling (frees go straight back to the OS).
-    sharded: AtomicBool,
 }
 
 impl BlockAllocator {
@@ -153,16 +155,7 @@ impl BlockAllocator {
         BlockAllocator {
             shards: (0..MAX_THREADS).map(|_| Shard::new()).collect(),
             budgeted: AtomicU64::new(0),
-            sharded: AtomicBool::new(true),
         }
-    }
-
-    pub(crate) fn is_sharded(&self) -> bool {
-        self.sharded.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn set_sharded(&self, on: bool) {
-        self.sharded.store(on, Ordering::Relaxed);
     }
 
     /// Blocks currently reserved against the budget (live + cached).
@@ -276,23 +269,11 @@ impl BlockAllocator {
             if shard.cached.load(Ordering::Relaxed) == 0 {
                 continue;
             }
-            let mut n = 0u64;
-            let mut chain = take_all(&shard.local);
+            let mut n = dealloc_chain(take_all(&shard.local));
             // The mutated protocol loses remote-freed blocks entirely, so
             // the trim rung must not rescue them either.
             if !mutation::enabled(Mutation::DropRemoteDrain) {
-                let remote = take_all(&shard.remote);
-                if remote != NO_BLOCK {
-                    let (_, tail) = chain_ends(remote);
-                    unsafe { link(tail) }.store(chain, Ordering::Relaxed);
-                    chain = remote;
-                }
-            }
-            while chain != NO_BLOCK {
-                let next = unsafe { link(chain) }.load(Ordering::Relaxed);
-                unsafe { raw_dealloc_block(chain as usize) };
-                chain = next;
-                n += 1;
+                n += dealloc_chain(take_all(&shard.remote));
             }
             if n > 0 {
                 shard.cached.fetch_sub(n, Ordering::Relaxed);
@@ -313,157 +294,16 @@ impl Drop for BlockAllocator {
         // shards, so every cached block is quiescent.
         for shard in self.shards.iter() {
             for head in [&shard.local, &shard.remote] {
-                let mut chain = take_all(head);
-                while chain != NO_BLOCK {
-                    let next = unsafe { link(chain) }.load(Ordering::Relaxed);
-                    unsafe { raw_dealloc_block(chain as usize) };
-                    chain = next;
-                }
+                dealloc_chain(take_all(head));
             }
         }
     }
-}
-
-// ---- size-class slabs ----------------------------------------------------
-
-/// Smallest slab cell in bytes.
-pub const SLAB_MIN_CELL: usize = 32;
-/// Largest slab cell in bytes; larger payloads are
-/// [`MemError::ObjectTooLarge`](crate::error::MemError::ObjectTooLarge).
-pub const SLAB_MAX_CELL: usize = 4096;
-/// Number of power-of-two size classes (32, 64, …, 4096).
-pub const SLAB_CLASS_COUNT: usize = 8;
-
-/// Cell size of class `class`.
-#[inline]
-pub(crate) fn slab_cell_size(class: usize) -> usize {
-    SLAB_MIN_CELL << class
-}
-
-/// Smallest class whose cell fits `len` bytes, or `None` when `len` exceeds
-/// [`SLAB_MAX_CELL`].
-#[inline]
-pub(crate) fn slab_class_for(len: usize) -> Option<usize> {
-    if len > SLAB_MAX_CELL {
-        return None;
-    }
-    let cell = len.max(SLAB_MIN_CELL).next_power_of_two();
-    Some(cell.trailing_zeros() as usize - SLAB_MIN_CELL.trailing_zeros() as usize)
-}
-
-/// Mutable state of one size class, behind its own lock (classes never
-/// contend with each other, and the block fast path never touches them).
-#[derive(Debug, Default)]
-pub(crate) struct ClassState {
-    /// Free cell addresses.
-    free: Vec<usize>,
-    /// Base addresses of the raw budgeted pages this class carved up.
-    pages: Vec<usize>,
-    /// Cells currently handed out.
-    live: u64,
-    /// Cells ever handed out (drives the `slab_classes_used` figure).
-    allocated_total: u64,
-}
-
-/// Power-of-two size-class slab allocator for variable-size payloads (see
-/// module docs). Pages are raw budgeted blocks; cells are naturally aligned
-/// (page bases are block-aligned, cell sizes are powers of two).
-#[derive(Debug)]
-pub(crate) struct SlabAllocator {
-    classes: [Mutex<ClassState>; SLAB_CLASS_COUNT],
-}
-
-impl SlabAllocator {
-    pub(crate) fn new() -> SlabAllocator {
-        SlabAllocator {
-            classes: std::array::from_fn(|_| Mutex::new(ClassState::default())),
-        }
-    }
-
-    /// Locked access to one class (runtime-side alloc/free policy).
-    pub(crate) fn class(&self, class: usize) -> crate::sync::MutexGuard<'_, ClassState> {
-        self.classes[class].lock()
-    }
-
-    /// Per-class occupancy for snapshots and validators.
-    pub(crate) fn occupancy(&self) -> Vec<SlabClassOccupancy> {
-        (0..SLAB_CLASS_COUNT)
-            .map(|class| {
-                let st = self.classes[class].lock();
-                let cell = slab_cell_size(class);
-                SlabClassOccupancy {
-                    cell_size: cell as u32,
-                    pages: st.pages.len() as u32,
-                    cells_live: st.live,
-                    cells_free: st.free.len() as u64,
-                    cells_capacity: (st.pages.len() * (BLOCK_SIZE / cell)) as u64,
-                    cells_allocated_total: st.allocated_total,
-                }
-            })
-            .collect()
-    }
-}
-
-impl ClassState {
-    /// Carves a fresh raw page into cells of `class`'s size.
-    pub(crate) fn add_page(&mut self, class: usize, base: usize) {
-        let cell = slab_cell_size(class);
-        self.pages.push(base);
-        // Reversed so the lowest address pops first.
-        for i in (0..BLOCK_SIZE / cell).rev() {
-            self.free.push(base + i * cell);
-        }
-    }
-
-    /// Pops one free cell, if any.
-    pub(crate) fn take_cell(&mut self) -> Option<usize> {
-        let addr = self.free.pop()?;
-        self.live += 1;
-        self.allocated_total += 1;
-        Some(addr)
-    }
-
-    /// Returns a cell to the free list.
-    pub(crate) fn put_cell(&mut self, addr: usize) {
-        self.free.push(addr);
-        self.live -= 1;
-    }
-}
-
-impl Drop for SlabAllocator {
-    fn drop(&mut self) {
-        for class in &mut self.classes {
-            let st = class.get_mut();
-            for &page in &st.pages {
-                unsafe { raw_dealloc_block(page) };
-            }
-        }
-    }
-}
-
-/// Point-in-time occupancy of one slab size class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlabClassOccupancy {
-    /// Cell size in bytes (power of two).
-    pub cell_size: u32,
-    /// Budgeted pages carved up for this class.
-    pub pages: u32,
-    /// Cells currently handed out.
-    pub cells_live: u64,
-    /// Cells on the free list.
-    pub cells_free: u64,
-    /// Total cells across all pages.
-    pub cells_capacity: u64,
-    /// Cells ever handed out.
-    pub cells_allocated_total: u64,
 }
 
 /// Point-in-time view of the allocation layer, carried by
 /// [`HeapSnapshot`](crate::inspect::HeapSnapshot) and rendered by `smc-top`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllocSnapshot {
-    /// Whether the sharded fast path is enabled.
-    pub sharded: bool,
     /// Blocks reserved against the budget (live handouts + shard caches).
     pub budgeted_blocks: u64,
     /// Blocks parked across all shard caches.
@@ -474,40 +314,12 @@ pub struct AllocSnapshot {
     pub remote_frees: u64,
     /// Remote frees drained by owners (monotonic).
     pub remote_frees_drained: u64,
-    /// Per-class slab occupancy.
-    pub slab_classes: Vec<SlabClassOccupancy>,
-}
-
-impl AllocSnapshot {
-    /// Number of slab classes that have ever served a cell.
-    pub fn slab_classes_used(&self) -> usize {
-        self.slab_classes
-            .iter()
-            .filter(|c| c.cells_allocated_total > 0)
-            .count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stats::MemoryStats;
-
-    #[test]
-    fn class_selection_is_tight() {
-        assert_eq!(slab_class_for(0), Some(0));
-        assert_eq!(slab_class_for(1), Some(0));
-        assert_eq!(slab_class_for(32), Some(0));
-        assert_eq!(slab_class_for(33), Some(1));
-        assert_eq!(slab_class_for(64), Some(1));
-        assert_eq!(slab_class_for(2048), Some(6));
-        assert_eq!(slab_class_for(2049), Some(7));
-        assert_eq!(slab_class_for(4096), Some(7));
-        assert_eq!(slab_class_for(4097), None);
-        for class in 0..SLAB_CLASS_COUNT {
-            assert_eq!(slab_class_for(slab_cell_size(class)), Some(class));
-        }
-    }
 
     #[test]
     fn stacks_transfer_ownership_in_lifo_chains() {
@@ -570,33 +382,5 @@ mod tests {
         alloc.push_local(0, crate::block::raw_alloc_block() as u64);
         alloc.push_remote(3, crate::block::raw_alloc_block() as u64);
         drop(alloc); // must not leak (asserted by miri / leak checkers)
-    }
-
-    #[test]
-    fn slab_pages_carve_into_cells() {
-        let slab = SlabAllocator::new();
-        let class = slab_class_for(100).unwrap();
-        assert_eq!(slab_cell_size(class), 128);
-        {
-            let mut st = slab.class(class);
-            st.add_page(class, crate::block::raw_alloc_block());
-            assert_eq!(st.free.len(), BLOCK_SIZE / 128);
-            let a = st.take_cell().unwrap();
-            let b = st.take_cell().unwrap();
-            assert_eq!(b - a, 128, "cells are contiguous from the page base");
-            assert_eq!(a % 128, 0, "cells are naturally aligned");
-            st.put_cell(a);
-            assert_eq!(st.live, 1);
-        }
-        let occ = slab.occupancy();
-        assert_eq!(occ.len(), SLAB_CLASS_COUNT);
-        assert_eq!(occ[class].pages, 1);
-        assert_eq!(occ[class].cells_live, 1);
-        assert_eq!(occ[class].cells_allocated_total, 2);
-        assert_eq!(
-            occ[class].cells_free + occ[class].cells_live,
-            occ[class].cells_capacity
-        );
-        // Dropping the slab frees the page.
     }
 }

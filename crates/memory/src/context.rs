@@ -2013,7 +2013,8 @@ mod tests {
         }
         let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
         assert_eq!(c.live_objects(), total);
-        assert_eq!(rt.stats.objects_live(), total);
+        let snap = rt.stats.snapshot();
+        assert_eq!(snap.objects_allocated - snap.objects_freed, total);
     }
 
     #[test]

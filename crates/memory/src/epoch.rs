@@ -511,6 +511,30 @@ impl Drop for Guard<'_> {
     }
 }
 
+/// Runs `f` on the calling thread while `MAX_THREADS` other threads hold
+/// every registry slot of `mgr` (test fixture for the exhaustion paths).
+#[cfg(test)]
+pub(crate) fn with_registry_exhausted(mgr: &Arc<EpochManager>, f: impl FnOnce()) {
+    let barrier = Arc::new(std::sync::Barrier::new(MAX_THREADS + 1));
+    let holders: Vec<_> = (0..MAX_THREADS)
+        .map(|_| {
+            let (m, b) = (mgr.clone(), barrier.clone());
+            std::thread::spawn(move || {
+                let idx = m.thread_index();
+                b.wait(); // all slots taken
+                b.wait(); // `f` has run
+                idx.is_ok()
+            })
+        })
+        .collect();
+    barrier.wait();
+    f();
+    barrier.wait();
+    for h in holders {
+        assert!(h.join().unwrap(), "each of the first MAX_THREADS registers");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -634,28 +658,12 @@ mod tests {
 
     #[test]
     fn registry_exhaustion_errors_then_recovers() {
-        use std::sync::Barrier;
         let mgr = EpochManager::new();
-        let barrier = Arc::new(Barrier::new(MAX_THREADS + 1));
-        let mut handles = Vec::new();
-        for _ in 0..MAX_THREADS {
-            let m = mgr.clone();
-            let b = barrier.clone();
-            handles.push(std::thread::spawn(move || {
-                let idx = m.thread_index();
-                b.wait(); // all slots taken
-                b.wait(); // exhaustion verified by the main thread
-                idx.is_ok()
-            }));
-        }
-        barrier.wait();
-        // Registrant MAX_THREADS + 1: must fail, not panic.
-        assert!(matches!(mgr.thread_index(), Err(MemError::TooManyThreads)));
-        assert!(matches!(mgr.try_pin(), Err(MemError::TooManyThreads)));
-        barrier.wait();
-        for h in handles {
-            assert!(h.join().unwrap(), "each of the first MAX_THREADS registers");
-        }
+        with_registry_exhausted(&mgr, || {
+            // Registrant MAX_THREADS + 1: must fail, not panic.
+            assert!(matches!(mgr.thread_index(), Err(MemError::TooManyThreads)));
+            assert!(matches!(mgr.try_pin(), Err(MemError::TooManyThreads)));
+        });
         // Exited threads released their slots: registration works again.
         assert!(mgr.thread_index().is_ok());
         assert!(mgr.try_pin().is_ok());

@@ -245,7 +245,7 @@ pub struct HeapSnapshot {
     /// Pin hold-time percentiles (ns) since the runtime started.
     pub pin_hold: Summary,
     /// Allocation-layer state: shard caches, budget gauge, remote-free
-    /// counters, and per-class slab occupancy.
+    /// counters.
     pub alloc: crate::alloc::AllocSnapshot,
 }
 
@@ -347,28 +347,11 @@ impl HeapSnapshot {
         ph.set("max_ns", self.pin_hold.max);
         doc.set("pin_hold_ns", ph);
         let mut al = JsonValue::obj();
-        al.set("sharded", self.alloc.sharded);
         al.set("budgeted_blocks", self.alloc.budgeted_blocks);
         al.set("cached_blocks", self.alloc.cached_blocks);
         al.set("blocks_recycled", self.alloc.blocks_recycled);
         al.set("remote_frees", self.alloc.remote_frees);
         al.set("remote_frees_drained", self.alloc.remote_frees_drained);
-        let slabs = self
-            .alloc
-            .slab_classes
-            .iter()
-            .map(|s| {
-                let mut sj = JsonValue::obj();
-                sj.set("cell_size", s.cell_size);
-                sj.set("pages", s.pages);
-                sj.set("cells_live", s.cells_live);
-                sj.set("cells_free", s.cells_free);
-                sj.set("cells_capacity", s.cells_capacity);
-                sj.set("cells_allocated_total", s.cells_allocated_total);
-                sj
-            })
-            .collect();
-        al.set("slab_classes", JsonValue::Arr(slabs));
         doc.set("alloc", al);
         let collections = self
             .collections

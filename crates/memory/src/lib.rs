@@ -79,7 +79,7 @@ pub mod sync;
 pub mod tabular;
 pub mod verify;
 
-pub use alloc::{AllocSnapshot, SlabClassOccupancy, ALLOC_BATCH, MAX_SHARD_CACHE, SLAB_MAX_CELL};
+pub use alloc::{AllocSnapshot, ALLOC_BATCH, MAX_SHARD_CACHE};
 pub use block::{BlockHeader, BlockLayout, BLOCK_ALIGN, BLOCK_SIZE};
 pub use context::{ContextConfig, MemoryContext, Morsel};
 pub use decimal::Decimal;

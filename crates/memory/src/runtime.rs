@@ -5,19 +5,15 @@
 //! collection implementation as needed" (§2). [`Runtime`] is that API
 //! surface: it owns the global epoch state, the global indirection table,
 //! the compaction coordination flags of §5.1, a *graveyard* of blocks
-//! awaiting epoch-safe return to the OS, and — since the allocator rework —
-//! the sharded block allocator and size-class slabs of
+//! awaiting epoch-safe return to the OS, and the sharded block allocator of
 //! [`crate::alloc`]. Block acquisition is thread-local in the common case
 //! (pop from the calling thread's shard cache); the budget gate only runs
 //! on the batched slow path that hands out fresh block ranges.
 
-use std::ptr::NonNull;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use crate::alloc::{
-    AllocSnapshot, BlockAllocator, SlabAllocator, ALLOC_BATCH, MAX_SHARD_CACHE, SLAB_MAX_CELL,
-};
+use crate::alloc::{AllocSnapshot, BlockAllocator, ALLOC_BATCH, MAX_SHARD_CACHE};
 use crate::block::{raw_alloc_block, raw_dealloc_block, BlockLayout, BlockRef, BLOCK_SIZE};
 use crate::epoch::{EpochManager, Guard};
 use crate::error::MemError;
@@ -52,8 +48,6 @@ pub struct Runtime {
     /// Sharded block allocation mechanics (shard caches, remote return
     /// queues, the budget gauge). Policy lives here in the runtime.
     pub(crate) alloc: BlockAllocator,
-    /// Power-of-two size-class slabs for variable-size payloads.
-    slab: SlabAllocator,
     /// Serializes compaction passes ("the compaction thread", §5.1 — one at
     /// a time per runtime).
     pub(crate) compaction_mutex: Mutex<()>,
@@ -93,7 +87,6 @@ impl Runtime {
             faults,
             budget_bytes: AtomicU64::new(budget_bytes.unwrap_or(u64::MAX)),
             alloc: BlockAllocator::new(),
-            slab: SlabAllocator::new(),
             compaction_mutex: Mutex::new(()),
             graveyard: Mutex::new(Vec::new()),
             stub_graveyard: Mutex::new(Vec::new()),
@@ -119,18 +112,6 @@ impl Runtime {
             u64::MAX => None,
             b => Some(b),
         }
-    }
-
-    /// Enables or disables the sharded allocation fast path. Disabled, the
-    /// allocator degrades to the legacy shared path (batch size 1, every
-    /// free returns to the OS) — the `fig18_alloc` baseline mode.
-    pub fn set_sharded_alloc(&self, on: bool) {
-        self.alloc.set_sharded(on);
-    }
-
-    /// Whether the sharded allocation fast path is enabled (default: yes).
-    pub fn sharded_alloc(&self) -> bool {
-        self.alloc.is_sharded()
     }
 
     /// Enters a critical section (§3.4). All object dereferences require the
@@ -189,12 +170,12 @@ impl Runtime {
     /// Acquires one raw block's memory: `(base, owner_shard_tag, recycled)`.
     /// Owns all allocation accounting (`blocks_allocated`/`blocks_live`
     /// count *handouts*, fresh or recycled) and the recovery ladder.
+    ///
+    /// A thread the epoch registry could not index has no shard: it reserves
+    /// one block at a time and tags it `u32::MAX`, so its free goes straight
+    /// back to the OS.
     fn acquire_raw(&self) -> Result<(usize, u32, bool), MemError> {
-        let shard = if self.alloc.is_sharded() {
-            self.epochs.thread_index().ok()
-        } else {
-            None
-        };
+        let shard = self.epochs.thread_index().ok();
         let mut attempt = 0u32;
         loop {
             if let Some(idx) = shard {
@@ -216,7 +197,7 @@ impl Runtime {
                 let base = raw_alloc_block();
                 self.note_handout(attempt);
                 if granted > 1 {
-                    let idx = shard.expect("batched grants only on the sharded path");
+                    let idx = shard.expect("batched grants only with a shard");
                     for _ in 1..granted {
                         self.alloc.push_local(idx, raw_alloc_block() as u64);
                     }
@@ -280,9 +261,9 @@ impl Runtime {
 
     /// Returns a block handed out by [`allocate_block`](Self::allocate_block)
     /// (or the graveyard's epoch-delayed equivalent). The memory is parked
-    /// on an allocation shard for recycling when the sharded path is on and
-    /// the cache has room; otherwise it goes back to the OS and frees its
-    /// budget reservation.
+    /// on its owner's allocation shard for recycling when the cache has
+    /// room; otherwise it goes back to the OS and frees its budget
+    /// reservation.
     ///
     /// Callers must guarantee no thread can still dereference into the
     /// block — either because it was never published or because its burial
@@ -311,7 +292,7 @@ impl Runtime {
                 .budgeted_blocks()
                 .saturating_mul(BLOCK_SIZE as u64)
                 > budget;
-        if self.alloc.is_sharded() && owner != u32::MAX && !over_budget {
+        if owner != u32::MAX && !over_budget {
             // Recycle. The freeing thread keeps blocks it owns; foreign
             // blocks go home via the owner's MPSC return queue.
             let target = (owner - 1) as usize;
@@ -330,7 +311,7 @@ impl Runtime {
                 }
             }
         }
-        // Legacy path, overshoot settlement, cache cap, or unregistered
+        // Shardless owner, overshoot settlement, cache cap, or unregistered
         // freeing thread: return the memory and its reservation.
         unsafe { raw_dealloc_block(base) };
         self.alloc.unreserve(1);
@@ -349,16 +330,15 @@ impl Runtime {
 
     /// Pre-faults up to `n` fresh blocks into the calling thread's shard
     /// cache (subject to budget), so a worker's first allocations skip the
-    /// slow path. Returns the number of blocks parked.
+    /// slow path. The cache never grows past [`MAX_SHARD_CACHE`], the cap
+    /// frees enforce. Returns the number of blocks parked.
     pub fn prewarm_local_blocks(&self, n: u64) -> u64 {
-        if !self.alloc.is_sharded() {
-            return 0;
-        }
         let Ok(idx) = self.epochs.thread_index() else {
             return 0;
         };
+        let room = MAX_SHARD_CACHE.saturating_sub(self.alloc.shard_cached(idx));
         let budget = self.budget_bytes.load(Ordering::Relaxed);
-        let granted = self.alloc.reserve(budget, n.min(MAX_SHARD_CACHE));
+        let granted = self.alloc.reserve(budget, n.min(room));
         for _ in 0..granted {
             self.alloc.push_local(idx, raw_alloc_block() as u64);
         }
@@ -366,59 +346,15 @@ impl Runtime {
     }
 
     /// Point-in-time view of the allocation layer (shard caches, budget
-    /// gauge, slab occupancy) for `HeapSnapshot` and `smc-top`.
+    /// gauge) for `HeapSnapshot` and `smc-top`.
     pub fn alloc_snapshot(&self) -> AllocSnapshot {
         AllocSnapshot {
-            sharded: self.alloc.is_sharded(),
             budgeted_blocks: self.alloc.budgeted_blocks(),
             cached_blocks: self.alloc.cached_blocks(),
             blocks_recycled: MemoryStats::get(&self.stats.blocks_recycled),
             remote_frees: MemoryStats::get(&self.stats.remote_frees),
             remote_frees_drained: MemoryStats::get(&self.stats.remote_frees_drained),
-            slab_classes: self.slab.occupancy(),
         }
-    }
-
-    /// Allocates `len` bytes from the power-of-two size-class slabs
-    /// (variable-size payloads: strings, varlen columns). Lengths above
-    /// [`SLAB_MAX_CELL`] are [`MemError::ObjectTooLarge`]. Slab pages are
-    /// budgeted block handouts acquired through the same ladder as
-    /// [`allocate_block`](Self::allocate_block).
-    ///
-    /// The returned cell is *not* zeroed: slab payloads are gated by their
-    /// owners (e.g. a varlen column writes before publishing a length), so
-    /// recycled cells may hold stale bytes.
-    pub fn alloc_varlen(&self, len: usize) -> Result<NonNull<u8>, MemError> {
-        let class = crate::alloc::slab_class_for(len).ok_or(MemError::ObjectTooLarge {
-            size: len,
-            max: SLAB_MAX_CELL,
-        })?;
-        let mut st = self.slab.class(class);
-        let addr = match st.take_cell() {
-            Some(addr) => addr,
-            None => {
-                // Refill under the class lock (classes refill independently;
-                // the block ladder never takes a class lock, so no cycle).
-                let (base, _owner, _recycled) = self.acquire_raw()?;
-                st.add_page(class, base);
-                st.take_cell().expect("fresh page must yield a cell")
-            }
-        };
-        MemoryStats::inc(&self.stats.slab_cells_allocated);
-        Ok(NonNull::new(addr as *mut u8).expect("slab cells are never at address 0"))
-    }
-
-    /// Returns a cell obtained from [`alloc_varlen`](Self::alloc_varlen).
-    ///
-    /// # Safety
-    /// `ptr` must have come from `alloc_varlen(len')` on this runtime with
-    /// `len'` mapping to the same size class as `len`, must not be freed
-    /// twice, and no live reference into the cell may remain.
-    pub unsafe fn free_varlen(&self, ptr: NonNull<u8>, len: usize) {
-        let class = crate::alloc::slab_class_for(len)
-            .expect("free_varlen length must match an allocatable class");
-        self.slab.class(class).put_cell(ptr.as_ptr() as usize);
-        MemoryStats::inc(&self.stats.slab_cells_freed);
     }
 
     /// Current global epoch.
@@ -574,8 +510,8 @@ impl Drop for Runtime {
             drop(unsafe { Box::from_raw(addr as *mut crate::spill::SpillStub) });
         }
         drop(stubs);
-        // `alloc` (shard caches) and `slab` (pages) free their own memory
-        // when their fields drop after this body.
+        // `alloc` frees its shard caches when the field drops after this
+        // body.
     }
 }
 
@@ -720,18 +656,23 @@ mod tests {
     }
 
     #[test]
-    fn legacy_shared_path_skips_recycling() {
+    fn registry_exhausted_thread_allocates_without_a_shard() {
         let rt = Runtime::new();
-        assert!(rt.sharded_alloc());
-        rt.set_sharded_alloc(false);
-        let layout = BlockLayout::rows_of::<u64>().unwrap();
-        let a = rt.allocate_block(&layout, 1, 1).unwrap();
-        rt.free_block(a);
-        assert_eq!(rt.alloc.cached_blocks(), 0, "legacy frees go to the OS");
-        assert_eq!(rt.alloc.budgeted_blocks(), 0);
-        assert_eq!(MemoryStats::get(&rt.stats.blocks_recycled), 0);
-        assert_eq!(MemoryStats::get(&rt.stats.alloc_batch_refills), 0);
-        rt.verify().unwrap();
+        crate::epoch::with_registry_exhausted(&rt.epochs, || {
+            // This thread is registrant MAX_THREADS + 1: it has no shard.
+            assert!(rt.epochs.thread_index().is_err());
+            let layout = BlockLayout::rows_of::<u64>().unwrap();
+            let a = rt.allocate_block(&layout, 1, 1).unwrap();
+            assert_eq!(a.header().owner_shard.load(Ordering::Relaxed), u32::MAX);
+            assert_eq!(rt.alloc.budgeted_blocks(), 1, "one block, no batch");
+            assert_eq!(rt.alloc.cached_blocks(), 0);
+            rt.free_block(a);
+            assert_eq!(rt.alloc.cached_blocks(), 0, "shardless frees go to the OS");
+            assert_eq!(rt.alloc.budgeted_blocks(), 0, "reservation released");
+            assert_eq!(MemoryStats::get(&rt.stats.blocks_recycled), 0);
+            assert_eq!(MemoryStats::get(&rt.stats.alloc_batch_refills), 0);
+            rt.verify().unwrap();
+        });
     }
 
     #[test]
@@ -751,39 +692,13 @@ mod tests {
     }
 
     #[test]
-    fn varlen_cells_recycle_within_their_class() {
+    fn repeated_prewarm_stops_at_the_shard_cache_cap() {
         let rt = Runtime::new();
-        let p = rt.alloc_varlen(100).unwrap();
-        let q = rt.alloc_varlen(100).unwrap();
-        assert_ne!(p, q);
-        unsafe { rt.free_varlen(p, 100) };
-        let r = rt.alloc_varlen(128).unwrap(); // same 128-byte class
-        assert_eq!(r, p, "freed cell is reused LIFO");
-        let snap = rt.alloc_snapshot();
-        assert_eq!(snap.slab_classes_used(), 1);
-        let class = &snap.slab_classes[2]; // 32 << 2 == 128
-        assert_eq!(class.cell_size, 128);
-        assert_eq!(class.pages, 1);
-        assert_eq!(class.cells_live, 2);
-        assert_eq!(class.cells_allocated_total, 3);
-        assert!(matches!(
-            rt.alloc_varlen(SLAB_MAX_CELL + 1),
-            Err(MemError::ObjectTooLarge { size, max })
-                if size == SLAB_MAX_CELL + 1 && max == SLAB_MAX_CELL
-        ));
-        unsafe {
-            rt.free_varlen(q, 100);
-            rt.free_varlen(r, 128);
-        }
-        rt.verify().unwrap();
-    }
-
-    #[test]
-    fn varlen_respects_the_block_budget() {
-        let rt = Runtime::with_budget(Some(BLOCK_SIZE as u64));
-        let p = rt.alloc_varlen(64).unwrap(); // first slab page takes the budget
-        assert!(matches!(rt.alloc_varlen(4096), Err(MemError::OutOfMemory)));
-        unsafe { rt.free_varlen(p, 64) };
+        let cap = MAX_SHARD_CACHE;
+        assert_eq!(rt.prewarm_local_blocks(cap - 3), cap - 3);
+        assert_eq!(rt.prewarm_local_blocks(cap), 3, "only the room left");
+        assert_eq!(rt.prewarm_local_blocks(cap), 0, "cache is full");
+        assert_eq!(rt.alloc.cached_blocks(), MAX_SHARD_CACHE);
         rt.verify().unwrap();
     }
 

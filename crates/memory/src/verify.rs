@@ -283,8 +283,6 @@ impl Runtime {
     ///   either a live handout or parked in a shard cache
     ///   (`budgeted == blocks_live + cached`);
     /// - the budgeted byte total (handouts + caches) respects the budget;
-    /// - slab accounting balances per class: live + free cells equal the
-    ///   carved capacity, and lifetime allocated − freed equals live;
     /// - the indirection table's live entries equal the live object count.
     pub fn verify(&self) -> Result<(), Vec<String>> {
         let mut v = Violations::new();
@@ -318,31 +316,9 @@ impl Runtime {
                 v.push(format!("budgeted bytes {bytes} exceed budget {budget}"));
             }
         }
-        for class in self.alloc_snapshot().slab_classes {
-            let cell = class.cell_size;
-            if class.cells_live + class.cells_free != class.cells_capacity {
-                v.push(format!(
-                    "slab class {cell}B accounting off: live {} + free {} != capacity {}",
-                    class.cells_live, class.cells_free, class.cells_capacity
-                ));
-            }
-        }
-        let cells_alloc = MemoryStats::get(&self.stats.slab_cells_allocated);
-        let cells_freed = MemoryStats::get(&self.stats.slab_cells_freed);
-        let cells_live: u64 = self
-            .alloc_snapshot()
-            .slab_classes
-            .iter()
-            .map(|c| c.cells_live)
-            .sum();
-        if cells_alloc.checked_sub(cells_freed) != Some(cells_live) {
-            v.push(format!(
-                "slab cell accounting off: allocated {cells_alloc} - freed {cells_freed} \
-                 != live {cells_live}"
-            ));
-        }
         let entries = self.indirection.live_entries();
-        let objects = self.stats.objects_live();
+        let objects = MemoryStats::get(&self.stats.objects_allocated)
+            .saturating_sub(MemoryStats::get(&self.stats.objects_freed));
         if entries != objects {
             v.push(format!(
                 "indirection live entries {entries} != live objects {objects}"

@@ -1,7 +1,7 @@
 //! Integration tests for the sharded block allocator: concurrent alloc/free
 //! churn with remote frees crossing shard owners, budget breaches on the
-//! batched slow path, and exact post-quiesce reconciliation of free-list and
-//! slab accounting through `Runtime::verify`.
+//! batched slow path, and exact post-quiesce reconciliation of free-list
+//! accounting through `Runtime::verify`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
@@ -136,53 +136,4 @@ fn budget_breach_under_contention_is_an_error_never_a_panic() {
         .expect("freed budget must be allocatable");
     rt.free_block(again);
     rt.verify().unwrap();
-}
-
-/// Slab cells churned from several threads (each class has its own lock;
-/// cells recycle within a class) reconcile exactly: live + free == capacity
-/// per class, and lifetime counters balance.
-#[test]
-fn slab_churn_across_threads_reconciles() {
-    let rt = Runtime::new();
-    let barrier = Arc::new(Barrier::new(THREADS));
-    std::thread::scope(|s| {
-        for i in 0..THREADS {
-            let rt = rt.clone();
-            let barrier = barrier.clone();
-            s.spawn(move || {
-                barrier.wait();
-                let sizes = [48usize, 200, 1500, 4096];
-                let mut held = Vec::new();
-                for k in 0..200 {
-                    let len = sizes[(i + k) % sizes.len()];
-                    let p = rt.alloc_varlen(len).expect("unbounded budget");
-                    unsafe { p.as_ptr().write_bytes(0xAB, len) };
-                    held.push((p, len));
-                    if held.len() > 8 {
-                        let (p, len) = held.remove(0);
-                        unsafe { rt.free_varlen(p, len) };
-                    }
-                }
-                for (p, len) in held {
-                    unsafe { rt.free_varlen(p, len) };
-                }
-            });
-        }
-    });
-    rt.verify()
-        .unwrap_or_else(|v| panic!("post-quiesce verify: {v:?}"));
-    let snap = rt.alloc_snapshot();
-    assert_eq!(snap.slab_classes_used(), 4, "four distinct classes churned");
-    for class in &snap.slab_classes {
-        assert_eq!(class.cells_live, 0, "all cells returned");
-        assert_eq!(class.cells_free, class.cells_capacity);
-    }
-    assert_eq!(
-        MemoryStats::get(&rt.stats.slab_cells_allocated),
-        MemoryStats::get(&rt.stats.slab_cells_freed)
-    );
-    assert_eq!(
-        MemoryStats::get(&rt.stats.slab_cells_allocated),
-        (THREADS * 200) as u64
-    );
 }

@@ -32,12 +32,12 @@
 //! ```
 
 use std::path::PathBuf;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use crate::chrome::ChromeTrace;
 use crate::report::JsonValue;
-use crate::trace::{Event, TracedEvent};
+use crate::trace::{SeqSlot, TracedEvent};
 
 /// Events the flight ring holds before overwriting the oldest. At 9 words
 /// (72 bytes) per slot the whole recorder is a fixed ~288 KiB.
@@ -47,25 +47,10 @@ pub const FLIGHT_CAPACITY: usize = 4096;
 /// a no-op (recording still runs; there is just nowhere to write).
 pub const FLIGHT_OUT_ENV: &str = "SMC_FLIGHT_OUT";
 
-/// Seqlock slot: tag + (kind, seq, nanos, thread, p0..p3).
-struct FlightSlot {
-    tag: AtomicU64,
-    words: [AtomicU64; 8],
-}
-
-impl FlightSlot {
-    const fn new() -> FlightSlot {
-        FlightSlot {
-            tag: AtomicU64::new(0),
-            words: [const { AtomicU64::new(0) }; 8],
-        }
-    }
-}
-
 struct FlightRing {
     head: AtomicU64,
     dropped: AtomicU64,
-    slots: Box<[FlightSlot]>,
+    slots: Box<[SeqSlot]>,
 }
 
 impl FlightRing {
@@ -73,7 +58,7 @@ impl FlightRing {
         FlightRing {
             head: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
-            slots: (0..FLIGHT_CAPACITY).map(|_| FlightSlot::new()).collect(),
+            slots: (0..FLIGHT_CAPACITY).map(|_| SeqSlot::new()).collect(),
         }
     }
 }
@@ -111,27 +96,15 @@ pub(crate) fn note_mode(on: bool) {
 }
 
 /// Records one already-encoded emission (called from `trace::emit` when the
-/// flight mode bit is set). Wait-free: one `fetch_add` plus eight relaxed
-/// stores.
-pub(crate) fn record(thread: u64, seq: u64, nanos: u64, event: Event) {
+/// flight mode bit is set). Wait-free: one `fetch_add` plus the slot's
+/// relaxed stores.
+pub(crate) fn record(words: [u64; 8]) {
     let Some(ring) = RING.get() else { return };
     let pos = ring.head.fetch_add(1, Ordering::Relaxed);
     if pos >= FLIGHT_CAPACITY as u64 {
         ring.dropped.fetch_add(1, Ordering::Relaxed);
     }
-    let slot = &ring.slots[(pos as usize) % FLIGHT_CAPACITY];
-    let (kind, p) = event.encode();
-    slot.tag.store(0, Ordering::Relaxed);
-    fence(Ordering::SeqCst);
-    slot.words[0].store(kind, Ordering::Relaxed);
-    slot.words[1].store(seq, Ordering::Relaxed);
-    slot.words[2].store(nanos, Ordering::Relaxed);
-    slot.words[3].store(thread, Ordering::Relaxed);
-    slot.words[4].store(p[0], Ordering::Relaxed);
-    slot.words[5].store(p[1], Ordering::Relaxed);
-    slot.words[6].store(p[2], Ordering::Relaxed);
-    slot.words[7].store(p[3], Ordering::Relaxed);
-    slot.tag.store(pos + 1, Ordering::Release);
+    ring.slots[(pos as usize) % FLIGHT_CAPACITY].publish(pos, words);
 }
 
 /// Every currently-consistent record in the ring, sorted by global
@@ -140,35 +113,7 @@ pub fn snapshot() -> Vec<TracedEvent> {
     let Some(ring) = RING.get() else {
         return Vec::new();
     };
-    let mut out = Vec::new();
-    for slot in ring.slots.iter() {
-        let t1 = slot.tag.load(Ordering::Acquire);
-        if t1 == 0 {
-            continue;
-        }
-        let kind = slot.words[0].load(Ordering::Relaxed);
-        let seq = slot.words[1].load(Ordering::Relaxed);
-        let nanos = slot.words[2].load(Ordering::Relaxed);
-        let thread = slot.words[3].load(Ordering::Relaxed);
-        let p = [
-            slot.words[4].load(Ordering::Relaxed),
-            slot.words[5].load(Ordering::Relaxed),
-            slot.words[6].load(Ordering::Relaxed),
-            slot.words[7].load(Ordering::Relaxed),
-        ];
-        fence(Ordering::SeqCst);
-        if slot.tag.load(Ordering::Relaxed) != t1 {
-            continue;
-        }
-        if let Some(event) = Event::decode(kind, p) {
-            out.push(TracedEvent {
-                seq,
-                thread,
-                nanos,
-                event,
-            });
-        }
-    }
+    let mut out: Vec<TracedEvent> = ring.slots.iter().filter_map(SeqSlot::read_event).collect();
     out.sort_by_key(|t| t.seq);
     out
 }
@@ -222,7 +167,7 @@ pub fn install_panic_hook() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{self, test_lock, Label};
+    use crate::trace::{self, test_lock, Event, Label};
 
     #[test]
     fn flight_taps_emissions_without_ring_tracing() {

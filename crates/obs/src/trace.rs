@@ -568,24 +568,72 @@ pub struct TracedEvent {
     pub event: Event,
 }
 
-// Ring slot: a seqlock-tagged record of 6 atomic words. `tag == 0` means
-// empty or mid-write; `tag == logical_position + 1` means the words hold the
-// complete record for that position. All accesses are atomic (no UB); a
-// reader validating the tag before and after its word reads either sees a
-// consistent record or skips the slot.
-struct Slot {
-    tag: AtomicU64,
-    words: [AtomicU64; 6], // kind, seq, nanos, p0..p3 packed as [kind|…]
-    extra: [AtomicU64; 1],
+impl TracedEvent {
+    /// The record's slot encoding: kind, seq, nanos, thread, p0..p3.
+    fn to_words(self) -> [u64; 8] {
+        let (kind, [p0, p1, p2, p3]) = self.event.encode();
+        let (seq, nanos, thread) = (self.seq, self.nanos, self.thread);
+        [kind, seq, nanos, thread, p0, p1, p2, p3]
+    }
+
+    /// Inverse of [`to_words`](Self::to_words); `None` for an unknown kind.
+    fn from_words(w: [u64; 8]) -> Option<TracedEvent> {
+        Some(TracedEvent {
+            seq: w[1],
+            nanos: w[2],
+            thread: w[3],
+            event: Event::decode(w[0], [w[4], w[5], w[6], w[7]])?,
+        })
+    }
 }
 
-impl Slot {
-    const fn new() -> Slot {
-        Slot {
+/// Seqlock-tagged record of 8 atomic words, the slot of both the per-thread
+/// rings and the [flight recorder](crate::flight). `tag == 0` means empty or
+/// mid-write; `tag == logical_position + 1` means the words hold the
+/// complete record for that position. All accesses are atomic (no UB); a
+/// reader validating the tag before and after its word reads either sees a
+/// consistent record or skips the slot.
+pub(crate) struct SeqSlot {
+    tag: AtomicU64,
+    words: [AtomicU64; 8],
+}
+
+impl SeqSlot {
+    pub(crate) const fn new() -> SeqSlot {
+        SeqSlot {
             tag: AtomicU64::new(0),
-            words: [const { AtomicU64::new(0) }; 6],
-            extra: [const { AtomicU64::new(0) }; 1],
+            words: [const { AtomicU64::new(0) }; 8],
         }
+    }
+
+    /// Writes `words` as the record for logical position `pos`: invalidate,
+    /// publish the invalidation before any new word, write the record, then
+    /// publish the new tag after every word.
+    pub(crate) fn publish(&self, pos: u64, words: [u64; 8]) {
+        self.tag.store(0, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        for (slot, word) in self.words.iter().zip(words) {
+            slot.store(word, Ordering::Relaxed);
+        }
+        self.tag.store(pos + 1, Ordering::Release);
+    }
+
+    /// The slot's record, or `None` when it is empty, mid-write, or was
+    /// overwritten during the read.
+    pub(crate) fn read(&self) -> Option<[u64; 8]> {
+        let t1 = self.tag.load(Ordering::Acquire);
+        if t1 == 0 {
+            return None;
+        }
+        let words = std::array::from_fn(|i| self.words[i].load(Ordering::Relaxed));
+        fence(Ordering::SeqCst);
+        (self.tag.load(Ordering::Relaxed) == t1).then_some(words)
+    }
+
+    /// The slot's record decoded; `None` as [`read`](Self::read), or for an
+    /// unknown event kind.
+    pub(crate) fn read_event(&self) -> Option<TracedEvent> {
+        self.read().and_then(TracedEvent::from_words)
     }
 }
 
@@ -597,14 +645,14 @@ struct Ring {
     /// [`Ring::push`] reuses a previously-published slot (so [`clear`] and
     /// future resizes cannot skew the accounting).
     dropped: AtomicU64,
-    slots: Box<[Slot]>,
+    slots: Box<[SeqSlot]>,
     /// Owning-thread flag so `clear` can tell live rings from dead ones.
     _private: UnsafeCell<()>,
 }
 
 // SAFETY: all shared state is atomic; the UnsafeCell is a never-accessed
 // marker making the type !RefUnwindSafe-irrelevant. Slots follow the
-// seqlock protocol documented on `Slot`.
+// seqlock protocol documented on `SeqSlot`.
 unsafe impl Sync for Ring {}
 unsafe impl Send for Ring {}
 
@@ -614,65 +662,21 @@ impl Ring {
             thread,
             head: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
-            slots: (0..RING_CAPACITY).map(|_| Slot::new()).collect(),
+            slots: (0..RING_CAPACITY).map(|_| SeqSlot::new()).collect(),
             _private: UnsafeCell::new(()),
         }
     }
 
     /// Single-writer append (owning thread only).
-    fn push(&self, seq: u64, nanos: u64, event: Event) {
+    fn push(&self, words: [u64; 8]) {
         let pos = self.head.load(Ordering::Relaxed);
         if pos >= RING_CAPACITY as u64 {
             // This write reuses a slot that held a published record: the
             // ring has wrapped and the oldest event is being overwritten.
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        let slot = &self.slots[(pos as usize) % RING_CAPACITY];
-        let (kind, p) = event.encode();
-        // Invalidate, publish the invalidation before any new word, write
-        // the record, then publish the new tag after every word.
-        slot.tag.store(0, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
-        slot.words[0].store(kind, Ordering::Relaxed);
-        slot.words[1].store(seq, Ordering::Relaxed);
-        slot.words[2].store(nanos, Ordering::Relaxed);
-        slot.words[3].store(p[0], Ordering::Relaxed);
-        slot.words[4].store(p[1], Ordering::Relaxed);
-        slot.words[5].store(p[2], Ordering::Relaxed);
-        slot.extra[0].store(p[3], Ordering::Relaxed);
-        slot.tag.store(pos + 1, Ordering::Release);
+        self.slots[(pos as usize) % RING_CAPACITY].publish(pos, words);
         self.head.store(pos + 1, Ordering::Release);
-    }
-
-    /// Seqlock read of every currently-consistent slot.
-    fn read_all(&self, out: &mut Vec<TracedEvent>) {
-        for slot in self.slots.iter() {
-            let t1 = slot.tag.load(Ordering::Acquire);
-            if t1 == 0 {
-                continue;
-            }
-            let kind = slot.words[0].load(Ordering::Relaxed);
-            let seq = slot.words[1].load(Ordering::Relaxed);
-            let nanos = slot.words[2].load(Ordering::Relaxed);
-            let p = [
-                slot.words[3].load(Ordering::Relaxed),
-                slot.words[4].load(Ordering::Relaxed),
-                slot.words[5].load(Ordering::Relaxed),
-                slot.extra[0].load(Ordering::Relaxed),
-            ];
-            fence(Ordering::SeqCst);
-            if slot.tag.load(Ordering::Relaxed) != t1 {
-                continue; // overwritten mid-read
-            }
-            if let Some(event) = Event::decode(kind, p) {
-                out.push(TracedEvent {
-                    seq,
-                    thread: self.thread,
-                    nanos,
-                    event,
-                });
-            }
-        }
     }
 }
 
@@ -755,11 +759,18 @@ fn emit_enabled(mode: u8, event: Event) {
     let nanos = origin().elapsed().as_nanos() as u64;
     // `try_with`: emissions during TLS teardown are silently dropped.
     let _ = LOCAL.try_with(|ring| {
+        let words = TracedEvent {
+            seq,
+            thread: ring.thread,
+            nanos,
+            event,
+        }
+        .to_words();
         if mode & MODE_RINGS != 0 {
-            ring.push(seq, nanos, event);
+            ring.push(words);
         }
         if mode & MODE_FLIGHT != 0 {
-            crate::flight::record(ring.thread, seq, nanos, event);
+            crate::flight::record(words);
         }
     });
 }
@@ -769,10 +780,10 @@ fn emit_enabled(mode: u8, event: Event) {
 /// overwritten concurrently are skipped.
 pub fn snapshot() -> Vec<TracedEvent> {
     let rings: Vec<Arc<Ring>> = registry().lock().unwrap_or_else(|e| e.into_inner()).clone();
-    let mut out = Vec::new();
-    for ring in rings {
-        ring.read_all(&mut out);
-    }
+    let mut out: Vec<TracedEvent> = rings
+        .iter()
+        .flat_map(|ring| ring.slots.iter().filter_map(SeqSlot::read_event))
+        .collect();
     out.sort_by_key(|t| t.seq);
     out
 }

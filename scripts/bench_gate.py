@@ -45,13 +45,11 @@ the *structure and correctness signals* of the report:
     ``blocks_spilled`` / ``blocks_faulted_in`` counters — a run that
     never spilled or never faulted a page back in proves nothing about
     the larger-than-memory path;
-  * fig18 (contended allocator) reports must carry the ``sharded_speedup``,
-    ``alloc_parity`` and ``post_churn_verify`` oracles by name, non-zero
-    ``allocs_total`` / ``remote_frees_drained`` / ``slab_classes_used``
-    counters (the MPSC remote-free queues and the size-class slabs must
-    both have carried load), and every ``alloc_churn`` row must clear an
-    absolute allocs/sec floor — a mode that "ran" at zero throughput
-    never ran;
+  * fig18 (contended allocator) reports must carry the ``alloc_parity``
+    and ``post_churn_verify`` oracles by name, non-zero ``allocs_total`` /
+    ``remote_frees_drained`` counters (the MPSC remote-free queues must
+    have carried load), and every ``alloc_churn`` row must clear an
+    absolute allocs/sec floor — a run at zero throughput never ran;
   * if the report carries tracer counters, it may not claim an empty trace
     (``trace_events`` = 0) while also reporting dropped ring events — that
     combination means the tracer recorded work and the exporter lost all of
@@ -87,9 +85,8 @@ FIG17_COUNTERS = ("pins_taken", "snapshot_pages", "recovered_objects",
                   "blocks_spilled", "blocks_faulted_in")
 FIG17_CHECKS = ("recover_verify", "torn_page_rejected",
                 "spill_faults_counted")
-FIG18_COUNTERS = ("allocs_total", "remote_frees_drained",
-                  "slab_classes_used")
-FIG18_CHECKS = ("sharded_speedup", "alloc_parity", "post_churn_verify")
+FIG18_COUNTERS = ("allocs_total", "remote_frees_drained")
+FIG18_CHECKS = ("alloc_parity", "post_churn_verify")
 # Absolute floor on every alloc_churn row's allocs/sec. Deliberately far
 # below any real machine (a single serialized core measures ~25k/s): the
 # floor rejects zeroed or garbage rows, not slow hardware.
@@ -252,13 +249,12 @@ def check_report(fresh, baseline):
                  f"{', '.join(missing_fig17)}")
 
     # --- fig18 contended-allocator rules --------------------------------------
-    # A churn run is only evidence if its three oracles ran (sharded speedup
-    # or its recorded low-core waiver, exact alloc/free parity, post-churn
-    # verify) and the two reworked protocols actually carried load: the
-    # counter rule above already rejects runs where remote_frees_drained
-    # (MPSC return queues) or slab_classes_used (size-class slabs) is zero.
-    # On top of that, every alloc_churn row must clear an absolute
-    # throughput floor — a mode that "ran" at zero allocs/sec never ran.
+    # A churn run is only evidence if its two oracles ran (exact alloc/free
+    # parity, post-churn verify) and the remote-free protocol actually
+    # carried load: the counter rule above already rejects runs where
+    # remote_frees_drained (MPSC return queues) is zero. On top of that,
+    # every alloc_churn row must clear an absolute throughput floor — a run
+    # at zero allocs/sec never ran.
     if fresh.get("figure") == "fig18":
         missing_fig18 = sorted(n for n in FIG18_CHECKS if n not in fresh_names)
         if missing_fig18:
@@ -270,13 +266,13 @@ def check_report(fresh, baseline):
                 churn_rows = s.get("rows") or []
         if churn_rows is None:
             fail("fig18 report has no 'alloc_churn' series")
-        for row in churn_rows:
-            rate = row[2] if len(row) > 2 else None
+        for row in churn_rows:  # (threads, allocs_per_sec, p50_ns, p99_ns)
+            rate = row[1] if len(row) > 1 else None
             if (not isinstance(rate, (int, float))
                     or rate < FIG18_MIN_ALLOCS_PER_SEC):
                 fail(f"alloc_churn row {row!r} is below the "
                      f"{FIG18_MIN_ALLOCS_PER_SEC} allocs/sec floor — that "
-                     f"mode never really ran")
+                     f"run never really ran")
 
     # --- tracer honesty ------------------------------------------------------
     # Only meaningful when the run traced (SMC_TRACE_OUT set): an exported
@@ -460,21 +456,11 @@ def doctored_reports(base):
 
     if base.get("figure") == "fig18":
         # Contended-allocator-specific rules: a run whose remote-free queues
-        # never drained, whose slab never carved a class, whose speedup
-        # oracle was silently dropped, whose verify failed, or whose
-        # throughput collapsed to zero must each be rejected.
+        # never drained, whose verify failed, or whose throughput collapsed
+        # to zero must each be rejected.
         d = copy.deepcopy(base)
         d["counters"]["remote_frees_drained"] = 0
         yield "fig18: remote_frees_drained = 0 (return queues never ran)", d
-
-        d = copy.deepcopy(base)
-        d["counters"]["slab_classes_used"] = 0
-        yield "fig18: slab_classes_used = 0 (slab path never ran)", d
-
-        d = copy.deepcopy(base)
-        d["checks"] = [c for c in d["checks"]
-                       if c["name"] != "sharded_speedup"]
-        yield "fig18: sharded_speedup oracle dropped", d
 
         d = copy.deepcopy(base)
         for c in d["checks"]:
@@ -485,7 +471,7 @@ def doctored_reports(base):
         d = copy.deepcopy(base)
         for s in d["series"]:
             if s["name"] == "alloc_churn":
-                s["rows"][0][2] = 0
+                s["rows"][0][1] = 0
         yield "fig18: alloc_churn row at zero allocs/sec", d
 
         d = copy.deepcopy(base)
