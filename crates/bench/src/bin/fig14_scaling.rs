@@ -61,7 +61,7 @@ fn main() {
         "q1_speedup",
         "q6_speedup",
     ];
-    let mut report = Report::new("fig14", "Morsel-driven scaling on SMC");
+    let mut report = Report::new("fig14", "Scaling of morsel-driven scans on SMC");
     report.param("sf", sf);
     report.param("max_threads", max_threads as u64);
     report.param("runs", runs as u64);

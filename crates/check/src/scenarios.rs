@@ -22,10 +22,11 @@
 //! * **budget** — the block budget is exact under racing allocators, and the
 //!   OOM recovery ladder neither leaks budget nor double-frees.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use smc_memory::block::{type_id_of, BlockLayout, BlockRef, BLOCK_SIZE};
+use smc_memory::context::{CompactionGroup, Membership};
 use smc_memory::epoch::EpochManager;
 use smc_memory::incarnation::{IncWord, FLAG_FORWARD, FLAG_FROZEN, FLAG_LOCK, FLAG_MASK, INC_MASK};
 use smc_memory::indirection::{EntryRef, IndirectionTable};
@@ -36,6 +37,7 @@ use smc_memory::reloc::{
 use smc_memory::runtime::Runtime;
 use smc_memory::slot::SlotState;
 use smc_memory::stats::MemoryStats;
+use smc_memory::sync::{AtomicBool, AtomicU32};
 
 use crate::sched::Scenario;
 
@@ -491,17 +493,26 @@ pub fn slot_vs_entry_incarnation() -> Scenario {
 const VISIT_OBJECTS: u32 = 3;
 
 /// §5.2's query-counter protocol: a scanner and a compacting mover race over
-/// a block of three objects. The scanner increments the block's
-/// `query_counter` and then checks `compacting`; the mover sets `compacting`
-/// and then waits for the counter to drain before moving anything. Oracle:
-/// the scanner visits every object **exactly once** — never zero (lost under
-/// the move) and never twice (seen at both source and destination).
+/// a group of one source block holding three objects. The scanner is the
+/// shipped scan — [`Membership::for_each_block`] under a guard pinned in the
+/// relocation epoch, hence [`CompactionGroup::read`], then
+/// [`BlockRef::valid_slots`] over the blocks it yields: it increments the
+/// group's query counter and re-checks `started`;
+/// if the mover won it helps finish the move ([`CompactionGroup::help_relocate`])
+/// and reads dest plus source. The mover announces `started` and waits in
+/// [`CompactionGroup::wait_pre_readers`] before moving anything. Oracle: the
+/// scanner visits every object **exactly once** — never zero (lost under the
+/// move) and never twice (seen at both source and destination). Catches
+/// [`smc_memory::mutation::Mutation::PinSkipsStartedRecheck`].
 pub fn exactly_once_visitation() -> Scenario {
-    let layout = BlockLayout::rows_of::<u64>().expect("u64 fits a block");
+    // 20 000-byte slots: a block holds exactly the three objects, so the
+    // shipped whole-block walk costs the checker three steps per block
+    // rather than thousands. Only the leading u64 of each slot is used.
+    let layout = BlockLayout::rows(20_000, 8).expect("three wide slots fit a block");
+    assert_eq!(layout.capacity, VISIT_OBJECTS);
     let src = BlockRef::allocate(&layout, type_id_of::<u64>(), 1).expect("alloc src");
     let dst = BlockRef::allocate(&layout, type_id_of::<u64>(), 1).expect("alloc dst");
     let table = Arc::new(IndirectionTable::new());
-    let mut entry_addrs = Vec::new();
     let mut relocs = Vec::new();
     for slot in 0..VISIT_OBJECTS {
         let entry = table.allocate(0);
@@ -518,7 +529,6 @@ pub fn exactly_once_visitation() -> Scenario {
             .store_payload(src.obj_ptr(slot) as usize, Ordering::Release);
         assert!(entry.get().inc().try_set_flag(0, FLAG_FROZEN));
         assert!(src.slot_inc(slot).try_set_flag(0, FLAG_FROZEN));
-        entry_addrs.push(entry.addr());
         relocs.push(RelocEntry::new(
             slot,
             entry.addr(),
@@ -534,71 +544,66 @@ pub fn exactly_once_visitation() -> Scenario {
     src.header()
         .reloc_list
         .store(Box::into_raw(list), Ordering::Release);
+    let group = Arc::new(CompactionGroup {
+        sources: vec![src],
+        dest: dst,
+        query_counter: AtomicU32::new(0),
+        started: AtomicBool::new(false),
+        settled: AtomicBool::new(false),
+    });
+    // The moving phase of relocation epoch 1: the scanner's pin lands in the
+    // relocation epoch, so its read takes the §5.2 path, and helping is
+    // permitted.
+    let mgr = EpochManager::new();
+    mgr.try_advance().expect("nothing is pinned");
+    mgr.set_relocation_epoch(1);
+    mgr.set_moving_phase(true);
+    let stats = Arc::new(MemoryStats::new());
 
-    let done = Arc::new(AtomicBool::new(false));
     let visited = Arc::new(Mutex::new(Vec::new()));
-    let mover_done = done.clone();
+    let snapshot = Membership {
+        blocks: Vec::new(),
+        groups: vec![group.clone()],
+    };
+    let mover_group = group;
     let mover_table = table.clone();
     let scan_visited = visited.clone();
     let scan_table = table.clone();
     Scenario::new()
         .thread(move || {
             // Mover (§5.2): announce, wait for in-flight scans, then move.
-            src.header().compacting.store(1, Ordering::SeqCst);
-            while src.header().query_counter.load(Ordering::SeqCst) != 0 {
-                smc_memory::sync::cpu_relax();
-            }
+            // The scanner may help, so losing an object's move to it is fine.
+            mover_group.started.store(true, Ordering::SeqCst);
+            assert!(mover_group.wait_pre_readers(None));
             let list = unsafe { &*src.header().reloc_list.load(Ordering::SeqCst) };
             for reloc in &list.entries {
                 let outcome = unsafe { try_move_object(src, reloc) };
-                assert_eq!(outcome, MoveOutcome::MovedByUs);
+                assert!(matches!(
+                    outcome,
+                    MoveOutcome::MovedByUs | MoveOutcome::AlreadyMoved
+                ));
             }
-            mover_done.store(true, Ordering::SeqCst);
             drop(mover_table);
         })
         .thread(move || {
-            // Scanner (§5.2): register, then check whether compaction won.
-            src.header().query_counter.fetch_add(1, Ordering::SeqCst);
-            if src.header().compacting.load(Ordering::SeqCst) != 0 {
-                // Too late: retract the pin and rescan after the move. Any
-                // bailed-out straggler would still be Valid at the source.
-                src.header().query_counter.fetch_sub(1, Ordering::SeqCst);
-                while !done.load(Ordering::SeqCst) {
-                    smc_memory::sync::cpu_relax();
+            // Scanner: the sequential scan every `for_each` runs, over a
+            // snapshot holding just the group.
+            let guard = mgr.pin();
+            snapshot.for_each_block(&guard, &stats, |block| {
+                for slot in block.valid_slots() {
+                    // Object values, not addresses: the violation message
+                    // must replay identically from its seed.
+                    let value = unsafe { block.obj_ptr(slot).cast::<u64>().read() };
+                    scan_visited.lock().unwrap().push(value);
                 }
-                for slot in 0..VISIT_OBJECTS {
-                    if dst.slot_word(slot).state() == SlotState::Valid {
-                        scan_visited
-                            .lock()
-                            .unwrap()
-                            .push(dst.back_ptr(slot).load(Ordering::SeqCst));
-                    }
-                    if src.slot_word(slot).state() == SlotState::Valid {
-                        scan_visited
-                            .lock()
-                            .unwrap()
-                            .push(src.back_ptr(slot).load(Ordering::SeqCst));
-                    }
-                }
-            } else {
-                // We won: the counter holds the mover off until we finish.
-                for slot in 0..VISIT_OBJECTS {
-                    if src.slot_word(slot).state() == SlotState::Valid {
-                        scan_visited
-                            .lock()
-                            .unwrap()
-                            .push(src.back_ptr(slot).load(Ordering::SeqCst));
-                    }
-                }
-                src.header().query_counter.fetch_sub(1, Ordering::SeqCst);
-            }
+            });
+            drop(guard);
             drop(scan_table);
         })
         .finally(move || {
             let mut seen = visited.lock().unwrap().clone();
             seen.sort_unstable();
-            let mut expected = entry_addrs.clone();
-            expected.sort_unstable();
+            let expected: Vec<u64> = (0..VISIT_OBJECTS).map(|s| 1000 + u64::from(s)).collect();
             assert_eq!(
                 seen, expected,
                 "scanner must visit each live object exactly once under \

@@ -144,6 +144,15 @@ fn catches_drop_remote_drain() {
 }
 
 #[test]
+fn catches_pin_skips_started_recheck() {
+    assert_mutation_caught(
+        Mutation::PinSkipsStartedRecheck,
+        "exactly_once_visitation",
+        scenarios::exactly_once_visitation,
+    );
+}
+
+#[test]
 fn catches_slot_vs_entry_incarnation() {
     assert_mutation_caught(
         Mutation::SlotVsEntryInc,

@@ -21,20 +21,18 @@
 //! lower isolation level than database systems, in line with other managed
 //! collections" (§4). APIs that expose shared borrows document this.
 
-use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use smc_memory::block::{type_id_of, BlockRef};
+use smc_memory::block::{type_id_of, ValidSlots};
 use smc_memory::context::{
-    Allocation, CompactionGroup, CompactionReport, ContextConfig, MemoryContext,
+    Allocation, CompactionReport, ContextConfig, Membership, MemoryContext, UnitRead,
 };
 use smc_memory::epoch::Guard;
 use smc_memory::error::MemError;
 use smc_memory::inspect::HeapSnapshot;
 use smc_memory::runtime::Runtime;
-use smc_memory::slot::{SlotId, SlotState};
 use smc_memory::stats::MemoryStats;
 use smc_memory::tabular::Tabular;
 use smc_memory::verify::VerifyReport;
@@ -228,78 +226,48 @@ impl<T: Tabular> Smc<T> {
                 f(unsafe { &*obj.cast::<T>() });
                 n += 1;
             })?;
-        for block in m.blocks {
-            n += self.scan_block(block, &mut f);
-        }
-        for group in m.groups {
-            visit_group(&group, guard, self.ctx.runtime(), &mut |block| {
-                n += self.scan_block(block, &mut f);
-            });
-        }
-        Ok(n)
-    }
-
-    fn scan_block(&self, block: BlockRef, f: &mut impl FnMut(&T)) -> u64 {
-        let mut n = 0;
-        let cap = block.header().capacity;
-        for slot in 0..cap {
-            if block.slot_word(slot).state() == SlotState::Valid {
+        // The callback above took the address of `f`; the resident loop runs
+        // on a moved `f` that nothing else can reach, which is what lets the
+        // optimizer keep the closure's captures in registers across objects.
+        let mut f = f;
+        m.for_each_block(guard, &self.ctx.runtime().stats, |block| {
+            n += block.valid_slots().fold(0, |seen, slot| {
                 // SAFETY: valid slot in a pinned critical section.
                 f(unsafe { &*block.obj_ptr(slot).cast::<T>() });
-                n += 1;
-            }
-        }
-        n
+                seen + 1
+            });
+        });
+        Ok(n)
     }
 
     /// Like [`for_each`](Self::for_each) but also hands out the checked
     /// reference of each object (built from the slot's back-pointer, exactly
     /// as the paper's generated code yields `ObjRef`s, §4). Spilled objects
     /// yield working references too — dereferencing one faults its page in.
-    pub fn for_each_ref(&self, guard: &Guard<'_>, f: impl FnMut(Ref<T>, &T)) -> u64 {
-        self.try_for_each_ref(guard, f)
-            .expect("spilled page unreadable")
-    }
-
-    /// Fallible [`for_each_ref`](Self::for_each_ref); see
-    /// [`try_for_each`](Self::try_for_each) for the error contract.
-    pub fn try_for_each_ref(
-        &self,
-        guard: &Guard<'_>,
-        mut f: impl FnMut(Ref<T>, &T),
-    ) -> Result<u64, MemError> {
+    /// Panics if a spilled page cannot be read.
+    pub fn for_each_ref(&self, guard: &Guard<'_>, mut f: impl FnMut(Ref<T>, &T)) -> u64 {
         let mut n = 0;
+        let mut each = |entry_addr: usize, obj: *const u8| {
+            // SAFETY: `entry_addr` is the live indirection entry of the
+            // object at `obj` (a page record's, or a valid slot's
+            // back-pointer), and `obj` addresses a `T` of this collection.
+            let (r, obj) = unsafe { (ref_of_entry(entry_addr), &*obj.cast::<T>()) };
+            f(r, obj);
+            n += 1;
+        };
         let m = self
             .ctx
-            .scan_spilled_then_snapshot(&mut |entry_addr, obj| {
-                let entry = unsafe { smc_memory::indirection::EntryRef::from_addr(entry_addr) };
-                let r = Ref::from_parts(entry, entry.get().inc().incarnation());
-                // SAFETY: as in `try_for_each`.
-                f(r, unsafe { &*obj.cast::<T>() });
-                n += 1;
-            })?;
-        let mut scan = |block: BlockRef| {
-            let cap = block.header().capacity;
-            for slot in 0..cap {
-                if block.slot_word(slot).state() == SlotState::Valid {
-                    let back = block.back_ptr(slot).load(Ordering::Acquire);
-                    if back == 0 {
-                        continue;
-                    }
-                    let entry = unsafe { smc_memory::indirection::EntryRef::from_addr(back) };
-                    let r = Ref::from_parts(entry, entry.get().inc().incarnation());
-                    f(r, unsafe { &*block.obj_ptr(slot).cast::<T>() });
-                    n += 1;
+            .scan_spilled_then_snapshot(&mut each)
+            .expect("spilled page unreadable");
+        m.for_each_block(guard, &self.ctx.runtime().stats, |block| {
+            block.valid_slots().for_each(|slot| {
+                let back = block.back_ptr(slot).load(Ordering::Acquire);
+                if back != 0 {
+                    each(back, block.obj_ptr(slot));
                 }
-            }
-        };
-        for block in m.blocks {
-            scan(block);
-        }
-        for group in m.groups {
-            visit_group(&group, guard, self.ctx.runtime(), &mut scan);
-        }
-        Ok(n)
+            });
+        });
+        n
     }
 
     /// Lazily iterates `(Ref<T>, &T)` pairs. Prefer [`for_each`](Smc::for_each) in
@@ -310,29 +278,15 @@ impl<T: Tabular> Smc<T> {
     /// pull iterator cannot hold the spill mutex across `next` calls). Use
     /// [`for_each`](Self::for_each) for scans that must see spilled data.
     pub fn iter<'g, 'e>(&self, guard: &'g Guard<'e>) -> Iter<'g, 'e, T> {
-        let m = self.ctx.membership_snapshot();
-        let mut work: VecDeque<WorkItem> = m.blocks.into_iter().map(WorkItem::Block).collect();
-        work.extend(m.groups.into_iter().map(WorkItem::Group));
         Iter {
             guard,
-            work,
-            cursor: None,
-            pinned: None,
-            runtime: self.ctx.runtime().clone(),
-            capacity: self.ctx.layout().capacity,
+            stats: self.ctx.runtime().stats.clone(),
+            membership: self.ctx.membership_snapshot(),
+            next_unit: 0,
+            unit: None,
+            slots: None,
+            capacity: self.ctx.layout().capacity as usize,
             _marker: PhantomData,
-        }
-    }
-
-    /// Walks every block the enumeration must visit, implementing the §5.2
-    /// compaction-group protocol (pin pre-state or help-and-read-post).
-    fn visit_blocks(&self, guard: &Guard<'_>, mut f: impl FnMut(BlockRef)) {
-        let m = self.ctx.membership_snapshot();
-        for block in m.blocks {
-            f(block);
-        }
-        for group in m.groups {
-            visit_group(&group, guard, self.ctx.runtime(), &mut f);
         }
     }
 
@@ -412,81 +366,50 @@ impl<T: Tabular> Smc<T> {
         let retired: std::collections::HashSet<usize> =
             report.retired_bases.iter().copied().collect();
         let mut fixed = 0;
-        self.visit_blocks(guard, |block| {
-            let cap = block.header().capacity;
-            for slot in 0..cap {
-                if block.slot_word(slot).state() != SlotState::Valid {
-                    continue;
-                }
+        let stats = &self.ctx.runtime().stats;
+        let m = self.ctx.membership_snapshot();
+        m.for_each_block(guard, stats, |block| {
+            for slot in block.valid_slots() {
                 // SAFETY: valid slot, pinned critical section; field updates
                 // race benignly under the collection's isolation level.
                 let obj = unsafe { &mut *block.obj_ptr(slot).cast::<T>() };
                 let dref = field(obj);
                 let base = dref.addr() & !(smc_memory::BLOCK_SIZE - 1);
-                if !retired.contains(&base) {
-                    continue;
-                }
-                if dref.get_healing(guard).is_some() {
+                if retired.contains(&base) && dref.get_healing(guard).is_some() {
                     fixed += 1;
                 }
             }
         });
-        MemoryStats::add(&self.ctx.runtime().stats.direct_pointers_fixed, fixed);
+        MemoryStats::add(&stats.direct_pointers_fixed, fixed);
         fixed
     }
 }
 
-/// §5.2 group visiting, shared by `for_each`, the pull iterator, and the
-/// parallel scan workers of `smc-exec`: reads the group either entirely in
-/// its pre-relocation state (sources only, holding the group's query counter
-/// so the mover cannot start) or entirely post-relocation (helping the move
-/// first, then dest plus bailed-out sources). Calls `f` once per block the
-/// enumeration must visit; the union of visited valid slots is exact.
-pub fn visit_group(
-    group: &Arc<CompactionGroup>,
-    guard: &Guard<'_>,
-    runtime: &Arc<Runtime>,
-    f: &mut impl FnMut(BlockRef),
-) {
-    if !group.settled.load(Ordering::Acquire) && guard.in_relocation_epoch() {
-        if group.try_pin_pre_state(runtime) {
-            // Pre-relocation state: sources only (dest is still empty), with
-            // the query counter held so the mover cannot start under us.
-            for &src in &group.sources {
-                f(src);
-            }
-            group.unpin_pre_state();
-            return;
-        }
-        // Relocation already started; help finish it if moves are currently
-        // permitted, then read the post-state.
-        if runtime.in_moving_phase() {
-            group.help_relocate(&runtime.stats);
-        }
-    }
-    // Post-state (or quiescent): moved objects are valid only in the dest,
-    // bailed-out objects only in their source — the union is exact.
-    f(group.dest);
-    for &src in &group.sources {
-        f(src);
-    }
+/// Rebuilds the checked reference held by the indirection entry at `addr`.
+///
+/// # Safety
+/// `addr` must be the address of a live indirection entry of a `T` object.
+unsafe fn ref_of_entry<T: Tabular>(addr: usize) -> Ref<T> {
+    let entry = smc_memory::indirection::EntryRef::from_addr(addr);
+    Ref::from_parts(entry, entry.get().inc().incarnation())
 }
 
-enum WorkItem {
-    Block(BlockRef),
-    Group(Arc<CompactionGroup>),
-}
-
-/// Pull iterator over `(Ref<T>, &T)`.
+/// Pull iterator over `(Ref<T>, &T)`: the same unit walk as
+/// [`Smc::for_each`], suspended between items.
 pub struct Iter<'g, 'e, T: Tabular> {
     guard: &'g Guard<'e>,
-    work: VecDeque<WorkItem>,
-    cursor: Option<(BlockRef, SlotId)>,
-    /// A group whose pre-state we hold pinned while its sources drain.
-    pinned: Option<(Arc<CompactionGroup>, usize)>,
-    runtime: Arc<Runtime>,
+    stats: Arc<MemoryStats>,
+    membership: Membership,
+    /// Next unit of `membership` to open.
+    next_unit: usize,
+    /// The open unit — for a group, its §5.2 reader, whose pre-state pin (if
+    /// any) lasts until the unit is drained or the iterator dropped — and
+    /// the index of its next block.
+    unit: Option<(UnitRead, usize)>,
+    /// The walk over the current block.
+    slots: Option<ValidSlots>,
     /// Slots per block (constant for the collection's layout).
-    capacity: u32,
+    capacity: usize,
     _marker: PhantomData<fn() -> T>,
 }
 
@@ -495,38 +418,34 @@ impl<'g, 'e, T: Tabular> Iterator for Iter<'g, 'e, T> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            if let Some((block, slot)) = self.cursor {
-                let cap = block.header().capacity;
-                let mut s = slot;
-                while s < cap {
-                    // Interleaving point for the smc-check model checker: a
-                    // pinned iteration can be preempted between slots, which
-                    // is exactly where concurrent compaction races live.
-                    smc_memory::sync::yield_point();
-                    if block.slot_word(s).state() == SlotState::Valid {
-                        let back = block.back_ptr(s).load(Ordering::Acquire);
-                        if back != 0 {
-                            let entry =
-                                unsafe { smc_memory::indirection::EntryRef::from_addr(back) };
-                            let r = Ref::from_parts(entry, entry.get().inc().incarnation());
-                            let obj = unsafe { &*block.obj_ptr(s).cast::<T>() };
-                            self.cursor = Some((block, s + 1));
-                            return Some((r, obj));
-                        }
+            if let Some(slots) = &mut self.slots {
+                let block = slots.block();
+                for slot in slots {
+                    let back = block.back_ptr(slot).load(Ordering::Acquire);
+                    if back != 0 {
+                        // SAFETY: valid slot in the guard's critical
+                        // section; `back` is its live indirection entry.
+                        return Some(unsafe {
+                            (ref_of_entry(back), &*block.obj_ptr(slot).cast::<T>())
+                        });
                     }
-                    s += 1;
                 }
-                self.cursor = None;
-                self.advance_pinned();
-                continue;
+                self.slots = None;
             }
-            match self.work.pop_front() {
-                None => return None,
-                Some(WorkItem::Block(b)) => {
-                    self.cursor = Some((b, 0));
+            if let Some((unit, k)) = &mut self.unit {
+                if let Some(block) = unit.blocks().nth(*k) {
+                    *k += 1;
+                    self.slots = Some(block.valid_slots());
+                    continue;
                 }
-                Some(WorkItem::Group(g)) => self.begin_group(g),
+                self.unit = None;
             }
+            if self.next_unit == self.membership.units() {
+                return None;
+            }
+            let m = &self.membership;
+            self.unit = Some((m.read_unit(self.next_unit, self.guard, &self.stats), 0));
+            self.next_unit += 1;
         }
     }
 
@@ -539,73 +458,23 @@ impl<'g, 'e, T: Tabular> Iterator for Iter<'g, 'e, T> {
     /// capacity bound, by contrast, is exact arithmetic over the snapshot:
     /// a block never yields more items than it has slots.
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let cap = self.capacity as usize;
-        let cursor = self
-            .cursor
-            .map_or(0, |(b, s)| b.header().capacity.saturating_sub(s) as usize);
-        // Remaining sources of a group whose pre-state we hold pinned (the
-        // current source is already counted by the cursor).
-        let pinned = self
-            .pinned
+        let slots = self
+            .slots
             .as_ref()
-            .map_or(0, |(g, idx)| g.sources.len().saturating_sub(idx + 1) * cap);
-        let work: usize = self
-            .work
+            .map_or(0, |s| s.size_hint().1.unwrap_or(self.capacity));
+        let open = self
+            .unit
+            .as_ref()
+            .map_or(0, |(u, k)| u.blocks().count() - k);
+        let m = &self.membership;
+        // Unopened units: a block each, or — worst case, the group is read
+        // post-state — dest plus sources.
+        let plain = m.blocks.len().saturating_sub(self.next_unit);
+        let opened_groups = self.next_unit.saturating_sub(m.blocks.len());
+        let grouped: usize = m.groups[opened_groups..]
             .iter()
-            .map(|w| match w {
-                WorkItem::Block(_) => cap,
-                // Worst case the group is read post-state: dest + sources.
-                WorkItem::Group(g) => (g.sources.len() + 1) * cap,
-            })
+            .map(|g| g.sources.len() + 1)
             .sum();
-        (0, Some(cursor + pinned + work))
-    }
-}
-
-impl<'g, 'e, T: Tabular> Iter<'g, 'e, T> {
-    fn begin_group(&mut self, group: Arc<CompactionGroup>) {
-        let runtime = self.runtime.clone();
-        if !group.settled.load(Ordering::Acquire) && self.guard.in_relocation_epoch() {
-            if group.try_pin_pre_state(&runtime) {
-                // Enumerate sources under the pin; unpinned once drained.
-                if let Some(&first) = group.sources.first() {
-                    self.cursor = Some((first, 0));
-                    self.pinned = Some((group, 0));
-                } else {
-                    group.unpin_pre_state();
-                }
-                return;
-            }
-            if runtime.in_moving_phase() {
-                group.help_relocate(&runtime.stats);
-            }
-        }
-        // Post-state: dest then sources, as plain blocks.
-        for &src in group.sources.iter().rev() {
-            self.work.push_front(WorkItem::Block(src));
-        }
-        self.work.push_front(WorkItem::Block(group.dest));
-    }
-
-    /// Called when a block cursor drains: steps to the pinned group's next
-    /// source, or releases the pin.
-    fn advance_pinned(&mut self) {
-        if let Some((group, idx)) = self.pinned.take() {
-            let next = idx + 1;
-            if next < group.sources.len() {
-                self.cursor = Some((group.sources[next], 0));
-                self.pinned = Some((group, next));
-            } else {
-                group.unpin_pre_state();
-            }
-        }
-    }
-}
-
-impl<'g, 'e, T: Tabular> Drop for Iter<'g, 'e, T> {
-    fn drop(&mut self) {
-        if let Some((group, _)) = self.pinned.take() {
-            group.unpin_pre_state();
-        }
+        (0, Some(slots + (open + plain + grouped) * self.capacity))
     }
 }

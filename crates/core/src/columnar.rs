@@ -20,7 +20,6 @@ use smc_memory::context::{Allocation, ContextConfig, MemoryContext};
 use smc_memory::epoch::Guard;
 use smc_memory::error::MemError;
 use smc_memory::runtime::Runtime;
-use smc_memory::slot::SlotState;
 use smc_memory::tabular::Tabular;
 
 use crate::refs::Ref;
@@ -279,32 +278,27 @@ impl<T: Columnar> ColumnarSmc<T> {
         self.ctx.bytes()
     }
 
-    /// Visits each block's column arrays together with its slot-validity
-    /// predicate — the columnar compiled-query loop. `f` receives the
-    /// arrays, the block capacity, and a callback to test slot validity;
-    /// it reads only the columns the query needs (§4.1).
-    pub fn for_each_block(&self, _guard: &Guard<'_>, mut f: impl FnMut(&ColumnArrays, &BlockRef)) {
+    /// Visits each block's column arrays — the columnar compiled-query
+    /// loop. `f` receives the arrays and the block; it walks the block's
+    /// [`valid_slots`](BlockRef::valid_slots) and reads only the columns the
+    /// query needs (§4.1). Blocks of an in-flight compaction group are
+    /// visited through the §5.2 protocol, like any other scan.
+    pub fn for_each_block(&self, guard: &Guard<'_>, mut f: impl FnMut(&ColumnArrays, &BlockRef)) {
         let m = self.ctx.membership_snapshot();
-        for block in &m.blocks {
-            let cols = self.arrays(block);
-            f(&cols, block);
-        }
-        // Columnar contexts do not participate in compaction (see DESIGN.md);
-        // groups never form.
-        debug_assert!(m.groups.is_empty());
+        m.for_each_block(guard, &self.ctx.runtime().stats, |block| {
+            f(&self.arrays(&block), &block);
+        });
     }
 
     /// Applies `f` to every live object, gathered from its columns.
     pub fn for_each(&self, guard: &Guard<'_>, mut f: impl FnMut(&T)) -> u64 {
         let mut n = 0;
         self.for_each_block(guard, |cols, block| {
-            for slot in 0..block.header().capacity {
-                if block.slot_word(slot).state() == SlotState::Valid {
-                    let v = unsafe { T::gather(cols, slot as usize) };
-                    f(&v);
-                    n += 1;
-                }
-            }
+            block.valid_slots().for_each(|slot| {
+                // SAFETY: `cols` are this block's arrays and the slot is valid.
+                f(&unsafe { T::gather(cols, slot as usize) });
+                n += 1;
+            });
         });
         n
     }

@@ -63,7 +63,7 @@ pub mod collection;
 pub mod columnar;
 pub mod refs;
 
-pub use collection::{visit_group, Iter, Smc};
+pub use collection::{Iter, Smc};
 pub use columnar::{ColumnArrays, Columnar, ColumnarSmc, MAX_COLUMNS};
 pub use refs::{DirectRef, OptDirectRef, Ref};
 

@@ -3,13 +3,13 @@
 //! The paper's enumeration protocol (§5) is explicitly multi-reader: any
 //! number of queries may scan a collection while compaction relocates
 //! objects. This crate turns that property into intra-query parallelism,
-//! in the style of morsel-driven execution engines: the collection's
-//! memory blocks (and the columnar store's row groups) become *morsels*
-//! handed out to a reusable pool of worker threads through an atomic
-//! cursor, each worker pins its own epoch [`Guard`](smc::Guard) and runs
-//! the same fused scan→filter→fold loops the sequential `BlockScan`
-//! compiles, and thread-local accumulators are merged in a final reduce
-//! step.
+//! in the style of morsel-driven execution engines: the units of the
+//! collection's membership snapshot (its memory blocks, the columnar
+//! store's row groups, and whole in-flight compaction groups) become
+//! *morsels* handed out to a reusable pool of worker threads through an
+//! atomic cursor, each worker pins its own epoch [`Guard`](smc::Guard) and
+//! runs the same fused scan→filter→fold loop `Smc::for_each` compiles to,
+//! and thread-local accumulators are merged in a final reduce step.
 //!
 //! Three layers:
 //!
@@ -17,8 +17,8 @@
 //!   runtime's epoch manager so thread-registry exhaustion is a
 //!   constructor error, never a mid-query panic;
 //! * [`ParScan`] / [`ParColumnarScan`] — parallel scans over [`Smc`](smc::Smc)
-//!   and [`ColumnarSmc`](smc::ColumnarSmc), mirroring the sequential
-//!   `BlockScan` API (`filter_count`, `filter_fold`, `group_aggregate`);
+//!   and [`ColumnarSmc`](smc::ColumnarSmc) (`filter_count`, `filter_fold`,
+//!   `group_aggregate`, `fold_blocks`);
 //! * [`par_fold_chunks`] — the same morsel loop over plain slices, for the
 //!   baseline backends (managed handle lists, columnstore row ranges).
 //!

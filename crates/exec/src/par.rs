@@ -1,27 +1,28 @@
-//! Morsel-driven parallel scans ([`ParScan`], [`ParColumnarScan`]) and the
+//! Parallel morsel-driven scans ([`ParScan`], [`ParColumnarScan`]) and the
 //! generic chunked fold used by the slice-shaped baseline backends.
 //!
-//! A scan turns the collection's membership snapshot into morsels
-//! ([`MemoryContext::morsels`](smc_memory::context::MemoryContext::morsels)):
-//! one per regular block, one per in-flight compaction group. Workers claim
-//! morsels from a shared atomic cursor (work stealing degenerates to a
-//! single fetch-add over a shared queue, as in morsel-driven execution
-//! engines), fold matches into thread-local accumulators, and the
-//! coordinator merges the per-worker partials at the end.
+//! A scan's morsels are the units of the collection's [`Membership`]
+//! snapshot: one per regular block, one per in-flight compaction group.
+//! Workers claim unit indices from a shared atomic cursor (work stealing
+//! degenerates to a single fetch-add over a shared queue, as in morsel-driven
+//! execution engines), fold matches into thread-local accumulators, and the
+//! coordinator merges the per-worker partials at the end. All three entry
+//! points run the one claim loop, the private `run_workers`.
 //!
 //! # Why a scan is safe while `compact()` runs
 //!
-//! The coordinating thread pins its own guard *before* taking the morsel
+//! The coordinating thread pins its own guard *before* taking the membership
 //! snapshot and holds it until every worker has finished. While any reader
 //! sits pinned in epoch `e`, the global epoch can advance at most to
 //! `e + 1`; a compaction announced after the snapshot must wait for its
 //! relocation epoch plus one (`≥ e + 2`) before moving objects, so plain
 //! blocks in the snapshot cannot have objects relocated out mid-scan.
 //! Groups already in flight at snapshot time are each claimed by exactly
-//! one worker, which applies the §5.2 protocol: read the whole group
-//! pre-relocation under its query counter, or help finish the move and read
-//! the post-state — either way every live object of the group is visited
-//! exactly once.
+//! one worker, which opens the §5.2 reader
+//! ([`CompactionGroup::read`](smc_memory::context::CompactionGroup::read)):
+//! read the whole group pre-relocation under its query counter, or help
+//! finish the move and read the post-state — either way every live object
+//! of the group is visited exactly once.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -29,38 +30,110 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use smc::{visit_group, ColumnArrays, Columnar, ColumnarSmc, Smc, Tabular};
+use smc::{ColumnArrays, Columnar, ColumnarSmc, Smc, Tabular};
 use smc_memory::block::BlockRef;
-use smc_memory::context::Morsel;
-use smc_memory::slot::SlotState;
+use smc_memory::context::Membership;
 use smc_memory::stats::MemoryStats;
+use smc_memory::Runtime;
 
 use crate::pool::WorkerPool;
 
-/// Scans one block's valid slots — the same fused loop `Smc::for_each`
-/// runs, executed by a worker on its claimed morsel.
-fn scan_block<T: Tabular>(block: &BlockRef, stats: &MemoryStats, mut f: impl FnMut(&T)) {
-    MemoryStats::inc(&stats.blocks_scanned);
-    let cap = block.header().capacity;
-    for slot in 0..cap {
-        if block.slot_word(slot).state() == SlotState::Valid {
-            // SAFETY: valid slot, read inside the worker's pinned critical
-            // section; the coordinator guard prevents relocation out of
-            // snapshot blocks for the duration of the scan (module docs).
-            f(unsafe { &*block.obj_ptr(slot).cast::<T>() });
+/// One worker's handle on the shared morsel cursor: yields the indices this
+/// worker claims, counting and tracing each dispatch.
+struct Claims<'a> {
+    cursor: &'a AtomicUsize,
+    morsels: usize,
+    worker: u64,
+    /// Counts `morsels_dispatched` for scans bound to a runtime.
+    stats: Option<&'a MemoryStats>,
+    claimed: u64,
+}
+
+impl Iterator for Claims<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= self.morsels {
+            return None;
         }
+        self.claimed += 1;
+        if let Some(stats) = self.stats {
+            MemoryStats::inc(&stats.morsels_dispatched);
+        }
+        smc_obs::trace::emit(smc_obs::Event::MorselDispatch {
+            worker: self.worker,
+            morsel: i as u64,
+        });
+        Some(i)
     }
 }
 
-fn take_partials<A>(slots: Vec<Mutex<Option<A>>>) -> Vec<A> {
+/// The morsel claim loop behind every parallel scan: broadcasts `worker` to
+/// the pool, hands each invocation its [`Claims`] on the shared cursor over
+/// `0..morsels`, and returns the accumulators of the workers that ran.
+fn run_workers<A: Send>(
+    pool: &WorkerPool,
+    morsels: usize,
+    stats: Option<&MemoryStats>,
+    worker: impl Fn(&mut Claims<'_>) -> A + Sync,
+) -> Vec<A> {
+    let cursor = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<A>>> = (0..pool.threads()).map(|_| Mutex::new(None)).collect();
+    // Capture the dispatching thread's span context so each worker can
+    // re-enter it: the request id crosses the pool boundary with the scan,
+    // and every worker's share shows up as a `req.exec` span.
+    let req = smc_obs::trace::current_request();
+    pool.broadcast(|widx| {
+        let _scope = req.map(smc_obs::trace::RequestScope::enter);
+        let worker_start = std::time::Instant::now();
+        let mut claims = Claims {
+            cursor: &cursor,
+            morsels,
+            worker: widx as u64,
+            stats,
+            claimed: 0,
+        };
+        let acc = worker(&mut claims);
+        if let Some(id) = req.filter(|_| claims.claimed > 0) {
+            smc_obs::trace::emit_stage(id, "exec", worker_start.elapsed().as_nanos() as u64);
+        }
+        *slots[widx].lock().unwrap_or_else(|e| e.into_inner()) = Some(acc);
+    });
     slots
         .into_iter()
         .filter_map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
         .collect()
 }
 
-/// A parallel scan over an [`Smc`], mirroring the sequential
-/// `BlockScan` API with per-worker accumulators and a final merge step.
+/// Fans a membership snapshot's units out to the pool. Each worker pins its
+/// own guard and runs `block_body` on every block of the units it claims
+/// (a group's blocks as its §5.2 reader yields them).
+fn scan_units<A: Send>(
+    pool: &WorkerPool,
+    runtime: &Runtime,
+    membership: &Membership,
+    make: &(impl Fn() -> A + Sync),
+    block_body: impl Fn(&mut A, BlockRef) + Sync,
+) -> Vec<A> {
+    let stats = &*runtime.stats;
+    run_workers(pool, membership.units(), Some(stats), |claims| {
+        let guard = runtime
+            .try_pin()
+            .expect("pool workers pre-register with the runtime");
+        let mut acc = make();
+        for unit in claims {
+            membership.visit_unit(unit, &guard, stats, |block| {
+                MemoryStats::inc(&stats.blocks_scanned);
+                block_body(&mut acc, block);
+            });
+        }
+        acc
+    })
+}
+
+/// A parallel scan over an [`Smc`]: the fused scan→filter→fold loop of
+/// `Smc::for_each`, with per-worker accumulators and a final merge step.
 pub struct ParScan<'a, T: Tabular> {
     collection: &'a Smc<T>,
     pool: &'a WorkerPool,
@@ -101,62 +174,27 @@ impl<'a, T: Tabular + Sync> ParScan<'a, T> {
         // Spilled pages first, on the coordinating thread: they are the cold
         // tail, read sequentially from the page store while the membership
         // snapshot is taken under the same spill mutex (a page faulted in
-        // mid-scan can't be seen twice or missed). Resident morsels then fan
+        // mid-scan can't be seen twice or missed). Resident units then fan
         // out to the workers as usual.
         let mut spilled_acc = make();
-        let morsels = self
+        let membership = self
             .collection
             .context()
-            .morsels_spilled_then_snapshot(&mut |_entry_addr, obj| {
+            .scan_spilled_then_snapshot(&mut |_entry_addr, obj| {
                 // SAFETY: the callback's pointer addresses size_of::<T>()
                 // initialized bytes of a record this collection spilled.
                 body(&mut spilled_acc, unsafe { &*obj.cast::<T>() });
             })
             .expect("spilled page unreadable");
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<A>>> =
-            (0..self.pool.threads()).map(|_| Mutex::new(None)).collect();
-        // Capture the dispatching thread's span context so each worker can
-        // re-enter it: the request id crosses the pool boundary with the
-        // scan, and every worker's share shows up as a `req.exec` span.
-        let req = smc_obs::trace::current_request();
-        self.pool.broadcast(|widx| {
-            let _scope = req.map(smc_obs::trace::RequestScope::enter);
-            let worker_start = std::time::Instant::now();
-            let mut claimed = 0u64;
-            let guard = runtime
-                .try_pin()
-                .expect("pool workers pre-register with the runtime");
-            let stats = &runtime.stats;
-            let mut acc = make();
-            loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(morsel) = morsels.get(i) else { break };
-                claimed += 1;
-                MemoryStats::inc(&stats.morsels_dispatched);
-                smc_obs::trace::emit(smc_obs::Event::MorselDispatch {
-                    worker: widx as u64,
-                    morsel: i as u64,
-                });
-                match morsel {
-                    Morsel::Block(block) => scan_block(block, stats, |obj| body(&mut acc, obj)),
-                    Morsel::Group(group) => visit_group(group, &guard, runtime, &mut |block| {
-                        scan_block(&block, stats, |obj| body(&mut acc, obj))
-                    }),
-                }
-            }
-            if claimed > 0 {
-                if let Some(id) = req {
-                    smc_obs::trace::emit_stage(
-                        id,
-                        "exec",
-                        worker_start.elapsed().as_nanos() as u64,
-                    );
-                }
-            }
-            *slots[widx].lock().unwrap_or_else(|e| e.into_inner()) = Some(acc);
+        let mut partials = scan_units(self.pool, runtime, &membership, make, |acc, block| {
+            block.valid_slots().for_each(|slot| {
+                // SAFETY: valid slot, read inside the worker's pinned
+                // critical section; the coordinator guard prevents
+                // relocation out of snapshot blocks for the duration of the
+                // scan (module docs).
+                body(acc, unsafe { &*block.obj_ptr(slot).cast::<T>() });
+            });
         });
-        let mut partials = take_partials(slots);
         partials.push(spilled_acc);
         partials
     }
@@ -268,56 +306,12 @@ impl<'a, T: Columnar> ParColumnarScan<'a, T> {
     ) -> A {
         let runtime = self.collection.runtime();
         let _coord = runtime.pin();
-        let morsels = self.collection.context().morsels();
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<A>>> =
-            (0..self.pool.threads()).map(|_| Mutex::new(None)).collect();
-        let req = smc_obs::trace::current_request();
-        self.pool.broadcast(|widx| {
-            let _scope = req.map(smc_obs::trace::RequestScope::enter);
-            let worker_start = std::time::Instant::now();
-            let mut claimed = 0u64;
-            let guard = runtime
-                .try_pin()
-                .expect("pool workers pre-register with the runtime");
-            let stats = &runtime.stats;
-            let mut acc = make();
-            let visit = |block: BlockRef, acc: &mut A| {
-                MemoryStats::inc(&stats.blocks_scanned);
-                let cols = self.collection.arrays(&block);
-                body(acc, &cols, &block);
-            };
-            loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(morsel) = morsels.get(i) else { break };
-                claimed += 1;
-                MemoryStats::inc(&stats.morsels_dispatched);
-                smc_obs::trace::emit(smc_obs::Event::MorselDispatch {
-                    worker: widx as u64,
-                    morsel: i as u64,
-                });
-                match morsel {
-                    Morsel::Block(block) => visit(*block, &mut acc),
-                    // Columnar contexts do not compact today, but route
-                    // through the §5.2 protocol anyway should that change.
-                    Morsel::Group(group) => {
-                        visit_group(group, &guard, runtime, &mut |block| visit(block, &mut acc))
-                    }
-                }
-            }
-            if claimed > 0 {
-                if let Some(id) = req {
-                    smc_obs::trace::emit_stage(
-                        id,
-                        "exec",
-                        worker_start.elapsed().as_nanos() as u64,
-                    );
-                }
-            }
-            *slots[widx].lock().unwrap_or_else(|e| e.into_inner()) = Some(acc);
+        let membership = self.collection.context().membership_snapshot();
+        let partials = scan_units(self.pool, runtime, &membership, &make, |acc, block| {
+            body(acc, &self.collection.arrays(&block), &block);
         });
         let mut out = make();
-        for p in take_partials(slots) {
+        for p in partials {
             merge(&mut out, p);
         }
         out
@@ -341,36 +335,16 @@ where
     A: Send,
 {
     let chunk = chunk.max(1);
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<A>>> = (0..pool.threads()).map(|_| Mutex::new(None)).collect();
-    let req = smc_obs::trace::current_request();
-    pool.broadcast(|widx| {
-        let _scope = req.map(smc_obs::trace::RequestScope::enter);
-        let worker_start = std::time::Instant::now();
-        let mut claimed = 0u64;
+    let partials = run_workers(pool, items.len().div_ceil(chunk), None, |claims| {
         let mut acc = make();
-        loop {
-            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-            if start >= items.len() {
-                break;
-            }
-            claimed += 1;
-            smc_obs::trace::emit(smc_obs::Event::MorselDispatch {
-                worker: widx as u64,
-                morsel: (start / chunk) as u64,
-            });
-            let end = (start + chunk).min(items.len());
-            fold_chunk(&mut acc, &items[start..end]);
+        for i in claims {
+            let start = i * chunk;
+            fold_chunk(&mut acc, &items[start..(start + chunk).min(items.len())]);
         }
-        if claimed > 0 {
-            if let Some(id) = req {
-                smc_obs::trace::emit_stage(id, "exec", worker_start.elapsed().as_nanos() as u64);
-            }
-        }
-        *slots[widx].lock().unwrap_or_else(|e| e.into_inner()) = Some(acc);
+        acc
     });
     let mut out = make();
-    for p in take_partials(slots) {
+    for p in partials {
         merge(&mut out, p);
     }
     out

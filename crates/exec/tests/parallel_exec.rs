@@ -1,17 +1,19 @@
 //! Integration tests for the morsel-driven engine: parity with the
-//! sequential enumeration, clean thread-registry exhaustion from the pool
-//! constructor, and the paper's headline concurrency claim — a parallel
-//! scan running *while* `compact()` relocates objects visits every live
-//! element exactly once.
+//! sequential enumeration (and of every enumeration entry point with every
+//! other, over a dense, a compacting and a partly spilled collection), clean
+//! thread-registry exhaustion from the pool constructor, and the paper's
+//! headline concurrency claim — a parallel scan running *while* `compact()`
+//! relocates objects visits every live element exactly once.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use smc::{ContextConfig, Smc};
 use smc_exec::{ParScan, WorkerPool};
 use smc_memory::error::MemError;
 use smc_memory::fault::{FaultSite, RATE_DENOMINATOR};
-use smc_memory::{Runtime, Tabular};
+use smc_memory::{MemoryPageStore, Runtime, Tabular};
+use smc_persist::Persist;
 
 #[derive(Clone, Copy)]
 struct Obj {
@@ -203,4 +205,175 @@ fn parallel_scan_during_compaction_visits_live_set_exactly_once() {
     rt.drain_graveyard_blocking();
     let report = c.verify().expect("structure intact after concurrent scans");
     assert_eq!(report.valid_slots, expected_count);
+}
+
+/// What one enumeration entry point saw: object count and, where the entry
+/// point exposes objects, the order-insensitive sum of their keys.
+type Seen = (u64, Option<u64>);
+
+type EntryPoint = fn(&Smc<Obj>, &WorkerPool) -> Seen;
+
+/// Every enumeration entry point, by name. `iter` is resident-only by
+/// contract, so its row carries `resident_only = true`.
+const ENTRY_POINTS: &[(&str, bool, EntryPoint)] = &[
+    ("for_each", false, |c, _| {
+        let guard = c.runtime().pin();
+        let mut sum = 0u64;
+        let n = c.for_each(&guard, |o| sum = sum.wrapping_add(o.key));
+        (n, Some(sum))
+    }),
+    ("for_each_ref", false, |c, _| {
+        let guard = c.runtime().pin();
+        let mut sum = 0u64;
+        let n = c.for_each_ref(&guard, |r, o| {
+            assert!(!r.is_null(), "for_each_ref handed out a null ref");
+            sum = sum.wrapping_add(o.key);
+        });
+        (n, Some(sum))
+    }),
+    ("iter", true, |c, _| {
+        let guard = c.runtime().pin();
+        let (mut n, mut sum) = (0u64, 0u64);
+        for (_, o) in c.iter(&guard) {
+            n += 1;
+            sum = sum.wrapping_add(o.key);
+        }
+        (n, Some(sum))
+    }),
+    ("ParScan::filter_count", false, |c, pool| {
+        (ParScan::new(c, pool).filter_count(|_| true), None)
+    }),
+    ("Persist::snapshot_to", false, |c, _| {
+        static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "smc-parity-{}-{}",
+            std::process::id(),
+            NEXT_DIR.fetch_add(1, Ordering::Relaxed)
+        ));
+        let report = c.snapshot_to(&dir).expect("snapshot");
+        std::fs::remove_dir_all(&dir).expect("remove the snapshot directory");
+        (report.objects, None)
+    }),
+];
+
+/// One collection state of the parity table: the collection, the live set
+/// the model says it holds, and whether a compactor should race the scans.
+struct ParityCase {
+    name: &'static str,
+    rt: Arc<Runtime>,
+    c: Smc<Obj>,
+    count: u64,
+    sum: u64,
+    compactor_races: bool,
+}
+
+impl ParityCase {
+    /// `blocks` blocks' worth of insertions, keeping the keys `keep` accepts.
+    fn build(name: &'static str, cfg: ContextConfig, blocks: usize, keep: fn(u64) -> bool) -> Self {
+        let rt = Runtime::new();
+        let c: Smc<Obj> = Smc::with_config(&rt, cfg);
+        let cap = c.context().layout().capacity as usize;
+        let (mut count, mut sum) = (0u64, 0u64);
+        for key in 0..(cap * blocks) as u64 {
+            let r = c.add(obj(key));
+            if keep(key) {
+                count += 1;
+                sum = sum.wrapping_add(key);
+            } else {
+                c.remove(r);
+            }
+        }
+        ParityCase {
+            name,
+            rt,
+            c,
+            count,
+            sum,
+            compactor_races: false,
+        }
+    }
+}
+
+struct SetOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for SetOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
+#[test]
+fn every_entry_point_sees_the_same_live_set_in_every_collection_state() {
+    let dense = ParityCase::build("dense", ContextConfig::default(), 6, |_| true);
+
+    // Sparse, limbo never reclaimed in place, relocation failpoint armed: the
+    // compactor of `parallel_visitation.rs`, racing every entry point.
+    let sparse_cfg = ContextConfig {
+        reclamation_threshold: 1.1,
+        ..ContextConfig::default()
+    };
+    let mut sparse = ParityCase::build("sparse+compactor", sparse_cfg, 10, |k| k % 4 == 0);
+    sparse.rt.faults().enable(99);
+    sparse.rt.faults().set_rate(FaultSite::Relocation, 64);
+    sparse.compactor_races = true;
+
+    let spilled = ParityCase::build("partly spilled", ContextConfig::default(), 6, |_| true);
+    assert!(spilled.c.enable_spill(Arc::new(MemoryPageStore::default())));
+    for _ in 0..3 {
+        assert!(spilled.c.context().try_spill_one());
+    }
+    assert!(spilled.c.spilled_objects() > 0 && spilled.c.spilled_objects() < spilled.count);
+
+    for case in [dense, sparse, spilled] {
+        let pool = WorkerPool::for_runtime(&case.rt, 3).unwrap();
+        assert_eq!(case.c.len(), case.count);
+        let spilled = case.c.spilled_objects();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let compactor = case.compactor_races.then(|| {
+                s.spawn(|| {
+                    let mut passes = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        case.c.compact();
+                        case.c.release_retired();
+                        passes += 1;
+                    }
+                    passes
+                })
+            });
+            // Set when the table run ends *or unwinds*: a failed assertion
+            // must not leave the scope waiting on the compactor.
+            let table_run = SetOnDrop(&stop);
+            let rounds = if case.compactor_races { 20 } else { 1 };
+            for round in 0..rounds {
+                for &(entry, resident_only, run) in ENTRY_POINTS {
+                    let at = format!("{}: {entry}, round {round}", case.name);
+                    let (n, sum) = run(&case.c, &pool);
+                    // `iter` skips spilled pages by contract (and nothing
+                    // faults pages in or out during the table run).
+                    let hidden = if resident_only { spilled } else { 0 };
+                    assert_eq!(n, case.count - hidden, "{at}: lost or doubled element");
+                    if let (Some(sum), 0) = (sum, hidden) {
+                        assert_eq!(sum, case.sum, "{at}: wrong element set");
+                    }
+                }
+            }
+            drop(table_run);
+            if let Some(compactor) = compactor {
+                assert!(compactor.join().unwrap() > 0, "compactor never ran");
+            }
+        });
+
+        // Racers stopped: the reference recount must agree too.
+        case.rt.faults().disable();
+        case.c.compact();
+        case.c.release_retired();
+        let report = case.c.verify().expect("verify after the table run");
+        assert_eq!(
+            report.valid_slots + report.spilled_slots,
+            case.count,
+            "{}: Smc::verify",
+            case.name
+        );
+    }
 }

@@ -40,7 +40,7 @@ use crate::sync::{AtomicPtr, AtomicU32, AtomicUsize};
 use crate::error::MemError;
 use crate::incarnation::IncWord;
 use crate::reloc::RelocationList;
-use crate::slot::{SlotId, SlotWord};
+use crate::slot::{SlotId, SlotState, SlotWord};
 
 /// Size of every memory block in bytes. 64 KiB holds a few hundred TPC-H
 /// lineitem-sized objects, matching the paper's "blocks host ~100 objects"
@@ -177,9 +177,6 @@ pub struct BlockHeader {
     /// Relocation list for the in-flight compaction, if any (§5.1: "This
     /// list is accessible through the block's header").
     pub reloc_list: AtomicPtr<RelocationList>,
-    /// Pre-relocation read pins taken by queries processing this block's
-    /// compaction group (§5.2's query counter).
-    pub query_counter: AtomicU32,
     /// Allocation-shard ownership ([`crate::alloc`]): `0` for blocks
     /// allocated outside the budgeted runtime path (tests, hand-built
     /// fixtures), `thread_index + 1` for blocks handed out by a shard, or
@@ -270,7 +267,6 @@ impl BlockRef {
             active_owner: AtomicU32::new(0),
             compacting: AtomicU32::new(0),
             reloc_list: AtomicPtr::new(std::ptr::null_mut()),
-            query_counter: AtomicU32::new(0),
             owner_shard: AtomicU32::new(owner_shard),
         });
         BlockRef(NonNull::new_unchecked(header))
@@ -388,6 +384,23 @@ impl BlockRef {
                 .base()
                 .add(h.slotdir_offset as usize + slot as usize * 4)
                 .cast::<SlotWord>()
+        }
+    }
+
+    /// The valid-slot walk every enumeration runs (§4's generated loop:
+    /// "skip dead slots via the slot directory"): yields the slots of this
+    /// block that are `Valid` when the walk reaches them, in slot order.
+    ///
+    /// Scan kernels use the push form, `valid_slots().for_each(|slot| ..)`
+    /// (or `fold`), which compiles to a plain counted loop with the body
+    /// inlined; `for slot in block.valid_slots()` and `next` are the pull
+    /// form, for walks that suspend between objects.
+    #[inline]
+    pub fn valid_slots(self) -> ValidSlots {
+        ValidSlots {
+            block: self,
+            next: 0,
+            capacity: self.header().capacity,
         }
     }
 
@@ -512,6 +525,74 @@ impl BlockRef {
         h.in_reclaim_queue.store(0, Ordering::Relaxed);
         h.active_owner.store(0, Ordering::Relaxed);
         h.compacting.store(0, Ordering::Relaxed);
+    }
+}
+
+/// Iterator over one block's valid slots; see [`BlockRef::valid_slots`].
+#[derive(Debug, Clone)]
+pub struct ValidSlots {
+    block: BlockRef,
+    next: SlotId,
+    capacity: SlotId,
+}
+
+impl ValidSlots {
+    /// The block being walked.
+    #[inline]
+    pub fn block(&self) -> BlockRef {
+        self.block
+    }
+
+    /// The loop: hands `visit` each remaining valid slot in turn, until the
+    /// block is exhausted or `visit` returns false (the walk can be resumed
+    /// after the slot it stopped on).
+    #[inline(always)]
+    fn walk(&mut self, mut visit: impl FnMut(SlotId) -> bool) {
+        while self.next < self.capacity {
+            let slot = self.next;
+            self.next += 1;
+            // Interleaving point for the smc-check model checker: a scan can
+            // be preempted between slots, which is exactly where concurrent
+            // compaction races live. Nothing in normal builds.
+            crate::sync::yield_point();
+            if self.block.slot_word(slot).state() == SlotState::Valid && !visit(slot) {
+                return;
+            }
+        }
+    }
+}
+
+impl Iterator for ValidSlots {
+    type Item = SlotId;
+
+    /// The pull form, for scans that suspend between objects.
+    #[inline]
+    fn next(&mut self) -> Option<SlotId> {
+        let mut found = None;
+        self.walk(|slot| {
+            found = Some(slot);
+            false
+        });
+        found
+    }
+
+    /// The push form — what `for_each` runs on: without a suspension point
+    /// the walk is a plain counted loop the caller's body inlines into.
+    #[inline]
+    fn fold<B, F: FnMut(B, SlotId) -> B>(mut self, init: B, mut f: F) -> B {
+        let mut acc = Some(init);
+        self.walk(|slot| {
+            acc = acc.take().map(|acc| f(acc, slot));
+            true
+        });
+        acc.expect("the accumulator is put back after every slot")
+    }
+
+    /// Lower bound 0 (slots may be freed under the walk), upper bound the
+    /// slots not yet examined.
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (0, Some((self.capacity - self.next) as usize))
     }
 }
 

@@ -45,6 +45,7 @@ use crate::error::MemError;
 use crate::fault::FaultSite;
 use crate::incarnation::{IncWord, FLAG_FROZEN, FLAG_LOCK, FLAG_MASK};
 use crate::indirection::EntryRef;
+use crate::mutation::{self, Mutation};
 use crate::reloc::{
     cancel_relocation, try_move_object, MoveOutcome, RelocEntry, RelocStatus, RelocationList,
 };
@@ -134,15 +135,41 @@ pub struct CompactionGroup {
 }
 
 impl CompactionGroup {
+    /// Opens the group for one enumeration — the single place the §5.2
+    /// decision is made. Either the whole group is read in its
+    /// pre-relocation state (sources only, with the query counter held until
+    /// the returned reader drops, so the mover cannot start under it), or
+    /// relocation already started and the group is read post-relocation:
+    /// the caller first helps finish the move if moves are currently
+    /// permitted, then reads dest plus sources — moved objects are valid
+    /// only in the dest, bailed-out objects only in their source, so the
+    /// union is exact. A settled group, or one met outside the relocation
+    /// epoch, is read as dest plus sources without a pin.
+    pub fn read(self: &Arc<Self>, guard: &Guard<'_>, stats: &MemoryStats) -> UnitRead {
+        let mut pinned = false;
+        if !self.settled.load(Ordering::Acquire) && guard.in_relocation_epoch() {
+            pinned = self.try_pin_pre_state();
+            if !pinned && guard.manager().in_moving_phase() {
+                self.help_relocate(stats);
+            }
+        }
+        UnitRead {
+            // Pre-state: the dest is still empty and must not be read.
+            first: (!pinned).then_some(self.dest),
+            group: Some((self.clone(), pinned)),
+        }
+    }
+
     /// Attempts to pin the group's pre-relocation state for reading.
-    /// Returns false if relocation of this group already started — the
-    /// caller must use the post-state (help-then-read-dest) path instead
-    /// (§5.2). The counter-increment-then-flag-check here pairs with the
+    /// Returns false if relocation of this group already started. The
+    /// counter-increment-then-flag-check here pairs with the
     /// flag-set-then-counter-wait in [`MemoryContext::compact`]'s mover:
     /// either the mover sees our pin and waits, or we see its start flag.
-    pub fn try_pin_pre_state(&self, _runtime: &Runtime) -> bool {
+    fn try_pin_pre_state(&self) -> bool {
         self.query_counter.fetch_add(1, Ordering::SeqCst);
-        if self.started.load(Ordering::SeqCst) {
+        if !mutation::enabled(Mutation::PinSkipsStartedRecheck)
+            && self.started.load(Ordering::SeqCst)
+        {
             self.query_counter.fetch_sub(1, Ordering::SeqCst);
             false
         } else {
@@ -150,25 +177,20 @@ impl CompactionGroup {
         }
     }
 
-    /// True once relocation of this group has begun (or finished).
-    pub fn relocation_started(&self) -> bool {
-        self.started.load(Ordering::SeqCst)
-    }
-
-    /// Waits until no query holds the group's pre-relocation state pinned.
-    /// Required before *any* thread — the compaction thread or a helping
-    /// query — relocates objects of this group: the §5.2 counter "prevents
-    /// other threads from compacting the group until the query decremented
-    /// the counter again", and helping is compacting.
-    pub fn wait_pre_readers(&self) {
+    /// Waits until no query holds the group's pre-relocation state pinned,
+    /// or until `deadline` passes (false). Required before *any* thread —
+    /// the compaction thread or a helping query — relocates objects of this
+    /// group: the §5.2 counter "prevents other threads from compacting the
+    /// group until the query decremented the counter again", and helping is
+    /// compacting.
+    pub fn wait_pre_readers(&self, deadline: Option<Instant>) -> bool {
         while self.query_counter.load(Ordering::SeqCst) != 0 {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return false;
+            }
             crate::sync::thread_yield();
         }
-    }
-
-    /// Releases a pre-state pin.
-    pub fn unpin_pre_state(&self) {
-        self.query_counter.fetch_sub(1, Ordering::SeqCst);
+        true
     }
 
     /// Helps relocate every pending object of the group (§5.1 case c /
@@ -179,7 +201,7 @@ impl CompactionGroup {
     /// query reads the group's pre-relocation state would make that query
     /// miss them.
     pub fn help_relocate(&self, stats: &MemoryStats) {
-        self.wait_pre_readers();
+        self.wait_pre_readers(None);
         for &src in &self.sources {
             let list = src.header().reloc_list.load(Ordering::Acquire);
             if list.is_null() {
@@ -225,7 +247,24 @@ pub struct CompactionReport {
     pub cancelled: bool,
 }
 
-/// Atomic view of which blocks and groups an enumeration must visit.
+/// Atomic view of which blocks and groups an enumeration must visit — the
+/// one snapshot shape behind every scan.
+///
+/// The snapshot divides into *units*, indexed `0..units()`: one per regular
+/// block (in collection order), then one per in-flight compaction group. A
+/// group is deliberately one unit, not one per member block: the §5.2
+/// protocol reads a group either entirely pre-relocation or entirely
+/// post-relocation, so exactly one reader must make that choice for the
+/// whole group ([`CompactionGroup::read`]). A sequential scan visits units
+/// in order; a parallel scan hands out unit indices from a cursor; the pull
+/// iterator keeps one [`UnitRead`] open at a time.
+///
+/// The caller must pin an epoch guard *before* taking the snapshot and hold
+/// it until the scan completes: while any reader sits in epoch `e` the
+/// global epoch can reach at most `e + 1`, and a compaction announced after
+/// the snapshot needs the global epoch to reach its relocation epoch plus
+/// one (`≥ e + 2`) before it may move objects — so no block in the snapshot
+/// can have objects relocated out from under the scan.
 #[derive(Debug, Default, Clone)]
 pub struct Membership {
     /// Regular blocks, in collection order.
@@ -234,20 +273,92 @@ pub struct Membership {
     pub groups: Vec<Arc<CompactionGroup>>,
 }
 
-/// One unit of parallel scan work: a single block, or a whole in-flight
-/// compaction group.
-///
-/// A group is deliberately one morsel, not one morsel per member block: the
-/// §5.2 protocol reads a group either entirely in its pre-relocation state
-/// (sources only, query counter held) or entirely post-relocation (dest plus
-/// bailed-out sources), so exactly one worker must make that choice for the
-/// whole group.
-#[derive(Debug, Clone)]
-pub enum Morsel {
-    /// A regular membership block.
-    Block(BlockRef),
-    /// An in-flight compaction group, visited via the §5.2 protocol.
-    Group(Arc<CompactionGroup>),
+impl Membership {
+    /// Number of scan units.
+    #[inline]
+    pub fn units(&self) -> usize {
+        self.blocks.len() + self.groups.len()
+    }
+
+    /// Opens unit `i` for reading.
+    ///
+    /// # Panics
+    /// If `i >= units()`.
+    #[inline]
+    pub fn read_unit(&self, i: usize, guard: &Guard<'_>, stats: &MemoryStats) -> UnitRead {
+        match self.blocks.get(i) {
+            Some(&block) => UnitRead {
+                first: Some(block),
+                group: None,
+            },
+            None => self.groups[i - self.blocks.len()].read(guard, stats),
+        }
+    }
+
+    /// Calls `f` once per block that a scan of unit `i` must visit.
+    #[inline]
+    pub fn visit_unit(
+        &self,
+        i: usize,
+        guard: &Guard<'_>,
+        stats: &MemoryStats,
+        mut f: impl FnMut(BlockRef),
+    ) {
+        match self.blocks.get(i) {
+            // The common case needs no reader: a plain block is its own unit.
+            Some(&block) => f(block),
+            // A plain loop, not `blocks().for_each(f)`: `f` carries the
+            // caller's slot loop, which must inline here rather than into
+            // `Chain::fold`.
+            None => {
+                for block in self.read_unit(i, guard, stats).blocks() {
+                    f(block);
+                }
+            }
+        }
+    }
+
+    /// The sequential scan: every unit in order.
+    #[inline]
+    pub fn for_each_block(
+        &self,
+        guard: &Guard<'_>,
+        stats: &MemoryStats,
+        mut f: impl FnMut(BlockRef),
+    ) {
+        for i in 0..self.units() {
+            self.visit_unit(i, guard, stats, &mut f);
+        }
+    }
+}
+
+/// One open scan unit of a [`Membership`]: the blocks to visit and, for a
+/// compaction group whose pre-relocation state is pinned
+/// ([`CompactionGroup::read`]), the query-counter pin — released on drop.
+#[derive(Debug)]
+pub struct UnitRead {
+    /// Visited first: the plain block, or a group's dest when the group is
+    /// read post-relocation.
+    first: Option<BlockRef>,
+    /// The group whose sources follow, and whether its pre-state is pinned.
+    group: Option<(Arc<CompactionGroup>, bool)>,
+}
+
+impl UnitRead {
+    /// The blocks of the unit, in visiting order.
+    #[inline]
+    pub fn blocks(&self) -> impl Iterator<Item = BlockRef> + '_ {
+        let sources = self.group.as_ref().map_or(&[][..], |(g, _)| &g.sources);
+        self.first.into_iter().chain(sources.iter().copied())
+    }
+}
+
+impl Drop for UnitRead {
+    fn drop(&mut self) {
+        if let Some((group, true)) = &self.group {
+            group.query_counter.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
 }
 
 /// A per-collection group of typed memory blocks.
@@ -260,6 +371,8 @@ pub struct MemoryContext {
     mode: LayoutMode,
     /// Bytes copied when relocating one object (row layouts).
     obj_size: u32,
+    /// Alignment of one object (row layouts; 1 for columnar stores).
+    obj_align: usize,
     config: ContextConfig,
     membership: RwLock<Membership>,
     /// Current allocation block per thread slot (block header address).
@@ -301,6 +414,7 @@ impl MemoryContext {
             layout,
             LayoutMode::Rows,
             obj_size as u32,
+            obj_align,
             type_id,
             config,
         ))
@@ -320,6 +434,7 @@ impl MemoryContext {
             layout,
             LayoutMode::Columnar,
             0,
+            1,
             type_id,
             config,
         ))
@@ -330,6 +445,7 @@ impl MemoryContext {
         layout: BlockLayout,
         mode: LayoutMode,
         obj_size: u32,
+        obj_align: usize,
         type_id: u64,
         config: ContextConfig,
     ) -> MemoryContext {
@@ -344,6 +460,7 @@ impl MemoryContext {
             layout,
             mode,
             obj_size,
+            obj_align,
             config,
             membership: RwLock::new(Membership::default()),
             thread_blocks: thread_blocks.into_boxed_slice(),
@@ -406,40 +523,6 @@ impl MemoryContext {
     /// Atomic snapshot of the blocks and groups an enumeration must visit.
     pub fn membership_snapshot(&self) -> Membership {
         self.membership.read().clone()
-    }
-
-    /// The membership snapshot flattened into parallel scan work units.
-    ///
-    /// The caller must pin an epoch guard *before* taking the snapshot and
-    /// hold it until the scan completes: while any reader sits in epoch `e`
-    /// the global epoch can reach at most `e + 1`, and a compaction announced
-    /// after the snapshot needs the global epoch to reach its relocation
-    /// epoch plus one (`≥ e + 2`) before it may move objects — so no block in
-    /// the snapshot can have objects relocated out from under the scan.
-    pub fn morsels(&self) -> Vec<Morsel> {
-        let m = self.membership.read();
-        let mut out = Vec::with_capacity(m.blocks.len() + m.groups.len());
-        out.extend(m.blocks.iter().copied().map(Morsel::Block));
-        out.extend(m.groups.iter().cloned().map(Morsel::Group));
-        out
-    }
-
-    /// Like [`morsels`](Self::morsels), but first visits every spilled
-    /// record (same callback contract and atomicity as
-    /// [`scan_spilled_then_snapshot`](Self::scan_spilled_then_snapshot)):
-    /// the morsel list comes from the membership snapshot taken under the
-    /// spill mutex, so a page faulted in mid-scan is never seen both as a
-    /// page and as a block, or missed entirely. This is the primitive
-    /// parallel scans use to keep larger-than-memory contexts complete.
-    pub fn morsels_spilled_then_snapshot(
-        &self,
-        visit: &mut dyn FnMut(usize, *const u8),
-    ) -> Result<Vec<Morsel>, MemError> {
-        let m = self.scan_spilled_then_snapshot(visit)?;
-        let mut out = Vec::with_capacity(m.blocks.len() + m.groups.len());
-        out.extend(m.blocks.iter().copied().map(Morsel::Block));
-        out.extend(m.groups.iter().cloned().map(Morsel::Group));
-        Ok(out)
     }
 
     /// Number of blocks currently owned (regular + group sources + dests).
@@ -1033,10 +1116,7 @@ impl MemoryContext {
         let mut next_dest_slot: SlotId = 0;
         for &src in &sources {
             let mut entries = Vec::new();
-            for slot_id in 0..src.header().capacity {
-                if src.slot_word(slot_id).state() != SlotState::Valid {
-                    continue;
-                }
+            for slot_id in src.valid_slots() {
                 let back = src.back_ptr(slot_id).load(Ordering::Acquire);
                 if back == 0 {
                     continue;
@@ -1105,16 +1185,12 @@ impl MemoryContext {
         // our announcement (we wait for it) or observes the announcement
         // and takes the post-state path.
         group.started.store(true, Ordering::SeqCst);
-        let deadline = Instant::now() + self.config.compaction_patience;
-        while group.query_counter.load(Ordering::SeqCst) != 0 {
-            if Instant::now() >= deadline {
-                // §5.2: bail out of compacting this group — a query returned
-                // control to the application while holding the read pin.
-                // `started` stays set: late readers take the post-state
-                // union, which still covers unmoved objects in the sources.
-                return true;
-            }
-            crate::sync::thread_yield();
+        if !group.wait_pre_readers(Some(Instant::now() + self.config.compaction_patience)) {
+            // §5.2: bail out of compacting this group — a query returned
+            // control to the application while holding the read pin.
+            // `started` stays set: late readers take the post-state
+            // union, which still covers unmoved objects in the sources.
+            return true;
         }
         for &src in &group.sources {
             let list = src.header().reloc_list.load(Ordering::Acquire);
@@ -1234,25 +1310,6 @@ impl MemoryContext {
         }
     }
 
-    /// Iterates every valid slot of every block for debugging/assertions.
-    /// Requires a guard; returns (block, slot) pairs at snapshot time.
-    pub fn debug_valid_slots(&self, _guard: &Guard<'_>) -> Vec<(BlockRef, SlotId)> {
-        let m = self.membership_snapshot();
-        let mut out = Vec::new();
-        for b in m
-            .blocks
-            .iter()
-            .chain(m.groups.iter().flat_map(|g| g.sources.iter()))
-        {
-            for s in 0..b.header().capacity {
-                if b.slot_word(s).state() == SlotState::Valid {
-                    out.push((*b, s));
-                }
-            }
-        }
-        out
-    }
-
     /// Live objects across all blocks, resident and spilled.
     pub fn live_objects(&self) -> u64 {
         let m = self.membership_snapshot();
@@ -1370,10 +1427,7 @@ impl MemoryContext {
         let obj_size = self.obj_size as usize;
         let mut entries: Vec<(usize, SlotId)> = Vec::new();
         let mut objs: Vec<u8> = Vec::new();
-        for slot_id in 0..header.capacity {
-            if victim.slot_word(slot_id).state() != SlotState::Valid {
-                continue;
-            }
+        for slot_id in victim.valid_slots() {
             let back = victim.back_ptr(slot_id).load(Ordering::Acquire);
             if back == 0 {
                 continue;
@@ -1576,10 +1630,11 @@ impl MemoryContext {
     /// in the returned snapshot, and blocks spilled after the snapshot keep
     /// their (still live, epoch-protected) resident copies.
     ///
-    /// `visit` receives `(entry_addr, object_ptr)` per record and runs with
-    /// the spill mutex held: it may free resident objects, allocate, and
-    /// call [`live_objects`](Self::live_objects), but freeing a *spilled*
-    /// object or nesting another spilled scan fails with
+    /// `visit` receives `(entry_addr, object_ptr)` per record — the pointer
+    /// is aligned for the object type and valid for the duration of the
+    /// call — and runs with the spill mutex held: it may free resident
+    /// objects, allocate, and call [`live_objects`](Self::live_objects), but
+    /// freeing a *spilled* object or nesting another spilled scan fails with
     /// [`MemError::SpillFault`].
     pub fn scan_spilled_then_snapshot(
         &self,
@@ -1595,6 +1650,13 @@ impl MemoryContext {
         let store = s.store.as_ref().expect("pages without store").clone();
         let _scan = SpillScanGuard::enter();
         let mut bytes = Vec::new();
+        // Page records are packed back to back, so a record may sit at an
+        // address the object type cannot be read from; such a record is
+        // handed to `visit` as an aligned scratch copy.
+        let obj_size = self.obj_size as usize;
+        let mut scratch = vec![0u8; obj_size + self.obj_align];
+        let aligned = scratch.as_ptr().align_offset(self.obj_align);
+        let scratch = &mut scratch[aligned..aligned + obj_size];
         for page in &s.pages {
             if store
                 .load_page(page.ticket, page.block_id, &mut bytes)
@@ -1611,7 +1673,13 @@ impl MemoryContext {
                 }
             };
             for (entry_addr, obj) in records {
-                visit(entry_addr as usize, obj.as_ptr());
+                let obj = if obj.as_ptr().align_offset(self.obj_align) == 0 {
+                    obj.as_ptr()
+                } else {
+                    scratch.copy_from_slice(obj);
+                    scratch.as_ptr()
+                };
+                visit(entry_addr as usize, obj);
             }
         }
         Ok(self.membership_snapshot())
@@ -1657,17 +1725,15 @@ impl Drop for MemoryContext {
             .chain(self.pending_retired.get_mut().drain(..))
             .collect::<Vec<_>>();
         for block in all_blocks {
-            for slot_id in 0..block.header().capacity {
-                if block.slot_word(slot_id).state() == SlotState::Valid {
-                    let back = block.back_ptr(slot_id).load(Ordering::Acquire);
-                    if back != 0 {
-                        let entry = unsafe { EntryRef::from_addr(back) };
-                        entry.get().inc().bump_unlocked();
-                        self.runtime.indirection.release(entry, 0);
-                    }
-                    self.slot_inc(&block, slot_id).bump_unlocked();
-                    MemoryStats::inc(&self.runtime.stats.objects_freed);
+            for slot_id in block.valid_slots() {
+                let back = block.back_ptr(slot_id).load(Ordering::Acquire);
+                if back != 0 {
+                    let entry = unsafe { EntryRef::from_addr(back) };
+                    entry.get().inc().bump_unlocked();
+                    self.runtime.indirection.release(entry, 0);
                 }
+                self.slot_inc(&block, slot_id).bump_unlocked();
+                MemoryStats::inc(&self.runtime.stats.objects_freed);
             }
             self.runtime.bury_block(block, free_at);
         }
@@ -2036,24 +2102,40 @@ mod tests {
     }
 
     #[test]
-    fn group_pre_state_pin_blocks_moves() {
+    fn group_read_pins_pre_state_until_relocation_starts() {
         let rt = Runtime::new();
-        let group = CompactionGroup {
-            sources: vec![],
-            dest: BlockRef::allocate(&BlockLayout::rows_of::<u64>().unwrap(), 1, 1).unwrap(),
+        let layout = BlockLayout::rows_of::<u64>().unwrap();
+        let src = BlockRef::allocate(&layout, 1, 1).unwrap();
+        let dest = BlockRef::allocate(&layout, 1, 1).unwrap();
+        let group = Arc::new(CompactionGroup {
+            sources: vec![src],
+            dest,
             query_counter: AtomicU32::new(0),
             started: AtomicBool::new(false),
             settled: AtomicBool::new(false),
-        };
-        assert!(group.try_pin_pre_state(&rt));
-        assert_eq!(group.query_counter.load(Ordering::SeqCst), 1);
-        group.unpin_pre_state();
-        // Once this group's relocation has started, pinning must fail.
-        group.started.store(true, Ordering::SeqCst);
-        assert!(!group.try_pin_pre_state(&rt));
+        });
+        rt.epochs.try_advance().expect("nothing is pinned");
+        let guard = rt.pin();
+        rt.set_relocation_epoch(guard.epoch());
+        {
+            // Pre-state: sources only, counter held for the reader's life.
+            let read = group.read(&guard, &rt.stats);
+            assert_eq!(group.query_counter.load(Ordering::SeqCst), 1);
+            assert_eq!(read.blocks().collect::<Vec<_>>(), [src]);
+        }
         assert_eq!(group.query_counter.load(Ordering::SeqCst), 0);
-        assert!(group.relocation_started());
-        unsafe { group.dest.deallocate() };
+        // Once this group's relocation has started, pinning must fail and
+        // the read covers dest plus sources.
+        group.started.store(true, Ordering::SeqCst);
+        let read = group.read(&guard, &rt.stats);
+        assert_eq!(group.query_counter.load(Ordering::SeqCst), 0);
+        assert_eq!(read.blocks().collect::<Vec<_>>(), [dest, src]);
+        drop(read);
+        rt.set_relocation_epoch(0);
+        unsafe {
+            src.deallocate();
+            dest.deallocate();
+        }
     }
 
     // ---- spill tier -----------------------------------------------------

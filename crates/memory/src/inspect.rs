@@ -13,7 +13,7 @@
 //! The snapshot takes no lock the mutators care about. It pins an epoch
 //! guard *before* taking the membership snapshot and holds it across the
 //! walk, which buys the same guarantee enumeration relies on
-//! ([`MemoryContext::morsels`]): while the snapshot thread sits pinned in
+//! ([`Membership`](crate::context::Membership)): while the snapshot thread sits pinned in
 //! epoch `e`, the global epoch can reach at most `e + 1`, and a compaction
 //! announced after the snapshot needs the global epoch to reach its
 //! relocation epoch plus one (≥ `e + 2`) before it may move or retire

@@ -81,7 +81,7 @@ pub mod verify;
 
 pub use alloc::{AllocSnapshot, ALLOC_BATCH, MAX_SHARD_CACHE};
 pub use block::{BlockHeader, BlockLayout, BLOCK_ALIGN, BLOCK_SIZE};
-pub use context::{ContextConfig, MemoryContext, Morsel};
+pub use context::{ContextConfig, MemoryContext};
 pub use decimal::Decimal;
 pub use epoch::{EpochManager, Guard};
 pub use error::{MemError, NullReference};

@@ -39,6 +39,11 @@ pub enum Mutation {
     /// freed by other threads are stranded: budgeted but never reusable,
     /// and a budget-capped owner OOMs despite memory being available.
     DropRemoteDrain = 1 << 6,
+    /// The §5.2 group reader increments the query counter but skips the
+    /// re-check of the group's `started` flag, so it can pin a
+    /// "pre-relocation" state the mover is already relocating out of — and
+    /// the scan misses every object moved under it.
+    PinSkipsStartedRecheck = 1 << 7,
 }
 
 #[cfg(smc_check)]

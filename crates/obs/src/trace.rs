@@ -200,7 +200,7 @@ pub enum Event {
     MorselDispatch {
         /// Worker index within its pool.
         worker: u64,
-        /// Morsel index within the scan's snapshot.
+        /// Index of the morsel within the scan's snapshot.
         morsel: u64,
     },
     /// A worker pool finished broadcasting one job to all workers.

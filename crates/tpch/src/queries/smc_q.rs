@@ -17,7 +17,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use smc_memory::{Decimal, SlotState};
+use smc_memory::Decimal;
 use smc_query::LinqExt;
 
 use super::*;
@@ -53,38 +53,32 @@ pub fn q1(db: &SmcDb, p: &Params) -> Vec<Q1Row> {
 pub fn q1_unsafe(db: &SmcDb, p: &Params) -> Vec<Q1Row> {
     let _span = super::qspan("smc.q1_unsafe");
     let cutoff = q1_cutoff(p);
-    let _guard = db.runtime.pin();
+    let guard = db.runtime.pin();
     let mut table = [Q1Acc::default(); 6];
-    let m = db.lineitems.context().membership_snapshot();
-    for block in &m.blocks {
-        let cap = block.header().capacity;
-        for slot in 0..cap {
-            if block.slot_word(slot).state() != SlotState::Valid {
-                continue;
+    db.lineitems.for_each(&guard, |l| {
+        let l: *const crate::smcdb::Lineitem = l;
+        // SAFETY: `l` addresses a live lineitem (valid slot or spilled page
+        // record) for the duration of the callback; raw field pointers into
+        // it, as the generated unsafe code would emit.
+        unsafe {
+            if (*l).shipdate > cutoff {
+                return;
             }
-            // SAFETY: valid slot under an epoch guard; raw field pointers
-            // into the block, as the generated unsafe code would emit.
-            unsafe {
-                let l = block.obj_ptr(slot).cast::<crate::smcdb::Lineitem>();
-                if (*l).shipdate > cutoff {
-                    continue;
-                }
-                let acc = &mut table[q1_slot((*l).returnflag, (*l).linestatus)];
-                let price = std::ptr::addr_of!((*l).extendedprice).read();
-                let discount = std::ptr::addr_of!((*l).discount).read();
-                let disc_price = price * (Decimal::ONE - discount);
-                Decimal::add_in_place(&mut acc.sum_qty, std::ptr::addr_of!((*l).quantity).read());
-                Decimal::add_in_place(&mut acc.sum_base, price);
-                Decimal::add_in_place(&mut acc.sum_disc_price, disc_price);
-                Decimal::add_in_place(
-                    &mut acc.sum_charge,
-                    disc_price * (Decimal::ONE + std::ptr::addr_of!((*l).tax).read()),
-                );
-                Decimal::add_in_place(&mut acc.sum_discount, discount);
-                acc.count += 1;
-            }
+            let acc = &mut table[q1_slot((*l).returnflag, (*l).linestatus)];
+            let price = std::ptr::addr_of!((*l).extendedprice).read();
+            let discount = std::ptr::addr_of!((*l).discount).read();
+            let disc_price = price * (Decimal::ONE - discount);
+            Decimal::add_in_place(&mut acc.sum_qty, std::ptr::addr_of!((*l).quantity).read());
+            Decimal::add_in_place(&mut acc.sum_base, price);
+            Decimal::add_in_place(&mut acc.sum_disc_price, disc_price);
+            Decimal::add_in_place(
+                &mut acc.sum_charge,
+                disc_price * (Decimal::ONE + std::ptr::addr_of!((*l).tax).read()),
+            );
+            Decimal::add_in_place(&mut acc.sum_discount, discount);
+            acc.count += 1;
         }
-    }
+    });
     q1_rows_from_table(&table)
 }
 
@@ -106,12 +100,10 @@ pub fn q1_columnar(db: &SmcDb, p: &Params) -> Vec<Q1Row> {
             let prices = cols.column_slice::<Decimal>(licol::EXTENDEDPRICE, cap);
             let discounts = cols.column_slice::<Decimal>(licol::DISCOUNT, cap);
             let taxes = cols.column_slice::<Decimal>(licol::TAX, cap);
-            for slot in 0..cap {
-                if block.slot_word(slot as u32).state() != SlotState::Valid {
-                    continue;
-                }
+            block.valid_slots().for_each(|slot| {
+                let slot = slot as usize;
                 if shipdates[slot] > cutoff {
-                    continue;
+                    return;
                 }
                 table[q1_slot(flags[slot], statuses[slot])].fold(
                     qtys[slot],
@@ -119,7 +111,7 @@ pub fn q1_columnar(db: &SmcDb, p: &Params) -> Vec<Q1Row> {
                     discounts[slot],
                     taxes[slot],
                 );
-            }
+            });
         }
     });
     q1_rows_from_table(&table)
@@ -313,24 +305,22 @@ pub fn q3_columnar(db: &SmcDb, p: &Params) -> Vec<Q3Row> {
             let prices = cols.column_slice::<Decimal>(licol::EXTENDEDPRICE, cap);
             let discounts = cols.column_slice::<Decimal>(licol::DISCOUNT, cap);
             let orders = cols.column_slice::<smc::Ref<crate::smcdb::Order>>(licol::ORDER, cap);
-            for slot in 0..cap {
-                if block.slot_word(slot as u32).state() != SlotState::Valid {
-                    continue;
-                }
+            block.valid_slots().for_each(|slot| {
+                let slot = slot as usize;
                 if shipdates[slot] <= p.q3_date {
-                    continue;
+                    return;
                 }
                 let Some(o) = orders[slot].get(&guard) else {
-                    continue;
+                    return;
                 };
                 if o.orderdate >= p.q3_date {
-                    continue;
+                    return;
                 }
                 let Some(c) = o.customer.get(&guard) else {
-                    continue;
+                    return;
                 };
                 if c.mktsegment != seg {
-                    continue;
+                    return;
                 }
                 let revenue = prices[slot] * (Decimal::ONE - discounts[slot]);
                 groups
@@ -342,7 +332,7 @@ pub fn q3_columnar(db: &SmcDb, p: &Params) -> Vec<Q3Row> {
                         orderdate: o.orderdate,
                         shippriority: o.shippriority,
                     });
-            }
+            });
         }
     });
     q3_finalize(groups)
@@ -500,37 +490,35 @@ pub fn q5_columnar(db: &SmcDb, p: &Params) -> Vec<Q5Row> {
                 cols.column_slice::<smc::Ref<crate::smcdb::Supplier>>(licol::SUPPLIER, cap);
             let prices = cols.column_slice::<Decimal>(licol::EXTENDEDPRICE, cap);
             let discounts = cols.column_slice::<Decimal>(licol::DISCOUNT, cap);
-            for slot in 0..cap {
-                if block.slot_word(slot as u32).state() != SlotState::Valid {
-                    continue;
-                }
+            block.valid_slots().for_each(|slot| {
+                let slot = slot as usize;
                 let Some(o) = orders[slot].get(&guard) else {
-                    continue;
+                    return;
                 };
                 if o.orderdate < p.q5_date || o.orderdate >= end {
-                    continue;
+                    return;
                 }
                 let Some(s) = suppliers[slot].get(&guard) else {
-                    continue;
+                    return;
                 };
                 let Some(n) = s.nation.get(&guard) else {
-                    continue;
+                    return;
                 };
                 let Some(r) = n.region.get(&guard) else {
-                    continue;
+                    return;
                 };
                 if r.name.as_str() != p.q5_region {
-                    continue;
+                    return;
                 }
                 let Some(c) = o.customer.get(&guard) else {
-                    continue;
+                    return;
                 };
                 if c.nationkey != s.nationkey {
-                    continue;
+                    return;
                 }
                 let revenue = prices[slot] * (Decimal::ONE - discounts[slot]);
                 *groups.entry(n.name.as_str().to_string()).or_default() += revenue;
-            }
+            });
         }
     });
     q5_finalize(groups)
@@ -544,9 +532,7 @@ pub fn q5_columnar(db: &SmcDb, p: &Params) -> Vec<Q5Row> {
 pub fn q6(db: &SmcDb, p: &Params) -> Decimal {
     let _span = super::qspan("smc.q6");
     let guard = db.runtime.pin();
-    let end = plus_months(p.q6_date, 12);
-    let lo = p.q6_discount - Decimal::parse("0.01").unwrap();
-    let hi = p.q6_discount + Decimal::parse("0.01").unwrap();
+    let (end, lo, hi) = q6_bounds(p);
     let mut revenue = Decimal::ZERO;
     db.lineitems.for_each(&guard, |l| {
         if l.shipdate >= p.q6_date
@@ -561,37 +547,56 @@ pub fn q6(db: &SmcDb, p: &Params) -> Decimal {
     revenue
 }
 
-/// Q6 over columnar storage: four column arrays, no object access.
+/// Q6's columnar kernel, shared by the sequential and parallel scans: the
+/// revenue of one block, from four column arrays and no object access.
+fn q6_columnar_block(
+    cols: &smc::ColumnArrays,
+    block: &smc_memory::block::BlockRef,
+    p: &Params,
+    (end, lo, hi): (i32, Decimal, Decimal),
+) -> Decimal {
+    let cap = block.header().capacity as usize;
+    let mut revenue = Decimal::ZERO;
+    // SAFETY: column indices/types match LineitemCol.
+    unsafe {
+        let shipdates = cols.column_slice::<i32>(licol::SHIPDATE, cap);
+        let discounts = cols.column_slice::<Decimal>(licol::DISCOUNT, cap);
+        let qtys = cols.column_slice::<Decimal>(licol::QUANTITY, cap);
+        let prices = cols.column_slice::<Decimal>(licol::EXTENDEDPRICE, cap);
+        block.valid_slots().for_each(|slot| {
+            let slot = slot as usize;
+            if shipdates[slot] >= p.q6_date
+                && shipdates[slot] < end
+                && discounts[slot] >= lo
+                && discounts[slot] <= hi
+                && qtys[slot] < p.q6_quantity
+            {
+                revenue += prices[slot] * discounts[slot];
+            }
+        });
+    }
+    revenue
+}
+
+/// Q6's derived bounds: end of the year, discount window.
+fn q6_bounds(p: &Params) -> (i32, Decimal, Decimal) {
+    let cent = Decimal::parse("0.01").unwrap();
+    (
+        plus_months(p.q6_date, 12),
+        p.q6_discount - cent,
+        p.q6_discount + cent,
+    )
+}
+
+/// Q6 over columnar storage.
 pub fn q6_columnar(db: &SmcDb, p: &Params) -> Decimal {
     let _span = super::qspan("smc.q6_columnar");
     let col = db.lineitems_col.as_ref().expect("columnar twin not loaded");
     let guard = db.runtime.pin();
-    let end = plus_months(p.q6_date, 12);
-    let lo = p.q6_discount - Decimal::parse("0.01").unwrap();
-    let hi = p.q6_discount + Decimal::parse("0.01").unwrap();
+    let bounds = q6_bounds(p);
     let mut revenue = Decimal::ZERO;
     col.for_each_block(&guard, |cols, block| {
-        let cap = block.header().capacity as usize;
-        // SAFETY: column indices/types match LineitemCol.
-        unsafe {
-            let shipdates = cols.column_slice::<i32>(licol::SHIPDATE, cap);
-            let discounts = cols.column_slice::<Decimal>(licol::DISCOUNT, cap);
-            let qtys = cols.column_slice::<Decimal>(licol::QUANTITY, cap);
-            let prices = cols.column_slice::<Decimal>(licol::EXTENDEDPRICE, cap);
-            for slot in 0..cap {
-                if block.slot_word(slot as u32).state() != SlotState::Valid {
-                    continue;
-                }
-                if shipdates[slot] >= p.q6_date
-                    && shipdates[slot] < end
-                    && discounts[slot] >= lo
-                    && discounts[slot] <= hi
-                    && qtys[slot] < p.q6_quantity
-                {
-                    revenue += prices[slot] * discounts[slot];
-                }
-            }
-        }
+        revenue += q6_columnar_block(cols, block, p, bounds);
     });
     revenue
 }
@@ -600,9 +605,7 @@ pub fn q6_columnar(db: &SmcDb, p: &Params) -> Decimal {
 pub fn q6_linq(db: &SmcDb, p: &Params) -> Decimal {
     let _span = super::qspan("smc.q6_linq");
     let guard = db.runtime.pin();
-    let end = plus_months(p.q6_date, 12);
-    let lo = p.q6_discount - Decimal::parse("0.01").unwrap();
-    let hi = p.q6_discount + Decimal::parse("0.01").unwrap();
+    let (end, lo, hi) = q6_bounds(p);
     let q6_date = p.q6_date;
     let q6_quantity = p.q6_quantity;
     db.lineitems
@@ -650,9 +653,7 @@ pub fn q1_par(db: &SmcDb, p: &Params, pool: &smc_exec::WorkerPool) -> Vec<Q1Row>
 /// Q6 in parallel: per-worker revenue partials, summed in the reduce step.
 pub fn q6_par(db: &SmcDb, p: &Params, pool: &smc_exec::WorkerPool) -> Decimal {
     let _span = super::qspan("smc.q6_par");
-    let end = plus_months(p.q6_date, 12);
-    let lo = p.q6_discount - Decimal::parse("0.01").unwrap();
-    let hi = p.q6_discount + Decimal::parse("0.01").unwrap();
+    let (end, lo, hi) = q6_bounds(p);
     let scan = smc_exec::ParScan::new(&db.lineitems, pool);
     scan.filter_fold(
         || Decimal::ZERO,
@@ -672,35 +673,10 @@ pub fn q6_par(db: &SmcDb, p: &Params, pool: &smc_exec::WorkerPool) -> Decimal {
 pub fn q6_columnar_par(db: &SmcDb, p: &Params, pool: &smc_exec::WorkerPool) -> Decimal {
     let _span = super::qspan("smc.q6_columnar_par");
     let col = db.lineitems_col.as_ref().expect("columnar twin not loaded");
-    let end = plus_months(p.q6_date, 12);
-    let lo = p.q6_discount - Decimal::parse("0.01").unwrap();
-    let hi = p.q6_discount + Decimal::parse("0.01").unwrap();
-    let scan = smc_exec::ParColumnarScan::new(col, pool);
-    scan.fold_blocks(
+    let bounds = q6_bounds(p);
+    smc_exec::ParColumnarScan::new(col, pool).fold_blocks(
         || Decimal::ZERO,
-        |revenue, cols, block| {
-            let cap = block.header().capacity as usize;
-            // SAFETY: column indices/types match LineitemCol.
-            unsafe {
-                let shipdates = cols.column_slice::<i32>(licol::SHIPDATE, cap);
-                let discounts = cols.column_slice::<Decimal>(licol::DISCOUNT, cap);
-                let qtys = cols.column_slice::<Decimal>(licol::QUANTITY, cap);
-                let prices = cols.column_slice::<Decimal>(licol::EXTENDEDPRICE, cap);
-                for slot in 0..cap {
-                    if block.slot_word(slot as u32).state() != SlotState::Valid {
-                        continue;
-                    }
-                    if shipdates[slot] >= p.q6_date
-                        && shipdates[slot] < end
-                        && discounts[slot] >= lo
-                        && discounts[slot] <= hi
-                        && qtys[slot] < p.q6_quantity
-                    {
-                        *revenue += prices[slot] * discounts[slot];
-                    }
-                }
-            }
-        },
+        |revenue, cols, block| *revenue += q6_columnar_block(cols, block, p, bounds),
         |into, from| *into += from,
     )
 }

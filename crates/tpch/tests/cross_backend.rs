@@ -64,6 +64,29 @@ fn q1_identical_across_all_backends() {
 }
 
 #[test]
+fn q1_unsafe_sees_spilled_lineitems() {
+    // The unsafe variant must run the collection's own enumeration, not a
+    // walk of its own over resident blocks: rows evicted to the page store
+    // still count.
+    let db = SmcDb::load(&Generator::new(0.004), false);
+    let params = Params::default();
+    let reference = smc_q::q1(&db, &params);
+    assert!(db
+        .lineitems
+        .enable_spill(std::sync::Arc::new(smc_memory::MemoryPageStore::default())));
+    for _ in 0..4 {
+        assert!(db.lineitems.context().try_spill_one());
+    }
+    let spilled = db.lineitems.spilled_objects();
+    assert!(
+        spilled > 0 && spilled < db.lineitems.len(),
+        "partly spilled"
+    );
+    assert_eq!(smc_q::q1(&db, &params), reference, "safe variant, spilled");
+    assert_eq!(smc_q::q1_unsafe(&db, &params), reference, "unsafe variant");
+}
+
+#[test]
 fn q2_identical_across_backends() {
     let w = world();
     let reference = smc_q::q2(&w.smc, &w.params);
