@@ -414,17 +414,19 @@ fn render_scrape(tick: u64, doc: &JsonValue) {
         let threshold = u(Some(attr), "threshold_ns");
         for class in ["ingest", "query"] {
             let Some(c) = attr.get(class) else { continue };
-            let total = c.get("total_ns");
-            let ring = c.get("ring_wait_ns");
-            let exec = c.get("exec_ns");
+            // One "<stage> p99 N ns" per stage the server attributes.
+            let stages: String = smc_serve::attr::STAGES
+                .iter()
+                .map(|key| {
+                    let label = key.trim_end_matches("_ns").replace('_', "-");
+                    format!("  {label} p99 {} ns", u(c.get(key), "p99_ns"))
+                })
+                .collect();
             println!(
-                "  slow {class} (> {threshold} ns): {}  total p99 {} ns  \
-                 ring-wait p99 {} ns  exec p99 {} ns  |  spill {}  rungs {}  \
-                 epoch {}  maint-overlap {}",
+                "  slow {class} (> {threshold} ns): {}  total p99 {} ns{stages}  \
+                 |  spill {}  rungs {}  epoch {}  maint-overlap {}",
                 u(Some(c), "slow_requests"),
-                u(total, "p99_ns"),
-                u(ring, "p99_ns"),
-                u(exec, "p99_ns"),
+                u(c.get("total_ns"), "p99_ns"),
                 u(Some(c), "spill_faults"),
                 u(Some(c), "budget_rungs"),
                 u(Some(c), "epoch_stalls"),

@@ -3,11 +3,12 @@
 //! Every dispatched request is timed end to end on its connection thread;
 //! one that completes at or over the configured threshold
 //! ([`ServerConfig::slow_request_threshold`](crate::ServerConfig::slow_request_threshold))
-//! records a structured breakdown — ring wait, shard execution, spill
-//! faults, budget-ladder rungs, emergency epoch advances, and whether a
-//! maintenance pass was running — into per-op-class histograms and
-//! counters. The two classes are **ingest** (`UPSERT`/`DELETE`) and
-//! **query** (`COUNT`/`SUM`): the paper's workloads tail out for different
+//! records a structured breakdown — the [`STAGES`] its time went to (ring
+//! wait, shard execution, reply wake), spill faults, budget-ladder rungs,
+//! emergency epoch advances, and whether a maintenance pass was running —
+//! into per-op-class histograms and counters. The two classes are
+//! **ingest** (`UPSERT`/`DELETE`) and **query** (`COUNT`/`SUM`): the
+//! paper's workloads tail out for different
 //! reasons on each (budget ladders vs. scan interference), so mixing them
 //! in one histogram hides exactly the signal an operator needs.
 //!
@@ -39,8 +40,24 @@ impl OpClass {
     }
 }
 
-/// One slow request's structured breakdown, aggregated across the shards
-/// it touched (max for the serial waits, sum for the event counters).
+/// The stages a shard-bound request passes through between its connection
+/// thread's enqueue and its pick-up of the reply, in path order, by the key
+/// of each stage's histogram in the `SCRAPE` document. Together they cover
+/// the request: ring wait + exec + reply wake ≈ `total_ns`. Everything that
+/// lists the stages — [`SlowBreakdown::stages`], the scrape JSON, `smc-top`,
+/// `smc-loadgen` — walks this array.
+pub const STAGES: [&str; 3] = ["ring_wait_ns", "exec_ns", "reply_wake_ns"];
+
+/// One request's structured breakdown: measured per shard-side job on the
+/// shard thread, handed back with the reply, and aggregated across the
+/// shards the request touched by [`SlowBreakdown::fold`].
+///
+/// The event counters are deltas of the shard runtime's `MemoryStats`
+/// across the job's execution window. A concurrent maintenance pass on the
+/// same runtime bumps the same counters, so they attribute *pressure
+/// during the request*, not strictly work *of* the request — which is the
+/// operator-relevant reading (the request stalled behind it either way),
+/// and `maint_active` names the confounder explicitly.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SlowBreakdown {
     /// Longest time any shard-bound job of this request sat in its SPSC
@@ -49,6 +66,9 @@ pub struct SlowBreakdown {
     /// Longest shard-side execution time (the scatter-gather critical
     /// path; shards run in parallel, so max — not sum — is the tail).
     pub exec_ns: u64,
+    /// Longest time any shard's reply sat in its reply ring before the
+    /// connection thread picked it up.
+    pub reply_wake_ns: u64,
     /// Blocks faulted in from the spill tier during execution.
     pub spill_faults: u64,
     /// Budget-ladder rungs climbed (allocation retries + OOM recoveries)
@@ -62,6 +82,27 @@ pub struct SlowBreakdown {
     pub maint_active: bool,
 }
 
+impl SlowBreakdown {
+    /// The per-stage nanoseconds, in [`STAGES`] order.
+    pub fn stages(&self) -> [u64; STAGES.len()] {
+        [self.ring_wait_ns, self.exec_ns, self.reply_wake_ns]
+    }
+
+    /// Folds one shard's part of the request into the whole: max for the
+    /// stages (shards run in parallel, so the slowest one *is* the
+    /// request's critical path), sum for the event counters, any for the
+    /// maintenance overlap.
+    pub fn fold(&mut self, shard: &SlowBreakdown) {
+        self.ring_wait_ns = self.ring_wait_ns.max(shard.ring_wait_ns);
+        self.exec_ns = self.exec_ns.max(shard.exec_ns);
+        self.reply_wake_ns = self.reply_wake_ns.max(shard.reply_wake_ns);
+        self.spill_faults += shard.spill_faults;
+        self.budget_rungs += shard.budget_rungs;
+        self.epoch_stalls += shard.epoch_stalls;
+        self.maint_active |= shard.maint_active;
+    }
+}
+
 /// Histograms and counters for one [`OpClass`].
 #[derive(Debug)]
 pub struct ClassAttribution {
@@ -69,10 +110,8 @@ pub struct ClassAttribution {
     slow_requests: AtomicU64,
     /// End-to-end latency of slow requests (ns).
     total: Histogram,
-    /// Ring-wait component of slow requests (ns).
-    ring_wait: Histogram,
-    /// Shard-execution component of slow requests (ns).
-    exec: Histogram,
+    /// Per-stage components of slow requests (ns), in [`STAGES`] order.
+    stages: [Histogram; STAGES.len()],
     /// Spill-tier faults summed over slow requests.
     spill_faults: AtomicU64,
     /// Budget-ladder rungs summed over slow requests.
@@ -88,8 +127,7 @@ impl ClassAttribution {
         ClassAttribution {
             slow_requests: AtomicU64::new(0),
             total: Histogram::new(),
-            ring_wait: Histogram::new(),
-            exec: Histogram::new(),
+            stages: [const { Histogram::new() }; STAGES.len()],
             spill_faults: AtomicU64::new(0),
             budget_rungs: AtomicU64::new(0),
             epoch_stalls: AtomicU64::new(0),
@@ -107,22 +145,19 @@ impl ClassAttribution {
         &self.total
     }
 
-    /// Ring-wait histogram of slow requests.
-    pub fn ring_wait(&self) -> &Histogram {
-        &self.ring_wait
-    }
-
-    /// Shard-execution histogram of slow requests.
-    pub fn exec(&self) -> &Histogram {
-        &self.exec
+    /// One stage's histogram of slow requests, by its [`STAGES`] key.
+    pub fn stage(&self, key: &str) -> Option<&Histogram> {
+        let i = STAGES.iter().position(|s| *s == key)?;
+        Some(&self.stages[i])
     }
 
     fn to_json(&self) -> JsonValue {
         let mut obj = JsonValue::obj();
         obj.set("slow_requests", JsonValue::from(self.slow_requests()));
         obj.set("total_ns", summary_json(&self.total));
-        obj.set("ring_wait_ns", summary_json(&self.ring_wait));
-        obj.set("exec_ns", summary_json(&self.exec));
+        for (key, h) in STAGES.iter().zip(&self.stages) {
+            obj.set(*key, summary_json(h));
+        }
         obj.set(
             "spill_faults",
             JsonValue::from(self.spill_faults.load(Ordering::Relaxed)),
@@ -202,8 +237,9 @@ impl Attribution {
         let c = self.class(class);
         c.slow_requests.fetch_add(1, Ordering::Relaxed);
         c.total.record(total_ns);
-        c.ring_wait.record(breakdown.ring_wait_ns);
-        c.exec.record(breakdown.exec_ns);
+        for (h, ns) in c.stages.iter().zip(breakdown.stages()) {
+            h.record(ns);
+        }
         c.spill_faults
             .fetch_add(breakdown.spill_faults, Ordering::Relaxed);
         c.budget_rungs
@@ -239,6 +275,7 @@ mod tests {
             &SlowBreakdown {
                 ring_wait_ns: 40_000,
                 exec_ns: 55_000,
+                reply_wake_ns: 4_000,
                 spill_faults: 2,
                 budget_rungs: 0,
                 epoch_stalls: 1,
@@ -248,7 +285,9 @@ mod tests {
         let q = attr.class(OpClass::Query);
         assert_eq!(q.slow_requests(), 1);
         assert_eq!(q.total().count(), 1);
-        assert_eq!(q.ring_wait().max(), 40_000);
+        assert_eq!(q.stage("ring_wait_ns").unwrap().max(), 40_000);
+        assert_eq!(q.stage("reply_wake_ns").unwrap().max(), 4_000);
+        assert!(q.stage("total_ns").is_none(), "total is not a stage");
         assert_eq!(attr.class(OpClass::Ingest).slow_requests(), 0);
     }
 
@@ -270,7 +309,7 @@ mod tests {
             ingest.get("slow_requests").and_then(JsonValue::as_u64),
             Some(1)
         );
-        for hist in ["total_ns", "ring_wait_ns", "exec_ns"] {
+        for hist in std::iter::once("total_ns").chain(STAGES) {
             let h = ingest.get(hist).expect("histogram section");
             for field in [
                 "count", "sum_ns", "min_ns", "max_ns", "mean_ns", "p50_ns", "p95_ns", "p99_ns",

@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use smc_obs::JsonValue;
 
-use crate::wire::{write_frame, ErrorCode, FrameError, FrameReader, Request, Response, StatsBody};
+use crate::wire::{ErrorCode, FrameError, FrameReader, FrameWriter, Request, Response, StatsBody};
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -48,6 +48,7 @@ impl From<std::io::Error> for ClientError {
 pub struct Client {
     stream: TcpStream,
     reader: FrameReader,
+    writer: FrameWriter,
     /// Whether this server accepts trace headers. Optimistically true
     /// until [`Client::negotiate_tracing`] learns otherwise.
     trace_supported: bool,
@@ -63,6 +64,7 @@ impl Client {
         Ok(Client {
             stream,
             reader: FrameReader::new(),
+            writer: FrameWriter::new(),
             trace_supported: true,
             trace_next: None,
         })
@@ -81,7 +83,7 @@ impl Client {
     /// workload degrades to an untraced one instead of failing. Returns
     /// whether tracing is on after negotiation.
     pub fn negotiate_tracing(&mut self) -> Result<bool, ClientError> {
-        write_frame(&mut self.stream, &Request::Ping.encode_traced(Some(1)))?;
+        self.send_raw(&Request::Ping.encode_traced(Some(1)))?;
         match self.read_response()? {
             Response::Ok(_) => {
                 self.trace_supported = true;
@@ -110,7 +112,7 @@ impl Client {
             self.trace_next = None;
             None
         };
-        write_frame(&mut self.stream, &req.encode_traced(trace))?;
+        self.send_raw(&req.encode_traced(trace))?;
         self.read_response()
     }
 
@@ -118,7 +120,7 @@ impl Client {
     /// tests use this to send structurally broken *requests* inside valid
     /// frames.
     pub fn send_raw(&mut self, payload: &[u8]) -> std::io::Result<()> {
-        write_frame(&mut self.stream, payload)
+        self.writer.write_frame(&mut self.stream, payload)
     }
 
     /// Writes arbitrary bytes, bypassing framing entirely — fuzz tests use
@@ -143,7 +145,7 @@ impl Client {
                 }
                 FrameError::Stopped => unreachable!("client never installs a stop predicate"),
             })?;
-        Response::decode(&payload).map_err(|e| ClientError::Protocol(e.message()))
+        Response::decode(payload).map_err(|e| ClientError::Protocol(e.message()))
     }
 
     /// Request + unwrap: an error response becomes [`ClientError::Server`].

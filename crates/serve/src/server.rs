@@ -1,10 +1,12 @@
-//! The TCP front: nonblocking acceptor, thread-per-connection framing, and
+//! The TCP front: blocking acceptor, thread-per-connection framing, and
 //! the scatter-gather router between connections and shards.
 //!
-//! A connection thread owns its socket and one `ShardSender` per shard.
+//! A connection thread owns its socket, one `ShardLink` (request ring out,
+//! reply ring back) per shard and the one `Waiter` every shard wakes it on.
 //! Ingest batches are partitioned by key hash and fan out only to the
 //! shards that own keys in the batch; `COUNT`/`SUM` scatter to every shard
-//! and the connection thread merges the partial aggregates. The server
+//! and the connection thread merges the partial aggregates, gathering all
+//! of a request's replies in one wait. The server
 //! never shares mutable state across shards — the only cross-shard
 //! structure is this routing layer, and it is per-connection.
 //!
@@ -14,15 +16,12 @@
 //! coordinator, and verifies every tenant collection plus its runtime
 //! ([`Server::shutdown`] returns the combined [`DrainReport`]).
 
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
-
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use smc::Runtime;
 use smc_maint::{MaintConfig, MaintPolicy};
@@ -30,14 +29,15 @@ use smc_memory::inspect::HeapSnapshot;
 use smc_memory::stats::MemoryStats;
 use smc_obs::trace::{self, RequestId, RequestScope};
 use smc_obs::{flight, JsonValue};
+use smc_util::waiter::Waiter;
 
 use crate::attr::{Attribution, OpClass, SlowBreakdown};
 use crate::shard::{
-    run_shard, shard_of, ReplyCell, SendOutcome, ShardConfig, ShardDrain, ShardJob, ShardReply,
-    ShardRequest, ShardSender, ShardShared, ShardTiming,
+    run_shard, shard_of, ShardConfig, ShardDrain, ShardJob, ShardLink, ShardOp, ShardReply,
+    ShardShared,
 };
 use crate::wire::{
-    write_frame, ErrorCode, FrameError, FrameReader, Request, Response, ShardStats, StatsBody,
+    ErrorCode, FrameError, FrameReader, FrameWriter, Op, Request, Response, ShardStats, StatsBody,
     TenantStats, MAX_FRAME,
 };
 
@@ -139,22 +139,29 @@ impl DrainReport {
     }
 }
 
+/// What the acceptor and every connection thread share with the server.
+struct Shared {
+    config: ServerConfig,
+    /// Set by `shutdown`: stop accepting, hang up between requests.
+    stop: AtomicBool,
+    shards: Vec<Arc<ShardShared>>,
+    attr: Attribution,
+}
+
 /// A running shard-per-core SMC server.
 pub struct Server {
     local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    shards: Vec<Arc<ShardShared>>,
     shard_joins: Vec<JoinHandle<ShardDrain>>,
-    attr: Arc<Attribution>,
 }
 
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
             .field("local_addr", &self.local_addr)
-            .field("shards", &self.shards.len())
+            .field("shards", &self.shared.shards.len())
             .finish()
     }
 }
@@ -166,8 +173,6 @@ impl Server {
         assert!(!config.tenants.is_empty(), "a server needs tenants");
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
 
         let mut shards = Vec::with_capacity(config.shards);
         let mut shard_joins = Vec::with_capacity(config.shards);
@@ -192,40 +197,37 @@ impl Server {
             shard_joins.push(join);
         }
 
-        let attr = Arc::new(Attribution::new(config.slow_request_threshold));
+        let shared = Arc::new(Shared {
+            attr: Attribution::new(config.slow_request_threshold),
+            stop: AtomicBool::new(false),
+            shards,
+            config,
+        });
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
-            let stop = stop.clone();
-            let conns = conns.clone();
-            let shards = shards.clone();
-            let config = config.clone();
-            let attr = attr.clone();
+            let (shared, conns) = (shared.clone(), conns.clone());
             std::thread::Builder::new()
                 .name("smc-acceptor".to_string())
                 .spawn(move || {
-                    while !stop.load(Ordering::Acquire) {
-                        match listener.accept() {
-                            Ok((stream, _peer)) => {
-                                let stop = stop.clone();
-                                let shards = shards.clone();
-                                let config = config.clone();
-                                let attr = attr.clone();
-                                let handle = std::thread::Builder::new()
-                                    .name("smc-conn".to_string())
-                                    .spawn(move || {
-                                        handle_conn(stream, &shards, &config, &attr, &stop)
-                                    });
-                                match handle {
-                                    Ok(h) => {
-                                        conns.lock().unwrap_or_else(|e| e.into_inner()).push(h)
-                                    }
-                                    Err(_) => { /* spawn failed: drop the socket */ }
-                                }
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(5));
-                            }
-                            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+                    for stream in listener.incoming() {
+                        // `shutdown` wakes this blocking accept by
+                        // connecting to it; that socket is dropped here.
+                        if shared.stop.load(Ordering::Acquire) {
+                            break;
+                        }
+                        let Ok(stream) = stream else {
+                            // Out of descriptors, most likely: back off
+                            // instead of spinning on the error.
+                            std::thread::sleep(Duration::from_millis(5));
+                            continue;
+                        };
+                        let shared = shared.clone();
+                        let handle = std::thread::Builder::new()
+                            .name("smc-conn".to_string())
+                            .spawn(move || handle_conn(stream, &shared));
+                        // A failed spawn drops the socket.
+                        if let Ok(h) = handle {
+                            conns.lock().unwrap_or_else(|e| e.into_inner()).push(h);
                         }
                     }
                 })?
@@ -233,12 +235,10 @@ impl Server {
 
         Ok(Server {
             local_addr,
-            stop,
+            shared,
             acceptor: Some(acceptor),
             conns,
-            shards,
             shard_joins,
-            attr,
         })
     }
 
@@ -250,40 +250,41 @@ impl Server {
     /// Requests from all shards the counters behind the `STATS` op. Usable
     /// while the server runs (the loadgen polls it between windows).
     pub fn stats(&self) -> StatsBody {
-        gather_stats(&self.shards)
-    }
-
-    /// The server's tail-latency attribution (embedded harnesses read it
-    /// directly; external ones get the same data via `SCRAPE`).
-    pub fn attribution(&self) -> &Arc<Attribution> {
-        &self.attr
+        gather_stats(&self.shared.shards)
     }
 
     /// The `smc-scrape/v1` document the `SCRAPE` op answers with, built
     /// in-process (no socket round-trip).
     pub fn scrape_json(&self) -> JsonValue {
-        gather_scrape(&self.shards, &self.attr)
+        gather_scrape(&self.shared.shards, &self.shared.attr)
     }
 
     /// Stops accepting, drains connections, then drains, quiesces, and
     /// verifies every shard. Idempotent; the second call returns an empty
     /// report.
     pub fn shutdown(&mut self) -> DrainReport {
-        self.stop.store(true, Ordering::Release);
+        self.shared.stop.store(true, Ordering::Release);
         if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
+            // The acceptor blocks in `accept`: a throw-away loopback
+            // connection makes it look at `stop`. Should even that fail, the
+            // thread is left behind rather than joined for ever.
+            let mut wake = self.local_addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake.ip() {
+                    IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
+                let _ = a.join();
+            }
         }
-        let conns: Vec<JoinHandle<()>> = self
-            .conns
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .drain(..)
-            .collect();
+        let conns = std::mem::take(&mut *self.conns.lock().unwrap_or_else(|e| e.into_inner()));
         for c in conns {
             let _ = c.join();
         }
         // Every producer ring is dropped now; shards can drain to closure.
-        for s in &self.shards {
+        for s in &self.shared.shards {
             s.request_stop();
         }
         let mut report = DrainReport { shards: Vec::new() };
@@ -292,10 +293,8 @@ impl Server {
                 Ok(d) => report.shards.push(d),
                 Err(_) => report.shards.push(ShardDrain {
                     shard: usize::MAX,
-                    requests: 0,
-                    tenants_verified: 0,
-                    snapshots_written: 0,
                     verify_errors: vec!["shard thread panicked".to_string()],
+                    ..ShardDrain::default()
                 }),
             }
         }
@@ -455,313 +454,300 @@ fn gather_scrape(shards: &[Arc<ShardShared>], attr: &Attribution) -> JsonValue {
 }
 
 /// The connection loop: frame in, route, frame out.
-fn handle_conn(
-    stream: TcpStream,
-    shards: &[Arc<ShardShared>],
-    config: &ServerConfig,
-    attr: &Attribution,
-    stop: &AtomicBool,
-) {
-    let mut stream = stream;
+fn handle_conn(mut stream: TcpStream, server: &Shared) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let senders: Vec<ShardSender> = shards.iter().map(|s| s.connect()).collect();
+    let waiter = Arc::new(Waiter::new());
+    let mut router = Router {
+        server,
+        links: server.shards.iter().map(|s| s.connect(&waiter)).collect(),
+        waiter,
+        seq: 0,
+    };
     let mut reader = FrameReader::new();
+    let mut writer = FrameWriter::new();
+    let draining = || server.stop.load(Ordering::Acquire);
+    let goodbye = || (Response::err(ErrorCode::Shutdown, "server draining"), true);
     loop {
-        let payload = match reader.read_frame(&mut stream, || stop.load(Ordering::Acquire)) {
-            Ok(p) => p,
-            Err(FrameError::Closed) | Err(FrameError::Truncated) => break,
-            Err(FrameError::Stopped) => {
-                // Draining: tell a peer mid-conversation why we hang up.
-                let resp = Response::err(ErrorCode::Shutdown, "server draining");
-                let _ = write_frame(&mut stream, &resp.encode());
-                break;
-            }
-            Err(FrameError::Oversized(len)) => {
-                // The stream cannot be resynchronized after a bogus prefix:
-                // answer, then close.
-                let resp = Response::err(
+        let (response, close) = match reader.read_frame(&mut stream, draining) {
+            Err(FrameError::Closed | FrameError::Truncated | FrameError::Io(_)) => break,
+            // Draining: tell the peer why we hang up — when its read times
+            // out idle, and just as much when its next frame is already
+            // here, or a peer that always has one ready holds the drain
+            // open for ever. That frame is answered, not executed.
+            Err(FrameError::Stopped) => goodbye(),
+            Ok(_) if draining() => goodbye(),
+            // The stream cannot be resynchronized after a bogus prefix:
+            // answer, then close.
+            Err(FrameError::Oversized(len)) => (
+                Response::err(
                     ErrorCode::BadFrame,
-                    format!("frame length {len} exceeds {}", crate::wire::MAX_FRAME),
-                );
-                let _ = write_frame(&mut stream, &resp.encode());
-                break;
-            }
-            Err(FrameError::Io(_)) => break,
+                    format!("frame length {len} exceeds {MAX_FRAME}"),
+                ),
+                true,
+            ),
+            Ok(payload) => (router.handle(payload), false),
         };
-        let conn_start = Instant::now();
-        let response = match Request::decode_traced(&payload) {
-            Ok((req, raw_id)) => {
-                let id = raw_id.and_then(RequestId::new);
-                // Hold the span context for the whole connection-side
-                // handling so anything emitted below carries the id.
-                let _scope = id.map(RequestScope::enter);
-                let resp = dispatch(req, shards, &senders, config, attr, id);
-                if let Some(id) = id {
-                    trace::emit_stage(id, "conn", conn_start.elapsed().as_nanos() as u64);
-                }
-                resp
-            }
-            // Framing is still intact (the prefix was honest), so a decode
-            // error answers and keeps the connection.
-            Err(e) => Response::err(e.code(), e.message()),
-        };
-        if write_frame(&mut stream, &response.encode()).is_err() {
+        if writer.write_frame(&mut stream, &response.encode()).is_err() || close {
             break;
         }
     }
-    let _ = stream.flush();
-    // Dropping `senders` closes the rings; shards prune them once drained.
+    // Dropping the router closes the rings; shards prune them once drained.
 }
 
-/// The attribution class a request belongs to; `None` for the local ops
-/// that never touch a shard (`PING`/`STATS`/`SCRAPE`).
-fn op_class(req: &Request) -> Option<OpClass> {
-    match req {
-        Request::Upsert { .. } | Request::Delete { .. } => Some(OpClass::Ingest),
-        Request::Count { .. } | Request::Sum { .. } => Some(OpClass::Query),
-        Request::Ping | Request::Stats | Request::Scrape => None,
+/// How one shard's part of a scatter ended.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Reply(ShardReply),
+    /// The request ring stayed full for `ring_patience`; no job was sent.
+    Saturated,
+    /// No reply within `reply_timeout`; one that comes later is discarded.
+    TimedOut,
+}
+
+/// One connection's routing state.
+struct Router<'a> {
+    server: &'a Shared,
+    /// This connection's ring pair into each shard, in shard order.
+    links: Vec<ShardLink>,
+    /// What this thread waits on for replies; every shard wakes it.
+    waiter: Arc<Waiter>,
+    /// Number of the latest scatter. Its jobs carry it and so do their
+    /// replies: any other number on a reply ring is the late answer to a
+    /// request that already timed out.
+    seq: u64,
+}
+
+impl Router<'_> {
+    /// Decodes and routes one frame. Framing is still intact when decoding
+    /// fails (the prefix was honest), so that answers and keeps the
+    /// connection.
+    fn handle(&mut self, payload: &[u8]) -> Response {
+        let conn_start = Instant::now();
+        let (req, raw_id) = match Request::decode_traced(payload) {
+            Ok(decoded) => decoded,
+            Err(e) => return Response::err(e.code(), e.message()),
+        };
+        let id = raw_id.and_then(RequestId::new);
+        // Hold the span context for the whole connection-side handling so
+        // anything emitted below carries the id.
+        let _scope = id.map(RequestScope::enter);
+        let resp = self.dispatch(req, id);
+        if let Some(id) = id {
+            trace::emit_stage(id, "conn", conn_start.elapsed().as_nanos() as u64);
+        }
+        resp
+    }
+
+    /// Routes one request: to the owning shards for ingest partitions, to
+    /// every shard for queries, nowhere for `PING`/`STATS`/`SCRAPE`. A
+    /// shard-bound op records its tail-latency breakdown when it completes
+    /// at or over the slow-request threshold.
+    fn dispatch(&mut self, req: Request, trace: Option<RequestId>) -> Response {
+        let start = Instant::now();
+        let shards = &self.server.shards;
+        let n = shards.len();
+        let op = req.op();
+        let (tenant, ops): (u16, Vec<Option<ShardOp>>) = match req {
+            Request::Ping => return Response::Ok(Vec::new()),
+            Request::Stats => return Response::Ok(gather_stats(shards).encode()),
+            Request::Scrape => {
+                let doc = gather_scrape(shards, &self.server.attr);
+                return Response::Ok(doc.to_json().into_bytes());
+            }
+            Request::Upsert { tenant, rows } => {
+                let parts = partition(rows, n, |row| row.0);
+                (tenant, parts.map(|p| p.map(ShardOp::Upsert)).collect())
+            }
+            Request::Delete { tenant, keys } => {
+                let parts = partition(keys, n, |key| *key);
+                (tenant, parts.map(|p| p.map(ShardOp::Delete)).collect())
+            }
+            Request::Count { tenant, lo, hi } => (tenant, vec![Some(ShardOp::Count { lo, hi }); n]),
+            Request::Sum { tenant, lo, hi } => (tenant, vec![Some(ShardOp::Sum { lo, hi }); n]),
+        };
+        let mut breakdown = SlowBreakdown::default();
+        let resp = if (tenant as usize) < shards.first().map_or(0, |s| s.tenants.len()) {
+            merge(op, self.scatter(tenant, ops, trace, &mut breakdown))
+        } else {
+            Response::err(
+                ErrorCode::UnknownTenant,
+                format!("tenant {tenant} is not configured"),
+            )
+        };
+        let class = match op {
+            Op::Upsert | Op::Delete => OpClass::Ingest,
+            _ => OpClass::Query,
+        };
+        let total_ns = start.elapsed().as_nanos() as u64;
+        self.server.attr.observe(class, total_ns, &breakdown);
+        resp
+    }
+
+    /// Sends `ops[i]` to shard `i`, then gathers every reply.
+    /// Send-then-gather keeps the shards working in parallel during a
+    /// scatter-gather query. The outcomes come back in shard order, `None`
+    /// where there was no job.
+    fn scatter(
+        &mut self,
+        tenant: u16,
+        ops: Vec<Option<ShardOp>>,
+        trace: Option<RequestId>,
+        breakdown: &mut SlowBreakdown,
+    ) -> Vec<Option<Outcome>> {
+        self.seq += 1;
+        let server = self.server;
+        let send = |(i, op): (usize, Option<ShardOp>)| {
+            let job = ShardJob {
+                seq: self.seq,
+                tenant,
+                op: op?,
+                trace,
+                enqueued: Instant::now(),
+            };
+            // A queued job has timed out until its reply says otherwise.
+            let queued = self.links[i].send(&server.shards[i], job, server.config.ring_patience);
+            Some(if queued {
+                Outcome::TimedOut
+            } else {
+                Outcome::Saturated
+            })
+        };
+        let mut outcomes: Vec<_> = ops.into_iter().enumerate().map(send).collect();
+        let deadline = Instant::now() + server.config.reply_timeout;
+        let (links, waiter) = (&mut self.links, &self.waiter);
+        gather(links, waiter, self.seq, deadline, &mut outcomes, breakdown);
+        outcomes
     }
 }
 
-/// Routes one request and, for shard-bound ops, records its tail-latency
-/// breakdown when it completes at or over the slow-request threshold.
-fn dispatch(
-    req: Request,
-    shards: &[Arc<ShardShared>],
-    senders: &[ShardSender],
-    config: &ServerConfig,
-    attr: &Attribution,
-    trace: Option<RequestId>,
-) -> Response {
-    let class = op_class(&req);
-    let start = Instant::now();
-    let mut breakdown = SlowBreakdown::default();
-    let resp = dispatch_inner(req, shards, senders, config, attr, trace, &mut breakdown);
-    if let Some(class) = class {
-        attr.observe(class, start.elapsed().as_nanos() as u64, &breakdown);
-    }
-    resp
-}
-
-/// Routes one request: single-shard for ingest partitions, scatter-gather
-/// for queries, local for `PING`/`STATS`/`SCRAPE`.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_inner(
-    req: Request,
-    shards: &[Arc<ShardShared>],
-    senders: &[ShardSender],
-    config: &ServerConfig,
-    attr: &Attribution,
-    trace: Option<RequestId>,
+/// Replaces every `TimedOut` in `outcomes` by that shard's reply to scatter
+/// `seq`, in **one** wait over all reply rings that ends when none is left
+/// or at `deadline`. Replies numbered otherwise are dropped unread. Each
+/// reply's timing folds into `breakdown` as it arrives.
+fn gather(
+    links: &mut [ShardLink],
+    waiter: &Waiter,
+    seq: u64,
+    deadline: Instant,
+    outcomes: &mut [Option<Outcome>],
     breakdown: &mut SlowBreakdown,
-) -> Response {
-    let ntenants = shards.first().map_or(0, |s| s.tenants.len());
-    match req {
-        Request::Ping => Response::Ok(Vec::new()),
-        Request::Stats => Response::Ok(gather_stats(shards).encode()),
-        Request::Scrape => Response::Ok(gather_scrape(shards, attr).to_json().into_bytes()),
-        Request::Upsert { tenant, rows } => {
-            if tenant as usize >= ntenants {
-                return unknown_tenant(tenant);
-            }
-            let mut parts: Vec<Vec<(u64, u64)>> = vec![Vec::new(); shards.len()];
-            for (k, v) in rows {
-                parts[shard_of(k, shards.len())].push((k, v));
-            }
-            let sent = scatter(shards, senders, config, trace, breakdown, |shard| {
-                let rows = std::mem::take(&mut parts[shard]);
-                if rows.is_empty() {
-                    None
-                } else {
-                    Some(ShardRequest::Upsert { tenant, rows })
-                }
-            });
-            merge_ingest(sent, |r| match r {
-                ShardReply::Upserted(n) => Some(*n),
-                _ => None,
-            })
-        }
-        Request::Delete { tenant, keys } => {
-            if tenant as usize >= ntenants {
-                return unknown_tenant(tenant);
-            }
-            let mut parts: Vec<Vec<u64>> = vec![Vec::new(); shards.len()];
-            for k in keys {
-                parts[shard_of(k, shards.len())].push(k);
-            }
-            let sent = scatter(shards, senders, config, trace, breakdown, |shard| {
-                let keys = std::mem::take(&mut parts[shard]);
-                if keys.is_empty() {
-                    None
-                } else {
-                    Some(ShardRequest::Delete { tenant, keys })
-                }
-            });
-            merge_ingest(sent, |r| match r {
-                ShardReply::Deleted(n) => Some(*n),
-                _ => None,
-            })
-        }
-        Request::Count { tenant, lo, hi } => {
-            if tenant as usize >= ntenants {
-                return unknown_tenant(tenant);
-            }
-            let sent = scatter(shards, senders, config, trace, breakdown, |_| {
-                Some(ShardRequest::Count { tenant, lo, hi })
-            });
-            let mut total = 0u64;
-            for outcome in sent {
-                match outcome {
-                    Ok(ShardReply::Counted(n)) => total += n,
-                    Ok(ShardReply::Error(code, msg)) => return Response::Err(code, msg),
-                    Ok(other) => return internal(format!("mismatched reply {other:?}")),
-                    Err(resp) => return resp,
+) {
+    let awaited = |o: &&Option<Outcome>| matches!(o, Some(Outcome::TimedOut));
+    let mut left = outcomes.iter().filter(awaited).count();
+    waiter.wait(Some(deadline), || {
+        for (link, outcome) in links.iter_mut().zip(outcomes.iter_mut()) {
+            while let Some(r) = link.pop_reply() {
+                if r.seq == seq {
+                    breakdown.fold(&r.timing);
+                    *outcome = Some(Outcome::Reply(r.reply));
+                    left -= 1;
                 }
             }
-            Response::Ok(total.to_le_bytes().to_vec())
         }
-        Request::Sum { tenant, lo, hi } => {
-            if tenant as usize >= ntenants {
-                return unknown_tenant(tenant);
-            }
-            let sent = scatter(shards, senders, config, trace, breakdown, |_| {
-                Some(ShardRequest::Sum { tenant, lo, hi })
-            });
-            let (mut count, mut sum) = (0u64, 0u64);
-            for outcome in sent {
-                match outcome {
-                    Ok(ShardReply::Summed { count: c, sum: s }) => {
-                        count += c;
-                        sum = sum.wrapping_add(s);
-                    }
-                    Ok(ShardReply::Error(code, msg)) => return Response::Err(code, msg),
-                    Ok(other) => return internal(format!("mismatched reply {other:?}")),
-                    Err(resp) => return resp,
-                }
-            }
-            let mut body = count.to_le_bytes().to_vec();
-            body.extend_from_slice(&sum.to_le_bytes());
-            Response::Ok(body)
-        }
-    }
+        (left == 0).then_some(())
+    });
 }
 
-fn unknown_tenant(tenant: u16) -> Response {
-    Response::err(
-        ErrorCode::UnknownTenant,
-        format!("tenant {tenant} is not configured"),
-    )
+/// Splits an ingest batch by owning shard: `None` where a shard owns none
+/// of it, so the batch fans out only to the shards it touches.
+fn partition<T>(
+    items: Vec<T>,
+    shards: usize,
+    key: impl Fn(&T) -> u64,
+) -> impl Iterator<Item = Option<Vec<T>>> {
+    let mut parts: Vec<Vec<T>> = (0..shards).map(|_| Vec::new()).collect();
+    for item in items {
+        parts[shard_of(key(&item), shards)].push(item);
+    }
+    parts.into_iter().map(|p| (!p.is_empty()).then_some(p))
+}
+
+/// Merges the shards' answers to one `op`: the total on success (`count`,
+/// and `sum` for `SUM`). On mixed outcomes the budget error wins over
+/// transport noise — it is the one the tenant can act on, and its message
+/// carries how much of the batch still applied — else the first error.
+fn merge(op: Op, outcomes: Vec<Option<Outcome>>) -> Response {
+    let (mut count, mut sum) = (0u64, 0u64);
+    let mut budget_err: Option<Response> = None;
+    let mut first_err: Option<Response> = None;
+    for (i, outcome) in outcomes.into_iter().enumerate() {
+        let err = match (op, outcome) {
+            (_, None) => continue,
+            (Op::Upsert, Some(Outcome::Reply(ShardReply::Upserted(n))))
+            | (Op::Delete, Some(Outcome::Reply(ShardReply::Deleted(n))))
+            | (Op::Count, Some(Outcome::Reply(ShardReply::Counted(n)))) => {
+                count += n;
+                continue;
+            }
+            (Op::Sum, Some(Outcome::Reply(ShardReply::Summed { count: c, sum: s }))) => {
+                count += c;
+                sum = sum.wrapping_add(s);
+                continue;
+            }
+            (_, Some(Outcome::Reply(ShardReply::Error(code, msg)))) => Response::Err(code, msg),
+            (_, Some(Outcome::Reply(other))) => internal(format!("mismatched reply {other:?}")),
+            (_, Some(Outcome::Saturated)) => internal(format!("shard {i} ring saturated")),
+            (_, Some(Outcome::TimedOut)) => internal(format!("shard {i} reply timed out")),
+        };
+        match err {
+            Response::Err(ErrorCode::TenantOverBudget, _) => budget_err.get_or_insert(err),
+            _ => first_err.get_or_insert(err),
+        };
+    }
+    if let Some(resp) = budget_err.or(first_err) {
+        return resp;
+    }
+    let mut body = count.to_le_bytes().to_vec();
+    if op == Op::Sum {
+        body.extend_from_slice(&sum.to_le_bytes());
+    }
+    Response::Ok(body)
 }
 
 fn internal(msg: String) -> Response {
     Response::err(ErrorCode::Internal, msg)
 }
 
-/// Sends one job per shard (where `make` yields one), then collects every
-/// reply. Send-then-collect keeps the shards working in parallel during a
-/// scatter-gather query.
-///
-/// Per-shard [`ShardTiming`]s fold into `breakdown` as they arrive: max
-/// for ring wait and execution (shards run in parallel, so the slowest one
-/// *is* the request's critical path), sum for the event counters, any for
-/// the maintenance overlap.
-fn scatter(
-    shards: &[Arc<ShardShared>],
-    senders: &[ShardSender],
-    config: &ServerConfig,
-    trace: Option<RequestId>,
-    breakdown: &mut SlowBreakdown,
-    mut make: impl FnMut(usize) -> Option<ShardRequest>,
-) -> Vec<Result<ShardReply, Response>> {
-    let mut cells: Vec<Option<Arc<ReplyCell>>> = Vec::with_capacity(shards.len());
-    let mut failures: Vec<Option<Response>> = vec![None; shards.len()];
-    for (i, sender) in senders.iter().enumerate() {
-        let Some(req) = make(i) else {
-            cells.push(None);
-            continue;
-        };
-        let cell = ReplyCell::new();
-        let job = ShardJob {
-            req,
-            reply: cell.clone(),
-            trace,
-            enqueued: Instant::now(),
-        };
-        match sender.send(&shards[i], job, config.ring_patience) {
-            SendOutcome::Queued => cells.push(Some(cell)),
-            SendOutcome::Saturated => {
-                cells.push(None);
-                failures[i] = Some(internal(format!("shard {i} ring saturated")));
-            }
-        }
-    }
-    let mut out = Vec::with_capacity(shards.len());
-    for (i, cell) in cells.into_iter().enumerate() {
-        if let Some(resp) = failures[i].take() {
-            out.push(Err(resp));
-            continue;
-        }
-        let Some(cell) = cell else { continue };
-        match cell.wait(config.reply_timeout) {
-            Some((reply, timing)) => {
-                fold_timing(breakdown, &timing);
-                out.push(Ok(reply));
-            }
-            None => out.push(Err(internal(format!("shard {i} reply timed out")))),
-        }
-    }
-    out
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::shard::link;
 
-/// Folds one shard's timing into the request-level breakdown.
-fn fold_timing(breakdown: &mut SlowBreakdown, t: &ShardTiming) {
-    breakdown.ring_wait_ns = breakdown.ring_wait_ns.max(t.ring_wait_ns);
-    breakdown.exec_ns = breakdown.exec_ns.max(t.exec_ns);
-    breakdown.spill_faults += t.spill_faults;
-    breakdown.budget_rungs += t.budget_rungs;
-    breakdown.epoch_stalls += t.epoch_stalls;
-    breakdown.maint_active |= t.maint_active;
-}
+    #[test]
+    fn gather_drops_a_stale_reply_keeps_the_current_one_and_times_out_on_silence() {
+        let waiter = Arc::new(Waiter::new());
+        let (link0, inbox0) = link(&waiter);
+        let (link1, _inbox1) = link(&waiter);
+        let mut links = [link0, link1];
+        let mut run = |seq, outcomes: &mut [Option<Outcome>]| {
+            let mut breakdown = SlowBreakdown::default();
+            let deadline = Instant::now() + Duration::from_millis(20);
+            gather(&mut links, &waiter, seq, deadline, outcomes, &mut breakdown);
+            breakdown
+        };
+        // Shard 0 answers request 4 (long given up on), then request 5;
+        // shard 1 was sent nothing.
+        let timing = |exec_ns| SlowBreakdown {
+            exec_ns,
+            ..SlowBreakdown::default()
+        };
+        inbox0.answer(4, ShardReply::Counted(111), timing(1_000));
+        inbox0.answer(5, ShardReply::Counted(2), timing(7));
+        let mut outcomes = [Some(Outcome::TimedOut), None];
+        let breakdown = run(5, &mut outcomes);
+        let current = Outcome::Reply(ShardReply::Counted(2));
+        assert_eq!(outcomes, [Some(current), None]);
+        assert_eq!(breakdown.exec_ns, 7, "only the current reply folds");
+        let total = merge(Op::Count, outcomes.into());
+        assert_eq!(total, Response::Ok(2u64.to_le_bytes().to_vec()));
 
-/// Merges per-shard ingest acks: totals on success. On mixed outcomes the
-/// budget error wins over transport noise — it is the one the tenant can
-/// act on — and the message carries how much of the batch still applied.
-fn merge_ingest(
-    sent: Vec<Result<ShardReply, Response>>,
-    extract: impl Fn(&ShardReply) -> Option<u64>,
-) -> Response {
-    let mut total = 0u64;
-    let mut budget_err: Option<Response> = None;
-    let mut first_err: Option<Response> = None;
-    for outcome in sent {
-        match outcome {
-            Ok(reply) => {
-                if let Some(n) = extract(&reply) {
-                    total += n;
-                } else {
-                    let resp = match reply {
-                        ShardReply::Error(code, msg) => Response::Err(code, msg),
-                        other => internal(format!("mismatched reply {other:?}")),
-                    };
-                    match &resp {
-                        Response::Err(ErrorCode::TenantOverBudget, _) if budget_err.is_none() => {
-                            budget_err = Some(resp);
-                        }
-                        _ if first_err.is_none() => first_err = Some(resp),
-                        _ => {}
-                    }
-                }
-            }
-            Err(resp) => {
-                if first_err.is_none() {
-                    first_err = Some(resp);
-                }
-            }
+        // Request 6 goes to both shards; neither answers in time.
+        let mut outcomes = [Some(Outcome::TimedOut), Some(Outcome::TimedOut)];
+        run(6, &mut outcomes);
+        match merge(Op::Upsert, outcomes.into()) {
+            Response::Err(ErrorCode::Internal, msg) => assert!(msg.contains("timed out"), "{msg}"),
+            other => panic!("unexpected {other:?}"),
         }
-    }
-    match budget_err.or(first_err) {
-        Some(resp) => resp,
-        None => Response::Ok(total.to_le_bytes().to_vec()),
     }
 }

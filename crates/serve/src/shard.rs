@@ -6,15 +6,17 @@
 //! shard thread, so it needs no lock), the `smc-exec` pool that runs scans
 //! morsel-parallel, and the `smc-maint` coordinator that compacts in the
 //! background under the shard's own SLO gauge. Connection threads reach a
-//! shard exclusively through SPSC rings ([`smc_util::spsc`]) — one ring per
-//! (connection, shard) pair — and block on a `ReplyCell` until the shard
-//! executes their job. Backpressure is the ring itself: a full ring pushes
+//! shard exclusively through a pair of SPSC rings ([`smc_util::spsc`]) per
+//! (connection, shard): jobs one way, sequence-numbered replies the other.
+//! Both ends wait on a spin-then-park [`Waiter`] — the shard on its own,
+//! for work from any connection; a connection on its own, for replies from
+//! any shard. Backpressure is the request ring itself: a full ring pushes
 //! back on the connection, never on the shard.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use smc::{ContextConfig, Ref, Runtime, Smc, Tabular};
@@ -26,7 +28,9 @@ use smc_obs::trace::{self, RequestId, RequestScope};
 use smc_obs::Histogram;
 use smc_persist::{Persist, PersistError, RecoverOptions, SpillFile};
 use smc_util::spsc::{self, Consumer, Producer};
+use smc_util::waiter::Waiter;
 
+use crate::attr::SlowBreakdown;
 use crate::wire::ErrorCode;
 
 /// The one row shape the server stores: a keyed 16-byte record.
@@ -42,7 +46,7 @@ pub struct Row {
 // SAFETY: plain-old-data, no padding secrets, no interior references.
 unsafe impl Tabular for Row {}
 
-/// Capacity of each (connection, shard) request ring.
+/// Capacity of each (connection, shard) request ring and of its reply ring.
 pub(crate) const RING_CAPACITY: usize = 256;
 
 /// Distributes `key` to a shard by hash (splitmix64 finalizer — sequential
@@ -55,21 +59,21 @@ pub fn shard_of(key: u64, shards: usize) -> usize {
     (z % shards.max(1) as u64) as usize
 }
 
-/// A request as the shard executes it (already routed and decoded).
-#[derive(Debug)]
-pub(crate) enum ShardRequest {
+/// What a shard is asked to do for one tenant (already routed and decoded).
+#[derive(Debug, Clone)]
+pub(crate) enum ShardOp {
     /// Insert-or-overwrite rows; all keys already hash to this shard.
-    Upsert { tenant: u16, rows: Vec<(u64, u64)> },
+    Upsert(Vec<(u64, u64)>),
     /// Remove keys; absent keys are ignored.
-    Delete { tenant: u16, keys: Vec<u64> },
+    Delete(Vec<u64>),
     /// Count rows with value in `[lo, hi)`.
-    Count { tenant: u16, lo: u64, hi: u64 },
+    Count { lo: u64, hi: u64 },
     /// Sum values over rows with value in `[lo, hi)`.
-    Sum { tenant: u16, lo: u64, hi: u64 },
+    Sum { lo: u64, hi: u64 },
 }
 
-/// A shard's answer to one [`ShardRequest`].
-#[derive(Debug)]
+/// A shard's answer to one [`ShardJob`].
+#[derive(Debug, PartialEq)]
 pub(crate) enum ShardReply {
     /// Rows applied by an upsert.
     Upserted(u64),
@@ -83,76 +87,13 @@ pub(crate) enum ShardReply {
     Error(ErrorCode, String),
 }
 
-/// Where one shard-side job spent its time, measured on the shard thread
-/// and handed back with the reply for tail-latency attribution.
-///
-/// The event counters are deltas of the shard runtime's [`MemoryStats`]
-/// across the job's execution window. A concurrent maintenance pass on the
-/// same runtime bumps the same counters, so they attribute *pressure
-/// during the request*, not strictly work *of* the request — which is the
-/// operator-relevant reading (the request stalled behind it either way),
-/// and `maint_active` names the confounder explicitly.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ShardTiming {
-    /// Nanoseconds the job sat in the SPSC ring before the shard ran it.
-    pub(crate) ring_wait_ns: u64,
-    /// Nanoseconds the shard spent executing the job.
-    pub(crate) exec_ns: u64,
-    /// Spill-tier blocks faulted in during the window.
-    pub(crate) spill_faults: u64,
-    /// Budget-ladder rungs (alloc retries + OOM recoveries) in the window.
-    pub(crate) budget_rungs: u64,
-    /// Emergency epoch advances forced in the window.
-    pub(crate) epoch_stalls: u64,
-    /// True when a maintenance pass was in flight when the job finished.
-    pub(crate) maint_active: bool,
-}
-
-/// One-shot rendezvous a connection thread parks on while the owning shard
-/// executes its job.
-#[derive(Debug, Default)]
-pub(crate) struct ReplyCell {
-    slot: Mutex<Option<(ShardReply, ShardTiming)>>,
-    ready: Condvar,
-}
-
-impl ReplyCell {
-    pub(crate) fn new() -> Arc<ReplyCell> {
-        Arc::new(ReplyCell::default())
-    }
-
-    pub(crate) fn fill(&self, reply: ShardReply, timing: ShardTiming) {
-        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        *slot = Some((reply, timing));
-        self.ready.notify_all();
-    }
-
-    /// Blocks until the shard replies or `timeout` elapses.
-    pub(crate) fn wait(&self, timeout: Duration) -> Option<(ShardReply, ShardTiming)> {
-        let deadline = Instant::now() + timeout;
-        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if slot.is_some() {
-                return slot.take();
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (s, _) = self
-                .ready
-                .wait_timeout(slot, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            slot = s;
-        }
-    }
-}
-
 /// One unit of work in a shard's inbox.
 #[derive(Debug)]
 pub(crate) struct ShardJob {
-    pub(crate) req: ShardRequest,
-    pub(crate) reply: Arc<ReplyCell>,
+    /// The connection's request number; the reply carries it back.
+    pub(crate) seq: u64,
+    pub(crate) tenant: u16,
+    pub(crate) op: ShardOp,
     /// Span context from the wire header, if the request was traced; the
     /// shard re-enters it so every event it emits carries the id.
     pub(crate) trace: Option<RequestId>,
@@ -160,32 +101,68 @@ pub(crate) struct ShardJob {
     pub(crate) enqueued: Instant,
 }
 
-/// Wake-up signal for a shard parked on an empty inbox.
-#[derive(Debug, Default)]
-struct Doorbell {
-    rings: Mutex<u64>,
-    cv: Condvar,
+/// A shard's answer as it travels the reply ring.
+#[derive(Debug)]
+pub(crate) struct Reply {
+    /// [`ShardJob::seq`] of the job this answers. A connection that gave up
+    /// on a job (`reply_timeout`) has moved on to a later number and drops
+    /// the late answer instead of taking it for the next request's.
+    pub(crate) seq: u64,
+    pub(crate) reply: ShardReply,
+    /// Where the job spent its time and what pressure it met, measured on
+    /// the shard thread; `reply_wake_ns` is filled in by
+    /// [`ShardLink::pop_reply`].
+    pub(crate) timing: SlowBreakdown,
+    /// When the shard pushed the reply (reply-wake start).
+    pushed: Instant,
 }
 
-impl Doorbell {
-    fn ring(&self) {
-        let mut rings = self.rings.lock().unwrap_or_else(|e| e.into_inner());
-        *rings += 1;
-        self.cv.notify_one();
-    }
+/// The shard's end of one connection's ring pair.
+#[derive(Debug)]
+pub(crate) struct Inbox {
+    jobs: Consumer<ShardJob>,
+    replies: Producer<Reply>,
+    /// The connection thread's waiter, shared by all its reply rings.
+    conn: Arc<Waiter>,
+}
 
-    /// Parks until rung (since `seen`) or `timeout`; returns the new count.
-    fn wait(&self, seen: u64, timeout: Duration) -> u64 {
-        let mut rings = self.rings.lock().unwrap_or_else(|e| e.into_inner());
-        if *rings == seen {
-            let (r, _) = self
-                .cv
-                .wait_timeout(rings, timeout)
-                .unwrap_or_else(|e| e.into_inner());
-            rings = r;
-        }
-        *rings
+impl Inbox {
+    /// Pushes one reply and wakes the connection if it sleeps. A full reply
+    /// ring means the connection stopped gathering (it needs `RING_CAPACITY`
+    /// timed-out jobs in a row); it will time this one out too.
+    pub(crate) fn answer(&self, seq: u64, reply: ShardReply, timing: SlowBreakdown) {
+        let _ = self.replies.push(Reply {
+            seq,
+            reply,
+            timing,
+            pushed: Instant::now(),
+        });
+        self.conn.wake();
     }
+}
+
+/// A connection's end of one shard's ring pair.
+#[derive(Debug)]
+pub(crate) struct ShardLink {
+    jobs: Producer<ShardJob>,
+    replies: Consumer<Reply>,
+}
+
+/// A ring pair between a connection (waiting on `conn`) and a shard.
+pub(crate) fn link(conn: &Arc<Waiter>) -> (ShardLink, Inbox) {
+    let (job_tx, job_rx) = spsc::channel(RING_CAPACITY);
+    let (reply_tx, reply_rx) = spsc::channel(RING_CAPACITY);
+    (
+        ShardLink {
+            jobs: job_tx,
+            replies: reply_rx,
+        },
+        Inbox {
+            jobs: job_rx,
+            replies: reply_tx,
+            conn: conn.clone(),
+        },
+    )
 }
 
 /// Tenant state visible outside the shard thread (stats, budgets).
@@ -218,9 +195,12 @@ pub(crate) struct ShardShared {
     pub(crate) tenants: Vec<TenantShared>,
     /// Foreground query latency (ns); doubles as the maint SLO gauge.
     pub(crate) query_latency: Arc<Histogram>,
-    /// Consumers handed over by new connections, adopted by the shard loop.
-    inbox_reg: Mutex<Vec<Consumer<ShardJob>>>,
-    doorbell: Doorbell,
+    /// Ring pairs handed over by new connections, adopted by the shard loop
+    /// when `inbox_new` says there are any.
+    inbox_reg: Mutex<Vec<Inbox>>,
+    inbox_new: AtomicBool,
+    /// What the shard thread waits on: a job in any inbox, a new inbox, stop.
+    waiter: Waiter,
 }
 
 impl ShardShared {
@@ -251,73 +231,66 @@ impl ShardShared {
             tenants,
             query_latency: Arc::new(Histogram::new()),
             inbox_reg: Mutex::new(Vec::new()),
-            doorbell: Doorbell::default(),
+            inbox_new: AtomicBool::new(false),
+            waiter: Waiter::new(),
         }
     }
 
-    /// Opens a new request ring into this shard (one per connection).
-    pub(crate) fn connect(&self) -> ShardSender {
-        let (tx, rx) = spsc::channel(RING_CAPACITY);
+    /// Opens a ring pair into this shard for a connection that waits for
+    /// its replies on `conn` (one pair per connection and shard).
+    pub(crate) fn connect(&self, conn: &Arc<Waiter>) -> ShardLink {
+        let (link, inbox) = link(conn);
         self.inbox_reg
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .push(rx);
-        self.doorbell.ring();
-        ShardSender { tx }
+            .push(inbox);
+        self.inbox_new.store(true, Ordering::Release);
+        self.waiter.wake();
+        link
     }
 
     /// Asks the shard thread to drain and exit.
     pub(crate) fn request_stop(&self) {
         self.stop.store(true, Ordering::Release);
-        self.doorbell.ring();
+        self.waiter.wake();
     }
 }
 
-/// A connection's sending end of one shard's inbox.
-#[derive(Debug)]
-pub(crate) struct ShardSender {
-    tx: Producer<ShardJob>,
-}
-
-/// Outcome of [`ShardSender::send`].
-pub(crate) enum SendOutcome {
-    /// The job is in the ring; wait on its `ReplyCell`.
-    Queued,
-    /// The ring stayed full past the backpressure window; the job was
-    /// dropped, so its `ReplyCell` will never fill.
-    Saturated,
-}
-
-impl ShardSender {
-    /// Enqueues a job, ringing the shard's doorbell. A full ring is retried
-    /// for `patience` (the closed-loop backpressure path), then handed back.
-    pub(crate) fn send(
-        &self,
-        shard: &ShardShared,
-        mut job: ShardJob,
-        patience: Duration,
-    ) -> SendOutcome {
+impl ShardLink {
+    /// Enqueues a job and wakes the shard if it sleeps; its reply will come
+    /// up the reply ring. A full ring is retried for `patience` (the
+    /// closed-loop backpressure path); `false` means it stayed full and the
+    /// job was dropped, so no reply will come.
+    #[must_use]
+    pub(crate) fn send(&self, shard: &ShardShared, mut job: ShardJob, patience: Duration) -> bool {
         let deadline = Instant::now() + patience;
         loop {
-            match self.tx.push(job) {
+            match self.jobs.push(job) {
                 Ok(()) => {
-                    shard.doorbell.ring();
-                    return SendOutcome::Queued;
+                    shard.waiter.wake();
+                    return true;
                 }
                 Err(back) => {
                     job = back;
                     if Instant::now() >= deadline {
-                        return SendOutcome::Saturated;
+                        return false;
                     }
                     std::thread::yield_now();
                 }
             }
         }
     }
+
+    /// The oldest unread reply, stamped with how long it waited here.
+    pub(crate) fn pop_reply(&mut self) -> Option<Reply> {
+        let mut r = self.replies.pop()?;
+        r.timing.reply_wake_ns = r.pushed.elapsed().as_nanos() as u64;
+        Some(r)
+    }
 }
 
 /// What one shard reports after draining at shutdown.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ShardDrain {
     /// Shard index.
     pub shard: usize,
@@ -378,10 +351,8 @@ pub(crate) fn run_shard(shared: Arc<ShardShared>, cfg: ShardConfig) -> ShardDrai
                         eprintln!("smc-serve: recovery failed: {msg}");
                         return ShardDrain {
                             shard: shared.index,
-                            requests: 0,
-                            tenants_verified: 0,
-                            snapshots_written: 0,
                             verify_errors: vec![msg],
+                            ..ShardDrain::default()
                         };
                     }
                 }
@@ -412,49 +383,52 @@ pub(crate) fn run_shard(shared: Arc<ShardShared>, cfg: ShardConfig) -> ShardDrai
         t.smc.register_maintenance(&coordinator, cfg.maint_policy);
     }
 
-    let mut inboxes: Vec<Consumer<ShardJob>> = Vec::new();
-    let mut seen_rings = 0u64;
+    let mut inboxes: Vec<Inbox> = Vec::new();
     loop {
-        inboxes.extend(
-            shared
-                .inbox_reg
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .drain(..),
-        );
+        if shared.inbox_new.swap(false, Ordering::Acquire) {
+            inboxes.extend(
+                shared
+                    .inbox_reg
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .drain(..),
+            );
+        }
         let mut served = 0u64;
-        inboxes.retain_mut(|rx| {
-            while let Some(job) = rx.pop() {
-                execute(&shared, &mut tenants, &pool, &coordinator, job);
+        inboxes.retain_mut(|inbox| {
+            while let Some(job) = inbox.jobs.pop() {
+                let seq = job.seq;
+                let (reply, timing) = execute(&shared, &mut tenants, &pool, &coordinator, job);
+                inbox.answer(seq, reply, timing);
                 served += 1;
             }
             // A closed, drained ring belongs to a finished connection.
-            !(rx.is_closed() && rx.is_empty())
+            !(inbox.jobs.is_closed() && inbox.jobs.is_empty())
         });
         if served > 0 {
             shared.requests_served.fetch_add(served, Ordering::Relaxed);
+            continue;
         }
+        let pending = || {
+            shared.inbox_new.load(Ordering::Acquire) || inboxes.iter().any(|i| !i.jobs.is_empty())
+        };
         if shared.stop.load(Ordering::Acquire) {
             // Stop is only requested after connection threads exit, so every
             // producer is dropped: one more adoption + drain sweep empties
             // the world, then the rings all read closed.
-            let drained = inboxes.is_empty()
-                && shared
-                    .inbox_reg
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .is_empty();
-            if drained {
+            if inboxes.is_empty() && !pending() {
                 break;
             }
             continue;
         }
-        if served == 0 {
-            // Idle tick: repatriate blocks the pool's workers freed to this
-            // thread's remote return queue before sleeping on the doorbell.
-            runtime.alloc_maintenance();
-            seen_rings = shared.doorbell.wait(seen_rings, Duration::from_millis(1));
-        }
+        // Going idle: repatriate blocks the pool's workers freed to this
+        // thread's remote return queue, then spin briefly for the next job
+        // and park — untimed — until a connection, `connect` or
+        // `request_stop` wakes us.
+        runtime.alloc_maintenance();
+        shared.waiter.wait(None, || {
+            (pending() || shared.stop.load(Ordering::Acquire)).then_some(())
+        });
     }
 
     // Quiesce maintenance exactly (no half-moved state), release retired
@@ -550,8 +524,8 @@ fn build_persistent_tenant(
     }
 }
 
-/// Executes one job against the shard-local state and fills its reply,
-/// measuring the [`ShardTiming`] breakdown along the way. A traced job has
+/// Executes one job against the shard-local state and returns its reply,
+/// measuring its [`SlowBreakdown`] along the way. A traced job has
 /// its [`RequestScope`] entered for the whole execution window, so scan
 /// workers inherit the id and the `req.ring`/`req.shard` stage spans land
 /// on the shard thread's track.
@@ -561,7 +535,7 @@ fn execute(
     pool: &WorkerPool,
     coordinator: &Coordinator,
     job: ShardJob,
-) {
+) -> (ShardReply, SlowBreakdown) {
     let ring_wait = job.enqueued.elapsed();
     let _scope = job.trace.map(RequestScope::enter);
     if let Some(id) = job.trace {
@@ -573,28 +547,23 @@ fn execute(
     let stalls0 = MemoryStats::get(&stats.emergency_epoch_advances);
     let exec_start = Instant::now();
 
-    let tenant_id = match &job.req {
-        ShardRequest::Upsert { tenant, .. }
-        | ShardRequest::Delete { tenant, .. }
-        | ShardRequest::Count { tenant, .. }
-        | ShardRequest::Sum { tenant, .. } => *tenant,
-    };
+    let tenant_id = job.tenant;
     let reply = match tenants.get_mut(&tenant_id) {
         None => ShardReply::Error(
             ErrorCode::UnknownTenant,
             format!("tenant {tenant_id} is not configured"),
         ),
-        Some(local) => match job.req {
-            ShardRequest::Upsert { rows, .. } => upsert(shared, tenant_id, local, rows),
-            ShardRequest::Delete { keys, .. } => delete(local, keys),
-            ShardRequest::Count { lo, hi, .. } => {
+        Some(local) => match job.op {
+            ShardOp::Upsert(rows) => upsert(shared, tenant_id, local, rows),
+            ShardOp::Delete(keys) => delete(local, keys),
+            ShardOp::Count { lo, hi } => {
                 let start = Instant::now();
                 let n = ParScan::new(&local.smc, pool)
                     .filter_count(|row: &Row| row.value >= lo && row.value < hi);
                 shared.query_latency.record_duration(start.elapsed());
                 ShardReply::Counted(n)
             }
-            ShardRequest::Sum { lo, hi, .. } => {
+            ShardOp::Sum { lo, hi } => {
                 let start = Instant::now();
                 let (count, sum) = ParScan::new(&local.smc, pool).filter_fold(
                     || (0u64, 0u64),
@@ -618,9 +587,10 @@ fn execute(
     if let Some(id) = job.trace {
         trace::emit_stage(id, "shard", exec_ns);
     }
-    let timing = ShardTiming {
+    let timing = SlowBreakdown {
         ring_wait_ns: ring_wait.as_nanos() as u64,
         exec_ns,
+        reply_wake_ns: 0,
         spill_faults: MemoryStats::get(&stats.blocks_faulted_in).saturating_sub(faults0),
         budget_rungs: (MemoryStats::get(&stats.alloc_retries)
             + MemoryStats::get(&stats.oom_recoveries))
@@ -628,7 +598,7 @@ fn execute(
         epoch_stalls: MemoryStats::get(&stats.emergency_epoch_advances).saturating_sub(stalls0),
         maint_active: coordinator.passes_active() > 0,
     };
-    job.reply.fill(reply, timing);
+    (reply, timing)
 }
 
 fn upsert(
@@ -713,30 +683,68 @@ mod tests {
         }
     }
 
-    #[test]
-    fn reply_cell_rendezvous() {
-        let cell = ReplyCell::new();
-        let c2 = cell.clone();
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            c2.fill(
-                ShardReply::Counted(5),
-                ShardTiming {
-                    ring_wait_ns: 7,
-                    ..ShardTiming::default()
-                },
-            );
-        });
-        match cell.wait(Duration::from_secs(5)) {
-            Some((ShardReply::Counted(5), timing)) => assert_eq!(timing.ring_wait_ns, 7),
-            other => panic!("unexpected reply {other:?}"),
+    fn idle_shard() -> Arc<ShardShared> {
+        let tenants = [crate::server::TenantConfig {
+            name: "t".to_string(),
+            budget_bytes: None,
+        }];
+        Arc::new(ShardShared::new(0, Runtime::new(), &tenants, 1))
+    }
+
+    fn count_job(seq: u64) -> ShardJob {
+        ShardJob {
+            seq,
+            tenant: 0,
+            op: ShardOp::Count { lo: 0, hi: 1 },
+            trace: None,
+            enqueued: Instant::now(),
         }
-        t.join().unwrap();
     }
 
     #[test]
-    fn reply_cell_times_out_without_a_shard() {
-        let cell = ReplyCell::new();
-        assert!(cell.wait(Duration::from_millis(20)).is_none());
+    fn full_ring_saturates_after_patience() {
+        // No shard thread: nothing drains the ring.
+        let shard = idle_shard();
+        let link = shard.connect(&Arc::new(Waiter::new()));
+        for seq in 0..RING_CAPACITY as u64 {
+            assert!(link.send(&shard, count_job(seq), Duration::ZERO));
+        }
+        let start = Instant::now();
+        let patience = Duration::from_millis(20);
+        assert!(!link.send(&shard, count_job(0), patience));
+        assert!(start.elapsed() >= patience, "leaned on the ring first");
+    }
+
+    #[test]
+    fn shard_with_an_empty_inbox_parks_untimed_and_answers_when_woken() {
+        let shard = idle_shard();
+        let cfg = ShardConfig {
+            workers: 1,
+            maint: MaintConfig::default(),
+            maint_policy: MaintPolicy::default(),
+            persist_dir: None,
+        };
+        let s = shard.clone();
+        let thread = std::thread::spawn(move || run_shard(s, cfg));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !shard.waiter.is_sleeping() {
+            assert!(Instant::now() < deadline, "shard never went idle");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let before = shard.waiter.wakeups();
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(shard.waiter.wakeups(), before, "an idle shard stays parked");
+
+        // It still wakes for work: one job through a fresh ring pair.
+        let conn = Arc::new(Waiter::new());
+        let mut link = shard.connect(&conn);
+        assert!(link.send(&shard, count_job(9), Duration::ZERO));
+        let reply = conn.wait(Some(deadline), || link.pop_reply()).unwrap();
+        assert_eq!((reply.seq, reply.reply), (9, ShardReply::Counted(0)));
+        drop(link);
+        shard.request_stop();
+        let drain = thread.join().unwrap();
+        assert_eq!(drain.requests, 1);
+        assert!(drain.verify_errors.is_empty(), "{:?}", drain.verify_errors);
     }
 }

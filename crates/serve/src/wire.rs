@@ -492,15 +492,27 @@ pub enum FrameError {
     Io(std::io::Error),
 }
 
+/// Bytes a [`FrameReader`] asks the transport for at least, per `read`.
+const READ_CHUNK: usize = 4096;
+
 /// Incremental frame reader that survives read timeouts.
 ///
 /// Connection threads poll a stop flag while blocked on the socket: the
 /// socket carries a read timeout, and a timed-out `read` returns control
 /// here with any partial bytes *already buffered*, so a frame split across
 /// timeout boundaries reassembles instead of corrupting the stream.
+///
+/// The transport reads straight into one buffer that lives as long as the
+/// reader, and a frame is handed out as a slice of it: no per-frame
+/// allocation, zeroing or copy.
 #[derive(Debug, Default)]
 pub struct FrameReader {
+    /// Initialized storage; `buf[head..tail]` holds bytes not yet handed
+    /// out. Grows (zeroed once) to the largest frame seen, never past
+    /// `4 + MAX_FRAME`.
     buf: Vec<u8>,
+    head: usize,
+    tail: usize,
 }
 
 impl FrameReader {
@@ -510,35 +522,46 @@ impl FrameReader {
     }
 
     /// Reads one complete frame payload, calling `should_stop` whenever the
-    /// transport times out.
+    /// transport times out. The slice is valid until the next call.
     pub fn read_frame(
         &mut self,
         r: &mut impl Read,
         mut should_stop: impl FnMut() -> bool,
-    ) -> Result<Vec<u8>, FrameError> {
-        let mut chunk = [0u8; 4096];
+    ) -> Result<&[u8], FrameError> {
         loop {
-            if self.buf.len() >= 4 {
-                let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]);
+            let have = self.tail - self.head;
+            let mut need = READ_CHUNK;
+            if let Some(prefix) = self.buf[self.head..self.tail].first_chunk::<4>() {
+                let len = u32::from_le_bytes(*prefix);
                 if len > MAX_FRAME {
                     return Err(FrameError::Oversized(len));
                 }
                 let total = 4 + len as usize;
-                if self.buf.len() >= total {
-                    let payload = self.buf[4..total].to_vec();
-                    self.buf.drain(..total);
-                    return Ok(payload);
+                if have >= total {
+                    let start = self.head + 4;
+                    self.head += total;
+                    return Ok(&self.buf[start..self.head]);
                 }
+                need = need.max(total);
             }
-            match r.read(&mut chunk) {
+            // Slide what is left (a partial frame, usually nothing) to the
+            // front, so the frame being assembled always fits in `need`.
+            if self.head > 0 {
+                self.buf.copy_within(self.head..self.tail, 0);
+                (self.head, self.tail) = (0, have);
+            }
+            if self.buf.len() < need {
+                self.buf.resize(need, 0);
+            }
+            match r.read(&mut self.buf[self.tail..]) {
                 Ok(0) => {
-                    return if self.buf.is_empty() {
+                    return if have == 0 {
                         Err(FrameError::Closed)
                     } else {
                         Err(FrameError::Truncated)
                     };
                 }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => self.tail += n,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                     if should_stop() {
@@ -551,12 +574,30 @@ impl FrameReader {
     }
 }
 
-/// Writes one frame (length prefix + payload).
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    debug_assert!(payload.len() <= MAX_FRAME as usize);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
+/// Frame writer: assembles prefix and payload in one reusable buffer so a
+/// frame leaves in one `write` (one syscall, one segment under
+/// `TCP_NODELAY`).
+#[derive(Debug, Default)]
+pub struct FrameWriter {
+    buf: Vec<u8>,
+}
+
+impl FrameWriter {
+    /// A writer with an empty buffer.
+    pub fn new() -> FrameWriter {
+        FrameWriter::default()
+    }
+
+    /// Writes one frame (length prefix + payload).
+    pub fn write_frame(&mut self, w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
+        debug_assert!(payload.len() <= MAX_FRAME as usize);
+        self.buf.clear();
+        self.buf
+            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        self.buf.extend_from_slice(payload);
+        w.write_all(&self.buf)?;
+        w.flush()
+    }
 }
 
 /// Bounds-checked little-endian reader over a byte slice.
@@ -776,8 +817,9 @@ mod tests {
             hi: 3,
         };
         let mut wire = Vec::new();
-        write_frame(&mut wire, &req.encode()).unwrap();
-        write_frame(&mut wire, &Request::Ping.encode()).unwrap();
+        let mut fw = FrameWriter::new();
+        fw.write_frame(&mut wire, &req.encode()).unwrap();
+        fw.write_frame(&mut wire, &Request::Ping.encode()).unwrap();
         // Feed the bytes one at a time through a reader that times out
         // between each byte.
         struct Trickle<'a> {
@@ -807,11 +849,37 @@ mod tests {
         };
         let mut fr = FrameReader::new();
         let p1 = fr.read_frame(&mut t, || false).unwrap();
-        assert_eq!(Request::decode(&p1), Ok(req));
+        assert_eq!(Request::decode(p1), Ok(req));
         let p2 = fr.read_frame(&mut t, || false).unwrap();
-        assert_eq!(Request::decode(&p2), Ok(Request::Ping));
+        assert_eq!(Request::decode(p2), Ok(Request::Ping));
         assert!(matches!(
             fr.read_frame(&mut t, || false),
+            Err(FrameError::Closed)
+        ));
+    }
+
+    #[test]
+    fn frame_reader_hands_out_batched_and_buffer_growing_frames() {
+        let big = Request::Upsert {
+            tenant: 3,
+            rows: (0..1000).map(|i| (i, i * 7)).collect(),
+        };
+        assert!(big.encode().len() > READ_CHUNK);
+        let mut wire = Vec::new();
+        let mut fw = FrameWriter::new();
+        for req in [&Request::Ping, &Request::Stats, &big, &Request::Scrape] {
+            fw.write_frame(&mut wire, &req.encode()).unwrap();
+        }
+        // One `read` delivers the two small frames and the head of the big
+        // one; the reader grows once to finish it.
+        let mut src = &wire[..];
+        let mut fr = FrameReader::new();
+        for want in [Request::Ping, Request::Stats, big, Request::Scrape] {
+            let p = fr.read_frame(&mut src, || false).unwrap();
+            assert_eq!(Request::decode(p), Ok(want));
+        }
+        assert!(matches!(
+            fr.read_frame(&mut src, || false),
             Err(FrameError::Closed)
         ));
     }
@@ -831,7 +899,9 @@ mod tests {
     #[test]
     fn truncated_frame_reports_truncation() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, &Request::Ping.encode()).unwrap();
+        FrameWriter::new()
+            .write_frame(&mut wire, &Request::Ping.encode())
+            .unwrap();
         wire.truncate(wire.len() - 1);
         let mut fr = FrameReader::new();
         assert!(matches!(

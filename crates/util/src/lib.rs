@@ -10,9 +10,10 @@
 //!
 //! Plus [`backoff`] — bounded exponential retry backoff with deterministic
 //! seeded jitter, shared by the maintenance coordinator and the allocator's
-//! OOM recovery ladder — and [`spsc`], the bounded lock-free
+//! OOM recovery ladder — [`spsc`], the bounded lock-free
 //! single-producer/single-consumer ring the serve layer uses to route
-//! requests from connection threads to shard threads.
+//! requests from connection threads to shard threads and replies back, and
+//! [`waiter`], the spin-then-park wait both ends of those rings share.
 
 #![warn(missing_docs)]
 
@@ -20,6 +21,7 @@ pub mod backoff;
 pub mod rng;
 pub mod spsc;
 pub mod sync;
+pub mod waiter;
 
 pub use backoff::Backoff;
 pub use rng::Pcg32;

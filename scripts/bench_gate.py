@@ -28,12 +28,14 @@ the *structure and correctness signals* of the report:
     the tenancy oracles (``no_dropped_tenants``/``drain_verify``), a
     non-zero ``requests_completed`` counter, and a ``shard_requests``
     series in which **every** shard's request counter is non-zero — an
-    idle shard means the key-hash router never spread the load;
+    idle shard means the key-hash router never spread the load — and
+    the ``ingest_ring_wait_p50_below_exec_p50`` oracle (the request path
+    is exec-bound, or the run says why the host could not show it);
   * fig16 reports must additionally carry the scraped tail-latency
     attribution: the ``attribution_scraped`` oracle, an ``attribution``
-    series with one row per op class (ingest and query), and the six
-    ``attr_<class>_<part>`` histograms (total / ring-wait / exec per
-    class) each in the full summary shape — with each class's
+    series with one row per op class (ingest and query), and the eight
+    ``attr_<class>_<part>`` histograms (total / ring-wait / exec /
+    reply-wake per class) each in the full summary shape — with each class's
     ``slow_requests`` row consistent with its total histogram's sample
     count, so the breakdown can't silently describe a different set of
     requests than it counted;
@@ -76,9 +78,10 @@ FIG16_COUNTERS = ("pins_taken", "blocks_scanned", "morsels_dispatched",
                   "requests_completed")
 FIG16_CHECKS = ("slo_p999_ingest", "slo_p999_query", "saturation_free",
                 "shard_requests_nonzero", "no_dropped_tenants",
-                "drain_verify", "attribution_scraped")
+                "drain_verify", "attribution_scraped",
+                "ingest_ring_wait_p50_below_exec_p50")
 FIG16_ATTR_CLASSES = ("ingest", "query")
-FIG16_ATTR_PARTS = ("total_ns", "ring_wait_ns", "exec_ns")
+FIG16_ATTR_PARTS = ("total_ns", "ring_wait_ns", "exec_ns", "reply_wake_ns")
 SUMMARY_FIELDS = ("count", "sum_ns", "min_ns", "max_ns", "mean_ns",
                   "p50_ns", "p95_ns", "p99_ns")
 FIG17_COUNTERS = ("pins_taken", "snapshot_pages", "recovered_objects",
@@ -417,6 +420,15 @@ def doctored_reports(base):
         d = copy.deepcopy(base)
         d["histograms"]["attr_ingest_total_ns"]["count"] += 1
         yield "fig16: slow_requests disagrees with total histogram count", d
+
+        d = copy.deepcopy(base)
+        del d["histograms"]["attr_ingest_reply_wake_ns"]
+        yield "fig16: attr_ingest_reply_wake_ns histogram removed", d
+
+        d = copy.deepcopy(base)
+        d["checks"] = [c for c in d["checks"]
+                       if c["name"] != "ingest_ring_wait_p50_below_exec_p50"]
+        yield "fig16: ingest_ring_wait_p50_below_exec_p50 oracle dropped", d
 
         d = copy.deepcopy(base)
         d["series"] = [s for s in d["series"] if s["name"] != "attribution"]
