@@ -1,0 +1,737 @@
+//! The compaction pass (§5) — group formation, freezing, and the epoch-driven
+//! pass around the per-object hand-off of [`crate::reloc`].
+//!
+//! [`MemoryContext::compact`] implements the epoch-extended compaction
+//! protocol: a freezing epoch that schedules relocations, a relocation epoch
+//! with waiting and moving phases, reader cooperation via bail-out/help (in
+//! [`crate::reloc`]), compaction groups whose sources are always emptied
+//! into fresh blocks (§5.2), and query counters that let in-flight
+//! enumerations pin a group's pre-relocation state. Candidate blocks are
+//! taken with [`MemoryContext::claim`], the same claim a spill takes its
+//! victim with, so one block is never emptied by both.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Instant;
+
+use crate::block::BlockRef;
+use crate::context::{MemoryContext, UnitRead};
+use crate::epoch::Guard;
+use crate::fault::FaultSite;
+use crate::incarnation::FLAG_FROZEN;
+use crate::indirection::EntryRef;
+use crate::mutation::{self, Mutation};
+use crate::reloc::{
+    cancel_relocation, try_move_object, MoveOutcome, RelocEntry, RelocStatus, RelocationList,
+};
+use crate::slot::{SlotId, SlotState};
+use crate::stats::MemoryStats;
+use crate::sync::{AtomicBool, AtomicU32};
+
+/// One §5.2 compaction group: sources being emptied into a fresh block.
+#[derive(Debug)]
+pub struct CompactionGroup {
+    /// Blocks whose live objects are being moved out.
+    pub sources: Vec<BlockRef>,
+    /// The block receiving them.
+    pub dest: BlockRef,
+    /// Pre-relocation read pins held by queries (§5.2's query counter).
+    pub query_counter: AtomicU32,
+    /// Set (before the final query-counter check) when relocation of this
+    /// group begins; queries that observe it must read the post-state.
+    pub started: AtomicBool,
+    /// Set once the compaction pass that created this group has finished
+    /// (successfully or not) and the group has been disbanded.
+    pub settled: AtomicBool,
+}
+
+impl CompactionGroup {
+    /// Opens the group for one enumeration — the single place the §5.2
+    /// decision is made. Either the whole group is read in its
+    /// pre-relocation state (sources only, with the query counter held until
+    /// the returned reader drops, so the mover cannot start under it), or
+    /// relocation already started and the group is read post-relocation:
+    /// the caller first helps finish the move if moves are currently
+    /// permitted, then reads dest plus sources — moved objects are valid
+    /// only in the dest, bailed-out objects only in their source, so the
+    /// union is exact. A settled group, or one met outside the relocation
+    /// epoch, is read as dest plus sources without a pin.
+    pub fn read(self: &Arc<Self>, guard: &Guard<'_>, stats: &MemoryStats) -> UnitRead {
+        let mut pinned = false;
+        if !self.settled.load(Ordering::Acquire) && guard.in_relocation_epoch() {
+            pinned = self.try_pin_pre_state();
+            if !pinned && guard.manager().in_moving_phase() {
+                self.help_relocate(stats);
+            }
+        }
+        UnitRead {
+            // Pre-state: the dest is still empty and must not be read.
+            first: (!pinned).then_some(self.dest),
+            group: Some((self.clone(), pinned)),
+        }
+    }
+
+    /// Attempts to pin the group's pre-relocation state for reading.
+    /// Returns false if relocation of this group already started. The
+    /// counter-increment-then-flag-check here pairs with the
+    /// flag-set-then-counter-wait in [`MemoryContext::compact`]'s mover:
+    /// either the mover sees our pin and waits, or we see its start flag.
+    fn try_pin_pre_state(&self) -> bool {
+        self.query_counter.fetch_add(1, Ordering::SeqCst);
+        if !mutation::enabled(Mutation::PinSkipsStartedRecheck)
+            && self.started.load(Ordering::SeqCst)
+        {
+            self.query_counter.fetch_sub(1, Ordering::SeqCst);
+            false
+        } else {
+            true
+        }
+    }
+
+    /// Waits until no query holds the group's pre-relocation state pinned,
+    /// or until `deadline` passes (false). Required before *any* thread —
+    /// the compaction thread or a helping query — relocates objects of this
+    /// group: the §5.2 counter "prevents other threads from compacting the
+    /// group until the query decremented the counter again", and helping is
+    /// compacting.
+    pub fn wait_pre_readers(&self, deadline: Option<Instant>) -> bool {
+        poll_until(deadline, || self.query_counter.load(Ordering::SeqCst) == 0)
+    }
+
+    /// Helps relocate every pending object of the group (§5.1 case c /
+    /// §5.2: "the query first helps performing the relocation of the
+    /// compaction group and then uses the compacted memory block").
+    ///
+    /// Blocks until pre-state readers have drained: moving objects while a
+    /// query reads the group's pre-relocation state would make that query
+    /// miss them.
+    pub fn help_relocate(&self, stats: &MemoryStats) {
+        self.wait_pre_readers(None);
+        for src in &self.sources {
+            for entry in reloc_entries(src) {
+                if entry.status() == RelocStatus::Pending {
+                    let outcome = unsafe { try_move_object(*src, entry) };
+                    if outcome == MoveOutcome::MovedByUs {
+                        MemoryStats::inc(&stats.objects_relocated);
+                        MemoryStats::inc(&stats.relocations_helped);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Result summary of one compaction pass.
+#[derive(Debug, Default)]
+pub struct CompactionReport {
+    /// Groups formed.
+    pub groups: usize,
+    /// Objects moved to new blocks.
+    pub moved: usize,
+    /// Relocations bailed out by readers (will be retried by a later pass).
+    pub bailed: usize,
+    /// Source blocks fully emptied and retired, by base address. Used by the
+    /// direct-pointer fix-up scan (§6) to identify stale pointers cheaply.
+    pub retired_bases: Vec<usize>,
+    /// The pass was aborted (e.g. a reader held a critical section longer
+    /// than the configured patience); the context is unchanged.
+    pub aborted: bool,
+    /// The moving phase died mid-relocation (injected
+    /// [`FaultSite::Relocation`] crash). Unmoved objects were bailed out;
+    /// the context is valid and a later pass will retry them.
+    pub interrupted: bool,
+    /// The pass was cancelled mid-flight via
+    /// [`request_compaction_cancel`](MemoryContext::request_compaction_cancel):
+    /// every still-pending relocation was rolled back through the §5.1 bail
+    /// path, so the context is valid and a later pass can retry.
+    pub cancelled: bool,
+}
+
+/// Polls `done`, yielding in between, until it holds (true) or `deadline`
+/// passes (false) — the one wait loop of the pass and its helpers.
+fn poll_until(deadline: Option<Instant>, mut done: impl FnMut() -> bool) -> bool {
+    while !done() {
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            return false;
+        }
+        crate::sync::thread_yield();
+    }
+    true
+}
+
+/// The relocations `freeze_group` scheduled for source block `src` (none
+/// before that). The list lives as long as the block, which the caller's
+/// hold on `src` (group membership, epoch) keeps alive.
+fn reloc_entries(src: &BlockRef) -> &[RelocEntry] {
+    let list = src.header().reloc_list.load(Ordering::Acquire);
+    unsafe { list.as_ref() }.map_or(&[], |list| &list.entries)
+}
+
+/// What one pass holds for its duration; dropping it is the single unwind
+/// of every exit from [`MemoryContext::compact`], early or at the close.
+struct Pass<'a> {
+    ctx: &'a MemoryContext,
+    tid: usize,
+    /// Whether this pass took the advance reservation.
+    reserved: bool,
+    /// Claimed candidates that no group took.
+    unplaced: Vec<BlockRef>,
+    /// The pass's own critical section; unpinned after `drop` below ran.
+    pin: Guard<'a>,
+}
+
+impl Drop for Pass<'_> {
+    fn drop(&mut self) {
+        if self.reserved {
+            self.ctx.runtime.set_relocation_epoch(0);
+            self.ctx.runtime.epochs.release_advance(self.tid);
+        }
+        self.ctx.unclaim(self.unplaced.drain(..));
+    }
+}
+
+impl MemoryContext {
+    /// Asks an in-flight compaction pass to stop as soon as possible.
+    ///
+    /// The moving phase checks the flag between relocations; on observing it
+    /// the pass abandons further moves and its epilogue rolls every
+    /// still-pending relocation back through the §5.1 bail path, leaving the
+    /// context bit-exact valid (the pass reports `cancelled`). Safe to call
+    /// from any thread, including when no pass is running — the flag is
+    /// consumed and cleared by the next pass to finish.
+    pub fn request_compaction_cancel(&self) {
+        self.cancel_requested.store(true, Ordering::Release);
+    }
+
+    /// Whether a cancel has been requested and not yet consumed by a pass.
+    pub fn compaction_cancel_requested(&self) -> bool {
+        self.cancel_requested.load(Ordering::Acquire)
+    }
+
+    /// Runs one compaction pass over this context, emptying every block with
+    /// occupancy below `config.compaction_occupancy` into fresh blocks.
+    ///
+    /// Must not be called while the calling thread holds a [`Guard`]; the
+    /// pass pins its own critical section and drives the global epoch.
+    pub fn compact(&self) -> CompactionReport {
+        let _exclusive = self.runtime.compaction_mutex.lock();
+        let mut report = CompactionReport::default();
+        let Ok(tid) = self.runtime.epochs.thread_index() else {
+            return report;
+        };
+
+        // Claim candidate source blocks. They stay in the regular
+        // membership until their groups are registered — the swap below is
+        // atomic under one write lock, so no enumeration snapshot can catch
+        // a block in neither list.
+        let candidates = self.claim(usize::MAX, |b| {
+            b.occupancy() < self.config.compaction_occupancy
+        });
+        if candidates.is_empty() {
+            return report;
+        }
+        let pass_start = Instant::now();
+        smc_obs::trace::emit(smc_obs::Event::CompactionSelect {
+            context: self.id,
+            candidates: candidates.len() as u64,
+        });
+
+        // From here on every exit unwinds through `Pass::drop`.
+        let mut pass = Pass {
+            ctx: self,
+            tid,
+            reserved: false,
+            unplaced: candidates,
+            pin: self.runtime.pin(),
+        };
+        pass.reserved = self.runtime.epochs.reserve_advance(tid);
+        if !pass.reserved {
+            return report;
+        }
+        let e = pass.pin.epoch();
+
+        // --- Freezing epoch: advance to e + 1, announce relocation at e + 2.
+        if !self.advance_to(e + 1, tid) {
+            report.aborted = true;
+            return report;
+        }
+        self.runtime.set_relocation_epoch(e + 2);
+
+        // Build compaction groups and relocation lists (freeze objects).
+        let groups = self.build_groups(&mut pass.unplaced);
+        if groups.is_empty() {
+            return report;
+        }
+        // Atomic membership swap: grouped sources leave the block list and
+        // appear in the group list in one step.
+        {
+            let grouped: std::collections::HashSet<BlockRef> = groups
+                .iter()
+                .flat_map(|g| g.sources.iter().copied())
+                .collect();
+            let mut m = self.membership.write();
+            m.blocks.retain(|b| !grouped.contains(b));
+            m.groups.extend(groups.iter().cloned());
+        }
+
+        // --- Relocation epoch: advance to e + 2, then the waiting phase:
+        // wait for every other in-critical thread to reach the relocation
+        // epoch, then open the moving phase.
+        if self.advance_to(e + 2, tid) && self.wait_all_at(e + 2, tid) {
+            let pause_start = Instant::now();
+            self.runtime.set_moving_phase(true);
+            for group in &groups {
+                if !self.move_group(group, &mut report) {
+                    // The mover "crashed" (injected fault): the rest of
+                    // the phase dies with it; the epilogue below bails
+                    // every still-pending relocation.
+                    break;
+                }
+            }
+            self.runtime.set_moving_phase(false);
+            let pause_ns = pause_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+            self.runtime.stats.compaction_pause_ns.record(pause_ns);
+            smc_obs::trace::emit(smc_obs::Event::CompactionRelocate {
+                context: self.id,
+                moved: report.moved as u64,
+                bailed: report.bailed as u64,
+                nanos: pause_ns,
+            });
+        }
+
+        // --- Close: advance to e + 3 and clear relocation state.
+        let _ = self.advance_to(e + 3, tid);
+        drop(pass);
+
+        // Roll back anything still pending (aborted, cancelled, or timed-out
+        // groups) through the cancel/bail path.
+        for group in &groups {
+            for src in &group.sources {
+                for entry in reloc_entries(src) {
+                    if entry.status() == RelocStatus::Pending {
+                        unsafe { cancel_relocation(*src, entry) };
+                        report.bailed += 1;
+                        MemoryStats::inc(&self.runtime.stats.relocations_bailed);
+                    }
+                }
+            }
+        }
+
+        // A cancel request is consumed by the pass that observed it (or, if
+        // it arrived too late to stop anything, by this pass completing).
+        self.cancel_requested.store(false, Ordering::Release);
+
+        self.publish_groups(&groups, &mut report);
+        MemoryStats::inc(&self.runtime.stats.compactions);
+        report.groups = groups.len();
+        smc_obs::trace::emit(smc_obs::Event::CompactionRetire {
+            context: self.id,
+            retired: report.retired_bases.len() as u64,
+        });
+        let pass_ns = &self.runtime.stats.compaction_pass_ns;
+        pass_ns.record_duration(pass_start.elapsed());
+        report
+    }
+
+    /// Greedily packs the claimed candidates into groups whose live objects
+    /// fit a single fresh destination block, freezing every scheduled
+    /// object. Candidates that end up in no group are left in `unplaced`,
+    /// for [`Pass`] to hand back.
+    fn build_groups(&self, unplaced: &mut Vec<BlockRef>) -> Vec<Arc<CompactionGroup>> {
+        let capacity = self.layout.capacity;
+        let mut groups = Vec::new();
+        let mut current: Vec<BlockRef> = Vec::new();
+        let mut current_live = 0u32;
+
+        let mut flush = |sources: &mut Vec<BlockRef>, unplaced: &mut Vec<BlockRef>| {
+            if sources.len() < 2 {
+                // Compacting a single block would only shuffle it; skip.
+                unplaced.append(sources);
+                return;
+            }
+            match self.freeze_group(std::mem::take(sources)) {
+                Ok(group) => groups.push(group),
+                Err(sources) => unplaced.extend(sources),
+            }
+        };
+
+        for block in std::mem::take(unplaced) {
+            let live = block.header().valid_count.load(Ordering::Relaxed);
+            if current_live + live > capacity && !current.is_empty() {
+                flush(&mut current, unplaced);
+                current_live = 0;
+            }
+            current.push(block);
+            current_live += live;
+        }
+        flush(&mut current, unplaced);
+        groups
+    }
+
+    /// Allocates the destination block and freezes every live object of the
+    /// group's sources, building their relocation lists.
+    /// Hands the sources back when no destination can be allocated.
+    fn freeze_group(&self, sources: Vec<BlockRef>) -> Result<Arc<CompactionGroup>, Vec<BlockRef>> {
+        // Destination blocks also count against the budget: a compaction
+        // under memory pressure degrades gracefully to "no groups formed"
+        // rather than pushing the runtime over its cap.
+        let Ok(dest) = self
+            .runtime
+            .allocate_block(&self.layout, self.type_id, self.id)
+        else {
+            return Err(sources);
+        };
+        // Destinations are born mid-pass: a free of a just-moved object must
+        // not hand the block to the reclamation queue while the pass still
+        // writes into it — `publish_groups` may even bury it (fully-freed
+        // dest) and a queued-but-buried block is a use-after-free waiting in
+        // `pop_reclaimable`. The flag comes off when the block enters
+        // regular membership.
+        dest.header().compacting.store(1, Ordering::Release);
+        let mut next_dest_slot: SlotId = 0;
+        for &src in &sources {
+            let mut entries = Vec::new();
+            for slot_id in src.valid_slots() {
+                let back = src.back_ptr(slot_id).load(Ordering::Acquire);
+                if back == 0 {
+                    continue;
+                }
+                let entry = unsafe { EntryRef::from_addr(back) };
+                // Sample the slot incarnation *before* freezing the entry: if
+                // the object is freed (and the slot possibly reused) between
+                // the two freezes, the slot counter has moved on and the
+                // flag-set below fails instead of freezing an unrelated
+                // object. The stale reloc entry then dies at the mover's
+                // entry lock.
+                let slot_inc = self.slot_inc(&src, slot_id).incarnation();
+                let inc = entry.get().inc().incarnation();
+                // Freeze the indirection entry first (authoritative), then
+                // the slot word for direct-pointer readers. A failure means
+                // the object was freed concurrently — skip it.
+                if !entry.get().inc().try_set_flag(inc, FLAG_FROZEN) {
+                    continue;
+                }
+                // Re-check the slot now that the entry is frozen: a racing
+                // free bumps the entry only *after* its slot surgery, so if
+                // the `inc` we froze was the post-free counter, the slot is
+                // observably limbo by now (the bump's release ordering
+                // publishes the surgery, and source slots cannot be reused
+                // mid-pass — the block is marked compacting and the epoch is
+                // held). Retract the freeze and skip; without this the pass
+                // would relocate a mid-free object and the freer would write
+                // into a block the pass then retires and frees.
+                if src.slot_word(slot_id).state() != SlotState::Valid {
+                    entry.get().inc().clear_flag(inc, FLAG_FROZEN);
+                    continue;
+                }
+                let _ = self
+                    .slot_inc(&src, slot_id)
+                    .try_set_flag(slot_inc, FLAG_FROZEN);
+                let dest_slot = next_dest_slot;
+                next_dest_slot += 1;
+                let dest_addr = self.payload_of(&dest, dest_slot);
+                entries.push(RelocEntry::new(slot_id, back, inc, dest_addr, dest_slot));
+            }
+            let list = Box::new(RelocationList::new(self.obj_size, entries));
+            let old = src
+                .header()
+                .reloc_list
+                .swap(Box::into_raw(list), Ordering::AcqRel);
+            if !old.is_null() {
+                drop(unsafe { Box::from_raw(old) });
+            }
+        }
+        Ok(Arc::new(CompactionGroup {
+            sources,
+            dest,
+            query_counter: AtomicU32::new(0),
+            started: AtomicBool::new(false),
+            settled: AtomicBool::new(false),
+        }))
+    }
+
+    /// Executes the moving phase for one group, honoring pre-state query
+    /// pins (§5.2).
+    /// Returns false if an injected fault killed the mover — the caller must
+    /// abandon the rest of the moving phase, as a crashed thread would.
+    fn move_group(&self, group: &CompactionGroup, report: &mut CompactionReport) -> bool {
+        // Announce the relocation *before* the final counter check, then
+        // wait for pre-state readers to drain; a reader either pins before
+        // our announcement (we wait for it) or observes the announcement
+        // and takes the post-state path.
+        group.started.store(true, Ordering::SeqCst);
+        if !group.wait_pre_readers(self.patience()) {
+            // §5.2: bail out of compacting this group — a query returned
+            // control to the application while holding the read pin.
+            // `started` stays set: late readers take the post-state
+            // union, which still covers unmoved objects in the sources.
+            return true;
+        }
+        for src in &group.sources {
+            for entry in reloc_entries(src) {
+                // Crash-only compaction failpoint: an injected fault kills
+                // the mover mid-group, as an OS failure would. Entries still
+                // `Pending` are bailed out by the pass epilogue, so the
+                // context stays valid and a later pass retries them.
+                if self.runtime.faults().should_fail(FaultSite::Relocation) {
+                    report.interrupted = true;
+                    MemoryStats::inc(&self.runtime.stats.compactions_interrupted);
+                    return false;
+                }
+                // Cooperative cancel (watchdog / quiesce): stop moving and
+                // let the epilogue roll the remaining entries back through
+                // the bail path.
+                if self.cancel_requested.load(Ordering::Acquire) {
+                    report.cancelled = true;
+                    return false;
+                }
+                match unsafe { try_move_object(*src, entry) } {
+                    MoveOutcome::MovedByUs => {
+                        report.moved += 1;
+                        MemoryStats::inc(&self.runtime.stats.objects_relocated);
+                    }
+                    MoveOutcome::AlreadyMoved => report.moved += 1,
+                    MoveOutcome::BailedOut => {}
+                    MoveOutcome::Freed => {}
+                }
+            }
+        }
+        true
+    }
+
+    /// Disbands groups after a pass: publishes destinations, retires emptied
+    /// sources, and returns partially-moved sources to regular membership.
+    fn publish_groups(&self, groups: &[Arc<CompactionGroup>], report: &mut CompactionReport) {
+        let mut m = self.membership.write();
+        for group in groups {
+            m.groups.retain(|g| !Arc::ptr_eq(g, group));
+            if group.dest.header().valid_count.load(Ordering::Relaxed) > 0 {
+                // Joining regular membership lifts the mid-pass reclamation
+                // embargo set at allocation (see `freeze_group`).
+                group.dest.header().compacting.store(0, Ordering::Release);
+                m.blocks.push(group.dest);
+            } else {
+                // `compacting` stays set on the discarded dest, same as on
+                // retired sources below: the block is headed for the
+                // graveyard and must stay un-enqueueable.
+                // Nothing moved (fully bailed/aborted): discard the dest.
+                self.runtime
+                    .bury_block(group.dest, self.runtime.global_epoch() + 2);
+            }
+            for &src in &group.sources {
+                if src.header().valid_count.load(Ordering::Relaxed) == 0 {
+                    // `compacting` stays set on retired sources: it is what
+                    // keeps a straggling `free` (which sampled the block
+                    // before the move) from re-enqueueing a block that is
+                    // headed for the graveyard. The flag is reinitialized
+                    // with the rest of the header if the memory is reused.
+                    report.retired_bases.push(src.base() as usize);
+                    self.pending_retired.lock().push(src);
+                } else {
+                    src.header().compacting.store(0, Ordering::Release);
+                    m.blocks.push(src);
+                }
+            }
+            group.settled.store(true, Ordering::Release);
+        }
+    }
+
+    /// Buries retired source blocks once the caller has finished fixing up
+    /// direct pointers into them (§6). Tombstones stay readable until every
+    /// epoch that could observe them has passed.
+    pub fn release_retired(&self) {
+        let retired: Vec<BlockRef> = self.pending_retired.lock().drain(..).collect();
+        let free_at = self.runtime.global_epoch() + 2;
+        for block in retired {
+            self.runtime.bury_block(block, free_at);
+        }
+    }
+
+    /// Number of retired blocks awaiting [`release_retired`](Self::release_retired).
+    pub fn pending_retired_len(&self) -> usize {
+        self.pending_retired.lock().len()
+    }
+
+    /// The patience deadline for one wait of the pass, from now.
+    fn patience(&self) -> Option<Instant> {
+        Some(Instant::now() + self.config.compaction_patience)
+    }
+
+    fn advance_to(&self, target: u64, tid: usize) -> bool {
+        let epochs = &self.runtime.epochs;
+        poll_until(self.patience(), || {
+            // Advance as far as it goes; a refused advance is waited out.
+            while epochs.global_epoch() < target && epochs.try_advance_excluding(tid).is_some() {}
+            epochs.global_epoch() >= target
+        })
+    }
+
+    fn wait_all_at(&self, epoch: u64, tid: usize) -> bool {
+        // "All other threads in the relocation epoch" is exactly the
+        // condition under which the epoch could advance past it.
+        let epochs = &self.runtime.epochs;
+        poll_until(self.patience(), || epochs.can_advance_excluding(tid, epoch))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::block::BlockLayout;
+    use crate::context::tests::{alloc_u64, ctx, ctx_with, read_u64};
+    use crate::context::ContextConfig;
+    use crate::runtime::Runtime;
+
+    #[test]
+    fn compaction_empties_sparse_blocks() {
+        let rt = Runtime::new();
+        // Never queue: isolate compaction.
+        let config = ContextConfig {
+            reclamation_threshold: 1.1,
+            ..ContextConfig::default()
+        };
+        let c = ctx_with(&rt, config);
+        let cap = c.layout().capacity as usize;
+        // Fill four blocks, then delete 90% of each.
+        let mut allocs = Vec::new();
+        for i in 0..cap * 4 {
+            allocs.push(alloc_u64(&c, i as u64));
+        }
+        let mut kept = Vec::new();
+        for (i, a) in allocs.iter().enumerate() {
+            if i % 10 == 0 {
+                kept.push((*a, i as u64));
+            } else {
+                assert!(c.free(a.entry, a.entry_inc));
+            }
+        }
+        let blocks_before = c.block_count();
+        let report = c.compact();
+        assert!(!report.aborted);
+        assert!(report.groups >= 1, "sparse blocks should form groups");
+        assert!(report.moved > 0);
+        assert!(!report.retired_bases.is_empty());
+        assert!(c.pending_retired_len() > 0);
+        // Every kept object survives, reachable through its entry, with the
+        // same entry incarnation (references stay valid across compaction).
+        for (a, v) in &kept {
+            assert_eq!(a.entry.get().inc().incarnation(), a.entry_inc);
+            assert_eq!(read_u64(a.entry), *v);
+        }
+        c.release_retired();
+        rt.drain_graveyard_blocking();
+        assert!(
+            c.block_count() < blocks_before,
+            "compaction should shrink the context"
+        );
+        // Relocation state fully cleared.
+        assert_eq!(rt.next_relocation_epoch(), 0);
+        assert!(!rt.in_moving_phase());
+        assert!(c.membership_snapshot().groups.is_empty());
+    }
+
+    #[test]
+    fn compaction_leaves_dense_blocks_alone() {
+        let rt = Runtime::new();
+        let c = ctx(&rt);
+        let cap = c.layout().capacity as usize;
+        for i in 0..cap * 2 {
+            alloc_u64(&c, i as u64);
+        }
+        let report = c.compact();
+        assert_eq!(report.groups, 0);
+        assert_eq!(report.moved, 0);
+    }
+
+    #[test]
+    fn pass_without_a_group_returns_its_candidate_to_the_reclaim_queue() {
+        let rt = Runtime::new();
+        let c = ctx(&rt);
+        let cap = c.layout().capacity as usize;
+        // One full, abandoned block, then 90 % of it freed: sparse enough to
+        // be a compaction candidate and limbo enough to be queued for reuse.
+        let allocs: Vec<_> = (0..cap + 1).map(|i| alloc_u64(&c, i as u64)).collect();
+        for a in allocs.iter().take(cap).filter(|a| a.slot % 10 != 0) {
+            assert!(c.free(a.entry, a.entry_inc));
+        }
+        let sparse = allocs[0].block.header();
+        assert_eq!(sparse.in_reclaim_queue.load(Ordering::Acquire), 1);
+        // A lone candidate forms no group; the pass must hand it back to the
+        // queue it pulled it from, not merely clear its flag.
+        let report = c.compact();
+        assert_eq!((report.groups, report.aborted), (0, false));
+        assert_eq!(sparse.compacting.load(Ordering::Acquire), 0);
+        rt.epochs.try_advance().unwrap();
+        rt.epochs.try_advance().unwrap();
+        // Exhaust the thread's current block: the next block must be the
+        // queued one, reusing its limbo slots, not a fresh one.
+        let refill: Vec<_> = (0..cap).map(|i| alloc_u64(&c, i as u64)).collect();
+        assert!(refill.iter().any(|a| a.block == allocs[0].block));
+        assert_eq!(c.block_count(), 2, "limbo slots reused, no growth");
+    }
+
+    #[test]
+    fn compaction_tombstones_carry_forward_flag() {
+        let rt = Runtime::new();
+        let config = ContextConfig {
+            reclamation_threshold: 1.1,
+            ..ContextConfig::default()
+        };
+        let c = ctx_with(&rt, config);
+        let cap = c.layout().capacity as usize;
+        let mut allocs = Vec::new();
+        for i in 0..cap * 3 {
+            allocs.push(alloc_u64(&c, i as u64));
+        }
+        let survivor = allocs[0];
+        for a in allocs.iter().skip(1) {
+            c.free(a.entry, a.entry_inc);
+        }
+        let report = c.compact();
+        assert!(report.moved >= 1);
+        // The survivor's old slot is now a forwarding tombstone.
+        let word = c
+            .slot_inc(&survivor.block, survivor.slot)
+            .load(Ordering::Acquire);
+        assert_ne!(word & crate::incarnation::FLAG_FORWARD, 0);
+        // Its entry points at the new location, which holds the value.
+        assert_eq!(read_u64(survivor.entry), 0);
+    }
+
+    #[test]
+    fn group_read_pins_pre_state_until_relocation_starts() {
+        let rt = Runtime::new();
+        let layout = BlockLayout::rows_of::<u64>().unwrap();
+        let src = BlockRef::allocate(&layout, 1, 1).unwrap();
+        let dest = BlockRef::allocate(&layout, 1, 1).unwrap();
+        let group = Arc::new(CompactionGroup {
+            sources: vec![src],
+            dest,
+            query_counter: AtomicU32::new(0),
+            started: AtomicBool::new(false),
+            settled: AtomicBool::new(false),
+        });
+        rt.epochs.try_advance().expect("nothing is pinned");
+        let guard = rt.pin();
+        rt.set_relocation_epoch(guard.epoch());
+        {
+            // Pre-state: sources only, counter held for the reader's life.
+            let read = group.read(&guard, &rt.stats);
+            assert_eq!(group.query_counter.load(Ordering::SeqCst), 1);
+            assert_eq!(read.blocks().collect::<Vec<_>>(), [src]);
+        }
+        assert_eq!(group.query_counter.load(Ordering::SeqCst), 0);
+        // Once this group's relocation has started, pinning must fail and
+        // the read covers dest plus sources.
+        group.started.store(true, Ordering::SeqCst);
+        let read = group.read(&guard, &rt.stats);
+        assert_eq!(group.query_counter.load(Ordering::SeqCst), 0);
+        assert_eq!(read.blocks().collect::<Vec<_>>(), [dest, src]);
+        drop(read);
+        rt.set_relocation_epoch(0);
+        unsafe {
+            src.deallocate();
+            dest.deallocate();
+        }
+    }
+}

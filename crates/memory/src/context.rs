@@ -1,5 +1,5 @@
-//! Memory contexts (§3.3) — per-collection block groups with allocation,
-//! epoch-safe reclamation (§3.5), and the concurrent compaction driver (§5).
+//! Memory contexts (§3.3) — per-collection block groups with slot
+//! allocation, epoch-safe reclamation (§3.5) and the membership walk.
 //!
 //! A [`MemoryContext`] owns the memory blocks of one collection. All objects
 //! allocated through a context land in blocks private to it, which gives the
@@ -23,37 +23,29 @@
 //! global epoch ... when exiting critical sections, but in the memory
 //! manager's allocation function").
 //!
-//! ## Compaction (§5)
+//! ## Emptying whole blocks
 //!
-//! [`MemoryContext::compact`] implements the epoch-extended compaction
-//! protocol: a freezing epoch that schedules relocations, a relocation epoch
-//! with waiting and moving phases, reader cooperation via bail-out/help (in
-//! [`crate::reloc`]), compaction groups whose sources are always emptied
-//! into fresh blocks (§5.2), and query counters that let in-flight
-//! enumerations pin a group's pre-relocation state.
+//! The §5 compaction pass (`compact.rs`, beside [`crate::reloc`]) and the
+//! residency protocol ([`crate::spill`]) are further `impl MemoryContext`
+//! blocks in their own files. What they share is here: `claim` / `unclaim`,
+//! the one way a block leaves and re-enters slot-level allocation.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crate::sync::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Mutex, RwLock};
+use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, RwLock};
 
 use crate::block::{BlockLayout, BlockRef};
+pub use crate::compact::{CompactionGroup, CompactionReport};
 use crate::epoch::Guard;
 use crate::error::MemError;
-use crate::fault::FaultSite;
-use crate::incarnation::{IncWord, FLAG_FROZEN, FLAG_LOCK, FLAG_MASK};
+use crate::incarnation::IncWord;
 use crate::indirection::EntryRef;
-use crate::mutation::{self, Mutation};
-use crate::reloc::{
-    cancel_relocation, try_move_object, MoveOutcome, RelocEntry, RelocStatus, RelocationList,
-};
 use crate::runtime::Runtime;
 use crate::slot::{self, SlotId, SlotState};
-use crate::spill::{
-    self, PageStore, SpillScanGuard, SpillState, SpillStub, SpilledPage, SPILL_TAG,
-};
+use crate::spill::{self, SpillState};
 use crate::stats::MemoryStats;
 
 /// Tunables of a context.
@@ -117,136 +109,6 @@ pub struct Allocation {
     pub slot: SlotId,
 }
 
-/// One §5.2 compaction group: sources being emptied into a fresh block.
-#[derive(Debug)]
-pub struct CompactionGroup {
-    /// Blocks whose live objects are being moved out.
-    pub sources: Vec<BlockRef>,
-    /// The block receiving them.
-    pub dest: BlockRef,
-    /// Pre-relocation read pins held by queries (§5.2's query counter).
-    pub query_counter: AtomicU32,
-    /// Set (before the final query-counter check) when relocation of this
-    /// group begins; queries that observe it must read the post-state.
-    pub started: AtomicBool,
-    /// Set once the compaction pass that created this group has finished
-    /// (successfully or not) and the group has been disbanded.
-    pub settled: AtomicBool,
-}
-
-impl CompactionGroup {
-    /// Opens the group for one enumeration — the single place the §5.2
-    /// decision is made. Either the whole group is read in its
-    /// pre-relocation state (sources only, with the query counter held until
-    /// the returned reader drops, so the mover cannot start under it), or
-    /// relocation already started and the group is read post-relocation:
-    /// the caller first helps finish the move if moves are currently
-    /// permitted, then reads dest plus sources — moved objects are valid
-    /// only in the dest, bailed-out objects only in their source, so the
-    /// union is exact. A settled group, or one met outside the relocation
-    /// epoch, is read as dest plus sources without a pin.
-    pub fn read(self: &Arc<Self>, guard: &Guard<'_>, stats: &MemoryStats) -> UnitRead {
-        let mut pinned = false;
-        if !self.settled.load(Ordering::Acquire) && guard.in_relocation_epoch() {
-            pinned = self.try_pin_pre_state();
-            if !pinned && guard.manager().in_moving_phase() {
-                self.help_relocate(stats);
-            }
-        }
-        UnitRead {
-            // Pre-state: the dest is still empty and must not be read.
-            first: (!pinned).then_some(self.dest),
-            group: Some((self.clone(), pinned)),
-        }
-    }
-
-    /// Attempts to pin the group's pre-relocation state for reading.
-    /// Returns false if relocation of this group already started. The
-    /// counter-increment-then-flag-check here pairs with the
-    /// flag-set-then-counter-wait in [`MemoryContext::compact`]'s mover:
-    /// either the mover sees our pin and waits, or we see its start flag.
-    fn try_pin_pre_state(&self) -> bool {
-        self.query_counter.fetch_add(1, Ordering::SeqCst);
-        if !mutation::enabled(Mutation::PinSkipsStartedRecheck)
-            && self.started.load(Ordering::SeqCst)
-        {
-            self.query_counter.fetch_sub(1, Ordering::SeqCst);
-            false
-        } else {
-            true
-        }
-    }
-
-    /// Waits until no query holds the group's pre-relocation state pinned,
-    /// or until `deadline` passes (false). Required before *any* thread —
-    /// the compaction thread or a helping query — relocates objects of this
-    /// group: the §5.2 counter "prevents other threads from compacting the
-    /// group until the query decremented the counter again", and helping is
-    /// compacting.
-    pub fn wait_pre_readers(&self, deadline: Option<Instant>) -> bool {
-        while self.query_counter.load(Ordering::SeqCst) != 0 {
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return false;
-            }
-            crate::sync::thread_yield();
-        }
-        true
-    }
-
-    /// Helps relocate every pending object of the group (§5.1 case c /
-    /// §5.2: "the query first helps performing the relocation of the
-    /// compaction group and then uses the compacted memory block").
-    ///
-    /// Blocks until pre-state readers have drained: moving objects while a
-    /// query reads the group's pre-relocation state would make that query
-    /// miss them.
-    pub fn help_relocate(&self, stats: &MemoryStats) {
-        self.wait_pre_readers(None);
-        for &src in &self.sources {
-            let list = src.header().reloc_list.load(Ordering::Acquire);
-            if list.is_null() {
-                continue;
-            }
-            let list = unsafe { &*list };
-            for entry in &list.entries {
-                if entry.status() == RelocStatus::Pending {
-                    let outcome = unsafe { try_move_object(src, entry) };
-                    if outcome == MoveOutcome::MovedByUs {
-                        MemoryStats::inc(&stats.objects_relocated);
-                        MemoryStats::inc(&stats.relocations_helped);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Result summary of one compaction pass.
-#[derive(Debug, Default)]
-pub struct CompactionReport {
-    /// Groups formed.
-    pub groups: usize,
-    /// Objects moved to new blocks.
-    pub moved: usize,
-    /// Relocations bailed out by readers (will be retried by a later pass).
-    pub bailed: usize,
-    /// Source blocks fully emptied and retired, by base address. Used by the
-    /// direct-pointer fix-up scan (§6) to identify stale pointers cheaply.
-    pub retired_bases: Vec<usize>,
-    /// The pass was aborted (e.g. a reader held a critical section longer
-    /// than the configured patience); the context is unchanged.
-    pub aborted: bool,
-    /// The moving phase died mid-relocation (injected
-    /// [`FaultSite::Relocation`] crash). Unmoved objects were bailed out;
-    /// the context is valid and a later pass will retry them.
-    pub interrupted: bool,
-    /// The pass was cancelled mid-flight via
-    /// [`request_compaction_cancel`](MemoryContext::request_compaction_cancel):
-    /// every still-pending relocation was rolled back through the §5.1 bail
-    /// path, so the context is valid and a later pass can retry.
-    pub cancelled: bool,
-}
-
 /// Atomic view of which blocks and groups an enumeration must visit — the
 /// one snapshot shape behind every scan.
 ///
@@ -278,6 +140,14 @@ impl Membership {
     #[inline]
     pub fn units(&self) -> usize {
         self.blocks.len() + self.groups.len()
+    }
+
+    /// Every block the snapshot covers: the regular blocks, then each
+    /// group's sources and dest.
+    pub(crate) fn owned_blocks(&self) -> impl Iterator<Item = BlockRef> + '_ {
+        let regular = self.blocks.iter().copied();
+        let grouped = self.groups.iter();
+        regular.chain(grouped.flat_map(|g| g.sources.iter().copied().chain([g.dest])))
     }
 
     /// Opens unit `i` for reading.
@@ -339,9 +209,9 @@ impl Membership {
 pub struct UnitRead {
     /// Visited first: the plain block, or a group's dest when the group is
     /// read post-relocation.
-    first: Option<BlockRef>,
+    pub(crate) first: Option<BlockRef>,
     /// The group whose sources follow, and whether its pre-state is pinned.
-    group: Option<(Arc<CompactionGroup>, bool)>,
+    pub(crate) group: Option<(Arc<CompactionGroup>, bool)>,
 }
 
 impl UnitRead {
@@ -364,17 +234,17 @@ impl Drop for UnitRead {
 /// A per-collection group of typed memory blocks.
 #[derive(Debug)]
 pub struct MemoryContext {
-    runtime: Arc<Runtime>,
-    id: u64,
-    type_id: u64,
-    layout: BlockLayout,
-    mode: LayoutMode,
+    pub(crate) runtime: Arc<Runtime>,
+    pub(crate) id: u64,
+    pub(crate) type_id: u64,
+    pub(crate) layout: BlockLayout,
+    pub(crate) mode: LayoutMode,
     /// Bytes copied when relocating one object (row layouts).
-    obj_size: u32,
+    pub(crate) obj_size: u32,
     /// Alignment of one object (row layouts; 1 for columnar stores).
-    obj_align: usize,
-    config: ContextConfig,
-    membership: RwLock<Membership>,
+    pub(crate) obj_align: usize,
+    pub(crate) config: ContextConfig,
+    pub(crate) membership: RwLock<Membership>,
     /// Current allocation block per thread slot (block header address).
     thread_blocks: Box<[AtomicUsize]>,
     /// Blocks with enough limbo slots to be worth reusing, with the epoch at
@@ -382,21 +252,21 @@ pub struct MemoryContext {
     reclaim_queue: Mutex<VecDeque<(BlockRef, u64)>>,
     /// Fully-emptied compaction sources awaiting direct-pointer fix-up and
     /// burial (released by [`release_retired`](Self::release_retired)).
-    pending_retired: Mutex<Vec<BlockRef>>,
+    pub(crate) pending_retired: Mutex<Vec<BlockRef>>,
     /// Set by [`request_compaction_cancel`](Self::request_compaction_cancel);
     /// the in-flight pass checks it between relocations and winds down via
     /// the bail path. Cleared when the pass finishes.
-    cancel_requested: AtomicBool,
+    pub(crate) cancel_requested: AtomicBool,
     /// Spill state ([`crate::spill`]): the page store, the spilled-page
     /// list, and a weak self-handle for stubs. One mutex covers spill,
     /// fault-in and spilled-page scans — the holder is the only possible
     /// writer of a tagged entry payload.
-    spill: Mutex<SpillState>,
+    pub(crate) spill: Mutex<SpillState>,
     /// Blocks currently spilled to the page store (gauge).
-    spilled_blocks_gauge: AtomicU64,
+    pub(crate) spilled_blocks_gauge: AtomicU64,
     /// Objects living in spilled pages (gauge); lets
     /// [`live_objects`](Self::live_objects) answer without the spill mutex.
-    spilled_objects_gauge: AtomicU64,
+    pub(crate) spilled_objects_gauge: AtomicU64,
 }
 
 impl MemoryContext {
@@ -501,23 +371,6 @@ impl MemoryContext {
     /// The configuration in effect.
     pub fn config(&self) -> &ContextConfig {
         &self.config
-    }
-
-    /// Asks an in-flight compaction pass to stop as soon as possible.
-    ///
-    /// The moving phase checks the flag between relocations; on observing it
-    /// the pass abandons further moves and its epilogue rolls every
-    /// still-pending relocation back through the §5.1 bail path, leaving the
-    /// context bit-exact valid (the pass reports `cancelled`). Safe to call
-    /// from any thread, including when no pass is running — the flag is
-    /// consumed and cleared by the next pass to finish.
-    pub fn request_compaction_cancel(&self) {
-        self.cancel_requested.store(true, Ordering::Release);
-    }
-
-    /// Whether a cancel has been requested and not yet consumed by a pass.
-    pub fn compaction_cancel_requested(&self) -> bool {
-        self.cancel_requested.load(Ordering::Acquire)
     }
 
     /// Atomic snapshot of the blocks and groups an enumeration must visit.
@@ -719,34 +572,27 @@ impl MemoryContext {
         }
         // Nothing reclaimable: a fresh block from the OS, subject to the
         // runtime's budget, failpoints and recovery ladder.
-        match self
-            .runtime
-            .allocate_block(&self.layout, self.type_id, self.id)
-        {
-            Ok(block) => {
-                self.adopt_thread_block(tid, block);
-                self.membership.write().blocks.push(block);
-                Ok(block)
-            }
-            Err(e) => {
-                // The recovery ladder advanced epochs while the budget stayed
-                // exhausted — queued limbo blocks may have matured during the
-                // retries, and spilling a resident block may free runtime
-                // budget once its burial ripens. One last sweep before
-                // surfacing the error.
-                if self.try_spill_one() {
-                    if let Ok(block) =
-                        self.runtime
-                            .allocate_block(&self.layout, self.type_id, self.id)
-                    {
-                        self.adopt_thread_block(tid, block);
-                        self.membership.write().blocks.push(block);
-                        return Ok(block);
-                    }
+        let fresh = || {
+            let block = self
+                .runtime
+                .allocate_block(&self.layout, self.type_id, self.id)?;
+            self.adopt_thread_block(tid, block);
+            self.membership.write().blocks.push(block);
+            Ok(block)
+        };
+        fresh().or_else(|e| {
+            // The recovery ladder advanced epochs while the budget stayed
+            // exhausted — queued limbo blocks may have matured during the
+            // retries, and spilling a resident block may free runtime
+            // budget once its burial ripens. One last sweep before
+            // surfacing the error.
+            if self.try_spill_one() {
+                if let Ok(block) = fresh() {
+                    return Ok(block);
                 }
-                self.pop_reclaimable(tid).ok_or(e)
             }
-        }
+            self.pop_reclaimable(tid).ok_or(e)
+        })
     }
 
     /// Pops the reclaim queue's front block if its epoch has matured, resets
@@ -806,6 +652,50 @@ impl MemoryContext {
         }
     }
 
+    /// Claims up to `limit` blocks of regular membership that satisfy
+    /// `wanted`, for a compaction pass or a spill to empty wholesale: a
+    /// claimed block has no owning thread, carries `compacting = 1` (which
+    /// turns away frees that would enqueue it, and every other claimer) and
+    /// sits in no reclamation queue — wholesale emptying supersedes
+    /// slot-level reuse. The queue lock is held across the selection so no
+    /// allocator can adopt a block while it is being pulled out.
+    pub(crate) fn claim(&self, limit: usize, wanted: impl Fn(&BlockRef) -> bool) -> Vec<BlockRef> {
+        let m = self.membership.read();
+        let mut q = self.reclaim_queue.lock();
+        let claimable = |b: &&BlockRef| {
+            let h = b.header();
+            wanted(b)
+                && h.active_owner.load(Ordering::Acquire) == 0
+                && h.compacting
+                    .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire)
+                    .is_ok()
+        };
+        let claimed: Vec<BlockRef> = m
+            .blocks
+            .iter()
+            .filter(claimable)
+            .take(limit)
+            .copied()
+            .collect();
+        for b in &claimed {
+            if b.header().in_reclaim_queue.swap(0, Ordering::AcqRel) == 1 {
+                q.retain(|(qb, _)| qb != b);
+            }
+        }
+        claimed
+    }
+
+    /// Returns claimed blocks that were not emptied to slot-level
+    /// allocation. The claim dequeued them and turned frees away meanwhile,
+    /// so each is re-screened for the reclamation queue here — else its limbo
+    /// slots stay unreachable until some later free happens to land on it.
+    pub(crate) fn unclaim(&self, blocks: impl IntoIterator<Item = BlockRef>) {
+        for block in blocks {
+            block.header().compacting.store(0, Ordering::Release);
+            self.maybe_enqueue_for_reclamation(block);
+        }
+    }
+
     /// Frees the object behind `entry` if its entry incarnation still equals
     /// `expected_entry_inc`. Returns false when the object was already
     /// removed (remove is idempotent per reference, §2). Panics if the
@@ -848,12 +738,10 @@ impl MemoryContext {
             // — every record in a page is live, so this keeps the invariant
             // that spilled pages never carry dead objects — then retry the
             // lock: the fault-in repointed the entry at a resident slot.
-            entry
-                .get()
-                .inc()
-                .unlock_with_flags(observed & FLAG_MASK & !FLAG_LOCK);
-            let block_id = unsafe { (*((payload & !SPILL_TAG) as *const SpillStub)).block_id };
-            self.fault_in_block(block_id)?;
+            entry.get().inc().unlock_keep_flags(observed);
+            if !spill::fault_in_tagged(payload) {
+                return Err(MemError::SpillFault);
+            }
         };
         debug_assert_ne!(payload, 0, "live entry without payload");
         let (block, slot_id) = unsafe { self.locate(payload) };
@@ -877,854 +765,27 @@ impl MemoryContext {
         Ok(true)
     }
 
-    // ------------------------------------------------------------------
-    // Compaction (§5)
-    // ------------------------------------------------------------------
-
-    /// Runs one compaction pass over this context, emptying every block with
-    /// occupancy below `config.compaction_occupancy` into fresh blocks.
-    ///
-    /// Must not be called while the calling thread holds a [`Guard`]; the
-    /// pass pins its own critical section and drives the global epoch.
-    pub fn compact(&self) -> CompactionReport {
-        let _exclusive = self.runtime.compaction_mutex.lock();
-        let mut report = CompactionReport::default();
-
-        // Select candidate source blocks. They stay in the regular
-        // membership until their groups are registered — the swap below is
-        // atomic under one write lock, so no enumeration snapshot can catch
-        // a block in neither list.
-        let candidates: Vec<BlockRef> = {
-            let m = self.membership.read();
-            // Hold the reclamation queue lock across selection so a block
-            // cannot be handed to an allocator while we pull it out.
-            let mut q = self.reclaim_queue.lock();
-            m.blocks
-                .iter()
-                .filter(|b| {
-                    let h = b.header();
-                    let eligible = b.occupancy() < self.config.compaction_occupancy
-                        && h.active_owner.load(Ordering::Acquire) == 0
-                        && h.compacting
-                            .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire)
-                            .is_ok();
-                    if eligible && h.in_reclaim_queue.load(Ordering::Acquire) == 1 {
-                        // Compaction supersedes slot-level reclamation: the
-                        // block is about to be emptied wholesale.
-                        q.retain(|(qb, _)| qb != *b);
-                        h.in_reclaim_queue.store(0, Ordering::Release);
-                    }
-                    eligible
-                })
-                .copied()
-                .collect()
-        };
-        if candidates.is_empty() {
-            return report;
-        }
-        let pass_start = std::time::Instant::now();
-        smc_obs::trace::emit(smc_obs::Event::CompactionSelect {
-            context: self.id,
-            candidates: candidates.len() as u64,
-        });
-
-        let tid = match self.runtime.epochs.thread_index() {
-            Ok(t) => t,
-            Err(_) => return report,
-        };
-        let guard = self.runtime.pin();
-        if !self.runtime.epochs.reserve_advance(tid) {
-            drop(guard);
-            self.requeue_candidates(candidates);
-            return report;
-        }
-        let e = guard.epoch();
-
-        // --- Freezing epoch: advance to e + 1, announce relocation at e + 2.
-        if !self.advance_to(e + 1, tid) {
-            self.runtime.epochs.release_advance(tid);
-            drop(guard);
-            self.requeue_candidates(candidates);
-            report.aborted = true;
-            return report;
-        }
-        self.runtime.set_relocation_epoch(e + 2);
-
-        // Build compaction groups and relocation lists (freeze objects).
-        let groups = self.build_groups(candidates);
-        if groups.is_empty() {
-            self.runtime.set_relocation_epoch(0);
-            self.runtime.epochs.release_advance(tid);
-            drop(guard);
-            return report;
-        }
-        // Atomic membership swap: grouped sources leave the block list and
-        // appear in the group list in one step.
-        {
-            let grouped: std::collections::HashSet<BlockRef> = groups
-                .iter()
-                .flat_map(|g| g.sources.iter().copied())
-                .collect();
-            let mut m = self.membership.write();
-            m.blocks.retain(|b| !grouped.contains(b));
-            m.groups.extend(groups.iter().cloned());
-        }
-
-        // --- Relocation epoch: advance to e + 2.
-        let entered_relocation = self.advance_to(e + 2, tid);
-        if entered_relocation {
-            // Waiting phase: wait for every other in-critical thread to reach
-            // the relocation epoch, then open the moving phase.
-            let ready = self.wait_all_at(e + 2, tid);
-            if ready {
-                let pause_start = std::time::Instant::now();
-                self.runtime.set_moving_phase(true);
-                for group in &groups {
-                    if !self.move_group(group, &mut report) {
-                        // The mover "crashed" (injected fault): the rest of
-                        // the phase dies with it; the epilogue below bails
-                        // every still-pending relocation.
-                        break;
-                    }
-                }
-                self.runtime.set_moving_phase(false);
-                let pause_ns = pause_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                self.runtime.stats.compaction_pause_ns.record(pause_ns);
-                smc_obs::trace::emit(smc_obs::Event::CompactionRelocate {
-                    context: self.id,
-                    moved: report.moved as u64,
-                    bailed: report.bailed as u64,
-                    nanos: pause_ns,
-                });
-            }
-        }
-
-        // --- Close: advance to e + 3 and clear relocation state.
-        let _ = self.advance_to(e + 3, tid);
-        self.runtime.set_relocation_epoch(0);
-        self.runtime.epochs.release_advance(tid);
-        drop(guard);
-
-        // Roll back anything still pending (aborted, cancelled, or timed-out
-        // groups) through the cancel/bail path.
-        for group in &groups {
-            for &src in &group.sources {
-                let list = src.header().reloc_list.load(Ordering::Acquire);
-                if list.is_null() {
-                    continue;
-                }
-                let list = unsafe { &*list };
-                for entry in &list.entries {
-                    if entry.status() == RelocStatus::Pending {
-                        unsafe { cancel_relocation(src, entry) };
-                        report.bailed += 1;
-                        MemoryStats::inc(&self.runtime.stats.relocations_bailed);
-                    }
-                }
-            }
-        }
-
-        // A cancel request is consumed by the pass that observed it (or, if
-        // it arrived too late to stop anything, by this pass completing).
-        self.cancel_requested.store(false, Ordering::Release);
-
-        self.publish_groups(&groups, &mut report);
-        MemoryStats::inc(&self.runtime.stats.compactions);
-        report.groups = groups.len();
-        smc_obs::trace::emit(smc_obs::Event::CompactionRetire {
-            context: self.id,
-            retired: report.retired_bases.len() as u64,
-        });
-        self.runtime
-            .stats
-            .compaction_pass_ns
-            .record(pass_start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        report
-    }
-
-    /// Releases candidate blocks that will not be compacted this pass.
-    /// They never left the membership, so only the flag is cleared.
-    fn requeue_candidates(&self, candidates: Vec<BlockRef>) {
-        for b in candidates {
-            b.header().compacting.store(0, Ordering::Release);
-        }
-    }
-
-    /// Greedily packs candidate blocks into groups whose live objects fit a
-    /// single fresh destination block, freezing every scheduled object.
-    fn build_groups(&self, candidates: Vec<BlockRef>) -> Vec<Arc<CompactionGroup>> {
-        let capacity = self.layout.capacity;
-        let mut groups = Vec::new();
-        let mut current: Vec<BlockRef> = Vec::new();
-        let mut current_live = 0u32;
-        let mut leftovers: Vec<BlockRef> = Vec::new();
-
-        let flush = |sources: &mut Vec<BlockRef>,
-                     groups: &mut Vec<Arc<CompactionGroup>>,
-                     leftovers: &mut Vec<BlockRef>| {
-            if sources.len() < 2 {
-                // Compacting a single block would only shuffle it; skip.
-                leftovers.append(sources);
-                return;
-            }
-            if let Some(group) = self.freeze_group(std::mem::take(sources)) {
-                groups.push(group);
-            }
-        };
-
-        for block in candidates {
-            let live = block.header().valid_count.load(Ordering::Relaxed);
-            if current_live + live > capacity && !current.is_empty() {
-                flush(&mut current, &mut groups, &mut leftovers);
-                current_live = 0;
-            }
-            current.push(block);
-            current_live += live;
-        }
-        flush(&mut current, &mut groups, &mut leftovers);
-
-        // Blocks that did not fit a group go back to regular membership.
-        if !leftovers.is_empty() {
-            self.requeue_candidates(leftovers);
-        }
-        groups
-    }
-
-    /// Allocates the destination block and freezes every live object of the
-    /// group's sources, building their relocation lists.
-    fn freeze_group(&self, sources: Vec<BlockRef>) -> Option<Arc<CompactionGroup>> {
-        // Destination blocks also count against the budget: a compaction
-        // under memory pressure degrades gracefully to "no groups formed"
-        // rather than pushing the runtime over its cap.
-        let dest = match self
-            .runtime
-            .allocate_block(&self.layout, self.type_id, self.id)
-        {
-            Ok(d) => d,
-            Err(_) => {
-                self.requeue_candidates(sources);
-                return None;
-            }
-        };
-        // Destinations are born mid-pass: a free of a just-moved object must
-        // not hand the block to the reclamation queue while the pass still
-        // writes into it — `publish_groups` may even bury it (fully-freed
-        // dest) and a queued-but-buried block is a use-after-free waiting in
-        // `pop_reclaimable`. The flag comes off when the block enters
-        // regular membership.
-        dest.header().compacting.store(1, Ordering::Release);
-        let mut next_dest_slot: SlotId = 0;
-        for &src in &sources {
-            let mut entries = Vec::new();
-            for slot_id in src.valid_slots() {
-                let back = src.back_ptr(slot_id).load(Ordering::Acquire);
-                if back == 0 {
-                    continue;
-                }
-                let entry = unsafe { EntryRef::from_addr(back) };
-                // Sample the slot incarnation *before* freezing the entry: if
-                // the object is freed (and the slot possibly reused) between
-                // the two freezes, the slot counter has moved on and the
-                // flag-set below fails instead of freezing an unrelated
-                // object. The stale reloc entry then dies at the mover's
-                // entry lock.
-                let slot_inc = self.slot_inc(&src, slot_id).incarnation();
-                let inc = entry.get().inc().incarnation();
-                // Freeze the indirection entry first (authoritative), then
-                // the slot word for direct-pointer readers. A failure means
-                // the object was freed concurrently — skip it.
-                if !entry.get().inc().try_set_flag(inc, FLAG_FROZEN) {
-                    continue;
-                }
-                // Re-check the slot now that the entry is frozen: a racing
-                // free bumps the entry only *after* its slot surgery, so if
-                // the `inc` we froze was the post-free counter, the slot is
-                // observably limbo by now (the bump's release ordering
-                // publishes the surgery, and source slots cannot be reused
-                // mid-pass — the block is marked compacting and the epoch is
-                // held). Retract the freeze and skip; without this the pass
-                // would relocate a mid-free object and the freer would write
-                // into a block the pass then retires and frees.
-                if src.slot_word(slot_id).state() != SlotState::Valid {
-                    entry.get().inc().clear_flag(inc, FLAG_FROZEN);
-                    continue;
-                }
-                let _ = self
-                    .slot_inc(&src, slot_id)
-                    .try_set_flag(slot_inc, FLAG_FROZEN);
-                let dest_slot = next_dest_slot;
-                next_dest_slot += 1;
-                let dest_addr = self.payload_of(&dest, dest_slot);
-                entries.push(RelocEntry::new(slot_id, back, inc, dest_addr, dest_slot));
-            }
-            let list = Box::new(RelocationList::new(self.obj_size, entries));
-            let old = src
-                .header()
-                .reloc_list
-                .swap(Box::into_raw(list), Ordering::AcqRel);
-            if !old.is_null() {
-                drop(unsafe { Box::from_raw(old) });
-            }
-        }
-        Some(Arc::new(CompactionGroup {
-            sources,
-            dest,
-            query_counter: AtomicU32::new(0),
-            started: AtomicBool::new(false),
-            settled: AtomicBool::new(false),
-        }))
-    }
-
-    /// Executes the moving phase for one group, honoring pre-state query
-    /// pins (§5.2).
-    /// Returns false if an injected fault killed the mover — the caller must
-    /// abandon the rest of the moving phase, as a crashed thread would.
-    fn move_group(&self, group: &CompactionGroup, report: &mut CompactionReport) -> bool {
-        // Announce the relocation *before* the final counter check, then
-        // wait for pre-state readers to drain; a reader either pins before
-        // our announcement (we wait for it) or observes the announcement
-        // and takes the post-state path.
-        group.started.store(true, Ordering::SeqCst);
-        if !group.wait_pre_readers(Some(Instant::now() + self.config.compaction_patience)) {
-            // §5.2: bail out of compacting this group — a query returned
-            // control to the application while holding the read pin.
-            // `started` stays set: late readers take the post-state
-            // union, which still covers unmoved objects in the sources.
-            return true;
-        }
-        for &src in &group.sources {
-            let list = src.header().reloc_list.load(Ordering::Acquire);
-            if list.is_null() {
-                continue;
-            }
-            let list = unsafe { &*list };
-            for entry in &list.entries {
-                // Crash-only compaction failpoint: an injected fault kills
-                // the mover mid-group, as an OS failure would. Entries still
-                // `Pending` are bailed out by the pass epilogue, so the
-                // context stays valid and a later pass retries them.
-                if self.runtime.faults().should_fail(FaultSite::Relocation) {
-                    report.interrupted = true;
-                    MemoryStats::inc(&self.runtime.stats.compactions_interrupted);
-                    return false;
-                }
-                // Cooperative cancel (watchdog / quiesce): stop moving and
-                // let the epilogue roll the remaining entries back through
-                // the bail path.
-                if self.cancel_requested.load(Ordering::Acquire) {
-                    report.cancelled = true;
-                    return false;
-                }
-                match unsafe { try_move_object(src, entry) } {
-                    MoveOutcome::MovedByUs => {
-                        report.moved += 1;
-                        MemoryStats::inc(&self.runtime.stats.objects_relocated);
-                    }
-                    MoveOutcome::AlreadyMoved => report.moved += 1,
-                    MoveOutcome::BailedOut => {}
-                    MoveOutcome::Freed => {}
-                }
-            }
-        }
-        true
-    }
-
-    /// Disbands groups after a pass: publishes destinations, retires emptied
-    /// sources, and returns partially-moved sources to regular membership.
-    fn publish_groups(&self, groups: &[Arc<CompactionGroup>], report: &mut CompactionReport) {
-        let mut m = self.membership.write();
-        for group in groups {
-            m.groups.retain(|g| !Arc::ptr_eq(g, group));
-            if group.dest.header().valid_count.load(Ordering::Relaxed) > 0 {
-                // Joining regular membership lifts the mid-pass reclamation
-                // embargo set at allocation (see `freeze_group`).
-                group.dest.header().compacting.store(0, Ordering::Release);
-                m.blocks.push(group.dest);
-            } else {
-                // `compacting` stays set on the discarded dest, same as on
-                // retired sources below: the block is headed for the
-                // graveyard and must stay un-enqueueable.
-                // Nothing moved (fully bailed/aborted): discard the dest.
-                self.runtime
-                    .bury_block(group.dest, self.runtime.global_epoch() + 2);
-            }
-            for &src in &group.sources {
-                if src.header().valid_count.load(Ordering::Relaxed) == 0 {
-                    // `compacting` stays set on retired sources: it is what
-                    // keeps a straggling `free` (which sampled the block
-                    // before the move) from re-enqueueing a block that is
-                    // headed for the graveyard. The flag is reinitialized
-                    // with the rest of the header if the memory is reused.
-                    report.retired_bases.push(src.base() as usize);
-                    self.pending_retired.lock().push(src);
-                } else {
-                    src.header().compacting.store(0, Ordering::Release);
-                    m.blocks.push(src);
-                }
-            }
-            group.settled.store(true, Ordering::Release);
-        }
-    }
-
-    /// Buries retired source blocks once the caller has finished fixing up
-    /// direct pointers into them (§6). Tombstones stay readable until every
-    /// epoch that could observe them has passed.
-    pub fn release_retired(&self) {
-        let retired: Vec<BlockRef> = self.pending_retired.lock().drain(..).collect();
-        let free_at = self.runtime.global_epoch() + 2;
-        for block in retired {
-            self.runtime.bury_block(block, free_at);
-        }
-    }
-
-    /// Number of retired blocks awaiting [`release_retired`](Self::release_retired).
-    pub fn pending_retired_len(&self) -> usize {
-        self.pending_retired.lock().len()
-    }
-
-    fn advance_to(&self, target: u64, tid: usize) -> bool {
-        let deadline = Instant::now() + self.config.compaction_patience;
-        while self.runtime.global_epoch() < target {
-            if self.runtime.epochs.try_advance_excluding(tid).is_none() {
-                if Instant::now() >= deadline {
-                    return false;
-                }
-                crate::sync::thread_yield();
-            }
-        }
-        true
-    }
-
-    fn wait_all_at(&self, epoch: u64, tid: usize) -> bool {
-        let deadline = Instant::now() + self.config.compaction_patience;
-        loop {
-            // "All other threads in the relocation epoch" is exactly the
-            // condition under which the epoch could advance past it.
-            if self.runtime.epochs.can_advance_excluding(tid, epoch) {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            crate::sync::thread_yield();
-        }
-    }
-
     /// Live objects across all blocks, resident and spilled.
     pub fn live_objects(&self) -> u64 {
-        let m = self.membership_snapshot();
-        let count = |b: &BlockRef| b.header().valid_count.load(Ordering::Relaxed) as u64;
-        m.blocks.iter().map(count).sum::<u64>()
-            + m.groups
-                .iter()
-                .map(|g| g.sources.iter().map(count).sum::<u64>() + count(&g.dest))
-                .sum::<u64>()
+        let count = |b: BlockRef| b.header().valid_count.load(Ordering::Relaxed) as u64;
+        self.membership.read().owned_blocks().map(count).sum::<u64>()
             // The gauge, not the page list: `len()` must stay callable from
             // inside a spilled-page scan callback, which holds the spill
             // mutex.
             + self.spilled_objects_gauge.load(Ordering::Relaxed)
     }
-
-    // ------------------------------------------------------------------
-    // Spill and fault-in (persistence tier)
-    // ------------------------------------------------------------------
-
-    /// Attaches a page store, enabling the spill rung of the OOM ladder and
-    /// fault-in on dereference. Returns false for columnar contexts (their
-    /// entry payloads point into the incarnation column, whose cells the
-    /// relocation protocol reads unconditionally — spill tagging is a
-    /// row-store feature).
-    pub fn enable_spill(self: &Arc<Self>, store: Arc<dyn PageStore>) -> bool {
-        if self.mode != LayoutMode::Rows {
-            return false;
-        }
-        let mut s = self.spill.lock();
-        s.store = Some(store);
-        s.this = Arc::downgrade(self);
-        true
-    }
-
-    /// True once [`enable_spill`](Self::enable_spill) has attached a store.
-    pub fn spill_enabled(&self) -> bool {
-        self.spill.lock().store.is_some()
-    }
-
-    /// Blocks currently spilled to the page store.
-    pub fn spilled_blocks(&self) -> u64 {
-        self.spilled_blocks_gauge.load(Ordering::Relaxed)
-    }
-
-    /// Objects currently living in spilled pages.
-    pub fn spilled_objects(&self) -> u64 {
-        self.spilled_objects_gauge.load(Ordering::Relaxed)
-    }
-
-    /// Runs `f` over the spilled-page directory under the spill mutex.
-    /// Used by the validator and the persistence tier, which must observe
-    /// a page list that cannot race fault-in.
-    pub(crate) fn with_spill_pages<R>(&self, f: impl FnOnce(&[SpilledPage]) -> R) -> R {
-        let s = self.spill.lock();
-        f(&s.pages)
-    }
-
-    /// Evicts one cold resident block to the page store. Returns true when a
-    /// block was spilled; false when spill is disabled, no block qualifies,
-    /// the store failed (rolled back), or the caller is inside a
-    /// spilled-page scan (the mutex is already held above us).
-    pub fn try_spill_one(&self) -> bool {
-        if spill::in_spill_scan() {
-            return false;
-        }
-        let mut s = self.spill.lock();
-        if s.store.is_none() {
-            return false;
-        }
-        self.try_spill_one_locked(&mut s)
-    }
-
-    /// Spill body; requires the spill mutex. Victim selection mirrors
-    /// compaction's candidate selection (owner-free, not compacting, pulled
-    /// out of the reclamation queue), minus the occupancy ceiling — any
-    /// resident block with live objects is a candidate, coldest-first being
-    /// approximated by collection order.
-    fn try_spill_one_locked(&self, s: &mut SpillState) -> bool {
-        let store = s.store.as_ref().expect("spill store attached").clone();
-        let victim = {
-            let m = self.membership.read();
-            let mut q = self.reclaim_queue.lock();
-            let found = m.blocks.iter().find(|b| {
-                let h = b.header();
-                h.valid_count.load(Ordering::Relaxed) > 0
-                    && h.active_owner.load(Ordering::Acquire) == 0
-                    && h.compacting
-                        .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-            });
-            match found {
-                Some(b) => {
-                    let h = b.header();
-                    if h.in_reclaim_queue.load(Ordering::Acquire) == 1 {
-                        q.retain(|(qb, _)| qb != b);
-                        h.in_reclaim_queue.store(0, Ordering::Release);
-                    }
-                    *b
-                }
-                None => return false,
-            }
-        };
-        // Remove the victim from membership before touching entries: scans
-        // snapshot membership under this same spill mutex, so no enumeration
-        // can miss the block (it is either in their snapshot or in the page
-        // list, never neither, never both).
-        self.membership.write().blocks.retain(|b| *b != victim);
-        let header = victim.header();
-        let block_id = header.block_id;
-        let stub = Box::new(SpillStub {
-            ctx: s.this.clone(),
-            block_id,
-        });
-        let tag = Box::into_raw(stub) as usize | SPILL_TAG;
-        let obj_size = self.obj_size as usize;
-        let mut entries: Vec<(usize, SlotId)> = Vec::new();
-        let mut objs: Vec<u8> = Vec::new();
-        for slot_id in victim.valid_slots() {
-            let back = victim.back_ptr(slot_id).load(Ordering::Acquire);
-            if back == 0 {
-                continue;
-            }
-            let entry = unsafe { EntryRef::from_addr(back) };
-            let inc = entry.get().inc().incarnation();
-            let Some(observed) = entry.get().inc().lock(inc) else {
-                continue; // freed concurrently between state check and lock
-            };
-            if entry.get().load_payload(Ordering::Acquire) != self.payload_of(&victim, slot_id) {
-                // The entry moved on (freed and reused); not ours to spill.
-                entry
-                    .get()
-                    .inc()
-                    .unlock_with_flags(observed & FLAG_MASK & !FLAG_LOCK);
-                continue;
-            }
-            let src = self.payload_of(&victim, slot_id) as *const u8;
-            let at = objs.len();
-            objs.resize(at + obj_size, 0);
-            unsafe { std::ptr::copy_nonoverlapping(src, objs[at..].as_mut_ptr(), obj_size) };
-            // Retire direct pointers into the page — a spilled slot must not
-            // satisfy a §6 direct dereference against stale memory.
-            self.slot_inc(&victim, slot_id).bump_unlocked();
-            entry.get().store_payload(tag, Ordering::Release);
-            entry
-                .get()
-                .inc()
-                .unlock_with_flags(observed & FLAG_MASK & !FLAG_LOCK);
-            entries.push((back, slot_id));
-        }
-        if entries.is_empty() {
-            // Raced empty: undo and report no progress.
-            drop(unsafe { Box::from_raw((tag & !SPILL_TAG) as *mut SpillStub) });
-            self.membership.write().blocks.push(victim);
-            header.compacting.store(0, Ordering::Release);
-            self.maybe_enqueue_for_reclamation(victim);
-            return false;
-        }
-        let page = spill::encode_page(block_id, obj_size, &entries, &objs);
-        let ticket = match store.store_page(block_id, &page) {
-            Ok(t) => t,
-            Err(_) => {
-                // Store failed: restore every tagged entry. We still hold
-                // the spill mutex, so nothing else can have repointed them.
-                for &(back, slot_id) in &entries {
-                    let entry = unsafe { EntryRef::from_addr(back) };
-                    let inc = entry.get().inc().incarnation();
-                    if let Some(observed) = entry.get().inc().lock(inc) {
-                        if entry.get().load_payload(Ordering::Acquire) == tag {
-                            entry.get().store_payload(
-                                self.payload_of(&victim, slot_id),
-                                Ordering::Release,
-                            );
-                        }
-                        entry
-                            .get()
-                            .inc()
-                            .unlock_with_flags(observed & FLAG_MASK & !FLAG_LOCK);
-                    }
-                }
-                drop(unsafe { Box::from_raw((tag & !SPILL_TAG) as *mut SpillStub) });
-                self.membership.write().blocks.push(victim);
-                header.compacting.store(0, Ordering::Release);
-                self.maybe_enqueue_for_reclamation(victim);
-                MemoryStats::inc(&self.runtime.stats.spill_fault_failures);
-                return false;
-            }
-        };
-        self.spilled_blocks_gauge.fetch_add(1, Ordering::Relaxed);
-        self.spilled_objects_gauge
-            .fetch_add(entries.len() as u64, Ordering::Relaxed);
-        MemoryStats::inc(&self.runtime.stats.blocks_spilled);
-        s.pages.push(SpilledPage {
-            block_id,
-            ticket,
-            tag,
-            entries,
-        });
-        // The victim's slots stay Valid with intact data until burial ripens:
-        // a reader that loaded the resident payload just before our tag store
-        // reads the old copy safely for two more epochs. (In-place writes in
-        // that window are lost on fault-in — the same isolation caveat as a
-        // §5 relocation mid-copy; mutate through `try_update`-style replace,
-        // not in place, when spill is enabled.)
-        self.runtime
-            .bury_block(victim, self.runtime.global_epoch() + 2);
-        smc_obs::trace::emit(smc_obs::Event::BlockSpilled {
-            context: self.id,
-            block_id,
-        });
-        true
-    }
-
-    /// Brings the spilled page `block_id` back to residency. `Ok(true)` when
-    /// this call faulted the page in, `Ok(false)` when the page was not
-    /// spilled (typically: another thread won the race). Fails closed with
-    /// [`MemError::SpillFault`] on any store or integrity failure — the page
-    /// stays spilled and the heap intact — and when called from inside a
-    /// spilled-page scan callback (the scan already streams the data).
-    pub fn fault_in_block(&self, block_id: u64) -> Result<bool, MemError> {
-        if spill::in_spill_scan() {
-            return Err(MemError::SpillFault);
-        }
-        let start = Instant::now();
-        let mut s = self.spill.lock();
-        // Make room first if the budget is hot: faulting one page in while
-        // over budget should displace another page, not grow the footprint.
-        if let Some(budget) = self.config.budget_bytes {
-            if s.store.is_some() && (self.bytes() + crate::block::BLOCK_SIZE) as u64 > budget {
-                let _ = self.try_spill_one_locked(&mut s);
-            }
-        }
-        let Some(idx) = s.pages.iter().position(|p| p.block_id == block_id) else {
-            return Ok(false);
-        };
-        let store = s.store.as_ref().expect("page without store").clone();
-        let ticket = s.pages[idx].ticket;
-        let mut bytes = Vec::new();
-        if store.load_page(ticket, block_id, &mut bytes).is_err() {
-            MemoryStats::inc(&self.runtime.stats.spill_fault_failures);
-            return Err(MemError::SpillFault);
-        }
-        let records = match spill::decode_page(&bytes, block_id, self.obj_size as u64) {
-            Ok(r) => r,
-            Err(_) => {
-                MemoryStats::inc(&self.runtime.stats.spill_fault_failures);
-                return Err(MemError::SpillFault);
-            }
-        };
-        if records.len() != s.pages[idx].entries.len() {
-            MemoryStats::inc(&self.runtime.stats.spill_fault_failures);
-            return Err(MemError::SpillFault);
-        }
-        // Fresh block, new block id: fault-in is a relocation, not a revival.
-        // Allocation bypasses the runtime budget gate — the faulting thread
-        // may be pinned (dereference path) and so can never ripen its own
-        // victim's burial; see `Runtime::allocate_block_unbudgeted`.
-        let fresh = self
-            .runtime
-            .allocate_block_unbudgeted(&self.layout, self.type_id, self.id)?;
-        let page = s.pages.swap_remove(idx);
-        let obj_size = self.obj_size as usize;
-        let mut live: u32 = 0;
-        for (i, (entry_addr, obj)) in records.iter().enumerate() {
-            let slot_id = i as SlotId;
-            debug_assert_eq!(*entry_addr as usize, page.entries[i].0);
-            let entry = unsafe { EntryRef::from_addr(*entry_addr as usize) };
-            // Object bytes, back pointer and slot state land before the
-            // payload repoint publishes the slot to retrying readers.
-            unsafe {
-                std::ptr::copy_nonoverlapping(obj.as_ptr(), fresh.obj_ptr(slot_id), obj_size)
-            };
-            fresh
-                .back_ptr(slot_id)
-                .store(*entry_addr as usize, Ordering::Release);
-            fresh.slot_word(slot_id).set_valid();
-            if entry.get().load_payload(Ordering::Acquire) == page.tag {
-                entry
-                    .get()
-                    .store_payload(self.payload_of(&fresh, slot_id), Ordering::Release);
-                live += 1;
-            } else {
-                // Defensive: the entry no longer references this page (it
-                // should be impossible — frees fault in first). Unpublish.
-                fresh.slot_word(slot_id).reset();
-                fresh.back_ptr(slot_id).store(0, Ordering::Release);
-            }
-        }
-        fresh.header().valid_count.store(live, Ordering::Relaxed);
-        fresh
-            .header()
-            .alloc_cursor
-            .store(records.len() as SlotId, Ordering::Relaxed);
-        self.membership.write().blocks.push(fresh);
-        store.discard_page(page.ticket);
-        // The stub outlives the repoint by two epochs: a reader pinned now
-        // may still hold the tagged payload it loaded before us.
-        self.runtime
-            .bury_stub(page.tag & !SPILL_TAG, self.runtime.global_epoch() + 2);
-        self.spilled_blocks_gauge.fetch_sub(1, Ordering::Relaxed);
-        self.spilled_objects_gauge
-            .fetch_sub(page.entries.len() as u64, Ordering::Relaxed);
-        MemoryStats::inc(&self.runtime.stats.blocks_faulted_in);
-        let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        self.runtime.stats.spill_fault_ns.record(nanos);
-        smc_obs::trace::emit(smc_obs::Event::BlockFaulted {
-            context: self.id,
-            block_id,
-            nanos,
-        });
-        Ok(true)
-    }
-
-    /// Streams every spilled record through `visit` *without* promoting
-    /// pages to residency, then returns a membership snapshot taken under
-    /// the same spill mutex — the scan-without-thrashing primitive behind
-    /// `Smc::for_each`. A page and its resident reincarnation can never both
-    /// be visited: pages faulted in after this walk hold blocks that are not
-    /// in the returned snapshot, and blocks spilled after the snapshot keep
-    /// their (still live, epoch-protected) resident copies.
-    ///
-    /// `visit` receives `(entry_addr, object_ptr)` per record — the pointer
-    /// is aligned for the object type and valid for the duration of the
-    /// call — and runs with the spill mutex held: it may free resident
-    /// objects, allocate, and call [`live_objects`](Self::live_objects), but
-    /// freeing a *spilled* object or nesting another spilled scan fails with
-    /// [`MemError::SpillFault`].
-    pub fn scan_spilled_then_snapshot(
-        &self,
-        visit: &mut dyn FnMut(usize, *const u8),
-    ) -> Result<Membership, MemError> {
-        if self.mode != LayoutMode::Rows || spill::in_spill_scan() {
-            return Ok(self.membership_snapshot());
-        }
-        let s = self.spill.lock();
-        if s.pages.is_empty() {
-            return Ok(self.membership_snapshot());
-        }
-        let store = s.store.as_ref().expect("pages without store").clone();
-        let _scan = SpillScanGuard::enter();
-        let mut bytes = Vec::new();
-        // Page records are packed back to back, so a record may sit at an
-        // address the object type cannot be read from; such a record is
-        // handed to `visit` as an aligned scratch copy.
-        let obj_size = self.obj_size as usize;
-        let mut scratch = vec![0u8; obj_size + self.obj_align];
-        let aligned = scratch.as_ptr().align_offset(self.obj_align);
-        let scratch = &mut scratch[aligned..aligned + obj_size];
-        for page in &s.pages {
-            if store
-                .load_page(page.ticket, page.block_id, &mut bytes)
-                .is_err()
-            {
-                MemoryStats::inc(&self.runtime.stats.spill_fault_failures);
-                return Err(MemError::SpillFault);
-            }
-            let records = match spill::decode_page(&bytes, page.block_id, self.obj_size as u64) {
-                Ok(r) => r,
-                Err(_) => {
-                    MemoryStats::inc(&self.runtime.stats.spill_fault_failures);
-                    return Err(MemError::SpillFault);
-                }
-            };
-            for (entry_addr, obj) in records {
-                let obj = if obj.as_ptr().align_offset(self.obj_align) == 0 {
-                    obj.as_ptr()
-                } else {
-                    scratch.copy_from_slice(obj);
-                    scratch.as_ptr()
-                };
-                visit(entry_addr as usize, obj);
-            }
-        }
-        Ok(self.membership_snapshot())
-    }
 }
 
 impl Drop for MemoryContext {
     fn drop(&mut self) {
-        // Invalidate every live object so stale references dereference to
-        // null rather than into recycled blocks, then hand all blocks to the
-        // runtime graveyard for epoch-safe burial.
+        // Invalidate every live object — spilled, then resident — so stale
+        // references dereference to null rather than into recycled blocks,
+        // and hand all blocks to the graveyard for epoch-safe burial.
         let free_at = self.runtime.global_epoch() + 2;
-        // Spilled pages first: retire their entries (stale refs upgrade the
-        // stub's weak context handle and get null), release the store pages,
-        // and bury the stubs like any other epoch-protected object.
-        let s = self.spill.get_mut();
-        let store = s.store.clone();
-        for page in s.pages.drain(..) {
-            for &(entry_addr, _) in &page.entries {
-                let entry = unsafe { EntryRef::from_addr(entry_addr) };
-                if entry.get().load_payload(Ordering::Acquire) == page.tag {
-                    entry.get().inc().bump_unlocked();
-                    self.runtime.indirection.release(entry, 0);
-                    MemoryStats::inc(&self.runtime.stats.objects_freed);
-                }
-            }
-            if let Some(store) = &store {
-                store.discard_page(page.ticket);
-            }
-            self.runtime.bury_stub(page.tag & !SPILL_TAG, free_at);
-        }
-        self.spilled_blocks_gauge.store(0, Ordering::Relaxed);
-        self.spilled_objects_gauge.store(0, Ordering::Relaxed);
-        let m = self.membership.get_mut();
-        let all_blocks = m
-            .blocks
-            .drain(..)
-            .chain(m.groups.drain(..).flat_map(|g| {
-                let mut v = g.sources.clone();
-                v.push(g.dest);
-                v
-            }))
-            .chain(self.pending_retired.get_mut().drain(..))
-            .collect::<Vec<_>>();
-        for block in all_blocks {
+        self.release_spilled(free_at);
+        let m = std::mem::take(self.membership.get_mut());
+        let retired = std::mem::take(self.pending_retired.get_mut());
+        for block in m.owned_blocks().chain(retired) {
             for slot_id in block.valid_slots() {
                 let back = block.back_ptr(slot_id).load(Ordering::Acquire);
                 if back != 0 {
@@ -1742,31 +803,24 @@ impl Drop for MemoryContext {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::block::type_id_of;
 
-    fn ctx(rt: &Arc<Runtime>) -> MemoryContext {
-        MemoryContext::new_rows(
-            rt.clone(),
-            8,
-            8,
-            type_id_of::<u64>(),
-            ContextConfig::default(),
-        )
-        .unwrap()
+    pub(crate) fn ctx(rt: &Arc<Runtime>) -> MemoryContext {
+        ctx_with(rt, ContextConfig::default())
     }
 
-    fn ctx_with(rt: &Arc<Runtime>, config: ContextConfig) -> MemoryContext {
+    pub(crate) fn ctx_with(rt: &Arc<Runtime>, config: ContextConfig) -> MemoryContext {
         MemoryContext::new_rows(rt.clone(), 8, 8, type_id_of::<u64>(), config).unwrap()
     }
 
-    fn alloc_u64(c: &MemoryContext, v: u64) -> Allocation {
+    pub(crate) fn alloc_u64(c: &MemoryContext, v: u64) -> Allocation {
         c.alloc_with(|block, slot| unsafe { block.obj_ptr(slot).cast::<u64>().write(v) })
             .unwrap()
     }
 
-    fn read_u64(entry: EntryRef) -> u64 {
+    pub(crate) fn read_u64(entry: EntryRef) -> u64 {
         let payload = entry.get().load_payload(Ordering::Acquire);
         unsafe { (payload as *const u64).read() }
     }
@@ -1965,95 +1019,6 @@ mod tests {
     }
 
     #[test]
-    fn compaction_empties_sparse_blocks() {
-        let rt = Runtime::new();
-        // Never queue: isolate compaction.
-        let config = ContextConfig {
-            reclamation_threshold: 1.1,
-            ..ContextConfig::default()
-        };
-        let c = ctx_with(&rt, config);
-        let cap = c.layout().capacity as usize;
-        // Fill four blocks, then delete 90% of each.
-        let mut allocs = Vec::new();
-        for i in 0..cap * 4 {
-            allocs.push(alloc_u64(&c, i as u64));
-        }
-        let mut kept = Vec::new();
-        for (i, a) in allocs.iter().enumerate() {
-            if i % 10 == 0 {
-                kept.push((*a, i as u64));
-            } else {
-                assert!(c.free(a.entry, a.entry_inc));
-            }
-        }
-        let blocks_before = c.block_count();
-        let report = c.compact();
-        assert!(!report.aborted);
-        assert!(report.groups >= 1, "sparse blocks should form groups");
-        assert!(report.moved > 0);
-        assert!(!report.retired_bases.is_empty());
-        assert!(c.pending_retired_len() > 0);
-        // Every kept object survives, reachable through its entry, with the
-        // same entry incarnation (references stay valid across compaction).
-        for (a, v) in &kept {
-            assert_eq!(a.entry.get().inc().incarnation(), a.entry_inc);
-            assert_eq!(read_u64(a.entry), *v);
-        }
-        c.release_retired();
-        rt.drain_graveyard_blocking();
-        assert!(
-            c.block_count() < blocks_before,
-            "compaction should shrink the context"
-        );
-        // Relocation state fully cleared.
-        assert_eq!(rt.next_relocation_epoch(), 0);
-        assert!(!rt.in_moving_phase());
-        assert!(c.membership_snapshot().groups.is_empty());
-    }
-
-    #[test]
-    fn compaction_leaves_dense_blocks_alone() {
-        let rt = Runtime::new();
-        let c = ctx(&rt);
-        let cap = c.layout().capacity as usize;
-        for i in 0..cap * 2 {
-            alloc_u64(&c, i as u64);
-        }
-        let report = c.compact();
-        assert_eq!(report.groups, 0);
-        assert_eq!(report.moved, 0);
-    }
-
-    #[test]
-    fn compaction_tombstones_carry_forward_flag() {
-        let rt = Runtime::new();
-        let config = ContextConfig {
-            reclamation_threshold: 1.1,
-            ..ContextConfig::default()
-        };
-        let c = ctx_with(&rt, config);
-        let cap = c.layout().capacity as usize;
-        let mut allocs = Vec::new();
-        for i in 0..cap * 3 {
-            allocs.push(alloc_u64(&c, i as u64));
-        }
-        let survivor = allocs[0];
-        for a in allocs.iter().skip(1) {
-            c.free(a.entry, a.entry_inc);
-        }
-        let report = c.compact();
-        assert!(report.moved >= 1);
-        // The survivor's old slot is now a forwarding tombstone.
-        let word = c
-            .slot_inc(&survivor.block, survivor.slot)
-            .load(Ordering::Acquire);
-        assert_ne!(word & crate::incarnation::FLAG_FORWARD, 0);
-        // Its entry points at the new location, which holds the value.
-        assert_eq!(read_u64(survivor.entry), 0);
-    }
-
-    #[test]
     fn concurrent_alloc_free_stress() {
         let rt = Runtime::new();
         let c = Arc::new(ctx(&rt));
@@ -2099,250 +1064,5 @@ mod tests {
         assert_ne!(entry.get().inc().incarnation(), inc);
         rt.drain_graveyard_blocking();
         assert_eq!(MemoryStats::get(&rt.stats.blocks_freed), 1);
-    }
-
-    #[test]
-    fn group_read_pins_pre_state_until_relocation_starts() {
-        let rt = Runtime::new();
-        let layout = BlockLayout::rows_of::<u64>().unwrap();
-        let src = BlockRef::allocate(&layout, 1, 1).unwrap();
-        let dest = BlockRef::allocate(&layout, 1, 1).unwrap();
-        let group = Arc::new(CompactionGroup {
-            sources: vec![src],
-            dest,
-            query_counter: AtomicU32::new(0),
-            started: AtomicBool::new(false),
-            settled: AtomicBool::new(false),
-        });
-        rt.epochs.try_advance().expect("nothing is pinned");
-        let guard = rt.pin();
-        rt.set_relocation_epoch(guard.epoch());
-        {
-            // Pre-state: sources only, counter held for the reader's life.
-            let read = group.read(&guard, &rt.stats);
-            assert_eq!(group.query_counter.load(Ordering::SeqCst), 1);
-            assert_eq!(read.blocks().collect::<Vec<_>>(), [src]);
-        }
-        assert_eq!(group.query_counter.load(Ordering::SeqCst), 0);
-        // Once this group's relocation has started, pinning must fail and
-        // the read covers dest plus sources.
-        group.started.store(true, Ordering::SeqCst);
-        let read = group.read(&guard, &rt.stats);
-        assert_eq!(group.query_counter.load(Ordering::SeqCst), 0);
-        assert_eq!(read.blocks().collect::<Vec<_>>(), [dest, src]);
-        drop(read);
-        rt.set_relocation_epoch(0);
-        unsafe {
-            src.deallocate();
-            dest.deallocate();
-        }
-    }
-
-    // ---- spill tier -----------------------------------------------------
-
-    fn spill_ctx(rt: &Arc<Runtime>) -> (Arc<MemoryContext>, Arc<crate::spill::MemoryPageStore>) {
-        let c = Arc::new(ctx(rt));
-        let store = Arc::new(crate::spill::MemoryPageStore::new());
-        assert!(c.enable_spill(store.clone()));
-        (c, store)
-    }
-
-    /// Fills exactly two blocks and spills the first (cold) one.
-    fn fill_two_blocks_and_spill(
-        rt: &Arc<Runtime>,
-        c: &Arc<MemoryContext>,
-    ) -> (Vec<Allocation>, Vec<Allocation>) {
-        let cap = c.layout().capacity as usize;
-        let first: Vec<_> = (0..cap).map(|i| alloc_u64(c, i as u64)).collect();
-        let second: Vec<_> = (cap..cap + 4).map(|i| alloc_u64(c, i as u64)).collect();
-        assert_eq!(c.block_count(), 2);
-        assert!(c.try_spill_one(), "a full cold block must be spillable");
-        assert_eq!(c.spilled_blocks(), 1);
-        assert_eq!(c.spilled_objects(), cap as u64);
-        assert_eq!(c.block_count(), 1, "the victim leaves membership");
-        let _ = rt;
-        (first, second)
-    }
-
-    #[test]
-    fn spill_then_free_faults_the_page_back_in() {
-        let rt = Runtime::new();
-        let (c, store) = spill_ctx(&rt);
-        let (first, _second) = fill_two_blocks_and_spill(&rt, &c);
-        assert_eq!(store.len(), 1);
-        // live_objects counts spilled objects; verify balances.
-        let cap = c.layout().capacity as u64;
-        assert_eq!(c.live_objects(), cap + 4);
-        let report = c.verify().unwrap();
-        assert_eq!(report.spilled_slots, cap);
-        assert_eq!(report.valid_slots + report.spilled_slots, cap + 4);
-        // Freeing a spilled object transparently faults its page in.
-        let victim = &first[3];
-        assert!(c.try_free(victim.entry, victim.entry_inc).unwrap());
-        assert_eq!(c.spilled_blocks(), 0);
-        assert_eq!(c.spilled_objects(), 0);
-        assert_eq!(store.len(), 0, "the page ticket is discarded");
-        assert_eq!(c.live_objects(), cap + 3);
-        assert_eq!(MemoryStats::get(&rt.stats.blocks_spilled), 1);
-        assert_eq!(MemoryStats::get(&rt.stats.blocks_faulted_in), 1);
-        // The faulted-in copies carry the original values.
-        for (i, a) in first.iter().enumerate() {
-            if i == 3 {
-                continue;
-            }
-            assert_eq!(
-                read_u64(a.entry),
-                i as u64,
-                "object {i} survives the round trip"
-            );
-        }
-        c.verify().unwrap();
-    }
-
-    #[test]
-    fn budget_pressure_spills_instead_of_rejecting() {
-        let rt = Runtime::new();
-        let config = ContextConfig {
-            // One resident block: growth must spill, not reject.
-            budget_bytes: Some(crate::block::BLOCK_SIZE as u64),
-            ..ContextConfig::default()
-        };
-        let c = Arc::new(ctx_with(&rt, config));
-        let store = Arc::new(crate::spill::MemoryPageStore::new());
-        assert!(c.enable_spill(store.clone()));
-        let cap = c.layout().capacity as usize;
-        // Allocate three blocks' worth under a one-block budget.
-        let allocs: Vec<_> = (0..cap * 3).map(|i| alloc_u64(&c, i as u64)).collect();
-        assert!(c.spilled_blocks() >= 2, "growth rode the spill rung");
-        assert_eq!(c.block_count(), 1, "resident footprint stays at budget");
-        assert_eq!(c.live_objects(), (cap * 3) as u64);
-        assert_eq!(MemoryStats::get(&rt.stats.context_budget_rejections), 0);
-        // Every object — resident or spilled — still reads back (reading a
-        // spilled one faults it in, which may spill another block in turn).
-        for (i, a) in allocs.iter().enumerate() {
-            let payload = loop {
-                let p = a.entry.get().load_payload(Ordering::Acquire);
-                if !spill::is_spill_tagged(p) {
-                    break p;
-                }
-                let block_id = unsafe { (*((p & !SPILL_TAG) as *const SpillStub)).block_id };
-                c.fault_in_block(block_id).unwrap();
-            };
-            assert_eq!(unsafe { (payload as *const u64).read() }, i as u64);
-        }
-        c.verify().unwrap();
-    }
-
-    #[test]
-    fn spill_store_failure_rolls_back_cleanly() {
-        let rt = Runtime::new();
-        let (c, store) = spill_ctx(&rt);
-        let cap = c.layout().capacity as usize;
-        let _allocs: Vec<_> = (0..cap + 4).map(|i| alloc_u64(&c, i as u64)).collect();
-        store.fail_next_store();
-        assert!(!c.try_spill_one(), "a failed store must report no spill");
-        assert_eq!(c.spilled_blocks(), 0);
-        assert_eq!(c.block_count(), 2, "the victim rejoins membership");
-        assert_eq!(MemoryStats::get(&rt.stats.spill_fault_failures), 1);
-        c.verify().unwrap();
-        // The store works again: the next attempt succeeds.
-        assert!(c.try_spill_one());
-        c.verify().unwrap();
-    }
-
-    #[test]
-    fn fault_in_load_failure_fails_closed() {
-        let rt = Runtime::new();
-        let (c, store) = spill_ctx(&rt);
-        let (first, _second) = fill_two_blocks_and_spill(&rt, &c);
-        store.set_fail_loads(true);
-        let victim = &first[0];
-        assert_eq!(
-            c.try_free(victim.entry, victim.entry_inc).unwrap_err(),
-            MemError::SpillFault,
-            "an unreadable page must fail closed, never panic"
-        );
-        // The page stays spilled; nothing was partially materialized.
-        assert_eq!(c.spilled_blocks(), 1);
-        c.verify().unwrap();
-        store.set_fail_loads(false);
-        assert!(c.try_free(victim.entry, victim.entry_inc).unwrap());
-        c.verify().unwrap();
-    }
-
-    #[test]
-    fn fault_in_corrupted_page_fails_closed() {
-        let rt = Runtime::new();
-        let (c, store) = spill_ctx(&rt);
-        let (first, _second) = fill_two_blocks_and_spill(&rt, &c);
-        store.corrupt_page(0);
-        let victim = &first[0];
-        assert_eq!(
-            c.try_free(victim.entry, victim.entry_inc).unwrap_err(),
-            MemError::SpillFault
-        );
-        assert!(MemoryStats::get(&rt.stats.spill_fault_failures) >= 1);
-        assert_eq!(c.spilled_blocks(), 1, "the corrupt page is not dropped");
-    }
-
-    #[test]
-    fn spilled_scan_visits_every_object_exactly_once() {
-        let rt = Runtime::new();
-        let (c, _store) = spill_ctx(&rt);
-        let (_first, _second) = fill_two_blocks_and_spill(&rt, &c);
-        let cap = c.layout().capacity as usize;
-        let mut seen = Vec::new();
-        let snapshot = c
-            .scan_spilled_then_snapshot(&mut |_entry_addr, obj| {
-                seen.push(unsafe { obj.cast::<u64>().read() });
-            })
-            .unwrap();
-        // The page walk yielded the spilled objects; the membership
-        // snapshot holds the resident remainder — no overlap.
-        assert_eq!(seen.len(), cap);
-        seen.sort_unstable();
-        let expect: Vec<u64> = (0..cap as u64).collect();
-        assert_eq!(seen, expect);
-        let resident: usize = snapshot
-            .blocks
-            .iter()
-            .map(|b| b.header().valid_count.load(Ordering::Relaxed) as usize)
-            .sum();
-        assert_eq!(resident, 4);
-    }
-
-    #[test]
-    fn context_drop_releases_spilled_entries() {
-        let rt = Runtime::new();
-        let store = Arc::new(crate::spill::MemoryPageStore::new());
-        {
-            let (c, _) = {
-                let c = Arc::new(ctx(&rt));
-                assert!(c.enable_spill(store.clone()));
-                (c, ())
-            };
-            let _kept = fill_two_blocks_and_spill(&rt, &c);
-        }
-        rt.drain_graveyard_blocking();
-        assert_eq!(store.len(), 0, "dropping the context discards its pages");
-        assert_eq!(rt.indirection.live_entries(), 0);
-        rt.verify().unwrap();
-    }
-
-    #[test]
-    fn spill_disabled_for_columnar_contexts() {
-        let rt = Runtime::new();
-        let c = Arc::new(
-            MemoryContext::new_columnar(
-                rt.clone(),
-                12,
-                type_id_of::<u64>(),
-                ContextConfig::default(),
-            )
-            .unwrap(),
-        );
-        let store = Arc::new(crate::spill::MemoryPageStore::new());
-        assert!(!c.enable_spill(store), "columnar layouts cannot spill");
-        assert!(!c.spill_enabled());
     }
 }

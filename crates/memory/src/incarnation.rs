@@ -99,35 +99,6 @@ impl IncWord {
         }
     }
 
-    /// Frees an object: increments the counter if it still equals
-    /// `expected`, clearing all flags. Spins while the word is locked by a
-    /// relocation (§5.1 footnote: free serializes with freeze/lock via CAS).
-    ///
-    /// Returns the new counter on success, `None` if the counter no longer
-    /// matches (someone else freed the object first).
-    pub fn try_bump_from(&self, expected: u32) -> Option<u32> {
-        loop {
-            let cur = self.0.load(Ordering::Acquire);
-            if cur & INC_MASK != expected & INC_MASK {
-                return None;
-            }
-            if cur & FLAG_LOCK != 0 {
-                // A mover holds the object; wait for the move to settle so we
-                // free the object's *current* location afterwards.
-                crate::sync::cpu_relax();
-                continue;
-            }
-            let next = (expected & INC_MASK).wrapping_add(1) & INC_MASK;
-            if self
-                .0
-                .compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                return Some(next);
-            }
-        }
-    }
-
     /// Like [`bump`](Self::bump) but refuses to race a held lock bit.
     pub fn bump_unlocked(&self) -> u32 {
         loop {
@@ -231,6 +202,13 @@ impl IncWord {
                 Err(actual) => cur = actual,
             }
         }
+    }
+
+    /// Releases only the lock bit: `observed` is the word [`lock`](Self::lock)
+    /// returned, and every other flag it carried (a freeze set by an
+    /// in-flight compaction, say) stays as it was.
+    pub(crate) fn unlock_keep_flags(&self, observed: u32) {
+        self.unlock_with_flags(observed & FLAG_MASK & !FLAG_LOCK);
     }
 
     /// Spin-waits until the lock bit is clear and returns the settled word.

@@ -447,26 +447,8 @@ fn block_snapshot(ctx: &MemoryContext, block: &BlockRef, in_group: bool) -> Bloc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::type_id_of;
-    use crate::context::ContextConfig;
+    use crate::context::tests::{alloc_u64 as alloc, ctx as context};
     use crate::runtime::Runtime;
-    use std::sync::Arc;
-
-    fn context(rt: &Arc<Runtime>) -> MemoryContext {
-        MemoryContext::new_rows(
-            rt.clone(),
-            64,
-            8,
-            type_id_of::<[u64; 8]>(),
-            ContextConfig::default(),
-        )
-        .expect("layout fits a block")
-    }
-
-    fn alloc(c: &MemoryContext, v: u64) -> crate::context::Allocation {
-        c.alloc_with(|block, slot| unsafe { block.obj_ptr(slot).cast::<u64>().write(v) })
-            .unwrap()
-    }
 
     #[test]
     fn empty_heap_snapshot_is_consistent_and_zero() {

@@ -60,6 +60,7 @@
 
 pub mod alloc;
 pub mod block;
+mod compact;
 pub mod context;
 pub mod decimal;
 pub mod epoch;

@@ -14,7 +14,7 @@
 //! guarantees stride and object offset are multiples of 4), so bit 0 of an
 //! entry payload is free. A spilled object's entry keeps its incarnation —
 //! references stay valid — but its payload becomes a *tagged stub pointer*:
-//! `Box<SpillStub> | SPILL_TAG`. Dereference ([`Ref::resolve`] in
+//! `Box<SpillStub> | SPILL_TAG`. Dereference (`Ref::resolve` in
 //! `smc-core`) sees the tag, calls [`fault_in_tagged`], and retries; free
 //! ([`MemoryContext::try_free`]) does the same. The stub carries a weak
 //! context handle plus the spilled block id, which is all a bare entry
@@ -36,15 +36,20 @@
 //! takes its membership snapshot under the same spill mutex — a page and its
 //! resident reincarnation can never both be visited.
 //!
-//! [`Ref::resolve`]: https://docs.rs/smc
 //! [`MemoryContext::try_free`]: crate::context::MemoryContext::try_free
 
 use std::cell::Cell;
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
+use std::time::Instant;
 
-use crate::context::MemoryContext;
+use crate::block::BlockRef;
+use crate::context::{LayoutMode, Membership, MemoryContext};
+use crate::error::MemError;
+use crate::indirection::EntryRef;
 use crate::slot::SlotId;
+use crate::stats::MemoryStats;
 
 /// Bit 0 of an indirection-entry payload marks a spilled object. Row object
 /// pointers are always 4-byte aligned (see `BlockLayout::rows`), so the bit
@@ -95,9 +100,9 @@ pub trait PageStore: Send + Sync + fmt::Debug {
 pub struct MemoryPageStore {
     inner: std::sync::Mutex<MemoryPages>,
     /// When true, the next `store_page` fails (exercises rollback paths).
-    fail_next_store: std::sync::atomic::AtomicBool,
+    fail_next_store: AtomicBool,
     /// When true, every `load_page` fails (exercises fail-closed paths).
-    fail_loads: std::sync::atomic::AtomicBool,
+    fail_loads: AtomicBool,
 }
 
 #[derive(Debug, Default)]
@@ -125,14 +130,12 @@ impl MemoryPageStore {
 
     /// Makes the next `store_page` call fail (then auto-rearms to success).
     pub fn fail_next_store(&self) {
-        self.fail_next_store
-            .store(true, std::sync::atomic::Ordering::Relaxed);
+        self.fail_next_store.store(true, Ordering::Relaxed);
     }
 
     /// Makes every `load_page` call fail until called with `false`.
     pub fn set_fail_loads(&self, fail: bool) {
-        self.fail_loads
-            .store(fail, std::sync::atomic::Ordering::Relaxed);
+        self.fail_loads.store(fail, Ordering::Relaxed);
     }
 
     /// Flips one byte of the stored page behind `ticket` (torn-write test
@@ -156,10 +159,7 @@ impl MemoryPageStore {
 
 impl PageStore for MemoryPageStore {
     fn store_page(&self, block_id: u64, bytes: &[u8]) -> Result<u64, SpillIoError> {
-        if self
-            .fail_next_store
-            .swap(false, std::sync::atomic::Ordering::Relaxed)
-        {
+        if self.fail_next_store.swap(false, Ordering::Relaxed) {
             return Err(SpillIoError("injected store failure".into()));
         }
         let mut inner = self.inner.lock().unwrap();
@@ -177,7 +177,7 @@ impl PageStore for MemoryPageStore {
     }
 
     fn load_page(&self, ticket: u64, block_id: u64, out: &mut Vec<u8>) -> Result<(), SpillIoError> {
-        if self.fail_loads.load(std::sync::atomic::Ordering::Relaxed) {
+        if self.fail_loads.load(Ordering::Relaxed) {
             return Err(SpillIoError("injected load failure".into()));
         }
         let inner = self.inner.lock().unwrap();
@@ -393,9 +393,368 @@ pub fn fault_in_tagged(payload: usize) -> bool {
     ctx.fault_in_block(stub.block_id).is_ok()
 }
 
+// ---------------------------------------------------------------------
+// The residency protocol
+// ---------------------------------------------------------------------
+
+/// Swings `entry`'s payload from `from` to `to` under the entry lock, leaving
+/// incarnation and every other flag as they were; `under_lock` runs first,
+/// while the object can be neither freed nor moved. False, with nothing
+/// done, when the entry was freed or does not hold `from`.
+fn swing(entry: EntryRef, from: usize, to: usize, under_lock: impl FnOnce()) -> bool {
+    let word = entry.get().inc();
+    let Some(observed) = word.lock(word.incarnation()) else {
+        return false;
+    };
+    let ours = entry.get().load_payload(Ordering::Acquire) == from;
+    if ours {
+        under_lock();
+        entry.get().store_payload(to, Ordering::Release);
+    }
+    word.unlock_keep_flags(observed);
+    ours
+}
+
+impl MemoryContext {
+    /// Attaches a page store, enabling the spill rung of the OOM ladder and
+    /// fault-in on dereference. Returns false for columnar contexts (their
+    /// entry payloads point into the incarnation column, whose cells the
+    /// relocation protocol reads unconditionally — spill tagging is a
+    /// row-store feature).
+    pub fn enable_spill(self: &Arc<Self>, store: Arc<dyn PageStore>) -> bool {
+        if self.mode != LayoutMode::Rows {
+            return false;
+        }
+        let mut s = self.spill.lock();
+        s.store = Some(store);
+        s.this = Arc::downgrade(self);
+        true
+    }
+
+    /// True once [`enable_spill`](Self::enable_spill) has attached a store.
+    pub fn spill_enabled(&self) -> bool {
+        self.spill.lock().store.is_some()
+    }
+
+    /// Blocks currently spilled to the page store.
+    pub fn spilled_blocks(&self) -> u64 {
+        self.spilled_blocks_gauge.load(Ordering::Relaxed)
+    }
+
+    /// Objects currently living in spilled pages.
+    pub fn spilled_objects(&self) -> u64 {
+        self.spilled_objects_gauge.load(Ordering::Relaxed)
+    }
+
+    /// Runs `f` over the spilled-page directory under the spill mutex.
+    /// Used by the validator and the persistence tier, which must observe
+    /// a page list that cannot race fault-in.
+    pub(crate) fn with_spill_pages<R>(&self, f: impl FnOnce(&[SpilledPage]) -> R) -> R {
+        let s = self.spill.lock();
+        f(&s.pages)
+    }
+
+    /// Evicts one cold resident block to the page store. Returns true when a
+    /// block was spilled; false when spill is disabled, no block qualifies,
+    /// the store failed (rolled back), or the caller is inside a
+    /// spilled-page scan (the mutex is already held above us).
+    pub fn try_spill_one(&self) -> bool {
+        if in_spill_scan() {
+            return false;
+        }
+        self.try_spill_one_locked(&mut self.spill.lock())
+    }
+
+    /// Spill body; requires the spill mutex. The victim is claimed the way
+    /// compaction claims its candidates, minus the occupancy ceiling — any
+    /// resident block with live objects qualifies, coldest-first being
+    /// approximated by collection order.
+    fn try_spill_one_locked(&self, s: &mut SpillState) -> bool {
+        let Some(store) = s.store.clone() else {
+            return false;
+        };
+        let live = |b: &BlockRef| b.header().valid_count.load(Ordering::Relaxed) > 0;
+        let Some(victim) = self.claim(1, live).pop() else {
+            return false;
+        };
+        // Remove the victim from membership before touching entries: scans
+        // snapshot membership under this same spill mutex, so no enumeration
+        // can miss the block (it is either in their snapshot or in the page
+        // list, never neither, never both).
+        self.membership.write().blocks.retain(|b| *b != victim);
+        let block_id = victim.header().block_id;
+        let stub = Box::into_raw(Box::new(SpillStub {
+            ctx: s.this.clone(),
+            block_id,
+        })) as usize;
+        let tag = stub | SPILL_TAG;
+        let obj_size = self.obj_size as usize;
+        let mut entries: Vec<(usize, SlotId)> = Vec::new();
+        let mut objs: Vec<u8> = Vec::new();
+        for slot_id in victim.valid_slots() {
+            let back = victim.back_ptr(slot_id).load(Ordering::Acquire);
+            if back == 0 {
+                continue;
+            }
+            let home = self.payload_of(&victim, slot_id);
+            // An entry that fails the swing was freed (and possibly reused)
+            // between the slot-state check and the lock: not ours to spill.
+            let tagged = swing(unsafe { EntryRef::from_addr(back) }, home, tag, || {
+                let at = objs.len();
+                objs.resize(at + obj_size, 0);
+                let src = home as *const u8;
+                unsafe { std::ptr::copy_nonoverlapping(src, objs[at..].as_mut_ptr(), obj_size) };
+                // Retire direct pointers into the page — a spilled slot must
+                // not satisfy a §6 direct dereference against stale memory.
+                self.slot_inc(&victim, slot_id).bump_unlocked();
+            });
+            if tagged {
+                entries.push((back, slot_id));
+            }
+        }
+        // Both no-progress exits below hand the victim back the same way.
+        let give_back = || {
+            self.membership.write().blocks.push(victim);
+            self.unclaim([victim]);
+        };
+        if entries.is_empty() {
+            // Raced empty: no entry was ever tagged, so no reader can hold
+            // the stub and it is freed on the spot.
+            drop(unsafe { Box::from_raw(stub as *mut SpillStub) });
+            give_back();
+            return false;
+        }
+        let page = encode_page(block_id, obj_size, &entries, &objs);
+        let Ok(ticket) = store.store_page(block_id, &page) else {
+            // Store failed: restore every tagged entry. We still hold the
+            // spill mutex, so nothing else can have repointed them.
+            for &(back, slot_id) in &entries {
+                let home = self.payload_of(&victim, slot_id);
+                swing(unsafe { EntryRef::from_addr(back) }, tag, home, || ());
+            }
+            // The tag was published: a pinned reader may have loaded it
+            // before the restore and dereferences the stub before it takes
+            // any lock. The stub outlives the rollback as it outlives a
+            // fault-in.
+            self.runtime
+                .bury_stub(stub, self.runtime.global_epoch() + 2);
+            give_back();
+            MemoryStats::inc(&self.runtime.stats.spill_fault_failures);
+            return false;
+        };
+        self.spilled_blocks_gauge.fetch_add(1, Ordering::Relaxed);
+        self.spilled_objects_gauge
+            .fetch_add(entries.len() as u64, Ordering::Relaxed);
+        MemoryStats::inc(&self.runtime.stats.blocks_spilled);
+        s.pages.push(SpilledPage {
+            block_id,
+            ticket,
+            tag,
+            entries,
+        });
+        // The victim's slots stay Valid with intact data until burial ripens:
+        // a reader that loaded the resident payload just before our tag store
+        // reads the old copy safely for two more epochs. (In-place writes in
+        // that window are lost on fault-in — the same isolation caveat as a
+        // §5 relocation mid-copy; mutate through `try_update`-style replace,
+        // not in place, when spill is enabled.)
+        self.runtime
+            .bury_block(victim, self.runtime.global_epoch() + 2);
+        smc_obs::trace::emit(smc_obs::Event::BlockSpilled {
+            context: self.id,
+            block_id,
+        });
+        true
+    }
+
+    /// Brings the spilled page `block_id` back to residency. `Ok(true)` when
+    /// this call faulted the page in, `Ok(false)` when the page was not
+    /// spilled (typically: another thread won the race). Fails closed with
+    /// [`MemError::SpillFault`] on any store or integrity failure — the page
+    /// stays spilled and the heap intact — and when called from inside a
+    /// spilled-page scan callback (the scan already streams the data).
+    pub fn fault_in_block(&self, block_id: u64) -> Result<bool, MemError> {
+        if in_spill_scan() {
+            return Err(MemError::SpillFault);
+        }
+        let start = Instant::now();
+        let mut s = self.spill.lock();
+        // Make room first if the budget is hot: faulting one page in while
+        // over budget should displace another page, not grow the footprint.
+        if let Some(budget) = self.config.budget_bytes {
+            if (self.bytes() + crate::block::BLOCK_SIZE) as u64 > budget {
+                let _ = self.try_spill_one_locked(&mut s);
+            }
+        }
+        let Some(idx) = s.pages.iter().position(|p| p.block_id == block_id) else {
+            return Ok(false);
+        };
+        let store = s.store.as_ref().expect("page without store").clone();
+        let mut bytes = Vec::new();
+        let records = self.read_page(&*store, &s.pages[idx], &mut bytes)?;
+        // Fresh block, new block id: fault-in is a relocation, not a revival.
+        // Allocation bypasses the runtime budget gate — the faulting thread
+        // may be pinned (dereference path) and so can never ripen its own
+        // victim's burial; see `Runtime::allocate_block_unbudgeted`.
+        let fresh = self
+            .runtime
+            .allocate_block_unbudgeted(&self.layout, self.type_id, self.id)?;
+        let page = s.pages.swap_remove(idx);
+        let obj_size = self.obj_size as usize;
+        let mut live: u32 = 0;
+        for (i, (entry_addr, obj)) in records.iter().enumerate() {
+            let slot_id = i as SlotId;
+            debug_assert_eq!(*entry_addr as usize, page.entries[i].0);
+            let entry = unsafe { EntryRef::from_addr(*entry_addr as usize) };
+            // Object bytes, back pointer and slot state land before the
+            // payload repoint publishes the slot to retrying readers.
+            unsafe {
+                std::ptr::copy_nonoverlapping(obj.as_ptr(), fresh.obj_ptr(slot_id), obj_size)
+            };
+            fresh
+                .back_ptr(slot_id)
+                .store(*entry_addr as usize, Ordering::Release);
+            fresh.slot_word(slot_id).set_valid();
+            if entry.get().load_payload(Ordering::Acquire) == page.tag {
+                entry
+                    .get()
+                    .store_payload(self.payload_of(&fresh, slot_id), Ordering::Release);
+                live += 1;
+            } else {
+                // Defensive: the entry no longer references this page (it
+                // should be impossible — frees fault in first). Unpublish.
+                fresh.slot_word(slot_id).reset();
+                fresh.back_ptr(slot_id).store(0, Ordering::Release);
+            }
+        }
+        fresh.header().valid_count.store(live, Ordering::Relaxed);
+        fresh
+            .header()
+            .alloc_cursor
+            .store(records.len() as SlotId, Ordering::Relaxed);
+        self.membership.write().blocks.push(fresh);
+        store.discard_page(page.ticket);
+        // The stub outlives the repoint by two epochs: a reader pinned now
+        // may still hold the tagged payload it loaded before us.
+        self.runtime
+            .bury_stub(page.tag & !SPILL_TAG, self.runtime.global_epoch() + 2);
+        self.spilled_blocks_gauge.fetch_sub(1, Ordering::Relaxed);
+        self.spilled_objects_gauge
+            .fetch_sub(page.entries.len() as u64, Ordering::Relaxed);
+        MemoryStats::inc(&self.runtime.stats.blocks_faulted_in);
+        let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        self.runtime.stats.spill_fault_ns.record(nanos);
+        smc_obs::trace::emit(smc_obs::Event::BlockFaulted {
+            context: self.id,
+            block_id,
+            nanos,
+        });
+        Ok(true)
+    }
+
+    /// The one verified page read: loads `page` from `store` into `bytes`
+    /// and decodes it, checking checksum, block id, object size and that the
+    /// record count matches the page directory. Any failure is counted in
+    /// `spill_fault_failures` and fails closed as [`MemError::SpillFault`].
+    fn read_page<'b>(
+        &self,
+        store: &dyn PageStore,
+        page: &SpilledPage,
+        bytes: &'b mut Vec<u8>,
+    ) -> Result<Vec<(u64, &'b [u8])>, MemError> {
+        let loaded = store.load_page(page.ticket, page.block_id, bytes).is_ok();
+        let bytes: &'b [u8] = bytes;
+        loaded
+            .then(|| decode_page(bytes, page.block_id, self.obj_size as u64).ok())
+            .flatten()
+            .filter(|records| records.len() == page.entries.len())
+            .ok_or_else(|| {
+                MemoryStats::inc(&self.runtime.stats.spill_fault_failures);
+                MemError::SpillFault
+            })
+    }
+
+    /// Streams every spilled record through `visit` *without* promoting
+    /// pages to residency, then returns a membership snapshot taken under
+    /// the same spill mutex — the scan-without-thrashing primitive behind
+    /// `Smc::for_each`. A page and its resident reincarnation can never both
+    /// be visited: pages faulted in after this walk hold blocks that are not
+    /// in the returned snapshot, and blocks spilled after the snapshot keep
+    /// their (still live, epoch-protected) resident copies.
+    ///
+    /// `visit` receives `(entry_addr, object_ptr)` per record — the pointer
+    /// is aligned for the object type and valid for the duration of the
+    /// call — and runs with the spill mutex held: it may free resident
+    /// objects, allocate, and call [`live_objects`](Self::live_objects), but
+    /// freeing a *spilled* object or nesting another spilled scan fails with
+    /// [`MemError::SpillFault`].
+    pub fn scan_spilled_then_snapshot(
+        &self,
+        visit: &mut dyn FnMut(usize, *const u8),
+    ) -> Result<Membership, MemError> {
+        if self.mode != LayoutMode::Rows || in_spill_scan() {
+            return Ok(self.membership_snapshot());
+        }
+        let s = self.spill.lock();
+        if s.pages.is_empty() {
+            return Ok(self.membership_snapshot());
+        }
+        let store = s.store.as_ref().expect("pages without store").clone();
+        let _scan = SpillScanGuard::enter();
+        let mut bytes = Vec::new();
+        // Page records are packed back to back, so a record may sit at an
+        // address the object type cannot be read from; such a record is
+        // handed to `visit` as an aligned scratch copy.
+        let obj_size = self.obj_size as usize;
+        let mut scratch = vec![0u8; obj_size + self.obj_align];
+        let aligned = scratch.as_ptr().align_offset(self.obj_align);
+        let scratch = &mut scratch[aligned..aligned + obj_size];
+        for page in &s.pages {
+            for (entry_addr, obj) in self.read_page(&*store, page, &mut bytes)? {
+                let obj = if obj.as_ptr().align_offset(self.obj_align) == 0 {
+                    obj.as_ptr()
+                } else {
+                    scratch.copy_from_slice(obj);
+                    scratch.as_ptr()
+                };
+                visit(entry_addr as usize, obj);
+            }
+        }
+        Ok(self.membership_snapshot())
+    }
+
+    /// The spilled half of `Drop for MemoryContext`: retires the entries of
+    /// every spilled page (stale refs upgrade the stub's weak context handle
+    /// and get null), releases the store pages, and buries the stubs like
+    /// any other epoch-protected object.
+    pub(crate) fn release_spilled(&mut self, free_at: u64) {
+        let s = self.spill.get_mut();
+        for page in s.pages.drain(..) {
+            for &(entry_addr, _) in &page.entries {
+                let entry = unsafe { EntryRef::from_addr(entry_addr) };
+                if entry.get().load_payload(Ordering::Acquire) == page.tag {
+                    entry.get().inc().bump_unlocked();
+                    self.runtime.indirection.release(entry, 0);
+                    MemoryStats::inc(&self.runtime.stats.objects_freed);
+                }
+            }
+            if let Some(store) = &s.store {
+                store.discard_page(page.ticket);
+            }
+            self.runtime.bury_stub(page.tag & !SPILL_TAG, free_at);
+        }
+        self.spilled_blocks_gauge.store(0, Ordering::Relaxed);
+        self.spilled_objects_gauge.store(0, Ordering::Relaxed);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::type_id_of;
+    use crate::context::tests::{alloc_u64, ctx, ctx_with, read_u64};
+    use crate::context::{Allocation, ContextConfig};
+    use crate::runtime::Runtime;
 
     #[test]
     fn fnv1a64_matches_reference_vectors() {
@@ -487,5 +846,249 @@ mod tests {
             assert!(in_spill_scan());
         }
         assert!(!in_spill_scan());
+    }
+
+    // ---- the residency protocol ------------------------------------------
+
+    fn spill_ctx(rt: &Arc<Runtime>) -> (Arc<MemoryContext>, Arc<MemoryPageStore>) {
+        let c = Arc::new(ctx(rt));
+        let store = Arc::new(MemoryPageStore::new());
+        assert!(c.enable_spill(store.clone()));
+        (c, store)
+    }
+
+    /// Fills one block and four slots of a second, spills the first (cold)
+    /// one and returns its allocations.
+    fn fill_two_blocks_and_spill(c: &MemoryContext) -> Vec<Allocation> {
+        let cap = c.layout().capacity as usize;
+        let mut first: Vec<_> = (0..cap + 4).map(|i| alloc_u64(c, i as u64)).collect();
+        first.truncate(cap);
+        assert_eq!(c.block_count(), 2);
+        assert!(c.try_spill_one(), "a full cold block must be spillable");
+        assert_eq!(c.spilled_blocks(), 1);
+        assert_eq!(c.spilled_objects(), cap as u64);
+        assert_eq!(c.block_count(), 1, "the victim leaves membership");
+        first
+    }
+
+    #[test]
+    fn spill_then_free_faults_the_page_back_in() {
+        let rt = Runtime::new();
+        let (c, store) = spill_ctx(&rt);
+        let first = fill_two_blocks_and_spill(&c);
+        assert_eq!(store.len(), 1);
+        // live_objects counts spilled objects; verify balances.
+        let cap = c.layout().capacity as u64;
+        assert_eq!(c.live_objects(), cap + 4);
+        let report = c.verify().unwrap();
+        assert_eq!(report.spilled_slots, cap);
+        assert_eq!(report.valid_slots + report.spilled_slots, cap + 4);
+        // Freeing a spilled object transparently faults its page in.
+        let victim = &first[3];
+        assert!(c.try_free(victim.entry, victim.entry_inc).unwrap());
+        assert_eq!(c.spilled_blocks(), 0);
+        assert_eq!(c.spilled_objects(), 0);
+        assert_eq!(store.len(), 0, "the page ticket is discarded");
+        assert_eq!(c.live_objects(), cap + 3);
+        assert_eq!(MemoryStats::get(&rt.stats.blocks_spilled), 1);
+        assert_eq!(MemoryStats::get(&rt.stats.blocks_faulted_in), 1);
+        // The faulted-in copies carry the original values.
+        for (i, a) in first.iter().enumerate() {
+            if i == 3 {
+                continue;
+            }
+            assert_eq!(
+                read_u64(a.entry),
+                i as u64,
+                "object {i} survives the round trip"
+            );
+        }
+        c.verify().unwrap();
+    }
+
+    #[test]
+    fn budget_pressure_spills_instead_of_rejecting() {
+        let rt = Runtime::new();
+        let config = ContextConfig {
+            // One resident block: growth must spill, not reject.
+            budget_bytes: Some(crate::block::BLOCK_SIZE as u64),
+            ..ContextConfig::default()
+        };
+        let c = Arc::new(ctx_with(&rt, config));
+        let store = Arc::new(MemoryPageStore::new());
+        assert!(c.enable_spill(store.clone()));
+        let cap = c.layout().capacity as usize;
+        // Allocate three blocks' worth under a one-block budget.
+        let allocs: Vec<_> = (0..cap * 3).map(|i| alloc_u64(&c, i as u64)).collect();
+        assert!(c.spilled_blocks() >= 2, "growth rode the spill rung");
+        assert_eq!(c.block_count(), 1, "resident footprint stays at budget");
+        assert_eq!(c.live_objects(), (cap * 3) as u64);
+        assert_eq!(MemoryStats::get(&rt.stats.context_budget_rejections), 0);
+        // Every object — resident or spilled — still reads back (reading a
+        // spilled one faults it in, which may spill another block in turn).
+        for (i, a) in allocs.iter().enumerate() {
+            let payload = loop {
+                let p = a.entry.get().load_payload(Ordering::Acquire);
+                if !is_spill_tagged(p) {
+                    break p;
+                }
+                assert!(fault_in_tagged(p), "a spilled object faults back in");
+            };
+            assert_eq!(unsafe { (payload as *const u64).read() }, i as u64);
+        }
+        c.verify().unwrap();
+    }
+
+    #[test]
+    fn spill_store_failure_rolls_back_cleanly() {
+        let rt = Runtime::new();
+        let (c, store) = spill_ctx(&rt);
+        let cap = c.layout().capacity as usize;
+        let _allocs: Vec<_> = (0..cap + 4).map(|i| alloc_u64(&c, i as u64)).collect();
+        store.fail_next_store();
+        assert!(!c.try_spill_one(), "a failed store must report no spill");
+        assert_eq!(c.spilled_blocks(), 0);
+        assert_eq!(c.block_count(), 2, "the victim rejoins membership");
+        assert_eq!(MemoryStats::get(&rt.stats.spill_fault_failures), 1);
+        c.verify().unwrap();
+        // The store works again: the next attempt succeeds.
+        assert!(c.try_spill_one());
+        c.verify().unwrap();
+    }
+
+    #[test]
+    fn spill_store_failure_buries_the_published_stub() {
+        let rt = Runtime::new();
+        let (c, store) = spill_ctx(&rt);
+        let cap = c.layout().capacity as usize;
+        let _allocs: Vec<_> = (0..cap + 4).map(|i| alloc_u64(&c, i as u64)).collect();
+        // Each live stub holds one weak handle beside the context's own.
+        assert_eq!(Arc::weak_count(&c), 1);
+        store.fail_next_store();
+        assert!(!c.try_spill_one());
+        // The rollback published the tag before it failed, so a pinned
+        // reader may still be about to dereference the stub: it must sit in
+        // the graveyard, not be freed, until the epoch ripens.
+        assert_eq!(Arc::weak_count(&c), 2, "stub freed under pinned readers");
+        rt.drain_graveyard();
+        assert_eq!(Arc::weak_count(&c), 2, "stub freed before its epoch");
+        rt.epochs.try_advance().unwrap();
+        rt.epochs.try_advance().unwrap();
+        rt.drain_graveyard();
+        assert_eq!(Arc::weak_count(&c), 1, "ripe stub is freed");
+    }
+
+    #[test]
+    fn claimed_blocks_are_not_spilled_until_unclaimed() {
+        let rt = Runtime::new();
+        let (c, store) = spill_ctx(&rt);
+        let cap = c.layout().capacity as usize;
+        let allocs: Vec<_> = (0..cap + 4).map(|i| alloc_u64(&c, i as u64)).collect();
+        // Claim as compaction would: every owner-free block (the second
+        // block is this thread's allocation block and claimable by no one).
+        let claimed = c.claim(usize::MAX, |_| true);
+        assert_eq!(claimed, [allocs[0].block]);
+        assert!(c.claim(usize::MAX, |_| true).is_empty(), "claims exclude");
+        assert!(!c.try_spill_one(), "a claimed block is no spill victim");
+        assert!(store.is_empty());
+        for a in &allocs {
+            assert!(!is_spill_tagged(
+                a.entry.get().load_payload(Ordering::Acquire)
+            ));
+        }
+        c.unclaim(claimed);
+        assert!(c.try_spill_one(), "unclaimed, the block spills");
+        assert_eq!(c.spilled_objects(), cap as u64);
+        c.verify().unwrap();
+    }
+
+    #[test]
+    fn fault_in_load_failure_fails_closed() {
+        let rt = Runtime::new();
+        let (c, store) = spill_ctx(&rt);
+        let first = fill_two_blocks_and_spill(&c);
+        store.set_fail_loads(true);
+        let victim = &first[0];
+        assert_eq!(
+            c.try_free(victim.entry, victim.entry_inc).unwrap_err(),
+            MemError::SpillFault,
+            "an unreadable page must fail closed, never panic"
+        );
+        // The page stays spilled; nothing was partially materialized.
+        assert_eq!(c.spilled_blocks(), 1);
+        c.verify().unwrap();
+        store.set_fail_loads(false);
+        assert!(c.try_free(victim.entry, victim.entry_inc).unwrap());
+        c.verify().unwrap();
+    }
+
+    #[test]
+    fn fault_in_corrupted_page_fails_closed() {
+        let rt = Runtime::new();
+        let (c, store) = spill_ctx(&rt);
+        let first = fill_two_blocks_and_spill(&c);
+        store.corrupt_page(0);
+        let victim = &first[0];
+        assert_eq!(
+            c.try_free(victim.entry, victim.entry_inc).unwrap_err(),
+            MemError::SpillFault
+        );
+        assert!(MemoryStats::get(&rt.stats.spill_fault_failures) >= 1);
+        assert_eq!(c.spilled_blocks(), 1, "the corrupt page is not dropped");
+    }
+
+    #[test]
+    fn spilled_scan_visits_every_object_exactly_once() {
+        let rt = Runtime::new();
+        let (c, _store) = spill_ctx(&rt);
+        fill_two_blocks_and_spill(&c);
+        let cap = c.layout().capacity as usize;
+        let mut seen = Vec::new();
+        let snapshot = c
+            .scan_spilled_then_snapshot(&mut |_entry_addr, obj| {
+                seen.push(unsafe { obj.cast::<u64>().read() });
+            })
+            .unwrap();
+        // The page walk yielded the spilled objects; the membership
+        // snapshot holds the resident remainder — no overlap.
+        assert_eq!(seen.len(), cap);
+        seen.sort_unstable();
+        let expect: Vec<u64> = (0..cap as u64).collect();
+        assert_eq!(seen, expect);
+        let resident: usize = snapshot
+            .blocks
+            .iter()
+            .map(|b| b.header().valid_count.load(Ordering::Relaxed) as usize)
+            .sum();
+        assert_eq!(resident, 4);
+    }
+
+    #[test]
+    fn context_drop_releases_spilled_entries() {
+        let rt = Runtime::new();
+        let (c, store) = spill_ctx(&rt);
+        fill_two_blocks_and_spill(&c);
+        drop(c);
+        rt.drain_graveyard_blocking();
+        assert_eq!(store.len(), 0, "dropping the context discards its pages");
+        assert_eq!(rt.indirection.live_entries(), 0);
+        rt.verify().unwrap();
+    }
+
+    #[test]
+    fn spill_disabled_for_columnar_contexts() {
+        let rt = Runtime::new();
+        let c = Arc::new(
+            MemoryContext::new_columnar(
+                rt.clone(),
+                12,
+                type_id_of::<u64>(),
+                ContextConfig::default(),
+            )
+            .unwrap(),
+        );
+        let store = Arc::new(MemoryPageStore::new());
+        assert!(!c.enable_spill(store), "columnar layouts cannot spill");
+        assert!(!c.spill_enabled());
     }
 }

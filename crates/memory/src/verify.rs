@@ -86,11 +86,7 @@ impl MemoryContext {
         let m = self.membership_snapshot();
         report.groups = m.groups.len();
 
-        let group_blocks = m
-            .groups
-            .iter()
-            .flat_map(|g| g.sources.iter().copied().chain(std::iter::once(g.dest)));
-        for block in m.blocks.iter().copied().chain(group_blocks) {
+        for block in m.owned_blocks() {
             self.verify_block(block, &mut v, &mut report);
         }
         self.verify_spilled(&mut v, &mut report);
@@ -331,25 +327,8 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::type_id_of;
+    use crate::context::tests::{alloc_u64, ctx, ctx_with};
     use crate::context::ContextConfig;
-    use std::sync::Arc;
-
-    fn ctx(rt: &Arc<Runtime>) -> MemoryContext {
-        MemoryContext::new_rows(
-            rt.clone(),
-            8,
-            8,
-            type_id_of::<u64>(),
-            ContextConfig::default(),
-        )
-        .unwrap()
-    }
-
-    fn alloc_u64(c: &MemoryContext, v: u64) -> crate::context::Allocation {
-        c.alloc_with(|block, slot| unsafe { block.obj_ptr(slot).cast::<u64>().write(v) })
-            .unwrap()
-    }
 
     #[test]
     fn fresh_runtime_and_context_verify_clean() {
@@ -382,7 +361,7 @@ mod tests {
             reclamation_threshold: 1.1,
             ..ContextConfig::default()
         };
-        let c = MemoryContext::new_rows(rt.clone(), 8, 8, type_id_of::<u64>(), config).unwrap();
+        let c = ctx_with(&rt, config);
         let cap = c.layout().capacity as usize;
         let allocs: Vec<_> = (0..cap * 4).map(|i| alloc_u64(&c, i as u64)).collect();
         for (i, a) in allocs.iter().enumerate() {
