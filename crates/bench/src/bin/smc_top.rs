@@ -41,7 +41,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use smc::{ContextConfig, Ref, Smc, Tabular};
-use smc_bench::{arg_flag, arg_usize, init_tracing, install_signal_handler, interrupted};
+use smc_bench::{
+    arg_flag, arg_string, arg_usize, init_tracing, install_signal_handler, interrupted, trace_lost,
+};
 use smc_maint::{Coordinator, MaintConfig, MaintPolicy, MaintSnapshot, SloPolicy};
 use smc_memory::{HeapSnapshot, MemoryStats, Runtime};
 use smc_obs::{Histogram, JsonValue, Registry, Summary};
@@ -359,14 +361,6 @@ fn json_doc(
     doc
 }
 
-fn arg_string(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 /// Renders one `smc-scrape/v1` document as a dashboard frame.
 fn render_scrape(tick: u64, doc: &JsonValue) {
     let u = |v: Option<&JsonValue>, k: &str| -> u64 {
@@ -486,7 +480,7 @@ fn run_scrape(addr: &str, refresh_ms: usize, ticks: usize, json: bool) -> i32 {
 }
 
 fn main() {
-    let trace_out = init_tracing();
+    init_tracing();
     install_signal_handler();
     let threads = arg_usize("--threads", 2);
     let objects = arg_usize("--objects", 50_000);
@@ -497,7 +491,6 @@ fn main() {
     let budget_mb = arg_usize("--budget-mb", 0);
 
     if let Some(addr) = arg_string("--addr") {
-        let _ = trace_out;
         std::process::exit(run_scrape(&addr, refresh_ms, ticks, json));
     }
 
@@ -609,11 +602,7 @@ fn main() {
         "quiescent snapshot diverged from verify"
     );
     let _ = MemoryStats::get(&rt.stats.pins_taken);
-    if let Some(path) = trace_out {
-        let trace = smc_obs::ChromeTrace::from_ring_snapshot();
-        match trace.write(&path) {
-            Ok(()) => eprintln!("trace: {}", path.display()),
-            Err(e) => eprintln!("failed to write trace {}: {e}", path.display()),
-        }
+    if trace_lost() {
+        std::process::exit(1);
     }
 }

@@ -30,7 +30,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use smc::{ContextConfig, Ref, Smc, Tabular};
-use smc_bench::{arg_f64, arg_usize, csv, init_tracing, install_signal_handler, interrupted};
+use smc_bench::{
+    arg_f64, arg_u64, arg_usize, csv, init_tracing, install_signal_handler, interrupted, trace_lost,
+};
 use smc_memory::error::MemError;
 use smc_memory::{Runtime, BLOCK_SIZE};
 use smc_util::Pcg32;
@@ -160,9 +162,9 @@ fn worker(
 }
 
 fn main() {
-    let trace_out = init_tracing();
+    init_tracing();
     install_signal_handler();
-    let seed = arg_usize("--seed", 0x5eed) as u64;
+    let seed = arg_u64("--seed", 0x5eed);
     let threads = arg_usize("--threads", 4);
     let ops = arg_usize("--ops", 20_000);
     let rounds = arg_usize("--rounds", 4);
@@ -311,18 +313,10 @@ fn main() {
         &snap.compactions_interrupted.to_string(),
         &snap.oom_recoveries.to_string(),
     ]);
-    // The stress harness has no Report; export the Chrome trace directly.
-    if let Some(path) = trace_out {
-        let trace = smc_obs::ChromeTrace::from_ring_snapshot();
-        match trace.write(&path) {
-            Ok(()) => println!(
-                "trace: {} ({} events, {} dropped)",
-                path.display(),
-                trace.len(),
-                smc_obs::trace::dropped()
-            ),
-            Err(e) => eprintln!("failed to write trace {}: {e}", path.display()),
-        }
+    // The stress harness has no Report, so the tracer-honesty rule is an
+    // exit code here rather than a recorded check.
+    if trace_lost() {
+        std::process::exit(1);
     }
     println!("stress: OK");
 }

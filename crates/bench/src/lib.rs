@@ -3,7 +3,10 @@
 //! One binary per evaluation figure (`fig06` … `fig13`); each prints the
 //! figure's series as an aligned table plus machine-readable CSV lines
 //! prefixed with `csv,`. EXPERIMENTS.md records the paper-vs-measured
-//! comparison produced by these binaries.
+//! comparison produced by these binaries. Beside them live the operator
+//! tools — `smc-serve`, `smc-loadgen`, `smc-top`, `stress` — which share the
+//! helpers below. Per-operation and end-to-end *measurement* is not here:
+//! that is the gated benchmark in `benchmark/`.
 //!
 //! Common conventions:
 //! * `--sf <f>` sets the TPC-H scale factor where applicable (default is a
@@ -20,29 +23,86 @@ use smc_memory::MemoryStats;
 pub use smc_obs::{JsonValue, Report, SeriesId};
 
 /// Enables the structured tracer when `SMC_TRACE_OUT` names a destination
-/// file, returning that path. Call at the top of `main`, before the
-/// workload; [`finish`] (or [`export_trace`]) later drains the rings into a
-/// Chrome `trace_event` file at the path. A no-op returning `None` when the
-/// variable is unset, so the disabled-tracer fast path stays untouched.
-pub fn init_tracing() -> Option<PathBuf> {
-    let path = std::env::var_os("SMC_TRACE_OUT")?;
-    smc_obs::trace::enable();
-    Some(PathBuf::from(path))
+/// file. Call at the top of `main`, before the workload; [`finish`] (or
+/// [`trace_lost`]) later drains the rings into a Chrome `trace_event` file
+/// at the path. A no-op when the variable is unset, so the disabled-tracer
+/// fast path stays untouched.
+pub fn init_tracing() {
+    if std::env::var_os("SMC_TRACE_OUT").is_some() {
+        smc_obs::trace::enable();
+    }
+}
+
+/// What one [`drain_trace`] exported.
+struct TraceExport {
+    /// Events written to the Chrome trace file.
+    events: u64,
+    /// Events the per-thread rings overwrote before the drain.
+    dropped: u64,
+}
+
+impl TraceExport {
+    /// The tracer-honesty rule: an empty export beside non-zero ring drops
+    /// means the tracer recorded work and the export lost all of it, so the
+    /// "empty" trace is a lie.
+    fn silently_empty(&self) -> bool {
+        self.events == 0 && self.dropped > 0
+    }
 }
 
 /// Drains the trace rings into the Chrome trace file named by
-/// `SMC_TRACE_OUT` (no-op when unset) and records the `trace_events` /
-/// `trace_events_dropped` counters in the report — the pair
-/// `scripts/bench_gate.py` cross-checks (zero events with non-zero drops
-/// means the whole story was overwritten). Called by [`finish`]; call
-/// directly only from binaries that do not end through `finish`.
-pub fn export_trace(report: &mut Report) {
-    let Some(path) = std::env::var_os("SMC_TRACE_OUT") else {
+/// `SMC_TRACE_OUT` and says so on stderr (stdout may be a tool's JSON);
+/// `None` when the variable is unset. The one trace writer under every
+/// binary in this crate.
+fn drain_trace() -> Option<TraceExport> {
+    let path = PathBuf::from(std::env::var_os("SMC_TRACE_OUT")?);
+    let trace = smc_obs::ChromeTrace::from_ring_snapshot();
+    let export = TraceExport {
+        events: trace.len() as u64,
+        dropped: smc_obs::trace::dropped(),
+    };
+    match trace.write(&path) {
+        Ok(()) => eprintln!(
+            "trace: {} ({} events, {} dropped)",
+            path.display(),
+            export.events,
+            export.dropped
+        ),
+        Err(e) => eprintln!("failed to write trace {}: {e}", path.display()),
+    }
+    Some(export)
+}
+
+/// The trace export of a tool that has no [`Report`] (`stress`, `smc-top`,
+/// `smc-serve`): writes the trace and returns true — having said so on
+/// stderr — when it is silently empty, which the tool turns into a non-zero
+/// exit. Report binaries get the same rule from [`finish`] as the
+/// `trace_not_silently_empty` check.
+pub fn trace_lost() -> bool {
+    let lost = drain_trace().is_some_and(|t| t.silently_empty());
+    if lost {
+        eprintln!("FAILED: the trace is empty but the rings dropped events");
+    }
+    lost
+}
+
+/// The trace export of a report binary: the `trace_events` /
+/// `trace_events_dropped` counters, the drops itemized per ring, and the
+/// `trace_not_silently_empty` check. Called by [`finish`].
+fn export_trace(report: &mut Report) {
+    let Some(export) = drain_trace() else {
         return;
     };
-    let trace = smc_obs::ChromeTrace::from_ring_snapshot();
-    report.counter("trace_events", trace.len() as u64);
-    report.counter("trace_events_dropped", smc_obs::trace::dropped());
+    report.counter("trace_events", export.events);
+    report.counter("trace_events_dropped", export.dropped);
+    report.check(
+        "trace_not_silently_empty",
+        !export.silently_empty(),
+        format!(
+            "{} events exported, {} dropped by the rings",
+            export.events, export.dropped
+        ),
+    );
     // Itemize the drops per ring so a lossy trace names the thread that
     // overflowed rather than one opaque total (mirrors the per-ring
     // metadata records the Chrome export carries).
@@ -59,18 +119,10 @@ pub fn export_trace(report: &mut Report) {
             );
         }
     }
-    let path = PathBuf::from(path);
-    match trace.write(&path) {
-        Ok(()) => println!("trace: {}", path.display()),
-        Err(e) => eprintln!("failed to write trace {}: {e}", path.display()),
-    }
 }
 
-/// Records the reader-side [`MemoryStats`] counters every report carries
-/// (`pins_taken`, `blocks_scanned`, `morsels_dispatched`) — the shared
-/// schema path `scripts/bench_gate.py` validates. Binaries without an
-/// off-heap runtime record explicit zeros via [`record_zero_memory_counters`]
-/// so the gate can rely on the keys existing.
+/// Records the reader-side [`MemoryStats`] counters the query figures carry
+/// (`pins_taken`, `blocks_scanned`, `morsels_dispatched`).
 pub fn record_memory_counters(report: &mut Report, stats: &MemoryStats) {
     report.counter("pins_taken", MemoryStats::get(&stats.pins_taken));
     report.counter("blocks_scanned", MemoryStats::get(&stats.blocks_scanned));
@@ -78,14 +130,6 @@ pub fn record_memory_counters(report: &mut Report, stats: &MemoryStats) {
         "morsels_dispatched",
         MemoryStats::get(&stats.morsels_dispatched),
     );
-}
-
-/// The [`record_memory_counters`] keys, as zeros, for benchmarks that never
-/// touch an off-heap runtime (e.g. managed-heap-only figures).
-pub fn record_zero_memory_counters(report: &mut Report) {
-    report.counter("pins_taken", 0);
-    report.counter("blocks_scanned", 0);
-    report.counter("morsels_dispatched", 0);
 }
 
 /// Median-of-`runs` wall time of `f`, after one warm-up call. The return
@@ -110,19 +154,66 @@ pub fn time_once<R>(mut f: impl FnMut() -> R) -> Duration {
     t0.elapsed()
 }
 
-/// Parses `--name value` from argv, with a default.
-pub fn arg_f64(name: &str, default: f64) -> f64 {
+/// `--name value` in `args`: `Ok(None)` when the flag is absent, the parsed
+/// value when present, and an error naming the flag when the value is
+/// missing or does not parse — never a silent default.
+fn arg_in<T>(
+    args: &[String],
+    name: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    let v = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{name} needs a value"))?;
+    parse(v)
+        .map(Some)
+        .ok_or_else(|| format!("{name}: cannot parse {v:?}"))
+}
+
+/// Integers are decimal or `0x` hex — the form the tools print seeds in, so
+/// a printed seed replays as typed.
+fn parse_u64(v: &str) -> Option<u64> {
+    match v.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => v.parse().ok(),
+    }
+}
+
+/// Parses `--name value` from argv with `parse`, falling back to `default`
+/// only when the flag is absent; a bad or missing value is a usage error
+/// (exit 2, naming the flag).
+pub fn arg_parsed<T>(name: &str, default: T, parse: impl Fn(&str) -> Option<T>) -> T {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    match arg_in(&args, name, parse) {
+        Ok(v) => v.unwrap_or(default),
+        Err(e) => {
+            eprintln!("usage error: {e}");
+            std::process::exit(2)
+        }
+    }
+}
+
+/// Parses a floating-point `--name value`.
+pub fn arg_f64(name: &str, default: f64) -> f64 {
+    arg_parsed(name, default, |v| v.parse().ok())
+}
+
+/// Parses an integer `--name value` over the full `u64` range (seeds).
+pub fn arg_u64(name: &str, default: u64) -> u64 {
+    arg_parsed(name, default, parse_u64)
 }
 
 /// Parses an integer `--name value`.
 pub fn arg_usize(name: &str, default: usize) -> usize {
-    arg_f64(name, default as f64) as usize
+    arg_parsed(name, default, |v| parse_u64(v)?.try_into().ok())
+}
+
+/// The raw `--name value`, if the flag is present.
+pub fn arg_string(name: &str) -> Option<String> {
+    arg_parsed(name, None, |v| Some(Some(v.to_string())))
 }
 
 /// True if the flag is present.
@@ -150,41 +241,33 @@ pub fn csv_into(report: &mut Report, id: SeriesId, fields: &[&str]) {
     report.push_row(id, row);
 }
 
-/// Writes the report JSON (even when checks failed — that is the point:
-/// CI inspects the artifact) and returns the process exit code: 0 when all
-/// checks passed, 1 on check failure, 2 when the report could not be
-/// written.
-pub fn write_report(report: &Report) -> i32 {
+/// Exports the Chrome trace (when `SMC_TRACE_OUT` is set), writes the report
+/// JSON — even when checks failed; that is the point: CI archives the
+/// artifact — and exits 0 when no check failed, 1 on a failed check, 2 when
+/// the report could not be written. Every fig binary and `smc-loadgen` end
+/// through here, so the exit code is the gate and every bench emits its
+/// trace file alongside `BENCH_*.json` with no per-binary wiring.
+pub fn finish(report: &mut Report) -> ! {
+    export_trace(report);
     match report.write() {
         Ok(path) => println!("report: {}", path.display()),
         Err(e) => {
             eprintln!("failed to write report: {e}");
-            return 2;
+            std::process::exit(2);
         }
+    }
+    for (name, why) in report.unmeasured_checks() {
+        println!("check unmeasured: {name}: {why}");
     }
     let failed = report.failed_checks();
-    if failed.is_empty() {
-        0
-    } else {
-        for (name, detail) in &failed {
-            eprintln!("CHECK FAILED: {name}: {detail}");
-        }
-        1
+    for (name, detail) in &failed {
+        eprintln!("CHECK FAILED: {name}: {detail}");
     }
-}
-
-/// Exports the Chrome trace (when `SMC_TRACE_OUT` is set), then writes the
-/// report and exits with [`write_report`]'s code. Every fig binary ends
-/// through here so a parity failure both leaves a JSON artifact and fails
-/// the process — and every bench emits its trace file alongside
-/// `BENCH_*.json` with no per-binary wiring.
-pub fn finish(report: &mut Report) -> ! {
-    export_trace(report);
-    std::process::exit(write_report(report))
+    std::process::exit(i32::from(!failed.is_empty()))
 }
 
 /// Graceful-shutdown signal handling for long-running binaries (`stress`,
-/// `smc-top`, `fig15_soak`): [`install_signal_handler`] registers an
+/// `smc-top`, `smc-loadgen`): [`install_signal_handler`] registers an
 /// async-signal-safe handler for SIGINT and SIGTERM that only sets a flag;
 /// the main loop polls [`interrupted`] and winds down in order — quiesce the
 /// maintenance coordinator, drain the tracer rings to `SMC_TRACE_OUT`, write
@@ -288,6 +371,36 @@ mod tests {
         let d = time_median(3, || calls += 1);
         assert_eq!(calls, 4, "warmup + runs");
         assert!(d >= Duration::ZERO);
+    }
+
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    #[test]
+    fn integers_parse_as_integers_in_decimal_and_hex() {
+        let a = args(&["stress", "--seed", "0x7a69", "--ops", "5000"]);
+        assert_eq!(arg_in(&a, "--seed", parse_u64), Ok(Some(31337)));
+        assert_eq!(arg_in(&a, "--ops", parse_u64), Ok(Some(5000)));
+        assert_eq!(arg_in(&a, "--rounds", parse_u64), Ok(None), "absent");
+        // Every u64 survives: 2^53 + 1 is the first integer an f64 rounds.
+        for seed in [(1u64 << 53) + 1, u64::MAX] {
+            let a = args(&["stress", "--seed", &seed.to_string()]);
+            assert_eq!(arg_in(&a, "--seed", parse_u64), Ok(Some(seed)));
+            let a = args(&["stress", "--seed", &format!("{seed:#x}")]);
+            assert_eq!(arg_in(&a, "--seed", parse_u64), Ok(Some(seed)));
+        }
+    }
+
+    #[test]
+    fn bad_or_missing_values_are_errors_naming_the_flag() {
+        for bad in ["banana", "5k", "1.5", "-3", "0x", "0xzz", ""] {
+            let a = args(&["stress", "--seed", bad]);
+            let err = arg_in(&a, "--seed", parse_u64).unwrap_err();
+            assert!(err.contains("--seed"), "{bad:?}: {err}");
+        }
+        let err = arg_in(&args(&["stress", "--ops"]), "--ops", parse_u64).unwrap_err();
+        assert!(err.contains("--ops"), "{err}");
     }
 
     #[test]

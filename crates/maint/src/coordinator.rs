@@ -24,7 +24,7 @@
 //! path. [`Coordinator::quiesce`] drains in-flight work and
 //! [`Coordinator::cancel`] actively cancels it; after either, the heap
 //! reconciles bit-exact under `Smc::verify` (proved by the `smc-check`
-//! cancel scenario and exercised end-to-end by the `fig15_soak` bench).
+//! cancel scenario and exercised end-to-end by `tests/soak.rs`).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -232,8 +232,8 @@ struct Inner {
     /// in-flight list to drain.
     work_cv: Condvar,
     counters: Counters,
-    /// Runtime-adjustable SLO ceiling in nanoseconds (fig15 flips it to zero
-    /// to force deterministic back-pressure).
+    /// Runtime-adjustable SLO ceiling in nanoseconds (`tests/soak.rs` flips
+    /// it to zero to force deterministic back-pressure).
     slo_ceiling_ns: AtomicU64,
     slo_breached: AtomicBool,
 }
@@ -331,8 +331,8 @@ impl Coordinator {
     }
 
     /// Replaces the SLO p99 ceiling at runtime. `Duration::ZERO` forces the
-    /// breached state (every observable p99 is ≥ 0), which benchmarks use to
-    /// provoke deterministic deferrals.
+    /// breached state (every observable p99 is ≥ 0), which the soak test uses
+    /// to provoke deterministic deferrals.
     pub fn set_slo_ceiling(&self, ceiling: Duration) {
         self.inner.slo_ceiling_ns.store(
             ceiling.as_nanos().min(u64::MAX as u128) as u64,

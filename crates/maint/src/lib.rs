@@ -24,7 +24,7 @@
 //! * [`Coordinator::quiesce`] and [`Coordinator::cancel`] stop the world
 //!   exactly — drain or roll back, never half-moved state — so `Smc::verify`
 //!   reconciles bit-exact afterwards (model-checked by the `smc-check`
-//!   cancel scenario; soaked end-to-end by the `fig15_soak` bench).
+//!   cancel scenario; soaked end-to-end by `tests/soak.rs`).
 
 #![warn(missing_docs)]
 
@@ -33,7 +33,7 @@ pub mod pacer;
 pub mod policy;
 
 pub use coordinator::{Coordinator, LastPass, MaintConfig, MaintSnapshot, PassOutcome, SloPolicy};
-pub use policy::{frag_ratio, MaintPolicy, PassReason};
+pub use policy::{MaintPolicy, PassReason};
 
 #[cfg(test)]
 mod tests {

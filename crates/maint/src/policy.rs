@@ -115,7 +115,7 @@ impl MaintPolicy {
 
 /// Fragmentation ratio of a snapshot: dead plus hole bytes over footprint.
 /// Zero for an empty context.
-pub fn frag_ratio(snap: &CollectionSnapshot) -> f64 {
+fn frag_ratio(snap: &CollectionSnapshot) -> f64 {
     let footprint = snap.footprint_bytes();
     if footprint == 0 {
         return 0.0;

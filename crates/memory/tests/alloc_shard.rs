@@ -73,6 +73,10 @@ fn remote_free_ring_reconciles_exactly() {
         MemoryStats::get(&rt.stats.remote_frees) > 0,
         "ring frees must cross owners"
     );
+    assert!(
+        snap.remote_frees_drained > 0,
+        "owners must have drained their MPSC return queues"
+    );
 }
 
 /// A breached budget on the batched slow path must surface

@@ -2,7 +2,7 @@
 //!
 //! The paper's argument (Nagel et al., EDBT 2017) rests on *measured*
 //! runtime behaviour: GC pause distributions, reclamation cost, enumeration
-//! throughput (§7, Figs 6–14). This crate is the measurement substrate the
+//! throughput (§7, Figs 6–13). This crate is the measurement substrate the
 //! rest of the workspace reports through. It has **zero external
 //! dependencies** and three parts:
 //!

@@ -1,10 +1,11 @@
 //! Machine-readable benchmark reports (`BENCH_fig<N>.json`).
 //!
-//! Every `crates/bench/src/bin/fig*` binary routes its results through a
-//! [`Report`]: the human-readable CSV keeps printing to stdout, while the
-//! same rows — plus histogram summaries, counters, and pass/fail checks —
-//! are serialized to `BENCH_fig<N>.json` so EXPERIMENTS.md tables are
-//! regenerable and diffable across PRs. The schema is documented in the
+//! Every `crates/bench/src/bin/fig*` binary (and `smc-loadgen`) routes its
+//! results through a [`Report`]: the human-readable CSV keeps printing to
+//! stdout, while the same rows — plus histogram summaries, counters, and
+//! passed / failed / unmeasured checks — are serialized to
+//! `BENCH_fig<N>.json` so EXPERIMENTS.md tables are regenerable and
+//! diffable across PRs. The schema is documented in the
 //! EXPERIMENTS.md preamble.
 //!
 //! The emitter is dependency-free: [`JsonValue`] is a minimal JSON document
@@ -445,11 +446,12 @@ pub struct Series {
     rows: Vec<Vec<JsonValue>>,
 }
 
-/// A pass/fail parity or sanity check recorded by a bench binary.
+/// A parity or sanity check recorded by a bench binary: passed, failed, or
+/// (`passed: None`) unmeasured — the run could not observe it either way.
 #[derive(Debug, Clone)]
 pub struct Check {
     name: String,
-    passed: bool,
+    passed: Option<bool>,
     detail: String,
 }
 
@@ -483,7 +485,7 @@ pub struct Report {
 pub struct SeriesId(usize);
 
 impl Report {
-    /// Starts an empty report for `figure` (e.g. `"fig14"`).
+    /// Starts an empty report for `figure` (e.g. `"fig10"`).
     pub fn new(figure: impl Into<String>, title: impl Into<String>) -> Report {
         Report {
             figure: figure.into(),
@@ -563,21 +565,43 @@ impl Report {
     pub fn check(&mut self, name: impl Into<String>, passed: bool, detail: impl Into<String>) {
         self.checks.push(Check {
             name: name.into(),
-            passed,
+            passed: Some(passed),
             detail: detail.into(),
+        });
+    }
+
+    /// Records a check this run could not observe either way (too few cores
+    /// for the comparison, a server the harness cannot see inside, …). It
+    /// serializes as `"passed": null` with `why` as its detail and counts
+    /// neither for nor against [`all_checks_passed`](Report::all_checks_passed)
+    /// — the name stays in the report, the claim does not.
+    pub fn unmeasured(&mut self, name: impl Into<String>, why: impl Into<String>) {
+        self.checks.push(Check {
+            name: name.into(),
+            passed: None,
+            detail: why.into(),
         });
     }
 
     /// True when no recorded check failed.
     pub fn all_checks_passed(&self) -> bool {
-        self.checks.iter().all(|c| c.passed)
+        self.failed_checks().is_empty()
     }
 
     /// Names and details of failed checks (for the human-readable summary).
     pub fn failed_checks(&self) -> Vec<(String, String)> {
+        self.checks_in_state(Some(false))
+    }
+
+    /// Names and reasons of [`unmeasured`](Report::unmeasured) checks.
+    pub fn unmeasured_checks(&self) -> Vec<(String, String)> {
+        self.checks_in_state(None)
+    }
+
+    fn checks_in_state(&self, state: Option<bool>) -> Vec<(String, String)> {
         self.checks
             .iter()
-            .filter(|c| !c.passed)
+            .filter(|c| c.passed == state)
             .map(|c| (c.name.clone(), c.detail.clone()))
             .collect()
     }
@@ -608,7 +632,10 @@ impl Report {
             .map(|c| {
                 JsonValue::Obj(vec![
                     ("name".into(), c.name.as_str().into()),
-                    ("passed".into(), c.passed.into()),
+                    (
+                        "passed".into(),
+                        c.passed.map_or(JsonValue::Null, Into::into),
+                    ),
                     ("detail".into(), c.detail.as_str().into()),
                 ])
             })
@@ -745,10 +772,31 @@ mod tests {
     }
 
     #[test]
+    fn unmeasured_is_neither_passed_nor_failed() {
+        let mut r = Report::new("fig00", "t");
+        r.check("a", true, "fine");
+        r.unmeasured("b", "3 threads on 2 hardware threads");
+        assert!(r.all_checks_passed());
+        assert!(r.failed_checks().is_empty());
+        let why = "3 threads on 2 hardware threads".to_string();
+        assert_eq!(r.unmeasured_checks(), vec![("b".into(), why)]);
+        let doc = JsonValue::parse(&r.to_json()).unwrap();
+        let b = &doc.get("checks").and_then(|c| c.as_arr()).unwrap()[1];
+        assert_eq!(b.get("passed"), Some(&JsonValue::Null));
+        assert_eq!(
+            b.get("detail").and_then(|d| d.as_str()),
+            Some("3 threads on 2 hardware threads")
+        );
+        // Unmeasured does not mask a real failure beside it.
+        r.check("c", false, "seq=3 par=4");
+        assert!(!r.all_checks_passed());
+    }
+
+    #[test]
     fn path_honours_bench_dir_layout() {
-        let r = Report::new("fig14", "t");
+        let r = Report::new("fig10", "t");
         let p = r.path();
-        assert!(p.ends_with("BENCH_fig14.json"), "{p:?}");
+        assert!(p.ends_with("BENCH_fig10.json"), "{p:?}");
     }
 
     #[test]

@@ -791,8 +791,8 @@ pub fn snapshot() -> Vec<TracedEvent> {
 /// Events overwritten by ring wraparound since process start, summed over
 /// every thread's per-ring `dropped` counter (each counter increments at the
 /// instant a wrap reuses a published slot). A report that claims zero events
-/// while this is non-zero lost its whole story to overwrites — the bench
-/// gate treats that combination as a failure.
+/// while this is non-zero lost its whole story to overwrites — `smc-bench`
+/// records that combination as the failed check `trace_not_silently_empty`.
 pub fn dropped() -> u64 {
     registry()
         .lock()

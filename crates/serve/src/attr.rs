@@ -179,7 +179,7 @@ impl ClassAttribution {
 }
 
 /// A histogram summary in the same field shape `Report::histogram` writes,
-/// so gate tooling can apply one schema to both.
+/// so `smc-loadgen` folds a scrape into its report verbatim.
 fn summary_json(h: &Histogram) -> JsonValue {
     let s = h.summary();
     let mut obj = JsonValue::obj();

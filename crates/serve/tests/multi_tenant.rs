@@ -160,10 +160,16 @@ fn scatter_gather_aggregates_match_a_local_model() {
         assert_eq!(s, expect_sum, "sum total [{lo}, {hi})");
     }
 
-    // Both shards did real work (the hash spreads 5000 sequential keys).
+    // Both shards did real work (the hash spreads 5000 sequential keys),
+    // and the aggregates above went through pinned, morsel-driven scans.
     let stats = client.stats().unwrap();
     for (i, s) in stats.shards.iter().enumerate() {
         assert!(s.requests > 0, "shard {i} served nothing");
+        let scanned = s.pins_taken > 0 && s.blocks_scanned > 0 && s.morsels_dispatched > 0;
+        assert!(
+            scanned,
+            "shard {i} answered queries without scanning: {s:?}"
+        );
     }
 
     let report = server.shutdown();
