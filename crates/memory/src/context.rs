@@ -547,12 +547,10 @@ impl MemoryContext {
         if let Some(block) = self.pop_reclaimable(tid) {
             return Ok(block);
         }
-        // Blocks may be waiting on epochs: lazily advance (§3.5), unless a
-        // compaction holds the advance reservation, and look again.
-        if !self.reclaim_queue.lock().is_empty() && self.runtime.next_relocation_epoch() == 0 {
-            if self.runtime.epochs.try_advance().is_some() {
-                MemoryStats::inc(&self.runtime.stats.epoch_advances);
-            }
+        // Blocks may be waiting on epochs: lazily advance (§3.5) and look
+        // again.
+        if !self.reclaim_queue.lock().is_empty() {
+            self.runtime.advance_and_drain();
             if let Some(block) = self.pop_reclaimable(tid) {
                 return Ok(block);
             }
@@ -565,9 +563,15 @@ impl MemoryContext {
         // a page store keep the PR 1 behavior: a clean error here — never a
         // crash, and never a runtime-wide stall.
         if let Some(budget) = self.config.budget_bytes {
-            if (self.bytes() + crate::block::BLOCK_SIZE) as u64 > budget && !self.try_spill_one() {
-                MemoryStats::inc(&self.runtime.stats.context_budget_rejections);
-                return self.pop_reclaimable(tid).ok_or(MemError::OutOfMemory);
+            if (self.bytes() + crate::block::BLOCK_SIZE) as u64 > budget {
+                if !self.try_spill_one() {
+                    MemoryStats::inc(&self.runtime.stats.context_budget_rejections);
+                    return self.pop_reclaimable(tid).ok_or(MemError::OutOfMemory);
+                }
+                // The victim waits two epochs in the graveyard, and a load
+                // is the only thing running: move the clock here, so the
+                // victim of two spills ago is the block handed out below.
+                self.runtime.advance_and_drain();
             }
         }
         // Nothing reclaimable: a fresh block from the OS, subject to the

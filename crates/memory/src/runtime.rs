@@ -156,7 +156,38 @@ impl Runtime {
             // Simulated hard OS failure: no recovery, straight to the caller.
             return Err(MemError::OutOfMemory);
         }
-        let (base, owner, recycled) = self.acquire_raw()?;
+        self.hand_out(true, layout, type_id, context_id)
+    }
+
+    /// Allocates one block outside the budget gate and recovery ladder.
+    ///
+    /// Spill fault-in must allocate a destination block while the faulting
+    /// thread may itself be pinned (a dereference faults in mid-read); a
+    /// pinned thread can never ripen its own victim's burial epoch, so
+    /// routing through the ladder could deadlock against the budget. A
+    /// ripened victim parked in the calling thread's shard is taken first,
+    /// as on the gated path; failing that the reservation is forced
+    /// (transient overshoot, at most one block per concurrent faulter) and
+    /// settles as buried spill victims drain: frees observed while over
+    /// budget return to the OS instead of the cache.
+    pub(crate) fn allocate_block_unbudgeted(
+        &self,
+        layout: &BlockLayout,
+        type_id: u64,
+        context_id: u64,
+    ) -> Result<BlockRef, MemError> {
+        self.hand_out(false, layout, type_id, context_id)
+    }
+
+    /// Acquires raw memory and writes the block header over it.
+    fn hand_out(
+        &self,
+        gated: bool,
+        layout: &BlockLayout,
+        type_id: u64,
+        context_id: u64,
+    ) -> Result<BlockRef, MemError> {
+        let (base, owner, recycled) = self.acquire_raw(gated)?;
         let block = unsafe {
             if recycled {
                 BlockRef::reuse_at(base, layout, type_id, context_id, owner)
@@ -170,11 +201,13 @@ impl Runtime {
     /// Acquires one raw block's memory: `(base, owner_shard_tag, recycled)`.
     /// Owns all allocation accounting (`blocks_allocated`/`blocks_live`
     /// count *handouts*, fresh or recycled) and the recovery ladder.
+    /// Ungated, a shard-cache miss forces the reservation of one fresh
+    /// block instead of asking the budget.
     ///
     /// A thread the epoch registry could not index has no shard: it reserves
     /// one block at a time and tags it `u32::MAX`, so its free goes straight
     /// back to the OS.
-    fn acquire_raw(&self) -> Result<(usize, u32, bool), MemError> {
+    fn acquire_raw(&self, gated: bool) -> Result<(usize, u32, bool), MemError> {
         let shard = self.epochs.thread_index().ok();
         let mut attempt = 0u32;
         loop {
@@ -190,9 +223,14 @@ impl Runtime {
                     continue;
                 }
             }
-            let budget = self.budget_bytes.load(Ordering::Relaxed);
-            let want = if shard.is_some() { ALLOC_BATCH } else { 1 };
-            let granted = self.alloc.reserve(budget, want);
+            let granted = if gated {
+                let budget = self.budget_bytes.load(Ordering::Relaxed);
+                let want = if shard.is_some() { ALLOC_BATCH } else { 1 };
+                self.alloc.reserve(budget, want)
+            } else {
+                self.alloc.force_reserve(1);
+                1
+            };
             if granted > 0 {
                 let base = raw_alloc_block();
                 self.note_handout(attempt);
@@ -233,12 +271,10 @@ impl Runtime {
         self.indirection.drain_deferred(self.global_epoch());
         // (2) Ripen limbo memory: graveyard blocks and deferred entries wait
         // for epochs, so force one advance unless a compaction reserved it.
-        let advanced = self.next_relocation_epoch() == 0 && self.epochs.try_advance().is_some();
+        let (advanced, ripened) = self.advance_and_drain();
         if advanced {
             MemoryStats::inc(&self.stats.emergency_epoch_advances);
-            MemoryStats::inc(&self.stats.epoch_advances);
         }
-        let ripened = self.drain_graveyard();
         freed += ripened;
         smc_obs::trace::emit(smc_obs::Event::RecoveryStep {
             attempt: attempt as u64,
@@ -406,29 +442,20 @@ impl Runtime {
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
-    /// Allocates one block outside the budget gate and recovery ladder.
-    ///
-    /// Spill fault-in must allocate a destination block while the faulting
-    /// thread may itself be pinned (a dereference faults in mid-read); a
-    /// pinned thread can never ripen its own victim's burial epoch, so
-    /// routing through the ladder could deadlock against the budget. The
-    /// reservation is forced (transient overshoot, at most one block per
-    /// concurrent faulter) and settles as buried spill victims drain: frees
-    /// observed while over budget return to the OS instead of the cache.
-    pub(crate) fn allocate_block_unbudgeted(
-        &self,
-        layout: &BlockLayout,
-        type_id: u64,
-        context_id: u64,
-    ) -> Result<BlockRef, MemError> {
-        self.alloc.force_reserve(1);
-        let owner = match self.epochs.thread_index() {
-            Ok(idx) => idx as u32 + 1,
-            Err(_) => u32::MAX,
-        };
-        let base = raw_alloc_block();
-        self.note_handout(0);
-        Ok(unsafe { BlockRef::init_at(base, layout, type_id, context_id, owner) })
+    /// The §3.5 lazy advance, in one place: unless a compaction holds the
+    /// relocation reservation, tries to move the global epoch forward once
+    /// (counted in `epoch_advances`), then frees whatever the graveyards hold
+    /// that is ripe. Called where memory is known to wait on the clock —
+    /// queued limbo blocks in `acquire_block`, the recovery ladder, and
+    /// wherever the residency protocol buries a block or stub — because
+    /// nothing else advances it (§3.4). Returns whether the epoch moved and
+    /// how many blocks were freed.
+    pub(crate) fn advance_and_drain(&self) -> (bool, usize) {
+        let advanced = self.next_relocation_epoch() == 0 && self.epochs.try_advance().is_some();
+        if advanced {
+            MemoryStats::inc(&self.stats.epoch_advances);
+        }
+        (advanced, self.drain_graveyard())
     }
 
     /// Opportunistically frees graveyard blocks whose epoch has passed.
@@ -481,6 +508,11 @@ impl Runtime {
     /// Number of blocks awaiting burial.
     pub fn graveyard_len(&self) -> usize {
         self.graveyard.lock().len()
+    }
+
+    /// Number of spill stubs awaiting burial.
+    pub fn stub_graveyard_len(&self) -> usize {
+        self.stub_graveyard.lock().len()
     }
 
     /// Advances epochs until every graveyard block is freed. Used by tests

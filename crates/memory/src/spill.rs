@@ -22,10 +22,26 @@
 //!
 //! Fault-in loads the page, verifies its checksum (failing **closed** with
 //! [`crate::error::MemError::SpillFault`] on any corruption — a torn page never becomes a
-//! partial heap), copies every record into a *fresh* block and repoints the
-//! entries. Stubs are freed through an epoch graveyard: a reader pinned at
-//! epoch `e` may still dereference a stub it loaded before the fault-in, so
-//! the box is buried until `e + 2`, exactly like a block.
+//! partial heap), copies every record into a block of its own and repoints
+//! the entries. Stubs are freed through an epoch graveyard: a reader pinned
+//! at epoch `e` may still dereference a stub it loaded before the fault-in,
+//! so the box is buried until `e + 2`, exactly like a block.
+//!
+//! ## One copy each way, and victims that ripen
+//!
+//! A spill writes `entry_addr ‖ object` from each slot straight into the one
+//! page buffer the context owns (`PageWriter`), seals it with
+//! [`checksum64`] and hands it to the store; a fault-in loads into the same
+//! buffer, verifies it in place (`decode_page` allocates nothing) and
+//! copies each object once, buffer to slot. Both bury what they displace —
+//! the victim block, the stub — two epochs out, and nothing but the memory
+//! manager moves the epoch (§3.4), so both call
+//! `Runtime::advance_and_drain`: the allocation path after a successful
+//! spill, [`MemoryContext::fault_in_block`] on entry. A load, or a run of
+//! reads each under its own pin, therefore gets the victim of two spills ago
+//! back through the shard cache instead of a first-touched block from the
+//! OS. A reader that *stays* pinned across many faults still blocks the
+//! advance, and its victims wait until it unpins.
 //!
 //! ## Scans
 //!
@@ -39,6 +55,7 @@
 //! [`MemoryContext::try_free`]: crate::context::MemoryContext::try_free
 
 use std::cell::Cell;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
@@ -213,15 +230,13 @@ pub(crate) struct SpillStub {
     /// The owning context (weak: a stub must not keep a dropped collection
     /// alive; upgrade failure renders the reference null).
     pub(crate) ctx: Weak<MemoryContext>,
-    /// The spilled block's id, key into the context's page list.
+    /// The spilled block's id, key into the context's page directory.
     pub(crate) block_id: u64,
 }
 
 /// Bookkeeping for one spilled block.
 #[derive(Debug)]
 pub(crate) struct SpilledPage {
-    /// Id of the (now buried) source block.
-    pub(crate) block_id: u64,
     /// The store's handle for the page bytes.
     pub(crate) ticket: u64,
     /// The tagged stub pointer installed in every member entry's payload.
@@ -231,30 +246,100 @@ pub(crate) struct SpilledPage {
 }
 
 /// Per-context spill state, behind one mutex: the store handle, a weak
-/// self-reference (stubs need `Weak<MemoryContext>`), and the page list.
+/// self-reference (stubs need `Weak<MemoryContext>`), the page directory
+/// and the one page buffer every spill encodes into and every fault-in and
+/// spilled scan loads into.
 #[derive(Debug, Default)]
 pub(crate) struct SpillState {
     pub(crate) store: Option<Arc<dyn PageStore>>,
     pub(crate) this: Weak<MemoryContext>,
-    pub(crate) pages: Vec<SpilledPage>,
+    /// Spilled pages by the id of their (now buried) source block. Ordered,
+    /// so a spilled scan reads the store in the order the pages were
+    /// written.
+    pub(crate) pages: BTreeMap<u64, SpilledPage>,
+    page_buf: Vec<u8>,
 }
 
 // ---------------------------------------------------------------------
 // Page codec
 // ---------------------------------------------------------------------
 
-/// Magic prefix of an encoded spill page ("SMCPAGE1").
-const PAGE_MAGIC: u64 = 0x534d_4350_4147_4531;
+/// Magic prefix of an encoded spill page ("SMCPAGE2").
+const PAGE_MAGIC: u64 = 0x534d_4350_4147_4532;
+/// Bytes before the first record: magic, block id, object size, record count.
+const PAGE_HEADER: usize = 32;
 
-/// FNV-1a 64-bit hash — the checksum of spill pages and snapshot pages
-/// (`smc-persist` reuses it so both tiers share one integrity primitive).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+const PRIME_1: u64 = 0x9e37_79b1_85eb_ca87;
+const PRIME_2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const PRIME_3: u64 = 0x1656_67b1_9e37_79f9;
+const PRIME_4: u64 = 0x85eb_ca77_c2b2_ae63;
+
+/// One accumulator step. A bijection of `acc` for a fixed `word` and of
+/// `word` for a fixed `acc`: add, rotate and multiply-by-odd all invert.
+#[inline(always)]
+fn mix(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(PRIME_2))
+        .rotate_left(31)
+        .wrapping_mul(PRIME_1)
+}
+
+/// Folds one word into the merged sum (same bijection property as [`mix`]).
+#[inline(always)]
+fn fold(sum: u64, word: u64) -> u64 {
+    (sum ^ mix(0, word))
+        .rotate_left(27)
+        .wrapping_mul(PRIME_1)
+        .wrapping_add(PRIME_4)
+}
+
+/// The integrity checksum of spill pages, snapshot pages and the snapshot
+/// manifest's per-object digest: four independent 64-bit multiply-rotate
+/// lanes over 32-byte stripes of little-endian words (the xxHash64 shape),
+/// merged, then the length, the remaining words, a zero-padded tail and a
+/// final avalanche.
+///
+/// Every step is a bijection of the state it updates, so two inputs of one
+/// length that differ only inside a single 8-byte word *always* sum
+/// differently. It is an integrity check against torn and rotted pages, not
+/// a MAC: nothing here resists an adversary. Words are read with
+/// `from_le_bytes`, so the sum depends on neither host endianness nor the
+/// buffer's alignment — it is part of the on-disk formats.
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("an 8-byte chunk"));
+    let mut lanes = [
+        PRIME_1.wrapping_add(PRIME_2),
+        PRIME_2,
+        0,
+        PRIME_1.wrapping_neg(),
+    ];
+    let mut stripes = bytes.chunks_exact(32);
+    for stripe in &mut stripes {
+        lanes[0] = mix(lanes[0], word(&stripe[0..8]));
+        lanes[1] = mix(lanes[1], word(&stripe[8..16]));
+        lanes[2] = mix(lanes[2], word(&stripe[16..24]));
+        lanes[3] = mix(lanes[3], word(&stripe[24..32]));
     }
-    h
+    let mut sum = lanes[0]
+        .rotate_left(1)
+        .wrapping_add(lanes[1].rotate_left(7))
+        .wrapping_add(lanes[2].rotate_left(12))
+        .wrapping_add(lanes[3].rotate_left(18))
+        .wrapping_add(bytes.len() as u64);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for w in &mut words {
+        sum = fold(sum, word(w));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        sum = fold(sum, u64::from_le_bytes(last));
+    }
+    sum ^= sum >> 33;
+    sum = sum.wrapping_mul(PRIME_2);
+    sum ^= sum >> 29;
+    sum = sum.wrapping_mul(PRIME_3);
+    sum ^ (sum >> 32)
 }
 
 /// Errors from [`decode_page`]. Internal: the fault path maps every variant
@@ -268,27 +353,58 @@ pub(crate) enum PageError {
     Checksum,
 }
 
-/// Encodes one page: header, `n` records of `entry_addr || obj bytes`, and
-/// a trailing FNV-1a checksum over everything before it.
-pub(crate) fn encode_page(
-    block_id: u64,
+/// Writes one page in place: header, then records of `entry_addr ‖ object`
+/// appended one at a time, then the [`checksum64`] of everything before it.
+/// The buffer is sized once for `max_records` and written by offset, so a
+/// buffer reused across pages is neither cleared nor regrown.
+pub(crate) struct PageWriter<'b> {
+    buf: &'b mut Vec<u8>,
     obj_size: usize,
-    entry_addrs: &[(usize, SlotId)],
-    objs: &[u8],
-) -> Vec<u8> {
-    debug_assert_eq!(objs.len(), entry_addrs.len() * obj_size);
-    let mut out = Vec::with_capacity(32 + entry_addrs.len() * (8 + obj_size) + 8);
-    out.extend_from_slice(&PAGE_MAGIC.to_le_bytes());
-    out.extend_from_slice(&block_id.to_le_bytes());
-    out.extend_from_slice(&(obj_size as u64).to_le_bytes());
-    out.extend_from_slice(&(entry_addrs.len() as u64).to_le_bytes());
-    for (i, &(addr, _slot)) in entry_addrs.iter().enumerate() {
-        out.extend_from_slice(&(addr as u64).to_le_bytes());
-        out.extend_from_slice(&objs[i * obj_size..(i + 1) * obj_size]);
+    at: usize,
+}
+
+impl<'b> PageWriter<'b> {
+    pub(crate) fn begin(
+        buf: &'b mut Vec<u8>,
+        block_id: u64,
+        obj_size: usize,
+        max_records: usize,
+    ) -> PageWriter<'b> {
+        let full = PAGE_HEADER + max_records * (8 + obj_size) + 8;
+        if buf.len() < full {
+            buf.resize(full, 0);
+        }
+        buf[0..8].copy_from_slice(&PAGE_MAGIC.to_le_bytes());
+        buf[8..16].copy_from_slice(&block_id.to_le_bytes());
+        buf[16..24].copy_from_slice(&(obj_size as u64).to_le_bytes());
+        PageWriter {
+            buf,
+            obj_size,
+            at: PAGE_HEADER,
+        }
     }
-    let sum = fnv1a64(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
-    out
+
+    /// Appends one record, copying the object straight from its slot.
+    ///
+    /// # Safety
+    /// `obj` must be readable for `obj_size` bytes.
+    pub(crate) unsafe fn push(&mut self, entry_addr: usize, obj: *const u8) {
+        let rec = &mut self.buf[self.at..self.at + 8 + self.obj_size];
+        rec[..8].copy_from_slice(&(entry_addr as u64).to_le_bytes());
+        // A raw copy, not a `&[u8]` over the slot: the object is another
+        // thread's to write in place until its burial ripens.
+        std::ptr::copy_nonoverlapping(obj, rec[8..].as_mut_ptr(), self.obj_size);
+        self.at += rec.len();
+    }
+
+    /// Seals the page — record count, checksum — and returns its bytes.
+    pub(crate) fn finish(self) -> &'b [u8] {
+        let records = (self.at - PAGE_HEADER) / (8 + self.obj_size);
+        self.buf[24..32].copy_from_slice(&(records as u64).to_le_bytes());
+        let sum = checksum64(&self.buf[..self.at]);
+        self.buf[self.at..self.at + 8].copy_from_slice(&sum.to_le_bytes());
+        &self.buf[..self.at + 8]
+    }
 }
 
 fn read_u64(bytes: &[u8], off: usize) -> Option<u64> {
@@ -297,20 +413,47 @@ fn read_u64(bytes: &[u8], off: usize) -> Option<u64> {
         .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
 }
 
-/// Decodes and verifies one page, returning `(entry_addr, obj_bytes)` per
-/// record. Any truncation or corruption is an error — never a partial page.
+/// The verified records of one page, `(entry_addr, obj_bytes)` in page
+/// order, borrowed from the loaded bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct PageRecords<'b> {
+    /// The records not yet yielded: a whole number of `rec`-byte records.
+    body: &'b [u8],
+    rec: usize,
+}
+
+impl<'b> Iterator for PageRecords<'b> {
+    type Item = (u64, &'b [u8]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.body.is_empty() {
+            return None;
+        }
+        let (record, rest) = self.body.split_at(self.rec);
+        self.body = rest;
+        let (addr, obj) = record.split_at(8);
+        Some((u64::from_le_bytes(addr.try_into().unwrap()), obj))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.body.len() / self.rec;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for PageRecords<'_> {}
+
+/// Verifies one page and returns its records. The header is checked first —
+/// its record count fixes the page's length, so a truncated page is caught
+/// whatever its last eight bytes hold — then the checksum over the whole
+/// body. Any failure is an error, never a partial page.
 pub(crate) fn decode_page(
     bytes: &[u8],
     expect_block_id: u64,
     expect_obj_size: u64,
-) -> Result<Vec<(u64, &[u8])>, PageError> {
-    if bytes.len() < 40 {
+) -> Result<PageRecords<'_>, PageError> {
+    if bytes.len() < PAGE_HEADER + 8 {
         return Err(PageError::Truncated);
-    }
-    let body_len = bytes.len() - 8;
-    let sum = read_u64(bytes, body_len).ok_or(PageError::Truncated)?;
-    if fnv1a64(&bytes[..body_len]) != sum {
-        return Err(PageError::Checksum);
     }
     if read_u64(bytes, 0) != Some(PAGE_MAGIC) {
         return Err(PageError::BadMagic);
@@ -321,19 +464,19 @@ pub(crate) fn decode_page(
     if read_u64(bytes, 16) != Some(expect_obj_size) {
         return Err(PageError::BadObjSize);
     }
-    let n = read_u64(bytes, 24).ok_or(PageError::Truncated)? as usize;
-    let obj_size = expect_obj_size as usize;
-    let rec = 8 + obj_size;
-    if body_len != 32 + n * rec {
+    let body_len = bytes.len() - 8;
+    let rec = 8 + expect_obj_size as usize;
+    let n = read_u64(bytes, 24).ok_or(PageError::Truncated)?;
+    if n.checked_mul(rec as u64) != Some((body_len - PAGE_HEADER) as u64) {
         return Err(PageError::Truncated);
     }
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let off = 32 + i * rec;
-        let addr = read_u64(bytes, off).ok_or(PageError::Truncated)?;
-        out.push((addr, &bytes[off + 8..off + rec]));
+    if read_u64(bytes, body_len) != Some(checksum64(&bytes[..body_len])) {
+        return Err(PageError::Checksum);
     }
-    Ok(out)
+    Ok(PageRecords {
+        body: &bytes[PAGE_HEADER..body_len],
+        rec,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -449,7 +592,10 @@ impl MemoryContext {
     /// Runs `f` over the spilled-page directory under the spill mutex.
     /// Used by the validator and the persistence tier, which must observe
     /// a page list that cannot race fault-in.
-    pub(crate) fn with_spill_pages<R>(&self, f: impl FnOnce(&[SpilledPage]) -> R) -> R {
+    pub(crate) fn with_spill_pages<R>(
+        &self,
+        f: impl FnOnce(&BTreeMap<u64, SpilledPage>) -> R,
+    ) -> R {
         let s = self.spill.lock();
         f(&s.pages)
     }
@@ -488,9 +634,16 @@ impl MemoryContext {
             block_id,
         })) as usize;
         let tag = stub | SPILL_TAG;
-        let obj_size = self.obj_size as usize;
-        let mut entries: Vec<(usize, SlotId)> = Vec::new();
-        let mut objs: Vec<u8> = Vec::new();
+        // Each record goes from its slot straight into the page buffer, once;
+        // the directory below is the only thing a spill allocates to keep.
+        let valid = victim.header().valid_count.load(Ordering::Relaxed) as usize;
+        let mut entries: Vec<(usize, SlotId)> = Vec::with_capacity(valid);
+        let mut page = PageWriter::begin(
+            &mut s.page_buf,
+            block_id,
+            self.obj_size as usize,
+            self.layout.capacity as usize,
+        );
         for slot_id in victim.valid_slots() {
             let back = victim.back_ptr(slot_id).load(Ordering::Acquire);
             if back == 0 {
@@ -500,10 +653,9 @@ impl MemoryContext {
             // An entry that fails the swing was freed (and possibly reused)
             // between the slot-state check and the lock: not ours to spill.
             let tagged = swing(unsafe { EntryRef::from_addr(back) }, home, tag, || {
-                let at = objs.len();
-                objs.resize(at + obj_size, 0);
-                let src = home as *const u8;
-                unsafe { std::ptr::copy_nonoverlapping(src, objs[at..].as_mut_ptr(), obj_size) };
+                // SAFETY: `home` is the object of a valid slot of a block we
+                // claimed; the entry lock keeps it from being freed or moved.
+                unsafe { page.push(back, home as *const u8) };
                 // Retire direct pointers into the page — a spilled slot must
                 // not satisfy a §6 direct dereference against stale memory.
                 self.slot_inc(&victim, slot_id).bump_unlocked();
@@ -524,8 +676,7 @@ impl MemoryContext {
             give_back();
             return false;
         }
-        let page = encode_page(block_id, obj_size, &entries, &objs);
-        let Ok(ticket) = store.store_page(block_id, &page) else {
+        let Ok(ticket) = store.store_page(block_id, page.finish()) else {
             // Store failed: restore every tagged entry. We still hold the
             // spill mutex, so nothing else can have repointed them.
             for &(back, slot_id) in &entries {
@@ -546,12 +697,14 @@ impl MemoryContext {
         self.spilled_objects_gauge
             .fetch_add(entries.len() as u64, Ordering::Relaxed);
         MemoryStats::inc(&self.runtime.stats.blocks_spilled);
-        s.pages.push(SpilledPage {
+        s.pages.insert(
             block_id,
-            ticket,
-            tag,
-            entries,
-        });
+            SpilledPage {
+                ticket,
+                tag,
+                entries,
+            },
+        );
         // The victim's slots stay Valid with intact data until burial ripens:
         // a reader that loaded the resident payload just before our tag store
         // reads the old copy safely for two more epochs. (In-place writes in
@@ -578,6 +731,12 @@ impl MemoryContext {
             return Err(MemError::SpillFault);
         }
         let start = Instant::now();
+        // What earlier spills and fault-ins buried ripens here: a run of
+        // short-pinned reads advances the epoch once per fault, so each
+        // victim recycles through the shard cache two faults later. (A
+        // caller that stays pinned across many faults blocks the advance,
+        // and its victims wait in the graveyard until it unpins.)
+        self.runtime.advance_and_drain();
         let mut s = self.spill.lock();
         // Make room first if the budget is hot: faulting one page in while
         // over budget should displace another page, not grow the footprint.
@@ -586,34 +745,41 @@ impl MemoryContext {
                 let _ = self.try_spill_one_locked(&mut s);
             }
         }
-        let Some(idx) = s.pages.iter().position(|p| p.block_id == block_id) else {
+        let SpillState {
+            store,
+            pages,
+            page_buf,
+            ..
+        } = &mut *s;
+        let Entry::Occupied(slot) = pages.entry(block_id) else {
             return Ok(false);
         };
-        let store = s.store.as_ref().expect("page without store").clone();
-        let mut bytes = Vec::new();
-        let records = self.read_page(&*store, &s.pages[idx], &mut bytes)?;
-        // Fresh block, new block id: fault-in is a relocation, not a revival.
-        // Allocation bypasses the runtime budget gate — the faulting thread
-        // may be pinned (dereference path) and so can never ripen its own
-        // victim's burial; see `Runtime::allocate_block_unbudgeted`.
+        let store = store.as_ref().expect("page without store");
+        let records = self.read_page(&**store, block_id, slot.get(), page_buf)?;
+        // A block of its own, new block id: fault-in is a relocation, not a
+        // revival. Allocation bypasses the runtime budget gate — the
+        // faulting thread may be pinned (dereference path) and so can never
+        // ripen its own victim's burial; see
+        // `Runtime::allocate_block_unbudgeted`.
         let fresh = self
             .runtime
             .allocate_block_unbudgeted(&self.layout, self.type_id, self.id)?;
-        let page = s.pages.swap_remove(idx);
+        let page = slot.remove();
         let obj_size = self.obj_size as usize;
         let mut live: u32 = 0;
-        for (i, (entry_addr, obj)) in records.iter().enumerate() {
+        for (i, (entry_addr, obj)) in records.enumerate() {
             let slot_id = i as SlotId;
-            debug_assert_eq!(*entry_addr as usize, page.entries[i].0);
-            let entry = unsafe { EntryRef::from_addr(*entry_addr as usize) };
-            // Object bytes, back pointer and slot state land before the
-            // payload repoint publishes the slot to retrying readers.
+            debug_assert_eq!(entry_addr as usize, page.entries[i].0);
+            let entry = unsafe { EntryRef::from_addr(entry_addr as usize) };
+            // Object bytes (one copy, page buffer to slot), back pointer and
+            // slot state land before the payload repoint publishes the slot
+            // to retrying readers.
             unsafe {
                 std::ptr::copy_nonoverlapping(obj.as_ptr(), fresh.obj_ptr(slot_id), obj_size)
             };
             fresh
                 .back_ptr(slot_id)
-                .store(*entry_addr as usize, Ordering::Release);
+                .store(entry_addr as usize, Ordering::Release);
             fresh.slot_word(slot_id).set_valid();
             if entry.get().load_payload(Ordering::Acquire) == page.tag {
                 entry
@@ -631,7 +797,7 @@ impl MemoryContext {
         fresh
             .header()
             .alloc_cursor
-            .store(records.len() as SlotId, Ordering::Relaxed);
+            .store(page.entries.len() as SlotId, Ordering::Relaxed);
         self.membership.write().blocks.push(fresh);
         store.discard_page(page.ticket);
         // The stub outlives the repoint by two epochs: a reader pinned now
@@ -653,19 +819,21 @@ impl MemoryContext {
     }
 
     /// The one verified page read: loads `page` from `store` into `bytes`
-    /// and decodes it, checking checksum, block id, object size and that the
-    /// record count matches the page directory. Any failure is counted in
-    /// `spill_fault_failures` and fails closed as [`MemError::SpillFault`].
+    /// and decodes it in place, checking checksum, block id, object size and
+    /// that the record count matches the page directory. Any failure is
+    /// counted in `spill_fault_failures` and fails closed as
+    /// [`MemError::SpillFault`].
     fn read_page<'b>(
         &self,
         store: &dyn PageStore,
+        block_id: u64,
         page: &SpilledPage,
         bytes: &'b mut Vec<u8>,
-    ) -> Result<Vec<(u64, &'b [u8])>, MemError> {
-        let loaded = store.load_page(page.ticket, page.block_id, bytes).is_ok();
+    ) -> Result<PageRecords<'b>, MemError> {
+        let loaded = store.load_page(page.ticket, block_id, bytes).is_ok();
         let bytes: &'b [u8] = bytes;
         loaded
-            .then(|| decode_page(bytes, page.block_id, self.obj_size as u64).ok())
+            .then(|| decode_page(bytes, block_id, self.obj_size as u64).ok())
             .flatten()
             .filter(|records| records.len() == page.entries.len())
             .ok_or_else(|| {
@@ -695,13 +863,18 @@ impl MemoryContext {
         if self.mode != LayoutMode::Rows || in_spill_scan() {
             return Ok(self.membership_snapshot());
         }
-        let s = self.spill.lock();
+        let mut s = self.spill.lock();
         if s.pages.is_empty() {
             return Ok(self.membership_snapshot());
         }
-        let store = s.store.as_ref().expect("pages without store").clone();
+        let SpillState {
+            store,
+            pages,
+            page_buf,
+            ..
+        } = &mut *s;
+        let store = store.as_ref().expect("pages without store");
         let _scan = SpillScanGuard::enter();
-        let mut bytes = Vec::new();
         // Page records are packed back to back, so a record may sit at an
         // address the object type cannot be read from; such a record is
         // handed to `visit` as an aligned scratch copy.
@@ -709,8 +882,8 @@ impl MemoryContext {
         let mut scratch = vec![0u8; obj_size + self.obj_align];
         let aligned = scratch.as_ptr().align_offset(self.obj_align);
         let scratch = &mut scratch[aligned..aligned + obj_size];
-        for page in &s.pages {
-            for (entry_addr, obj) in self.read_page(&*store, page, &mut bytes)? {
+        for (&block_id, page) in pages.iter() {
+            for (entry_addr, obj) in self.read_page(&**store, block_id, page, page_buf)? {
                 let obj = if obj.as_ptr().align_offset(self.obj_align) == 0 {
                     obj.as_ptr()
                 } else {
@@ -729,7 +902,7 @@ impl MemoryContext {
     /// any other epoch-protected object.
     pub(crate) fn release_spilled(&mut self, free_at: u64) {
         let s = self.spill.get_mut();
-        for page in s.pages.drain(..) {
+        for page in std::mem::take(&mut s.pages).into_values() {
             for &(entry_addr, _) in &page.entries {
                 let entry = unsafe { EntryRef::from_addr(entry_addr) };
                 if entry.get().load_payload(Ordering::Acquire) == page.tag {
@@ -756,12 +929,121 @@ mod tests {
     use crate::context::{Allocation, ContextConfig};
     use crate::runtime::Runtime;
 
+    /// The pinned input: byte `i` of every vector below.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 31 + 7) as u8).collect()
+    }
+
+    /// [`checksum64`]'s definition restated the slow way — one lane array
+    /// indexed by word number, words assembled byte by byte — so the kernel's
+    /// striping, tail handling and word order are checked against something
+    /// that shares none of them.
+    fn checksum64_reference(bytes: &[u8]) -> u64 {
+        let le = |b: &[u8]| b.iter().rev().fold(0u64, |w, &x| w << 8 | x as u64);
+        let step = |acc: u64, w: u64| {
+            (acc.wrapping_add(w.wrapping_mul(PRIME_2)).rotate_left(31)).wrapping_mul(PRIME_1)
+        };
+        let mut lanes = [PRIME_1.wrapping_add(PRIME_2), PRIME_2, 0, !PRIME_1 + 1];
+        let striped = bytes.len() / 32 * 32;
+        for (i, w) in bytes[..striped].chunks(8).enumerate() {
+            lanes[i % 4] = step(lanes[i % 4], le(w));
+        }
+        let merged = [1, 7, 12, 18]
+            .iter()
+            .zip(lanes)
+            .map(|(&r, l)| l.rotate_left(r));
+        let mut sum = merged.fold(bytes.len() as u64, u64::wrapping_add);
+        for w in bytes[striped..].chunks(8) {
+            sum = ((sum ^ step(0, le(w))).rotate_left(27).wrapping_mul(PRIME_1))
+                .wrapping_add(PRIME_4);
+        }
+        for (shift, prime) in [(33, PRIME_2), (29, PRIME_3)] {
+            sum = (sum ^ (sum >> shift)).wrapping_mul(prime);
+        }
+        sum ^ (sum >> 32)
+    }
+
     #[test]
-    fn fnv1a64_matches_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    fn checksum64_matches_pinned_vectors() {
+        // The on-disk definition: a change to any of these is a format
+        // change (new page magic, new manifest schema), not a refactor.
+        let pinned: [(usize, u64); 10] = [
+            (0, 0x9090_306c_6e91_ed59),
+            (1, 0x3ee0_2232_1272_3452),
+            (7, 0x3cf6_9c5a_2d78_1173),
+            (8, 0x1f94_49bb_972a_c643),
+            (31, 0x035a_dbd9_354c_273b),
+            (32, 0x4b87_2b68_b7e1_a9b6),
+            (33, 0xc56d_7a60_484b_82c7),
+            (63, 0xdbb5_168b_664d_0103),
+            (64, 0x1ef5_10aa_5654_f182),
+            (56 * 1024, 0xc117_2555_4e17_2721),
+        ];
+        for (len, want) in pinned {
+            let got = checksum64(&pattern(len));
+            assert_eq!(got, want, "length {len}: {got:#018x}");
+        }
+    }
+
+    #[test]
+    fn checksum64_agrees_with_the_reference_at_every_length_and_alignment() {
+        let lengths = if cfg!(miri) { 0..=72 } else { 0..=200 };
+        let mut buf = vec![0u8; 208];
+        for len in lengths {
+            let data = pattern(len);
+            let want = checksum64_reference(&data);
+            for start in 0..8 {
+                buf[start..start + len].copy_from_slice(&data);
+                assert_eq!(
+                    checksum64(&buf[start..start + len]),
+                    want,
+                    "length {len} at alignment {start}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn checksum64_catches_every_bit_flip_and_every_word_swap() {
+        // Every step of the kernel is a bijection of the lane it updates, so
+        // a change confined to one word cannot cancel: all 32 768 single-bit
+        // flips of a 4 KiB page are caught, not merely most.
+        let mut page = pattern(if cfg!(miri) { 96 } else { 4096 });
+        let clean = checksum64(&page);
+        for bit in 0..page.len() * 8 {
+            page[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(checksum64(&page), clean, "bit {bit} flipped unseen");
+            page[bit / 8] ^= 1 << (bit % 8);
+        }
+        // Lane and position sensitivity: exchanging two words — same lane,
+        // different lanes, stripe against tail — is no multiset-preserving
+        // no-op. 35 words: four whole stripes and three tail words.
+        let words: Vec<u64> = (0..35u64).map(|i| i.wrapping_mul(PRIME_3) | 1).collect();
+        let bytes = |w: &[u64]| w.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
+        let clean = checksum64(&bytes(&words));
+        for a in 0..words.len() {
+            for b in a + 1..words.len() {
+                let mut swapped = words.clone();
+                swapped.swap(a, b);
+                assert_ne!(checksum64(&bytes(&swapped)), clean, "words {a} and {b}");
+            }
+        }
+    }
+
+    /// A page over already-gathered objects, through the writer the spill
+    /// path uses.
+    fn encode_page(
+        block_id: u64,
+        obj_size: usize,
+        entry_addrs: &[(usize, SlotId)],
+        objs: &[u8],
+    ) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut page = PageWriter::begin(&mut buf, block_id, obj_size, entry_addrs.len());
+        for (&(addr, _slot), obj) in entry_addrs.iter().zip(objs.chunks(obj_size)) {
+            unsafe { page.push(addr, obj.as_ptr()) };
+        }
+        page.finish().to_vec()
     }
 
     #[test]
@@ -769,11 +1051,32 @@ mod tests {
         let objs: Vec<u8> = (0..32u8).collect();
         let entries = vec![(0x1000usize, 0u32), (0x2000, 1), (0x3000, 7), (0x4000, 9)];
         let page = encode_page(42, 8, &entries, &objs);
-        let records = decode_page(&page, 42, 8).unwrap();
+        assert_eq!(page.len(), 32 + 4 * (8 + 8) + 8, "header, records, trailer");
+        let records: Vec<_> = decode_page(&page, 42, 8).unwrap().collect();
         assert_eq!(records.len(), 4);
         assert_eq!(records[0].0, 0x1000);
         assert_eq!(records[2].0, 0x3000);
         assert_eq!(records[3].1, &objs[24..32]);
+    }
+
+    #[test]
+    fn page_writer_reuses_a_longer_buffer_without_leaking_it_into_the_page() {
+        // The spill path's buffer is never cleared: a short page written
+        // after a long one must seal and verify as exactly its own bytes.
+        let mut buf = Vec::new();
+        let long = {
+            let mut page = PageWriter::begin(&mut buf, 1, 8, 6);
+            for i in 0..6u64 {
+                unsafe { page.push(0x100 + i as usize, i.to_le_bytes().as_ptr()) };
+            }
+            page.finish().len()
+        };
+        let mut page = PageWriter::begin(&mut buf, 2, 8, 6);
+        unsafe { page.push(0x900, 77u64.to_le_bytes().as_ptr()) };
+        let short = page.finish();
+        assert!(short.len() < long);
+        let records: Vec<_> = decode_page(short, 2, 8).unwrap().collect();
+        assert_eq!(records, [(0x900, &77u64.to_le_bytes()[..])]);
     }
 
     #[test]

@@ -101,10 +101,9 @@ impl MemoryContext {
     fn verify_spilled(&self, v: &mut Violations, report: &mut VerifyReport) {
         let (pages, counted) = self.with_spill_pages(|pages| {
             let mut counted = 0u64;
-            for page in pages {
+            for (&id, page) in pages {
                 for &(back, slot) in &page.entries {
                     counted += 1;
-                    let id = page.block_id;
                     let entry = unsafe { EntryRef::from_addr(back) };
                     let payload = entry.get().load_payload(Ordering::Acquire);
                     if payload != page.tag {

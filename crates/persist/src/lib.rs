@@ -8,7 +8,7 @@
 //!   one epoch pin — tolerating concurrent compaction exactly the way
 //!   enumeration does (§5.2 group protocol) — and writes its objects into a
 //!   generation-numbered page file plus a small text manifest. Every page
-//!   carries an FNV-1a-64 checksum; the manifest is written to a temporary
+//!   carries a [`checksum64`] trailer; the manifest is written to a temporary
 //!   name, fsynced, and atomically renamed over the old one, so the rename
 //!   is the commit point: a crash at any earlier instant leaves the
 //!   previous snapshot fully intact.
@@ -30,7 +30,7 @@
 //! `MANIFEST` (text, one `key value` pair per line after the schema line):
 //!
 //! ```text
-//! smc-snapshot/v1
+//! smc-snapshot/v2
 //! generation 3
 //! type_id 17316155193394307635
 //! obj_size 16
@@ -45,8 +45,14 @@
 //! `[magic u64][index u64][count u64][obj_size u64][payload][checksum u64]`
 //! with every integer little-endian and the checksum covering all
 //! preceding bytes of the page. The digest is order-independent (a
-//! wrapping sum of per-object FNV hashes), so it can be compared against
-//! any enumeration order of the rebuilt collection.
+//! wrapping sum of per-object [`checksum64`]s), so it can be compared
+//! against any enumeration order of the rebuilt collection.
+//!
+//! The schema line versions the whole directory — manifest keys, page
+//! magic and checksum together. A manifest with any other schema line is
+//! refused by name ([`PersistError::Format`]), by recovery and by a
+//! snapshot into the same directory alike: nothing is written next to a
+//! generation this build cannot read.
 //!
 //! ## Crash matrix
 //!
@@ -59,7 +65,8 @@
 #![warn(missing_docs)]
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -69,14 +76,16 @@ use smc_memory::block::type_id_of;
 use smc_memory::context::ContextConfig;
 use smc_memory::fault::FaultSite;
 use smc_memory::runtime::Runtime;
-use smc_memory::spill::{fnv1a64, PageStore, SpillIoError};
+use smc_memory::spill::{checksum64, PageStore, SpillIoError};
 use smc_memory::sync::Mutex;
 use smc_memory::tabular::Tabular;
 
-/// Magic word opening every snapshot page (`SMCPERS1`).
-const PAGE_MAGIC: u64 = u64::from_le_bytes(*b"SMCPERS1");
+/// Magic word opening every snapshot page (`SMCPERS2`).
+const PAGE_MAGIC: u64 = u64::from_le_bytes(*b"SMCPERS2");
+/// Bytes before a snapshot page's payload: magic, index, count, object size.
+const PAGE_HEADER: usize = 32;
 /// First line of every manifest; bumped on incompatible format changes.
-const MANIFEST_SCHEMA: &str = "smc-snapshot/v1";
+const MANIFEST_SCHEMA: &str = "smc-snapshot/v2";
 /// Target payload bytes per snapshot page.
 const PAGE_TARGET_BYTES: usize = 256 * 1024;
 /// Manifest file name inside a snapshot directory.
@@ -316,11 +325,18 @@ fn snapshot_impl<T: Tabular>(smc: &Smc<T>, dir: &Path) -> Result<SnapshotReport,
     let runtime = smc.runtime().clone();
     let faults = runtime.faults().clone();
     fs::create_dir_all(dir)?;
+    // A manifest this build cannot read (another schema version, rot) still
+    // rules the directory: numbering a generation from 1 beside it would
+    // rename a new page file over the one it references before our own
+    // manifest commits. Refuse by name instead, with nothing touched.
+    let previous = match read_manifest(dir) {
+        Ok(manifest) => Some(manifest),
+        Err(PersistError::NoSnapshot) => None,
+        Err(unreadable) => return Err(unreadable),
+    };
     // Leftover temporaries from a killed snapshot are dead weight; the
     // committed generation never lives under a .tmp name.
     sweep_temporaries(dir);
-
-    let previous = read_manifest(dir).ok();
     let generation = previous.as_ref().map_or(1, |m| m.generation + 1);
     let obj_size = std::mem::size_of::<T>().max(1);
     let per_page = (PAGE_TARGET_BYTES / obj_size).max(1);
@@ -350,7 +366,7 @@ fn snapshot_impl<T: Tabular>(smc: &Smc<T>, dir: &Path) -> Result<SnapshotReport,
             std::slice::from_raw_parts(obj as *const T as *const u8, std::mem::size_of::<T>())
         };
         page_buf.extend_from_slice(raw);
-        digest = digest.wrapping_add(fnv1a64(raw));
+        digest = digest.wrapping_add(checksum64(raw));
         objects += 1;
         in_page += 1;
         if in_page >= per_page {
@@ -452,7 +468,7 @@ fn flush_page(
     let obj_size = u64::from_le_bytes(buf[24..32].try_into().unwrap());
     let count = (buf.len() as u64 - 32) / obj_size;
     buf[16..24].copy_from_slice(&count.to_le_bytes());
-    let sum = fnv1a64(buf);
+    let sum = checksum64(buf);
     buf.extend_from_slice(&sum.to_le_bytes());
     if faults.should_fail(FaultSite::SnapshotPage) {
         // Simulated kill mid-page: write a torn prefix (what a real crash
@@ -520,19 +536,18 @@ fn recover_impl<T: Tabular>(
     let mut pages = 0u64;
     let mut objects = 0u64;
     let mut digest = 0u64;
-    let mut header = [0u8; 32];
-    let mut body: Vec<u8> = Vec::new();
+    // One buffer holds the page being read, header first; it grows to the
+    // largest page and is never cleared.
+    let mut buf = vec![0u8; PAGE_HEADER];
     for page in 0..manifest.pages {
-        if let Err(e) = file.read_exact(&mut header) {
-            return Err(truncated(page, 32, &e));
+        if let Err(e) = file.read_exact(&mut buf[..PAGE_HEADER]) {
+            return Err(truncated(page, PAGE_HEADER as u64, &e));
         }
-        let magic = u64::from_le_bytes(header[0..8].try_into().unwrap());
-        if magic != PAGE_MAGIC {
+        let field = |i: usize| u64::from_le_bytes(buf[i * 8..i * 8 + 8].try_into().unwrap());
+        if field(0) != PAGE_MAGIC {
             return Err(PersistError::PageChecksum { page });
         }
-        let index = u64::from_le_bytes(header[8..16].try_into().unwrap());
-        let count = u64::from_le_bytes(header[16..24].try_into().unwrap());
-        let size = u64::from_le_bytes(header[24..32].try_into().unwrap());
+        let (index, count, size) = (field(1), field(2), field(3));
         if index != page || size != obj_size {
             return Err(PersistError::Format(format!(
                 "page {page}: header claims index {index}, obj_size {size}"
@@ -544,23 +559,21 @@ fn recover_impl<T: Tabular>(
             .ok_or(PersistError::Format(format!(
                 "page {page}: implausible object count {count}"
             )))?;
-        body.clear();
-        body.resize(payload as usize + 8, 0);
-        if let Err(e) = file.read_exact(&mut body) {
+        let body_end = PAGE_HEADER + payload as usize;
+        if buf.len() < body_end + 8 {
+            buf.resize(body_end + 8, 0);
+        }
+        if let Err(e) = file.read_exact(&mut buf[PAGE_HEADER..body_end + 8]) {
             return Err(truncated(page, payload + 8, &e));
         }
         // Verify the checksum over the whole page BEFORE trusting a single
         // object out of it — fail closed on torn writes.
-        let stored = u64::from_le_bytes(body[payload as usize..].try_into().unwrap());
-        let mut sum = fnv1a64(&header);
-        sum = fnv_continue(sum, &body[..payload as usize]);
-        if sum != stored {
+        let stored = u64::from_le_bytes(buf[body_end..body_end + 8].try_into().unwrap());
+        if checksum64(&buf[..body_end]) != stored {
             return Err(PersistError::PageChecksum { page });
         }
-        for i in 0..count {
-            let off = (i * obj_size) as usize;
-            let raw = &body[off..off + obj_size as usize];
-            digest = digest.wrapping_add(fnv1a64(raw));
+        for raw in buf[PAGE_HEADER..body_end].chunks_exact(obj_size as usize) {
+            digest = digest.wrapping_add(checksum64(raw));
             // SAFETY: `raw` holds size_of::<T>() bytes written from a live
             // `T` by the snapshot; `T: Tabular` guarantees plain data.
             let value = unsafe { std::ptr::read_unaligned(raw.as_ptr() as *const T) };
@@ -620,15 +633,6 @@ fn truncated(page: u64, expected: u64, e: &std::io::Error) -> PersistError {
     }
 }
 
-/// Continues an FNV-1a-64 hash across a second byte run.
-fn fnv_continue(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 // ---------------------------------------------------------------------
 // Manifest
 // ---------------------------------------------------------------------
@@ -680,7 +684,8 @@ fn read_manifest(dir: &Path) -> Result<Manifest, PersistError> {
     let schema = lines.next().unwrap_or("");
     if schema != MANIFEST_SCHEMA {
         return Err(PersistError::Format(format!(
-            "{MANIFEST}: unknown schema {schema:?}"
+            "{MANIFEST}: schema {schema:?} is not {MANIFEST_SCHEMA:?}, the one this build \
+             reads and writes; take a fresh snapshot into an empty directory"
         )));
     }
     let mut m = Manifest {
@@ -858,21 +863,17 @@ impl PageStore for SpillFile {
             }
         };
         let offset = inner.slots[ticket].offset;
-        inner
-            .file
-            .seek(SeekFrom::Start(offset))
-            .and_then(|_| inner.file.write_all(bytes))
-            .map_err(|e| {
-                // The slot is poisoned-free again; the caller rolls back.
-                inner.slots[ticket].len = 0;
-                inner.free.push(ticket);
-                SpillIoError(format!("spill write at {offset}: {e}"))
-            })?;
+        inner.file.write_all_at(bytes, offset).map_err(|e| {
+            // The slot is poisoned-free again; the caller rolls back.
+            inner.slots[ticket].len = 0;
+            inner.free.push(ticket);
+            SpillIoError(format!("spill write at {offset}: {e}"))
+        })?;
         Ok(ticket as u64)
     }
 
     fn load_page(&self, ticket: u64, block_id: u64, out: &mut Vec<u8>) -> Result<(), SpillIoError> {
-        let mut inner = self.inner.lock();
+        let inner = self.inner.lock();
         let slot = *inner
             .slots
             .get(ticket as usize)
@@ -880,12 +881,12 @@ impl PageStore for SpillFile {
             .ok_or_else(|| {
                 SpillIoError(format!("no page at ticket {ticket} (block {block_id})"))
             })?;
-        out.clear();
+        // Not cleared first: the read overwrites every byte kept, so only
+        // what the buffer grows by is zeroed.
         out.resize(slot.len as usize, 0);
         inner
             .file
-            .seek(SeekFrom::Start(slot.offset))
-            .and_then(|_| inner.file.read_exact(out))
+            .read_exact_at(out, slot.offset)
             .map_err(|e| SpillIoError(format!("spill read at {}: {e}", slot.offset)))
     }
 
@@ -1045,6 +1046,62 @@ mod tests {
             PersistError::PageChecksum { page: last },
             "corruption in the last page must be named"
         );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn v1_directory_is_refused_by_name_and_left_untouched() {
+        // A directory as the previous format left it: the v1 schema line
+        // over a page file that happens to carry the name generation 1 of a
+        // fresh numbering would pick.
+        let dir = tmpdir("v1-refused");
+        let v1_manifest = format!(
+            "smc-snapshot/v1\ngeneration 1\ntype_id {}\nobj_size 16\npages 1\nobjects 1\n\
+             digest 7\npage_file pages-1.dat\npage_bytes 56\n",
+            type_id_of::<[u64; 2]>()
+        );
+        let v1_pages = b"SMCPERS1 and 48 more bytes this build must not overwrite".to_vec();
+        fs::write(dir.join(MANIFEST), &v1_manifest).unwrap();
+        fs::write(dir.join("pages-1.dat"), &v1_pages).unwrap();
+
+        let named = |err: PersistError| match err {
+            PersistError::Format(msg) => {
+                assert!(msg.contains("\"smc-snapshot/v1\""), "{msg}");
+                assert!(msg.contains(MANIFEST_SCHEMA), "{msg}");
+            }
+            other => panic!("want Format naming the schema, got {other:?}"),
+        };
+        let rt = Runtime::new();
+        named(
+            Smc::<[u64; 2]>::recover_from(&rt, &dir)
+                .map(|_| ())
+                .unwrap_err(),
+        );
+        // A snapshot into the same directory refuses the same way, before
+        // it creates, renames or sweeps anything.
+        let smc: Smc<[u64; 2]> = Smc::new(&rt);
+        fill(&smc, 10);
+        named(smc.snapshot_to(&dir).unwrap_err());
+        assert_eq!(fs::read_to_string(dir.join(MANIFEST)).unwrap(), v1_manifest);
+        assert_eq!(fs::read(dir.join("pages-1.dat")).unwrap(), v1_pages);
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 2, "nothing was added");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn old_page_magic_under_a_current_manifest_is_a_page_checksum_error() {
+        let dir = tmpdir("v1-magic");
+        let rt = Runtime::new();
+        let smc: Smc<[u64; 2]> = Smc::new(&rt);
+        fill(&smc, 20_000);
+        let rep = smc.snapshot_to(&dir).unwrap();
+        let page_path = dir.join(format!("pages-{}.dat", rep.generation));
+        let mut bytes = fs::read(&page_path).unwrap();
+        assert_eq!(&bytes[..8], b"SMCPERS2");
+        bytes[7] = b'1';
+        fs::write(&page_path, &bytes).unwrap();
+        let err = Smc::<[u64; 2]>::recover_from(&Runtime::new(), &dir).unwrap_err();
+        assert_eq!(err, PersistError::PageChecksum { page: 0 });
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -243,3 +243,214 @@ fn fault_schedule_is_reproducible_from_seed() {
     assert_eq!(a_keys, b_keys, "same seed must fail the same allocations");
     assert!(a_inj > 0, "this configuration should inject something");
 }
+
+// ---- a spill tier that holds its budget --------------------------------
+//
+// A spilled victim and the stub of a faulted-in page wait two epochs in the
+// runtime's graveyards, and nothing but the memory manager moves the epoch
+// (§3.4). These tests pin down who moves it for the residency protocol —
+// the load after each spill, the fault path on entry — and that a pinned
+// reader still stops it. CI runs them once more on the release build, the
+// only one that spills thousands of blocks inside a second.
+
+/// What may wait in a graveyard at any instant: burials ripen two advances
+/// later, one advance per spill or fault, plus the one just made.
+const GRAVEYARD_BOUND: usize = 4;
+
+/// A collection budgeted to `budget_blocks` resident blocks over an
+/// in-memory page store.
+fn spilling_collection(rt: &Arc<Runtime>, budget_blocks: u64) -> Smc<Payload> {
+    let c: Smc<Payload> = Smc::with_config(
+        rt,
+        ContextConfig {
+            budget_bytes: Some(budget_blocks * BLOCK_SIZE as u64),
+            ..ContextConfig::default()
+        },
+    );
+    let store = Arc::new(smc_repro::smc_memory::MemoryPageStore::new());
+    assert!(c.enable_spill(store));
+    c
+}
+
+/// Adds rows keyed from `*next` until `blocks` more blocks have spilled.
+fn load_until_spilled(
+    c: &Smc<Payload>,
+    next: &mut u64,
+    blocks: u64,
+) -> Vec<smc_repro::smc::Ref<Payload>> {
+    let target = c.spilled_blocks() + blocks;
+    let mut refs = Vec::new();
+    while c.spilled_blocks() < target {
+        refs.push(
+            c.try_add(payload(*next))
+                .expect("an over-budget add spills"),
+        );
+        *next += 1;
+    }
+    refs
+}
+
+#[test]
+fn budget_held_by_an_unpinned_load() {
+    const BUDGET: u64 = 16;
+    let rt = Runtime::new();
+    let c = spilling_collection(&rt, BUDGET);
+    let mut next = 0;
+    load_until_spilled(&c, &mut next, 7 * BUDGET);
+    // The victims went round through the shard cache; they did not pile up
+    // behind a clock nobody advanced.
+    assert!(
+        rt.graveyard_len() <= GRAVEYARD_BOUND,
+        "{}",
+        rt.graveyard_len()
+    );
+    assert!(rt.stub_graveyard_len() <= GRAVEYARD_BOUND);
+    let alloc = rt.alloc_snapshot();
+    assert!(
+        alloc.blocks_recycled > 0,
+        "no victim was ever handed out again"
+    );
+    assert!(
+        alloc.budgeted_blocks
+            <= BUDGET + GRAVEYARD_BOUND as u64 + smc_repro::smc_memory::MAX_SHARD_CACHE,
+        "{} blocks held from the OS for a {BUDGET}-block budget",
+        alloc.budgeted_blocks
+    );
+    assert_eq!(c.context().block_count() as u64, BUDGET);
+    assert_eq!(c.len(), next);
+    c.verify().unwrap();
+    rt.verify().unwrap();
+}
+
+#[test]
+fn budget_held_load_still_honours_a_pin() {
+    const BUDGET: u64 = 4;
+    let rt = Runtime::new();
+    let c = spilling_collection(&rt, BUDGET);
+    let mut next = 0;
+    // Fill the budget without spilling, then pin and keep plain references
+    // into the resident blocks — the ones about to become victims.
+    let mut early = Vec::new();
+    while (c.context().block_count() as u64) < BUDGET {
+        early.push((next, c.try_add(payload(next)).unwrap()));
+        next += 1;
+    }
+    assert_eq!(c.spilled_blocks(), 0);
+    let guard = rt.pin();
+    let rows: Vec<(u64, &Payload)> = early
+        .iter()
+        .map(|(key, r)| (*key, r.get(&guard).expect("a resident row")))
+        .collect();
+    load_until_spilled(&c, &mut next, 6 * BUDGET);
+    // Every victim is still buried: the guard sits two epochs short of the
+    // first burial, so none was freed, let alone handed out again ...
+    assert_eq!(rt.graveyard_len() as u64, c.spilled_blocks());
+    // ... which is why the references taken before the spills still read
+    // their own rows out of the victims' memory.
+    for (key, row) in &rows {
+        assert_eq!(
+            **row,
+            payload(*key),
+            "row {key} was overwritten under a pin"
+        );
+    }
+    drop(rows);
+    drop(guard);
+    load_until_spilled(&c, &mut next, 3);
+    assert!(
+        rt.graveyard_len() <= GRAVEYARD_BOUND,
+        "{}",
+        rt.graveyard_len()
+    );
+    assert_eq!(c.len(), next);
+    c.verify().unwrap();
+    rt.verify().unwrap();
+}
+
+#[test]
+fn budget_held_across_ten_thousand_faulting_reads() {
+    const BUDGET: u64 = 4;
+    // The full count on the release build CI also runs; a debug build takes
+    // seconds over the same ground.
+    const FAULTS: u64 = if cfg!(debug_assertions) {
+        1_000
+    } else {
+        10_000
+    };
+    let rt = Runtime::new();
+    let c = spilling_collection(&rt, BUDGET);
+    let mut next = 0;
+    let refs = load_until_spilled(&c, &mut next, 3 * BUDGET);
+    let faults = || MemoryStats::get(&rt.stats.blocks_faulted_in);
+    let mut rng = Pcg32::seed_from_u64(0x5b11);
+    let (mut reads, mut deepest) = (0u64, 0);
+    while faults() < FAULTS {
+        let key = rng.next_u64() % next;
+        let guard = rt.pin();
+        assert_eq!(refs[key as usize].get(&guard), Some(&payload(key)));
+        drop(guard);
+        reads += 1;
+        deepest = deepest.max(rt.graveyard_len()).max(rt.stub_graveyard_len());
+    }
+    // A constant, not a function of the read count: each fault ripens what
+    // the fault two before it buried.
+    assert!(
+        deepest <= GRAVEYARD_BOUND,
+        "{deepest} buried after {reads} reads"
+    );
+    assert!(c.context().block_count() as u64 <= BUDGET);
+    c.verify().unwrap();
+    rt.verify().unwrap();
+}
+
+/// 4 KiB rows: fifteen to a block, so a page directory thousands of entries
+/// long costs tens of thousands of adds, not millions.
+#[derive(Clone, Copy)]
+struct Wide {
+    key: u64,
+    fill: [u64; 511],
+}
+unsafe impl Tabular for Wide {}
+
+#[test]
+fn fault_in_finds_the_last_of_two_thousand_pages() {
+    const PAGES: u64 = 2_000;
+    let rt = Runtime::new();
+    let c: Smc<Wide> = Smc::new(&rt);
+    assert!(c.enable_spill(Arc::new(smc_repro::smc_memory::MemoryPageStore::new())));
+    let rows_per_block = c.context().layout().capacity as u64;
+    // One kept row per block and the rest removed, so each page is one
+    // record long; the block filled last round is spilled as soon as the
+    // loader has moved on to the next one.
+    let mut kept = Vec::new();
+    for block in 0..=PAGES {
+        for i in 0..rows_per_block {
+            let key = block * rows_per_block + i;
+            let r = c.add(Wide {
+                key,
+                fill: [!key; 511],
+            });
+            if i > 0 {
+                assert!(c.remove(r));
+                continue;
+            }
+            kept.push((key, r));
+            if block > 0 {
+                assert!(c.context().try_spill_one(), "block {} stays", block - 1);
+            }
+        }
+    }
+    assert_eq!(c.spilled_blocks(), PAGES);
+    assert_eq!(c.spilled_objects(), PAGES);
+    // Newest page, oldest page, one in the middle: the directory is keyed by
+    // block id, so none of them is a walk over the other 1 999.
+    for page in [PAGES - 1, 0, PAGES / 2] {
+        let (key, r) = kept[page as usize];
+        let guard = rt.pin();
+        let row = r.get(&guard).expect("a spilled row faults back in");
+        assert_eq!((row.key, row.fill[510]), (key, !key));
+    }
+    assert_eq!(c.spilled_blocks(), PAGES - 3);
+    assert_eq!(c.len(), PAGES + 1);
+    c.verify().unwrap();
+}
