@@ -24,114 +24,99 @@ use smc_util::rng::splitmix64;
 
 use crate::stats::MemoryStats;
 
-/// Number of distinct failpoints.
-pub const NUM_SITES: usize = 9;
+// One table — a doc comment and a `Variant => "name"` line per site — is the
+// enum, `NUM_SITES`, `ALL` and the names. A site's index is its position:
+// append, never reorder, or every recorded seed replays another schedule.
+macro_rules! fault_sites {
+    ($($(#[$doc:meta])* $site:ident => $name:literal,)*) => {
+        /// The failpoints wired into the memory manager.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum FaultSite {
+            $($(#[$doc])* $site,)*
+        }
 
-/// The failpoints wired into the memory manager.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FaultSite {
+        /// Number of distinct failpoints.
+        pub const NUM_SITES: usize = [$($name,)*].len();
+
+        const NAMES: [&str; NUM_SITES] = [$($name,)*];
+
+        impl FaultSite {
+            /// Every site, in index order.
+            pub const ALL: [FaultSite; NUM_SITES] = [$(FaultSite::$site,)*];
+        }
+    };
+}
+
+fault_sites! {
     /// OS-level block allocation ([`Runtime::allocate_block`](crate::runtime::Runtime::allocate_block)). Injection simulates a hard
     /// allocation failure: the call returns
     /// [`MemError::OutOfMemory`](crate::error::MemError::OutOfMemory)
     /// without touching the recovery ladder.
-    BlockAlloc,
+    BlockAlloc => "block-alloc",
     /// Global epoch advancement (`EpochManager::try_advance*`). Injection
     /// makes the attempt report failure, as if a straggling critical section
     /// were pinned behind the current epoch.
-    EpochAdvance,
+    EpochAdvance => "epoch-advance",
     /// Thread-slot registration (`EpochManager::thread_index` on first use).
     /// Injection returns
     /// [`MemError::TooManyThreads`](crate::error::MemError::TooManyThreads),
     /// as if the registry were full.
-    ThreadClaim,
+    ThreadClaim => "thread-claim",
     /// Object relocation during a compaction pass's moving phase. Injection
     /// aborts the group mid-move — the crash-only path: remaining entries
     /// stay `Pending` and are bailed out by the pass epilogue, leaving the
     /// collection valid and the compaction retriable.
-    Relocation,
+    Relocation => "relocation",
     /// Maintenance-coordinator planning cycle (`smc-maint`). Injection makes
     /// one planning sweep fail transiently — the coordinator must classify
     /// it as retriable and plan again on a later cycle, not wedge.
-    MaintPlan,
+    MaintPlan => "maint-plan",
     /// Maintenance-coordinator pass dispatch (`smc-maint`). Injection fails
     /// a planned pass before it reaches [`MemoryContext::compact`]; the
     /// coordinator retries it with seeded-jitter backoff.
     ///
     /// [`MemoryContext::compact`]: crate::context::MemoryContext::compact
-    MaintPass,
+    MaintPass => "maint-pass",
     /// Snapshot page write (`smc-persist`). Injection fails the page file
     /// write mid-snapshot — the snapshot aborts, the previous published
     /// generation stays intact, and the temporary files are removed.
-    SnapshotPage,
+    SnapshotPage => "snapshot-page",
     /// Snapshot manifest write (`smc-persist`). Injection fails the
     /// `MANIFEST.tmp` write after all pages landed; the snapshot is not
     /// published and recovery still sees the previous generation.
-    SnapshotManifest,
+    SnapshotManifest => "snapshot-manifest",
     /// Snapshot manifest publish (`smc-persist`'s atomic rename). Injection
     /// fails the rename — the last durable step — proving the commit point
     /// is exactly the rename and nothing earlier.
-    SnapshotRename,
+    SnapshotRename => "snapshot-rename",
+    /// Spill page store ([`PageStore::store_page`](crate::spill::PageStore::store_page)
+    /// in `try_spill_one`). Injection takes the branch a store's own error
+    /// takes: every tagged entry is restored, the victim rejoins membership
+    /// and the spill reports no progress.
+    SpillStore => "spill-store",
+    /// Spill page load ([`PageStore::load_page`](crate::spill::PageStore::load_page)
+    /// under fault-in and the spilled scan). Injection takes the branch an
+    /// unreadable page takes: [`MemError::SpillFault`](crate::error::MemError::SpillFault),
+    /// the page still spilled and the heap untouched.
+    SpillLoad => "spill-load",
 }
 
 impl FaultSite {
-    /// Every site, in index order.
-    pub const ALL: [FaultSite; NUM_SITES] = [
-        FaultSite::BlockAlloc,
-        FaultSite::EpochAdvance,
-        FaultSite::ThreadClaim,
-        FaultSite::Relocation,
-        FaultSite::MaintPlan,
-        FaultSite::MaintPass,
-        FaultSite::SnapshotPage,
-        FaultSite::SnapshotManifest,
-        FaultSite::SnapshotRename,
-    ];
-
     /// Dense index of this site.
     #[inline]
     pub fn index(self) -> usize {
-        match self {
-            FaultSite::BlockAlloc => 0,
-            FaultSite::EpochAdvance => 1,
-            FaultSite::ThreadClaim => 2,
-            FaultSite::Relocation => 3,
-            FaultSite::MaintPlan => 4,
-            FaultSite::MaintPass => 5,
-            FaultSite::SnapshotPage => 6,
-            FaultSite::SnapshotManifest => 7,
-            FaultSite::SnapshotRename => 8,
-        }
+        self as usize
     }
 
     /// Stable per-site hash salt (decorrelates sites under one seed).
     #[inline]
     fn salt(self) -> u64 {
-        [
-            0x9e37_79b9_0000_0001,
-            0x9e37_79b9_0000_0002,
-            0x9e37_79b9_0000_0003,
-            0x9e37_79b9_0000_0004,
-            0x9e37_79b9_0000_0005,
-            0x9e37_79b9_0000_0006,
-            0x9e37_79b9_0000_0007,
-            0x9e37_79b9_0000_0008,
-            0x9e37_79b9_0000_0009,
-        ][self.index()]
+        0x9e37_79b9_0000_0000 | (self.index() as u64 + 1)
     }
 
     /// Human-readable site name.
     pub fn name(self) -> &'static str {
-        match self {
-            FaultSite::BlockAlloc => "block-alloc",
-            FaultSite::EpochAdvance => "epoch-advance",
-            FaultSite::ThreadClaim => "thread-claim",
-            FaultSite::Relocation => "relocation",
-            FaultSite::MaintPlan => "maint-plan",
-            FaultSite::MaintPass => "maint-pass",
-            FaultSite::SnapshotPage => "snapshot-page",
-            FaultSite::SnapshotManifest => "snapshot-manifest",
-            FaultSite::SnapshotRename => "snapshot-rename",
-        }
+        NAMES[self.index()]
     }
 }
 

@@ -71,6 +71,7 @@ pub mod indirection;
 pub mod inline_str;
 pub mod inspect;
 pub mod mutation;
+pub mod page;
 pub mod reloc;
 pub mod runtime;
 pub mod slot;

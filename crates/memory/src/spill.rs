@@ -29,11 +29,12 @@
 //!
 //! ## One copy each way, and victims that ripen
 //!
-//! A spill writes `entry_addr ‖ object` from each slot straight into the one
-//! page buffer the context owns (`PageWriter`), seals it with
-//! [`checksum64`] and hands it to the store; a fault-in loads into the same
-//! buffer, verifies it in place (`decode_page` allocates nothing) and
-//! copies each object once, buffer to slot. Both bury what they displace —
+//! A spill copies each object from its slot straight into the one page
+//! buffer the context owns and hands the sealed page to the store; a
+//! fault-in loads into the same buffer, verifies it in place and copies each
+//! object once, buffer to slot. What a page looks like is [`crate::page`]'s
+//! business alone; which entry owns record *i* is the page directory's
+//! (`SpilledPage::entries[i]`). Both bury what they displace —
 //! the victim block, the stub — two epochs out, and nothing but the memory
 //! manager moves the epoch (§3.4), so both call
 //! `Runtime::advance_and_drain`: the allocation path after a successful
@@ -57,14 +58,16 @@
 use std::cell::Cell;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 use crate::block::BlockRef;
 use crate::context::{LayoutMode, Membership, MemoryContext};
 use crate::error::MemError;
+use crate::fault::FaultSite;
 use crate::indirection::EntryRef;
+use crate::page::PageWriter;
 use crate::slot::SlotId;
 use crate::stats::MemoryStats;
 
@@ -95,8 +98,8 @@ impl std::error::Error for SpillIoError {}
 /// Backing storage for spilled pages — implemented by `smc-persist`'s
 /// heapfile (`SpillFile`) and by [`MemoryPageStore`] for tests.
 ///
-/// A *page* is an opaque byte string (the encoded record set of one block).
-/// `store_page` returns a ticket the context presents to `load_page` and
+/// To a store a *page* is an opaque byte string ([`crate::page`] says what
+/// is in it). `store_page` returns a ticket the context presents to `load_page` and
 /// `discard_page`; stores may recycle ticket slots after a discard.
 pub trait PageStore: Send + Sync + fmt::Debug {
     /// Persists one page and returns its ticket. Must not return until the
@@ -116,10 +119,6 @@ pub trait PageStore: Send + Sync + fmt::Debug {
 #[derive(Debug, Default)]
 pub struct MemoryPageStore {
     inner: std::sync::Mutex<MemoryPages>,
-    /// When true, the next `store_page` fails (exercises rollback paths).
-    fail_next_store: AtomicBool,
-    /// When true, every `load_page` fails (exercises fail-closed paths).
-    fail_loads: AtomicBool,
 }
 
 #[derive(Debug, Default)]
@@ -145,16 +144,6 @@ impl MemoryPageStore {
         self.len() == 0
     }
 
-    /// Makes the next `store_page` call fail (then auto-rearms to success).
-    pub fn fail_next_store(&self) {
-        self.fail_next_store.store(true, Ordering::Relaxed);
-    }
-
-    /// Makes every `load_page` call fail until called with `false`.
-    pub fn set_fail_loads(&self, fail: bool) {
-        self.fail_loads.store(fail, Ordering::Relaxed);
-    }
-
     /// Flips one byte of the stored page behind `ticket` (torn-write test
     /// helper); returns false if the ticket holds no page.
     pub fn corrupt_page(&self, ticket: u64) -> bool {
@@ -176,9 +165,6 @@ impl MemoryPageStore {
 
 impl PageStore for MemoryPageStore {
     fn store_page(&self, block_id: u64, bytes: &[u8]) -> Result<u64, SpillIoError> {
-        if self.fail_next_store.swap(false, Ordering::Relaxed) {
-            return Err(SpillIoError("injected store failure".into()));
-        }
         let mut inner = self.inner.lock().unwrap();
         let page = Some((block_id, bytes.to_vec()));
         match inner.free.pop() {
@@ -194,9 +180,6 @@ impl PageStore for MemoryPageStore {
     }
 
     fn load_page(&self, ticket: u64, block_id: u64, out: &mut Vec<u8>) -> Result<(), SpillIoError> {
-        if self.fail_loads.load(Ordering::Relaxed) {
-            return Err(SpillIoError("injected load failure".into()));
-        }
         let inner = self.inner.lock().unwrap();
         match inner.pages.get(ticket as usize).and_then(|p| p.as_ref()) {
             Some((id, bytes)) if *id == block_id => {
@@ -241,8 +224,9 @@ pub(crate) struct SpilledPage {
     pub(crate) ticket: u64,
     /// The tagged stub pointer installed in every member entry's payload.
     pub(crate) tag: usize,
-    /// `(entry_addr, source_slot)` per record, in page order.
-    pub(crate) entries: Vec<(usize, SlotId)>,
+    /// The entry that owns each record, in page order — the only place that
+    /// says so: a page holds objects and nothing about whose they are.
+    pub(crate) entries: Vec<usize>,
 }
 
 /// Per-context spill state, behind one mutex: the store handle, a weak
@@ -258,225 +242,6 @@ pub(crate) struct SpillState {
     /// written.
     pub(crate) pages: BTreeMap<u64, SpilledPage>,
     page_buf: Vec<u8>,
-}
-
-// ---------------------------------------------------------------------
-// Page codec
-// ---------------------------------------------------------------------
-
-/// Magic prefix of an encoded spill page ("SMCPAGE2").
-const PAGE_MAGIC: u64 = 0x534d_4350_4147_4532;
-/// Bytes before the first record: magic, block id, object size, record count.
-const PAGE_HEADER: usize = 32;
-
-const PRIME_1: u64 = 0x9e37_79b1_85eb_ca87;
-const PRIME_2: u64 = 0xc2b2_ae3d_27d4_eb4f;
-const PRIME_3: u64 = 0x1656_67b1_9e37_79f9;
-const PRIME_4: u64 = 0x85eb_ca77_c2b2_ae63;
-
-/// One accumulator step. A bijection of `acc` for a fixed `word` and of
-/// `word` for a fixed `acc`: add, rotate and multiply-by-odd all invert.
-#[inline(always)]
-fn mix(acc: u64, word: u64) -> u64 {
-    acc.wrapping_add(word.wrapping_mul(PRIME_2))
-        .rotate_left(31)
-        .wrapping_mul(PRIME_1)
-}
-
-/// Folds one word into the merged sum (same bijection property as [`mix`]).
-#[inline(always)]
-fn fold(sum: u64, word: u64) -> u64 {
-    (sum ^ mix(0, word))
-        .rotate_left(27)
-        .wrapping_mul(PRIME_1)
-        .wrapping_add(PRIME_4)
-}
-
-/// The integrity checksum of spill pages, snapshot pages and the snapshot
-/// manifest's per-object digest: four independent 64-bit multiply-rotate
-/// lanes over 32-byte stripes of little-endian words (the xxHash64 shape),
-/// merged, then the length, the remaining words, a zero-padded tail and a
-/// final avalanche.
-///
-/// Every step is a bijection of the state it updates, so two inputs of one
-/// length that differ only inside a single 8-byte word *always* sum
-/// differently. It is an integrity check against torn and rotted pages, not
-/// a MAC: nothing here resists an adversary. Words are read with
-/// `from_le_bytes`, so the sum depends on neither host endianness nor the
-/// buffer's alignment — it is part of the on-disk formats.
-pub fn checksum64(bytes: &[u8]) -> u64 {
-    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("an 8-byte chunk"));
-    let mut lanes = [
-        PRIME_1.wrapping_add(PRIME_2),
-        PRIME_2,
-        0,
-        PRIME_1.wrapping_neg(),
-    ];
-    let mut stripes = bytes.chunks_exact(32);
-    for stripe in &mut stripes {
-        lanes[0] = mix(lanes[0], word(&stripe[0..8]));
-        lanes[1] = mix(lanes[1], word(&stripe[8..16]));
-        lanes[2] = mix(lanes[2], word(&stripe[16..24]));
-        lanes[3] = mix(lanes[3], word(&stripe[24..32]));
-    }
-    let mut sum = lanes[0]
-        .rotate_left(1)
-        .wrapping_add(lanes[1].rotate_left(7))
-        .wrapping_add(lanes[2].rotate_left(12))
-        .wrapping_add(lanes[3].rotate_left(18))
-        .wrapping_add(bytes.len() as u64);
-    let mut words = stripes.remainder().chunks_exact(8);
-    for w in &mut words {
-        sum = fold(sum, word(w));
-    }
-    let tail = words.remainder();
-    if !tail.is_empty() {
-        let mut last = [0u8; 8];
-        last[..tail.len()].copy_from_slice(tail);
-        sum = fold(sum, u64::from_le_bytes(last));
-    }
-    sum ^= sum >> 33;
-    sum = sum.wrapping_mul(PRIME_2);
-    sum ^= sum >> 29;
-    sum = sum.wrapping_mul(PRIME_3);
-    sum ^ (sum >> 32)
-}
-
-/// Errors from [`decode_page`]. Internal: the fault path maps every variant
-/// to [`MemError::SpillFault`](crate::error::MemError::SpillFault).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PageError {
-    Truncated,
-    BadMagic,
-    BadBlockId,
-    BadObjSize,
-    Checksum,
-}
-
-/// Writes one page in place: header, then records of `entry_addr ‖ object`
-/// appended one at a time, then the [`checksum64`] of everything before it.
-/// The buffer is sized once for `max_records` and written by offset, so a
-/// buffer reused across pages is neither cleared nor regrown.
-pub(crate) struct PageWriter<'b> {
-    buf: &'b mut Vec<u8>,
-    obj_size: usize,
-    at: usize,
-}
-
-impl<'b> PageWriter<'b> {
-    pub(crate) fn begin(
-        buf: &'b mut Vec<u8>,
-        block_id: u64,
-        obj_size: usize,
-        max_records: usize,
-    ) -> PageWriter<'b> {
-        let full = PAGE_HEADER + max_records * (8 + obj_size) + 8;
-        if buf.len() < full {
-            buf.resize(full, 0);
-        }
-        buf[0..8].copy_from_slice(&PAGE_MAGIC.to_le_bytes());
-        buf[8..16].copy_from_slice(&block_id.to_le_bytes());
-        buf[16..24].copy_from_slice(&(obj_size as u64).to_le_bytes());
-        PageWriter {
-            buf,
-            obj_size,
-            at: PAGE_HEADER,
-        }
-    }
-
-    /// Appends one record, copying the object straight from its slot.
-    ///
-    /// # Safety
-    /// `obj` must be readable for `obj_size` bytes.
-    pub(crate) unsafe fn push(&mut self, entry_addr: usize, obj: *const u8) {
-        let rec = &mut self.buf[self.at..self.at + 8 + self.obj_size];
-        rec[..8].copy_from_slice(&(entry_addr as u64).to_le_bytes());
-        // A raw copy, not a `&[u8]` over the slot: the object is another
-        // thread's to write in place until its burial ripens.
-        std::ptr::copy_nonoverlapping(obj, rec[8..].as_mut_ptr(), self.obj_size);
-        self.at += rec.len();
-    }
-
-    /// Seals the page — record count, checksum — and returns its bytes.
-    pub(crate) fn finish(self) -> &'b [u8] {
-        let records = (self.at - PAGE_HEADER) / (8 + self.obj_size);
-        self.buf[24..32].copy_from_slice(&(records as u64).to_le_bytes());
-        let sum = checksum64(&self.buf[..self.at]);
-        self.buf[self.at..self.at + 8].copy_from_slice(&sum.to_le_bytes());
-        &self.buf[..self.at + 8]
-    }
-}
-
-fn read_u64(bytes: &[u8], off: usize) -> Option<u64> {
-    bytes
-        .get(off..off + 8)
-        .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-}
-
-/// The verified records of one page, `(entry_addr, obj_bytes)` in page
-/// order, borrowed from the loaded bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct PageRecords<'b> {
-    /// The records not yet yielded: a whole number of `rec`-byte records.
-    body: &'b [u8],
-    rec: usize,
-}
-
-impl<'b> Iterator for PageRecords<'b> {
-    type Item = (u64, &'b [u8]);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.body.is_empty() {
-            return None;
-        }
-        let (record, rest) = self.body.split_at(self.rec);
-        self.body = rest;
-        let (addr, obj) = record.split_at(8);
-        Some((u64::from_le_bytes(addr.try_into().unwrap()), obj))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.body.len() / self.rec;
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for PageRecords<'_> {}
-
-/// Verifies one page and returns its records. The header is checked first —
-/// its record count fixes the page's length, so a truncated page is caught
-/// whatever its last eight bytes hold — then the checksum over the whole
-/// body. Any failure is an error, never a partial page.
-pub(crate) fn decode_page(
-    bytes: &[u8],
-    expect_block_id: u64,
-    expect_obj_size: u64,
-) -> Result<PageRecords<'_>, PageError> {
-    if bytes.len() < PAGE_HEADER + 8 {
-        return Err(PageError::Truncated);
-    }
-    if read_u64(bytes, 0) != Some(PAGE_MAGIC) {
-        return Err(PageError::BadMagic);
-    }
-    if read_u64(bytes, 8) != Some(expect_block_id) {
-        return Err(PageError::BadBlockId);
-    }
-    if read_u64(bytes, 16) != Some(expect_obj_size) {
-        return Err(PageError::BadObjSize);
-    }
-    let body_len = bytes.len() - 8;
-    let rec = 8 + expect_obj_size as usize;
-    let n = read_u64(bytes, 24).ok_or(PageError::Truncated)?;
-    if n.checked_mul(rec as u64) != Some((body_len - PAGE_HEADER) as u64) {
-        return Err(PageError::Truncated);
-    }
-    if read_u64(bytes, body_len) != Some(checksum64(&bytes[..body_len])) {
-        return Err(PageError::Checksum);
-    }
-    Ok(PageRecords {
-        body: &bytes[PAGE_HEADER..body_len],
-        rec,
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -637,7 +402,9 @@ impl MemoryContext {
         // Each record goes from its slot straight into the page buffer, once;
         // the directory below is the only thing a spill allocates to keep.
         let valid = victim.header().valid_count.load(Ordering::Relaxed) as usize;
-        let mut entries: Vec<(usize, SlotId)> = Vec::with_capacity(valid);
+        let mut entries: Vec<usize> = Vec::with_capacity(valid);
+        // Where each came from, for the rollback alone.
+        let mut slots: Vec<SlotId> = Vec::with_capacity(valid);
         let mut page = PageWriter::begin(
             &mut s.page_buf,
             block_id,
@@ -655,13 +422,14 @@ impl MemoryContext {
             let tagged = swing(unsafe { EntryRef::from_addr(back) }, home, tag, || {
                 // SAFETY: `home` is the object of a valid slot of a block we
                 // claimed; the entry lock keeps it from being freed or moved.
-                unsafe { page.push(back, home as *const u8) };
+                unsafe { page.push(home as *const u8) };
                 // Retire direct pointers into the page — a spilled slot must
                 // not satisfy a §6 direct dereference against stale memory.
                 self.slot_inc(&victim, slot_id).bump_unlocked();
             });
             if tagged {
-                entries.push((back, slot_id));
+                entries.push(back);
+                slots.push(slot_id);
             }
         }
         // Both no-progress exits below hand the victim back the same way.
@@ -676,10 +444,15 @@ impl MemoryContext {
             give_back();
             return false;
         }
-        let Ok(ticket) = store.store_page(block_id, page.finish()) else {
+        let stored = if self.runtime.faults().should_fail(FaultSite::SpillStore) {
+            Err(SpillIoError("injected fault at spill-store".into()))
+        } else {
+            store.store_page(block_id, page.finish())
+        };
+        let Ok(ticket) = stored else {
             // Store failed: restore every tagged entry. We still hold the
             // spill mutex, so nothing else can have repointed them.
-            for &(back, slot_id) in &entries {
+            for (&back, &slot_id) in entries.iter().zip(&slots) {
                 let home = self.payload_of(&victim, slot_id);
                 swing(unsafe { EntryRef::from_addr(back) }, tag, home, || ());
             }
@@ -767,19 +540,16 @@ impl MemoryContext {
         let page = slot.remove();
         let obj_size = self.obj_size as usize;
         let mut live: u32 = 0;
-        for (i, (entry_addr, obj)) in records.enumerate() {
+        for (i, (obj, &entry_addr)) in records.zip(&page.entries).enumerate() {
             let slot_id = i as SlotId;
-            debug_assert_eq!(entry_addr as usize, page.entries[i].0);
-            let entry = unsafe { EntryRef::from_addr(entry_addr as usize) };
+            let entry = unsafe { EntryRef::from_addr(entry_addr) };
             // Object bytes (one copy, page buffer to slot), back pointer and
             // slot state land before the payload repoint publishes the slot
             // to retrying readers.
             unsafe {
                 std::ptr::copy_nonoverlapping(obj.as_ptr(), fresh.obj_ptr(slot_id), obj_size)
             };
-            fresh
-                .back_ptr(slot_id)
-                .store(entry_addr as usize, Ordering::Release);
+            fresh.back_ptr(slot_id).store(entry_addr, Ordering::Release);
             fresh.slot_word(slot_id).set_valid();
             if entry.get().load_payload(Ordering::Acquire) == page.tag {
                 entry
@@ -829,11 +599,12 @@ impl MemoryContext {
         block_id: u64,
         page: &SpilledPage,
         bytes: &'b mut Vec<u8>,
-    ) -> Result<PageRecords<'b>, MemError> {
-        let loaded = store.load_page(page.ticket, block_id, bytes).is_ok();
+    ) -> Result<impl ExactSizeIterator<Item = &'b [u8]>, MemError> {
+        let loaded = !self.runtime.faults().should_fail(FaultSite::SpillLoad)
+            && store.load_page(page.ticket, block_id, bytes).is_ok();
         let bytes: &'b [u8] = bytes;
         loaded
-            .then(|| decode_page(bytes, block_id, self.obj_size as u64).ok())
+            .then(|| crate::page::decode(bytes, block_id, self.obj_size as u64).ok())
             .flatten()
             .filter(|records| records.len() == page.entries.len())
             .ok_or_else(|| {
@@ -883,14 +654,15 @@ impl MemoryContext {
         let aligned = scratch.as_ptr().align_offset(self.obj_align);
         let scratch = &mut scratch[aligned..aligned + obj_size];
         for (&block_id, page) in pages.iter() {
-            for (entry_addr, obj) in self.read_page(&**store, block_id, page, page_buf)? {
+            let records = self.read_page(&**store, block_id, page, page_buf)?;
+            for (obj, &entry_addr) in records.zip(&page.entries) {
                 let obj = if obj.as_ptr().align_offset(self.obj_align) == 0 {
                     obj.as_ptr()
                 } else {
                     scratch.copy_from_slice(obj);
                     scratch.as_ptr()
                 };
-                visit(entry_addr as usize, obj);
+                visit(entry_addr, obj);
             }
         }
         Ok(self.membership_snapshot())
@@ -903,7 +675,7 @@ impl MemoryContext {
     pub(crate) fn release_spilled(&mut self, free_at: u64) {
         let s = self.spill.get_mut();
         for page in std::mem::take(&mut s.pages).into_values() {
-            for &(entry_addr, _) in &page.entries {
+            for &entry_addr in &page.entries {
                 let entry = unsafe { EntryRef::from_addr(entry_addr) };
                 if entry.get().load_payload(Ordering::Acquire) == page.tag {
                     entry.get().inc().bump_unlocked();
@@ -929,178 +701,6 @@ mod tests {
     use crate::context::{Allocation, ContextConfig};
     use crate::runtime::Runtime;
 
-    /// The pinned input: byte `i` of every vector below.
-    fn pattern(len: usize) -> Vec<u8> {
-        (0..len).map(|i| (i * 31 + 7) as u8).collect()
-    }
-
-    /// [`checksum64`]'s definition restated the slow way — one lane array
-    /// indexed by word number, words assembled byte by byte — so the kernel's
-    /// striping, tail handling and word order are checked against something
-    /// that shares none of them.
-    fn checksum64_reference(bytes: &[u8]) -> u64 {
-        let le = |b: &[u8]| b.iter().rev().fold(0u64, |w, &x| w << 8 | x as u64);
-        let step = |acc: u64, w: u64| {
-            (acc.wrapping_add(w.wrapping_mul(PRIME_2)).rotate_left(31)).wrapping_mul(PRIME_1)
-        };
-        let mut lanes = [PRIME_1.wrapping_add(PRIME_2), PRIME_2, 0, !PRIME_1 + 1];
-        let striped = bytes.len() / 32 * 32;
-        for (i, w) in bytes[..striped].chunks(8).enumerate() {
-            lanes[i % 4] = step(lanes[i % 4], le(w));
-        }
-        let merged = [1, 7, 12, 18]
-            .iter()
-            .zip(lanes)
-            .map(|(&r, l)| l.rotate_left(r));
-        let mut sum = merged.fold(bytes.len() as u64, u64::wrapping_add);
-        for w in bytes[striped..].chunks(8) {
-            sum = ((sum ^ step(0, le(w))).rotate_left(27).wrapping_mul(PRIME_1))
-                .wrapping_add(PRIME_4);
-        }
-        for (shift, prime) in [(33, PRIME_2), (29, PRIME_3)] {
-            sum = (sum ^ (sum >> shift)).wrapping_mul(prime);
-        }
-        sum ^ (sum >> 32)
-    }
-
-    #[test]
-    fn checksum64_matches_pinned_vectors() {
-        // The on-disk definition: a change to any of these is a format
-        // change (new page magic, new manifest schema), not a refactor.
-        let pinned: [(usize, u64); 10] = [
-            (0, 0x9090_306c_6e91_ed59),
-            (1, 0x3ee0_2232_1272_3452),
-            (7, 0x3cf6_9c5a_2d78_1173),
-            (8, 0x1f94_49bb_972a_c643),
-            (31, 0x035a_dbd9_354c_273b),
-            (32, 0x4b87_2b68_b7e1_a9b6),
-            (33, 0xc56d_7a60_484b_82c7),
-            (63, 0xdbb5_168b_664d_0103),
-            (64, 0x1ef5_10aa_5654_f182),
-            (56 * 1024, 0xc117_2555_4e17_2721),
-        ];
-        for (len, want) in pinned {
-            let got = checksum64(&pattern(len));
-            assert_eq!(got, want, "length {len}: {got:#018x}");
-        }
-    }
-
-    #[test]
-    fn checksum64_agrees_with_the_reference_at_every_length_and_alignment() {
-        let lengths = if cfg!(miri) { 0..=72 } else { 0..=200 };
-        let mut buf = vec![0u8; 208];
-        for len in lengths {
-            let data = pattern(len);
-            let want = checksum64_reference(&data);
-            for start in 0..8 {
-                buf[start..start + len].copy_from_slice(&data);
-                assert_eq!(
-                    checksum64(&buf[start..start + len]),
-                    want,
-                    "length {len} at alignment {start}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn checksum64_catches_every_bit_flip_and_every_word_swap() {
-        // Every step of the kernel is a bijection of the lane it updates, so
-        // a change confined to one word cannot cancel: all 32 768 single-bit
-        // flips of a 4 KiB page are caught, not merely most.
-        let mut page = pattern(if cfg!(miri) { 96 } else { 4096 });
-        let clean = checksum64(&page);
-        for bit in 0..page.len() * 8 {
-            page[bit / 8] ^= 1 << (bit % 8);
-            assert_ne!(checksum64(&page), clean, "bit {bit} flipped unseen");
-            page[bit / 8] ^= 1 << (bit % 8);
-        }
-        // Lane and position sensitivity: exchanging two words — same lane,
-        // different lanes, stripe against tail — is no multiset-preserving
-        // no-op. 35 words: four whole stripes and three tail words.
-        let words: Vec<u64> = (0..35u64).map(|i| i.wrapping_mul(PRIME_3) | 1).collect();
-        let bytes = |w: &[u64]| w.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
-        let clean = checksum64(&bytes(&words));
-        for a in 0..words.len() {
-            for b in a + 1..words.len() {
-                let mut swapped = words.clone();
-                swapped.swap(a, b);
-                assert_ne!(checksum64(&bytes(&swapped)), clean, "words {a} and {b}");
-            }
-        }
-    }
-
-    /// A page over already-gathered objects, through the writer the spill
-    /// path uses.
-    fn encode_page(
-        block_id: u64,
-        obj_size: usize,
-        entry_addrs: &[(usize, SlotId)],
-        objs: &[u8],
-    ) -> Vec<u8> {
-        let mut buf = Vec::new();
-        let mut page = PageWriter::begin(&mut buf, block_id, obj_size, entry_addrs.len());
-        for (&(addr, _slot), obj) in entry_addrs.iter().zip(objs.chunks(obj_size)) {
-            unsafe { page.push(addr, obj.as_ptr()) };
-        }
-        page.finish().to_vec()
-    }
-
-    #[test]
-    fn page_roundtrip() {
-        let objs: Vec<u8> = (0..32u8).collect();
-        let entries = vec![(0x1000usize, 0u32), (0x2000, 1), (0x3000, 7), (0x4000, 9)];
-        let page = encode_page(42, 8, &entries, &objs);
-        assert_eq!(page.len(), 32 + 4 * (8 + 8) + 8, "header, records, trailer");
-        let records: Vec<_> = decode_page(&page, 42, 8).unwrap().collect();
-        assert_eq!(records.len(), 4);
-        assert_eq!(records[0].0, 0x1000);
-        assert_eq!(records[2].0, 0x3000);
-        assert_eq!(records[3].1, &objs[24..32]);
-    }
-
-    #[test]
-    fn page_writer_reuses_a_longer_buffer_without_leaking_it_into_the_page() {
-        // The spill path's buffer is never cleared: a short page written
-        // after a long one must seal and verify as exactly its own bytes.
-        let mut buf = Vec::new();
-        let long = {
-            let mut page = PageWriter::begin(&mut buf, 1, 8, 6);
-            for i in 0..6u64 {
-                unsafe { page.push(0x100 + i as usize, i.to_le_bytes().as_ptr()) };
-            }
-            page.finish().len()
-        };
-        let mut page = PageWriter::begin(&mut buf, 2, 8, 6);
-        unsafe { page.push(0x900, 77u64.to_le_bytes().as_ptr()) };
-        let short = page.finish();
-        assert!(short.len() < long);
-        let records: Vec<_> = decode_page(short, 2, 8).unwrap().collect();
-        assert_eq!(records, [(0x900, &77u64.to_le_bytes()[..])]);
-    }
-
-    #[test]
-    fn page_decode_fails_closed() {
-        let objs = vec![7u8; 16];
-        let entries = vec![(0x10usize, 0u32), (0x20, 1)];
-        let good = encode_page(5, 8, &entries, &objs);
-        // Truncation at every prefix length must error, never panic.
-        for cut in 0..good.len() {
-            assert!(decode_page(&good[..cut], 5, 8).is_err(), "cut at {cut}");
-        }
-        // Single-byte corruption anywhere must be caught by the checksum
-        // (or by a failed field check — either way, an error).
-        for i in 0..good.len() {
-            let mut bad = good.clone();
-            bad[i] ^= 0x01;
-            assert!(decode_page(&bad, 5, 8).is_err(), "corrupt byte {i}");
-        }
-        // Mismatched expectations are named errors.
-        assert_eq!(decode_page(&good, 6, 8), Err(PageError::BadBlockId));
-        assert_eq!(decode_page(&good, 5, 16), Err(PageError::BadObjSize));
-        assert!(decode_page(&good, 5, 8).is_ok());
-    }
-
     #[test]
     fn memory_store_roundtrip_and_recycling() {
         let store = MemoryPageStore::new();
@@ -1121,19 +721,6 @@ mod tests {
         store.discard_page(t2);
         store.discard_page(t3);
         assert!(store.is_empty());
-    }
-
-    #[test]
-    fn memory_store_failure_switches() {
-        let store = MemoryPageStore::new();
-        store.fail_next_store();
-        assert!(store.store_page(1, b"x").is_err());
-        let t = store.store_page(1, b"x").unwrap(); // rearmed
-        let mut buf = Vec::new();
-        store.set_fail_loads(true);
-        assert!(store.load_page(t, 1, &mut buf).is_err());
-        store.set_fail_loads(false);
-        store.load_page(t, 1, &mut buf).unwrap();
     }
 
     #[test]
@@ -1158,6 +745,13 @@ mod tests {
         let store = Arc::new(MemoryPageStore::new());
         assert!(c.enable_spill(store.clone()));
         (c, store)
+    }
+
+    /// Arms `rt`'s failpoint registry so the next call at `site` fails, once.
+    fn fail_next(rt: &Runtime, site: FaultSite) {
+        rt.faults().set_rate(site, crate::fault::RATE_DENOMINATOR);
+        rt.faults().set_limit(Some(1));
+        rt.faults().enable(0x5b11);
     }
 
     /// Fills one block and four slots of a second, spills the first (cold)
@@ -1210,6 +804,34 @@ mod tests {
     }
 
     #[test]
+    fn a_spilled_block_is_a_snapshot_page() {
+        // "Same bytes" as an executable statement: what the store holds for
+        // a spilled block goes through the header-then-decode reader
+        // `smc-persist`'s recovery runs over a page file, given nothing but
+        // the block's id and the object size.
+        use crate::page::{decode, PageHeader, PAGE_HEADER};
+        let rt = Runtime::new();
+        let (c, store) = spill_ctx(&rt);
+        let cap = c.layout().capacity as u64;
+        let allocs: Vec<_> = (0..cap + 4).map(|i| alloc_u64(&c, i)).collect();
+        let block_id = allocs[0].block.header().block_id;
+        assert!(c.try_spill_one());
+        let mut bytes = Vec::new();
+        store.load_page(0, block_id, &mut bytes).unwrap();
+        let header = PageHeader::read(&bytes[..PAGE_HEADER]).unwrap();
+        assert_eq!(
+            (header.id, header.count, header.obj_size),
+            (block_id, cap, 8)
+        );
+        assert_eq!(header.page_len(), Some(bytes.len()));
+        let values: Vec<u64> = decode(&bytes, block_id, 8)
+            .unwrap()
+            .map(|obj| u64::from_le_bytes(obj.try_into().unwrap()))
+            .collect();
+        assert_eq!(values, (0..cap).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn budget_pressure_spills_instead_of_rejecting() {
         let rt = Runtime::new();
         let config = ContextConfig {
@@ -1245,10 +867,10 @@ mod tests {
     #[test]
     fn spill_store_failure_rolls_back_cleanly() {
         let rt = Runtime::new();
-        let (c, store) = spill_ctx(&rt);
+        let (c, _store) = spill_ctx(&rt);
         let cap = c.layout().capacity as usize;
         let _allocs: Vec<_> = (0..cap + 4).map(|i| alloc_u64(&c, i as u64)).collect();
-        store.fail_next_store();
+        fail_next(&rt, FaultSite::SpillStore);
         assert!(!c.try_spill_one(), "a failed store must report no spill");
         assert_eq!(c.spilled_blocks(), 0);
         assert_eq!(c.block_count(), 2, "the victim rejoins membership");
@@ -1262,12 +884,12 @@ mod tests {
     #[test]
     fn spill_store_failure_buries_the_published_stub() {
         let rt = Runtime::new();
-        let (c, store) = spill_ctx(&rt);
+        let (c, _store) = spill_ctx(&rt);
         let cap = c.layout().capacity as usize;
         let _allocs: Vec<_> = (0..cap + 4).map(|i| alloc_u64(&c, i as u64)).collect();
         // Each live stub holds one weak handle beside the context's own.
         assert_eq!(Arc::weak_count(&c), 1);
-        store.fail_next_store();
+        fail_next(&rt, FaultSite::SpillStore);
         assert!(!c.try_spill_one());
         // The rollback published the tag before it failed, so a pinned
         // reader may still be about to dereference the stub: it must sit in
@@ -1308,9 +930,9 @@ mod tests {
     #[test]
     fn fault_in_load_failure_fails_closed() {
         let rt = Runtime::new();
-        let (c, store) = spill_ctx(&rt);
+        let (c, _store) = spill_ctx(&rt);
         let first = fill_two_blocks_and_spill(&c);
-        store.set_fail_loads(true);
+        fail_next(&rt, FaultSite::SpillLoad);
         let victim = &first[0];
         assert_eq!(
             c.try_free(victim.entry, victim.entry_inc).unwrap_err(),
@@ -1320,7 +942,6 @@ mod tests {
         // The page stays spilled; nothing was partially materialized.
         assert_eq!(c.spilled_blocks(), 1);
         c.verify().unwrap();
-        store.set_fail_loads(false);
         assert!(c.try_free(victim.entry, victim.entry_inc).unwrap());
         c.verify().unwrap();
     }

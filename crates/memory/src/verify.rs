@@ -102,13 +102,13 @@ impl MemoryContext {
         let (pages, counted) = self.with_spill_pages(|pages| {
             let mut counted = 0u64;
             for (&id, page) in pages {
-                for &(back, slot) in &page.entries {
+                for (record, &back) in page.entries.iter().enumerate() {
                     counted += 1;
                     let entry = unsafe { EntryRef::from_addr(back) };
                     let payload = entry.get().load_payload(Ordering::Acquire);
                     if payload != page.tag {
                         v.push(format!(
-                            "spilled block {id} slot {slot}: entry payload {payload:#x} \
+                            "spilled block {id} record {record}: entry payload {payload:#x} \
                              != spill stub {:#x}",
                             page.tag
                         ));
@@ -116,7 +116,7 @@ impl MemoryContext {
                     let word = entry.get().inc().load(Ordering::Acquire);
                     if word & FLAG_LOCK != 0 {
                         v.push(format!(
-                            "spilled block {id} slot {slot}: entry incarnation left LOCKed"
+                            "spilled block {id} record {record}: entry incarnation left LOCKed"
                         ));
                     }
                 }

@@ -41,10 +41,9 @@
 //! page_bytes 655744
 //! ```
 //!
-//! `pages-<generation>.dat`: a sequence of pages, each
-//! `[magic u64][index u64][count u64][obj_size u64][payload][checksum u64]`
-//! with every integer little-endian and the checksum covering all
-//! preceding bytes of the page. The digest is order-independent (a
+//! `pages-<generation>.dat`: a sequence of pages, numbered from 0, in the
+//! one page layout of the second tier — [`smc_memory::page`] defines it, and
+//! a spilled block is written in it too. The digest is order-independent (a
 //! wrapping sum of per-object [`checksum64`]s), so it can be compared
 //! against any enumeration order of the rebuilt collection.
 //!
@@ -75,15 +74,12 @@ use smc::Smc;
 use smc_memory::block::type_id_of;
 use smc_memory::context::ContextConfig;
 use smc_memory::fault::FaultSite;
+use smc_memory::page::{self, checksum64, PageError, PageHeader, PageWriter, PAGE_HEADER};
 use smc_memory::runtime::Runtime;
-use smc_memory::spill::{checksum64, PageStore, SpillIoError};
+use smc_memory::spill::{PageStore, SpillIoError};
 use smc_memory::sync::Mutex;
 use smc_memory::tabular::Tabular;
 
-/// Magic word opening every snapshot page (`SMCPERS2`).
-const PAGE_MAGIC: u64 = u64::from_le_bytes(*b"SMCPERS2");
-/// Bytes before a snapshot page's payload: magic, index, count, object size.
-const PAGE_HEADER: usize = 32;
 /// First line of every manifest; bumped on incompatible format changes.
 const MANIFEST_SCHEMA: &str = "smc-snapshot/v2";
 /// Target payload bytes per snapshot page.
@@ -338,8 +334,8 @@ fn snapshot_impl<T: Tabular>(smc: &Smc<T>, dir: &Path) -> Result<SnapshotReport,
     // committed generation never lives under a .tmp name.
     sweep_temporaries(dir);
     let generation = previous.as_ref().map_or(1, |m| m.generation + 1);
-    let obj_size = std::mem::size_of::<T>().max(1);
-    let per_page = (PAGE_TARGET_BYTES / obj_size).max(1);
+    let obj_size = std::mem::size_of::<T>();
+    let per_page = (PAGE_TARGET_BYTES / obj_size.max(1)).max(1);
 
     let page_name = format!("pages-{generation}.dat");
     let tmp_path = dir.join(format!("{page_name}.tmp"));
@@ -348,50 +344,50 @@ fn snapshot_impl<T: Tabular>(smc: &Smc<T>, dir: &Path) -> Result<SnapshotReport,
     // One pinned walk over the live collection — resident blocks, in-flight
     // compaction groups, and spilled pages alike.
     let guard = runtime.pin();
-    let mut page_buf: Vec<u8> = Vec::with_capacity(per_page * obj_size + 40);
-    let mut in_page = 0usize;
+    let mut page_buf = Vec::new();
+    let mut page = PageWriter::begin(&mut page_buf, 0, obj_size, per_page);
     let mut pages = 0u64;
     let mut objects = 0u64;
     let mut bytes = 0u64;
     let mut digest = 0u64;
+    // Seals the open page, writes it and opens the next.
+    let mut flush = |page: &mut PageWriter<'_>| -> Result<(), PersistError> {
+        let sealed = page.finish();
+        if faults.should_fail(FaultSite::SnapshotPage) {
+            // Simulated kill mid-page: write a torn prefix (what a real crash
+            // leaves behind) and fail the snapshot.
+            file.write_all(&sealed[..sealed.len() / 2])?;
+            return Err(PersistError::Io("injected fault at snapshot-page".into()));
+        }
+        file.write_all(sealed)?;
+        bytes += sealed.len() as u64;
+        pages += 1;
+        page.reopen(pages);
+        Ok(())
+    };
     let mut io_err: Option<PersistError> = None;
     smc.try_for_each(&guard, |obj| {
         if io_err.is_some() {
             return;
         }
-        if in_page == 0 {
-            begin_page(&mut page_buf, pages, obj_size as u64);
-        }
-        let raw = unsafe {
-            std::slice::from_raw_parts(obj as *const T as *const u8, std::mem::size_of::<T>())
-        };
-        page_buf.extend_from_slice(raw);
+        // SAFETY: `obj` is a live `&T` — `obj_size` readable bytes, plain
+        // data by `T: Tabular` — for both the slice and the copy.
+        let raw = unsafe { std::slice::from_raw_parts(obj as *const T as *const u8, obj_size) };
+        unsafe { page.push(raw.as_ptr()) };
         digest = digest.wrapping_add(checksum64(raw));
         objects += 1;
-        in_page += 1;
-        if in_page >= per_page {
-            if let Err(e) = flush_page(&mut file, &faults, &mut page_buf) {
-                io_err = Some(e);
-                return;
-            }
-            bytes += (page_buf.len()) as u64;
-            page_buf.clear();
-            in_page = 0;
-            pages += 1;
+        if page.records() == per_page {
+            io_err = flush(&mut page).err();
         }
     })
     .map_err(PersistError::Alloc)?;
     drop(guard);
+    if io_err.is_none() && page.records() > 0 {
+        io_err = flush(&mut page).err();
+    }
     if let Some(e) = io_err {
         fs::remove_file(&tmp_path).ok();
         return Err(e);
-    }
-    if in_page > 0 {
-        flush_page(&mut file, &faults, &mut page_buf).inspect_err(|_| {
-            fs::remove_file(&tmp_path).ok();
-        })?;
-        bytes += page_buf.len() as u64;
-        pages += 1;
     }
     file.sync_all()?;
     drop(file);
@@ -451,36 +447,6 @@ fn snapshot_impl<T: Tabular>(smc: &Smc<T>, dir: &Path) -> Result<SnapshotReport,
     })
 }
 
-/// Starts a page in `buf`: magic, index, count placeholder, object size.
-fn begin_page(buf: &mut Vec<u8>, index: u64, obj_size: u64) {
-    buf.extend_from_slice(&PAGE_MAGIC.to_le_bytes());
-    buf.extend_from_slice(&index.to_le_bytes());
-    buf.extend_from_slice(&0u64.to_le_bytes()); // count, patched on flush
-    buf.extend_from_slice(&obj_size.to_le_bytes());
-}
-
-/// Patches the page's object count, appends the checksum, and writes it.
-fn flush_page(
-    file: &mut File,
-    faults: &smc_memory::FaultInjector,
-    buf: &mut Vec<u8>,
-) -> Result<(), PersistError> {
-    let obj_size = u64::from_le_bytes(buf[24..32].try_into().unwrap());
-    let count = (buf.len() as u64 - 32) / obj_size;
-    buf[16..24].copy_from_slice(&count.to_le_bytes());
-    let sum = checksum64(buf);
-    buf.extend_from_slice(&sum.to_le_bytes());
-    if faults.should_fail(FaultSite::SnapshotPage) {
-        // Simulated kill mid-page: write a torn prefix (what a real crash
-        // leaves behind) and fail the snapshot.
-        let torn = buf.len() / 2;
-        file.write_all(&buf[..torn])?;
-        return Err(PersistError::Io("injected fault at snapshot-page".into()));
-    }
-    file.write_all(buf)?;
-    Ok(())
-}
-
 // ---------------------------------------------------------------------
 // Recovery
 // ---------------------------------------------------------------------
@@ -499,7 +465,7 @@ fn recover_impl<T: Tabular>(
             expected: expected_type,
         });
     }
-    let obj_size = std::mem::size_of::<T>().max(1) as u64;
+    let obj_size = std::mem::size_of::<T>() as u64;
     if manifest.obj_size != obj_size {
         return Err(PersistError::Format(format!(
             "manifest obj_size {} != size_of::<T>() {}",
@@ -511,7 +477,15 @@ fn recover_impl<T: Tabular>(
     let mut file =
         File::open(&path).map_err(|e| PersistError::Io(format!("{}: {e}", manifest.page_file)))?;
     let file_len = file.metadata()?.len();
-    if file_len != manifest.page_bytes {
+    if file_len > manifest.page_bytes {
+        return Err(PersistError::Format(format!(
+            "{}: {} bytes beyond the {} the manifest committed",
+            manifest.page_file,
+            file_len - manifest.page_bytes,
+            manifest.page_bytes
+        )));
+    }
+    if file_len < manifest.page_bytes {
         // The whole-file length check catches truncation before any page is
         // even parsed; the page in which the cut falls is reported below.
         // Pages are near-uniform; walking headers would need the bytes we
@@ -540,39 +514,38 @@ fn recover_impl<T: Tabular>(
     // largest page and is never cleared.
     let mut buf = vec![0u8; PAGE_HEADER];
     for page in 0..manifest.pages {
+        let refuse = |e: PageError| match e {
+            PageError::BadMagic | PageError::Checksum => PersistError::PageChecksum { page },
+            other => PersistError::Format(format!("page {page}: {other:?}")),
+        };
         if let Err(e) = file.read_exact(&mut buf[..PAGE_HEADER]) {
             return Err(truncated(page, PAGE_HEADER as u64, &e));
         }
-        let field = |i: usize| u64::from_le_bytes(buf[i * 8..i * 8 + 8].try_into().unwrap());
-        if field(0) != PAGE_MAGIC {
-            return Err(PersistError::PageChecksum { page });
-        }
-        let (index, count, size) = (field(1), field(2), field(3));
-        if index != page || size != obj_size {
+        let header = PageHeader::read(&buf[..PAGE_HEADER]).map_err(refuse)?;
+        if header.id != page || header.obj_size != obj_size {
             return Err(PersistError::Format(format!(
-                "page {page}: header claims index {index}, obj_size {size}"
+                "page {page}: header claims index {}, obj_size {}",
+                header.id, header.obj_size
             )));
         }
-        let payload = count
-            .checked_mul(obj_size)
-            .filter(|&p| p <= manifest.page_bytes)
-            .ok_or(PersistError::Format(format!(
-                "page {page}: implausible object count {count}"
-            )))?;
-        let body_end = PAGE_HEADER + payload as usize;
-        if buf.len() < body_end + 8 {
-            buf.resize(body_end + 8, 0);
+        let len = header
+            .page_len()
+            .filter(|&len| len as u64 <= manifest.page_bytes)
+            .ok_or_else(|| {
+                PersistError::Format(format!(
+                    "page {page}: implausible object count {}",
+                    header.count
+                ))
+            })?;
+        if buf.len() < len {
+            buf.resize(len, 0);
         }
-        if let Err(e) = file.read_exact(&mut buf[PAGE_HEADER..body_end + 8]) {
-            return Err(truncated(page, payload + 8, &e));
+        if let Err(e) = file.read_exact(&mut buf[PAGE_HEADER..len]) {
+            return Err(truncated(page, (len - PAGE_HEADER) as u64, &e));
         }
-        // Verify the checksum over the whole page BEFORE trusting a single
-        // object out of it — fail closed on torn writes.
-        let stored = u64::from_le_bytes(buf[body_end..body_end + 8].try_into().unwrap());
-        if checksum64(&buf[..body_end]) != stored {
-            return Err(PersistError::PageChecksum { page });
-        }
-        for raw in buf[PAGE_HEADER..body_end].chunks_exact(obj_size as usize) {
+        // The checksum over the whole page is verified BEFORE a single
+        // object out of it is trusted — fail closed on torn writes.
+        for raw in page::decode(&buf[..len], page, obj_size).map_err(refuse)? {
             digest = digest.wrapping_add(checksum64(raw));
             // SAFETY: `raw` holds size_of::<T>() bytes written from a live
             // `T` by the snapshot; `T: Tabular` guarantees plain data.
@@ -1020,6 +993,63 @@ mod tests {
             }
             other => panic!("want PageTruncated, got {other:?}"),
         }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn overlong_page_file_is_a_format_error_not_a_truncation() {
+        let dir = tmpdir("overlong");
+        let rt = Runtime::new();
+        let smc: Smc<[u64; 2]> = Smc::new(&rt);
+        fill(&smc, 20_000);
+        let rep = smc.snapshot_to(&dir).unwrap();
+        let page_path = dir.join(format!("pages-{}.dat", rep.generation));
+        let mut f = OpenOptions::new().append(true).open(&page_path).unwrap();
+        f.write_all(&[0xa5; 100]).unwrap();
+        drop(f);
+        // An `Err` carries no collection: nothing was materialized.
+        match Smc::<[u64; 2]>::recover_from(&Runtime::new(), &dir).map(|_| ()) {
+            Err(PersistError::Format(msg)) => {
+                assert!(msg.contains("pages-1.dat: 100 bytes beyond"), "{msg}")
+            }
+            other => panic!("want Format naming the excess, got {other:?}"),
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn first_page_of_a_page_file_is_the_pinned_layout() {
+        // The same bytes `smc_memory::page`'s golden test holds its writer
+        // to, here against what `snapshot_to` leaves on disk: four
+        // little-endian header words, the objects, the sum of all of it.
+        let dir = tmpdir("golden");
+        let rt = Runtime::new();
+        let smc: Smc<[u64; 2]> = Smc::new(&rt);
+        let objs = [[1u64, 10], [2, 20], [3, 30]];
+        for obj in objs {
+            smc.add(obj);
+        }
+        smc.snapshot_to(&dir).unwrap();
+        let mut want = b"SMCPERS2".to_vec();
+        for word in [0u64, 3, 16].iter().chain(objs.iter().flatten()) {
+            want.extend_from_slice(&word.to_le_bytes());
+        }
+        want.extend_from_slice(&checksum64(&want).to_le_bytes());
+        assert_eq!(fs::read(dir.join("pages-1.dat")).unwrap(), want);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn zero_sized_objects_round_trip_by_count() {
+        let dir = tmpdir("zst");
+        let rt = Runtime::new();
+        let smc: Smc<[u64; 0]> = Smc::new(&rt);
+        for _ in 0..1000 {
+            smc.add([]);
+        }
+        assert_eq!(smc.snapshot_to(&dir).unwrap().objects, 1000);
+        let (rec, rep) = Smc::<[u64; 0]>::recover_from(&Runtime::new(), &dir).unwrap();
+        assert_eq!((rep.objects, rec.len()), (1000, 1000));
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -454,3 +454,169 @@ fn fault_in_finds_the_last_of_two_thousand_pages() {
     assert_eq!(c.len(), PAGES + 1);
     c.verify().unwrap();
 }
+
+// ---- one page, one failpoint registry ----------------------------------
+//
+// A spilled page carries objects and nothing else: which entry owns record
+// *i* is the page directory's to say, by position. And a store that fails is
+// a seeded `FaultSite` like every other failure here, whatever the store is.
+
+#[test]
+fn every_ref_reads_its_own_row_after_a_fault_in() {
+    let rt = Runtime::new();
+    let c: Smc<Payload> = Smc::new(&rt);
+    assert!(c.enable_spill(Arc::new(smc_repro::smc_memory::MemoryPageStore::new())));
+    let rows_per_block = c.context().layout().capacity as u64;
+    let mut refs: Vec<_> = (0..rows_per_block + 4)
+        .map(|key| (key, Some(c.add(payload(key)))))
+        .collect();
+    // Holes, so page order is not slot order: record i is the i-th *valid*
+    // slot of the victim, and only the directory says whose it is.
+    let mut removed = Vec::new();
+    for (key, r) in refs.iter_mut().take(rows_per_block as usize) {
+        if *key % 3 == 1 {
+            removed.push(r.take().unwrap());
+        }
+    }
+    for r in &removed {
+        assert!(c.remove(*r));
+    }
+    assert!(c.context().try_spill_one());
+    assert_eq!(c.spilled_objects(), rows_per_block - removed.len() as u64);
+    let guard = rt.pin();
+    for (key, r) in &refs {
+        if let Some(r) = r {
+            assert_eq!(r.get(&guard), Some(&payload(*key)), "row {key}");
+        }
+    }
+    assert_eq!(c.spilled_blocks(), 0, "the first read faulted the page in");
+    assert!(removed.iter().all(|r| r.get(&guard).is_none()));
+    drop(guard);
+    c.verify().unwrap();
+}
+
+#[test]
+fn spill_file_rides_out_seeded_store_and_load_faults() {
+    use smc_repro::smc_persist::SpillFile;
+    const BUDGET: u64 = 4;
+    const OPS: usize = 600;
+
+    /// What one seeded run did, step by step: enough to tell two runs apart.
+    #[derive(Debug, PartialEq)]
+    struct Trace {
+        failed_adds: Vec<u64>,
+        failed_ops: Vec<usize>,
+        injected: (u64, u64),
+        live: u64,
+    }
+
+    let run = |seed: u64| -> Trace {
+        let path = std::env::temp_dir().join(format!(
+            "smc-spill-faults-{}-{seed:x}.dat",
+            std::process::id()
+        ));
+        let rt = Runtime::new();
+        let c: Smc<Payload> = Smc::with_config(
+            &rt,
+            ContextConfig {
+                budget_bytes: Some(BUDGET * BLOCK_SIZE as u64),
+                ..ContextConfig::default()
+            },
+        );
+        let file = Arc::new(SpillFile::create(&path).unwrap());
+        assert!(c.enable_spill(file.clone()));
+        let faults = rt.faults();
+        faults.set_rate(FaultSite::SpillStore, 160);
+        faults.set_rate(FaultSite::SpillLoad, 160);
+        faults.enable(seed);
+        let failures = || MemoryStats::get(&rt.stats.spill_fault_failures);
+        let residency = || (c.spilled_blocks(), c.context().block_count(), file.len());
+
+        // Load to four times the budget. An add whose spill fails is refused
+        // with the collection exactly as it was; the next one draws again.
+        let rows = 4 * BUDGET * c.context().layout().capacity as u64;
+        let mut model: Vec<(u64, smc_repro::smc::Ref<Payload>)> = Vec::new();
+        let mut failed_adds = Vec::new();
+        let mut key = 0u64;
+        while key < rows {
+            let before = (residency(), failures());
+            match c.try_add(payload(key)) {
+                Ok(r) => {
+                    model.push((key, r));
+                    key += 1;
+                }
+                Err(MemError::OutOfMemory) => {
+                    assert_eq!(residency(), before.0, "a failed spill rolls back");
+                    assert_eq!(failures(), before.1 + 1);
+                    failed_adds.push(key);
+                }
+                Err(e) => panic!("unexpected error: {e}"),
+            }
+        }
+        assert!(c.spilled_blocks() >= 2 * BUDGET);
+
+        // Removes and reads of random rows, most of them spilled. A failed
+        // fault-in is a named error (a null read), the page still spilled
+        // and the row still there for the next attempt.
+        let mut rng = Pcg32::seed_from_u64(seed);
+        let mut failed_ops = Vec::new();
+        for op in 0..OPS {
+            let i = rng.gen_range(0..model.len());
+            let (key, r) = model[i];
+            let before = (c.spilled_blocks(), c.len(), failures());
+            if op % 2 == 0 {
+                match c.try_remove(r) {
+                    Ok(true) => {
+                        model.swap_remove(i);
+                    }
+                    Err(MemError::SpillFault) => failed_ops.push(op),
+                    other => panic!("row {key}: {other:?}"),
+                }
+            } else {
+                let guard = rt.pin();
+                match r.get(&guard) {
+                    Some(row) => assert_eq!(*row, payload(key)),
+                    None => failed_ops.push(op),
+                }
+            }
+            if failed_ops.last() == Some(&op) {
+                assert!(failures() > before.2, "op {op} failed without a fault");
+                assert!(
+                    c.spilled_blocks() >= before.0,
+                    "a failed fault-in keeps its page"
+                );
+                assert_eq!(c.len(), before.1);
+            }
+        }
+
+        // Every failure counted was one this registry injected: the file
+        // itself never failed, and nothing failed uncounted.
+        let injected = (
+            faults.injected(FaultSite::SpillStore),
+            faults.injected(FaultSite::SpillLoad),
+        );
+        assert_eq!(failures(), injected.0 + injected.1);
+        assert!(injected.0 > 0 && injected.1 > 0, "{faults}");
+        faults.disable();
+        assert_eq!(c.len(), model.len() as u64);
+        let guard = rt.pin();
+        for (key, r) in &model {
+            assert_eq!(r.get(&guard), Some(&payload(*key)), "row {key}");
+        }
+        drop(guard);
+        c.verify().unwrap();
+        rt.verify().unwrap();
+        drop(c);
+        std::fs::remove_file(&path).ok();
+        Trace {
+            failed_adds,
+            failed_ops,
+            injected,
+            live: model.len() as u64,
+        }
+    };
+    let first = run(0x5eed);
+    assert!(!first.failed_adds.is_empty() && !first.failed_ops.is_empty());
+    assert_eq!(first, run(0x5eed), "the run replays from its seed");
+    assert_ne!(first, run(0xfa11), "another seed is another schedule");
+}
