@@ -1,26 +1,21 @@
-//! # smc-bench — the figure-regeneration harness
+//! # smc-bench — the paper's figures and the operator tools
 //!
-//! One binary per evaluation figure (`fig06` … `fig13`); each prints the
-//! figure's series as an aligned table plus machine-readable CSV lines
-//! prefixed with `csv,`. EXPERIMENTS.md records the paper-vs-measured
-//! comparison produced by these binaries. Beside them live the operator
-//! tools — `smc-serve`, `smc-loadgen`, `smc-top`, `stress` — which share the
-//! helpers below. Per-operation and end-to-end *measurement* is not here:
-//! that is the gated benchmark in `benchmark/`.
-//!
-//! Common conventions:
-//! * `--sf <f>` sets the TPC-H scale factor where applicable (default is a
-//!   laptop-friendly size; the paper's SF 3 is reachable but slow).
-//! * Timings are medians of several runs after a warm-up run.
+//! One `figures` binary regenerates the evaluation: `figures <id>` runs a
+//! row of [`figures::FIGURES`] (`fig06` … `fig13`), prints its series as
+//! pipe tables — what EXPERIMENTS.md pastes — writes `BENCH_<id>.json` and
+//! exits by the figure's checks, which are the paper's claims
+//! (`tests/paper_claims.rs` runs the same eight at test scale). Beside it
+//! live the operator tools — `smc-serve`, `smc-loadgen`, `smc-top`,
+//! `stress` — which share the helpers below. Per-operation and end-to-end
+//! *measurement* is not here: that is the gated benchmark in `benchmark/`.
 
 #![warn(missing_docs)]
 
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
-
-use smc_memory::MemoryStats;
 
 pub use smc_obs::{JsonValue, Report, SeriesId};
+
+pub mod figures;
 
 /// Enables the structured tracer when `SMC_TRACE_OUT` names a destination
 /// file. Call at the top of `main`, before the workload; [`finish`] (or
@@ -121,39 +116,6 @@ fn export_trace(report: &mut Report) {
     }
 }
 
-/// Records the reader-side [`MemoryStats`] counters the query figures carry
-/// (`pins_taken`, `blocks_scanned`, `morsels_dispatched`).
-pub fn record_memory_counters(report: &mut Report, stats: &MemoryStats) {
-    report.counter("pins_taken", MemoryStats::get(&stats.pins_taken));
-    report.counter("blocks_scanned", MemoryStats::get(&stats.blocks_scanned));
-    report.counter(
-        "morsels_dispatched",
-        MemoryStats::get(&stats.morsels_dispatched),
-    );
-}
-
-/// Median-of-`runs` wall time of `f`, after one warm-up call. The return
-/// value of `f` is black-boxed so the computation cannot be optimized out.
-pub fn time_median<R>(runs: usize, mut f: impl FnMut() -> R) -> Duration {
-    std::hint::black_box(f()); // warm-up
-    let mut samples: Vec<Duration> = (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            t0.elapsed()
-        })
-        .collect();
-    samples.sort();
-    samples[samples.len() / 2]
-}
-
-/// Wall time of a single call.
-pub fn time_once<R>(mut f: impl FnMut() -> R) -> Duration {
-    let t0 = Instant::now();
-    std::hint::black_box(f());
-    t0.elapsed()
-}
-
 /// `--name value` in `args`: `Ok(None)` when the flag is absent, the parsed
 /// value when present, and an error naming the flag when the value is
 /// missing or does not parse — never a silent default.
@@ -226,25 +188,10 @@ pub fn csv(fields: &[&str]) {
     println!("csv,{}", fields.join(","));
 }
 
-/// Prints the `csv,` record *and* mirrors it as a row of the report series:
-/// fields that parse as numbers become JSON numbers, the rest strings. This
-/// keeps the human CSV and `BENCH_fig<N>.json` in lock-step by construction.
-pub fn csv_into(report: &mut Report, id: SeriesId, fields: &[&str]) {
-    csv(fields);
-    let row = fields
-        .iter()
-        .map(|f| match f.parse::<f64>() {
-            Ok(v) => JsonValue::Num(v),
-            Err(_) => JsonValue::Str(f.to_string()),
-        })
-        .collect();
-    report.push_row(id, row);
-}
-
 /// Exports the Chrome trace (when `SMC_TRACE_OUT` is set), writes the report
 /// JSON — even when checks failed; that is the point: CI archives the
 /// artifact — and exits 0 when no check failed, 1 on a failed check, 2 when
-/// the report could not be written. Every fig binary and `smc-loadgen` end
+/// the report could not be written. `figures` and `smc-loadgen` end
 /// through here, so the exit code is the gate and every bench emits its
 /// trace file alongside `BENCH_*.json` with no per-binary wiring.
 pub fn finish(report: &mut Report) -> ! {
@@ -351,27 +298,9 @@ mod signals {
 
 pub use signals::{install_signal_handler, install_usr1_handler, interrupted, usr1_requested};
 
-/// Formats a duration as fractional milliseconds.
-pub fn ms(d: Duration) -> String {
-    format!("{:.2}", d.as_secs_f64() * 1e3)
-}
-
-/// Throughput in million ops per second.
-pub fn mops(ops: u64, d: Duration) -> f64 {
-    ops as f64 / d.as_secs_f64() / 1e6
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn median_orders_samples() {
-        let mut calls = 0;
-        let d = time_median(3, || calls += 1);
-        assert_eq!(calls, 4, "warmup + runs");
-        assert!(d >= Duration::ZERO);
-    }
 
     fn args(words: &[&str]) -> Vec<String> {
         words.iter().map(|w| w.to_string()).collect()
@@ -404,7 +333,28 @@ mod tests {
     }
 
     #[test]
-    fn mops_math() {
-        assert!((mops(2_000_000, Duration::from_secs(1)) - 2.0).abs() < 1e-9);
+    fn figures_takes_one_id_and_two_flags_and_names_anything_else() {
+        use figures::parse_args;
+        let (fig, scale) = parse_args(&args(&["fig11"])).unwrap();
+        assert_eq!((fig.id, scale), ("fig11", fig.default));
+        let a = args(&["fig07", "--objects", "0x10", "--sf", "3"]);
+        let (fig, scale) = parse_args(&a).unwrap();
+        assert_eq!((fig.id, scale.sf, scale.objects), ("fig07", 3.0, 16));
+        let ids = "fig06 fig07 fig08 fig09 fig10 fig11 fig12 fig13";
+        let cases: [(&[&str], &str); 9] = [
+            (&[], ids),
+            (&["fig14"], ids),
+            (&["--sf", "0.1"], "\"--sf\""),
+            (&["fig11", "--sf0.05"], "\"--sf0.05\""),
+            (&["fig11", "--SF", "3"], "\"--SF\""),
+            (&["fig11", "fig12"], "\"fig12\""),
+            (&["fig11", "--sf"], "--sf needs a value"),
+            (&["fig11", "--sf", "-1"], "--sf: cannot parse"),
+            (&["fig06", "--objects", "many"], "--objects: cannot parse"),
+        ];
+        for (words, named) in cases {
+            let err = parse_args(&args(words)).map(|_| ()).unwrap_err();
+            assert!(err.contains(named), "{words:?}: {err}");
+        }
     }
 }

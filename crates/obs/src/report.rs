@@ -609,6 +609,13 @@ impl Report {
     /// Serializes the report to its JSON document (schema in
     /// EXPERIMENTS.md).
     pub fn to_json(&self) -> String {
+        self.document().to_json()
+    }
+
+    /// The report as the document [`to_json`](Report::to_json) serializes —
+    /// the one read view of a report, for a renderer or a test that must
+    /// see the series and checks recorded so far.
+    pub fn document(&self) -> JsonValue {
         let series = self
             .series
             .iter()
@@ -640,7 +647,7 @@ impl Report {
                 ])
             })
             .collect();
-        let doc = JsonValue::Obj(vec![
+        JsonValue::Obj(vec![
             ("schema".into(), "smc-bench-report/v1".into()),
             ("figure".into(), self.figure.as_str().into()),
             ("title".into(), self.title.as_str().into()),
@@ -658,8 +665,7 @@ impl Report {
             ),
             ("checks".into(), JsonValue::Arr(checks)),
             ("all_checks_passed".into(), self.all_checks_passed().into()),
-        ]);
-        doc.to_json()
+        ])
     }
 
     /// The output path: `$SMC_BENCH_DIR/BENCH_<figure>.json`, or the
