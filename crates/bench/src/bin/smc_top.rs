@@ -45,7 +45,7 @@ use smc_bench::{
     arg_flag, arg_string, arg_usize, init_tracing, install_signal_handler, interrupted, trace_lost,
 };
 use smc_maint::{Coordinator, MaintConfig, MaintPolicy, MaintSnapshot, SloPolicy};
-use smc_memory::{HeapSnapshot, MemoryStats, Runtime};
+use smc_memory::{HeapSnapshot, Runtime};
 use smc_obs::{Histogram, JsonValue, Registry, Summary};
 use smc_util::Pcg32;
 
@@ -601,7 +601,6 @@ fn main() {
         verify.valid_slots,
         "quiescent snapshot diverged from verify"
     );
-    let _ = MemoryStats::get(&rt.stats.pins_taken);
     if trace_lost() {
         std::process::exit(1);
     }

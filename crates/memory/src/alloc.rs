@@ -1,9 +1,9 @@
 //! Sharded lock-free block allocation.
 //!
 //! Every `MemoryContext` used to funnel block acquisition through one shared
-//! runtime path — a single budget CAS plus a `malloc` per block — which is
-//! exactly where the paper's off-heap design (§4) would serialize on
-//! multi-core. This module splits the allocation layer into per-thread
+//! runtime path — a single budget CAS plus a trip to the OS per block —
+//! which is exactly where the paper's off-heap design (§4) would serialize
+//! on multi-core. This module splits the allocation layer into per-thread
 //! *allocation shards*:
 //!
 //! * Each registered thread (epoch thread slot `i`) owns shard `i`: a
@@ -14,8 +14,10 @@
 //!   its next allocation or `Runtime::alloc_maintenance` tick.
 //! * The global budget gate (`BlockAllocator::reserve`) is demoted to a
 //!   slow path that hands out fresh block ranges in batches of
-//!   [`ALLOC_BATCH`]: one budget CAS amortizes over several handouts, and
-//!   the extras are parked in the allocating shard's cache.
+//!   [`ALLOC_BATCH`]: one budget CAS and one kernel-zeroed mapping
+//!   (`block::raw_alloc_blocks`) amortize over several handouts, and the
+//!   extras are parked in the allocating shard's cache. Members of a batch
+//!   go back to the OS one by one, whenever each is freed past the cache cap.
 //! * Under budget pressure the recovery ladder's final rung
 //!   (`BlockAllocator::trim`) claws idle shard caches back to the OS.
 //!
@@ -321,13 +323,17 @@ mod tests {
     use super::*;
     use crate::stats::MemoryStats;
 
+    /// One batch of `N` raw blocks, as the slow path maps them.
+    fn raw_blocks<const N: usize>() -> [u64; N] {
+        let mut batch = crate::block::raw_alloc_blocks(N).expect("the OS backs a small batch");
+        std::array::from_fn(|_| batch.next().expect("N blocks") as u64)
+    }
+
     #[test]
     fn stacks_transfer_ownership_in_lifo_chains() {
         let alloc = BlockAllocator::new();
         let stats = MemoryStats::new();
-        let a = crate::block::raw_alloc_block() as u64;
-        let b = crate::block::raw_alloc_block() as u64;
-        let c = crate::block::raw_alloc_block() as u64;
+        let [a, b, c] = raw_blocks();
         alloc.force_reserve(3);
         alloc.push_local(0, a);
         alloc.push_local(0, b);
@@ -366,8 +372,9 @@ mod tests {
         let alloc = BlockAllocator::new();
         let stats = MemoryStats::new();
         alloc.force_reserve(2);
-        alloc.push_local(1, crate::block::raw_alloc_block() as u64);
-        alloc.push_remote(2, crate::block::raw_alloc_block() as u64);
+        let [a, b] = raw_blocks();
+        alloc.push_local(1, a);
+        alloc.push_remote(2, b);
         assert_eq!(alloc.trim(&stats), 2);
         assert_eq!(alloc.budgeted_blocks(), 0);
         assert_eq!(alloc.cached_blocks(), 0);
@@ -379,8 +386,9 @@ mod tests {
     fn allocator_drop_frees_cached_blocks() {
         let alloc = BlockAllocator::new();
         alloc.force_reserve(2);
-        alloc.push_local(0, crate::block::raw_alloc_block() as u64);
-        alloc.push_remote(3, crate::block::raw_alloc_block() as u64);
+        let [a, b] = raw_blocks();
+        alloc.push_local(0, a);
+        alloc.push_remote(3, b);
         drop(alloc); // must not leak (asserted by miri / leak checkers)
     }
 }

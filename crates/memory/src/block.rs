@@ -31,7 +31,6 @@
 //! reinterpret the object store as parallel column arrays — the block only
 //! records the store's bounds, and the collection owns the column geometry.
 
-use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ptr::NonNull;
 use std::sync::atomic::Ordering;
 
@@ -197,28 +196,167 @@ pub struct BlockRef(NonNull<BlockHeader>);
 unsafe impl Send for BlockRef {}
 unsafe impl Sync for BlockRef {}
 
-/// Allocates one raw, zeroed, size-aligned block from the OS and returns its
-/// base address. The caller owns the memory; pair with
-/// [`raw_dealloc_block`] or promote via [`BlockRef::init_at`].
-pub(crate) fn raw_alloc_block() -> usize {
-    let alloc_layout = Layout::from_size_align(BLOCK_SIZE, BLOCK_ALIGN).expect("static layout");
-    // Zeroed: slot directory all-Free, incarnation words all 0.
-    let base = unsafe { alloc_zeroed(alloc_layout) };
-    if base.is_null() {
-        handle_alloc_error(alloc_layout);
+/// The one source of raw block memory: anonymous private mappings, which the
+/// kernel hands over already zeroed (no `memset`) and takes back per block
+/// (`munmap` of any 64 KiB member of a batch; no arena or chunk bookkeeping).
+///
+/// A batch is mapped at *exactly* `n * BLOCK_SIZE` bytes and kept if the
+/// address is block-aligned. It almost always is: every mapping this module
+/// makes is a multiple of 64 KiB and the kernel places new mappings directly
+/// below the previous one, so once one batch is aligned the following ones
+/// are too — and adjacent anonymous mappings with equal protection merge
+/// into one VMA, which keeps `/proc/self/maps` short. A foreign mapping in
+/// between (a thread stack, a large `malloc`) breaks the run; the batch is
+/// then remapped one block larger and trimmed to alignment, which re-seeds
+/// the run. `MADV_POPULATE_WRITE` (Linux 5.14; `EINVAL` before that, ignored)
+/// faults the whole batch in with one kernel pass instead of one trap per
+/// 4 KiB page.
+#[cfg(all(target_os = "linux", not(miri)))]
+mod os {
+    use super::{align_up, BLOCK_SIZE};
+    use std::ffi::{c_int, c_long, c_void};
+
+    // std already links libc; these three symbols are the whole FFI surface.
+    extern "C" {
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: c_long,
+        ) -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
     }
-    base as usize
+
+    const PROT_READ_WRITE: c_int = 0x1 | 0x2;
+    /// `MAP_PRIVATE | MAP_ANONYMOUS` as every Linux ABI but mips, alpha,
+    /// parisc and xtensa numbers them; there the call fails (`EBADF`) and
+    /// every allocation reports `OutOfMemory` rather than misbehaving.
+    const MAP_PRIVATE_ANONYMOUS: c_int = 0x02 | 0x20;
+    const MADV_DONTNEED: c_int = 4;
+    const MADV_POPULATE_WRITE: c_int = 23;
+
+    fn map(len: usize) -> Option<usize> {
+        // SAFETY: a fresh anonymous mapping at a kernel-chosen address
+        // aliases nothing; failure is reported as MAP_FAILED (-1).
+        let p = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                len,
+                PROT_READ_WRITE,
+                MAP_PRIVATE_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        (p as isize != -1).then_some(p as usize)
+    }
+
+    /// # Safety
+    /// `[addr, addr + len)` must be mapped by this module and unused.
+    unsafe fn unmap(addr: usize, len: usize) {
+        // Unmapping the middle of a region splits it, which the kernel
+        // refuses (`ENOMEM`) at `vm.max_map_count` regions. The range is
+        // then lost as address space, but its pages need not be: dropping
+        // them splits nothing.
+        if munmap(addr as *mut c_void, len) != 0 {
+            madvise(addr as *mut c_void, len, MADV_DONTNEED);
+        }
+    }
+
+    /// Maps `len + BLOCK_SIZE` bytes and unmaps the misaligned head and the
+    /// surplus tail, leaving `len` block-aligned bytes.
+    pub(super) fn alloc_trimmed(len: usize) -> Option<usize> {
+        let span = len.checked_add(BLOCK_SIZE)?;
+        let p = map(span)?;
+        let base = align_up(p, BLOCK_SIZE);
+        // SAFETY: head and tail lie inside the mapping just made and
+        // outside the `len` bytes handed out.
+        unsafe {
+            if base > p {
+                unmap(p, base - p);
+            }
+            if base + len < p + span {
+                unmap(base + len, p + span - (base + len));
+            }
+        }
+        Some(base)
+    }
+
+    pub(super) fn alloc(n: usize) -> Option<impl Iterator<Item = usize>> {
+        let len = n.checked_mul(BLOCK_SIZE)?;
+        let mut base = map(len)?;
+        if base % BLOCK_SIZE != 0 {
+            // SAFETY: the mapping just made, not handed to anyone.
+            unsafe { unmap(base, len) };
+            base = alloc_trimmed(len)?;
+        }
+        // SAFETY: the range is ours. The advice only pre-faults; if the
+        // kernel refuses (old kernel, cgroup limit) pages fault in lazily.
+        unsafe { madvise(base as *mut c_void, len, MADV_POPULATE_WRITE) };
+        Some((0..n).map(move |i| base + i * BLOCK_SIZE))
+    }
+
+    /// # Safety
+    /// `addr` must be a block handed out by [`alloc`], unused.
+    pub(super) unsafe fn free(addr: usize) {
+        unmap(addr, BLOCK_SIZE);
+    }
 }
 
-/// Returns a raw block allocation (from [`raw_alloc_block`] or
-/// [`BlockRef::retire`]) to the OS.
+/// Where there is no `mmap` to call (and under Miri, which does not model
+/// it), the same two functions over `std::alloc`: one zeroed allocation per
+/// block, since members of a batch are freed independently.
+#[cfg(any(miri, not(target_os = "linux")))]
+mod os {
+    use super::{BLOCK_ALIGN, BLOCK_SIZE};
+    use std::alloc::{alloc_zeroed, dealloc, Layout};
+
+    fn layout() -> Layout {
+        Layout::from_size_align(BLOCK_SIZE, BLOCK_ALIGN).expect("static layout")
+    }
+
+    pub(super) fn alloc(n: usize) -> Option<impl Iterator<Item = usize>> {
+        // SAFETY: the layout has non-zero size.
+        let zeroed = || unsafe { alloc_zeroed(layout()) } as usize;
+        let blocks: Vec<usize> = (0..n).map(|_| zeroed()).collect();
+        let refused = blocks.contains(&0);
+        if refused {
+            // SAFETY: each non-null block was allocated just above.
+            (blocks.iter().filter(|&&b| b != 0)).for_each(|&b| unsafe { free(b) });
+        }
+        (!refused).then(|| blocks.into_iter())
+    }
+
+    /// # Safety
+    /// `addr` must be a block handed out by [`alloc`], unused.
+    pub(super) unsafe fn free(addr: usize) {
+        dealloc(addr as *mut u8, layout());
+    }
+}
+
+/// Allocates `n` raw, zeroed, size-aligned blocks from the OS in one request
+/// and yields their base addresses; `None` if the OS refuses (nothing is
+/// held then). The caller owns each block separately: pair every one with
+/// [`raw_dealloc_block`] or promote it via [`BlockRef::init_at`].
+pub(crate) fn raw_alloc_blocks(n: usize) -> Option<impl Iterator<Item = usize>> {
+    #[cfg(test)]
+    if tests::MAPS_REFUSED.get() {
+        return None;
+    }
+    os::alloc(n)
+}
+
+/// Returns one raw block (from [`raw_alloc_blocks`] or [`BlockRef::retire`])
+/// to the OS; a mapped block's pages leave the resident set at once.
 ///
 /// # Safety
 /// `addr` must be the base of a live raw block allocation, and no pointers
 /// into it may remain in use.
 pub(crate) unsafe fn raw_dealloc_block(addr: usize) {
-    let alloc_layout = Layout::from_size_align(BLOCK_SIZE, BLOCK_ALIGN).expect("static layout");
-    dealloc(addr as *mut u8, alloc_layout);
+    os::free(addr);
 }
 
 impl BlockRef {
@@ -231,7 +369,9 @@ impl BlockRef {
         type_id: u64,
         context_id: u64,
     ) -> Result<BlockRef, MemError> {
-        let base = raw_alloc_block();
+        let base = raw_alloc_blocks(1)
+            .and_then(|mut blocks| blocks.next())
+            .ok_or(MemError::OutOfMemory)?;
         Ok(unsafe { Self::init_at(base, layout, type_id, context_id, 0) })
     }
 
@@ -239,7 +379,7 @@ impl BlockRef {
     /// the handle.
     ///
     /// # Safety
-    /// `base` must come from [`raw_alloc_block`] (size-aligned, fully
+    /// `base` must come from [`raw_alloc_blocks`] (size-aligned, fully
     /// zeroed) and must not be shared with any other thread yet.
     pub(crate) unsafe fn init_at(
         base: usize,
@@ -606,9 +746,78 @@ pub fn type_id_of<T: 'static>() -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::slot::SlotState;
+
+    thread_local! {
+        /// While set, [`raw_alloc_blocks`] fails on this thread as if the OS
+        /// had refused the mapping.
+        pub(crate) static MAPS_REFUSED: std::cell::Cell<bool> =
+            const { std::cell::Cell::new(false) };
+    }
+
+    fn assert_zeroed_block(base: usize) {
+        assert_eq!(base % BLOCK_ALIGN, 0, "block {base:#x} is not size-aligned");
+        let words = unsafe { std::slice::from_raw_parts(base as *const u64, BLOCK_SIZE / 8) };
+        assert!(
+            words.iter().all(|&w| w == 0),
+            "block {base:#x} is not zeroed"
+        );
+    }
+
+    #[test]
+    fn batch_members_are_zeroed_and_freed_independently_in_any_order() {
+        let batch: Vec<usize> = raw_alloc_blocks(6).unwrap().collect();
+        assert_eq!(batch.len(), 6);
+        for (i, &base) in batch.iter().enumerate() {
+            assert_zeroed_block(base);
+            unsafe { (base as *mut usize).write(i + 1) };
+            unsafe { ((base + BLOCK_SIZE - 8) as *mut usize).write(i + 1) };
+        }
+        // Middle, first, last, then the rest: every free leaves the
+        // survivors mapped and intact.
+        let mut live: Vec<(usize, usize)> = batch.iter().copied().zip(1..).collect();
+        for victim in [3, 0, 3, 1, 1, 0] {
+            let (base, _) = live.remove(victim);
+            unsafe { raw_dealloc_block(base) };
+            for &(base, tag) in &live {
+                assert_eq!(unsafe { (base as *const usize).read() }, tag);
+                assert_eq!(
+                    unsafe { ((base + BLOCK_SIZE - 8) as *const usize).read() },
+                    tag
+                );
+            }
+        }
+    }
+
+    #[cfg(all(target_os = "linux", not(miri)))]
+    #[test]
+    fn trimmed_mapping_is_aligned_zeroed_and_exactly_sized() {
+        // The path a misaligned exact-size mapping falls back to.
+        let base = os::alloc_trimmed(3 * BLOCK_SIZE).unwrap();
+        for i in 0..3 {
+            assert_zeroed_block(base + i * BLOCK_SIZE);
+        }
+        // Head and tail were given back: each member unmaps on its own.
+        for i in [1, 2, 0] {
+            unsafe { raw_dealloc_block(base + i * BLOCK_SIZE) };
+        }
+    }
+
+    #[cfg(all(target_os = "linux", not(miri)))]
+    #[test]
+    fn a_mapping_the_os_refuses_is_none_not_an_abort() {
+        assert!(raw_alloc_blocks(usize::MAX / BLOCK_SIZE / 2).is_none());
+        assert!(
+            raw_alloc_blocks(usize::MAX / BLOCK_SIZE + 1).is_none(),
+            "size overflow"
+        );
+        assert!(
+            raw_alloc_blocks(0).is_none(),
+            "an empty batch is not a mapping"
+        );
+    }
 
     #[test]
     fn layout_fits_within_block() {

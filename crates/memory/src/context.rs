@@ -465,7 +465,7 @@ impl MemoryContext {
                     _ => cursor += 1,
                 }
             };
-            MemoryStats::add(&stats.alloc_scan_steps, scanned);
+            stats.bump(Some(tid), |cell| &cell.alloc_scan_steps, scanned);
             match claimed {
                 Some(slot_id) => {
                     header.alloc_cursor.store(slot_id + 1, Ordering::Relaxed);
@@ -503,7 +503,7 @@ impl MemoryContext {
             .store_payload(self.payload_of(&block, slot_id), Ordering::Release);
         block.slot_word(slot_id).set_valid();
         block.header().valid_count.fetch_add(1, Ordering::Relaxed);
-        MemoryStats::inc(&stats.objects_allocated);
+        stats.bump(Some(tid), |cell| &cell.objects_allocated, 1);
         Allocation {
             entry,
             entry_inc,
@@ -721,7 +721,7 @@ impl MemoryContext {
         // buried block is freed once the global epoch advances past its
         // grace period — the pin keeps the epoch from getting there while we
         // still write into the block.
-        let _guard = self.runtime.try_pin()?;
+        let guard = self.runtime.try_pin()?;
         // Winning the entry lock is what makes us *the* remover (§5.1
         // footnote: free serializes with freeze/lock through the incarnation
         // word). Holding the lock bit — rather than bumping up front — keeps
@@ -755,7 +755,8 @@ impl MemoryContext {
         block.slot_word(slot_id).set_limbo(epoch);
         block.header().valid_count.fetch_sub(1, Ordering::Relaxed);
         block.header().limbo_count.fetch_add(1, Ordering::Relaxed);
-        MemoryStats::inc(&self.runtime.stats.objects_freed);
+        let tid = Some(guard.thread_index());
+        self.runtime.stats.bump(tid, |cell| &cell.objects_freed, 1);
         // The bump both retires the incarnation — failing every outstanding
         // reference — and releases the lock bit (a bump clears all flags).
         // Its release ordering publishes the slot surgery above, which is
@@ -789,6 +790,7 @@ impl Drop for MemoryContext {
         self.release_spilled(free_at);
         let m = std::mem::take(self.membership.get_mut());
         let retired = std::mem::take(self.pending_retired.get_mut());
+        let mut freed = 0;
         for block in m.owned_blocks().chain(retired) {
             for slot_id in block.valid_slots() {
                 let back = block.back_ptr(slot_id).load(Ordering::Acquire);
@@ -798,10 +800,11 @@ impl Drop for MemoryContext {
                     self.runtime.indirection.release(entry, 0);
                 }
                 self.slot_inc(&block, slot_id).bump_unlocked();
-                MemoryStats::inc(&self.runtime.stats.objects_freed);
+                freed += 1;
             }
             self.runtime.bury_block(block, free_at);
         }
+        self.runtime.note_objects_freed(freed);
         self.runtime.drain_graveyard();
     }
 }
@@ -862,7 +865,7 @@ pub(crate) mod tests {
         let a = alloc_u64(&c, 1);
         assert!(c.free(a.entry, a.entry_inc));
         assert!(!c.free(a.entry, a.entry_inc), "second remove must fail");
-        assert_eq!(MemoryStats::get(&rt.stats.objects_freed), 1);
+        assert_eq!(rt.stats.hot(|cell| &cell.objects_freed), 1);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::alloc::{AllocSnapshot, BlockAllocator, ALLOC_BATCH, MAX_SHARD_CACHE};
-use crate::block::{raw_alloc_block, raw_dealloc_block, BlockLayout, BlockRef, BLOCK_SIZE};
+use crate::block::{raw_alloc_blocks, raw_dealloc_block, BlockLayout, BlockRef, BLOCK_SIZE};
 use crate::epoch::{EpochManager, Guard};
 use crate::error::MemError;
 use crate::fault::{FaultInjector, FaultSite};
@@ -118,15 +118,22 @@ impl Runtime {
     /// returned guard. Panics if the epoch thread registry is exhausted; use
     /// [`try_pin`](Self::try_pin) where that must be an error.
     pub fn pin(&self) -> Guard<'_> {
-        MemoryStats::inc(&self.stats.pins_taken);
-        self.epochs.pin()
+        self.try_pin().expect("epoch thread registry full")
     }
 
     /// Fallible [`pin`](Self::pin).
     pub fn try_pin(&self) -> Result<Guard<'_>, MemError> {
         let guard = self.epochs.try_pin()?;
-        MemoryStats::inc(&self.stats.pins_taken);
+        let tid = Some(guard.thread_index());
+        self.stats.bump(tid, |cell| &cell.pins_taken, 1);
         Ok(guard)
+    }
+
+    /// Counts `n` objects freed wholesale (a context dropped) by a thread
+    /// that may hold no epoch slot.
+    pub(crate) fn note_objects_freed(&self, n: u64) {
+        let tid = self.epochs.thread_index().ok();
+        self.stats.bump(tid, |cell| &cell.objects_freed, n);
     }
 
     /// Allocates one block against the budget, with fault injection and the
@@ -136,16 +143,17 @@ impl Runtime {
     /// Fast path: pop a recycled block from the calling thread's allocation
     /// shard (no budget CAS, no lock), draining the shard's remote return
     /// queue when the local list runs dry. Slow path: reserve a fresh batch
-    /// of up to [`ALLOC_BATCH`] blocks against the budget, hand out one and
-    /// park the rest in the shard cache.
+    /// of up to [`ALLOC_BATCH`] blocks against the budget, map it in one
+    /// request, hand out one block and park the rest in the shard cache.
     ///
-    /// On budget exhaustion the ladder, per attempt: (1) frees every
-    /// epoch-ready graveyard block and deferred indirection entry; (2) forces
-    /// an emergency epoch advance so limbo memory ripens (unless a compaction
-    /// holds the advance reservation); (3) backs off briefly to let
-    /// concurrent frees land; and on the final attempt (4) trims idle shard
-    /// caches back to the OS. After [`MAX_ALLOC_ATTEMPTS`] failed attempts it
-    /// returns [`MemError::OutOfMemory`].
+    /// On budget exhaustion — or when the OS refuses the mapping, which
+    /// gives the reservation back first — the ladder, per attempt: (1) frees
+    /// every epoch-ready graveyard block and deferred indirection entry;
+    /// (2) forces an emergency epoch advance so limbo memory ripens (unless a
+    /// compaction holds the advance reservation); (3) backs off briefly to
+    /// let concurrent frees land; and on the final attempt (4) trims idle
+    /// shard caches back to the OS. After [`MAX_ALLOC_ATTEMPTS`] failed
+    /// attempts it returns [`MemError::OutOfMemory`].
     pub fn allocate_block(
         &self,
         layout: &BlockLayout,
@@ -231,14 +239,12 @@ impl Runtime {
                 self.alloc.force_reserve(1);
                 1
             };
-            if granted > 0 {
-                let base = raw_alloc_block();
+            if let Some(mut blocks) = self.map_grant(granted) {
+                let base = blocks.next().expect("a grant holds at least one block");
                 self.note_handout(attempt);
                 if granted > 1 {
                     let idx = shard.expect("batched grants only with a shard");
-                    for _ in 1..granted {
-                        self.alloc.push_local(idx, raw_alloc_block() as u64);
-                    }
+                    blocks.for_each(|spare| self.alloc.push_local(idx, spare as u64));
                     MemoryStats::inc(&self.stats.alloc_batch_refills);
                 }
                 let owner = match shard {
@@ -254,6 +260,21 @@ impl Runtime {
             MemoryStats::inc(&self.stats.alloc_retries);
             self.recover_memory(attempt);
         }
+    }
+
+    /// Turns a budget grant of `granted` fresh blocks into memory: one
+    /// mapping for the whole grant ([`raw_alloc_blocks`]). A zero grant, or
+    /// one the OS refuses to back, yields `None` with the reservation handed
+    /// back — the caller is where it would be had the budget said no.
+    fn map_grant(&self, granted: u64) -> Option<impl Iterator<Item = usize>> {
+        if granted == 0 {
+            return None;
+        }
+        let blocks = raw_alloc_blocks(granted as usize);
+        if blocks.is_none() {
+            self.alloc.unreserve(granted);
+        }
+        blocks
     }
 
     fn note_handout(&self, attempt: u32) {
@@ -365,9 +386,10 @@ impl Runtime {
     }
 
     /// Pre-faults up to `n` fresh blocks into the calling thread's shard
-    /// cache (subject to budget), so a worker's first allocations skip the
-    /// slow path. The cache never grows past [`MAX_SHARD_CACHE`], the cap
-    /// frees enforce. Returns the number of blocks parked.
+    /// cache (subject to budget) — one mapping, populated in one kernel
+    /// pass — so a worker's first allocations skip the slow path. The cache
+    /// never grows past [`MAX_SHARD_CACHE`], the cap frees enforce. Returns
+    /// the number of blocks parked.
     pub fn prewarm_local_blocks(&self, n: u64) -> u64 {
         let Ok(idx) = self.epochs.thread_index() else {
             return 0;
@@ -375,9 +397,10 @@ impl Runtime {
         let room = MAX_SHARD_CACHE.saturating_sub(self.alloc.shard_cached(idx));
         let budget = self.budget_bytes.load(Ordering::Relaxed);
         let granted = self.alloc.reserve(budget, n.min(room));
-        for _ in 0..granted {
-            self.alloc.push_local(idx, raw_alloc_block() as u64);
-        }
+        let Some(blocks) = self.map_grant(granted) else {
+            return 0;
+        };
+        blocks.for_each(|spare| self.alloc.push_local(idx, spare as u64));
         granted
     }
 
@@ -650,6 +673,33 @@ mod tests {
     }
 
     #[test]
+    fn refused_mapping_is_out_of_memory_and_gives_the_reservation_back() {
+        use crate::block::tests::MAPS_REFUSED;
+        let rt = Runtime::new();
+        let layout = BlockLayout::rows_of::<u64>().unwrap();
+        MAPS_REFUSED.set(true);
+        let gated = rt.allocate_block(&layout, 1, 1);
+        let forced = rt.allocate_block_unbudgeted(&layout, 1, 1);
+        let prewarmed = rt.prewarm_local_blocks(3);
+        MAPS_REFUSED.set(false);
+        assert!(matches!(gated, Err(MemError::OutOfMemory)));
+        assert!(matches!(forced, Err(MemError::OutOfMemory)));
+        assert_eq!(prewarmed, 0);
+        assert_eq!(
+            MemoryStats::get(&rt.stats.alloc_retries),
+            2 * u64::from(MAX_ALLOC_ATTEMPTS),
+            "a refused mapping climbs the ladder like a zero grant"
+        );
+        assert_eq!(rt.alloc.budgeted_blocks(), 0, "every grant handed back");
+        assert_eq!(MemoryStats::get(&rt.stats.blocks_allocated), 0);
+        rt.verify().unwrap();
+        // The OS relents: the same runtime allocates again.
+        let b = rt.allocate_block(&layout, 1, 1).unwrap();
+        rt.free_block(b);
+        rt.verify().unwrap();
+    }
+
+    #[test]
     fn recovery_ladder_frees_graveyard_and_succeeds() {
         let rt = Runtime::with_budget(Some(BLOCK_SIZE as u64));
         let layout = BlockLayout::rows_of::<u64>().unwrap();
@@ -677,7 +727,8 @@ mod tests {
         let me = rt.epochs.thread_index().unwrap();
         let foreign = (me + 1) % crate::epoch::MAX_THREADS;
         assert_eq!(rt.alloc.reserve(BLOCK_SIZE as u64, 1), 1);
-        rt.alloc.push_local(foreign, raw_alloc_block() as u64);
+        let spare = raw_alloc_blocks(1).unwrap().next().unwrap();
+        rt.alloc.push_local(foreign, spare as u64);
         let layout = BlockLayout::rows_of::<u64>().unwrap();
         let b = rt
             .allocate_block(&layout, 1, 1)
@@ -703,6 +754,34 @@ mod tests {
             assert_eq!(rt.alloc.budgeted_blocks(), 0, "reservation released");
             assert_eq!(MemoryStats::get(&rt.stats.blocks_recycled), 0);
             assert_eq!(MemoryStats::get(&rt.stats.alloc_batch_refills), 0);
+            rt.verify().unwrap();
+        });
+    }
+
+    // Holds MAX_THREADS OS threads like the test above, which CI's Miri step
+    // skips for that reason.
+    #[cfg_attr(miri, ignore)]
+    #[test]
+    fn registry_exhausted_thread_counts_frees_in_the_shared_cell() {
+        let rt = Runtime::new();
+        // Three objects built by a thread that has exited by now (this one
+        // must stay unregistered), for the slotless thread to free.
+        let rt2 = rt.clone();
+        let build = move || {
+            let c = crate::context::tests::ctx(&rt2);
+            for v in 0..3 {
+                crate::context::tests::alloc_u64(&c, v);
+            }
+            c
+        };
+        let doomed = std::thread::spawn(build).join().unwrap();
+        crate::epoch::with_registry_exhausted(&rt.epochs, || {
+            assert!(rt.epochs.thread_index().is_err());
+            // No slot, so no counter cell: the drop's frees land in the
+            // shared cell, and the validator's object count still balances.
+            drop(doomed);
+            assert_eq!(rt.stats.hot(|cell| &cell.objects_freed), 3);
+            rt.drain_graveyard_blocking();
             rt.verify().unwrap();
         });
     }

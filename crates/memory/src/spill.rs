@@ -674,13 +674,14 @@ impl MemoryContext {
     /// any other epoch-protected object.
     pub(crate) fn release_spilled(&mut self, free_at: u64) {
         let s = self.spill.get_mut();
+        let mut freed = 0;
         for page in std::mem::take(&mut s.pages).into_values() {
             for &entry_addr in &page.entries {
                 let entry = unsafe { EntryRef::from_addr(entry_addr) };
                 if entry.get().load_payload(Ordering::Acquire) == page.tag {
                     entry.get().inc().bump_unlocked();
                     self.runtime.indirection.release(entry, 0);
-                    MemoryStats::inc(&self.runtime.stats.objects_freed);
+                    freed += 1;
                 }
             }
             if let Some(store) = &s.store {
@@ -688,6 +689,7 @@ impl MemoryContext {
             }
             self.runtime.bury_stub(page.tag & !SPILL_TAG, free_at);
         }
+        self.runtime.note_objects_freed(freed);
         self.spilled_blocks_gauge.store(0, Ordering::Relaxed);
         self.spilled_objects_gauge.store(0, Ordering::Relaxed);
     }

@@ -9,11 +9,26 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use smc_obs::Histogram;
 
-/// Declares the scalar counters once: the atomic fields of [`MemoryStats`],
-/// the plain fields of [`StatsSnapshot`], `snapshot()` and the `key=value`
-/// `Display` dump are all generated from the one `doc + name` list below.
+use crate::epoch::MAX_THREADS;
+
+/// Declares the scalar counters once: the atomic fields of [`MemoryStats`]
+/// and [`HotCell`], the plain fields of [`StatsSnapshot`], `snapshot()` and
+/// the `key=value` `Display` dump are all generated from the two
+/// `doc + name` lists below.
 macro_rules! scalar_counters {
-    ($($(#[$doc:meta])* $name:ident,)+) => {
+    (
+        hot { $($(#[$hot_doc:meta])* $hot:ident,)+ }
+        shared { $($(#[$doc:meta])* $name:ident,)+ }
+    ) => {
+        /// The counters bumped once or more per object operation (`add`,
+        /// `remove`, `pin`). One cell per epoch thread slot, a cache line
+        /// each, so the hot paths never write a line another core writes.
+        #[derive(Debug, Default)]
+        #[repr(align(64))]
+        pub struct HotCell {
+            $($(#[$hot_doc])* pub $hot: AtomicU64,)+
+        }
+
         /// Counters shared by one [`Runtime`](crate::runtime::Runtime).
         ///
         /// All counters are monotonic except the `*_live` gauges. Relaxed
@@ -22,6 +37,9 @@ macro_rules! scalar_counters {
         #[derive(Debug, Default)]
         pub struct MemoryStats {
             $($(#[$doc])* pub $name: AtomicU64,)+
+            /// The per-object counters ([`HotCell`]); read them through
+            /// [`hot`](Self::hot) or [`snapshot`](Self::snapshot).
+            cells: HotCells,
             /// Wall time of whole compaction passes, in nanoseconds (select
             /// through publish). Report via [`Histogram::summary`]
             /// (p50/p95/p99).
@@ -41,6 +59,7 @@ macro_rules! scalar_counters {
         /// pause histograms are read directly off the live struct).
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct StatsSnapshot {
+            $($(#[$hot_doc])* pub $hot: u64,)+
             $($(#[$doc])* pub $name: u64,)+
         }
 
@@ -48,14 +67,19 @@ macro_rules! scalar_counters {
             /// A point-in-time copy of every counter, for reporting.
             pub fn snapshot(&self) -> StatsSnapshot {
                 StatsSnapshot {
+                    $($hot: self.hot(|cell| &cell.$hot),)+
                     $($name: Self::get(&self.$name),)+
                 }
             }
 
-            /// Every live counter with its name, in declaration order.
+            /// Every live counter with its name, in declaration order (for
+            /// a hot counter, the shared cell of unindexed threads).
             #[cfg(test)]
             fn counters(&self) -> Vec<(&'static str, &AtomicU64)> {
-                vec![$((stringify!($name), &self.$name),)+]
+                vec![
+                    $((stringify!($hot), &self.cells.unindexed.$hot),)+
+                    $((stringify!($name), &self.$name),)+
+                ]
             }
         }
 
@@ -63,7 +87,10 @@ macro_rules! scalar_counters {
             /// One `key=value` line per counter, for stress-harness dumps
             /// and logs.
             fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                let lines = [$(format!("{}={}", stringify!($name), self.$name),)+];
+                let lines = [
+                    $(format!("{}={}", stringify!($hot), self.$hot),)+
+                    $(format!("{}={}", stringify!($name), self.$name),)+
+                ];
                 f.write_str(&lines.join("\n"))
             }
         }
@@ -71,80 +98,102 @@ macro_rules! scalar_counters {
 }
 
 scalar_counters! {
-    /// Blocks currently allocated from the OS (gauge).
-    blocks_live,
-    /// Blocks ever allocated from the OS.
-    blocks_allocated,
-    /// Blocks returned to the OS.
-    blocks_freed,
-    /// Objects ever allocated.
-    objects_allocated,
-    /// Objects ever freed (entered limbo).
-    objects_freed,
-    /// Limbo slots reclaimed for new allocations.
-    slots_reclaimed,
-    /// Slot-directory entries scanned by the allocator (cost proxy, Fig 6).
-    alloc_scan_steps,
-    /// Global epoch advances.
-    epoch_advances,
-    /// Objects relocated by compaction.
-    objects_relocated,
-    /// Relocations that readers bailed out of (§5.1 case b).
-    relocations_bailed,
-    /// Relocations completed by helping readers (§5.1 case c).
-    relocations_helped,
-    /// Compaction passes completed.
-    compactions,
-    /// Direct pointers rewritten by post-compaction fix-up scans (§6).
-    direct_pointers_fixed,
-    /// Budget-exhausted allocations that eventually succeeded after the
-    /// recovery ladder (drain graveyard / emergency advance / retry).
-    oom_recoveries,
-    /// Epoch advances forced by the allocation recovery ladder, as opposed
-    /// to the regular lazy advances.
-    emergency_epoch_advances,
-    /// Individual allocation retries taken under memory pressure.
-    alloc_retries,
-    /// Fresh-block requests rejected by a per-context budget
-    /// ([`ContextConfig::budget_bytes`](crate::context::ContextConfig::budget_bytes))
-    /// — tenant-level pressure, distinct from the runtime-wide budget.
-    context_budget_rejections,
-    /// Failures injected by the fault registry ([`crate::fault`]).
-    faults_injected,
-    /// Compaction passes aborted mid-relocation (injected crash or reader
-    /// timeout during the moving phase).
-    compactions_interrupted,
-    /// Epoch guards taken by readers ([`Runtime::pin`](crate::runtime::Runtime::pin)
-    /// and `try_pin`).
-    pins_taken,
-    /// Blocks enumerated by parallel scan workers.
-    blocks_scanned,
-    /// Morsels (blocks or compaction groups) claimed from a parallel scan's
-    /// work-stealing cursor.
-    morsels_dispatched,
-    /// Blocks evicted to a page store under budget pressure (the spill rung
-    /// of the OOM ladder; see [`crate::spill`]).
-    blocks_spilled,
-    /// Spilled pages brought back to residency on dereference or free.
-    blocks_faulted_in,
-    /// Fault-in attempts that failed closed (page-store read error or
-    /// checksum mismatch; the page stayed spilled).
-    spill_fault_failures,
-    /// Block handouts served from a shard's recycled free list instead of a
-    /// fresh OS allocation ([`crate::alloc`]).
-    blocks_recycled,
-    /// Blocks freed by a thread other than the owning shard's thread and
-    /// pushed onto the owner's remote return queue.
-    remote_frees,
-    /// Remote-freed blocks drained from a return queue into the owner's
-    /// local free list (on the owner's next allocation or maintenance tick).
-    remote_frees_drained,
-    /// Batched slow-path refills: fresh budget reservations that handed out
-    /// one block and parked the rest of the batch in the shard cache.
-    alloc_batch_refills,
-    /// Shard-cached blocks returned to the OS by the allocation ladder's
-    /// trim rung (budget pressure reclaiming idle caches).
-    blocks_trimmed,
+    hot {
+        /// Objects ever allocated.
+        objects_allocated,
+        /// Objects ever freed (entered limbo).
+        objects_freed,
+        /// Slot-directory entries scanned by the allocator (cost proxy, Fig 6).
+        alloc_scan_steps,
+        /// Epoch guards taken by readers ([`Runtime::pin`](crate::runtime::Runtime::pin)
+        /// and `try_pin`).
+        pins_taken,
+    }
+    shared {
+        /// Blocks currently allocated from the OS (gauge).
+        blocks_live,
+        /// Blocks ever allocated from the OS.
+        blocks_allocated,
+        /// Blocks returned to the OS.
+        blocks_freed,
+        /// Limbo slots reclaimed for new allocations.
+        slots_reclaimed,
+        /// Global epoch advances.
+        epoch_advances,
+        /// Objects relocated by compaction.
+        objects_relocated,
+        /// Relocations that readers bailed out of (§5.1 case b).
+        relocations_bailed,
+        /// Relocations completed by helping readers (§5.1 case c).
+        relocations_helped,
+        /// Compaction passes completed.
+        compactions,
+        /// Direct pointers rewritten by post-compaction fix-up scans (§6).
+        direct_pointers_fixed,
+        /// Budget-exhausted allocations that eventually succeeded after the
+        /// recovery ladder (drain graveyard / emergency advance / retry).
+        oom_recoveries,
+        /// Epoch advances forced by the allocation recovery ladder, as opposed
+        /// to the regular lazy advances.
+        emergency_epoch_advances,
+        /// Individual allocation retries taken under memory pressure.
+        alloc_retries,
+        /// Fresh-block requests rejected by a per-context budget
+        /// ([`ContextConfig::budget_bytes`](crate::context::ContextConfig::budget_bytes))
+        /// — tenant-level pressure, distinct from the runtime-wide budget.
+        context_budget_rejections,
+        /// Failures injected by the fault registry ([`crate::fault`]).
+        faults_injected,
+        /// Compaction passes aborted mid-relocation (injected crash or reader
+        /// timeout during the moving phase).
+        compactions_interrupted,
+        /// Blocks enumerated by parallel scan workers.
+        blocks_scanned,
+        /// Morsels (blocks or compaction groups) claimed from a parallel scan's
+        /// work-stealing cursor.
+        morsels_dispatched,
+        /// Blocks evicted to a page store under budget pressure (the spill rung
+        /// of the OOM ladder; see [`crate::spill`]).
+        blocks_spilled,
+        /// Spilled pages brought back to residency on dereference or free.
+        blocks_faulted_in,
+        /// Fault-in attempts that failed closed (page-store read error or
+        /// checksum mismatch; the page stayed spilled).
+        spill_fault_failures,
+        /// Block handouts served from a shard's recycled free list instead of a
+        /// fresh OS allocation ([`crate::alloc`]).
+        blocks_recycled,
+        /// Blocks freed by a thread other than the owning shard's thread and
+        /// pushed onto the owner's remote return queue.
+        remote_frees,
+        /// Remote-freed blocks drained from a return queue into the owner's
+        /// local free list (on the owner's next allocation or maintenance tick).
+        remote_frees_drained,
+        /// Batched slow-path refills: fresh budget reservations that handed out
+        /// one block and parked the rest of the batch in the shard cache.
+        alloc_batch_refills,
+        /// Shard-cached blocks returned to the OS by the allocation ladder's
+        /// trim rung (budget pressure reclaiming idle caches).
+        blocks_trimmed,
+    }
+}
+
+/// One [`HotCell`] per epoch thread slot, plus the cell shared by threads
+/// the registry could not index (`MAX_THREADS` already registered).
+#[derive(Debug)]
+struct HotCells {
+    /// Indexed by epoch thread slot; written only by the slot's holder.
+    slots: [HotCell; MAX_THREADS],
+    unindexed: HotCell,
+}
+
+impl Default for HotCells {
+    fn default() -> Self {
+        HotCells {
+            slots: std::array::from_fn(|_| HotCell::default()),
+            unindexed: HotCell::default(),
+        }
+    }
 }
 
 impl MemoryStats {
@@ -170,6 +219,42 @@ impl MemoryStats {
     pub fn get(counter: &AtomicU64) -> u64 {
         counter.load(Ordering::Relaxed)
     }
+
+    /// Bumps a per-object counter by `n` for the calling thread, which
+    /// holds epoch thread slot `tid` (`None`: the registry could not index
+    /// it). A slot has one holder at a time and hands over through the
+    /// registry's release/acquire on its claim flag, so the holder's cell
+    /// takes a plain load and store — no locked read-modify-write, no line
+    /// shared with another core. Unindexed threads share one cell and pay
+    /// the RMW.
+    #[inline]
+    pub(crate) fn bump(
+        &self,
+        tid: Option<usize>,
+        counter: impl Fn(&HotCell) -> &AtomicU64,
+        n: u64,
+    ) {
+        match tid {
+            Some(tid) => {
+                let mine = counter(&self.cells.slots[tid]);
+                mine.store(mine.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+            }
+            None => Self::add(counter(&self.cells.unindexed), n),
+        }
+    }
+
+    /// Reads a per-object counter: the sum over every thread's cell, e.g.
+    /// `stats.hot(|cell| &cell.pins_taken)`. Each term is monotonic, so the
+    /// sum is too; it is exact once the writers are quiescent.
+    pub fn hot(&self, counter: impl Fn(&HotCell) -> &AtomicU64) -> u64 {
+        let cells = &self.cells;
+        cells
+            .slots
+            .iter()
+            .chain([&cells.unindexed])
+            .map(|cell| Self::get(counter(cell)))
+            .sum()
+    }
 }
 
 #[cfg(test)]
@@ -179,11 +264,11 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let s = MemoryStats::new();
-        MemoryStats::inc(&s.objects_allocated);
-        MemoryStats::add(&s.objects_allocated, 4);
-        MemoryStats::inc(&s.objects_freed);
-        assert_eq!(MemoryStats::get(&s.objects_allocated), 5);
-        assert_eq!(MemoryStats::get(&s.objects_freed), 1);
+        MemoryStats::inc(&s.blocks_allocated);
+        MemoryStats::add(&s.blocks_allocated, 4);
+        MemoryStats::inc(&s.blocks_freed);
+        assert_eq!(MemoryStats::get(&s.blocks_allocated), 5);
+        assert_eq!(MemoryStats::get(&s.blocks_freed), 1);
     }
 
     #[test]
@@ -200,7 +285,24 @@ mod tests {
         // the distinct value stored in that counter.
         assert_eq!(snap.to_string(), lines.join("\n"));
         // The generated public fields read the same storage.
-        assert_eq!(snap.blocks_live, 100);
+        assert_eq!(snap.objects_allocated, 100);
         assert_eq!(snap.blocks_trimmed, 100 + lines.len() as u64 - 1);
+    }
+
+    #[test]
+    fn a_hot_counter_is_the_sum_of_every_slot_cell_and_the_shared_one() {
+        let s = MemoryStats::new();
+        s.bump(Some(0), |cell| &cell.pins_taken, 2);
+        s.bump(Some(MAX_THREADS - 1), |cell| &cell.pins_taken, 3);
+        s.bump(None, |cell| &cell.pins_taken, 5);
+        s.bump(Some(0), |cell| &cell.objects_freed, 7);
+        assert_eq!(s.hot(|cell| &cell.pins_taken), 10);
+        assert_eq!(s.snapshot().pins_taken, 10);
+        assert_eq!(s.snapshot().objects_freed, 7);
+        assert_eq!(
+            std::mem::align_of::<HotCell>(),
+            64,
+            "one line per thread slot"
+        );
     }
 }

@@ -312,8 +312,8 @@ impl Runtime {
             }
         }
         let entries = self.indirection.live_entries();
-        let objects = MemoryStats::get(&self.stats.objects_allocated)
-            .saturating_sub(MemoryStats::get(&self.stats.objects_freed));
+        let allocated = self.stats.hot(|cell| &cell.objects_allocated);
+        let objects = allocated.saturating_sub(self.stats.hot(|cell| &cell.objects_freed));
         if entries != objects {
             v.push(format!(
                 "indirection live entries {entries} != live objects {objects}"

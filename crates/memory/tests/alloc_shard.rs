@@ -1,13 +1,16 @@
-//! Integration tests for the sharded block allocator: concurrent alloc/free
-//! churn with remote frees crossing shard owners, budget breaches on the
-//! batched slow path, and exact post-quiesce reconciliation of free-list
-//! accounting through `Runtime::verify`.
+//! Integration tests for what a thread slot owns — its allocation shard and
+//! its cell of per-object counters: concurrent alloc/free churn with remote
+//! frees crossing shard owners, budget breaches on the batched slow path,
+//! exact post-quiesce reconciliation of free-list accounting through
+//! `Runtime::verify`, and per-thread counter cells that sum to exact totals.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 
 use smc_memory::block::type_id_of;
-use smc_memory::{BlockLayout, MemError, MemoryStats, Runtime, BLOCK_SIZE};
+use smc_memory::{
+    BlockLayout, ContextConfig, MemError, MemoryContext, MemoryStats, Runtime, BLOCK_SIZE,
+};
 
 const THREADS: usize = 4;
 
@@ -140,4 +143,81 @@ fn budget_breach_under_contention_is_an_error_never_a_panic() {
         .expect("freed budget must be allocatable");
     rt.free_block(again);
     rt.verify().unwrap();
+}
+
+/// Four threads add, pin and remove against one context, each bumping only
+/// its own slot's counter cell with plain loads and stores. Nothing may be
+/// lost: the summed cells equal the exact operation counts, and the
+/// validator's `indirection live entries == live objects` clause — which
+/// reads the same sums — holds.
+#[test]
+fn per_thread_counter_cells_sum_to_exact_totals() {
+    const OPS: u64 = 50_000;
+    let rt = Runtime::new();
+    let ctx = MemoryContext::new_rows(
+        rt.clone(),
+        8,
+        8,
+        type_id_of::<u64>(),
+        ContextConfig::default(),
+    )
+    .unwrap();
+    let barrier = Barrier::new(THREADS);
+    std::thread::scope(|s| {
+        for _ in 0..THREADS {
+            s.spawn(|| {
+                barrier.wait();
+                for i in 0..OPS {
+                    let a = ctx
+                        .alloc_with(|b, slot| unsafe { b.obj_ptr(slot).cast::<u64>().write(i) })
+                        .unwrap();
+                    drop(rt.pin());
+                    // Every second object goes again; `free` pins once.
+                    if i % 2 == 1 {
+                        assert!(ctx.free(a.entry, a.entry_inc));
+                    }
+                }
+            });
+        }
+    });
+    let threads = THREADS as u64;
+    let snap = rt.stats.snapshot();
+    assert_eq!(snap.objects_allocated, threads * OPS);
+    assert_eq!(snap.objects_freed, threads * OPS / 2);
+    assert_eq!(snap.pins_taken, threads * (OPS + OPS / 2));
+    assert!(snap.alloc_scan_steps >= snap.objects_allocated);
+    assert_eq!(
+        rt.stats.hot(|cell| &cell.pins_taken),
+        snap.pins_taken,
+        "one accessor, same sum"
+    );
+    assert_eq!(ctx.live_objects(), threads * OPS / 2);
+    rt.verify()
+        .unwrap_or_else(|v| panic!("post-quiesce verify: {v:?}"));
+}
+
+/// A thread that exits leaves its counts in its slot's cell; the next thread
+/// to claim the slot continues from them (the registry's release/acquire on
+/// the claim flag hands the cell over), so a sum never steps back.
+#[test]
+fn a_reused_thread_slot_keeps_the_sum_monotonic() {
+    let rt = Runtime::new();
+    let mut slots = Vec::new();
+    for round in 1..=3u64 {
+        let rt2 = rt.clone();
+        let slot = std::thread::spawn(move || {
+            for _ in 0..1_000 {
+                drop(rt2.pin());
+            }
+            rt2.epochs.thread_index().unwrap()
+        })
+        .join()
+        .unwrap();
+        slots.push(slot);
+        assert_eq!(rt.stats.hot(|cell| &cell.pins_taken), round * 1_000);
+    }
+    assert_eq!(
+        slots, [slots[0]; 3],
+        "each thread reused the exited one's slot"
+    );
 }

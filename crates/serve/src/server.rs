@@ -323,7 +323,7 @@ fn gather_stats(shards: &[Arc<ShardShared>]) -> StatsBody {
     for s in shards {
         body.shards.push(ShardStats {
             requests: s.requests_served.load(Ordering::Relaxed),
-            pins_taken: MemoryStats::get(&s.runtime.stats.pins_taken),
+            pins_taken: s.runtime.stats.hot(|cell| &cell.pins_taken),
             blocks_scanned: MemoryStats::get(&s.runtime.stats.blocks_scanned),
             morsels_dispatched: MemoryStats::get(&s.runtime.stats.morsels_dispatched),
         });
