@@ -63,14 +63,7 @@ fn stall_and_trace(heap: &Arc<ManagedHeap>, window: Duration) -> (f64, u64) {
         }
         stop.store(true, Ordering::SeqCst);
     });
-    // The first collection settles whatever incremental cycle the churn
-    // left in flight (its half-flipped mark parity hides objects from the
-    // count); the second walks the whole live set.
-    heap.collect_full();
-    let before = heap.pauses.report().objects_traced;
-    heap.collect_full();
-    let traced = heap.pauses.report().objects_traced - before;
-    (worst.as_secs_f64() * 1e3, traced)
+    (worst.as_secs_f64() * 1e3, heap.collect_full())
 }
 
 /// Fig 9: N objects in a managed list or in an SMC, under both GC modes.

@@ -36,7 +36,7 @@ use smc_memory::fault::FaultSite;
 use smc_memory::inspect::HeapSnapshot;
 use smc_memory::MemoryContext;
 use smc_obs::hist::Histogram;
-use smc_obs::trace::{self, Event, Label};
+use smc_obs::trace::{self, Event, Label, ShortLabel};
 use smc_util::Backoff;
 
 use crate::pacer::TokenBucket;
@@ -177,7 +177,6 @@ struct Registration {
     ctx: Arc<MemoryContext>,
     policy: MaintPolicy,
     last_pass: Option<Instant>,
-    last_churn: u64,
     forced: bool,
 }
 
@@ -313,7 +312,6 @@ impl Coordinator {
             ctx,
             policy,
             last_pass: None,
-            last_churn: 0,
             forced: false,
         });
     }
@@ -509,7 +507,7 @@ fn planner_loop(inner: &Inner) {
         // pass, so the hold time stays bounded). The registration list is
         // append-only, so the collected indexes stay valid after unlocking.
         let due = {
-            let mut g = inner.lock();
+            let g = inner.lock();
             if g.mode != Mode::Running {
                 return;
             }
@@ -520,7 +518,7 @@ fn planner_loop(inner: &Inner) {
                 .map(|p| p.ctx.id())
                 .chain(g.in_flight.iter().map(|i| i.context_id))
                 .collect();
-            for (i, reg) in g.registrations.iter_mut().enumerate() {
+            for (i, reg) in g.registrations.iter().enumerate() {
                 if busy.contains(&reg.ctx.id()) {
                     continue;
                 }
@@ -539,14 +537,12 @@ fn planner_loop(inner: &Inner) {
                     .into_iter()
                     .next();
                 let Some(snap) = snap else { continue };
-                let churn_delta = snap.incarnation_churn.saturating_sub(reg.last_churn);
-                if let Some(reason) = reg.policy.due(&snap, churn_delta) {
+                if let Some(reason) = reg.policy.due(&snap) {
                     let target = (reason == PassReason::Spill)
                         .then(|| reg.policy.spill_target_bytes(&snap))
                         .flatten();
                     due.push((i, reason, target));
                 }
-                reg.last_churn = snap.incarnation_churn;
             }
             due
         };
@@ -709,7 +705,7 @@ fn run_pass(inner: &Inner, worker: u64, planned: &Planned) -> LastPass {
         context: ctx.id(),
         moved: moved as u64,
         bailed: bailed as u64,
-        outcome: Label::new(outcome.as_str()),
+        outcome: ShortLabel::new(outcome.as_str()),
     });
     LastPass {
         context_id: ctx.id(),

@@ -9,9 +9,9 @@
 //! [`Coordinator`] owns maintenance for every registered
 //! [`MemoryContext`](smc_memory::MemoryContext):
 //!
-//! * a per-context [`MaintPolicy`] (fragmentation ratio, limbo bytes, churn
-//!   rate, all read from live heap introspection) decides which contexts are
-//!   due;
+//! * a per-context [`MaintPolicy`] (fragmentation ratio, limbo bytes, spill
+//!   watermark, all read from live heap introspection) decides which
+//!   contexts are due;
 //! * a worker-pool concurrency limit plus a token-bucket pacer
 //!   ([`pacer::TokenBucket`]) bound work in flight;
 //! * an SLO back-pressure loop watches a foreground scan-latency histogram
@@ -246,7 +246,6 @@ mod tests {
                 limbo_bytes_ceiling: u64::MAX,
                 spill_budget_ratio: Some(0.5),
                 min_interval: Duration::from_millis(1),
-                ..MaintPolicy::default()
             },
         );
         assert!(

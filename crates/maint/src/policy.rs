@@ -3,9 +3,9 @@
 //! The planner evaluates each registered context against its policy once per
 //! planning cycle, reading a [`CollectionSnapshot`] (the same introspection
 //! surface `smc-top` renders). Three pressure signals can make a pass due —
-//! fragmentation ratio, limbo (dead-but-unreclaimed) bytes, and incarnation
-//! churn rate — plus an explicit nudge for tests and benchmarks that need a
-//! pass *now*. A `min_interval` floor keeps a context from being compacted
+//! fragmentation ratio, limbo (dead-but-unreclaimed) bytes, and a resident
+//! footprint past the spill watermark — plus an explicit nudge for tests and
+//! benchmarks that need a pass *now*. A `min_interval` floor keeps a context from being compacted
 //! in a tight loop when it hovers at a threshold.
 
 use std::time::Duration;
@@ -19,8 +19,6 @@ pub enum PassReason {
     Frag,
     /// Limbo bytes exceeded the policy ceiling.
     Limbo,
-    /// Incarnation churn since the last evaluation exceeded the ceiling.
-    Churn,
     /// An explicit [`Coordinator::nudge`](crate::Coordinator::nudge).
     Nudge,
     /// Resident footprint exceeded the spill watermark of the context
@@ -36,7 +34,6 @@ impl PassReason {
         match self {
             PassReason::Frag => "frag",
             PassReason::Limbo => "limbo",
-            PassReason::Churn => "churn",
             PassReason::Nudge => "nudge",
             PassReason::Spill => "spill",
         }
@@ -50,9 +47,6 @@ pub struct MaintPolicy {
     pub frag_ratio_ceiling: f64,
     /// Pass when limbo (dead) bytes exceed this many bytes.
     pub limbo_bytes_ceiling: u64,
-    /// Pass when incarnation churn since the previous evaluation exceeds
-    /// this many slot reuses.
-    pub churn_ceiling: u64,
     /// Never schedule two passes for the same context closer together than
     /// this (nudges are exempt).
     pub min_interval: Duration,
@@ -71,7 +65,6 @@ impl Default for MaintPolicy {
         MaintPolicy {
             frag_ratio_ceiling: 0.30,
             limbo_bytes_ceiling: 8 << 20,
-            churn_ceiling: u64::MAX,
             min_interval: Duration::from_millis(50),
             spill_budget_ratio: None,
         }
@@ -79,22 +72,18 @@ impl Default for MaintPolicy {
 }
 
 impl MaintPolicy {
-    /// Evaluates the policy against a snapshot. `churn_delta` is the
-    /// incarnation churn accumulated since the previous evaluation. Returns
-    /// the *first* triggered reason in fixed priority order (frag, limbo,
-    /// churn, spill) so reports are deterministic. Spill comes last on
-    /// purpose: when fragmentation is high a compaction pass frees budget
-    /// without touching disk, so eviction is only chosen when the footprint
-    /// is hot *and* mostly live.
-    pub fn due(&self, snap: &CollectionSnapshot, churn_delta: u64) -> Option<PassReason> {
+    /// Evaluates the policy against a snapshot. Returns the *first*
+    /// triggered reason in fixed priority order (frag, limbo, spill) so
+    /// reports are deterministic. Spill comes last on purpose: when
+    /// fragmentation is high a compaction pass frees budget without touching
+    /// disk, so eviction is only chosen when the footprint is hot *and*
+    /// mostly live.
+    pub fn due(&self, snap: &CollectionSnapshot) -> Option<PassReason> {
         if frag_ratio(snap) > self.frag_ratio_ceiling {
             return Some(PassReason::Frag);
         }
         if snap.dead_bytes() > self.limbo_bytes_ceiling {
             return Some(PassReason::Limbo);
-        }
-        if churn_delta > self.churn_ceiling {
-            return Some(PassReason::Churn);
         }
         if let (Some(ratio), Some(budget)) = (self.spill_budget_ratio, snap.budget_bytes) {
             if snap.footprint_bytes() as f64 > ratio * budget as f64 {
@@ -150,7 +139,7 @@ mod tests {
         let ctx = context(&rt);
         let snap = snapshot_of(&ctx);
         assert_eq!(frag_ratio(&snap), 0.0);
-        assert_eq!(MaintPolicy::default().due(&snap, 0), None);
+        assert_eq!(MaintPolicy::default().due(&snap), None);
     }
 
     #[test]
@@ -171,7 +160,7 @@ mod tests {
             ..MaintPolicy::default()
         };
         assert_eq!(
-            policy.due(&after, 0),
+            policy.due(&after),
             Some(PassReason::Frag),
             "90% decimation must trip a 30% frag ceiling (ratio {})",
             frag_ratio(&after)
@@ -182,7 +171,6 @@ mod tests {
     fn reason_priority_and_tokens() {
         assert_eq!(PassReason::Frag.as_str(), "frag");
         assert_eq!(PassReason::Limbo.as_str(), "limbo");
-        assert_eq!(PassReason::Churn.as_str(), "churn");
         assert_eq!(PassReason::Nudge.as_str(), "nudge");
         assert_eq!(PassReason::Spill.as_str(), "spill");
     }
@@ -200,14 +188,14 @@ mod tests {
             ..MaintPolicy::default()
         };
         // No budget on the context: the rung never fires.
-        assert_eq!(policy.due(&snap, 0), None);
+        assert_eq!(policy.due(&snap), None);
         assert_eq!(policy.spill_target_bytes(&snap), None);
         // Budget well above footprint: still quiet.
         snap.budget_bytes = Some(snap.footprint_bytes() * 4);
-        assert_eq!(policy.due(&snap, 0), None);
+        assert_eq!(policy.due(&snap), None);
         // Budget hot (footprint > 50% of budget) with low frag: spill.
         snap.budget_bytes = Some(snap.footprint_bytes() + 1);
-        assert_eq!(policy.due(&snap, 0), Some(PassReason::Spill));
+        assert_eq!(policy.due(&snap), Some(PassReason::Spill));
         assert_eq!(
             policy.spill_target_bytes(&snap),
             Some(((snap.footprint_bytes() + 1) as f64 * 0.5) as u64)

@@ -206,9 +206,18 @@ impl ManagedHeap {
         self.collections_run.load(Ordering::Relaxed)
     }
 
-    /// Explicitly runs a full (major) collection, stop-the-world.
-    pub fn collect_full(&self) {
-        self.run_batch_collection(true);
+    /// Explicitly runs a full (major) collection, stop-the-world, and
+    /// returns the number of objects it traced: the live set.
+    pub fn collect_full(&self) -> u64 {
+        // An incremental cycle in flight owns the mark parity: flipping it
+        // back would pass everything that cycle has not reached off as
+        // marked, neither traced nor swept. Finish the cycle first, and
+        // keep its slot so that none starts before the collection is done.
+        let mut cycle = self.cycle.lock();
+        if cycle.is_some() {
+            self.run_incremental_slice(&mut cycle, u64::MAX);
+        }
+        self.run_batch_collection(true)
     }
 
     /// Captures a generation/nursery occupancy snapshot of every arena —
@@ -244,7 +253,7 @@ impl ManagedHeap {
                 self.run_batch_collection(major);
             }
             GcMode::Interactive => {
-                self.run_incremental_slice();
+                self.run_incremental_slice(&mut self.cycle.lock(), self.config.mark_slice);
             }
         }
     }
@@ -268,7 +277,8 @@ impl ManagedHeap {
         live
     }
 
-    fn run_batch_collection(&self, major: bool) {
+    /// Returns the number of objects traced.
+    fn run_batch_collection(&self, major: bool) -> u64 {
         let roots = self.live_roots();
         let arenas: HashMap<TypeId, Arc<dyn AnyArena>> = self.arenas.lock().clone();
         // Stop the world. If this thread (or another) holds a guard, the
@@ -300,11 +310,12 @@ impl ManagedHeap {
         });
         self.collections_run.fetch_add(1, Ordering::Relaxed);
         self.reset_budget();
+        traced
     }
 
-    /// Interactive mode: perform one bounded slice of collector work.
-    fn run_incremental_slice(&self) {
-        let mut cycle_slot = self.cycle.lock();
+    /// Interactive mode: perform one slice of collector work, marking at
+    /// most `mark_slice` objects.
+    fn run_incremental_slice(&self, cycle_slot: &mut Option<MarkCycle>, mark_slice: u64) {
         let arenas: HashMap<TypeId, Arc<dyn AnyArena>> = self.arenas.lock().clone();
         let parity = match cycle_slot.as_ref() {
             Some(_) => self.parity.load(Ordering::Relaxed),
@@ -337,7 +348,7 @@ impl ManagedHeap {
             }
             cycle.roots_traced = true;
         }
-        let done = marker.drain(self.config.mark_slice);
+        let done = marker.drain(mark_slice);
         cycle.traced += marker.traced;
         cycle.stack = std::mem::take(&mut marker.stack);
         drop(marker);
@@ -521,6 +532,38 @@ mod tests {
         for &h in root.items.lock().iter().take(100) {
             assert!(arena.get(h).is_some());
         }
+    }
+
+    #[test]
+    fn collect_full_finishes_an_incremental_cycle_in_flight() {
+        let heap = small_heap(GcMode::Interactive);
+        let arena = heap.arena::<u64>();
+        let root = Arc::new(VecRoot {
+            arena: arena.clone(),
+            items: Mutex::new(Vec::new()),
+        });
+        heap.add_root(Arc::downgrade(&root) as Weak<dyn HeapRoot>);
+        // Fill to just past one nursery budget: the safepoint that spends
+        // it starts a cycle whose first slice marks 500 of ~1000 roots.
+        while heap.cycle.lock().is_none() {
+            let h = heap.alloc(&arena, 7);
+            root.items.lock().push(h);
+        }
+        assert_eq!(heap.collections(), 0, "the cycle is still in flight");
+        // Drop every other root, so that of the objects the cycle has
+        // marked, and of those it has not, some die and some stay.
+        let live = {
+            let mut items = root.items.lock();
+            let mut index = 0;
+            items.retain(|_| {
+                index += 1;
+                index % 2 == 0
+            });
+            items.len() as u64
+        };
+        assert_eq!(heap.collect_full(), live, "one call traces the live set");
+        assert_eq!(arena.live(), live, "and sweeps what was dropped");
+        assert!(heap.cycle.lock().is_none());
     }
 
     #[test]

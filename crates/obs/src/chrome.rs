@@ -62,7 +62,7 @@ struct Record {
     name: String,
     tid: u64,
     dur_nanos: Option<u64>,
-    args: Vec<(String, JsonValue)>,
+    args: Vec<(&'static str, JsonValue)>,
 }
 
 impl Record {
@@ -82,7 +82,7 @@ impl Record {
         if !self.args.is_empty() {
             let mut args = JsonValue::obj();
             for (k, v) in &self.args {
-                args.set(k, v.clone());
+                args.set(*k, v.clone());
             }
             obj.set("args", args);
         }
@@ -129,101 +129,72 @@ impl ChromeTrace {
     }
 
     /// Converts already-captured ring events (sorted by `seq`, as
-    /// [`trace::snapshot`] returns them) into trace records.
+    /// [`trace::snapshot`] returns them) into trace records. A record's
+    /// name is the event's kind and its `args` are the event's
+    /// [fields](Event::args); an event carrying a `nanos` duration becomes
+    /// an `X` span ending at its timestamp, any other an instant. Only the
+    /// arms below differ in kind: the GC begin/end pair, the `epoch`
+    /// counter, and the two spans named after a label.
     pub fn add_events(&mut self, events: &[TracedEvent]) {
-        // Pending GcPauseBegin per tid (GC pauses never nest per thread;
-        // keep a stack anyway so a torn ring cannot wedge the exporter).
-        let mut open: Vec<(u64, u64)> = Vec::new(); // (tid, begin ts)
+        // `B` records waiting for their end (GC pauses never nest per
+        // thread; keep a stack anyway so a torn ring cannot wedge the
+        // exporter).
+        let mut open: Vec<Record> = Vec::new();
         for t in events {
             self.note_tid(t.thread);
+            let mut record = Record {
+                ts_nanos: t.nanos,
+                name: t.event.kind().to_string(),
+                tid: t.thread,
+                args: t.event.args(),
+                ..Record::default()
+            };
+            let dur = record
+                .args
+                .iter()
+                .position(|(name, _)| *name == "nanos")
+                .and_then(|i| record.args.remove(i).1.as_u64());
             match t.event {
-                Event::GcPauseBegin { .. } => open.push((t.thread, t.nanos)),
-                Event::GcPauseEnd {
-                    major,
-                    nanos,
-                    traced,
-                    swept,
-                } => {
-                    let begin = match open.iter().rposition(|&(tid, _)| tid == t.thread) {
-                        Some(i) => open.remove(i).1.min(t.nanos),
+                Event::GcPauseBegin { .. } => {
+                    open.push(record);
+                    continue;
+                }
+                Event::GcPauseEnd { major, .. } => {
+                    record.ph = "E";
+                    record.name = if major {
+                        "gc-pause-major".to_string()
+                    } else {
+                        "gc-pause-minor".to_string()
+                    };
+                    let mut begin = match open.iter().rposition(|b| b.tid == t.thread) {
+                        Some(i) => open.remove(i),
                         // Orphaned end: its begin was overwritten by ring
                         // wrap — synthesize it from the carried duration.
-                        None => t.nanos.saturating_sub(nanos),
+                        None => Record {
+                            ts_nanos: t.nanos.saturating_sub(dur.unwrap_or(0)),
+                            tid: t.thread,
+                            ..Record::default()
+                        },
                     };
-                    let name = if major {
-                        "gc-pause-major"
-                    } else {
-                        "gc-pause-minor"
-                    };
-                    self.records.push(Record {
-                        ts_nanos: begin,
-                        ph: "B",
-                        name: name.to_string(),
-                        tid: t.thread,
-                        ..Record::default()
-                    });
-                    self.records.push(Record {
-                        ts_nanos: t.nanos.max(begin),
-                        ph: "E",
-                        name: name.to_string(),
-                        tid: t.thread,
-                        args: vec![
-                            ("traced".to_string(), JsonValue::from(traced)),
-                            ("swept".to_string(), JsonValue::from(swept)),
-                        ],
-                        ..Record::default()
-                    });
+                    begin.ph = "B";
+                    begin.name.clone_from(&record.name);
+                    begin.ts_nanos = begin.ts_nanos.min(t.nanos);
+                    self.records.push(begin);
                 }
-                Event::EpochAdvance { epoch } => self.records.push(Record {
-                    ts_nanos: t.nanos,
-                    ph: "C",
-                    name: "epoch".to_string(),
-                    tid: t.thread,
-                    args: vec![("epoch".to_string(), JsonValue::from(epoch))],
-                    ..Record::default()
-                }),
-                Event::QuerySpan { label, nanos } => {
-                    self.push_complete(t, label.as_str().to_string(), nanos, Vec::new())
+                Event::EpochAdvance { .. } => {
+                    record.ph = "C";
+                    record.name = "epoch".to_string();
                 }
-                Event::ReqStage { req, stage, nanos } => self.push_complete(
-                    t,
-                    format!("req.{stage}"),
-                    nanos,
-                    vec![("req".to_string(), JsonValue::from(req))],
-                ),
-                Event::CompactionRelocate {
-                    context,
-                    moved,
-                    bailed,
-                    nanos,
-                } => self.push_complete(
-                    t,
-                    "compaction-relocate".to_string(),
-                    nanos,
-                    vec![
-                        ("context".to_string(), JsonValue::from(context)),
-                        ("moved".to_string(), JsonValue::from(moved)),
-                        ("bailed".to_string(), JsonValue::from(bailed)),
-                    ],
-                ),
-                Event::PoolBroadcast { threads, nanos } => self.push_complete(
-                    t,
-                    "pool-broadcast".to_string(),
-                    nanos,
-                    vec![("threads".to_string(), JsonValue::from(threads))],
-                ),
-                other => {
-                    let args = instant_args(&other);
-                    self.records.push(Record {
-                        ts_nanos: t.nanos,
-                        ph: "i",
-                        name: other.kind().to_string(),
-                        tid: t.thread,
-                        args,
-                        ..Record::default()
-                    });
-                }
+                Event::QuerySpan { label, .. } => record.name = label.as_str().to_string(),
+                Event::ReqStage { stage, .. } => record.name = format!("req.{stage}"),
+                _ => {}
             }
+            if let (Some(dur), "i") = (dur, record.ph) {
+                record.ph = "X";
+                record.ts_nanos = t.nanos.saturating_sub(dur);
+                record.dur_nanos = Some(dur);
+            }
+            self.records.push(record);
         }
         // Orphaned begins (pauses still open at snapshot time) are dropped:
         // emitting an unmatched `B` would fail the balance gate.
@@ -242,7 +213,7 @@ impl ChromeTrace {
                 ph: "M",
                 name: "trace_events_dropped".to_string(),
                 tid,
-                args: vec![("dropped".to_string(), JsonValue::from(dropped))],
+                args: vec![("dropped", JsonValue::from(dropped))],
                 ..Record::default()
             });
         }
@@ -269,7 +240,7 @@ impl ChromeTrace {
             ph: "C",
             name: name.to_string(),
             tid: 0,
-            args: vec![("value".to_string(), JsonValue::from(value))],
+            args: vec![("value", JsonValue::from(value))],
             ..Record::default()
         });
     }
@@ -288,23 +259,6 @@ impl ChromeTrace {
         if !self.tids.contains(&tid) {
             self.tids.push(tid);
         }
-    }
-
-    fn push_complete(
-        &mut self,
-        t: &TracedEvent,
-        name: String,
-        dur: u64,
-        args: Vec<(String, JsonValue)>,
-    ) {
-        self.records.push(Record {
-            ts_nanos: t.nanos.saturating_sub(dur),
-            ph: "X",
-            name,
-            tid: t.thread,
-            dur_nanos: Some(dur),
-            args,
-        });
     }
 
     /// Serializes to the Chrome tracing JSON object format.
@@ -371,79 +325,10 @@ impl ChromeTrace {
     }
 }
 
-/// Argument payload for the instant-event fallback arm.
-fn instant_args(e: &Event) -> Vec<(String, JsonValue)> {
-    let kv = |k: &str, v: u64| (k.to_string(), JsonValue::from(v));
-    match *e {
-        Event::CompactionSelect {
-            context,
-            candidates,
-        } => vec![kv("context", context), kv("candidates", candidates)],
-        Event::CompactionRetire { context, retired } => {
-            vec![kv("context", context), kv("retired", retired)]
-        }
-        Event::ObjectRelocated {
-            src_slot,
-            dest_slot,
-        } => vec![kv("src_slot", src_slot), kv("dest_slot", dest_slot)],
-        Event::RelocationBailed { src_slot } => vec![kv("src_slot", src_slot)],
-        Event::RecoveryStep {
-            attempt,
-            freed_blocks,
-            advanced,
-        } => vec![
-            kv("attempt", attempt),
-            kv("freed_blocks", freed_blocks),
-            kv("advanced", advanced as u64),
-        ],
-        Event::FailpointTrip { site } => {
-            vec![("site".to_string(), JsonValue::from(site.as_str()))]
-        }
-        Event::MorselDispatch { worker, morsel } => {
-            vec![kv("worker", worker), kv("morsel", morsel)]
-        }
-        Event::BlockSpilled { context, block_id } => {
-            vec![kv("context", context), kv("block_id", block_id)]
-        }
-        Event::BlockFaulted {
-            context,
-            block_id,
-            nanos,
-        } => vec![
-            kv("context", context),
-            kv("block_id", block_id),
-            kv("nanos", nanos),
-        ],
-        Event::SnapshotWritten {
-            context,
-            pages,
-            bytes,
-            nanos,
-        } => vec![
-            kv("context", context),
-            kv("pages", pages),
-            kv("bytes", bytes),
-            kv("nanos", nanos),
-        ],
-        Event::RecoveryLoaded {
-            context,
-            pages,
-            objects,
-            nanos,
-        } => vec![
-            kv("context", context),
-            kv("pages", pages),
-            kv("objects", objects),
-            kv("nanos", nanos),
-        ],
-        _ => Vec::new(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Label;
+    use crate::trace::{Label, ShortLabel};
 
     fn ev(seq: u64, thread: u64, nanos: u64, event: Event) -> TracedEvent {
         TracedEvent {
@@ -538,7 +423,7 @@ mod tests {
             8_000,
             Event::ReqStage {
                 req: 0x99,
-                stage: Label::new("shard"),
+                stage: ShortLabel::new("shard"),
                 nanos: 2_000,
             },
         )]);
@@ -547,6 +432,46 @@ mod tests {
         assert!(s.contains("\"ph\":\"X\""), "{s}");
         assert!(s.contains("\"req\":153"), "args carry the id: {s}");
         assert!(s.contains("\"ts\":6"), "start = end - dur: {s}");
+    }
+
+    #[test]
+    fn every_variant_exports_its_declared_fields() {
+        for row in Event::KINDS {
+            let event = Event::decode(row.code, [7; 4]).expect(row.variant);
+            let mut t = ChromeTrace::new();
+            t.add_events(&[ev(0, 5, 10_000, event)]);
+            if t.is_empty() {
+                // A pause's begin is exported once its end arrives.
+                let end = Event::GcPauseEnd {
+                    major: true,
+                    nanos: 1_000,
+                    traced: 0,
+                    swept: 0,
+                };
+                t.add_events(&[ev(0, 5, 10_000, event), ev(1, 5, 11_000, end)]);
+            }
+            // The event's own record is the first with args (a pause end
+            // is preceded by its synthesized, argument-less begin).
+            let record = t.records.iter().find(|r| !r.args.is_empty());
+            let record = record.unwrap_or_else(|| panic!("{} exports no args", row.variant));
+            let exported: Vec<&str> = record.args.iter().map(|&(name, _)| name).collect();
+            let declared: Vec<&str> = row
+                .fields
+                .iter()
+                .copied()
+                .filter(|&f| f != "nanos")
+                .collect();
+            assert_eq!(exported, declared, "{}", row.variant);
+            let is_span = row.fields.contains(&"nanos") && row.variant != "GcPauseEnd";
+            assert_eq!(
+                record.ph == "X",
+                is_span,
+                "{} is {}",
+                row.variant,
+                record.ph
+            );
+            assert_eq!(record.dur_nanos, is_span.then_some(7), "{}", row.variant);
+        }
     }
 
     #[test]

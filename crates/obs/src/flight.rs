@@ -11,13 +11,12 @@
 //! **`SMC_FLIGHT_OUT`** environment variable. `smc-serve` dumps on panic
 //! ([`install_panic_hook`]), SIGUSR1, SLO breach, and failed drain verify.
 //!
-//! Recording is multi-producer: a writer claims a slot by one
-//! `fetch_add` on the head and publishes it seqlock-style (tag 0 while
-//! mid-write, `position + 1` when complete). Two writers only collide on a
-//! slot when they are a whole ring apart ([`FLIGHT_CAPACITY`] events), in
-//! which case the loser's record is torn and the tag check makes readers
-//! skip it — an acceptable loss for a forensic ring, and one that never
-//! blocks or corrupts the process.
+//! The ring is the tracer's own ring type at a larger capacity, shared by
+//! every thread: a writer claims a position by one `fetch_add` on the head
+//! and publishes it seqlock-style. Two writers only meet on a slot when
+//! they are a whole ring apart ([`FLIGHT_CAPACITY`] events); the later one
+//! then finds the slot owned and drops its record — an acceptable loss for
+//! a forensic ring, and one that never blocks or tears a record.
 //!
 //! ```
 //! use smc_obs::{flight, trace};
@@ -32,12 +31,11 @@
 //! ```
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use crate::chrome::ChromeTrace;
 use crate::report::JsonValue;
-use crate::trace::{SeqSlot, TracedEvent};
+use crate::trace::{self, Ring, TracedEvent};
 
 /// Events the flight ring holds before overwriting the oldest. At 9 words
 /// (72 bytes) per slot the whole recorder is a fixed ~288 KiB.
@@ -47,82 +45,47 @@ pub const FLIGHT_CAPACITY: usize = 4096;
 /// a no-op (recording still runs; there is just nowhere to write).
 pub const FLIGHT_OUT_ENV: &str = "SMC_FLIGHT_OUT";
 
-struct FlightRing {
-    head: AtomicU64,
-    dropped: AtomicU64,
-    slots: Box<[SeqSlot]>,
-}
-
-impl FlightRing {
-    fn new() -> FlightRing {
-        FlightRing {
-            head: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            slots: (0..FLIGHT_CAPACITY).map(|_| SeqSlot::new()).collect(),
-        }
-    }
-}
-
 /// The one ring, allocated on first [`enable`] and kept for the process
 /// lifetime (so a race between `disable` and an in-flight `record` can
 /// never use freed memory).
-static RING: OnceLock<FlightRing> = OnceLock::new();
+static RING: OnceLock<Ring> = OnceLock::new();
 
 /// Turns the flight recorder on, allocating its ring on the first call.
 /// Independent of [`crate::trace::enable`]: either sink can run alone.
 pub fn enable() {
-    RING.get_or_init(FlightRing::new);
-    crate::trace::set_flight_mode(true);
+    RING.get_or_init(|| Ring::new(0, FLIGHT_CAPACITY));
+    trace::set_flight_mode(true);
 }
 
 /// Stops recording (the ring and its contents are retained, so a dump
 /// after `disable` still shows the window leading up to it).
 pub fn disable() {
-    crate::trace::set_flight_mode(false);
+    trace::set_flight_mode(false);
 }
 
 /// True while the recorder is tapping emissions.
 pub fn is_enabled() -> bool {
-    ENABLED_HINT.load(Ordering::Relaxed) != 0
-}
-
-/// Mirror of the trace-mode flight bit, kept here so `is_enabled` needs no
-/// access to the tracer's private mode word. Updated by `set_flight_mode`
-/// via [`note_mode`].
-static ENABLED_HINT: AtomicU64 = AtomicU64::new(0);
-
-pub(crate) fn note_mode(on: bool) {
-    ENABLED_HINT.store(on as u64, Ordering::Relaxed);
+    trace::flight_mode()
 }
 
 /// Records one already-encoded emission (called from `trace::emit` when the
 /// flight mode bit is set). Wait-free: one `fetch_add` plus the slot's
-/// relaxed stores.
+/// claim and relaxed stores.
 pub(crate) fn record(words: [u64; 8]) {
-    let Some(ring) = RING.get() else { return };
-    let pos = ring.head.fetch_add(1, Ordering::Relaxed);
-    if pos >= FLIGHT_CAPACITY as u64 {
-        ring.dropped.fetch_add(1, Ordering::Relaxed);
+    if let Some(ring) = RING.get() {
+        ring.push(words);
     }
-    ring.slots[(pos as usize) % FLIGHT_CAPACITY].publish(pos, words);
 }
 
 /// Every currently-consistent record in the ring, sorted by global
-/// sequence number. Mid-write or torn slots are skipped.
+/// sequence number. Slots caught mid-write are skipped.
 pub fn snapshot() -> Vec<TracedEvent> {
-    let Some(ring) = RING.get() else {
-        return Vec::new();
-    };
-    let mut out: Vec<TracedEvent> = ring.slots.iter().filter_map(SeqSlot::read_event).collect();
-    out.sort_by_key(|t| t.seq);
-    out
+    trace::snapshot_of(RING.get())
 }
 
 /// Records overwritten by ring wraparound since [`enable`].
 pub fn dropped() -> u64 {
-    RING.get()
-        .map(|r| r.dropped.load(Ordering::Relaxed))
-        .unwrap_or(0)
+    RING.get().map_or(0, Ring::dropped)
 }
 
 /// Dumps the current flight window as a Chrome trace to the path named by
@@ -167,7 +130,7 @@ pub fn install_panic_hook() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{self, test_lock, Event, Label};
+    use crate::trace::{self, test_lock, Event, ShortLabel};
 
     #[test]
     fn flight_taps_emissions_without_ring_tracing() {
@@ -176,7 +139,7 @@ mod tests {
         enable();
         trace::emit(Event::ReqStage {
             req: 0xf11647,
-            stage: Label::new("conn"),
+            stage: ShortLabel::new("conn"),
             nanos: 5,
         });
         let hit = snapshot()

@@ -59,4 +59,4 @@ pub mod trace;
 pub use chrome::ChromeTrace;
 pub use hist::{Histogram, Registry, Summary};
 pub use report::{JsonValue, Report, SeriesId};
-pub use trace::{Event, Label, RequestId, RequestScope, Span, TracedEvent};
+pub use trace::{Event, Label, RequestId, RequestScope, ShortLabel, Span, TracedEvent};

@@ -17,9 +17,10 @@
 //! tracing never blocks or grows memory.
 //!
 //! Events are POD ([`Copy`], no heap): textual payloads travel as fixed
-//! 15-byte [`Label`]s. Each emitted event carries a global sequence number
-//! (total order across threads) and nanoseconds since the first
-//! [`enable`]/emission.
+//! 15-byte [`Label`]s or 7-byte [`ShortLabel`]s. The taxonomy is declared
+//! once, as the rows of the `events!` table below. Each emitted event
+//! carries a global sequence number (total order across threads) and
+//! nanoseconds since the first [`enable`]/emission.
 //!
 //! ```
 //! use smc_obs::trace::{self, Event};
@@ -33,41 +34,52 @@
 //! trace::disable();
 //! ```
 
-use std::cell::{Cell, UnsafeCell};
+use std::cell::Cell;
 use std::sync::atomic::{fence, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::hist::Histogram;
+use crate::report::JsonValue;
 
 /// Events each per-thread ring can hold before overwriting the oldest.
 pub const RING_CAPACITY: usize = 1024;
 
-/// A fixed-size, copyable string for event payloads (site names, query
-/// labels). Longer strings are truncated at a UTF-8 boundary.
+/// A fixed-size, copyable string of at most `N` bytes for event payloads
+/// (site names, query labels, stage tokens). Longer strings are truncated
+/// at a UTF-8 boundary on construction, so a label always holds valid text
+/// and always fits the `(N + 1) / 8` payload words it is packed into. Use
+/// it through its two widths, [`Label`] and [`ShortLabel`].
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub struct Label {
+pub struct FixedLabel<const N: usize> {
     len: u8,
-    bytes: [u8; 15],
+    bytes: [u8; N],
 }
 
-impl Label {
+/// The 15-byte label: two payload words.
+pub type Label = FixedLabel<15>;
+
+/// The 7-byte label: one payload word, for the short tokens (`done`,
+/// `shard`) of variants whose other fields leave a single word free.
+pub type ShortLabel = FixedLabel<7>;
+
+impl<const N: usize> FixedLabel<N> {
     /// The empty label.
-    pub const EMPTY: Label = Label {
+    pub const EMPTY: Self = FixedLabel {
         len: 0,
-        bytes: [0; 15],
+        bytes: [0; N],
     };
 
-    /// Builds a label from up to 15 bytes of `s` (truncating at a character
+    /// Builds a label from up to `N` bytes of `s` (truncating at a character
     /// boundary).
-    pub fn new(s: &str) -> Label {
-        let mut n = s.len().min(15);
+    pub fn new(s: &str) -> Self {
+        let mut n = s.len().min(N);
         while !s.is_char_boundary(n) {
             n -= 1;
         }
-        let mut bytes = [0u8; 15];
+        let mut bytes = [0u8; N];
         bytes[..n].copy_from_slice(&s.as_bytes()[..n]);
-        Label {
+        FixedLabel {
             len: n as u8,
             bytes,
         }
@@ -77,59 +89,206 @@ impl Label {
     pub fn as_str(&self) -> &str {
         std::str::from_utf8(&self.bytes[..self.len as usize]).unwrap_or("")
     }
+}
 
-    /// Packs the label into two words for ring storage.
-    fn pack(&self) -> (u64, u64) {
-        let mut raw = [0u8; 16];
-        raw[0] = self.len;
-        raw[1..16].copy_from_slice(&self.bytes);
-        (
-            u64::from_le_bytes(raw[0..8].try_into().unwrap()),
-            u64::from_le_bytes(raw[8..16].try_into().unwrap()),
-        )
-    }
-
-    fn unpack(a: u64, b: u64) -> Label {
-        let mut raw = [0u8; 16];
-        raw[0..8].copy_from_slice(&a.to_le_bytes());
-        raw[8..16].copy_from_slice(&b.to_le_bytes());
-        let mut bytes = [0u8; 15];
-        bytes.copy_from_slice(&raw[1..16]);
-        Label {
-            len: raw[0].min(15),
-            bytes,
-        }
+impl<const N: usize> From<&str> for FixedLabel<N> {
+    fn from(s: &str) -> Self {
+        Self::new(s)
     }
 }
 
-impl From<&str> for Label {
-    fn from(s: &str) -> Label {
-        Label::new(s)
-    }
-}
-
-impl std::fmt::Display for Label {
+impl<const N: usize> std::fmt::Display for FixedLabel<N> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
     }
 }
 
-impl std::fmt::Debug for Label {
+impl<const N: usize> std::fmt::Debug for FixedLabel<N> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{:?}", self.as_str())
     }
 }
 
-/// The typed event taxonomy (DESIGN.md §10). All variants are POD.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Event {
+/// Cursor over the four payload words of a ring record.
+struct Payload {
+    words: [u64; 4],
+    at: usize,
+}
+
+impl Payload {
+    fn put(&mut self, word: u64) {
+        self.words[self.at] = word;
+        self.at += 1;
+    }
+
+    fn take(&mut self) -> u64 {
+        self.at += 1;
+        self.words[self.at - 1]
+    }
+}
+
+/// How one event field travels: packed into `WORDS` payload words of the
+/// ring record (and back, normalising whatever a torn record held), and
+/// rendered as the JSON value of an export's `args`.
+trait Field: Copy {
+    const WORDS: usize;
+    fn put(self, p: &mut Payload);
+    fn take(p: &mut Payload) -> Self;
+    fn json(self) -> JsonValue;
+}
+
+impl Field for u64 {
+    const WORDS: usize = 1;
+    fn put(self, p: &mut Payload) {
+        p.put(self);
+    }
+    fn take(p: &mut Payload) -> u64 {
+        p.take()
+    }
+    fn json(self) -> JsonValue {
+        self.into()
+    }
+}
+
+impl Field for bool {
+    const WORDS: usize = 1;
+    fn put(self, p: &mut Payload) {
+        p.put(self as u64);
+    }
+    fn take(p: &mut Payload) -> bool {
+        p.take() != 0
+    }
+    fn json(self) -> JsonValue {
+        self.into()
+    }
+}
+
+/// A label travels as its length byte followed by its `N` text bytes.
+impl<const N: usize> Field for FixedLabel<N> {
+    const WORDS: usize = {
+        assert!(N == 7 || N == 15, "a label fills one or two words");
+        (N + 1) / 8
+    };
+    fn put(self, p: &mut Payload) {
+        let mut raw = [0u8; 16];
+        raw[0] = self.len;
+        raw[1..=N].copy_from_slice(&self.bytes);
+        for k in 0..Self::WORDS {
+            p.put(u64::from_le_bytes(std::array::from_fn(|i| raw[8 * k + i])));
+        }
+    }
+    fn take(p: &mut Payload) -> Self {
+        let mut raw = [0u8; 16];
+        for k in 0..Self::WORDS {
+            raw[8 * k..8 * k + 8].copy_from_slice(&p.take().to_le_bytes());
+        }
+        let len = (raw[0] as usize).min(N);
+        let mut bytes = [0u8; N];
+        bytes[..len].copy_from_slice(&raw[1..=len]);
+        FixedLabel {
+            len: len as u8,
+            bytes,
+        }
+    }
+    fn json(self) -> JsonValue {
+        self.as_str().into()
+    }
+}
+
+/// One row of the event table, as [`Event::KINDS`] lists it.
+#[derive(Debug, Clone, Copy)]
+pub struct EventKind {
+    /// The ring record's kind word. Process-internal: rings are never
+    /// persisted, so codes carry no format version.
+    pub code: u64,
+    /// The [`Event`] variant's name.
+    pub variant: &'static str,
+    /// What [`Event::kind`] returns for the variant.
+    pub kind: &'static str,
+    /// The variant's field names, in declaration order.
+    pub fields: &'static [&'static str],
+}
+
+// One table — a row per variant: doc, ring code, `Variant`, "kind-name",
+// `{ documented fields }` — is the `Event` enum, `Event::KINDS`, `kind()`,
+// the ring encoding both ways and the export's `args()`. Fields pack into
+// the four payload words in declaration order; a row that needs a fifth
+// word fails to compile. A field named `nanos` is the duration of a span
+// that ends at the event's timestamp: the Chrome exporter draws it.
+macro_rules! events {
+    ($($(#[$doc:meta])* $code:literal $variant:ident $kind:literal {
+        $($(#[$fdoc:meta])* $field:ident: $ty:ty,)*
+    })*) => {
+        /// The typed event taxonomy (DESIGN.md §10). All variants are POD.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Event {
+            $($(#[$doc])* $variant { $($(#[$fdoc])* $field: $ty,)* },)*
+        }
+
+        $(const _: () = assert!(
+            0 $(+ <$ty as Field>::WORDS)* <= 4,
+            concat!(stringify!($variant), " does not fit the four payload words")
+        );)*
+
+        impl Event {
+            /// Every row of the event table, in declaration order.
+            pub const KINDS: &'static [EventKind] = &[$(EventKind {
+                code: $code,
+                variant: stringify!($variant),
+                kind: $kind,
+                fields: &[$(stringify!($field)),*],
+            },)*];
+
+            /// Short kind name, stable for log processing.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Event::$variant { .. } => $kind,)*
+                }
+            }
+
+            /// The event's fields as `(name, JSON value)`, in declaration
+            /// order: the `args` of an exported record.
+            pub fn args(&self) -> Vec<(&'static str, JsonValue)> {
+                match *self {
+                    $(Event::$variant { $($field),* } => {
+                        vec![$((stringify!($field), $field.json())),*]
+                    })*
+                }
+            }
+
+            pub(crate) fn encode(&self) -> (u64, [u64; 4]) {
+                let mut p = Payload { words: [0; 4], at: 0 };
+                let code = match *self {
+                    $(Event::$variant { $($field),* } => {
+                        $($field.put(&mut p);)*
+                        $code
+                    })*
+                };
+                (code, p.words)
+            }
+
+            /// Defensive inverse of `encode`: an unknown code decodes to
+            /// `None` and is skipped by [`snapshot`]; any payload words
+            /// decode to *some* event of a known code.
+            pub(crate) fn decode(code: u64, words: [u64; 4]) -> Option<Event> {
+                let mut p = Payload { words, at: 0 };
+                Some(match code {
+                    $($code => Event::$variant { $($field: Field::take(&mut p)),* },)*
+                    _ => return None,
+                })
+            }
+        }
+    };
+}
+
+events! {
     /// A stop-the-world GC pause is starting (`managed-heap` collector).
-    GcPauseBegin {
+    1 GcPauseBegin "gc-pause-begin" {
         /// True for a major (full-heap) cycle.
         major: bool,
-    },
+    }
     /// A stop-the-world GC pause ended.
-    GcPauseEnd {
+    2 GcPauseEnd "gc-pause-end" {
         /// True for a major (full-heap) cycle.
         major: bool,
         /// Pause duration in nanoseconds.
@@ -138,21 +297,21 @@ pub enum Event {
         traced: u64,
         /// Objects swept (0 for non-final incremental slices).
         swept: u64,
-    },
+    }
     /// The global epoch advanced (§3.4).
-    EpochAdvance {
+    3 EpochAdvance "epoch-advance" {
         /// The new global epoch.
         epoch: u64,
-    },
+    }
     /// A compaction pass selected its source candidates (§5.2 select).
-    CompactionSelect {
+    4 CompactionSelect "compaction-select" {
         /// Memory-context id running the pass.
         context: u64,
         /// Low-occupancy blocks chosen as relocation sources.
         candidates: u64,
-    },
+    }
     /// A compaction pass finished its moving phase (§5.1 relocate).
-    CompactionRelocate {
+    5 CompactionRelocate "compaction-relocate" {
         /// Memory-context id running the pass.
         context: u64,
         /// Objects moved to destination blocks.
@@ -161,118 +320,116 @@ pub enum Event {
         bailed: u64,
         /// Moving-phase duration in nanoseconds.
         nanos: u64,
-    },
+    }
     /// A compaction pass retired its emptied source blocks (§5.2 retire).
-    CompactionRetire {
+    6 CompactionRetire "compaction-retire" {
         /// Memory-context id running the pass.
         context: u64,
         /// Fully-emptied source blocks retired to the graveyard path.
         retired: u64,
-    },
+    }
     /// One object was relocated (by the compaction thread or a helping
     /// reader, §5.1 case c).
-    ObjectRelocated {
+    7 ObjectRelocated "object-relocated" {
         /// Source slot within the source block.
         src_slot: u64,
         /// Destination slot within the group's destination block.
         dest_slot: u64,
-    },
+    }
     /// A reader bailed a scheduled relocation out (§5.1 case b).
-    RelocationBailed {
+    8 RelocationBailed "relocation-bailed" {
         /// Source slot whose move was cancelled.
         src_slot: u64,
-    },
+    }
     /// One rung of the allocation recovery ladder ran under memory pressure.
-    RecoveryStep {
+    9 RecoveryStep "recovery-step" {
         /// Retry attempt number (1-based).
         attempt: u64,
         /// Graveyard blocks freed by this rung.
         freed_blocks: u64,
         /// Whether the rung forced an emergency epoch advance.
         advanced: bool,
-    },
+    }
     /// A seeded failpoint fired ([`FaultInjector`](../../smc_memory/fault)).
-    FailpointTrip {
+    10 FailpointTrip "failpoint-trip" {
         /// Site name (e.g. `block-alloc`, `relocation`).
         site: Label,
-    },
+    }
     /// A parallel-scan worker claimed a morsel.
-    MorselDispatch {
+    11 MorselDispatch "morsel-dispatch" {
         /// Worker index within its pool.
         worker: u64,
         /// Index of the morsel within the scan's snapshot.
         morsel: u64,
-    },
+    }
     /// A worker pool finished broadcasting one job to all workers.
-    PoolBroadcast {
+    12 PoolBroadcast "pool-broadcast" {
         /// Worker count.
         threads: u64,
         /// Wall time of the broadcast in nanoseconds.
         nanos: u64,
-    },
+    }
     /// A traced span (e.g. one TPC-H query execution) completed.
-    QuerySpan {
+    13 QuerySpan "query-span" {
         /// Span label (e.g. `smc.q1`).
         label: Label,
         /// Span duration in nanoseconds.
         nanos: u64,
-    },
+    }
     /// The maintenance coordinator dispatched a compaction pass.
-    MaintPassStart {
+    14 MaintPassStart "maint-pass-start" {
         /// Memory-context id the pass targets.
         context: u64,
-        /// Why the pass was planned (e.g. `frag`, `limbo`, `churn`, `nudge`).
+        /// Why the pass was planned (e.g. `frag`, `limbo`, `nudge`, `spill`).
         reason: Label,
-    },
+    }
     /// A coordinator-driven compaction pass finished.
-    MaintPassEnd {
+    15 MaintPassEnd "maint-pass-end" {
         /// Memory-context id the pass targeted.
         context: u64,
         /// Objects moved by the pass.
         moved: u64,
         /// Relocations rolled back through the bail path.
         bailed: u64,
-        /// Outcome class (`done`, `retry`, `cancel`, `abort`). Must fit in
-        /// 7 bytes: the record packs context/moved/bailed plus the label's
-        /// first word, so only short tokens survive encoding.
-        outcome: Label,
-    },
+        /// Outcome class (`done`, `retry`, `cancel`, `abort`).
+        outcome: ShortLabel,
+    }
     /// The coordinator deferred a due pass because the foreground scan SLO
     /// is breached (back-pressure).
-    MaintDeferred {
+    16 MaintDeferred "maint-deferred" {
         /// Memory-context id whose pass was deferred.
         context: u64,
         /// Observed foreground p99 scan latency in nanoseconds.
         p99_ns: u64,
         /// The configured SLO ceiling in nanoseconds.
         slo_ns: u64,
-    },
+    }
     /// The coordinator's SLO state flipped (breached or recovered).
-    MaintSloState {
+    17 MaintSloState "maint-slo-state" {
         /// True when entering the breached (back-pressure) state.
         breached: bool,
         /// Observed foreground p99 scan latency in nanoseconds.
         p99_ns: u64,
-    },
+    }
     /// A block was evicted to the page store (the spill rung of the OOM
     /// ladder; persistence tier).
-    BlockSpilled {
+    18 BlockSpilled "block-spilled" {
         /// Memory-context id that spilled the block.
         context: u64,
         /// Id of the spilled block.
         block_id: u64,
-    },
+    }
     /// A spilled page was brought back to residency (into a fresh block).
-    BlockFaulted {
+    19 BlockFaulted "block-faulted" {
         /// Memory-context id that faulted the page in.
         context: u64,
         /// Id of the originally-spilled block.
         block_id: u64,
         /// Fault-in duration in nanoseconds (store read through repoint).
         nanos: u64,
-    },
+    }
     /// A crash-consistent snapshot generation was published (`smc-persist`).
-    SnapshotWritten {
+    20 SnapshotWritten "snapshot-written" {
         /// Memory-context id that was snapshotted.
         context: u64,
         /// Pages written to the generation's page file.
@@ -281,9 +438,9 @@ pub enum Event {
         bytes: u64,
         /// Snapshot duration in nanoseconds (walk through rename).
         nanos: u64,
-    },
+    }
     /// A context was rebuilt from a snapshot directory (`smc-persist`).
-    RecoveryLoaded {
+    21 RecoveryLoaded "recovery-loaded" {
         /// Memory-context id of the rebuilt context.
         context: u64,
         /// Pages read and verified.
@@ -292,266 +449,19 @@ pub enum Event {
         objects: u64,
         /// Recovery duration in nanoseconds (read through verify).
         nanos: u64,
-    },
+    }
     /// One stage of a traced request finished on some thread (conn read,
     /// ring wait, shard execution, exec-worker slice). The Chrome exporter
     /// renders these as complete (`X`) spans named `req.<stage>` carrying
     /// the request id, so one request's flow is linkable across `tid`
     /// tracks ([`RequestId`], DESIGN.md §17).
-    ReqStage {
+    22 ReqStage "req-stage" {
         /// The originating [`RequestId`] (non-zero).
         req: u64,
-        /// Stage name (`conn`, `ring`, `shard`, `exec`). Must fit in
-        /// 7 bytes: the record packs the id, the duration and the label's
-        /// first word, so only short stage tokens survive encoding.
-        stage: Label,
+        /// Stage name (`conn`, `ring`, `shard`, `exec`).
+        stage: ShortLabel,
         /// Stage duration in nanoseconds.
         nanos: u64,
-    },
-}
-
-const K_GC_BEGIN: u64 = 1;
-const K_GC_END: u64 = 2;
-const K_EPOCH: u64 = 3;
-const K_SELECT: u64 = 4;
-const K_RELOCATE: u64 = 5;
-const K_RETIRE: u64 = 6;
-const K_OBJ_MOVED: u64 = 7;
-const K_OBJ_BAILED: u64 = 8;
-const K_RECOVERY: u64 = 9;
-const K_FAILPOINT: u64 = 10;
-const K_MORSEL: u64 = 11;
-const K_BROADCAST: u64 = 12;
-const K_SPAN: u64 = 13;
-const K_MAINT_START: u64 = 14;
-const K_MAINT_END: u64 = 15;
-const K_MAINT_DEFER: u64 = 16;
-const K_MAINT_SLO: u64 = 17;
-const K_SPILL: u64 = 18;
-const K_FAULT_IN: u64 = 19;
-const K_SNAP_WRITE: u64 = 20;
-const K_RECOVER: u64 = 21;
-const K_REQ_STAGE: u64 = 22;
-
-impl Event {
-    /// Short kind name, stable for log processing.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::GcPauseBegin { .. } => "gc-pause-begin",
-            Event::GcPauseEnd { .. } => "gc-pause-end",
-            Event::EpochAdvance { .. } => "epoch-advance",
-            Event::CompactionSelect { .. } => "compaction-select",
-            Event::CompactionRelocate { .. } => "compaction-relocate",
-            Event::CompactionRetire { .. } => "compaction-retire",
-            Event::ObjectRelocated { .. } => "object-relocated",
-            Event::RelocationBailed { .. } => "relocation-bailed",
-            Event::RecoveryStep { .. } => "recovery-step",
-            Event::FailpointTrip { .. } => "failpoint-trip",
-            Event::MorselDispatch { .. } => "morsel-dispatch",
-            Event::PoolBroadcast { .. } => "pool-broadcast",
-            Event::QuerySpan { .. } => "query-span",
-            Event::MaintPassStart { .. } => "maint-pass-start",
-            Event::MaintPassEnd { .. } => "maint-pass-end",
-            Event::MaintDeferred { .. } => "maint-deferred",
-            Event::MaintSloState { .. } => "maint-slo-state",
-            Event::BlockSpilled { .. } => "block-spilled",
-            Event::BlockFaulted { .. } => "block-faulted",
-            Event::SnapshotWritten { .. } => "snapshot-written",
-            Event::RecoveryLoaded { .. } => "recovery-loaded",
-            Event::ReqStage { .. } => "req-stage",
-        }
-    }
-
-    pub(crate) fn encode(&self) -> (u64, [u64; 4]) {
-        match *self {
-            Event::GcPauseBegin { major } => (K_GC_BEGIN, [major as u64, 0, 0, 0]),
-            Event::GcPauseEnd {
-                major,
-                nanos,
-                traced,
-                swept,
-            } => (K_GC_END, [major as u64, nanos, traced, swept]),
-            Event::EpochAdvance { epoch } => (K_EPOCH, [epoch, 0, 0, 0]),
-            Event::CompactionSelect {
-                context,
-                candidates,
-            } => (K_SELECT, [context, candidates, 0, 0]),
-            Event::CompactionRelocate {
-                context,
-                moved,
-                bailed,
-                nanos,
-            } => (K_RELOCATE, [context, moved, bailed, nanos]),
-            Event::CompactionRetire { context, retired } => (K_RETIRE, [context, retired, 0, 0]),
-            Event::ObjectRelocated {
-                src_slot,
-                dest_slot,
-            } => (K_OBJ_MOVED, [src_slot, dest_slot, 0, 0]),
-            Event::RelocationBailed { src_slot } => (K_OBJ_BAILED, [src_slot, 0, 0, 0]),
-            Event::RecoveryStep {
-                attempt,
-                freed_blocks,
-                advanced,
-            } => (K_RECOVERY, [attempt, freed_blocks, advanced as u64, 0]),
-            Event::FailpointTrip { site } => {
-                let (a, b) = site.pack();
-                (K_FAILPOINT, [a, b, 0, 0])
-            }
-            Event::MorselDispatch { worker, morsel } => (K_MORSEL, [worker, morsel, 0, 0]),
-            Event::PoolBroadcast { threads, nanos } => (K_BROADCAST, [threads, nanos, 0, 0]),
-            Event::QuerySpan { label, nanos } => {
-                let (a, b) = label.pack();
-                (K_SPAN, [a, b, nanos, 0])
-            }
-            Event::MaintPassStart { context, reason } => {
-                let (a, b) = reason.pack();
-                (K_MAINT_START, [context, a, b, 0])
-            }
-            Event::MaintPassEnd {
-                context,
-                moved,
-                bailed,
-                outcome,
-            } => {
-                // Four payload words must carry context/moved/bailed plus the
-                // outcome, so only the label's first packed word (length +
-                // 7 bytes) is stored — enough for every outcome token.
-                let (a, b) = outcome.pack();
-                debug_assert_eq!(b, 0, "outcome label must fit 7 bytes");
-                (K_MAINT_END, [context, moved, bailed, a])
-            }
-            Event::MaintDeferred {
-                context,
-                p99_ns,
-                slo_ns,
-            } => (K_MAINT_DEFER, [context, p99_ns, slo_ns, 0]),
-            Event::MaintSloState { breached, p99_ns } => {
-                (K_MAINT_SLO, [breached as u64, p99_ns, 0, 0])
-            }
-            Event::BlockSpilled { context, block_id } => (K_SPILL, [context, block_id, 0, 0]),
-            Event::BlockFaulted {
-                context,
-                block_id,
-                nanos,
-            } => (K_FAULT_IN, [context, block_id, nanos, 0]),
-            Event::SnapshotWritten {
-                context,
-                pages,
-                bytes,
-                nanos,
-            } => (K_SNAP_WRITE, [context, pages, bytes, nanos]),
-            Event::RecoveryLoaded {
-                context,
-                pages,
-                objects,
-                nanos,
-            } => (K_RECOVER, [context, pages, objects, nanos]),
-            Event::ReqStage { req, stage, nanos } => {
-                let (a, b) = stage.pack();
-                debug_assert_eq!(b, 0, "stage label must fit 7 bytes");
-                (K_REQ_STAGE, [req, a, nanos, 0])
-            }
-        }
-    }
-
-    /// Defensive inverse of `encode`: a torn or unknown record decodes to
-    /// `None` and is skipped by [`snapshot`].
-    pub(crate) fn decode(kind: u64, p: [u64; 4]) -> Option<Event> {
-        Some(match kind {
-            K_GC_BEGIN => Event::GcPauseBegin { major: p[0] != 0 },
-            K_GC_END => Event::GcPauseEnd {
-                major: p[0] != 0,
-                nanos: p[1],
-                traced: p[2],
-                swept: p[3],
-            },
-            K_EPOCH => Event::EpochAdvance { epoch: p[0] },
-            K_SELECT => Event::CompactionSelect {
-                context: p[0],
-                candidates: p[1],
-            },
-            K_RELOCATE => Event::CompactionRelocate {
-                context: p[0],
-                moved: p[1],
-                bailed: p[2],
-                nanos: p[3],
-            },
-            K_RETIRE => Event::CompactionRetire {
-                context: p[0],
-                retired: p[1],
-            },
-            K_OBJ_MOVED => Event::ObjectRelocated {
-                src_slot: p[0],
-                dest_slot: p[1],
-            },
-            K_OBJ_BAILED => Event::RelocationBailed { src_slot: p[0] },
-            K_RECOVERY => Event::RecoveryStep {
-                attempt: p[0],
-                freed_blocks: p[1],
-                advanced: p[2] != 0,
-            },
-            K_FAILPOINT => Event::FailpointTrip {
-                site: Label::unpack(p[0], p[1]),
-            },
-            K_MORSEL => Event::MorselDispatch {
-                worker: p[0],
-                morsel: p[1],
-            },
-            K_BROADCAST => Event::PoolBroadcast {
-                threads: p[0],
-                nanos: p[1],
-            },
-            K_SPAN => Event::QuerySpan {
-                label: Label::unpack(p[0], p[1]),
-                nanos: p[2],
-            },
-            K_MAINT_START => Event::MaintPassStart {
-                context: p[0],
-                reason: Label::unpack(p[1], p[2]),
-            },
-            K_MAINT_END => Event::MaintPassEnd {
-                context: p[0],
-                moved: p[1],
-                bailed: p[2],
-                outcome: Label::unpack(p[3], 0),
-            },
-            K_MAINT_DEFER => Event::MaintDeferred {
-                context: p[0],
-                p99_ns: p[1],
-                slo_ns: p[2],
-            },
-            K_MAINT_SLO => Event::MaintSloState {
-                breached: p[0] != 0,
-                p99_ns: p[1],
-            },
-            K_SPILL => Event::BlockSpilled {
-                context: p[0],
-                block_id: p[1],
-            },
-            K_FAULT_IN => Event::BlockFaulted {
-                context: p[0],
-                block_id: p[1],
-                nanos: p[2],
-            },
-            K_SNAP_WRITE => Event::SnapshotWritten {
-                context: p[0],
-                pages: p[1],
-                bytes: p[2],
-                nanos: p[3],
-            },
-            K_RECOVER => Event::RecoveryLoaded {
-                context: p[0],
-                pages: p[1],
-                objects: p[2],
-                nanos: p[3],
-            },
-            K_REQ_STAGE => Event::ReqStage {
-                req: p[0],
-                stage: Label::unpack(p[1], 0),
-                nanos: p[2],
-            },
-            _ => return None,
-        })
     }
 }
 
@@ -560,7 +470,7 @@ impl Event {
 pub struct TracedEvent {
     /// Global sequence number: a total order across all threads.
     pub seq: u64,
-    /// Emitting thread's tracer id (dense, per-process).
+    /// Emitting thread's tracer id (dense, per-process, from 1).
     pub thread: u64,
     /// Nanoseconds since the tracer's time origin (first enable/emission).
     pub nanos: u64,
@@ -587,30 +497,31 @@ impl TracedEvent {
     }
 }
 
-/// Seqlock-tagged record of 8 atomic words, the slot of both the per-thread
-/// rings and the [flight recorder](crate::flight). `tag == 0` means empty or
-/// mid-write; `tag == logical_position + 1` means the words hold the
-/// complete record for that position. All accesses are atomic (no UB); a
-/// reader validating the tag before and after its word reads either sees a
-/// consistent record or skips the slot.
-pub(crate) struct SeqSlot {
+/// Seqlock-tagged record of 8 atomic words. `tag == 0` means empty,
+/// `tag == BUSY` means a writer owns the slot, `tag == logical_position + 1`
+/// means the words hold the complete record for that position. All accesses
+/// are atomic (no UB); a reader validating the tag before and after its
+/// word reads either sees a consistent record or skips the slot.
+struct SeqSlot {
     tag: AtomicU64,
     words: [AtomicU64; 8],
 }
 
-impl SeqSlot {
-    pub(crate) const fn new() -> SeqSlot {
-        SeqSlot {
-            tag: AtomicU64::new(0),
-            words: [const { AtomicU64::new(0) }; 8],
-        }
-    }
+/// The tag of a slot that is being written.
+const BUSY: u64 = u64::MAX;
 
-    /// Writes `words` as the record for logical position `pos`: invalidate,
-    /// publish the invalidation before any new word, write the record, then
-    /// publish the new tag after every word.
-    pub(crate) fn publish(&self, pos: u64, words: [u64; 8]) {
-        self.tag.store(0, Ordering::Relaxed);
+impl SeqSlot {
+    /// Writes `words` as the record for logical position `pos`: claim the
+    /// slot, publish the claim before any new word, write the record, then
+    /// publish the new tag after every word. A slot found `BUSY` belongs to
+    /// a writer a whole ring behind that has not finished; this record is
+    /// dropped rather than interleaved with that one. The claim's `Acquire`
+    /// pairs with the previous owner's `Release` of its tag, so that
+    /// owner's words are overwritten, never the other way round.
+    fn publish(&self, pos: u64, words: [u64; 8]) {
+        if self.tag.swap(BUSY, Ordering::Acquire) == BUSY {
+            return;
+        }
         fence(Ordering::SeqCst);
         for (slot, word) in self.words.iter().zip(words) {
             slot.store(word, Ordering::Relaxed);
@@ -618,66 +529,86 @@ impl SeqSlot {
         self.tag.store(pos + 1, Ordering::Release);
     }
 
-    /// The slot's record, or `None` when it is empty, mid-write, or was
-    /// overwritten during the read.
-    pub(crate) fn read(&self) -> Option<[u64; 8]> {
+    /// The slot's record decoded, or `None` when it is empty, mid-write,
+    /// was overwritten during the read, or holds an unknown event kind.
+    fn read_event(&self) -> Option<TracedEvent> {
         let t1 = self.tag.load(Ordering::Acquire);
-        if t1 == 0 {
+        if t1 == 0 || t1 == BUSY {
             return None;
         }
         let words = std::array::from_fn(|i| self.words[i].load(Ordering::Relaxed));
         fence(Ordering::SeqCst);
-        (self.tag.load(Ordering::Relaxed) == t1).then_some(words)
-    }
-
-    /// The slot's record decoded; `None` as [`read`](Self::read), or for an
-    /// unknown event kind.
-    pub(crate) fn read_event(&self) -> Option<TracedEvent> {
-        self.read().and_then(TracedEvent::from_words)
+        (self.tag.load(Ordering::Relaxed) == t1)
+            .then(|| TracedEvent::from_words(words))
+            .flatten()
     }
 }
 
-struct Ring {
+/// A fixed-capacity ring of the most recent records: one per tracing
+/// thread, and the [flight recorder](crate::flight)'s shared one. Any number
+/// of threads may push; a push claims its position with one `fetch_add`,
+/// never blocks, and overwrites the record a whole ring older.
+pub(crate) struct Ring {
+    /// Tracer id of the owning thread (0 for the shared flight ring).
     thread: u64,
     /// Next logical write position (monotonic; wraps modulo capacity).
     head: AtomicU64,
-    /// Events overwritten by wraparound, counted explicitly at the moment
-    /// [`Ring::push`] reuses a previously-published slot (so [`clear`] and
-    /// future resizes cannot skew the accounting).
+    /// Records lost to wraparound, counted at the moment a push reuses a
+    /// position (so [`clear`] cannot skew the accounting).
     dropped: AtomicU64,
     slots: Box<[SeqSlot]>,
-    /// Owning-thread flag so `clear` can tell live rings from dead ones.
-    _private: UnsafeCell<()>,
 }
 
-// SAFETY: all shared state is atomic; the UnsafeCell is a never-accessed
-// marker making the type !RefUnwindSafe-irrelevant. Slots follow the
-// seqlock protocol documented on `SeqSlot`.
-unsafe impl Sync for Ring {}
-unsafe impl Send for Ring {}
-
 impl Ring {
-    fn new(thread: u64) -> Ring {
+    pub(crate) fn new(thread: u64, capacity: usize) -> Ring {
+        let slot = || SeqSlot {
+            tag: AtomicU64::new(0),
+            words: [const { AtomicU64::new(0) }; 8],
+        };
         Ring {
             thread,
             head: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
-            slots: (0..RING_CAPACITY).map(|_| SeqSlot::new()).collect(),
-            _private: UnsafeCell::new(()),
+            slots: (0..capacity).map(|_| slot()).collect(),
         }
     }
 
-    /// Single-writer append (owning thread only).
-    fn push(&self, words: [u64; 8]) {
-        let pos = self.head.load(Ordering::Relaxed);
-        if pos >= RING_CAPACITY as u64 {
-            // This write reuses a slot that held a published record: the
-            // ring has wrapped and the oldest event is being overwritten.
+    pub(crate) fn push(&self, words: [u64; 8]) {
+        let pos = self.head.fetch_add(1, Ordering::Relaxed);
+        let capacity = self.slots.len() as u64;
+        if pos >= capacity {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        self.slots[(pos as usize) % RING_CAPACITY].publish(pos, words);
-        self.head.store(pos + 1, Ordering::Release);
+        self.slots[(pos % capacity) as usize].publish(pos, words);
     }
+
+    /// Records lost to wraparound since the ring was made.
+    pub(crate) fn dropped(&self) -> u64 {
+        self.dropped.load(Ordering::Relaxed)
+    }
+
+    /// Empties every slot no writer currently owns.
+    fn clear(&self) {
+        for slot in self.slots.iter() {
+            let tag = slot.tag.load(Ordering::Relaxed);
+            if tag != BUSY {
+                let _ = slot
+                    .tag
+                    .compare_exchange(tag, 0, Ordering::Release, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+/// Every currently-consistent record of `rings`, sorted by global sequence
+/// number. Non-destructive; slots being overwritten are skipped.
+pub(crate) fn snapshot_of<'a>(rings: impl IntoIterator<Item = &'a Ring>) -> Vec<TracedEvent> {
+    let mut out: Vec<TracedEvent> = rings
+        .into_iter()
+        .flat_map(|ring| ring.slots.iter().filter_map(SeqSlot::read_event))
+        .collect();
+    out.sort_by_key(|t| t.seq);
+    out
 }
 
 /// Tracer mode bit: per-thread ring recording ([`enable`]/[`disable`]).
@@ -690,11 +621,13 @@ const MODE_FLIGHT: u8 = 1 << 1;
 /// holds covers both sinks being off.
 static MODE: AtomicU8 = AtomicU8::new(0);
 static SEQ: AtomicU64 = AtomicU64::new(0);
-static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
+/// Tracer thread ids start at 1: track 0 of an export is the counter
+/// track ([`ChromeTrace::counter`](crate::chrome::ChromeTrace::counter)).
+static NEXT_THREAD: AtomicU64 = AtomicU64::new(1);
 
-fn registry() -> &'static Mutex<Vec<Arc<Ring>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<Ring>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+fn registry() -> std::sync::MutexGuard<'static, Vec<Arc<Ring>>> {
+    static REGISTRY: Mutex<Vec<Arc<Ring>>> = Mutex::new(Vec::new());
+    REGISTRY.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn origin() -> Instant {
@@ -704,23 +637,32 @@ fn origin() -> Instant {
 
 thread_local! {
     static LOCAL: Arc<Ring> = {
-        let ring = Arc::new(Ring::new(NEXT_THREAD.fetch_add(1, Ordering::Relaxed)));
-        registry().lock().unwrap_or_else(|e| e.into_inner()).push(ring.clone());
+        let thread = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
+        let ring = Arc::new(Ring::new(thread, RING_CAPACITY));
+        registry().push(ring.clone());
         ring
     };
+}
+
+fn set_mode(bit: u8, on: bool) {
+    origin(); // pin the time origin no later than the first enablement
+    if on {
+        MODE.fetch_or(bit, Ordering::Relaxed);
+    } else {
+        MODE.fetch_and(!bit, Ordering::Relaxed);
+    }
 }
 
 /// Turns ring tracing on. Emissions before this call were dropped at zero
 /// cost (unless the [flight recorder](crate::flight) was already live).
 pub fn enable() {
-    origin(); // pin the time origin no later than the first enablement
-    MODE.fetch_or(MODE_RINGS, Ordering::Relaxed);
+    set_mode(MODE_RINGS, true);
 }
 
 /// Turns ring tracing off; with the flight recorder also off, [`emit`]
 /// reverts to the ≤ 2 ns no-op path.
 pub fn disable() {
-    MODE.fetch_and(!MODE_RINGS, Ordering::Relaxed);
+    set_mode(MODE_RINGS, false);
 }
 
 /// True while ring tracing is on (the flight recorder does not count: it is
@@ -733,13 +675,12 @@ pub fn is_enabled() -> bool {
 /// Flips the flight-recorder mode bit (called by [`crate::flight`] only;
 /// the recorder allocates its ring before setting the bit).
 pub(crate) fn set_flight_mode(on: bool) {
-    origin();
-    if on {
-        MODE.fetch_or(MODE_FLIGHT, Ordering::Relaxed);
-    } else {
-        MODE.fetch_and(!MODE_FLIGHT, Ordering::Relaxed);
-    }
-    crate::flight::note_mode(on);
+    set_mode(MODE_FLIGHT, on);
+}
+
+/// True while the flight-recorder mode bit is set.
+pub(crate) fn flight_mode() -> bool {
+    MODE.load(Ordering::Relaxed) & MODE_FLIGHT != 0
 }
 
 /// Emits one event. When both sinks are disabled this is one relaxed load
@@ -779,13 +720,8 @@ fn emit_enabled(mode: u8, event: Event) {
 /// sorted by global sequence number. Non-destructive; slots being
 /// overwritten concurrently are skipped.
 pub fn snapshot() -> Vec<TracedEvent> {
-    let rings: Vec<Arc<Ring>> = registry().lock().unwrap_or_else(|e| e.into_inner()).clone();
-    let mut out: Vec<TracedEvent> = rings
-        .iter()
-        .flat_map(|ring| ring.slots.iter().filter_map(SeqSlot::read_event))
-        .collect();
-    out.sort_by_key(|t| t.seq);
-    out
+    let rings = registry().clone();
+    snapshot_of(rings.iter().map(|ring| &**ring))
 }
 
 /// Events overwritten by ring wraparound since process start, summed over
@@ -794,12 +730,7 @@ pub fn snapshot() -> Vec<TracedEvent> {
 /// while this is non-zero lost its whole story to overwrites — `smc-bench`
 /// records that combination as the failed check `trace_not_silently_empty`.
 pub fn dropped() -> u64 {
-    registry()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .iter()
-        .map(|r| r.dropped.load(Ordering::Relaxed))
-        .sum()
+    registry().iter().map(|ring| ring.dropped()).sum()
 }
 
 /// Per-thread view of [`dropped`]: `(tracer thread id, events overwritten)`
@@ -807,24 +738,16 @@ pub fn dropped() -> u64 {
 /// this so a saturated producer thread is identifiable.
 pub fn dropped_by_thread() -> Vec<(u64, u64)> {
     registry()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
         .iter()
-        .filter_map(|r| {
-            let d = r.dropped.load(Ordering::Relaxed);
-            (d > 0).then_some((r.thread, d))
-        })
+        .map(|ring| (ring.thread, ring.dropped()))
+        .filter(|&(_, dropped)| dropped > 0)
         .collect()
 }
 
 /// Empties every ring. Intended for quiescent points (between benchmark
 /// phases); events being written concurrently may survive the clear.
 pub fn clear() {
-    for ring in registry().lock().unwrap_or_else(|e| e.into_inner()).iter() {
-        for slot in ring.slots.iter() {
-            slot.tag.store(0, Ordering::Release);
-        }
-    }
+    registry().iter().for_each(|ring| ring.clear());
 }
 
 /// The identity of one in-flight request, minted by the client side of the
@@ -889,13 +812,14 @@ impl Drop for RequestScope {
     }
 }
 
-/// Emits a [`ReqStage`](Event::ReqStage) span for `id`. `nanos` is the
-/// stage's duration; the event's timestamp marks the stage's end, so the
-/// Chrome exporter reconstructs the start as `ts - nanos`.
+/// Emits a [`ReqStage`](Event::ReqStage) span for `id`. `stage` is kept to
+/// its first 7 bytes ([`ShortLabel`]). `nanos` is the stage's duration; the
+/// event's timestamp marks the stage's end, so the Chrome exporter
+/// reconstructs the start as `ts - nanos`.
 pub fn emit_stage(id: RequestId, stage: &str, nanos: u64) {
     emit(Event::ReqStage {
         req: id.get(),
-        stage: Label::new(stage),
+        stage: ShortLabel::new(stage),
         nanos,
     });
 }
@@ -968,16 +892,34 @@ mod tests {
 
     use super::test_lock as lock;
 
+    /// `f` through the payload words and back.
+    fn round_trip<F: Field>(f: F) -> F {
+        let mut p = Payload {
+            words: [0; 4],
+            at: 0,
+        };
+        f.put(&mut p);
+        assert_eq!(p.at, F::WORDS);
+        p.at = 0;
+        F::take(&mut p)
+    }
+
     #[test]
     fn label_round_trip_and_truncation() {
         let l = Label::new("block-alloc");
         assert_eq!(l.as_str(), "block-alloc");
-        let (a, b) = l.pack();
-        assert_eq!(Label::unpack(a, b), l);
+        assert_eq!(round_trip(l), l);
         let long = Label::new("a-very-long-label-name");
         assert_eq!(long.as_str().len(), 15);
         let multi = Label::new("éééééééé"); // 16 bytes of two-byte chars
         assert_eq!(multi.as_str(), "ééééééé");
+        assert_eq!(round_trip(multi), multi);
+        let short = ShortLabel::new("exec-worker");
+        assert_eq!(short.as_str(), "exec-wo");
+        assert_eq!(round_trip(short), short);
+        // 'é' is bytes 6..8: the cut falls back to the boundary before it.
+        assert_eq!(ShortLabel::new("abcdefé").as_str(), "abcdef");
+        assert_eq!(round_trip(ShortLabel::EMPTY).as_str(), "");
     }
 
     #[test]
@@ -1079,107 +1021,114 @@ mod tests {
     }
 
     #[test]
-    fn all_event_kinds_round_trip() {
-        let events = [
-            Event::GcPauseBegin { major: true },
-            Event::GcPauseEnd {
-                major: false,
-                nanos: 1,
-                traced: 2,
-                swept: 3,
-            },
-            Event::EpochAdvance { epoch: 4 },
-            Event::CompactionSelect {
-                context: 5,
-                candidates: 6,
-            },
-            Event::CompactionRelocate {
-                context: 7,
-                moved: 8,
-                bailed: 9,
-                nanos: 10,
-            },
-            Event::CompactionRetire {
-                context: 11,
-                retired: 12,
-            },
-            Event::ObjectRelocated {
-                src_slot: 13,
-                dest_slot: 14,
-            },
-            Event::RelocationBailed { src_slot: 15 },
-            Event::RecoveryStep {
-                attempt: 16,
-                freed_blocks: 17,
-                advanced: false,
-            },
-            Event::FailpointTrip {
-                site: Label::new("relocation"),
-            },
-            Event::MorselDispatch {
-                worker: 18,
-                morsel: 19,
-            },
-            Event::PoolBroadcast {
-                threads: 20,
-                nanos: 21,
-            },
-            Event::QuerySpan {
-                label: Label::new("smc.q1"),
-                nanos: 22,
-            },
-            Event::MaintPassStart {
-                context: 23,
-                reason: Label::new("frag"),
-            },
-            Event::MaintPassEnd {
-                context: 24,
-                moved: 25,
-                bailed: 26,
-                outcome: Label::new("cancel"),
-            },
-            Event::MaintDeferred {
-                context: 27,
-                p99_ns: 28,
-                slo_ns: 29,
-            },
-            Event::MaintSloState {
-                breached: true,
-                p99_ns: 30,
-            },
-            Event::BlockSpilled {
-                context: 31,
-                block_id: 32,
-            },
-            Event::BlockFaulted {
-                context: 33,
-                block_id: 34,
-                nanos: 35,
-            },
-            Event::SnapshotWritten {
-                context: 36,
-                pages: 37,
-                bytes: 38,
-                nanos: 39,
-            },
-            Event::RecoveryLoaded {
-                context: 40,
-                pages: 41,
-                objects: 42,
-                nanos: 43,
-            },
-            Event::ReqStage {
-                req: 44,
-                stage: Label::new("shard"),
-                nanos: 45,
-            },
-        ];
-        for e in events {
-            let (kind, p) = e.encode();
-            assert_eq!(Event::decode(kind, p), Some(e), "{}", e.kind());
-            assert!(!e.kind().is_empty());
+    fn every_table_row_round_trips() {
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut arbitrary = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for (i, row) in Event::KINDS.iter().enumerate() {
+            assert!(
+                Event::KINDS[..i]
+                    .iter()
+                    .all(|r| r.code != row.code && r.kind != row.kind && r.variant != row.variant),
+                "{row:?} repeats an earlier row"
+            );
+            let mut payloads = vec![[0; 4], [u64::MAX; 4], [1, 2, 3, 4]];
+            payloads.extend((0..32).map(|_| std::array::from_fn(|_| arbitrary())));
+            for words in payloads {
+                // Any words decode to an event of the row's variant, and
+                // that event survives the ring unchanged: encoding only
+                // normalises what a torn record could hold (a bool word
+                // above 1, a label length past its bytes).
+                let e = Event::decode(row.code, words).expect(row.variant);
+                assert_eq!(e.kind(), row.kind);
+                let names: Vec<&str> = e.args().iter().map(|&(name, _)| name).collect();
+                assert_eq!(names, row.fields, "{}", row.variant);
+                assert!(format!("{e:?}").starts_with(row.variant), "{e:?}");
+                let (code, normal) = e.encode();
+                assert_eq!(code, row.code);
+                assert_eq!(Event::decode(code, normal), Some(e), "{words:x?}");
+                assert_eq!(e.encode(), (code, normal));
+            }
         }
-        assert_eq!(Event::decode(999, [0; 4]), None);
+        let unused = Event::KINDS.iter().map(|r| r.code).max().unwrap() + 1;
+        for code in [0, unused, 999, u64::MAX] {
+            assert_eq!(Event::decode(code, [0; 4]), None);
+        }
+    }
+
+    #[test]
+    fn shared_ring_keeps_the_newest_records_of_four_producers() {
+        const CAPACITY: usize = 64;
+        const PUSHES: u64 = 3 * CAPACITY as u64;
+        let ring = Ring::new(0, CAPACITY);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for producer in 0..4u64 {
+                let (ring, start) = (&ring, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..PUSHES {
+                        let record = TracedEvent {
+                            seq: producer * PUSHES + i,
+                            thread: producer + 1,
+                            nanos: i,
+                            event: Event::MorselDispatch {
+                                worker: producer,
+                                morsel: i,
+                            },
+                        };
+                        ring.push(record.to_words());
+                    }
+                });
+            }
+        });
+        let seen = snapshot_of([&ring]);
+        assert_eq!(seen.len(), CAPACITY, "every slot holds a whole record");
+        assert_eq!(ring.dropped(), 4 * PUSHES - CAPACITY as u64);
+        assert!(seen.windows(2).all(|w| w[0].seq < w[1].seq));
+        for t in seen {
+            // All eight words of a record come from one push.
+            let (producer, i) = (t.seq / PUSHES, t.seq % PUSHES);
+            assert!(producer < 4);
+            assert_eq!((t.thread, t.nanos), (producer + 1, i));
+            assert_eq!(
+                t.event,
+                Event::MorselDispatch {
+                    worker: producer,
+                    morsel: i
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn a_push_never_writes_into_a_slot_another_writer_owns() {
+        let ring = Ring::new(0, 2);
+        let record = |seq| {
+            let event = Event::EpochAdvance { epoch: seq };
+            TracedEvent {
+                seq,
+                thread: 1,
+                nanos: 0,
+                event,
+            }
+            .to_words()
+        };
+        let seqs = || -> Vec<u64> { snapshot_of([&ring]).iter().map(|t| t.seq).collect() };
+        ring.push(record(0));
+        ring.push(record(1));
+        // The writer of position 0 is stalled mid-publish when position 2
+        // laps onto its slot: that push is dropped, not interleaved.
+        ring.slots[0].tag.store(BUSY, Ordering::Relaxed);
+        ring.push(record(2));
+        assert_eq!(ring.dropped(), 1);
+        assert_eq!(seqs(), [1], "a slot mid-write is skipped");
+        ring.slots[0].tag.store(1, Ordering::Release);
+        assert_eq!(seqs(), [0, 1], "the stalled writer's words are intact");
     }
 
     #[test]
@@ -1241,5 +1190,33 @@ mod tests {
         });
         disable();
         assert!(found);
+    }
+
+    #[test]
+    fn long_stage_names_are_cut_at_a_char_boundary() {
+        let _g = lock();
+        enable();
+        clear();
+        let id = RequestId::new(0x57a6e).unwrap();
+        emit_stage(id, "exec-worker!", 1); // 12 bytes
+        emit_stage(id, "abcdefé-tail", 2); // 'é' straddles byte 7
+        let events: Vec<TracedEvent> = snapshot()
+            .into_iter()
+            .filter(|t| matches!(t.event, Event::ReqStage { req, .. } if req == id.get()))
+            .collect();
+        disable();
+        let stages: Vec<String> = events
+            .iter()
+            .map(|t| match t.event {
+                Event::ReqStage { stage, .. } => stage.as_str().to_string(),
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(stages, ["exec-wo", "abcdef"]);
+        let mut export = crate::chrome::ChromeTrace::new();
+        export.add_events(&events);
+        let json = export.to_json_string();
+        assert!(json.contains("\"req.exec-wo\"") && json.contains("\"req.abcdef\""));
+        assert!(!json.contains("\\u0000"), "NUL-padded name: {json}");
     }
 }

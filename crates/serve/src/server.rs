@@ -34,7 +34,7 @@ use smc_util::waiter::Waiter;
 use crate::attr::{Attribution, OpClass, SlowBreakdown};
 use crate::shard::{
     run_shard, shard_of, ShardConfig, ShardDrain, ShardJob, ShardLink, ShardOp, ShardReply,
-    ShardShared,
+    ShardShared, REPLY_TIMEOUT, RING_PATIENCE,
 };
 use crate::wire::{
     ErrorCode, FrameError, FrameReader, FrameWriter, Op, Request, Response, ShardStats, StatsBody,
@@ -63,12 +63,6 @@ pub struct ServerConfig {
     pub workers_per_shard: usize,
     /// Tenants, in wire-id order.
     pub tenants: Vec<TenantConfig>,
-    /// How long a connection leans on a full shard ring before answering
-    /// with backpressure (`Internal` error) instead of queueing.
-    pub ring_patience: Duration,
-    /// How long a connection waits for a shard reply before declaring the
-    /// shard wedged.
-    pub reply_timeout: Duration,
     /// Maintenance coordinator tunables applied to every shard.
     pub maint: MaintConfig,
     /// Maintenance policy registered for every tenant collection.
@@ -97,8 +91,6 @@ impl Default for ServerConfig {
                 name: "default".to_string(),
                 budget_bytes: None,
             }],
-            ring_patience: Duration::from_millis(200),
-            reply_timeout: Duration::from_secs(10),
             maint: MaintConfig::default(),
             maint_policy: MaintPolicy::default(),
             persist_dir: None,
@@ -141,7 +133,6 @@ impl DrainReport {
 
 /// What the acceptor and every connection thread share with the server.
 struct Shared {
-    config: ServerConfig,
     /// Set by `shutdown`: stop accepting, hang up between requests.
     stop: AtomicBool,
     shards: Vec<Arc<ShardShared>>,
@@ -201,7 +192,6 @@ impl Server {
             attr: Attribution::new(config.slow_request_threshold),
             stop: AtomicBool::new(false),
             shards,
-            config,
         });
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
@@ -499,9 +489,9 @@ fn handle_conn(mut stream: TcpStream, server: &Shared) {
 #[derive(Debug, PartialEq)]
 enum Outcome {
     Reply(ShardReply),
-    /// The request ring stayed full for `ring_patience`; no job was sent.
+    /// The request ring stayed full for `RING_PATIENCE`; no job was sent.
     Saturated,
-    /// No reply within `reply_timeout`; one that comes later is discarded.
+    /// No reply within `REPLY_TIMEOUT`; one that comes later is discarded.
     TimedOut,
 }
 
@@ -606,7 +596,7 @@ impl Router<'_> {
                 enqueued: Instant::now(),
             };
             // A queued job has timed out until its reply says otherwise.
-            let queued = self.links[i].send(&server.shards[i], job, server.config.ring_patience);
+            let queued = self.links[i].send(&server.shards[i], job, RING_PATIENCE);
             Some(if queued {
                 Outcome::TimedOut
             } else {
@@ -614,7 +604,7 @@ impl Router<'_> {
             })
         };
         let mut outcomes: Vec<_> = ops.into_iter().enumerate().map(send).collect();
-        let deadline = Instant::now() + server.config.reply_timeout;
+        let deadline = Instant::now() + REPLY_TIMEOUT;
         let (links, waiter) = (&mut self.links, &self.waiter);
         gather(links, waiter, self.seq, deadline, &mut outcomes, breakdown);
         outcomes

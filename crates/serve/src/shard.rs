@@ -27,6 +27,7 @@ use smc_memory::{MemError, MemoryContext, PageStore};
 use smc_obs::trace::{self, RequestId, RequestScope};
 use smc_obs::Histogram;
 use smc_persist::{Persist, PersistError, RecoverOptions, SpillFile};
+use smc_util::rng::splitmix64;
 use smc_util::spsc::{self, Consumer, Producer};
 use smc_util::waiter::Waiter;
 
@@ -49,14 +50,19 @@ unsafe impl Tabular for Row {}
 /// Capacity of each (connection, shard) request ring and of its reply ring.
 pub(crate) const RING_CAPACITY: usize = 256;
 
-/// Distributes `key` to a shard by hash (splitmix64 finalizer — sequential
-/// keys must not land on one shard).
+/// How long a connection leans on a full shard ring before answering with
+/// backpressure (`Internal` error) instead of queueing.
+pub(crate) const RING_PATIENCE: Duration = Duration::from_millis(200);
+
+/// How long a connection waits for a shard reply before declaring the shard
+/// wedged.
+pub(crate) const REPLY_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Distributes `key` to a shard by hash (splitmix64 — sequential keys must
+/// not land on one shard). Recover-on-start finds a tenant's rows by this
+/// function, so its values are pinned by a test.
 pub fn shard_of(key: u64, shards: usize) -> usize {
-    let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    (z % shards.max(1) as u64) as usize
+    (splitmix64(key) % shards.max(1) as u64) as usize
 }
 
 /// What a shard is asked to do for one tenant (already routed and decoded).
@@ -105,7 +111,7 @@ pub(crate) struct ShardJob {
 #[derive(Debug)]
 pub(crate) struct Reply {
     /// [`ShardJob::seq`] of the job this answers. A connection that gave up
-    /// on a job (`reply_timeout`) has moved on to a later number and drops
+    /// on a job (`REPLY_TIMEOUT`) has moved on to a later number and drops
     /// the late answer instead of taking it for the next request's.
     pub(crate) seq: u64,
     pub(crate) reply: ShardReply,
@@ -681,6 +687,11 @@ mod tests {
                 "shard {i} got only {n}/4000 sequential keys: {hit:?}"
             );
         }
+        // A snapshot taken by one build is recovered by the next: the
+        // mapping itself must not move.
+        assert_eq!(shard_of(1, 4), 1);
+        assert_eq!(shard_of(0xdead_beef, 7), 2);
+        assert_eq!(shard_of(u64::MAX, 3), 2);
     }
 
     fn idle_shard() -> Arc<ShardShared> {
