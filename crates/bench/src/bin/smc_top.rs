@@ -219,12 +219,13 @@ fn render(tick: u64, snap: &HeapSnapshot, rt: &Runtime, live: u64, m: &MaintSnap
         );
     }
     println!(
-        "  indirection: live {}/{} ({:.1}%)  quarantined {}  deferred {}",
+        "  indirection: live {}/{} ({:.1}%)  quarantined {}  deferred {}  refills {}",
         snap.indirection.live_entries,
         snap.indirection.capacity,
         snap.indirection.load_factor() * 100.0,
         snap.indirection.quarantined_entries,
         snap.indirection.deferred_entries,
+        snap.indirection.entry_refills,
     );
     let a = &snap.alloc;
     println!(

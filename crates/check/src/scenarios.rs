@@ -21,6 +21,9 @@
 //!   under concurrent compaction.
 //! * **budget** — the block budget is exact under racing allocators, and the
 //!   OOM recovery ladder neither leaks budget nor double-frees.
+//! * **entries** — indirection entries are conserved, and none is handed out
+//!   twice, while thread slots' magazines change hands and releases race
+//!   allocations.
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -57,6 +60,7 @@ pub fn all() -> Vec<NamedScenario> {
         ("budget_race", budget_race),
         ("snapshot_vs_advance", snapshot_vs_advance),
         ("remote_free_vs_owner_pop", remote_free_vs_owner_pop),
+        ("entry_release_vs_owner_alloc", entry_release_vs_owner_alloc),
     ]
 }
 
@@ -705,5 +709,69 @@ pub fn remote_free_vs_owner_pop() -> Scenario {
             rt.free_block(y);
             rt.verify()
                 .unwrap_or_else(|v| panic!("allocator books must reconcile at quiescence: {v:?}"));
+        })
+}
+
+/// The lock-free entry allocation path: thread slots' magazines against a
+/// racing release, across a slot hand-over.
+///
+/// Before the threads start, a thread that has since exited held slot 0,
+/// took three entries and left the rest of its magazine in stock; two of its
+/// objects were freed. Then an owner claims a slot and pops its magazine,
+/// another thread releases the two freed entries, and a third claims a slot
+/// and allocates too — one of the claimers inherits slot 0 and its stock, the
+/// other starts slot 1 from nothing (recycled entries if the release got
+/// there first, a fresh run otherwise). Oracle: entries are conserved
+/// (`Runtime::verify`'s clause: capacity = live + in magazines + free +
+/// deferred + quarantined) — a magazine whose count ran ahead of its stock
+/// would hand the difference out twice — and no two live holders share an
+/// entry. Catches
+/// [`smc_memory::mutation::Mutation::ReleaseIntoForeignMagazine`].
+pub fn entry_release_vs_owner_alloc() -> Scenario {
+    const PER_THREAD: usize = 2;
+    let mgr = EpochManager::new();
+    let table = Arc::new(IndirectionTable::new());
+    let (m, t) = (mgr.clone(), table.clone());
+    let departed = move || {
+        let tid = m.thread_index().expect("the first registrant finds a slot");
+        (0..3).map(|_| t.allocate(tid)).collect::<Vec<EntryRef>>()
+    };
+    let departed = std::thread::spawn(departed)
+        .join()
+        .expect("the departed holder ran");
+    let (freed, kept) = departed.split_at(2);
+    for entry in freed {
+        entry.get().inc().bump();
+    }
+    let freed = freed.to_vec();
+    let live = Arc::new(Mutex::new(vec![kept[0]]));
+    let mut scenario = Scenario::new();
+    for _ in 0..2 {
+        let (mgr, table, live) = (mgr.clone(), table.clone(), live.clone());
+        scenario = scenario.thread(move || {
+            let tid = mgr.thread_index().expect("two claimers, eight slots");
+            let mine: Vec<EntryRef> = (0..PER_THREAD).map(|_| table.allocate(tid)).collect();
+            live.lock().unwrap().extend(mine);
+        });
+    }
+    let releaser_table = table.clone();
+    scenario
+        .thread(move || {
+            releaser_table.release_many(freed);
+        })
+        .finally(move || {
+            let mut seen = live.lock().unwrap().clone();
+            assert_eq!(table.live_entries(), seen.len() as u64);
+            table
+                .check_conserved()
+                .unwrap_or_else(|lost_or_doubled| panic!("{lost_or_doubled}"));
+            let handed_out = seen.len();
+            seen.sort_unstable_by_key(EntryRef::addr);
+            seen.dedup();
+            assert_eq!(
+                seen.len(),
+                handed_out,
+                "an indirection entry was handed out twice"
+            );
         })
 }

@@ -76,10 +76,12 @@ fn lock(inner: &Inner) -> MutexGuard<'_, SchedState> {
 /// `spin` marks the call as a failed-progress retry (a spin iteration): the
 /// thread is descheduled until chosen again or until every thread has spun.
 /// No-op when called from a thread the checker does not manage, so
-/// instrumented `smc-memory` code keeps working on driver/test threads.
+/// instrumented `smc-memory` code keeps working on driver/test threads —
+/// their thread-local destructors included (an exiting thread gives its epoch
+/// slot back through an instrumented store, possibly after `CURRENT` is gone).
 pub fn switch_point(spin: bool) {
-    let ctx = CURRENT.with(|c| c.borrow().clone());
-    if let Some((inner, me)) = ctx {
+    let ctx = CURRENT.try_with(|c| c.borrow().clone());
+    if let Ok(Some((inner, me))) = ctx {
         switch(&inner, me, spin);
     }
 }

@@ -160,3 +160,12 @@ fn catches_slot_vs_entry_incarnation() {
         scenarios::slot_vs_entry_incarnation,
     );
 }
+
+#[test]
+fn catches_release_into_foreign_magazine() {
+    assert_mutation_caught(
+        Mutation::ReleaseIntoForeignMagazine,
+        "entry_release_vs_owner_alloc",
+        scenarios::entry_release_vs_owner_alloc,
+    );
+}

@@ -755,8 +755,9 @@ impl MemoryContext {
         block.slot_word(slot_id).set_limbo(epoch);
         block.header().valid_count.fetch_sub(1, Ordering::Relaxed);
         block.header().limbo_count.fetch_add(1, Ordering::Relaxed);
-        let tid = Some(guard.thread_index());
-        self.runtime.stats.bump(tid, |cell| &cell.objects_freed, 1);
+        let tid = guard.thread_index();
+        let stats = &self.runtime.stats;
+        stats.bump(Some(tid), |cell| &cell.objects_freed, 1);
         // The bump both retires the incarnation — failing every outstanding
         // reference — and releases the lock bit (a bump clears all flags).
         // Its release ordering publishes the slot surgery above, which is
@@ -766,7 +767,7 @@ impl MemoryContext {
         // Entry reuse is deferred two epochs: a direct pointer chasing a
         // forwarding tombstone (§6) may still read this entry until every
         // critical section that could hold such a pointer has ended.
-        self.runtime.indirection.release_at(entry, epoch + 2);
+        self.runtime.indirection.release_at(tid, entry, epoch + 2);
         Ok(true)
     }
 
@@ -792,16 +793,18 @@ impl Drop for MemoryContext {
         let retired = std::mem::take(self.pending_retired.get_mut());
         let mut freed = 0;
         for block in m.owned_blocks().chain(retired) {
-            for slot_id in block.valid_slots() {
-                let back = block.back_ptr(slot_id).load(Ordering::Acquire);
-                if back != 0 {
-                    let entry = unsafe { EntryRef::from_addr(back) };
-                    entry.get().inc().bump_unlocked();
-                    self.runtime.indirection.release(entry, 0);
-                }
+            let entries = block.valid_slots().filter_map(|slot_id| {
                 self.slot_inc(&block, slot_id).bump_unlocked();
                 freed += 1;
-            }
+                let back = block.back_ptr(slot_id).load(Ordering::Acquire);
+                (back != 0).then(|| {
+                    let entry = unsafe { EntryRef::from_addr(back) };
+                    entry.get().inc().bump_unlocked();
+                    entry
+                })
+            });
+            // One lock and one count for the block's entries.
+            self.runtime.indirection.release_many(entries);
             self.runtime.bury_block(block, free_at);
         }
         self.runtime.note_objects_freed(freed);
@@ -1053,6 +1056,27 @@ pub(crate) mod tests {
         assert_eq!(c.live_objects(), total);
         let snap = rt.stats.snapshot();
         assert_eq!(snap.objects_allocated - snap.objects_freed, total);
+    }
+
+    /// Pins the design of the allocation path: the entry half of an `add`
+    /// takes a lock per magazine refill, never per entry.
+    #[test]
+    fn adds_take_one_entry_lock_per_magazine_refill() {
+        use crate::indirection::{CHUNK_ENTRIES, MAGAZINE};
+        let rt = Runtime::new();
+        let c = ctx(&rt);
+        let adds: u64 = if cfg!(miri) { 5_000 } else { 100_000 };
+        for v in 0..adds {
+            alloc_u64(&c, v);
+        }
+        let refills = adds / MAGAZINE as u64;
+        let chunks_grown = (rt.indirection.capacity() / CHUNK_ENTRIES) as u64;
+        let locks = rt.indirection.entry_refills();
+        assert!(
+            (refills..=refills + chunks_grown).contains(&locks),
+            "{adds} adds took {locks} entry locks ({chunks_grown} chunks grown)"
+        );
+        rt.verify().unwrap();
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! blocks are returned to the OS only after a [`EpochManager::quiesce`]
 //! barrier.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
 
@@ -110,6 +110,9 @@ pub struct EpochManager {
     pin_hold_ns: smc_obs::Histogram,
 }
 
+/// Source of [`EpochManager::id`]: starts at 1 and never hands a value out
+/// twice, so id 0 names no manager and the id of a dropped manager names no
+/// later one.
 static NEXT_MANAGER_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
 struct Registration {
@@ -126,6 +129,11 @@ struct TlsRegistry {
 
 impl Drop for TlsRegistry {
     fn drop(&mut self) {
+        // First: a slot released below may be claimed by another thread at
+        // once, and a destructor of some other thread-local that runs after
+        // this one must not be answered from the cache with a slot this
+        // thread no longer holds.
+        LAST_HIT.set((0, 0));
         for reg in &self.regs {
             if let Some(mgr) = reg.mgr.upgrade() {
                 mgr.release_slot(reg.idx);
@@ -136,6 +144,11 @@ impl Drop for TlsRegistry {
 
 thread_local! {
     static REGISTRY: RefCell<TlsRegistry> = const { RefCell::new(TlsRegistry { regs: Vec::new() }) };
+    /// The `(manager id, slot)` [`EpochManager::thread_index`] answered last
+    /// on this thread, in front of the registry walk. A manager's id is
+    /// never reused (`NEXT_MANAGER_ID`), so an entry left behind by a
+    /// dropped manager matches no live one; `(0, 0)` matches nothing.
+    static LAST_HIT: Cell<(u64, usize)> = const { Cell::new((0, 0)) };
 }
 
 impl EpochManager {
@@ -169,19 +182,39 @@ impl EpochManager {
         self.global.load(Ordering::SeqCst)
     }
 
-    /// Index of the calling thread's slot, registering on first use.
+    /// Index of the calling thread's slot, registering on first use. One
+    /// thread-local load and one compare when the thread asked this manager
+    /// last; otherwise the registry walk.
+    #[inline]
     pub fn thread_index(self: &Arc<Self>) -> Result<usize, MemError> {
+        let (id, idx) = LAST_HIT.get();
+        if id == self.id {
+            return Ok(idx);
+        }
+        self.thread_index_slow()
+    }
+
+    #[cold]
+    fn thread_index_slow(self: &Arc<Self>) -> Result<usize, MemError> {
         REGISTRY.with(|r| {
             let mut reg = r.borrow_mut();
-            if let Some(existing) = reg.regs.iter().find(|x| x.mgr_id == self.id) {
-                return Ok(existing.idx);
-            }
-            let idx = self.claim_slot()?;
-            reg.regs.push(Registration {
-                mgr_id: self.id,
-                idx,
-                mgr: Arc::downgrade(self),
-            });
+            let idx = match reg.regs.iter().find(|x| x.mgr_id == self.id) {
+                Some(existing) => existing.idx,
+                None => {
+                    // A registration whose manager is gone would lengthen
+                    // every later walk and keep the manager's allocation
+                    // alive through its `Weak` for the life of the thread.
+                    reg.regs.retain(|x| x.mgr.strong_count() > 0);
+                    let idx = self.claim_slot()?;
+                    reg.regs.push(Registration {
+                        mgr_id: self.id,
+                        idx,
+                        mgr: Arc::downgrade(self),
+                    });
+                    idx
+                }
+            };
+            LAST_HIT.set((self.id, idx));
             Ok(idx)
         })
     }
@@ -654,6 +687,33 @@ mod tests {
                 Some(_) => assert!(idx < MAX_THREADS),
             }
         }
+    }
+
+    #[test]
+    fn dead_registrations_are_pruned_and_indices_stay_correct() {
+        // On a thread of its own: the registry under test is per thread.
+        let body = || {
+            let registered = || REGISTRY.with(|r| r.borrow().regs.len());
+            let keeper = EpochManager::new();
+            let keeper_idx = keeper.thread_index().unwrap();
+            // A manager is ~10 KB of atomics to initialise: fewer under Miri.
+            for _ in 0..if cfg!(miri) { 50 } else { 1000 } {
+                let mgr = EpochManager::new();
+                let idx = mgr.thread_index().unwrap();
+                // Claimed for real: the cache still names the keeper (or a
+                // dropped manager's id, which is never issued again).
+                assert_eq!(mgr.slots[idx].claimed.load(Ordering::Acquire), 1);
+                drop(mgr.pin());
+                assert_eq!(mgr.thread_index().unwrap(), idx);
+                assert_eq!(keeper.thread_index().unwrap(), keeper_idx);
+                drop(mgr);
+                // The keeper, this round's manager, and at most the round
+                // before's: pruned when this round's registered.
+                assert!(registered() <= 3, "registry grew to {}", registered());
+            }
+            assert_eq!(keeper.slots[keeper_idx].claimed.load(Ordering::Acquire), 1);
+        };
+        std::thread::spawn(body).join().unwrap();
     }
 
     #[test]

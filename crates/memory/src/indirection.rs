@@ -12,16 +12,43 @@
 //! (§3.2): releasing an entry bumps its incarnation, so stale references fail
 //! their check no matter who reuses the entry.
 //!
-//! Entries live in address-stable chunks (never moved or shrunk); freed
-//! entries are recycled through sharded free lists to keep multi-threaded
-//! allocation cheap (Fig 7 allocates tens of millions of objects per second
-//! across threads).
+//! Entries live in address-stable chunks (never moved or shrunk).
+//!
+//! ## Allocation takes no lock
+//!
+//! "All allocations are performed from thread-local blocks" (§3.5), and the
+//! entry half of an allocation follows the slot half: every epoch thread
+//! slot owns a *magazine* of up to `MAGAZINE` (32) free entries, and
+//! [`IndirectionTable::allocate`] pops the caller's. A thread slot has one
+//! holder at a time and changes hands through the release/acquire pair on
+//! its claim flag (`EpochManager::release_slot` / `claim_slot`), so the
+//! holder reads and writes its magazine with plain loads and stores — no
+//! lock, no read-modify-write, no cache line another core writes — and a
+//! magazine outlives its thread: whoever claims the slot next pops what the
+//! last holder left. Only an empty magazine touches shared state, once for a
+//! whole run of entries: recycled ones from a sharded free list (the
+//! caller's home shard first, then the others), else the next run of the
+//! newest chunk, carved straight into the magazine.
+//!
+//! Releases never write a magazine (the releasing thread does not hold the
+//! slot the entry came from, and may hold none): they go to the free lists,
+//! a batch under one lock.
 
+use std::collections::VecDeque;
 use std::ptr::NonNull;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicPtr, Ordering};
 
+use crate::epoch::MAX_THREADS;
 use crate::incarnation::{IncWord, INC_LIMIT};
+use crate::mutation::{self, Mutation};
 use crate::sync::{AtomicU64, AtomicUsize, Mutex};
+
+// Gauges and magazine words are deliberately *plain* std atomics, like
+// `ThreadSlot::pin_start`: each is written by one thread at a time (the
+// slot's holder, or the holder of the lock beside it), and an instrumented
+// type would add a model-checker switch point to every `allocate`.
+type PlainU64 = std::sync::atomic::AtomicU64;
+type PlainUsize = std::sync::atomic::AtomicUsize;
 
 /// Entries per chunk; chunks are allocated as the table grows and are never
 /// released until the table is dropped.
@@ -29,6 +56,13 @@ pub const CHUNK_ENTRIES: usize = 4096;
 
 /// Number of free-list shards (power of two).
 const SHARDS: usize = 16;
+
+/// Entries one magazine holds, and so the most one refill moves. Divides
+/// [`CHUNK_ENTRIES`], so a fresh chunk is carved in whole runs. One magazine
+/// is 320 bytes (two words, 32 pointers, padded to whole cache lines): the
+/// [`MAX_THREADS`] of them cost a table 40 KiB, whether or not their slots
+/// are ever claimed.
+pub(crate) const MAGAZINE: usize = 32;
 
 /// One indirection table entry.
 ///
@@ -103,96 +137,240 @@ impl EntryRef {
     }
 }
 
+/// One epoch thread slot's private stock of free entries, and its share of
+/// the live count. Padded so neighbouring slots never share a cache line.
+#[derive(Debug)]
+#[repr(align(64))]
+struct Magazine {
+    /// Entries in stock: `entries[..len]`.
+    len: PlainUsize,
+    /// Entries this slot's holders allocated, less those they released
+    /// through [`IndirectionTable::release_at`] (wrapping: a holder may
+    /// release what other slots allocated).
+    live: PlainU64,
+    entries: [AtomicPtr<IndirEntry>; MAGAZINE],
+}
+
+impl Magazine {
+    /// Fills the (empty) magazine's cells from `entries`, as far as either
+    /// goes, and returns how many it took. The caller stores `len`.
+    fn stock(&self, entries: impl Iterator<Item = EntryRef>) -> usize {
+        let stocked = self.entries.iter().zip(entries).map(|(cell, entry)| {
+            cell.store(entry.0.as_ptr(), Ordering::Relaxed);
+        });
+        stocked.count()
+    }
+}
+
+/// One shard of recycled entries.
+#[derive(Debug)]
+struct FreeShard {
+    /// The batches releases arrived in, each in an allocation of its own
+    /// that goes back to the heap when refills have used it up. (One vector
+    /// per shard, growing by doubling while a 4 M-entry context is dropped,
+    /// left 20 MB of reallocation holes behind.)
+    batches: Mutex<Vec<Vec<EntryRef>>>,
+    /// Entries in `batches`, stored under the lock and read without it, so
+    /// a refill passes an empty shard by without locking it.
+    len: PlainUsize,
+}
+
+/// The chunks, and how much of the newest one no magazine has taken yet.
+#[derive(Debug, Default)]
+struct Chunks {
+    chunks: Vec<Box<[IndirEntry]>>,
+    /// Entries at the tail of the newest chunk that were never handed out.
+    uncarved: usize,
+}
+
 /// The growable, address-stable table of indirection entries.
 #[derive(Debug)]
 pub struct IndirectionTable {
-    chunks: Mutex<Vec<Box<[IndirEntry]>>>,
-    free: [Mutex<Vec<EntryRef>>; SHARDS],
+    chunks: Mutex<Chunks>,
+    /// Indexed by epoch thread slot; popped only by the slot's holder.
+    magazines: Box<[Magazine]>,
+    free: [FreeShard; SHARDS],
+    /// Picks the shard the next released batch goes to.
+    next_shard: PlainUsize,
     /// Entries released but not yet reusable: a direct pointer may still
     /// chase a forwarding tombstone (§6) through them until the epochs of
     /// every in-flight critical section have passed.
-    deferred: Mutex<std::collections::VecDeque<(EntryRef, u64)>>,
-    live: AtomicU64,
+    deferred: Mutex<VecDeque<(EntryRef, u64)>>,
+    /// Entries released through [`release_many`](Self::release_many), whose
+    /// caller may hold no thread slot to count them in.
+    released_unindexed: PlainU64,
     quarantined: AtomicU64,
+    /// Locks `allocate` has taken (see [`entry_refills`](Self::entry_refills)).
+    refills: PlainU64,
 }
 
 impl IndirectionTable {
     /// An empty table.
     pub fn new() -> Self {
+        let magazine = |_| Magazine {
+            len: PlainUsize::new(0),
+            live: PlainU64::new(0),
+            entries: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
+        };
+        let shard = |_| FreeShard {
+            batches: Mutex::new(Vec::new()),
+            len: PlainUsize::new(0),
+        };
         IndirectionTable {
-            chunks: Mutex::new(Vec::new()),
-            free: std::array::from_fn(|_| Mutex::new(Vec::new())),
-            deferred: Mutex::new(std::collections::VecDeque::new()),
-            live: AtomicU64::new(0),
+            chunks: Mutex::new(Chunks::default()),
+            magazines: (0..MAX_THREADS).map(magazine).collect(),
+            free: std::array::from_fn(shard),
+            next_shard: PlainUsize::new(0),
+            deferred: Mutex::new(VecDeque::new()),
+            released_unindexed: PlainU64::new(0),
             quarantined: AtomicU64::new(0),
+            refills: PlainU64::new(0),
         }
     }
 
-    /// Allocates an entry. `shard_hint` (typically a thread index) spreads
-    /// contention across free-list shards.
+    /// Allocates an entry with a null payload for the thread holding epoch
+    /// thread slot `tid`
+    /// ([`EpochManager::thread_index`](crate::epoch::EpochManager::thread_index)
+    /// of the manager this table is used beside). Holding the slot is the
+    /// caller's side of the contract: two threads passing one `tid` at once
+    /// may be handed the same entry.
     ///
     /// The returned entry keeps whatever incarnation its previous life ended
     /// with — references to the previous occupant already fail their check
     /// because release bumped the incarnation.
-    pub fn allocate(&self, shard_hint: usize) -> EntryRef {
-        let home = shard_hint & (SHARDS - 1);
-        // Try the home shard, then steal from the others.
+    ///
+    /// # Panics
+    /// If `tid >= MAX_THREADS`.
+    #[inline]
+    pub fn allocate(&self, tid: usize) -> EntryRef {
+        let magazine = &self.magazines[tid];
+        let mut len = magazine.len.load(Ordering::Relaxed);
+        if len == 0 {
+            len = self.refill(magazine, tid);
+        }
+        len -= 1;
+        magazine.len.store(len, Ordering::Relaxed);
+        let live = magazine.live.load(Ordering::Relaxed);
+        magazine.live.store(live.wrapping_add(1), Ordering::Relaxed);
+        let entry = magazine.entries[len].load(Ordering::Relaxed);
+        EntryRef(NonNull::new(entry).expect("a magazine slot below len holds an entry"))
+    }
+
+    /// Restocks an empty magazine under one lock and returns its new length
+    /// (never 0): recycled entries if some shard has any, else the next run
+    /// of fresh ones.
+    #[cold]
+    fn refill(&self, magazine: &Magazine, tid: usize) -> usize {
+        let home = tid & (SHARDS - 1);
         for offset in 0..SHARDS {
             let shard = &self.free[(home + offset) & (SHARDS - 1)];
-            if let Some(entry) = shard.lock().pop() {
-                entry.get().store_payload(0, Ordering::Release);
-                self.live.fetch_add(1, Ordering::Relaxed);
-                return entry;
+            if shard.len.load(Ordering::Relaxed) == 0 {
+                continue;
+            }
+            self.refills.fetch_add(1, Ordering::Relaxed);
+            let mut batches = shard.batches.lock();
+            // None: another refill emptied the shard between the peek and
+            // the lock.
+            if let Some(batch) = batches.last_mut() {
+                let keep = batch.len().saturating_sub(MAGAZINE);
+                let taken = magazine.stock(batch.drain(keep..));
+                if keep == 0 {
+                    batches.pop();
+                }
+                let left = shard.len.load(Ordering::Relaxed) - taken;
+                shard.len.store(left, Ordering::Relaxed);
+                return taken;
             }
         }
-        // All shards empty: grow by one chunk and refill the home shard.
-        let mut chunks = self.chunks.lock();
-        // Another thread may have refilled while we waited for the lock.
-        if let Some(entry) = self.free[home].lock().pop() {
-            entry.get().store_payload(0, Ordering::Release);
-            self.live.fetch_add(1, Ordering::Relaxed);
-            return entry;
-        }
-        let chunk: Box<[IndirEntry]> = (0..CHUNK_ENTRIES)
-            .map(|_| IndirEntry {
+        self.refills.fetch_add(1, Ordering::Relaxed);
+        let mut fresh = self.chunks.lock();
+        if fresh.uncarved == 0 {
+            let chunk = (0..CHUNK_ENTRIES).map(|_| IndirEntry {
                 payload: AtomicUsize::new(0),
                 inc: IncWord::new(0),
-            })
-            .collect();
-        let first = EntryRef(NonNull::from(&chunk[0]));
-        {
-            let mut shard = self.free[home].lock();
-            for e in chunk.iter().skip(1) {
-                shard.push(EntryRef(NonNull::from(e)));
-            }
+            });
+            fresh.chunks.push(chunk.collect());
+            fresh.uncarved = CHUNK_ENTRIES;
         }
-        chunks.push(chunk);
-        self.live.fetch_add(1, Ordering::Relaxed);
-        first
+        let start = CHUNK_ENTRIES - fresh.uncarved;
+        let newest = fresh.chunks.last().expect("a chunk was just ensured");
+        let taken = magazine.stock(newest[start..].iter().map(|e| EntryRef(NonNull::from(e))));
+        fresh.uncarved -= taken;
+        taken
     }
 
-    /// Returns an entry to the free lists after its object was freed.
-    ///
-    /// The caller must already have bumped the entry's incarnation (that is
-    /// part of `free`'s protocol, §3.5); entries whose incarnation counter
-    /// reached its limit are quarantined instead of reused — the paper's
-    /// overflow rule ("we stop reusing these memory slots", §3.1).
-    pub fn release(&self, entry: EntryRef, shard_hint: usize) {
-        self.live.fetch_sub(1, Ordering::Relaxed);
-        if entry.get().inc().incarnation() >= INC_LIMIT - 1 {
-            self.quarantined.fetch_add(1, Ordering::Relaxed);
+    /// Puts entries that may be reused now on one shard's free list, as one
+    /// batch under one lock, with their payloads cleared.
+    fn recycle(&self, entries: impl Iterator<Item = EntryRef>) {
+        let target = self.next_shard.fetch_add(1, Ordering::Relaxed);
+        if mutation::enabled(Mutation::ReleaseIntoForeignMagazine) {
+            // Re-introduced bug: skip the lock and stock a magazine directly
+            // — one whose slot the releasing thread does not hold, so its
+            // plain read-then-write of `len` races the holder's pop. The
+            // magazine's words are not switch points; the mutation names the
+            // window between its load and its stores itself.
+            let magazine = &self.magazines[target % self.magazines.len()];
+            for entry in entries {
+                entry.get().store_payload(0, Ordering::Release);
+                let len = magazine.len.load(Ordering::Relaxed).min(MAGAZINE - 1);
+                crate::sync::yield_point();
+                magazine.entries[len].store(entry.0.as_ptr(), Ordering::Relaxed);
+                magazine.len.store(len + 1, Ordering::Relaxed);
+            }
             return;
         }
-        entry.get().store_payload(0, Ordering::Release);
-        self.free[shard_hint & (SHARDS - 1)].lock().push(entry);
+        let cleared = entries.inspect(|entry| entry.get().store_payload(0, Ordering::Release));
+        let mut batch: Vec<EntryRef> = cleared.collect();
+        if batch.is_empty() {
+            return;
+        }
+        // Millions of entries wait here while a big context is dropped: do
+        // not let each batch keep its growth slack on top.
+        batch.shrink_to_fit();
+        let shard = &self.free[target & (SHARDS - 1)];
+        let mut batches = shard.batches.lock();
+        let listed = shard.len.load(Ordering::Relaxed) + batch.len();
+        shard.len.store(listed, Ordering::Relaxed);
+        batches.push(batch);
     }
 
-    /// Releases an entry for reuse no earlier than global epoch `ready_at`.
-    /// Used by `free`: a stale direct pointer following a tombstone reads
-    /// this entry, so it must survive every critical section that could
-    /// still hold such a pointer (two epochs, like memory slots).
-    pub fn release_at(&self, entry: EntryRef, ready_at: u64) {
-        self.live.fetch_sub(1, Ordering::Relaxed);
+    /// Returns the entries of freed objects to the free lists — one lock and
+    /// one count for the whole batch — and returns how many there were.
+    ///
+    /// The caller must already have bumped each entry's incarnation (that is
+    /// part of `free`'s protocol, §3.5); entries whose incarnation counter
+    /// reached its limit are quarantined instead of reused — the paper's
+    /// overflow rule ("we stop reusing these memory slots", §3.1). The
+    /// entries are reusable at once, which suits a whole context going away;
+    /// a single `free` defers reuse through [`release_at`](Self::release_at).
+    pub fn release_many(&self, entries: impl IntoIterator<Item = EntryRef>) -> u64 {
+        let (mut released, mut worn_out) = (0u64, 0u64);
+        let reusable = entries.into_iter().filter(|entry| {
+            released += 1;
+            let worn = entry.get().inc().incarnation() >= INC_LIMIT - 1;
+            worn_out += u64::from(worn);
+            !worn
+        });
+        self.recycle(reusable);
+        self.released_unindexed
+            .fetch_add(released, Ordering::Relaxed);
+        if worn_out > 0 {
+            self.quarantined.fetch_add(worn_out, Ordering::Relaxed);
+        }
+        released
+    }
+
+    /// Releases an entry, on behalf of the holder of thread slot `tid`, for
+    /// reuse no earlier than global epoch `ready_at`. Used by `free`: a
+    /// stale direct pointer following a tombstone reads this entry, so it
+    /// must survive every critical section that could still hold such a
+    /// pointer (two epochs, like memory slots).
+    pub fn release_at(&self, tid: usize, entry: EntryRef, ready_at: u64) {
+        let live = &self.magazines[tid].live;
+        live.store(
+            live.load(Ordering::Relaxed).wrapping_sub(1),
+            Ordering::Relaxed,
+        );
         if entry.get().inc().incarnation() >= INC_LIMIT - 1 {
             self.quarantined.fetch_add(1, Ordering::Relaxed);
             return;
@@ -205,15 +383,10 @@ impl IndirectionTable {
     pub fn drain_deferred(&self, now: u64) {
         let mut deferred = self.deferred.lock();
         // Entries are queued in epoch order; stop at the first unready one.
-        let mut batch = 0;
-        while let Some(&(entry, ready_at)) = deferred.front() {
-            if ready_at > now || batch >= 256 {
-                break;
-            }
-            deferred.pop_front();
-            entry.get().store_payload(0, Ordering::Release);
-            self.free[batch & (SHARDS - 1)].lock().push(entry);
-            batch += 1;
+        let ripe = deferred.iter().take(256).take_while(|e| e.1 <= now);
+        let ripe = ripe.count();
+        if ripe > 0 {
+            self.recycle(deferred.drain(..ripe).map(|(entry, _)| entry));
         }
     }
 
@@ -222,9 +395,49 @@ impl IndirectionTable {
         self.deferred.lock().len()
     }
 
-    /// Number of live (allocated, unreleased) entries.
+    /// Number of live (allocated, unreleased) entries: the sum of every
+    /// thread slot's share less the batch releases. Each term is read on its
+    /// own, so the sum is exact once allocation and release are quiescent
+    /// and an estimate (never negative) while they run.
     pub fn live_entries(&self) -> u64 {
-        self.live.load(Ordering::Relaxed)
+        let shares = self
+            .magazines
+            .iter()
+            .map(|m| m.live.load(Ordering::Relaxed));
+        let allocated = shares.fold(0u64, u64::wrapping_add);
+        let live = allocated.wrapping_sub(self.released_unindexed.load(Ordering::Relaxed));
+        (live as i64).max(0) as u64
+    }
+
+    /// Checks that every entry is in exactly one place: `capacity == live +
+    /// in magazines + free + deferred + quarantined`. Like
+    /// [`live_entries`](Self::live_entries), meaningful only while nothing
+    /// allocates or releases. The error names every term.
+    pub fn check_conserved(&self) -> Result<(), String> {
+        let (capacity, live) = (self.capacity() as u64, self.live_entries());
+        let (stocked, free) = (self.magazine_entries(), self.free_entries());
+        let (deferred, worn) = (self.deferred_len() as u64, self.quarantined_entries());
+        if capacity == live + stocked + free + deferred + worn {
+            return Ok(());
+        }
+        Err(format!(
+            "indirection entries not conserved: capacity {capacity} != live {live} \
+             + in magazines {stocked} + free {free} + deferred {deferred} \
+             + quarantined {worn}"
+        ))
+    }
+
+    /// Free entries stocked in thread slots' magazines.
+    pub(crate) fn magazine_entries(&self) -> u64 {
+        let stocks = self.magazines.iter().map(|m| m.len.load(Ordering::Relaxed));
+        stocks.sum::<usize>() as u64
+    }
+
+    /// Free entries in no magazine: recycled ones on the free lists, and the
+    /// uncarved tail of the newest chunk.
+    pub(crate) fn free_entries(&self) -> u64 {
+        let listed = self.free.iter().map(|s| s.len.load(Ordering::Relaxed));
+        (listed.sum::<usize>() + self.chunks.lock().uncarved) as u64
     }
 
     /// Number of entries permanently retired due to incarnation overflow.
@@ -232,9 +445,17 @@ impl IndirectionTable {
         self.quarantined.load(Ordering::Relaxed)
     }
 
+    /// Locks [`allocate`](Self::allocate) has taken: one per magazine refill
+    /// (a free-list shard's, or the chunk list's when no shard has entries),
+    /// and one more whenever a racing refill emptied the shard it was about
+    /// to take from. `MAGAZINE` allocations share each.
+    pub fn entry_refills(&self) -> u64 {
+        self.refills.load(Ordering::Relaxed)
+    }
+
     /// Total entries the table has ever materialized.
     pub fn capacity(&self) -> usize {
-        self.chunks.lock().len() * CHUNK_ENTRIES
+        self.chunks.lock().chunks.len() * CHUNK_ENTRIES
     }
 }
 
@@ -247,6 +468,12 @@ impl Default for IndirectionTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::epoch::EpochManager;
+    use std::collections::HashSet;
+
+    fn assert_conserved(t: &IndirectionTable) {
+        t.check_conserved().unwrap();
+    }
 
     #[test]
     fn allocate_initializes_null_payload() {
@@ -255,6 +482,9 @@ mod tests {
         assert_eq!(e.get().load_payload(Ordering::Acquire), 0);
         assert_eq!(t.live_entries(), 1);
         assert_eq!(t.capacity(), CHUNK_ENTRIES);
+        assert_eq!(t.magazine_entries(), MAGAZINE as u64 - 1);
+        assert_eq!(t.free_entries(), (CHUNK_ENTRIES - MAGAZINE) as u64);
+        assert_conserved(&t);
     }
 
     #[test]
@@ -264,9 +494,10 @@ mod tests {
         e.get().store_payload(0xdead0, Ordering::Release);
         let old_inc = e.get().inc().incarnation();
         e.get().inc().bump();
-        t.release(e, 0);
+        assert_eq!(t.release_many([e]), 1);
         assert_eq!(t.live_entries(), 0);
-        // Reuse comes from the same shard; find our entry again.
+        // Recycled entries restock a magazine before fresh ones do: ours
+        // comes back once the stock in hand is used up.
         let mut found = false;
         for _ in 0..CHUNK_ENTRIES {
             let e2 = t.allocate(0);
@@ -278,6 +509,8 @@ mod tests {
             }
         }
         assert!(found, "released entry should be recycled");
+        assert_eq!(t.capacity(), CHUNK_ENTRIES);
+        assert_conserved(&t);
     }
 
     #[test]
@@ -292,11 +525,13 @@ mod tests {
     #[test]
     fn grows_beyond_one_chunk() {
         let t = IndirectionTable::new();
-        let entries: Vec<_> = (0..CHUNK_ENTRIES * 2 + 5).map(|i| t.allocate(i)).collect();
+        let n = CHUNK_ENTRIES * 2 + 5;
+        let entries: Vec<_> = (0..n).map(|i| t.allocate(i % MAX_THREADS)).collect();
         assert!(t.capacity() >= CHUNK_ENTRIES * 2);
         // All distinct.
-        let set: std::collections::HashSet<_> = entries.iter().map(|e| e.addr()).collect();
+        let set: HashSet<_> = entries.iter().map(|e| e.addr()).collect();
         assert_eq!(set.len(), entries.len());
+        assert_conserved(&t);
     }
 
     #[test]
@@ -305,7 +540,7 @@ mod tests {
         let first = t.allocate(0);
         first.get().store_payload(42, Ordering::Release);
         for i in 0..CHUNK_ENTRIES * 3 {
-            t.allocate(i);
+            t.allocate(i % MAX_THREADS);
         }
         assert_eq!(first.get().load_payload(Ordering::Acquire), 42);
     }
@@ -316,11 +551,87 @@ mod tests {
         let e = t.allocate(0);
         // Force the incarnation to the limit, then release.
         e.get().inc().store(INC_LIMIT - 1, Ordering::Release);
-        t.release(e, 0);
+        t.release_many([e]);
         assert_eq!(t.quarantined_entries(), 1);
         // The quarantined entry must not come back.
         for i in 0..CHUNK_ENTRIES * 2 {
-            assert_ne!(t.allocate(i), e);
+            assert_ne!(t.allocate(i % MAX_THREADS), e);
+        }
+        assert_conserved(&t);
+    }
+
+    #[test]
+    fn a_refill_takes_one_lock_for_a_whole_magazine() {
+        let t = IndirectionTable::new();
+        let fresh: Vec<_> = (0..3 * MAGAZINE).map(|_| t.allocate(0)).collect();
+        assert_eq!(t.entry_refills(), 3, "fresh runs, one lock each");
+        // A released batch lands on one shard under one lock, whichever
+        // shard that is, and restocks whole magazines from there: recycled
+        // entries first, and slot 5's home shard holds none of them.
+        for e in &fresh {
+            e.get().inc().bump();
+        }
+        t.release_many(fresh.iter().copied());
+        let recycled: HashSet<_> = (0..3 * MAGAZINE).map(|_| t.allocate(5)).collect();
+        assert_eq!(recycled, fresh.into_iter().collect());
+        assert_eq!(t.entry_refills(), 6);
+        assert_eq!(t.capacity(), CHUNK_ENTRIES, "nothing grew");
+        assert_conserved(&t);
+    }
+
+    #[test]
+    fn deferred_entries_ripen_onto_the_free_lists_in_one_batch() {
+        let t = IndirectionTable::new();
+        let early = t.allocate(0);
+        let late = t.allocate(0);
+        for e in [early, late] {
+            e.get().store_payload(0xbeef0, Ordering::Release);
+            e.get().inc().bump();
+        }
+        t.release_at(0, early, 2);
+        t.release_at(0, late, 5);
+        assert_eq!((t.live_entries(), t.deferred_len()), (0, 2));
+        // A tombstone chaser may still read the payload until the epoch.
+        t.drain_deferred(1);
+        assert_eq!(early.get().load_payload(Ordering::Acquire), 0xbeef0);
+        assert_conserved(&t);
+        t.drain_deferred(2);
+        assert_eq!(t.deferred_len(), 1);
+        assert_eq!(early.get().load_payload(Ordering::Acquire), 0);
+        assert_eq!(late.get().load_payload(Ordering::Acquire), 0xbeef0);
+        assert_conserved(&t);
+    }
+
+    /// `epoch::tests::thread_slots_are_reused_after_thread_exit`, with a
+    /// magazine riding on the slot: each thread leaves it part full, and the
+    /// next claimer of the slot carries on from there.
+    #[test]
+    fn a_part_full_magazine_passes_to_the_slots_next_claimer() {
+        let mgr = EpochManager::new();
+        let table = std::sync::Arc::new(IndirectionTable::new());
+        let mut handed_out = HashSet::new();
+        let mut total = 0;
+        for round in 0..12 {
+            // Stocks of every size, a whole magazine and none included.
+            let take = [5, MAGAZINE, 0, MAGAZINE + 7][round % 4];
+            let (m, t) = (mgr.clone(), table.clone());
+            let body = move || {
+                let tid = m.thread_index().unwrap();
+                let taken: Vec<_> = (0..take).map(|_| t.allocate(tid).addr()).collect();
+                (tid, taken)
+            };
+            let (tid, taken) = std::thread::spawn(body).join().unwrap();
+            assert_eq!(tid, 0, "sequential threads land on the freed slot");
+            total += take;
+            for addr in taken {
+                assert!(handed_out.insert(addr), "entry handed out twice");
+            }
+            // Nothing lost: every refill so far was used up before the next.
+            assert_eq!(table.entry_refills(), total.div_ceil(MAGAZINE) as u64);
+            let stock = table.entry_refills() * MAGAZINE as u64 - total as u64;
+            assert_eq!(table.magazine_entries(), stock);
+            assert_eq!(table.live_entries(), total as u64);
+            assert_conserved(&table);
         }
     }
 
@@ -337,13 +648,30 @@ mod tests {
                     if i % 3 == 0 {
                         let e: EntryRef = held.swap_remove(held.len() / 2);
                         e.get().inc().bump();
-                        t.release(e, tid);
+                        if i % 2 == 0 {
+                            t.release_many([e]);
+                        } else {
+                            t.release_at(tid, e, i as u64 / 100);
+                        }
+                    }
+                    if i % 64 == 0 {
+                        t.drain_deferred(i as u64 / 100);
                     }
                 }
-                held.len() as u64
+                held
             }));
         }
-        let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(t.live_entries(), total);
+        let held: Vec<_> = handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
+        assert_eq!(t.live_entries(), held.len() as u64);
+        let distinct: HashSet<_> = held.iter().collect();
+        assert_eq!(
+            distinct.len(),
+            held.len(),
+            "a live entry was handed out twice"
+        );
+        assert_conserved(&t);
     }
 }

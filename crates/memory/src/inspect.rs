@@ -211,14 +211,19 @@ impl CollectionSnapshot {
 /// Load figures for the runtime's shared indirection table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndirectionLoad {
-    /// Entries currently backing live objects.
+    /// Entries currently backing live objects (summed from per-thread-slot
+    /// cells: exact once allocation and release are quiescent).
     pub live_entries: u64,
-    /// Entries parked in epoch quarantine before reuse.
+    /// Entries retired for good because their incarnation counter ran out.
     pub quarantined_entries: u64,
-    /// Entries on the deferred-release list.
+    /// Entries of removed objects waiting out their epochs before reuse.
     pub deferred_entries: u64,
     /// Total entries across all allocated chunks.
     pub capacity: u64,
+    /// Locks entry allocation has taken since the runtime started: one per
+    /// refill of a thread slot's magazine
+    /// ([`IndirectionTable::entry_refills`](crate::indirection::IndirectionTable::entry_refills)).
+    pub entry_refills: u64,
 }
 
 impl IndirectionLoad {
@@ -282,6 +287,7 @@ impl HeapSnapshot {
             quarantined_entries: runtime.indirection.quarantined_entries(),
             deferred_entries: runtime.indirection.deferred_len() as u64,
             capacity: runtime.indirection.capacity() as u64,
+            entry_refills: runtime.indirection.entry_refills(),
         };
         let watermark = Watermark {
             pinned_epoch: guard.epoch(),
@@ -338,6 +344,7 @@ impl HeapSnapshot {
         ind.set("deferred_entries", self.indirection.deferred_entries);
         ind.set("capacity", self.indirection.capacity);
         ind.set("load_factor", self.indirection.load_factor());
+        ind.set("entry_refills", self.indirection.entry_refills);
         doc.set("indirection", ind);
         let mut ph = JsonValue::obj();
         ph.set("count", self.pin_hold.count);
@@ -492,6 +499,10 @@ mod tests {
         // histogram gained samples and indirection shows the live entries.
         assert!(snap.pin_hold.count > 0);
         assert_eq!(snap.indirection.live_entries, 60);
+        assert_eq!(snap.indirection.entry_refills, 4, "100 adds, 32 a refill");
+        let doc = snap.to_json();
+        let exported = doc.get("indirection").and_then(|i| i.get("entry_refills"));
+        assert_eq!(exported.and_then(|v| v.as_u64()), Some(4));
     }
 
     #[test]

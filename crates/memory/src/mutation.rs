@@ -44,6 +44,11 @@ pub enum Mutation {
     /// "pre-relocation" state the mover is already relocating out of — and
     /// the scan misses every object moved under it.
     PinSkipsStartedRecheck = 1 << 7,
+    /// Releasing an indirection entry skips the free-list lock and stocks a
+    /// thread slot's magazine directly — a slot the releasing thread does
+    /// not hold, so its unsynchronized update of the magazine races the
+    /// holder's pop and an entry is handed out twice or lost.
+    ReleaseIntoForeignMagazine = 1 << 8,
 }
 
 #[cfg(smc_check)]

@@ -676,14 +676,15 @@ impl MemoryContext {
         let s = self.spill.get_mut();
         let mut freed = 0;
         for page in std::mem::take(&mut s.pages).into_values() {
-            for &entry_addr in &page.entries {
+            let entries = page.entries.iter().filter_map(|&entry_addr| {
                 let entry = unsafe { EntryRef::from_addr(entry_addr) };
-                if entry.get().load_payload(Ordering::Acquire) == page.tag {
+                (entry.get().load_payload(Ordering::Acquire) == page.tag).then(|| {
                     entry.get().inc().bump_unlocked();
-                    self.runtime.indirection.release(entry, 0);
-                    freed += 1;
-                }
-            }
+                    entry
+                })
+            });
+            // One lock and one count for the page's entries.
+            freed += self.runtime.indirection.release_many(entries);
             if let Some(store) = &s.store {
                 store.discard_page(page.ticket);
             }

@@ -278,7 +278,9 @@ impl Runtime {
     ///   either a live handout or parked in a shard cache
     ///   (`budgeted == blocks_live + cached`);
     /// - the budgeted byte total (handouts + caches) respects the budget;
-    /// - the indirection table's live entries equal the live object count.
+    /// - the indirection table's live entries equal the live object count;
+    /// - no indirection entry is lost or counted twice: `capacity == live +
+    ///   in magazines + free + deferred + quarantined`.
     pub fn verify(&self) -> Result<(), Vec<String>> {
         let mut v = Violations::new();
         if self.in_moving_phase() && self.next_relocation_epoch() == 0 {
@@ -318,6 +320,9 @@ impl Runtime {
             v.push(format!(
                 "indirection live entries {entries} != live objects {objects}"
             ));
+        }
+        if let Err(lost_or_doubled) = self.indirection.check_conserved() {
+            v.push(lost_or_doubled);
         }
         v.into_result(())
     }
