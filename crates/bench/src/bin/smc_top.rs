@@ -13,7 +13,13 @@
 //! ```text
 //! smc-top [--threads N] [--objects N] [--refresh-ms N] [--ticks N]
 //!         [--budget-mb N] [--once] [--json] [--addr HOST:PORT]
+//! smc-top --check-trace FILE [--require-request-flow N]
 //! ```
+//!
+//! `--check-trace` gates a Chrome trace another process wrote (`smc-serve`'s
+//! drain trace or flight dump) by [`smc_obs::chrome::validate`] and
+//! [`TraceShape::require`](smc_obs::chrome::TraceShape::require): exit 0 =
+//! pass, 1 = violation or empty timeline, 2 = unreadable file or not JSON.
 //!
 //! `--addr HOST:PORT` switches from the embedded workload to **live
 //! scrape mode**: each tick issues the `SCRAPE` wire op against a running
@@ -480,7 +486,25 @@ fn run_scrape(addr: &str, refresh_ms: usize, ticks: usize, json: bool) -> i32 {
     0
 }
 
+/// `--check-trace FILE`, exiting as the module docs say.
+fn check_trace(path: &str, min_flow: usize) -> i32 {
+    let text = std::fs::read_to_string(path).map_err(|e| e.to_string());
+    let verdict = text
+        .and_then(|text| JsonValue::parse(&text))
+        .map(|doc| smc_obs::chrome::validate(&doc).and_then(|shape| shape.require(min_flow)));
+    let (code, outcome) = match verdict {
+        Ok(Ok(shape)) => (0, format!("passes: {shape:?}")),
+        Ok(Err(e)) => (1, format!("FAILED: {e}")),
+        Err(e) => (2, format!("cannot be read: {e}")),
+    };
+    eprintln!("smc-top: {path} {outcome}");
+    code
+}
+
 fn main() {
+    if let Some(path) = arg_string("--check-trace") {
+        std::process::exit(check_trace(&path, arg_usize("--require-request-flow", 0)));
+    }
     init_tracing();
     install_signal_handler();
     let threads = arg_usize("--threads", 2);

@@ -30,10 +30,12 @@ pub fn init_tracing() {
 
 /// What one [`drain_trace`] exported.
 struct TraceExport {
-    /// Events written to the Chrome trace file.
+    /// Timeline records written (thread and drop metadata do not count).
     events: u64,
     /// Events the per-thread rings overwrote before the drain.
     dropped: u64,
+    /// Why [`validate`](smc_obs::chrome::validate) rejected the export.
+    malformed: Option<String>,
 }
 
 impl TraceExport {
@@ -46,15 +48,17 @@ impl TraceExport {
 }
 
 /// Drains the trace rings into the Chrome trace file named by
-/// `SMC_TRACE_OUT` and says so on stderr (stdout may be a tool's JSON);
-/// `None` when the variable is unset. The one trace writer under every
-/// binary in this crate.
+/// `SMC_TRACE_OUT`, validates it, and says so on stderr (stdout may be a
+/// tool's JSON); `None` when the variable is unset. The one trace writer
+/// under every binary in this crate.
 fn drain_trace() -> Option<TraceExport> {
     let path = PathBuf::from(std::env::var_os("SMC_TRACE_OUT")?);
     let trace = smc_obs::ChromeTrace::from_ring_snapshot();
+    let shape = smc_obs::chrome::validate(&trace.to_json());
     let export = TraceExport {
-        events: trace.len() as u64,
+        events: shape.as_ref().map_or(0, |shape| shape.timeline as u64),
         dropped: smc_obs::trace::dropped(),
+        malformed: shape.err(),
     };
     match trace.write(&path) {
         Ok(()) => eprintln!(
@@ -65,31 +69,37 @@ fn drain_trace() -> Option<TraceExport> {
         ),
         Err(e) => eprintln!("failed to write trace {}: {e}", path.display()),
     }
+    if let Some(e) = &export.malformed {
+        eprintln!("trace {} is malformed: {e}", path.display());
+    }
     Some(export)
 }
 
 /// The trace export of a tool that has no [`Report`] (`stress`, `smc-top`,
 /// `smc-serve`): writes the trace and returns true — having said so on
-/// stderr — when it is silently empty, which the tool turns into a non-zero
-/// exit. Report binaries get the same rule from [`finish`] as the
-/// `trace_not_silently_empty` check.
+/// stderr — when it is malformed or silently empty, which the tool turns
+/// into a non-zero exit. Report binaries get the same rules from [`finish`]
+/// as the `trace_well_formed` and `trace_not_silently_empty` checks.
 pub fn trace_lost() -> bool {
-    let lost = drain_trace().is_some_and(|t| t.silently_empty());
+    let lost = drain_trace().is_some_and(|t| t.malformed.is_some() || t.silently_empty());
     if lost {
-        eprintln!("FAILED: the trace is empty but the rings dropped events");
+        eprintln!("FAILED: the trace is malformed, or empty while the rings dropped events");
     }
     lost
 }
 
 /// The trace export of a report binary: the `trace_events` /
 /// `trace_events_dropped` counters, the drops itemized per ring, and the
-/// `trace_not_silently_empty` check. Called by [`finish`].
+/// `trace_well_formed` and `trace_not_silently_empty` checks. Called by
+/// [`finish`].
 fn export_trace(report: &mut Report) {
     let Some(export) = drain_trace() else {
         return;
     };
     report.counter("trace_events", export.events);
     report.counter("trace_events_dropped", export.dropped);
+    let verdict = export.malformed.as_deref().unwrap_or("passes validate");
+    report.check("trace_well_formed", export.malformed.is_none(), verdict);
     report.check(
         "trace_not_silently_empty",
         !export.silently_empty(),

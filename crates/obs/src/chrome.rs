@@ -9,7 +9,7 @@
 //! Each tracer thread maps to its own `tid` track (named via `M` metadata
 //! records), timestamps are microseconds with sub-microsecond fractions so
 //! nanosecond resolution survives, and the emitted array is sorted by
-//! timestamp with `B` ordered before `E` on ties.
+//! timestamp, ties in the order the records were staged.
 //!
 //! ## Pairing discipline
 //!
@@ -19,7 +19,7 @@
 //! `B` then `E` on the pair's track; an orphaned end synthesizes its `B`
 //! from the duration the end event carries; an orphaned begin (a pause
 //! still open at snapshot time) is dropped. The output always passes
-//! `scripts/trace_gate.py`'s balance check, wrapped rings included.
+//! [`validate`], wrapped rings included (a seeded test holds it to that).
 //!
 //! ```
 //! use smc_obs::chrome::ChromeTrace;
@@ -32,6 +32,7 @@
 //! assert!(export.to_json_string().contains("\"traceEvents\""));
 //! ```
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
 use std::path::Path;
 
@@ -41,17 +42,88 @@ use crate::trace::{self, Event, TracedEvent};
 /// Synthetic process id used for every track (one process per export).
 const PID: u64 = 1;
 
-/// Sort rank at equal timestamps: `B` first so zero-length pairs still
-/// nest, `E` last so a slice closes after the instants it covers.
-fn phase_rank(ph: &str) -> u8 {
-    match ph {
-        "M" => 0,
-        "B" => 1,
-        "X" => 2,
-        "i" => 3,
-        "C" => 4,
-        "E" => 5,
-        _ => 6,
+/// The phases the exporter writes, and the only ones [`validate`] accepts.
+const PHASES: [&str; 6] = ["M", "B", "E", "X", "i", "C"];
+
+/// What [`validate`] measured in a well-formed trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceShape {
+    /// Records on the timeline: every phase but `M` metadata.
+    pub timeline: usize,
+    /// Distinct `(pid, tid)` tracks the timeline touches.
+    pub tracks: usize,
+    /// The most tracks one request id's `req.*` spans touch.
+    pub widest_flow: usize,
+}
+
+/// Checks the structural contract of a Chrome trace document: the
+/// `{"traceEvents": [...]}` form; a string `ph` and `name` and integer
+/// `pid`/`tid` on every record, and a numeric `ts` on all but `M`; known
+/// phases only; non-decreasing `ts` per `(pid, tid)` track; same-name
+/// `B`/`E` brackets balanced per track with none left open; a numeric
+/// `dur` on every `X`; and every `req.*` record an `X` carrying a positive
+/// integer `args.req`, so one request's flow is linkable across tracks.
+pub fn validate(doc: &JsonValue) -> Result<TraceShape, String> {
+    let records = doc.get("traceEvents").and_then(JsonValue::as_arr);
+    let records = records.ok_or("not a trace: no `traceEvents` array")?;
+    // (pid, tid) -> (last ts, names of the open `B`s); request id -> tracks
+    let mut tracks: BTreeMap<(u64, u64), (f64, Vec<&str>)> = BTreeMap::new();
+    let mut flows: BTreeMap<u64, BTreeSet<(u64, u64)>> = BTreeMap::new();
+    let mut timeline = 0;
+    for (i, r) in records.iter().enumerate() {
+        let text = |key| r.get(key)?.as_str().filter(|s| !s.is_empty());
+        let (num, int) = (|key| r.get(key)?.as_f64(), |key| r.get(key)?.as_u64());
+        let head = (text("ph").filter(|ph| PHASES.contains(ph)), text("name"));
+        let ((Some(ph), Some(name)), Some(pid), Some(tid)) = (head, int("pid"), int("tid")) else {
+            return Err(format!(
+                "record #{i} lacks a known `ph`, `name`, `pid` or `tid`"
+            ));
+        };
+        if ph == "M" {
+            continue;
+        }
+        let bad = |what: &str| format!("record #{i} ({ph} {name:?} on track {pid}/{tid}) {what}");
+        let ts = num("ts").ok_or_else(|| bad("has no numeric `ts`"))?;
+        timeline += 1;
+        let (last, open) = tracks.entry((pid, tid)).or_insert((f64::MIN, Vec::new()));
+        if ts < std::mem::replace(last, ts) {
+            return Err(bad("goes back in time"));
+        }
+        match ph {
+            "B" => open.push(name),
+            "E" if open.pop() != Some(name) => return Err(bad("closes no open same-name `B`")),
+            "X" if num("dur").is_none() => return Err(bad("has no numeric `dur`")),
+            _ => {}
+        }
+        if name.starts_with("req.") {
+            let req = r.get("args").and_then(|args| args.get("req")?.as_u64());
+            let req = req.filter(|&req| req > 0 && ph == "X");
+            let req = req.ok_or_else(|| bad("is not an `X` with `args.req` > 0"))?;
+            flows.entry(req).or_default().insert((pid, tid));
+        }
+    }
+    if let Some(((pid, tid), (_, open))) = tracks.iter().find(|(_, (_, open))| !open.is_empty()) {
+        return Err(format!("track {pid}/{tid} ends with {open:?} still open"));
+    }
+    let widest_flow = flows.values().map(BTreeSet::len).max().unwrap_or(0);
+    Ok(TraceShape {
+        timeline,
+        tracks: tracks.len(),
+        widest_flow,
+    })
+}
+
+impl TraceShape {
+    /// The further rule for a trace another process wrote: a non-empty
+    /// timeline, and one request whose spans touch `min_flow` tracks.
+    pub fn require(self, min_flow: usize) -> Result<TraceShape, String> {
+        if self.timeline == 0 {
+            Err("the timeline is empty: the tracer recorded nothing".into())
+        } else if self.widest_flow < min_flow {
+            Err(format!("no request touches {min_flow} tracks: {self:?}"))
+        } else {
+            Ok(self)
+        }
     }
 }
 
@@ -185,7 +257,10 @@ impl ChromeTrace {
                     record.ph = "C";
                     record.name = "epoch".to_string();
                 }
-                Event::QuerySpan { label, .. } => record.name = label.as_str().to_string(),
+                // An unlabelled span keeps its kind as its name.
+                Event::QuerySpan { label, .. } if !label.as_str().is_empty() => {
+                    record.name = label.as_str().to_string()
+                }
                 Event::ReqStage { stage, .. } => record.name = format!("req.{stage}"),
                 _ => {}
             }
@@ -245,7 +320,10 @@ impl ChromeTrace {
         });
     }
 
-    /// Number of records staged for export (excluding thread metadata).
+    /// Number of records staged for export: the timeline plus the `M`
+    /// records of [`note_dropped`](Self::note_dropped), but not the
+    /// `thread_name` records [`to_json`](Self::to_json) adds. The timeline
+    /// alone is [`validate`]'s [`TraceShape::timeline`].
     pub fn len(&self) -> usize {
         self.records.len()
     }
@@ -264,7 +342,7 @@ impl ChromeTrace {
     /// Serializes to the Chrome tracing JSON object format.
     pub fn to_json(&self) -> JsonValue {
         let mut events: Vec<JsonValue> = Vec::with_capacity(self.records.len() + self.tids.len());
-        // Thread-name metadata first (ts 0, rank 0 keeps them leading).
+        // Thread-name metadata first.
         let mut tids = self.tids.clone();
         tids.sort_unstable();
         for tid in tids {
@@ -283,14 +361,10 @@ impl ChromeTrace {
             meta.set("args", args);
             events.push(meta);
         }
+        // Ties keep staging order, where a pause's `B` directly precedes its
+        // `E`: so a pause that ends as the next begins closes first.
         let mut order: Vec<usize> = (0..self.records.len()).collect();
-        order.sort_by(|&a, &b| {
-            let (ra, rb) = (&self.records[a], &self.records[b]);
-            ra.ts_nanos
-                .cmp(&rb.ts_nanos)
-                .then_with(|| phase_rank(ra.ph).cmp(&phase_rank(rb.ph)))
-                .then_with(|| a.cmp(&b))
-        });
+        order.sort_by_key(|&i| (self.records[i].ts_nanos, i));
         for i in order {
             events.push(self.records[i].to_json());
         }
@@ -492,6 +566,124 @@ mod tests {
         let s = t.to_json_string();
         assert!(s.contains("\"flightTrigger\":\"panic\""), "{s}");
         assert!(!s.contains("sigusr1"), "replaced, not duplicated: {s}");
+    }
+
+    /// A trace in the exporter's shape: nested `B`/`E` pairs, an `X`, an
+    /// instant, a counter, and request 77 across three tracks.
+    const SAMPLE: &str = r#"{"traceEvents":[{"ph":"M","name":"thread_name","pid":1,"tid":0},
+{"ph":"B","name":"compact","pid":1,"tid":1,"ts":10},
+{"ph":"B","name":"relocate_group","pid":1,"tid":1,"ts":12},
+{"ph":"E","name":"relocate_group","pid":1,"tid":1,"ts":20},
+{"ph":"E","name":"compact","pid":1,"tid":1,"ts":25},
+{"ph":"X","name":"scan_block","pid":1,"tid":2,"ts":11,"dur":5},
+{"ph":"i","name":"epoch_advance","pid":1,"tid":2,"ts":30},
+{"ph":"C","name":"blocks_live","pid":1,"tid":2,"ts":31,"args":{"value":7}},
+{"ph":"X","name":"req.ring","pid":1,"tid":1,"ts":26,"dur":2,"args":{"req":77}},
+{"ph":"X","name":"req.shard","pid":1,"tid":1,"ts":28,"dur":4,"args":{"req":77}},
+{"ph":"X","name":"req.exec","pid":1,"tid":2,"ts":32,"dur":3,"args":{"req":77}},
+{"ph":"X","name":"req.conn","pid":1,"tid":3,"ts":36,"dur":9,"args":{"req":77}}]}"#;
+
+    /// A doctored `SAMPLE` a row: what is wrong | text whose first match (or,
+    /// empty, the sample) | becomes this | flow required | the error says.
+    const DOCTORED: &str = r#"unclosed B|{"ph":"E","name":"compact","pid":1,"tid":1,"ts":25},||0|still open
+B/E names differ|"E","name":"relocate_group"|"E","name":"compact"|0|same-name
+E opens nothing|{"ph":"B"|{"ph":"E","name":"compact","pid":1,"tid":1,"ts":5},{"ph":"B"|0|same-name
+time travel|"ts":20|"ts":1|0|back in time
+unknown phase|"ph":"B"|"ph":"Q"|0|lacks
+missing ts|,"ts":10}|}|0|`ts`
+non-integer tid|"tid":1,"ts":10|"tid":"worker-1","ts":10|0|lacks
+empty name|scan_block||0|lacks
+X without dur|,"dur":5||0|`dur`
+metadata only||{"traceEvents":[{"ph":"M","name":"thread_name","pid":1,"tid":0}]}|0|empty
+no container||{"events":[]}|0|traceEvents
+request span not an X|"X","name":"req.|"i","name":"req.|0|`args.req`
+request span without args.req|,"args":{"req":77}||0|`args.req`
+string args.req|77|"0xbeef"|0|`args.req`
+untraced request id 0|77|0|0|`args.req`
+flow narrower than required|||4|touches 4 tracks
+flow on two tracks|"tid":3|"tid":1|3|touches 3 tracks"#;
+
+    #[test]
+    fn the_gate_passes_the_sample_and_rejects_each_doctored_copy() {
+        // What `smc-top --check-trace` runs.
+        let gate = |text: &str, flow| validate(&JsonValue::parse(text)?)?.require(flow);
+        let shape = gate(SAMPLE, 3).expect("the sample passes");
+        assert_eq!((shape.timeline, shape.tracks), (11, 3));
+        for row in DOCTORED.lines() {
+            let [what, from, to, flow, says] = row.split('|').collect::<Vec<_>>()[..] else {
+                panic!("{row}")
+            };
+            let text = match (from, to) {
+                ("", "") => SAMPLE.to_string(),
+                ("", whole) => whole.to_string(),
+                _ => SAMPLE.replacen(from, to, 1),
+            };
+            let err = gate(&text, flow.parse().unwrap()).expect_err(what);
+            assert!(err.contains(says), "{what}: {err}");
+        }
+    }
+
+    /// A seeded run on tracer threads 1..=3 shaped like a real one: every
+    /// `Event::KINDS` row, runs of equal timestamps, and GC pauses that
+    /// never nest per thread, an end carrying the time since its begin.
+    fn seeded_run(seed: u64, len: u64) -> Vec<TracedEvent> {
+        let mut rng = smc_util::Pcg32::seed_from_u64(seed);
+        let (mut nanos, mut paused) = (1_000, [None; 4]);
+        (0..len)
+            .map(|seq| {
+                let thread = rng.gen_range(1..4u64);
+                nanos += rng.gen_range(0..500u64) * u64::from(rng.gen_bool(0.2));
+                let row = &Event::KINDS[rng.gen_range(0..Event::KINDS.len())];
+                let mut event = Event::decode(row.code, [(); 4].map(|_| rng.next_u64())).unwrap();
+                let gc = matches!(event, Event::GcPauseBegin { .. } | Event::GcPauseEnd { .. });
+                if gc || rng.gen_bool(0.25) {
+                    let (major, open) = (rng.gen_bool(0.5), &mut paused[thread as usize]);
+                    event = match open.take() {
+                        Some(begin) => Event::GcPauseEnd {
+                            major,
+                            nanos: nanos - begin,
+                            traced: 0,
+                            swept: 0,
+                        },
+                        None => Event::GcPauseBegin { major },
+                    };
+                    if let Event::GcPauseBegin { .. } = event {
+                        *open = Some(nanos);
+                    }
+                }
+                ev(seq, thread, nanos, event)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_export_of_a_seeded_run_passes_validate() {
+        for seed in 0..16 {
+            // A wrapped ring keeps its thread's newest records: cut each
+            // thread's oldest ones and note the cut as its drops.
+            let cut: [u64; 4] = std::array::from_fn(|t| seed * 97 * t as u64 % 1_500);
+            let mut window = seeded_run(seed, 3_000);
+            window.retain(|t| t.seq >= cut[t.thread as usize]);
+            let mut export = ChromeTrace::new();
+            export.add_events(&window);
+            export.note_dropped(&[(1, cut[1]), (2, cut[2]), (3, cut[3])]);
+            let shape = validate(&export.to_json()).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            assert_eq!(shape.tracks, 3, "seed {seed}");
+        }
+        // The flight ring wraps a window across the threads that share it.
+        let _g = trace::test_lock();
+        crate::flight::enable();
+        std::thread::scope(|s| {
+            for thread in 1..4 {
+                let run = seeded_run(99, 3 * crate::flight::FLIGHT_CAPACITY as u64);
+                let mine = run.into_iter().filter(move |t| t.thread == thread);
+                s.spawn(move || mine.for_each(|t| trace::emit(t.event)));
+            }
+        });
+        crate::flight::disable();
+        let mut export = ChromeTrace::new();
+        export.add_events(&crate::flight::snapshot());
+        validate(&export.to_json()).expect("the flight export is well formed");
     }
 
     #[test]

@@ -8,8 +8,9 @@
 use std::collections::HashSet;
 use std::time::Duration;
 
+use smc_obs::chrome::{validate, ChromeTrace};
+use smc_obs::flight;
 use smc_obs::trace::{self, Event};
-use smc_obs::{ChromeTrace, JsonValue};
 use smc_serve::{Client, Server, ServerConfig, TenantConfig};
 
 const TRACED_QUERY_ID: u64 = 0xbeef_0001;
@@ -42,6 +43,7 @@ fn request_id_propagates_across_shards_and_exec_workers() {
     client.upsert(0, rows).unwrap();
 
     trace::enable();
+    flight::enable();
     client.trace_next(TRACED_INGEST_ID);
     client
         .upsert(0, (20_000..20_128u64).map(|k| (k, 7)).collect())
@@ -50,8 +52,9 @@ fn request_id_propagates_across_shards_and_exec_workers() {
     let n = client.count(0, 0, 1000).unwrap();
     assert_eq!(n, 20_128); // 20k seeded rows + the 128 traced-ingest rows
     trace::disable();
+    flight::disable();
 
-    let events = trace::snapshot();
+    let (events, flight) = (trace::snapshot(), flight::snapshot());
     let report = server.shutdown();
     assert!(report.clean(), "{:?}", report.verify_errors());
 
@@ -102,38 +105,12 @@ fn request_id_propagates_across_shards_and_exec_workers() {
         query_threads.len()
     );
 
-    // And the Chrome export renders them as `req.<stage>` complete spans
-    // whose args carry the id, spread over those tid tracks.
-    let mut export = ChromeTrace::new();
-    export.add_events(&events);
-    let doc = export.to_json();
-    let records = doc
-        .get("traceEvents")
-        .and_then(JsonValue::as_arr)
-        .expect("chrome document has traceEvents");
-    let mut req_span_tids: HashSet<u64> = HashSet::new();
-    for r in records {
-        let name = r.get("name").and_then(JsonValue::as_str).unwrap_or("");
-        if !name.starts_with("req.") {
-            continue;
-        }
-        assert_eq!(
-            r.get("ph").and_then(JsonValue::as_str),
-            Some("X"),
-            "request stages render as complete spans"
-        );
-        let req = r
-            .get("args")
-            .and_then(|a| a.get("req"))
-            .and_then(JsonValue::as_u64)
-            .expect("req.* spans carry an integer args.req");
-        if req == TRACED_QUERY_ID {
-            req_span_tids.insert(r.get("tid").and_then(JsonValue::as_u64).unwrap_or(0));
-        }
+    // And both exports — the rings' and the flight recorder's shared ring —
+    // render them as `req.*` spans carrying the id across those tracks.
+    for (sink, events) in [("rings", events), ("flight", flight)] {
+        let mut export = ChromeTrace::new();
+        export.add_events(&events);
+        let shape = validate(&export.to_json()).unwrap_or_else(|e| panic!("{sink}: {e}"));
+        assert!(shape.widest_flow >= 3, "{sink}: {shape:?}");
     }
-    assert!(
-        req_span_tids.len() >= 3,
-        "chrome export links the request across >= 3 tid tracks, got {}",
-        req_span_tids.len()
-    );
 }
