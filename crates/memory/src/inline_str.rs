@@ -7,8 +7,9 @@
 //! slot, die with the object, and keep every slot the same size.
 //!
 //! TPC-H column widths are all statically known, so this loses nothing for
-//! the paper's workload; the type documents truncation behaviour for other
-//! uses.
+//! the paper's workload. [`InlineStr::new`] truncates what does not fit;
+//! the in-place writer ([`InlineStr::push_str`], [`fmt::Write`]) refuses
+//! it instead, so a value built piece by piece is never clipped silently.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -24,6 +25,11 @@ use std::hash::{Hash, Hasher};
 /// // Oversized input truncates at the last UTF-8 boundary that fits.
 /// let clipped = InlineStr::<3>::new("héllo");
 /// assert_eq!(clipped.as_str(), "hé");
+/// // The in-place writer appends whole pieces or refuses them.
+/// let mut key = InlineStr::<12>::empty();
+/// assert!(key.push_str("Clerk#"));
+/// assert!(!key.push_str("0000000001"));
+/// assert_eq!(key.as_str(), "Clerk#");
 /// ```
 #[derive(Clone, Copy)]
 pub struct InlineStr<const N: usize> {
@@ -34,14 +40,30 @@ pub struct InlineStr<const N: usize> {
 impl<const N: usize> InlineStr<N> {
     /// The empty string.
     pub const fn empty() -> Self {
+        const { assert!(N <= u16::MAX as usize, "an InlineStr's length is a u16") };
         InlineStr {
             len: 0,
             bytes: [0; N],
         }
     }
 
+    /// Appends `s` whole and returns `true`, or returns `false` and leaves
+    /// the string as it was when `s` does not fit: never a clipped tail.
+    #[inline]
+    pub fn push_str(&mut self, s: &str) -> bool {
+        let start = self.len as usize;
+        let Some(dst) = self.bytes.get_mut(start..start + s.len()) else {
+            return false;
+        };
+        dst.copy_from_slice(s.as_bytes());
+        // `start + s.len() <= N <= u16::MAX` (checked in `empty`/`new`).
+        self.len = (start + s.len()) as u16;
+        true
+    }
+
     /// Builds from `s`, truncating at the last UTF-8 boundary that fits.
     pub fn new(s: &str) -> Self {
+        const { assert!(N <= u16::MAX as usize, "an InlineStr's length is a u16") };
         let mut end = s.len().min(N);
         while end > 0 && !s.is_char_boundary(end) {
             end -= 1;
@@ -57,8 +79,8 @@ impl<const N: usize> InlineStr<N> {
     /// View as `&str`.
     #[inline]
     pub fn as_str(&self) -> &str {
-        // SAFETY: constructors only store prefixes of valid UTF-8 cut at
-        // char boundaries.
+        // SAFETY: `new` stores a prefix of valid UTF-8 cut at a char
+        // boundary, and `push_str` appends whole `&str`s to valid UTF-8.
         unsafe { std::str::from_utf8_unchecked(&self.bytes[..self.len as usize]) }
     }
 
@@ -101,6 +123,19 @@ impl<const N: usize> fmt::Debug for InlineStr<N> {
 impl<const N: usize> fmt::Display for InlineStr<N> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
+    }
+}
+
+/// `write!` into the string in place. A piece that does not fit is an
+/// `Err`, and the pieces before it stay written.
+impl<const N: usize> fmt::Write for InlineStr<N> {
+    #[inline]
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        if self.push_str(s) {
+            Ok(())
+        } else {
+            Err(fmt::Error)
+        }
     }
 }
 
@@ -197,6 +232,30 @@ mod tests {
         assert_eq!(s.as_str(), "aé");
         let s2: InlineStr<2> = InlineStr::new("éé");
         assert_eq!(s2.as_str(), "é");
+    }
+
+    #[test]
+    fn the_writer_appends_whole_pieces_or_refuses_them() {
+        use std::fmt::Write;
+        let mut s = InlineStr::<8>::empty();
+        assert!(s.push_str("ab") && s.push_str("é"));
+        assert!(!s.push_str("cdefg"), "4 + 5 bytes overflow 8");
+        assert_eq!(s.as_str(), "abé");
+        assert!(s.push_str("cdef"));
+        assert!(!s.push_str("x") && !s.push_str("é"));
+        assert!(s.push_str(""));
+        assert_eq!((s.as_str(), s.len()), ("abécdef", 8));
+        // Byte-identical to `new` of the same text: the tail stays zeroed.
+        let mut w = InlineStr::<16>::empty();
+        write!(w, "Clerk#{:09}", 42).unwrap();
+        assert_eq!(w.as_str(), "Clerk#000000042");
+        assert_eq!(w.bytes, InlineStr::<16>::new("Clerk#000000042").bytes);
+        assert!(w.write_str("ab").is_err());
+        assert_eq!(
+            w.as_str(),
+            "Clerk#000000042",
+            "the refused piece left no trace"
+        );
     }
 
     #[test]

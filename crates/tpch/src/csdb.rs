@@ -6,6 +6,7 @@
 use columnstore::{ColTable, TableBuilder, Value};
 
 use crate::gen::Generator;
+use crate::text::{PRIORITIES, SEGMENTS};
 
 /// The columnstore TPC-H database.
 pub struct CsDb {
@@ -32,13 +33,13 @@ impl CsDb {
     pub fn load(gen: &Generator) -> CsDb {
         let mut region = TableBuilder::new(&["r_regionkey", "r_name"]);
         gen.regions(|r| {
-            region.push_row(vec![Value::I64(r.key), Value::Str(r.name)]);
+            region.push_row(vec![Value::I64(r.key), Value::Str(r.name.to_string())]);
         });
         let mut nation = TableBuilder::new(&["n_nationkey", "n_name", "n_regionkey"]);
         gen.nations(|n| {
             nation.push_row(vec![
                 Value::I64(n.key),
-                Value::Str(n.name),
+                Value::Str(n.name.to_string()),
                 Value::I64(n.region),
             ]);
         });
@@ -46,7 +47,7 @@ impl CsDb {
         gen.suppliers(|s| {
             supplier.push_row(vec![
                 Value::I64(s.key),
-                Value::Str(s.name),
+                Value::Str(s.name.to_string()),
                 Value::I64(s.nation),
                 Value::Decimal(s.acctbal),
             ]);
@@ -55,9 +56,9 @@ impl CsDb {
         gen.parts(|p| {
             part.push_row(vec![
                 Value::I64(p.key),
-                Value::Str(p.name),
-                Value::Str(p.mfgr),
-                Value::Str(p.typ),
+                Value::Str(p.name.to_string()),
+                Value::Str(p.mfgr.to_string()),
+                Value::Str(p.typ.to_string()),
                 Value::I64(p.size as i64),
             ]);
         });
@@ -79,10 +80,10 @@ impl CsDb {
         gen.customers(|c| {
             customer.push_row(vec![
                 Value::I64(c.key),
-                Value::Str(c.name),
+                Value::Str(c.name.to_string()),
                 Value::I64(c.nation),
                 Value::Decimal(c.acctbal),
-                Value::Str(c.mktsegment.to_string()),
+                Value::Str(SEGMENTS[c.mktsegment as usize].to_string()),
             ]);
         });
         let mut orders = TableBuilder::new(&[
@@ -116,7 +117,7 @@ impl CsDb {
                 Value::I64(o.customer),
                 Value::Decimal(o.totalprice),
                 Value::I64(o.orderdate as i64),
-                Value::Str(o.orderpriority.to_string()),
+                Value::Str(PRIORITIES[o.orderpriority as usize].to_string()),
                 Value::I64(o.shippriority as i64),
             ]);
             for l in lines {
@@ -128,14 +129,14 @@ impl CsDb {
                     Value::Decimal(l.extendedprice),
                     Value::Decimal(l.discount),
                     Value::Decimal(l.tax),
-                    Value::Str(l.returnflag.to_string()),
-                    Value::Str(l.linestatus.to_string()),
+                    Value::Str((l.returnflag as char).to_string()),
+                    Value::Str((l.linestatus as char).to_string()),
                     Value::I64(l.shipdate as i64),
                     Value::I64(l.commitdate as i64),
                     Value::I64(l.receiptdate as i64),
                     // Denormalized copy of the order priority to support the
                     // engine's Q4 semi-join output without a second pass.
-                    Value::Str(o.orderpriority.to_string()),
+                    Value::Str(PRIORITIES[o.orderpriority as usize].to_string()),
                 ]);
             }
         });

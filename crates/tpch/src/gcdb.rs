@@ -14,7 +14,6 @@ use managed_heap::{Arena, GcConcurrentDictionary, GcList, Handle, ManagedHeap, M
 use smc_memory::Decimal;
 
 use crate::gen::Generator;
-use crate::text;
 
 /// REGION object (managed).
 pub struct GcRegion {
@@ -257,18 +256,18 @@ impl GcDb {
         gen.regions(|r| {
             region_hs.push(regions.add(GcRegion {
                 key: r.key,
-                name: r.name,
-                comment: r.comment,
+                name: r.name.to_string(),
+                comment: r.comment.to_string(),
             }));
         });
         let mut nation_hs = Vec::new();
         gen.nations(|n| {
             nation_hs.push(nations.add(GcNation {
                 key: n.key,
-                name: n.name,
+                name: n.name.to_string(),
                 regionkey: n.region,
                 region: region_hs[n.region as usize],
-                comment: n.comment,
+                comment: n.comment.to_string(),
             }));
         });
         let mut supplier_hs = Vec::with_capacity(gen.cardinalities().suppliers + 1);
@@ -276,11 +275,11 @@ impl GcDb {
         gen.suppliers(|s| {
             supplier_hs.push(suppliers.add(GcSupplier {
                 key: s.key,
-                name: s.name,
+                name: s.name.to_string(),
                 nationkey: s.nation,
                 nation: nation_hs[s.nation as usize],
                 acctbal: s.acctbal,
-                comment: s.comment,
+                comment: s.comment.to_string(),
             }));
         });
         let mut part_hs = Vec::with_capacity(gen.cardinalities().parts + 1);
@@ -288,9 +287,9 @@ impl GcDb {
         gen.parts(|p| {
             part_hs.push(parts.add(GcPart {
                 key: p.key,
-                name: p.name,
-                mfgr: p.mfgr,
-                typ: p.typ,
+                name: p.name.to_string(),
+                mfgr: p.mfgr.to_string(),
+                typ: p.typ.to_string(),
                 size: p.size,
                 retailprice: p.retailprice,
             }));
@@ -307,32 +306,24 @@ impl GcDb {
         let mut customer_hs = Vec::with_capacity(gen.cardinalities().customers + 1);
         customer_hs.push(Handle::<GcCustomer>::new_invalid());
         gen.customers(|c| {
-            customer_hs.push(
-                customers.add(GcCustomer {
-                    key: c.key,
-                    name: c.name,
-                    nationkey: c.nation,
-                    nation: nation_hs[c.nation as usize],
-                    acctbal: c.acctbal,
-                    mktsegment: text::SEGMENTS
-                        .iter()
-                        .position(|s| *s == c.mktsegment)
-                        .unwrap() as u8,
-                }),
-            );
+            customer_hs.push(customers.add(GcCustomer {
+                key: c.key,
+                name: c.name.to_string(),
+                nationkey: c.nation,
+                nation: nation_hs[c.nation as usize],
+                acctbal: c.acctbal,
+                mktsegment: c.mktsegment,
+            }));
         });
         gen.orders(|o, lines| {
             let oh = orders.add(GcOrder {
                 key: o.key,
                 custkey: o.customer,
                 customer: customer_hs[o.customer as usize],
-                orderstatus: o.orderstatus as u8,
+                orderstatus: o.orderstatus,
                 totalprice: o.totalprice,
                 orderdate: o.orderdate,
-                orderpriority: text::PRIORITIES
-                    .iter()
-                    .position(|p| *p == o.orderpriority)
-                    .unwrap() as u8,
+                orderpriority: o.orderpriority,
                 shippriority: o.shippriority,
             });
             for l in lines {
@@ -348,12 +339,12 @@ impl GcDb {
                     extendedprice: l.extendedprice,
                     discount: l.discount,
                     tax: l.tax,
-                    returnflag: l.returnflag as u8,
-                    linestatus: l.linestatus as u8,
+                    returnflag: l.returnflag,
+                    linestatus: l.linestatus,
                     shipdate: l.shipdate,
                     commitdate: l.commitdate,
                     receiptdate: l.receiptdate,
-                    comment: l.comment,
+                    comment: l.comment.to_string(),
                 });
                 lineitem_dict.insert_handle(lineitem_key(l.order, l.linenumber), lh);
             }

@@ -7,13 +7,17 @@
 //! (SMC / managed / columnstore) loads from the same stream, guaranteeing
 //! identical logical databases — which is what lets the test suite insist
 //! that every backend returns bit-identical query answers.
+//!
+//! A raw row is `Copy` and allocates nothing: text is written in place at
+//! its column's width ([`text`]), dictionary columns are indexes into
+//! `text`'s pools, and flags are ASCII bytes.
 
 use smc_util::rng::Pcg32 as StdRng;
 
 use smc_memory::Decimal;
 
 use crate::dates::{CURRENT_DATE, LAST_ORDER_DATE, START_DATE};
-use crate::text;
+use crate::text::{self, formatted};
 
 /// Scale-factor driven generator.
 #[derive(Debug, Clone)]
@@ -47,68 +51,73 @@ pub struct Cardinalities {
 // Raw row types: the generator's output records.
 
 /// REGION row.
+#[derive(Clone, Copy)]
 pub struct RawRegion {
     /// Primary key.
     pub key: i64,
     /// Name.
-    pub name: String,
+    pub name: text::RegionName,
     /// TPC-H comment text.
-    pub comment: String,
+    pub comment: text::RegionComment,
 }
 
 /// NATION row.
+#[derive(Clone, Copy)]
 pub struct RawNation {
     /// Primary key.
     pub key: i64,
     /// Name.
-    pub name: String,
+    pub name: text::NationName,
     /// The region (FK).
     pub region: i64,
     /// TPC-H comment text.
-    pub comment: String,
+    pub comment: text::NationComment,
 }
 
 /// SUPPLIER row.
+#[derive(Clone, Copy)]
 pub struct RawSupplier {
     /// Primary key.
     pub key: i64,
     /// Name.
-    pub name: String,
+    pub name: text::KeyName,
     /// Address.
-    pub address: String,
+    pub address: text::Address,
     /// The nation (FK).
     pub nation: i64,
     /// Phone number.
-    pub phone: String,
+    pub phone: text::Phone,
     /// Account balance.
     pub acctbal: Decimal,
     /// TPC-H comment text.
-    pub comment: String,
+    pub comment: text::SupplierComment,
 }
 
 /// PART row.
+#[derive(Clone, Copy)]
 pub struct RawPart {
     /// Primary key.
     pub key: i64,
     /// Name.
-    pub name: String,
+    pub name: text::PartName,
     /// Manufacturer.
-    pub mfgr: String,
+    pub mfgr: text::Mfgr,
     /// Brand.
-    pub brand: String,
+    pub brand: text::Brand,
     /// Part type string.
-    pub typ: String,
+    pub typ: text::PartType,
     /// Part size.
     pub size: i32,
     /// Container.
-    pub container: String,
+    pub container: text::Container,
     /// Retail price.
     pub retailprice: Decimal,
     /// TPC-H comment text.
-    pub comment: String,
+    pub comment: text::PartComment,
 }
 
 /// PARTSUPP row.
+#[derive(Clone, Copy)]
 pub struct RawPartSupp {
     /// The part (FK).
     pub part: i64,
@@ -119,52 +128,55 @@ pub struct RawPartSupp {
     /// Supply cost (`ps_supplycost`).
     pub supplycost: Decimal,
     /// TPC-H comment text.
-    pub comment: String,
+    pub comment: text::PartSuppComment,
 }
 
 /// CUSTOMER row.
+#[derive(Clone, Copy)]
 pub struct RawCustomer {
     /// Primary key.
     pub key: i64,
     /// Name.
-    pub name: String,
+    pub name: text::KeyName,
     /// Address.
-    pub address: String,
+    pub address: text::Address,
     /// The nation (FK).
     pub nation: i64,
     /// Phone number.
-    pub phone: String,
+    pub phone: text::Phone,
     /// Account balance.
     pub acctbal: Decimal,
-    /// Market segment.
-    pub mktsegment: &'static str,
+    /// Index into [`text::SEGMENTS`].
+    pub mktsegment: u8,
     /// TPC-H comment text.
-    pub comment: String,
+    pub comment: text::CustomerComment,
 }
 
 /// ORDERS row.
+#[derive(Clone, Copy)]
 pub struct RawOrder {
     /// Primary key.
     pub key: i64,
     /// The customer (FK).
     pub customer: i64,
-    /// Order status flag.
-    pub orderstatus: char,
+    /// Order status flag: `b'F'`, `b'O'` or `b'P'`.
+    pub orderstatus: u8,
     /// Total order price.
     pub totalprice: Decimal,
     /// Order date (epoch day).
     pub orderdate: i32,
-    /// Order priority.
-    pub orderpriority: &'static str,
+    /// Index into [`text::PRIORITIES`].
+    pub orderpriority: u8,
     /// Clerk.
-    pub clerk: String,
+    pub clerk: text::Clerk,
     /// Ship priority.
     pub shippriority: i32,
     /// TPC-H comment text.
-    pub comment: String,
+    pub comment: text::OrderComment,
 }
 
 /// LINEITEM row.
+#[derive(Clone, Copy)]
 pub struct RawLineitem {
     /// The order (FK).
     pub order: i64,
@@ -182,22 +194,22 @@ pub struct RawLineitem {
     pub discount: Decimal,
     /// Tax fraction (`l_tax`).
     pub tax: Decimal,
-    /// Return flag (`l_returnflag`).
-    pub returnflag: char,
-    /// Line status (`l_linestatus`).
-    pub linestatus: char,
+    /// Return flag (`l_returnflag`): `b'R'`, `b'A'` or `b'N'`.
+    pub returnflag: u8,
+    /// Line status (`l_linestatus`): `b'O'` or `b'F'`.
+    pub linestatus: u8,
     /// Ship date (epoch day).
     pub shipdate: i32,
     /// Commit date (epoch day).
     pub commitdate: i32,
     /// Receipt date (epoch day).
     pub receiptdate: i32,
-    /// Shipping instructions.
-    pub shipinstruct: &'static str,
-    /// Ship mode.
-    pub shipmode: &'static str,
+    /// Index into [`text::INSTRUCTIONS`].
+    pub shipinstruct: u8,
+    /// Index into [`text::MODES`].
+    pub shipmode: u8,
     /// TPC-H comment text.
-    pub comment: String,
+    pub comment: text::LineitemComment,
 }
 
 /// `P_RETAILPRICE` from the part key (spec 4.2.3 formula).
@@ -252,8 +264,8 @@ impl Generator {
         for (i, name) in text::REGIONS.iter().enumerate() {
             f(RawRegion {
                 key: i as i64,
-                name: name.to_string(),
-                comment: text::comment(&mut rng, 80),
+                name: formatted(format_args!("{name}")),
+                comment: text::comment(&mut rng),
             });
         }
     }
@@ -264,9 +276,9 @@ impl Generator {
         for (i, (name, region)) in text::NATIONS.iter().enumerate() {
             f(RawNation {
                 key: i as i64,
-                name: name.to_string(),
+                name: formatted(format_args!("{name}")),
                 region: *region as i64,
-                comment: text::comment(&mut rng, 100),
+                comment: text::comment(&mut rng),
             });
         }
     }
@@ -279,12 +291,12 @@ impl Generator {
             let nation = rng.gen_range(0..25);
             f(RawSupplier {
                 key,
-                name: format!("Supplier#{key:09}"),
-                address: text::comment(&mut rng, 20),
+                name: text::key_name("Supplier#", key as u64),
+                address: text::comment(&mut rng),
                 nation: nation as i64,
                 phone: text::phone(&mut rng, nation),
                 acctbal: Decimal::from_cents(rng.gen_range(-99_999..=999_999)),
-                comment: text::comment(&mut rng, 60),
+                comment: text::comment(&mut rng),
             });
         }
     }
@@ -298,13 +310,13 @@ impl Generator {
             f(RawPart {
                 key,
                 name: text::part_name(&mut rng),
-                mfgr: format!("Manufacturer#{m}"),
-                brand: format!("Brand#{}{}", m, rng.gen_range(1..=5)),
+                mfgr: formatted(format_args!("Manufacturer#{m}")),
+                brand: formatted(format_args!("Brand#{}{}", m, rng.gen_range(1..=5))),
                 typ: text::part_type(&mut rng),
                 size: rng.gen_range(1..=50),
                 container: text::container(&mut rng),
                 retailprice: retail_price(key),
-                comment: text::comment(&mut rng, 20),
+                comment: text::comment(&mut rng),
             });
         }
     }
@@ -322,7 +334,7 @@ impl Generator {
                     supplier,
                     availqty: rng.gen_range(1..=9_999),
                     supplycost: Decimal::from_cents(rng.gen_range(100..=100_000)),
-                    comment: text::comment(&mut rng, 40),
+                    comment: text::comment(&mut rng),
                 });
             }
         }
@@ -336,32 +348,34 @@ impl Generator {
             let nation = rng.gen_range(0..25);
             f(RawCustomer {
                 key,
-                name: format!("Customer#{key:09}"),
-                address: text::comment(&mut rng, 20),
+                name: text::key_name("Customer#", key as u64),
+                address: text::comment(&mut rng),
                 nation: nation as i64,
                 phone: text::phone(&mut rng, nation),
                 acctbal: Decimal::from_cents(rng.gen_range(-99_999..=999_999)),
-                mktsegment: text::SEGMENTS[rng.gen_range(0..text::SEGMENTS.len())],
-                comment: text::comment(&mut rng, 60),
+                mktsegment: text::pick_index(&mut rng, text::SEGMENTS),
+                comment: text::comment(&mut rng),
             });
         }
     }
 
     /// Streams ORDERS rows together with their LINEITEM rows (lineitem
     /// dates derive from the order date, so they are generated as a unit —
-    /// as dbgen does).
-    pub fn orders(&self, mut f: impl FnMut(RawOrder, Vec<RawLineitem>)) {
+    /// as dbgen does). The lines are one to seven rows of a buffer that
+    /// the next order reuses.
+    pub fn orders(&self, mut f: impl FnMut(&RawOrder, &[RawLineitem])) {
         let mut rng = self.rng(7);
         let c = self.cardinalities();
+        let mut lines = Vec::with_capacity(7);
         for key in 1..=c.orders as i64 {
             let orderdate = rng.gen_range(START_DATE..=LAST_ORDER_DATE);
             let customer = rng.gen_range(1..=c.customers as i64);
-            let nlines = rng.gen_range(1..=7);
-            let mut lines = Vec::with_capacity(nlines);
+            let nlines: i32 = rng.gen_range(1..=7);
+            lines.clear();
             let mut total = Decimal::ZERO;
             let mut all_f = true;
             let mut all_o = true;
-            for linenumber in 1..=nlines as i32 {
+            for linenumber in 1..=nlines {
                 let part = rng.gen_range(1..=c.parts as i64);
                 // One of the part's four suppliers.
                 let s = c.suppliers as i64;
@@ -377,16 +391,16 @@ impl Generator {
                 let receiptdate = shipdate + rng.gen_range(1..=30);
                 let returnflag = if receiptdate <= CURRENT_DATE {
                     if rng.gen_bool(0.5) {
-                        'R'
+                        b'R'
                     } else {
-                        'A'
+                        b'A'
                     }
                 } else {
-                    'N'
+                    b'N'
                 };
-                let linestatus = if shipdate > CURRENT_DATE { 'O' } else { 'F' };
-                all_f &= linestatus == 'F';
-                all_o &= linestatus == 'O';
+                let linestatus = if shipdate > CURRENT_DATE { b'O' } else { b'F' };
+                all_f &= linestatus == b'F';
+                all_o &= linestatus == b'O';
                 total += extendedprice * (Decimal::ONE + tax) * (Decimal::ONE - discount);
                 lines.push(RawLineitem {
                     order: key,
@@ -402,31 +416,31 @@ impl Generator {
                     shipdate,
                     commitdate,
                     receiptdate,
-                    shipinstruct: text::INSTRUCTIONS[rng.gen_range(0..text::INSTRUCTIONS.len())],
-                    shipmode: text::MODES[rng.gen_range(0..text::MODES.len())],
-                    comment: text::comment(&mut rng, 27),
+                    shipinstruct: text::pick_index(&mut rng, text::INSTRUCTIONS),
+                    shipmode: text::pick_index(&mut rng, text::MODES),
+                    comment: text::comment(&mut rng),
                 });
             }
             let orderstatus = if all_f {
-                'F'
+                b'F'
             } else if all_o {
-                'O'
+                b'O'
             } else {
-                'P'
+                b'P'
             };
             f(
-                RawOrder {
+                &RawOrder {
                     key,
                     customer,
                     orderstatus,
                     totalprice: total,
                     orderdate,
-                    orderpriority: text::PRIORITIES[rng.gen_range(0..text::PRIORITIES.len())],
-                    clerk: format!("Clerk#{:09}", rng.gen_range(1..=self.scaled(1000))),
+                    orderpriority: text::pick_index(&mut rng, text::PRIORITIES),
+                    clerk: text::key_name("Clerk#", rng.gen_range(1..=self.scaled(1000) as u64)),
                     shippriority: 0,
-                    comment: text::comment(&mut rng, 48),
+                    comment: text::comment(&mut rng),
                 },
-                lines,
+                &lines,
             );
         }
     }
@@ -464,14 +478,32 @@ mod tests {
     fn lineitem_dates_are_consistent() {
         let g = Generator::new(0.001);
         g.orders(|o, lines| {
-            for l in &lines {
+            for l in lines {
                 assert!(l.shipdate > o.orderdate);
                 assert!(l.shipdate <= o.orderdate + 121);
                 assert!(l.receiptdate > l.shipdate);
-                assert_eq!(l.linestatus == 'O', l.shipdate > CURRENT_DATE);
-                assert_eq!(l.returnflag == 'N', l.receiptdate > CURRENT_DATE);
+                assert_eq!(l.linestatus == b'O', l.shipdate > CURRENT_DATE);
+                assert_eq!(l.returnflag == b'N', l.receiptdate > CURRENT_DATE);
             }
         });
+    }
+
+    #[test]
+    fn no_field_generated_at_sf_0_01_is_refused() {
+        // `text` panics on a value wider than its column; past that, each
+        // formatted field reads as `format!` would have written it.
+        for g in [Generator::new(0.01), Generator::with_seed(0.01, 42)] {
+            g.regions(|_| {});
+            g.nations(|n| assert_eq!(n.name.as_str(), text::NATIONS[n.key as usize].0));
+            g.suppliers(|s| {
+                assert_eq!(s.name.as_str(), format!("Supplier#{:09}", s.key));
+                assert_eq!(s.phone.len(), 15, "{}", s.phone);
+            });
+            g.parts(|p| assert_eq!(p.name.as_str().split(' ').count(), 5));
+            g.partsupps(|_| {});
+            g.customers(|c| assert_eq!(c.name.as_str(), format!("Customer#{:09}", c.key)));
+            g.orders(|o, _| assert_eq!(o.clerk.len(), 15, "{}", o.clerk));
+        }
     }
 
     #[test]
@@ -484,7 +516,7 @@ mod tests {
         let dlo = Decimal::parse("0.05").unwrap();
         let dhi = Decimal::parse("0.07").unwrap();
         g.orders(|_, lines| {
-            for l in &lines {
+            for l in lines {
                 total += 1;
                 if l.shipdate >= lo
                     && l.shipdate < hi

@@ -8,14 +8,16 @@
 //! the `SMC (direct)` query variants of Figs 10–13.
 //!
 //! Strings are inline at the spec's column widths (tabular restriction,
-//! §2); enumerated columns (`returnflag`, `mktsegment`, priorities, ...)
-//! are stored as `u8` indexes into the spec's value pools — the same
-//! dictionary trick any OO adaptation would use, decoded on output.
+//! §2; the widths are [`text`]'s); enumerated columns (`mktsegment`,
+//! priorities, ...) are stored as `u8` indexes into the spec's value
+//! pools and flags as ASCII bytes — the same dictionary trick any OO
+//! adaptation would use, decoded on output. The generator emits rows in
+//! this representation, so loading copies fields and converts nothing.
 
 use std::sync::Arc;
 
 use smc::{ColumnArrays, Columnar, ColumnarSmc, DirectRef, Ref, Smc};
-use smc_memory::{Decimal, InlineStr, Runtime, Tabular};
+use smc_memory::{Decimal, Runtime, Tabular};
 
 use crate::gen::Generator;
 use crate::text;
@@ -26,9 +28,9 @@ pub struct Region {
     /// Primary key.
     pub key: i64,
     /// Name.
-    pub name: InlineStr<16>,
+    pub name: text::RegionName,
     /// TPC-H comment text.
-    pub comment: InlineStr<80>,
+    pub comment: text::RegionComment,
 }
 unsafe impl Tabular for Region {}
 
@@ -38,13 +40,13 @@ pub struct Nation {
     /// Primary key.
     pub key: i64,
     /// Name.
-    pub name: InlineStr<20>,
+    pub name: text::NationName,
     /// FK: region key.
     pub regionkey: i64,
     /// The region (FK).
     pub region: Ref<Region>,
     /// TPC-H comment text.
-    pub comment: InlineStr<100>,
+    pub comment: text::NationComment,
 }
 unsafe impl Tabular for Nation {}
 
@@ -54,19 +56,19 @@ pub struct Supplier {
     /// Primary key.
     pub key: i64,
     /// Name.
-    pub name: InlineStr<20>,
+    pub name: text::KeyName,
     /// Address.
-    pub address: InlineStr<20>,
+    pub address: text::Address,
     /// FK: nation key.
     pub nationkey: i64,
     /// The nation (FK).
     pub nation: Ref<Nation>,
     /// Phone number.
-    pub phone: InlineStr<16>,
+    pub phone: text::Phone,
     /// Account balance.
     pub acctbal: Decimal,
     /// TPC-H comment text.
-    pub comment: InlineStr<60>,
+    pub comment: text::SupplierComment,
 }
 unsafe impl Tabular for Supplier {}
 
@@ -76,21 +78,21 @@ pub struct Part {
     /// Primary key.
     pub key: i64,
     /// Name.
-    pub name: InlineStr<56>,
+    pub name: text::PartName,
     /// Manufacturer.
-    pub mfgr: InlineStr<16>,
+    pub mfgr: text::Mfgr,
     /// Brand.
-    pub brand: InlineStr<10>,
+    pub brand: text::Brand,
     /// Part type string.
-    pub typ: InlineStr<25>,
+    pub typ: text::PartType,
     /// Part size.
     pub size: i32,
     /// Container.
-    pub container: InlineStr<10>,
+    pub container: text::Container,
     /// Retail price.
     pub retailprice: Decimal,
     /// TPC-H comment text.
-    pub comment: InlineStr<20>,
+    pub comment: text::PartComment,
 }
 unsafe impl Tabular for Part {}
 
@@ -110,7 +112,7 @@ pub struct PartSupp {
     /// Supply cost (`ps_supplycost`).
     pub supplycost: Decimal,
     /// TPC-H comment text.
-    pub comment: InlineStr<40>,
+    pub comment: text::PartSuppComment,
 }
 unsafe impl Tabular for PartSupp {}
 
@@ -120,21 +122,21 @@ pub struct Customer {
     /// Primary key.
     pub key: i64,
     /// Name.
-    pub name: InlineStr<20>,
+    pub name: text::KeyName,
     /// Address.
-    pub address: InlineStr<20>,
+    pub address: text::Address,
     /// FK: nation key.
     pub nationkey: i64,
     /// The nation (FK).
     pub nation: Ref<Nation>,
     /// Phone number.
-    pub phone: InlineStr<16>,
+    pub phone: text::Phone,
     /// Account balance.
     pub acctbal: Decimal,
     /// Index into [`text::SEGMENTS`].
     pub mktsegment: u8,
     /// TPC-H comment text.
-    pub comment: InlineStr<60>,
+    pub comment: text::CustomerComment,
 }
 unsafe impl Tabular for Customer {}
 
@@ -159,11 +161,11 @@ pub struct Order {
     /// Index into [`text::PRIORITIES`].
     pub orderpriority: u8,
     /// Clerk.
-    pub clerk: InlineStr<16>,
+    pub clerk: text::Clerk,
     /// Ship priority.
     pub shippriority: i32,
     /// TPC-H comment text.
-    pub comment: InlineStr<48>,
+    pub comment: text::OrderComment,
 }
 unsafe impl Tabular for Order {}
 
@@ -211,7 +213,7 @@ pub struct Lineitem {
     /// Index into [`text::MODES`].
     pub shipmode: u8,
     /// TPC-H comment text.
-    pub comment: InlineStr<27>,
+    pub comment: text::LineitemComment,
 }
 unsafe impl Tabular for Lineitem {}
 
@@ -364,18 +366,18 @@ impl SmcDb {
         gen.regions(|r| {
             region_refs.push(regions.add(Region {
                 key: r.key,
-                name: r.name.as_str().into(),
-                comment: r.comment.as_str().into(),
+                name: r.name,
+                comment: r.comment,
             }));
         });
         let mut nation_refs = Vec::new();
         gen.nations(|n| {
             nation_refs.push(nations.add(Nation {
                 key: n.key,
-                name: n.name.as_str().into(),
+                name: n.name,
                 regionkey: n.region,
                 region: region_refs[n.region as usize],
-                comment: n.comment.as_str().into(),
+                comment: n.comment,
             }));
         });
         let mut supplier_refs = Vec::with_capacity(gen.cardinalities().suppliers + 1);
@@ -383,13 +385,13 @@ impl SmcDb {
         gen.suppliers(|s| {
             supplier_refs.push(suppliers.add(Supplier {
                 key: s.key,
-                name: s.name.as_str().into(),
-                address: s.address.as_str().into(),
+                name: s.name,
+                address: s.address,
                 nationkey: s.nation,
                 nation: nation_refs[s.nation as usize],
-                phone: s.phone.as_str().into(),
+                phone: s.phone,
                 acctbal: s.acctbal,
-                comment: s.comment.as_str().into(),
+                comment: s.comment,
             }));
         });
         let mut part_refs = Vec::with_capacity(gen.cardinalities().parts + 1);
@@ -397,14 +399,14 @@ impl SmcDb {
         gen.parts(|p| {
             part_refs.push(parts.add(Part {
                 key: p.key,
-                name: p.name.as_str().into(),
-                mfgr: p.mfgr.as_str().into(),
-                brand: p.brand.as_str().into(),
-                typ: p.typ.as_str().into(),
+                name: p.name,
+                mfgr: p.mfgr,
+                brand: p.brand,
+                typ: p.typ,
                 size: p.size,
-                container: p.container.as_str().into(),
+                container: p.container,
                 retailprice: p.retailprice,
-                comment: p.comment.as_str().into(),
+                comment: p.comment,
             }));
         });
         gen.partsupps(|ps| {
@@ -415,28 +417,23 @@ impl SmcDb {
                 supplier: supplier_refs[ps.supplier as usize],
                 availqty: ps.availqty,
                 supplycost: ps.supplycost,
-                comment: ps.comment.as_str().into(),
+                comment: ps.comment,
             });
         });
         let mut customer_refs = Vec::with_capacity(gen.cardinalities().customers + 1);
         customer_refs.push(Ref::null());
         gen.customers(|c| {
-            customer_refs.push(
-                customers.add(Customer {
-                    key: c.key,
-                    name: c.name.as_str().into(),
-                    address: c.address.as_str().into(),
-                    nationkey: c.nation,
-                    nation: nation_refs[c.nation as usize],
-                    phone: c.phone.as_str().into(),
-                    acctbal: c.acctbal,
-                    mktsegment: text::SEGMENTS
-                        .iter()
-                        .position(|s| *s == c.mktsegment)
-                        .unwrap() as u8,
-                    comment: c.comment.as_str().into(),
-                }),
-            );
+            customer_refs.push(customers.add(Customer {
+                key: c.key,
+                name: c.name,
+                address: c.address,
+                nationkey: c.nation,
+                nation: nation_refs[c.nation as usize],
+                phone: c.phone,
+                acctbal: c.acctbal,
+                mktsegment: c.mktsegment,
+                comment: c.comment,
+            }));
         });
         {
             // Direct pointers are resolved inside one critical section.
@@ -448,16 +445,13 @@ impl SmcDb {
                     custkey: o.customer,
                     customer,
                     customer_d: customer.to_direct(&guard),
-                    orderstatus: o.orderstatus as u8,
+                    orderstatus: o.orderstatus,
                     totalprice: o.totalprice,
                     orderdate: o.orderdate,
-                    orderpriority: text::PRIORITIES
-                        .iter()
-                        .position(|p| *p == o.orderpriority)
-                        .unwrap() as u8,
-                    clerk: o.clerk.as_str().into(),
+                    orderpriority: o.orderpriority,
+                    clerk: o.clerk,
                     shippriority: o.shippriority,
-                    comment: o.comment.as_str().into(),
+                    comment: o.comment,
                 });
                 for l in lines {
                     let supplier = supplier_refs[l.supplier as usize];
@@ -475,17 +469,14 @@ impl SmcDb {
                         extendedprice: l.extendedprice,
                         discount: l.discount,
                         tax: l.tax,
-                        returnflag: l.returnflag as u8,
-                        linestatus: l.linestatus as u8,
+                        returnflag: l.returnflag,
+                        linestatus: l.linestatus,
                         shipdate: l.shipdate,
                         commitdate: l.commitdate,
                         receiptdate: l.receiptdate,
-                        shipinstruct: text::INSTRUCTIONS
-                            .iter()
-                            .position(|s| *s == l.shipinstruct)
-                            .unwrap() as u8,
-                        shipmode: text::MODES.iter().position(|s| *s == l.shipmode).unwrap() as u8,
-                        comment: l.comment.as_str().into(),
+                        shipinstruct: l.shipinstruct,
+                        shipmode: l.shipmode,
+                        comment: l.comment,
                     };
                     lineitems.add(li);
                     if let Some(col) = &lineitems_col {

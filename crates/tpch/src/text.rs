@@ -1,7 +1,55 @@
-//! TPC-H text pools: the fixed value lists of the specification plus a
-//! small grammar for comment strings.
+//! TPC-H text pools: the fixed value lists of the specification, a small
+//! grammar for comment strings, and the width of every text column.
+//!
+//! Text is written in place: each function returns an [`InlineStr`] of its
+//! column's width, built with no heap allocation. A value that does not fit
+//! its column panics rather than clip, so every backend loads the same
+//! text; the pool-built columns fit by construction (asserted at compile
+//! time below).
 
+use std::fmt::{self, Write};
+
+use smc_memory::InlineStr;
 use smc_util::rng::Pcg32 as StdRng;
+
+/// `R_NAME`.
+pub type RegionName = InlineStr<16>;
+/// `N_NAME`.
+pub type NationName = InlineStr<20>;
+/// `S_NAME` and `C_NAME`: `Supplier#` or `Customer#` and nine digits.
+pub type KeyName = InlineStr<20>;
+/// `S_ADDRESS` and `C_ADDRESS`.
+pub type Address = InlineStr<20>;
+/// `S_PHONE` and `C_PHONE`.
+pub type Phone = InlineStr<16>;
+/// `P_NAME`.
+pub type PartName = InlineStr<56>;
+/// `P_MFGR`.
+pub type Mfgr = InlineStr<16>;
+/// `P_BRAND`.
+pub type Brand = InlineStr<10>;
+/// `P_TYPE`.
+pub type PartType = InlineStr<25>;
+/// `P_CONTAINER`.
+pub type Container = InlineStr<10>;
+/// `O_CLERK`.
+pub type Clerk = InlineStr<16>;
+/// `R_COMMENT`.
+pub type RegionComment = InlineStr<80>;
+/// `N_COMMENT`.
+pub type NationComment = InlineStr<100>;
+/// `S_COMMENT`.
+pub type SupplierComment = InlineStr<60>;
+/// `P_COMMENT`.
+pub type PartComment = InlineStr<20>;
+/// `PS_COMMENT`.
+pub type PartSuppComment = InlineStr<40>;
+/// `C_COMMENT`.
+pub type CustomerComment = InlineStr<60>;
+/// `O_COMMENT`.
+pub type OrderComment = InlineStr<48>;
+/// `L_COMMENT`.
+pub type LineitemComment = InlineStr<27>;
 
 /// `N_NAME`/`N_REGIONKEY` per the TPC-H spec (nation → region index).
 pub const NATIONS: &[(&str, usize)] = &[
@@ -218,57 +266,139 @@ const COMMENT_WORDS: &[&str] = &[
     "against",
 ];
 
+/// A comment stops growing once it is within this many bytes of its width.
+const COMMENT_SLACK: usize = 12;
+
+/// Bytes of the longest word of `pool`.
+const fn longest(pool: &[&str]) -> usize {
+    let (mut i, mut max) = (0, 0);
+    while i < pool.len() {
+        if pool[i].len() > max {
+            max = pool[i].len();
+        }
+        i += 1;
+    }
+    max
+}
+
+/// Bytes of the longest text [`words`] can draw from `pools`.
+const fn widest(pools: &[&[&str]]) -> usize {
+    let (mut i, mut sum) = (0, 0);
+    while i < pools.len() {
+        sum += longest(pools[i]);
+        i += 1;
+    }
+    sum + pools.len() - 1
+}
+
+const PART_NAME: &[&[&str]] = &[PART_NAME_WORDS; 5];
+const PART_TYPE: &[&[&str]] = &[TYPE_SYLLABLE_1, TYPE_SYLLABLE_2, TYPE_SYLLABLE_3];
+const CONTAINER: &[&[&str]] = &[CONTAINER_1, CONTAINER_2];
+
+// `comment` adds a separator and a word only while the text is at most
+// `N - COMMENT_SLACK - 1` bytes long, so with no word longer than the slack
+// it always fits in `N`.
+const _: () = assert!(longest(COMMENT_WORDS) <= COMMENT_SLACK);
+const _: () = assert!(widest(PART_NAME) <= PartName::capacity());
+const _: () = assert!(widest(PART_TYPE) <= PartType::capacity());
+const _: () = assert!(widest(CONTAINER) <= Container::capacity());
+
 /// Picks one element of a fixed pool.
 pub fn pick<'a>(rng: &mut StdRng, pool: &[&'a str]) -> &'a str {
     pool[rng.gen_range(0..pool.len())]
 }
 
-/// Generates pseudo-text of roughly `max_len` bytes (truncated at a word).
-pub fn comment(rng: &mut StdRng, max_len: usize) -> String {
-    let mut out = String::new();
-    while out.len() < max_len.saturating_sub(12) {
-        if !out.is_empty() {
-            out.push(' ');
-        }
-        out.push_str(pick(rng, COMMENT_WORDS));
+/// Picks one element of a fixed pool by index: a dictionary column's value.
+pub(crate) fn pick_index(rng: &mut StdRng, pool: &[&str]) -> u8 {
+    rng.gen_range(0..pool.len()) as u8
+}
+
+/// Appends `s` to `out`, or panics: a column too narrow for its value is a
+/// schema bug, never a reason to clip.
+fn put<const N: usize>(out: &mut InlineStr<N>, s: &str) {
+    if !out.push_str(s) {
+        panic!("{:?} + {s:?} overflows a {N}-byte column", out.as_str());
     }
-    out.truncate(max_len);
+}
+
+/// `args` written in place into a column `N` bytes wide, or a panic where
+/// they would not fit.
+pub(crate) fn formatted<const N: usize>(args: fmt::Arguments<'_>) -> InlineStr<N> {
+    let mut out = InlineStr::empty();
+    if out.write_fmt(args).is_err() {
+        panic!("{args} overflows a {N}-byte column");
+    }
+    out
+}
+
+/// `prefix` then `key` zero-padded to nine digits (`S_NAME`, `C_NAME`,
+/// `O_CLERK`): what `format!("{prefix}{key:09}")` writes, at a quarter of
+/// its cost.
+pub(crate) fn key_name<const N: usize>(prefix: &str, key: u64) -> InlineStr<N> {
+    let mut digits = [b'0'; 20];
+    let (mut i, mut k) = (digits.len(), key);
+    while k > 0 {
+        i -= 1;
+        digits[i] = b'0' + (k % 10) as u8;
+        k /= 10;
+    }
+    let digits = std::str::from_utf8(&digits[i.min(digits.len() - 9)..]).expect("ASCII digits");
+    let mut out = InlineStr::empty();
+    put(&mut out, prefix);
+    put(&mut out, digits);
+    out
+}
+
+/// One word from each of `pools` in turn, separated by spaces.
+fn words<const N: usize>(rng: &mut StdRng, pools: &[&[&str]]) -> InlineStr<N> {
+    let mut out = InlineStr::empty();
+    for (i, pool) in pools.iter().enumerate() {
+        if i > 0 {
+            put(&mut out, " ");
+        }
+        put(&mut out, pick(rng, pool));
+    }
+    out
+}
+
+/// Pseudo-text for a column `N` bytes wide: whole words, added while the
+/// text is shorter than `N - 12`, so it ends within 12 bytes of `N` and
+/// never passes it (the longest pool word is 12 bytes).
+pub fn comment<const N: usize>(rng: &mut StdRng) -> InlineStr<N> {
+    let mut out = InlineStr::empty();
+    while out.len() < N.saturating_sub(COMMENT_SLACK) {
+        if !out.is_empty() {
+            put(&mut out, " ");
+        }
+        put(&mut out, pick(rng, COMMENT_WORDS));
+    }
     out
 }
 
 /// `P_NAME`: five distinct-ish name words.
-pub fn part_name(rng: &mut StdRng) -> String {
-    let mut words = Vec::with_capacity(5);
-    for _ in 0..5 {
-        words.push(pick(rng, PART_NAME_WORDS));
-    }
-    words.join(" ")
+pub fn part_name(rng: &mut StdRng) -> PartName {
+    words(rng, PART_NAME)
 }
 
 /// `P_TYPE`: three syllables.
-pub fn part_type(rng: &mut StdRng) -> String {
-    format!(
-        "{} {} {}",
-        pick(rng, TYPE_SYLLABLE_1),
-        pick(rng, TYPE_SYLLABLE_2),
-        pick(rng, TYPE_SYLLABLE_3)
-    )
+pub fn part_type(rng: &mut StdRng) -> PartType {
+    words(rng, PART_TYPE)
 }
 
 /// `P_CONTAINER`: two syllables.
-pub fn container(rng: &mut StdRng) -> String {
-    format!("{} {}", pick(rng, CONTAINER_1), pick(rng, CONTAINER_2))
+pub fn container(rng: &mut StdRng) -> Container {
+    words(rng, CONTAINER)
 }
 
 /// Phone number in the spec's `CC-NNN-NNN-NNNN` shape.
-pub fn phone(rng: &mut StdRng, nation: usize) -> String {
-    format!(
+pub fn phone(rng: &mut StdRng, nation: usize) -> Phone {
+    formatted(format_args!(
         "{}-{}-{}-{}",
         nation + 10,
         rng.gen_range(100..1000),
         rng.gen_range(100..1000),
         rng.gen_range(1000..10000)
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -289,11 +419,26 @@ mod tests {
     fn comment_respects_length_and_is_deterministic() {
         let mut a = StdRng::seed_from_u64(7);
         let mut b = StdRng::seed_from_u64(7);
-        let ca = comment(&mut a, 44);
-        let cb = comment(&mut b, 44);
-        assert_eq!(ca, cb);
-        assert!(ca.len() <= 44);
-        assert!(!ca.is_empty());
+        for _ in 0..1000 {
+            let ca = comment::<44>(&mut a);
+            assert_eq!(ca, comment::<44>(&mut b));
+            assert!((44 - COMMENT_SLACK..=44).contains(&ca.len()), "{ca:?}");
+            assert!(!ca.as_str().starts_with(' ') && !ca.as_str().ends_with(' '));
+        }
+    }
+
+    #[test]
+    fn key_name_writes_what_format_writes() {
+        for key in [0, 1, 42, 999_999_999, 1_000_000_000, u64::MAX] {
+            let name: InlineStr<32> = key_name("Clerk#", key);
+            assert_eq!(name.as_str(), format!("Clerk#{key:09}"));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows a 4-byte column")]
+    fn a_value_wider_than_its_column_panics_rather_than_clip() {
+        let _: InlineStr<4> = formatted(format_args!("Clerk#{:09}", 1));
     }
 
     #[test]
@@ -301,7 +446,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut brass = 0;
         for _ in 0..1000 {
-            if part_type(&mut rng).ends_with("BRASS") {
+            if part_type(&mut rng).as_str().ends_with("BRASS") {
                 brass += 1;
             }
         }
@@ -313,6 +458,6 @@ mod tests {
     fn phone_has_nation_prefix() {
         let mut rng = StdRng::seed_from_u64(2);
         let p = phone(&mut rng, 5);
-        assert!(p.starts_with("15-"));
+        assert!(p.as_str().starts_with("15-"));
     }
 }
