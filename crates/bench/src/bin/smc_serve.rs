@@ -83,7 +83,6 @@ fn main() {
         tenants,
         persist_dir,
         slow_request_threshold: Duration::from_micros(slow_us as u64),
-        ..ServerConfig::default()
     }) {
         Ok(s) => s,
         Err(e) => {

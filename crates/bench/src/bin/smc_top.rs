@@ -50,7 +50,7 @@ use smc::{ContextConfig, Ref, Smc, Tabular};
 use smc_bench::{
     arg_flag, arg_string, arg_usize, init_tracing, install_signal_handler, interrupted, trace_lost,
 };
-use smc_maint::{Coordinator, MaintConfig, MaintPolicy, MaintSnapshot, SloPolicy};
+use smc_maint::{Coordinator, MaintConfig, MaintPolicy, MaintSnapshot};
 use smc_memory::{HeapSnapshot, Runtime};
 use smc_obs::{Histogram, JsonValue, Registry, Summary};
 use smc_util::Pcg32;
@@ -537,18 +537,13 @@ fn main() {
     let scan_gauge = Arc::new(Histogram::new());
     Registry::global().register("smc_top.scan_ns", &scan_gauge);
     let coordinator = Coordinator::new(MaintConfig {
-        slo: SloPolicy {
-            gauge: Some(scan_gauge.clone()),
-            p99_ceiling: Duration::from_millis(250),
-            ..SloPolicy::default()
-        },
-        ..MaintConfig::default()
+        gauge: Some(scan_gauge.clone()),
+        p99_ceiling: Duration::from_millis(250),
     });
     c.register_maintenance(
         &coordinator,
         MaintPolicy {
             min_interval: Duration::from_millis((refresh_ms as u64 / 4).max(5)),
-            ..MaintPolicy::default()
         },
     );
 

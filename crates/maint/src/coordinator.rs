@@ -1,27 +1,25 @@
 //! The background compaction coordinator.
 //!
 //! One planner thread evaluates every registered context's [`MaintPolicy`]
-//! against live heap introspection each cycle, and a small pool of worker
-//! threads executes the planned passes. Three mechanisms bound the
-//! foreground impact:
+//! against live heap introspection every 10 ms, and one worker thread
+//! executes the planned passes, one at a time. Two mechanisms bound the
+//! foreground impact beyond that:
 //!
-//! * **Concurrency limit** — at most `max_concurrent_passes` workers exist,
-//!   so that many passes can run at once (the runtime's compaction mutex
-//!   additionally serializes passes *per runtime*).
-//! * **Token-bucket pacer** — the planner takes one token per planned pass,
-//!   bounding pass starts per second ([`TokenBucket`]).
+//! * **Token-bucket pacer** — the planner takes one token per planned pass
+//!   (a burst of 4, refilled at 8 a second), bounding pass starts per
+//!   second.
 //! * **SLO back-pressure** — when the foreground scan-latency gauge's p99
-//!   rises past the configured ceiling, planning stops: due passes are
+//!   rises past [`MaintConfig::p99_ceiling`], planning stops: due passes are
 //!   counted as deferred and the coordinator holds off for a bounded
-//!   exponentially-backed-off interval (seeded jitter, reproducible) before
-//!   re-checking.
+//!   exponentially-backed-off interval (5 ms doubling to 500 ms, seeded
+//!   jitter, reproducible) before re-checking.
 //!
 //! Transient pass failures — an injected [`FaultSite::MaintPass`] trip, an
-//! aborted or interrupted pass — are retried with the same seeded backoff up
-//! to a retry limit. A watchdog cancels passes that hold their pin past a
-//! deadline via [`MemoryContext::request_compaction_cancel`], which rolls
-//! every still-pending relocation back through the protocol's §5.1 bail
-//! path. [`Coordinator::quiesce`] drains in-flight work and
+//! aborted or interrupted pass — are retried with seeded backoff up to five
+//! times. A watchdog cancels a pass still running after 2 s via
+//! [`MemoryContext::request_compaction_cancel`], which rolls every
+//! still-pending relocation back through the protocol's §5.1 bail path.
+//! [`Coordinator::quiesce`] drains in-flight work and
 //! [`Coordinator::cancel`] actively cancels it; after either, the heap
 //! reconciles bit-exact under `Smc::verify` (proved by the `smc-check`
 //! cancel scenario and exercised end-to-end by `tests/soak.rs`).
@@ -42,65 +40,40 @@ use smc_util::Backoff;
 use crate::pacer::TokenBucket;
 use crate::policy::{MaintPolicy, PassReason};
 
-/// Foreground-latency service-level objective driving back-pressure.
+/// Planner cycle period.
+const POLL_INTERVAL: Duration = Duration::from_millis(10);
+/// Token-bucket burst capacity (passes).
+const PACER_CAPACITY: f64 = 4.0;
+/// Token-bucket refill rate (passes per second).
+const PACER_REFILL_PER_SEC: f64 = 8.0;
+/// A pass still running after this long is cancelled by the watchdog.
+const WATCHDOG_DEADLINE: Duration = Duration::from_secs(2);
+/// Transient failures (failpoint trips, aborted/interrupted passes) are
+/// retried at most this many times per pass.
+const RETRY_LIMIT: u32 = 5;
+/// Seed of every backoff jitter stream (retries and SLO hold-off), so the
+/// delay sequences reproduce.
+const SEED: u64 = 0x5eed_5eed;
+/// First SLO hold-off interval after a breach, and its upper bound.
+const SLO_BACKOFF_BASE: Duration = Duration::from_millis(5);
+const SLO_BACKOFF_CAP: Duration = Duration::from_millis(500);
+
+/// The foreground-latency objective driving back-pressure; everything else
+/// about the coordinator is fixed.
 #[derive(Debug, Clone)]
-pub struct SloPolicy {
+pub struct MaintConfig {
     /// Live histogram of foreground scan latencies (shared with the
     /// workload threads that record into it). `None` disables back-pressure.
     pub gauge: Option<Arc<Histogram>>,
     /// Back-pressure engages while the gauge's p99 is at or above this.
     pub p99_ceiling: Duration,
-    /// First hold-off interval after a breach.
-    pub backoff_base: Duration,
-    /// Upper bound on the hold-off interval.
-    pub backoff_cap: Duration,
-}
-
-impl Default for SloPolicy {
-    fn default() -> SloPolicy {
-        SloPolicy {
-            gauge: None,
-            p99_ceiling: Duration::from_millis(10),
-            backoff_base: Duration::from_millis(5),
-            backoff_cap: Duration::from_millis(500),
-        }
-    }
-}
-
-/// Coordinator-wide tunables.
-#[derive(Debug, Clone)]
-pub struct MaintConfig {
-    /// Worker threads, i.e. the global bound on passes in flight.
-    pub max_concurrent_passes: usize,
-    /// Token-bucket burst capacity (passes).
-    pub pacer_capacity: f64,
-    /// Token-bucket refill rate (passes per second).
-    pub pacer_refill_per_sec: f64,
-    /// A pass still running after this long is cancelled by the watchdog.
-    pub watchdog_deadline: Duration,
-    /// Transient failures (failpoint trips, aborted/interrupted passes) are
-    /// retried at most this many times per pass.
-    pub retry_limit: u32,
-    /// Seed for every backoff jitter stream (retries and SLO hold-off);
-    /// a fixed seed reproduces the exact delay sequences.
-    pub seed: u64,
-    /// Planner cycle period.
-    pub poll_interval: Duration,
-    /// Foreground-latency SLO; see [`SloPolicy`].
-    pub slo: SloPolicy,
 }
 
 impl Default for MaintConfig {
     fn default() -> MaintConfig {
         MaintConfig {
-            max_concurrent_passes: 1,
-            pacer_capacity: 4.0,
-            pacer_refill_per_sec: 8.0,
-            watchdog_deadline: Duration::from_secs(2),
-            retry_limit: 5,
-            seed: 0x5eed_5eed,
-            poll_interval: Duration::from_millis(10),
-            slo: SloPolicy::default(),
+            gauge: None,
+            p99_ceiling: Duration::from_millis(10),
         }
     }
 }
@@ -147,9 +120,9 @@ pub struct LastPass {
 pub struct MaintSnapshot {
     /// Contexts currently registered.
     pub registered: usize,
-    /// Planned passes waiting for a worker.
+    /// Planned passes waiting for the worker.
     pub queue_depth: usize,
-    /// Passes currently executing.
+    /// Passes currently executing (0 or 1).
     pub passes_active: usize,
     /// Passes the planner enqueued.
     pub passes_planned: u64,
@@ -183,14 +156,9 @@ struct Registration {
 struct Planned {
     ctx: Arc<MemoryContext>,
     reason: PassReason,
-    /// For [`PassReason::Spill`]: the resident-byte watermark the pass
-    /// evicts toward, computed at planning time from the policy ratio and
-    /// the snapshot's budget. `None` for every other reason.
-    spill_target: Option<u64>,
 }
 
 struct InFlight {
-    context_id: u64,
     ctx: Arc<MemoryContext>,
     started: Instant,
     watchdog_fired: bool,
@@ -199,20 +167,22 @@ struct InFlight {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
     Running,
-    /// Stop planning, drain in-flight passes, then stop.
+    /// Stop planning, drain the in-flight pass, then stop.
     Quiescing,
-    /// Stop planning, cancel in-flight passes, then stop.
+    /// Stop planning, cancel the in-flight pass, then stop.
     Cancelling,
 }
 
 struct State {
     registrations: Vec<Registration>,
     queue: VecDeque<Planned>,
-    in_flight: Vec<InFlight>,
+    /// The pass the worker is executing.
+    in_flight: Option<InFlight>,
     mode: Mode,
     last_pass: Option<LastPass>,
 }
 
+#[derive(Default)]
 struct Counters {
     planned: AtomicU64,
     completed: AtomicU64,
@@ -225,10 +195,11 @@ struct Counters {
 }
 
 struct Inner {
-    config: MaintConfig,
+    /// See [`MaintConfig::gauge`].
+    gauge: Option<Arc<Histogram>>,
     state: Mutex<State>,
-    /// Workers wait here for queued passes; quiesce/cancel wait here for the
-    /// in-flight list to drain.
+    /// The worker waits here for queued passes, the planner for its next
+    /// cycle; every enqueue, finished pass and shutdown notifies it.
     work_cv: Condvar,
     counters: Counters,
     /// Runtime-adjustable SLO ceiling in nanoseconds (`tests/soak.rs` flips
@@ -251,54 +222,34 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// Starts the coordinator: one planner thread plus
-    /// `config.max_concurrent_passes` workers. Contexts are registered
-    /// afterwards with [`register`](Self::register).
+    /// Starts the coordinator: one planner thread and one worker thread.
+    /// Contexts are registered afterwards with [`register`](Self::register).
     pub fn new(config: MaintConfig) -> Coordinator {
-        let workers = config.max_concurrent_passes.max(1);
-        let slo_ceiling_ns = config.slo.p99_ceiling.as_nanos().min(u64::MAX as u128) as u64;
         let inner = Arc::new(Inner {
-            config,
+            gauge: config.gauge,
             state: Mutex::new(State {
                 registrations: Vec::new(),
                 queue: VecDeque::new(),
-                in_flight: Vec::new(),
+                in_flight: None,
                 mode: Mode::Running,
                 last_pass: None,
             }),
             work_cv: Condvar::new(),
-            counters: Counters {
-                planned: AtomicU64::new(0),
-                completed: AtomicU64::new(0),
-                deferred: AtomicU64::new(0),
-                throttled: AtomicU64::new(0),
-                retried: AtomicU64::new(0),
-                cancelled: AtomicU64::new(0),
-                watchdog_cancels: AtomicU64::new(0),
-                plan_faults: AtomicU64::new(0),
-            },
-            slo_ceiling_ns: AtomicU64::new(slo_ceiling_ns),
+            counters: Counters::default(),
+            slo_ceiling_ns: AtomicU64::new(nanos(config.p99_ceiling)),
             slo_breached: AtomicBool::new(false),
         });
-        let mut threads = Vec::with_capacity(workers + 1);
-        {
+        let spawn = |name: &str, body: fn(&Inner)| {
             let inner = inner.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("smc-maint-plan".into())
-                    .spawn(move || planner_loop(&inner))
-                    .expect("spawn planner"),
-            );
-        }
-        for w in 0..workers {
-            let inner = inner.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("smc-maint-{w}"))
-                    .spawn(move || worker_loop(&inner, w as u64))
-                    .expect("spawn worker"),
-            );
-        }
+            std::thread::Builder::new()
+                .name(name.into())
+                .spawn(move || body(&inner))
+                .expect("spawn a maintenance thread")
+        };
+        let threads = vec![
+            spawn("smc-maint-plan", planner_loop),
+            spawn("smc-maint-work", worker_loop),
+        ];
         Coordinator {
             inner,
             threads: Mutex::new(threads),
@@ -332,16 +283,15 @@ impl Coordinator {
     /// breached state (every observable p99 is ≥ 0), which the soak test uses
     /// to provoke deterministic deferrals.
     pub fn set_slo_ceiling(&self, ceiling: Duration) {
-        self.inner.slo_ceiling_ns.store(
-            ceiling.as_nanos().min(u64::MAX as u128) as u64,
-            Ordering::Relaxed,
-        );
+        self.inner
+            .slo_ceiling_ns
+            .store(nanos(ceiling), Ordering::Relaxed);
     }
 
-    /// Maintenance passes executing right now. Cheaper than
+    /// Maintenance passes executing right now (0 or 1). Cheaper than
     /// [`snapshot`](Self::snapshot) for per-request attribution probes.
     pub fn passes_active(&self) -> usize {
-        self.inner.lock().in_flight.len()
+        usize::from(self.inner.lock().in_flight.is_some())
     }
 
     /// Current counters and queue state.
@@ -351,7 +301,7 @@ impl Coordinator {
         MaintSnapshot {
             registered: g.registrations.len(),
             queue_depth: g.queue.len(),
-            passes_active: g.in_flight.len(),
+            passes_active: usize::from(g.in_flight.is_some()),
             passes_planned: c.planned.load(Ordering::Relaxed),
             passes_completed: c.completed.load(Ordering::Relaxed),
             passes_deferred: c.deferred.load(Ordering::Relaxed),
@@ -365,17 +315,17 @@ impl Coordinator {
         }
     }
 
-    /// Stops planning, discards queued (not yet started) passes, lets every
-    /// in-flight pass finish, and joins all threads. Terminal and
+    /// Stops planning, discards queued (not yet started) passes, lets the
+    /// in-flight pass finish, and joins both threads. Terminal and
     /// idempotent. After `quiesce` returns the heap is at rest: `Smc::verify`
     /// reconciles bit-exact.
     pub fn quiesce(&self) {
         self.shutdown(Mode::Quiescing);
     }
 
-    /// Like [`quiesce`](Self::quiesce), but actively cancels in-flight
-    /// passes via [`MemoryContext::request_compaction_cancel`] instead of
-    /// waiting them out. Pending relocations roll back through the bail
+    /// Like [`quiesce`](Self::quiesce), but actively cancels the in-flight
+    /// pass via [`MemoryContext::request_compaction_cancel`] instead of
+    /// waiting it out. Pending relocations roll back through the bail
     /// path, so `Smc::verify` still reconciles bit-exact afterwards.
     pub fn cancel(&self) {
         self.shutdown(Mode::Cancelling);
@@ -388,10 +338,8 @@ impl Coordinator {
                 g.mode = mode;
             }
             g.queue.clear();
-            if mode == Mode::Cancelling {
-                for inf in &g.in_flight {
-                    inf.ctx.request_compaction_cancel();
-                }
+            if let (Mode::Cancelling, Some(inf)) = (mode, &g.in_flight) {
+                inf.ctx.request_compaction_cancel();
             }
             self.inner.work_cv.notify_all();
         }
@@ -416,14 +364,13 @@ impl std::fmt::Debug for Coordinator {
     }
 }
 
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u64::MAX as u128) as u64
+}
+
 fn planner_loop(inner: &Inner) {
-    let cfg = &inner.config;
-    let mut pacer = TokenBucket::new(cfg.pacer_capacity, cfg.pacer_refill_per_sec);
-    let mut slo_backoff = Backoff::new(
-        cfg.seed ^ 0x510_b0ff,
-        cfg.slo.backoff_base,
-        cfg.slo.backoff_cap,
-    );
+    let mut pacer = TokenBucket::new(PACER_CAPACITY, PACER_REFILL_PER_SEC);
+    let mut slo_backoff = Backoff::new(SEED ^ 0x510_b0ff, SLO_BACKOFF_BASE, SLO_BACKOFF_CAP);
     let mut hold_until: Option<Instant> = None;
     loop {
         // Sleep one cycle (interruptibly: shutdown notifies the condvar).
@@ -434,7 +381,7 @@ fn planner_loop(inner: &Inner) {
             }
             let (g, _) = inner
                 .work_cv
-                .wait_timeout(g, cfg.poll_interval)
+                .wait_timeout(g, POLL_INTERVAL)
                 .unwrap_or_else(|e| e.into_inner());
             if g.mode != Mode::Running {
                 return;
@@ -442,20 +389,17 @@ fn planner_loop(inner: &Inner) {
         }
         let now = Instant::now();
 
-        // Watchdog: cancel passes running past the deadline.
-        {
-            let mut g = inner.lock();
-            for inf in &mut g.in_flight {
-                if !inf.watchdog_fired
-                    && now.saturating_duration_since(inf.started) >= cfg.watchdog_deadline
-                {
-                    inf.watchdog_fired = true;
-                    inf.ctx.request_compaction_cancel();
-                    inner
-                        .counters
-                        .watchdog_cancels
-                        .fetch_add(1, Ordering::Relaxed);
-                }
+        // Watchdog: cancel a pass running past the deadline.
+        if let Some(inf) = &mut inner.lock().in_flight {
+            if !inf.watchdog_fired
+                && now.saturating_duration_since(inf.started) >= WATCHDOG_DEADLINE
+            {
+                inf.watchdog_fired = true;
+                inf.ctx.request_compaction_cancel();
+                inner
+                    .counters
+                    .watchdog_cancels
+                    .fetch_add(1, Ordering::Relaxed);
             }
         }
 
@@ -463,7 +407,7 @@ fn planner_loop(inner: &Inner) {
         // hold off for a (seeded, bounded-exponential) interval before the
         // next re-check; on recovery the backoff envelope resets.
         let ceiling_ns = inner.slo_ceiling_ns.load(Ordering::Relaxed);
-        let p99_ns = cfg.slo.gauge.as_ref().map(|h| h.p99());
+        let p99_ns = inner.gauge.as_ref().map(|h| h.p99());
         let over_ceiling = p99_ns.is_some_and(|p| p >= ceiling_ns);
         let holding = hold_until.is_some_and(|t| now < t);
         let breached = over_ceiling || holding;
@@ -503,7 +447,7 @@ fn planner_loop(inner: &Inner) {
         }
 
         // Evaluate policies under the state lock (snapshot capture pins a
-        // short-lived epoch guard; workers never hold this lock across a
+        // short-lived epoch guard; the worker never holds this lock across a
         // pass, so the hold time stays bounded). The registration list is
         // append-only, so the collected indexes stay valid after unlocking.
         let due = {
@@ -511,19 +455,19 @@ fn planner_loop(inner: &Inner) {
             if g.mode != Mode::Running {
                 return;
             }
-            let mut due: Vec<(usize, PassReason, Option<u64>)> = Vec::new();
+            let mut due: Vec<(usize, PassReason)> = Vec::new();
             let busy: Vec<u64> = g
                 .queue
                 .iter()
                 .map(|p| p.ctx.id())
-                .chain(g.in_flight.iter().map(|i| i.context_id))
+                .chain(g.in_flight.iter().map(|i| i.ctx.id()))
                 .collect();
             for (i, reg) in g.registrations.iter().enumerate() {
                 if busy.contains(&reg.ctx.id()) {
                     continue;
                 }
                 if reg.forced {
-                    due.push((i, PassReason::Nudge, None));
+                    due.push((i, PassReason::Nudge));
                     continue;
                 }
                 if reg
@@ -536,22 +480,15 @@ fn planner_loop(inner: &Inner) {
                     .collections
                     .into_iter()
                     .next();
-                let Some(snap) = snap else { continue };
-                if let Some(reason) = reg.policy.due(&snap) {
-                    let target = (reason == PassReason::Spill)
-                        .then(|| reg.policy.spill_target_bytes(&snap))
-                        .flatten();
-                    due.push((i, reason, target));
+                if let Some(reason) = snap.and_then(|s| reg.policy.due(&s)) {
+                    due.push((i, reason));
                 }
             }
             due
         };
 
-        for (idx, reason, spill_target) in due {
-            // Spill bypasses SLO deferral: eviction is how a budget-hot
-            // context sheds pressure, and deferring it under back-pressure
-            // only turns budget heat into allocation rejections.
-            if breached && reason != PassReason::Spill {
+        for (idx, reason) in due {
+            if breached {
                 let g = inner.lock();
                 let Some(reg) = g.registrations.get(idx) else {
                     continue;
@@ -578,27 +515,23 @@ fn planner_loop(inner: &Inner) {
             reg.forced = false;
             reg.last_pass = Some(now);
             let ctx = reg.ctx.clone();
-            g.queue.push_back(Planned {
-                ctx,
-                reason,
-                spill_target,
-            });
+            g.queue.push_back(Planned { ctx, reason });
             inner.counters.planned.fetch_add(1, Ordering::Relaxed);
             inner.work_cv.notify_all();
         }
     }
 }
 
-fn worker_loop(inner: &Inner, worker: u64) {
-    let cfg = &inner.config;
+fn worker_loop(inner: &Inner) {
     loop {
-        // Claim the next planned pass (or exit on shutdown once idle).
+        // Claim the next planned pass (or exit on shutdown once idle). The
+        // wait needs no timeout: every enqueue and every shutdown notifies
+        // under the state lock, so no wake-up is lost.
         let planned = {
             let mut g = inner.lock();
             loop {
                 if let Some(p) = g.queue.pop_front() {
-                    g.in_flight.push(InFlight {
-                        context_id: p.ctx.id(),
+                    g.in_flight = Some(InFlight {
                         ctx: p.ctx.clone(),
                         started: Instant::now(),
                         watchdog_fired: false,
@@ -608,32 +541,27 @@ fn worker_loop(inner: &Inner, worker: u64) {
                 if g.mode != Mode::Running {
                     break None;
                 }
-                g = inner
-                    .work_cv
-                    .wait_timeout(g, cfg.poll_interval)
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0;
+                g = inner.work_cv.wait(g).unwrap_or_else(|e| e.into_inner());
             }
         };
         let Some(planned) = planned else { return };
 
-        let outcome = run_pass(inner, worker, &planned);
+        let outcome = run_pass(inner, &planned);
 
         let mut g = inner.lock();
-        g.in_flight.retain(|i| i.context_id != planned.ctx.id());
+        g.in_flight = None;
         g.last_pass = Some(outcome);
-        // Wake shutdown waiters (and idle workers re-checking the mode).
+        // Wake the planner: the context is no longer busy.
         inner.work_cv.notify_all();
     }
 }
 
 /// Executes one planned pass with transient-failure retries. Returns the
 /// summary recorded as `last_pass`.
-fn run_pass(inner: &Inner, worker: u64, planned: &Planned) -> LastPass {
-    let cfg = &inner.config;
+fn run_pass(inner: &Inner, planned: &Planned) -> LastPass {
     let ctx = &planned.ctx;
     let mut backoff = Backoff::new(
-        cfg.seed ^ ctx.id().rotate_left(32) ^ worker,
+        SEED ^ ctx.id().rotate_left(32),
         Duration::from_micros(200),
         Duration::from_millis(20),
     );
@@ -644,53 +572,29 @@ fn run_pass(inner: &Inner, worker: u64, planned: &Planned) -> LastPass {
     let mut moved = 0usize;
     let mut bailed = 0usize;
     let outcome = loop {
-        let cancelling = { inner.lock().mode == Mode::Cancelling };
-        if cancelling {
+        if inner.lock().mode == Mode::Cancelling {
             break PassOutcome::Cancelled;
         }
-        // Spill pass: evict cold blocks toward the watermark instead of
-        // compacting. `moved` counts evicted blocks in the pass summary.
-        // The loop is bounded by the context's block count; a store
-        // failure (try_spill_one returns false after rollback) ends the
-        // pass with whatever progress was made.
-        if planned.reason == PassReason::Spill {
-            let target = planned.spill_target.unwrap_or(0);
-            while ctx.bytes() as u64 > target {
-                if inner.lock().mode == Mode::Cancelling {
-                    break;
-                }
-                if !ctx.try_spill_one() {
-                    break;
-                }
-                moved += 1;
+        // An injected failure before the pass proper is as transient as an
+        // aborted or interrupted pass.
+        let failed = ctx.runtime().faults().should_fail(FaultSite::MaintPass) || {
+            let report = ctx.compact();
+            moved += report.moved;
+            bailed += report.bailed;
+            if report.cancelled {
+                break PassOutcome::Cancelled;
             }
+            report.aborted || report.interrupted
+        };
+        if !failed {
+            ctx.release_retired();
             break PassOutcome::Done;
         }
-        // Injected transient failure before the pass proper.
-        if ctx.runtime().faults().should_fail(FaultSite::MaintPass) {
-            if backoff.attempt() >= cfg.retry_limit {
-                break PassOutcome::Aborted;
-            }
-            inner.counters.retried.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(backoff.next_delay());
-            continue;
+        if backoff.attempt() >= RETRY_LIMIT {
+            break PassOutcome::Aborted;
         }
-        let report = ctx.compact();
-        moved += report.moved;
-        bailed += report.bailed;
-        if report.cancelled {
-            break PassOutcome::Cancelled;
-        }
-        if report.aborted || report.interrupted {
-            if backoff.attempt() >= cfg.retry_limit {
-                break PassOutcome::Aborted;
-            }
-            inner.counters.retried.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(backoff.next_delay());
-            continue;
-        }
-        ctx.release_retired();
-        break PassOutcome::Done;
+        inner.counters.retried.fetch_add(1, Ordering::Relaxed);
+        std::thread::sleep(backoff.next_delay());
     };
     match outcome {
         PassOutcome::Done => {

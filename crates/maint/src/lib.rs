@@ -9,30 +9,35 @@
 //! [`Coordinator`] owns maintenance for every registered
 //! [`MemoryContext`](smc_memory::MemoryContext):
 //!
-//! * a per-context [`MaintPolicy`] (fragmentation ratio, limbo bytes, spill
-//!   watermark, all read from live heap introspection) decides which
-//!   contexts are due;
-//! * a worker-pool concurrency limit plus a token-bucket pacer
-//!   ([`pacer::TokenBucket`]) bound work in flight;
+//! * a pass is due when a context's fragmentation ratio passes 30 % or its
+//!   limbo bytes pass 8 MiB, both read from live heap introspection; a
+//!   per-context [`MaintPolicy`] sets only the floor between two passes;
+//! * one worker thread runs passes one at a time, and a token-bucket pacer
+//!   bounds how many start per second;
 //! * an SLO back-pressure loop watches a foreground scan-latency histogram
-//!   and defers due passes while its p99 is past the configured ceiling,
-//!   resuming with bounded, seeded-jitter exponential backoff
-//!   ([`smc_util::Backoff`]);
+//!   and defers due passes while its p99 is past the ceiling a
+//!   [`MaintConfig`] names — the gauge and its ceiling are the only
+//!   coordinator-wide settings — resuming with bounded, seeded-jitter
+//!   exponential backoff ([`smc_util::Backoff`]);
 //! * transient failures (injected failpoints, aborted or interrupted passes)
-//!   are retried with the same seeded backoff; a watchdog cancels passes
-//!   stuck past a deadline through the protocol's bail path;
+//!   are retried with seeded backoff; a watchdog cancels a pass stuck past
+//!   a deadline through the protocol's bail path;
 //! * [`Coordinator::quiesce`] and [`Coordinator::cancel`] stop the world
 //!   exactly — drain or roll back, never half-moved state — so `Smc::verify`
 //!   reconciles bit-exact afterwards (model-checked by the `smc-check`
 //!   cancel scenario; soaked end-to-end by `tests/soak.rs`).
+//!
+//! The coordinator compacts; it never evicts. Eviction to a spill store
+//! happens on the allocation path, when a budgeted context needs a fresh
+//! block and has no room for it.
 
 #![warn(missing_docs)]
 
 pub mod coordinator;
-pub mod pacer;
+mod pacer;
 pub mod policy;
 
-pub use coordinator::{Coordinator, LastPass, MaintConfig, MaintSnapshot, PassOutcome, SloPolicy};
+pub use coordinator::{Coordinator, LastPass, MaintConfig, MaintSnapshot, PassOutcome};
 pub use policy::{MaintPolicy, PassReason};
 
 #[cfg(test)]
@@ -77,12 +82,10 @@ mod tests {
         done()
     }
 
-    fn fast_config() -> MaintConfig {
-        MaintConfig {
-            poll_interval: Duration::from_millis(2),
-            pacer_capacity: 16.0,
-            pacer_refill_per_sec: 1000.0,
-            ..MaintConfig::default()
+    /// The default policy with a 1 ms floor between passes.
+    fn eager() -> MaintPolicy {
+        MaintPolicy {
+            min_interval: Duration::from_millis(1),
         }
     }
 
@@ -93,15 +96,8 @@ mod tests {
         decimate(&ctx, 2048);
         let live = ctx.live_objects();
 
-        let coord = Coordinator::new(fast_config());
-        coord.register(
-            ctx.clone(),
-            MaintPolicy {
-                frag_ratio_ceiling: 0.30,
-                min_interval: Duration::from_millis(1),
-                ..MaintPolicy::default()
-            },
-        );
+        let coord = Coordinator::new(MaintConfig::default());
+        coord.register(ctx.clone(), eager());
         assert!(
             wait_until(Duration::from_secs(10), || coord
                 .snapshot()
@@ -127,17 +123,10 @@ mod tests {
     #[test]
     fn nudge_forces_a_pass_on_an_idle_context() {
         let rt = Runtime::new();
+        // An empty context is never due.
         let ctx = context(&rt);
-        // A context with nothing to do: policy thresholds never trip.
-        let coord = Coordinator::new(fast_config());
-        coord.register(
-            ctx.clone(),
-            MaintPolicy {
-                frag_ratio_ceiling: 1.1,
-                limbo_bytes_ceiling: u64::MAX,
-                ..MaintPolicy::default()
-            },
-        );
+        let coord = Coordinator::new(MaintConfig::default());
+        coord.register(ctx.clone(), MaintPolicy::default());
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(coord.snapshot().passes_planned, 0, "nothing due yet");
         coord.nudge(ctx.id());
@@ -158,22 +147,10 @@ mod tests {
         let gauge = Arc::new(Histogram::new());
         gauge.record(1_000_000); // 1 ms foreground latency on record
         let coord = Coordinator::new(MaintConfig {
-            slo: SloPolicy {
-                gauge: Some(gauge.clone()),
-                p99_ceiling: Duration::ZERO, // everything breaches
-                backoff_base: Duration::from_millis(1),
-                backoff_cap: Duration::from_millis(4),
-            },
-            ..fast_config()
+            gauge: Some(gauge.clone()),
+            p99_ceiling: Duration::ZERO, // everything breaches
         });
-        coord.register(
-            ctx.clone(),
-            MaintPolicy {
-                frag_ratio_ceiling: 0.30,
-                min_interval: Duration::from_millis(1),
-                ..MaintPolicy::default()
-            },
-        );
+        coord.register(ctx.clone(), eager());
         assert!(
             wait_until(Duration::from_secs(10), || coord.snapshot().passes_deferred
                 > 0),
@@ -201,78 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn spill_pass_runs_under_budget_pressure_despite_slo_breach() {
-        let rt = Runtime::new();
-        // Budget of four blocks; fill roughly three with fully-live rows so
-        // fragmentation stays near zero — nothing for compaction to reclaim,
-        // but the footprint sits above a 50 % spill watermark.
-        let ctx = Arc::new(
-            MemoryContext::new_rows(
-                rt.clone(),
-                64,
-                8,
-                1,
-                ContextConfig {
-                    budget_bytes: Some(4 * smc_memory::BLOCK_SIZE as u64),
-                    ..ContextConfig::default()
-                },
-            )
-            .expect("layout fits a block"),
-        );
-        let store = Arc::new(smc_memory::MemoryPageStore::new());
-        assert!(ctx.enable_spill(store.clone()));
-        for i in 0..2800u64 {
-            alloc(&ctx, i);
-        }
-        assert!(ctx.bytes() as u64 > 2 * smc_memory::BLOCK_SIZE as u64);
-
-        // SLO permanently breached: compaction passes would be deferred, but
-        // the spill rung must still run — it is the pressure-relief valve.
-        let gauge = Arc::new(Histogram::new());
-        gauge.record(1_000_000);
-        let coord = Coordinator::new(MaintConfig {
-            slo: SloPolicy {
-                gauge: Some(gauge.clone()),
-                p99_ceiling: Duration::ZERO,
-                backoff_base: Duration::from_millis(1),
-                backoff_cap: Duration::from_millis(4),
-            },
-            ..fast_config()
-        });
-        coord.register(
-            ctx.clone(),
-            MaintPolicy {
-                frag_ratio_ceiling: 1.1,
-                limbo_bytes_ceiling: u64::MAX,
-                spill_budget_ratio: Some(0.5),
-                min_interval: Duration::from_millis(1),
-            },
-        );
-        assert!(
-            wait_until(Duration::from_secs(10), || coord
-                .snapshot()
-                .passes_completed
-                > 0
-                && ctx.spilled_blocks() > 0),
-            "spill pass must run while the SLO is breached: {:?} spilled={}",
-            coord.snapshot(),
-            ctx.spilled_blocks()
-        );
-        assert!(coord.snapshot().slo_breached, "breach stays engaged");
-        coord.quiesce();
-        // Eviction brought the footprint to (or below) the watermark, and
-        // every spilled object is still reachable and verifiable.
-        assert!(
-            ctx.bytes() as u64 <= 2 * smc_memory::BLOCK_SIZE as u64,
-            "footprint must drop to the 50% watermark, still {}",
-            ctx.bytes()
-        );
-        assert!(!store.is_empty(), "pages landed in the store");
-        assert!(ctx.verify().is_ok(), "context verify after spill pass");
-        assert!(rt.verify().is_ok(), "runtime verify after spill pass");
-    }
-
-    #[test]
     fn maint_pass_failpoint_is_retried_transparently() {
         let rt = Runtime::new();
         let ctx = context(&rt);
@@ -281,15 +186,8 @@ mod tests {
         rt.faults().set_rate(smc_memory::FaultSite::MaintPass, 1024);
         rt.faults().set_limit(Some(3));
         rt.faults().enable(7);
-        let coord = Coordinator::new(fast_config());
-        coord.register(
-            ctx.clone(),
-            MaintPolicy {
-                frag_ratio_ceiling: 0.30,
-                min_interval: Duration::from_millis(1),
-                ..MaintPolicy::default()
-            },
-        );
+        let coord = Coordinator::new(MaintConfig::default());
+        coord.register(ctx.clone(), eager());
         assert!(
             wait_until(Duration::from_secs(10), || coord
                 .snapshot()
@@ -314,19 +212,37 @@ mod tests {
         let ctx = context(&rt);
         decimate(&ctx, 4096);
         let live = ctx.live_objects();
-        let coord = Coordinator::new(fast_config());
-        coord.register(
-            ctx.clone(),
-            MaintPolicy {
-                frag_ratio_ceiling: 0.30,
-                min_interval: Duration::from_millis(1),
-                ..MaintPolicy::default()
-            },
+        // Hold a pass in flight: a reader pinned one epoch behind the global
+        // epoch stalls each attempt's first epoch advance for the context's
+        // compaction patience, so the pass aborts and retries until the
+        // cancel lands between two attempts.
+        let (pinned_tx, pinned_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let reader = {
+            let rt = rt.clone();
+            std::thread::spawn(move || {
+                let _guard = rt.pin();
+                pinned_tx.send(()).unwrap();
+                let _ = release_rx.recv();
+            })
+        };
+        pinned_rx.recv().unwrap();
+        assert!(rt.epochs.try_advance().is_some(), "reader pinned at e");
+        let coord = Coordinator::new(MaintConfig::default());
+        coord.register(ctx.clone(), eager());
+        assert!(
+            wait_until(Duration::from_secs(10), || coord.passes_active() > 0),
+            "a frag-due pass must start: {:?}",
+            coord.snapshot()
         );
-        // Cancel early: whatever was in flight rolls back via the bail path.
-        std::thread::sleep(Duration::from_millis(5));
         coord.cancel();
+        release_tx.send(()).unwrap();
+        reader.join().unwrap();
         let snap = coord.snapshot();
+        assert!(
+            snap.passes_cancelled >= 1,
+            "no pass was cancelled: {snap:?}"
+        );
         assert_eq!(snap.passes_active, 0);
         ctx.release_retired();
         rt.drain_graveyard_blocking();

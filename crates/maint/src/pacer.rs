@@ -1,10 +1,10 @@
 //! Token-bucket pacer bounding how fast the coordinator may start passes.
 //!
 //! The planner must take one token per planned pass; tokens refill at a
-//! configured rate up to a burst capacity. Combined with the worker-count
-//! concurrency limit this bounds both work in flight *and* work per second,
-//! so a pathological policy (e.g. a context hovering exactly at a threshold)
-//! cannot turn the coordinator into a busy loop of back-to-back passes.
+//! fixed rate up to a burst capacity. With one worker thread this bounds both
+//! work in flight *and* work per second, so a pathological context (e.g. one
+//! hovering exactly at a threshold) cannot turn the coordinator into a busy
+//! loop of back-to-back passes.
 //!
 //! Time is passed in explicitly (`Instant` arguments) rather than read from
 //! the clock, so unit tests drive the bucket deterministically.
@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 /// A token bucket: `capacity` burst tokens, refilled continuously at
 /// `refill_per_sec`.
 #[derive(Debug, Clone)]
-pub struct TokenBucket {
+pub(crate) struct TokenBucket {
     capacity: f64,
     tokens: f64,
     refill_per_sec: f64,
@@ -22,21 +22,19 @@ pub struct TokenBucket {
 }
 
 impl TokenBucket {
-    /// A bucket that starts full. `capacity` is clamped to at least one
-    /// token; a non-positive refill rate means the bucket never refills.
-    pub fn new(capacity: f64, refill_per_sec: f64) -> TokenBucket {
-        let capacity = capacity.max(1.0);
+    /// A bucket that starts full.
+    pub(crate) fn new(capacity: f64, refill_per_sec: f64) -> TokenBucket {
         TokenBucket {
             capacity,
             tokens: capacity,
-            refill_per_sec: refill_per_sec.max(0.0),
+            refill_per_sec,
             last: None,
         }
     }
 
     /// Takes one token if available at time `now`. Returns false (and takes
     /// nothing) when the bucket is empty.
-    pub fn try_take(&mut self, now: Instant) -> bool {
+    pub(crate) fn try_take(&mut self, now: Instant) -> bool {
         self.refill(now);
         if self.tokens >= 1.0 {
             self.tokens -= 1.0;
@@ -44,12 +42,6 @@ impl TokenBucket {
         } else {
             false
         }
-    }
-
-    /// Tokens currently available at time `now` (whole tokens).
-    pub fn available(&mut self, now: Instant) -> u64 {
-        self.refill(now);
-        self.tokens as u64
     }
 
     fn refill(&mut self, now: Instant) {
@@ -87,8 +79,11 @@ mod tests {
         let t0 = Instant::now();
         let mut b = TokenBucket::new(2.0, 100.0);
         assert!(b.try_take(t0));
+        // A minute at 100 tokens/s would mint 6 000; the bucket holds two.
         let much_later = t0 + Duration::from_secs(60);
-        assert_eq!(b.available(much_later), 2, "refill must cap at capacity");
+        assert!(b.try_take(much_later));
+        assert!(b.try_take(much_later));
+        assert!(!b.try_take(much_later), "refill must cap at capacity");
     }
 
     #[test]

@@ -12,13 +12,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use smc::{Ref, Smc};
-use smc_maint::{Coordinator, MaintConfig, MaintPolicy, SloPolicy};
+use smc_maint::{Coordinator, MaintConfig, MaintPolicy};
 use smc_memory::fault::FaultSite;
 use smc_memory::{Runtime, BLOCK_SIZE};
 use smc_obs::hist::Histogram;
 use smc_util::Pcg32;
 
 const SEED: u64 = 0x5eed;
+/// The coordinator's fragmentation ceiling (`smc_maint::policy`).
 const FRAG_CEILING: f64 = 0.30;
 const OBJECTS_PER_WORKER: usize = 10_000;
 
@@ -72,30 +73,19 @@ fn coordinator_soak_reconciles_exactly_under_churn_scans_and_relocation_faults()
     let c: Arc<Smc<Row>> = Arc::new(Smc::new(&rt));
     let gauge = Arc::new(Histogram::new());
     // The global fault budget makes the interruptions *transient*: early
-    // passes are interrupted and retried, later ones run clean.
+    // passes are interrupted and retried, later ones run clean. An attempt
+    // spends at most one fault and a pass makes at most six attempts, so
+    // with 16 the third pass at the latest runs clean.
     rt.faults().set_rate(FaultSite::Relocation, 32);
-    rt.faults().set_limit(Some(64));
+    rt.faults().set_limit(Some(16));
     rt.faults().enable(SEED);
     let coordinator = Coordinator::new(MaintConfig {
-        pacer_capacity: 8.0,
-        pacer_refill_per_sec: 64.0,
-        retry_limit: 8,
-        seed: SEED,
-        poll_interval: Duration::from_millis(2),
-        slo: SloPolicy {
-            gauge: Some(gauge.clone()),
-            // Out of reach while soaking: back-pressure is phase 2's subject.
-            p99_ceiling: Duration::from_secs(3600),
-            backoff_base: Duration::from_millis(2),
-            backoff_cap: Duration::from_millis(50),
-        },
-        ..MaintConfig::default()
+        gauge: Some(gauge.clone()),
+        // Out of reach while soaking: back-pressure is phase 2's subject.
+        p99_ceiling: Duration::from_secs(3600),
     });
     let policy = MaintPolicy {
-        frag_ratio_ceiling: FRAG_CEILING,
-        limbo_bytes_ceiling: 4 << 20,
         min_interval: Duration::from_millis(5),
-        ..MaintPolicy::default()
     };
     c.register_maintenance(&coordinator, policy);
 

@@ -24,7 +24,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use smc::Runtime;
-use smc_maint::{MaintConfig, MaintPolicy};
 use smc_memory::inspect::HeapSnapshot;
 use smc_memory::stats::MemoryStats;
 use smc_obs::trace::{self, RequestId, RequestScope};
@@ -63,10 +62,6 @@ pub struct ServerConfig {
     pub workers_per_shard: usize,
     /// Tenants, in wire-id order.
     pub tenants: Vec<TenantConfig>,
-    /// Maintenance coordinator tunables applied to every shard.
-    pub maint: MaintConfig,
-    /// Maintenance policy registered for every tenant collection.
-    pub maint_policy: MaintPolicy,
     /// Persistence root, `None` to run purely in memory. When set, each
     /// shard recovers every tenant from
     /// `<dir>/shard-<i>/tenant-<id>/snapshot/` at start (starting empty
@@ -91,8 +86,6 @@ impl Default for ServerConfig {
                 name: "default".to_string(),
                 budget_bytes: None,
             }],
-            maint: MaintConfig::default(),
-            maint_policy: MaintPolicy::default(),
             persist_dir: None,
             slow_request_threshold: Duration::from_millis(1),
         }
@@ -176,8 +169,6 @@ impl Server {
             ));
             let cfg = ShardConfig {
                 workers: config.workers_per_shard.max(1),
-                maint: config.maint.clone(),
-                maint_policy: config.maint_policy,
                 persist_dir: config.persist_dir.clone(),
             };
             let s = shared.clone();

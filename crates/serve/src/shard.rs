@@ -319,8 +319,6 @@ struct TenantLocal {
 /// Tunables for one shard thread.
 pub(crate) struct ShardConfig {
     pub(crate) workers: usize,
-    pub(crate) maint: MaintConfig,
-    pub(crate) maint_policy: MaintPolicy,
     /// Server-wide persistence root; the shard owns the
     /// `shard-<index>/tenant-<id>/` subtree underneath it.
     pub(crate) persist_dir: Option<PathBuf>,
@@ -379,14 +377,12 @@ pub(crate) fn run_shard(shared: Arc<ShardShared>, cfg: ShardConfig) -> ShardDrai
     // writes after startup skip the budget slow path.
     runtime.prewarm_local_blocks(smc_memory::ALLOC_BATCH);
     let coordinator = Coordinator::new(MaintConfig {
-        slo: smc_maint::SloPolicy {
-            gauge: Some(shared.query_latency.clone()),
-            ..cfg.maint.slo.clone()
-        },
-        ..cfg.maint
+        gauge: Some(shared.query_latency.clone()),
+        ..MaintConfig::default()
     });
     for t in tenants.values() {
-        t.smc.register_maintenance(&coordinator, cfg.maint_policy);
+        t.smc
+            .register_maintenance(&coordinator, MaintPolicy::default());
     }
 
     let mut inboxes: Vec<Inbox> = Vec::new();
@@ -731,8 +727,6 @@ mod tests {
         let shard = idle_shard();
         let cfg = ShardConfig {
             workers: 1,
-            maint: MaintConfig::default(),
-            maint_policy: MaintPolicy::default(),
             persist_dir: None,
         };
         let s = shard.clone();
