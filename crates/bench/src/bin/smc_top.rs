@@ -52,7 +52,7 @@ use smc_bench::{
 };
 use smc_maint::{Coordinator, MaintConfig, MaintPolicy, MaintSnapshot};
 use smc_memory::{HeapSnapshot, Runtime};
-use smc_obs::{Histogram, JsonValue, Registry, Summary};
+use smc_obs::{Histogram, JsonValue, Summary};
 use smc_util::Pcg32;
 
 #[derive(Clone, Copy)]
@@ -63,12 +63,12 @@ struct Row {
 }
 unsafe impl Tabular for Row {}
 
+/// Per-op latency of every churn worker (recording is lock-free).
+static WORKER_OPS: Histogram = Histogram::new();
+
 /// One churn worker: keeps a pool of live refs, alternates inserts,
-/// removes and reads, and records per-op latency into a thread-local
-/// histogram registered (merge-on-demand) in the global [`Registry`].
+/// removes and reads, and records per-op latency into [`WORKER_OPS`].
 fn worker(c: Arc<Smc<Row>>, seed: u64, stop: Arc<AtomicBool>, keys: Arc<AtomicU64>) {
-    let hist = Arc::new(Histogram::new());
-    Registry::global().register("smc_top.worker_op_ns", &hist);
     let mut rng = Pcg32::seed_from_u64(seed);
     let mut pool: Vec<Ref<Row>> = Vec::new();
     while !stop.load(Ordering::Relaxed) {
@@ -99,10 +99,9 @@ fn worker(c: Arc<Smc<Row>>, seed: u64, stop: Arc<AtomicBool>, keys: Arc<AtomicU6
                 }
             }
         }
-        hist.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+        WORKER_OPS.record_duration(t0.elapsed());
     }
-    // Shed the pool so repeated runs do not grow without bound; the
-    // histogram Arc dies with this thread and self-unregisters.
+    // Shed the pool so repeated runs do not grow without bound.
     for r in pool {
         let _ = c.try_remove(r);
     }
@@ -251,8 +250,8 @@ fn render(tick: u64, snap: &HeapSnapshot, rt: &Runtime, live: u64, m: &MaintSnap
         "  compaction pause ns: {}",
         rt.stats.compaction_pause_ns.summary()
     );
-    let merged = Registry::global().merged("smc_top.worker_op_ns");
-    println!("  worker op ns:        {}", fmt_summary(&merged.summary()));
+    let ops = WORKER_OPS.summary();
+    println!("  worker op ns:        {}", fmt_summary(&ops));
     render_maint(m);
     if smc_obs::trace::is_enabled() {
         let dropped = smc_obs::trace::dropped();
@@ -332,7 +331,7 @@ fn json_doc(
         .collect();
     tracer.set("dropped_by_thread", JsonValue::Arr(per_thread));
     doc.set("tracer", tracer);
-    let worker = Registry::global().merged("smc_top.worker_op_ns").summary();
+    let worker = WORKER_OPS.summary();
     let mut w = JsonValue::obj();
     w.set("count", worker.count);
     w.set("p50_ns", worker.p50);
@@ -535,7 +534,6 @@ fn main() {
     // probe (below) feeds the SLO gauge so the back-pressure state on the
     // panel is live.
     let scan_gauge = Arc::new(Histogram::new());
-    Registry::global().register("smc_top.scan_ns", &scan_gauge);
     let coordinator = Coordinator::new(MaintConfig {
         gauge: Some(scan_gauge.clone()),
         p99_ceiling: Duration::from_millis(250),

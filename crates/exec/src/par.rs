@@ -86,7 +86,7 @@ fn run_workers<A: Send>(
     let req = smc_obs::trace::current_request();
     pool.broadcast(|widx| {
         let _scope = req.map(smc_obs::trace::RequestScope::enter);
-        let worker_start = std::time::Instant::now();
+        let worker_start = smc_obs::clock::now();
         let mut claims = Claims {
             cursor: &cursor,
             morsels,
@@ -96,7 +96,8 @@ fn run_workers<A: Send>(
         };
         let acc = worker(&mut claims);
         if let Some(id) = req.filter(|_| claims.claimed > 0) {
-            smc_obs::trace::emit_stage(id, "exec", worker_start.elapsed().as_nanos() as u64);
+            let nanos = smc_obs::clock::now().saturating_sub(worker_start);
+            smc_obs::trace::emit_stage(id, "exec", nanos);
         }
         *slots[widx].lock().unwrap_or_else(|e| e.into_inner()) = Some(acc);
     });

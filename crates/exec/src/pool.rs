@@ -152,7 +152,7 @@ impl WorkerPool {
         let _serial = lock(&self.run_lock);
         // Clock reads only happen while tracing is on; the disabled path
         // stays untimed.
-        let t0 = smc_obs::trace::is_enabled().then(std::time::Instant::now);
+        let t0 = smc_obs::trace::is_enabled().then(smc_obs::clock::now);
         // SAFETY: erase the closure's borrow lifetime. Sound because this
         // function blocks below until `completed == threads`, i.e. no worker
         // can still be executing (or later observe) the job once we return.
@@ -174,7 +174,7 @@ impl WorkerPool {
         if let Some(t0) = t0 {
             smc_obs::trace::emit(smc_obs::Event::PoolBroadcast {
                 threads: self.threads as u64,
-                nanos: t0.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+                nanos: smc_obs::clock::now().saturating_sub(t0),
             });
         }
     }

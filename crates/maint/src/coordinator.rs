@@ -28,11 +28,12 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use smc_memory::fault::FaultSite;
 use smc_memory::inspect::HeapSnapshot;
 use smc_memory::MemoryContext;
+use smc_obs::clock;
 use smc_obs::hist::Histogram;
 use smc_obs::trace::{self, Event, Label, ShortLabel};
 use smc_util::Backoff;
@@ -149,7 +150,8 @@ pub struct MaintSnapshot {
 struct Registration {
     ctx: Arc<MemoryContext>,
     policy: MaintPolicy,
-    last_pass: Option<Instant>,
+    /// [`clock::now`] when the planner last queued a pass for it.
+    last_pass: Option<u64>,
     forced: bool,
 }
 
@@ -160,7 +162,8 @@ struct Planned {
 
 struct InFlight {
     ctx: Arc<MemoryContext>,
-    started: Instant,
+    /// [`clock::now`] when the worker claimed the pass.
+    started: u64,
     watchdog_fired: bool,
 }
 
@@ -371,7 +374,7 @@ fn nanos(d: Duration) -> u64 {
 fn planner_loop(inner: &Inner) {
     let mut pacer = TokenBucket::new(PACER_CAPACITY, PACER_REFILL_PER_SEC);
     let mut slo_backoff = Backoff::new(SEED ^ 0x510_b0ff, SLO_BACKOFF_BASE, SLO_BACKOFF_CAP);
-    let mut hold_until: Option<Instant> = None;
+    let mut hold_until: Option<u64> = None;
     loop {
         // Sleep one cycle (interruptibly: shutdown notifies the condvar).
         {
@@ -387,13 +390,11 @@ fn planner_loop(inner: &Inner) {
                 return;
             }
         }
-        let now = Instant::now();
+        let now = clock::now();
 
         // Watchdog: cancel a pass running past the deadline.
         if let Some(inf) = &mut inner.lock().in_flight {
-            if !inf.watchdog_fired
-                && now.saturating_duration_since(inf.started) >= WATCHDOG_DEADLINE
-            {
+            if !inf.watchdog_fired && now.saturating_sub(inf.started) >= nanos(WATCHDOG_DEADLINE) {
                 inf.watchdog_fired = true;
                 inf.ctx.request_compaction_cancel();
                 inner
@@ -425,7 +426,7 @@ fn planner_loop(inner: &Inner) {
             }
         }
         if over_ceiling && !holding {
-            hold_until = Some(now + slo_backoff.next_delay());
+            hold_until = Some(now + nanos(slo_backoff.next_delay()));
         }
         if !breached {
             hold_until = None;
@@ -472,7 +473,7 @@ fn planner_loop(inner: &Inner) {
                 }
                 if reg
                     .last_pass
-                    .is_some_and(|t| now.saturating_duration_since(t) < reg.policy.min_interval)
+                    .is_some_and(|t| now.saturating_sub(t) < nanos(reg.policy.min_interval))
                 {
                     continue;
                 }
@@ -533,7 +534,7 @@ fn worker_loop(inner: &Inner) {
                 if let Some(p) = g.queue.pop_front() {
                     g.in_flight = Some(InFlight {
                         ctx: p.ctx.clone(),
-                        started: Instant::now(),
+                        started: clock::now(),
                         watchdog_fired: false,
                     });
                     break Some(p);

@@ -44,9 +44,10 @@ pub use policy::{MaintPolicy, PassReason};
 mod tests {
     use super::*;
     use smc_memory::{ContextConfig, MemoryContext, Runtime};
+    use smc_obs::clock;
     use smc_obs::hist::Histogram;
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     fn context(rt: &Arc<Runtime>) -> Arc<MemoryContext> {
         Arc::new(
@@ -72,8 +73,8 @@ mod tests {
     }
 
     fn wait_until(deadline: Duration, mut done: impl FnMut() -> bool) -> bool {
-        let end = Instant::now() + deadline;
-        while Instant::now() < end {
+        let end = clock::now() + deadline.as_nanos() as u64;
+        while clock::now() < end {
             if done() {
                 return true;
             }

@@ -20,8 +20,8 @@ use std::any::TypeId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Instant;
 
+use smc_obs::clock;
 use smc_util::sync::{Mutex, RwLock, RwLockReadGuard};
 
 use crate::arena::{AnyArena, Arena, ArenaOccupancy, Handle, Marker, Trace};
@@ -284,7 +284,7 @@ impl ManagedHeap {
         // Stop the world. If this thread (or another) holds a guard, the
         // write acquisition blocks until the world reaches a safepoint.
         smc_obs::trace::emit(smc_obs::Event::GcPauseBegin { major });
-        let t0 = Instant::now();
+        let t0 = clock::now();
         let world = self.world.write();
         let parity = self.parity.fetch_xor(1, Ordering::AcqRel) ^ 1;
         let mut marker = Marker::new(&arenas, parity);
@@ -299,12 +299,12 @@ impl ManagedHeap {
             swept += arena.sweep(!major, parity);
         }
         drop(world);
-        let pause = t0.elapsed();
+        let pause = clock::now().saturating_sub(t0);
         self.pauses.record(pause);
         self.pauses.record_cycle(major, traced, swept);
         smc_obs::trace::emit(smc_obs::Event::GcPauseEnd {
             major,
-            nanos: pause.as_nanos().min(u64::MAX as u128) as u64,
+            nanos: pause,
             traced,
             swept,
         });
@@ -338,7 +338,7 @@ impl ManagedHeap {
         // One short stop-the-world slice.
         smc_obs::trace::emit(smc_obs::Event::GcPauseBegin { major: cycle.major });
         let slice_major = cycle.major;
-        let t0 = Instant::now();
+        let t0 = clock::now();
         let world = self.world.write();
         let mut marker = Marker::new(&arenas, parity);
         marker.stack = std::mem::take(&mut cycle.stack);
@@ -375,11 +375,11 @@ impl ManagedHeap {
             );
         }
         drop(world);
-        let pause = t0.elapsed();
+        let pause = clock::now().saturating_sub(t0);
         self.pauses.record(pause);
         smc_obs::trace::emit(smc_obs::Event::GcPauseEnd {
             major: slice_major,
-            nanos: pause.as_nanos().min(u64::MAX as u128) as u64,
+            nanos: pause,
             traced: slice_traced,
             swept: slice_swept,
         });

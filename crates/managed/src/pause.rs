@@ -35,9 +35,9 @@ impl PauseStats {
         Self::default()
     }
 
-    /// Records one stop-the-world interval.
-    pub fn record(&self, pause: Duration) {
-        self.pauses_ns.record_duration(pause);
+    /// Records one stop-the-world interval, in nanoseconds.
+    pub fn record(&self, pause_ns: u64) {
+        self.pauses_ns.record(pause_ns);
     }
 
     /// Records a completed collection cycle.
@@ -121,8 +121,8 @@ mod tests {
     #[test]
     fn records_and_reports() {
         let s = PauseStats::new();
-        s.record(Duration::from_micros(100));
-        s.record(Duration::from_micros(300));
+        s.record(100_000);
+        s.record(300_000);
         s.record_cycle(false, 10, 4);
         s.record_cycle(true, 50, 20);
         let r = s.report();
@@ -139,7 +139,7 @@ mod tests {
     fn percentiles_come_from_the_histogram() {
         let s = PauseStats::new();
         for micros in 1..=100u64 {
-            s.record(Duration::from_micros(micros));
+            s.record(micros * 1_000);
         }
         let r = s.report();
         assert_eq!(r.pauses, 100);
@@ -155,7 +155,7 @@ mod tests {
     #[test]
     fn reset_zeroes() {
         let s = PauseStats::new();
-        s.record(Duration::from_millis(5));
+        s.record(5_000_000);
         s.reset();
         let r = s.report();
         assert_eq!(r.pauses, 0);

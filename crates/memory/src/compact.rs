@@ -12,7 +12,8 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
+
+use smc_obs::clock;
 
 use crate::block::BlockRef;
 use crate::context::{MemoryContext, UnitRead};
@@ -89,12 +90,12 @@ impl CompactionGroup {
     }
 
     /// Waits until no query holds the group's pre-relocation state pinned,
-    /// or until `deadline` passes (false). Required before *any* thread —
-    /// the compaction thread or a helping query — relocates objects of this
-    /// group: the §5.2 counter "prevents other threads from compacting the
-    /// group until the query decremented the counter again", and helping is
-    /// compacting.
-    pub fn wait_pre_readers(&self, deadline: Option<Instant>) -> bool {
+    /// or until [`clock::now`] passes `deadline` (false). Required before
+    /// *any* thread — the compaction thread or a helping query — relocates
+    /// objects of this group: the §5.2 counter "prevents other threads from
+    /// compacting the group until the query decremented the counter again",
+    /// and helping is compacting.
+    pub fn wait_pre_readers(&self, deadline: Option<u64>) -> bool {
         poll_until(deadline, || self.query_counter.load(Ordering::SeqCst) == 0)
     }
 
@@ -147,11 +148,12 @@ pub struct CompactionReport {
     pub cancelled: bool,
 }
 
-/// Polls `done`, yielding in between, until it holds (true) or `deadline`
-/// passes (false) — the one wait loop of the pass and its helpers.
-fn poll_until(deadline: Option<Instant>, mut done: impl FnMut() -> bool) -> bool {
+/// Polls `done`, yielding in between, until it holds (true) or
+/// [`clock::now`] passes `deadline` (false) — the one wait loop of the pass
+/// and its helpers.
+fn poll_until(deadline: Option<u64>, mut done: impl FnMut() -> bool) -> bool {
     while !done() {
-        if deadline.is_some_and(|d| Instant::now() >= d) {
+        if deadline.is_some_and(|d| clock::now() >= d) {
             return false;
         }
         crate::sync::thread_yield();
@@ -230,7 +232,7 @@ impl MemoryContext {
         if candidates.is_empty() {
             return report;
         }
-        let pass_start = Instant::now();
+        let pass_start = clock::now();
         smc_obs::trace::emit(smc_obs::Event::CompactionSelect {
             context: self.id,
             candidates: candidates.len() as u64,
@@ -278,7 +280,7 @@ impl MemoryContext {
         // wait for every other in-critical thread to reach the relocation
         // epoch, then open the moving phase.
         if self.advance_to(e + 2, tid) && self.wait_all_at(e + 2, tid) {
-            let pause_start = Instant::now();
+            let pause_start = clock::now();
             self.runtime.set_moving_phase(true);
             for group in &groups {
                 if !self.move_group(group, &mut report) {
@@ -289,7 +291,7 @@ impl MemoryContext {
                 }
             }
             self.runtime.set_moving_phase(false);
-            let pause_ns = pause_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+            let pause_ns = clock::now().saturating_sub(pause_start);
             self.runtime.stats.compaction_pause_ns.record(pause_ns);
             smc_obs::trace::emit(smc_obs::Event::CompactionRelocate {
                 context: self.id,
@@ -329,7 +331,7 @@ impl MemoryContext {
             retired: report.retired_bases.len() as u64,
         });
         let pass_ns = &self.runtime.stats.compaction_pass_ns;
-        pass_ns.record_duration(pass_start.elapsed());
+        pass_ns.record(clock::now().saturating_sub(pass_start));
         report
     }
 
@@ -553,8 +555,8 @@ impl MemoryContext {
     }
 
     /// The patience deadline for one wait of the pass, from now.
-    fn patience(&self) -> Option<Instant> {
-        Some(Instant::now() + self.config.compaction_patience)
+    fn patience(&self) -> Option<u64> {
+        Some(clock::now() + self.config.compaction_patience.as_nanos() as u64)
     }
 
     fn advance_to(&self, target: u64, tid: usize) -> bool {

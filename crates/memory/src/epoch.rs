@@ -22,9 +22,9 @@
 //! with a publish-recheck loop; we do the same (`EpochManager::enter`),
 //! and additionally every object access re-validates an incarnation number
 //! *after* entering, so even a stale-epoch entry can at worst observe limbo
-//! memory that is still block-resident — never unmapped memory, because
-//! blocks are returned to the OS only after a [`EpochManager::quiesce`]
-//! barrier.
+//! memory that is still block-resident — never unmapped memory, because a
+//! buried block is freed only once the global epoch has passed the epoch it
+//! was buried at ([`Runtime::drain_graveyard`](crate::runtime::Runtime::drain_graveyard)).
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::Ordering;
@@ -56,10 +56,11 @@ struct ThreadSlot {
     depth: AtomicU32,
     /// Slot ownership: 0 free, 1 claimed.
     claimed: AtomicU32,
-    /// Monotonic nanos at which the current outermost critical section was
-    /// entered. Observability-only, so deliberately a *plain* std atomic —
-    /// the instrumented `crate::sync` types would add model-checker switch
-    /// points to every pin and blow up the `smc_check` state space.
+    /// [`smc_obs::clock::now`] at which the current outermost critical
+    /// section was entered. Observability-only, so deliberately a *plain*
+    /// std atomic — the instrumented `crate::sync` types would add
+    /// model-checker switch points to every pin and blow up the `smc_check`
+    /// state space.
     pin_start: std::sync::atomic::AtomicU64,
 }
 
@@ -72,14 +73,6 @@ impl ThreadSlot {
             pin_start: std::sync::atomic::AtomicU64::new(0),
         }
     }
-}
-
-/// Monotonic nanoseconds for pin hold-time accounting (process-wide base).
-fn now_nanos() -> u64 {
-    use std::sync::OnceLock;
-    use std::time::Instant;
-    static BASE: OnceLock<Instant> = OnceLock::new();
-    BASE.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
 /// The global epoch state shared by all threads of one runtime.
@@ -271,7 +264,8 @@ impl EpochManager {
                 slot.epoch.store(e, Ordering::SeqCst);
                 slot.depth.store(1, Ordering::SeqCst);
                 fence(Ordering::SeqCst);
-                slot.pin_start.store(now_nanos(), Ordering::Relaxed);
+                slot.pin_start
+                    .store(smc_obs::clock::now(), Ordering::Relaxed);
                 return;
             }
             // Publish-recheck loop: republish until the global epoch is
@@ -287,7 +281,8 @@ impl EpochManager {
                 }
                 e = now;
             }
-            slot.pin_start.store(now_nanos(), Ordering::Relaxed);
+            slot.pin_start
+                .store(smc_obs::clock::now(), Ordering::Relaxed);
         } else {
             slot.depth.store(depth + 1, Ordering::Relaxed);
         }
@@ -298,7 +293,7 @@ impl EpochManager {
         let depth = slot.depth.load(Ordering::Relaxed);
         debug_assert!(depth > 0, "exit without matching enter");
         if depth == 1 {
-            let held = now_nanos().saturating_sub(slot.pin_start.load(Ordering::Relaxed));
+            let held = smc_obs::clock::now().saturating_sub(slot.pin_start.load(Ordering::Relaxed));
             fence(Ordering::SeqCst); // order object accesses before the clear
             slot.depth.store(0, Ordering::SeqCst);
             // Recorded after the clear so the histogram update never
@@ -412,23 +407,6 @@ impl EpochManager {
             Ordering::AcqRel,
             Ordering::Acquire,
         );
-    }
-
-    /// Blocks until the global epoch has advanced at least two steps past
-    /// `from`, guaranteeing that no critical section that was active at
-    /// `from` is still running. Used before returning blocks to the OS.
-    pub fn quiesce(self: &Arc<Self>, from: u64) {
-        let mut spins = 0u32;
-        while self.global_epoch() < from + 2 {
-            if self.try_advance().is_none() {
-                spins += 1;
-                if spins > 64 {
-                    crate::sync::thread_yield();
-                } else {
-                    crate::sync::cpu_relax();
-                }
-            }
-        }
     }
 
     /// Histogram of outermost critical-section (pin) hold times in
@@ -663,13 +641,6 @@ mod tests {
         release.store(true, Ordering::SeqCst);
         t.join().unwrap();
         assert_eq!(mgr.try_advance(), Some(2));
-    }
-
-    #[test]
-    fn quiesce_advances_past_target() {
-        let mgr = EpochManager::new();
-        mgr.quiesce(0);
-        assert!(mgr.global_epoch() >= 2);
     }
 
     #[test]

@@ -60,7 +60,6 @@ use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
-use std::time::Instant;
 
 use crate::block::BlockRef;
 use crate::context::{LayoutMode, Membership, MemoryContext};
@@ -503,7 +502,7 @@ impl MemoryContext {
         if in_spill_scan() {
             return Err(MemError::SpillFault);
         }
-        let start = Instant::now();
+        let start = smc_obs::clock::now();
         // What earlier spills and fault-ins buried ripens here: a run of
         // short-pinned reads advances the epoch once per fault, so each
         // victim recycles through the shard cache two faults later. (A
@@ -578,7 +577,7 @@ impl MemoryContext {
         self.spilled_objects_gauge
             .fetch_sub(page.entries.len() as u64, Ordering::Relaxed);
         MemoryStats::inc(&self.runtime.stats.blocks_faulted_in);
-        let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        let nanos = smc_obs::clock::now().saturating_sub(start);
         self.runtime.stats.spill_fault_ns.record(nanos);
         smc_obs::trace::emit(smc_obs::Event::BlockFaulted {
             context: self.id,

@@ -269,147 +269,9 @@ impl std::fmt::Display for Summary {
     }
 }
 
-/// A named registry of histograms, mergeable **on demand** instead of only
-/// at report time.
-///
-/// Worker threads (or subsystems) register their own `Arc<Histogram>` under
-/// a shared name and keep recording into it lock-free; any observer —
-/// `smc-top`'s refresh loop, a mid-run snapshot, the final report — can ask
-/// for [`merged`](Registry::merged) at any moment and gets a point-in-time
-/// combination of every registration without stopping the writers. The
-/// registry holds weak references, so a thread dropping its histogram
-/// unregisters it implicitly.
-///
-/// ```
-/// use std::sync::Arc;
-/// use smc_obs::hist::{Histogram, Registry};
-///
-/// let reg = Registry::new();
-/// let a = Arc::new(Histogram::new());
-/// let b = Arc::new(Histogram::new());
-/// reg.register("op_latency", &a);
-/// reg.register("op_latency", &b);
-/// a.record(10);
-/// b.record(30);
-/// assert_eq!(reg.merged("op_latency").count(), 2); // merged on demand
-/// a.record(20);
-/// assert_eq!(reg.merged("op_latency").count(), 3); // no re-registration
-/// ```
-pub struct Registry {
-    entries: std::sync::Mutex<Vec<(String, std::sync::Weak<Histogram>)>>,
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Registry {
-    /// An empty registry. `const`, so a registry can be `static`.
-    pub const fn new() -> Registry {
-        Registry {
-            entries: std::sync::Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The process-global registry (what `smc-top` and the bench harness
-    /// observe).
-    pub fn global() -> &'static Registry {
-        static GLOBAL: Registry = Registry::new();
-        &GLOBAL
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<(String, std::sync::Weak<Histogram>)>> {
-        self.entries.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Registers `hist` under `name`. Idempotent per (name, histogram)
-    /// pair; dead weak entries are pruned opportunistically.
-    pub fn register(&self, name: &str, hist: &std::sync::Arc<Histogram>) {
-        let mut entries = self.lock();
-        entries.retain(|(_, w)| w.strong_count() > 0);
-        let already = entries.iter().any(|(n, w)| {
-            n == name
-                && w.upgrade()
-                    .is_some_and(|h| std::sync::Arc::ptr_eq(&h, hist))
-        });
-        if !already {
-            entries.push((name.to_string(), std::sync::Arc::downgrade(hist)));
-        }
-    }
-
-    /// Every distinct registered name, sorted, still-live entries only.
-    pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .lock()
-            .iter()
-            .filter(|(_, w)| w.strong_count() > 0)
-            .map(|(n, _)| n.clone())
-            .collect();
-        names.sort();
-        names.dedup();
-        names
-    }
-
-    /// Merges every live histogram registered under `name` into one
-    /// point-in-time combination (empty when the name is unknown).
-    pub fn merged(&self, name: &str) -> Histogram {
-        let out = Histogram::new();
-        for (n, w) in self.lock().iter() {
-            if n == name {
-                if let Some(h) = w.upgrade() {
-                    out.merge(&h);
-                }
-            }
-        }
-        out
-    }
-
-    /// `(name, merged histogram)` for every distinct live name.
-    pub fn merged_all(&self) -> Vec<(String, Histogram)> {
-        self.names()
-            .into_iter()
-            .map(|n| {
-                let m = self.merged(&n);
-                (n, m)
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn registry_drops_dead_entries() {
-        let reg = Registry::new();
-        let a = std::sync::Arc::new(Histogram::new());
-        a.record(5);
-        reg.register("x", &a);
-        {
-            let b = std::sync::Arc::new(Histogram::new());
-            b.record(7);
-            reg.register("x", &b);
-            assert_eq!(reg.merged("x").count(), 2);
-        }
-        // `b` dropped: its registration vanishes without explicit cleanup.
-        assert_eq!(reg.merged("x").count(), 1);
-        assert_eq!(reg.names(), vec!["x".to_string()]);
-        assert_eq!(reg.merged("unknown").count(), 0);
-    }
-
-    #[test]
-    fn registry_register_is_idempotent() {
-        let reg = Registry::new();
-        let a = std::sync::Arc::new(Histogram::new());
-        a.record(1);
-        reg.register("y", &a);
-        reg.register("y", &a);
-        assert_eq!(reg.merged("y").count(), 1, "double registration ignored");
-        assert_eq!(reg.merged_all().len(), 1);
-    }
 
     #[test]
     fn small_values_are_exact() {

@@ -4,8 +4,10 @@
 //! runtime behaviour: GC pause distributions, reclamation cost, enumeration
 //! throughput (§7, Figs 6–13). This crate is the measurement substrate the
 //! rest of the workspace reports through. It has **zero external
-//! dependencies** and three parts:
+//! dependencies** and these parts:
 //!
+//! - [`clock`] — the process clock every library time read goes through:
+//!   nanoseconds since one origin, which a test can freeze and step.
 //! - [`trace`] — a lock-free, thread-local structured event tracer with a
 //!   typed taxonomy (GC pauses, epoch advances, the compaction-group
 //!   select → relocate → retire lifecycle, recovery-ladder rungs, failpoint
@@ -20,8 +22,7 @@
 //!   (schema documented in EXPERIMENTS.md).
 //! - [`chrome`] — a Chrome `trace_event` exporter draining the [`trace`]
 //!   rings into Perfetto-loadable JSON (spans from paired begin/end
-//!   events, counter tracks, per-thread tracks), plus [`hist::Registry`]
-//!   for merging thread-local histograms on demand.
+//!   events, counter tracks, per-thread tracks).
 //! - [`flight`] — an always-on flight recorder: a fixed-budget global ring
 //!   of the most recent events, dumped to `SMC_FLIGHT_OUT` on panic, SLO
 //!   breach, failed drain verify, or SIGUSR1 for crash forensics with zero
@@ -51,12 +52,13 @@
 #![forbid(unsafe_op_in_unsafe_fn)]
 
 pub mod chrome;
+pub mod clock;
 pub mod flight;
 pub mod hist;
 pub mod report;
 pub mod trace;
 
 pub use chrome::ChromeTrace;
-pub use hist::{Histogram, Registry, Summary};
+pub use hist::{Histogram, Summary};
 pub use report::{JsonValue, Report, SeriesId};
 pub use trace::{Event, Label, RequestId, RequestScope, ShortLabel, Span, TracedEvent};

@@ -36,9 +36,9 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{fence, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
 
+use crate::clock;
 use crate::hist::Histogram;
 use crate::report::JsonValue;
 
@@ -472,7 +472,7 @@ pub struct TracedEvent {
     pub seq: u64,
     /// Emitting thread's tracer id (dense, per-process, from 1).
     pub thread: u64,
-    /// Nanoseconds since the tracer's time origin (first enable/emission).
+    /// When the event was emitted, in [`clock::now`] nanoseconds.
     pub nanos: u64,
     /// The event payload.
     pub event: Event,
@@ -630,11 +630,6 @@ fn registry() -> std::sync::MutexGuard<'static, Vec<Arc<Ring>>> {
     REGISTRY.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn origin() -> Instant {
-    static ORIGIN: OnceLock<Instant> = OnceLock::new();
-    *ORIGIN.get_or_init(Instant::now)
-}
-
 thread_local! {
     static LOCAL: Arc<Ring> = {
         let thread = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
@@ -645,7 +640,6 @@ thread_local! {
 }
 
 fn set_mode(bit: u8, on: bool) {
-    origin(); // pin the time origin no later than the first enablement
     if on {
         MODE.fetch_or(bit, Ordering::Relaxed);
     } else {
@@ -697,7 +691,7 @@ pub fn emit(event: Event) {
 #[cold]
 fn emit_enabled(mode: u8, event: Event) {
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-    let nanos = origin().elapsed().as_nanos() as u64;
+    let nanos = clock::now();
     // `try_with`: emissions during TLS teardown are silently dropped.
     let _ = LOCAL.try_with(|ring| {
         let words = TracedEvent {
@@ -842,7 +836,7 @@ pub fn emit_stage(id: RequestId, stage: &str, nanos: u64) {
 pub struct Span<'a> {
     label: Label,
     hist: Option<&'a Histogram>,
-    start: Instant,
+    start: u64,
 }
 
 impl<'a> Span<'a> {
@@ -851,7 +845,7 @@ impl<'a> Span<'a> {
         Span {
             label: label.into(),
             hist: None,
-            start: Instant::now(),
+            start: clock::now(),
         }
     }
 
@@ -860,14 +854,14 @@ impl<'a> Span<'a> {
         Span {
             label: label.into(),
             hist: Some(hist),
-            start: Instant::now(),
+            start: clock::now(),
         }
     }
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        let nanos = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        let nanos = clock::now().saturating_sub(self.start);
         if let Some(hist) = self.hist {
             hist.record(nanos);
         }

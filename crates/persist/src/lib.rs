@@ -68,7 +68,6 @@ use std::io::{Read, Write};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
 
 use smc::Smc;
 use smc_memory::block::type_id_of;
@@ -79,6 +78,7 @@ use smc_memory::runtime::Runtime;
 use smc_memory::spill::{PageStore, SpillIoError};
 use smc_memory::sync::Mutex;
 use smc_memory::tabular::Tabular;
+use smc_obs::clock;
 
 /// First line of every manifest; bumped on incompatible format changes.
 const MANIFEST_SCHEMA: &str = "smc-snapshot/v2";
@@ -317,7 +317,7 @@ impl<T: Tabular> Persist<T> for Smc<T> {
 // ---------------------------------------------------------------------
 
 fn snapshot_impl<T: Tabular>(smc: &Smc<T>, dir: &Path) -> Result<SnapshotReport, PersistError> {
-    let start = Instant::now();
+    let start = clock::now();
     let runtime = smc.runtime().clone();
     let faults = runtime.faults().clone();
     fs::create_dir_all(dir)?;
@@ -431,7 +431,7 @@ fn snapshot_impl<T: Tabular>(smc: &Smc<T>, dir: &Path) -> Result<SnapshotReport,
         }
     }
 
-    let nanos = start.elapsed().as_nanos() as u64;
+    let nanos = clock::now().saturating_sub(start);
     smc_obs::trace::emit(smc_obs::Event::SnapshotWritten {
         context: smc.context().id(),
         pages,
@@ -456,7 +456,7 @@ fn recover_impl<T: Tabular>(
     opts: RecoverOptions,
     dir: &Path,
 ) -> Result<(Smc<T>, RecoveryReport), PersistError> {
-    let start = Instant::now();
+    let start = clock::now();
     let manifest = read_manifest(dir)?;
     let expected_type = type_id_of::<T>();
     if manifest.type_id != expected_type {
@@ -576,7 +576,7 @@ fn recover_impl<T: Tabular>(
         )]));
     }
 
-    let nanos = start.elapsed().as_nanos() as u64;
+    let nanos = clock::now().saturating_sub(start);
     smc_obs::trace::emit(smc_obs::Event::RecoveryLoaded {
         context: smc.context().id(),
         pages,

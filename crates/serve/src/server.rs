@@ -21,11 +21,12 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use smc::Runtime;
 use smc_memory::inspect::HeapSnapshot;
 use smc_memory::stats::MemoryStats;
+use smc_obs::clock;
 use smc_obs::trace::{self, RequestId, RequestScope};
 use smc_obs::{flight, JsonValue};
 use smc_util::waiter::Waiter;
@@ -504,7 +505,7 @@ impl Router<'_> {
     /// fails (the prefix was honest), so that answers and keeps the
     /// connection.
     fn handle(&mut self, payload: &[u8]) -> Response {
-        let conn_start = Instant::now();
+        let conn_start = clock::now();
         let (req, raw_id) = match Request::decode_traced(payload) {
             Ok(decoded) => decoded,
             Err(e) => return Response::err(e.code(), e.message()),
@@ -515,7 +516,7 @@ impl Router<'_> {
         let _scope = id.map(RequestScope::enter);
         let resp = self.dispatch(req, id);
         if let Some(id) = id {
-            trace::emit_stage(id, "conn", conn_start.elapsed().as_nanos() as u64);
+            trace::emit_stage(id, "conn", clock::now().saturating_sub(conn_start));
         }
         resp
     }
@@ -525,7 +526,7 @@ impl Router<'_> {
     /// shard-bound op records its tail-latency breakdown when it completes
     /// at or over the slow-request threshold.
     fn dispatch(&mut self, req: Request, trace: Option<RequestId>) -> Response {
-        let start = Instant::now();
+        let start = clock::now();
         let shards = &self.server.shards;
         let n = shards.len();
         let op = req.op();
@@ -560,7 +561,7 @@ impl Router<'_> {
             Op::Upsert | Op::Delete => OpClass::Ingest,
             _ => OpClass::Query,
         };
-        let total_ns = start.elapsed().as_nanos() as u64;
+        let total_ns = clock::now().saturating_sub(start);
         self.server.attr.observe(class, total_ns, &breakdown);
         resp
     }
@@ -584,7 +585,7 @@ impl Router<'_> {
                 tenant,
                 op: op?,
                 trace,
-                enqueued: Instant::now(),
+                enqueued: clock::now(),
             };
             // A queued job has timed out until its reply says otherwise.
             let queued = self.links[i].send(&server.shards[i], job, RING_PATIENCE);
@@ -595,28 +596,27 @@ impl Router<'_> {
             })
         };
         let mut outcomes: Vec<_> = ops.into_iter().enumerate().map(send).collect();
-        let deadline = Instant::now() + REPLY_TIMEOUT;
-        let (links, waiter) = (&mut self.links, &self.waiter);
-        gather(links, waiter, self.seq, deadline, &mut outcomes, breakdown);
+        let (links, waiter, seq) = (&mut self.links, &self.waiter, self.seq);
+        gather(links, waiter, seq, REPLY_TIMEOUT, &mut outcomes, breakdown);
         outcomes
     }
 }
 
 /// Replaces every `TimedOut` in `outcomes` by that shard's reply to scatter
 /// `seq`, in **one** wait over all reply rings that ends when none is left
-/// or at `deadline`. Replies numbered otherwise are dropped unread. Each
+/// or after `timeout`. Replies numbered otherwise are dropped unread. Each
 /// reply's timing folds into `breakdown` as it arrives.
 fn gather(
     links: &mut [ShardLink],
     waiter: &Waiter,
     seq: u64,
-    deadline: Instant,
+    timeout: Duration,
     outcomes: &mut [Option<Outcome>],
     breakdown: &mut SlowBreakdown,
 ) {
     let awaited = |o: &&Option<Outcome>| matches!(o, Some(Outcome::TimedOut));
     let mut left = outcomes.iter().filter(awaited).count();
-    waiter.wait(Some(deadline), || {
+    waiter.wait(Some(timeout), || {
         for (link, outcome) in links.iter_mut().zip(outcomes.iter_mut()) {
             while let Some(r) = link.pop_reply() {
                 if r.seq == seq {
@@ -703,8 +703,8 @@ mod tests {
         let mut links = [link0, link1];
         let mut run = |seq, outcomes: &mut [Option<Outcome>]| {
             let mut breakdown = SlowBreakdown::default();
-            let deadline = Instant::now() + Duration::from_millis(20);
-            gather(&mut links, &waiter, seq, deadline, outcomes, &mut breakdown);
+            let timeout = Duration::from_millis(20);
+            gather(&mut links, &waiter, seq, timeout, outcomes, &mut breakdown);
             breakdown
         };
         // Shard 0 answers request 4 (long given up on), then request 5;

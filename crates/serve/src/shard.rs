@@ -17,13 +17,14 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use smc::{ContextConfig, Ref, Runtime, Smc, Tabular};
 use smc_exec::{ParScan, WorkerPool};
 use smc_maint::{Coordinator, MaintConfig, MaintPolicy};
 use smc_memory::stats::MemoryStats;
 use smc_memory::{MemError, MemoryContext, PageStore};
+use smc_obs::clock;
 use smc_obs::trace::{self, RequestId, RequestScope};
 use smc_obs::Histogram;
 use smc_persist::{Persist, PersistError, RecoverOptions, SpillFile};
@@ -103,8 +104,9 @@ pub(crate) struct ShardJob {
     /// Span context from the wire header, if the request was traced; the
     /// shard re-enters it so every event it emits carries the id.
     pub(crate) trace: Option<RequestId>,
-    /// When the connection thread enqueued the job (ring-wait start).
-    pub(crate) enqueued: Instant,
+    /// [`clock::now`] when the connection thread enqueued the job
+    /// (ring-wait start).
+    pub(crate) enqueued: u64,
 }
 
 /// A shard's answer as it travels the reply ring.
@@ -119,8 +121,8 @@ pub(crate) struct Reply {
     /// the shard thread; `reply_wake_ns` is filled in by
     /// [`ShardLink::pop_reply`].
     pub(crate) timing: SlowBreakdown,
-    /// When the shard pushed the reply (reply-wake start).
-    pushed: Instant,
+    /// [`clock::now`] when the shard pushed the reply (reply-wake start).
+    pushed: u64,
 }
 
 /// The shard's end of one connection's ring pair.
@@ -141,7 +143,7 @@ impl Inbox {
             seq,
             reply,
             timing,
-            pushed: Instant::now(),
+            pushed: clock::now(),
         });
         self.conn.wake();
     }
@@ -269,7 +271,7 @@ impl ShardLink {
     /// job was dropped, so no reply will come.
     #[must_use]
     pub(crate) fn send(&self, shard: &ShardShared, mut job: ShardJob, patience: Duration) -> bool {
-        let deadline = Instant::now() + patience;
+        let deadline = clock::now() + patience.as_nanos() as u64;
         loop {
             match self.jobs.push(job) {
                 Ok(()) => {
@@ -278,7 +280,7 @@ impl ShardLink {
                 }
                 Err(back) => {
                     job = back;
-                    if Instant::now() >= deadline {
+                    if clock::now() >= deadline {
                         return false;
                     }
                     std::thread::yield_now();
@@ -290,7 +292,7 @@ impl ShardLink {
     /// The oldest unread reply, stamped with how long it waited here.
     pub(crate) fn pop_reply(&mut self) -> Option<Reply> {
         let mut r = self.replies.pop()?;
-        r.timing.reply_wake_ns = r.pushed.elapsed().as_nanos() as u64;
+        r.timing.reply_wake_ns = clock::now().saturating_sub(r.pushed);
         Some(r)
     }
 }
@@ -538,16 +540,16 @@ fn execute(
     coordinator: &Coordinator,
     job: ShardJob,
 ) -> (ShardReply, SlowBreakdown) {
-    let ring_wait = job.enqueued.elapsed();
+    let exec_start = clock::now();
+    let ring_wait_ns = exec_start.saturating_sub(job.enqueued);
     let _scope = job.trace.map(RequestScope::enter);
     if let Some(id) = job.trace {
-        trace::emit_stage(id, "ring", ring_wait.as_nanos() as u64);
+        trace::emit_stage(id, "ring", ring_wait_ns);
     }
     let stats = &shared.runtime.stats;
     let faults0 = MemoryStats::get(&stats.blocks_faulted_in);
     let rungs0 = MemoryStats::get(&stats.alloc_retries) + MemoryStats::get(&stats.oom_recoveries);
     let stalls0 = MemoryStats::get(&stats.emergency_epoch_advances);
-    let exec_start = Instant::now();
 
     let tenant_id = job.tenant;
     let reply = match tenants.get_mut(&tenant_id) {
@@ -559,14 +561,16 @@ fn execute(
             ShardOp::Upsert(rows) => upsert(shared, tenant_id, local, rows),
             ShardOp::Delete(keys) => delete(local, keys),
             ShardOp::Count { lo, hi } => {
-                let start = Instant::now();
+                let start = clock::now();
                 let n = ParScan::new(&local.smc, pool)
                     .filter_count(|row: &Row| row.value >= lo && row.value < hi);
-                shared.query_latency.record_duration(start.elapsed());
+                shared
+                    .query_latency
+                    .record(clock::now().saturating_sub(start));
                 ShardReply::Counted(n)
             }
             ShardOp::Sum { lo, hi } => {
-                let start = Instant::now();
+                let start = clock::now();
                 let (count, sum) = ParScan::new(&local.smc, pool).filter_fold(
                     || (0u64, 0u64),
                     |row: &Row| row.value >= lo && row.value < hi,
@@ -579,18 +583,20 @@ fn execute(
                         acc.1 = acc.1.wrapping_add(part.1);
                     },
                 );
-                shared.query_latency.record_duration(start.elapsed());
+                shared
+                    .query_latency
+                    .record(clock::now().saturating_sub(start));
                 ShardReply::Summed { count, sum }
             }
         },
     };
 
-    let exec_ns = exec_start.elapsed().as_nanos() as u64;
+    let exec_ns = clock::now().saturating_sub(exec_start);
     if let Some(id) = job.trace {
         trace::emit_stage(id, "shard", exec_ns);
     }
     let timing = SlowBreakdown {
-        ring_wait_ns: ring_wait.as_nanos() as u64,
+        ring_wait_ns,
         exec_ns,
         reply_wake_ns: 0,
         spill_faults: MemoryStats::get(&stats.blocks_faulted_in).saturating_sub(faults0),
@@ -704,7 +710,7 @@ mod tests {
             tenant: 0,
             op: ShardOp::Count { lo: 0, hi: 1 },
             trace: None,
-            enqueued: Instant::now(),
+            enqueued: clock::now(),
         }
     }
 
@@ -716,10 +722,13 @@ mod tests {
         for seq in 0..RING_CAPACITY as u64 {
             assert!(link.send(&shard, count_job(seq), Duration::ZERO));
         }
-        let start = Instant::now();
+        let start = clock::now();
         let patience = Duration::from_millis(20);
         assert!(!link.send(&shard, count_job(0), patience));
-        assert!(start.elapsed() >= patience, "leaned on the ring first");
+        assert!(
+            clock::now() - start >= patience.as_nanos() as u64,
+            "leaned on the ring first"
+        );
     }
 
     #[test]
@@ -731,9 +740,9 @@ mod tests {
         };
         let s = shard.clone();
         let thread = std::thread::spawn(move || run_shard(s, cfg));
-        let deadline = Instant::now() + Duration::from_secs(10);
+        let deadline = clock::now() + 10_000_000_000;
         while !shard.waiter.is_sleeping() {
-            assert!(Instant::now() < deadline, "shard never went idle");
+            assert!(clock::now() < deadline, "shard never went idle");
             std::thread::sleep(Duration::from_millis(1));
         }
         let before = shard.waiter.wakeups();
@@ -744,7 +753,7 @@ mod tests {
         let conn = Arc::new(Waiter::new());
         let mut link = shard.connect(&conn);
         assert!(link.send(&shard, count_job(9), Duration::ZERO));
-        let reply = conn.wait(Some(deadline), || link.pop_reply()).unwrap();
+        let reply = conn.wait(Some(REPLY_TIMEOUT), || link.pop_reply()).unwrap();
         assert_eq!((reply.seq, reply.reply), (9, ShardReply::Counted(0)));
         drop(link);
         shard.request_stop();

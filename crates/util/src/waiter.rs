@@ -26,6 +26,11 @@
 //! lost, and `park`'s own token makes an `unpark` that lands between the
 //! re-poll and the `park` call return immediately.
 //!
+//! Unlike every other time read in the library, this module reads
+//! `Instant` directly, not the freezable `smc_obs::clock`: its spin budget
+//! is CPU time the waiting thread burns, and under a frozen clock an idle
+//! shard would spin for ever instead of parking.
+//!
 //! ```
 //! use std::sync::atomic::{AtomicBool, Ordering};
 //! use std::sync::Arc;
@@ -97,21 +102,23 @@ impl Waiter {
         }
     }
 
-    /// Calls `poll` until it yields a value or `deadline` passes (`None`
+    /// Calls `poll` until it yields a value or `timeout` has passed (`None`
     /// waits for ever): spinning for the budget, then parked between
     /// wake-ups. `poll` must observe everything a waker publishes before it
     /// calls [`wake`](Waiter::wake) — a condition `poll` cannot see is a
     /// condition this wait can sleep through.
     pub fn wait<T>(
         &self,
-        deadline: Option<Instant>,
+        timeout: Option<Duration>,
         mut poll: impl FnMut() -> Option<T>,
     ) -> Option<T> {
         if let Some(v) = poll() {
             return Some(v);
         }
+        let start = Instant::now();
+        let deadline = timeout.map(|t| start + t);
         if !self.spin.is_zero() {
-            let spin_end = Instant::now() + self.spin;
+            let spin_end = start + self.spin;
             loop {
                 for _ in 0..POLLS_PER_YIELD {
                     std::hint::spin_loop();
@@ -243,7 +250,7 @@ mod tests {
     fn deadline_expires_without_a_waker() {
         let w = Waiter::new();
         let start = Instant::now();
-        let got: Option<()> = w.wait(Some(start + Duration::from_millis(20)), || None);
+        let got: Option<()> = w.wait(Some(Duration::from_millis(20)), || None);
         assert!(got.is_none());
         assert!(start.elapsed() >= Duration::from_millis(20));
         assert!(!w.is_sleeping(), "a timed-out wait leaves the flag clear");
