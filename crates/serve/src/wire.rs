@@ -679,6 +679,60 @@ mod tests {
         ]
     }
 
+    /// Every untraced request shape, pinned byte for byte: op, tenant LE,
+    /// body. A change that moves any of these breaks every deployed client.
+    #[rustfmt::skip]
+    fn golden_requests() -> Vec<(Request, Vec<u8>)> {
+        vec![
+            (Request::Ping, vec![0x01, 0, 0]),
+            (Request::Stats, vec![0x06, 0, 0]),
+            (Request::Scrape, vec![0x07, 0, 0]),
+            (
+                Request::Upsert { tenant: 3, rows: vec![(1, 0x0a0b)] },
+                vec![0x02, 3, 0, 1, 0, 0, 0,
+                     1, 0, 0, 0, 0, 0, 0, 0,
+                     0x0b, 0x0a, 0, 0, 0, 0, 0, 0],
+            ),
+            (
+                Request::Delete { tenant: 0x0102, keys: vec![7, 0x0100] },
+                vec![0x03, 0x02, 0x01, 2, 0, 0, 0,
+                     7, 0, 0, 0, 0, 0, 0, 0,
+                     0, 1, 0, 0, 0, 0, 0, 0],
+            ),
+            (
+                Request::Count { tenant: 1, lo: 5, hi: 500 },
+                vec![0x04, 1, 0,
+                     5, 0, 0, 0, 0, 0, 0, 0,
+                     0xf4, 0x01, 0, 0, 0, 0, 0, 0],
+            ),
+            (
+                Request::Sum { tenant: 0xffff, lo: 0, hi: u64::MAX },
+                vec![0x05, 0xff, 0xff,
+                     0, 0, 0, 0, 0, 0, 0, 0,
+                     0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff],
+            ),
+        ]
+    }
+
+    #[test]
+    fn golden_frames_pin_the_wire_bytes() {
+        for (req, bytes) in golden_requests() {
+            assert_eq!(req.encode(), bytes, "{req:?}");
+            assert_eq!(Request::decode(&bytes), Ok(req));
+        }
+        let responses = [
+            (Response::Ok(vec![0xaa, 0xbb]), vec![0x00, 0xaa, 0xbb]),
+            (
+                Response::err(ErrorCode::TenantOverBudget, "full"),
+                vec![0x03, b'f', b'u', b'l', b'l'],
+            ),
+        ];
+        for (resp, bytes) in responses {
+            assert_eq!(resp.encode(), bytes, "{resp:?}");
+            assert_eq!(Response::decode(&bytes), Ok(resp));
+        }
+    }
+
     #[test]
     fn requests_round_trip() {
         for req in all_requests() {
