@@ -32,8 +32,8 @@
 //! (`"passed": null`) on a host with fewer hardware threads than the run
 //! has threads, or against `--addr`.
 //!
-//! Observability hooks: `--trace-every N` attaches a span-context header
-//! (a fresh `RequestId`) to every Nth request per connection — the server
+//! Observability hooks: `--trace-every N` attaches a fresh `RequestId` to
+//! every Nth request per connection — the server
 //! tags its conn/ring/shard/exec spans with the id, so the Chrome trace
 //! renders per-request flow across threads. `--slow-us U` sets the
 //! embedded server's tail-latency attribution threshold. After the run the
@@ -56,7 +56,7 @@ use smc_bench::{
     arg_parsed, arg_string, arg_u64, arg_usize, csv, finish, init_tracing, install_signal_handler,
     interrupted, JsonValue, Report,
 };
-use smc_obs::Histogram;
+use smc_obs::{Histogram, RequestId};
 use smc_serve::wire::ErrorCode;
 use smc_serve::{Client, ClientError, Server, ServerConfig, TenantConfig};
 use smc_util::Pcg32;
@@ -116,11 +116,6 @@ fn run_conn(
         return out;
     };
     let _ = client.set_timeout(Some(Duration::from_secs(30)));
-    if w.trace_every > 0 {
-        // Version negotiation: an old server answers the traced probe with
-        // UnknownOp and the client silently strips headers from then on.
-        let _ = client.negotiate_tracing();
-    }
     let mut rng = Pcg32::seed_from_u64(w.seed);
     let mut issued = 0u64;
     let start = Instant::now();
@@ -139,7 +134,7 @@ fn run_conn(
         if w.trace_every > 0 && issued % w.trace_every as u64 == 0 {
             // Unique nonzero id: connection index in the high bits, a
             // per-connection sequence in the low ones.
-            client.trace_next(((w.conn + 1) << 40) | (issued + 1));
+            client.trace_next(RequestId::new(((w.conn + 1) << 40) | (issued + 1)));
         }
         issued += 1;
         let is_query = rng.gen_range(0..100usize) < w.query_pct;

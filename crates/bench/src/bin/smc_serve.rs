@@ -28,7 +28,7 @@
 //! `--slow-us U` sets the tail-latency attribution threshold (default
 //! 1000 µs): requests slower than U microseconds record a structured
 //! breakdown into the per-op-class histograms the `SCRAPE` wire op (and
-//! `smc-top --addr`) report.
+//! `smc-top`) report.
 //!
 //! The flight recorder is always armed. When `SMC_FLIGHT_OUT` names a
 //! destination path, the last-seconds event ring is dumped there on panic,
@@ -66,7 +66,7 @@ fn main() {
     install_usr1_handler();
     // Spans live in *this* process: with SMC_TRACE_OUT set, the SIGTERM
     // drain writes the Chrome trace — including the per-request `req.*`
-    // spans tagged by clients that sent span-context headers.
+    // spans of requests whose clients sent a request id.
     init_tracing();
     // The flight recorder is always on: a fixed-budget ring of the last
     // events, dumped to SMC_FLIGHT_OUT on panic / SLO breach / failed

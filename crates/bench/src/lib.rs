@@ -75,7 +75,7 @@ fn drain_trace() -> Option<TraceExport> {
     Some(export)
 }
 
-/// The trace export of a tool that has no [`Report`] (`stress`, `smc-top`,
+/// The trace export of a tool that has no [`Report`] (`stress`,
 /// `smc-serve`): writes the trace and returns true — having said so on
 /// stderr — when it is malformed or silently empty, which the tool turns
 /// into a non-zero exit. Report binaries get the same rules from [`finish`]
@@ -224,11 +224,11 @@ pub fn finish(report: &mut Report) -> ! {
 }
 
 /// Graceful-shutdown signal handling for long-running binaries (`stress`,
-/// `smc-top`, `smc-loadgen`): [`install_signal_handler`] registers an
-/// async-signal-safe handler for SIGINT and SIGTERM that only sets a flag;
-/// the main loop polls [`interrupted`] and winds down in order — quiesce the
-/// maintenance coordinator, drain the tracer rings to `SMC_TRACE_OUT`, write
-/// the report — instead of dying mid-pass. Zero dependencies: the handler is
+/// `smc-serve`, `smc-top`, `smc-loadgen`): [`install_signal_handler`]
+/// registers an async-signal-safe handler for SIGINT and SIGTERM that only
+/// sets a flag; the main loop polls [`interrupted`] and winds down in order
+/// — quiesce the maintenance coordinator, drain the tracer rings to
+/// `SMC_TRACE_OUT`, write the report — instead of dying mid-pass. Zero dependencies: the handler is
 /// registered through libc's `signal`, which Rust's std already links.
 #[cfg(unix)]
 mod signals {

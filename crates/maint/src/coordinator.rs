@@ -36,6 +36,7 @@ use smc_memory::MemoryContext;
 use smc_obs::clock;
 use smc_obs::hist::Histogram;
 use smc_obs::trace::{self, Event, Label, ShortLabel};
+use smc_obs::JsonValue;
 use smc_util::Backoff;
 
 use crate::pacer::TokenBucket;
@@ -102,7 +103,7 @@ impl PassOutcome {
     }
 }
 
-/// Summary of the last finished pass, for `smc-top` and reports.
+/// Summary of the last finished pass, for the scrape document and reports.
 #[derive(Debug, Clone, Copy)]
 pub struct LastPass {
     /// Context the pass ran against.
@@ -145,6 +146,37 @@ pub struct MaintSnapshot {
     pub slo_breached: bool,
     /// The most recently finished pass, if any.
     pub last_pass: Option<LastPass>,
+}
+
+impl MaintSnapshot {
+    /// Every field as one JSON object (the per-shard `maint` entry of
+    /// `smc-serve`'s scrape document); `last_pass` is `null` before the
+    /// first finished pass.
+    pub fn to_json(&self) -> JsonValue {
+        let mut o = JsonValue::obj();
+        o.set("registered", self.registered);
+        o.set("queue_depth", self.queue_depth);
+        o.set("passes_active", self.passes_active);
+        o.set("passes_planned", self.passes_planned);
+        o.set("passes_completed", self.passes_completed);
+        o.set("passes_deferred", self.passes_deferred);
+        o.set("passes_throttled", self.passes_throttled);
+        o.set("passes_retried", self.passes_retried);
+        o.set("passes_cancelled", self.passes_cancelled);
+        o.set("watchdog_cancels", self.watchdog_cancels);
+        o.set("plan_faults", self.plan_faults);
+        o.set("slo_breached", self.slo_breached);
+        let last = self.last_pass.map_or(JsonValue::Null, |lp| {
+            let mut l = JsonValue::obj();
+            l.set("context_id", lp.context_id);
+            l.set("outcome", lp.outcome.as_str());
+            l.set("moved", lp.moved);
+            l.set("bailed", lp.bailed);
+            l
+        });
+        o.set("last_pass", last);
+        o
+    }
 }
 
 struct Registration {

@@ -222,8 +222,8 @@ impl ManagedHeap {
 
     /// Captures a generation/nursery occupancy snapshot of every arena —
     /// the managed-heap analogue of the off-heap observatory's
-    /// `HeapSnapshot` (`smc_memory::inspect`), for SMC-vs-GC comparison in
-    /// `smc-top`. Walks slot atomics without stopping mutators, so the
+    /// `HeapSnapshot` (`smc_memory::inspect`), for SMC-vs-GC comparison.
+    /// Walks slot atomics without stopping mutators, so the
     /// figures are racy-but-bounded the same way.
     pub fn occupancy_snapshot(&self) -> HeapOccupancy {
         let arenas: Vec<Arc<dyn AnyArena>> = self.arenas.lock().values().cloned().collect();

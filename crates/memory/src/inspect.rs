@@ -5,8 +5,9 @@
 //! paper's claims are actually about: per-block and per-collection
 //! occupancy, limbo dead space and in-block holes (§3.5 fragmentation),
 //! incarnation churn (slot-reuse pressure), indirection-table load, epoch
-//! lag, and pin hold-time percentiles. `smc-top` renders this live; the
-//! `--json` mode and [`HeapSnapshot::to_json`] serialize it.
+//! lag, and pin hold-time percentiles. [`HeapSnapshot::to_json`]
+//! serializes it into `smc-serve`'s scrape document, which `smc-top`
+//! renders live.
 //!
 //! ## Consistency model (lock-free, epoch-consistent)
 //!
@@ -321,7 +322,8 @@ impl HeapSnapshot {
         t
     }
 
-    /// Serializes the snapshot (the document `smc-top --json` prints).
+    /// Serializes the snapshot (each shard's `heap` entry in `smc-serve`'s
+    /// scrape document).
     pub fn to_json(&self) -> JsonValue {
         let mut doc = JsonValue::obj();
         doc.set("schema", "smc-heap-snapshot/v1");

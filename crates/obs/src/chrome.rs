@@ -305,9 +305,8 @@ impl ChromeTrace {
         }
     }
 
-    /// Appends a counter sample (`ph: "C"`) on its own track — used by
-    /// `smc-top` and the bench harness to chart heap-snapshot series
-    /// (occupancy, live blocks, drops) alongside the ring events.
+    /// Appends a counter sample (`ph: "C"`) on its own track, to chart a
+    /// series (occupancy, live blocks, drops) alongside the ring events.
     pub fn counter(&mut self, ts_nanos: u64, name: &str, value: f64) {
         self.note_tid(0);
         self.records.push(Record {

@@ -180,7 +180,7 @@ impl ClassAttribution {
 
 /// A histogram summary in the same field shape `Report::histogram` writes,
 /// so `smc-loadgen` folds a scrape into its report verbatim.
-fn summary_json(h: &Histogram) -> JsonValue {
+pub(crate) fn summary_json(h: &Histogram) -> JsonValue {
     let s = h.summary();
     let mut obj = JsonValue::obj();
     obj.set("count", JsonValue::from(s.count));

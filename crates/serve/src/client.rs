@@ -10,7 +10,7 @@ use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use smc_obs::JsonValue;
+use smc_obs::{JsonValue, RequestId};
 
 use crate::wire::{ErrorCode, FrameError, FrameReader, FrameWriter, Request, Response, StatsBody};
 
@@ -49,11 +49,8 @@ pub struct Client {
     stream: TcpStream,
     reader: FrameReader,
     writer: FrameWriter,
-    /// Whether this server accepts trace headers. Optimistically true
-    /// until [`Client::negotiate_tracing`] learns otherwise.
-    trace_supported: bool,
     /// Request id to attach to the next request, consumed on send.
-    trace_next: Option<u64>,
+    trace_next: Option<RequestId>,
 }
 
 impl Client {
@@ -65,7 +62,6 @@ impl Client {
             stream,
             reader: FrameReader::new(),
             writer: FrameWriter::new(),
-            trace_supported: true,
             trace_next: None,
         })
     }
@@ -76,42 +72,14 @@ impl Client {
         self.stream.set_read_timeout(timeout)
     }
 
-    /// Probes whether the server understands span-context headers by
-    /// sending a traced `PING`. A server that predates the header sees an
-    /// unknown opcode (the flag bit) and answers `UnknownOp`; the client
-    /// then strips trace headers from every later request, so a traced
-    /// workload degrades to an untraced one instead of failing. Returns
-    /// whether tracing is on after negotiation.
-    pub fn negotiate_tracing(&mut self) -> Result<bool, ClientError> {
-        self.send_raw(&Request::Ping.encode_traced(Some(1)))?;
-        match self.read_response()? {
-            Response::Ok(_) => {
-                self.trace_supported = true;
-                Ok(true)
-            }
-            Response::Err(ErrorCode::UnknownOp, _) => {
-                self.trace_supported = false;
-                Ok(false)
-            }
-            Response::Err(code, msg) => Err(ClientError::Server(code, msg)),
-        }
-    }
-
-    /// Attaches `id` to the next request's trace header (0, the untraced
-    /// sentinel, clears instead). Silently dropped if negotiation learned
-    /// the server cannot parse trace headers.
-    pub fn trace_next(&mut self, id: u64) {
-        self.trace_next = (id != 0).then_some(id);
+    /// Attaches `id` to the next request; `None` clears a pending one.
+    pub fn trace_next(&mut self, id: Option<RequestId>) {
+        self.trace_next = id;
     }
 
     /// Sends a request and waits for its response.
     pub fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
-        let trace = if self.trace_supported {
-            self.trace_next.take()
-        } else {
-            self.trace_next = None;
-            None
-        };
+        let trace = self.trace_next.take();
         self.send_raw(&req.encode_traced(trace))?;
         self.read_response()
     }
@@ -202,7 +170,8 @@ impl Client {
 
     /// Pulls the live observability document (`smc-scrape/v1`): stats,
     /// tail-latency attribution, tracer and flight-recorder health, and
-    /// per-shard heap snapshots, parsed into a [`JsonValue`].
+    /// per-shard heap snapshots and maintenance counters, parsed into a
+    /// [`JsonValue`].
     pub fn scrape(&mut self) -> Result<JsonValue, ClientError> {
         let body = self.call(&Request::Scrape)?;
         let text = std::str::from_utf8(&body)

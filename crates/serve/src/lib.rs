@@ -21,13 +21,14 @@
 //! ([`DrainReport::clean`]).
 //!
 //! The server is observable end to end: clients may stamp requests with a
-//! [`smc_obs::trace::RequestId`] via an optional wire header
-//! ([`wire::TRACE_FLAG`]) that propagates across rings into shard and
+//! [`smc_obs::trace::RequestId`] in a fixed wire field (flagged by
+//! [`wire::TRACE_FLAG`]) that propagates across rings into shard and
 //! morsel execution, requests over
 //! [`ServerConfig::slow_request_threshold`] fold a structured breakdown
 //! into per-op-class histograms ([`attr`]), and the read-only
 //! [`wire::Op::Scrape`] op exports stats, attribution, tracer and
-//! flight-recorder state as one JSON document (schema `smc-scrape/v1`).
+//! flight-recorder state, and per shard its heap snapshot and maintenance
+//! coordinator, as one JSON document (schema `smc-scrape/v1`).
 
 #![warn(missing_docs)]
 

@@ -31,7 +31,7 @@ use smc_obs::trace::{self, RequestId, RequestScope};
 use smc_obs::{flight, JsonValue};
 use smc_util::waiter::Waiter;
 
-use crate::attr::{Attribution, OpClass, SlowBreakdown};
+use crate::attr::{summary_json, Attribution, OpClass, SlowBreakdown};
 use crate::shard::{
     run_shard, shard_of, ShardConfig, ShardDrain, ShardJob, ShardLink, ShardOp, ShardReply,
     ShardShared, REPLY_TIMEOUT, RING_PATIENCE,
@@ -341,9 +341,10 @@ fn gather_stats(shards: &[Arc<ShardShared>]) -> StatsBody {
 }
 
 /// Builds the `smc-scrape/v1` JSON document: wire stats, tail-latency
-/// attribution, tracer health, flight-recorder status, and per-shard heap
-/// snapshots. The heap section is elided (with an explicit marker) when
-/// the serialized document would not fit in one wire frame.
+/// attribution, tracer health, flight-recorder status, per-shard
+/// maintenance, and per-shard heap snapshots. The heap section is elided
+/// (with an explicit marker) when the serialized document would not fit
+/// in one wire frame.
 fn gather_scrape(shards: &[Arc<ShardShared>], attr: &Attribution) -> JsonValue {
     let stats = gather_stats(shards);
     let mut doc = JsonValue::obj();
@@ -411,6 +412,27 @@ fn gather_scrape(shards: &[Arc<ShardShared>], attr: &Attribution) -> JsonValue {
     flight_json.set("dropped", JsonValue::from(flight::dropped()));
     flight_json.set("capacity", JsonValue::from(flight::FLIGHT_CAPACITY));
     doc.set("flight", flight_json);
+
+    // Each shard's coordinator counters and compaction timings: a few
+    // hundred bytes, so never elided with the heap.
+    let maint = shards
+        .iter()
+        .filter_map(|s| {
+            let mut o = s.coordinator.get()?.snapshot().to_json();
+            o.set("shard", JsonValue::from(s.index));
+            let stats = &s.runtime.stats;
+            o.set(
+                "compaction_pass_ns",
+                summary_json(&stats.compaction_pass_ns),
+            );
+            o.set(
+                "compaction_pause_ns",
+                summary_json(&stats.compaction_pause_ns),
+            );
+            Some(o)
+        })
+        .collect();
+    doc.set("maint", JsonValue::Arr(maint));
 
     let heaps = shards
         .iter()
@@ -506,11 +528,10 @@ impl Router<'_> {
     /// connection.
     fn handle(&mut self, payload: &[u8]) -> Response {
         let conn_start = clock::now();
-        let (req, raw_id) = match Request::decode_traced(payload) {
+        let (req, id) = match Request::decode_traced(payload) {
             Ok(decoded) => decoded,
             Err(e) => return Response::err(e.code(), e.message()),
         };
-        let id = raw_id.and_then(RequestId::new);
         // Hold the span context for the whole connection-side handling so
         // anything emitted below carries the id.
         let _scope = id.map(RequestScope::enter);

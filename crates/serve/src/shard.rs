@@ -203,6 +203,9 @@ pub(crate) struct ShardShared {
     pub(crate) tenants: Vec<TenantShared>,
     /// Foreground query latency (ns); doubles as the maint SLO gauge.
     pub(crate) query_latency: Arc<Histogram>,
+    /// The shard's maintenance coordinator, set once by the shard thread
+    /// and read by the scrape.
+    pub(crate) coordinator: OnceLock<Coordinator>,
     /// Ring pairs handed over by new connections, adopted by the shard loop
     /// when `inbox_new` says there are any.
     inbox_reg: Mutex<Vec<Inbox>>,
@@ -238,6 +241,7 @@ impl ShardShared {
             runtime,
             tenants,
             query_latency: Arc::new(Histogram::new()),
+            coordinator: OnceLock::new(),
             inbox_reg: Mutex::new(Vec::new()),
             inbox_new: AtomicBool::new(false),
             waiter: Waiter::new(),
@@ -378,13 +382,15 @@ pub(crate) fn run_shard(shared: Arc<ShardShared>, cfg: ShardConfig) -> ShardDrai
     // Prewarm this shard thread's allocation cache so the first tenant
     // writes after startup skip the budget slow path.
     runtime.prewarm_local_blocks(smc_memory::ALLOC_BATCH);
-    let coordinator = Coordinator::new(MaintConfig {
-        gauge: Some(shared.query_latency.clone()),
-        ..MaintConfig::default()
+    let coordinator = shared.coordinator.get_or_init(|| {
+        Coordinator::new(MaintConfig {
+            gauge: Some(shared.query_latency.clone()),
+            ..MaintConfig::default()
+        })
     });
     for t in tenants.values() {
         t.smc
-            .register_maintenance(&coordinator, MaintPolicy::default());
+            .register_maintenance(coordinator, MaintPolicy::default());
     }
 
     let mut inboxes: Vec<Inbox> = Vec::new();
@@ -402,7 +408,7 @@ pub(crate) fn run_shard(shared: Arc<ShardShared>, cfg: ShardConfig) -> ShardDrai
         inboxes.retain_mut(|inbox| {
             while let Some(job) = inbox.jobs.pop() {
                 let seq = job.seq;
-                let (reply, timing) = execute(&shared, &mut tenants, &pool, &coordinator, job);
+                let (reply, timing) = execute(&shared, &mut tenants, &pool, coordinator, job);
                 inbox.answer(seq, reply, timing);
                 served += 1;
             }

@@ -9,41 +9,31 @@
 //! state beyond the prefix, so a malformed frame poisons at most its own
 //! connection.
 //!
-//! ## Span-context header (DESIGN.md §17)
+//! ## Request id (DESIGN.md §17)
 //!
-//! The op byte's high bit ([`TRACE_FLAG`]) marks an *optional* trace
-//! header between the op and the tenant: `hlen: u8` followed by `hlen`
-//! header bytes, currently `version: u8` (= 1) and `request_id: u64 LE`
-//! (non-zero). Unknown versions, short headers, and impossible `hlen`
-//! claims all degrade to an untraced request — a trace header can never
-//! *break* a request that would otherwise parse. The flag is
-//! version-negotiated: clients probe with a traced `Ping` and fall back to
-//! plain ops when the server answers `UnknownOp`
-//! ([`Client::negotiate_tracing`](crate::Client::negotiate_tracing)).
+//! The op byte's high bit ([`TRACE_FLAG`]) marks a traced request, and a
+//! fixed 8-byte little-endian [`RequestId`] then sits between the op and
+//! the tenant: `[op | 0x80, id × 8 LE, tenant LE, body]`. Untraced frames
+//! carry neither. The id is non-zero, so a flagged frame whose id is zero
+//! or cut short is [`DecodeError::Malformed`] and answers
+//! [`ErrorCode::BadFrame`]; it never decodes as untraced.
 //!
 //! Decoding is total: any byte sequence either parses or yields a typed
-//! [`DecodeError`], never a panic — the fuzz-ish tests in
-//! `tests/wire_protocol.rs` hold the server to that.
+//! [`DecodeError`], never a panic — the seeded frame mutator in this
+//! module's tests holds the decoder to that, and `tests/wire_protocol.rs`
+//! the server.
 
 use std::io::{ErrorKind, Read, Write};
+
+use smc_obs::RequestId;
 
 /// Largest accepted frame payload (1 MiB). A length prefix past this is a
 /// protocol error, not an allocation: the reader refuses before buffering.
 pub const MAX_FRAME: u32 = 1 << 20;
 
-/// High bit of the request op byte: set when an optional trace header
-/// (`hlen: u8`, then `hlen` header bytes) sits between the op and the
-/// tenant. Servers that predate the header see the flagged byte as an
-/// unknown opcode, which is exactly the negotiation signal clients use.
+/// High bit of the request op byte: set when an 8-byte LE request id sits
+/// between the op and the tenant.
 pub const TRACE_FLAG: u8 = 0x80;
-
-/// Version byte a v1 trace header opens with (`version: u8 = 1`,
-/// `request_id: u64 LE`). Headers with other versions are skipped, not
-/// rejected — the request decodes as untraced.
-pub const TRACE_HEADER_VERSION: u8 = 1;
-
-/// Byte length of a v1 trace header body (version + request id).
-pub const TRACE_HEADER_LEN: u8 = 9;
 
 /// Request opcodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,7 +58,7 @@ pub enum Op {
     /// Full observability scrape; empty body. OK body: a UTF-8 JSON
     /// document (`"schema": "smc-scrape/v1"`) carrying stats, tail-latency
     /// attribution, tracer health, flight-recorder status, and per-shard
-    /// heap snapshots.
+    /// heap snapshots and maintenance counters.
     Scrape = 0x07,
 }
 
@@ -244,19 +234,15 @@ impl Request {
         self.encode_traced(None)
     }
 
-    /// Serializes with an optional span-context header: when `trace` is
-    /// `Some(id)` (`id` non-zero) the op byte carries [`TRACE_FLAG`] and a
-    /// v1 header (`hlen = 9`, `version = 1`, `request_id: u64 LE`) precedes
-    /// the tenant. `Some(0)` is treated as `None` — id 0 is the reserved
-    /// untraced sentinel.
-    pub fn encode_traced(&self, trace: Option<u64>) -> Vec<u8> {
+    /// Serializes with an optional request id: `Some(id)` sets
+    /// [`TRACE_FLAG`] on the op byte and puts the id, 8 bytes LE, before
+    /// the tenant.
+    pub fn encode_traced(&self, trace: Option<RequestId>) -> Vec<u8> {
         let mut out = Vec::new();
-        match trace.filter(|&id| id != 0) {
+        match trace {
             Some(id) => {
                 out.push(self.op() as u8 | TRACE_FLAG);
-                out.push(TRACE_HEADER_LEN);
-                out.push(TRACE_HEADER_VERSION);
-                out.extend_from_slice(&id.to_le_bytes());
+                out.extend_from_slice(&id.get().to_le_bytes());
             }
             None => out.push(self.op() as u8),
         }
@@ -291,44 +277,30 @@ impl Request {
         out
     }
 
-    /// Parses a frame payload into a request, discarding any trace header.
+    /// Parses a frame payload into a request, discarding any request id.
     pub fn decode(payload: &[u8]) -> Result<Request, DecodeError> {
         Request::decode_traced(payload).map(|(req, _)| req)
     }
 
-    /// Parses a frame payload into a request plus the request id from its
-    /// span-context header, if one is present and well-formed.
-    ///
-    /// Header handling is deliberately forgiving: a short header, an
-    /// unknown version, a zero id, or an `hlen` claiming more bytes than
-    /// the frame holds all yield `None` for the id — the request itself
-    /// still decodes. A bad trace header must degrade to an untraced
-    /// request, never take a request down with it.
-    pub fn decode_traced(payload: &[u8]) -> Result<(Request, Option<u64>), DecodeError> {
+    /// Parses a frame payload into a request plus its request id, `None`
+    /// when [`TRACE_FLAG`] is clear. A flagged frame whose id is cut short
+    /// or zero is [`DecodeError::Malformed`].
+    pub fn decode_traced(payload: &[u8]) -> Result<(Request, Option<RequestId>), DecodeError> {
         let mut cur = Cursor::new(payload);
         let raw_op = cur.u8()?;
-        let mut trace = None;
-        let op = if raw_op & TRACE_FLAG != 0 {
-            let hlen = cur.u8()? as usize;
-            if hlen <= cur.remaining() {
-                let header = cur.take(hlen)?;
-                if hlen >= TRACE_HEADER_LEN as usize && header[0] == TRACE_HEADER_VERSION {
-                    // Extra header bytes past the 9 we understand are
-                    // forward-compatibility room: consumed, ignored.
-                    let id = u64::from_le_bytes(header[1..9].try_into().expect("9-byte header"));
-                    trace = (id != 0).then_some(id);
-                }
-            }
-            // An hlen that overruns the frame is an impossible claim:
-            // ignore the header entirely and let what bytes remain parse
-            // as an untraced request (e.g. `[0x81, 0xff, tenant]` is a
-            // valid untraced Ping, not an error).
-            raw_op & !TRACE_FLAG
+        let trace = if raw_op & TRACE_FLAG != 0 {
+            let raw = cur.u64().map_err(|_| {
+                DecodeError::Malformed("traced frame ends inside its 8-byte request id".into())
+            })?;
+            let id = RequestId::new(raw).ok_or_else(|| {
+                DecodeError::Malformed("traced frame carries request id 0".into())
+            })?;
+            Some(id)
         } else {
-            raw_op
+            None
         };
         let tenant = cur.u16()?;
-        let req = match op {
+        let req = match raw_op & !TRACE_FLAG {
             0x01 => Request::Ping,
             0x02 => {
                 let count = cur.u32()? as usize;
@@ -652,6 +624,7 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smc_util::Pcg32;
 
     fn all_requests() -> Vec<Request> {
         vec![
@@ -720,6 +693,20 @@ mod tests {
             assert_eq!(req.encode(), bytes, "{req:?}");
             assert_eq!(Request::decode(&bytes), Ok(req));
         }
+        // The traced layout: flagged op, the id 8 bytes LE, then as above.
+        let count = Request::Count {
+            tenant: 1,
+            lo: 5,
+            hi: 500,
+        };
+        #[rustfmt::skip]
+        let traced = vec![0x84, 8, 7, 6, 5, 4, 3, 2, 1,
+                          1, 0,
+                          5, 0, 0, 0, 0, 0, 0, 0,
+                          0xf4, 0x01, 0, 0, 0, 0, 0, 0];
+        let trace = id(0x0102_0304_0506_0708);
+        assert_eq!(count.encode_traced(trace), traced);
+        assert_eq!(Request::decode_traced(&traced), Ok((count, trace)));
         let responses = [
             (Response::Ok(vec![0xaa, 0xbb]), vec![0x00, 0xaa, 0xbb]),
             (
@@ -740,14 +727,18 @@ mod tests {
         }
     }
 
+    fn id(raw: u64) -> Option<RequestId> {
+        Some(RequestId::new(raw).expect("non-zero test id"))
+    }
+
     #[test]
     fn traced_requests_round_trip_for_every_op() {
         for req in all_requests() {
-            let wire = req.encode_traced(Some(0xdead_beef_cafe));
+            let wire = req.encode_traced(id(0xdead_beef_cafe));
             assert_eq!(wire[0] & TRACE_FLAG, TRACE_FLAG);
             assert_eq!(
                 Request::decode_traced(&wire),
-                Ok((req.clone(), Some(0xdead_beef_cafe)))
+                Ok((req.clone(), id(0xdead_beef_cafe)))
             );
             // The plain decoder accepts the traced frame too.
             assert_eq!(Request::decode(&wire), Ok(req));
@@ -755,58 +746,69 @@ mod tests {
     }
 
     #[test]
-    fn zero_trace_id_encodes_as_untraced() {
-        let wire = Request::Ping.encode_traced(Some(0));
-        assert_eq!(wire, Request::Ping.encode());
-        assert_eq!(Request::decode_traced(&wire), Ok((Request::Ping, None)));
-    }
-
-    #[test]
-    fn malformed_trace_headers_fall_back_to_untraced() {
-        // hlen claims more bytes than the frame holds: the impossible
-        // header is ignored and the rest parses as an untraced Ping.
-        assert_eq!(
-            Request::decode_traced(&[0x01 | TRACE_FLAG, 0xff, 0, 0]),
-            Ok((Request::Ping, None))
-        );
-        // Short header (hlen < 9): consumed, id discarded.
-        assert_eq!(
-            Request::decode_traced(&[0x01 | TRACE_FLAG, 3, 1, 0xaa, 0xbb, 0, 0]),
-            Ok((Request::Ping, None))
-        );
-        // Unknown header version: consumed, id discarded.
-        let mut p = vec![0x01 | TRACE_FLAG, TRACE_HEADER_LEN, 99];
-        p.extend_from_slice(&7u64.to_le_bytes());
-        p.extend_from_slice(&0u16.to_le_bytes());
-        assert_eq!(Request::decode_traced(&p), Ok((Request::Ping, None)));
-        // Zero request id: reserved sentinel, decodes untraced.
-        let mut p = vec![0x01 | TRACE_FLAG, TRACE_HEADER_LEN, TRACE_HEADER_VERSION];
-        p.extend_from_slice(&0u64.to_le_bytes());
-        p.extend_from_slice(&0u16.to_le_bytes());
-        assert_eq!(Request::decode_traced(&p), Ok((Request::Ping, None)));
-        // Zero-length header: legal, untraced.
-        assert_eq!(
-            Request::decode_traced(&[0x01 | TRACE_FLAG, 0, 0, 0]),
-            Ok((Request::Ping, None))
-        );
-        // Oversized-but-present header (hlen > 9): extra bytes are
-        // forward-compat room, the v1 prefix still yields the id.
-        let mut p = vec![0x01 | TRACE_FLAG, 12, TRACE_HEADER_VERSION];
-        p.extend_from_slice(&42u64.to_le_bytes());
-        p.extend_from_slice(&[9, 9, 9]); // 3 opaque future-header bytes
-        p.extend_from_slice(&0u16.to_le_bytes());
-        assert_eq!(Request::decode_traced(&p), Ok((Request::Ping, Some(42))));
-    }
-
-    #[test]
     fn traced_unknown_op_still_reports_unknown_op() {
-        let mut p = vec![0x7f | TRACE_FLAG, TRACE_HEADER_LEN, TRACE_HEADER_VERSION];
+        let mut p = vec![0x7f | TRACE_FLAG];
         p.extend_from_slice(&5u64.to_le_bytes());
         p.extend_from_slice(&0u16.to_le_bytes());
         assert_eq!(
             Request::decode_traced(&p).unwrap_err().code(),
             ErrorCode::UnknownOp
         );
+    }
+
+    /// One seeded mutation of `frame`: a bit flip, a truncation, an
+    /// inserted byte, a duplicated span, or a toggled [`TRACE_FLAG`].
+    fn mutate(rng: &mut Pcg32, frame: &mut Vec<u8>) {
+        let at = |rng: &mut Pcg32, len: usize| rng.gen_range(0..len.max(1));
+        match rng.gen_range(0..5u32) {
+            0 if !frame.is_empty() => {
+                let i = at(rng, frame.len());
+                frame[i] ^= 1 << rng.gen_range(0..8u32);
+            }
+            1 => frame.truncate(at(rng, frame.len())),
+            2 => frame.insert(at(rng, frame.len() + 1), rng.next_u32() as u8),
+            3 if !frame.is_empty() => {
+                let start = at(rng, frame.len());
+                let end = rng.gen_range(start + 1..=frame.len());
+                let span = frame[start..end].to_vec();
+                let into = at(rng, frame.len() + 1);
+                frame.splice(into..into, span);
+            }
+            _ if !frame.is_empty() => frame[0] ^= TRACE_FLAG,
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn mutated_frames_decode_or_fail_by_name() {
+        for seed in 0..2000u64 {
+            let mut rng = Pcg32::seed_from_u64(seed);
+            for req in all_requests() {
+                // A one-bit id is one bit flip away from the zero id.
+                for trace in [None, id(1 << rng.gen_range(0..64u32))] {
+                    let mut frame = req.encode_traced(trace);
+                    for _ in 0..rng.gen_range(1..=3u32) {
+                        mutate(&mut rng, &mut frame);
+                    }
+                    let why = match std::panic::catch_unwind(|| Request::decode_traced(&frame)) {
+                        Err(_) => Some("decode panicked".to_string()),
+                        Ok(Ok((_, id))) if id.is_some() != (frame[0] & TRACE_FLAG != 0) => {
+                            Some(format!("flag and id {id:?} disagree"))
+                        }
+                        Ok(Ok((r, id))) => (Request::decode_traced(&r.encode_traced(id))
+                            != Ok((r.clone(), id)))
+                        .then(|| format!("decoded {r:?} / {id:?} does not round-trip")),
+                        Ok(Err(e)) => {
+                            (!matches!(e.code(), ErrorCode::BadFrame | ErrorCode::UnknownOp))
+                                .then(|| format!("error {e:?} has code {:?}", e.code()))
+                        }
+                    };
+                    if let Some(why) = why {
+                        panic!("seed {seed}, frame {frame:02x?}: {why}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! End-to-end request tracing: a `RequestId` minted at the client crosses
-//! the wire header, the connection thread, every shard's SPSC ring, and
+//! the wire, the connection thread, every shard's SPSC ring, and
 //! the morsel workers — and every span on that path carries the id.
 //!
 //! One test function on purpose: the tracer is process-global, and a
@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use smc_obs::chrome::{validate, ChromeTrace};
 use smc_obs::flight;
-use smc_obs::trace::{self, Event};
+use smc_obs::trace::{self, Event, RequestId};
 use smc_serve::{Client, Server, ServerConfig, TenantConfig};
 
 const TRACED_QUERY_ID: u64 = 0xbeef_0001;
@@ -32,10 +32,6 @@ fn request_id_propagates_across_shards_and_exec_workers() {
     .expect("server binds");
     let mut client = Client::connect(server.local_addr()).unwrap();
     client.set_timeout(Some(Duration::from_secs(10))).unwrap();
-    assert!(
-        client.negotiate_tracing().unwrap(),
-        "a current server accepts trace headers"
-    );
 
     // Enough rows that every shard owns blocks and every worker claims at
     // least one morsel during the traced scan.
@@ -44,11 +40,11 @@ fn request_id_propagates_across_shards_and_exec_workers() {
 
     trace::enable();
     flight::enable();
-    client.trace_next(TRACED_INGEST_ID);
+    client.trace_next(RequestId::new(TRACED_INGEST_ID));
     client
         .upsert(0, (20_000..20_128u64).map(|k| (k, 7)).collect())
         .unwrap();
-    client.trace_next(TRACED_QUERY_ID);
+    client.trace_next(RequestId::new(TRACED_QUERY_ID));
     let n = client.count(0, 0, 1000).unwrap();
     assert_eq!(n, 20_128); // 20k seeded rows + the 128 traced-ingest rows
     trace::disable();

@@ -144,42 +144,23 @@ fn mid_frame_disconnects_leave_the_server_healthy() {
 }
 
 #[test]
-fn malformed_trace_headers_degrade_to_untraced_requests() {
+fn malformed_request_ids_answer_bad_frame_and_keep_the_connection() {
     let mut server = test_server(2);
     let mut client = Client::connect(server.local_addr()).unwrap();
     client.set_timeout(Some(Duration::from_secs(10))).unwrap();
 
-    // Traced PING whose hlen claims 255 header bytes the frame never
-    // carries: the impossible header is ignored, the request answers OK.
-    client.send_raw(&[0x81, 0xff, 0, 0]).unwrap();
-    match client.read_response().unwrap() {
-        smc_serve::wire::Response::Ok(_) => {}
-        other => panic!("oversized hlen should fall back to untraced Ping, got {other:?}"),
+    let ping = 0x01 | smc_serve::wire::TRACE_FLAG;
+    // A flagged PING whose request id is zero, the untraced value.
+    let mut zero = vec![ping];
+    zero.extend_from_slice(&0u64.to_le_bytes());
+    zero.extend_from_slice(&0u16.to_le_bytes());
+    // A flagged PING that ends after 3 of its 8 id bytes.
+    let short = [ping, 0xaa, 0xbb, 0xcc];
+    for frame in [&zero[..], &short[..]] {
+        client.send_raw(frame).unwrap();
+        expect_err(&mut client, ErrorCode::BadFrame);
+        client.ping().expect("connection still usable");
     }
-
-    // Short header (3 of the 9 v1 bytes): consumed, request still serves.
-    client.send_raw(&[0x81, 3, 1, 0xaa, 0xbb, 0, 0]).unwrap();
-    match client.read_response().unwrap() {
-        smc_serve::wire::Response::Ok(_) => {}
-        other => panic!("short trace header should degrade, got {other:?}"),
-    }
-
-    // Unknown header version on a real COUNT: the query still executes.
-    let mut p = vec![0x04 | smc_serve::wire::TRACE_FLAG, 9, 77];
-    p.extend_from_slice(&123u64.to_le_bytes()); // id under bogus version
-    p.extend_from_slice(&0u16.to_le_bytes()); // tenant
-    p.extend_from_slice(&0u64.to_le_bytes()); // lo
-    p.extend_from_slice(&u64::MAX.to_le_bytes()); // hi
-    client.send_raw(&p).unwrap();
-    match client.read_response().unwrap() {
-        smc_serve::wire::Response::Ok(body) => assert_eq!(body.len(), 8),
-        other => panic!("unknown trace version should degrade, got {other:?}"),
-    }
-
-    // A well-formed traced request round-trips end to end.
-    client.trace_next(0x51ab);
-    client.upsert(0, vec![(1, 10)]).unwrap();
-    assert!(client.negotiate_tracing().unwrap());
 
     let report = server.shutdown();
     assert!(
@@ -207,6 +188,20 @@ fn scrape_answers_a_live_observability_document() {
         .and_then(|s| s.as_arr())
         .expect("scrape carries per-shard stats");
     assert_eq!(shards.len(), 2);
+    let maint = doc
+        .get("maint")
+        .and_then(|m| m.as_arr())
+        .expect("scrape carries per-shard maintenance");
+    assert_eq!(maint.len(), 2);
+    for (i, m) in maint.iter().enumerate() {
+        assert_eq!(m.get("shard").and_then(|s| s.as_u64()), Some(i as u64));
+        assert_eq!(m.get("registered").and_then(|r| r.as_u64()), Some(2));
+        assert!(m.get("passes_planned").and_then(|p| p.as_u64()).is_some());
+        assert!(m.get("slo_breached").and_then(|b| b.as_bool()).is_some());
+        for hist in ["compaction_pass_ns", "compaction_pause_ns"] {
+            assert!(m.get(hist).and_then(|h| h.get("p99_ns")).is_some());
+        }
+    }
     assert!(doc.get("attribution").is_some());
     assert!(doc.get("tracer").is_some());
     assert!(doc.get("flight").is_some());
