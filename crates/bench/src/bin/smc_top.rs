@@ -193,17 +193,14 @@ fn render_maint(m: &JsonValue) {
             },
         );
     println!(
-        "  shard {shard} maint: queue {} active {} | planned {} done {} deferred {} \
-         throttled {} retried {} cancelled {} watchdog {} | slo {} | last {last}",
-        u(m, "queue_depth"),
+        "  shard {shard} maint: active {} | planned {} done {} deferred {} \
+         retried {} cancelled {} | slo {} | last {last}",
         u(m, "passes_active"),
         u(m, "passes_planned"),
         u(m, "passes_completed"),
         u(m, "passes_deferred"),
-        u(m, "passes_throttled"),
         u(m, "passes_retried"),
         u(m, "passes_cancelled"),
-        u(m, "watchdog_cancels"),
         pick(m.get("slo_breached"), "BREACHED", "ok"),
     );
 }

@@ -52,7 +52,7 @@ fn smc_top_renders_and_dumps_a_live_server() {
 
     let text = stdout(&smc_top(&["--addr", &addr, "--once"]));
     let count = |needle: &str| text.lines().filter(|l| l.contains(needle)).count();
-    assert_eq!(count(" maint: queue "), SHARDS, "{text}");
+    assert_eq!(count(" maint: active "), SHARDS, "{text}");
     assert_eq!(count(" heap — epoch "), SHARDS, "{text}");
     assert_eq!(count("    tenants: ctx#"), 2 * SHARDS, "{text}");
 

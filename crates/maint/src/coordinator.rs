@@ -1,37 +1,35 @@
 //! The background compaction coordinator.
 //!
-//! One planner thread evaluates every registered context's [`MaintPolicy`]
-//! against live heap introspection every 10 ms, and one worker thread
-//! executes the planned passes, one at a time. Two mechanisms bound the
-//! foreground impact beyond that:
+//! One thread per coordinator wakes every period (125 ms) and starts at most
+//! one pass per period: for the due context whose last pass is oldest. A
+//! context is due when its [`MaintPolicy`] says a pass would form a group,
+//! or when a [nudge](Coordinator::nudge) forces it. The period is measured
+//! on the process clock ([`smc_obs::clock`]); real time only paces the
+//! wake-ups, so a test that holds the clock holds the coordinator's
+//! decisions with it. The period is the only limit on how often passes
+//! start: at most eight a second.
 //!
-//! * **Token-bucket pacer** — the planner takes one token per planned pass
-//!   (a burst of 4, refilled at 8 a second), bounding pass starts per
-//!   second.
-//! * **SLO back-pressure** — when the foreground scan-latency gauge's p99
-//!   rises past [`MaintConfig::p99_ceiling`], planning stops: due passes are
-//!   counted as deferred and the coordinator holds off for a bounded
-//!   exponentially-backed-off interval (5 ms doubling to 500 ms, seeded
-//!   jitter, reproducible) before re-checking.
+//! While the foreground scan-latency gauge's p99 is at or over the SLO
+//! ceiling (10 ms), a period starts nothing and counts its due contexts as
+//! deferred; the next period looks again.
 //!
 //! Transient pass failures — an injected [`FaultSite::MaintPass`] trip, an
 //! aborted or interrupted pass — are retried with seeded backoff up to five
-//! times. A watchdog cancels a pass still running after 2 s via
+//! times. A pass needs no deadline of its own: every wait inside it gives up
+//! at the context's `compaction_patience`. [`Coordinator::quiesce`] lets the
+//! in-flight pass finish and [`Coordinator::cancel`] cancels it via
 //! [`MemoryContext::request_compaction_cancel`], which rolls every
-//! still-pending relocation back through the protocol's §5.1 bail path.
-//! [`Coordinator::quiesce`] drains in-flight work and
-//! [`Coordinator::cancel`] actively cancels it; after either, the heap
-//! reconciles bit-exact under `Smc::verify` (proved by the `smc-check`
-//! cancel scenario and exercised end-to-end by `tests/soak.rs`).
+//! still-pending relocation back through the protocol's §5.1 bail path;
+//! after either, the heap reconciles bit-exact under `Smc::verify` (proved
+//! by the `smc-check` cancel scenario and exercised end-to-end by
+//! `tests/soak.rs`).
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use smc_memory::fault::FaultSite;
-use smc_memory::inspect::HeapSnapshot;
 use smc_memory::MemoryContext;
 use smc_obs::clock;
 use smc_obs::hist::Histogram;
@@ -39,45 +37,25 @@ use smc_obs::trace::{self, Event, Label, ShortLabel};
 use smc_obs::JsonValue;
 use smc_util::Backoff;
 
-use crate::pacer::TokenBucket;
 use crate::policy::{MaintPolicy, PassReason};
 
-/// Planner cycle period.
-const POLL_INTERVAL: Duration = Duration::from_millis(10);
-/// Token-bucket burst capacity (passes).
-const PACER_CAPACITY: f64 = 4.0;
-/// Token-bucket refill rate (passes per second).
-const PACER_REFILL_PER_SEC: f64 = 8.0;
-/// A pass still running after this long is cancelled by the watchdog.
-const WATCHDOG_DEADLINE: Duration = Duration::from_secs(2);
+/// At most one pass starts per period of the process clock.
+const PERIOD: Duration = Duration::from_millis(125);
+/// Back-pressure holds while the gauge's p99 is at or above this.
+const SLO_CEILING: Duration = Duration::from_millis(10);
 /// Transient failures (failpoint trips, aborted/interrupted passes) are
 /// retried at most this many times per pass.
 const RETRY_LIMIT: u32 = 5;
-/// Seed of every backoff jitter stream (retries and SLO hold-off), so the
-/// delay sequences reproduce.
+/// Seed of the retry backoff's jitter stream, so the delays reproduce.
 const SEED: u64 = 0x5eed_5eed;
-/// First SLO hold-off interval after a breach, and its upper bound.
-const SLO_BACKOFF_BASE: Duration = Duration::from_millis(5);
-const SLO_BACKOFF_CAP: Duration = Duration::from_millis(500);
 
-/// The foreground-latency objective driving back-pressure; everything else
+/// The foreground-latency gauge driving back-pressure; everything else
 /// about the coordinator is fixed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MaintConfig {
     /// Live histogram of foreground scan latencies (shared with the
     /// workload threads that record into it). `None` disables back-pressure.
     pub gauge: Option<Arc<Histogram>>,
-    /// Back-pressure engages while the gauge's p99 is at or above this.
-    pub p99_ceiling: Duration,
-}
-
-impl Default for MaintConfig {
-    fn default() -> MaintConfig {
-        MaintConfig {
-            gauge: None,
-            p99_ceiling: Duration::from_millis(10),
-        }
-    }
 }
 
 /// Outcome class of the most recent finished pass.
@@ -85,7 +63,7 @@ impl Default for MaintConfig {
 pub enum PassOutcome {
     /// The pass completed and retired blocks were released.
     Done,
-    /// The pass was cancelled (watchdog or [`Coordinator::cancel`]); pending
+    /// The pass was cancelled ([`Coordinator::cancel`]); pending
     /// relocations were rolled back through the bail path.
     Cancelled,
     /// The pass kept failing transiently past the retry limit.
@@ -122,25 +100,19 @@ pub struct LastPass {
 pub struct MaintSnapshot {
     /// Contexts currently registered.
     pub registered: usize,
-    /// Planned passes waiting for the worker.
-    pub queue_depth: usize,
     /// Passes currently executing (0 or 1).
     pub passes_active: usize,
-    /// Passes the planner enqueued.
+    /// Passes started.
     pub passes_planned: u64,
     /// Passes that finished successfully.
     pub passes_completed: u64,
-    /// Due passes not planned because the SLO was breached.
+    /// Due passes not started because the SLO was breached.
     pub passes_deferred: u64,
-    /// Due passes not planned because the pacer was out of tokens.
-    pub passes_throttled: u64,
     /// Transient-failure retries across all passes.
     pub passes_retried: u64,
     /// Passes that ended cancelled.
     pub passes_cancelled: u64,
-    /// Passes the watchdog cancelled for exceeding the deadline.
-    pub watchdog_cancels: u64,
-    /// Planning cycles skipped by an injected [`FaultSite::MaintPlan`] trip.
+    /// Periods skipped by an injected [`FaultSite::MaintPlan`] trip.
     pub plan_faults: u64,
     /// Whether back-pressure is currently engaged.
     pub slo_breached: bool,
@@ -155,15 +127,12 @@ impl MaintSnapshot {
     pub fn to_json(&self) -> JsonValue {
         let mut o = JsonValue::obj();
         o.set("registered", self.registered);
-        o.set("queue_depth", self.queue_depth);
         o.set("passes_active", self.passes_active);
         o.set("passes_planned", self.passes_planned);
         o.set("passes_completed", self.passes_completed);
         o.set("passes_deferred", self.passes_deferred);
-        o.set("passes_throttled", self.passes_throttled);
         o.set("passes_retried", self.passes_retried);
         o.set("passes_cancelled", self.passes_cancelled);
-        o.set("watchdog_cancels", self.watchdog_cancels);
         o.set("plan_faults", self.plan_faults);
         o.set("slo_breached", self.slo_breached);
         let last = self.last_pass.map_or(JsonValue::Null, |lp| {
@@ -182,37 +151,24 @@ impl MaintSnapshot {
 struct Registration {
     ctx: Arc<MemoryContext>,
     policy: MaintPolicy,
-    /// [`clock::now`] when the planner last queued a pass for it.
-    last_pass: Option<u64>,
+    /// [`clock::now`] when its last pass started.
+    last_start: Option<u64>,
     forced: bool,
-}
-
-struct Planned {
-    ctx: Arc<MemoryContext>,
-    reason: PassReason,
-}
-
-struct InFlight {
-    ctx: Arc<MemoryContext>,
-    /// [`clock::now`] when the worker claimed the pass.
-    started: u64,
-    watchdog_fired: bool,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
     Running,
-    /// Stop planning, drain the in-flight pass, then stop.
+    /// Start nothing, let the in-flight pass finish, then stop.
     Quiescing,
-    /// Stop planning, cancel the in-flight pass, then stop.
+    /// Start nothing, cancel the in-flight pass, then stop.
     Cancelling,
 }
 
 struct State {
     registrations: Vec<Registration>,
-    queue: VecDeque<Planned>,
-    /// The pass the worker is executing.
-    in_flight: Option<InFlight>,
+    /// The context the pass in flight runs against.
+    in_flight: Option<Arc<MemoryContext>>,
     mode: Mode,
     last_pass: Option<LastPass>,
 }
@@ -222,10 +178,8 @@ struct Counters {
     planned: AtomicU64,
     completed: AtomicU64,
     deferred: AtomicU64,
-    throttled: AtomicU64,
     retried: AtomicU64,
     cancelled: AtomicU64,
-    watchdog_cancels: AtomicU64,
     plan_faults: AtomicU64,
 }
 
@@ -233,12 +187,13 @@ struct Inner {
     /// See [`MaintConfig::gauge`].
     gauge: Option<Arc<Histogram>>,
     state: Mutex<State>,
-    /// The worker waits here for queued passes, the planner for its next
-    /// cycle; every enqueue, finished pass and shutdown notifies it.
-    work_cv: Condvar,
+    /// The thread waits here between periods; shutdown notifies it.
+    wake: Condvar,
     counters: Counters,
-    /// Runtime-adjustable SLO ceiling in nanoseconds (`tests/soak.rs` flips
-    /// it to zero to force deterministic back-pressure).
+    /// `State::in_flight.is_some()`, readable without the lock.
+    active: AtomicBool,
+    /// The SLO ceiling in nanoseconds; [`Coordinator::set_slo_ceiling`]
+    /// replaces it.
     slo_ceiling_ns: AtomicU64,
     slo_breached: AtomicBool,
 }
@@ -253,41 +208,37 @@ impl Inner {
 /// quiesces the coordinator (see [`Coordinator::quiesce`]).
 pub struct Coordinator {
     inner: Arc<Inner>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Coordinator {
-    /// Starts the coordinator: one planner thread and one worker thread.
-    /// Contexts are registered afterwards with [`register`](Self::register).
+    /// Starts the coordinator's thread. Contexts are registered afterwards
+    /// with [`register`](Self::register).
     pub fn new(config: MaintConfig) -> Coordinator {
         let inner = Arc::new(Inner {
             gauge: config.gauge,
             state: Mutex::new(State {
                 registrations: Vec::new(),
-                queue: VecDeque::new(),
                 in_flight: None,
                 mode: Mode::Running,
                 last_pass: None,
             }),
-            work_cv: Condvar::new(),
+            wake: Condvar::new(),
             counters: Counters::default(),
-            slo_ceiling_ns: AtomicU64::new(nanos(config.p99_ceiling)),
+            active: AtomicBool::new(false),
+            slo_ceiling_ns: AtomicU64::new(nanos(SLO_CEILING)),
             slo_breached: AtomicBool::new(false),
         });
-        let spawn = |name: &str, body: fn(&Inner)| {
+        let thread = {
             let inner = inner.clone();
             std::thread::Builder::new()
-                .name(name.into())
-                .spawn(move || body(&inner))
-                .expect("spawn a maintenance thread")
+                .name("smc-maint".into())
+                .spawn(move || maintenance_loop(&inner))
+                .expect("spawn the maintenance thread")
         };
-        let threads = vec![
-            spawn("smc-maint-plan", planner_loop),
-            spawn("smc-maint-work", worker_loop),
-        ];
         Coordinator {
             inner,
-            threads: Mutex::new(threads),
+            thread: Mutex::new(Some(thread)),
         }
     }
 
@@ -297,14 +248,14 @@ impl Coordinator {
         g.registrations.push(Registration {
             ctx,
             policy,
-            last_pass: None,
+            last_start: None,
             forced: false,
         });
     }
 
-    /// Marks a registered context force-due: the next planning cycle
-    /// schedules a pass for it regardless of thresholds or `min_interval`
-    /// (the pacer and SLO back-pressure still apply).
+    /// Marks a registered context force-due: it is due in every period
+    /// until a pass starts for it, whatever its blocks look like (SLO
+    /// back-pressure still applies).
     pub fn nudge(&self, context_id: u64) {
         let mut g = self.inner.lock();
         for reg in &mut g.registrations {
@@ -314,46 +265,42 @@ impl Coordinator {
         }
     }
 
-    /// Replaces the SLO p99 ceiling at runtime. `Duration::ZERO` forces the
-    /// breached state (every observable p99 is ≥ 0), which the soak test uses
-    /// to provoke deterministic deferrals.
+    /// Replaces the SLO p99 ceiling (10 ms). `Duration::ZERO` forces the
+    /// breached state (every observable p99 is ≥ 0) and a far ceiling keeps
+    /// back-pressure off; tests use both.
     pub fn set_slo_ceiling(&self, ceiling: Duration) {
         self.inner
             .slo_ceiling_ns
             .store(nanos(ceiling), Ordering::Relaxed);
     }
 
-    /// Maintenance passes executing right now (0 or 1). Cheaper than
-    /// [`snapshot`](Self::snapshot) for per-request attribution probes.
+    /// Maintenance passes executing right now (0 or 1). One atomic load,
+    /// for per-request attribution probes.
     pub fn passes_active(&self) -> usize {
-        usize::from(self.inner.lock().in_flight.is_some())
+        usize::from(self.inner.active.load(Ordering::Relaxed))
     }
 
-    /// Current counters and queue state.
+    /// Current counters.
     pub fn snapshot(&self) -> MaintSnapshot {
         let g = self.inner.lock();
         let c = &self.inner.counters;
         MaintSnapshot {
             registered: g.registrations.len(),
-            queue_depth: g.queue.len(),
-            passes_active: usize::from(g.in_flight.is_some()),
+            passes_active: self.passes_active(),
             passes_planned: c.planned.load(Ordering::Relaxed),
             passes_completed: c.completed.load(Ordering::Relaxed),
             passes_deferred: c.deferred.load(Ordering::Relaxed),
-            passes_throttled: c.throttled.load(Ordering::Relaxed),
             passes_retried: c.retried.load(Ordering::Relaxed),
             passes_cancelled: c.cancelled.load(Ordering::Relaxed),
-            watchdog_cancels: c.watchdog_cancels.load(Ordering::Relaxed),
             plan_faults: c.plan_faults.load(Ordering::Relaxed),
             slo_breached: self.inner.slo_breached.load(Ordering::Relaxed),
             last_pass: g.last_pass,
         }
     }
 
-    /// Stops planning, discards queued (not yet started) passes, lets the
-    /// in-flight pass finish, and joins both threads. Terminal and
-    /// idempotent. After `quiesce` returns the heap is at rest: `Smc::verify`
-    /// reconciles bit-exact.
+    /// Starts no further pass, lets the in-flight pass finish, and joins
+    /// the thread. Terminal and idempotent. After `quiesce` returns the heap
+    /// is at rest: `Smc::verify` reconciles bit-exact.
     pub fn quiesce(&self) {
         self.shutdown(Mode::Quiescing);
     }
@@ -372,14 +319,13 @@ impl Coordinator {
             if g.mode == Mode::Running {
                 g.mode = mode;
             }
-            g.queue.clear();
-            if let (Mode::Cancelling, Some(inf)) = (mode, &g.in_flight) {
-                inf.ctx.request_compaction_cancel();
+            if let (Mode::Cancelling, Some(ctx)) = (mode, &g.in_flight) {
+                ctx.request_compaction_cancel();
             }
-            self.inner.work_cv.notify_all();
+            self.inner.wake.notify_all();
         }
-        let threads = std::mem::take(&mut *self.threads.lock().unwrap_or_else(|e| e.into_inner()));
-        for t in threads {
+        let thread = self.thread.lock().unwrap_or_else(|e| e.into_inner()).take();
+        if let Some(t) = thread {
             let _ = t.join();
         }
     }
@@ -403,196 +349,112 @@ fn nanos(d: Duration) -> u64 {
     d.as_nanos().min(u64::MAX as u128) as u64
 }
 
-fn planner_loop(inner: &Inner) {
-    let mut pacer = TokenBucket::new(PACER_CAPACITY, PACER_REFILL_PER_SEC);
-    let mut slo_backoff = Backoff::new(SEED ^ 0x510_b0ff, SLO_BACKOFF_BASE, SLO_BACKOFF_CAP);
-    let mut hold_until: Option<u64> = None;
+fn maintenance_loop(inner: &Inner) {
+    let mut period_start = clock::now();
     loop {
-        // Sleep one cycle (interruptibly: shutdown notifies the condvar).
         {
             let g = inner.lock();
             if g.mode != Mode::Running {
                 return;
             }
             let (g, _) = inner
-                .work_cv
-                .wait_timeout(g, POLL_INTERVAL)
+                .wake
+                .wait_timeout(g, PERIOD)
                 .unwrap_or_else(|e| e.into_inner());
             if g.mode != Mode::Running {
                 return;
             }
         }
+        // A period is one of the process clock. On the real clock every
+        // wake-up begins one; on a held clock none does until it is moved.
         let now = clock::now();
-
-        // Watchdog: cancel a pass running past the deadline.
-        if let Some(inf) = &mut inner.lock().in_flight {
-            if !inf.watchdog_fired && now.saturating_sub(inf.started) >= nanos(WATCHDOG_DEADLINE) {
-                inf.watchdog_fired = true;
-                inf.ctx.request_compaction_cancel();
-                inner
-                    .counters
-                    .watchdog_cancels
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-
-        // SLO back-pressure: while breached, count due work as deferred and
-        // hold off for a (seeded, bounded-exponential) interval before the
-        // next re-check; on recovery the backoff envelope resets.
-        let ceiling_ns = inner.slo_ceiling_ns.load(Ordering::Relaxed);
-        let p99_ns = inner.gauge.as_ref().map(|h| h.p99());
-        let over_ceiling = p99_ns.is_some_and(|p| p >= ceiling_ns);
-        let holding = hold_until.is_some_and(|t| now < t);
-        let breached = over_ceiling || holding;
-        if breached != inner.slo_breached.swap(breached, Ordering::Relaxed) {
-            trace::emit(Event::MaintSloState {
-                breached,
-                p99_ns: p99_ns.unwrap_or(0),
-            });
-            if breached {
-                // Entering the breached state is a forensic moment: the
-                // window of events leading up to it is exactly what an
-                // operator wants preserved. No-op unless the flight
-                // recorder is armed and SMC_FLIGHT_OUT is set.
-                let _ = smc_obs::flight::dump("slo-breach");
-            }
-        }
-        if over_ceiling && !holding {
-            hold_until = Some(now + nanos(slo_backoff.next_delay()));
-        }
-        if !breached {
-            hold_until = None;
-            if slo_backoff.attempt() > 0 {
-                slo_backoff.reset();
-            }
-        }
-
-        // Transient planning failure (injected): skip this cycle, retry next.
-        let plan_fault = {
-            let g = inner.lock();
-            g.registrations
-                .first()
-                .is_some_and(|r| r.ctx.runtime().faults().should_fail(FaultSite::MaintPlan))
-        };
-        if plan_fault {
-            inner.counters.plan_faults.fetch_add(1, Ordering::Relaxed);
+        if now.saturating_sub(period_start) < nanos(PERIOD) {
             continue;
         }
-
-        // Evaluate policies under the state lock (snapshot capture pins a
-        // short-lived epoch guard; the worker never holds this lock across a
-        // pass, so the hold time stays bounded). The registration list is
-        // append-only, so the collected indexes stay valid after unlocking.
-        let due = {
-            let g = inner.lock();
-            if g.mode != Mode::Running {
-                return;
-            }
-            let mut due: Vec<(usize, PassReason)> = Vec::new();
-            let busy: Vec<u64> = g
-                .queue
-                .iter()
-                .map(|p| p.ctx.id())
-                .chain(g.in_flight.iter().map(|i| i.ctx.id()))
-                .collect();
-            for (i, reg) in g.registrations.iter().enumerate() {
-                if busy.contains(&reg.ctx.id()) {
-                    continue;
-                }
-                if reg.forced {
-                    due.push((i, PassReason::Nudge));
-                    continue;
-                }
-                if reg
-                    .last_pass
-                    .is_some_and(|t| now.saturating_sub(t) < nanos(reg.policy.min_interval))
-                {
-                    continue;
-                }
-                let snap = HeapSnapshot::capture(reg.ctx.runtime(), &[&reg.ctx])
-                    .collections
-                    .into_iter()
-                    .next();
-                if let Some(reason) = snap.and_then(|s| reg.policy.due(&s)) {
-                    due.push((i, reason));
-                }
-            }
-            due
+        period_start = now;
+        let Some((ctx, reason)) = plan(inner, now) else {
+            continue;
         };
-
-        for (idx, reason) in due {
-            if breached {
-                let g = inner.lock();
-                let Some(reg) = g.registrations.get(idx) else {
-                    continue;
-                };
-                inner.counters.deferred.fetch_add(1, Ordering::Relaxed);
-                trace::emit(Event::MaintDeferred {
-                    context: reg.ctx.id(),
-                    p99_ns: p99_ns.unwrap_or(0),
-                    slo_ns: ceiling_ns,
-                });
-                continue;
-            }
-            if !pacer.try_take(now) {
-                inner.counters.throttled.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            let mut g = inner.lock();
-            if g.mode != Mode::Running {
-                return;
-            }
-            let Some(reg) = g.registrations.get_mut(idx) else {
-                continue;
-            };
-            reg.forced = false;
-            reg.last_pass = Some(now);
-            let ctx = reg.ctx.clone();
-            g.queue.push_back(Planned { ctx, reason });
-            inner.counters.planned.fetch_add(1, Ordering::Relaxed);
-            inner.work_cv.notify_all();
-        }
-    }
-}
-
-fn worker_loop(inner: &Inner) {
-    loop {
-        // Claim the next planned pass (or exit on shutdown once idle). The
-        // wait needs no timeout: every enqueue and every shutdown notifies
-        // under the state lock, so no wake-up is lost.
-        let planned = {
-            let mut g = inner.lock();
-            loop {
-                if let Some(p) = g.queue.pop_front() {
-                    g.in_flight = Some(InFlight {
-                        ctx: p.ctx.clone(),
-                        started: clock::now(),
-                        watchdog_fired: false,
-                    });
-                    break Some(p);
-                }
-                if g.mode != Mode::Running {
-                    break None;
-                }
-                g = inner.work_cv.wait(g).unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        let Some(planned) = planned else { return };
-
-        let outcome = run_pass(inner, &planned);
-
+        let outcome = run_pass(inner, &ctx, reason);
         let mut g = inner.lock();
         g.in_flight = None;
+        inner.active.store(false, Ordering::Relaxed);
         g.last_pass = Some(outcome);
-        // Wake the planner: the context is no longer busy.
-        inner.work_cv.notify_all();
     }
 }
 
-/// Executes one planned pass with transient-failure retries. Returns the
-/// summary recorded as `last_pass`.
-fn run_pass(inner: &Inner, planned: &Planned) -> LastPass {
-    let ctx = &planned.ctx;
+/// Reads the gauge against the ceiling and traces a change of state.
+/// Returns `(p99, ceiling)` in nanoseconds while breached.
+fn slo_breach(inner: &Inner) -> Option<(u64, u64)> {
+    let ceiling_ns = inner.slo_ceiling_ns.load(Ordering::Relaxed);
+    let p99_ns = inner.gauge.as_ref().map(|h| h.p99());
+    let breached = p99_ns.is_some_and(|p| p >= ceiling_ns);
+    if breached != inner.slo_breached.swap(breached, Ordering::Relaxed) {
+        trace::emit(Event::MaintSloState {
+            breached,
+            p99_ns: p99_ns.unwrap_or(0),
+        });
+        if breached {
+            // Entering the breached state is a forensic moment: the window
+            // of events leading up to it is exactly what an operator wants
+            // preserved. No-op unless the flight recorder is armed and
+            // SMC_FLIGHT_OUT is set.
+            let _ = smc_obs::flight::dump("slo-breach");
+        }
+    }
+    p99_ns.filter(|_| breached).map(|p| (p, ceiling_ns))
+}
+
+/// One period's decision. Picks the due context whose last pass is oldest
+/// and marks it in flight; under a breached SLO it counts every due context
+/// as deferred and picks none.
+fn plan(inner: &Inner, now: u64) -> Option<(Arc<MemoryContext>, PassReason)> {
+    let breach = slo_breach(inner);
+    let mut g = inner.lock();
+    if g.mode != Mode::Running {
+        return None;
+    }
+    // Transient planning failure (injected): skip this period.
+    let faults = g.registrations.first().map(|r| r.ctx.runtime().faults());
+    if faults.is_some_and(|f| f.should_fail(FaultSite::MaintPlan)) {
+        inner.counters.plan_faults.fetch_add(1, Ordering::Relaxed);
+        return None;
+    }
+    let mut pick: Option<(usize, PassReason)> = None;
+    for (i, reg) in g.registrations.iter().enumerate() {
+        let reason = if reg.forced {
+            Some(PassReason::Nudge)
+        } else {
+            reg.policy.due(&reg.ctx)
+        };
+        let Some(reason) = reason else { continue };
+        if let Some((p99_ns, slo_ns)) = breach {
+            inner.counters.deferred.fetch_add(1, Ordering::Relaxed);
+            trace::emit(Event::MaintDeferred {
+                context: reg.ctx.id(),
+                p99_ns,
+                slo_ns,
+            });
+        } else if pick.map_or(true, |(j, _)| {
+            reg.last_start < g.registrations[j].last_start
+        }) {
+            pick = Some((i, reason));
+        }
+    }
+    let (i, reason) = pick?;
+    let reg = &mut g.registrations[i];
+    reg.forced = false;
+    reg.last_start = Some(now);
+    let ctx = reg.ctx.clone();
+    g.in_flight = Some(ctx.clone());
+    inner.active.store(true, Ordering::Relaxed);
+    inner.counters.planned.fetch_add(1, Ordering::Relaxed);
+    Some((ctx, reason))
+}
+
+/// Executes one pass with transient-failure retries. Returns the summary
+/// recorded as `last_pass`.
+fn run_pass(inner: &Inner, ctx: &MemoryContext, reason: PassReason) -> LastPass {
     let mut backoff = Backoff::new(
         SEED ^ ctx.id().rotate_left(32),
         Duration::from_micros(200),
@@ -600,7 +462,7 @@ fn run_pass(inner: &Inner, planned: &Planned) -> LastPass {
     );
     trace::emit(Event::MaintPassStart {
         context: ctx.id(),
-        reason: Label::new(planned.reason.as_str()),
+        reason: Label::new(reason.as_str()),
     });
     let mut moved = 0usize;
     let mut bailed = 0usize;

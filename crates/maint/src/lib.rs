@@ -9,19 +9,19 @@
 //! [`Coordinator`] owns maintenance for every registered
 //! [`MemoryContext`](smc_memory::MemoryContext):
 //!
-//! * a pass is due when a context's fragmentation ratio passes 30 % or its
-//!   limbo bytes pass 8 MiB, both read from live heap introspection; a
-//!   per-context [`MaintPolicy`] sets only the floor between two passes;
-//! * one worker thread runs passes one at a time, and a token-bucket pacer
-//!   bounds how many start per second;
-//! * an SLO back-pressure loop watches a foreground scan-latency histogram
-//!   and defers due passes while its p99 is past the ceiling a
-//!   [`MaintConfig`] names — the gauge and its ceiling are the only
-//!   coordinator-wide settings — resuming with bounded, seeded-jitter
-//!   exponential backoff ([`smc_util::Backoff`]);
+//! * a context is due when at least two of its blocks pass the test a pass
+//!   claims blocks with (occupancy under `compaction_occupancy`, no owning
+//!   thread, not already claimed), so a due context always gets a pass that
+//!   moves something ([`MaintPolicy`] holds that rule and has no settings);
+//! * one thread wakes every 125 ms period of the process clock and starts
+//!   at most one pass, for the due context whose last pass is oldest;
+//! * while the p99 of the foreground latency histogram a [`MaintConfig`]
+//!   names (its only field) is at or over 10 ms, a period starts nothing
+//!   and counts its due contexts as deferred;
 //! * transient failures (injected failpoints, aborted or interrupted passes)
-//!   are retried with seeded backoff; a watchdog cancels a pass stuck past
-//!   a deadline through the protocol's bail path;
+//!   are retried with seeded backoff ([`smc_util::Backoff`]); every wait
+//!   inside a pass gives up at the context's `compaction_patience`, so a
+//!   pass needs no deadline of its own;
 //! * [`Coordinator::quiesce`] and [`Coordinator::cancel`] stop the world
 //!   exactly — drain or roll back, never half-moved state — so `Smc::verify`
 //!   reconciles bit-exact afterwards (model-checked by the `smc-check`
@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 
 pub mod coordinator;
-mod pacer;
 pub mod policy;
 
 pub use coordinator::{Coordinator, LastPass, MaintConfig, MaintSnapshot, PassOutcome};
@@ -83,13 +82,6 @@ mod tests {
         done()
     }
 
-    /// The default policy with a 1 ms floor between passes.
-    fn eager() -> MaintPolicy {
-        MaintPolicy {
-            min_interval: Duration::from_millis(1),
-        }
-    }
-
     #[test]
     fn coordinator_compacts_fragmented_context_and_quiesces_clean() {
         let rt = Runtime::new();
@@ -98,19 +90,18 @@ mod tests {
         let live = ctx.live_objects();
 
         let coord = Coordinator::new(MaintConfig::default());
-        coord.register(ctx.clone(), eager());
+        coord.register(ctx.clone(), MaintPolicy);
         assert!(
             wait_until(Duration::from_secs(10), || coord
                 .snapshot()
                 .passes_completed
                 > 0),
-            "a frag-due pass must run: {:?}",
+            "a due pass must run: {:?}",
             coord.snapshot()
         );
         coord.quiesce();
         let snap = coord.snapshot();
         assert_eq!(snap.passes_active, 0);
-        assert_eq!(snap.queue_depth, 0);
         assert!(snap.last_pass.is_some());
         // Bit-exact after quiesce: every survivor is still there, the
         // runtime's invariants hold.
@@ -127,7 +118,7 @@ mod tests {
         // An empty context is never due.
         let ctx = context(&rt);
         let coord = Coordinator::new(MaintConfig::default());
-        coord.register(ctx.clone(), MaintPolicy::default());
+        coord.register(ctx.clone(), MaintPolicy);
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(coord.snapshot().passes_planned, 0, "nothing due yet");
         coord.nudge(ctx.id());
@@ -149,9 +140,9 @@ mod tests {
         gauge.record(1_000_000); // 1 ms foreground latency on record
         let coord = Coordinator::new(MaintConfig {
             gauge: Some(gauge.clone()),
-            p99_ceiling: Duration::ZERO, // everything breaches
         });
-        coord.register(ctx.clone(), eager());
+        coord.set_slo_ceiling(Duration::ZERO); // everything breaches
+        coord.register(ctx.clone(), MaintPolicy);
         assert!(
             wait_until(Duration::from_secs(10), || coord.snapshot().passes_deferred
                 > 0),
@@ -188,7 +179,7 @@ mod tests {
         rt.faults().set_limit(Some(3));
         rt.faults().enable(7);
         let coord = Coordinator::new(MaintConfig::default());
-        coord.register(ctx.clone(), eager());
+        coord.register(ctx.clone(), MaintPolicy);
         assert!(
             wait_until(Duration::from_secs(10), || coord
                 .snapshot()
@@ -203,6 +194,35 @@ mod tests {
             "injected trips must be counted as retries: {snap:?}"
         );
         coord.quiesce();
+        rt.faults().disable();
+        assert!(rt.verify().is_ok());
+    }
+
+    #[test]
+    fn maint_plan_failpoint_skips_periods_then_the_due_pass_runs() {
+        let rt = Runtime::new();
+        let ctx = context(&rt);
+        decimate(&ctx, 2048);
+        // Every planning decision fails until the three-fault budget is
+        // spent; each failure costs one period.
+        rt.faults().set_rate(smc_memory::FaultSite::MaintPlan, 1024);
+        rt.faults().set_limit(Some(3));
+        rt.faults().enable(7);
+        let coord = Coordinator::new(MaintConfig::default());
+        coord.register(ctx.clone(), MaintPolicy);
+        assert!(
+            wait_until(Duration::from_secs(10), || coord
+                .snapshot()
+                .passes_completed
+                > 0),
+            "the due pass must complete after the skipped periods: {:?}",
+            coord.snapshot()
+        );
+        coord.quiesce();
+        let snap = coord.snapshot();
+        assert_eq!(snap.plan_faults, 3, "{snap:?}");
+        assert_eq!(snap.passes_planned, 1, "{snap:?}");
+        assert!(snap.last_pass.is_some_and(|lp| lp.moved > 0), "{snap:?}");
         rt.faults().disable();
         assert!(rt.verify().is_ok());
     }
@@ -230,10 +250,10 @@ mod tests {
         pinned_rx.recv().unwrap();
         assert!(rt.epochs.try_advance().is_some(), "reader pinned at e");
         let coord = Coordinator::new(MaintConfig::default());
-        coord.register(ctx.clone(), eager());
+        coord.register(ctx.clone(), MaintPolicy);
         assert!(
             wait_until(Duration::from_secs(10), || coord.passes_active() > 0),
-            "a frag-due pass must start: {:?}",
+            "a due pass must start: {:?}",
             coord.snapshot()
         );
         coord.cancel();

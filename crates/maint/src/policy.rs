@@ -1,30 +1,24 @@
-//! Per-context maintenance policies: when is a compaction pass worth it?
+//! When is a compaction pass worth running?
 //!
-//! The planner evaluates each registered context once per planning cycle,
-//! reading a [`CollectionSnapshot`] (the same introspection surface `smc-top`
-//! renders). Two pressure signals can make a pass due — a fragmentation
-//! ratio past 30 % (the paper's §5.2 occupancy threshold, seen from the
-//! context's side) and more than 8 MiB of limbo (dead-but-unreclaimed)
-//! bytes — plus an explicit nudge for tests and benchmarks that need a pass
-//! *now*. A per-context `min_interval` floor keeps a context from being
-//! compacted in a tight loop when it hovers at a threshold.
+//! Exactly when it would move something. A pass empties the blocks whose
+//! occupancy is under the context's `compaction_occupancy` (§5.2) and
+//! needs two of them to form a group, so a context is due when
+//! [`MemoryContext::compaction_candidates`] counts at least two: the same
+//! test the pass claims its blocks with, read from block headers. A
+//! context whose dead and hole bytes are spread thin over dense blocks is
+//! not due, because no pass would claim anything in it. A
+//! [nudge](crate::Coordinator::nudge) forces a pass regardless.
 
-use std::time::Duration;
+use smc_memory::MemoryContext;
 
-use smc_memory::inspect::CollectionSnapshot;
+/// A group has at least two source blocks (§5.2).
+const MIN_CANDIDATES: usize = 2;
 
-/// A pass is due when `(dead + hole) / footprint` exceeds this ratio.
-const FRAG_RATIO_CEILING: f64 = 0.30;
-/// A pass is due when limbo (dead) bytes exceed this many bytes.
-const LIMBO_BYTES_CEILING: u64 = 8 << 20;
-
-/// Why the planner scheduled (or would schedule) a pass.
+/// Why the coordinator started a pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PassReason {
-    /// Fragmentation ratio exceeded the ceiling.
-    Frag,
-    /// Limbo bytes exceeded the ceiling.
-    Limbo,
+    /// At least two blocks were under the compaction occupancy cutoff.
+    Sparse,
     /// An explicit [`Coordinator::nudge`](crate::Coordinator::nudge).
     Nudge,
 }
@@ -33,59 +27,28 @@ impl PassReason {
     /// Short stable token for traces and reports.
     pub fn as_str(self) -> &'static str {
         match self {
-            PassReason::Frag => "frag",
-            PassReason::Limbo => "limbo",
+            PassReason::Sparse => "sparse",
             PassReason::Nudge => "nudge",
         }
     }
 }
 
-/// When to compact one registered context.
-#[derive(Debug, Clone, Copy)]
-pub struct MaintPolicy {
-    /// Never schedule two passes for the same context closer together than
-    /// this (nudges are exempt).
-    pub min_interval: Duration,
-}
-
-impl Default for MaintPolicy {
-    fn default() -> MaintPolicy {
-        MaintPolicy {
-            min_interval: Duration::from_millis(50),
-        }
-    }
-}
+/// The rule that makes a registered context due. It has no settings: the
+/// cutoff it reads is the context's own `compaction_occupancy`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MaintPolicy;
 
 impl MaintPolicy {
-    /// Evaluates the policy against a snapshot. Returns the *first*
-    /// triggered reason in fixed priority order (frag, limbo) so reports are
-    /// deterministic.
-    pub fn due(&self, snap: &CollectionSnapshot) -> Option<PassReason> {
-        if frag_ratio(snap) > FRAG_RATIO_CEILING {
-            return Some(PassReason::Frag);
-        }
-        if snap.dead_bytes() > LIMBO_BYTES_CEILING {
-            return Some(PassReason::Limbo);
-        }
-        None
+    /// [`PassReason::Sparse`] when a pass over `ctx` would form a group.
+    pub fn due(&self, ctx: &MemoryContext) -> Option<PassReason> {
+        (ctx.compaction_candidates() >= MIN_CANDIDATES).then_some(PassReason::Sparse)
     }
-}
-
-/// Fragmentation ratio of a snapshot: dead plus hole bytes over footprint.
-/// Zero for an empty context.
-fn frag_ratio(snap: &CollectionSnapshot) -> f64 {
-    let footprint = snap.footprint_bytes();
-    if footprint == 0 {
-        return 0.0;
-    }
-    (snap.dead_bytes() + snap.hole_bytes()) as f64 / footprint as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smc_memory::inspect::HeapSnapshot;
-    use smc_memory::{ContextConfig, MemoryContext, Runtime};
+    use smc_memory::{ContextConfig, Runtime};
 
     fn context(rt: &std::sync::Arc<Runtime>) -> MemoryContext {
         MemoryContext::new_rows(rt.clone(), 64, 8, 1, ContextConfig::default())
@@ -97,45 +60,44 @@ mod tests {
             .unwrap()
     }
 
-    fn snapshot_of(ctx: &MemoryContext) -> CollectionSnapshot {
-        let heap = HeapSnapshot::capture(ctx.runtime(), &[ctx]);
-        heap.collections.into_iter().next().unwrap()
+    /// Fills `n` rows, then frees every row whose index `keep` rejects.
+    fn thin(ctx: &MemoryContext, n: u64, keep: impl Fn(usize) -> bool) {
+        let handles: Vec<_> = (0..n).map(|i| alloc(ctx, i)).collect();
+        for (i, h) in handles.iter().enumerate() {
+            if !keep(i) {
+                assert!(ctx.free(h.entry, h.entry_inc));
+            }
+        }
     }
 
     #[test]
     fn empty_context_is_never_due() {
         let rt = Runtime::new();
-        let ctx = context(&rt);
-        let snap = snapshot_of(&ctx);
-        assert_eq!(frag_ratio(&snap), 0.0);
-        assert_eq!(MaintPolicy::default().due(&snap), None);
+        assert_eq!(MaintPolicy.due(&context(&rt)), None);
     }
 
     #[test]
-    fn decimation_raises_frag_ratio_until_due() {
+    fn half_empty_blocks_are_not_due() {
         let rt = Runtime::new();
         let ctx = context(&rt);
-        let handles: Vec<_> = (0..512u64).map(|i| alloc(&ctx, i)).collect();
-        let before = snapshot_of(&ctx);
-        assert!(frag_ratio(&before) < 0.5, "mostly live after fill");
-        for (i, h) in handles.iter().enumerate() {
-            if i % 10 != 0 {
-                assert!(ctx.free(h.entry, h.entry_inc));
-            }
-        }
-        let after = snapshot_of(&ctx);
-        assert_eq!(
-            MaintPolicy::default().due(&after),
-            Some(PassReason::Frag),
-            "90% decimation must trip the 30% frag ceiling (ratio {})",
-            frag_ratio(&after)
-        );
+        // Half of every block is dead, but every block is above the 30 %
+        // cutoff, so a pass would claim nothing.
+        thin(&ctx, 4096, |i| i % 2 == 0);
+        assert_eq!(ctx.compaction_candidates(), 0);
+        assert_eq!(MaintPolicy.due(&ctx), None);
     }
 
     #[test]
-    fn reason_priority_and_tokens() {
-        assert_eq!(PassReason::Frag.as_str(), "frag");
-        assert_eq!(PassReason::Limbo.as_str(), "limbo");
+    fn decimated_blocks_are_due() {
+        let rt = Runtime::new();
+        let ctx = context(&rt);
+        thin(&ctx, 4096, |i| i % 10 == 0);
+        assert_eq!(MaintPolicy.due(&ctx), Some(PassReason::Sparse));
+    }
+
+    #[test]
+    fn reason_tokens() {
+        assert_eq!(PassReason::Sparse.as_str(), "sparse");
         assert_eq!(PassReason::Nudge.as_str(), "nudge");
     }
 }

@@ -1,8 +1,9 @@
-//! `MaintPolicy::min_interval` on a held clock: a context that stays due
-//! gets one pass, no second one however many planner cycles of real time go
-//! by while the process clock stands still, and its second pass as soon as
-//! the clock has moved `min_interval`. Real time paces the planner's cycles
-//! but decides nothing.
+//! Idle means idle, on a held clock: a context whose blocks are all half
+//! full has plenty of dead and hole bytes, but no block a pass would claim,
+//! so the coordinator starts nothing however many periods go by. Once two
+//! blocks fall under the occupancy cutoff, the next period starts exactly
+//! one pass, and that pass moves rows. Real time only paces the
+//! coordinator's wake-ups; each period is one of the process clock.
 //!
 //! The manual clock is process-wide, so this file holds one test and is
 //! its own binary.
@@ -14,8 +15,8 @@ use smc_maint::{Coordinator, MaintConfig, MaintPolicy};
 use smc_memory::Runtime;
 use smc_obs::clock::Manual;
 
-/// The planner's cycle period (`coordinator::POLL_INTERVAL`).
-const PLANNER_CYCLE: Duration = Duration::from_millis(10);
+/// The coordinator's period (`coordinator::PERIOD`).
+const PERIOD: Duration = Duration::from_millis(125);
 
 /// Polls `done` in real time for up to ten seconds.
 fn eventually(mut done: impl FnMut() -> bool) -> bool {
@@ -29,54 +30,67 @@ fn eventually(mut done: impl FnMut() -> bool) -> bool {
 }
 
 #[test]
-fn a_due_context_waits_min_interval_of_process_clock_between_passes() {
+fn half_full_blocks_get_no_pass_and_two_sparse_blocks_get_one() {
     let clock = Manual::install();
     let rt = Runtime::new();
-    // Fragmented past the 30 % ceiling, and kept that way: with no block
-    // below a zero occupancy cutoff, a pass claims nothing and the context
-    // is due again the moment `min_interval` allows.
-    let config = ContextConfig {
-        compaction_occupancy: 0.0,
-        ..ContextConfig::default()
-    };
-    let c: Smc<[u64; 8]> = Smc::with_config(&rt, config);
+    let c: Smc<[u64; 8]> = Smc::with_config(&rt, ContextConfig::default());
     let refs: Vec<_> = (0..20_000u64).map(|k| c.add([k; 8])).collect();
-    for r in refs.into_iter().skip(1).step_by(2) {
-        assert!(c.remove(r));
+    // Every other row: each block is 50 % occupied, above the 30 % cutoff,
+    // while (dead + hole) / footprint is about a half.
+    let mut survivors = Vec::new();
+    for (i, r) in refs.into_iter().enumerate() {
+        if i % 2 == 1 {
+            assert!(c.remove(r));
+        } else {
+            survivors.push(r);
+        }
     }
+    assert_eq!(c.context().compaction_candidates(), 0);
 
     let coord = Coordinator::new(MaintConfig::default());
-    let policy = MaintPolicy::default();
-    c.register_maintenance(&coord, policy);
+    c.register_maintenance(&coord, MaintPolicy);
+    for _ in 0..40 {
+        clock.advance(PERIOD);
+        std::thread::sleep(PERIOD / 4);
+    }
+    // Let the coordinator look at the last period before freeing more.
+    std::thread::sleep(2 * PERIOD);
+    assert_eq!(
+        coord.snapshot().passes_planned,
+        0,
+        "no pass for a context no pass would claim a block of: {:?}",
+        coord.snapshot()
+    );
+
+    // Seven of every eight survivors in the first half: those blocks drop
+    // to about 6 % occupancy. The allocating thread's block is at the end.
+    let half = survivors.len() / 2;
+    for (i, r) in survivors.drain(..half).enumerate() {
+        if i % 8 != 0 {
+            assert!(c.remove(r));
+        }
+    }
+    assert!(c.context().compaction_candidates() >= 2);
+    std::thread::sleep(2 * PERIOD);
+    assert_eq!(
+        coord.snapshot().passes_planned,
+        0,
+        "no period begins while the clock is held"
+    );
+
+    clock.advance(PERIOD);
     assert!(
         eventually(|| coord.snapshot().passes_completed == 1),
-        "a due context gets its first pass: {:?}",
+        "the next period starts the due pass: {:?}",
         coord.snapshot()
     );
-    std::thread::sleep(15 * PLANNER_CYCLE);
-    assert_eq!(
-        coord.snapshot().passes_planned,
-        1,
-        "no second pass while the clock is held"
-    );
-    clock.advance(policy.min_interval - Duration::from_nanos(1));
-    std::thread::sleep(15 * PLANNER_CYCLE);
-    assert_eq!(
-        coord.snapshot().passes_planned,
-        1,
-        "no second pass before min_interval"
-    );
-    clock.advance(Duration::from_nanos(1));
-    assert!(
-        eventually(|| coord.snapshot().passes_completed == 2),
-        "the second pass follows min_interval: {:?}",
-        coord.snapshot()
-    );
+    std::thread::sleep(2 * PERIOD);
     coord.quiesce();
-    assert_eq!(
-        coord.snapshot().passes_throttled,
-        0,
-        "the pacer never refused"
+    let snap = coord.snapshot();
+    assert_eq!(snap.passes_planned, 1, "exactly one pass: {snap:?}");
+    assert!(
+        snap.last_pass.is_some_and(|lp| lp.moved > 0),
+        "the pass moved rows: {snap:?}"
     );
     c.verify().expect("verify after quiesce");
 }

@@ -210,6 +210,29 @@ impl MemoryContext {
         self.cancel_requested.load(Ordering::Acquire)
     }
 
+    /// Whether a pass would claim `block` now (§5.2): occupancy under
+    /// `config.compaction_occupancy`, no owning thread, and not already
+    /// claimed by another pass or a spill. [`compact`](Self::compact) claims
+    /// with this test and [`compaction_candidates`](Self::compaction_candidates)
+    /// counts with it.
+    fn is_compaction_candidate(&self, block: &BlockRef) -> bool {
+        let h = block.header();
+        block.occupancy() < self.config.compaction_occupancy
+            && h.active_owner.load(Ordering::Acquire) == 0
+            && h.compacting.load(Ordering::Acquire) == 0
+    }
+
+    /// Blocks of regular membership that a pass started now would claim. A
+    /// group needs two of them, so a pass over fewer moves nothing. Reads
+    /// block headers only: no slot is walked and no epoch pinned.
+    pub fn compaction_candidates(&self) -> usize {
+        let m = self.membership.read();
+        m.blocks
+            .iter()
+            .filter(|b| self.is_compaction_candidate(b))
+            .count()
+    }
+
     /// Runs one compaction pass over this context, emptying every block with
     /// occupancy below `config.compaction_occupancy` into fresh blocks.
     ///
@@ -226,9 +249,7 @@ impl MemoryContext {
         // membership until their groups are registered — the swap below is
         // atomic under one write lock, so no enumeration snapshot can catch
         // a block in neither list.
-        let candidates = self.claim(usize::MAX, |b| {
-            b.occupancy() < self.config.compaction_occupancy
-        });
+        let candidates = self.claim(usize::MAX, |b| self.is_compaction_candidate(b));
         if candidates.is_empty() {
             return report;
         }
@@ -480,7 +501,7 @@ impl MemoryContext {
                     MemoryStats::inc(&self.runtime.stats.compactions_interrupted);
                     return false;
                 }
-                // Cooperative cancel (watchdog / quiesce): stop moving and
+                // Cooperative cancel (coordinator `cancel()`): stop moving and
                 // let the epilogue roll the remaining entries back through
                 // the bail path.
                 if self.cancel_requested.load(Ordering::Acquire) {
@@ -608,6 +629,10 @@ mod tests {
             }
         }
         let blocks_before = c.block_count();
+        assert!(
+            c.compaction_candidates() >= 2,
+            "a group's worth of sparse blocks"
+        );
         let report = c.compact();
         assert!(!report.aborted);
         assert!(report.groups >= 1, "sparse blocks should form groups");
@@ -640,6 +665,7 @@ mod tests {
         for i in 0..cap * 2 {
             alloc_u64(&c, i as u64);
         }
+        assert_eq!(c.compaction_candidates(), 0);
         let report = c.compact();
         assert_eq!(report.groups, 0);
         assert_eq!(report.moved, 0);
@@ -658,6 +684,8 @@ mod tests {
         }
         let sparse = allocs[0].block.header();
         assert_eq!(sparse.in_reclaim_queue.load(Ordering::Acquire), 1);
+        // The thread still owns the other block, however empty.
+        assert_eq!(c.compaction_candidates(), 1);
         // A lone candidate forms no group; the pass must hand it back to the
         // queue it pulled it from, not merely clear its flag.
         let report = c.compact();

@@ -305,20 +305,6 @@ impl ChromeTrace {
         }
     }
 
-    /// Appends a counter sample (`ph: "C"`) on its own track, to chart a
-    /// series (occupancy, live blocks, drops) alongside the ring events.
-    pub fn counter(&mut self, ts_nanos: u64, name: &str, value: f64) {
-        self.note_tid(0);
-        self.records.push(Record {
-            ts_nanos,
-            ph: "C",
-            name: name.to_string(),
-            tid: 0,
-            args: vec![("value", JsonValue::from(value))],
-            ..Record::default()
-        });
-    }
-
     /// Number of records staged for export: the timeline plus the `M`
     /// records of [`note_dropped`](Self::note_dropped), but not the
     /// `thread_name` records [`to_json`](Self::to_json) adds. The timeline
@@ -351,12 +337,7 @@ impl ChromeTrace {
             meta.set("pid", PID);
             meta.set("tid", tid);
             let mut args = JsonValue::obj();
-            let label = if tid == 0 {
-                "counters".to_string()
-            } else {
-                format!("tracer-{tid}")
-            };
-            args.set("name", label);
+            args.set("name", format!("tracer-{tid}"));
             meta.set("args", args);
             events.push(meta);
         }
@@ -479,11 +460,9 @@ mod tests {
                 },
             ),
         ]);
-        t.counter(10_000, "occupancy", 0.75);
         let s = t.to_json_string();
         assert!(s.contains("\"ph\":\"X\"") && s.contains("\"dur\":3"));
         assert!(s.contains("\"ph\":\"C\"") && s.contains("\"epoch\""));
-        assert!(s.contains("\"occupancy\""));
         assert!(s.contains("\"thread_name\""));
     }
 

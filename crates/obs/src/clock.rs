@@ -3,7 +3,7 @@
 //!
 //! A test can hold time still: [`Manual::install`] freezes [`now`] on every
 //! thread until [`Manual::advance`] moves it, so a time-dependent decision
-//! (the §5.2 patience bail, the coordinator's `min_interval`) is tested by
+//! (the §5.2 patience bail, the coordinator's period) is tested by
 //! stepping the clock, not by sleeping. The freeze is process-wide, so
 //! installs serialise on a lock and each test that installs one is an
 //! integration-test binary of its own. Readings never go backwards across

@@ -380,7 +380,8 @@ events! {
     14 MaintPassStart "maint-pass-start" {
         /// Memory-context id the pass targets.
         context: u64,
-        /// Why the pass was planned (e.g. `frag`, `limbo`, `nudge`, `spill`).
+        /// Why the pass was started: `sparse` (two or more blocks under the
+        /// occupancy cutoff) or `nudge`.
         reason: Label,
     }
     /// A coordinator-driven compaction pass finished.
@@ -621,8 +622,7 @@ const MODE_FLIGHT: u8 = 1 << 1;
 /// holds covers both sinks being off.
 static MODE: AtomicU8 = AtomicU8::new(0);
 static SEQ: AtomicU64 = AtomicU64::new(0);
-/// Tracer thread ids start at 1: track 0 of an export is the counter
-/// track ([`ChromeTrace::counter`](crate::chrome::ChromeTrace::counter)).
+/// Tracer thread ids start at 1, so an id of 0 names no tracer thread.
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(1);
 
 fn registry() -> std::sync::MutexGuard<'static, Vec<Arc<Ring>>> {

@@ -1,10 +1,6 @@
 //! Two promises the tracer makes outside its own module: DESIGN.md §10
 //! lists exactly the variants the `events!` table declares, and an export
-//! never draws a tracer thread on the counter track.
-//!
-//! This file is its own process, so the thread that emits below is the
-//! first this process's tracer ever sees — the one that drew id 0, the
-//! counter track's id, before tracer ids started at 1.
+//! draws each tracer thread on a track of its own, named after it.
 
 use std::collections::BTreeSet;
 
@@ -39,36 +35,29 @@ fn design_table_lists_exactly_the_declared_variants() {
 }
 
 #[test]
-fn tracer_threads_never_share_the_counter_track() {
+fn each_tracer_thread_is_drawn_on_its_own_named_track() {
     trace::enable();
     trace::emit(Event::EpochAdvance { epoch: 1 });
     std::thread::spawn(|| trace::emit(Event::RelocationBailed { src_slot: 2 }))
         .join()
         .unwrap();
     trace::disable();
-    let mut export = ChromeTrace::from_ring_snapshot();
-    export.counter(5, "occupancy", 0.5);
-    let doc = export.to_json();
+    let doc = ChromeTrace::from_ring_snapshot().to_json();
     let records = doc.get("traceEvents").and_then(JsonValue::as_arr).unwrap();
     let text = |r: &JsonValue, key: &str| r.get(key).and_then(JsonValue::as_str).map(str::to_owned);
     let tid = |r: &JsonValue| r.get("tid").and_then(JsonValue::as_u64).unwrap();
-    let mut ring_records = 0;
+    let mut named = BTreeSet::new();
+    let mut drawn = BTreeSet::new();
     for r in records {
-        let name = text(r, "name").unwrap();
-        if name == "thread_name" {
+        if text(r, "name").unwrap() == "thread_name" {
             let track = r.get("args").and_then(|a| text(a, "name")).unwrap();
-            assert_eq!(
-                track == "counters",
-                tid(r) == 0,
-                "{track} on tid {}",
-                tid(r)
-            );
-        } else if name == "occupancy" {
-            assert_eq!(tid(r), 0, "counter samples live on track 0");
+            assert_eq!(track, format!("tracer-{}", tid(r)));
+            named.insert(tid(r));
         } else {
-            ring_records += 1;
-            assert_ne!(tid(r), 0, "{name} is drawn on the counter track");
+            assert_ne!(tid(r), 0, "tracer thread ids start at 1");
+            drawn.insert(tid(r));
         }
     }
-    assert_eq!(ring_records, 2, "both threads' events were exported");
+    assert_eq!(drawn.len(), 2, "both threads' events were exported");
+    assert_eq!(named, drawn, "every drawn track is named");
 }

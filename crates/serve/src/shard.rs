@@ -385,12 +385,10 @@ pub(crate) fn run_shard(shared: Arc<ShardShared>, cfg: ShardConfig) -> ShardDrai
     let coordinator = shared.coordinator.get_or_init(|| {
         Coordinator::new(MaintConfig {
             gauge: Some(shared.query_latency.clone()),
-            ..MaintConfig::default()
         })
     });
     for t in tenants.values() {
-        t.smc
-            .register_maintenance(coordinator, MaintPolicy::default());
+        t.smc.register_maintenance(coordinator, MaintPolicy);
     }
 
     let mut inboxes: Vec<Inbox> = Vec::new();
