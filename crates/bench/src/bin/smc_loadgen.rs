@@ -1,23 +1,19 @@
 //! `smc-loadgen` — closed-loop load harness for the SMC server (Figure 16,
 //! this repo's addition).
 //!
-//! Drives a fixed aggregate request rate against an [`smc_serve::Server`]
-//! from `--connections` closed-loop clients: each connection paces itself
-//! to `rate / connections` requests per second, issues one request at a
-//! time, and records the service latency into a per-op-class histogram
-//! (`ingest` = upsert/delete, `query` = count/sum). Lateness against the
-//! pacing schedule is tracked separately, so a saturated server shows up as
-//! a `saturation_free` check failure rather than silently stretching the
-//! schedule.
-//!
-//! By default the server runs **embedded** (in-process, ephemeral port)
-//! with `--shards`/`--workers`/`--tenants`, and tenant 0 optionally capped
-//! by `--budget-mb` — over-budget errors are counted, not failed, because a
-//! clean wire error under budget pressure is exactly the contract under
-//! test. `--addr HOST:PORT` targets an external server instead (started
-//! with the standalone `smc-serve` binary); drain verification is then
-//! skipped, everything else is identical because the whole harness speaks
-//! the wire protocol.
+//! A wire client of a running `smc-serve` (`--addr`, default
+//! `127.0.0.1:7878`, the server's own default). It issues one `SCRAPE`
+//! first and reads the tenant and shard counts from its `stats` section,
+//! so a run always matches the server it drives; a failed scrape exits 1.
+//! Then `--connections` closed-loop clients drive a fixed aggregate request
+//! rate: each paces itself to `rate / connections` requests per second,
+//! issues one request at a time, and records the service latency into a
+//! per-op-class histogram (`ingest` = upsert/delete, `query` = count/sum).
+//! Lateness against the pacing schedule is tracked separately, so a
+//! saturated server shows up as a `saturation_free` check failure rather
+//! than silently stretching the schedule. Over-budget errors are counted,
+//! not failed: a clean wire error under budget pressure is exactly the
+//! contract under test.
 //!
 //! Checks recorded in `BENCH_fig16.json`, any failure of which is a
 //! non-zero exit — the exit code is the gate:
@@ -26,39 +22,38 @@
 //! requests started late), `no_internal_errors`, `shard_requests_nonzero`
 //! (every shard served work), `no_dropped_tenants` (every targeted tenant
 //! kept answering), `attribution_scraped` (the scraped breakdown is whole
-//! and counts the requests it describes), `drain_verify` (embedded server
-//! drained and reconciled bit-exact), and
+//! and counts the requests it describes), and
 //! `ingest_ring_wait_p50_below_exec_p50` — recorded as *unmeasured*
-//! (`"passed": null`) on a host with fewer hardware threads than the run
-//! has threads, or against `--addr`.
+//! (`"passed": null`) against a non-loopback address (the server is on
+//! another host) or on a host with fewer hardware threads than the run
+//! has threads. The drain is `smc-serve`'s to verify: its SIGTERM exit
+//! code is that gate.
 //!
-//! Observability hooks: `--trace-every N` attaches a fresh `RequestId` to
-//! every Nth request per connection — the server
-//! tags its conn/ring/shard/exec spans with the id, so the Chrome trace
-//! renders per-request flow across threads. `--slow-us U` sets the
-//! embedded server's tail-latency attribution threshold. After the run the
-//! harness issues a `SCRAPE` and folds the server's attribution histograms
-//! into `BENCH_fig16.json` (works identically against `--addr`, where the
-//! scrape is the *only* way to see inside the external process).
+//! `--trace-every N` attaches a fresh `RequestId` to every Nth request per
+//! connection — the server tags its conn/ring/shard/exec spans with the
+//! id, so its Chrome trace renders per-request flow across threads. After
+//! the run a second `SCRAPE` supplies the shard and tenant panels and the
+//! server's attribution histograms (every request's, when the server runs
+//! with `--slow-us 0`), all folded into `BENCH_fig16.json`.
 //!
 //! ```text
-//! smc-loadgen [--duration 5s] [--rate N] [--connections N]
-//!             [--shards N] [--workers N] [--tenants N] [--budget-mb M]
-//!             [--query-pct P] [--keys N] [--batch N] [--seed N]
-//!             [--slo-ingest-us N] [--slo-query-us N] [--addr HOST:PORT]
-//!             [--trace-every N] [--slow-us U]
+//! smc-loadgen [--addr HOST:PORT] [--duration 5s] [--rate N]
+//!             [--connections N] [--query-pct P] [--keys N] [--batch N]
+//!             [--seed N] [--slo-ingest-us N] [--slo-query-us N]
+//!             [--trace-every N]
 //! ```
 
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use smc_bench::{
-    arg_parsed, arg_string, arg_u64, arg_usize, csv, finish, init_tracing, install_signal_handler,
-    interrupted, JsonValue, Report,
+    arg_parsed, arg_u64, arg_usize, csv, finish, init_tracing, install_signal_handler, interrupted,
+    JsonValue, Report,
 };
 use smc_obs::{Histogram, RequestId};
 use smc_serve::wire::ErrorCode;
-use smc_serve::{Client, ClientError, Server, ServerConfig, TenantConfig};
+use smc_serve::{Client, ClientError};
 use smc_util::Pcg32;
 
 /// Parses `--duration` values like `5s`, `750ms`, or a bare seconds count.
@@ -72,6 +67,24 @@ fn parse_duration(s: &str) -> Option<Duration> {
     }
     let secs = s.strip_suffix('s').unwrap_or(s);
     secs.parse::<f64>().ok().map(Duration::from_secs_f64)
+}
+
+/// One `SCRAPE` of the server at `addr`.
+fn scrape(addr: SocketAddr) -> Result<JsonValue, ClientError> {
+    let mut client = Client::connect(addr)?;
+    client.set_timeout(Some(Duration::from_secs(30)))?;
+    client.scrape()
+}
+
+/// The rows of a scrape's `stats.<key>` array, empty when absent.
+fn stats_rows<'a>(doc: &'a JsonValue, key: &str) -> &'a [JsonValue] {
+    let rows = doc.get("stats").and_then(|s| s.get(key));
+    rows.and_then(JsonValue::as_arr).unwrap_or(&[])
+}
+
+/// The integer at `key` of one stats row, 0 when absent.
+fn field(row: &JsonValue, key: &str) -> u64 {
+    row.get(key).and_then(JsonValue::as_u64).unwrap_or(0)
 }
 
 /// What one connection worker brings home.
@@ -98,7 +111,7 @@ struct Workload {
 
 /// One closed-loop connection: pace, issue, record, repeat.
 fn run_conn(
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     w: Workload,
     ingest: Arc<Histogram>,
     query: Arc<Histogram>,
@@ -189,13 +202,10 @@ fn main() {
     init_tracing();
     install_signal_handler();
 
+    let addr = arg_parsed("--addr", ([127, 0, 0, 1], 7878).into(), |v| v.parse().ok());
     let duration = arg_parsed("--duration", Duration::from_secs(5), parse_duration);
     let rate = arg_usize("--rate", 2000).max(1);
     let connections = arg_usize("--connections", 4).max(1);
-    let shards = arg_usize("--shards", 2).max(1);
-    let workers = arg_usize("--workers", 2).max(1);
-    let ntenants = arg_usize("--tenants", 2).max(1);
-    let budget_mb = arg_usize("--budget-mb", 0);
     let query_pct = arg_usize("--query-pct", 40).min(100);
     let keys = arg_usize("--keys", 50_000).max(1) as u64;
     let batch = arg_usize("--batch", 64).max(1);
@@ -203,38 +213,18 @@ fn main() {
     let slo_ingest_us = arg_u64("--slo-ingest-us", 50_000);
     let slo_query_us = arg_u64("--slo-query-us", 100_000);
     let trace_every = arg_usize("--trace-every", 0);
-    let slow_us = arg_usize("--slow-us", 1000);
-    let external = arg_string("--addr");
 
-    // Embedded server unless --addr points elsewhere.
-    let mut embedded: Option<Server> = None;
-    let addr = match &external {
-        Some(a) => a.parse().expect("--addr must be HOST:PORT"),
-        None => {
-            let tenants = (0..ntenants)
-                .map(|i| TenantConfig {
-                    name: format!("tenant{i}"),
-                    budget_bytes: if i == 0 && budget_mb > 0 {
-                        Some((budget_mb as u64) << 20)
-                    } else {
-                        None
-                    },
-                })
-                .collect();
-            let server = Server::start(ServerConfig {
-                addr: "127.0.0.1:0".to_string(),
-                shards,
-                workers_per_shard: workers,
-                tenants,
-                slow_request_threshold: Duration::from_micros(slow_us as u64),
-                ..ServerConfig::default()
-            })
-            .expect("embedded server binds an ephemeral port");
-            let addr = server.local_addr();
-            embedded = Some(server);
-            addr
-        }
-    };
+    // The server knows its own layout: read it rather than take it as flags.
+    let layout = scrape(addr).unwrap_or_else(|e| {
+        eprintln!("smc-loadgen: scrape of {addr} failed: {e}");
+        std::process::exit(1)
+    });
+    let shards = stats_rows(&layout, "shards").len();
+    let ntenants = stats_rows(&layout, "tenants").len();
+    if shards == 0 || ntenants == 0 {
+        eprintln!("smc-loadgen: scrape of {addr} lists {shards} shards and {ntenants} tenants");
+        std::process::exit(1)
+    }
 
     println!(
         "smc-loadgen: {} conns x {:.0} req/s against {} for {:?}",
@@ -268,31 +258,19 @@ fn main() {
     let results: Vec<ConnResult> = joins.into_iter().map(|j| j.join().unwrap()).collect();
     let wall = t0.elapsed();
 
-    // Server-side counters, over the wire in both modes.
-    let stats = Client::connect(addr).ok().and_then(|mut c| c.stats().ok());
-    // Full observability document (tail-latency attribution, tracer and
-    // flight health) — same wire path, so it also works against --addr.
-    let scrape = Client::connect(addr).ok().and_then(|mut c| c.scrape().ok());
+    // The server's counters and tail-latency attribution after the run.
+    let scrape = scrape(addr).ok();
 
     let mut report = Report::new("fig16", "Closed-loop multi-tenant server load");
+    report.param("addr", addr.to_string());
     report.param("rate", rate as u64);
     report.param("connections", connections as u64);
     report.param("duration_ms", duration.as_millis() as u64);
     report.param("shards", shards as u64);
     report.param("tenants", ntenants as u64);
     report.param("query_pct", query_pct as u64);
-    report.param("budget_mb", budget_mb as u64);
     report.param("seed", seed);
     report.param("trace_every", trace_every as u64);
-    report.param("slow_us", slow_us as u64);
-    report.param(
-        "mode",
-        if external.is_some() {
-            "external"
-        } else {
-            "embedded"
-        },
-    );
     if interrupted() {
         report.param("interrupted", true);
     }
@@ -332,8 +310,8 @@ fn main() {
     report.counter("over_budget_errors", over_budget);
     report.counter("achieved_rate", achieved as u64);
 
-    // Shard and tenant panels from the wire STATS op, plus the reader-side
-    // memory counters summed across the per-shard runtimes.
+    // Shard and tenant panels from the scrape's `stats` section, plus the
+    // reader-side memory counters summed across the per-shard runtimes.
     let shard_series = report.series("shard_requests", &["shard", "requests"]);
     let tenant_series = report.series(
         "tenant_stats",
@@ -345,40 +323,35 @@ fn main() {
             "over_budget_errors",
         ],
     );
-    let mut shards_nonzero = true;
-    let mut stats_tenants = 0usize;
-    match &stats {
-        Some(body) => {
-            let (mut pins, mut blocks, mut morsels) = (0u64, 0u64, 0u64);
-            for (i, s) in body.shards.iter().enumerate() {
-                report.push_row(shard_series, vec![(i as u64).into(), s.requests.into()]);
-                shards_nonzero &= s.requests > 0;
-                pins += s.pins_taken;
-                blocks += s.blocks_scanned;
-                morsels += s.morsels_dispatched;
-            }
-            report.counter("pins_taken", pins);
-            report.counter("blocks_scanned", blocks);
-            report.counter("morsels_dispatched", morsels);
-            stats_tenants = body.tenants.len();
-            for t in &body.tenants {
-                report.push_row(
-                    tenant_series,
-                    vec![
-                        (t.tenant as u64).into(),
-                        if t.budget_bytes == u64::MAX {
-                            JsonValue::Str("unlimited".to_string())
-                        } else {
-                            t.budget_bytes.into()
-                        },
-                        t.used_bytes.into(),
-                        t.live_objects.into(),
-                        t.over_budget_errors.into(),
-                    ],
-                );
-            }
-        }
-        None => shards_nonzero = false,
+    let (shard_rows, tenant_rows) = match &scrape {
+        Some(doc) => (stats_rows(doc, "shards"), stats_rows(doc, "tenants")),
+        None => (&[][..], &[][..]),
+    };
+    let shards_nonzero =
+        !shard_rows.is_empty() && shard_rows.iter().all(|s| field(s, "requests") > 0);
+    for (i, s) in shard_rows.iter().enumerate() {
+        report.push_row(
+            shard_series,
+            vec![(i as u64).into(), field(s, "requests").into()],
+        );
+    }
+    for counter in ["pins_taken", "blocks_scanned", "morsels_dispatched"] {
+        report.counter(counter, shard_rows.iter().map(|s| field(s, counter)).sum());
+    }
+    for t in tenant_rows {
+        let budget = match field(t, "budget_bytes") {
+            u64::MAX => JsonValue::Str("unlimited".to_string()),
+            b => b.into(),
+        };
+        let f = |k: &str| JsonValue::from(field(t, k));
+        let row = vec![
+            f("tenant"),
+            budget,
+            f("used_bytes"),
+            f("live_objects"),
+            f("over_budget_errors"),
+        ];
+        report.push_row(tenant_series, row);
     }
 
     // Tail-latency attribution, scraped from the server: per-op-class
@@ -452,8 +425,9 @@ fn main() {
     // spends less time waiting in its ring than executing. The comparison
     // needs a core for every thread it times — with fewer, "ring wait" is
     // the job's turn on the run queue, whatever the hand-off costs — so a
-    // smaller host (or a server the harness cannot see) reports the two
-    // medians as unmeasured instead of passing or failing on them.
+    // smaller host, or a server on another host whose cores the harness
+    // cannot count, reports the two medians as unmeasured instead of
+    // passing or failing on them.
     let ingest_p50 = |part: &str| {
         let class = scrape.as_ref()?.get("attribution")?.get("ingest")?;
         class.get(part)?.get("p50_ns")?.as_u64()
@@ -469,8 +443,8 @@ fn main() {
     let run_threads = 2 * connections + shards; // loadgen, connection, shard
     report.param("hw_threads", hw_threads as u64);
     let exec_bound = "ingest_ring_wait_p50_below_exec_p50";
-    if embedded.is_none() {
-        report.unmeasured(exec_bound, format!("external server: {medians}"));
+    if !addr.ip().is_loopback() {
+        report.unmeasured(exec_bound, format!("server on another host: {medians}"));
     } else if hw_threads < run_threads {
         let why = format!("{run_threads} threads on {hw_threads} hardware threads");
         report.unmeasured(exec_bound, format!("{why}: {medians}"));
@@ -518,36 +492,12 @@ fn main() {
         .iter()
         .take(connections.min(ntenants))
         .all(|&n| n > 0)
-        && (stats.is_none() || stats_tenants == ntenants);
+        && (scrape.is_none() || tenant_rows.len() == ntenants);
     report.check(
         "no_dropped_tenants",
         all_tenants_alive,
         format!("per-tenant served counts: {targeted_ok:?}"),
     );
-
-    match embedded {
-        Some(mut server) => {
-            let drain = server.shutdown();
-            report.counter("drain_requests", drain.requests());
-            report.check(
-                "drain_verify",
-                drain.clean(),
-                if drain.clean() {
-                    format!(
-                        "{} shards drained and reconciled bit-exact",
-                        drain.shards.len()
-                    )
-                } else {
-                    drain.verify_errors().join("; ")
-                },
-            );
-        }
-        None => report.check(
-            "drain_verify",
-            true,
-            "external server: drain owned by smc-serve".to_string(),
-        ),
-    }
 
     finish(&mut report);
 }

@@ -197,11 +197,6 @@ impl<T: Columnar> ColumnarSmc<T> {
         smc_memory::inspect::HeapSnapshot::capture(self.runtime(), &[&self.ctx])
     }
 
-    /// Slots per block.
-    pub fn capacity_per_block(&self) -> usize {
-        self.ctx.layout().capacity as usize
-    }
-
     /// Resolves the column arrays of one block.
     #[inline]
     pub fn arrays(&self, block: &BlockRef) -> ColumnArrays {

@@ -137,14 +137,6 @@ impl ManagedHeap {
         Self::new(HeapConfig::default())
     }
 
-    /// Creates an interactive-mode heap.
-    pub fn new_interactive() -> Arc<ManagedHeap> {
-        Self::new(HeapConfig {
-            mode: GcMode::Interactive,
-            ..HeapConfig::default()
-        })
-    }
-
     /// The configuration in effect.
     pub fn config(&self) -> &HeapConfig {
         &self.config

@@ -205,11 +205,6 @@ impl MemoryContext {
         self.cancel_requested.store(true, Ordering::Release);
     }
 
-    /// Whether a cancel has been requested and not yet consumed by a pass.
-    pub fn compaction_cancel_requested(&self) -> bool {
-        self.cancel_requested.load(Ordering::Acquire)
-    }
-
     /// Whether a pass would claim `block` now (§5.2): occupancy under
     /// `config.compaction_occupancy`, no owning thread, and not already
     /// claimed by another pass or a spill. [`compact`](Self::compact) claims

@@ -68,12 +68,6 @@ impl Decimal {
         self.0
     }
 
-    /// Lossy conversion to `f64`, for reporting only.
-    #[inline]
-    pub fn to_f64(self) -> f64 {
-        self.0 as f64 / ONE_MANTISSA as f64
-    }
-
     /// Parses decimal text such as `"0.0600"` or `"-12.5"`.
     pub fn parse(s: &str) -> Option<Decimal> {
         let s = s.trim();

@@ -33,7 +33,6 @@
 //! ```
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::Write;
 use std::path::Path;
 
 use crate::report::JsonValue;
@@ -360,11 +359,6 @@ impl ChromeTrace {
     /// Serializes to a JSON string.
     pub fn to_json_string(&self) -> String {
         self.to_json().to_json()
-    }
-
-    /// Writes the JSON document to `w`.
-    pub fn write_to(&self, w: &mut dyn Write) -> std::io::Result<()> {
-        w.write_all(self.to_json_string().as_bytes())
     }
 
     /// Writes the JSON document to `path`, creating parent directories.

@@ -1,9 +1,9 @@
 //! Machine-readable benchmark reports (`BENCH_fig<N>.json`).
 //!
-//! Every `crates/bench/src/bin/fig*` binary (and `smc-loadgen`) routes its
-//! results through a [`Report`]: the human-readable CSV keeps printing to
-//! stdout, while the same rows — plus histogram summaries, counters, and
-//! passed / failed / unmeasured checks — are serialized to
+//! The `figures` binary (one report per paper figure) and `smc-loadgen`
+//! route their results through a [`Report`]: the human-readable CSV keeps
+//! printing to stdout, while the same rows — plus histogram summaries,
+//! counters, and passed / failed / unmeasured checks — are serialized to
 //! `BENCH_fig<N>.json` so EXPERIMENTS.md tables are regenerable and
 //! diffable across PRs. The schema is documented in the
 //! EXPERIMENTS.md preamble.

@@ -12,9 +12,10 @@
 //! reasons on each (budget ladders vs. scan interference), so mixing them
 //! in one histogram hides exactly the signal an operator needs.
 //!
-//! The breakdown is surfaced twice: in the `SCRAPE` wire op's JSON
-//! document ([`Attribution::to_json`]) and, via `smc-loadgen`, as
-//! `attr_*` histogram summaries in `BENCH_fig16.json`.
+//! The breakdown is surfaced once, as the `attribution` section of the
+//! `SCRAPE` document ([`Attribution::to_json`]); `smc-top` renders it and
+//! `smc-loadgen` copies it into `BENCH_fig16.json` as `attr_*` histogram
+//! summaries.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -42,7 +43,7 @@ impl OpClass {
 
 /// The stages a shard-bound request passes through between its connection
 /// thread's enqueue and its pick-up of the reply, in path order, by the key
-/// of each stage's histogram in the `SCRAPE` document. Together they cover
+/// of each stage's histogram in the scrape document. Together they cover
 /// the request: ring wait + exec + reply wake ≈ `total_ns`. Everything that
 /// lists the stages — [`SlowBreakdown::stages`], the scrape JSON, `smc-top`,
 /// `smc-loadgen` — walks this array.
@@ -206,8 +207,8 @@ pub struct Attribution {
 
 impl Attribution {
     /// Attribution with the given slow-request threshold. A zero threshold
-    /// records every request — what the load harness uses so fig16 always
-    /// carries a populated breakdown.
+    /// records every request (`smc-serve --slow-us 0`), so a load run's
+    /// fig16 always carries a populated breakdown.
     pub fn new(threshold: Duration) -> Attribution {
         Attribution {
             threshold_ns: threshold.as_nanos().min(u64::MAX as u128) as u64,

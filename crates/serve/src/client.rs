@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use smc_obs::{JsonValue, RequestId};
 
-use crate::wire::{ErrorCode, FrameError, FrameReader, FrameWriter, Request, Response, StatsBody};
+use crate::wire::{ErrorCode, FrameError, FrameReader, FrameWriter, Request, Response};
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -162,13 +162,8 @@ impl Client {
         Ok((count, sum))
     }
 
-    /// Fetches server-wide statistics.
-    pub fn stats(&mut self) -> Result<StatsBody, ClientError> {
-        let body = self.call(&Request::Stats)?;
-        StatsBody::decode(&body).map_err(|e| ClientError::Protocol(e.message()))
-    }
-
-    /// Pulls the live observability document (`smc-scrape/v1`): stats,
+    /// Pulls the live observability document (`smc-scrape/v1`), the
+    /// server's one introspection op: shard and tenant stats,
     /// tail-latency attribution, tracer and flight-recorder health, and
     /// per-shard heap snapshots and maintenance counters, parsed into a
     /// [`JsonValue`].

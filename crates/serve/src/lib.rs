@@ -26,9 +26,11 @@
 //! morsel execution, requests over
 //! [`ServerConfig::slow_request_threshold`] fold a structured breakdown
 //! into per-op-class histograms ([`attr`]), and the read-only
-//! [`wire::Op::Scrape`] op exports stats, attribution, tracer and
-//! flight-recorder state, and per shard its heap snapshot and maintenance
-//! coordinator, as one JSON document (schema `smc-scrape/v1`).
+//! [`wire::Op::Scrape`] op — the server's one introspection op — exports
+//! shard and tenant stats, attribution, tracer and flight-recorder state,
+//! and per shard its heap snapshot and maintenance coordinator, as one
+//! JSON document (schema `smc-scrape/v1`). [`Server::stats`] reads the
+//! same counters in process.
 
 #![warn(missing_docs)]
 

@@ -37,8 +37,7 @@ use crate::shard::{
     ShardShared, REPLY_TIMEOUT, RING_PATIENCE,
 };
 use crate::wire::{
-    ErrorCode, FrameError, FrameReader, FrameWriter, Op, Request, Response, ShardStats, StatsBody,
-    TenantStats, MAX_FRAME,
+    ErrorCode, FrameError, FrameReader, FrameWriter, Op, Request, Response, MAX_FRAME,
 };
 
 /// One tenant as configured at server start. Tenant ids on the wire are the
@@ -71,8 +70,8 @@ pub struct ServerConfig {
     /// writes a fresh snapshot of the verified state at drain.
     pub persist_dir: Option<PathBuf>,
     /// Requests completing at or over this threshold record a tail-latency
-    /// breakdown into the per-op-class [`Attribution`] (surfaced via the
-    /// `SCRAPE` op and `BENCH_fig16.json`). `Duration::ZERO` records every
+    /// breakdown into the per-op-class [`Attribution`] (the scrape
+    /// document's `attribution` section). `Duration::ZERO` records every
     /// request.
     pub slow_request_threshold: Duration,
 }
@@ -123,6 +122,44 @@ impl DrainReport {
             .flat_map(|s| s.verify_errors.iter().map(String::as_str))
             .collect()
     }
+}
+
+/// Per-shard counters: the scrape document's `stats.shards` rows.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardStats {
+    /// Requests this shard executed.
+    pub requests: u64,
+    /// Epoch pins taken on the shard's runtime.
+    pub pins_taken: u64,
+    /// Blocks enumerated by the shard's parallel scans.
+    pub blocks_scanned: u64,
+    /// Morsels dispatched by the shard's parallel scans.
+    pub morsels_dispatched: u64,
+}
+
+/// Per-tenant accounting, summed across shards: the scrape document's
+/// `stats.tenants` rows.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TenantStats {
+    /// Tenant id.
+    pub tenant: u16,
+    /// Configured per-shard budget × shards, or `u64::MAX` for unlimited.
+    pub budget_bytes: u64,
+    /// Off-heap bytes currently held by the tenant's contexts.
+    pub used_bytes: u64,
+    /// Live objects across shards.
+    pub live_objects: u64,
+    /// Ingest requests rejected by the tenant's budget.
+    pub over_budget_errors: u64,
+}
+
+/// What [`Server::stats`] returns and the scrape's `stats` section holds.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StatsBody {
+    /// One entry per shard, in shard order.
+    pub shards: Vec<ShardStats>,
+    /// One entry per configured tenant.
+    pub tenants: Vec<TenantStats>,
 }
 
 /// What the acceptor and every connection thread share with the server.
@@ -229,8 +266,8 @@ impl Server {
         self.local_addr
     }
 
-    /// Requests from all shards the counters behind the `STATS` op. Usable
-    /// while the server runs (the loadgen polls it between windows).
+    /// The counters of the scrape document's `stats` section, read in
+    /// process while the server runs.
     pub fn stats(&self) -> StatsBody {
         gather_stats(&self.shared.shards)
     }
@@ -298,8 +335,10 @@ impl Drop for Server {
     }
 }
 
-/// Collects the `STATS` body from shard shared state (no shard round-trip:
-/// every field is an atomic or an `Arc<MemoryContext>` accessor).
+/// Collects the shard and tenant counters from shard shared state (no
+/// shard round-trip: every field is an atomic or an `Arc<MemoryContext>`
+/// accessor). [`Server::stats`] and the scrape's `stats` section both read
+/// this.
 fn gather_stats(shards: &[Arc<ShardShared>]) -> StatsBody {
     let mut body = StatsBody::default();
     for s in shards {
@@ -340,11 +379,11 @@ fn gather_stats(shards: &[Arc<ShardShared>]) -> StatsBody {
     body
 }
 
-/// Builds the `smc-scrape/v1` JSON document: wire stats, tail-latency
-/// attribution, tracer health, flight-recorder status, per-shard
-/// maintenance, and per-shard heap snapshots. The heap section is elided
-/// (with an explicit marker) when the serialized document would not fit
-/// in one wire frame.
+/// Builds the `smc-scrape/v1` JSON document: shard and tenant stats,
+/// tail-latency attribution, tracer health, flight-recorder status,
+/// per-shard maintenance, and per-shard heap snapshots. The heap section
+/// is elided (with an explicit marker) when the serialized document would
+/// not fit in one wire frame.
 fn gather_scrape(shards: &[Arc<ShardShared>], attr: &Attribution) -> JsonValue {
     let stats = gather_stats(shards);
     let mut doc = JsonValue::obj();
@@ -543,7 +582,7 @@ impl Router<'_> {
     }
 
     /// Routes one request: to the owning shards for ingest partitions, to
-    /// every shard for queries, nowhere for `PING`/`STATS`/`SCRAPE`. A
+    /// every shard for queries, nowhere for `PING`/`SCRAPE`. A
     /// shard-bound op records its tail-latency breakdown when it completes
     /// at or over the slow-request threshold.
     fn dispatch(&mut self, req: Request, trace: Option<RequestId>) -> Response {
@@ -553,7 +592,6 @@ impl Router<'_> {
         let op = req.op();
         let (tenant, ops): (u16, Vec<Option<ShardOp>>) = match req {
             Request::Ping => return Response::Ok(Vec::new()),
-            Request::Stats => return Response::Ok(gather_stats(shards).encode()),
             Request::Scrape => {
                 let doc = gather_scrape(shards, &self.server.attr);
                 return Response::Ok(doc.to_json().into_bytes());

@@ -53,12 +53,11 @@ pub enum Op {
     /// Sum `value` over rows with `value` in `[lo, hi)`: `lo: u64`,
     /// `hi: u64`. OK body: `count: u64`, `sum: u64`.
     Sum = 0x05,
-    /// Server-wide statistics; empty body. OK body: [`StatsBody`].
-    Stats = 0x06,
-    /// Full observability scrape; empty body. OK body: a UTF-8 JSON
-    /// document (`"schema": "smc-scrape/v1"`) carrying stats, tail-latency
-    /// attribution, tracer health, flight-recorder status, and per-shard
-    /// heap snapshots and maintenance counters.
+    // 0x06 (a retired binary stats op) stays unassigned: `UnknownOp`.
+    /// The one introspection op; empty body. OK body: a UTF-8 JSON
+    /// document (`"schema": "smc-scrape/v1"`) carrying shard and tenant
+    /// stats, tail-latency attribution, tracer health, flight-recorder
+    /// status, and per-shard heap snapshots and maintenance counters.
     Scrape = 0x07,
 }
 
@@ -132,8 +131,6 @@ pub enum Request {
         /// Exclusive upper value bound.
         hi: u64,
     },
-    /// Server-wide statistics.
-    Stats,
     /// Full observability scrape (JSON `smc-scrape/v1` document).
     Scrape,
 }
@@ -224,7 +221,6 @@ impl Request {
             Request::Delete { .. } => Op::Delete,
             Request::Count { .. } => Op::Count,
             Request::Sum { .. } => Op::Sum,
-            Request::Stats => Op::Stats,
             Request::Scrape => Op::Scrape,
         }
     }
@@ -251,11 +247,11 @@ impl Request {
             | Request::Delete { tenant, .. }
             | Request::Count { tenant, .. }
             | Request::Sum { tenant, .. } => *tenant,
-            Request::Ping | Request::Stats | Request::Scrape => 0,
+            Request::Ping | Request::Scrape => 0,
         };
         out.extend_from_slice(&tenant.to_le_bytes());
         match self {
-            Request::Ping | Request::Stats | Request::Scrape => {}
+            Request::Ping | Request::Scrape => {}
             Request::Upsert { rows, .. } => {
                 out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
                 for (k, v) in rows {
@@ -342,7 +338,6 @@ impl Request {
                 lo: cur.u64()?,
                 hi: cur.u64()?,
             },
-            0x06 => Request::Stats,
             0x07 => Request::Scrape,
             other => return Err(DecodeError::UnknownOp(other)),
         };
@@ -353,99 +348,6 @@ impl Request {
             )));
         }
         Ok((req, trace))
-    }
-}
-
-/// Per-shard counters in a [`Op::Stats`] response.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Requests this shard executed.
-    pub requests: u64,
-    /// Epoch pins taken on the shard's runtime.
-    pub pins_taken: u64,
-    /// Blocks enumerated by the shard's parallel scans.
-    pub blocks_scanned: u64,
-    /// Morsels dispatched by the shard's parallel scans.
-    pub morsels_dispatched: u64,
-}
-
-/// Per-tenant accounting in a [`Op::Stats`] response, summed across shards.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantStats {
-    /// Tenant id.
-    pub tenant: u16,
-    /// Configured per-shard budget × shards, or `u64::MAX` for unlimited.
-    pub budget_bytes: u64,
-    /// Off-heap bytes currently held by the tenant's contexts.
-    pub used_bytes: u64,
-    /// Live objects across shards.
-    pub live_objects: u64,
-    /// Ingest requests rejected by the tenant's budget.
-    pub over_budget_errors: u64,
-}
-
-/// Body of an OK [`Op::Stats`] response.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StatsBody {
-    /// One entry per shard, in shard order.
-    pub shards: Vec<ShardStats>,
-    /// One entry per configured tenant.
-    pub tenants: Vec<TenantStats>,
-}
-
-impl StatsBody {
-    /// Serializes into an OK response body.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(self.shards.len() as u32).to_le_bytes());
-        for s in &self.shards {
-            out.extend_from_slice(&s.requests.to_le_bytes());
-            out.extend_from_slice(&s.pins_taken.to_le_bytes());
-            out.extend_from_slice(&s.blocks_scanned.to_le_bytes());
-            out.extend_from_slice(&s.morsels_dispatched.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.tenants.len() as u32).to_le_bytes());
-        for t in &self.tenants {
-            out.extend_from_slice(&t.tenant.to_le_bytes());
-            out.extend_from_slice(&t.budget_bytes.to_le_bytes());
-            out.extend_from_slice(&t.used_bytes.to_le_bytes());
-            out.extend_from_slice(&t.live_objects.to_le_bytes());
-            out.extend_from_slice(&t.over_budget_errors.to_le_bytes());
-        }
-        out
-    }
-
-    /// Parses an OK response body.
-    pub fn decode(body: &[u8]) -> Result<StatsBody, DecodeError> {
-        let mut cur = Cursor::new(body);
-        let nshards = cur.u32()? as usize;
-        if cur.remaining() < nshards * 32 {
-            return Err(DecodeError::Malformed("stats shard section short".into()));
-        }
-        let mut shards = Vec::with_capacity(nshards);
-        for _ in 0..nshards {
-            shards.push(ShardStats {
-                requests: cur.u64()?,
-                pins_taken: cur.u64()?,
-                blocks_scanned: cur.u64()?,
-                morsels_dispatched: cur.u64()?,
-            });
-        }
-        let ntenants = cur.u32()? as usize;
-        if cur.remaining() != ntenants * 34 {
-            return Err(DecodeError::Malformed("stats tenant section short".into()));
-        }
-        let mut tenants = Vec::with_capacity(ntenants);
-        for _ in 0..ntenants {
-            tenants.push(TenantStats {
-                tenant: cur.u16()?,
-                budget_bytes: cur.u64()?,
-                used_bytes: cur.u64()?,
-                live_objects: cur.u64()?,
-                over_budget_errors: cur.u64()?,
-            });
-        }
-        Ok(StatsBody { shards, tenants })
     }
 }
 
@@ -629,7 +531,6 @@ mod tests {
     fn all_requests() -> Vec<Request> {
         vec![
             Request::Ping,
-            Request::Stats,
             Request::Scrape,
             Request::Upsert {
                 tenant: 3,
@@ -658,7 +559,6 @@ mod tests {
     fn golden_requests() -> Vec<(Request, Vec<u8>)> {
         vec![
             (Request::Ping, vec![0x01, 0, 0]),
-            (Request::Stats, vec![0x06, 0, 0]),
             (Request::Scrape, vec![0x07, 0, 0]),
             (
                 Request::Upsert { tenant: 3, rows: vec![(1, 0x0a0b)] },
@@ -820,29 +720,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_body_round_trips() {
-        let body = StatsBody {
-            shards: vec![
-                ShardStats {
-                    requests: 10,
-                    pins_taken: 20,
-                    blocks_scanned: 30,
-                    morsels_dispatched: 40,
-                },
-                ShardStats::default(),
-            ],
-            tenants: vec![TenantStats {
-                tenant: 7,
-                budget_bytes: 1 << 20,
-                used_bytes: 1 << 16,
-                live_objects: 99,
-                over_budget_errors: 3,
-            }],
-        };
-        assert_eq!(StatsBody::decode(&body.encode()), Ok(body));
-    }
-
-    #[test]
     fn malformed_requests_decode_to_errors_not_panics() {
         // Empty payload.
         assert!(matches!(
@@ -923,14 +800,14 @@ mod tests {
         assert!(big.encode().len() > READ_CHUNK);
         let mut wire = Vec::new();
         let mut fw = FrameWriter::new();
-        for req in [&Request::Ping, &Request::Stats, &big, &Request::Scrape] {
+        for req in [&Request::Ping, &big, &Request::Scrape] {
             fw.write_frame(&mut wire, &req.encode()).unwrap();
         }
         // One `read` delivers the two small frames and the head of the big
         // one; the reader grows once to finish it.
         let mut src = &wire[..];
         let mut fr = FrameReader::new();
-        for want in [Request::Ping, Request::Stats, big, Request::Scrape] {
+        for want in [Request::Ping, big, Request::Scrape] {
             let p = fr.read_frame(&mut src, || false).unwrap();
             assert_eq!(Request::decode(p), Ok(want));
         }

@@ -43,9 +43,12 @@ fn unknown_opcode_answers_and_keeps_the_connection() {
     let mut client = Client::connect(server.local_addr()).unwrap();
     client.set_timeout(Some(Duration::from_secs(10))).unwrap();
 
-    // Properly framed, structurally plausible, unassigned opcode.
-    client.send_raw(&[0x7f, 0, 0]).unwrap();
-    expect_err(&mut client, ErrorCode::UnknownOp);
+    // Properly framed, structurally plausible, unassigned opcodes: 0x06
+    // is the retired stats op, which must stay unassigned.
+    for op in [0x06, 0x7f] {
+        client.send_raw(&[op, 0, 0]).unwrap();
+        expect_err(&mut client, ErrorCode::UnknownOp);
+    }
 
     // The connection survives and serves real work afterwards.
     client.ping().expect("connection still usable");

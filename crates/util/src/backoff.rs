@@ -1,9 +1,10 @@
 //! Bounded exponential backoff with deterministic, seeded jitter.
 //!
-//! Retry loops across the workspace — the maintenance coordinator's
-//! transient-failure handling and SLO resume path, and the allocator's OOM
-//! recovery ladder — share this one policy so their behavior is reproducible
-//! from a seed instead of depending on wall-clock entropy. The envelope is
+//! [`Backoff`] paces the maintenance coordinator's transient-failure
+//! retries (`smc_maint::coordinator::run_pass`), so they are reproducible
+//! from a seed instead of depending on wall-clock entropy; the allocator's
+//! OOM recovery ladder shares only [`spin_bound`], through
+//! `smc_memory::sync::backoff`. The [`Backoff`] envelope is
 //! the classic decorrelated-ish scheme: attempt `n` draws a delay uniformly
 //! from `[base·2ⁿ/2, base·2ⁿ)`, capped at `cap`. Jitter comes from a
 //! [`Pcg32`] stream seeded by the caller, so a fixed seed reproduces the

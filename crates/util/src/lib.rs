@@ -9,11 +9,12 @@
 //!   `rand::StdRng` in the TPC-H generator, workloads, and tests.
 //!
 //! Plus [`backoff`] — bounded exponential retry backoff with deterministic
-//! seeded jitter, shared by the maintenance coordinator and the allocator's
-//! OOM recovery ladder — [`spsc`], the bounded lock-free
-//! single-producer/single-consumer ring the serve layer uses to route
-//! requests from connection threads to shard threads and replies back, and
-//! [`waiter`], the spin-then-park wait both ends of those rings share.
+//! seeded jitter for the maintenance coordinator's pass retries, and the
+//! spin bound of the allocator's OOM recovery ladder — [`spsc`], the
+//! bounded lock-free single-producer/single-consumer ring the serve layer
+//! uses to route requests from connection threads to shard threads and
+//! replies back, and [`waiter`], the spin-then-park wait both ends of those
+//! rings share.
 
 #![warn(missing_docs)]
 
