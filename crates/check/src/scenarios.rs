@@ -29,7 +29,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use smc_memory::block::{type_id_of, BlockLayout, BlockRef, BLOCK_SIZE};
-use smc_memory::context::{CompactionGroup, Membership};
+use smc_memory::context::{CompactionGroup, ContextConfig, Membership, MemoryContext};
 use smc_memory::epoch::EpochManager;
 use smc_memory::incarnation::{IncWord, FLAG_FORWARD, FLAG_FROZEN, FLAG_LOCK, FLAG_MASK, INC_MASK};
 use smc_memory::indirection::{EntryRef, IndirectionTable};
@@ -39,6 +39,7 @@ use smc_memory::reloc::{
 };
 use smc_memory::runtime::Runtime;
 use smc_memory::slot::SlotState;
+use smc_memory::spill::MemoryPageStore;
 use smc_memory::stats::MemoryStats;
 use smc_memory::sync::{AtomicBool, AtomicU32};
 
@@ -61,6 +62,7 @@ pub fn all() -> Vec<NamedScenario> {
         ("snapshot_vs_advance", snapshot_vs_advance),
         ("remote_free_vs_owner_pop", remote_free_vs_owner_pop),
         ("entry_release_vs_owner_alloc", entry_release_vs_owner_alloc),
+        ("spill_vs_free", spill_vs_free),
     ]
 }
 
@@ -773,5 +775,65 @@ pub fn entry_release_vs_owner_alloc() -> Scenario {
                 handed_out,
                 "an indirection entry was handed out twice"
             );
+        })
+}
+
+/// A spill races a free of one of its victim's objects.
+///
+/// A row context of 20 000-byte slots (three to a block) with an in-memory
+/// page store holds four objects: block 1 is full and ownerless, block 2
+/// holds the fourth and belongs to the thread that allocated it. Thread A
+/// spills ([`MemoryContext::try_spill_one`]), which can only take block 1;
+/// thread B frees object 0, which lives there. Whichever goes first, the
+/// free lands and the freed object survives in no page. Oracle: the free
+/// succeeds, `live_objects()` equals the model (three) and `verify()` is
+/// clean: a spilled page must not carry the record of a freed object.
+pub fn spill_vs_free() -> Scenario {
+    const OBJ_SIZE: usize = 20_000;
+    let rt = Runtime::new();
+    let ctx = Arc::new(
+        MemoryContext::new_rows(
+            rt,
+            OBJ_SIZE,
+            8,
+            type_id_of::<[u8; OBJ_SIZE]>(),
+            ContextConfig::default(),
+        )
+        .expect("three wide slots fit a block"),
+    );
+    assert_eq!(ctx.layout().capacity, 3);
+    assert!(ctx.enable_spill(Arc::new(MemoryPageStore::new())));
+    let objects: Vec<_> = (0..4u8)
+        .map(|i| {
+            ctx.alloc_with(|block, slot| unsafe { block.obj_ptr(slot).write_bytes(i, OBJ_SIZE) })
+                .expect("four objects fit two blocks")
+        })
+        .collect();
+    assert_eq!(ctx.block_count(), 2);
+    let freed = Arc::new(Mutex::new(None));
+    let (spiller, freer, freed_by_b) = (ctx.clone(), ctx.clone(), freed.clone());
+    let victim = (objects[0].entry, objects[0].entry_inc);
+    Scenario::new()
+        .thread(move || {
+            let _ = spiller.try_spill_one();
+        })
+        .thread(move || {
+            let outcome = freer.try_free(victim.0, victim.1);
+            *freed_by_b.lock().unwrap() = Some(outcome);
+        })
+        .finally(move || {
+            let outcome = freed.lock().unwrap().take().expect("thread B ran");
+            let freed = outcome.expect("a free racing a spill must not fail");
+            assert!(freed, "object 0 was live, so its free must succeed");
+            let model = objects.len() as u64 - 1;
+            let live = ctx.live_objects();
+            assert_eq!(
+                live,
+                model,
+                "live objects {live} != model {model} (spilled {})",
+                ctx.spilled_objects()
+            );
+            ctx.verify()
+                .unwrap_or_else(|v| panic!("context must verify at quiescence: {v:?}"));
         })
 }
