@@ -24,6 +24,8 @@
 //! * **entries** — indirection entries are conserved, and none is handed out
 //!   twice, while thread slots' magazines change hands and releases race
 //!   allocations.
+//! * **spill** — a free racing a spill of its object's block lands, and no
+//!   spilled page keeps the record of a freed object.
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};

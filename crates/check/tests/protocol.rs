@@ -169,3 +169,12 @@ fn catches_release_into_foreign_magazine() {
         scenarios::entry_release_vs_owner_alloc,
     );
 }
+
+#[test]
+fn catches_free_ignores_spill_claim() {
+    assert_mutation_caught(
+        Mutation::FreeIgnoresSpillClaim,
+        "spill_vs_free",
+        scenarios::spill_vs_free,
+    );
+}

@@ -171,7 +171,9 @@ pub struct BlockHeader {
     /// block, or 0 (§3.5: "All allocations are performed from thread-local
     /// blocks so that only one thread allocates slots in a block at a time").
     pub active_owner: AtomicU32,
-    /// 1 while the block is scheduled for (or undergoing) compaction.
+    /// 1 while the block is claimed: scheduled for (or undergoing)
+    /// compaction, or held by a spill; 2 (`spill::SPILLING`) once a spill
+    /// has marked its claim. 0 otherwise.
     pub compacting: AtomicU32,
     /// Relocation list for the in-flight compaction, if any (§5.1: "This
     /// list is accessible through the block's header").

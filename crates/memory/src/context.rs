@@ -35,7 +35,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, RwLock};
+use crate::sync::{cpu_relax, fence, AtomicBool, AtomicU64, AtomicUsize, Mutex, RwLock};
 
 use crate::block::{BlockLayout, BlockRef};
 pub use crate::compact::{CompactionGroup, CompactionReport};
@@ -43,6 +43,7 @@ use crate::epoch::Guard;
 use crate::error::MemError;
 use crate::incarnation::IncWord;
 use crate::indirection::EntryRef;
+use crate::mutation::{self, Mutation};
 use crate::runtime::Runtime;
 use crate::slot::{self, SlotId, SlotState};
 use crate::spill::{self, SpillState};
@@ -730,25 +731,46 @@ impl MemoryContext {
         // the counter, then dies with `MoveOutcome::Freed`. If a mover got
         // the lock first we spin here instead, and afterwards the payload
         // points at the object's *new* home, which is the one we free.
-        let payload = loop {
+        let (block, slot_id) = loop {
             let Some(observed) = entry.get().inc().lock(expected_entry_inc) else {
                 return Ok(false);
             };
             let payload = entry.get().load_payload(Ordering::Acquire);
-            if !spill::is_spill_tagged(payload) {
-                break payload;
+            if spill::is_spill_tagged(payload) {
+                // The object lives in a spilled page. Bring the page home
+                // first — every record in a page is live, so this keeps the
+                // invariant that spilled pages never carry dead objects —
+                // then retry the lock: the fault-in repointed the entry at a
+                // resident slot.
+                entry.get().inc().unlock_keep_flags(observed);
+                if !spill::fault_in_tagged(payload) {
+                    return Err(MemError::SpillFault);
+                }
+                continue;
             }
-            // The object lives in a spilled page. Bring the page home first
-            // — every record in a page is live, so this keeps the invariant
-            // that spilled pages never carry dead objects — then retry the
-            // lock: the fault-in repointed the entry at a resident slot.
+            debug_assert_ne!(payload, 0, "live entry without payload");
+            let (block, slot_id) = unsafe { self.locate(payload) };
+            // The other half of the spill's mark-then-fence: with our lock
+            // ordered before this load, either the spill waits for our lock
+            // or we see its mark.
+            fence(Ordering::SeqCst);
+            if block.header().compacting.load(Ordering::Relaxed) != spill::SPILLING
+                || mutation::enabled(Mutation::FreeIgnoresSpillClaim)
+            {
+                break (block, slot_id);
+            }
+            // A spill holds the home block and tags its entries without
+            // their locks: step aside until it has tagged this one (retry
+            // finds the tag) or given the block back. Inside a spilled scan
+            // this thread may hold a spill mutex already, so it retries
+            // instead of queueing for one.
             entry.get().inc().unlock_keep_flags(observed);
-            if !spill::fault_in_tagged(payload) {
-                return Err(MemError::SpillFault);
+            if spill::in_spill_scan() {
+                cpu_relax();
+            } else {
+                drop(self.spill.lock());
             }
         };
-        debug_assert_ne!(payload, 0, "live entry without payload");
-        let (block, slot_id) = unsafe { self.locate(payload) };
         // Invalidate direct pointers.
         self.slot_inc(&block, slot_id).bump_unlocked();
         let epoch = self.runtime.global_epoch();

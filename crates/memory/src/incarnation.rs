@@ -45,10 +45,11 @@ pub const INC_LIMIT: u32 = INC_MASK;
 
 /// An atomic incarnation word: 29-bit counter plus three flag bits.
 ///
-/// All mutating operations use compare-and-swap because the compaction
-/// protocol requires `free` to race safely against freeze/lock transitions
-/// (§5.1 footnote: "this requires free to also use CAS to increment
-/// incarnation numbers").
+/// Every mutating operation that can race uses compare-and-swap, because
+/// the compaction protocol requires `free` to race safely against
+/// freeze/lock transitions (§5.1 footnote: "this requires free to also use
+/// CAS to increment incarnation numbers"); only [`store`](Self::store) and
+/// the spill's `bump_exclusive`, for words no one else writes, do not.
 #[derive(Debug)]
 #[repr(transparent)]
 pub struct IncWord(AtomicU32);
@@ -97,6 +98,16 @@ impl IncWord {
                 Err(actual) => cur = actual,
             }
         }
+    }
+
+    /// [`bump`](Self::bump) for a word no other thread writes meanwhile: a
+    /// load and a plain store, no read-modify-write. A spill retires the
+    /// slot counters of the block it holds under its claim this way.
+    #[inline]
+    pub(crate) fn bump_exclusive(&self) -> u32 {
+        let next = (self.0.load(Ordering::Relaxed) & INC_MASK).wrapping_add(1) & INC_MASK;
+        self.0.store(next, Ordering::Release);
+        next
     }
 
     /// Like [`bump`](Self::bump) but refuses to race a held lock bit.

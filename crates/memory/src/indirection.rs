@@ -395,6 +395,15 @@ impl IndirectionTable {
         self.deferred.lock().len()
     }
 
+    /// Addresses of the entries waiting in the deferred queue, sorted: each
+    /// belongs to an object freed less than two epochs ago.
+    pub(crate) fn deferred_addrs(&self) -> Vec<usize> {
+        let deferred = self.deferred.lock();
+        let mut addrs: Vec<usize> = deferred.iter().map(|(entry, _)| entry.addr()).collect();
+        addrs.sort_unstable();
+        addrs
+    }
+
     /// Number of live (allocated, unreleased) entries: the sum of every
     /// thread slot's share less the batch releases. Each term is read on its
     /// own, so the sum is exact once allocation and release are quiescent

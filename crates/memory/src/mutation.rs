@@ -49,6 +49,10 @@ pub enum Mutation {
     /// not hold, so its unsynchronized update of the magazine races the
     /// holder's pop and an entry is handed out twice or lost.
     ReleaseIntoForeignMagazine = 1 << 8,
+    /// `try_free` skips its look at the home block's `SPILLING` mark, so a
+    /// free can finish between a spill's wait on the entry and its tag
+    /// store, and the freed object is spilled as if it were live.
+    FreeIgnoresSpillClaim = 1 << 9,
 }
 
 #[cfg(smc_check)]

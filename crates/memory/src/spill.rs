@@ -27,6 +27,22 @@
 //! at epoch `e` may still dereference a stub it loaded before the fault-in,
 //! so the box is buried until `e + 2`, exactly like a block.
 //!
+//! ## One claim per block
+//!
+//! A spill claims its victim as compaction claims a source, then marks the
+//! claim `SPILLING` in the block's `compacting` word and fences. From
+//! then on nothing else writes the victim's live entries or slot words:
+//! movers never claim a claimed block, and a free whose object's home block
+//! carries the mark unlocks and steps aside until the spill is done. A free
+//! that locked its entry *before* the mark is the one exception, so the tag
+//! pass waits for each entry's lock bit to clear and then takes only slots
+//! still `Valid` whose entry still points home. Each object then costs a
+//! plain store to its slot counter and a release store of the tag, and no
+//! entry lock or read-modify-write. The mark and the free's check form a
+//! store-then-load pair behind two `SeqCst` fences, so at least one side
+//! sees the other. A failed store puts the payloads back with plain stores
+//! while the claim still holds.
+//!
 //! ## One copy each way, and victims that ripen
 //!
 //! A spill copies each object from its slot straight into the one page
@@ -67,8 +83,9 @@ use crate::error::MemError;
 use crate::fault::FaultSite;
 use crate::indirection::EntryRef;
 use crate::page::PageWriter;
-use crate::slot::SlotId;
+use crate::slot::{SlotId, SlotState};
 use crate::stats::MemoryStats;
+use crate::sync::fence;
 
 /// Bit 0 of an indirection-entry payload marks a spilled object. Row object
 /// pointers are always 4-byte aligned (see `BlockLayout::rows`), so the bit
@@ -304,23 +321,13 @@ pub fn fault_in_tagged(payload: usize) -> bool {
 // The residency protocol
 // ---------------------------------------------------------------------
 
-/// Swings `entry`'s payload from `from` to `to` under the entry lock, leaving
-/// incarnation and every other flag as they were; `under_lock` runs first,
-/// while the object can be neither freed nor moved. False, with nothing
-/// done, when the entry was freed or does not hold `from`.
-fn swing(entry: EntryRef, from: usize, to: usize, under_lock: impl FnOnce()) -> bool {
-    let word = entry.get().inc();
-    let Some(observed) = word.lock(word.incarnation()) else {
-        return false;
-    };
-    let ours = entry.get().load_payload(Ordering::Acquire) == from;
-    if ours {
-        under_lock();
-        entry.get().store_payload(to, Ordering::Release);
-    }
-    word.unlock_keep_flags(observed);
-    ours
-}
+/// The `compacting` word of a block under a spill's claim: claimed as
+/// [`MemoryContext::claim`] leaves it (1), then marked while the spill tags,
+/// copies and stores its objects. A free whose object's home block carries
+/// the mark steps aside until the spill is done
+/// ([`MemoryContext::try_free`]). `unclaim` resets it when a spill gives the
+/// block back; a spilled block keeps it until its burial wipes it.
+pub(crate) const SPILLING: u32 = 2;
 
 impl MemoryContext {
     /// Attaches a page store, enabling the spill rung of the OOM ladder and
@@ -378,7 +385,11 @@ impl MemoryContext {
     /// Spill body; requires the spill mutex. The victim is claimed the way
     /// compaction claims its candidates, minus the occupancy ceiling — any
     /// resident block with live objects qualifies, coldest-first being
-    /// approximated by collection order.
+    /// approximated by collection order — and the claim is marked
+    /// [`SPILLING`]. Then two passes: the tag pass points each live entry
+    /// at the stub and retires its slot's counter, with plain stores and no
+    /// entry lock; the copy pass writes the tagged objects into the page.
+    /// A failed store puts the payloads back before the claim is released.
     fn try_spill_one_locked(&self, s: &mut SpillState) -> bool {
         let Some(store) = s.store.clone() else {
             return false;
@@ -387,6 +398,17 @@ impl MemoryContext {
         let Some(victim) = self.claim(1, live).pop() else {
             return false;
         };
+        // Mark the claim as a spill before reading any entry. A free that
+        // locked an entry before the mark is waited out below; one that
+        // locks after it sees the mark and steps aside. The fence pairs with
+        // the one between `try_free`'s lock and its look at this word (the
+        // store-then-load pair of `smc_util::waiter`): one side sees the
+        // other.
+        victim
+            .header()
+            .compacting
+            .store(SPILLING, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
         // Remove the victim from membership before touching entries: scans
         // snapshot membership under this same spill mutex, so no enumeration
         // can miss the block (it is either in their snapshot or in the page
@@ -398,39 +420,36 @@ impl MemoryContext {
             block_id,
         })) as usize;
         let tag = stub | SPILL_TAG;
-        // Each record goes from its slot straight into the page buffer, once;
-        // the directory below is the only thing a spill allocates to keep.
         let valid = victim.header().valid_count.load(Ordering::Relaxed) as usize;
+        // The page directory: the only thing a spill allocates to keep.
         let mut entries: Vec<usize> = Vec::with_capacity(valid);
-        // Where each came from, for the rollback alone.
+        // Where each came from, for the copy and the rollback.
         let mut slots: Vec<SlotId> = Vec::with_capacity(valid);
-        let mut page = PageWriter::begin(
-            &mut s.page_buf,
-            block_id,
-            self.obj_size as usize,
-            self.layout.capacity as usize,
-        );
-        for slot_id in victim.valid_slots() {
+        // Tag pass. Under the marked claim nothing else writes the victim's
+        // live entries or slot words (movers never claim it, frees step
+        // aside), so each object is tagged with plain stores.
+        victim.valid_slots().for_each(|slot_id| {
             let back = victim.back_ptr(slot_id).load(Ordering::Acquire);
             if back == 0 {
-                continue;
+                return;
             }
+            let entry = unsafe { EntryRef::from_addr(back) };
+            // A free that locked before the mark finishes here; after it
+            // the slot is no longer `Valid` and is not ours to spill.
+            entry.get().inc().wait_unlocked();
             let home = self.payload_of(&victim, slot_id);
-            // An entry that fails the swing was freed (and possibly reused)
-            // between the slot-state check and the lock: not ours to spill.
-            let tagged = swing(unsafe { EntryRef::from_addr(back) }, home, tag, || {
-                // SAFETY: `home` is the object of a valid slot of a block we
-                // claimed; the entry lock keeps it from being freed or moved.
-                unsafe { page.push(home as *const u8) };
-                // Retire direct pointers into the page — a spilled slot must
-                // not satisfy a §6 direct dereference against stale memory.
-                self.slot_inc(&victim, slot_id).bump_unlocked();
-            });
-            if tagged {
-                entries.push(back);
-                slots.push(slot_id);
+            if victim.slot_word(slot_id).state() != SlotState::Valid
+                || entry.get().load_payload(Ordering::Acquire) != home
+            {
+                return;
             }
-        }
+            // Retire direct pointers into the page — a spilled slot must
+            // not satisfy a §6 direct dereference against stale memory.
+            self.slot_inc(&victim, slot_id).bump_exclusive();
+            entry.get().store_payload(tag, Ordering::Release);
+            entries.push(back);
+            slots.push(slot_id);
+        });
         // Both no-progress exits below hand the victim back the same way.
         let give_back = || {
             self.membership.write().blocks.push(victim);
@@ -443,17 +462,33 @@ impl MemoryContext {
             give_back();
             return false;
         }
+        // Copy pass: each tagged object goes from its slot straight into the
+        // page buffer, once, in slot order.
+        let mut page = PageWriter::begin(
+            &mut s.page_buf,
+            block_id,
+            self.obj_size as usize,
+            self.layout.capacity as usize,
+        );
+        for &slot_id in &slots {
+            // SAFETY: a tagged object of a block we hold under the claim: a
+            // free faults it in first, which waits for the spill mutex.
+            unsafe { page.push(victim.obj_ptr(slot_id)) };
+        }
         let stored = if self.runtime.faults().should_fail(FaultSite::SpillStore) {
             Err(SpillIoError("injected fault at spill-store".into()))
         } else {
             store.store_page(block_id, page.finish())
         };
         let Ok(ticket) = stored else {
-            // Store failed: restore every tagged entry. We still hold the
-            // spill mutex, so nothing else can have repointed them.
+            // Store failed: restore every tagged entry while the claim still
+            // holds, then give the block back. A free or fault-in that saw a
+            // tag waits for the spill mutex and finds no page.
             for (&back, &slot_id) in entries.iter().zip(&slots) {
-                let home = self.payload_of(&victim, slot_id);
-                swing(unsafe { EntryRef::from_addr(back) }, tag, home, || ());
+                let entry = unsafe { EntryRef::from_addr(back) };
+                entry
+                    .get()
+                    .store_payload(self.payload_of(&victim, slot_id), Ordering::Release);
             }
             // The tag was published: a pinned reader may have loaded it
             // before the restore and dereferences the stub before it takes
@@ -479,10 +514,11 @@ impl MemoryContext {
         );
         // The victim's slots stay Valid with intact data until burial ripens:
         // a reader that loaded the resident payload just before our tag store
-        // reads the old copy safely for two more epochs. (In-place writes in
-        // that window are lost on fault-in — the same isolation caveat as a
-        // §5 relocation mid-copy; mutate through `try_update`-style replace,
-        // not in place, when spill is enabled.)
+        // reads the old copy safely for two more epochs. (The copy pass runs
+        // after the tag pass, so an in-place write through such a payload
+        // may miss the page or tear its record — the same isolation caveat
+        // as a §5 relocation mid-copy; mutate through `try_update`-style
+        // replace, not in place, when spill is enabled.)
         self.runtime
             .bury_block(victim, self.runtime.global_epoch() + 2);
         smc_obs::trace::emit(smc_obs::Event::BlockSpilled {

@@ -80,6 +80,9 @@ impl MemoryContext {
     /// - no `Valid` slot or its entry is left `LOCK`ed, no `Valid` slot
     ///   carries a `FORWARD` tombstone flag, and `FROZEN` appears only on
     ///   blocks that are mid-compaction.
+    ///
+    /// Per spilled page, every entry it lists carries the page's tag, is not
+    /// `LOCK`ed and is not waiting for deferred release.
     pub fn verify(&self) -> Result<VerifyReport, Vec<String>> {
         let mut v = Violations::new();
         let mut report = VerifyReport::default();
@@ -96,9 +99,11 @@ impl MemoryContext {
     /// Accounts objects that live only in spilled pages. Every entry a
     /// spilled page claims must still carry that page's spill-stub tag
     /// (fault-in untags and removes the page atomically under the spill
-    /// mutex, so a mismatch means a lost or double-resident object) and
-    /// must not be left `LOCK`ed.
+    /// mutex, so a mismatch means a lost or double-resident object), must
+    /// not be left `LOCK`ed, and must not wait in the indirection table's
+    /// deferred-release queue (a page holding a freed object's record).
     fn verify_spilled(&self, v: &mut Violations, report: &mut VerifyReport) {
+        let deferred = self.runtime.indirection.deferred_addrs();
         let (pages, counted) = self.with_spill_pages(|pages| {
             let mut counted = 0u64;
             for (&id, page) in pages {
@@ -117,6 +122,12 @@ impl MemoryContext {
                     if word & FLAG_LOCK != 0 {
                         v.push(format!(
                             "spilled block {id} record {record}: entry incarnation left LOCKed"
+                        ));
+                    }
+                    if deferred.binary_search(&back).is_ok() {
+                        v.push(format!(
+                            "spilled block {id} record {record}: entry {back:#x} was freed \
+                             (it waits for deferred release)"
                         ));
                     }
                 }

@@ -620,3 +620,84 @@ fn spill_file_rides_out_seeded_store_and_load_faults() {
     assert_eq!(first, run(0x5eed), "the run replays from its seed");
     assert_ne!(first, run(0xfa11), "another seed is another schedule");
 }
+
+/// Frees race spills on real threads: one thread removes random rows while
+/// the other adds rows and spills blocks. A removed row must be gone and a
+/// kept one counted once, in a page or in the heap. (The interleaving that
+/// frees an object between a spill's look at its slot and its tag store is
+/// pinned by the `spill_vs_free` checker scenario; this run is the same
+/// protocol at full speed.)
+#[test]
+fn frees_racing_spills_agree_with_the_model() {
+    use std::sync::Mutex;
+    const BUDGET: u64 = 4;
+    const ADDS: u64 = 3_000;
+    const REMOVES: usize = 600;
+    /// The adder asks for a spill of its own every this many adds.
+    const SPILL_EVERY: u64 = 50;
+    type Row = [u64; 8];
+    let row = |key: u64| [key; 8];
+
+    let rt = Runtime::new();
+    let c: Smc<Row> = Smc::with_config(
+        &rt,
+        ContextConfig {
+            budget_bytes: Some(BUDGET * BLOCK_SIZE as u64),
+            ..ContextConfig::default()
+        },
+    );
+    assert!(c.enable_spill(Arc::new(smc_repro::smc_memory::MemoryPageStore::new())));
+    // Start the remover with rows in spilled pages and in resident blocks.
+    let capacity = c.context().layout().capacity as u64;
+    let seeded = 2 * BUDGET * capacity;
+    let window = (BUDGET * capacity) as usize;
+    let model: Mutex<Vec<(u64, smc_repro::smc::Ref<Row>)>> =
+        Mutex::new((0..seeded).map(|key| (key, c.add(row(key)))).collect());
+    assert!(c.spilled_blocks() > 0);
+    let removed = std::thread::scope(|s| {
+        s.spawn(|| {
+            for key in seeded..seeded + ADDS {
+                let r = c.try_add(row(key)).expect("an over-budget add spills");
+                model.lock().unwrap().push((key, r));
+                if key % SPILL_EVERY == 0 {
+                    c.context().try_spill_one();
+                }
+            }
+        });
+        let remover = s.spawn(|| {
+            let mut rng = Pcg32::seed_from_u64(0x5b11_f4ee);
+            let mut removed = 0u64;
+            for op in 0..REMOVES {
+                let (key, r) = {
+                    let mut model = model.lock().unwrap();
+                    // Every other remove picks among the newest rows, which
+                    // sit in resident blocks the next spills will take; the
+                    // rest pick any row, most of them in spilled pages.
+                    let newest = if op % 2 == 0 { 0 } else { model.len() - window };
+                    let i = rng.gen_range(newest..model.len());
+                    model.swap_remove(i)
+                };
+                assert_eq!(c.try_remove(r), Ok(true), "row {key} was live");
+                removed += 1;
+            }
+            removed
+        });
+        remover.join().unwrap()
+    });
+    let model = model.into_inner().unwrap();
+    assert_eq!(model.len() as u64, seeded + ADDS - removed);
+    assert_eq!(
+        c.len(),
+        model.len() as u64,
+        "a freed row was spilled or lost"
+    );
+    c.verify().unwrap();
+    let guard = rt.pin();
+    for (key, r) in &model {
+        assert_eq!(r.get(&guard), Some(&row(*key)), "row {key}");
+    }
+    drop(guard);
+    drop(c);
+    rt.drain_graveyard_blocking();
+    rt.verify().unwrap();
+}
