@@ -767,7 +767,7 @@ pub fn entry_release_vs_owner_alloc() -> Scenario {
             let mut seen = live.lock().unwrap().clone();
             assert_eq!(table.live_entries(), seen.len() as u64);
             table
-                .check_conserved()
+                .check_conserved(0)
                 .unwrap_or_else(|lost_or_doubled| panic!("{lost_or_doubled}"));
             let handed_out = seen.len();
             seen.sort_unstable_by_key(EntryRef::addr);

@@ -44,7 +44,7 @@ use crate::error::MemError;
 use crate::incarnation::IncWord;
 use crate::indirection::EntryRef;
 use crate::mutation::{self, Mutation};
-use crate::runtime::Runtime;
+use crate::runtime::{Grave, Runtime};
 use crate::slot::{self, SlotId, SlotState};
 use crate::spill::{self, SpillState};
 use crate::stats::MemoryStats;
@@ -541,9 +541,6 @@ impl MemoryContext {
 
     fn acquire_block(&self, tid: usize) -> Result<BlockRef, MemError> {
         self.runtime.drain_graveyard();
-        self.runtime
-            .indirection
-            .drain_deferred(self.runtime.global_epoch());
         // Prefer a reclaimable block from the queue (§3.5).
         if let Some(block) = self.pop_reclaimable(tid) {
             return Ok(block);
@@ -786,10 +783,11 @@ impl MemoryContext {
         // what `freeze_group`'s post-freeze slot re-check relies on.
         entry.get().inc().bump();
         self.maybe_enqueue_for_reclamation(block);
-        // Entry reuse is deferred two epochs: a direct pointer chasing a
+        // Entry reuse waits two epochs: a direct pointer chasing a
         // forwarding tombstone (§6) may still read this entry until every
         // critical section that could hold such a pointer has ended.
-        self.runtime.indirection.release_at(tid, entry, epoch + 2);
+        self.runtime.indirection.note_freed(tid);
+        self.runtime.bury(Grave::Entry(entry), epoch + 2);
         Ok(true)
     }
 

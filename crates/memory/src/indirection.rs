@@ -32,9 +32,11 @@
 //!
 //! Releases never write a magazine (the releasing thread does not hold the
 //! slot the entry came from, and may hold none): they go to the free lists,
-//! a batch under one lock.
+//! a batch under one lock. A freed object's entry gets there by way of the
+//! runtime's graveyard ([`crate::runtime`]), which holds it for two epochs
+//! and hands every ripe one back in one batch; a dropped context's entries
+//! go at once.
 
-use std::collections::VecDeque;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, Ordering};
 
@@ -144,9 +146,9 @@ impl EntryRef {
 struct Magazine {
     /// Entries in stock: `entries[..len]`.
     len: PlainUsize,
-    /// Entries this slot's holders allocated, less those they released
-    /// through [`IndirectionTable::release_at`] (wrapping: a holder may
-    /// release what other slots allocated).
+    /// Entries this slot's holders allocated, less those they freed
+    /// ([`IndirectionTable::note_freed`]; wrapping: a holder may free what
+    /// other slots allocated).
     live: PlainU64,
     entries: [AtomicPtr<IndirEntry>; MAGAZINE],
 }
@@ -192,10 +194,6 @@ pub struct IndirectionTable {
     free: [FreeShard; SHARDS],
     /// Picks the shard the next released batch goes to.
     next_shard: PlainUsize,
-    /// Entries released but not yet reusable: a direct pointer may still
-    /// chase a forwarding tombstone (§6) through them until the epochs of
-    /// every in-flight critical section have passed.
-    deferred: Mutex<VecDeque<(EntryRef, u64)>>,
     /// Entries released through [`release_many`](Self::release_many), whose
     /// caller may hold no thread slot to count them in.
     released_unindexed: PlainU64,
@@ -221,7 +219,6 @@ impl IndirectionTable {
             magazines: (0..MAX_THREADS).map(magazine).collect(),
             free: std::array::from_fn(shard),
             next_shard: PlainUsize::new(0),
-            deferred: Mutex::new(VecDeque::new()),
             released_unindexed: PlainU64::new(0),
             quarantined: AtomicU64::new(0),
             refills: PlainU64::new(0),
@@ -299,9 +296,25 @@ impl IndirectionTable {
         taken
     }
 
-    /// Puts entries that may be reused now on one shard's free list, as one
-    /// batch under one lock, with their payloads cleared.
-    fn recycle(&self, entries: impl Iterator<Item = EntryRef>) {
+    /// Puts released entries on one shard's free list, as one batch under
+    /// one lock, with their payloads cleared.
+    ///
+    /// The releaser must already have bumped each entry's incarnation (that
+    /// is part of `free`'s protocol, §3.5). Entries whose incarnation
+    /// counter reached its limit are quarantined instead of reused — the
+    /// paper's overflow rule ("we stop reusing these memory slots", §3.1).
+    pub(crate) fn recycle(&self, entries: impl IntoIterator<Item = EntryRef>) {
+        let mut worn_out = 0u64;
+        let reusable = entries.into_iter().filter(|entry| {
+            let worn = entry.get().inc().incarnation() >= INC_LIMIT - 1;
+            worn_out += u64::from(worn);
+            !worn
+        });
+        let cleared = reusable.inspect(|entry| entry.get().store_payload(0, Ordering::Release));
+        let mut batch: Vec<EntryRef> = cleared.collect();
+        if worn_out > 0 {
+            self.quarantined.fetch_add(worn_out, Ordering::Relaxed);
+        }
         let target = self.next_shard.fetch_add(1, Ordering::Relaxed);
         if mutation::enabled(Mutation::ReleaseIntoForeignMagazine) {
             // Re-introduced bug: skip the lock and stock a magazine directly
@@ -310,8 +323,7 @@ impl IndirectionTable {
             // magazine's words are not switch points; the mutation names the
             // window between its load and its stores itself.
             let magazine = &self.magazines[target % self.magazines.len()];
-            for entry in entries {
-                entry.get().store_payload(0, Ordering::Release);
+            for entry in batch {
                 let len = magazine.len.load(Ordering::Relaxed).min(MAGAZINE - 1);
                 crate::sync::yield_point();
                 magazine.entries[len].store(entry.0.as_ptr(), Ordering::Relaxed);
@@ -319,8 +331,6 @@ impl IndirectionTable {
             }
             return;
         }
-        let cleared = entries.inspect(|entry| entry.get().store_payload(0, Ordering::Release));
-        let mut batch: Vec<EntryRef> = cleared.collect();
         if batch.is_empty() {
             return;
         }
@@ -334,74 +344,29 @@ impl IndirectionTable {
         batches.push(batch);
     }
 
-    /// Returns the entries of freed objects to the free lists — one lock and
-    /// one count for the whole batch — and returns how many there were.
-    ///
-    /// The caller must already have bumped each entry's incarnation (that is
-    /// part of `free`'s protocol, §3.5); entries whose incarnation counter
-    /// reached its limit are quarantined instead of reused — the paper's
-    /// overflow rule ("we stop reusing these memory slots", §3.1). The
-    /// entries are reusable at once, which suits a whole context going away;
-    /// a single `free` defers reuse through [`release_at`](Self::release_at).
+    /// Returns the entries of freed objects to the free lists at once — one
+    /// lock and one count for the whole batch — and returns how many there
+    /// were. That suits a whole context going away; a single `free` counts
+    /// its entry out through `note_freed` and leaves it in the runtime's
+    /// graveyard for two epochs.
     pub fn release_many(&self, entries: impl IntoIterator<Item = EntryRef>) -> u64 {
-        let (mut released, mut worn_out) = (0u64, 0u64);
-        let reusable = entries.into_iter().filter(|entry| {
-            released += 1;
-            let worn = entry.get().inc().incarnation() >= INC_LIMIT - 1;
-            worn_out += u64::from(worn);
-            !worn
-        });
-        self.recycle(reusable);
+        let mut released = 0u64;
+        self.recycle(entries.into_iter().inspect(|_| released += 1));
         self.released_unindexed
             .fetch_add(released, Ordering::Relaxed);
-        if worn_out > 0 {
-            self.quarantined.fetch_add(worn_out, Ordering::Relaxed);
-        }
         released
     }
 
-    /// Releases an entry, on behalf of the holder of thread slot `tid`, for
-    /// reuse no earlier than global epoch `ready_at`. Used by `free`: a
-    /// stale direct pointer following a tombstone reads this entry, so it
-    /// must survive every critical section that could still hold such a
-    /// pointer (two epochs, like memory slots).
-    pub fn release_at(&self, tid: usize, entry: EntryRef, ready_at: u64) {
+    /// Counts one entry, freed by the holder of thread slot `tid`, out of
+    /// the live total. The entry itself waits in the runtime's graveyard: a
+    /// stale direct pointer following a tombstone (§6) reads it until every
+    /// critical section that could still hold such a pointer has ended.
+    pub(crate) fn note_freed(&self, tid: usize) {
         let live = &self.magazines[tid].live;
         live.store(
             live.load(Ordering::Relaxed).wrapping_sub(1),
             Ordering::Relaxed,
         );
-        if entry.get().inc().incarnation() >= INC_LIMIT - 1 {
-            self.quarantined.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        self.deferred.lock().push_back((entry, ready_at));
-    }
-
-    /// Moves deferred entries whose epoch has passed onto the free lists.
-    /// Called from allocation slow paths with the current global epoch.
-    pub fn drain_deferred(&self, now: u64) {
-        let mut deferred = self.deferred.lock();
-        // Entries are queued in epoch order; stop at the first unready one.
-        let ripe = deferred.iter().take(256).take_while(|e| e.1 <= now);
-        let ripe = ripe.count();
-        if ripe > 0 {
-            self.recycle(deferred.drain(..ripe).map(|(entry, _)| entry));
-        }
-    }
-
-    /// Entries waiting in the deferred queue.
-    pub fn deferred_len(&self) -> usize {
-        self.deferred.lock().len()
-    }
-
-    /// Addresses of the entries waiting in the deferred queue, sorted: each
-    /// belongs to an object freed less than two epochs ago.
-    pub(crate) fn deferred_addrs(&self) -> Vec<usize> {
-        let deferred = self.deferred.lock();
-        let mut addrs: Vec<usize> = deferred.iter().map(|(entry, _)| entry.addr()).collect();
-        addrs.sort_unstable();
-        addrs
     }
 
     /// Number of live (allocated, unreleased) entries: the sum of every
@@ -419,13 +384,15 @@ impl IndirectionTable {
     }
 
     /// Checks that every entry is in exactly one place: `capacity == live +
-    /// in magazines + free + deferred + quarantined`. Like
-    /// [`live_entries`](Self::live_entries), meaningful only while nothing
-    /// allocates or releases. The error names every term.
-    pub fn check_conserved(&self) -> Result<(), String> {
+    /// in magazines + free + deferred + quarantined`, where `deferred` is
+    /// the count of freed entries the caller holds outside the table (the
+    /// runtime's graveyard). Like [`live_entries`](Self::live_entries),
+    /// meaningful only while nothing allocates or releases. The error names
+    /// every term.
+    pub fn check_conserved(&self, deferred: u64) -> Result<(), String> {
         let (capacity, live) = (self.capacity() as u64, self.live_entries());
         let (stocked, free) = (self.magazine_entries(), self.free_entries());
-        let (deferred, worn) = (self.deferred_len() as u64, self.quarantined_entries());
+        let worn = self.quarantined_entries();
         if capacity == live + stocked + free + deferred + worn {
             return Ok(());
         }
@@ -481,7 +448,7 @@ mod tests {
     use std::collections::HashSet;
 
     fn assert_conserved(t: &IndirectionTable) {
-        t.check_conserved().unwrap();
+        t.check_conserved(0).unwrap();
     }
 
     #[test]
@@ -588,29 +555,6 @@ mod tests {
         assert_conserved(&t);
     }
 
-    #[test]
-    fn deferred_entries_ripen_onto_the_free_lists_in_one_batch() {
-        let t = IndirectionTable::new();
-        let early = t.allocate(0);
-        let late = t.allocate(0);
-        for e in [early, late] {
-            e.get().store_payload(0xbeef0, Ordering::Release);
-            e.get().inc().bump();
-        }
-        t.release_at(0, early, 2);
-        t.release_at(0, late, 5);
-        assert_eq!((t.live_entries(), t.deferred_len()), (0, 2));
-        // A tombstone chaser may still read the payload until the epoch.
-        t.drain_deferred(1);
-        assert_eq!(early.get().load_payload(Ordering::Acquire), 0xbeef0);
-        assert_conserved(&t);
-        t.drain_deferred(2);
-        assert_eq!(t.deferred_len(), 1);
-        assert_eq!(early.get().load_payload(Ordering::Acquire), 0);
-        assert_eq!(late.get().load_payload(Ordering::Acquire), 0xbeef0);
-        assert_conserved(&t);
-    }
-
     /// `epoch::tests::thread_slots_are_reused_after_thread_exit`, with a
     /// magazine riding on the slot: each thread leaves it part full, and the
     /// next claimer of the slot carries on from there.
@@ -660,11 +604,10 @@ mod tests {
                         if i % 2 == 0 {
                             t.release_many([e]);
                         } else {
-                            t.release_at(tid, e, i as u64 / 100);
+                            // A `free`'s path, its graveyard wait skipped.
+                            t.note_freed(tid);
+                            t.recycle([e]);
                         }
-                    }
-                    if i % 64 == 0 {
-                        t.drain_deferred(i as u64 / 100);
                     }
                 }
                 held

@@ -286,7 +286,7 @@ impl HeapSnapshot {
         let indirection = IndirectionLoad {
             live_entries: runtime.indirection.live_entries(),
             quarantined_entries: runtime.indirection.quarantined_entries(),
-            deferred_entries: runtime.indirection.deferred_len() as u64,
+            deferred_entries: runtime.buried().entries as u64,
             capacity: runtime.indirection.capacity() as u64,
             entry_refills: runtime.indirection.entry_refills(),
         };

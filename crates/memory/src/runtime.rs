@@ -4,11 +4,17 @@
 //! whose `alloc`/`free` are "part of the runtime API and are called by the
 //! collection implementation as needed" (§2). [`Runtime`] is that API
 //! surface: it owns the global epoch state, the global indirection table,
-//! the compaction coordination flags of §5.1, a *graveyard* of blocks
-//! awaiting epoch-safe return to the OS, and the sharded block allocator of
-//! [`crate::alloc`]. Block acquisition is thread-local in the common case
-//! (pop from the calling thread's shard cache); the budget gate only runs
-//! on the batched slow path that hands out fresh block ranges.
+//! the compaction coordination flags of §5.1, the *graveyard*, and the
+//! sharded block allocator of [`crate::alloc`]. Block acquisition is
+//! thread-local in the common case (pop from the calling thread's shard
+//! cache); the budget gate only runs on the batched slow path that hands out
+//! fresh block ranges.
+//!
+//! The graveyard is the §3.4–3.5 reclamation rule in one place: memory
+//! unlinked at epoch `e` may be reused at `e + 2`. Blocks, spill stubs and
+//! freed objects' indirection entries wait in it under one lock, each with
+//! the epoch it ripens at, and one drain ([`Runtime::drain_graveyard`])
+//! releases every ripe one.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -18,7 +24,8 @@ use crate::block::{raw_alloc_blocks, raw_dealloc_block, BlockLayout, BlockRef, B
 use crate::epoch::{EpochManager, Guard};
 use crate::error::MemError;
 use crate::fault::{FaultInjector, FaultSite};
-use crate::indirection::IndirectionTable;
+use crate::indirection::{EntryRef, IndirectionTable};
+use crate::spill::SpillStub;
 use crate::stats::MemoryStats;
 use crate::sync::{AtomicU64, Mutex};
 
@@ -51,19 +58,14 @@ pub struct Runtime {
     /// Serializes compaction passes ("the compaction thread", §5.1 — one at
     /// a time per runtime).
     pub(crate) compaction_mutex: Mutex<()>,
-    /// Blocks whose contexts released them, awaiting the epoch at which no
-    /// reader can still hold pointers into them.
-    graveyard: Mutex<Vec<(BlockRef, u64)>>,
-    /// Spill stubs ([`crate::spill::SpillStub`]) whose pages faulted back in,
-    /// awaiting the epoch at which no pinned reader can still dereference
-    /// the tagged payload it loaded before the fault-in. Stored as raw
-    /// `Box::into_raw` addresses.
-    stub_graveyard: Mutex<Vec<(usize, u64)>>,
-    /// Entries across both graveyards, maintained outside the locks so the
-    /// per-allocation [`drain_graveyard`](Self::drain_graveyard) call can
-    /// skip the mutexes entirely when there is nothing to reap. Advisory
-    /// (uninstrumented): a stale zero only delays reaping to the next call.
-    reclaim_pending: std::sync::atomic::AtomicU64,
+    /// Unlinked memory, each with the global epoch at which no reader can
+    /// still reach it.
+    graveyard: Mutex<Vec<(Grave, u64)>>,
+    /// The earliest epoch anything in the graveyard ripens at (`u64::MAX`
+    /// when empty): stored under the lock, read without it by
+    /// [`drain_graveyard`](Self::drain_graveyard). Advisory
+    /// (uninstrumented): a stale value only delays reaping to the next call.
+    next_ripe: std::sync::atomic::AtomicU64,
     next_context_id: AtomicU64,
 }
 
@@ -89,8 +91,7 @@ impl Runtime {
             alloc: BlockAllocator::new(),
             compaction_mutex: Mutex::new(()),
             graveyard: Mutex::new(Vec::new()),
-            stub_graveyard: Mutex::new(Vec::new()),
-            reclaim_pending: std::sync::atomic::AtomicU64::new(0),
+            next_ripe: std::sync::atomic::AtomicU64::new(u64::MAX),
             next_context_id: AtomicU64::new(1),
         })
     }
@@ -148,7 +149,7 @@ impl Runtime {
     ///
     /// On budget exhaustion — or when the OS refuses the mapping, which
     /// gives the reservation back first — the ladder, per attempt: (1) frees
-    /// every epoch-ready graveyard block and deferred indirection entry;
+    /// everything in the graveyard whose epoch has come;
     /// (2) forces an emergency epoch advance so limbo memory ripens (unless a
     /// compaction holds the advance reservation); (3) backs off briefly to
     /// let concurrent frees land; and on the final attempt (4) trims idle
@@ -289,9 +290,8 @@ impl Runtime {
     fn recover_memory(&self, attempt: u32) {
         // (1) Free whatever is already epoch-ready.
         let mut freed = self.drain_graveyard();
-        self.indirection.drain_deferred(self.global_epoch());
-        // (2) Ripen limbo memory: graveyard blocks and deferred entries wait
-        // for epochs, so force one advance unless a compaction reserved it.
+        // (2) Ripen limbo memory: the graveyard waits for epochs, so force
+        // one advance unless a compaction reserved it.
         let (advanced, ripened) = self.advance_and_drain();
         if advanced {
             MemoryStats::inc(&self.stats.emergency_epoch_advances);
@@ -450,29 +450,25 @@ impl Runtime {
     /// the global epoch reaches `free_at` (ripe blocks recycle through the
     /// owner's shard cache, or the OS past the cache cap).
     pub fn bury_block(&self, block: BlockRef, free_at: u64) {
-        self.graveyard.lock().push((block, free_at));
-        self.reclaim_pending
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.bury(Grave::Block(block), free_at);
     }
 
-    /// Hands a spill stub (raw `Box<SpillStub>` address, tag bit stripped)
-    /// to the stub graveyard, to be freed once the global epoch reaches
-    /// `free_at` — after which no pinned reader can still hold the tagged
-    /// payload it came from.
-    pub(crate) fn bury_stub(&self, stub_addr: usize, free_at: u64) {
-        self.stub_graveyard.lock().push((stub_addr, free_at));
-        self.reclaim_pending
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    /// Hands unlinked memory to the graveyard, to be released once the
+    /// global epoch reaches `free_at`.
+    pub(crate) fn bury(&self, grave: Grave, free_at: u64) {
+        let mut yard = self.graveyard.lock();
+        yard.push((grave, free_at));
+        self.next_ripe.fetch_min(free_at, Ordering::Relaxed);
     }
 
     /// The §3.5 lazy advance, in one place: unless a compaction holds the
     /// relocation reservation, tries to move the global epoch forward once
-    /// (counted in `epoch_advances`), then frees whatever the graveyards hold
-    /// that is ripe. Called where memory is known to wait on the clock —
-    /// queued limbo blocks in `acquire_block`, the recovery ladder, and
-    /// wherever the residency protocol buries a block or stub — because
-    /// nothing else advances it (§3.4). Returns whether the epoch moved and
-    /// how many blocks were freed.
+    /// (counted in `epoch_advances`), then drains the graveyard. Called
+    /// where memory is known to wait on the clock — queued limbo blocks in
+    /// `acquire_block`, the recovery ladder, and wherever the residency
+    /// protocol buries a block or stub — because nothing else advances it
+    /// (§3.4). Returns whether the epoch moved and how many blocks were
+    /// freed.
     pub(crate) fn advance_and_drain(&self) -> (bool, usize) {
         let advanced = self.next_relocation_epoch() == 0 && self.epochs.try_advance().is_some();
         if advanced {
@@ -481,90 +477,115 @@ impl Runtime {
         (advanced, self.drain_graveyard())
     }
 
-    /// Opportunistically frees graveyard blocks whose epoch has passed.
-    /// Called from allocation slow paths; also usable directly. The common
-    /// nothing-pending case is one uninstrumented atomic load — no locks.
+    /// Releases everything in the graveyard whose epoch has come — blocks
+    /// through [`free_block`](Self::free_block), stubs to the heap, entries
+    /// to the table's free lists as one batch — and returns how many blocks
+    /// that freed. While nothing is ripe it takes no lock.
     pub fn drain_graveyard(&self) -> usize {
-        if self
-            .reclaim_pending
-            .load(std::sync::atomic::Ordering::Relaxed)
-            == 0
-        {
+        let next_ripe = self.next_ripe.load(Ordering::Relaxed);
+        if next_ripe == u64::MAX {
             return 0;
         }
         let now = self.global_epoch();
+        if next_ripe > now {
+            return 0;
+        }
         let mut yard = self.graveyard.lock();
-        let before = yard.len();
-        yard.retain(|(block, free_at)| {
-            if *free_at <= now {
-                self.free_block(*block);
-                false
-            } else {
-                true
+        let (mut blocks, mut entries, mut next_ripe) = (0, Vec::new(), u64::MAX);
+        yard.retain(|&(grave, free_at)| {
+            if free_at > now {
+                next_ripe = next_ripe.min(free_at);
+                return true;
             }
-        });
-        let freed = before - yard.len();
-        drop(yard);
-        // Ripe spill stubs ride the same epoch discipline but are not blocks:
-        // they do not count toward the returned total or the block gauges.
-        let mut stubs = self.stub_graveyard.lock();
-        let sbefore = stubs.len();
-        stubs.retain(|(addr, free_at)| {
-            if *free_at <= now {
-                drop(unsafe { Box::from_raw(*addr as *mut crate::spill::SpillStub) });
-                false
-            } else {
-                true
+            match grave {
+                Grave::Block(block) => {
+                    self.free_block(block);
+                    blocks += 1;
+                }
+                Grave::Stub(addr) => drop(unsafe { Box::from_raw(addr as *mut SpillStub) }),
+                Grave::Entry(entry) => entries.push(entry),
             }
+            false
         });
-        let sfreed = sbefore - stubs.len();
-        drop(stubs);
-        if freed + sfreed > 0 {
-            self.reclaim_pending.fetch_sub(
-                (freed + sfreed) as u64,
-                std::sync::atomic::Ordering::Relaxed,
-            );
+        self.indirection.recycle(entries);
+        self.next_ripe.store(next_ripe, Ordering::Relaxed);
+        blocks
+    }
+
+    /// What waits in the graveyard, by kind.
+    pub fn buried(&self) -> Buried {
+        let mut buried = Buried::default();
+        for (grave, _) in self.graveyard.lock().iter() {
+            match grave {
+                Grave::Block(_) => buried.blocks += 1,
+                Grave::Stub(_) => buried.stubs += 1,
+                Grave::Entry(_) => buried.entries += 1,
+            }
         }
-        freed
+        buried
     }
 
-    /// Number of blocks awaiting burial.
-    pub fn graveyard_len(&self) -> usize {
-        self.graveyard.lock().len()
+    /// Addresses of the entries in the graveyard, sorted: each belongs to an
+    /// object freed less than two epochs ago.
+    pub(crate) fn buried_entries(&self) -> Vec<usize> {
+        let mut addrs: Vec<usize> = (self.graveyard.lock().iter())
+            .filter_map(|(grave, _)| match grave {
+                Grave::Entry(entry) => Some(entry.addr()),
+                _ => None,
+            })
+            .collect();
+        addrs.sort_unstable();
+        addrs
     }
 
-    /// Number of spill stubs awaiting burial.
-    pub fn stub_graveyard_len(&self) -> usize {
-        self.stub_graveyard.lock().len()
-    }
-
-    /// Advances epochs until every graveyard block is freed. Used by tests
-    /// and shutdown paths; must not be called while this thread holds a
-    /// [`Guard`] (the epoch could then never advance far enough).
+    /// Advances epochs until everything buried before the call is released.
+    /// Used by tests and shutdown paths; must not be called while this
+    /// thread holds a [`Guard`] (the epoch could then never advance far
+    /// enough).
     pub fn drain_graveyard_blocking(&self) {
-        while self.graveyard_len() > 0 {
-            if self.drain_graveyard() == 0 {
-                let _ = self.epochs.try_advance();
-                crate::sync::cpu_relax();
-            }
+        let last = self.graveyard.lock().iter().map(|&(_, at)| at).max();
+        while last.is_some_and(|last| self.global_epoch() < last) {
+            let _ = self.epochs.try_advance();
+            crate::sync::cpu_relax();
         }
+        self.drain_graveyard();
     }
+}
+
+/// Unlinked memory waiting in the graveyard for its epoch.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Grave {
+    /// A block its context released, or a spilled victim.
+    Block(BlockRef),
+    /// A spill stub: the raw `Box<SpillStub>` address, tag bit stripped.
+    Stub(usize),
+    /// A freed object's entry, already counted out of the live total.
+    Entry(EntryRef),
+}
+
+/// Records waiting in the graveyard, by kind ([`Runtime::buried`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Buried {
+    /// Blocks contexts released.
+    pub blocks: usize,
+    /// Spill stubs.
+    pub stubs: usize,
+    /// Freed objects' indirection entries.
+    pub entries: usize,
 }
 
 impl Drop for Runtime {
     fn drop(&mut self) {
         // No Arc<Runtime> clones remain, so no guard obtained from this
-        // runtime can still be alive; every graveyard block is quiescent.
-        let mut yard = self.graveyard.lock();
-        for (block, _) in yard.drain(..) {
-            unsafe { block.deallocate() };
+        // runtime can still be alive; everything buried is quiescent.
+        for (grave, _) in self.graveyard.get_mut().drain(..) {
+            match grave {
+                Grave::Block(block) => unsafe { block.deallocate() },
+                Grave::Stub(addr) => drop(unsafe { Box::from_raw(addr as *mut SpillStub) }),
+                // The table goes with the runtime.
+                Grave::Entry(_) => {}
+            }
         }
-        drop(yard);
-        let mut stubs = self.stub_graveyard.lock();
-        for (addr, _) in stubs.drain(..) {
-            drop(unsafe { Box::from_raw(addr as *mut crate::spill::SpillStub) });
-        }
-        drop(stubs);
         // `alloc` frees its shard caches when the field drops after this
         // body.
     }
@@ -574,6 +595,7 @@ impl Drop for Runtime {
 mod tests {
     use super::*;
     use crate::block::{type_id_of, BlockLayout};
+    use crate::indirection::{CHUNK_ENTRIES, MAGAZINE};
 
     #[test]
     fn pin_and_epoch_pass_through() {
@@ -586,31 +608,60 @@ mod tests {
         assert_eq!(rt.global_epoch(), 1);
     }
 
+    /// Blocks, stubs and entries wait in one queue; each is released at its
+    /// epoch, in whatever order they were buried, and not before.
     #[test]
-    fn graveyard_respects_epochs() {
+    fn graveyard_releases_every_kind_at_its_epoch_and_not_before() {
         let rt = Runtime::new();
+        let tid = rt.epochs.thread_index().unwrap();
+        let kinds = || {
+            let b = rt.buried();
+            (b.blocks, b.stubs, b.entries)
+        };
+        let bury_entry = |free_at| {
+            let e = rt.indirection.allocate(tid);
+            e.get().store_payload(0xbeef0, Ordering::Release);
+            e.get().inc().bump();
+            rt.indirection.note_freed(tid);
+            rt.bury(Grave::Entry(e), free_at);
+            e
+        };
+        // Buried first, ripens last: it must hold back nothing behind it.
+        let late = bury_entry(5);
         let layout = BlockLayout::rows_of::<u64>().unwrap();
-        let b = BlockRef::allocate(&layout, type_id_of::<u64>(), 1).unwrap();
-        MemoryStats::inc(&rt.stats.blocks_live);
-        rt.bury_block(b, 2);
-        assert_eq!(rt.drain_graveyard(), 0, "epoch 0 < 2: must not free");
+        let block = rt.allocate_block(&layout, type_id_of::<u64>(), 1).unwrap();
+        rt.bury_block(block, 2);
+        let ctx = Arc::new(crate::context::tests::ctx(&rt));
+        let stub = Box::new(SpillStub {
+            ctx: Arc::downgrade(&ctx),
+            block_id: 0,
+        });
+        rt.bury(Grave::Stub(Box::into_raw(stub) as usize), 2);
+        let early = [bury_entry(2), bury_entry(2)];
+        rt.verify().unwrap();
+        // Epoch 1 < 2: nothing is released, and a tombstone chaser may
+        // still read every entry's payload.
         rt.epochs.try_advance();
+        assert_eq!(rt.drain_graveyard(), 0);
+        assert_eq!(kinds(), (1, 1, 3));
+        assert_eq!(Arc::weak_count(&ctx), 1, "stub freed before its epoch");
+        assert_eq!(early[0].get().load_payload(Ordering::Acquire), 0xbeef0);
+        // Epoch 2: every kind that ripens there goes in the one drain.
         rt.epochs.try_advance();
         assert_eq!(rt.drain_graveyard(), 1);
-        assert_eq!(rt.graveyard_len(), 0);
-        assert_eq!(MemoryStats::get(&rt.stats.blocks_freed), 1);
-    }
-
-    #[test]
-    fn drain_blocking_advances_epochs() {
-        let rt = Runtime::new();
-        let layout = BlockLayout::rows_of::<u64>().unwrap();
-        let b = BlockRef::allocate(&layout, type_id_of::<u64>(), 1).unwrap();
-        MemoryStats::inc(&rt.stats.blocks_live);
-        rt.bury_block(b, 5);
+        assert_eq!(kinds(), (0, 0, 1));
+        assert_eq!(Arc::weak_count(&ctx), 0, "ripe stub is freed");
+        for e in early {
+            assert_eq!(e.get().load_payload(Ordering::Acquire), 0);
+        }
+        assert_eq!(late.get().load_payload(Ordering::Acquire), 0xbeef0);
+        let recycled = rt.indirection.free_entries() - (CHUNK_ENTRIES - MAGAZINE) as u64;
+        assert_eq!(recycled, 2);
+        rt.verify().unwrap();
+        // The blocking drain advances the epoch as far as the last burial.
         rt.drain_graveyard_blocking();
         assert!(rt.global_epoch() >= 5);
-        assert_eq!(rt.graveyard_len(), 0);
+        assert_eq!(kinds(), (0, 0, 0));
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //! Fault-in loads the page, verifies its checksum (failing **closed** with
 //! [`crate::error::MemError::SpillFault`] on any corruption — a torn page never becomes a
 //! partial heap), copies every record into a block of its own and repoints
-//! the entries. Stubs are freed through an epoch graveyard: a reader pinned
-//! at epoch `e` may still dereference a stub it loaded before the fault-in,
-//! so the box is buried until `e + 2`, exactly like a block.
+//! the entries. Stubs are freed through the runtime's graveyard: a reader
+//! pinned at epoch `e` may still dereference a stub it loaded before the
+//! fault-in, so the box is buried until `e + 2`, exactly like a block.
 //!
 //! ## One claim per block
 //!
@@ -83,6 +83,7 @@ use crate::error::MemError;
 use crate::fault::FaultSite;
 use crate::indirection::EntryRef;
 use crate::page::PageWriter;
+use crate::runtime::Grave;
 use crate::slot::{SlotId, SlotState};
 use crate::stats::MemoryStats;
 use crate::sync::fence;
@@ -222,8 +223,8 @@ impl PageStore for MemoryPageStore {
 
 /// What a tagged entry payload points at: enough to route a bare
 /// dereference back to its context and spilled block. One stub is shared by
-/// every entry of a spilled page; it is freed through the runtime's stub
-/// graveyard two epochs after the page faults back in.
+/// every entry of a spilled page; it waits in the runtime's graveyard for
+/// two epochs after the page faults back in.
 #[derive(Debug)]
 pub(crate) struct SpillStub {
     /// The owning context (weak: a stub must not keep a dropped collection
@@ -495,7 +496,7 @@ impl MemoryContext {
             // any lock. The stub outlives the rollback as it outlives a
             // fault-in.
             self.runtime
-                .bury_stub(stub, self.runtime.global_epoch() + 2);
+                .bury(Grave::Stub(stub), self.runtime.global_epoch() + 2);
             give_back();
             MemoryStats::inc(&self.runtime.stats.spill_fault_failures);
             return false;
@@ -607,8 +608,8 @@ impl MemoryContext {
         store.discard_page(page.ticket);
         // The stub outlives the repoint by two epochs: a reader pinned now
         // may still hold the tagged payload it loaded before us.
-        self.runtime
-            .bury_stub(page.tag & !SPILL_TAG, self.runtime.global_epoch() + 2);
+        let stub = Grave::Stub(page.tag & !SPILL_TAG);
+        self.runtime.bury(stub, self.runtime.global_epoch() + 2);
         self.spilled_blocks_gauge.fetch_sub(1, Ordering::Relaxed);
         self.spilled_objects_gauge
             .fetch_sub(page.entries.len() as u64, Ordering::Relaxed);
@@ -723,7 +724,8 @@ impl MemoryContext {
             if let Some(store) = &s.store {
                 store.discard_page(page.ticket);
             }
-            self.runtime.bury_stub(page.tag & !SPILL_TAG, free_at);
+            self.runtime
+                .bury(Grave::Stub(page.tag & !SPILL_TAG), free_at);
         }
         self.runtime.note_objects_freed(freed);
         self.spilled_blocks_gauge.store(0, Ordering::Relaxed);

@@ -82,7 +82,7 @@ impl MemoryContext {
     ///   blocks that are mid-compaction.
     ///
     /// Per spilled page, every entry it lists carries the page's tag, is not
-    /// `LOCK`ed and is not waiting for deferred release.
+    /// `LOCK`ed and is not waiting in the graveyard.
     pub fn verify(&self) -> Result<VerifyReport, Vec<String>> {
         let mut v = Violations::new();
         let mut report = VerifyReport::default();
@@ -100,10 +100,10 @@ impl MemoryContext {
     /// spilled page claims must still carry that page's spill-stub tag
     /// (fault-in untags and removes the page atomically under the spill
     /// mutex, so a mismatch means a lost or double-resident object), must
-    /// not be left `LOCK`ed, and must not wait in the indirection table's
-    /// deferred-release queue (a page holding a freed object's record).
+    /// not be left `LOCK`ed, and must not wait in the runtime's graveyard (a
+    /// page holding a freed object's record).
     fn verify_spilled(&self, v: &mut Violations, report: &mut VerifyReport) {
-        let deferred = self.runtime.indirection.deferred_addrs();
+        let buried = self.runtime.buried_entries();
         let (pages, counted) = self.with_spill_pages(|pages| {
             let mut counted = 0u64;
             for (&id, page) in pages {
@@ -124,10 +124,10 @@ impl MemoryContext {
                             "spilled block {id} record {record}: entry incarnation left LOCKed"
                         ));
                     }
-                    if deferred.binary_search(&back).is_ok() {
+                    if buried.binary_search(&back).is_ok() {
                         v.push(format!(
                             "spilled block {id} record {record}: entry {back:#x} was freed \
-                             (it waits for deferred release)"
+                             (it waits in the graveyard)"
                         ));
                     }
                 }
@@ -284,14 +284,15 @@ impl Runtime {
     /// - relocation state is fully cleared (no moving phase without an
     ///   announced relocation epoch; both clear when quiescent);
     /// - block accounting balances: `blocks_live` equals
-    ///   `blocks_allocated - blocks_freed` and covers the graveyard;
+    ///   `blocks_allocated - blocks_freed` and covers the graveyard's blocks;
     /// - allocator accounting balances: every budget-reserved block is
     ///   either a live handout or parked in a shard cache
     ///   (`budgeted == blocks_live + cached`);
     /// - the budgeted byte total (handouts + caches) respects the budget;
     /// - the indirection table's live entries equal the live object count;
     /// - no indirection entry is lost or counted twice: `capacity == live +
-    ///   in magazines + free + deferred + quarantined`.
+    ///   in magazines + free + deferred + quarantined`, where `deferred` is
+    ///   the entries in the graveyard.
     pub fn verify(&self) -> Result<(), Vec<String>> {
         let mut v = Violations::new();
         if self.in_moving_phase() && self.next_relocation_epoch() == 0 {
@@ -305,10 +306,11 @@ impl Runtime {
                 "block accounting off: allocated {allocated} - freed {freed} != live {live}"
             ));
         }
-        let buried = self.graveyard_len() as u64;
-        if buried > live {
+        let buried = self.buried();
+        if buried.blocks as u64 > live {
             v.push(format!(
-                "graveyard holds {buried} blocks but only {live} live"
+                "graveyard holds {} blocks but only {live} live",
+                buried.blocks
             ));
         }
         let budgeted = self.alloc.budgeted_blocks();
@@ -332,7 +334,8 @@ impl Runtime {
                 "indirection live entries {entries} != live objects {objects}"
             ));
         }
-        if let Err(lost_or_doubled) = self.indirection.check_conserved() {
+        let deferred = buried.entries as u64;
+        if let Err(lost_or_doubled) = self.indirection.check_conserved(deferred) {
             v.push(lost_or_doubled);
         }
         v.into_result(())

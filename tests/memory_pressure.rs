@@ -92,6 +92,30 @@ fn freeing_objects_recovers_from_oom() {
     );
 }
 
+/// A freed row's entry waits two epochs, then goes back to the free lists;
+/// a collection that churns at a constant size reuses those entries instead
+/// of growing the indirection table. FIFO churn frees the oldest row before
+/// each add, so every add needs an entry some earlier remove gave back.
+#[test]
+fn fifo_churn_reuses_freed_entries_instead_of_growing_the_table() {
+    const LIVE: u64 = 10_000;
+    const PAIRS: u64 = 200_000;
+    let rt = Runtime::new();
+    let c: Smc<Payload> = Smc::new(&rt);
+    let mut rows: std::collections::VecDeque<_> = (0..LIVE).map(|k| c.add(payload(k))).collect();
+    for key in LIVE..LIVE + PAIRS {
+        assert!(c.remove(rows.pop_front().unwrap()));
+        rows.push_back(c.add(payload(key)));
+    }
+    assert_eq!(c.len(), LIVE);
+    let capacity = rt.indirection.capacity() as u64;
+    assert!(
+        capacity <= 2 * LIVE,
+        "{capacity} indirection entries for {LIVE} live rows"
+    );
+    rt.verify().unwrap();
+}
+
 #[test]
 fn interrupted_compaction_is_retriable_and_loses_nothing() {
     let rt = Runtime::new();
@@ -247,14 +271,15 @@ fn fault_schedule_is_reproducible_from_seed() {
 // ---- a spill tier that holds its budget --------------------------------
 //
 // A spilled victim and the stub of a faulted-in page wait two epochs in the
-// runtime's graveyards, and nothing but the memory manager moves the epoch
+// runtime's graveyard, and nothing but the memory manager moves the epoch
 // (§3.4). These tests pin down who moves it for the residency protocol —
 // the load after each spill, the fault path on entry — and that a pinned
 // reader still stops it. CI runs them once more on the release build, the
 // only one that spills thousands of blocks inside a second.
 
-/// What may wait in a graveyard at any instant: burials ripen two advances
-/// later, one advance per spill or fault, plus the one just made.
+/// Blocks, or stubs, that may wait in the graveyard at any instant:
+/// burials ripen two advances later, one advance per spill or fault, plus
+/// the one just made.
 const GRAVEYARD_BOUND: usize = 4;
 
 /// A collection budgeted to `budget_blocks` resident blocks over an
@@ -299,12 +324,9 @@ fn budget_held_by_an_unpinned_load() {
     load_until_spilled(&c, &mut next, 7 * BUDGET);
     // The victims went round through the shard cache; they did not pile up
     // behind a clock nobody advanced.
-    assert!(
-        rt.graveyard_len() <= GRAVEYARD_BOUND,
-        "{}",
-        rt.graveyard_len()
-    );
-    assert!(rt.stub_graveyard_len() <= GRAVEYARD_BOUND);
+    let buried = rt.buried();
+    assert!(buried.blocks <= GRAVEYARD_BOUND, "{buried:?}");
+    assert!(buried.stubs <= GRAVEYARD_BOUND, "{buried:?}");
     let alloc = rt.alloc_snapshot();
     assert!(
         alloc.blocks_recycled > 0,
@@ -344,7 +366,7 @@ fn budget_held_load_still_honours_a_pin() {
     load_until_spilled(&c, &mut next, 6 * BUDGET);
     // Every victim is still buried: the guard sits two epochs short of the
     // first burial, so none was freed, let alone handed out again ...
-    assert_eq!(rt.graveyard_len() as u64, c.spilled_blocks());
+    assert_eq!(rt.buried().blocks as u64, c.spilled_blocks());
     // ... which is why the references taken before the spills still read
     // their own rows out of the victims' memory.
     for (key, row) in &rows {
@@ -357,11 +379,8 @@ fn budget_held_load_still_honours_a_pin() {
     drop(rows);
     drop(guard);
     load_until_spilled(&c, &mut next, 3);
-    assert!(
-        rt.graveyard_len() <= GRAVEYARD_BOUND,
-        "{}",
-        rt.graveyard_len()
-    );
+    let buried = rt.buried();
+    assert!(buried.blocks <= GRAVEYARD_BOUND, "{buried:?}");
     assert_eq!(c.len(), next);
     c.verify().unwrap();
     rt.verify().unwrap();
@@ -390,7 +409,8 @@ fn budget_held_across_ten_thousand_faulting_reads() {
         assert_eq!(refs[key as usize].get(&guard), Some(&payload(key)));
         drop(guard);
         reads += 1;
-        deepest = deepest.max(rt.graveyard_len()).max(rt.stub_graveyard_len());
+        let buried = rt.buried();
+        deepest = deepest.max(buried.blocks).max(buried.stubs);
     }
     // A constant, not a function of the read count: each fault ripens what
     // the fault two before it buried.
