@@ -36,7 +36,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{fence, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, MutexGuard};
 
 use crate::clock;
 use crate::hist::Histogram;
@@ -550,8 +550,9 @@ impl SeqSlot {
 /// of threads may push; a push claims its position with one `fetch_add`,
 /// never blocks, and overwrites the record a whole ring older.
 pub(crate) struct Ring {
-    /// Tracer id of the owning thread (0 for the shared flight ring).
-    thread: u64,
+    /// Tracer id of the owning thread (0 for the shared flight ring); a
+    /// ring handed on to a new thread takes the new owner's id.
+    thread: AtomicU64,
     /// Next logical write position (monotonic; wraps modulo capacity).
     head: AtomicU64,
     /// Records lost to wraparound, counted at the moment a push reuses a
@@ -567,7 +568,7 @@ impl Ring {
             words: [const { AtomicU64::new(0) }; 8],
         };
         Ring {
-            thread,
+            thread: AtomicU64::new(thread),
             head: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             slots: (0..capacity).map(|_| slot()).collect(),
@@ -625,18 +626,47 @@ static SEQ: AtomicU64 = AtomicU64::new(0);
 /// Tracer thread ids start at 1, so an id of 0 names no tracer thread.
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(1);
 
-fn registry() -> std::sync::MutexGuard<'static, Vec<Arc<Ring>>> {
-    static REGISTRY: Mutex<Vec<Arc<Ring>>> = Mutex::new(Vec::new());
+/// Every per-thread ring ever made. Rings are never freed: a dump still
+/// shows the records of a thread that has exited.
+fn registry() -> MutexGuard<'static, Vec<&'static Ring>> {
+    static REGISTRY: Mutex<Vec<&'static Ring>> = Mutex::new(Vec::new());
     REGISTRY.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-thread_local! {
-    static LOCAL: Arc<Ring> = {
+/// Rings whose owning thread has exited, waiting for a new owner.
+fn spares() -> MutexGuard<'static, Vec<&'static Ring>> {
+    static SPARES: Mutex<Vec<&'static Ring>> = Mutex::new(Vec::new());
+    SPARES.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A thread's hold on its ring. A thread takes a spare ring before it makes
+/// one, so the rings number the threads emitting at once, not every thread
+/// that ever emitted. The hand-off goes through the spare list's lock,
+/// which orders the old owner's last store before the new owner's first.
+struct Owner(&'static Ring);
+
+impl Owner {
+    fn take() -> Owner {
         let thread = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
-        let ring = Arc::new(Ring::new(thread, RING_CAPACITY));
-        registry().push(ring.clone());
-        ring
-    };
+        let spare = spares().pop();
+        let ring = spare.unwrap_or_else(|| {
+            let ring: &'static Ring = Box::leak(Box::new(Ring::new(thread, RING_CAPACITY)));
+            registry().push(ring);
+            ring
+        });
+        ring.thread.store(thread, Ordering::Relaxed);
+        Owner(ring)
+    }
+}
+
+impl Drop for Owner {
+    fn drop(&mut self) {
+        spares().push(self.0);
+    }
+}
+
+thread_local! {
+    static LOCAL: Owner = Owner::take();
 }
 
 fn set_mode(bit: u8, on: bool) {
@@ -693,10 +723,10 @@ fn emit_enabled(mode: u8, event: Event) {
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     let nanos = clock::now();
     // `try_with`: emissions during TLS teardown are silently dropped.
-    let _ = LOCAL.try_with(|ring| {
+    let _ = LOCAL.try_with(|Owner(ring)| {
         let words = TracedEvent {
             seq,
-            thread: ring.thread,
+            thread: ring.thread.load(Ordering::Relaxed),
             nanos,
             event,
         }
@@ -715,7 +745,7 @@ fn emit_enabled(mode: u8, event: Event) {
 /// overwritten concurrently are skipped.
 pub fn snapshot() -> Vec<TracedEvent> {
     let rings = registry().clone();
-    snapshot_of(rings.iter().map(|ring| &**ring))
+    snapshot_of(rings)
 }
 
 /// Events overwritten by ring wraparound since process start, summed over
@@ -733,7 +763,7 @@ pub fn dropped() -> u64 {
 pub fn dropped_by_thread() -> Vec<(u64, u64)> {
     registry()
         .iter()
-        .map(|ring| (ring.thread, ring.dropped()))
+        .map(|ring| (ring.thread.load(Ordering::Relaxed), ring.dropped()))
         .filter(|&(_, dropped)| dropped > 0)
         .collect()
 }
@@ -1012,6 +1042,36 @@ mod tests {
         });
         disable();
         assert!(found, "event from a dead thread must survive in its ring");
+    }
+
+    #[test]
+    fn exited_threads_hand_their_rings_to_the_next_thread() {
+        let _g = lock();
+        enable();
+        clear();
+        let rings_before = registry().len();
+        for i in 0..200u64 {
+            let emit_once = move || {
+                emit(Event::MorselDispatch {
+                    worker: 0x5a4e,
+                    morsel: i,
+                })
+            };
+            std::thread::spawn(emit_once).join().unwrap();
+        }
+        let rings_made = registry().len() - rings_before;
+        let mine: Vec<TracedEvent> = snapshot()
+            .into_iter()
+            .filter(|t| matches!(t.event, Event::MorselDispatch { worker: 0x5a4e, .. }))
+            .collect();
+        disable();
+        assert!(
+            rings_made <= 2,
+            "200 threads in turn made {rings_made} rings"
+        );
+        assert_eq!(mine.len(), 200, "every record outlives its thread");
+        let threads: std::collections::BTreeSet<u64> = mine.iter().map(|t| t.thread).collect();
+        assert_eq!(threads.len(), 200, "each thread emitted under a fresh id");
     }
 
     #[test]
