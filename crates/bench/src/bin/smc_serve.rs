@@ -30,15 +30,18 @@
 //! breakdown into the per-op-class histograms the `SCRAPE` wire op (and
 //! `smc-top`) report.
 //!
-//! The flight recorder is always armed. When `SMC_FLIGHT_OUT` names a
-//! destination path, the last-seconds event ring is dumped there on panic,
-//! SLO breach, failed drain verify — or on demand via `kill -USR1 <pid>`.
+//! The tracer is always on, and its per-thread rings are the flight
+//! recorder: each thread keeps its last 1024 events. When
+//! `SMC_FLIGHT_OUT` names a destination path, the rings are dumped there
+//! on panic, SLO breach, failed drain verify — or on demand via
+//! `kill -USR1 <pid>`. `SMC_TRACE_OUT` only decides whether the drain also
+//! writes them out as the server's trace.
 
 use std::time::Duration;
 
 use smc_bench::{
-    arg_string, arg_usize, init_tracing, install_signal_handler, install_usr1_handler, interrupted,
-    trace_lost, usr1_requested,
+    arg_string, arg_usize, install_signal_handler, install_usr1_handler, interrupted, trace_lost,
+    usr1_requested,
 };
 use smc_serve::{Server, ServerConfig, TenantConfig};
 
@@ -64,14 +67,12 @@ fn main() {
 
     install_signal_handler();
     install_usr1_handler();
-    // Spans live in *this* process: with SMC_TRACE_OUT set, the SIGTERM
-    // drain writes the Chrome trace — including the per-request `req.*`
-    // spans of requests whose clients sent a request id.
-    init_tracing();
-    // The flight recorder is always on: a fixed-budget ring of the last
-    // events, dumped to SMC_FLIGHT_OUT on panic / SLO breach / failed
-    // drain verify / SIGUSR1. Zero steady-state allocation.
-    smc_obs::flight::enable();
+    // Tracing is always on: the rings are the flight recorder, dumped to
+    // SMC_FLIGHT_OUT on panic / SLO breach / failed drain verify / SIGUSR1.
+    // With SMC_TRACE_OUT set, the SIGTERM drain also writes them as the
+    // Chrome trace — including the per-request `req.*` spans of requests
+    // whose clients sent a request id.
+    smc_obs::trace::enable();
     smc_obs::flight::install_panic_hook();
     if let Some(dir) = &persist_dir {
         println!("smc-serve: persistence at {}", dir.display());

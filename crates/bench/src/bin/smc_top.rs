@@ -2,9 +2,9 @@
 //!
 //! Every 500 ms it issues the `SCRAPE` wire op and renders the
 //! `smc-scrape/v1` document as a text dashboard: per-shard request
-//! counters, tenant budgets, tail-latency attribution, tracer and
-//! flight-recorder health, then per shard its heap snapshot (epoch lag and
-//! capture watermark, per-context occupancy bars, limbo/hole
+//! counters, tenant budgets, tail-latency attribution, tracer health (its
+//! rings are what a flight dump writes), then per shard its heap snapshot
+//! (epoch lag and capture watermark, per-context occupancy bars, limbo/hole
 //! fragmentation, incarnation churn, spilled blocks, budget versus used
 //! bytes, indirection-table load, the block allocator, pin hold times),
 //! its compaction pass and pause percentiles, and its maintenance
@@ -266,15 +266,7 @@ fn render(tick: u64, addr: &str, doc: &JsonValue) {
         }
         // A disabled tracer reports as such — zeros would read as a
         // drop-free recording that never happened.
-        _ => println!("  tracer: disabled on server (start it with SMC_TRACE_OUT to record)"),
-    }
-    if let Some(f) = doc.get("flight") {
-        println!(
-            "  flight: {}  capacity {}  overwritten {}",
-            pick(f.get("enabled"), "armed", "disarmed"),
-            u(f, "capacity"),
-            u(f, "dropped"),
-        );
+        _ => println!("  tracer: disabled on server (a flight dump would be empty)"),
     }
     if is_true(doc.get("heap_elided")) {
         println!("  heap: elided (the snapshots would not fit in one wire frame)");

@@ -642,20 +642,30 @@ flow on two tracks|"tid":3|"tid":1|3|touches 3 tracks"#;
             let shape = validate(&export.to_json()).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             assert_eq!(shape.tracks, 3, "seed {seed}");
         }
-        // The flight ring wraps a window across the threads that share it.
+        // Live rings: three threads each wrap their own, about three
+        // times over, and the export of what they kept is well formed.
+        // Each holds its ring until all three are done: a thread that
+        // exits hands its ring to the next one to emit.
         let _g = trace::test_lock();
-        crate::flight::enable();
+        trace::enable();
+        trace::clear();
+        let (dropped, done) = (trace::dropped(), std::sync::Barrier::new(3));
         std::thread::scope(|s| {
             for thread in 1..4 {
-                let run = seeded_run(99, 3 * crate::flight::FLIGHT_CAPACITY as u64);
+                let run = seeded_run(99, 3 * 3 * trace::RING_CAPACITY as u64);
                 let mine = run.into_iter().filter(move |t| t.thread == thread);
-                s.spawn(move || mine.for_each(|t| trace::emit(t.event)));
+                let done = &done;
+                s.spawn(move || {
+                    mine.for_each(|t| trace::emit(t.event));
+                    done.wait();
+                });
             }
         });
-        crate::flight::disable();
-        let mut export = ChromeTrace::new();
-        export.add_events(&crate::flight::snapshot());
-        validate(&export.to_json()).expect("the flight export is well formed");
+        trace::disable();
+        assert!(trace::dropped() > dropped + 3 * trace::RING_CAPACITY as u64);
+        let shape = validate(&ChromeTrace::from_ring_snapshot().to_json())
+            .expect("the export of wrapped rings is well formed");
+        assert_eq!(shape.tracks, 3);
     }
 
     #[test]

@@ -23,10 +23,9 @@
 //! - [`chrome`] — a Chrome `trace_event` exporter draining the [`trace`]
 //!   rings into Perfetto-loadable JSON (spans from paired begin/end
 //!   events, counter tracks, per-thread tracks).
-//! - [`flight`] — an always-on flight recorder: a fixed-budget global ring
-//!   of the most recent events, dumped to `SMC_FLIGHT_OUT` on panic, SLO
-//!   breach, failed drain verify, or SIGUSR1 for crash forensics with zero
-//!   steady-state allocation.
+//! - [`flight`] — the flight recorder: a dump of the [`trace`] rings (the
+//!   last events of every thread) to `SMC_FLIGHT_OUT` on panic, SLO
+//!   breach, failed drain verify, or SIGUSR1, for crash forensics.
 //!
 //! [`trace`] also carries the request-causality layer: a [`RequestId`]
 //! minted at the `smc-serve` wire boundary travels with the request across

@@ -9,12 +9,15 @@
 //! stay unperturbed (`tests/overhead.rs` asserts ≤ 2 ns/op in release).
 //!
 //! When [enabled](enable), each thread writes into its own fixed-size ring
-//! buffer of [`RING_CAPACITY`] slots (registered globally on first use, so
-//! [`snapshot`] can observe every thread). Writes are wait-free for the
-//! owning thread; a concurrent [`snapshot`] validates each slot with a
-//! seqlock-style tag and simply skips slots that are mid-write. When a ring
-//! wraps, the oldest events are overwritten and counted in [`dropped`] —
-//! tracing never blocks or grows memory.
+//! buffer of [`RING_CAPACITY`] slots, taken on its first emit from the
+//! rings of exited threads, or else made and registered globally so
+//! [`snapshot`] can observe every thread. The owner is a ring's only
+//! writer, so a write is plain stores; a concurrent [`snapshot`] validates
+//! each slot with a seqlock-style tag and simply skips slots that are
+//! mid-write. When a ring wraps, the oldest events are overwritten and
+//! counted in [`dropped`] — tracing never blocks, and memory grows only
+//! with the number of threads emitting at once. The rings are also the
+//! [flight recorder](crate::flight): a dump writes what they hold.
 //!
 //! Events are POD ([`Copy`], no heap): textual payloads travel as fixed
 //! 15-byte [`Label`]s or 7-byte [`ShortLabel`]s. The taxonomy is declared
@@ -35,7 +38,7 @@
 //! ```
 
 use std::cell::Cell;
-use std::sync::atomic::{fence, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use crate::clock;
@@ -499,7 +502,7 @@ impl TracedEvent {
 }
 
 /// Seqlock-tagged record of 8 atomic words. `tag == 0` means empty,
-/// `tag == BUSY` means a writer owns the slot, `tag == logical_position + 1`
+/// `tag == BUSY` means the owner is writing it, `tag == logical_position + 1`
 /// means the words hold the complete record for that position. All accesses
 /// are atomic (no UB); a reader validating the tag before and after its
 /// word reads either sees a consistent record or skips the slot.
@@ -512,18 +515,13 @@ struct SeqSlot {
 const BUSY: u64 = u64::MAX;
 
 impl SeqSlot {
-    /// Writes `words` as the record for logical position `pos`: claim the
-    /// slot, publish the claim before any new word, write the record, then
-    /// publish the new tag after every word. A slot found `BUSY` belongs to
-    /// a writer a whole ring behind that has not finished; this record is
-    /// dropped rather than interleaved with that one. The claim's `Acquire`
-    /// pairs with the previous owner's `Release` of its tag, so that
-    /// owner's words are overwritten, never the other way round.
+    /// Writes `words` as the record for logical position `pos`. Only the
+    /// ring's owner writes, so plain stores do: mark the slot busy, fence
+    /// so no new word is seen before the mark, write the record, then
+    /// publish the new tag after every word.
     fn publish(&self, pos: u64, words: [u64; 8]) {
-        if self.tag.swap(BUSY, Ordering::Acquire) == BUSY {
-            return;
-        }
-        fence(Ordering::SeqCst);
+        self.tag.store(BUSY, Ordering::Relaxed);
+        fence(Ordering::Release);
         for (slot, word) in self.words.iter().zip(words) {
             slot.store(word, Ordering::Relaxed);
         }
@@ -545,84 +543,53 @@ impl SeqSlot {
     }
 }
 
-/// A fixed-capacity ring of the most recent records: one per tracing
-/// thread, and the [flight recorder](crate::flight)'s shared one. Any number
-/// of threads may push; a push claims its position with one `fetch_add`,
-/// never blocks, and overwrites the record a whole ring older.
-pub(crate) struct Ring {
-    /// Tracer id of the owning thread (0 for the shared flight ring); a
-    /// ring handed on to a new thread takes the new owner's id.
+/// One thread's ring of its [`RING_CAPACITY`] most recent records. Only
+/// the owning thread pushes, so a push is a load and a store of the head
+/// and the slot's stores; it never blocks and overwrites the record a
+/// whole ring older.
+struct Ring {
+    /// Tracer id of the owning thread; a ring handed on to a new thread
+    /// takes the new owner's id.
     thread: AtomicU64,
     /// Next logical write position (monotonic; wraps modulo capacity).
     head: AtomicU64,
-    /// Records lost to wraparound, counted at the moment a push reuses a
-    /// position (so [`clear`] cannot skew the accounting).
-    dropped: AtomicU64,
     slots: Box<[SeqSlot]>,
 }
 
 impl Ring {
-    pub(crate) fn new(thread: u64, capacity: usize) -> Ring {
+    fn new() -> Ring {
         let slot = || SeqSlot {
             tag: AtomicU64::new(0),
             words: [const { AtomicU64::new(0) }; 8],
         };
         Ring {
-            thread: AtomicU64::new(thread),
+            thread: AtomicU64::new(0),
             head: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            slots: (0..capacity).map(|_| slot()).collect(),
+            slots: (0..RING_CAPACITY).map(|_| slot()).collect(),
         }
     }
 
-    pub(crate) fn push(&self, words: [u64; 8]) {
-        let pos = self.head.fetch_add(1, Ordering::Relaxed);
-        let capacity = self.slots.len() as u64;
-        if pos >= capacity {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        self.slots[(pos % capacity) as usize].publish(pos, words);
+    fn push(&self, words: [u64; 8]) {
+        let pos = self.head.load(Ordering::Relaxed);
+        self.slots[pos as usize % RING_CAPACITY].publish(pos, words);
+        self.head.store(pos + 1, Ordering::Relaxed);
     }
 
-    /// Records lost to wraparound since the ring was made.
-    pub(crate) fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Empties every slot no writer currently owns.
-    fn clear(&self) {
-        for slot in self.slots.iter() {
-            let tag = slot.tag.load(Ordering::Relaxed);
-            if tag != BUSY {
-                let _ = slot
-                    .tag
-                    .compare_exchange(tag, 0, Ordering::Release, Ordering::Relaxed);
-            }
-        }
+    /// Records lost to wraparound since the ring was made: every push past
+    /// the first [`RING_CAPACITY`] overwrote one.
+    fn dropped(&self) -> u64 {
+        let head = self.head.load(Ordering::Relaxed);
+        head.saturating_sub(RING_CAPACITY as u64)
     }
 }
 
-/// Every currently-consistent record of `rings`, sorted by global sequence
-/// number. Non-destructive; slots being overwritten are skipped.
-pub(crate) fn snapshot_of<'a>(rings: impl IntoIterator<Item = &'a Ring>) -> Vec<TracedEvent> {
-    let mut out: Vec<TracedEvent> = rings
-        .into_iter()
-        .flat_map(|ring| ring.slots.iter().filter_map(SeqSlot::read_event))
-        .collect();
-    out.sort_by_key(|t| t.seq);
-    out
-}
-
-/// Tracer mode bit: per-thread ring recording ([`enable`]/[`disable`]).
-const MODE_RINGS: u8 = 1 << 0;
-/// Tracer mode bit: the global flight recorder ([`crate::flight::enable`]).
-const MODE_FLIGHT: u8 = 1 << 1;
-
-/// Which sinks are live. Zero means every [`emit`] is a single relaxed load
-/// plus one predictable branch — the ≤ 2 ns/op budget the overhead test
-/// holds covers both sinks being off.
-static MODE: AtomicU8 = AtomicU8::new(0);
+/// Whether [`emit`] records. Off means every [`emit`] is a single relaxed
+/// load plus one predictable branch — the ≤ 2 ns/op budget the overhead
+/// test holds.
+static ENABLED: AtomicBool = AtomicBool::new(false);
 static SEQ: AtomicU64 = AtomicU64::new(0);
+/// Events numbered below this were emitted before the last [`clear`].
+static CLEARED: AtomicU64 = AtomicU64::new(0);
 /// Tracer thread ids start at 1, so an id of 0 names no tracer thread.
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(1);
 
@@ -647,13 +614,13 @@ struct Owner(&'static Ring);
 
 impl Owner {
     fn take() -> Owner {
-        let thread = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
         let spare = spares().pop();
         let ring = spare.unwrap_or_else(|| {
-            let ring: &'static Ring = Box::leak(Box::new(Ring::new(thread, RING_CAPACITY)));
+            let ring: &'static Ring = Box::leak(Box::new(Ring::new()));
             registry().push(ring);
             ring
         });
+        let thread = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
         ring.thread.store(thread, Ordering::Relaxed);
         Owner(ring)
     }
@@ -669,57 +636,33 @@ thread_local! {
     static LOCAL: Owner = Owner::take();
 }
 
-fn set_mode(bit: u8, on: bool) {
-    if on {
-        MODE.fetch_or(bit, Ordering::Relaxed);
-    } else {
-        MODE.fetch_and(!bit, Ordering::Relaxed);
-    }
-}
-
-/// Turns ring tracing on. Emissions before this call were dropped at zero
-/// cost (unless the [flight recorder](crate::flight) was already live).
+/// Turns tracing on. Emissions before this call were dropped at zero cost.
 pub fn enable() {
-    set_mode(MODE_RINGS, true);
+    ENABLED.store(true, Ordering::Relaxed);
 }
 
-/// Turns ring tracing off; with the flight recorder also off, [`emit`]
-/// reverts to the ≤ 2 ns no-op path.
+/// Turns tracing off; [`emit`] reverts to the ≤ 2 ns no-op path.
 pub fn disable() {
-    set_mode(MODE_RINGS, false);
+    ENABLED.store(false, Ordering::Relaxed);
 }
 
-/// True while ring tracing is on (the flight recorder does not count: it is
-/// a forensic sink, not the export path `snapshot` serves).
+/// True while tracing is on.
 #[inline]
 pub fn is_enabled() -> bool {
-    MODE.load(Ordering::Relaxed) & MODE_RINGS != 0
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Flips the flight-recorder mode bit (called by [`crate::flight`] only;
-/// the recorder allocates its ring before setting the bit).
-pub(crate) fn set_flight_mode(on: bool) {
-    set_mode(MODE_FLIGHT, on);
-}
-
-/// True while the flight-recorder mode bit is set.
-pub(crate) fn flight_mode() -> bool {
-    MODE.load(Ordering::Relaxed) & MODE_FLIGHT != 0
-}
-
-/// Emits one event. When both sinks are disabled this is one relaxed load
-/// and a branch — no allocation, no clock read, no TLS access.
+/// Emits one event. When tracing is disabled this is one relaxed load and
+/// a branch — no allocation, no clock read, no TLS access.
 #[inline]
 pub fn emit(event: Event) {
-    let mode = MODE.load(Ordering::Relaxed);
-    if mode == 0 {
-        return;
+    if is_enabled() {
+        emit_enabled(event);
     }
-    emit_enabled(mode, event);
 }
 
 #[cold]
-fn emit_enabled(mode: u8, event: Event) {
+fn emit_enabled(event: Event) {
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     let nanos = clock::now();
     // `try_with`: emissions during TLS teardown are silently dropped.
@@ -731,35 +674,38 @@ fn emit_enabled(mode: u8, event: Event) {
             event,
         }
         .to_words();
-        if mode & MODE_RINGS != 0 {
-            ring.push(words);
-        }
-        if mode & MODE_FLIGHT != 0 {
-            crate::flight::record(words);
-        }
+        ring.push(words);
     });
 }
 
 /// Collects every currently-readable event from every thread's ring,
 /// sorted by global sequence number. Non-destructive; slots being
-/// overwritten concurrently are skipped.
+/// overwritten concurrently are skipped, and so are events emitted before
+/// the last [`clear`].
 pub fn snapshot() -> Vec<TracedEvent> {
+    let cleared = CLEARED.load(Ordering::Relaxed);
     let rings = registry().clone();
-    snapshot_of(rings)
+    let mut out: Vec<TracedEvent> = rings
+        .iter()
+        .flat_map(|ring| ring.slots.iter().filter_map(SeqSlot::read_event))
+        .filter(|t| t.seq >= cleared)
+        .collect();
+    out.sort_by_key(|t| t.seq);
+    out
 }
 
 /// Events overwritten by ring wraparound since process start, summed over
-/// every thread's per-ring `dropped` counter (each counter increments at the
-/// instant a wrap reuses a published slot). A report that claims zero events
-/// while this is non-zero lost its whole story to overwrites — `smc-bench`
-/// records that combination as the failed check `trace_not_silently_empty`.
+/// every ring. A report that claims zero events while this is non-zero
+/// lost its whole story to overwrites — `smc-bench` records that
+/// combination as the failed check `trace_not_silently_empty`.
 pub fn dropped() -> u64 {
     registry().iter().map(|ring| ring.dropped()).sum()
 }
 
-/// Per-thread view of [`dropped`]: `(tracer thread id, events overwritten)`
-/// for every ring that has dropped at least one event. `smc-top` surfaces
-/// this so a saturated producer thread is identifiable.
+/// Per-ring view of [`dropped`]: `(tracer thread id, events overwritten)`
+/// for every ring that has dropped at least one event, named by the thread
+/// that owns it now (or owned it last). `smc-top` surfaces this so a
+/// saturated producer thread is identifiable.
 pub fn dropped_by_thread() -> Vec<(u64, u64)> {
     registry()
         .iter()
@@ -768,10 +714,12 @@ pub fn dropped_by_thread() -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// Empties every ring. Intended for quiescent points (between benchmark
-/// phases); events being written concurrently may survive the clear.
+/// Hides every event emitted before the call from later [`snapshot`]s.
+/// Intended for quiescent points (between benchmark phases); the rings
+/// and their drop counts are untouched, so the owner stays their only
+/// writer.
 pub fn clear() {
-    registry().iter().for_each(|ring| ring.clear());
+    CLEARED.store(SEQ.load(Ordering::Relaxed), Ordering::Relaxed);
 }
 
 /// The identity of one in-flight request, minted by the client side of the
@@ -902,7 +850,7 @@ impl Drop for Span<'_> {
     }
 }
 
-/// Tracer state is process-global; tests (here and in [`crate::flight`])
+/// Tracer state is process-global; tests (here and in [`crate::chrome`])
 /// that toggle it serialize on this lock.
 #[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
@@ -1115,74 +1063,56 @@ mod tests {
     }
 
     #[test]
-    fn shared_ring_keeps_the_newest_records_of_four_producers() {
-        const CAPACITY: usize = 64;
-        const PUSHES: u64 = 3 * CAPACITY as u64;
-        let ring = Ring::new(0, CAPACITY);
-        let start = std::sync::Barrier::new(4);
-        std::thread::scope(|s| {
-            for producer in 0..4u64 {
-                let (ring, start) = (&ring, &start);
-                s.spawn(move || {
-                    start.wait();
-                    for i in 0..PUSHES {
-                        let record = TracedEvent {
-                            seq: producer * PUSHES + i,
-                            thread: producer + 1,
-                            nanos: i,
-                            event: Event::MorselDispatch {
-                                worker: producer,
-                                morsel: i,
-                            },
-                        };
-                        ring.push(record.to_words());
-                    }
-                });
-            }
-        });
-        let seen = snapshot_of([&ring]);
-        assert_eq!(seen.len(), CAPACITY, "every slot holds a whole record");
-        assert_eq!(ring.dropped(), 4 * PUSHES - CAPACITY as u64);
-        assert!(seen.windows(2).all(|w| w[0].seq < w[1].seq));
-        for t in seen {
-            // All eight words of a record come from one push.
-            let (producer, i) = (t.seq / PUSHES, t.seq % PUSHES);
-            assert!(producer < 4);
-            assert_eq!((t.thread, t.nanos), (producer + 1, i));
-            assert_eq!(
-                t.event,
-                Event::MorselDispatch {
-                    worker: producer,
-                    morsel: i
-                }
-            );
-        }
-    }
-
-    #[test]
-    fn a_push_never_writes_into_a_slot_another_writer_owns() {
-        let ring = Ring::new(0, 2);
-        let record = |seq| {
-            let event = Event::EpochAdvance { epoch: seq };
-            TracedEvent {
-                seq,
-                thread: 1,
-                nanos: 0,
-                event,
-            }
-            .to_words()
+    fn a_reader_racing_the_owner_sees_only_whole_records() {
+        let ring = Ring::new();
+        let (passes, done) = (AtomicU64::new(0), AtomicBool::new(false));
+        let record = |i: u64| TracedEvent {
+            seq: i,
+            thread: i ^ 0x7e,
+            nanos: !i,
+            event: Event::GcPauseEnd {
+                major: true,
+                nanos: i << 1,
+                traced: i << 2,
+                swept: i << 3,
+            },
         };
-        let seqs = || -> Vec<u64> { snapshot_of([&ring]).iter().map(|t| t.seq).collect() };
-        ring.push(record(0));
-        ring.push(record(1));
-        // The writer of position 0 is stalled mid-publish when position 2
-        // laps onto its slot: that push is dropped, not interleaved.
-        ring.slots[0].tag.store(BUSY, Ordering::Relaxed);
-        ring.push(record(2));
-        assert_eq!(ring.dropped(), 1);
-        assert_eq!(seqs(), [1], "a slot mid-write is skipped");
-        ring.slots[0].tag.store(1, Ordering::Release);
-        assert_eq!(seqs(), [0, 1], "the stalled writer's words are intact");
+        let pushed = std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    for t in ring.slots.iter().filter_map(SeqSlot::read_event) {
+                        // All eight words of a record come from one push.
+                        assert_eq!(t, record(t.seq), "a torn record");
+                    }
+                    passes.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            // At least ten whole rings, and for as long as the reader
+            // takes to sweep the ring a thousand times (or fails).
+            let mut i = 0;
+            while (i < 10 * RING_CAPACITY as u64 || passes.load(Ordering::Relaxed) < 1_000)
+                && !reader.is_finished()
+            {
+                ring.push(record(i).to_words());
+                i += 1;
+            }
+            done.store(true, Ordering::Relaxed);
+            reader.join().unwrap();
+            i
+        });
+        let oldest = pushed - RING_CAPACITY as u64;
+        assert_eq!(ring.dropped(), oldest);
+        let mut kept: Vec<u64> = ring
+            .slots
+            .iter()
+            .filter_map(SeqSlot::read_event)
+            .map(|t| t.seq)
+            .collect();
+        kept.sort_unstable();
+        assert!(
+            kept.into_iter().eq(oldest..pushed),
+            "the newest ring of records"
+        );
     }
 
     #[test]

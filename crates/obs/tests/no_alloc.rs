@@ -1,8 +1,11 @@
-//! The disabled-tracer fast path must emit nothing and allocate nothing.
+//! An emit allocates nothing: disabled, it also records nothing; enabled,
+//! once the thread's first emit has taken its ring, it writes into that
+//! ring and allocates nothing either.
 //!
 //! This is a separate integration-test binary so its counting global
-//! allocator and its reliance on the tracer staying disabled can't race
-//! with the unit tests that toggle tracing.
+//! allocator and its reliance on the tracer's global state can't race
+//! with the unit tests that toggle tracing. Both checks run in one test
+//! function, disabled first, because the tracer is process-global.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,16 +43,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-#[test]
-fn disabled_emit_allocates_nothing_and_records_nothing() {
-    assert!(!trace::is_enabled(), "tracer must start disabled");
-
-    // Warm anything lazily initialised outside the measured window, then
-    // restrict counting to this thread (see `COUNTED_THREAD`).
-    trace::emit(Event::EpochAdvance { epoch: 0 });
-    COUNTED_THREAD.store(thread_id(), Ordering::Relaxed);
-
+/// Allocations on the counted thread while `f` runs.
+fn allocations_in(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
+    f();
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+/// 10 000 rounds of three events of different shapes.
+fn emit_rounds() {
     for i in 0..10_000u64 {
         trace::emit(Event::MorselDispatch {
             worker: 1,
@@ -65,12 +67,21 @@ fn disabled_emit_allocates_nothing_and_records_nothing() {
             swept: i,
         });
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+}
+
+#[test]
+fn emit_allocates_nothing_disabled_or_enabled() {
+    assert!(!trace::is_enabled(), "tracer must start disabled");
+
+    // Warm anything lazily initialised outside the measured window, then
+    // restrict counting to this thread (see `COUNTED_THREAD`).
+    trace::emit(Event::EpochAdvance { epoch: 0 });
+    COUNTED_THREAD.store(thread_id(), Ordering::Relaxed);
+
+    let allocations = allocations_in(emit_rounds);
     assert_eq!(
-        after - before,
-        0,
-        "disabled emit must not allocate (saw {} allocations)",
-        after - before
+        allocations, 0,
+        "disabled emit must not allocate (saw {allocations} allocations)"
     );
 
     // And nothing was recorded: the snapshot contains no events at all,
@@ -80,4 +91,16 @@ fn disabled_emit_allocates_nothing_and_records_nothing() {
         "disabled emit must not record events"
     );
     assert_eq!(trace::dropped(), 0);
+
+    // Enabled: the first emit takes this thread's ring (and may allocate
+    // it); every emit after it is a write into that ring.
+    trace::enable();
+    trace::emit(Event::EpochAdvance { epoch: 1 });
+    let allocations = allocations_in(emit_rounds);
+    trace::disable();
+    assert_eq!(
+        allocations, 0,
+        "enabled emit must not allocate (saw {allocations} allocations)"
+    );
+    assert!(trace::dropped() > 0, "the rounds wrapped the ring");
 }

@@ -164,9 +164,9 @@ impl Client {
 
     /// Pulls the live observability document (`smc-scrape/v1`), the
     /// server's one introspection op: shard and tenant stats,
-    /// tail-latency attribution, tracer and flight-recorder health, and
-    /// per-shard heap snapshots and maintenance counters, parsed into a
-    /// [`JsonValue`].
+    /// tail-latency attribution, tracer health (the rings a flight dump
+    /// writes), and per-shard heap snapshots and maintenance counters,
+    /// parsed into a [`JsonValue`].
     pub fn scrape(&mut self) -> Result<JsonValue, ClientError> {
         let body = self.call(&Request::Scrape)?;
         let text = std::str::from_utf8(&body)

@@ -380,10 +380,10 @@ fn gather_stats(shards: &[Arc<ShardShared>]) -> StatsBody {
 }
 
 /// Builds the `smc-scrape/v1` JSON document: shard and tenant stats,
-/// tail-latency attribution, tracer health, flight-recorder status,
-/// per-shard maintenance, and per-shard heap snapshots. The heap section
-/// is elided (with an explicit marker) when the serialized document would
-/// not fit in one wire frame.
+/// tail-latency attribution, tracer health (the rings are also the flight
+/// recorder's), per-shard maintenance, and per-shard heap snapshots. The
+/// heap section is elided (with an explicit marker) when the serialized
+/// document would not fit in one wire frame.
 fn gather_scrape(shards: &[Arc<ShardShared>], attr: &Attribution) -> JsonValue {
     let stats = gather_stats(shards);
     let mut doc = JsonValue::obj();
@@ -445,12 +445,6 @@ fn gather_scrape(shards: &[Arc<ShardShared>], attr: &Attribution) -> JsonValue {
         ),
     );
     doc.set("tracer", tracer);
-
-    let mut flight_json = JsonValue::obj();
-    flight_json.set("enabled", JsonValue::from(flight::is_enabled()));
-    flight_json.set("dropped", JsonValue::from(flight::dropped()));
-    flight_json.set("capacity", JsonValue::from(flight::FLIGHT_CAPACITY));
-    doc.set("flight", flight_json);
 
     // Each shard's coordinator counters and compaction timings: a few
     // hundred bytes, so never elided with the heap.

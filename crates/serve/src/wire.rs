@@ -56,8 +56,9 @@ pub enum Op {
     // 0x06 (a retired binary stats op) stays unassigned: `UnknownOp`.
     /// The one introspection op; empty body. OK body: a UTF-8 JSON
     /// document (`"schema": "smc-scrape/v1"`) carrying shard and tenant
-    /// stats, tail-latency attribution, tracer health, flight-recorder
-    /// status, and per-shard heap snapshots and maintenance counters.
+    /// stats, tail-latency attribution, tracer health (which covers the
+    /// flight recorder), and per-shard heap snapshots and maintenance
+    /// counters.
     Scrape = 0x07,
 }
 

@@ -9,7 +9,6 @@ use std::collections::HashSet;
 use std::time::Duration;
 
 use smc_obs::chrome::{validate, ChromeTrace};
-use smc_obs::flight;
 use smc_obs::trace::{self, Event, RequestId};
 use smc_serve::{Client, Server, ServerConfig, TenantConfig};
 
@@ -39,7 +38,6 @@ fn request_id_propagates_across_shards_and_exec_workers() {
     client.upsert(0, rows).unwrap();
 
     trace::enable();
-    flight::enable();
     client.trace_next(RequestId::new(TRACED_INGEST_ID));
     client
         .upsert(0, (20_000..20_128u64).map(|k| (k, 7)).collect())
@@ -48,9 +46,8 @@ fn request_id_propagates_across_shards_and_exec_workers() {
     let n = client.count(0, 0, 1000).unwrap();
     assert_eq!(n, 20_128); // 20k seeded rows + the 128 traced-ingest rows
     trace::disable();
-    flight::disable();
 
-    let (events, flight) = (trace::snapshot(), flight::snapshot());
+    let events = trace::snapshot();
     let report = server.shutdown();
     assert!(report.clean(), "{:?}", report.verify_errors());
 
@@ -101,12 +98,11 @@ fn request_id_propagates_across_shards_and_exec_workers() {
         query_threads.len()
     );
 
-    // And both exports — the rings' and the flight recorder's shared ring —
-    // render them as `req.*` spans carrying the id across those tracks.
-    for (sink, events) in [("rings", events), ("flight", flight)] {
-        let mut export = ChromeTrace::new();
-        export.add_events(&events);
-        let shape = validate(&export.to_json()).unwrap_or_else(|e| panic!("{sink}: {e}"));
-        assert!(shape.widest_flow >= 3, "{sink}: {shape:?}");
-    }
+    // And the export — what the drain trace and a flight dump both
+    // write — renders them as `req.*` spans carrying the id across those
+    // tracks.
+    let mut export = ChromeTrace::new();
+    export.add_events(&events);
+    let shape = validate(&export.to_json()).unwrap_or_else(|e| panic!("{e}"));
+    assert!(shape.widest_flow >= 3, "{shape:?}");
 }

@@ -207,7 +207,10 @@ fn scrape_answers_a_live_observability_document() {
     }
     assert!(doc.get("attribution").is_some());
     assert!(doc.get("tracer").is_some());
-    assert!(doc.get("flight").is_some());
+    assert!(
+        doc.get("flight").is_none(),
+        "the tracer section is the recorder's"
+    );
 
     let report = server.shutdown();
     assert!(report.clean());
