@@ -357,8 +357,8 @@ fn main() {
     // Tail-latency attribution, scraped from the server: per-op-class
     // breakdown histograms (total, then one per stage) in the same summary
     // shape as this harness's own histograms, plus the pressure counters
-    // (spill faults, budget-ladder rungs, epoch-pin stalls, concurrent
-    // maintenance overlaps) attributed to over-threshold requests.
+    // (spill faults, concurrent maintenance overlaps) attributed to
+    // over-threshold requests.
     let mut attribution_ok = false;
     if let Some(attr) = scrape.as_ref().and_then(|d| d.get("attribution")) {
         if let Some(t) = attr.get("threshold_ns").and_then(JsonValue::as_u64) {
@@ -370,8 +370,6 @@ fn main() {
                 "op_class",
                 "slow_requests",
                 "spill_faults",
-                "budget_rungs",
-                "epoch_stalls",
                 "maint_overlaps",
             ],
         );
@@ -398,8 +396,6 @@ fn main() {
                     JsonValue::Str(class.to_string()),
                     g("slow_requests").into(),
                     g("spill_faults").into(),
-                    g("budget_rungs").into(),
-                    g("epoch_stalls").into(),
                     g("maint_overlaps").into(),
                 ],
             );

@@ -250,12 +250,10 @@ fn render(tick: u64, addr: &str, doc: &JsonValue) {
                 .collect();
             println!(
                 "  slow {class} (> {threshold} ns): {}  total p99 {} ns{stages}  \
-                 |  spill {}  rungs {}  epoch {}  maint-overlap {}",
+                 |  spill {}  maint-overlap {}",
                 u(c, "slow_requests"),
                 c.get("total_ns").map_or(0, |h| u(h, "p99_ns")),
                 u(c, "spill_faults"),
-                u(c, "budget_rungs"),
-                u(c, "epoch_stalls"),
                 u(c, "maint_overlaps"),
             );
         }

@@ -3,7 +3,7 @@
 //! Runs random interleavings of `add` / `remove` / `read` / `enumerate`
 //! across worker threads — with seeded faults injected at block allocation,
 //! epoch advancement, thread-slot claim and mid-relocation — and a periodic
-//! compaction thread, all against a budgeted runtime. Between rounds (with
+//! compaction thread, all against a budgeted context. Between rounds (with
 //! all workers joined, i.e. quiescent) the structural validator must pass,
 //! the collection must hold exactly the objects the workers' models say
 //! survive, and every interrupted compaction must be retriable.
@@ -19,8 +19,8 @@
 //! ```
 //!
 //! The defaults deliberately pick a compaction-eager configuration
-//! (in-place reclamation off, high occupancy cutoff) and a tight budget so
-//! all four failpoints and the OOM recovery ladder actually fire.
+//! (in-place reclamation off, high occupancy cutoff) and a tight context
+//! budget so all four failpoints and the budget gate actually fire.
 //!
 //! SIGINT/SIGTERM end the run early but cleanly: workers wind down at the
 //! next op boundary, the current round still finishes its quiescent verify,
@@ -172,20 +172,15 @@ fn main() {
     let budget_blocks = arg_usize("--budget-blocks", 24);
     // In-place limbo reclamation off (>1.0) + a high occupancy cutoff: removes
     // drain block occupancy until compaction must move survivors, keeping the
-    // relocation failpoint and the budget's recovery ladder hot.
+    // relocation failpoint and the context's budget gate hot.
     let threshold = arg_f64("--threshold", 1.1);
     let occupancy = arg_f64("--occupancy", 0.85);
 
-    let budget = if budget_blocks == 0 {
-        None
-    } else {
-        Some(budget_blocks as u64 * BLOCK_SIZE as u64)
-    };
     let rt = Runtime::new();
-    rt.set_memory_budget(budget);
     let config = ContextConfig {
         reclamation_threshold: threshold,
         compaction_occupancy: occupancy,
+        budget_bytes: (budget_blocks > 0).then(|| budget_blocks as u64 * BLOCK_SIZE as u64),
         ..ContextConfig::default()
     };
     let c: Arc<Smc<Row>> = Arc::new(Smc::with_config(&rt, config));
@@ -311,7 +306,7 @@ fn main() {
         &c.len().to_string(),
         &snap.faults_injected.to_string(),
         &snap.compactions_interrupted.to_string(),
-        &snap.oom_recoveries.to_string(),
+        &snap.context_budget_rejections.to_string(),
     ]);
     // The stress harness has no Report, so the tracer-honesty rule is an
     // exit code here rather than a recorded check.

@@ -43,8 +43,8 @@
 //!
 //! The protocol scenario suite (`scenarios`, compiled only under
 //! `--cfg smc_check`) drives the *real* `smc-memory` code — epoch
-//! pin/unpin/advance, relocation, forwarding, bail-out, and the OOM recovery
-//! ladder. `smc-memory`'s `mutation` module can re-introduce known, fixed
+//! pin/unpin/advance, relocation, forwarding, bail-out, a context's budget
+//! gate and the allocator's remote frees. `smc-memory`'s `mutation` module can re-introduce known, fixed
 //! bugs (e.g. the slot-vs-entry incarnation confusion found in PR 1) at
 //! runtime; `tests/protocol.rs` asserts that the checker finds every one of
 //! them within its interleaving budget.

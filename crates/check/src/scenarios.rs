@@ -19,8 +19,9 @@
 //!   counters survive relocation, bailed-out objects are unfrozen.
 //! * **§5.2 visitation** — a scanner visits each live object exactly once
 //!   under concurrent compaction.
-//! * **budget** — the block budget is exact under racing allocators, and the
-//!   OOM recovery ladder neither leaks budget nor double-frees.
+//! * **budget** — a context's budget admits racing adders up to one block
+//!   each beyond the first and never leaks a refused block; a remote-freed
+//!   block is the owner's to reuse.
 //! * **entries** — indirection entries are conserved, and none is handed out
 //!   twice, while thread slots' magazines change hands and releases race
 //!   allocations.
@@ -30,9 +31,11 @@
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
+use smc_memory::alloc::ALLOC_BATCH;
 use smc_memory::block::{type_id_of, BlockLayout, BlockRef, BLOCK_SIZE};
 use smc_memory::context::{CompactionGroup, ContextConfig, Membership, MemoryContext};
 use smc_memory::epoch::EpochManager;
+use smc_memory::error::MemError;
 use smc_memory::incarnation::{IncWord, FLAG_FORWARD, FLAG_FROZEN, FLAG_LOCK, FLAG_MASK, INC_MASK};
 use smc_memory::indirection::{EntryRef, IndirectionTable};
 use smc_memory::reloc::{
@@ -43,7 +46,7 @@ use smc_memory::runtime::Runtime;
 use smc_memory::slot::SlotState;
 use smc_memory::spill::MemoryPageStore;
 use smc_memory::stats::MemoryStats;
-use smc_memory::sync::{AtomicBool, AtomicU32};
+use smc_memory::sync::{cpu_relax, AtomicBool, AtomicU32};
 
 use crate::sched::Scenario;
 
@@ -625,92 +628,122 @@ pub fn exactly_once_visitation() -> Scenario {
         })
 }
 
-/// Two allocators race a one-block budget; the loser walks the OOM recovery
-/// ladder (graveyard drain → emergency epoch advance → backoff). Oracle:
-/// budget enforcement is exact (one winner) and the `blocks_live` gauge
-/// matches reality — failed attempts must not leak budget.
+/// Two threads add one object each to a context with a one-block budget.
+/// The context's budget gate is check-then-act (DESIGN.md §8): both racers
+/// may pass the check before either block joins the context, so the
+/// context may overshoot by one block per racer beyond the first. Oracle:
+/// each thread gets its object or a clean `OutOfMemory`; `blocks_live`
+/// equals the blocks the context holds (a refused add takes no block); and
+/// the context holds at most the budget plus one block per extra racer.
 pub fn budget_race() -> Scenario {
-    let rt = Runtime::with_budget(Some(BLOCK_SIZE as u64));
-    let layout = BlockLayout::rows_of::<u64>().expect("u64 fits a block");
-    let results = Arc::new(Mutex::new(Vec::new()));
+    const RACERS: usize = 2;
+    let config = ContextConfig {
+        budget_bytes: Some(BLOCK_SIZE as u64),
+        ..ContextConfig::default()
+    };
+    let ctx = Arc::new(
+        MemoryContext::new_rows(Runtime::new(), 8, 8, type_id_of::<u64>(), config)
+            .expect("u64 fits a block"),
+    );
+    let outcomes = Arc::new(Mutex::new(Vec::new()));
     let mut scenario = Scenario::new();
-    for _ in 0..2 {
-        let rt = rt.clone();
-        let results = results.clone();
+    for value in 0..RACERS as u64 {
+        let (ctx, outcomes) = (ctx.clone(), outcomes.clone());
         scenario = scenario.thread(move || {
-            let outcome = rt.allocate_block(&layout, type_id_of::<u64>(), 1);
-            results.lock().unwrap().push(outcome.ok());
+            let outcome = ctx.alloc_with(|block, slot| unsafe {
+                block.obj_ptr(slot).cast::<u64>().write(value)
+            });
+            outcomes.lock().unwrap().push(outcome.map(|_| ()));
         });
     }
     scenario.finally(move || {
-        let results = results.lock().unwrap();
-        let winners: Vec<BlockRef> = results.iter().flatten().copied().collect();
-        assert_eq!(
-            winners.len(),
-            1,
-            "a one-block budget must admit exactly one of two racing allocators \
-             (got {} successes)",
-            winners.len()
-        );
-        assert_eq!(
-            MemoryStats::get(&rt.stats.blocks_live),
-            winners.len() as u64,
-            "blocks_live gauge out of sync: failed attempts leaked budget"
-        );
-        for block in winners {
-            unsafe { block.deallocate() };
+        let outcomes = outcomes.lock().unwrap();
+        assert_eq!(outcomes.len(), RACERS, "every racer reported");
+        for outcome in outcomes.iter() {
+            assert!(
+                matches!(outcome, Ok(()) | Err(MemError::OutOfMemory)),
+                "an add under a budget ends in its object or a clean OutOfMemory, not {outcome:?}"
+            );
         }
+        let held = ctx.block_count() as u64;
+        assert_eq!(
+            MemoryStats::get(&ctx.runtime().stats.blocks_live),
+            held,
+            "blocks_live gauge out of sync: a refused add leaked a block"
+        );
+        assert!(
+            held <= RACERS as u64,
+            "the context holds {held} blocks: more than the one-block budget \
+             plus one per extra racer"
+        );
     })
 }
 
-/// The sharded allocator's remote-free protocol under a one-block budget.
+/// The sharded allocator's remote-free protocol.
 ///
-/// Thread A (the owner shard) allocates the budget's only block, buries it
-/// ripe, and allocates again; thread B races it on `drain_graveyard`. The
-/// ripe block comes home one of two ways, depending on who drains first:
-/// through A's own recovery-ladder drain (owner free → local push → pop), or
-/// through B's drain (cross-thread free → A's MPSC return queue → drained by
-/// A's next allocation). Oracle: A's second allocation succeeds on *every*
-/// interleaving — a budgeted block parked in a return queue is still
-/// allocatable memory — and the books balance afterwards. Catches
+/// Thread A (the owner shard) allocates a block `x` and the rest of its
+/// batch, so its shard cache is empty, buries `x` ripe and drains the
+/// graveyard; thread B races it on that drain. The ripe block comes home
+/// one of two ways, depending on who drains first: through A's own drain
+/// (owner free → local push), or through B's (cross-thread free → A's MPSC
+/// return queue). A then waits for B's drain to finish and allocates again.
+/// Oracle: A's second block is `x`'s memory on *every* interleaving — a
+/// block parked in a return queue is the owner's to reuse — and the books
+/// balance afterwards. Catches
 /// [`smc_memory::mutation::Mutation::DropRemoteDrain`], which strands the
-/// remote queue and turns a reachable block into a spurious OOM.
+/// remote queue, so A maps fresh memory instead. The blocks hold three
+/// 20 000-byte slots: recycling a block resets every slot, one checker
+/// step each, and a narrow layout would spend the step budget there.
 pub fn remote_free_vs_owner_pop() -> Scenario {
-    let rt = Runtime::with_budget(Some(BLOCK_SIZE as u64));
-    let layout = BlockLayout::rows_of::<u64>().expect("u64 fits a block");
-    let rt_a = rt.clone();
-    let rt_b = rt.clone();
-    let second = Arc::new(Mutex::new(None));
-    let second_fin = second.clone();
+    const OBJ_SIZE: usize = 20_000;
+    let rt = Runtime::new();
+    let layout = BlockLayout::rows(OBJ_SIZE, 8).expect("three wide slots fit a block");
+    let (rt_a, rt_b) = (rt.clone(), rt.clone());
+    let drained = Arc::new(AtomicBool::new(false));
+    let drained_b = drained.clone();
+    let held = Arc::new(Mutex::new(Vec::new()));
+    let held_fin = held.clone();
     Scenario::new()
         .thread(move || {
-            let x = rt_a
-                .allocate_block(&layout, type_id_of::<u64>(), 1)
-                .expect("first allocation owns the whole budget");
+            let alloc = || {
+                rt_a.allocate_block(&layout, type_id_of::<[u8; OBJ_SIZE]>(), 1)
+                    .expect("the runtime maps what it is asked for")
+            };
+            let x = alloc();
+            let rest: Vec<BlockRef> = (1..ALLOC_BATCH).map(|_| alloc()).collect();
+            let x_base = x.base();
             rt_a.bury_block(x, 0);
-            let y = rt_a.allocate_block(&layout, type_id_of::<u64>(), 1).expect(
+            let _ = rt_a.drain_graveyard();
+            while !drained.load(Ordering::Acquire) {
+                cpu_relax();
+            }
+            let y = alloc();
+            let reused = y.base() == x_base;
+            let mut held = held.lock().unwrap();
+            held.extend(rest);
+            held.push(y);
+            assert!(
+                reused,
                 "owner must reacquire its buried block: a remote-freed block \
-                 parked in the return queue is allocatable memory, not a leak",
+                 parked in the return queue is the owner's to reuse"
             );
-            *second.lock().unwrap() = Some(y);
         })
         .thread(move || {
             // Racing reclaimer: may free A's ripe block first, making it a
             // *remote* free onto A's shard queue.
             let _ = rt_b.drain_graveyard();
+            drained_b.store(true, Ordering::Release);
         })
         .finally(move || {
-            let y = second_fin
-                .lock()
-                .unwrap()
-                .take()
-                .expect("thread A stored its second block");
+            let held = std::mem::take(&mut *held_fin.lock().unwrap());
             assert_eq!(
                 MemoryStats::get(&rt.stats.blocks_live),
-                1,
-                "exactly one handout lives at quiescence"
+                held.len() as u64,
+                "exactly A's handouts live at quiescence"
             );
-            rt.free_block(y);
+            for block in held {
+                rt.free_block(block);
+            }
             rt.verify()
                 .unwrap_or_else(|v| panic!("allocator books must reconcile at quiescence: {v:?}"));
         })

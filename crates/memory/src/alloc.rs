@@ -12,14 +12,12 @@
 //!   its local list; a thread freeing a block it does not own pushes it onto
 //!   the owner's remote queue, which the owner drains into its local list on
 //!   its next allocation or `Runtime::alloc_maintenance` tick.
-//! * The global budget gate (`BlockAllocator::reserve`) is demoted to a
-//!   slow path that hands out fresh block ranges in batches of
-//!   [`ALLOC_BATCH`]: one budget CAS and one kernel-zeroed mapping
+//! * A shard-cache miss takes the slow path, which maps fresh blocks in
+//!   batches of [`ALLOC_BATCH`]: one `fetch_add` on the `budgeted` gauge
+//!   (`BlockAllocator::reserve`) and one kernel-zeroed mapping
 //!   (`block::raw_alloc_blocks`) amortize over several handouts, and the
 //!   extras are parked in the allocating shard's cache. Members of a batch
 //!   go back to the OS one by one, whenever each is freed past the cache cap.
-//! * Under budget pressure the recovery ladder's final rung
-//!   (`BlockAllocator::trim`) claws idle shard caches back to the OS.
 //!
 //! Both stacks use an ownership-transfer discipline that never dereferences
 //! a block the thread does not exclusively own: **pop takes the whole chain
@@ -34,20 +32,20 @@
 //!
 //! Accounting contract (checked by `Runtime::verify` at quiescence):
 //! `budgeted == blocks_live + cached` — every block the allocator holds from
-//! the OS is either handed out (`blocks_live`) or parked in a shard cache,
-//! and the byte budget gates `budgeted`, not just live handouts.
+//! the OS is either handed out (`blocks_live`) or parked in a shard cache.
+//! The gauge is accounting only: the memory system's one budget is a
+//! context's (`ContextConfig::budget_bytes`).
 
 use std::sync::atomic::Ordering;
 
-use crate::block::{raw_dealloc_block, BLOCK_SIZE};
+use crate::block::raw_dealloc_block;
 use crate::epoch::MAX_THREADS;
 use crate::mutation::{self, Mutation};
 use crate::stats::MemoryStats;
 use crate::sync::AtomicU64;
 
-/// Fresh blocks reserved per slow-path budget CAS: one handout plus
-/// `ALLOC_BATCH - 1` cache refills (fewer when the budget has less
-/// headroom).
+/// Fresh blocks mapped per slow-path trip: one handout plus
+/// `ALLOC_BATCH - 1` cache refills.
 pub const ALLOC_BATCH: u64 = 4;
 
 /// Per-shard cap on cached free blocks; frees beyond it go back to the OS.
@@ -125,8 +123,8 @@ struct Shard {
     /// drained by the owner with one swap.
     remote: AtomicU64,
     /// Blocks parked in this shard (local + remote), advisory gauge for the
-    /// cache cap and the trim rung's cheap skip. Uninstrumented: exact only
-    /// at quiescence, which is when `Runtime::verify` reads it.
+    /// cache cap. Uninstrumented: exact only at quiescence, which is when
+    /// `Runtime::verify` reads it.
     cached: std::sync::atomic::AtomicU64,
 }
 
@@ -142,13 +140,13 @@ impl Shard {
 
 /// The runtime's sharded block allocator (see module docs). One per
 /// [`Runtime`](crate::runtime::Runtime); the runtime owns the allocation
-/// *policy* (ladder, fault injection, accounting) and this struct owns the
-/// shard *mechanics*.
+/// *policy* (fault injection, accounting) and this struct owns the shard
+/// *mechanics*.
 #[derive(Debug)]
 pub(crate) struct BlockAllocator {
     shards: Box<[Shard]>,
-    /// Blocks currently held from the OS on the budget's account: live
-    /// handouts plus shard-cached spares. The byte budget gates this gauge.
+    /// Blocks currently held from the OS: live handouts plus shard-cached
+    /// spares.
     budgeted: AtomicU64,
 }
 
@@ -160,7 +158,7 @@ impl BlockAllocator {
         }
     }
 
-    /// Blocks currently reserved against the budget (live + cached).
+    /// Blocks currently held from the OS (live + cached).
     pub(crate) fn budgeted_blocks(&self) -> u64 {
         self.budgeted.load(Ordering::Relaxed)
     }
@@ -178,39 +176,13 @@ impl BlockAllocator {
         self.shards[idx].cached.load(Ordering::Relaxed)
     }
 
-    /// Reserves up to `want` fresh blocks against `budget_bytes`
-    /// (`u64::MAX` = unlimited). Returns the granted count (0 = budget
-    /// exhausted). The CAS makes enforcement exact under concurrent
-    /// allocators; partial grants let the batch shrink to the headroom.
-    pub(crate) fn reserve(&self, budget_bytes: u64, want: u64) -> u64 {
-        loop {
-            let cur = self.budgeted.load(Ordering::Relaxed);
-            let granted = if budget_bytes == u64::MAX {
-                want
-            } else {
-                want.min((budget_bytes / BLOCK_SIZE as u64).saturating_sub(cur))
-            };
-            if granted == 0 {
-                return 0;
-            }
-            if self
-                .budgeted
-                .compare_exchange(cur, cur + granted, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-            {
-                return granted;
-            }
-        }
-    }
-
-    /// Reserves one block unconditionally (the spill fault-in path, which
-    /// must overshoot the budget rather than deadlock; the overshoot
-    /// settles as frees route back to the OS while over budget).
-    pub(crate) fn force_reserve(&self, n: u64) {
+    /// Counts `n` blocks about to be mapped onto the `budgeted` gauge.
+    pub(crate) fn reserve(&self, n: u64) {
         self.budgeted.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Returns `n` blocks' worth of budget (memory already freed to OS).
+    /// Takes `n` blocks off the `budgeted` gauge (memory already freed to
+    /// the OS, or never mapped).
     pub(crate) fn unreserve(&self, n: u64) {
         self.budgeted.fetch_sub(n, Ordering::Relaxed);
     }
@@ -262,32 +234,6 @@ impl BlockAllocator {
         MemoryStats::add(&stats.remote_frees_drained, n);
         n
     }
-
-    /// The recovery ladder's final rung: returns every shard-cached block to
-    /// the OS, freeing their budget reservations. Returns blocks trimmed.
-    pub(crate) fn trim(&self, stats: &MemoryStats) -> u64 {
-        let mut trimmed = 0u64;
-        for shard in self.shards.iter() {
-            if shard.cached.load(Ordering::Relaxed) == 0 {
-                continue;
-            }
-            let mut n = dealloc_chain(take_all(&shard.local));
-            // The mutated protocol loses remote-freed blocks entirely, so
-            // the trim rung must not rescue them either.
-            if !mutation::enabled(Mutation::DropRemoteDrain) {
-                n += dealloc_chain(take_all(&shard.remote));
-            }
-            if n > 0 {
-                shard.cached.fetch_sub(n, Ordering::Relaxed);
-                self.unreserve(n);
-                trimmed += n;
-            }
-        }
-        if trimmed > 0 {
-            MemoryStats::add(&stats.blocks_trimmed, trimmed);
-        }
-        trimmed
-    }
 }
 
 impl Drop for BlockAllocator {
@@ -306,7 +252,7 @@ impl Drop for BlockAllocator {
 /// [`HeapSnapshot`](crate::inspect::HeapSnapshot) and rendered by `smc-top`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllocSnapshot {
-    /// Blocks reserved against the budget (live handouts + shard caches).
+    /// Blocks held from the OS (live handouts + shard caches).
     pub budgeted_blocks: u64,
     /// Blocks parked across all shard caches.
     pub cached_blocks: u64,
@@ -334,7 +280,7 @@ mod tests {
         let alloc = BlockAllocator::new();
         let stats = MemoryStats::new();
         let [a, b, c] = raw_blocks();
-        alloc.force_reserve(3);
+        alloc.reserve(3);
         alloc.push_local(0, a);
         alloc.push_local(0, b);
         alloc.push_remote(0, c);
@@ -357,35 +303,9 @@ mod tests {
     }
 
     #[test]
-    fn reserve_grants_partial_batches_exactly() {
-        let alloc = BlockAllocator::new();
-        let budget = 3 * BLOCK_SIZE as u64;
-        assert_eq!(alloc.reserve(budget, ALLOC_BATCH), 3);
-        assert_eq!(alloc.reserve(budget, ALLOC_BATCH), 0);
-        alloc.unreserve(1);
-        assert_eq!(alloc.reserve(budget, ALLOC_BATCH), 1);
-        assert_eq!(alloc.reserve(u64::MAX, ALLOC_BATCH), ALLOC_BATCH);
-    }
-
-    #[test]
-    fn trim_returns_cached_blocks_to_the_budget() {
-        let alloc = BlockAllocator::new();
-        let stats = MemoryStats::new();
-        alloc.force_reserve(2);
-        let [a, b] = raw_blocks();
-        alloc.push_local(1, a);
-        alloc.push_remote(2, b);
-        assert_eq!(alloc.trim(&stats), 2);
-        assert_eq!(alloc.budgeted_blocks(), 0);
-        assert_eq!(alloc.cached_blocks(), 0);
-        assert_eq!(MemoryStats::get(&stats.blocks_trimmed), 2);
-        assert_eq!(alloc.trim(&stats), 0, "second trim finds nothing");
-    }
-
-    #[test]
     fn allocator_drop_frees_cached_blocks() {
         let alloc = BlockAllocator::new();
-        alloc.force_reserve(2);
+        alloc.reserve(2);
         let [a, b] = raw_blocks();
         alloc.push_local(0, a);
         alloc.push_remote(3, b);

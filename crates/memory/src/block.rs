@@ -181,10 +181,11 @@ pub struct BlockHeader {
     /// Allocation-shard ownership ([`crate::alloc`]): `0` for blocks
     /// allocated outside the budgeted runtime path (tests, hand-built
     /// fixtures), `thread_index + 1` for blocks handed out by a shard, or
-    /// `u32::MAX` for budgeted blocks with no owning shard (allocating
+    /// `u32::MAX` for runtime blocks with no owning shard (allocating
     /// thread could not register, or sharding disabled). Determines where
     /// the block goes when freed: the owner's free list or straight back to
-    /// the OS. Survives [`wipe`](BlockRef::wipe); ownership outlives tenancy.
+    /// the OS. Recycling hands it back to the same shard
+    /// (`BlockRef::reuse_at`); ownership outlives tenancy.
     pub owner_shard: AtomicU32,
 }
 
@@ -420,7 +421,7 @@ impl BlockRef {
     /// object store), and the store is only normalized at the new geometry's
     /// incarnation words — flags cleared, counter bits kept, so a stale
     /// direct pointer into the recycled block still fails its incarnation
-    /// check (same contract as [`wipe`](Self::wipe)). Payload bytes are left
+    /// check. This is the one block-reset path. Payload bytes are left
     /// as-is: reads are gated by the slot directory (all `Free` after the
     /// memset) and the incarnation check.
     ///
@@ -641,32 +642,6 @@ impl BlockRef {
     pub fn limbo_fraction(&self) -> f64 {
         let h = self.header();
         h.limbo_count.load(Ordering::Relaxed) as f64 / h.capacity as f64
-    }
-
-    /// Wipes the block back to the all-free state for reuse. Caller must
-    /// guarantee quiescence and exclusivity.
-    ///
-    /// # Safety
-    /// No concurrent access to the block.
-    pub unsafe fn wipe(&self) {
-        let h = self.header();
-        for slot in 0..h.capacity {
-            self.slot_word(slot).reset();
-            self.back_ptr(slot).store(0, Ordering::Relaxed);
-            if h.slot_stride > 0 {
-                // Preserve incarnation words across wipes so stale direct
-                // pointers to a recycled block still fail their check.
-                let inc = self.slot_inc(slot);
-                let cur = inc.load(Ordering::Relaxed);
-                inc.store(cur & crate::incarnation::INC_MASK, Ordering::Relaxed);
-            }
-        }
-        h.valid_count.store(0, Ordering::Relaxed);
-        h.limbo_count.store(0, Ordering::Relaxed);
-        h.alloc_cursor.store(0, Ordering::Relaxed);
-        h.in_reclaim_queue.store(0, Ordering::Relaxed);
-        h.active_owner.store(0, Ordering::Relaxed);
-        h.compacting.store(0, Ordering::Relaxed);
     }
 }
 
@@ -911,16 +886,27 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn wipe_preserves_incarnations_but_resets_state() {
+    fn reuse_preserves_incarnations_but_resets_state() {
         let layout = BlockLayout::rows_of::<u64>().unwrap();
         let b = BlockRef::allocate(&layout, 1, 1).unwrap();
         b.slot_word(0).set_valid();
         b.slot_inc(0).bump();
+        assert!(b
+            .slot_inc(0)
+            .try_set_flag(1, crate::incarnation::FLAG_FORWARD));
         b.header().valid_count.store(1, Ordering::Relaxed);
-        unsafe { b.wipe() };
+        b.header().in_reclaim_queue.store(1, Ordering::Relaxed);
+        let base = unsafe { b.retire() };
+        let b = unsafe { BlockRef::reuse_at(base, &layout, 1, 1, 0) };
         assert_eq!(b.slot_word(0).state(), SlotState::Free);
-        assert_eq!(b.slot_inc(0).incarnation(), 1, "incarnation survives wipe");
+        assert_eq!(b.slot_inc(0).incarnation(), 1, "incarnation survives reuse");
+        assert_eq!(
+            b.slot_inc(0).load(Ordering::Relaxed) & crate::incarnation::FLAG_MASK,
+            0,
+            "flags reset"
+        );
         assert_eq!(b.header().valid_count.load(Ordering::Relaxed), 0);
+        assert_eq!(b.header().in_reclaim_queue.load(Ordering::Relaxed), 0);
         unsafe { b.deallocate() };
     }
 

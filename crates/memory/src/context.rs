@@ -65,11 +65,11 @@ pub struct ContextConfig {
     /// Per-context footprint budget in bytes, `None` for unlimited. When the
     /// next fresh block would push [`MemoryContext::bytes`] past this cap,
     /// allocation falls back to reclaimable blocks only and surfaces
-    /// [`MemError::OutOfMemory`] once those run dry. This is how the serve
-    /// layer bounds one tenant without starving its neighbours: the
-    /// runtime-wide budget stays shared, the context budget is the tenant's
-    /// slice. Compaction destination blocks are exempt — compaction is the
-    /// mechanism that gets an over-budget context *back under* its cap.
+    /// [`MemError::OutOfMemory`] once those run dry. It is the memory
+    /// system's only budget: the serve layer bounds each tenant with one,
+    /// without starving its neighbours. Compaction destination blocks are
+    /// exempt — compaction is the mechanism that gets an over-budget
+    /// context *back under* its cap.
     pub budget_bytes: Option<u64>,
 }
 
@@ -553,15 +553,24 @@ impl MemoryContext {
                 return Ok(block);
             }
         }
-        // Per-context budget gate: reclaimable blocks recycled above do not
-        // grow the footprint, but a fresh block would. The spill rung runs
-        // first — evicting one cold block to the page store frees exactly
-        // the footprint the fresh block needs, turning budget pressure into
-        // a larger-than-memory context instead of an error. Contexts without
-        // a page store keep the PR 1 behavior: a clean error here — never a
-        // crash, and never a runtime-wide stall.
+        // The budget gate: reclaimable blocks recycled above do not grow
+        // the footprint, but a fresh block would. A queued block ripens two
+        // epochs after it was queued and the advance above moved the clock
+        // once, so one more advance may ripen it. The spill rung runs next
+        // — evicting one cold block to the page store frees exactly the
+        // footprint the fresh block needs, turning budget pressure into a
+        // larger-than-memory context instead of an error. Contexts without
+        // a page store get a clean error here — never a crash, and never a
+        // runtime-wide stall. The gate is check-then-act: racing allocators
+        // may each pass it, overshooting by one block per racer.
         if let Some(budget) = self.config.budget_bytes {
             if (self.bytes() + crate::block::BLOCK_SIZE) as u64 > budget {
+                let queued = !self.reclaim_queue.lock().is_empty();
+                if queued && self.runtime.advance_and_drain() {
+                    if let Some(block) = self.pop_reclaimable(tid) {
+                        return Ok(block);
+                    }
+                }
                 if !self.try_spill_one() {
                     MemoryStats::inc(&self.runtime.stats.context_budget_rejections);
                     return self.pop_reclaimable(tid).ok_or(MemError::OutOfMemory);
@@ -572,8 +581,8 @@ impl MemoryContext {
                 self.runtime.advance_and_drain();
             }
         }
-        // Nothing reclaimable: a fresh block from the OS, subject to the
-        // runtime's budget, failpoints and recovery ladder.
+        // Nothing reclaimable: a fresh block, subject to the `BlockAlloc`
+        // failpoint and to the OS.
         let fresh = || {
             let block = self
                 .runtime
@@ -583,10 +592,9 @@ impl MemoryContext {
             Ok(block)
         };
         fresh().or_else(|e| {
-            // The recovery ladder advanced epochs while the budget stayed
-            // exhausted — queued limbo blocks may have matured during the
-            // retries, and spilling a resident block may free runtime
-            // budget once its burial ripens. One last sweep before
+            // The allocation failed (an injected fault or the OS refusing):
+            // retry once after the spill rung has shrunk this context, and
+            // fall back on a queued block that matured meanwhile, before
             // surfacing the error.
             if self.try_spill_one() {
                 if let Ok(block) = fresh() {

@@ -51,7 +51,7 @@ fault_sites! {
     /// OS-level block allocation ([`Runtime::allocate_block`](crate::runtime::Runtime::allocate_block)). Injection simulates a hard
     /// allocation failure: the call returns
     /// [`MemError::OutOfMemory`](crate::error::MemError::OutOfMemory)
-    /// without touching the recovery ladder.
+    /// at once, as when the OS refuses a mapping.
     BlockAlloc => "block-alloc",
     /// Global epoch advancement (`EpochManager::try_advance*`). Injection
     /// makes the attempt report failure, as if a straggling critical section

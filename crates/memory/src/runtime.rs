@@ -7,8 +7,9 @@
 //! the compaction coordination flags of §5.1, the *graveyard*, and the
 //! sharded block allocator of [`crate::alloc`]. Block acquisition is
 //! thread-local in the common case (pop from the calling thread's shard
-//! cache); the budget gate only runs on the batched slow path that hands out
-//! fresh block ranges.
+//! cache); a miss maps a fresh batch of blocks. The runtime has no budget:
+//! a context's [`ContextConfig::budget_bytes`](crate::context::ContextConfig)
+//! is the memory system's only one.
 //!
 //! The graveyard is the §3.4–3.5 reclamation rule in one place: memory
 //! unlinked at epoch `e` may be reused at `e + 2`. Blocks, spill stubs and
@@ -20,7 +21,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::alloc::{AllocSnapshot, BlockAllocator, ALLOC_BATCH, MAX_SHARD_CACHE};
-use crate::block::{raw_alloc_blocks, raw_dealloc_block, BlockLayout, BlockRef, BLOCK_SIZE};
+use crate::block::{raw_alloc_blocks, raw_dealloc_block, BlockLayout, BlockRef};
 use crate::epoch::{EpochManager, Guard};
 use crate::error::MemError;
 use crate::fault::{FaultInjector, FaultSite};
@@ -28,10 +29,6 @@ use crate::indirection::{EntryRef, IndirectionTable};
 use crate::spill::SpillStub;
 use crate::stats::MemoryStats;
 use crate::sync::{AtomicU64, Mutex};
-
-/// Attempts the allocation recovery ladder makes before conceding
-/// [`MemError::OutOfMemory`].
-pub const MAX_ALLOC_ATTEMPTS: u32 = 4;
 
 /// Shared state of one off-heap memory system instance.
 ///
@@ -49,11 +46,8 @@ pub struct Runtime {
     pub stats: Arc<MemoryStats>,
     /// Failpoint registry covering blocks, epochs, thread slots, relocation.
     faults: Arc<FaultInjector>,
-    /// Cap on budgeted block bytes (live handouts + shard-cached spares);
-    /// `u64::MAX` means unlimited.
-    budget_bytes: AtomicU64,
     /// Sharded block allocation mechanics (shard caches, remote return
-    /// queues, the budget gauge). Policy lives here in the runtime.
+    /// queues, the `budgeted` gauge). Policy lives here in the runtime.
     pub(crate) alloc: BlockAllocator,
     /// Serializes compaction passes ("the compaction thread", §5.1 — one at
     /// a time per runtime).
@@ -70,16 +64,8 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Creates a fresh runtime with epoch 0 and no memory budget.
+    /// Creates a fresh runtime with epoch 0.
     pub fn new() -> Arc<Runtime> {
-        Self::with_budget(None)
-    }
-
-    /// Creates a fresh runtime whose budgeted block bytes are capped at
-    /// `budget_bytes` (`None` = unlimited). When an allocation would exceed
-    /// the budget, [`allocate_block`](Self::allocate_block) runs a bounded
-    /// recovery ladder before surfacing [`MemError::OutOfMemory`].
-    pub fn with_budget(budget_bytes: Option<u64>) -> Arc<Runtime> {
         let stats = Arc::new(MemoryStats::new());
         let faults = Arc::new(FaultInjector::new(stats.clone()));
         Arc::new(Runtime {
@@ -87,7 +73,6 @@ impl Runtime {
             indirection: IndirectionTable::new(),
             stats,
             faults,
-            budget_bytes: AtomicU64::new(budget_bytes.unwrap_or(u64::MAX)),
             alloc: BlockAllocator::new(),
             compaction_mutex: Mutex::new(()),
             graveyard: Mutex::new(Vec::new()),
@@ -99,20 +84,6 @@ impl Runtime {
     /// The failpoint registry of this runtime (disarmed by default).
     pub fn faults(&self) -> &Arc<FaultInjector> {
         &self.faults
-    }
-
-    /// Sets or clears the budgeted-block byte budget at runtime.
-    pub fn set_memory_budget(&self, budget_bytes: Option<u64>) {
-        self.budget_bytes
-            .store(budget_bytes.unwrap_or(u64::MAX), Ordering::Relaxed);
-    }
-
-    /// The current byte budget, if one is set.
-    pub fn memory_budget(&self) -> Option<u64> {
-        match self.budget_bytes.load(Ordering::Relaxed) {
-            u64::MAX => None,
-            b => Some(b),
-        }
     }
 
     /// Enters a critical section (§3.4). All object dereferences require the
@@ -137,24 +108,19 @@ impl Runtime {
         self.stats.bump(tid, |cell| &cell.objects_freed, n);
     }
 
-    /// Allocates one block against the budget, with fault injection and the
-    /// recovery ladder. All block allocations of the memory system route
-    /// through here (contexts' thread blocks and compaction destinations).
+    /// Allocates one block, behind the `BlockAlloc` failpoint. All block
+    /// allocations of the memory system route through here (contexts' thread
+    /// blocks and compaction destinations) or, for spill fault-in, through
+    /// the same path without the failpoint (`hand_out`).
     ///
     /// Fast path: pop a recycled block from the calling thread's allocation
-    /// shard (no budget CAS, no lock), draining the shard's remote return
-    /// queue when the local list runs dry. Slow path: reserve a fresh batch
-    /// of up to [`ALLOC_BATCH`] blocks against the budget, map it in one
-    /// request, hand out one block and park the rest in the shard cache.
-    ///
-    /// On budget exhaustion — or when the OS refuses the mapping, which
-    /// gives the reservation back first — the ladder, per attempt: (1) frees
-    /// everything in the graveyard whose epoch has come;
-    /// (2) forces an emergency epoch advance so limbo memory ripens (unless a
-    /// compaction holds the advance reservation); (3) backs off briefly to
-    /// let concurrent frees land; and on the final attempt (4) trims idle
-    /// shard caches back to the OS. After [`MAX_ALLOC_ATTEMPTS`] failed
-    /// attempts it returns [`MemError::OutOfMemory`].
+    /// shard (no lock), draining the shard's remote return queue when the
+    /// local list runs dry. Slow path: map a fresh batch of [`ALLOC_BATCH`]
+    /// blocks in one request, hand out one block and park the rest in the
+    /// shard cache. When the OS refuses the mapping the reservation is handed
+    /// back and the call returns [`MemError::OutOfMemory`] at once; a
+    /// context's `acquire_block` has already drained the graveyard and
+    /// tries its spill rung and reclaim queue after the failure.
     pub fn allocate_block(
         &self,
         layout: &BlockLayout,
@@ -162,41 +128,22 @@ impl Runtime {
         context_id: u64,
     ) -> Result<BlockRef, MemError> {
         if self.faults.should_fail(FaultSite::BlockAlloc) {
-            // Simulated hard OS failure: no recovery, straight to the caller.
+            // Simulated hard OS failure, straight to the caller.
             return Err(MemError::OutOfMemory);
         }
-        self.hand_out(true, layout, type_id, context_id)
+        self.hand_out(layout, type_id, context_id)
     }
 
-    /// Allocates one block outside the budget gate and recovery ladder.
-    ///
-    /// Spill fault-in must allocate a destination block while the faulting
-    /// thread may itself be pinned (a dereference faults in mid-read); a
-    /// pinned thread can never ripen its own victim's burial epoch, so
-    /// routing through the ladder could deadlock against the budget. A
-    /// ripened victim parked in the calling thread's shard is taken first,
-    /// as on the gated path; failing that the reservation is forced
-    /// (transient overshoot, at most one block per concurrent faulter) and
-    /// settles as buried spill victims drain: frees observed while over
-    /// budget return to the OS instead of the cache.
-    pub(crate) fn allocate_block_unbudgeted(
+    /// Acquires raw memory and writes the block header over it. Spill
+    /// fault-in calls this directly: it must not trip the `BlockAlloc`
+    /// failpoint mid-read.
+    pub(crate) fn hand_out(
         &self,
         layout: &BlockLayout,
         type_id: u64,
         context_id: u64,
     ) -> Result<BlockRef, MemError> {
-        self.hand_out(false, layout, type_id, context_id)
-    }
-
-    /// Acquires raw memory and writes the block header over it.
-    fn hand_out(
-        &self,
-        gated: bool,
-        layout: &BlockLayout,
-        type_id: u64,
-        context_id: u64,
-    ) -> Result<BlockRef, MemError> {
-        let (base, owner, recycled) = self.acquire_raw(gated)?;
+        let (base, owner, recycled) = self.acquire_raw()?;
         let block = unsafe {
             if recycled {
                 BlockRef::reuse_at(base, layout, type_id, context_id, owner)
@@ -209,118 +156,67 @@ impl Runtime {
 
     /// Acquires one raw block's memory: `(base, owner_shard_tag, recycled)`.
     /// Owns all allocation accounting (`blocks_allocated`/`blocks_live`
-    /// count *handouts*, fresh or recycled) and the recovery ladder.
-    /// Ungated, a shard-cache miss forces the reservation of one fresh
-    /// block instead of asking the budget.
+    /// count *handouts*, fresh or recycled).
     ///
-    /// A thread the epoch registry could not index has no shard: it reserves
+    /// A thread the epoch registry could not index has no shard: it maps
     /// one block at a time and tags it `u32::MAX`, so its free goes straight
     /// back to the OS.
-    fn acquire_raw(&self, gated: bool) -> Result<(usize, u32, bool), MemError> {
+    fn acquire_raw(&self) -> Result<(usize, u32, bool), MemError> {
         let shard = self.epochs.thread_index().ok();
-        let mut attempt = 0u32;
-        loop {
-            if let Some(idx) = shard {
+        if let Some(idx) = shard {
+            loop {
                 if let Some(addr) = self.alloc.pop_cached(idx) {
                     MemoryStats::inc(&self.stats.blocks_recycled);
-                    self.note_handout(attempt);
+                    self.note_handout();
                     return Ok((addr as usize, idx as u32 + 1, true));
                 }
-                if self.alloc.drain_remote(idx, &self.stats) > 0 {
-                    // Remote frees landed: retry the local pop before
-                    // touching the budget.
-                    continue;
+                // Remote frees landed: retry the local pop before mapping.
+                if self.alloc.drain_remote(idx, &self.stats) == 0 {
+                    break;
                 }
             }
-            let granted = if gated {
-                let budget = self.budget_bytes.load(Ordering::Relaxed);
-                let want = if shard.is_some() { ALLOC_BATCH } else { 1 };
-                self.alloc.reserve(budget, want)
-            } else {
-                self.alloc.force_reserve(1);
-                1
-            };
-            if let Some(mut blocks) = self.map_grant(granted) {
-                let base = blocks.next().expect("a grant holds at least one block");
-                self.note_handout(attempt);
-                if granted > 1 {
-                    let idx = shard.expect("batched grants only with a shard");
-                    blocks.for_each(|spare| self.alloc.push_local(idx, spare as u64));
-                    MemoryStats::inc(&self.stats.alloc_batch_refills);
-                }
-                let owner = match shard {
-                    Some(idx) => idx as u32 + 1,
-                    None => u32::MAX,
-                };
-                return Ok((base, owner, false));
-            }
-            if attempt >= MAX_ALLOC_ATTEMPTS {
-                return Err(MemError::OutOfMemory);
-            }
-            attempt += 1;
-            MemoryStats::inc(&self.stats.alloc_retries);
-            self.recover_memory(attempt);
         }
+        let want = if shard.is_some() { ALLOC_BATCH } else { 1 };
+        let mut blocks = self.map_fresh(want).ok_or(MemError::OutOfMemory)?;
+        let base = blocks.next().expect("a mapping holds at least one block");
+        self.note_handout();
+        if want > 1 {
+            let idx = shard.expect("batched mappings only with a shard");
+            blocks.for_each(|spare| self.alloc.push_local(idx, spare as u64));
+            MemoryStats::inc(&self.stats.alloc_batch_refills);
+        }
+        let owner = match shard {
+            Some(idx) => idx as u32 + 1,
+            None => u32::MAX,
+        };
+        Ok((base, owner, false))
     }
 
-    /// Turns a budget grant of `granted` fresh blocks into memory: one
-    /// mapping for the whole grant ([`raw_alloc_blocks`]). A zero grant, or
-    /// one the OS refuses to back, yields `None` with the reservation handed
-    /// back — the caller is where it would be had the budget said no.
-    fn map_grant(&self, granted: u64) -> Option<impl Iterator<Item = usize>> {
-        if granted == 0 {
+    /// Reserves `n` fresh blocks on the `budgeted` gauge and maps them in
+    /// one request ([`raw_alloc_blocks`]). A mapping the OS refuses yields
+    /// `None` with the reservation handed back.
+    fn map_fresh(&self, n: u64) -> Option<impl Iterator<Item = usize>> {
+        if n == 0 {
             return None;
         }
-        let blocks = raw_alloc_blocks(granted as usize);
+        self.alloc.reserve(n);
+        let blocks = raw_alloc_blocks(n as usize);
         if blocks.is_none() {
-            self.alloc.unreserve(granted);
+            self.alloc.unreserve(n);
         }
         blocks
     }
 
-    fn note_handout(&self, attempt: u32) {
+    fn note_handout(&self) {
         MemoryStats::inc(&self.stats.blocks_allocated);
         MemoryStats::inc(&self.stats.blocks_live);
-        if attempt > 0 {
-            MemoryStats::inc(&self.stats.oom_recoveries);
-        }
-    }
-
-    /// One rung of the budget-exhaustion recovery ladder.
-    fn recover_memory(&self, attempt: u32) {
-        // (1) Free whatever is already epoch-ready.
-        let mut freed = self.drain_graveyard();
-        // (2) Ripen limbo memory: the graveyard waits for epochs, so force
-        // one advance unless a compaction reserved it.
-        let (advanced, ripened) = self.advance_and_drain();
-        if advanced {
-            MemoryStats::inc(&self.stats.emergency_epoch_advances);
-        }
-        freed += ripened;
-        smc_obs::trace::emit(smc_obs::Event::RecoveryStep {
-            attempt: attempt as u64,
-            freed_blocks: freed as u64,
-            advanced,
-        });
-        if ripened > 0 {
-            return;
-        }
-        // (3) Last rung: claw shard-cached spares back from every thread.
-        // Only at the final attempt — recycled spares are the fast path's
-        // whole point, so they are sacrificed only when the alternative is
-        // conceding OutOfMemory.
-        if attempt >= MAX_ALLOC_ATTEMPTS && self.alloc.trim(&self.stats) > 0 {
-            return;
-        }
-        // (4) Capped backoff: concurrent removals/compactions may free blocks.
-        crate::sync::backoff(attempt);
     }
 
     /// Returns a block handed out by [`allocate_block`](Self::allocate_block)
     /// (or the graveyard's epoch-delayed equivalent). The memory is parked
     /// on its owner's allocation shard for recycling when the cache has
-    /// room; otherwise it goes back to the OS and frees its budget
-    /// reservation.
+    /// room; otherwise it goes back to the OS and leaves the `budgeted`
+    /// gauge.
     ///
     /// Callers must guarantee no thread can still dereference into the
     /// block — either because it was never published or because its burial
@@ -337,19 +233,12 @@ impl Runtime {
         let owner = block.header().owner_shard.load(Ordering::Relaxed);
         let base = unsafe { block.retire() };
         if owner == 0 {
-            // Hand-allocated outside the runtime's budget (tests, fixtures):
-            // never reserved, so nothing to unreserve or recycle.
+            // Hand-allocated outside the runtime (tests, fixtures): never
+            // reserved, so nothing to unreserve or recycle.
             unsafe { raw_dealloc_block(base) };
             return;
         }
-        let budget = self.budget_bytes.load(Ordering::Relaxed);
-        let over_budget = budget != u64::MAX
-            && self
-                .alloc
-                .budgeted_blocks()
-                .saturating_mul(BLOCK_SIZE as u64)
-                > budget;
-        if owner != u32::MAX && !over_budget {
+        if owner != u32::MAX {
             // Recycle. The freeing thread keeps blocks it owns; foreign
             // blocks go home via the owner's MPSC return queue.
             let target = (owner - 1) as usize;
@@ -368,8 +257,8 @@ impl Runtime {
                 }
             }
         }
-        // Shardless owner, overshoot settlement, cache cap, or unregistered
-        // freeing thread: return the memory and its reservation.
+        // Shardless owner, cache cap, or unregistered freeing thread: return
+        // the memory and its reservation.
         unsafe { raw_dealloc_block(base) };
         self.alloc.unreserve(1);
     }
@@ -386,25 +275,23 @@ impl Runtime {
     }
 
     /// Pre-faults up to `n` fresh blocks into the calling thread's shard
-    /// cache (subject to budget) — one mapping, populated in one kernel
-    /// pass — so a worker's first allocations skip the slow path. The cache
-    /// never grows past [`MAX_SHARD_CACHE`], the cap frees enforce. Returns
-    /// the number of blocks parked.
+    /// cache — one mapping, populated in one kernel pass — so a worker's
+    /// first allocations skip the slow path. The cache never grows past
+    /// [`MAX_SHARD_CACHE`], the cap frees enforce. Returns the number of
+    /// blocks parked.
     pub fn prewarm_local_blocks(&self, n: u64) -> u64 {
         let Ok(idx) = self.epochs.thread_index() else {
             return 0;
         };
-        let room = MAX_SHARD_CACHE.saturating_sub(self.alloc.shard_cached(idx));
-        let budget = self.budget_bytes.load(Ordering::Relaxed);
-        let granted = self.alloc.reserve(budget, n.min(room));
-        let Some(blocks) = self.map_grant(granted) else {
+        let want = n.min(MAX_SHARD_CACHE.saturating_sub(self.alloc.shard_cached(idx)));
+        let Some(blocks) = self.map_fresh(want) else {
             return 0;
         };
         blocks.for_each(|spare| self.alloc.push_local(idx, spare as u64));
-        granted
+        want
     }
 
-    /// Point-in-time view of the allocation layer (shard caches, budget
+    /// Point-in-time view of the allocation layer (shard caches, `budgeted`
     /// gauge) for `HeapSnapshot` and `smc-top`.
     pub fn alloc_snapshot(&self) -> AllocSnapshot {
         AllocSnapshot {
@@ -465,16 +352,16 @@ impl Runtime {
     /// relocation reservation, tries to move the global epoch forward once
     /// (counted in `epoch_advances`), then drains the graveyard. Called
     /// where memory is known to wait on the clock — queued limbo blocks in
-    /// `acquire_block`, the recovery ladder, and wherever the residency
+    /// `acquire_block` and its budget gate, and wherever the residency
     /// protocol buries a block or stub — because nothing else advances it
-    /// (§3.4). Returns whether the epoch moved and how many blocks were
-    /// freed.
-    pub(crate) fn advance_and_drain(&self) -> (bool, usize) {
+    /// (§3.4). Returns whether the epoch moved.
+    pub(crate) fn advance_and_drain(&self) -> bool {
         let advanced = self.next_relocation_epoch() == 0 && self.epochs.try_advance().is_some();
         if advanced {
             MemoryStats::inc(&self.stats.epoch_advances);
         }
-        (advanced, self.drain_graveyard())
+        self.drain_graveyard();
+        advanced
     }
 
     /// Releases everything in the graveyard whose epoch has come — blocks
@@ -689,102 +576,25 @@ mod tests {
     }
 
     #[test]
-    fn budget_exhaustion_surfaces_out_of_memory() {
-        // A two-block budget: the third allocation must fail with an error,
-        // not a panic, after exhausting the recovery ladder. The batched
-        // grant parks the budget's second block in this thread's shard
-        // cache, so the second allocation is a recycling fast-path hit.
-        let rt = Runtime::with_budget(Some(2 * BLOCK_SIZE as u64));
-        assert_eq!(rt.memory_budget(), Some(2 * BLOCK_SIZE as u64));
-        let layout = BlockLayout::rows_of::<u64>().unwrap();
-        let a = rt.allocate_block(&layout, 1, 1).unwrap();
-        assert_eq!(MemoryStats::get(&rt.stats.alloc_batch_refills), 1);
-        let b = rt.allocate_block(&layout, 1, 1).unwrap();
-        assert_eq!(MemoryStats::get(&rt.stats.blocks_recycled), 1);
-        let third = rt.allocate_block(&layout, 1, 1);
-        assert!(matches!(third, Err(MemError::OutOfMemory)));
-        assert_eq!(
-            MemoryStats::get(&rt.stats.alloc_retries),
-            u64::from(MAX_ALLOC_ATTEMPTS)
-        );
-        assert_eq!(
-            MemoryStats::get(&rt.stats.blocks_live),
-            2,
-            "failed attempt must not leak budget"
-        );
-        assert_eq!(rt.alloc.budgeted_blocks(), 2);
-        // Raising the budget unblocks allocation.
-        rt.set_memory_budget(Some(3 * BLOCK_SIZE as u64));
-        let c = rt.allocate_block(&layout, 1, 1).unwrap();
-        for blk in [a, b, c] {
-            rt.bury_block(blk, 0);
-        }
-        rt.drain_graveyard();
-        rt.verify().unwrap();
-    }
-
-    #[test]
     fn refused_mapping_is_out_of_memory_and_gives_the_reservation_back() {
         use crate::block::tests::MAPS_REFUSED;
         let rt = Runtime::new();
         let layout = BlockLayout::rows_of::<u64>().unwrap();
         MAPS_REFUSED.set(true);
-        let gated = rt.allocate_block(&layout, 1, 1);
-        let forced = rt.allocate_block_unbudgeted(&layout, 1, 1);
+        let refused = rt.allocate_block(&layout, 1, 1);
         let prewarmed = rt.prewarm_local_blocks(3);
         MAPS_REFUSED.set(false);
-        assert!(matches!(gated, Err(MemError::OutOfMemory)));
-        assert!(matches!(forced, Err(MemError::OutOfMemory)));
+        assert!(matches!(refused, Err(MemError::OutOfMemory)));
         assert_eq!(prewarmed, 0);
         assert_eq!(
-            MemoryStats::get(&rt.stats.alloc_retries),
-            2 * u64::from(MAX_ALLOC_ATTEMPTS),
-            "a refused mapping climbs the ladder like a zero grant"
+            rt.alloc.budgeted_blocks(),
+            0,
+            "every reservation handed back"
         );
-        assert_eq!(rt.alloc.budgeted_blocks(), 0, "every grant handed back");
         assert_eq!(MemoryStats::get(&rt.stats.blocks_allocated), 0);
         rt.verify().unwrap();
         // The OS relents: the same runtime allocates again.
         let b = rt.allocate_block(&layout, 1, 1).unwrap();
-        rt.free_block(b);
-        rt.verify().unwrap();
-    }
-
-    #[test]
-    fn recovery_ladder_frees_graveyard_and_succeeds() {
-        let rt = Runtime::with_budget(Some(BLOCK_SIZE as u64));
-        let layout = BlockLayout::rows_of::<u64>().unwrap();
-        let a = rt.allocate_block(&layout, 1, 1).unwrap();
-        // The only budgeted block sits in the graveyard two epochs out; the
-        // ladder must advance epochs, drain it into the shard cache, and
-        // then recycle it.
-        rt.bury_block(a, rt.global_epoch() + 2);
-        let b = rt
-            .allocate_block(&layout, 1, 1)
-            .expect("recovery ladder should free the graveyard");
-        assert_eq!(MemoryStats::get(&rt.stats.oom_recoveries), 1);
-        assert_eq!(MemoryStats::get(&rt.stats.blocks_recycled), 1);
-        assert!(MemoryStats::get(&rt.stats.emergency_epoch_advances) >= 1);
-        assert!(MemoryStats::get(&rt.stats.alloc_retries) >= 1);
-        rt.bury_block(b, 0);
-        rt.drain_graveyard();
-    }
-
-    #[test]
-    fn final_ladder_rung_trims_foreign_shard_caches() {
-        // Budget of one block, parked in another shard's cache: only the
-        // trim rung can claw it back for this thread.
-        let rt = Runtime::with_budget(Some(BLOCK_SIZE as u64));
-        let me = rt.epochs.thread_index().unwrap();
-        let foreign = (me + 1) % crate::epoch::MAX_THREADS;
-        assert_eq!(rt.alloc.reserve(BLOCK_SIZE as u64, 1), 1);
-        let spare = raw_alloc_blocks(1).unwrap().next().unwrap();
-        rt.alloc.push_local(foreign, spare as u64);
-        let layout = BlockLayout::rows_of::<u64>().unwrap();
-        let b = rt
-            .allocate_block(&layout, 1, 1)
-            .expect("trim rung must reclaim the foreign cache");
-        assert_eq!(MemoryStats::get(&rt.stats.blocks_trimmed), 1);
         rt.free_block(b);
         rt.verify().unwrap();
     }
@@ -877,25 +687,10 @@ mod tests {
             rt.allocate_block(&layout, 1, 1),
             Err(MemError::OutOfMemory)
         ));
-        assert_eq!(
-            MemoryStats::get(&rt.stats.alloc_retries),
-            0,
-            "injected hard failures bypass the recovery ladder"
-        );
         assert_eq!(MemoryStats::get(&rt.stats.faults_injected), 1);
         rt.faults().disable();
         let b = rt.allocate_block(&layout, 1, 1).unwrap();
         rt.bury_block(b, 0);
         rt.drain_graveyard();
-    }
-
-    #[test]
-    fn unbudgeted_runtime_never_reports_budget() {
-        let rt = Runtime::new();
-        assert_eq!(rt.memory_budget(), None);
-        rt.set_memory_budget(Some(1));
-        assert_eq!(rt.memory_budget(), Some(1));
-        rt.set_memory_budget(None);
-        assert_eq!(rt.memory_budget(), None);
     }
 }

@@ -113,7 +113,7 @@ impl SlotWord {
             .store(pack(SlotState::Limbo, removal_epoch), Ordering::Release);
     }
 
-    /// Resets the slot to `Free`. Only used when a block is wiped for reuse.
+    /// Resets the slot to `Free` (fault-in unpublishing a slot it filled).
     #[inline]
     pub fn reset(&self) {
         self.0.store(0, Ordering::Release);

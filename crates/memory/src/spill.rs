@@ -2,10 +2,10 @@
 //!
 //! A context with a byte budget smaller than its dataset can *spill* cold
 //! blocks to a [`PageStore`] (a heapfile, see `smc-persist`) and *fault*
-//! them back in on first touch. Spilling is a new rung on the PR 1 OOM
-//! ladder: when the per-context budget gate would reject a fresh block, the
-//! allocator first tries to evict one resident block to the store, which
-//! frees exactly the footprint the fresh block needs.
+//! them back in on first touch. Spilling is a rung of the context's budget
+//! gate: when the gate would reject a fresh block, the allocator first
+//! tries to evict one resident block to the store, which frees exactly the
+//! footprint the fresh block needs.
 //!
 //! ## How a spilled object stays reachable
 //!
@@ -327,11 +327,11 @@ pub fn fault_in_tagged(payload: usize) -> bool {
 /// copies and stores its objects. A free whose object's home block carries
 /// the mark steps aside until the spill is done
 /// ([`MemoryContext::try_free`]). `unclaim` resets it when a spill gives the
-/// block back; a spilled block keeps it until its burial wipes it.
+/// block back; a spilled block keeps it until it is recycled.
 pub(crate) const SPILLING: u32 = 2;
 
 impl MemoryContext {
-    /// Attaches a page store, enabling the spill rung of the OOM ladder and
+    /// Attaches a page store, enabling the spill rung of the budget gate and
     /// fault-in on dereference. Returns false for columnar contexts (their
     /// entry payloads point into the incarnation column, whose cells the
     /// relocation protocol reads unconditionally — spill tagging is a
@@ -566,13 +566,9 @@ impl MemoryContext {
         let store = store.as_ref().expect("page without store");
         let records = self.read_page(&**store, block_id, slot.get(), page_buf)?;
         // A block of its own, new block id: fault-in is a relocation, not a
-        // revival. Allocation bypasses the runtime budget gate — the
-        // faulting thread may be pinned (dereference path) and so can never
-        // ripen its own victim's burial; see
-        // `Runtime::allocate_block_unbudgeted`.
-        let fresh = self
-            .runtime
-            .allocate_block_unbudgeted(&self.layout, self.type_id, self.id)?;
+        // revival. Allocation skips the `BlockAlloc` failpoint: a read that
+        // faults in must fail only when the OS refuses.
+        let fresh = self.runtime.hand_out(&self.layout, self.type_id, self.id)?;
         let page = slot.remove();
         let obj_size = self.obj_size as usize;
         let mut live: u32 = 0;

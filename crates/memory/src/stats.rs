@@ -130,17 +130,9 @@ scalar_counters! {
         compactions,
         /// Direct pointers rewritten by post-compaction fix-up scans (§6).
         direct_pointers_fixed,
-        /// Budget-exhausted allocations that eventually succeeded after the
-        /// recovery ladder (drain graveyard / emergency advance / retry).
-        oom_recoveries,
-        /// Epoch advances forced by the allocation recovery ladder, as opposed
-        /// to the regular lazy advances.
-        emergency_epoch_advances,
-        /// Individual allocation retries taken under memory pressure.
-        alloc_retries,
-        /// Fresh-block requests rejected by a per-context budget
-        /// ([`ContextConfig::budget_bytes`](crate::context::ContextConfig::budget_bytes))
-        /// — tenant-level pressure, distinct from the runtime-wide budget.
+        /// Fresh-block requests rejected by a context's budget
+        /// ([`ContextConfig::budget_bytes`](crate::context::ContextConfig::budget_bytes)),
+        /// the memory system's only budget.
         context_budget_rejections,
         /// Failures injected by the fault registry ([`crate::fault`]).
         faults_injected,
@@ -153,7 +145,7 @@ scalar_counters! {
         /// work-stealing cursor.
         morsels_dispatched,
         /// Blocks evicted to a page store under budget pressure (the spill rung
-        /// of the OOM ladder; see [`crate::spill`]).
+        /// of a context's budget gate; see [`crate::spill`]).
         blocks_spilled,
         /// Spilled pages brought back to residency on dereference or free.
         blocks_faulted_in,
@@ -169,12 +161,9 @@ scalar_counters! {
         /// Remote-freed blocks drained from a return queue into the owner's
         /// local free list (on the owner's next allocation or maintenance tick).
         remote_frees_drained,
-        /// Batched slow-path refills: fresh budget reservations that handed out
-        /// one block and parked the rest of the batch in the shard cache.
+        /// Batched slow-path refills: fresh mappings that handed out one block
+        /// and parked the rest of the batch in the shard cache.
         alloc_batch_refills,
-        /// Shard-cached blocks returned to the OS by the allocation ladder's
-        /// trim rung (budget pressure reclaiming idle caches).
-        blocks_trimmed,
     }
 }
 
@@ -286,7 +275,7 @@ mod tests {
         assert_eq!(snap.to_string(), lines.join("\n"));
         // The generated public fields read the same storage.
         assert_eq!(snap.objects_allocated, 100);
-        assert_eq!(snap.blocks_trimmed, 100 + lines.len() as u64 - 1);
+        assert_eq!(snap.alloc_batch_refills, 100 + lines.len() as u64 - 1);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! touching `std::sync` directly. In a normal build the module is a zero-cost
 //! pass-through: the atomic types are re-exports of `std::sync::atomic`, the
 //! locks are re-exports of [`smc_util::sync`], and [`yield_point`] /
-//! [`cpu_relax`] / [`thread_yield`] / [`backoff`] compile down to the obvious
+//! [`cpu_relax`] / [`thread_yield`] compile down to the obvious
 //! `std` operations (or nothing at all).
 //!
 //! When the crate is compiled with `RUSTFLAGS='--cfg smc_check'`, the same
@@ -88,17 +88,6 @@ mod passthrough {
     pub fn thread_yield() {
         std::thread::yield_now();
     }
-
-    /// Exponential-ish backoff used by allocation recovery:
-    /// [`smc_util::backoff::spin_bound`] spin pauses followed by a thread
-    /// yield, so the ladder shares one envelope with every other retry loop.
-    #[inline]
-    pub fn backoff(n: u32) {
-        for _ in 0..smc_util::backoff::spin_bound(n) {
-            std::hint::spin_loop();
-        }
-        std::thread::yield_now();
-    }
 }
 
 #[cfg(smc_check)]
@@ -126,13 +115,6 @@ mod instrumented {
     /// Cooperative yield: same as [`cpu_relax`] under the checker.
     #[inline]
     pub fn thread_yield() {
-        emit(HookEvent::Spin);
-    }
-
-    /// Backoff collapses to a single spin report — the checker runs in
-    /// virtual time, so burning host cycles would only bloat the state space.
-    #[inline]
-    pub fn backoff(_n: u32) {
         emit(HookEvent::Spin);
     }
 
@@ -446,7 +428,6 @@ mod tests {
         assert_eq!(m.into_inner(), 2);
         yield_point();
         cpu_relax();
-        backoff(0);
         fence(Ordering::SeqCst);
     }
 

@@ -1,16 +1,13 @@
 //! Integration tests for what a thread slot owns — its allocation shard and
 //! its cell of per-object counters: concurrent alloc/free churn with remote
-//! frees crossing shard owners, budget breaches on the batched slow path,
-//! exact post-quiesce reconciliation of free-list accounting through
-//! `Runtime::verify`, and per-thread counter cells that sum to exact totals.
+//! frees crossing shard owners, exact post-quiesce reconciliation of
+//! free-list accounting through `Runtime::verify`, and per-thread counter
+//! cells that sum to exact totals.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 
 use smc_memory::block::type_id_of;
-use smc_memory::{
-    BlockLayout, ContextConfig, MemError, MemoryContext, MemoryStats, Runtime, BLOCK_SIZE,
-};
+use smc_memory::{BlockLayout, ContextConfig, MemoryContext, MemoryStats, Runtime};
 
 const THREADS: usize = 4;
 
@@ -22,7 +19,7 @@ fn layout() -> BlockLayout {
 /// neighbour, which frees them. Every free is a *remote* free (the freeing
 /// thread never owns the block), exercising the MPSC return queues from all
 /// sides at once. Afterwards every block must come home: zero live handouts,
-/// all budget either parked in shard caches or returned to the OS, and
+/// every held block either parked in a shard cache or returned to the OS, and
 /// `Runtime::verify` reconciling exactly.
 #[test]
 fn remote_free_ring_reconciles_exactly() {
@@ -80,69 +77,6 @@ fn remote_free_ring_reconciles_exactly() {
         snap.remote_frees_drained > 0,
         "owners must have drained their MPSC return queues"
     );
-}
-
-/// A breached budget on the batched slow path must surface
-/// `MemError::OutOfMemory` from every contender — never a panic — and must
-/// not corrupt the books: after the survivors free their blocks, verify
-/// reconciles and the budget is respected again.
-#[test]
-fn budget_breach_under_contention_is_an_error_never_a_panic() {
-    let budget_blocks = 3u64;
-    let rt = Runtime::with_budget(Some(budget_blocks * BLOCK_SIZE as u64));
-    let barrier = Arc::new(Barrier::new(THREADS));
-    let oom = AtomicU64::new(0);
-    let won = std::sync::Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        for i in 0..THREADS {
-            let rt = rt.clone();
-            let barrier = barrier.clone();
-            let oom = &oom;
-            let won = &won;
-            s.spawn(move || {
-                barrier.wait();
-                for _ in 0..8 {
-                    match rt.allocate_block(&layout(), type_id_of::<u64>(), i as u64 + 1) {
-                        Ok(b) => won.lock().unwrap().push(b),
-                        Err(MemError::OutOfMemory) => {
-                            oom.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(e) => panic!("unexpected error: {e:?}"),
-                    }
-                }
-            });
-        }
-    });
-    let winners = won.into_inner().unwrap();
-    // No frees happen during the race, so the budget hard-caps the winners;
-    // the first reserve always grants at least one.
-    assert!(
-        !winners.is_empty() && winners.len() as u64 <= budget_blocks,
-        "won {} of a {budget_blocks}-block budget",
-        winners.len()
-    );
-    assert_eq!(
-        MemoryStats::get(&rt.stats.blocks_live),
-        winners.len() as u64
-    );
-    assert!(oom.load(Ordering::Relaxed) > 0);
-    assert!(
-        rt.alloc_snapshot().budgeted_blocks * (BLOCK_SIZE as u64)
-            <= budget_blocks * BLOCK_SIZE as u64,
-        "contended slow path never over-reserves"
-    );
-    for b in winners {
-        rt.free_block(b);
-    }
-    rt.verify()
-        .unwrap_or_else(|v| panic!("post-quiesce verify: {v:?}"));
-    // The freed budget is usable again (possibly via the trim rung when the
-    // frees parked on other threads' shards).
-    let again = rt
-        .allocate_block(&layout(), type_id_of::<u64>(), 9)
-        .expect("freed budget must be allocatable");
-    rt.free_block(again);
-    rt.verify().unwrap();
 }
 
 /// Four threads add, pin and remove against one context, each bumping only

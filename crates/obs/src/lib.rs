@@ -10,7 +10,7 @@
 //!   nanoseconds since one origin, which a test can freeze and step.
 //! - [`trace`] — a lock-free, thread-local structured event tracer with a
 //!   typed taxonomy (GC pauses, epoch advances, the compaction-group
-//!   select → relocate → retire lifecycle, recovery-ladder rungs, failpoint
+//!   select → relocate → retire lifecycle, spills and fault-ins, failpoint
 //!   trips, morsel dispatch). Disabled by default; the disabled emit path
 //!   is one relaxed load + branch (≤ 2 ns/op, asserted in
 //!   `tests/overhead.rs`) and allocates nothing (`tests/no_alloc.rs`).

@@ -2,8 +2,8 @@
 //!
 //! Every subsystem of the workspace emits typed [`Event`]s through
 //! [`emit`]: GC pauses, epoch advances, the compaction-group lifecycle
-//! (select → relocate → retire), budget recovery-ladder rungs, failpoint
-//! trips, and morsel dispatch. Tracing is **disabled by default** and the
+//! (select → relocate → retire), spills and fault-ins, failpoint trips,
+//! and morsel dispatch. Tracing is **disabled by default** and the
 //! disabled path is a single relaxed load and a predictable branch — no
 //! allocation, no time-stamping, no TLS access — so instrumented hot paths
 //! stay unperturbed (`tests/overhead.rs` asserts ≤ 2 ns/op in release).
@@ -344,15 +344,6 @@ events! {
         /// Source slot whose move was cancelled.
         src_slot: u64,
     }
-    /// One rung of the allocation recovery ladder ran under memory pressure.
-    9 RecoveryStep "recovery-step" {
-        /// Retry attempt number (1-based).
-        attempt: u64,
-        /// Graveyard blocks freed by this rung.
-        freed_blocks: u64,
-        /// Whether the rung forced an emergency epoch advance.
-        advanced: bool,
-    }
     /// A seeded failpoint fired ([`FaultInjector`](../../smc_memory/fault)).
     10 FailpointTrip "failpoint-trip" {
         /// Site name (e.g. `block-alloc`, `relocation`).
@@ -415,8 +406,8 @@ events! {
         /// Observed foreground p99 scan latency in nanoseconds.
         p99_ns: u64,
     }
-    /// A block was evicted to the page store (the spill rung of the OOM
-    /// ladder; persistence tier).
+    /// A block was evicted to the page store (the spill rung of a context's
+    /// budget gate; persistence tier).
     18 BlockSpilled "block-spilled" {
         /// Memory-context id that spilled the block.
         context: u64,
@@ -971,20 +962,18 @@ mod tests {
         enable();
         clear();
         let t = std::thread::spawn(|| {
-            emit(Event::RecoveryStep {
-                attempt: 9,
-                freed_blocks: 3,
-                advanced: true,
+            emit(Event::CompactionSelect {
+                context: 9,
+                candidates: 3,
             });
         });
         t.join().unwrap();
         let found = snapshot().iter().any(|t| {
             matches!(
                 t.event,
-                Event::RecoveryStep {
-                    attempt: 9,
-                    freed_blocks: 3,
-                    advanced: true
+                Event::CompactionSelect {
+                    context: 9,
+                    candidates: 3
                 }
             )
         });
@@ -1057,7 +1046,8 @@ mod tests {
             }
         }
         let unused = Event::KINDS.iter().map(|r| r.code).max().unwrap() + 1;
-        for code in [0, unused, 999, u64::MAX] {
+        // Code 9 belonged to a retired row and stays unassigned.
+        for code in [0, 9, unused, 999, u64::MAX] {
             assert_eq!(Event::decode(code, [0; 4]), None);
         }
     }

@@ -4,13 +4,13 @@
 //! one that completes at or over the configured threshold
 //! ([`ServerConfig::slow_request_threshold`](crate::ServerConfig::slow_request_threshold))
 //! records a structured breakdown — the [`STAGES`] its time went to (ring
-//! wait, shard execution, reply wake), spill faults, budget-ladder rungs,
-//! emergency epoch advances, and whether a maintenance pass was running —
-//! into per-op-class histograms and counters. The two classes are
-//! **ingest** (`UPSERT`/`DELETE`) and **query** (`COUNT`/`SUM`): the
-//! paper's workloads tail out for different
-//! reasons on each (budget ladders vs. scan interference), so mixing them
-//! in one histogram hides exactly the signal an operator needs.
+//! wait, shard execution, reply wake), spill faults, and whether a
+//! maintenance pass was running — into per-op-class histograms and
+//! counters. The two classes are **ingest** (`UPSERT`/`DELETE`) and
+//! **query** (`COUNT`/`SUM`): the paper's workloads tail out for different
+//! reasons on each (budget pressure vs. scan interference), so mixing them
+//! in one histogram hides exactly the signal an operator needs. Tenant
+//! budget pressure itself is each tenant's `over_budget_errors`.
 //!
 //! The breakdown is surfaced once, as the `attribution` section of the
 //! `SCRAPE` document ([`Attribution::to_json`]); `smc-top` renders it and
@@ -25,7 +25,7 @@ use smc_obs::{Histogram, JsonValue};
 /// The two request classes attribution is kept for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpClass {
-    /// `UPSERT` and `DELETE`: the write path (budget ladder, index upkeep).
+    /// `UPSERT` and `DELETE`: the write path (budget gate, index upkeep).
     Ingest,
     /// `COUNT` and `SUM`: the morsel-parallel scan path.
     Query,
@@ -72,12 +72,6 @@ pub struct SlowBreakdown {
     pub reply_wake_ns: u64,
     /// Blocks faulted in from the spill tier during execution.
     pub spill_faults: u64,
-    /// Budget-ladder rungs climbed (allocation retries + OOM recoveries)
-    /// during execution.
-    pub budget_rungs: u64,
-    /// Emergency epoch advances forced during execution (epoch-pin
-    /// stalls resolved the hard way).
-    pub epoch_stalls: u64,
     /// True when a background maintenance pass was in flight on at least
     /// one touched shard while the request executed.
     pub maint_active: bool,
@@ -98,8 +92,6 @@ impl SlowBreakdown {
         self.exec_ns = self.exec_ns.max(shard.exec_ns);
         self.reply_wake_ns = self.reply_wake_ns.max(shard.reply_wake_ns);
         self.spill_faults += shard.spill_faults;
-        self.budget_rungs += shard.budget_rungs;
-        self.epoch_stalls += shard.epoch_stalls;
         self.maint_active |= shard.maint_active;
     }
 }
@@ -115,10 +107,6 @@ pub struct ClassAttribution {
     stages: [Histogram; STAGES.len()],
     /// Spill-tier faults summed over slow requests.
     spill_faults: AtomicU64,
-    /// Budget-ladder rungs summed over slow requests.
-    budget_rungs: AtomicU64,
-    /// Emergency epoch advances summed over slow requests.
-    epoch_stalls: AtomicU64,
     /// Slow requests that overlapped a maintenance pass.
     maint_overlaps: AtomicU64,
 }
@@ -130,8 +118,6 @@ impl ClassAttribution {
             total: Histogram::new(),
             stages: [const { Histogram::new() }; STAGES.len()],
             spill_faults: AtomicU64::new(0),
-            budget_rungs: AtomicU64::new(0),
-            epoch_stalls: AtomicU64::new(0),
             maint_overlaps: AtomicU64::new(0),
         }
     }
@@ -162,14 +148,6 @@ impl ClassAttribution {
         obj.set(
             "spill_faults",
             JsonValue::from(self.spill_faults.load(Ordering::Relaxed)),
-        );
-        obj.set(
-            "budget_rungs",
-            JsonValue::from(self.budget_rungs.load(Ordering::Relaxed)),
-        );
-        obj.set(
-            "epoch_stalls",
-            JsonValue::from(self.epoch_stalls.load(Ordering::Relaxed)),
         );
         obj.set(
             "maint_overlaps",
@@ -243,10 +221,6 @@ impl Attribution {
         }
         c.spill_faults
             .fetch_add(breakdown.spill_faults, Ordering::Relaxed);
-        c.budget_rungs
-            .fetch_add(breakdown.budget_rungs, Ordering::Relaxed);
-        c.epoch_stalls
-            .fetch_add(breakdown.epoch_stalls, Ordering::Relaxed);
         c.maint_overlaps
             .fetch_add(breakdown.maint_active as u64, Ordering::Relaxed);
     }
@@ -278,8 +252,6 @@ mod tests {
                 exec_ns: 55_000,
                 reply_wake_ns: 4_000,
                 spill_faults: 2,
-                budget_rungs: 0,
-                epoch_stalls: 1,
                 maint_active: true,
             },
         );

@@ -12,8 +12,8 @@
 //! across all of them and run morsel-parallel inside each.
 //!
 //! Tenancy is memory-first: each tenant gets one `MemoryContext` per shard
-//! whose [`smc_memory::ContextConfig::budget_bytes`] slice rides the OOM
-//! ladder — a tenant over budget gets a clean
+//! whose [`smc_memory::ContextConfig::budget_bytes`] slice is the memory
+//! system's one budget — a tenant over budget gets a clean
 //! [`wire::ErrorCode::TenantOverBudget`] wire error while every other
 //! tenant keeps answering. Shutdown is a verified drain: stop the
 //! acceptor, finish in-flight requests, quiesce each shard's maintenance

@@ -552,8 +552,6 @@ fn execute(
     }
     let stats = &shared.runtime.stats;
     let faults0 = MemoryStats::get(&stats.blocks_faulted_in);
-    let rungs0 = MemoryStats::get(&stats.alloc_retries) + MemoryStats::get(&stats.oom_recoveries);
-    let stalls0 = MemoryStats::get(&stats.emergency_epoch_advances);
 
     let tenant_id = job.tenant;
     let reply = match tenants.get_mut(&tenant_id) {
@@ -604,10 +602,6 @@ fn execute(
         exec_ns,
         reply_wake_ns: 0,
         spill_faults: MemoryStats::get(&stats.blocks_faulted_in).saturating_sub(faults0),
-        budget_rungs: (MemoryStats::get(&stats.alloc_retries)
-            + MemoryStats::get(&stats.oom_recoveries))
-        .saturating_sub(rungs0),
-        epoch_stalls: MemoryStats::get(&stats.emergency_epoch_advances).saturating_sub(stalls0),
         maint_active: coordinator.passes_active() > 0,
     };
     (reply, timing)

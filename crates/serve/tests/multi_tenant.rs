@@ -23,7 +23,7 @@ fn budgeted_server() -> Server {
             TenantConfig {
                 name: "capped".to_string(),
                 // One block per shard: a few thousand 16-byte rows, then
-                // the OOM ladder answers.
+                // the budget gate answers.
                 budget_bytes: Some((SHARDS * BLOCK_SIZE) as u64),
             },
             TenantConfig {
@@ -234,4 +234,50 @@ fn concurrent_clients_see_consistent_totals() {
     for d in &report.shards {
         assert_eq!(d.tenants_verified, 2);
     }
+}
+
+/// A tenant filled to its budget and then shed takes the very next upsert.
+/// The deleted rows' block ripens two epochs after it was queued for reuse,
+/// and the context's budget gate advances the epoch again before it
+/// refuses, so the first insert after the deletes already finds room.
+#[test]
+fn first_upsert_after_deletes_lands_in_a_full_tenant() {
+    let mut server = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        shards: 1,
+        tenants: vec![TenantConfig {
+            name: "one-block".to_string(),
+            budget_bytes: Some(BLOCK_SIZE as u64),
+        }],
+        ..ServerConfig::default()
+    })
+    .expect("server binds an ephemeral port");
+    let mut client = connect(&server);
+    let mut rows = 0u64;
+    loop {
+        match client.upsert(0, vec![(rows, rows)]) {
+            Ok(1) => rows += 1,
+            Err(ClientError::Server(ErrorCode::TenantOverBudget, _)) => break,
+            other => panic!("row {rows}: expected Ok(1) or a budget error, got {other:?}"),
+        }
+        assert!(rows < BLOCK_SIZE as u64, "the budget never refused");
+    }
+    let shed: Vec<u64> = (0..rows / 2).collect();
+    assert_eq!(client.delete(0, shed).unwrap(), rows / 2);
+    for i in 0..4 {
+        let key = rows + i;
+        let answer = client.upsert(0, vec![(key, key)]);
+        assert!(
+            matches!(answer, Ok(1)),
+            "upsert {i} after shedding {} of {rows} rows: {answer:?}",
+            rows / 2
+        );
+    }
+    assert_eq!(client.count(0, 0, u64::MAX).unwrap(), rows - rows / 2 + 4);
+    let report = server.shutdown();
+    assert!(
+        report.clean(),
+        "drain failures: {:?}",
+        report.verify_errors()
+    );
 }

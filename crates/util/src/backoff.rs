@@ -2,9 +2,7 @@
 //!
 //! [`Backoff`] paces the maintenance coordinator's transient-failure
 //! retries (`smc_maint::coordinator::run_pass`), so they are reproducible
-//! from a seed instead of depending on wall-clock entropy; the allocator's
-//! OOM recovery ladder shares only [`spin_bound`], through
-//! `smc_memory::sync::backoff`. The [`Backoff`] envelope is
+//! from a seed instead of depending on wall-clock entropy. The envelope is
 //! the classic decorrelated-ish scheme: attempt `n` draws a delay uniformly
 //! from `[base·2ⁿ/2, base·2ⁿ)`, capped at `cap`. Jitter comes from a
 //! [`Pcg32`] stream seeded by the caller, so a fixed seed reproduces the
@@ -76,15 +74,6 @@ impl Backoff {
     }
 }
 
-/// Deterministic spin bound for backoff sites that cannot sleep (the OOM
-/// recovery ladder spins between allocation retries): `2ⁿ` pauses, capped at
-/// `2⁶`. Shared here so the ladder and any future spin-retry loop agree on
-/// one envelope.
-#[inline]
-pub fn spin_bound(attempt: u32) -> u32 {
-    1u32 << attempt.min(6)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,13 +134,5 @@ mod tests {
             b.next_delay() < base,
             "post-reset delay back inside attempt-0 envelope"
         );
-    }
-
-    #[test]
-    fn spin_bound_is_capped_power_of_two() {
-        assert_eq!(spin_bound(0), 1);
-        assert_eq!(spin_bound(3), 8);
-        assert_eq!(spin_bound(6), 64);
-        assert_eq!(spin_bound(60), 64, "bound must cap, not overflow");
     }
 }

@@ -9,8 +9,7 @@
 //!   `rand::StdRng` in the TPC-H generator, workloads, and tests.
 //!
 //! Plus [`backoff`] — bounded exponential retry backoff with deterministic
-//! seeded jitter for the maintenance coordinator's pass retries, and the
-//! spin bound of the allocator's OOM recovery ladder — [`spsc`], the
+//! seeded jitter for the maintenance coordinator's pass retries — [`spsc`], the
 //! bounded lock-free single-producer/single-consumer ring the serve layer
 //! uses to route requests from connection threads to shard threads and
 //! replies back, and [`waiter`], the spin-then-park wait both ends of those

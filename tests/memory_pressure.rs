@@ -1,10 +1,10 @@
 //! Memory-pressure and fault-injection integration tests, spanning the
 //! `smc-memory` runtime and the `smc` collection API.
 //!
-//! These exercise the failure model end to end: a budgeted runtime surfaces
-//! `MemError::OutOfMemory` through the collection's `try_` APIs, recovery
-//! frees enough to continue, interrupted compactions stay retriable, and the
-//! structural validator holds after every injected failure.
+//! These exercise the failure model end to end: a context budget surfaces
+//! `MemError::OutOfMemory` through the collection's `try_` APIs, freeing
+//! objects makes room again, interrupted compactions stay retriable, and
+//! the structural validator holds after every injected failure.
 
 use std::sync::Arc;
 
@@ -29,14 +29,21 @@ fn payload(key: u64) -> Payload {
     }
 }
 
-fn budgeted_runtime(blocks: u64) -> Arc<Runtime> {
-    Runtime::with_budget(Some(blocks * BLOCK_SIZE as u64))
+/// A collection on a fresh runtime whose context holds at most `blocks`
+/// blocks.
+fn budgeted_collection(blocks: u64) -> (Arc<Runtime>, Smc<Payload>) {
+    let rt = Runtime::new();
+    let config = ContextConfig {
+        budget_bytes: Some(blocks * BLOCK_SIZE as u64),
+        ..ContextConfig::default()
+    };
+    let c = Smc::with_config(&rt, config);
+    (rt, c)
 }
 
 #[test]
 fn tiny_budget_surfaces_oom_through_collection_api() {
-    let rt = budgeted_runtime(1);
-    let c: Smc<Payload> = Smc::new(&rt);
+    let (rt, c) = budgeted_collection(1);
     let mut added = 0u64;
     let err = loop {
         match c.try_add(payload(added)) {
@@ -53,27 +60,30 @@ fn tiny_budget_surfaces_oom_through_collection_api() {
     assert_eq!(report.valid_slots, added);
     rt.verify().unwrap();
     assert!(
-        MemoryStats::get(&rt.stats.alloc_retries) > 0,
-        "recovery ladder never ran"
+        MemoryStats::get(&rt.stats.context_budget_rejections) > 0,
+        "the budget gate never refused"
     );
 }
 
 #[test]
 fn freeing_objects_recovers_from_oom() {
-    let rt = budgeted_runtime(2);
-    let c: Smc<Payload> = Smc::new(&rt);
+    let (rt, c) = budgeted_collection(2);
     let mut refs = Vec::new();
     let mut key = 0u64;
     while let Ok(r) = c.try_add(payload(key)) {
         refs.push(r);
         key += 1;
     }
-    // Shed half, then inserts must succeed again: removal puts slots in
-    // limbo, the epoch advances inside the recovery ladder, and the
-    // allocator reclaims them in place.
+    // Shed half, then inserts must succeed again, the first one included:
+    // removal puts slots in limbo and queues their block, the budget gate
+    // advances the epoch until the block ripens, and the allocator
+    // reclaims the slots in place.
     for r in refs.drain(..refs.len() / 2) {
         assert!(c.remove(r));
     }
+    let first = c.try_add(payload(999_999));
+    assert!(first.is_ok(), "first insert after shedding: {first:?}");
+    refs.push(first.unwrap());
     for i in 0..64 {
         let r = c
             .try_add(payload(1_000_000 + i))
@@ -82,10 +92,13 @@ fn freeing_objects_recovers_from_oom() {
     }
     c.verify().unwrap();
     rt.verify().unwrap();
-    // The rescue path here is the reclaim queue, reached because the ladder's
-    // epoch advances matured the shed slots — both must have fired.
+    // The rescue path here is the reclaim queue, reached after the budget
+    // gate refused the fill's last insert — both must have fired.
     let snap = rt.stats.snapshot();
-    assert!(snap.alloc_retries > 0, "recovery ladder never ran:\n{snap}");
+    assert!(
+        snap.context_budget_rejections > 0,
+        "the budget gate never refused:\n{snap}"
+    );
     assert!(
         snap.slots_reclaimed > 0,
         "no limbo slot was reclaimed in place:\n{snap}"
@@ -180,8 +193,7 @@ fn validator_passes_under_randomized_faults_at_every_site() {
     // Deterministic mixed workload with all four failpoints armed: every
     // error surfaces as Err (never a panic or corruption), and quiescent
     // validation passes after each phase.
-    let rt = budgeted_runtime(4);
-    let c: Smc<Payload> = Smc::new(&rt);
+    let (rt, c) = budgeted_collection(4);
     rt.faults().set_all_rates(48);
     let mut model = Vec::new();
     let mut key = 0u64;
@@ -247,19 +259,27 @@ fn fault_schedule_is_reproducible_from_seed() {
     );
     assert_ne!(a, schedule(43), "different seeds must diverge somewhere");
 
-    // Workload level: the same seeded run fails the same allocations.
+    // Workload level: the same seeded run fails the same allocations. A
+    // refused add past the budget meets no failpoint, so the rows churn
+    // FIFO at about a block's worth: the context keeps recycling its two
+    // blocks through the reclaim queue, and the budget gate's epoch
+    // advances and block allocations are where the faults land.
     let run = |seed: u64| -> (u64, Vec<u64>) {
-        let rt = budgeted_runtime(2);
-        let c: Smc<Payload> = Smc::new(&rt);
+        let (rt, c) = budgeted_collection(2);
         rt.faults().set_all_rates(32);
         rt.faults().enable(seed);
-        let mut surviving = Vec::new();
-        for key in 0..5000u64 {
-            if c.try_add(payload(key)).is_ok() {
-                surviving.push(key);
+        let mut added = Vec::new();
+        let mut live = std::collections::VecDeque::new();
+        for key in 0..20_000u64 {
+            if let Ok(r) = c.try_add(payload(key)) {
+                added.push(key);
+                live.push_back(r);
+            }
+            if live.len() > 1000 {
+                assert!(c.remove(live.pop_front().unwrap()));
             }
         }
-        (rt.faults().injected_total(), surviving)
+        (rt.faults().injected_total(), added)
     };
     let (a_inj, a_keys) = run(42);
     let (b_inj, b_keys) = run(42);

@@ -340,6 +340,16 @@ fn one_trace_sink() {
     forbid(flight, &["crates/", "src/", "tests/"]);
 }
 
+/// One budget: a context's `budget_bytes` is the memory system's only
+/// budget, and its `acquire_block` the only ladder. This fails if the
+/// runtime-wide budget, its setter, its unbudgeted allocation twin, its
+/// recovery ladder or the allocator's forced reservation comes back.
+#[test]
+fn one_budget() {
+    let runtime_budget = "with_budget|set_memory_budget|allocate_block_unbudgeted|recover_memory|MAX_ALLOC_ATTEMPTS|force_reserve";
+    forbid(runtime_budget, &["crates/", "src/", "tests/", "examples/"]);
+}
+
 /// Structure guards have one home, this file: ci.yml grows no "One …" step.
 #[test]
 fn no_structure_guard_in_ci() {
