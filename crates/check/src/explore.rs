@@ -215,7 +215,7 @@ impl Checker {
     /// `make` is called once per execution and must produce a fresh,
     /// self-contained scenario (fresh shared state and shadow state).
     pub fn check(&self, make: impl Fn() -> Scenario) -> Result<ExploreStats, Box<Violation>> {
-        crate::install_memory_hook();
+        crate::install_hook();
         let mut stats = ExploreStats::default();
         let mut nodes: Vec<Node> = Vec::new();
         let mut prefix: Vec<usize> = Vec::new();
@@ -311,7 +311,7 @@ impl Checker {
     /// of a schedule reported by [`Checker::check`] must reproduce its
     /// violation deterministically.
     pub fn replay(&self, schedule: &Schedule, make: impl Fn() -> Scenario) -> Option<String> {
-        crate::install_memory_hook();
+        crate::install_hook();
         let scenario = make();
         let outcome = run_execution(
             scenario.threads,

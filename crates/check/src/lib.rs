@@ -9,10 +9,12 @@
 //! Every virtual thread is a real OS thread, but a token-passing scheduler
 //! ([`sched`]) guarantees that exactly one of them runs at a time. The
 //! thread holding the token reports a *switch point* before every shared
-//! operation ([`switch_point`], wired to every atomic/lock/spin site of
-//! `smc-memory` through its `sync` shim layer when that crate is compiled
-//! with `--cfg smc_check`); at each switch point a pluggable *chooser*
-//! decides which thread runs next. An execution is therefore a pure function
+//! operation ([`switch_point`], wired by [`install_hook`] to every
+//! atomic/lock/spin/park site that goes through `smc_util::sync`, the
+//! workspace's one sync shim, when the workspace is compiled with
+//! `--cfg smc_check` — `smc-memory`'s protocols, `smc-util`'s SPSC rings
+//! and waiter, and `smc-obs`'s trace ring); at each switch point a
+//! pluggable *chooser* decides which thread runs next. An execution is therefore a pure function
 //! of its *schedule* — the sequence of thread choices — which makes every
 //! run replayable from that schedule alone. Scheduling happens in virtual
 //! time: the checker never sleeps, and spin loops immediately deschedule
@@ -42,12 +44,14 @@
 //! ## Protocol scenarios and mutation testing
 //!
 //! The protocol scenario suite (`scenarios`, compiled only under
-//! `--cfg smc_check`) drives the *real* `smc-memory` code — epoch
+//! `--cfg smc_check`) drives the *real* code — `smc-memory`'s epoch
 //! pin/unpin/advance, relocation, forwarding, bail-out, a context's budget
-//! gate and the allocator's remote frees. `smc-memory`'s `mutation` module can re-introduce known, fixed
-//! bugs (e.g. the slot-vs-entry incarnation confusion found in PR 1) at
-//! runtime; `tests/protocol.rs` asserts that the checker finds every one of
-//! them within its interleaving budget.
+//! gate and the allocator's remote frees, a reply ring's drain, the
+//! waiter's park-vs-wake handshake and the trace ring's seqlock.
+//! `smc_util::mutation` can re-introduce known, fixed bugs (e.g. the
+//! slot-vs-entry incarnation confusion, the first relocation bug fixed)
+//! at runtime; `tests/protocol.rs` asserts that the checker finds every
+//! one of them within its interleaving budget.
 //!
 //! Run the checker's own tests with `cargo test -p smc-check`; run the
 //! protocol suite with `RUSTFLAGS='--cfg smc_check' cargo test -p smc-check`.
@@ -62,12 +66,10 @@ pub mod sched;
 pub use explore::{Checker, ExploreStats, Schedule, Violation};
 pub use sched::{switch_point, Scenario};
 
-/// Routes `smc-memory`'s instrumented sync shims into the scheduler.
-/// Idempotent; called automatically by [`Checker::check`].
-pub fn install_memory_hook() {
-    smc_memory::sync::hook::install(memory_hook);
-}
+use smc_util::sync::hook;
 
-fn memory_hook(event: smc_memory::sync::hook::HookEvent) {
-    switch_point(matches!(event, smc_memory::sync::hook::HookEvent::Spin));
+/// Routes the instrumented `smc_util::sync` shim into the scheduler.
+/// Idempotent; called automatically by [`Checker::check`].
+pub fn install_hook() {
+    hook::install(|event| switch_point(event == hook::HookEvent::Spin));
 }

@@ -27,6 +27,10 @@
 //!   allocations.
 //! * **spill** — a free racing a spill of its object's block lands, and no
 //!   spilled page keeps the record of a freed object.
+//! * **rings and waiter** — a reply ring drained by its documented rule
+//!   loses and reorders nothing; a wake-up published while its waiter goes
+//!   to sleep is not lost; a trace-ring reader racing the owner sees only
+//!   whole records.
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -46,7 +50,10 @@ use smc_memory::runtime::Runtime;
 use smc_memory::slot::SlotState;
 use smc_memory::spill::MemoryPageStore;
 use smc_memory::stats::MemoryStats;
-use smc_memory::sync::{cpu_relax, AtomicBool, AtomicU32};
+use smc_obs::trace::{CheckRing, Event, TracedEvent, RING_CAPACITY};
+use smc_util::spsc;
+use smc_util::sync::{cpu_relax, AtomicBool, AtomicU32};
+use smc_util::waiter::Waiter;
 
 use crate::sched::Scenario;
 
@@ -68,14 +75,20 @@ pub fn all() -> Vec<NamedScenario> {
         ("remote_free_vs_owner_pop", remote_free_vs_owner_pop),
         ("entry_release_vs_owner_alloc", entry_release_vs_owner_alloc),
         ("spill_vs_free", spill_vs_free),
+        (
+            "reply_ring_drain_vs_late_producer",
+            reply_ring_drain_vs_late_producer,
+        ),
+        ("waiter_park_vs_wake", waiter_park_vs_wake),
+        ("trace_ring_reader_vs_owner", trace_ring_reader_vs_owner),
     ]
 }
 
 /// A reader pins while another thread drives the epoch forward. Oracle: the
 /// reader, while pinned at `e`, never observes a global epoch above `e + 1`
 /// (§3.4 — this is exactly the bound that makes "free at `e`, reuse at
-/// `e + 2`" safe). Catches [`smc_memory::mutation::Mutation::NoPublishRecheck`]
-/// and [`smc_memory::mutation::Mutation::AdvanceIgnoresPinned`].
+/// `e + 2`" safe). Catches [`smc_util::mutation::Mutation::NoPublishRecheck`]
+/// and [`smc_util::mutation::Mutation::AdvanceIgnoresPinned`].
 pub fn pin_vs_advance() -> Scenario {
     let mgr = EpochManager::new();
     let reader_mgr = mgr.clone();
@@ -145,7 +158,7 @@ pub fn snapshot_vs_advance() -> Scenario {
 /// Oracle: the counter lands on exactly 1 and no flag survives — a freeze
 /// that lost the race must have been rejected (stale counter) or cleared by
 /// the bump (§5.1 footnote: free uses CAS for precisely this race).
-pub fn free_vs_freeze() -> Scenario {
+fn free_vs_freeze() -> Scenario {
     let word = Arc::new(IncWord::new(0));
     let freer = word.clone();
     let freezer = word.clone();
@@ -237,7 +250,7 @@ fn move_fixture(value: u64, slot_counter: u32) -> MoveFixture {
 /// §5.1-case-c helping reader). Oracle: exactly one `MovedByUs`, the
 /// destination counts the object exactly once, and the source is a clean
 /// forwarding tombstone — i.e. no reader can observe a moved-then-reused
-/// slot as live. Catches [`smc_memory::mutation::Mutation::MoveSkipsLock`].
+/// slot as live. Catches [`smc_util::mutation::Mutation::MoveSkipsLock`].
 pub fn double_mover() -> Scenario {
     let fx = move_fixture(4242, 0);
     let outcomes = Arc::new(Mutex::new(Vec::new()));
@@ -296,7 +309,7 @@ pub fn double_mover() -> Scenario {
 /// Oracle: whichever side wins, the world is consistent — a successful move
 /// leaves a forwarding source and a valid destination; a bail-out leaves the
 /// object in place with the freeze fully stripped so readers stop taking the
-/// slow path. Catches [`smc_memory::mutation::Mutation::BailKeepsFrozen`].
+/// slow path. Catches [`smc_util::mutation::Mutation::BailKeepsFrozen`].
 pub fn move_vs_bail() -> Scenario {
     let fx = move_fixture(77, 0);
     let (src, dst, entry, reloc) = (fx.src, fx.dst, fx.entry, fx.reloc.clone());
@@ -369,7 +382,7 @@ pub fn move_vs_bail() -> Scenario {
 /// destination; a cancelled move leaves the object in place with freeze and
 /// lock fully stripped on both the slot and the entry, exactly as
 /// `Smc::verify` demands after `quiesce()`/`cancel()`. Catches
-/// [`smc_memory::mutation::Mutation::CancelSkipsBailRollback`].
+/// [`smc_util::mutation::Mutation::CancelSkipsBailRollback`].
 pub fn cancel_vs_inflight_move() -> Scenario {
     let fx = move_fixture(5150, 0);
     let (src, dst, entry, reloc) = (fx.src, fx.dst, fx.entry, fx.reloc.clone());
@@ -444,7 +457,7 @@ pub fn cancel_vs_inflight_move() -> Scenario {
 /// tombstone. Oracle: the *slot* counter is what survives at the destination
 /// (§6 — direct references embed the slot counter). Catches the original
 /// PR 1 bug re-introduced as
-/// [`smc_memory::mutation::Mutation::SlotVsEntryInc`].
+/// [`smc_util::mutation::Mutation::SlotVsEntryInc`].
 pub fn slot_vs_entry_incarnation() -> Scenario {
     const SLOT_COUNTER: u32 = 5;
     let fx = move_fixture(9001, SLOT_COUNTER);
@@ -514,7 +527,7 @@ const VISIT_OBJECTS: u32 = 3;
 /// [`CompactionGroup::wait_pre_readers`] before moving anything. Oracle: the
 /// scanner visits every object **exactly once** — never zero (lost under the
 /// move) and never twice (seen at both source and destination). Catches
-/// [`smc_memory::mutation::Mutation::PinSkipsStartedRecheck`].
+/// [`smc_util::mutation::Mutation::PinSkipsStartedRecheck`].
 pub fn exactly_once_visitation() -> Scenario {
     // 20 000-byte slots: a block holds exactly the three objects, so the
     // shipped whole-block walk costs the checker three steps per block
@@ -635,7 +648,7 @@ pub fn exactly_once_visitation() -> Scenario {
 /// each thread gets its object or a clean `OutOfMemory`; `blocks_live`
 /// equals the blocks the context holds (a refused add takes no block); and
 /// the context holds at most the budget plus one block per extra racer.
-pub fn budget_race() -> Scenario {
+fn budget_race() -> Scenario {
     const RACERS: usize = 2;
     let config = ContextConfig {
         budget_bytes: Some(BLOCK_SIZE as u64),
@@ -690,7 +703,7 @@ pub fn budget_race() -> Scenario {
 /// Oracle: A's second block is `x`'s memory on *every* interleaving — a
 /// block parked in a return queue is the owner's to reuse — and the books
 /// balance afterwards. Catches
-/// [`smc_memory::mutation::Mutation::DropRemoteDrain`], which strands the
+/// [`smc_util::mutation::Mutation::DropRemoteDrain`], which strands the
 /// remote queue, so A maps fresh memory instead. The blocks hold three
 /// 20 000-byte slots: recycling a block resets every slot, one checker
 /// step each, and a narrow layout would spend the step budget there.
@@ -763,7 +776,7 @@ pub fn remote_free_vs_owner_pop() -> Scenario {
 /// deferred + quarantined) — a magazine whose count ran ahead of its stock
 /// would hand the difference out twice — and no two live holders share an
 /// entry. Catches
-/// [`smc_memory::mutation::Mutation::ReleaseIntoForeignMagazine`].
+/// [`smc_util::mutation::Mutation::ReleaseIntoForeignMagazine`].
 pub fn entry_release_vs_owner_alloc() -> Scenario {
     const PER_THREAD: usize = 2;
     let mgr = EpochManager::new();
@@ -870,5 +883,109 @@ pub fn spill_vs_free() -> Scenario {
             );
             ctx.verify()
                 .unwrap_or_else(|v| panic!("context must verify at quiescence: {v:?}"));
+        })
+}
+
+/// A reply ring's drain races a late producer (`smc_util::spsc`, the serve
+/// layer's request and reply rings). The producer pushes 0, 1 and 2 into a
+/// ring of capacity 2, retrying while it is full, then drops its handle;
+/// the consumer pops until the ring is empty and stops by the documented
+/// rule, `is_closed() && pop().is_none()`. Oracle: it receives exactly
+/// `[0, 1, 2]` — nothing lost to the close, nothing overwritten before it
+/// was read. Catches
+/// [`smc_util::mutation::Mutation::PopReleasesSlotBeforeRead`].
+pub fn reply_ring_drain_vs_late_producer() -> Scenario {
+    let (tx, mut rx) = spsc::channel::<u64>(2);
+    assert_eq!(tx.capacity(), 2);
+    let received = Arc::new(Mutex::new(Vec::new()));
+    let sink = received.clone();
+    Scenario::new()
+        .thread(move || {
+            for i in 0..3u64 {
+                let mut v = i;
+                while let Err(back) = tx.push(v) {
+                    v = back;
+                    cpu_relax();
+                }
+            }
+            drop(tx);
+        })
+        .thread(move || loop {
+            match rx.pop() {
+                Some(v) => sink.lock().unwrap().push(v),
+                None if rx.is_closed() => match rx.pop() {
+                    Some(v) => sink.lock().unwrap().push(v),
+                    None => break,
+                },
+                None => cpu_relax(),
+            }
+        })
+        .finally(move || {
+            let received = received.lock().unwrap();
+            assert_eq!(
+                *received,
+                [0, 1, 2],
+                "the drained ring must deliver every push once, in order"
+            );
+        })
+}
+
+/// `Waiter`'s sleeping-flag handshake (`smc_util::waiter`): one thread
+/// waits untimed on a flag while a peer sets the flag and then calls
+/// `wake`. Oracle: the wait returns the flag — a lost wake-up leaves the
+/// waiter parked for ever, which the step budget reports as a livelock.
+/// Catches [`smc_util::mutation::Mutation::SleepAfterRecheck`].
+pub fn waiter_park_vs_wake() -> Scenario {
+    let waiter = Arc::new(Waiter::new());
+    let flag = Arc::new(AtomicBool::new(false));
+    let (waker, set) = (waiter.clone(), flag.clone());
+    Scenario::new()
+        .thread(move || {
+            let seen = waiter.wait(None, || flag.load(Ordering::Acquire).then_some(()));
+            assert_eq!(seen, Some(()), "an untimed wait returns what it waited for");
+        })
+        .thread(move || {
+            set.store(true, Ordering::Release);
+            waker.wake();
+        })
+}
+
+/// The record a trace-ring scenario pushes at logical position `i`: every
+/// one of its eight words is a function of `i`, so a record mixing two
+/// pushes is recognisable.
+fn ring_record(i: u64) -> TracedEvent {
+    TracedEvent {
+        seq: i,
+        thread: i ^ 0x7e,
+        nanos: !i,
+        event: Event::GcPauseEnd {
+            major: true,
+            nanos: i << 1,
+            traced: i << 2,
+            swept: i << 3,
+        },
+    }
+}
+
+/// The trace ring's seqlock (`smc_obs::trace`): the owner overwrites a
+/// published record while a reader reads every slot, as `snapshot` does.
+/// The ring starts full, so the owner's push reuses the oldest slot.
+/// Oracle: every record the reader accepts is whole — all eight words from
+/// one push. Catches [`smc_util::mutation::Mutation::BusyAfterWords`].
+pub fn trace_ring_reader_vs_owner() -> Scenario {
+    let ring = Arc::new(CheckRing::default());
+    let capacity = RING_CAPACITY as u64;
+    for i in 0..capacity {
+        ring.push(ring_record(i));
+    }
+    let owner = ring.clone();
+    Scenario::new()
+        .thread(move || owner.push(ring_record(capacity)))
+        .thread(move || {
+            for slot in 0..RING_CAPACITY {
+                if let Some(t) = ring.read_slot(slot) {
+                    assert_eq!(t, ring_record(t.seq), "slot {slot} held a torn record");
+                }
+            }
         })
 }

@@ -1,12 +1,14 @@
 //! Self-tests for the deterministic scheduler and bounded explorer, using
-//! hand-instrumented toy models (direct `switch_point` calls). These run in
-//! every build — they do not require `--cfg smc_check`.
+//! hand-instrumented toy models (direct `switch_point` calls), plus the
+//! shim's parker. These run in every build — they do not require
+//! `--cfg smc_check` — except the one that needs the checker's parker.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 
 use smc_check::{switch_point, Checker, Scenario, Schedule};
+use smc_util::sync::thread;
 
 /// Classic lost update: two threads do a non-atomic read-modify-write.
 fn racy_counter() -> Scenario {
@@ -206,4 +208,48 @@ fn three_threads_interleave_and_finish() {
     checker.max_executions = 3_000; // keep the 3-thread tree affordable
     let stats = checker.check(make).expect("no race to find");
     assert!(stats.executions > 10);
+}
+
+#[test]
+fn an_unpark_before_park_returns_at_once() {
+    let stats = Checker::new()
+        .check(|| {
+            Scenario::new().thread(|| {
+                thread::current().unpark();
+                thread::park();
+            })
+        })
+        .expect("a park whose token is already set returns");
+    assert!(stats.exhausted);
+}
+
+/// Under the checker a park never blocks the OS thread (that would
+/// deadlock the token-passing scheduler): it spins, reporting `Spin`, so a
+/// park nobody answers is a livelock the step budget reports.
+#[cfg(smc_check)]
+#[test]
+fn a_park_nobody_unparks_trips_the_step_budget_and_replays() {
+    let make = || {
+        let flag = Arc::new(AtomicU32::new(0));
+        let peer = flag.clone();
+        Scenario::new().thread(thread::park).thread(move || {
+            switch_point(false);
+            peer.store(1, Ordering::SeqCst);
+        })
+    };
+    let mut checker = Checker::new();
+    checker.max_steps = 300;
+    checker.random_iterations = 0;
+    let violation = checker
+        .check(make)
+        .expect_err("a park nobody unparks must trip the step budget");
+    assert!(
+        violation.message.contains("step budget"),
+        "unexpected failure: {}",
+        violation.message
+    );
+    for _ in 0..2 {
+        let replayed = checker.replay(&violation.schedule, make);
+        assert_eq!(replayed.as_deref(), Some(violation.message.as_str()));
+    }
 }

@@ -1,11 +1,11 @@
 //! Protocol checking + mutation testing for the SMC concurrency protocol.
 //!
 //! Only built under `RUSTFLAGS='--cfg smc_check'` (the scenarios drive
-//! instrumented `smc-memory` code). Two layers:
+//! instrumented `smc-memory`, `smc-util` and `smc-obs` code). Two layers:
 //!
 //! 1. every protocol scenario passes an exhaustive bounded-preemption sweep
 //!    (no false positives), and
-//! 2. every re-introducible known bug (`smc_memory::mutation`) is *found* by
+//! 2. every re-introducible known bug (`smc_util::mutation`) is *found* by
 //!    the checker within its budget, with the failing schedule printed as a
 //!    replayable seed that reproduces the violation deterministically.
 //!
@@ -18,9 +18,9 @@ use std::sync::{Mutex, MutexGuard};
 
 use smc_check::sched::Scenario;
 use smc_check::{scenarios, Checker};
-use smc_memory::mutation::{self, Mutation};
+use smc_util::mutation::{self, Mutation};
 
-/// Serializes tests because `smc_memory::mutation` switches are process-wide.
+/// Serializes tests because `smc_util::mutation` switches are process-wide.
 fn serialized() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -176,5 +176,32 @@ fn catches_free_ignores_spill_claim() {
         Mutation::FreeIgnoresSpillClaim,
         "spill_vs_free",
         scenarios::spill_vs_free,
+    );
+}
+
+#[test]
+fn catches_pop_releases_slot_before_read() {
+    assert_mutation_caught(
+        Mutation::PopReleasesSlotBeforeRead,
+        "reply_ring_drain_vs_late_producer",
+        scenarios::reply_ring_drain_vs_late_producer,
+    );
+}
+
+#[test]
+fn catches_sleep_after_recheck() {
+    assert_mutation_caught(
+        Mutation::SleepAfterRecheck,
+        "waiter_park_vs_wake",
+        scenarios::waiter_park_vs_wake,
+    );
+}
+
+#[test]
+fn catches_busy_after_words() {
+    assert_mutation_caught(
+        Mutation::BusyAfterWords,
+        "trace_ring_reader_vs_owner",
+        scenarios::trace_ring_reader_vs_owner,
     );
 }

@@ -165,7 +165,7 @@ impl WorkerPool {
         st.completed = 0;
         // Interleaving point matching the workers' pickup yield: the
         // dispatch/pickup pair is the pool's model-checkable surface.
-        smc_memory::sync::yield_point();
+        smc_util::sync::yield_point();
         self.shared.work_cv.notify_all();
         while st.completed < self.threads {
             st = wait(&self.shared.done_cv, st);
@@ -223,7 +223,7 @@ fn worker_loop(shared: &Shared, index: usize, threads: usize, runtime: Option<&R
         };
         // Interleaving point for the smc-check model checker: job pickup is
         // where a worker's view of dispatched state can race the coordinator.
-        smc_memory::sync::yield_point();
+        smc_util::sync::yield_point();
         // SAFETY: `run` keeps the closure alive until every worker completed.
         (unsafe { &*job.0 })(index);
         // Maintenance tick: pull blocks other workers freed back to this

@@ -248,39 +248,6 @@ impl<T: Trace> Arena<T> {
     }
 }
 
-/// Occupancy accounting for one arena, the managed-heap analogue of the
-/// off-heap side's per-block snapshot (`smc_memory::inspect`). Captured by
-/// walking slot atomics without stopping mutators.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ArenaOccupancy {
-    /// Segments allocated (each [`SEGMENT_SLOTS`] slots).
-    pub segments: usize,
-    /// Total slot capacity across segments.
-    pub capacity_slots: u64,
-    /// Occupied slots.
-    pub live_slots: u64,
-    /// Occupied slots still in the nursery generation (gen 0).
-    pub nursery_slots: u64,
-    /// Occupied slots promoted to the mature generation (gen 1).
-    pub mature_slots: u64,
-}
-
-impl ArenaOccupancy {
-    /// Live fraction of allocated capacity.
-    pub fn occupancy(&self) -> f64 {
-        self.live_slots as f64 / self.capacity_slots.max(1) as f64
-    }
-
-    /// Sums another arena's figures into this one.
-    pub fn merge(&mut self, other: &ArenaOccupancy) {
-        self.segments += other.segments;
-        self.capacity_slots += other.capacity_slots;
-        self.live_slots += other.live_slots;
-        self.nursery_slots += other.nursery_slots;
-        self.mature_slots += other.mature_slots;
-    }
-}
-
 /// Type-erased arena operations used by the collector.
 pub(crate) trait AnyArena: Send + Sync {
     /// Marks `id`; returns true if it was newly marked (needs tracing).
@@ -293,8 +260,6 @@ pub(crate) trait AnyArena: Send + Sync {
     fn sweep(&self, minor: bool, parity: u8) -> u64;
     /// Live object count.
     fn live_objects(&self) -> u64;
-    /// Walks slot atomics for generation/occupancy accounting.
-    fn occupancy(&self) -> ArenaOccupancy;
 }
 
 impl<T: Trace> AnyArena for Arena<T> {
@@ -367,31 +332,6 @@ impl<T: Trace> AnyArena for Arena<T> {
 
     fn live_objects(&self) -> u64 {
         self.live()
-    }
-
-    fn occupancy(&self) -> ArenaOccupancy {
-        let segs = self.segments.read();
-        let mut occ = ArenaOccupancy {
-            segments: segs.len(),
-            capacity_slots: (segs.len() * SEGMENT_SLOTS) as u64,
-            ..ArenaOccupancy::default()
-        };
-        for seg in segs.iter() {
-            for cell in seg.iter() {
-                if cell.occupied.load(Ordering::Acquire) == 0 {
-                    continue;
-                }
-                occ.live_slots += 1;
-                // Racy with concurrent promotion/alloc; each slot still
-                // lands in exactly one generation bucket.
-                if cell.gen.load(Ordering::Relaxed) == 0 {
-                    occ.nursery_slots += 1;
-                } else {
-                    occ.mature_slots += 1;
-                }
-            }
-        }
-        occ
     }
 }
 

@@ -24,7 +24,7 @@ use std::sync::{Arc, Weak};
 use smc_obs::clock;
 use smc_util::sync::{Mutex, RwLock, RwLockReadGuard};
 
-use crate::arena::{AnyArena, Arena, ArenaOccupancy, Handle, Marker, Trace};
+use crate::arena::{AnyArena, Arena, Handle, Marker, Trace};
 use crate::pause::PauseStats;
 
 /// Collector scheduling mode (the paper's batch vs interactive, §7).
@@ -70,22 +70,6 @@ pub trait HeapRoot: Send + Sync {
 /// collector stops the world by excluding all guards.
 pub struct HeapGuard<'h> {
     _world: RwLockReadGuard<'h, ()>,
-}
-
-/// A point-in-time occupancy snapshot of the whole managed heap; see
-/// [`ManagedHeap::occupancy_snapshot`].
-#[derive(Debug, Clone)]
-pub struct HeapOccupancy {
-    /// Per-arena figures (one entry per object type, unordered).
-    pub arenas: Vec<ArenaOccupancy>,
-    /// Sum over all arenas.
-    pub totals: ArenaOccupancy,
-    /// Total objects ever allocated.
-    pub allocated: u64,
-    /// Collections completed.
-    pub collections: u64,
-    /// Nursery allocation budget left before the next safepoint collection.
-    pub nursery_budget_remaining: u64,
 }
 
 /// An in-flight incremental mark cycle (interactive mode).
@@ -210,27 +194,6 @@ impl ManagedHeap {
             self.run_incremental_slice(&mut cycle, u64::MAX);
         }
         self.run_batch_collection(true)
-    }
-
-    /// Captures a generation/nursery occupancy snapshot of every arena —
-    /// the managed-heap analogue of the off-heap observatory's
-    /// `HeapSnapshot` (`smc_memory::inspect`), for SMC-vs-GC comparison.
-    /// Walks slot atomics without stopping mutators, so the
-    /// figures are racy-but-bounded the same way.
-    pub fn occupancy_snapshot(&self) -> HeapOccupancy {
-        let arenas: Vec<Arc<dyn AnyArena>> = self.arenas.lock().values().cloned().collect();
-        let per_arena: Vec<ArenaOccupancy> = arenas.iter().map(|a| a.occupancy()).collect();
-        let mut totals = ArenaOccupancy::default();
-        for occ in &per_arena {
-            totals.merge(occ);
-        }
-        HeapOccupancy {
-            arenas: per_arena,
-            totals,
-            allocated: self.allocated.load(Ordering::Relaxed),
-            collections: self.collections(),
-            nursery_budget_remaining: self.budget.load(Ordering::Relaxed).max(0) as u64,
-        }
     }
 
     // ------------------------------------------------------------------
@@ -569,39 +532,6 @@ mod tests {
         drop(guard);
         heap.collect_full(); // h unrooted: now reclaimed
         assert_eq!(arena.get(h), None);
-    }
-
-    #[test]
-    fn occupancy_snapshot_tracks_generations() {
-        let heap = small_heap(GcMode::Batch);
-        let arena = heap.arena::<u64>();
-        let root = Arc::new(VecRoot {
-            arena: arena.clone(),
-            items: Mutex::new(Vec::new()),
-        });
-        heap.add_root(Arc::downgrade(&root) as Weak<dyn HeapRoot>);
-        for i in 0..300u64 {
-            let h = heap.alloc(&arena, i);
-            root.items.lock().push(h);
-        }
-        let occ = heap.occupancy_snapshot();
-        assert_eq!(occ.totals.live_slots, 300);
-        assert_eq!(occ.totals.nursery_slots, 300, "nothing promoted yet");
-        assert!(occ.totals.capacity_slots >= 300);
-        assert!(occ.totals.occupancy() > 0.0);
-        assert_eq!(occ.arenas.len(), 1);
-        // After a collection the rooted survivors stay live (promotion to
-        // gen 1 happens on minor sweeps; a major sweep keeps gen as-is).
-        heap.collect_full();
-        let before = heap.occupancy_snapshot();
-        assert_eq!(before.totals.live_slots, 300);
-        for i in 0..300u64 {
-            heap.alloc(&arena, i); // unrooted garbage, stays in the nursery
-        }
-        let occ = heap.occupancy_snapshot();
-        assert_eq!(occ.totals.live_slots, 600);
-        assert_eq!(occ.totals.mature_slots + occ.totals.nursery_slots, 600);
-        assert!(occ.allocated >= 600);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod collections;
 pub mod heap;
 pub mod pause;
 
-pub use arena::{Arena, ArenaOccupancy, Handle, Marker, Trace};
+pub use arena::{Arena, Handle, Marker, Trace};
 pub use collections::{GcConcurrentBag, GcConcurrentDictionary, GcList};
-pub use heap::{GcMode, HeapConfig, HeapGuard, HeapOccupancy, ManagedHeap};
+pub use heap::{GcMode, HeapConfig, HeapGuard, ManagedHeap};
 pub use pause::{PauseReport, PauseStats};

@@ -40,9 +40,9 @@ use std::sync::atomic::Ordering;
 
 use crate::block::raw_dealloc_block;
 use crate::epoch::MAX_THREADS;
-use crate::mutation::{self, Mutation};
 use crate::stats::MemoryStats;
-use crate::sync::AtomicU64;
+use smc_util::mutation::{self, Mutation};
+use smc_util::sync::AtomicU64;
 
 /// Fresh blocks mapped per slow-path trip: one handout plus
 /// `ALLOC_BATCH - 1` cache refills.
@@ -77,7 +77,7 @@ fn push_chain(head: &AtomicU64, first: u64, last: u64) {
         {
             return;
         }
-        crate::sync::cpu_relax();
+        smc_util::sync::cpu_relax();
     }
 }
 

@@ -34,7 +34,7 @@
 use std::ptr::NonNull;
 use std::sync::atomic::Ordering;
 
-use crate::sync::{AtomicPtr, AtomicU32, AtomicUsize};
+use smc_util::sync::{AtomicPtr, AtomicU32, AtomicUsize};
 
 use crate::error::MemError;
 use crate::incarnation::IncWord;
@@ -671,7 +671,7 @@ impl ValidSlots {
             // Interleaving point for the smc-check model checker: a scan can
             // be preempted between slots, which is exactly where concurrent
             // compaction races live. Nothing in normal builds.
-            crate::sync::yield_point();
+            smc_util::sync::yield_point();
             if self.block.slot_word(slot).state() == SlotState::Valid && !visit(slot) {
                 return;
             }

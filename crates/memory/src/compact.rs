@@ -21,13 +21,13 @@ use crate::epoch::Guard;
 use crate::fault::FaultSite;
 use crate::incarnation::FLAG_FROZEN;
 use crate::indirection::EntryRef;
-use crate::mutation::{self, Mutation};
 use crate::reloc::{
     cancel_relocation, try_move_object, MoveOutcome, RelocEntry, RelocStatus, RelocationList,
 };
 use crate::slot::{SlotId, SlotState};
 use crate::stats::MemoryStats;
-use crate::sync::{AtomicBool, AtomicU32};
+use smc_util::mutation::{self, Mutation};
+use smc_util::sync::{AtomicBool, AtomicU32};
 
 /// One §5.2 compaction group: sources being emptied into a fresh block.
 #[derive(Debug)]
@@ -156,7 +156,7 @@ fn poll_until(deadline: Option<u64>, mut done: impl FnMut() -> bool) -> bool {
         if deadline.is_some_and(|d| clock::now() >= d) {
             return false;
         }
-        crate::sync::thread_yield();
+        smc_util::sync::thread_yield();
     }
     true
 }
@@ -565,11 +565,6 @@ impl MemoryContext {
         }
     }
 
-    /// Number of retired blocks awaiting [`release_retired`](Self::release_retired).
-    pub fn pending_retired_len(&self) -> usize {
-        self.pending_retired.lock().len()
-    }
-
     /// The patience deadline for one wait of the pass, from now.
     fn patience(&self) -> Option<u64> {
         Some(clock::now() + self.config.compaction_patience.as_nanos() as u64)
@@ -633,7 +628,7 @@ mod tests {
         assert!(report.groups >= 1, "sparse blocks should form groups");
         assert!(report.moved > 0);
         assert!(!report.retired_bases.is_empty());
-        assert!(c.pending_retired_len() > 0);
+        assert!(!c.pending_retired.lock().is_empty());
         // Every kept object survives, reachable through its entry, with the
         // same entry incarnation (references stay valid across compaction).
         for (a, v) in &kept {

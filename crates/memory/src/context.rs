@@ -35,7 +35,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::sync::{cpu_relax, fence, AtomicBool, AtomicU64, AtomicUsize, Mutex, RwLock};
+use smc_util::sync::{cpu_relax, fence, AtomicBool, AtomicU64, AtomicUsize, Mutex, RwLock};
 
 use crate::block::{BlockLayout, BlockRef};
 pub use crate::compact::{CompactionGroup, CompactionReport};
@@ -43,11 +43,11 @@ use crate::epoch::Guard;
 use crate::error::MemError;
 use crate::incarnation::IncWord;
 use crate::indirection::EntryRef;
-use crate::mutation::{self, Mutation};
 use crate::runtime::{Grave, Runtime};
 use crate::slot::{self, SlotId, SlotState};
 use crate::spill::{self, SpillState};
 use crate::stats::MemoryStats;
+use smc_util::mutation::{self, Mutation};
 
 /// Tunables of a context.
 #[derive(Debug, Clone, Copy)]

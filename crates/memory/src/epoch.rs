@@ -32,8 +32,8 @@ use std::sync::{Arc, Weak};
 
 use crate::error::MemError;
 use crate::fault::{FaultInjector, FaultSite};
-use crate::mutation::{self, Mutation};
-use crate::sync::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
+use smc_util::mutation::{self, Mutation};
+use smc_util::sync::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
 
 /// Maximum number of threads that may concurrently use one manager.
 #[cfg(not(smc_check))]
@@ -58,7 +58,7 @@ struct ThreadSlot {
     claimed: AtomicU32,
     /// [`smc_obs::clock::now`] at which the current outermost critical
     /// section was entered. Observability-only, so deliberately a *plain*
-    /// std atomic — the instrumented `crate::sync` types would add
+    /// std atomic — the instrumented `smc_util::sync` types would add
     /// model-checker switch points to every pin and blow up the `smc_check`
     /// state space.
     pin_start: std::sync::atomic::AtomicU64,
@@ -454,18 +454,6 @@ impl EpochManager {
             None => 0,
         }
     }
-
-    /// The epoch the calling thread is pinned at, if it is in a critical
-    /// section.
-    pub fn current_thread_epoch(self: &Arc<Self>) -> Option<u64> {
-        let idx = self.thread_index().ok()?;
-        let slot = &self.slots[idx];
-        if slot.depth.load(Ordering::Acquire) > 0 {
-            Some(slot.epoch.load(Ordering::Acquire))
-        } else {
-            None
-        }
-    }
 }
 
 /// An active critical section. Object dereferences require a `&Guard`; the
@@ -504,15 +492,6 @@ impl<'e> Guard<'e> {
     pub fn in_relocation_epoch(&self) -> bool {
         let r = self.mgr.next_relocation_epoch();
         r != 0 && self.epoch() == r
-    }
-
-    /// Momentarily exits and re-enters the critical section, letting epoch
-    /// advancement (and therefore reclamation and compaction) make progress
-    /// during long-running queries. Any references previously obtained from
-    /// this guard are invalidated by the borrow checker, as required.
-    pub fn repin(&mut self) {
-        self.mgr.exit(self.idx);
-        self.mgr.enter(self.idx);
     }
 }
 
@@ -556,9 +535,9 @@ mod tests {
         let mgr = EpochManager::new();
         let g = mgr.pin();
         assert_eq!(g.epoch(), 0);
-        assert_eq!(mgr.current_thread_epoch(), Some(0));
+        assert_eq!(mgr.min_pinned_epoch(), Some(0));
         drop(g);
-        assert_eq!(mgr.current_thread_epoch(), None);
+        assert_eq!(mgr.min_pinned_epoch(), None);
     }
 
     #[test]
@@ -577,17 +556,6 @@ mod tests {
         assert_eq!(mgr.try_advance(), Some(1));
         // ...but a second would leave us two behind, so it must fail.
         assert_eq!(mgr.try_advance(), None);
-    }
-
-    #[test]
-    fn repin_unblocks_advance() {
-        let mgr = EpochManager::new();
-        let mut g = mgr.pin();
-        assert_eq!(mgr.try_advance(), Some(1));
-        assert_eq!(mgr.try_advance(), None);
-        g.repin();
-        assert_eq!(g.epoch(), 1);
-        assert_eq!(mgr.try_advance(), Some(2));
     }
 
     #[test]

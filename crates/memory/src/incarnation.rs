@@ -25,7 +25,7 @@
 
 use std::sync::atomic::Ordering;
 
-use crate::sync::AtomicU32;
+use smc_util::sync::AtomicU32;
 
 /// Frozen flag: object scheduled for relocation (§5.1).
 pub const FLAG_FROZEN: u32 = 1 << 31;
@@ -115,7 +115,7 @@ impl IncWord {
         loop {
             let cur = self.0.load(Ordering::Acquire);
             if cur & FLAG_LOCK != 0 {
-                crate::sync::cpu_relax();
+                smc_util::sync::cpu_relax();
                 continue;
             }
             let next = (cur & INC_MASK).wrapping_add(1) & INC_MASK;
@@ -183,7 +183,7 @@ impl IncWord {
                 return None;
             }
             if cur & FLAG_LOCK != 0 {
-                crate::sync::cpu_relax();
+                smc_util::sync::cpu_relax();
                 continue;
             }
             let next = cur | FLAG_LOCK;
@@ -231,23 +231,9 @@ impl IncWord {
             if cur & FLAG_LOCK == 0 {
                 return cur;
             }
-            crate::sync::cpu_relax();
+            smc_util::sync::cpu_relax();
         }
     }
-}
-
-/// True if `reference_inc` matches `word` exactly — the common fast path.
-#[inline(always)]
-pub fn matches_exact(reference_inc: u32, word: u32) -> bool {
-    reference_inc == word
-}
-
-/// True if `reference_inc` matches `word` once flags are masked out — the
-/// §5.1 second test that distinguishes "frozen/forwarded but alive" from
-/// "freed".
-#[inline(always)]
-pub fn matches_masked(reference_inc: u32, word: u32) -> bool {
-    reference_inc & INC_MASK == word & INC_MASK
 }
 
 #[cfg(test)]
@@ -319,14 +305,6 @@ mod tests {
         w.bump();
         w.clear_flag(4, FLAG_FROZEN);
         assert_eq!(w.load(Acquire), 5);
-    }
-
-    #[test]
-    fn matchers() {
-        assert!(matches_exact(9, 9));
-        assert!(!matches_exact(9, 9 | FLAG_FROZEN));
-        assert!(matches_masked(9, 9 | FLAG_FROZEN));
-        assert!(!matches_masked(9, 10));
     }
 
     #[test]

@@ -42,8 +42,8 @@ use std::sync::atomic::{AtomicPtr, Ordering};
 
 use crate::epoch::MAX_THREADS;
 use crate::incarnation::{IncWord, INC_LIMIT};
-use crate::mutation::{self, Mutation};
-use crate::sync::{AtomicU64, AtomicUsize, Mutex};
+use smc_util::mutation::{self, Mutation};
+use smc_util::sync::{AtomicU64, AtomicUsize, Mutex};
 
 // Gauges and magazine words are deliberately *plain* std atomics, like
 // `ThreadSlot::pin_start`: each is written by one thread at a time (the
@@ -325,7 +325,7 @@ impl IndirectionTable {
             let magazine = &self.magazines[target % self.magazines.len()];
             for entry in batch {
                 let len = magazine.len.load(Ordering::Relaxed).min(MAGAZINE - 1);
-                crate::sync::yield_point();
+                smc_util::sync::yield_point();
                 magazine.entries[len].store(entry.0.as_ptr(), Ordering::Relaxed);
                 magazine.len.store(len + 1, Ordering::Relaxed);
             }

@@ -70,14 +70,12 @@ pub mod incarnation;
 pub mod indirection;
 pub mod inline_str;
 pub mod inspect;
-pub mod mutation;
 pub mod page;
 pub mod reloc;
 pub mod runtime;
 pub mod slot;
 pub mod spill;
 pub mod stats;
-pub mod sync;
 pub mod tabular;
 pub mod verify;
 

@@ -26,9 +26,9 @@ use std::sync::atomic::Ordering;
 use crate::block::BlockRef;
 use crate::incarnation::{FLAG_FORWARD, FLAG_FROZEN, INC_MASK};
 use crate::indirection::EntryRef;
-use crate::mutation::{self, Mutation};
 use crate::slot::SlotId;
-use crate::sync::AtomicU32;
+use smc_util::mutation::{self, Mutation};
+use smc_util::sync::AtomicU32;
 
 /// Outcome state of one scheduled relocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,13 +114,6 @@ impl RelocationList {
             .binary_search_by_key(&slot, |e| e.src_slot)
             .ok()
             .map(|i| &self.entries[i])
-    }
-
-    /// True when every entry has left the `Pending` state.
-    pub fn all_settled(&self) -> bool {
-        self.entries
-            .iter()
-            .all(|e| e.status() != RelocStatus::Pending)
     }
 
     /// Count of entries with the given status.
@@ -453,7 +446,6 @@ mod tests {
         assert_eq!(list.find(5).unwrap().entry_addr, 0x30);
         assert_eq!(list.find(9).unwrap().entry_addr, 0x10);
         assert!(list.find(7).is_none());
-        assert!(!list.all_settled());
         assert_eq!(list.count(RelocStatus::Pending), 3);
     }
 

@@ -28,7 +28,7 @@ use crate::fault::{FaultInjector, FaultSite};
 use crate::indirection::{EntryRef, IndirectionTable};
 use crate::spill::SpillStub;
 use crate::stats::MemoryStats;
-use crate::sync::{AtomicU64, Mutex};
+use smc_util::sync::{AtomicU64, Mutex};
 
 /// Shared state of one off-heap memory system instance.
 ///
@@ -433,7 +433,7 @@ impl Runtime {
         let last = self.graveyard.lock().iter().map(|&(_, at)| at).max();
         while last.is_some_and(|last| self.global_epoch() < last) {
             let _ = self.epochs.try_advance();
-            crate::sync::cpu_relax();
+            smc_util::sync::cpu_relax();
         }
         self.drain_graveyard();
     }

@@ -22,7 +22,7 @@
 
 use std::sync::atomic::Ordering;
 
-use crate::sync::AtomicU32;
+use smc_util::sync::AtomicU32;
 
 /// Identifier of a slot within one block (dense, starting at zero).
 pub type SlotId = u32;
@@ -118,30 +118,6 @@ impl SlotWord {
     pub fn reset(&self) {
         self.0.store(0, Ordering::Release);
     }
-
-    /// Attempts to transition a reclaimable `Limbo` slot (or a `Free` slot)
-    /// to `Valid` for a new allocation. Single allocating thread per block,
-    /// so a store suffices; kept as a CAS for defense in depth against
-    /// protocol bugs (it is not on the enumeration fast path).
-    pub fn try_claim(&self, now: u64) -> bool {
-        let cur = self.0.load(Ordering::Acquire);
-        let ok = match state_of(cur) {
-            SlotState::Free => true,
-            SlotState::Limbo => reclaimable(epoch_of(cur), now),
-            SlotState::Valid => false,
-        };
-        if !ok {
-            return false;
-        }
-        self.0
-            .compare_exchange(
-                cur,
-                pack(SlotState::Valid, 0),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .is_ok()
-    }
 }
 
 #[cfg(test)]
@@ -182,14 +158,10 @@ mod tests {
     fn slot_word_lifecycle() {
         let s = SlotWord::free();
         assert_eq!(s.state(), SlotState::Free);
-        assert!(s.try_claim(0));
+        s.set_valid();
         assert_eq!(s.state(), SlotState::Valid);
-        assert!(!s.try_claim(100), "valid slots are never reclaimed");
         s.set_limbo(5);
         assert_eq!(s.state(), SlotState::Limbo);
-        assert!(!s.try_claim(6), "one epoch is not enough");
-        assert!(s.try_claim(7));
-        assert_eq!(s.state(), SlotState::Valid);
     }
 
     #[test]

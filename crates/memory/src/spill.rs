@@ -86,7 +86,7 @@ use crate::page::PageWriter;
 use crate::runtime::Grave;
 use crate::slot::{SlotId, SlotState};
 use crate::stats::MemoryStats;
-use crate::sync::fence;
+use smc_util::sync::fence;
 
 /// Bit 0 of an indirection-entry payload marks a spilled object. Row object
 /// pointers are always 4-byte aligned (see `BlockLayout::rows`), so the bit
@@ -159,24 +159,6 @@ impl MemoryPageStore {
     /// True when no pages are stored.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Flips one byte of the stored page behind `ticket` (torn-write test
-    /// helper); returns false if the ticket holds no page.
-    pub fn corrupt_page(&self, ticket: u64) -> bool {
-        let mut inner = self.inner.lock().unwrap();
-        match inner
-            .pages
-            .get_mut(ticket as usize)
-            .and_then(|p| p.as_mut())
-        {
-            Some((_, bytes)) if !bytes.is_empty() => {
-                let mid = bytes.len() / 2;
-                bytes[mid] ^= 0xff;
-                true
-            }
-            _ => false,
-        }
     }
 }
 
@@ -344,11 +326,6 @@ impl MemoryContext {
         s.store = Some(store);
         s.this = Arc::downgrade(self);
         true
-    }
-
-    /// True once [`enable_spill`](Self::enable_spill) has attached a store.
-    pub fn spill_enabled(&self) -> bool {
-        self.spill.lock().store.is_some()
     }
 
     /// Blocks currently spilled to the page store.
@@ -982,12 +959,30 @@ mod tests {
         c.verify().unwrap();
     }
 
+    /// Flips one byte of the stored page behind `ticket` (torn-write
+    /// helper); returns false if the ticket holds no page.
+    fn corrupt_page(store: &MemoryPageStore, ticket: u64) -> bool {
+        let mut inner = store.inner.lock().unwrap();
+        match inner
+            .pages
+            .get_mut(ticket as usize)
+            .and_then(|p| p.as_mut())
+        {
+            Some((_, bytes)) if !bytes.is_empty() => {
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0xff;
+                true
+            }
+            _ => false,
+        }
+    }
+
     #[test]
     fn fault_in_corrupted_page_fails_closed() {
         let rt = Runtime::new();
         let (c, store) = spill_ctx(&rt);
         let first = fill_two_blocks_and_spill(&c);
-        store.corrupt_page(0);
+        corrupt_page(&store, 0);
         let victim = &first[0];
         assert_eq!(
             c.try_free(victim.entry, victim.entry_inc).unwrap_err(),
@@ -1049,6 +1044,6 @@ mod tests {
         );
         let store = Arc::new(MemoryPageStore::new());
         assert!(!c.enable_spill(store), "columnar layouts cannot spill");
-        assert!(!c.spill_enabled());
+        assert!(c.spill.lock().store.is_none());
     }
 }

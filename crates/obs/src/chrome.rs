@@ -191,7 +191,7 @@ impl ChromeTrace {
     }
 
     /// Drains the current [`trace::snapshot`] into a new export, itemizing
-    /// any per-ring drop counts as metadata ([`note_dropped`](Self::note_dropped)).
+    /// any per-ring drop counts as `M` metadata records.
     pub fn from_ring_snapshot() -> ChromeTrace {
         let mut out = ChromeTrace::new();
         out.add_events(&trace::snapshot());
@@ -279,7 +279,7 @@ impl ChromeTrace {
     /// `trace_events_dropped` on that thread's `tid` track), so a drop
     /// storm names the saturated producer instead of hiding inside one
     /// aggregate counter. Pass [`trace::dropped_by_thread`].
-    pub fn note_dropped(&mut self, per_ring: &[(u64, u64)]) {
+    fn note_dropped(&mut self, per_ring: &[(u64, u64)]) {
         for &(tid, dropped) in per_ring {
             self.note_tid(tid);
             self.records.push(Record {
@@ -305,7 +305,7 @@ impl ChromeTrace {
     }
 
     /// Number of records staged for export: the timeline plus the `M`
-    /// records of [`note_dropped`](Self::note_dropped), but not the
+    /// records of the per-ring drop counts, but not the
     /// `thread_name` records [`to_json`](Self::to_json) adds. The timeline
     /// alone is [`validate`]'s [`TraceShape::timeline`].
     pub fn len(&self) -> usize {

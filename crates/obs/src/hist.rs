@@ -69,7 +69,7 @@ impl Histogram {
 
     /// Index of the bucket holding `v`: exact below [`SUB_BUCKETS`], then
     /// `SUB_BUCKETS` linear sub-buckets per power of two.
-    pub fn bucket_index(v: u64) -> usize {
+    fn bucket_index(v: u64) -> usize {
         if v < SUB_BUCKETS as u64 {
             v as usize
         } else {
@@ -79,8 +79,7 @@ impl Histogram {
         }
     }
 
-    /// Smallest value mapping to bucket `i` (inverse of
-    /// [`bucket_index`](Self::bucket_index)).
+    /// Smallest value mapping to bucket `i` (inverse of `bucket_index`).
     pub fn bucket_low(i: usize) -> u64 {
         if i < 2 * SUB_BUCKETS {
             i as u64
@@ -108,7 +107,7 @@ impl Histogram {
     }
 
     /// Records `n` identical samples.
-    pub fn record_n(&self, v: u64, n: u64) {
+    fn record_n(&self, v: u64, n: u64) {
         if n == 0 {
             return;
         }

@@ -4,7 +4,9 @@
 //! runtime behaviour: GC pause distributions, reclamation cost, enumeration
 //! throughput (§7, Figs 6–13). This crate is the measurement substrate the
 //! rest of the workspace reports through. It has **zero external
-//! dependencies** and these parts:
+//! dependencies** — its one dependency is the workspace's `smc-util`, whose
+//! sync shim the trace ring goes through so the `smc-check` model checker
+//! sees it — and these parts:
 //!
 //! - [`clock`] — the process clock every library time read goes through:
 //!   nanoseconds since one origin, which a test can freeze and step.

@@ -38,15 +38,22 @@
 //! ```
 
 use std::cell::Cell;
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::Ordering;
+
+use smc_util::mutation::{self, Mutation};
+use smc_util::sync::{fence, AtomicBool, AtomicU64, Mutex, MutexGuard};
 
 use crate::clock;
 use crate::hist::Histogram;
 use crate::report::JsonValue;
 
 /// Events each per-thread ring can hold before overwriting the oldest.
+#[cfg(not(smc_check))]
 pub const RING_CAPACITY: usize = 1024;
+/// Events each per-thread ring can hold before overwriting the oldest
+/// (reduced under the model checker, so a scenario can wrap a ring).
+#[cfg(smc_check)]
+pub const RING_CAPACITY: usize = 4;
 
 /// A fixed-size, copyable string of at most `N` bytes for event payloads
 /// (site names, query labels, stage tokens). Longer strings are truncated
@@ -511,12 +518,22 @@ impl SeqSlot {
     /// so no new word is seen before the mark, write the record, then
     /// publish the new tag after every word.
     fn publish(&self, pos: u64, words: [u64; 8]) {
-        self.tag.store(BUSY, Ordering::Relaxed);
-        fence(Ordering::Release);
+        let late = mutation::enabled(Mutation::BusyAfterWords);
+        if !late {
+            self.mark_busy();
+        }
         for (slot, word) in self.words.iter().zip(words) {
             slot.store(word, Ordering::Relaxed);
         }
+        if late {
+            self.mark_busy();
+        }
         self.tag.store(pos + 1, Ordering::Release);
+    }
+
+    fn mark_busy(&self) {
+        self.tag.store(BUSY, Ordering::Relaxed);
+        fence(Ordering::Release);
     }
 
     /// The slot's record decoded, or `None` when it is empty, mid-write,
@@ -574,6 +591,35 @@ impl Ring {
     }
 }
 
+/// A standalone ring for the `smc-check` scenarios (checker builds only):
+/// its owner pushes records, any thread reads its slots, exactly as the
+/// tracer's per-thread rings and [`snapshot`] do.
+#[cfg(smc_check)]
+pub struct CheckRing(Ring);
+
+#[cfg(smc_check)]
+impl Default for CheckRing {
+    /// An empty ring of [`RING_CAPACITY`] slots.
+    fn default() -> CheckRing {
+        CheckRing(Ring::new())
+    }
+}
+
+#[cfg(smc_check)]
+impl CheckRing {
+    /// Pushes `record` (owner only), overwriting the record a whole ring
+    /// older.
+    pub fn push(&self, record: TracedEvent) {
+        self.0.push(record.to_words());
+    }
+
+    /// The record in slot `i`, as a reader validates it; `None` when the
+    /// slot is empty, mid-write or was overwritten during the read.
+    pub fn read_slot(&self, i: usize) -> Option<TracedEvent> {
+        self.0.slots[i].read_event()
+    }
+}
+
 /// Whether [`emit`] records. Off means every [`emit`] is a single relaxed
 /// load plus one predictable branch — the ≤ 2 ns/op budget the overhead
 /// test holds.
@@ -588,13 +634,13 @@ static NEXT_THREAD: AtomicU64 = AtomicU64::new(1);
 /// shows the records of a thread that has exited.
 fn registry() -> MutexGuard<'static, Vec<&'static Ring>> {
     static REGISTRY: Mutex<Vec<&'static Ring>> = Mutex::new(Vec::new());
-    REGISTRY.lock().unwrap_or_else(|e| e.into_inner())
+    REGISTRY.lock()
 }
 
 /// Rings whose owning thread has exited, waiting for a new owner.
 fn spares() -> MutexGuard<'static, Vec<&'static Ring>> {
     static SPARES: Mutex<Vec<&'static Ring>> = Mutex::new(Vec::new());
-    SPARES.lock().unwrap_or_else(|e| e.into_inner())
+    SPARES.lock()
 }
 
 /// A thread's hold on its ring. A thread takes a spare ring before it makes
@@ -844,9 +890,9 @@ impl Drop for Span<'_> {
 /// Tracer state is process-global; tests (here and in [`crate::chrome`])
 /// that toggle it serialize on this lock.
 #[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+pub(crate) fn test_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    LOCK.lock()
 }
 
 #[cfg(test)]

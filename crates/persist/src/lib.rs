@@ -76,9 +76,9 @@ use smc_memory::fault::FaultSite;
 use smc_memory::page::{self, checksum64, PageError, PageHeader, PageWriter, PAGE_HEADER};
 use smc_memory::runtime::Runtime;
 use smc_memory::spill::{PageStore, SpillIoError};
-use smc_memory::sync::Mutex;
 use smc_memory::tabular::Tabular;
 use smc_obs::clock;
+use smc_util::sync::Mutex;
 
 /// First line of every manifest; bumped on incompatible format changes.
 const MANIFEST_SCHEMA: &str = "smc-snapshot/v2";

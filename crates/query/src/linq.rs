@@ -8,7 +8,7 @@
 //! compiled C#" observation of §7.
 //!
 //! The API mirrors the familiar operator names: `where_`, `select`,
-//! `group_by`, `order_by`, `sum_by`, `count`, `join`.
+//! `group_by`, `sum_by`, `count`, `join`.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -40,17 +40,6 @@ impl<'a, T: 'a> LinqIter<'a, T> {
         }
     }
 
-    /// Flat-maps — LINQ `SelectMany`.
-    pub fn select_many<U: 'a, I>(self, f: impl FnMut(T) -> I + 'a) -> LinqIter<'a, U>
-    where
-        I: IntoIterator<Item = U> + 'a,
-        <I as IntoIterator>::IntoIter: 'a,
-    {
-        LinqIter {
-            inner: Box::new(self.inner.flat_map(f)),
-        }
-    }
-
     /// Groups into a hash map — LINQ `GroupBy` (materializes, as LINQ does).
     pub fn group_by<K: Eq + Hash + 'a>(
         self,
@@ -61,13 +50,6 @@ impl<'a, T: 'a> LinqIter<'a, T> {
             groups.entry(key(&item)).or_default().push(item);
         }
         groups
-    }
-
-    /// Sorts ascending by key — LINQ `OrderBy` (materializes).
-    pub fn order_by<K: Ord>(self, mut key: impl FnMut(&T) -> K + 'a) -> Vec<T> {
-        let mut v: Vec<T> = self.inner.collect();
-        v.sort_by_key(|t| key(t));
-        v
     }
 
     /// Hash join with another pipeline — LINQ `Join`. Builds on the right.
@@ -161,12 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn order_by_sorts() {
-        let v = vec![3, 1, 2].into_iter().linq().order_by(|x| *x);
-        assert_eq!(v, vec![1, 2, 3]);
-    }
-
-    #[test]
     fn join_matches_keys() {
         let orders = vec![(1, "a"), (2, "b"), (1, "c")];
         let customers = vec![(1, "Alice"), (2, "Bob")];
@@ -189,15 +165,5 @@ mod tests {
         assert_eq!((1..=4).linq().sum_by(|x| x), 10);
         assert_eq!((1..=4).linq().count(), 4);
         assert_eq!((1..=4).linq().where_(|x| *x > 4).first(), None);
-    }
-
-    #[test]
-    fn select_many_flattens() {
-        let out: Vec<i32> = vec![1, 2, 3]
-            .into_iter()
-            .linq()
-            .select_many(|x| vec![x, x * 10])
-            .to_vec();
-        assert_eq!(out, vec![1, 10, 2, 20, 3, 30]);
     }
 }

@@ -82,7 +82,7 @@ pub enum ErrorCode {
 
 impl ErrorCode {
     /// Decodes a status byte (never 0, which is OK).
-    pub fn from_byte(b: u8) -> Option<ErrorCode> {
+    fn from_byte(b: u8) -> Option<ErrorCode> {
         match b {
             1 => Some(ErrorCode::BadFrame),
             2 => Some(ErrorCode::UnknownOp),

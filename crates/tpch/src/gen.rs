@@ -213,7 +213,7 @@ pub struct RawLineitem {
 }
 
 /// `P_RETAILPRICE` from the part key (spec 4.2.3 formula).
-pub fn retail_price(partkey: i64) -> Decimal {
+fn retail_price(partkey: i64) -> Decimal {
     let cents = 90_000 + (partkey % 20_001) / 10 + 100 * (partkey % 1_000);
     Decimal::from_cents(cents)
 }

@@ -116,14 +116,6 @@ pub struct Q1Row {
 }
 
 impl Q1Row {
-    /// Average quantity (derived, as the paper's output shows it).
-    pub fn avg_qty(&self) -> Decimal {
-        self.sum_qty / Decimal::from_int(self.count as i64)
-    }
-    /// Average price.
-    pub fn avg_price(&self) -> Decimal {
-        self.sum_base_price / Decimal::from_int(self.count as i64)
-    }
     /// Average discount.
     pub fn avg_disc(&self) -> Decimal {
         self.sum_discount / Decimal::from_int(self.count as i64)

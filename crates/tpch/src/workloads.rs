@@ -19,7 +19,7 @@ use crate::smcdb::{Lineitem, SmcDb};
 
 /// Synthesizes a fresh lineitem for insert streams (keys beyond the loaded
 /// population so removals never collide with inserts).
-pub fn synthetic_lineitem(rng: &mut StdRng, orderkey: i64) -> (i64, i32, Decimal, Decimal, i32) {
+fn synthetic_lineitem(rng: &mut StdRng, orderkey: i64) -> (i64, i32, Decimal, Decimal, i32) {
     let quantity = rng.gen_range(1..=50i64);
     let price = Decimal::from_cents(rng.gen_range(90_000i64..=200_000) * quantity);
     let shipdate = rng.gen_range(START_DATE..=LAST_ORDER_DATE);

@@ -1,10 +1,15 @@
 //! # smc-util — zero-dependency workspace utilities
 //!
 //! The workspace builds fully offline: no crates.io dependencies. This crate
-//! supplies the two things third-party crates used to provide:
+//! sits under every other one and supplies:
 //!
-//! * [`sync`] — `Mutex`/`RwLock` wrappers over `std::sync` with a
-//!   `parking_lot`-style API (no poison `Result`s at every call site);
+//! * [`sync`] — the workspace's one synchronisation layer: `Mutex`/`RwLock`
+//!   with a `parking_lot`-style API (no poison `Result`s at every call
+//!   site), the atomics, fences, spin/yield points and the parker, all
+//!   plain `std` normally and instrumented for the `smc-check` model checker
+//!   under `--cfg smc_check`;
+//! * [`mutation`] — the checker's switchboard of re-introducible protocol
+//!   bugs (compiled out in normal builds);
 //! * [`rng`] — a small, seeded PCG pseudo-random generator standing in for
 //!   `rand::StdRng` in the TPC-H generator, workloads, and tests.
 //!
@@ -13,11 +18,13 @@
 //! bounded lock-free single-producer/single-consumer ring the serve layer
 //! uses to route requests from connection threads to shard threads and
 //! replies back, and [`waiter`], the spin-then-park wait both ends of those
-//! rings share.
+//! rings share. The rings and the waiter go through [`sync`], so the checker
+//! explores them too.
 
 #![warn(missing_docs)]
 
 pub mod backoff;
+pub mod mutation;
 pub mod rng;
 pub mod spsc;
 pub mod sync;

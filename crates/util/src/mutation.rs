@@ -1,6 +1,9 @@
 //! Mutation-testing switchboard: re-introduces known (fixed) protocol bugs at
 //! runtime so the `smc-check` model checker can prove it would have caught
-//! each of them.
+//! each of them. It sits beside [`sync`](crate::sync), the layer the
+//! checker sees through, so every crate whose protocols go through that
+//! layer (`smc-memory`, this crate's rings and waiter, `smc-obs`'s trace
+//! ring) can consult it.
 //!
 //! The mutations only exist under `cfg(smc_check)`; in a normal build
 //! [`enabled`] is a `const false`, so every call site folds away and the
@@ -13,9 +16,10 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u32)]
 pub enum Mutation {
-    /// The PR 1 bug: relocation installs the *indirection-entry* incarnation
-    /// at the destination slot instead of the *source slot* incarnation
-    /// (slot-side and entry-side counters are independent).
+    /// The first relocation bug fixed: relocation installs the
+    /// *indirection-entry* incarnation at the destination slot instead of
+    /// the *source slot* incarnation (slot-side and entry-side counters are
+    /// independent).
     SlotVsEntryInc = 1 << 0,
     /// Epoch advance skips the "all pinned threads reached the current
     /// epoch" check, so memory can be reclaimed under a live reader.
@@ -53,6 +57,18 @@ pub enum Mutation {
     /// free can finish between a spill's wait on the entry and its tag
     /// store, and the freed object is spilled as if it were live.
     FreeIgnoresSpillClaim = 1 << 9,
+    /// `spsc::Consumer::pop` releases its slot (stores `head + 1`) before it
+    /// reads the slot, so a producer waiting on a full ring can overwrite
+    /// the value before the consumer has taken it.
+    PopReleasesSlotBeforeRead = 1 << 10,
+    /// `Waiter::wait` re-polls before it raises `sleeping`, so a waker that
+    /// publishes between the poll and the store sees no sleeper, skips the
+    /// `unpark`, and the waiter parks through its wake-up.
+    SleepAfterRecheck = 1 << 11,
+    /// The trace ring's `SeqSlot::publish` stores the `BUSY` tag after the
+    /// record's words instead of before them, so a reader can validate a
+    /// slot whose words are half the old record and half the new.
+    BusyAfterWords = 1 << 12,
 }
 
 #[cfg(smc_check)]

@@ -27,8 +27,11 @@
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
+
+use crate::mutation::{self, Mutation};
+use crate::sync::{yield_point, AtomicBool, AtomicUsize};
 
 /// Shared ring storage behind one producer/consumer pair.
 struct Ring<T> {
@@ -125,6 +128,8 @@ impl<T> Producer<T> {
         if tail - head == ring.slots.len() {
             return Err(value);
         }
+        // The slot is shared memory too: let the checker switch here.
+        yield_point();
         // SAFETY: the slot at `tail` is unoccupied (checked above) and only
         // this producer writes slots; Release on `tail` publishes the write.
         unsafe { (*ring.slots[tail & ring.mask()].get()).write(value) };
@@ -164,11 +169,18 @@ impl<T> Consumer<T> {
         if head == tail {
             return None;
         }
+        if mutation::enabled(Mutation::PopReleasesSlotBeforeRead) {
+            ring.head.store(head + 1, Ordering::Release);
+        }
+        yield_point();
         // SAFETY: the slot at `head` was published by the producer's Release
         // store of `tail` (Acquire-loaded above); only this consumer reads
-        // slots out.
+        // slots out, and it releases the slot to the producer only after
+        // the read.
         let value = unsafe { (*ring.slots[head & ring.mask()].get()).assume_init_read() };
-        ring.head.store(head + 1, Ordering::Release);
+        if !mutation::enabled(Mutation::PopReleasesSlotBeforeRead) {
+            ring.head.store(head + 1, Ordering::Release);
+        }
         Some(value)
     }
 

@@ -31,6 +31,12 @@
 //! is CPU time the waiting thread burns, and under a frozen clock an idle
 //! shard would spin for ever instead of parking.
 //!
+//! The flag, the fences and the park go through [`crate::sync`], so the
+//! `smc-check` model checker explores the handshake. Under
+//! `--cfg smc_check` the spin budget is a fixed count of polls and the park
+//! is the shim's parker, which reports `Spin`; time is virtual there, so a
+//! checked wait passes no timeout.
+//!
 //! ```
 //! use std::sync::atomic::{AtomicBool, Ordering};
 //! use std::sync::Arc;
@@ -48,10 +54,13 @@
 //! peer.join().unwrap();
 //! ```
 
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::OnceLock;
-use std::thread::Thread;
 use std::time::{Duration, Instant};
+
+use crate::mutation::{self, Mutation};
+use crate::sync::thread::{self, Thread};
+use crate::sync::{fence, AtomicBool, AtomicU64};
 
 /// How long a wait polls before it parks: on the order of one park/unpark
 /// round trip, so a peer that answers about as fast as the scheduler could
@@ -61,7 +70,14 @@ const SPIN_BUDGET: Duration = Duration::from_micros(100);
 /// Polls between two `yield_now` calls (and two clock reads) while
 /// spinning: the yield lets a runnable peer have this core when there are
 /// more threads than cores.
+#[cfg(not(smc_check))]
 const POLLS_PER_YIELD: u32 = 32;
+
+/// The spin budget under the model checker, in polls: time is virtual
+/// there, and every poll is a chain of switch points, so the budget is a
+/// count, kept small.
+#[cfg(smc_check)]
+const CHECKED_SPIN_POLLS: usize = 2;
 
 /// The waiting side's state; see the module docs for the protocol.
 ///
@@ -117,34 +133,26 @@ impl Waiter {
         }
         let start = Instant::now();
         let deadline = timeout.map(|t| start + t);
-        if !self.spin.is_zero() {
-            let spin_end = start + self.spin;
-            loop {
-                for _ in 0..POLLS_PER_YIELD {
-                    std::hint::spin_loop();
-                    if let Some(v) = poll() {
-                        return Some(v);
-                    }
-                }
-                std::thread::yield_now();
-                if Instant::now() >= spin_end {
-                    break;
-                }
-            }
+        if let Some(v) = self.spin(start, &mut poll) {
+            return Some(v);
         }
-        let me = self.thread.get_or_init(std::thread::current);
+        let me = self.thread.get_or_init(thread::current);
         debug_assert_eq!(
             me.id(),
             std::thread::current().id(),
             "a Waiter has one waiting thread"
         );
         loop {
+            let early = mutation::enabled(Mutation::SleepAfterRecheck);
+            let mut found = if early { poll() } else { None };
             self.sleeping.store(true, Ordering::Relaxed);
             // Pairs with the fence in `wake`: our `sleeping` store is
             // ordered before the re-poll, the waker's publish before its
             // `sleeping` load, so one of the two sees the other.
             fence(Ordering::SeqCst);
-            let found = poll();
+            if !early {
+                found = poll();
+            }
             let left = match deadline {
                 Some(d) => d.saturating_duration_since(Instant::now()),
                 None => Duration::MAX,
@@ -154,12 +162,50 @@ impl Waiter {
                 return found;
             }
             match deadline {
-                Some(_) => std::thread::park_timeout(left),
-                None => std::thread::park(),
+                Some(_) => thread::park_timeout(left),
+                None => thread::park(),
             }
             self.sleeping.store(false, Ordering::Relaxed);
             self.wakeups.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// The spin phase: polls until the budget is spent, or returns what a
+    /// poll found.
+    #[cfg(not(smc_check))]
+    fn spin<T>(&self, start: Instant, poll: &mut impl FnMut() -> Option<T>) -> Option<T> {
+        if self.spin.is_zero() {
+            return None;
+        }
+        let spin_end = start + self.spin;
+        loop {
+            for _ in 0..POLLS_PER_YIELD {
+                std::hint::spin_loop();
+                if let Some(v) = poll() {
+                    return Some(v);
+                }
+            }
+            std::thread::yield_now();
+            if Instant::now() >= spin_end {
+                return None;
+            }
+        }
+    }
+
+    /// The spin phase under the model checker: a fixed count of polls, each
+    /// behind a plain switch point. Not `Spin`: the checker would then run
+    /// every peer before the next poll, as if a peer always answered within
+    /// the budget, and never explore a budget that runs out first — the
+    /// path to the sleeping-flag handshake.
+    #[cfg(smc_check)]
+    fn spin<T>(&self, _: Instant, poll: &mut impl FnMut() -> Option<T>) -> Option<T> {
+        if self.spin.is_zero() {
+            return None;
+        }
+        (0..CHECKED_SPIN_POLLS).find_map(|_| {
+            crate::sync::yield_point();
+            poll()
+        })
     }
 
     /// Wakes the waiting thread if it sleeps. Call *after* publishing what

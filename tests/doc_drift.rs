@@ -44,8 +44,8 @@ fn declared() -> [(&'static str, usize); 3] {
         body[..body.find("\n}").unwrap()].matches(row).count()
     };
     let scenarios = include_str!("../crates/check/src/scenarios.rs");
-    let mutations = include_str!("../crates/memory/src/mutation.rs");
-    let scenarios = rows(scenarios, "pub fn all()", "    (\"");
+    let mutations = include_str!("../crates/util/src/mutation.rs");
+    let scenarios = rows(scenarios, "pub fn all()", "\",");
     let mutations = rows(mutations, "pub enum Mutation", " = 1 << ");
     [
         ("scenarios", scenarios),

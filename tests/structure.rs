@@ -350,6 +350,91 @@ fn one_budget() {
     forbid(runtime_budget, &["crates/", "src/", "tests/", "examples/"]);
 }
 
+/// One sync shim: `smc_util::sync` is the workspace's only synchronisation
+/// layer (one `Mutex`, one `RwLock`, one hook), and the three protocols
+/// outside `smc-memory` — the SPSC rings, the waiter and the trace ring — go
+/// through it, so the checker sees them. This fails if one of the three
+/// takes a `std` atomic, fence, parker or mutex again (`Ordering` stays
+/// allowed; comment lines, doc examples included, are not code), or if
+/// `smc-memory`'s old layer, its mutation switchboard or the hook installer
+/// named after it comes back.
+#[test]
+fn one_sync_shim() {
+    let protocols = [
+        "crates/util/src/spsc.rs",
+        "crates/util/src/waiter.rs",
+        "crates/obs/src/trace.rs",
+    ];
+    let direct = |line: &str| {
+        let code = !line.trim_start().starts_with("//");
+        let atomic =
+            (line.replace("std::sync::atomic::Ordering", "")).contains("std::sync::atomic");
+        let braced = line.contains("std::sync::{") && any_of("atomic|Mutex")(line);
+        let parker_or_mutex = any_of("std::thread::park|std::sync::Mutex")(line);
+        code && (atomic || braced || parker_or_mutex)
+    };
+    none(grep(&protocols, direct));
+    let old_layer = "smc_memory::sync|smc_memory::mutation|install_memory_hook";
+    forbid(old_layer, &["crates", "src", "tests"]);
+    let locks = grep_r("pub struct Mutex<|pub struct RwLock<", &crate_srcs());
+    assert_eq!(locks.len(), 2, "{locks:#?}");
+}
+
+/// Every `pub fn` (`const` and `unsafe` ones too) above the first
+/// `#[cfg(test)]` of each of `files`, as `file: pub fn name`.
+fn pub_fns(files: &[String]) -> Vec<(String, String)> {
+    let mut fns = Vec::new();
+    for file in files {
+        let text = read(file);
+        let code = text.split("#[cfg(test)]").next().unwrap_or_default();
+        for keyword in ["pub fn ", "pub const fn ", "pub unsafe fn "] {
+            for (at, _) in code.match_indices(keyword) {
+                let name = code[at + keyword.len()..].chars().take_while(|&c| word(c));
+                fns.push((file.clone(), name.collect()));
+            }
+        }
+    }
+    fns
+}
+
+/// No dead public surface: a `pub fn` is named in some other source file
+/// (a caller, a re-export, a test). The scan is by name, over the code above
+/// each file's first `#[cfg(test)]`. The survivors are listed with the
+/// reason each stays; this fails if another appears (make it private or
+/// `#[cfg(test)]`, or delete it with its test) or if a survivor gains a
+/// consumer or goes (drop it from the list).
+#[test]
+fn no_single_file_pub_fn() {
+    const SURVIVORS: [(&str, &str, &str); 1] = [(
+        "crates/util/src/sync.rs",
+        "fetch_and",
+        "the instrumented atomics mirror std's API, so code compiles unchanged in both cfgs",
+    )];
+    let defining = walk(&["crates", "src", "tests", "examples"], true);
+    let naming = walk(
+        &["crates", "src", "tests", "examples", "benchmark/src"],
+        true,
+    );
+    let names: Vec<(String, std::collections::HashSet<String>)> = (naming.into_iter())
+        .map(|f| {
+            let text = read(&f);
+            let words = text.split(|c| !word(c)).filter(|w| !w.is_empty());
+            let words = words.map(String::from).collect();
+            (f, words)
+        })
+        .collect();
+    let named_elsewhere = |(file, name): &(String, String)| {
+        (names.iter()).any(|(other, words)| other != file && words.contains(name))
+    };
+    let mut lonely: Vec<String> = (pub_fns(&defining).iter())
+        .filter(|f| !named_elsewhere(f))
+        .map(|(file, name)| format!("{file}: pub fn {name}"))
+        .collect();
+    lonely.sort();
+    let listed = SURVIVORS.map(|(file, name, _)| format!("{file}: pub fn {name}"));
+    assert_eq!(lonely, listed, "pub fns named in no other file");
+}
+
 /// Structure guards have one home, this file: ci.yml grows no "One …" step.
 #[test]
 fn no_structure_guard_in_ci() {
