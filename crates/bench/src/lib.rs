@@ -5,8 +5,8 @@
 //! pipe tables — what EXPERIMENTS.md pastes — writes `BENCH_<id>.json` and
 //! exits by the figure's checks, which are the paper's claims
 //! (`tests/paper_claims.rs` runs the same eight at test scale). Beside it
-//! live the operator tools — `smc-serve`, `smc-loadgen`, `smc-top`,
-//! `stress` — which share the helpers below. Per-operation and end-to-end
+//! live the operator tools — `smc-serve`, `smc-loadgen` and `smc-top` —
+//! which share the helpers below. Per-operation and end-to-end
 //! *measurement* is not here: that is the gated benchmark in `benchmark/`.
 
 #![warn(missing_docs)]
@@ -75,11 +75,11 @@ fn drain_trace() -> Option<TraceExport> {
     Some(export)
 }
 
-/// The trace export of a tool that has no [`Report`] (`stress`,
-/// `smc-serve`): writes the trace and returns true — having said so on
-/// stderr — when it is malformed or silently empty, which the tool turns
-/// into a non-zero exit. Report binaries get the same rules from [`finish`]
-/// as the `trace_well_formed` and `trace_not_silently_empty` checks.
+/// The trace export of a tool that has no [`Report`] (`smc-serve`): writes
+/// the trace and returns true — having said so on stderr — when it is
+/// malformed or silently empty, which the tool turns into a non-zero exit.
+/// Report binaries get the same rules from [`finish`] as the
+/// `trace_well_formed` and `trace_not_silently_empty` checks.
 pub fn trace_lost() -> bool {
     let lost = drain_trace().is_some_and(|t| t.malformed.is_some() || t.silently_empty());
     if lost {
@@ -168,11 +168,6 @@ pub fn arg_parsed<T>(name: &str, default: T, parse: impl Fn(&str) -> Option<T>) 
     }
 }
 
-/// Parses a floating-point `--name value`.
-pub fn arg_f64(name: &str, default: f64) -> f64 {
-    arg_parsed(name, default, |v| v.parse().ok())
-}
-
 /// Parses an integer `--name value` over the full `u64` range (seeds).
 pub fn arg_u64(name: &str, default: u64) -> u64 {
     arg_parsed(name, default, parse_u64)
@@ -223,8 +218,8 @@ pub fn finish(report: &mut Report) -> ! {
     std::process::exit(i32::from(!failed.is_empty()))
 }
 
-/// Graceful-shutdown signal handling for long-running binaries (`stress`,
-/// `smc-serve`, `smc-top`, `smc-loadgen`): [`install_signal_handler`]
+/// Graceful-shutdown signal handling for long-running binaries
+/// (`smc-serve`, `smc-top`, `smc-loadgen`): [`install_signal_handler`]
 /// registers an async-signal-safe handler for SIGINT and SIGTERM that only
 /// sets a flag; the main loop polls [`interrupted`] and winds down in order
 /// — quiesce the maintenance coordinator, drain the tracer rings to
@@ -318,15 +313,15 @@ mod tests {
 
     #[test]
     fn integers_parse_as_integers_in_decimal_and_hex() {
-        let a = args(&["stress", "--seed", "0x7a69", "--ops", "5000"]);
+        let a = args(&["tool", "--seed", "0x7a69", "--ops", "5000"]);
         assert_eq!(arg_in(&a, "--seed", parse_u64), Ok(Some(31337)));
         assert_eq!(arg_in(&a, "--ops", parse_u64), Ok(Some(5000)));
         assert_eq!(arg_in(&a, "--rounds", parse_u64), Ok(None), "absent");
         // Every u64 survives: 2^53 + 1 is the first integer an f64 rounds.
         for seed in [(1u64 << 53) + 1, u64::MAX] {
-            let a = args(&["stress", "--seed", &seed.to_string()]);
+            let a = args(&["tool", "--seed", &seed.to_string()]);
             assert_eq!(arg_in(&a, "--seed", parse_u64), Ok(Some(seed)));
-            let a = args(&["stress", "--seed", &format!("{seed:#x}")]);
+            let a = args(&["tool", "--seed", &format!("{seed:#x}")]);
             assert_eq!(arg_in(&a, "--seed", parse_u64), Ok(Some(seed)));
         }
     }
@@ -334,11 +329,11 @@ mod tests {
     #[test]
     fn bad_or_missing_values_are_errors_naming_the_flag() {
         for bad in ["banana", "5k", "1.5", "-3", "0x", "0xzz", ""] {
-            let a = args(&["stress", "--seed", bad]);
+            let a = args(&["tool", "--seed", bad]);
             let err = arg_in(&a, "--seed", parse_u64).unwrap_err();
             assert!(err.contains("--seed"), "{bad:?}: {err}");
         }
-        let err = arg_in(&args(&["stress", "--ops"]), "--ops", parse_u64).unwrap_err();
+        let err = arg_in(&args(&["tool", "--ops"]), "--ops", parse_u64).unwrap_err();
         assert!(err.contains("--ops"), "{err}");
     }
 

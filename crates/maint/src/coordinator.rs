@@ -22,7 +22,7 @@
 //! still-pending relocation back through the protocol's §5.1 bail path;
 //! after either, the heap reconciles bit-exact under `Smc::verify` (proved
 //! by the `smc-check` cancel scenario and exercised end-to-end by
-//! `tests/soak.rs`).
+//! the workspace's `tests/seeded_churn.rs::coordinator_soak`).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};

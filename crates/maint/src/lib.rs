@@ -25,7 +25,7 @@
 //! * [`Coordinator::quiesce`] and [`Coordinator::cancel`] stop the world
 //!   exactly — drain or roll back, never half-moved state — so `Smc::verify`
 //!   reconciles bit-exact afterwards (model-checked by the `smc-check`
-//!   cancel scenario; soaked end-to-end by `tests/soak.rs`).
+//!   cancel scenario; soaked by the root `tests/seeded_churn.rs`).
 //!
 //! The coordinator compacts; it never evicts. Eviction to a spill store
 //! happens on the allocation path, when a budgeted context needs a fresh

@@ -380,6 +380,22 @@ fn one_sync_shim() {
     assert_eq!(locks.len(), 2, "{locks:#?}");
 }
 
+/// One churn harness: seeded churn under failpoints is tests/seeded_churn.rs,
+/// whose configurations replaced the `stress` binary and smc-maint's soak
+/// test. This fails if either comes back, as a file or as a declared bin.
+#[test]
+fn one_churn_driver() {
+    assert!(read("tests/seeded_churn.rs").contains("fn churn("));
+    for gone in [
+        "crates/bench/src/bin/stress.rs",
+        "crates/maint/tests/soak.rs",
+    ] {
+        assert!(!Path::new(ROOT).join(gone).exists(), "{gone} is back");
+    }
+    let bins = read("crates/bench/Cargo.toml");
+    none(bins.lines().filter(|l| l.trim() == "name = \"stress\""));
+}
+
 /// Every `pub fn` (`const` and `unsafe` ones too) above the first
 /// `#[cfg(test)]` of each of `files`, as `file: pub fn name`.
 fn pub_fns(files: &[String]) -> Vec<(String, String)> {
