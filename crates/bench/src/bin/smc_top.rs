@@ -193,14 +193,11 @@ fn render_maint(m: &JsonValue) {
             },
         );
     println!(
-        "  shard {shard} maint: active {} | planned {} done {} deferred {} \
-         retried {} cancelled {} | slo {} | last {last}",
+        "  shard {shard} maint: active {} | planned {} done {} deferred {} | slo {} | last {last}",
         u(m, "passes_active"),
         u(m, "passes_planned"),
         u(m, "passes_completed"),
         u(m, "passes_deferred"),
-        u(m, "passes_retried"),
-        u(m, "passes_cancelled"),
         pick(m.get("slo_breached"), "BREACHED", "ok"),
     );
 }

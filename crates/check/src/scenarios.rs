@@ -373,15 +373,14 @@ pub fn move_vs_bail() -> Scenario {
         })
 }
 
-/// The maintenance coordinator's quiesce/cancel rollback races a mover still
-/// executing the pass being cancelled (the `Coordinator::cancel` path:
-/// `request_compaction_cancel` → pass epilogue rolls every pending
-/// relocation back through [`cancel_relocation`]). Oracle: cancel is
-/// *exact* — whichever side settles the entry, the world reconciles
-/// bit-exact. A completed move leaves a forwarding source and valid
-/// destination; a cancelled move leaves the object in place with freeze and
-/// lock fully stripped on both the slot and the entry, exactly as
-/// `Smc::verify` demands after `quiesce()`/`cancel()`. Catches
+/// The pass epilogue's rollback races a mover still moving the entry: an
+/// interrupted or aborted pass rolls every still-pending relocation back
+/// through [`cancel_relocation`] while a helping reader may be mid-move.
+/// Oracle: the rollback is *exact* — whichever side settles the entry, the
+/// world reconciles bit-exact. A completed move leaves a forwarding source
+/// and valid destination; a rolled-back move leaves the object in place with
+/// freeze and lock fully stripped on both the slot and the entry, exactly as
+/// `Smc::verify` demands after the pass. Catches
 /// [`smc_util::mutation::Mutation::CancelSkipsBailRollback`].
 pub fn cancel_vs_inflight_move() -> Scenario {
     let fx = move_fixture(5150, 0);
@@ -393,12 +392,12 @@ pub fn cancel_vs_inflight_move() -> Scenario {
     let table = fx.table;
     Scenario::new()
         .thread(move || {
-            // The worker thread mid-pass, moving the entry.
+            // A helping reader, moving the entry.
             let _ = unsafe { try_move_object(src, &mover_reloc) };
             drop(mover_table);
         })
         .thread(move || {
-            // The cancelled pass's epilogue, rolling the entry back.
+            // The interrupted pass's epilogue, rolling the entry back.
             let _ = unsafe { cancel_relocation(src, &canceller_reloc) };
             drop(canceller_table);
         })

@@ -2,26 +2,24 @@
 //!
 //! One thread per coordinator wakes every period (125 ms) and starts at most
 //! one pass per period: for the due context whose last pass is oldest. A
-//! context is due when its [`MaintPolicy`] says a pass would form a group,
-//! or when a [nudge](Coordinator::nudge) forces it. The period is measured
-//! on the process clock ([`smc_obs::clock`]); real time only paces the
-//! wake-ups, so a test that holds the clock holds the coordinator's
-//! decisions with it. The period is the only limit on how often passes
-//! start: at most eight a second.
+//! context is due when its [`MaintPolicy`] says a pass would form a group.
+//! The period is measured on the process clock ([`smc_obs::clock`]); real
+//! time only paces the wake-ups, so a test that holds the clock holds the
+//! coordinator's decisions with it. The period is the only thing that starts
+//! a pass, or runs one again: at most eight a second.
 //!
 //! While the foreground scan-latency gauge's p99 is at or over the SLO
 //! ceiling (10 ms), a period starts nothing and counts its due contexts as
 //! deferred; the next period looks again.
 //!
-//! Transient pass failures — an injected [`FaultSite::MaintPass`] trip, an
-//! aborted or interrupted pass — are retried with seeded backoff up to five
-//! times. A pass needs no deadline of its own: every wait inside it gives up
-//! at the context's `compaction_patience`. [`Coordinator::quiesce`] lets the
-//! in-flight pass finish and [`Coordinator::cancel`] cancels it via
-//! [`MemoryContext::request_compaction_cancel`], which rolls every
-//! still-pending relocation back through the protocol's §5.1 bail path;
-//! after either, the heap reconciles bit-exact under `Smc::verify` (proved
-//! by the `smc-check` cancel scenario and exercised end-to-end by
+//! A pass is one [`MemoryContext::compact`]. One that aborts or is
+//! interrupted ends as [`PassOutcome::Aborted`]: the pass epilogue has
+//! rolled every still-pending relocation back through the §5.1 bail path,
+//! the context stays due, and a later period runs it again, after every
+//! other due context has had its turn. A pass needs no deadline of its own:
+//! every wait inside it gives up at the context's `compaction_patience`.
+//! [`Coordinator::quiesce`] lets the in-flight pass finish; after it, the
+//! heap reconciles bit-exact under `Smc::verify` (exercised end-to-end by
 //! the workspace's `tests/seeded_churn.rs::coordinator_soak`).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -29,25 +27,18 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use smc_memory::fault::FaultSite;
 use smc_memory::MemoryContext;
 use smc_obs::clock;
 use smc_obs::hist::Histogram;
-use smc_obs::trace::{self, Event, Label, ShortLabel};
+use smc_obs::trace::{self, Event, ShortLabel};
 use smc_obs::JsonValue;
-use smc_util::Backoff;
 
-use crate::policy::{MaintPolicy, PassReason};
+use crate::policy::MaintPolicy;
 
 /// At most one pass starts per period of the process clock.
 const PERIOD: Duration = Duration::from_millis(125);
 /// Back-pressure holds while the gauge's p99 is at or above this.
 const SLO_CEILING: Duration = Duration::from_millis(10);
-/// Transient failures (failpoint trips, aborted/interrupted passes) are
-/// retried at most this many times per pass.
-const RETRY_LIMIT: u32 = 5;
-/// Seed of the retry backoff's jitter stream, so the delays reproduce.
-const SEED: u64 = 0x5eed_5eed;
 
 /// The foreground-latency gauge driving back-pressure; everything else
 /// about the coordinator is fixed.
@@ -61,12 +52,11 @@ pub struct MaintConfig {
 /// Outcome class of the most recent finished pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PassOutcome {
-    /// The pass completed and retired blocks were released.
+    /// The pass completed.
     Done,
-    /// The pass was cancelled ([`Coordinator::cancel`]); pending
-    /// relocations were rolled back through the bail path.
-    Cancelled,
-    /// The pass kept failing transiently past the retry limit.
+    /// The pass aborted (a wait outlasted the context's patience) or was
+    /// interrupted mid-move; its pending relocations were rolled back
+    /// through the bail path and a later period runs it again.
     Aborted,
 }
 
@@ -75,7 +65,6 @@ impl PassOutcome {
     pub fn as_str(self) -> &'static str {
         match self {
             PassOutcome::Done => "done",
-            PassOutcome::Cancelled => "cancel",
             PassOutcome::Aborted => "abort",
         }
     }
@@ -108,12 +97,6 @@ pub struct MaintSnapshot {
     pub passes_completed: u64,
     /// Due passes not started because the SLO was breached.
     pub passes_deferred: u64,
-    /// Transient-failure retries across all passes.
-    pub passes_retried: u64,
-    /// Passes that ended cancelled.
-    pub passes_cancelled: u64,
-    /// Periods skipped by an injected [`FaultSite::MaintPlan`] trip.
-    pub plan_faults: u64,
     /// Whether back-pressure is currently engaged.
     pub slo_breached: bool,
     /// The most recently finished pass, if any.
@@ -131,9 +114,6 @@ impl MaintSnapshot {
         o.set("passes_planned", self.passes_planned);
         o.set("passes_completed", self.passes_completed);
         o.set("passes_deferred", self.passes_deferred);
-        o.set("passes_retried", self.passes_retried);
-        o.set("passes_cancelled", self.passes_cancelled);
-        o.set("plan_faults", self.plan_faults);
         o.set("slo_breached", self.slo_breached);
         let last = self.last_pass.map_or(JsonValue::Null, |lp| {
             let mut l = JsonValue::obj();
@@ -153,23 +133,13 @@ struct Registration {
     policy: MaintPolicy,
     /// [`clock::now`] when its last pass started.
     last_start: Option<u64>,
-    forced: bool,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Running,
-    /// Start nothing, let the in-flight pass finish, then stop.
-    Quiescing,
-    /// Start nothing, cancel the in-flight pass, then stop.
-    Cancelling,
 }
 
 struct State {
     registrations: Vec<Registration>,
-    /// The context the pass in flight runs against.
-    in_flight: Option<Arc<MemoryContext>>,
-    mode: Mode,
+    /// Set by [`Coordinator::quiesce`]: start nothing, let the in-flight
+    /// pass finish, then stop.
+    quiescing: bool,
     last_pass: Option<LastPass>,
 }
 
@@ -178,23 +148,17 @@ struct Counters {
     planned: AtomicU64,
     completed: AtomicU64,
     deferred: AtomicU64,
-    retried: AtomicU64,
-    cancelled: AtomicU64,
-    plan_faults: AtomicU64,
 }
 
 struct Inner {
     /// See [`MaintConfig::gauge`].
     gauge: Option<Arc<Histogram>>,
     state: Mutex<State>,
-    /// The thread waits here between periods; shutdown notifies it.
+    /// The thread waits here between periods; `quiesce` notifies it.
     wake: Condvar,
     counters: Counters,
-    /// `State::in_flight.is_some()`, readable without the lock.
+    /// Whether a pass is in flight.
     active: AtomicBool,
-    /// The SLO ceiling in nanoseconds; [`Coordinator::set_slo_ceiling`]
-    /// replaces it.
-    slo_ceiling_ns: AtomicU64,
     slo_breached: AtomicBool,
 }
 
@@ -219,14 +183,12 @@ impl Coordinator {
             gauge: config.gauge,
             state: Mutex::new(State {
                 registrations: Vec::new(),
-                in_flight: None,
-                mode: Mode::Running,
+                quiescing: false,
                 last_pass: None,
             }),
             wake: Condvar::new(),
             counters: Counters::default(),
             active: AtomicBool::new(false),
-            slo_ceiling_ns: AtomicU64::new(nanos(SLO_CEILING)),
             slo_breached: AtomicBool::new(false),
         });
         let thread = {
@@ -249,29 +211,7 @@ impl Coordinator {
             ctx,
             policy,
             last_start: None,
-            forced: false,
         });
-    }
-
-    /// Marks a registered context force-due: it is due in every period
-    /// until a pass starts for it, whatever its blocks look like (SLO
-    /// back-pressure still applies).
-    pub fn nudge(&self, context_id: u64) {
-        let mut g = self.inner.lock();
-        for reg in &mut g.registrations {
-            if reg.ctx.id() == context_id {
-                reg.forced = true;
-            }
-        }
-    }
-
-    /// Replaces the SLO p99 ceiling (10 ms). `Duration::ZERO` forces the
-    /// breached state (every observable p99 is ≥ 0) and a far ceiling keeps
-    /// back-pressure off; tests use both.
-    pub fn set_slo_ceiling(&self, ceiling: Duration) {
-        self.inner
-            .slo_ceiling_ns
-            .store(nanos(ceiling), Ordering::Relaxed);
     }
 
     /// Maintenance passes executing right now (0 or 1). One atomic load,
@@ -290,9 +230,6 @@ impl Coordinator {
             passes_planned: c.planned.load(Ordering::Relaxed),
             passes_completed: c.completed.load(Ordering::Relaxed),
             passes_deferred: c.deferred.load(Ordering::Relaxed),
-            passes_retried: c.retried.load(Ordering::Relaxed),
-            passes_cancelled: c.cancelled.load(Ordering::Relaxed),
-            plan_faults: c.plan_faults.load(Ordering::Relaxed),
             slo_breached: self.inner.slo_breached.load(Ordering::Relaxed),
             last_pass: g.last_pass,
         }
@@ -302,28 +239,8 @@ impl Coordinator {
     /// the thread. Terminal and idempotent. After `quiesce` returns the heap
     /// is at rest: `Smc::verify` reconciles bit-exact.
     pub fn quiesce(&self) {
-        self.shutdown(Mode::Quiescing);
-    }
-
-    /// Like [`quiesce`](Self::quiesce), but actively cancels the in-flight
-    /// pass via [`MemoryContext::request_compaction_cancel`] instead of
-    /// waiting it out. Pending relocations roll back through the bail
-    /// path, so `Smc::verify` still reconciles bit-exact afterwards.
-    pub fn cancel(&self) {
-        self.shutdown(Mode::Cancelling);
-    }
-
-    fn shutdown(&self, mode: Mode) {
-        {
-            let mut g = self.inner.lock();
-            if g.mode == Mode::Running {
-                g.mode = mode;
-            }
-            if let (Mode::Cancelling, Some(ctx)) = (mode, &g.in_flight) {
-                ctx.request_compaction_cancel();
-            }
-            self.inner.wake.notify_all();
-        }
+        self.inner.lock().quiescing = true;
+        self.inner.wake.notify_all();
         let thread = self.thread.lock().unwrap_or_else(|e| e.into_inner()).take();
         if let Some(t) = thread {
             let _ = t.join();
@@ -354,14 +271,14 @@ fn maintenance_loop(inner: &Inner) {
     loop {
         {
             let g = inner.lock();
-            if g.mode != Mode::Running {
+            if g.quiescing {
                 return;
             }
             let (g, _) = inner
                 .wake
                 .wait_timeout(g, PERIOD)
                 .unwrap_or_else(|e| e.into_inner());
-            if g.mode != Mode::Running {
+            if g.quiescing {
                 return;
             }
         }
@@ -372,23 +289,21 @@ fn maintenance_loop(inner: &Inner) {
             continue;
         }
         period_start = now;
-        let Some((ctx, reason)) = plan(inner, now) else {
+        let Some(ctx) = plan(inner, now) else {
             continue;
         };
-        let outcome = run_pass(inner, &ctx, reason);
+        let outcome = run_pass(inner, &ctx);
         let mut g = inner.lock();
-        g.in_flight = None;
         inner.active.store(false, Ordering::Relaxed);
         g.last_pass = Some(outcome);
     }
 }
 
 /// Reads the gauge against the ceiling and traces a change of state.
-/// Returns `(p99, ceiling)` in nanoseconds while breached.
-fn slo_breach(inner: &Inner) -> Option<(u64, u64)> {
-    let ceiling_ns = inner.slo_ceiling_ns.load(Ordering::Relaxed);
+/// Returns the p99 in nanoseconds while breached.
+fn slo_breach(inner: &Inner) -> Option<u64> {
     let p99_ns = inner.gauge.as_ref().map(|h| h.p99());
-    let breached = p99_ns.is_some_and(|p| p >= ceiling_ns);
+    let breached = p99_ns.is_some_and(|p| p >= nanos(SLO_CEILING));
     if breached != inner.slo_breached.swap(breached, Ordering::Relaxed) {
         trace::emit(Event::MaintSloState {
             breached,
@@ -402,114 +317,63 @@ fn slo_breach(inner: &Inner) -> Option<(u64, u64)> {
             let _ = smc_obs::flight::dump("slo-breach");
         }
     }
-    p99_ns.filter(|_| breached).map(|p| (p, ceiling_ns))
+    p99_ns.filter(|_| breached)
 }
 
 /// One period's decision. Picks the due context whose last pass is oldest
-/// and marks it in flight; under a breached SLO it counts every due context
-/// as deferred and picks none.
-fn plan(inner: &Inner, now: u64) -> Option<(Arc<MemoryContext>, PassReason)> {
+/// and marks a pass active; under a breached SLO it counts every due
+/// context as deferred and picks none.
+fn plan(inner: &Inner, now: u64) -> Option<Arc<MemoryContext>> {
     let breach = slo_breach(inner);
     let mut g = inner.lock();
-    if g.mode != Mode::Running {
+    if g.quiescing {
         return None;
     }
-    // Transient planning failure (injected): skip this period.
-    let faults = g.registrations.first().map(|r| r.ctx.runtime().faults());
-    if faults.is_some_and(|f| f.should_fail(FaultSite::MaintPlan)) {
-        inner.counters.plan_faults.fetch_add(1, Ordering::Relaxed);
-        return None;
-    }
-    let mut pick: Option<(usize, PassReason)> = None;
+    let mut pick: Option<usize> = None;
     for (i, reg) in g.registrations.iter().enumerate() {
-        let reason = if reg.forced {
-            Some(PassReason::Nudge)
-        } else {
-            reg.policy.due(&reg.ctx)
-        };
-        let Some(reason) = reason else { continue };
-        if let Some((p99_ns, slo_ns)) = breach {
+        if !reg.policy.due(&reg.ctx) {
+            continue;
+        }
+        if let Some(p99_ns) = breach {
             inner.counters.deferred.fetch_add(1, Ordering::Relaxed);
             trace::emit(Event::MaintDeferred {
                 context: reg.ctx.id(),
                 p99_ns,
-                slo_ns,
+                slo_ns: nanos(SLO_CEILING),
             });
-        } else if pick.map_or(true, |(j, _)| {
-            reg.last_start < g.registrations[j].last_start
-        }) {
-            pick = Some((i, reason));
+        } else if pick.map_or(true, |j| reg.last_start < g.registrations[j].last_start) {
+            pick = Some(i);
         }
     }
-    let (i, reason) = pick?;
-    let reg = &mut g.registrations[i];
-    reg.forced = false;
+    let reg = &mut g.registrations[pick?];
     reg.last_start = Some(now);
-    let ctx = reg.ctx.clone();
-    g.in_flight = Some(ctx.clone());
     inner.active.store(true, Ordering::Relaxed);
     inner.counters.planned.fetch_add(1, Ordering::Relaxed);
-    Some((ctx, reason))
+    Some(reg.ctx.clone())
 }
 
-/// Executes one pass with transient-failure retries. Returns the summary
+/// Runs one pass and releases the sources it retired. Returns the summary
 /// recorded as `last_pass`.
-fn run_pass(inner: &Inner, ctx: &MemoryContext, reason: PassReason) -> LastPass {
-    let mut backoff = Backoff::new(
-        SEED ^ ctx.id().rotate_left(32),
-        Duration::from_micros(200),
-        Duration::from_millis(20),
-    );
-    trace::emit(Event::MaintPassStart {
-        context: ctx.id(),
-        reason: Label::new(reason.as_str()),
-    });
-    let mut moved = 0usize;
-    let mut bailed = 0usize;
-    let outcome = loop {
-        if inner.lock().mode == Mode::Cancelling {
-            break PassOutcome::Cancelled;
-        }
-        // An injected failure before the pass proper is as transient as an
-        // aborted or interrupted pass.
-        let failed = ctx.runtime().faults().should_fail(FaultSite::MaintPass) || {
-            let report = ctx.compact();
-            moved += report.moved;
-            bailed += report.bailed;
-            if report.cancelled {
-                break PassOutcome::Cancelled;
-            }
-            report.aborted || report.interrupted
-        };
-        if !failed {
-            ctx.release_retired();
-            break PassOutcome::Done;
-        }
-        if backoff.attempt() >= RETRY_LIMIT {
-            break PassOutcome::Aborted;
-        }
-        inner.counters.retried.fetch_add(1, Ordering::Relaxed);
-        std::thread::sleep(backoff.next_delay());
+fn run_pass(inner: &Inner, ctx: &MemoryContext) -> LastPass {
+    trace::emit(Event::MaintPassStart { context: ctx.id() });
+    let report = ctx.compact();
+    ctx.release_retired();
+    let outcome = if report.aborted || report.interrupted {
+        PassOutcome::Aborted
+    } else {
+        inner.counters.completed.fetch_add(1, Ordering::Relaxed);
+        PassOutcome::Done
     };
-    match outcome {
-        PassOutcome::Done => {
-            inner.counters.completed.fetch_add(1, Ordering::Relaxed);
-        }
-        PassOutcome::Cancelled => {
-            inner.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-        }
-        PassOutcome::Aborted => {}
-    }
     trace::emit(Event::MaintPassEnd {
         context: ctx.id(),
-        moved: moved as u64,
-        bailed: bailed as u64,
+        moved: report.moved as u64,
+        bailed: report.bailed as u64,
         outcome: ShortLabel::new(outcome.as_str()),
     });
     LastPass {
         context_id: ctx.id(),
         outcome,
-        moved,
-        bailed,
+        moved: report.moved,
+        bailed: report.bailed,
     }
 }

@@ -1,37 +1,14 @@
 //! When is a compaction pass worth running?
 //!
-//! Exactly when it would move something. A pass empties the blocks whose
-//! occupancy is under the context's `compaction_occupancy` (§5.2) and
-//! needs two of them to form a group, so a context is due when
-//! [`MemoryContext::compaction_candidates`] counts at least two: the same
-//! test the pass claims its blocks with, read from block headers. A
-//! context whose dead and hole bytes are spread thin over dense blocks is
-//! not due, because no pass would claim anything in it. A
-//! [nudge](crate::Coordinator::nudge) forces a pass regardless.
+//! Exactly when it would move something: when the blocks it would claim
+//! (occupancy under the context's `compaction_occupancy`, §5.2) pack into
+//! at least one group of two or more sources whose live rows fit one fresh
+//! block. [`MemoryContext::compaction_due`] answers with the pass's own
+//! packing rule, read from block headers. A context whose dead and hole
+//! bytes are spread thin over dense blocks is not due, and neither is one
+//! whose candidates are too full for any two to share a block.
 
 use smc_memory::MemoryContext;
-
-/// A group has at least two source blocks (§5.2).
-const MIN_CANDIDATES: usize = 2;
-
-/// Why the coordinator started a pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PassReason {
-    /// At least two blocks were under the compaction occupancy cutoff.
-    Sparse,
-    /// An explicit [`Coordinator::nudge`](crate::Coordinator::nudge).
-    Nudge,
-}
-
-impl PassReason {
-    /// Short stable token for traces and reports.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PassReason::Sparse => "sparse",
-            PassReason::Nudge => "nudge",
-        }
-    }
-}
 
 /// The rule that makes a registered context due. It has no settings: the
 /// cutoff it reads is the context's own `compaction_occupancy`.
@@ -39,9 +16,9 @@ impl PassReason {
 pub struct MaintPolicy;
 
 impl MaintPolicy {
-    /// [`PassReason::Sparse`] when a pass over `ctx` would form a group.
-    pub fn due(&self, ctx: &MemoryContext) -> Option<PassReason> {
-        (ctx.compaction_candidates() >= MIN_CANDIDATES).then_some(PassReason::Sparse)
+    /// Whether a pass over `ctx` would form a group.
+    pub fn due(&self, ctx: &MemoryContext) -> bool {
+        ctx.compaction_due()
     }
 }
 
@@ -73,7 +50,7 @@ mod tests {
     #[test]
     fn empty_context_is_never_due() {
         let rt = Runtime::new();
-        assert_eq!(MaintPolicy.due(&context(&rt)), None);
+        assert!(!MaintPolicy.due(&context(&rt)));
     }
 
     #[test]
@@ -83,8 +60,7 @@ mod tests {
         // Half of every block is dead, but every block is above the 30 %
         // cutoff, so a pass would claim nothing.
         thin(&ctx, 4096, |i| i % 2 == 0);
-        assert_eq!(ctx.compaction_candidates(), 0);
-        assert_eq!(MaintPolicy.due(&ctx), None);
+        assert!(!MaintPolicy.due(&ctx));
     }
 
     #[test]
@@ -92,12 +68,6 @@ mod tests {
         let rt = Runtime::new();
         let ctx = context(&rt);
         thin(&ctx, 4096, |i| i % 10 == 0);
-        assert_eq!(MaintPolicy.due(&ctx), Some(PassReason::Sparse));
-    }
-
-    #[test]
-    fn reason_tokens() {
-        assert_eq!(PassReason::Sparse.as_str(), "sparse");
-        assert_eq!(PassReason::Nudge.as_str(), "nudge");
+        assert!(MaintPolicy.due(&ctx));
     }
 }

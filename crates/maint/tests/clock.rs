@@ -2,11 +2,12 @@
 //! full has plenty of dead and hole bytes, but no block a pass would claim,
 //! so the coordinator starts nothing however many periods go by. Once two
 //! blocks fall under the occupancy cutoff, the next period starts exactly
-//! one pass, and that pass moves rows. Real time only paces the
-//! coordinator's wake-ups; each period is one of the process clock.
+//! one pass, and that pass moves rows. Blocks a pass would claim but could
+//! not pair into one fresh block get no pass either. Real time only paces
+//! the coordinator's wake-ups; each period is one of the process clock.
 //!
-//! The manual clock is process-wide, so this file holds one test and is
-//! its own binary.
+//! The manual clock is process-wide, so this file is its own binary and
+//! its tests take turns holding the clock.
 
 use std::time::Duration;
 
@@ -17,6 +18,16 @@ use smc_obs::clock::Manual;
 
 /// The coordinator's period (`coordinator::PERIOD`).
 const PERIOD: Duration = Duration::from_millis(125);
+
+/// Moves the held clock through `n` periods, a quarter period of real time
+/// apart, then gives the coordinator real time to look at the last one.
+fn hold_periods(clock: &Manual, n: usize) {
+    for _ in 0..n {
+        clock.advance(PERIOD);
+        std::thread::sleep(PERIOD / 4);
+    }
+    std::thread::sleep(2 * PERIOD);
+}
 
 /// Polls `done` in real time for up to ten seconds.
 fn eventually(mut done: impl FnMut() -> bool) -> bool {
@@ -45,16 +56,11 @@ fn half_full_blocks_get_no_pass_and_two_sparse_blocks_get_one() {
             survivors.push(r);
         }
     }
-    assert_eq!(c.context().compaction_candidates(), 0);
+    assert!(!c.context().compaction_due());
 
     let coord = Coordinator::new(MaintConfig::default());
     c.register_maintenance(&coord, MaintPolicy);
-    for _ in 0..40 {
-        clock.advance(PERIOD);
-        std::thread::sleep(PERIOD / 4);
-    }
-    // Let the coordinator look at the last period before freeing more.
-    std::thread::sleep(2 * PERIOD);
+    hold_periods(&clock, 40);
     assert_eq!(
         coord.snapshot().passes_planned,
         0,
@@ -70,7 +76,7 @@ fn half_full_blocks_get_no_pass_and_two_sparse_blocks_get_one() {
             assert!(c.remove(r));
         }
     }
-    assert!(c.context().compaction_candidates() >= 2);
+    assert!(c.context().compaction_due());
     std::thread::sleep(2 * PERIOD);
     assert_eq!(
         coord.snapshot().passes_planned,
@@ -91,6 +97,41 @@ fn half_full_blocks_get_no_pass_and_two_sparse_blocks_get_one() {
     assert!(
         snap.last_pass.is_some_and(|lp| lp.moved > 0),
         "the pass moved rows: {snap:?}"
+    );
+    c.verify().expect("verify after quiesce");
+}
+
+#[test]
+fn candidates_no_group_can_take_get_no_pass() {
+    let clock = Manual::install();
+    let rt = Runtime::new();
+    let config = ContextConfig {
+        compaction_occupancy: 0.85,
+        ..ContextConfig::default()
+    };
+    let c: Smc<[u64; 8]> = Smc::with_config(&rt, config);
+    let refs: Vec<_> = (0..20_000u64).map(|k| c.add([k; 8])).collect();
+    // Two of every five rows: each block is 60 % occupied, under the 85 %
+    // cutoff, and no two of them fit one fresh block.
+    for (i, r) in refs.into_iter().enumerate() {
+        if i % 5 == 1 || i % 5 == 3 {
+            assert!(c.remove(r));
+        }
+    }
+    let snap = c.heap_snapshot();
+    let blocks = &snap.collections[0].blocks;
+    let sparse = blocks.iter().filter(|b| b.occupancy() < 0.85).count();
+    assert!(sparse >= 2, "{blocks:?}");
+    assert!(!c.context().compaction_due());
+
+    let coord = Coordinator::new(MaintConfig::default());
+    c.register_maintenance(&coord, MaintPolicy);
+    hold_periods(&clock, 40);
+    coord.quiesce();
+    let snap = coord.snapshot();
+    assert_eq!(
+        snap.passes_planned, 0,
+        "no pass for candidates no group can take: {snap:?}"
     );
     c.verify().expect("verify after quiesce");
 }

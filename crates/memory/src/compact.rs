@@ -141,11 +141,6 @@ pub struct CompactionReport {
     /// [`FaultSite::Relocation`] crash). Unmoved objects were bailed out;
     /// the context is valid and a later pass will retry them.
     pub interrupted: bool,
-    /// The pass was cancelled mid-flight via
-    /// [`request_compaction_cancel`](MemoryContext::request_compaction_cancel):
-    /// every still-pending relocation was rolled back through the §5.1 bail
-    /// path, so the context is valid and a later pass can retry.
-    pub cancelled: bool,
 }
 
 /// Polls `done`, yielding in between, until it holds (true) or
@@ -192,24 +187,42 @@ impl Drop for Pass<'_> {
     }
 }
 
-impl MemoryContext {
-    /// Asks an in-flight compaction pass to stop as soon as possible.
-    ///
-    /// The moving phase checks the flag between relocations; on observing it
-    /// the pass abandons further moves and its epilogue rolls every
-    /// still-pending relocation back through the §5.1 bail path, leaving the
-    /// context bit-exact valid (the pass reports `cancelled`). Safe to call
-    /// from any thread, including when no pass is running — the flag is
-    /// consumed and cleared by the next pass to finish.
-    pub fn request_compaction_cancel(&self) {
-        self.cancel_requested.store(true, Ordering::Release);
+/// The §5.2 packing rule, read from block headers only: walks `candidates`
+/// in order, adding each block to the open group while the group's live
+/// objects still fit one fresh block of `capacity` slots, and closes the
+/// group at the first block that would overflow it. A closed group of two
+/// or more sources is returned; a lone block would only be shuffled, so it
+/// joins the leftovers. Returns `(groups, leftovers)`.
+fn pack_groups(candidates: Vec<BlockRef>, capacity: u32) -> (Vec<Vec<BlockRef>>, Vec<BlockRef>) {
+    let (mut groups, mut leftovers) = (Vec::new(), Vec::new());
+    let mut close = |sources: Vec<BlockRef>| {
+        if sources.len() < 2 {
+            leftovers.extend(sources);
+        } else {
+            groups.push(sources);
+        }
+    };
+    let mut current: Vec<BlockRef> = Vec::new();
+    let mut current_live = 0u32;
+    for block in candidates {
+        let live = block.header().valid_count.load(Ordering::Relaxed);
+        if current_live + live > capacity && !current.is_empty() {
+            close(std::mem::take(&mut current));
+            current_live = 0;
+        }
+        current.push(block);
+        current_live += live;
     }
+    close(current);
+    (groups, leftovers)
+}
 
+impl MemoryContext {
     /// Whether a pass would claim `block` now (§5.2): occupancy under
     /// `config.compaction_occupancy`, no owning thread, and not already
     /// claimed by another pass or a spill. [`compact`](Self::compact) claims
-    /// with this test and [`compaction_candidates`](Self::compaction_candidates)
-    /// counts with it.
+    /// with this test and [`compaction_due`](Self::compaction_due) reads
+    /// with it.
     fn is_compaction_candidate(&self, block: &BlockRef) -> bool {
         let h = block.header();
         block.occupancy() < self.config.compaction_occupancy
@@ -217,15 +230,18 @@ impl MemoryContext {
             && h.compacting.load(Ordering::Acquire) == 0
     }
 
-    /// Blocks of regular membership that a pass started now would claim. A
-    /// group needs two of them, so a pass over fewer moves nothing. Reads
-    /// block headers only: no slot is walked and no epoch pinned.
-    pub fn compaction_candidates(&self) -> usize {
-        let m = self.membership.read();
-        m.blocks
-            .iter()
-            .filter(|b| self.is_compaction_candidate(b))
-            .count()
+    /// Whether a pass started now would form a group: the blocks it would
+    /// claim, packed by the rule the pass packs them with. A context whose
+    /// candidates are too full for any two to share one fresh block is not
+    /// due, however many it has. Reads block headers only: no slot is
+    /// walked and no epoch pinned.
+    pub fn compaction_due(&self) -> bool {
+        let candidates: Vec<BlockRef> = {
+            let m = self.membership.read();
+            let wanted = m.blocks.iter().filter(|b| self.is_compaction_candidate(b));
+            wanted.copied().collect()
+        };
+        !pack_groups(candidates, self.layout.capacity).0.is_empty()
     }
 
     /// Runs one compaction pass over this context, emptying every block with
@@ -275,8 +291,18 @@ impl MemoryContext {
         }
         self.runtime.set_relocation_epoch(e + 2);
 
-        // Build compaction groups and relocation lists (freeze objects).
-        let groups = self.build_groups(&mut pass.unplaced);
+        // Pack the claimed candidates into groups and freeze their objects,
+        // building the relocation lists.
+        let (packed, leftovers) =
+            pack_groups(std::mem::take(&mut pass.unplaced), self.layout.capacity);
+        pass.unplaced = leftovers;
+        let mut groups = Vec::new();
+        for sources in packed {
+            match self.freeze_group(sources) {
+                Ok(group) => groups.push(group),
+                Err(sources) => pass.unplaced.extend(sources),
+            }
+        }
         if groups.is_empty() {
             return report;
         }
@@ -321,8 +347,8 @@ impl MemoryContext {
         let _ = self.advance_to(e + 3, tid);
         drop(pass);
 
-        // Roll back anything still pending (aborted, cancelled, or timed-out
-        // groups) through the cancel/bail path.
+        // Roll back anything still pending (an interrupted mover, or groups
+        // whose readers outlasted the patience) through the bail path.
         for group in &groups {
             for src in &group.sources {
                 for entry in reloc_entries(src) {
@@ -334,10 +360,6 @@ impl MemoryContext {
                 }
             }
         }
-
-        // A cancel request is consumed by the pass that observed it (or, if
-        // it arrived too late to stop anything, by this pass completing).
-        self.cancel_requested.store(false, Ordering::Release);
 
         self.publish_groups(&groups, &mut report);
         MemoryStats::inc(&self.runtime.stats.compactions);
@@ -351,48 +373,14 @@ impl MemoryContext {
         report
     }
 
-    /// Greedily packs the claimed candidates into groups whose live objects
-    /// fit a single fresh destination block, freezing every scheduled
-    /// object. Candidates that end up in no group are left in `unplaced`,
-    /// for [`Pass`] to hand back.
-    fn build_groups(&self, unplaced: &mut Vec<BlockRef>) -> Vec<Arc<CompactionGroup>> {
-        let capacity = self.layout.capacity;
-        let mut groups = Vec::new();
-        let mut current: Vec<BlockRef> = Vec::new();
-        let mut current_live = 0u32;
-
-        let mut flush = |sources: &mut Vec<BlockRef>, unplaced: &mut Vec<BlockRef>| {
-            if sources.len() < 2 {
-                // Compacting a single block would only shuffle it; skip.
-                unplaced.append(sources);
-                return;
-            }
-            match self.freeze_group(std::mem::take(sources)) {
-                Ok(group) => groups.push(group),
-                Err(sources) => unplaced.extend(sources),
-            }
-        };
-
-        for block in std::mem::take(unplaced) {
-            let live = block.header().valid_count.load(Ordering::Relaxed);
-            if current_live + live > capacity && !current.is_empty() {
-                flush(&mut current, unplaced);
-                current_live = 0;
-            }
-            current.push(block);
-            current_live += live;
-        }
-        flush(&mut current, unplaced);
-        groups
-    }
-
     /// Allocates the destination block and freezes every live object of the
     /// group's sources, building their relocation lists.
     /// Hands the sources back when no destination can be allocated.
     fn freeze_group(&self, sources: Vec<BlockRef>) -> Result<Arc<CompactionGroup>, Vec<BlockRef>> {
-        // Destination blocks also count against the budget: a compaction
-        // under memory pressure degrades gracefully to "no groups formed"
-        // rather than pushing the runtime over its cap.
+        // Destinations are exempt from the context budget (see
+        // `ContextConfig::budget_bytes`), so the only ways to get "no groups
+        // formed" here are an injected `BlockAlloc` failure or the OS
+        // refusing the block.
         let Ok(dest) = self
             .runtime
             .allocate_block(&self.layout, self.type_id, self.id)
@@ -496,13 +484,6 @@ impl MemoryContext {
                     MemoryStats::inc(&self.runtime.stats.compactions_interrupted);
                     return false;
                 }
-                // Cooperative cancel (coordinator `cancel()`): stop moving and
-                // let the epilogue roll the remaining entries back through
-                // the bail path.
-                if self.cancel_requested.load(Ordering::Acquire) {
-                    report.cancelled = true;
-                    return false;
-                }
                 match unsafe { try_move_object(*src, entry) } {
                     MoveOutcome::MovedByUs => {
                         report.moved += 1;
@@ -590,10 +571,12 @@ impl MemoryContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::BlockLayout;
+    use crate::block::{BlockLayout, BLOCK_SIZE};
     use crate::context::tests::{alloc_u64, ctx, ctx_with, read_u64};
     use crate::context::ContextConfig;
     use crate::runtime::Runtime;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn compaction_empties_sparse_blocks() {
@@ -619,10 +602,7 @@ mod tests {
             }
         }
         let blocks_before = c.block_count();
-        assert!(
-            c.compaction_candidates() >= 2,
-            "a group's worth of sparse blocks"
-        );
+        assert!(c.compaction_due(), "a group's worth of sparse blocks");
         let report = c.compact();
         assert!(!report.aborted);
         assert!(report.groups >= 1, "sparse blocks should form groups");
@@ -655,7 +635,7 @@ mod tests {
         for i in 0..cap * 2 {
             alloc_u64(&c, i as u64);
         }
-        assert_eq!(c.compaction_candidates(), 0);
+        assert!(!c.compaction_due());
         let report = c.compact();
         assert_eq!(report.groups, 0);
         assert_eq!(report.moved, 0);
@@ -674,8 +654,9 @@ mod tests {
         }
         let sparse = allocs[0].block.header();
         assert_eq!(sparse.in_reclaim_queue.load(Ordering::Acquire), 1);
-        // The thread still owns the other block, however empty.
-        assert_eq!(c.compaction_candidates(), 1);
+        // The thread still owns the other block, however empty, so the
+        // sparse block is the only candidate and no pass is due.
+        assert!(!c.compaction_due());
         // A lone candidate forms no group; the pass must hand it back to the
         // queue it pulled it from, not merely clear its flag.
         let report = c.compact();
@@ -688,6 +669,114 @@ mod tests {
         let refill: Vec<_> = (0..cap).map(|i| alloc_u64(&c, i as u64)).collect();
         assert!(refill.iter().any(|a| a.block == allocs[0].block));
         assert_eq!(c.block_count(), 2, "limbo slots reused, no growth");
+    }
+
+    /// Pins a reader thread at the current epoch; the returned closure
+    /// unpins it and joins the thread.
+    fn pinned_reader(rt: &Arc<Runtime>) -> impl FnOnce() {
+        let (pinned_tx, pinned_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let rt = rt.clone();
+        let reader = std::thread::spawn(move || {
+            let _guard = rt.pin();
+            pinned_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+        });
+        pinned_rx.recv().unwrap();
+        move || {
+            release_tx.send(()).unwrap();
+            reader.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn due_is_whether_the_candidates_pack() {
+        let rt = Runtime::new();
+        let config = ContextConfig {
+            reclamation_threshold: 1.1,
+            compaction_occupancy: 0.85,
+            ..ContextConfig::default()
+        };
+        let c = ctx_with(&rt, config);
+        let cap = c.layout().capacity as usize;
+        // Three full blocks, then a fourth the thread owns.
+        let allocs: Vec<_> = (0..cap * 3 + 1).map(|i| alloc_u64(&c, i as u64)).collect();
+        // Frees, in each of the first `blocks` blocks, the rows whose slot
+        // is one of `fifths` modulo five.
+        let free = |blocks: usize, fifths: [SlotId; 2]| {
+            for a in allocs[..cap * blocks].iter() {
+                if fifths.contains(&(a.slot % 5)) {
+                    assert!(c.free(a.entry, a.entry_inc));
+                }
+            }
+        };
+        // Three candidates at 60 %, no two of which fit one fresh block.
+        free(3, [1, 3]);
+        assert!(!c.compaction_due());
+        assert_eq!(c.compact().groups, 0, "the pass agrees");
+        // The first two at 20 % pair up.
+        free(2, [2, 4]);
+        assert!(c.compaction_due());
+        assert!(c.compact().groups >= 1, "the pass agrees");
+        c.release_retired();
+    }
+
+    #[test]
+    fn bytes_counts_a_pass_in_flight_and_not_its_retired_sources() {
+        let rt = Runtime::new();
+        let config = ContextConfig {
+            reclamation_threshold: 1.1,
+            compaction_patience: Duration::from_secs(60),
+            ..ContextConfig::default()
+        };
+        let c = Arc::new(ctx_with(&rt, config));
+        let cap = c.layout().capacity as usize;
+        let allocs: Vec<_> = (0..cap * 4 + 1).map(|i| alloc_u64(&c, i as u64)).collect();
+        for a in allocs[..cap * 4].iter().filter(|a| a.slot % 10 != 0) {
+            assert!(c.free(a.entry, a.entry_inc));
+        }
+        let before = c.bytes();
+        // A reader pinned at e lets the pass freeze its groups at e + 1 but
+        // not advance to e + 2; a second one pinned at e + 1 then holds it
+        // in the waiting phase once the first goes.
+        let e = rt.global_epoch();
+        let unpin_first = pinned_reader(&rt);
+        let pass = {
+            let c = c.clone();
+            std::thread::spawn(move || c.compact())
+        };
+        // Polls `done` for up to ten seconds.
+        let eventually = |done: &dyn Fn() -> bool| {
+            for _ in 0..10_000 {
+                if done() {
+                    return true;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            done()
+        };
+        let grouped = || !c.membership_snapshot().groups.is_empty();
+        assert!(eventually(&grouped), "the pass formed no group");
+        let unpin_second = pinned_reader(&rt);
+        unpin_first();
+        let relocating = || rt.global_epoch() >= e + 2;
+        assert!(eventually(&relocating), "the pass never reached e + 2");
+        // Each source moved from the block list into its group, and each
+        // group added a destination: both count until the pass publishes.
+        let groups = c.membership_snapshot().groups.len();
+        assert_eq!(c.bytes(), before + groups * BLOCK_SIZE);
+        unpin_second();
+        let report = pass.join().unwrap();
+        assert!(!report.aborted && report.moved > 0, "{report:?}");
+        // Published: the retired sources wait in `pending_retired` for
+        // burial and no longer count.
+        let retired = c.pending_retired.lock().len();
+        assert_eq!(retired, report.retired_bases.len());
+        assert!(retired > 0, "{report:?}");
+        let published = before + groups * BLOCK_SIZE - retired * BLOCK_SIZE;
+        assert_eq!(c.bytes(), published);
+        c.release_retired();
+        assert_eq!(c.bytes(), published);
     }
 
     #[test]

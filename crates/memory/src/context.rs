@@ -35,7 +35,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use smc_util::sync::{cpu_relax, fence, AtomicBool, AtomicU64, AtomicUsize, Mutex, RwLock};
+use smc_util::sync::{cpu_relax, fence, AtomicU64, AtomicUsize, Mutex, RwLock};
 
 use crate::block::{BlockLayout, BlockRef};
 pub use crate::compact::{CompactionGroup, CompactionReport};
@@ -69,7 +69,10 @@ pub struct ContextConfig {
     /// system's only budget: the serve layer bounds each tenant with one,
     /// without starving its neighbours. Compaction destination blocks are
     /// exempt — compaction is the mechanism that gets an over-budget
-    /// context *back under* its cap.
+    /// context *back under* its cap — but they count: while a pass is in
+    /// flight, `bytes` holds its sources and its destinations, so the gate
+    /// refuses adds that fit once the pass publishes. At publish the
+    /// emptied sources stop counting, before they are buried.
     pub budget_bytes: Option<u64>,
 }
 
@@ -254,10 +257,6 @@ pub struct MemoryContext {
     /// Fully-emptied compaction sources awaiting direct-pointer fix-up and
     /// burial (released by [`release_retired`](Self::release_retired)).
     pub(crate) pending_retired: Mutex<Vec<BlockRef>>,
-    /// Set by [`request_compaction_cancel`](Self::request_compaction_cancel);
-    /// the in-flight pass checks it between relocations and winds down via
-    /// the bail path. Cleared when the pass finishes.
-    pub(crate) cancel_requested: AtomicBool,
     /// Spill state ([`crate::spill`]): the page store, the spilled-page
     /// list, and a weak self-handle for stubs. One mutex covers spill,
     /// fault-in and spilled-page scans — the holder is the only possible
@@ -337,7 +336,6 @@ impl MemoryContext {
             thread_blocks: thread_blocks.into_boxed_slice(),
             reclaim_queue: Mutex::new(VecDeque::new()),
             pending_retired: Mutex::new(Vec::new()),
-            cancel_requested: AtomicBool::new(false),
             spill: Mutex::new(SpillState::default()),
             spilled_blocks_gauge: AtomicU64::new(0),
             spilled_objects_gauge: AtomicU64::new(0),
@@ -385,8 +383,10 @@ impl MemoryContext {
         m.blocks.len() + m.groups.iter().map(|g| g.sources.len() + 1).sum::<usize>()
     }
 
-    /// Total off-heap bytes owned by this context (excludes retired blocks
-    /// already handed to the graveyard).
+    /// Total off-heap bytes owned by this context: its regular blocks, plus
+    /// the sources and destinations of an in-flight pass. The sources a pass
+    /// emptied stop counting when it publishes, while they still wait for
+    /// [`release_retired`](Self::release_retired) to bury them.
     pub fn bytes(&self) -> usize {
         self.block_count() * crate::block::BLOCK_SIZE
     }

@@ -24,11 +24,14 @@ use smc_util::rng::splitmix64;
 
 use crate::stats::MemoryStats;
 
-// One table — a doc comment and a `Variant => "name"` line per site — is the
-// enum, `NUM_SITES`, `ALL` and the names. A site's index is its position:
-// append, never reorder, or every recorded seed replays another schedule.
+// One table — a doc comment and a `Variant = salt => "name"` line per site —
+// is the enum, `NUM_SITES`, `ALL`, the salts and the names. A site's index is
+// its position, which only sizes the per-site arrays; its decisions hash its
+// salt. A salt is the site's own for good: never change one and never give a
+// deleted site's number to another, or every recorded seed replays another
+// schedule (`every_site_decides_as_pinned` fails).
 macro_rules! fault_sites {
-    ($($(#[$doc:meta])* $site:ident => $name:literal,)*) => {
+    ($($(#[$doc:meta])* $site:ident = $salt:literal => $name:literal,)*) => {
         /// The failpoints wired into the memory manager.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
         pub enum FaultSite {
@@ -39,6 +42,8 @@ macro_rules! fault_sites {
         pub const NUM_SITES: usize = [$($name,)*].len();
 
         const NAMES: [&str; NUM_SITES] = [$($name,)*];
+
+        const SALTS: [u64; NUM_SITES] = [$($salt,)*];
 
         impl FaultSite {
             /// Every site, in index order.
@@ -52,53 +57,43 @@ fault_sites! {
     /// allocation failure: the call returns
     /// [`MemError::OutOfMemory`](crate::error::MemError::OutOfMemory)
     /// at once, as when the OS refuses a mapping.
-    BlockAlloc => "block-alloc",
+    BlockAlloc = 1 => "block-alloc",
     /// Global epoch advancement (`EpochManager::try_advance*`). Injection
     /// makes the attempt report failure, as if a straggling critical section
     /// were pinned behind the current epoch.
-    EpochAdvance => "epoch-advance",
+    EpochAdvance = 2 => "epoch-advance",
     /// Thread-slot registration (`EpochManager::thread_index` on first use).
     /// Injection returns
     /// [`MemError::TooManyThreads`](crate::error::MemError::TooManyThreads),
     /// as if the registry were full.
-    ThreadClaim => "thread-claim",
+    ThreadClaim = 3 => "thread-claim",
     /// Object relocation during a compaction pass's moving phase. Injection
     /// aborts the group mid-move — the crash-only path: remaining entries
     /// stay `Pending` and are bailed out by the pass epilogue, leaving the
     /// collection valid and the compaction retriable.
-    Relocation => "relocation",
-    /// Maintenance-coordinator planning cycle (`smc-maint`). Injection makes
-    /// one planning sweep fail transiently — the coordinator must classify
-    /// it as retriable and plan again on a later cycle, not wedge.
-    MaintPlan => "maint-plan",
-    /// Maintenance-coordinator pass dispatch (`smc-maint`). Injection fails
-    /// a planned pass before it reaches [`MemoryContext::compact`]; the
-    /// coordinator retries it with seeded-jitter backoff.
-    ///
-    /// [`MemoryContext::compact`]: crate::context::MemoryContext::compact
-    MaintPass => "maint-pass",
+    Relocation = 4 => "relocation",
     /// Snapshot page write (`smc-persist`). Injection fails the page file
     /// write mid-snapshot — the snapshot aborts, the previous published
     /// generation stays intact, and the temporary files are removed.
-    SnapshotPage => "snapshot-page",
+    SnapshotPage = 7 => "snapshot-page",
     /// Snapshot manifest write (`smc-persist`). Injection fails the
     /// `MANIFEST.tmp` write after all pages landed; the snapshot is not
     /// published and recovery still sees the previous generation.
-    SnapshotManifest => "snapshot-manifest",
+    SnapshotManifest = 8 => "snapshot-manifest",
     /// Snapshot manifest publish (`smc-persist`'s atomic rename). Injection
     /// fails the rename — the last durable step — proving the commit point
     /// is exactly the rename and nothing earlier.
-    SnapshotRename => "snapshot-rename",
+    SnapshotRename = 9 => "snapshot-rename",
     /// Spill page store ([`PageStore::store_page`](crate::spill::PageStore::store_page)
     /// in `try_spill_one`). Injection takes the branch a store's own error
     /// takes: every tagged entry is restored, the victim rejoins membership
     /// and the spill reports no progress.
-    SpillStore => "spill-store",
+    SpillStore = 10 => "spill-store",
     /// Spill page load ([`PageStore::load_page`](crate::spill::PageStore::load_page)
     /// under fault-in and the spilled scan). Injection takes the branch an
     /// unreadable page takes: [`MemError::SpillFault`](crate::error::MemError::SpillFault),
     /// the page still spilled and the heap untouched.
-    SpillLoad => "spill-load",
+    SpillLoad = 11 => "spill-load",
 }
 
 impl FaultSite {
@@ -111,7 +106,7 @@ impl FaultSite {
     /// Stable per-site hash salt (decorrelates sites under one seed).
     #[inline]
     fn salt(self) -> u64 {
-        0x9e37_79b9_0000_0000 | (self.index() as u64 + 1)
+        0x9e37_79b9_0000_0000 | SALTS[self.index()]
     }
 
     /// Human-readable site name.
@@ -135,7 +130,8 @@ pub struct FaultInjector {
     seed: AtomicU64,
     /// Per-site injection rate out of [`RATE_DENOMINATOR`].
     rates: [AtomicU32; NUM_SITES],
-    /// Per-site call counters (the `n` in the `(seed, site, n)` hash).
+    /// Per-site counters of the calls made while armed (the `n` in the
+    /// `(seed, site, n)` hash).
     calls: [AtomicU64; NUM_SITES],
     /// Per-site injected-failure counters.
     injected: [AtomicU64; NUM_SITES],
@@ -171,8 +167,9 @@ impl FaultInjector {
         self.enabled.store(true, Ordering::Relaxed);
     }
 
-    /// Disarms every site (calls still count, for determinism across
-    /// enable/disable windows).
+    /// Disarms every site. A disarmed site returns before it counts the
+    /// call, so re-arming resumes each site's call index where it stood: a
+    /// disarmed window moves no later decision.
     pub fn disable(&self) {
         self.enabled.store(false, Ordering::Relaxed);
     }
@@ -247,7 +244,7 @@ impl FaultInjector {
         true
     }
 
-    /// Times this site was reached (failing or not).
+    /// Times this site was reached while armed (failing or not).
     pub fn calls(&self, site: FaultSite) -> u64 {
         self.calls[site.index()].load(Ordering::Relaxed)
     }
@@ -314,6 +311,56 @@ mod tests {
         };
         assert_eq!(pattern(7), pattern(7));
         assert_ne!(pattern(7), pattern(8), "different seeds should differ");
+    }
+
+    #[test]
+    fn disarmed_window_does_not_advance_the_call_index() {
+        let armed = |inj: &FaultInjector, n: usize| -> Vec<bool> {
+            (0..n)
+                .map(|_| inj.should_fail(FaultSite::Relocation))
+                .collect()
+        };
+        let straight = FaultInjector::detached();
+        straight.enable(11);
+        straight.set_rate(FaultSite::Relocation, 512);
+        let inj = FaultInjector::detached();
+        inj.enable(11);
+        inj.set_rate(FaultSite::Relocation, 512);
+        let mut windowed = armed(&inj, 8);
+        inj.disable();
+        assert!(armed(&inj, 100).iter().all(|&failed| !failed));
+        assert_eq!(inj.calls(FaultSite::Relocation), 8);
+        inj.enable(11);
+        windowed.extend(armed(&inj, 8));
+        assert_eq!(windowed, armed(&straight, 16));
+    }
+
+    /// The first 64 decisions of every site under one seed at rate 512,
+    /// bit `i` for call `i`. Adding or deleting a site must not move
+    /// another site's schedule, so these stay as recorded.
+    #[test]
+    fn every_site_decides_as_pinned() {
+        const PINS: [(FaultSite, u64); NUM_SITES] = [
+            (FaultSite::BlockAlloc, 0xdde8_de12_58af_b743),
+            (FaultSite::EpochAdvance, 0xbb71_b784_a15f_de2c),
+            (FaultSite::ThreadClaim, 0x77b2_7b48_52af_ed1c),
+            (FaultSite::Relocation, 0xee4d_de12_4af5_b738),
+            (FaultSite::SnapshotPage, 0x772b_b784_25fa_dec1),
+            (FaultSite::SnapshotManifest, 0xd4ee_21ed_5fa4_837b),
+            (FaultSite::SnapshotRename, 0xe8dd_12de_af58_43b7),
+            (FaultSite::SpillStore, 0x71bb_84b7_5fa1_2cde),
+            (FaultSite::SpillLoad, 0xb277_487b_af52_1ced),
+        ];
+        assert_eq!(PINS.map(|(site, _)| site), FaultSite::ALL);
+        let inj = FaultInjector::detached();
+        inj.enable(0x5eed);
+        inj.set_all_rates(512);
+        for (site, pin) in PINS {
+            let decisions = (0..64).fold(0u64, |mask, call| {
+                mask | u64::from(inj.should_fail(site)) << call
+            });
+            assert_eq!(decisions, pin, "{}: {decisions:#x}", site.name());
+        }
     }
 
     #[test]

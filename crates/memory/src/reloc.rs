@@ -282,7 +282,8 @@ pub unsafe fn bail_out_relocation(src_block: BlockRef, reloc: &RelocEntry) -> Mo
 }
 
 /// Cancels one scheduled relocation on behalf of a compaction pass that is
-/// being torn down — a coordinator `cancel()`, or the pass epilogue rolling back entries an interrupted mover left
+/// being torn down: the pass epilogue rolling back the entries an
+/// interrupted mover, or a group whose readers outlasted the patience, left
 /// `Pending`. The rollback *is* the §5.1 bail path: the entry lock
 /// serializes the cancel against in-flight movers, the entry settles
 /// `Failed`, and the freeze is stripped from both incarnation words so the

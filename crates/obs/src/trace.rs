@@ -377,13 +377,11 @@ events! {
         /// Span duration in nanoseconds.
         nanos: u64,
     }
-    /// The maintenance coordinator dispatched a compaction pass.
+    /// The maintenance coordinator started a compaction pass for a due
+    /// context.
     14 MaintPassStart "maint-pass-start" {
         /// Memory-context id the pass targets.
         context: u64,
-        /// Why the pass was started: `sparse` (two or more blocks under the
-        /// occupancy cutoff) or `nudge`.
-        reason: Label,
     }
     /// A coordinator-driven compaction pass finished.
     15 MaintPassEnd "maint-pass-end" {
@@ -393,7 +391,8 @@ events! {
         moved: u64,
         /// Relocations rolled back through the bail path.
         bailed: u64,
-        /// Outcome class (`done`, `retry`, `cancel`, `abort`).
+        /// Outcome class: `done`, or `abort` for a pass that aborted or was
+        /// interrupted.
         outcome: ShortLabel,
     }
     /// The coordinator deferred a due pass because the foreground scan SLO

@@ -13,23 +13,19 @@
 //! * [`rng`] — a small, seeded PCG pseudo-random generator standing in for
 //!   `rand::StdRng` in the TPC-H generator, workloads, and tests.
 //!
-//! Plus [`backoff`] — bounded exponential retry backoff with deterministic
-//! seeded jitter for the maintenance coordinator's pass retries — [`spsc`], the
-//! bounded lock-free single-producer/single-consumer ring the serve layer
-//! uses to route requests from connection threads to shard threads and
-//! replies back, and [`waiter`], the spin-then-park wait both ends of those
-//! rings share. The rings and the waiter go through [`sync`], so the checker
-//! explores them too.
+//! Plus [`spsc`], the bounded lock-free single-producer/single-consumer ring
+//! the serve layer uses to route requests from connection threads to shard
+//! threads and replies back, and [`waiter`], the spin-then-park wait both
+//! ends of those rings share. The rings and the waiter go through [`sync`],
+//! so the checker explores them too.
 
 #![warn(missing_docs)]
 
-pub mod backoff;
 pub mod mutation;
 pub mod rng;
 pub mod spsc;
 pub mod sync;
 pub mod waiter;
 
-pub use backoff::Backoff;
 pub use rng::Pcg32;
 pub use sync::{Mutex, RwLock};

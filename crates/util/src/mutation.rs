@@ -33,7 +33,7 @@ pub enum Mutation {
     /// `try_move_object` skips taking the entry lock bit before copying, so
     /// two movers can both believe they won the race.
     MoveSkipsLock = 1 << 4,
-    /// `cancel_relocation` (the coordinator's cancel/quiesce rollback) marks
+    /// `cancel_relocation` (the pass epilogue's rollback) marks
     /// the entry settled without running the locked bail path, so the freeze
     /// never rolls back — and a racing mover can finish the move *after* the
     /// cancel claimed the object stayed put.

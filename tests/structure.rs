@@ -283,6 +283,21 @@ fn one_maintenance_configuration() {
     forbid(&format!("{pacer}|{ceilings}"), &roots);
 }
 
+/// One maintenance schedule: the coordinator's 125 ms period is the only
+/// thing that starts a pass or runs one again, and a context is due exactly
+/// when the pass's own packing would form a group. This fails if a nudge, a
+/// cancel, a settable SLO ceiling or a pass reason comes back; or the
+/// in-pass retry loop's backoff, or a failpoint that fails a planning step
+/// or a pass before it starts; or the snapshot counters they fed.
+#[test]
+fn one_maintenance_schedule() {
+    let controls = "fn nudge|set_slo_ceiling|request_compaction_cancel|PassReason";
+    let retries = "smc_util::Backoff|struct Backoff|MaintPlan|FaultSite::MaintPass";
+    let counters = "passes_retried|passes_cancelled|plan_faults";
+    let roots = ["crates", "src", "tests", "examples"];
+    forbid(&format!("{controls}|{retries}|{counters}"), &roots);
+}
+
 /// One clock: `smc_obs::clock::now` is the one time origin of library code,
 /// and a test can hold it still. The two exceptions are the waiter's spin
 /// budget (CPU time burnt, documented in util/src/waiter.rs) and the bench
