@@ -79,6 +79,53 @@ fn remote_free_ring_reconciles_exactly() {
     );
 }
 
+/// Thread A allocates a block and thread B frees it while A still holds its
+/// slot. The freed block stays with B: B's next allocation is served from
+/// its own cache (counted in `blocks_recycled`) and maps no fresh batch
+/// (`alloc_batch_refills` holds).
+#[test]
+fn a_block_freed_by_another_thread_serves_the_freers_next_allocation() {
+    let rt = Runtime::new();
+    let alloc = |rt: &Runtime| {
+        rt.allocate_block(&layout(), type_id_of::<u64>(), 1)
+            .unwrap()
+    };
+    let (tx, rx) = mpsc::channel();
+    let b_done = Barrier::new(2);
+    let (recycled, refills) = std::thread::scope(|s| {
+        s.spawn(|| {
+            tx.send(alloc(&rt)).unwrap();
+            // Keep A's slot held until B is done, so B cannot inherit it.
+            b_done.wait();
+        });
+        let (rt, b_done) = (&rt, &b_done);
+        let b = s.spawn(move || {
+            let counts = || {
+                (
+                    MemoryStats::get(&rt.stats.blocks_recycled),
+                    MemoryStats::get(&rt.stats.alloc_batch_refills),
+                )
+            };
+            rt.free_block(rx.recv().unwrap());
+            let before = counts();
+            let next = alloc(rt);
+            let after = counts();
+            rt.free_block(next);
+            b_done.wait();
+            (after.0 - before.0, after.1 - before.1)
+        });
+        b.join().unwrap()
+    });
+    assert_eq!(
+        recycled, 1,
+        "the freer's next allocation must come from its own cache"
+    );
+    assert_eq!(refills, 0, "the freer must not map a fresh batch");
+    assert_eq!(MemoryStats::get(&rt.stats.remote_frees), 1);
+    rt.verify()
+        .unwrap_or_else(|v| panic!("post-quiesce verify: {v:?}"));
+}
+
 /// Four threads add, pin and remove against one context, each bumping only
 /// its own slot's counter cell with plain loads and stores. Nothing may be
 /// lost: the summed cells equal the exact operation counts, and the
