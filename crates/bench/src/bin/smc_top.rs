@@ -157,12 +157,11 @@ fn render_heap(shard: u64, snap: &JsonValue) {
     }
     if let Some(a) = snap.get("alloc") {
         println!(
-            "    alloc: budgeted {}  cached {}  recycled {}  remote {} (drained {})",
+            "    alloc: budgeted {}  cached {}  recycled {}  remote {}",
             u(a, "budgeted_blocks"),
             u(a, "cached_blocks"),
             u(a, "blocks_recycled"),
             u(a, "remote_frees"),
-            u(a, "remote_frees_drained"),
         );
     }
     println!(

@@ -46,7 +46,7 @@
 //! The protocol scenario suite (`scenarios`, compiled only under
 //! `--cfg smc_check`) drives the *real* code — `smc-memory`'s epoch
 //! pin/unpin/advance, relocation, forwarding, bail-out, a context's budget
-//! gate and the allocator's remote frees, a reply ring's drain, the
+//! gate and the allocator's single-owner free lists, a reply ring's drain, the
 //! waiter's park-vs-wake handshake and the trace ring's seqlock.
 //! `smc_util::mutation` can re-introduce known, fixed bugs (e.g. the
 //! slot-vs-entry incarnation confusion, the first relocation bug fixed)

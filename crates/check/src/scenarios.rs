@@ -20,8 +20,8 @@
 //! * **§5.2 visitation** — a scanner visits each live object exactly once
 //!   under concurrent compaction.
 //! * **budget** — a context's budget admits racing adders up to one block
-//!   each beyond the first and never leaks a refused block; a remote-freed
-//!   block is the owner's to reuse.
+//!   each beyond the first and never leaks a refused block; a freed
+//!   block stays with the thread that frees it.
 //! * **entries** — indirection entries are conserved, and none is handed out
 //!   twice, while thread slots' magazines change hands and releases race
 //!   allocations.
@@ -72,7 +72,7 @@ pub fn all() -> Vec<NamedScenario> {
         ("exactly_once_visitation", exactly_once_visitation),
         ("budget_race", budget_race),
         ("snapshot_vs_advance", snapshot_vs_advance),
-        ("remote_free_vs_owner_pop", remote_free_vs_owner_pop),
+        ("foreign_free_vs_owner_pop", foreign_free_vs_owner_pop),
         ("entry_release_vs_owner_alloc", entry_release_vs_owner_alloc),
         ("spill_vs_free", spill_vs_free),
         (
@@ -691,28 +691,32 @@ fn budget_race() -> Scenario {
     })
 }
 
-/// The sharded allocator's remote-free protocol.
+/// The sharded allocator's single-owner free lists.
 ///
-/// Thread A (the owner shard) allocates a block `x` and the rest of its
-/// batch, so its shard cache is empty, buries `x` ripe and drains the
-/// graveyard; thread B races it on that drain. The ripe block comes home
-/// one of two ways, depending on who drains first: through A's own drain
-/// (owner free → local push), or through B's (cross-thread free → A's MPSC
-/// return queue). A then waits for B's drain to finish and allocates again.
-/// Oracle: A's second block is `x`'s memory on *every* interleaving — a
-/// block parked in a return queue is the owner's to reuse — and the books
-/// balance afterwards. Catches
-/// [`smc_util::mutation::Mutation::DropRemoteDrain`], which strands the
-/// remote queue, so A maps fresh memory instead. The blocks hold three
-/// 20 000-byte slots: recycling a block resets every slot, one checker
-/// step each, and a narrow layout would spend the step budget there.
-pub fn remote_free_vs_owner_pop() -> Scenario {
+/// Thread A allocates a block `x` (mapping a batch, whose three spares go
+/// onto A's list) and two more, which leaves one spare on its list. It
+/// hands `x` to thread B and pops its list again: three allocations, the
+/// first taking the last spare, the second mapping a fresh batch, the third
+/// popping that batch. B frees `x` as A pops. A free goes onto the freeing
+/// thread's own list, so B never touches A's. Oracle: A's handouts are
+/// pairwise distinct, A's pops find its list and its count in agreement
+/// (`BlockAllocator::pop_cached` asserts it), and the books balance
+/// afterwards. Catches
+/// [`smc_util::mutation::Mutation::FreeIntoForeignCache`], which pushes
+/// B's free onto A's list: a push that interleaves with A's pop either
+/// drops `x` (the count then outruns the list) or puts back a block A
+/// already took (handed out twice). The blocks hold three 20 000-byte
+/// slots: recycling a block resets every slot, one checker step each, and
+/// a narrow layout would spend the step budget there.
+pub fn foreign_free_vs_owner_pop() -> Scenario {
     const OBJ_SIZE: usize = 20_000;
     let rt = Runtime::new();
     let layout = BlockLayout::rows(OBJ_SIZE, 8).expect("three wide slots fit a block");
     let (rt_a, rt_b) = (rt.clone(), rt.clone());
-    let drained = Arc::new(AtomicBool::new(false));
-    let drained_b = drained.clone();
+    let handed = Arc::new(AtomicBool::new(false));
+    let handed_b = handed.clone();
+    let x_slot = Arc::new(Mutex::new(None));
+    let x_slot_b = x_slot.clone();
     let held = Arc::new(Mutex::new(Vec::new()));
     let held_fin = held.clone();
     Scenario::new()
@@ -722,29 +726,23 @@ pub fn remote_free_vs_owner_pop() -> Scenario {
                     .expect("the runtime maps what it is asked for")
             };
             let x = alloc();
-            let rest: Vec<BlockRef> = (1..ALLOC_BATCH).map(|_| alloc()).collect();
-            let x_base = x.base();
-            rt_a.bury_block(x, 0);
-            let _ = rt_a.drain_graveyard();
-            while !drained.load(Ordering::Acquire) {
-                cpu_relax();
-            }
-            let y = alloc();
-            let reused = y.base() == x_base;
-            let mut held = held.lock().unwrap();
-            held.extend(rest);
-            held.push(y);
-            assert!(
-                reused,
-                "owner must reacquire its buried block: a remote-freed block \
-                 parked in the return queue is the owner's to reuse"
-            );
+            let mut mine: Vec<BlockRef> = (0..ALLOC_BATCH - 2).map(|_| alloc()).collect();
+            *x_slot.lock().unwrap() = Some(x);
+            handed.store(true, Ordering::Release);
+            mine.extend((0..3).map(|_| alloc()));
+            let mut bases: Vec<*mut u8> = mine.iter().map(BlockRef::base).collect();
+            let handed_out = bases.len();
+            held.lock().unwrap().extend(mine);
+            bases.sort_unstable();
+            bases.dedup();
+            assert_eq!(bases.len(), handed_out, "a block was handed out twice");
         })
         .thread(move || {
-            // Racing reclaimer: may free A's ripe block first, making it a
-            // *remote* free onto A's shard queue.
-            let _ = rt_b.drain_graveyard();
-            drained_b.store(true, Ordering::Release);
+            while !handed_b.load(Ordering::Acquire) {
+                cpu_relax();
+            }
+            let x = x_slot_b.lock().unwrap().take().expect("A handed x over");
+            rt_b.free_block(x);
         })
         .finally(move || {
             let held = std::mem::take(&mut *held_fin.lock().unwrap());

@@ -135,11 +135,11 @@ fn catches_cancel_skips_bail_rollback() {
 }
 
 #[test]
-fn catches_drop_remote_drain() {
+fn catches_free_into_foreign_cache() {
     assert_mutation_caught(
-        Mutation::DropRemoteDrain,
-        "remote_free_vs_owner_pop",
-        scenarios::remote_free_vs_owner_pop,
+        Mutation::FreeIntoForeignCache,
+        "foreign_free_vs_owner_pop",
+        scenarios::foreign_free_vs_owner_pop,
     );
 }
 

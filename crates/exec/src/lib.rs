@@ -18,7 +18,7 @@
 //!   constructor error, never a mid-query panic;
 //! * [`ParScan`] / [`ParColumnarScan`] — parallel scans over [`Smc`](smc::Smc)
 //!   and [`ColumnarSmc`](smc::ColumnarSmc) (`filter_count`, `filter_fold`,
-//!   `group_aggregate`, `fold_blocks`);
+//!   `fold_blocks`);
 //! * [`par_fold_chunks`] — the same morsel loop over plain slices, for the
 //!   baseline backends (managed handle lists, columnstore row ranges).
 //!

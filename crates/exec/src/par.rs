@@ -24,9 +24,6 @@
 //! finish the move and read the post-state — either way every live object
 //! of the group is visited exactly once.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -229,46 +226,6 @@ impl<'a, T: Tabular + Sync> ParScan<'a, T> {
         let mut out = init();
         for p in partials {
             merge(&mut out, p);
-        }
-        out
-    }
-
-    /// Parallel scan→filter→group-by-aggregate: per-worker hash tables,
-    /// merged group-wise with `merge` in the final reduce step.
-    pub fn group_aggregate<K, A>(
-        &self,
-        pred: impl Fn(&T) -> bool + Sync,
-        key: impl Fn(&T) -> K + Sync,
-        new_group: impl Fn(&T) -> A + Sync,
-        fold: impl Fn(&mut A, &T) + Sync,
-        mut merge: impl FnMut(&mut A, A),
-    ) -> HashMap<K, A>
-    where
-        K: Eq + Hash + Send,
-        A: Send,
-    {
-        let partials = self.partials(&HashMap::new, |groups: &mut HashMap<K, A>, obj| {
-            if pred(obj) {
-                match groups.entry(key(obj)) {
-                    Entry::Occupied(mut e) => fold(e.get_mut(), obj),
-                    Entry::Vacant(e) => {
-                        let mut acc = new_group(obj);
-                        fold(&mut acc, obj);
-                        e.insert(acc);
-                    }
-                }
-            }
-        });
-        let mut out: HashMap<K, A> = HashMap::new();
-        for part in partials {
-            for (k, v) in part {
-                match out.entry(k) {
-                    Entry::Occupied(mut e) => merge(e.get_mut(), v),
-                    Entry::Vacant(e) => {
-                        e.insert(v);
-                    }
-                }
-            }
         }
         out
     }

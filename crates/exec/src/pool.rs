@@ -108,7 +108,7 @@ impl WorkerPool {
                     let ok = claimed.is_ok();
                     let _ = tx.send(claimed);
                     if ok {
-                        worker_loop(&shared, index, threads, runtime.as_deref());
+                        worker_loop(&shared, index, threads);
                     }
                 })
                 .expect("failed to spawn worker thread");
@@ -207,7 +207,7 @@ impl std::fmt::Debug for WorkerPool {
     }
 }
 
-fn worker_loop(shared: &Shared, index: usize, threads: usize, runtime: Option<&Runtime>) {
+fn worker_loop(shared: &Shared, index: usize, threads: usize) {
     let mut seen = 0u64;
     loop {
         let job = {
@@ -226,12 +226,6 @@ fn worker_loop(shared: &Shared, index: usize, threads: usize, runtime: Option<&R
         smc_util::sync::yield_point();
         // SAFETY: `run` keeps the closure alive until every worker completed.
         (unsafe { &*job.0 })(index);
-        // Maintenance tick: pull blocks other workers freed back to this
-        // worker's allocation shard while the coordinator is still
-        // collecting results — off every morsel's critical path.
-        if let Some(rt) = runtime {
-            rt.alloc_maintenance();
-        }
         let mut st = lock(&shared.state);
         st.completed += 1;
         if st.completed == threads {

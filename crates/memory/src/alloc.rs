@@ -1,34 +1,25 @@
-//! Sharded lock-free block allocation.
-//!
-//! Every `MemoryContext` used to funnel block acquisition through one shared
-//! runtime path — a single budget CAS plus a trip to the OS per block —
-//! which is exactly where the paper's off-heap design (§4) would serialize
-//! on multi-core. This module splits the allocation layer into per-thread
-//! *allocation shards*:
+//! Sharded block allocation: the paper's off-heap design (§4) would
+//! serialize on multi-core if every block came through one shared path, so
+//! each thread takes blocks from its own *allocation shard*:
 //!
 //! * Each registered thread (epoch thread slot `i`) owns shard `i`: a
-//!   **local free list** of recycled 64 KiB blocks with lock-free pop, plus
-//!   an **MPSC remote return queue**. A thread allocating a block first pops
-//!   its local list; a thread freeing a block it does not own pushes it onto
-//!   the owner's remote queue, which the owner drains into its local list on
-//!   its next allocation or `Runtime::alloc_maintenance` tick.
-//! * A shard-cache miss takes the slow path, which maps fresh blocks in
-//!   batches of [`ALLOC_BATCH`]: one `fetch_add` on the `budgeted` gauge
-//!   (`BlockAllocator::reserve`) and one kernel-zeroed mapping
-//!   (`block::raw_alloc_blocks`) amortize over several handouts, and the
-//!   extras are parked in the allocating shard's cache. Members of a batch
-//!   go back to the OS one by one, whenever each is freed past the cache cap.
+//!   **single-owner free list** of recycled 64 KiB blocks. Only the thread
+//!   holding the slot pushes or pops it. A block freed by a registered
+//!   thread goes onto that thread's own list, whichever thread allocated it,
+//!   while the list holds fewer than [`MAX_SHARD_CACHE`] blocks; past the cap,
+//!   or from a thread without a slot, it goes back to the OS.
+//! * A shard-cache miss maps [`ALLOC_BATCH`] fresh blocks at once: one
+//!   `fetch_add` on the `budgeted` gauge and one kernel-zeroed mapping
+//!   serve several handouts, and the extras park in the allocating shard's
+//!   cache. Each goes back to the OS on its own when freed past the cap.
 //!
-//! Both stacks use an ownership-transfer discipline that never dereferences
-//! a block the thread does not exclusively own: **pop takes the whole chain
-//! with one `swap`**, keeps the head, and pushes the remainder back with one
-//! CAS. Pushes only write the pushed block's own link word. There is no ABA
-//! window and no read of memory another thread could be re-initializing or
-//! returning to the OS — which is what keeps the fast paths clean under
-//! ThreadSanitizer and exhaustively checkable by `smc-check` (the
-//! `remote_free_vs_owner_pop` scenario and the
-//! [`Mutation::DropRemoteDrain`]
-//! seeded bug).
+//! With one writer per list, pop is "load head, read its link, store head"
+//! and push is "write link, store head": no read-modify-write on either
+//! path. `smc-check` sees every access to the list (its words go through
+//! `smc_util::sync`): the `foreign_free_vs_owner_pop` scenario races a free
+//! of another thread's block against the owner's pops, and the seeded
+//! `Mutation::FreeIntoForeignCache` bug, which pushes that free onto the
+//! allocating thread's list, loses or doubly hands out a block.
 //!
 //! Accounting contract (checked by `Runtime::verify` at quiescence):
 //! `budgeted == blocks_live + cached` — every block the allocator holds from
@@ -40,8 +31,6 @@ use std::sync::atomic::Ordering;
 
 use crate::block::raw_dealloc_block;
 use crate::epoch::MAX_THREADS;
-use crate::stats::MemoryStats;
-use smc_util::mutation::{self, Mutation};
 use smc_util::sync::AtomicU64;
 
 /// Fresh blocks mapped per slow-path trip: one handout plus
@@ -49,111 +38,55 @@ use smc_util::sync::AtomicU64;
 pub const ALLOC_BATCH: u64 = 4;
 
 /// Per-shard cap on cached free blocks; frees beyond it go back to the OS.
-/// Bounds idle memory at `MAX_SHARD_CACHE * 64 KiB` per allocating thread.
+/// Bounds idle memory at `MAX_SHARD_CACHE * 64 KiB` per thread slot.
 pub const MAX_SHARD_CACHE: u64 = 8;
 
 /// Empty free-list sentinel (no block lives at address 0).
 const NO_BLOCK: u64 = 0;
 
 /// The link word threaded through free blocks: the first 8 bytes of a
-/// retired block hold the address of the next block in its stack.
+/// retired block hold the address of the next block in its list.
 ///
 /// # Safety
-/// `addr` must be the base of a raw block allocation exclusively owned by
-/// the caller (popped chain) or being pushed by the caller.
+/// `addr` must be the base of a raw block allocation in, or being pushed
+/// onto, a list the caller owns.
 unsafe fn link(addr: u64) -> &'static AtomicU64 {
     &*(addr as usize as *const AtomicU64)
 }
 
-/// Pushes an owned chain (`first` … `last`, already linked) onto `head`.
-/// Lock-free: only the chain's own link word and the head CAS are touched.
-fn push_chain(head: &AtomicU64, first: u64, last: u64) {
-    loop {
-        let cur = head.load(Ordering::Relaxed);
-        unsafe { link(last) }.store(cur, Ordering::Relaxed);
-        if head
-            .compare_exchange_weak(cur, first, Ordering::Release, Ordering::Relaxed)
-            .is_ok()
-        {
-            return;
-        }
-        smc_util::sync::cpu_relax();
-    }
-}
-
-/// Takes the entire chain off `head`, transferring ownership to the caller.
-fn take_all(head: &AtomicU64) -> u64 {
-    head.swap(NO_BLOCK, Ordering::AcqRel)
-}
-
-/// Walks an **owned** chain, returning `(length, tail)`.
-fn chain_ends(first: u64) -> (u64, u64) {
-    let mut len = 1;
-    let mut tail = first;
-    loop {
-        let next = unsafe { link(tail) }.load(Ordering::Relaxed);
-        if next == NO_BLOCK {
-            return (len, tail);
-        }
-        len += 1;
-        tail = next;
-    }
-}
-
-/// Returns every block of an **owned** chain to the OS; returns the count.
-fn dealloc_chain(mut chain: u64) -> u64 {
-    let mut n = 0;
-    while chain != NO_BLOCK {
-        let next = unsafe { link(chain) }.load(Ordering::Relaxed);
-        unsafe { raw_dealloc_block(chain as usize) };
-        chain = next;
-        n += 1;
-    }
-    n
-}
-
-/// One thread's allocation shard. Padded to a cache line so neighbouring
-/// shards never false-share.
+/// One thread slot's allocation shard, padded to a cache line so neighbours
+/// never false-share. Only the slot's holder touches `head` and the links,
+/// so `Relaxed` suffices: a slot changes hands through the registry's
+/// `Release` store and `AcqRel` claim of its flag, which order the accesses.
 #[repr(align(64))]
 #[derive(Debug)]
 struct Shard {
-    /// Local free list of recycled blocks (lock-free swap-pop, CAS-push).
-    local: AtomicU64,
-    /// Remote return queue: blocks freed by non-owner threads (CAS-push),
-    /// drained by the owner with one swap.
-    remote: AtomicU64,
-    /// Blocks parked in this shard (local + remote), advisory gauge for the
-    /// cache cap. Uninstrumented: exact only at quiescence, which is when
-    /// `Runtime::verify` reads it.
+    /// Top of the free list of recycled blocks.
+    head: AtomicU64,
+    /// Blocks on the list, also read by other threads for the snapshot.
+    /// Uninstrumented: it changes only beside `head`'s switch points.
     cached: std::sync::atomic::AtomicU64,
-}
-
-impl Shard {
-    fn new() -> Shard {
-        Shard {
-            local: AtomicU64::new(NO_BLOCK),
-            remote: AtomicU64::new(NO_BLOCK),
-            cached: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
 }
 
 /// The runtime's sharded block allocator (see module docs). One per
 /// [`Runtime`](crate::runtime::Runtime); the runtime owns the allocation
-/// *policy* (fault injection, accounting) and this struct owns the shard
-/// *mechanics*.
+/// *policy* (fault injection, accounting, which shard a free goes to) and
+/// this struct owns the shard *mechanics*.
 #[derive(Debug)]
 pub(crate) struct BlockAllocator {
     shards: Box<[Shard]>,
-    /// Blocks currently held from the OS: live handouts plus shard-cached
-    /// spares.
+    /// Blocks held from the OS: live handouts plus shard-cached spares.
     budgeted: AtomicU64,
 }
 
 impl BlockAllocator {
     pub(crate) fn new() -> BlockAllocator {
+        let shard = |_| Shard {
+            head: AtomicU64::new(NO_BLOCK),
+            cached: std::sync::atomic::AtomicU64::new(0),
+        };
         BlockAllocator {
-            shards: (0..MAX_THREADS).map(|_| Shard::new()).collect(),
+            shards: (0..MAX_THREADS).map(shard).collect(),
             budgeted: AtomicU64::new(0),
         }
     }
@@ -187,62 +120,54 @@ impl BlockAllocator {
         self.budgeted.fetch_sub(n, Ordering::Relaxed);
     }
 
-    /// Pops one recycled block off shard `idx`'s local free list.
-    pub(crate) fn pop_cached(&self, idx: usize) -> Option<u64> {
+    /// Pops one recycled block off shard `idx`'s free list.
+    ///
+    /// # Safety
+    /// The calling thread must hold epoch slot `idx`, so the list's blocks
+    /// are its own: no other thread pops, pushes or frees them.
+    pub(crate) unsafe fn pop_cached(&self, idx: usize) -> Option<u64> {
         let shard = &self.shards[idx];
-        let chain = take_all(&shard.local);
-        if chain == NO_BLOCK {
+        let top = shard.head.load(Ordering::Relaxed);
+        let cached = shard.cached.load(Ordering::Relaxed);
+        // The holder is the list's only writer, so head and count agree; a
+        // disagreement is a push or pop by a thread without the slot.
+        let agree = (top == NO_BLOCK) == (cached == 0);
+        assert!(agree, "shard {idx}: free list and count {cached} disagree");
+        if top == NO_BLOCK {
             return None;
         }
-        let rest = unsafe { link(chain) }.load(Ordering::Relaxed);
-        if rest != NO_BLOCK {
-            let (_, tail) = chain_ends(rest);
-            push_chain(&shard.local, rest, tail);
-        }
-        shard.cached.fetch_sub(1, Ordering::Relaxed);
-        Some(chain)
+        // SAFETY: `top` is on the caller's own list (see `# Safety`).
+        let next = unsafe { link(top) }.load(Ordering::Relaxed);
+        shard.head.store(next, Ordering::Relaxed);
+        shard.cached.store(cached - 1, Ordering::Relaxed);
+        Some(top)
     }
 
-    /// Parks an owned block on shard `idx`'s local free list (owner-thread
-    /// free or batch refill).
-    pub(crate) fn push_local(&self, idx: usize, addr: u64) {
-        push_chain(&self.shards[idx].local, addr, addr);
-        self.shards[idx].cached.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Pushes a block freed by a non-owner thread onto shard `idx`'s remote
-    /// return queue.
-    pub(crate) fn push_remote(&self, idx: usize, addr: u64) {
-        push_chain(&self.shards[idx].remote, addr, addr);
-        self.shards[idx].cached.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Drains shard `idx`'s remote return queue into its local free list
-    /// (owner-only). Returns the number of blocks moved. This is the drain
-    /// the seeded [`Mutation::DropRemoteDrain`] bug removes.
-    pub(crate) fn drain_remote(&self, idx: usize, stats: &MemoryStats) -> u64 {
-        if mutation::enabled(Mutation::DropRemoteDrain) {
-            return 0;
-        }
+    /// Parks a block on shard `idx`'s free list (a free or a batch refill).
+    ///
+    /// # Safety
+    /// The calling thread must hold epoch slot `idx`, and `addr` must be the
+    /// base of a retired block no other thread can reach.
+    pub(crate) unsafe fn push_cached(&self, idx: usize, addr: u64) {
         let shard = &self.shards[idx];
-        let chain = take_all(&shard.remote);
-        if chain == NO_BLOCK {
-            return 0;
-        }
-        let (n, tail) = chain_ends(chain);
-        push_chain(&shard.local, chain, tail);
-        MemoryStats::add(&stats.remote_frees_drained, n);
-        n
+        // SAFETY: `addr` is the caller's retired block (see `# Safety`).
+        unsafe { link(addr) }.store(shard.head.load(Ordering::Relaxed), Ordering::Relaxed);
+        shard.head.store(addr, Ordering::Relaxed);
+        let cached = shard.cached.load(Ordering::Relaxed);
+        shard.cached.store(cached + 1, Ordering::Relaxed);
     }
 }
 
 impl Drop for BlockAllocator {
     fn drop(&mut self) {
-        // The runtime is being torn down: no thread can still touch the
-        // shards, so every cached block is quiescent.
         for shard in self.shards.iter() {
-            for head in [&shard.local, &shard.remote] {
-                dealloc_chain(take_all(head));
+            let mut chain = shard.head.load(Ordering::Relaxed);
+            while chain != NO_BLOCK {
+                // SAFETY: `&mut self`: no thread can still touch the shards,
+                // so every listed block is the allocator's to read and unmap.
+                let next = unsafe { link(chain) }.load(Ordering::Relaxed);
+                unsafe { raw_dealloc_block(chain as usize) };
+                chain = next;
             }
         }
     }
@@ -258,16 +183,14 @@ pub struct AllocSnapshot {
     pub cached_blocks: u64,
     /// Handouts served from a shard free list (monotonic).
     pub blocks_recycled: u64,
-    /// Cross-thread frees pushed to owner return queues (monotonic).
+    /// Blocks freed by a thread other than the one that allocated them
+    /// (monotonic).
     pub remote_frees: u64,
-    /// Remote frees drained by owners (monotonic).
-    pub remote_frees_drained: u64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::MemoryStats;
 
     /// One batch of `N` raw blocks, as the slow path maps them.
     fn raw_blocks<const N: usize>() -> [u64; N] {
@@ -276,24 +199,19 @@ mod tests {
     }
 
     #[test]
-    fn stacks_transfer_ownership_in_lifo_chains() {
+    fn the_free_list_is_lifo_and_counts_its_blocks() {
         let alloc = BlockAllocator::new();
-        let stats = MemoryStats::new();
         let [a, b, c] = raw_blocks();
         alloc.reserve(3);
-        alloc.push_local(0, a);
-        alloc.push_local(0, b);
-        alloc.push_remote(0, c);
+        for addr in [a, b, c] {
+            unsafe { alloc.push_cached(0, addr) };
+        }
         assert_eq!(alloc.shard_cached(0), 3);
         assert_eq!(alloc.cached_blocks(), 3);
-        // LIFO pop of the local stack.
-        assert_eq!(alloc.pop_cached(0), Some(b));
-        // Remote drain moves c in front of a.
-        assert_eq!(alloc.drain_remote(0, &stats), 1);
-        assert_eq!(MemoryStats::get(&stats.remote_frees_drained), 1);
-        assert_eq!(alloc.pop_cached(0), Some(c));
-        assert_eq!(alloc.pop_cached(0), Some(a));
-        assert_eq!(alloc.pop_cached(0), None);
+        assert_eq!(unsafe { alloc.pop_cached(0) }, Some(c));
+        assert_eq!(unsafe { alloc.pop_cached(0) }, Some(b));
+        assert_eq!(unsafe { alloc.pop_cached(0) }, Some(a));
+        assert_eq!(unsafe { alloc.pop_cached(0) }, None);
         assert_eq!(alloc.shard_cached(0), 0);
         for addr in [a, b, c] {
             unsafe { crate::block::raw_dealloc_block(addr as usize) };
@@ -307,8 +225,10 @@ mod tests {
         let alloc = BlockAllocator::new();
         alloc.reserve(2);
         let [a, b] = raw_blocks();
-        alloc.push_local(0, a);
-        alloc.push_remote(3, b);
+        unsafe {
+            alloc.push_cached(0, a);
+            alloc.push_cached(3, b);
+        }
         drop(alloc); // must not leak (asserted by miri / leak checkers)
     }
 }

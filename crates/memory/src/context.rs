@@ -640,8 +640,7 @@ impl MemoryContext {
         if header.compacting.load(Ordering::Acquire) != 0 {
             return; // compaction will empty it anyway
         }
-        let limbo = header.limbo_count.load(Ordering::Relaxed) as f64;
-        if limbo / header.capacity as f64 <= self.config.reclamation_threshold {
+        if block.limbo_fraction() <= self.config.reclamation_threshold {
             return;
         }
         let mut q = self.reclaim_queue.lock();

@@ -250,8 +250,8 @@ pub struct HeapSnapshot {
     pub min_pinned_epoch: Option<u64>,
     /// Pin hold-time percentiles (ns) since the runtime started.
     pub pin_hold: Summary,
-    /// Allocation-layer state: shard caches, budget gauge, remote-free
-    /// counters.
+    /// Allocation-layer state: shard caches, budget gauge, recycled and
+    /// cross-thread frees.
     pub alloc: crate::alloc::AllocSnapshot,
 }
 
@@ -360,7 +360,6 @@ impl HeapSnapshot {
         al.set("cached_blocks", self.alloc.cached_blocks);
         al.set("blocks_recycled", self.alloc.blocks_recycled);
         al.set("remote_frees", self.alloc.remote_frees);
-        al.set("remote_frees_drained", self.alloc.remote_frees_drained);
         doc.set("alloc", al);
         let collections = self
             .collections

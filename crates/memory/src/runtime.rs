@@ -28,6 +28,7 @@ use crate::fault::{FaultInjector, FaultSite};
 use crate::indirection::{EntryRef, IndirectionTable};
 use crate::spill::SpillStub;
 use crate::stats::MemoryStats;
+use smc_util::mutation::{self, Mutation};
 use smc_util::sync::{AtomicU64, Mutex};
 
 /// Shared state of one off-heap memory system instance.
@@ -46,8 +47,8 @@ pub struct Runtime {
     pub stats: Arc<MemoryStats>,
     /// Failpoint registry covering blocks, epochs, thread slots, relocation.
     faults: Arc<FaultInjector>,
-    /// Sharded block allocation mechanics (shard caches, remote return
-    /// queues, the `budgeted` gauge). Policy lives here in the runtime.
+    /// Sharded block allocation mechanics (shard caches, the `budgeted`
+    /// gauge). Policy lives here in the runtime.
     pub(crate) alloc: BlockAllocator,
     /// Serializes compaction passes ("the compaction thread", §5.1 — one at
     /// a time per runtime).
@@ -114,13 +115,13 @@ impl Runtime {
     /// the same path without the failpoint (`hand_out`).
     ///
     /// Fast path: pop a recycled block from the calling thread's allocation
-    /// shard (no lock), draining the shard's remote return queue when the
-    /// local list runs dry. Slow path: map a fresh batch of [`ALLOC_BATCH`]
-    /// blocks in one request, hand out one block and park the rest in the
-    /// shard cache. When the OS refuses the mapping the reservation is handed
-    /// back and the call returns [`MemError::OutOfMemory`] at once; a
-    /// context's `acquire_block` has already drained the graveyard and
-    /// tries its spill rung and reclaim queue after the failure.
+    /// shard (no lock, no read-modify-write). Slow path: map a fresh batch
+    /// of [`ALLOC_BATCH`] blocks in one request, hand out one block and park
+    /// the rest in the shard cache. When the OS refuses the mapping the
+    /// reservation is handed back and the call returns
+    /// [`MemError::OutOfMemory`] at once; a context's `acquire_block` has
+    /// already drained the graveyard and tries its spill rung and reclaim
+    /// queue after the failure.
     pub fn allocate_block(
         &self,
         layout: &BlockLayout,
@@ -159,21 +160,15 @@ impl Runtime {
     /// count *handouts*, fresh or recycled).
     ///
     /// A thread the epoch registry could not index has no shard: it maps
-    /// one block at a time and tags it `u32::MAX`, so its free goes straight
-    /// back to the OS.
+    /// one block at a time and tags it `u32::MAX`, the slot of no thread.
     fn acquire_raw(&self) -> Result<(usize, u32, bool), MemError> {
         let shard = self.epochs.thread_index().ok();
         if let Some(idx) = shard {
-            loop {
-                if let Some(addr) = self.alloc.pop_cached(idx) {
-                    MemoryStats::inc(&self.stats.blocks_recycled);
-                    self.note_handout();
-                    return Ok((addr as usize, idx as u32 + 1, true));
-                }
-                // Remote frees landed: retry the local pop before mapping.
-                if self.alloc.drain_remote(idx, &self.stats) == 0 {
-                    break;
-                }
+            // SAFETY: `idx` is the calling thread's own slot.
+            if let Some(addr) = unsafe { self.alloc.pop_cached(idx) } {
+                MemoryStats::inc(&self.stats.blocks_recycled);
+                self.note_handout();
+                return Ok((addr as usize, idx as u32 + 1, true));
             }
         }
         let want = if shard.is_some() { ALLOC_BATCH } else { 1 };
@@ -182,7 +177,9 @@ impl Runtime {
         self.note_handout();
         if want > 1 {
             let idx = shard.expect("batched mappings only with a shard");
-            blocks.for_each(|spare| self.alloc.push_local(idx, spare as u64));
+            // SAFETY: `idx` is the calling thread's own slot, and the spares
+            // were mapped just now.
+            blocks.for_each(|spare| unsafe { self.alloc.push_cached(idx, spare as u64) });
             MemoryStats::inc(&self.stats.alloc_batch_refills);
         }
         let owner = match shard {
@@ -214,8 +211,8 @@ impl Runtime {
 
     /// Returns a block handed out by [`allocate_block`](Self::allocate_block)
     /// (or the graveyard's epoch-delayed equivalent). The memory is parked
-    /// on its owner's allocation shard for recycling when the cache has
-    /// room; otherwise it goes back to the OS and leaves the `budgeted`
+    /// on the freeing thread's allocation shard for recycling when the cache
+    /// has room; otherwise it goes back to the OS and leaves the `budgeted`
     /// gauge.
     ///
     /// Callers must guarantee no thread can still dereference into the
@@ -227,8 +224,8 @@ impl Runtime {
         self.release_block(block);
     }
 
-    /// Routes a retired block's memory: shard cache, owner's remote return
-    /// queue, or OS. Does not touch the handout gauges — callers do.
+    /// Routes a retired block's memory: the freeing thread's shard cache, or
+    /// the OS. Does not touch the handout gauges — callers do.
     fn release_block(&self, block: BlockRef) {
         let owner = block.header().owner_shard.load(Ordering::Relaxed);
         let base = unsafe { block.retire() };
@@ -238,40 +235,28 @@ impl Runtime {
             unsafe { raw_dealloc_block(base) };
             return;
         }
-        if owner != u32::MAX {
-            // Recycle. The freeing thread keeps blocks it owns; foreign
-            // blocks go home via the owner's MPSC return queue.
-            let target = (owner - 1) as usize;
-            if self.alloc.shard_cached(target) < MAX_SHARD_CACHE {
-                match self.epochs.thread_index() {
-                    Ok(me) if me == target => {
-                        self.alloc.push_local(target, base as u64);
-                        return;
-                    }
-                    Ok(_) => {
-                        MemoryStats::inc(&self.stats.remote_frees);
-                        self.alloc.push_remote(target, base as u64);
-                        return;
-                    }
-                    Err(_) => {} // registry exhausted: fall through to OS
-                }
+        if let Ok(me) = self.epochs.thread_index() {
+            if owner != me as u32 + 1 {
+                MemoryStats::inc(&self.stats.remote_frees);
+            }
+            // The re-introduced bug routes the free to the allocating
+            // thread's list, which that thread pops without a lock.
+            let shard = if owner != u32::MAX && mutation::enabled(Mutation::FreeIntoForeignCache) {
+                owner as usize - 1
+            } else {
+                me
+            };
+            if self.alloc.shard_cached(shard) < MAX_SHARD_CACHE {
+                // SAFETY: `shard` is the calling thread's own slot (but for
+                // the mutation), and `base` was retired above.
+                unsafe { self.alloc.push_cached(shard, base as u64) };
+                return;
             }
         }
-        // Shardless owner, cache cap, or unregistered freeing thread: return
-        // the memory and its reservation.
+        // Cache cap, or a freeing thread without a slot: return the memory
+        // and its reservation.
         unsafe { raw_dealloc_block(base) };
         self.alloc.unreserve(1);
-    }
-
-    /// Drains the calling thread's remote return queue into its local free
-    /// list, returning the number of blocks reclaimed. Worker pools and
-    /// server shards call this on their idle/maintenance ticks so remote
-    /// frees do not sit in limbo until the owner's next allocation.
-    pub fn alloc_maintenance(&self) -> u64 {
-        match self.epochs.thread_index() {
-            Ok(idx) => self.alloc.drain_remote(idx, &self.stats),
-            Err(_) => 0,
-        }
     }
 
     /// Pre-faults up to `n` fresh blocks into the calling thread's shard
@@ -287,7 +272,9 @@ impl Runtime {
         let Some(blocks) = self.map_fresh(want) else {
             return 0;
         };
-        blocks.for_each(|spare| self.alloc.push_local(idx, spare as u64));
+        // SAFETY: `idx` is the calling thread's own slot, and the blocks
+        // were mapped just now.
+        blocks.for_each(|spare| unsafe { self.alloc.push_cached(idx, spare as u64) });
         want
     }
 
@@ -299,7 +286,6 @@ impl Runtime {
             cached_blocks: self.alloc.cached_blocks(),
             blocks_recycled: MemoryStats::get(&self.stats.blocks_recycled),
             remote_frees: MemoryStats::get(&self.stats.remote_frees),
-            remote_frees_drained: MemoryStats::get(&self.stats.remote_frees_drained),
         }
     }
 
@@ -335,7 +321,7 @@ impl Runtime {
 
     /// Hands a block to the graveyard, to be returned to the allocator once
     /// the global epoch reaches `free_at` (ripe blocks recycle through the
-    /// owner's shard cache, or the OS past the cache cap).
+    /// draining thread's shard cache, or the OS past the cache cap).
     pub fn bury_block(&self, block: BlockRef, free_at: u64) {
         self.bury(Grave::Block(block), free_at);
     }

@@ -155,12 +155,9 @@ scalar_counters! {
         /// Block handouts served from a shard's recycled free list instead of a
         /// fresh OS allocation ([`crate::alloc`]).
         blocks_recycled,
-        /// Blocks freed by a thread other than the owning shard's thread and
-        /// pushed onto the owner's remote return queue.
+        /// Blocks freed by a thread other than the one that allocated them
+        /// (they stay with the freeing thread).
         remote_frees,
-        /// Remote-freed blocks drained from a return queue into the owner's
-        /// local free list (on the owner's next allocation or maintenance tick).
-        remote_frees_drained,
         /// Batched slow-path refills: fresh mappings that handed out one block
         /// and parked the rest of the batch in the shard cache.
         alloc_batch_refills,

@@ -1,8 +1,8 @@
 //! Integration tests for what a thread slot owns — its allocation shard and
-//! its cell of per-object counters: concurrent alloc/free churn with remote
-//! frees crossing shard owners, exact post-quiesce reconciliation of
-//! free-list accounting through `Runtime::verify`, and per-thread counter
-//! cells that sum to exact totals.
+//! its cell of per-object counters: concurrent alloc/free churn where every
+//! free crosses threads and stays with the freeing thread, exact
+//! post-quiesce reconciliation of free-list accounting through
+//! `Runtime::verify`, and per-thread counter cells that sum to exact totals.
 
 use std::sync::{mpsc, Arc, Barrier};
 
@@ -16,13 +16,13 @@ fn layout() -> BlockLayout {
 }
 
 /// Four threads in a ring: each allocates blocks and hands them to its
-/// neighbour, which frees them. Every free is a *remote* free (the freeing
-/// thread never owns the block), exercising the MPSC return queues from all
-/// sides at once. Afterwards every block must come home: zero live handouts,
-/// every held block either parked in a shard cache or returned to the OS, and
-/// `Runtime::verify` reconciling exactly.
+/// neighbour, which frees them. Every free is a cross-thread free (the
+/// freeing thread never allocated the block), and each freed block stays in
+/// the freeing thread's own cache or goes back to the OS. Afterwards the books
+/// must balance: zero live handouts, every held block parked in a shard
+/// cache, and `Runtime::verify` reconciling exactly.
 #[test]
-fn remote_free_ring_reconciles_exactly() {
+fn cross_thread_free_ring_reconciles_exactly() {
     let rt = Runtime::new();
     let iters = 200usize;
     let barrier = Arc::new(Barrier::new(THREADS));
@@ -72,10 +72,6 @@ fn remote_free_ring_reconciles_exactly() {
     assert!(
         MemoryStats::get(&rt.stats.remote_frees) > 0,
         "ring frees must cross owners"
-    );
-    assert!(
-        snap.remote_frees_drained > 0,
-        "owners must have drained their MPSC return queues"
     );
 }
 

@@ -429,11 +429,8 @@ pub(crate) fn run_shard(shared: Arc<ShardShared>, cfg: ShardConfig) -> ShardDrai
             }
             continue;
         }
-        // Going idle: repatriate blocks the pool's workers freed to this
-        // thread's remote return queue, then spin briefly for the next job
-        // and park — untimed — until a connection, `connect` or
-        // `request_stop` wakes us.
-        runtime.alloc_maintenance();
+        // Going idle: spin briefly for the next job and park — untimed —
+        // until a connection, `connect` or `request_stop` wakes us.
         shared.waiter.wait(None, || {
             (pending() || shared.stop.load(Ordering::Acquire)).then_some(())
         });

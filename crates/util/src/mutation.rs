@@ -38,11 +38,12 @@ pub enum Mutation {
     /// never rolls back — and a racing mover can finish the move *after* the
     /// cancel claimed the object stayed put.
     CancelSkipsBailRollback = 1 << 5,
-    /// The sharded allocator forgets to drain the owner's remote return
-    /// queue (`BlockAllocator::drain_remote` becomes a no-op), so blocks
-    /// freed by other threads are stranded: budgeted but never reusable,
-    /// and a budget-capped owner OOMs despite memory being available.
-    DropRemoteDrain = 1 << 6,
+    /// A block freed by a thread other than the one that allocated it goes
+    /// onto the *allocating* thread's shard free list instead of the
+    /// freeing thread's own, so a push by a thread that does not hold the
+    /// slot races the holder's lock-free pop and a block is lost or handed
+    /// out twice.
+    FreeIntoForeignCache = 1 << 6,
     /// The §5.2 group reader increments the query counter but skips the
     /// re-check of the group's `started` flag, so it can pin a
     /// "pre-relocation" state the mover is already relocating out of — and

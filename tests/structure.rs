@@ -395,6 +395,26 @@ fn one_sync_shim() {
     assert_eq!(locks.len(), 2, "{locks:#?}");
 }
 
+/// One block cache per thread slot: a freed block stays with the thread that
+/// frees it, on a free list that only the slot's holder writes, so its pop
+/// and push are plain loads and stores. This fails if the remote return
+/// queue, its drain, the tick that ran it, its counter or its mutation comes
+/// back, or if a compare-exchange or swap appears in the non-test part of
+/// `alloc.rs` (the shared `budgeted` gauge keeps its `fetch_add` and
+/// `fetch_sub` on the mapping path).
+#[test]
+fn one_block_cache() {
+    let queue = "push_remote|drain_remote|alloc_maintenance|remote_frees_drained|DropRemoteDrain";
+    forbid(queue, &["crates", "src", "tests"]);
+    let path = "crates/memory/src/alloc.rs";
+    let text = read(path);
+    let (shipped, _) =
+        (text.split_once("#[cfg(test)]")).unwrap_or_else(|| panic!("{path}: no tests"));
+    let rmw = shipped.lines().enumerate();
+    let rmw = rmw.filter(|(_, line)| any_of("compare_exchange|swap(")(line));
+    none(rmw.map(|(i, line)| format!("{path}:{}:{line}", i + 1)));
+}
+
 /// One churn harness: seeded churn under failpoints is tests/seeded_churn.rs,
 /// whose configurations replaced the `stress` binary and smc-maint's soak
 /// test. This fails if either comes back, as a file or as a declared bin.
