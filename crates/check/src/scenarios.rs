@@ -230,10 +230,7 @@ fn move_fixture(value: u64, slot_counter: u32) -> MoveFixture {
         dst.obj_ptr(DEST_SLOT) as usize,
         DEST_SLOT,
     ));
-    let list = Box::new(RelocationList::new(
-        std::mem::size_of::<u64>() as u32,
-        Vec::new(),
-    ));
+    let list = Box::new(RelocationList::new(layout, Vec::new()));
     src.header()
         .reloc_list
         .store(Box::into_raw(list), Ordering::Release);
@@ -560,10 +557,7 @@ pub fn exactly_once_visitation() -> Scenario {
             slot,
         ));
     }
-    let list = Box::new(RelocationList::new(
-        std::mem::size_of::<u64>() as u32,
-        relocs,
-    ));
+    let list = Box::new(RelocationList::new(layout, relocs));
     src.header()
         .reloc_list
         .store(Box::into_raw(list), Ordering::Release);

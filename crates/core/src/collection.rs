@@ -25,7 +25,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use smc_memory::block::{type_id_of, ValidSlots};
+use smc_memory::block::{type_id_of, BlockRef, ValidSlots};
 use smc_memory::context::{
     Allocation, CompactionReport, ContextConfig, Membership, MemoryContext, UnitRead,
 };
@@ -33,21 +33,86 @@ use smc_memory::epoch::Guard;
 use smc_memory::error::MemError;
 use smc_memory::inspect::HeapSnapshot;
 use smc_memory::runtime::Runtime;
+use smc_memory::slot::SlotId;
 use smc_memory::stats::MemoryStats;
 use smc_memory::tabular::Tabular;
 use smc_memory::verify::VerifyReport;
 
 use crate::refs::{DirectRef, Ref};
 
-/// A self-managed collection of tabular objects.
-///
-/// Cloning the handle is cheap and shares the underlying collection.
-pub struct Smc<T: Tabular> {
-    ctx: Arc<MemoryContext>,
-    _marker: PhantomData<fn() -> T>,
+/// How a collection stores objects in its blocks (§4.1): [`Rows`], one
+/// object per slot, or [`Columns`](crate::Columns), parallel column arrays.
+/// The layout is a zero-sized type parameter of [`Smc`] and [`Ref`], so
+/// which accesses a reference allows is decided at compile time: only a
+/// row reference hands out `&T`. Sealed.
+pub trait Layout<T: Tabular>: sealed::Store<T> {}
+
+/// The row layout (§3.2): each slot holds one whole object, which
+/// references may borrow in place. The default layout.
+pub enum Rows {}
+
+impl<T: Tabular> Layout<T> for Rows {}
+
+/// The per-layout halves of [`Smc`]'s shared methods.
+pub(crate) mod sealed {
+    use super::*;
+
+    pub trait Store<T: Tabular>: Sized + 'static {
+        /// Builds the collection's memory context.
+        fn context(runtime: &Arc<Runtime>, config: ContextConfig) -> MemoryContext;
+
+        /// Writes `value` into `slot` of `block`.
+        ///
+        /// # Safety
+        /// The context claimed the slot exclusively for the caller, and it
+        /// is not yet published as valid.
+        unsafe fn write(ctx: &MemoryContext, block: &BlockRef, slot: SlotId, value: T);
+
+        /// Reads a copy of the referenced object.
+        fn read(c: &Smc<T, Self>, r: Ref<T, Self>, guard: &Guard<'_>) -> Option<T>;
+
+        /// Applies `f` to every live object; returns how many it visited.
+        fn for_each(c: &Smc<T, Self>, guard: &Guard<'_>, f: impl FnMut(&T)) -> u64;
+    }
 }
 
-impl<T: Tabular> Clone for Smc<T> {
+impl<T: Tabular> sealed::Store<T> for Rows {
+    fn context(runtime: &Arc<Runtime>, config: ContextConfig) -> MemoryContext {
+        MemoryContext::new_rows(
+            runtime.clone(),
+            std::mem::size_of::<T>(),
+            std::mem::align_of::<T>(),
+            type_id_of::<T>(),
+            config,
+        )
+        .expect("object type too large for a memory block")
+    }
+
+    #[inline]
+    unsafe fn write(_: &MemoryContext, block: &BlockRef, slot: SlotId, value: T) {
+        block.obj_ptr(slot).cast::<T>().write(value)
+    }
+
+    #[inline]
+    fn read(_: &Smc<T>, r: Ref<T>, guard: &Guard<'_>) -> Option<T> {
+        r.read(guard)
+    }
+
+    #[inline]
+    fn for_each(c: &Smc<T>, guard: &Guard<'_>, f: impl FnMut(&T)) -> u64 {
+        c.try_for_each(guard, f).expect("spilled page unreadable")
+    }
+}
+
+/// A self-managed collection of tabular objects, stored in layout `L`.
+///
+/// Cloning the handle is cheap and shares the underlying collection.
+pub struct Smc<T: Tabular, L = Rows> {
+    ctx: Arc<MemoryContext>,
+    _marker: PhantomData<fn() -> (T, L)>,
+}
+
+impl<T: Tabular, L> Clone for Smc<T, L> {
     fn clone(&self) -> Self {
         Smc {
             ctx: self.ctx.clone(),
@@ -56,11 +121,12 @@ impl<T: Tabular> Clone for Smc<T> {
     }
 }
 
-impl<T: Tabular> std::fmt::Debug for Smc<T> {
+impl<T: Tabular, L> std::fmt::Debug for Smc<T, L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Smc")
             .field("type", &std::any::type_name::<T>())
-            .field("len", &self.len())
+            .field("layout", &std::any::type_name::<L>())
+            .field("len", &self.ctx.live_objects())
             .field("blocks", &self.ctx.block_count())
             .finish()
     }
@@ -75,16 +141,14 @@ impl<T: Tabular> Smc<T> {
     /// Creates a collection with explicit tunables (reclamation threshold,
     /// compaction occupancy — the Fig 6 knobs).
     pub fn with_config(runtime: &Arc<Runtime>, config: ContextConfig) -> Smc<T> {
-        let ctx = MemoryContext::new_rows(
-            runtime.clone(),
-            std::mem::size_of::<T>(),
-            std::mem::align_of::<T>(),
-            type_id_of::<T>(),
-            config,
-        )
-        .expect("object type too large for a memory block");
+        Self::with_layout(runtime, config)
+    }
+}
+
+impl<T: Tabular, L: Layout<T>> Smc<T, L> {
+    pub(crate) fn with_layout(runtime: &Arc<Runtime>, config: ContextConfig) -> Smc<T, L> {
         Smc {
-            ctx: Arc::new(ctx),
+            ctx: Arc::new(L::context(runtime, config)),
             _marker: PhantomData,
         }
     }
@@ -102,18 +166,18 @@ impl<T: Tabular> Smc<T> {
     /// Inserts an object: allocates a slot in the collection's context,
     /// writes the value, and returns a checked reference — the paper's
     /// `persons.Add("Adam", 27)` (§2).
-    pub fn add(&self, value: T) -> Ref<T> {
+    pub fn add(&self, value: T) -> Ref<T, L> {
         self.try_add(value).expect("allocation failed")
     }
 
     /// Fallible [`add`](Self::add).
-    pub fn try_add(&self, value: T) -> Result<Ref<T>, MemError> {
+    pub fn try_add(&self, value: T) -> Result<Ref<T, L>, MemError> {
         let Allocation {
             entry, entry_inc, ..
         } = self.ctx.alloc_with(|block, slot| {
             // SAFETY: the context claimed this slot exclusively for us; the
             // write happens before the slot is published as Valid.
-            unsafe { block.obj_ptr(slot).cast::<T>().write(value) };
+            unsafe { L::write(&self.ctx, block, slot, value) };
         })?;
         Ok(Ref::from_parts(entry, entry_inc))
     }
@@ -121,18 +185,39 @@ impl<T: Tabular> Smc<T> {
     /// Removes the referenced object. All references to it become null
     /// (dereference to `None`) from this point on (§2). Returns false if it
     /// was already removed.
-    pub fn remove(&self, r: Ref<T>) -> bool {
+    pub fn remove(&self, r: Ref<T, L>) -> bool {
         self.try_remove(r).expect("thread registry full")
     }
 
     /// Fallible [`remove`](Self::remove): surfaces
     /// [`MemError::TooManyThreads`] instead of panicking when the calling
     /// thread cannot claim an epoch slot.
-    pub fn try_remove(&self, r: Ref<T>) -> Result<bool, MemError> {
+    pub fn try_remove(&self, r: Ref<T, L>) -> Result<bool, MemError> {
         match r.entry() {
             Some(entry) => self.ctx.try_free(entry, r.incarnation()),
             None => Ok(false),
         }
+    }
+
+    /// Reads a copy of the referenced object (`None` if removed).
+    pub fn read(&self, r: Ref<T, L>, guard: &Guard<'_>) -> Option<T> {
+        L::read(self, r, guard)
+    }
+
+    /// Applies `f` to every live object — the collection's compiled-query
+    /// enumeration loop (§4): block by block, skipping dead slots through
+    /// the slot directory, never materializing references.
+    ///
+    /// When a row collection has a spill store attached
+    /// ([`enable_spill`](Smc::enable_spill)), spilled pages are scanned
+    /// *in place* — objects are read out of the page images without
+    /// promoting them back into memory, so a scan does not thrash the
+    /// working set it displaced. Panics if a spilled page cannot be read;
+    /// use [`try_for_each`](Smc::try_for_each) where that must be an error.
+    ///
+    /// Returns the number of objects visited.
+    pub fn for_each(&self, guard: &Guard<'_>, f: impl FnMut(&T)) -> u64 {
+        L::for_each(self, guard, f)
     }
 
     /// Number of live objects.
@@ -150,10 +235,71 @@ impl<T: Tabular> Smc<T> {
         self.ctx.bytes()
     }
 
+    // ------------------------------------------------------------------
+    // Compaction (§5) and maintenance
+    // ------------------------------------------------------------------
+
+    /// Runs one compaction pass over this collection's blocks (§5). After
+    /// compacting, rewrite direct pointers held by referencing collections
+    /// ([`fix_direct_refs`](Smc::fix_direct_refs)) and then call
+    /// [`release_retired`](Self::release_retired).
+    pub fn compact(&self) -> CompactionReport {
+        self.ctx.compact()
+    }
+
+    /// Returns retired (emptied) blocks to the OS once direct pointers have
+    /// been fixed up. Tombstones inside them stay readable until then.
+    pub fn release_retired(&self) {
+        self.ctx.release_retired()
+    }
+
+    /// Hands this collection's maintenance to a background
+    /// [`Coordinator`](smc_maint::Coordinator): the coordinator plans and
+    /// runs compaction passes for it under `policy`, instead of the
+    /// application calling [`compact`](Self::compact) by hand.
+    pub fn register_maintenance(
+        &self,
+        coordinator: &smc_maint::Coordinator,
+        policy: smc_maint::MaintPolicy,
+    ) {
+        coordinator.register(self.ctx.clone(), policy);
+    }
+
+    /// Validates the collection's structural invariants (block headers, slot
+    /// directories, indirection back-pointers, incarnation flags) and
+    /// cross-checks the recount against [`len`](Self::len). Requires
+    /// quiescence: no concurrent mutators or in-flight compaction. See
+    /// [`MemoryContext::verify`].
+    pub fn verify(&self) -> Result<VerifyReport, Vec<String>> {
+        let report = self.ctx.verify()?;
+        let len = self.len();
+        if report.valid_slots + report.spilled_slots != len {
+            return Err(vec![format!(
+                "recounted {} valid + {} spilled slots but collection len() is {len}",
+                report.valid_slots, report.spilled_slots
+            )]);
+        }
+        Ok(report)
+    }
+
+    /// Captures a lock-free observatory snapshot of this collection's heap
+    /// (per-block occupancy, limbo dead space, holes, incarnation churn,
+    /// indirection load, epoch lag). Unlike [`verify`](Self::verify) it does
+    /// **not** require quiescence — it pins an epoch guard and tolerates
+    /// concurrent mutation and relocation; see
+    /// [`smc_memory::inspect`] for the consistency model.
+    pub fn heap_snapshot(&self) -> HeapSnapshot {
+        HeapSnapshot::capture(self.runtime(), &[&self.ctx])
+    }
+}
+
+/// Row-only operations: those that borrow an object in place, spill, or
+/// fix up direct pointers.
+impl<T: Tabular> Smc<T> {
     /// Attaches a page store and enables the larger-than-memory tier: under
     /// budget pressure the collection evicts cold blocks to the store, and
     /// touching an evicted object faults its page back in transparently.
-    /// Returns false for layouts that cannot spill (columnar contexts).
+    /// Returns true: only the columnar layout cannot spill yet.
     pub fn enable_spill(&self, store: Arc<dyn smc_memory::PageStore>) -> bool {
         self.ctx.enable_spill(store)
     }
@@ -167,11 +313,6 @@ impl<T: Tabular> Smc<T> {
     /// [`len`](Self::len)).
     pub fn spilled_objects(&self) -> u64 {
         self.ctx.spilled_objects()
-    }
-
-    /// Reads a copy of the referenced object.
-    pub fn read(&self, r: Ref<T>, guard: &Guard<'_>) -> Option<T> {
-        r.read(guard)
     }
 
     /// Mutates the referenced object in place.
@@ -191,23 +332,6 @@ impl<T: Tabular> Smc<T> {
         // SAFETY: the object is alive for the guard's critical section; the
         // collection's isolation level permits racy field updates (§4).
         Some(f(unsafe { &mut *ptr }))
-    }
-
-    /// Applies `f` to every live object — the collection's compiled-query
-    /// enumeration loop (§4): block by block, skipping dead slots through
-    /// the slot directory, never materializing references.
-    ///
-    /// When the collection has a spill store attached
-    /// ([`enable_spill`](Self::enable_spill)), spilled pages are scanned
-    /// *in place* — objects are read out of the page images without
-    /// promoting them back into memory, so a scan does not thrash the
-    /// working set it displaced. Panics if a spilled page cannot be read;
-    /// use [`try_for_each`](Self::try_for_each) where that must be an error.
-    ///
-    /// Returns the number of objects visited.
-    pub fn for_each(&self, guard: &Guard<'_>, f: impl FnMut(&T)) -> u64 {
-        self.try_for_each(guard, f)
-            .expect("spilled page unreadable")
     }
 
     /// Fallible [`for_each`](Self::for_each):
@@ -291,61 +415,8 @@ impl<T: Tabular> Smc<T> {
     }
 
     // ------------------------------------------------------------------
-    // Compaction (§5) and direct-pointer fix-up (§6)
+    // Direct-pointer fix-up (§6)
     // ------------------------------------------------------------------
-
-    /// Runs one compaction pass over this collection's blocks (§5). After
-    /// compacting, rewrite direct pointers held by referencing collections
-    /// ([`fix_direct_refs`](Self::fix_direct_refs)) and then call
-    /// [`release_retired`](Self::release_retired).
-    pub fn compact(&self) -> CompactionReport {
-        self.ctx.compact()
-    }
-
-    /// Returns retired (emptied) blocks to the OS once direct pointers have
-    /// been fixed up. Tombstones inside them stay readable until then.
-    pub fn release_retired(&self) {
-        self.ctx.release_retired()
-    }
-
-    /// Hands this collection's maintenance to a background
-    /// [`Coordinator`](smc_maint::Coordinator): the coordinator plans and
-    /// runs compaction passes for it under `policy`, instead of the
-    /// application calling [`compact`](Self::compact) by hand.
-    pub fn register_maintenance(
-        &self,
-        coordinator: &smc_maint::Coordinator,
-        policy: smc_maint::MaintPolicy,
-    ) {
-        coordinator.register(self.ctx.clone(), policy);
-    }
-
-    /// Validates the collection's structural invariants (block headers, slot
-    /// directories, indirection back-pointers, incarnation flags) and
-    /// cross-checks the recount against [`len`](Self::len). Requires
-    /// quiescence: no concurrent mutators or in-flight compaction. See
-    /// [`MemoryContext::verify`].
-    pub fn verify(&self) -> Result<VerifyReport, Vec<String>> {
-        let report = self.ctx.verify()?;
-        let len = self.len();
-        if report.valid_slots + report.spilled_slots != len {
-            return Err(vec![format!(
-                "recounted {} valid + {} spilled slots but collection len() is {len}",
-                report.valid_slots, report.spilled_slots
-            )]);
-        }
-        Ok(report)
-    }
-
-    /// Captures a lock-free observatory snapshot of this collection's heap
-    /// (per-block occupancy, limbo dead space, holes, incarnation churn,
-    /// indirection load, epoch lag). Unlike [`verify`](Self::verify) it does
-    /// **not** require quiescence — it pins an epoch guard and tolerates
-    /// concurrent mutation and relocation; see
-    /// [`smc_memory::inspect`] for the consistency model.
-    pub fn heap_snapshot(&self) -> HeapSnapshot {
-        HeapSnapshot::capture(self.runtime(), &[&self.ctx])
-    }
 
     /// The §6 fix-up scan, run on a *referencing* collection after a
     /// *referenced* collection was compacted: for every live object, probe

@@ -1,31 +1,53 @@
-//! Columnar storage for self-managed collections (§4.1).
+//! The columnar layout (§4.1).
 //!
 //! Because an SMC's blocks contain only objects of one type from one
 //! collection, the collection may store them column-wise instead of
 //! row-wise: each block's object store becomes a bundle of parallel column
 //! arrays, led by the incarnation column. Queries that touch few columns
-//! then read only those arrays — the Fig 12 optimization.
+//! then read only those arrays — the Fig 12 optimization. The layout is the
+//! [`Columns`] type parameter of the one collection type, [`Smc`]:
+//! `add` scatters an object into its cells, `read` and `for_each` gather
+//! copies back, and the compiled plans walk the arrays themselves
+//! ([`Smc::for_each_block`]). Removal, compaction, verification and
+//! maintenance are the row layout's code; the memory layer knows the
+//! column geometry ([`BlockLayout::columnar`](smc_memory::BlockLayout::columnar)),
+//! so relocation moves a columnar object cell by cell.
 //!
 //! Per the paper, the indirection entry of a columnar object does not hold
 //! an object address (there is no contiguous object); it holds a locator.
 //! We use the address of the object's incarnation cell, from which the block
 //! (mask) and slot (offset arithmetic) are recovered — equivalent to the
-//! paper's `(block id, slot id)` pair with one less lookup.
+//! paper's `(block id, slot id)` pair with one less lookup. There is no `T`
+//! in memory to borrow, so a columnar reference has no `get`:
+//!
+//! ```compile_fail
+//! # use smc::{ColumnArrays, Columnar, Columns, Ref, Runtime, Smc, Tabular};
+//! # #[derive(Clone, Copy)]
+//! # struct Cell { v: u64 }
+//! # unsafe impl Tabular for Cell {}
+//! # unsafe impl Columnar for Cell {
+//! #     const COLUMN_WIDTHS: &'static [usize] = &[8];
+//! #     unsafe fn scatter(&self, c: &ColumnArrays, s: usize) { c.cell::<u64>(0, s).write(self.v) }
+//! #     unsafe fn gather(c: &ColumnArrays, s: usize) -> Self { Cell { v: c.cell::<u64>(0, s).read() } }
+//! # }
+//! let rt = Runtime::new();
+//! let cells: Smc<Cell, Columns> = Smc::columnar(&rt);
+//! let r: Ref<Cell, Columns> = cells.add(Cell { v: 7 });
+//! let guard = rt.pin();
+//! r.get(&guard); // no `&Cell` exists to hand out
+//! ```
 
-use std::marker::PhantomData;
 use std::sync::Arc;
 
-use smc_memory::block::{type_id_of, BlockRef};
-use smc_memory::context::{Allocation, ContextConfig, MemoryContext};
+use smc_memory::block::{type_id_of, BlockRef, MAX_COLUMNS};
+use smc_memory::context::{ContextConfig, MemoryContext};
 use smc_memory::epoch::Guard;
-use smc_memory::error::MemError;
 use smc_memory::runtime::Runtime;
+use smc_memory::slot::SlotId;
 use smc_memory::tabular::Tabular;
 
+use crate::collection::{sealed, Layout, Smc};
 use crate::refs::Ref;
-
-/// Maximum number of columns a columnar type may declare.
-pub const MAX_COLUMNS: usize = 24;
 
 /// Types that can be shredded into parallel column arrays.
 ///
@@ -34,7 +56,9 @@ pub const MAX_COLUMNS: usize = 24;
 /// [`scatter`](Columnar::scatter) and read by [`gather`](Columnar::gather):
 /// column `i`'s cell for slot `s` is the `WIDTHS[i]` bytes at
 /// `cols.column(i) + s * WIDTHS[i]`, and both methods must stay within
-/// their cells. Widths must be powers of two (they double as alignment).
+/// their cells. Widths must be powers of two, because they double as cell
+/// alignment; [`BlockLayout::columnar`](smc_memory::BlockLayout::columnar)
+/// asserts it when the collection is created. At most [`MAX_COLUMNS`].
 pub unsafe trait Columnar: Tabular {
     /// Byte width of every column, in storage order.
     const COLUMN_WIDTHS: &'static [usize];
@@ -98,197 +122,40 @@ impl ColumnArrays {
     }
 }
 
-/// A self-managed collection with columnar storage (§4.1).
-pub struct ColumnarSmc<T: Columnar> {
-    ctx: Arc<MemoryContext>,
-    /// Byte offset of each column array from the block's store base.
-    offsets: Vec<usize>,
-    _marker: PhantomData<fn() -> T>,
-}
+/// The columnar layout (§4.1): each block's object store is a bundle of
+/// parallel column arrays, one per [`Columnar::COLUMN_WIDTHS`] entry.
+pub enum Columns {}
 
-impl<T: Columnar> Clone for ColumnarSmc<T> {
-    fn clone(&self) -> Self {
-        ColumnarSmc {
-            ctx: self.ctx.clone(),
-            offsets: self.offsets.clone(),
-            _marker: PhantomData,
-        }
-    }
-}
+impl<T: Columnar> Layout<T> for Columns {}
 
-/// Computes per-column offsets for a given capacity; returns the total store
-/// bytes consumed.
-fn column_offsets(widths: &[usize], capacity: usize, out: &mut Vec<usize>) -> usize {
-    out.clear();
-    // Incarnation column leads the store.
-    let mut cursor = 4 * capacity;
-    for &w in widths {
-        let align = w.clamp(4, 16);
-        cursor = (cursor + align - 1) & !(align - 1);
-        out.push(cursor);
-        cursor += w * capacity;
-    }
-    cursor
-}
-
-impl<T: Columnar> ColumnarSmc<T> {
-    /// Creates a columnar collection on `runtime`.
-    pub fn new(runtime: &Arc<Runtime>) -> ColumnarSmc<T> {
-        Self::with_config(runtime, ContextConfig::default())
+impl<T: Columnar> sealed::Store<T> for Columns {
+    fn context(runtime: &Arc<Runtime>, config: ContextConfig) -> MemoryContext {
+        MemoryContext::new_columnar(runtime.clone(), T::COLUMN_WIDTHS, type_id_of::<T>(), config)
+            .expect("columnar row too large for a memory block")
     }
 
-    /// Creates a columnar collection with explicit tunables.
-    pub fn with_config(runtime: &Arc<Runtime>, config: ContextConfig) -> ColumnarSmc<T> {
-        assert!(T::COLUMN_WIDTHS.len() <= MAX_COLUMNS, "too many columns");
-        assert!(!T::COLUMN_WIDTHS.is_empty(), "columnar type needs columns");
-        let per_slot: usize = 4 + T::COLUMN_WIDTHS.iter().sum::<usize>();
-        let mut offsets = Vec::new();
-        // Grow the per-slot estimate until the aligned column arrays fit the
-        // store region the layout grants for that estimate.
-        let mut pad = 0usize;
-        let ctx = loop {
-            let ctx = MemoryContext::new_columnar(
-                runtime.clone(),
-                per_slot + pad,
-                type_id_of::<T>(),
-                config,
-            )
-            .expect("columnar row too large for a memory block");
-            let cap = ctx.layout().capacity as usize;
-            let needed = column_offsets(T::COLUMN_WIDTHS, cap, &mut offsets);
-            if needed <= ctx.layout().store_len as usize {
-                break ctx;
-            }
-            pad += 16;
-            assert!(pad < 4096, "column alignment padding runaway");
-        };
-        ColumnarSmc {
-            ctx: Arc::new(ctx),
-            offsets,
-            _marker: PhantomData,
-        }
-    }
-
-    /// The runtime this collection allocates from.
-    pub fn runtime(&self) -> &Arc<Runtime> {
-        self.ctx.runtime()
-    }
-
-    /// The collection's private memory context (§3.3).
-    pub fn context(&self) -> &Arc<MemoryContext> {
-        &self.ctx
-    }
-
-    /// Hands this collection's maintenance to a background
-    /// [`Coordinator`](smc_maint::Coordinator); see
-    /// [`Smc::register_maintenance`](crate::Smc::register_maintenance).
-    pub fn register_maintenance(
-        &self,
-        coordinator: &smc_maint::Coordinator,
-        policy: smc_maint::MaintPolicy,
-    ) {
-        coordinator.register(self.ctx.clone(), policy);
-    }
-
-    /// Captures a lock-free observatory snapshot of this collection's heap;
-    /// see [`smc_memory::inspect`] for the consistency model. Does not
-    /// require quiescence.
-    pub fn heap_snapshot(&self) -> smc_memory::inspect::HeapSnapshot {
-        smc_memory::inspect::HeapSnapshot::capture(self.runtime(), &[&self.ctx])
-    }
-
-    /// Resolves the column arrays of one block.
     #[inline]
-    pub fn arrays(&self, block: &BlockRef) -> ColumnArrays {
-        let base = block.store_base();
-        let mut bases = [std::ptr::null_mut(); MAX_COLUMNS];
-        for (i, &off) in self.offsets.iter().enumerate() {
-            bases[i] = unsafe { base.add(off) };
-        }
-        ColumnArrays {
-            bases,
-            len: self.offsets.len(),
-        }
+    unsafe fn write(ctx: &MemoryContext, block: &BlockRef, slot: SlotId, value: T) {
+        // The Columnar contract bounds the writes to this slot's cells.
+        value.scatter(&arrays(ctx, block), slot as usize)
     }
 
-    /// Inserts an object, shredding it into the block's columns.
-    pub fn add(&self, value: T) -> Ref<T> {
-        self.try_add(value).expect("allocation failed")
-    }
-
-    /// Fallible [`add`](Self::add).
-    pub fn try_add(&self, value: T) -> Result<Ref<T>, MemError> {
-        let Allocation {
-            entry, entry_inc, ..
-        } = self.ctx.alloc_with(|block, slot| {
-            let cols = self.arrays(block);
-            // SAFETY: exclusive claimed slot; Columnar contract bounds the
-            // writes to this slot's cells.
-            unsafe { value.scatter(&cols, slot as usize) };
-        })?;
-        Ok(Ref::from_parts(entry, entry_inc))
-    }
-
-    /// Removes the referenced object.
-    pub fn remove(&self, r: Ref<T>) -> bool {
-        match r.entry() {
-            Some(entry) => self.ctx.free(entry, r.incarnation()),
-            None => false,
+    /// Gathers a copy from the object's cells — the §4.1 reference path:
+    /// "the JIT compiler injects the code required to access columnarly
+    /// stored data when following references".
+    fn read(c: &Smc<T, Columns>, r: Ref<T, Columns>, guard: &Guard<'_>) -> Option<T> {
+        let payload = r.resolve(guard)?;
+        // SAFETY: `resolve` validated the incarnation inside the guard's
+        // critical section, so the payload is a live incarnation cell.
+        unsafe {
+            let (block, slot) = BlockRef::locate(payload);
+            Some(T::gather(&c.arrays(&block), slot as usize))
         }
     }
 
-    /// Gathers a copy of the referenced object from its columns. This is the
-    /// §4.1 reference path: "the JIT compiler injects the code required to
-    /// access columnarly stored data when following references".
-    pub fn read(&self, r: Ref<T>, _guard: &Guard<'_>) -> Option<T> {
-        let entry = r.entry()?;
-        let word = entry.get().inc().load(std::sync::atomic::Ordering::Acquire);
-        if word & smc_memory::INC_MASK != r.incarnation() & smc_memory::INC_MASK {
-            return None;
-        }
-        let payload = entry
-            .get()
-            .load_payload(std::sync::atomic::Ordering::Acquire);
-        if payload == 0 {
-            return None;
-        }
-        let (block, slot) = unsafe { self.ctx.locate(payload) };
-        let cols = self.arrays(&block);
-        // SAFETY: incarnation validated inside the caller's critical section.
-        Some(unsafe { T::gather(&cols, slot as usize) })
-    }
-
-    /// Number of live objects.
-    pub fn len(&self) -> u64 {
-        self.ctx.live_objects()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total off-heap bytes held.
-    pub fn memory_bytes(&self) -> usize {
-        self.ctx.bytes()
-    }
-
-    /// Visits each block's column arrays — the columnar compiled-query
-    /// loop. `f` receives the arrays and the block; it walks the block's
-    /// [`valid_slots`](BlockRef::valid_slots) and reads only the columns the
-    /// query needs (§4.1). Blocks of an in-flight compaction group are
-    /// visited through the §5.2 protocol, like any other scan.
-    pub fn for_each_block(&self, guard: &Guard<'_>, mut f: impl FnMut(&ColumnArrays, &BlockRef)) {
-        let m = self.ctx.membership_snapshot();
-        m.for_each_block(guard, &self.ctx.runtime().stats, |block| {
-            f(&self.arrays(&block), &block);
-        });
-    }
-
-    /// Applies `f` to every live object, gathered from its columns.
-    pub fn for_each(&self, guard: &Guard<'_>, mut f: impl FnMut(&T)) -> u64 {
+    fn for_each(c: &Smc<T, Columns>, guard: &Guard<'_>, mut f: impl FnMut(&T)) -> u64 {
         let mut n = 0;
-        self.for_each_block(guard, |cols, block| {
+        c.for_each_block(guard, |cols, block| {
             block.valid_slots().for_each(|slot| {
                 // SAFETY: `cols` are this block's arrays and the slot is valid.
                 f(&unsafe { T::gather(cols, slot as usize) });
@@ -299,12 +166,48 @@ impl<T: Columnar> ColumnarSmc<T> {
     }
 }
 
-impl<T: Columnar> std::fmt::Debug for ColumnarSmc<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ColumnarSmc")
-            .field("type", &std::any::type_name::<T>())
-            .field("len", &self.len())
-            .field("columns", &T::COLUMN_WIDTHS.len())
-            .finish()
+/// Resolves the column arrays of one block of `ctx`.
+#[inline]
+fn arrays(ctx: &MemoryContext, block: &BlockRef) -> ColumnArrays {
+    let columns = &ctx.layout().columns;
+    let base = block.store_base();
+    let mut bases = [std::ptr::null_mut(); MAX_COLUMNS];
+    for (i, b) in bases.iter_mut().enumerate().take(columns.len()) {
+        *b = unsafe { base.add(columns.offset(i)) };
+    }
+    ColumnArrays {
+        bases,
+        len: columns.len(),
+    }
+}
+
+impl<T: Columnar> Smc<T, Columns> {
+    /// Creates a columnar collection on `runtime`.
+    pub fn columnar(runtime: &Arc<Runtime>) -> Smc<T, Columns> {
+        Self::columnar_with_config(runtime, ContextConfig::default())
+    }
+
+    /// Creates a columnar collection with explicit tunables.
+    pub fn columnar_with_config(runtime: &Arc<Runtime>, config: ContextConfig) -> Smc<T, Columns> {
+        Self::with_layout(runtime, config)
+    }
+
+    /// Resolves the column arrays of one block.
+    #[inline]
+    pub fn arrays(&self, block: &BlockRef) -> ColumnArrays {
+        arrays(self.context(), block)
+    }
+
+    /// Visits each block's column arrays — the columnar compiled-query
+    /// loop. `f` receives the arrays and the block; it walks the block's
+    /// [`valid_slots`](BlockRef::valid_slots) and reads only the columns the
+    /// query needs (§4.1). Blocks of an in-flight compaction group are
+    /// visited through the §5.2 protocol, like any other scan.
+    pub fn for_each_block(&self, guard: &Guard<'_>, mut f: impl FnMut(&ColumnArrays, &BlockRef)) {
+        let ctx = self.context();
+        let m = ctx.membership_snapshot();
+        m.for_each_block(guard, &ctx.runtime().stats, |block| {
+            f(&arrays(ctx, &block), &block);
+        });
     }
 }

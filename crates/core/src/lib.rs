@@ -21,7 +21,8 @@
 //! * **No GC pauses** — collection data never stresses a garbage collector
 //!   (Fig 9);
 //! * **Compiled-query access** — query code operates directly on the
-//!   collection's memory blocks ([`Smc::for_each`], [`ColumnarSmc`]), with
+//!   collection's memory blocks ([`Smc::for_each`], and per column for a
+//!   collection of the [`Columns`] layout), with
 //!   [`DirectRef`] skipping even the indirection hop for inter-collection
 //!   joins (Figs 11–12).
 //!
@@ -63,9 +64,10 @@ pub mod collection;
 pub mod columnar;
 pub mod refs;
 
-pub use collection::{Iter, Smc};
-pub use columnar::{ColumnArrays, Columnar, ColumnarSmc, MAX_COLUMNS};
+pub use collection::{Iter, Layout, Rows, Smc};
+pub use columnar::{ColumnArrays, Columnar, Columns};
 pub use refs::{DirectRef, OptDirectRef, Ref};
+pub use smc_memory::block::MAX_COLUMNS;
 
 // Re-export the memory runtime surface users need.
 pub use smc_memory::context::{CompactionReport, ContextConfig};

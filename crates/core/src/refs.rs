@@ -18,6 +18,11 @@
 //! objects (that is how reference-based joins work in the TPC-H adaptation)
 //! and survive their target's removal — they simply dereference to `None`
 //! afterwards, the paper's "implicitly become null" semantics (§2).
+//!
+//! A reference carries its collection's [`Layout`](crate::Layout). Only a
+//! row reference hands out `&T`: a columnar object (§4.1) is a set of cells
+//! in parallel column arrays, not a `T` in memory, so it is read through
+//! its collection ([`Smc::read`](crate::Smc::read)), which gathers a copy.
 
 use std::marker::PhantomData;
 use std::ptr::NonNull;
@@ -31,39 +36,42 @@ use smc_memory::reloc::{bail_out_relocation, try_move_object};
 use smc_memory::spill;
 use smc_memory::tabular::Tabular;
 
-/// A checked reference to an object in a self-managed collection.
+use crate::collection::Rows;
+
+/// A checked reference to an object in a self-managed collection of layout
+/// `L`.
 ///
 /// 12–16 bytes of plain data; copying it never touches the object.
-pub struct Ref<T: Tabular> {
+pub struct Ref<T: Tabular, L = Rows> {
     /// Address of the indirection entry; 0 encodes the null reference.
     entry_addr: usize,
     /// Incarnation of the entry at assignment time.
     inc: u32,
-    _marker: PhantomData<fn() -> T>,
+    _marker: PhantomData<fn() -> (T, L)>,
 }
 
-impl<T: Tabular> Clone for Ref<T> {
+impl<T: Tabular, L> Clone for Ref<T, L> {
     fn clone(&self) -> Self {
         *self
     }
 }
-impl<T: Tabular> Copy for Ref<T> {}
+impl<T: Tabular, L> Copy for Ref<T, L> {}
 
-impl<T: Tabular> PartialEq for Ref<T> {
+impl<T: Tabular, L> PartialEq for Ref<T, L> {
     fn eq(&self, other: &Self) -> bool {
         self.entry_addr == other.entry_addr && self.inc == other.inc
     }
 }
-impl<T: Tabular> Eq for Ref<T> {}
+impl<T: Tabular, L> Eq for Ref<T, L> {}
 
-impl<T: Tabular> std::hash::Hash for Ref<T> {
+impl<T: Tabular, L> std::hash::Hash for Ref<T, L> {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.entry_addr.hash(state);
         self.inc.hash(state);
     }
 }
 
-impl<T: Tabular> std::fmt::Debug for Ref<T> {
+impl<T: Tabular, L> std::fmt::Debug for Ref<T, L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ref")
             .field("entry", &(self.entry_addr as *const ()))
@@ -73,19 +81,17 @@ impl<T: Tabular> std::fmt::Debug for Ref<T> {
 }
 
 // SAFETY: plain data validated at every dereference.
-unsafe impl<T: Tabular> Send for Ref<T> {}
-unsafe impl<T: Tabular> Sync for Ref<T> {}
-unsafe impl<T: Tabular> Tabular for Ref<T> {}
+unsafe impl<T: Tabular, L: 'static> Tabular for Ref<T, L> {}
 
-impl<T: Tabular> Default for Ref<T> {
+impl<T: Tabular, L> Default for Ref<T, L> {
     fn default() -> Self {
         Self::null()
     }
 }
 
-impl<T: Tabular> Ref<T> {
+impl<T: Tabular, L> Ref<T, L> {
     /// The null reference: dereferences to `None`.
-    pub const fn null() -> Ref<T> {
+    pub const fn null() -> Ref<T, L> {
         Ref {
             entry_addr: 0,
             inc: 0,
@@ -100,7 +106,7 @@ impl<T: Tabular> Ref<T> {
 
     /// Builds a reference from an entry and its incarnation. Crate-internal:
     /// collections construct references on `add` and during enumeration.
-    pub(crate) fn from_parts(entry: EntryRef, inc: u32) -> Ref<T> {
+    pub(crate) fn from_parts(entry: EntryRef, inc: u32) -> Ref<T, L> {
         Ref {
             entry_addr: entry.addr(),
             inc,
@@ -122,31 +128,11 @@ impl<T: Tabular> Ref<T> {
         self.inc
     }
 
-    /// Dereferences the object — the paper's `dereference_object` (§5.1).
-    ///
-    /// Returns `None` if the object was removed from its collection (the
-    /// `NullReferenceException` rendering of §2). The returned borrow lives
-    /// as long as the guard: within a critical section, a checked reference
-    /// stays valid without rechecking (§3.4).
+    /// Resolves the object's current indirection payload — the paper's
+    /// `dereference_object` (§5.1): the object's address for rows, its
+    /// incarnation cell for columns. `None` if the object was removed.
     #[inline]
-    pub fn get<'g>(&self, guard: &'g Guard<'_>) -> Option<&'g T> {
-        // SAFETY: `resolve` validated the incarnation inside the pinned
-        // critical section; the slot cannot be reclaimed or relocated while
-        // we are pinned (epoch protocol, §3.4/§5.1).
-        self.resolve(guard).map(|p| unsafe { &*p })
-    }
-
-    /// Resolves the object's current raw pointer — used by compiled queries
-    /// that update fields in place (§7's "compiled unsafe C#"). Validation
-    /// is identical to [`get`](Self::get); concurrent readers observe such
-    /// updates under the collection's read-uncommitted isolation level (§4).
-    #[inline]
-    pub fn get_ptr(&self, guard: &Guard<'_>) -> Option<*mut T> {
-        self.resolve(guard)
-    }
-
-    #[inline]
-    fn resolve(&self, guard: &Guard<'_>) -> Option<*mut T> {
+    pub(crate) fn resolve(&self, guard: &Guard<'_>) -> Option<usize> {
         let entry = self.entry()?;
         // Bounded retry: each iteration either returns or faults one spilled
         // page back in (repointing the entry at a resident slot). A page can
@@ -168,7 +154,7 @@ impl<T: Tabular> Ref<T> {
                     }
                     continue;
                 }
-                return Some(payload as *mut T);
+                return Some(payload);
             }
             // Masked match: alive but frozen/locked by compaction.
             if word & INC_MASK == self.inc & INC_MASK {
@@ -181,8 +167,8 @@ impl<T: Tabular> Ref<T> {
 
     /// §5.1 cases a–c. Cold: only reachable while a compaction is in flight.
     #[cold]
-    fn slow_path(&self, entry: EntryRef, guard: &Guard<'_>) -> Option<*mut T> {
-        let deref = |e: EntryRef| -> Option<*mut T> {
+    fn slow_path(&self, entry: EntryRef, guard: &Guard<'_>) -> Option<usize> {
+        let deref = |e: EntryRef| -> Option<usize> {
             let payload = e.get().load_payload(Ordering::Acquire);
             // A spill tag cannot coexist with compaction flags (eviction
             // skips compacting blocks), so seeing one here means the world
@@ -190,7 +176,7 @@ impl<T: Tabular> Ref<T> {
             if payload == 0 || spill::is_spill_tagged(payload) {
                 None
             } else {
-                Some(payload as *mut T)
+                Some(payload)
             }
         };
         // Case a: we are not in the relocation epoch (e.g. the freezing
@@ -232,6 +218,31 @@ impl<T: Tabular> Ref<T> {
             return None;
         }
         deref(entry)
+    }
+}
+
+impl<T: Tabular> Ref<T> {
+    /// Dereferences the object — the paper's `dereference_object` (§5.1).
+    ///
+    /// Returns `None` if the object was removed from its collection (the
+    /// `NullReferenceException` rendering of §2). The returned borrow lives
+    /// as long as the guard: within a critical section, a checked reference
+    /// stays valid without rechecking (§3.4).
+    #[inline]
+    pub fn get<'g>(&self, guard: &'g Guard<'_>) -> Option<&'g T> {
+        // SAFETY: `resolve` validated the incarnation inside the pinned
+        // critical section; the slot cannot be reclaimed or relocated while
+        // we are pinned (epoch protocol, §3.4/§5.1).
+        self.resolve(guard).map(|p| unsafe { &*(p as *const T) })
+    }
+
+    /// Resolves the object's current raw pointer — used by compiled queries
+    /// that update fields in place (§7's "compiled unsafe C#"). Validation
+    /// is identical to [`get`](Self::get); concurrent readers observe such
+    /// updates under the collection's read-uncommitted isolation level (§4).
+    #[inline]
+    pub fn get_ptr(&self, guard: &Guard<'_>) -> Option<*mut T> {
+        self.resolve(guard).map(|p| p as *mut T)
     }
 
     /// Copies the object out (`None` if removed).

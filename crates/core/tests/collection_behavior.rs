@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use smc::{ColumnArrays, Columnar, ColumnarSmc, ContextConfig, DirectRef, Ref, Smc};
+use smc::{ColumnArrays, Columnar, Columns, ContextConfig, DirectRef, Ref, Smc};
 use smc_memory::{Decimal, InlineStr, Runtime, Tabular};
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -428,7 +428,7 @@ unsafe impl Columnar for Point {
 #[test]
 fn columnar_round_trip_and_removal() {
     let rt = Runtime::new();
-    let points: ColumnarSmc<Point> = ColumnarSmc::new(&rt);
+    let points: Smc<Point, Columns> = Smc::columnar(&rt);
     let mut refs = Vec::new();
     for i in 0..5000u64 {
         refs.push(points.add(Point {
@@ -459,7 +459,7 @@ fn columnar_round_trip_and_removal() {
 fn columnar_single_column_scan() {
     // The Fig 12 win: a single-column aggregate reads one array only.
     let rt = Runtime::new();
-    let points: ColumnarSmc<Point> = ColumnarSmc::new(&rt);
+    let points: Smc<Point, Columns> = Smc::columnar(&rt);
     for i in 0..10_000u64 {
         points.add(Point {
             key: i,
@@ -485,7 +485,7 @@ fn columnar_single_column_scan() {
 #[test]
 fn columnar_enumeration_gathers_objects() {
     let rt = Runtime::new();
-    let points: ColumnarSmc<Point> = ColumnarSmc::new(&rt);
+    let points: Smc<Point, Columns> = Smc::columnar(&rt);
     let refs: Vec<_> = (0..300u64)
         .map(|i| {
             points.add(Point {
@@ -582,20 +582,27 @@ fn columnar_compaction_keeps_every_survivor() {
     // every row a pass moved reads back as itself, through its reference
     // and through a scan, and the pass must have moved some.
     let rt = Runtime::new();
-    let pairs: ColumnarSmc<Pair> = ColumnarSmc::new(&rt);
-    let pair = |k: u64| Pair { key: k, val: k * 7 + 1 };
+    let pairs: Smc<Pair, Columns> = Smc::columnar(&rt);
+    let pair = |k: u64| Pair {
+        key: k,
+        val: k * 7 + 1,
+    };
     let refs: Vec<_> = (0..20_000u64).map(|k| pairs.add(pair(k))).collect();
     for (k, r) in refs.iter().enumerate() {
         if k % 5 != 0 {
             assert!(pairs.remove(*r));
         }
     }
-    let report = pairs.context().compact();
-    pairs.context().release_retired();
+    let report = pairs.compact();
+    pairs.release_retired();
     assert!(report.moved > 0, "the pass moved nothing: {report:?}");
-    let clean = pairs.context().verify().is_ok();
+    let clean = pairs.verify().is_ok();
     let g = rt.pin();
-    let survivors: Vec<_> = refs.iter().enumerate().filter(|(k, _)| k % 5 == 0).collect();
+    let survivors: Vec<_> = refs
+        .iter()
+        .enumerate()
+        .filter(|(k, _)| k % 5 == 0)
+        .collect();
     let wrong = survivors
         .iter()
         .filter(|(k, r)| pairs.read(**r, &g) != Some(pair(*k as u64)))

@@ -16,9 +16,9 @@
 //! * [`WorkerPool`] — persistent scoped workers, pre-registered with the
 //!   runtime's epoch manager so thread-registry exhaustion is a
 //!   constructor error, never a mid-query panic;
-//! * [`ParScan`] / [`ParColumnarScan`] — parallel scans over [`Smc`](smc::Smc)
-//!   and [`ColumnarSmc`](smc::ColumnarSmc) (`filter_count`, `filter_fold`,
-//!   `fold_blocks`);
+//! * [`ParScan`] / [`ParColumnarScan`] — parallel scans over an
+//!   [`Smc`](smc::Smc) of the row and of the [`Columns`](smc::Columns)
+//!   layout (`filter_count`, `filter_fold`, `fold_blocks`);
 //! * [`par_fold_chunks`] — the same morsel loop over plain slices, for the
 //!   baseline backends (managed handle lists, columnstore row ranges).
 //!

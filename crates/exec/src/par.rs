@@ -27,7 +27,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use smc::{ColumnArrays, Columnar, ColumnarSmc, Smc, Tabular};
+use smc::{ColumnArrays, Columnar, Columns, Smc, Tabular};
 use smc_memory::block::BlockRef;
 use smc_memory::context::Membership;
 use smc_memory::stats::MemoryStats;
@@ -231,18 +231,18 @@ impl<'a, T: Tabular + Sync> ParScan<'a, T> {
     }
 }
 
-/// A parallel scan over a [`ColumnarSmc`]: blocks (row groups) are the
-/// morsels; the body sees each block's column arrays, exactly like
-/// `ColumnarSmc::for_each_block`.
+/// A parallel scan over a collection of the [`Columns`] layout: blocks (row
+/// groups) are the morsels; the body sees each block's column arrays,
+/// exactly like `Smc::for_each_block`.
 pub struct ParColumnarScan<'a, T: Columnar> {
-    collection: &'a ColumnarSmc<T>,
+    collection: &'a Smc<T, Columns>,
     pool: &'a WorkerPool,
 }
 
 impl<'a, T: Columnar> ParColumnarScan<'a, T> {
     /// Creates a scan running on `pool`'s workers; same registration
     /// requirements as [`ParScan::new`].
-    pub fn new(collection: &'a ColumnarSmc<T>, pool: &'a WorkerPool) -> Self {
+    pub fn new(collection: &'a Smc<T, Columns>, pool: &'a WorkerPool) -> Self {
         let rt = pool
             .runtime()
             .expect("ParColumnarScan needs a runtime-bound pool (WorkerPool::for_runtime)");

@@ -28,8 +28,11 @@
 //!   object type's alignment.
 //!
 //! Row-wise layouts use a constant slot stride; columnar layouts (§4.1)
-//! reinterpret the object store as parallel column arrays — the block only
-//! records the store's bounds, and the collection owns the column geometry.
+//! reinterpret the object store as parallel column arrays, led by the
+//! incarnation column. [`BlockLayout::columnar`] computes where each column
+//! starts ([`ColumnGeometry`]), so the layer that moves objects knows their
+//! cells: relocation copies a row slot's bytes or a columnar object's cells
+//! (`BlockLayout::copy_object`).
 
 use std::ptr::NonNull;
 use std::sync::atomic::Ordering;
@@ -50,6 +53,66 @@ pub const BLOCK_ALIGN: usize = BLOCK_SIZE;
 
 const MAGIC: u32 = 0x534d_4342; // "SMCB"
 
+/// Maximum number of columns a columnar layout may declare.
+pub const MAX_COLUMNS: usize = 24;
+
+/// Where each column of a columnar store lives (§4.1): column `i`'s cell
+/// for slot `s` is the [`width`](Self::width)`(i)` bytes at
+/// `store_base + offset(i) + s * width(i)`. The incarnation column (4-byte
+/// cells at offset 0) leads the store and is not listed. Row layouts have
+/// no columns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ColumnGeometry {
+    len: u32,
+    offsets: [u32; MAX_COLUMNS],
+    widths: [u32; MAX_COLUMNS],
+}
+
+impl ColumnGeometry {
+    /// Number of data columns.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// True for row layouts.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Byte offset of column `i` from the store base.
+    #[inline]
+    pub fn offset(&self, i: usize) -> usize {
+        self.offsets[i] as usize
+    }
+
+    /// Cell width of column `i` in bytes.
+    #[inline]
+    pub fn width(&self, i: usize) -> usize {
+        self.widths[i] as usize
+    }
+}
+
+/// Lays out columns of the given widths behind a `capacity`-slot
+/// incarnation column, each aligned to its width (4 to 16 bytes); returns
+/// the geometry and the store bytes it consumes.
+fn column_offsets(widths: &[usize], capacity: usize) -> (ColumnGeometry, usize) {
+    let mut columns = ColumnGeometry {
+        len: widths.len() as u32,
+        ..ColumnGeometry::default()
+    };
+    let mut cursor = 4 * capacity;
+    for (i, &w) in widths.iter().enumerate() {
+        let align = w.clamp(4, 16);
+        cursor = align_up(cursor, align);
+        columns.offsets[i] = cursor as u32;
+        columns.widths[i] = w as u32;
+        cursor += w * capacity;
+    }
+    (columns, cursor)
+}
+
 /// Geometry of a block for one object type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockLayout {
@@ -63,12 +126,16 @@ pub struct BlockLayout {
     pub store_offset: u32,
     /// Bytes consumed by the whole object store.
     pub store_len: u32,
-    /// Distance between consecutive slots (0 for columnar stores, whose
-    /// geometry the collection owns).
+    /// Distance between consecutive slots (0 for columnar stores, which
+    /// address cells through [`columns`](Self::columns)).
     pub slot_stride: u32,
     /// Offset of object data within a slot, past the incarnation word
     /// (row layouts only).
     pub obj_offset: u32,
+    /// Bytes of one object in a row slot (0 for columnar stores).
+    pub obj_size: u32,
+    /// The column arrays of a columnar store (none for rows).
+    pub columns: ColumnGeometry,
 }
 
 const fn align_up(x: usize, align: usize) -> usize {
@@ -82,7 +149,9 @@ impl BlockLayout {
         let align = obj_align.max(4);
         let obj_offset = align_up(4, obj_align.max(1)); // inc word, then data
         let stride = align_up(obj_offset + obj_size.max(1), align);
-        Self::build(stride, align, obj_offset as u32)
+        let mut layout = Self::build(stride, align, obj_offset as u32)?;
+        layout.obj_size = obj_size as u32;
+        Ok(layout)
     }
 
     /// Layout for [`rows`](Self::rows) of a concrete type.
@@ -90,13 +159,72 @@ impl BlockLayout {
         Self::rows(std::mem::size_of::<T>(), std::mem::align_of::<T>())
     }
 
-    /// Layout for a columnar store that needs `bytes_per_slot` bytes of
-    /// store space per object (including the 4-byte incarnation column).
-    /// The collection computes the per-column offsets itself.
-    pub fn columnar(bytes_per_slot: usize, store_align: usize) -> Result<BlockLayout, MemError> {
-        let mut layout = Self::build(bytes_per_slot.max(1), store_align.max(16), 0)?;
-        layout.slot_stride = 0;
-        Ok(layout)
+    /// Layout for a columnar store (§4.1) whose objects are cells of the
+    /// given byte widths, in storage order, behind the incarnation column.
+    ///
+    /// # Panics
+    /// If there are no columns, more than [`MAX_COLUMNS`], or a width that
+    /// is not a power of two (widths double as cell alignment).
+    pub fn columnar(widths: &[usize]) -> Result<BlockLayout, MemError> {
+        assert!(
+            (1..=MAX_COLUMNS).contains(&widths.len()),
+            "a columnar layout needs 1 to {MAX_COLUMNS} columns"
+        );
+        assert!(
+            widths.iter().all(|w| w.is_power_of_two()),
+            "column widths must be powers of two: {widths:?}"
+        );
+        let per_slot = 4 + widths.iter().sum::<usize>();
+        // Grow the per-slot estimate until the aligned column arrays fit the
+        // store region the layout grants for that estimate.
+        let mut pad = 0;
+        loop {
+            let mut layout = Self::build(per_slot + pad, 16, 0)?;
+            let (columns, needed) = column_offsets(widths, layout.capacity as usize);
+            if needed <= layout.store_len as usize {
+                layout.slot_stride = 0;
+                layout.columns = columns;
+                return Ok(layout);
+            }
+            pad += 16;
+            assert!(pad < 4096, "column alignment padding runaway");
+        }
+    }
+
+    /// True for columnar stores.
+    #[inline]
+    pub fn is_columnar(&self) -> bool {
+        self.slot_stride == 0
+    }
+
+    /// Copies the object in `slot` of `src` into `dest_slot` of `dest`: a
+    /// row slot's object bytes, or each cell of a columnar object. The
+    /// incarnation words are left alone.
+    ///
+    /// # Safety
+    /// Both blocks must have this layout, both slots must be in range, and
+    /// nothing else may write either object while it is copied.
+    pub(crate) unsafe fn copy_object(
+        &self,
+        src: BlockRef,
+        slot: SlotId,
+        dest: BlockRef,
+        dest_slot: SlotId,
+    ) {
+        if self.columns.is_empty() {
+            let size = self.obj_size as usize;
+            std::ptr::copy_nonoverlapping(src.obj_ptr(slot), dest.obj_ptr(dest_slot), size);
+            return;
+        }
+        let (from, to) = (src.store_base(), dest.store_base());
+        for i in 0..self.columns.len() {
+            let (offset, width) = (self.columns.offset(i), self.columns.width(i));
+            std::ptr::copy_nonoverlapping(
+                from.add(offset + slot as usize * width),
+                to.add(offset + dest_slot as usize * width),
+                width,
+            );
+        }
     }
 
     fn build(
@@ -131,6 +259,8 @@ impl BlockLayout {
                     store_len: store_len as u32,
                     slot_stride: per_slot as u32,
                     obj_offset,
+                    obj_size: 0,
+                    columns: ColumnGeometry::default(),
                 });
             }
             cap -= 1;
@@ -607,6 +737,31 @@ impl BlockRef {
         self.header().slot_stride == 0
     }
 
+    /// The payload indirection entries hold for `slot`: the object data
+    /// address for rows, the incarnation-cell address for columnar stores
+    /// (equivalent to the paper's packed block/slot locator, recoverable by
+    /// the same block-mask arithmetic).
+    #[inline]
+    pub fn payload(&self, slot: SlotId) -> usize {
+        if self.is_columnar() {
+            unsafe { self.store_base().add(slot as usize * 4) as usize }
+        } else {
+            self.obj_ptr(slot) as usize
+        }
+    }
+
+    /// Maps an entry payload back to `(block, slot)`.
+    ///
+    /// # Safety
+    /// `payload` must come from [`payload`](Self::payload) on a block that
+    /// is still allocated (epoch protection guarantees this for checked
+    /// references).
+    #[inline]
+    pub unsafe fn locate(payload: usize) -> (BlockRef, SlotId) {
+        let block = Self::from_interior_ptr(payload as *const u8);
+        (block, block.slot_of_payload(payload))
+    }
+
     /// Maps an indirection-entry payload (object-data address for rows,
     /// incarnation-cell address for columnar stores) back to its slot id.
     ///
@@ -912,9 +1067,53 @@ pub(crate) mod tests {
 
     #[test]
     fn columnar_layout_has_no_stride() {
-        let l = BlockLayout::columnar(4 + 8 + 16, 16).unwrap();
+        let l = BlockLayout::columnar(&[8, 16]).unwrap();
         assert_eq!(l.slot_stride, 0);
         assert!(l.capacity > 0);
+    }
+
+    #[test]
+    fn columnar_cells_are_aligned_and_disjoint() {
+        let widths = [8, 16, 4, 1, 2];
+        let l = BlockLayout::columnar(&widths).unwrap();
+        let cap = l.capacity as usize;
+        let mut end = 4 * cap; // the incarnation column
+        for (i, &w) in widths.iter().enumerate() {
+            assert_eq!(l.columns.width(i), w);
+            let start = l.columns.offset(i);
+            assert!(start >= end, "column {i} overlaps its predecessor");
+            assert_eq!((l.store_offset as usize + start) % w.clamp(4, 16), 0);
+            end = start + w * cap;
+        }
+        assert!(end <= l.store_len as usize, "columns overrun the store");
+    }
+
+    #[test]
+    #[should_panic(expected = "powers of two")]
+    fn columnar_width_must_be_a_power_of_two() {
+        let _ = BlockLayout::columnar(&[8, 12]);
+    }
+
+    #[test]
+    fn copy_object_moves_every_cell() {
+        let l = BlockLayout::columnar(&[8, 4]).unwrap();
+        let (a, b) = (
+            BlockRef::allocate(&l, 1, 1).unwrap(),
+            BlockRef::allocate(&l, 1, 1).unwrap(),
+        );
+        let cell = |blk: BlockRef, i: usize, slot: usize| unsafe {
+            blk.store_base()
+                .add(l.columns.offset(i) + slot * l.columns.width(i))
+        };
+        unsafe {
+            cell(a, 0, 5).cast::<u64>().write(0xfeed_f00d);
+            cell(a, 1, 5).cast::<u32>().write(42);
+            l.copy_object(a, 5, b, 9);
+            assert_eq!(cell(b, 0, 9).cast::<u64>().read(), 0xfeed_f00d);
+            assert_eq!(cell(b, 1, 9).cast::<u32>().read(), 42);
+            a.deallocate();
+            b.deallocate();
+        }
     }
 
     #[test]

@@ -409,7 +409,7 @@ impl MemoryContext {
                 // flag-set below fails instead of freezing an unrelated
                 // object. The stale reloc entry then dies at the mover's
                 // entry lock.
-                let slot_inc = self.slot_inc(&src, slot_id).incarnation();
+                let slot_inc = src.payload_inc(slot_id).incarnation();
                 let inc = entry.get().inc().incarnation();
                 // Freeze the indirection entry first (authoritative), then
                 // the slot word for direct-pointer readers. A failure means
@@ -430,15 +430,13 @@ impl MemoryContext {
                     entry.get().inc().clear_flag(inc, FLAG_FROZEN);
                     continue;
                 }
-                let _ = self
-                    .slot_inc(&src, slot_id)
-                    .try_set_flag(slot_inc, FLAG_FROZEN);
+                let _ = src.payload_inc(slot_id).try_set_flag(slot_inc, FLAG_FROZEN);
                 let dest_slot = next_dest_slot;
                 next_dest_slot += 1;
-                let dest_addr = self.payload_of(&dest, dest_slot);
+                let dest_addr = dest.payload(dest_slot);
                 entries.push(RelocEntry::new(slot_id, back, inc, dest_addr, dest_slot));
             }
-            let list = Box::new(RelocationList::new(self.obj_size, entries));
+            let list = Box::new(RelocationList::new(self.layout, entries));
             let old = src
                 .header()
                 .reloc_list
@@ -799,8 +797,9 @@ mod tests {
         let report = c.compact();
         assert!(report.moved >= 1);
         // The survivor's old slot is now a forwarding tombstone.
-        let word = c
-            .slot_inc(&survivor.block, survivor.slot)
+        let word = survivor
+            .block
+            .payload_inc(survivor.slot)
             .load(Ordering::Acquire);
         assert_ne!(word & crate::incarnation::FLAG_FORWARD, 0);
         // Its entry points at the new location, which holds the value.

@@ -41,7 +41,6 @@ use crate::block::{BlockLayout, BlockRef};
 pub use crate::compact::{CompactionGroup, CompactionReport};
 use crate::epoch::Guard;
 use crate::error::MemError;
-use crate::incarnation::IncWord;
 use crate::indirection::EntryRef;
 use crate::runtime::{Grave, Runtime};
 use crate::slot::{self, SlotId, SlotState};
@@ -85,17 +84,6 @@ impl Default for ContextConfig {
             budget_bytes: None,
         }
     }
-}
-
-/// Row-wise or columnar object store (§4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LayoutMode {
-    /// Objects stored contiguously per slot.
-    Rows,
-    /// The object store is a bundle of parallel column arrays; the first
-    /// `4 * capacity` bytes hold the per-slot incarnation words and the
-    /// collection owns the remaining column geometry.
-    Columnar,
 }
 
 /// A claimed slot, ready to carry a new object.
@@ -242,9 +230,6 @@ pub struct MemoryContext {
     pub(crate) id: u64,
     pub(crate) type_id: u64,
     pub(crate) layout: BlockLayout,
-    pub(crate) mode: LayoutMode,
-    /// Bytes copied when relocating one object (row layouts).
-    pub(crate) obj_size: u32,
     /// Alignment of one object (row layouts; 1 for columnar stores).
     pub(crate) obj_align: usize,
     pub(crate) config: ContextConfig,
@@ -280,41 +265,25 @@ impl MemoryContext {
     ) -> Result<MemoryContext, MemError> {
         let layout = BlockLayout::rows(obj_size, obj_align)?;
         Ok(Self::with_layout(
-            runtime,
-            layout,
-            LayoutMode::Rows,
-            obj_size as u32,
-            obj_align,
-            type_id,
-            config,
+            runtime, layout, obj_align, type_id, config,
         ))
     }
 
-    /// Creates a columnar context; `store_bytes_per_slot` must include the
-    /// 4-byte incarnation column.
+    /// Creates a columnar context whose objects are cells of the given
+    /// widths ([`BlockLayout::columnar`]).
     pub fn new_columnar(
         runtime: Arc<Runtime>,
-        store_bytes_per_slot: usize,
+        column_widths: &[usize],
         type_id: u64,
         config: ContextConfig,
     ) -> Result<MemoryContext, MemError> {
-        let layout = BlockLayout::columnar(store_bytes_per_slot, 16)?;
-        Ok(Self::with_layout(
-            runtime,
-            layout,
-            LayoutMode::Columnar,
-            0,
-            1,
-            type_id,
-            config,
-        ))
+        let layout = BlockLayout::columnar(column_widths)?;
+        Ok(Self::with_layout(runtime, layout, 1, type_id, config))
     }
 
     fn with_layout(
         runtime: Arc<Runtime>,
         layout: BlockLayout,
-        mode: LayoutMode,
-        obj_size: u32,
         obj_align: usize,
         type_id: u64,
         config: ContextConfig,
@@ -328,8 +297,6 @@ impl MemoryContext {
             id,
             type_id,
             layout,
-            mode,
-            obj_size,
             obj_align,
             config,
             membership: RwLock::new(Membership::default()),
@@ -362,11 +329,6 @@ impl MemoryContext {
         &self.layout
     }
 
-    /// Row or columnar store.
-    pub fn mode(&self) -> LayoutMode {
-        self.mode
-    }
-
     /// The configuration in effect.
     pub fn config(&self) -> &ContextConfig {
         &self.config
@@ -389,46 +351,6 @@ impl MemoryContext {
     /// [`release_retired`](Self::release_retired) to bury them.
     pub fn bytes(&self) -> usize {
         self.block_count() * crate::block::BLOCK_SIZE
-    }
-
-    /// The slot-header incarnation word of `slot` in `block`, respecting the
-    /// layout mode (§4.1: columnar stores keep the incarnation column at the
-    /// start of the object store).
-    #[inline]
-    pub fn slot_inc<'b>(&self, block: &'b BlockRef, slot: SlotId) -> &'b IncWord {
-        match self.mode {
-            LayoutMode::Rows => block.slot_inc(slot),
-            LayoutMode::Columnar => unsafe {
-                &*block.store_base().add(slot as usize * 4).cast::<IncWord>()
-            },
-        }
-    }
-
-    /// The payload stored in indirection entries for `slot` of `block`: the
-    /// object data address for rows, the incarnation-cell address for
-    /// columnar stores (equivalent to the paper's packed block/slot locator,
-    /// recoverable by the same block-mask arithmetic).
-    #[inline]
-    pub fn payload_of(&self, block: &BlockRef, slot: SlotId) -> usize {
-        match self.mode {
-            LayoutMode::Rows => block.obj_ptr(slot) as usize,
-            LayoutMode::Columnar => unsafe { block.store_base().add(slot as usize * 4) as usize },
-        }
-    }
-
-    /// Maps an entry payload back to `(block, slot)`.
-    ///
-    /// # Safety
-    /// `payload` must have been produced by `payload_of` on a block that is
-    /// still allocated (epoch protection guarantees this for checked refs).
-    #[inline]
-    pub unsafe fn locate(&self, payload: usize) -> (BlockRef, SlotId) {
-        let block = BlockRef::from_interior_ptr(payload as *const u8);
-        let slot = match self.mode {
-            LayoutMode::Rows => block.slot_of_obj_ptr(payload as *const u8),
-            LayoutMode::Columnar => ((payload - block.store_base() as usize) / 4) as SlotId,
-        };
-        (block, slot)
     }
 
     // ------------------------------------------------------------------
@@ -492,7 +414,7 @@ impl MemoryContext {
     ) -> Allocation {
         let stats = &self.runtime.stats;
         let entry = self.runtime.indirection.allocate(tid);
-        let slot_inc = self.slot_inc(&block, slot_id).incarnation();
+        let slot_inc = block.payload_inc(slot_id).incarnation();
         let entry_inc = entry.get().inc().incarnation();
         // Initialize object bytes before publishing the slot as Valid.
         init(&block, slot_id);
@@ -501,7 +423,7 @@ impl MemoryContext {
             .store(entry.addr(), Ordering::Release);
         entry
             .get()
-            .store_payload(self.payload_of(&block, slot_id), Ordering::Release);
+            .store_payload(block.payload(slot_id), Ordering::Release);
         block.slot_word(slot_id).set_valid();
         block.header().valid_count.fetch_add(1, Ordering::Relaxed);
         stats.bump(Some(tid), |cell| &cell.objects_allocated, 1);
@@ -753,7 +675,7 @@ impl MemoryContext {
                 continue;
             }
             debug_assert_ne!(payload, 0, "live entry without payload");
-            let (block, slot_id) = unsafe { self.locate(payload) };
+            let (block, slot_id) = unsafe { BlockRef::locate(payload) };
             // The other half of the spill's mark-then-fence: with our lock
             // ordered before this load, either the spill waits for our lock
             // or we see its mark.
@@ -776,7 +698,7 @@ impl MemoryContext {
             }
         };
         // Invalidate direct pointers.
-        self.slot_inc(&block, slot_id).bump_unlocked();
+        block.payload_inc(slot_id).bump_unlocked();
         let epoch = self.runtime.global_epoch();
         block.slot_word(slot_id).set_limbo(epoch);
         block.header().valid_count.fetch_sub(1, Ordering::Relaxed);
@@ -821,7 +743,7 @@ impl Drop for MemoryContext {
         let mut freed = 0;
         for block in m.owned_blocks().chain(retired) {
             let entries = block.valid_slots().filter_map(|slot_id| {
-                self.slot_inc(&block, slot_id).bump_unlocked();
+                block.payload_inc(slot_id).bump_unlocked();
                 freed += 1;
                 let back = block.back_ptr(slot_id).load(Ordering::Acquire);
                 (back != 0).then(|| {
@@ -883,7 +805,7 @@ pub(crate) mod tests {
         let a = alloc_u64(&c, 7);
         assert!(c.free(a.entry, a.entry_inc));
         assert_ne!(a.entry.get().inc().incarnation(), a.entry_inc);
-        assert_ne!(c.slot_inc(&a.block, a.slot).incarnation(), a.slot_inc);
+        assert_ne!(a.block.payload_inc(a.slot).incarnation(), a.slot_inc);
         assert_eq!(a.block.slot_word(a.slot).state(), SlotState::Limbo);
         assert_eq!(c.live_objects(), 0);
     }
@@ -1024,29 +946,28 @@ pub(crate) mod tests {
     #[test]
     fn columnar_context_allocates_and_locates() {
         let rt = Runtime::new();
-        // 4 bytes inc column + 8 bytes value column per slot.
+        // One 8-byte value column behind the incarnation column.
         let c = MemoryContext::new_columnar(
             rt.clone(),
-            12,
+            &[8],
             type_id_of::<u64>(),
             ContextConfig::default(),
         )
         .unwrap();
-        let cap = c.layout().capacity as usize;
+        let column = c.layout().columns.offset(0);
         let a = c
             .alloc_with(|block, slot| unsafe {
-                // Value column starts after the inc column.
-                let col_base = block.store_base().add(cap * 4).cast::<u64>();
+                let col_base = block.store_base().add(column).cast::<u64>();
                 col_base.add(slot as usize).write(777);
             })
             .unwrap();
         let payload = a.entry.get().load_payload(Ordering::Acquire);
-        let (block, slot) = unsafe { c.locate(payload) };
+        let (block, slot) = unsafe { BlockRef::locate(payload) };
         assert_eq!((block, slot), (a.block, a.slot));
         let v = unsafe {
             block
                 .store_base()
-                .add(cap * 4)
+                .add(column)
                 .cast::<u64>()
                 .add(slot as usize)
                 .read()

@@ -27,6 +27,7 @@
 //! was buried at ([`Runtime::drain_graveyard`](crate::runtime::Runtime::drain_graveyard)).
 
 use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
 
@@ -250,7 +251,11 @@ impl EpochManager {
     pub fn try_pin(self: &Arc<Self>) -> Result<Guard<'_>, MemError> {
         let idx = self.thread_index()?;
         self.enter(idx);
-        Ok(Guard { mgr: self, idx })
+        Ok(Guard {
+            mgr: self,
+            idx,
+            _pinned_to_thread: PhantomData,
+        })
     }
 
     fn enter(&self, idx: usize) {
@@ -461,10 +466,20 @@ impl EpochManager {
 /// Rust rendering of "all accesses to objects are valid as long as the
 /// incarnation numbers matched at the time they were checked" within a grace
 /// period (§3.4).
+///
+/// A guard pins its thread's registry slot, so it is neither `Send` nor
+/// `Sync`: the slot is released when its thread exits, and a guard that
+/// outlived that thread would pin nothing while the global epoch moves on.
+///
+/// ```compile_fail
+/// let rt = smc_memory::Runtime::new();
+/// let guard = std::thread::scope(|s| s.spawn(|| rt.pin()).join().unwrap());
+/// ```
 #[derive(Debug)]
 pub struct Guard<'e> {
     mgr: &'e Arc<EpochManager>,
     idx: usize,
+    _pinned_to_thread: PhantomData<*const ()>,
 }
 
 impl<'e> Guard<'e> {

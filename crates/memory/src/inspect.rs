@@ -146,13 +146,13 @@ impl CollectionSnapshot {
         let membership = ctx.membership_snapshot();
         let mut blocks = Vec::with_capacity(membership.blocks.len());
         for block in &membership.blocks {
-            blocks.push(block_snapshot(ctx, block, false));
+            blocks.push(block_snapshot(block, false));
         }
         for group in &membership.groups {
             for block in &group.sources {
-                blocks.push(block_snapshot(ctx, block, true));
+                blocks.push(block_snapshot(block, true));
             }
-            blocks.push(block_snapshot(ctx, &group.dest, true));
+            blocks.push(block_snapshot(&group.dest, true));
         }
         let mut snap = CollectionSnapshot {
             context_id: ctx.id(),
@@ -425,7 +425,7 @@ fn slot_bytes(ctx: &MemoryContext) -> u32 {
 /// Reads one block's counters and walks its allocated prefix for
 /// incarnation churn. All reads are atomic loads on live memory — the
 /// caller's pinned guard keeps the block resident (module docs).
-fn block_snapshot(ctx: &MemoryContext, block: &BlockRef, in_group: bool) -> BlockSnapshot {
+fn block_snapshot(block: &BlockRef, in_group: bool) -> BlockSnapshot {
     let h = block.header();
     let capacity = h.capacity;
     let valid = h.valid_count.load(Ordering::Acquire).min(capacity);
@@ -437,7 +437,7 @@ fn block_snapshot(ctx: &MemoryContext, block: &BlockRef, in_group: bool) -> Bloc
     let holes = cursor.saturating_sub(valid).saturating_sub(limbo);
     let mut churn = 0u64;
     for slot in 0..cursor {
-        churn += ctx.slot_inc(block, slot).incarnation() as u64;
+        churn += block.payload_inc(slot).incarnation() as u64;
     }
     BlockSnapshot {
         block_id: h.block_id,

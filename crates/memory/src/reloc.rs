@@ -23,7 +23,7 @@
 
 use std::sync::atomic::Ordering;
 
-use crate::block::BlockRef;
+use crate::block::{BlockLayout, BlockRef};
 use crate::incarnation::{FLAG_FORWARD, FLAG_FROZEN, INC_MASK};
 use crate::indirection::EntryRef;
 use crate::slot::SlotId;
@@ -95,17 +95,18 @@ impl RelocEntry {
 /// The per-block list of scheduled relocations, hung off the block header.
 #[derive(Debug)]
 pub struct RelocationList {
-    /// Size of the object payload being copied, in bytes.
-    pub obj_size: u32,
+    /// Layout of the source and destination blocks: which bytes, or which
+    /// column cells, make up one object.
+    pub layout: BlockLayout,
     /// Entries sorted by `src_slot` for binary-search lookup from readers.
     pub entries: Vec<RelocEntry>,
 }
 
 impl RelocationList {
     /// Builds a list from entries (sorts them by source slot).
-    pub fn new(obj_size: u32, mut entries: Vec<RelocEntry>) -> Self {
+    pub fn new(layout: BlockLayout, mut entries: Vec<RelocEntry>) -> Self {
         entries.sort_by_key(|e| e.src_slot);
-        RelocationList { obj_size, entries }
+        RelocationList { layout, entries }
     }
 
     /// Finds the relocation entry for `slot`, if that slot is scheduled.
@@ -176,10 +177,14 @@ pub unsafe fn try_move_object(src_block: BlockRef, reloc: &RelocEntry) -> MoveOu
             MoveOutcome::BailedOut
         }
         RelocStatus::Pending => {
-            let src = src_block.obj_ptr(reloc.src_slot);
             let dest = reloc.dest_obj_addr as *mut u8;
-            std::ptr::copy_nonoverlapping(src, dest, reloc.obj_size(src_block));
             let dest_block = BlockRef::from_interior_ptr(dest);
+            // The layout travels with the list; reach it through the header.
+            let list = src_block.header().reloc_list.load(Ordering::Acquire);
+            debug_assert!(!list.is_null());
+            (*list)
+                .layout
+                .copy_object(src_block, reloc.src_slot, dest_block, reloc.dest_slot);
             // The slot-side incarnation is an independent counter from the
             // entry's (`reloc.inc`); direct pointers (§6) validate against
             // the slot side, so the *slot* counter is what must survive the
@@ -190,12 +195,15 @@ pub unsafe fn try_move_object(src_block: BlockRef, reloc: &RelocEntry) -> MoveOu
                 // the destination slot; direct pointers then mis-validate.
                 reloc.inc & INC_MASK
             } else {
-                src_block.slot_inc(reloc.src_slot).load(Ordering::Acquire) & INC_MASK
+                src_block
+                    .payload_inc(reloc.src_slot)
+                    .load(Ordering::Acquire)
+                    & INC_MASK
             };
             // Install identity at the destination: incarnation, back-pointer,
             // slot-directory Valid.
             dest_block
-                .slot_inc(reloc.dest_slot)
+                .payload_inc(reloc.dest_slot)
                 .store(slot_inc, Ordering::Release);
             dest_block
                 .back_ptr(reloc.dest_slot)
@@ -211,7 +219,7 @@ pub unsafe fn try_move_object(src_block: BlockRef, reloc: &RelocEntry) -> MoveOu
             // Tombstone the source slot for direct pointers (§6): keep the
             // incarnation, set FORWARD, clear FROZEN.
             src_block
-                .slot_inc(reloc.src_slot)
+                .payload_inc(reloc.src_slot)
                 .store(slot_inc | FLAG_FORWARD, Ordering::Release);
             // The source slot no longer holds the object.
             let epoch_hint = 0; // retired blocks are reclaimed wholesale
@@ -266,7 +274,7 @@ pub unsafe fn bail_out_relocation(src_block: BlockRef, reloc: &RelocEntry) -> Mo
             if !mutation::enabled(Mutation::BailKeepsFrozen) {
                 // Re-introduced bug (`BailKeepsFrozen`) skips this unfreeze,
                 // wedging readers that wait for the freeze to resolve.
-                let slot_inc = src_block.slot_inc(reloc.src_slot);
+                let slot_inc = src_block.payload_inc(reloc.src_slot);
                 let cur = slot_inc.load(Ordering::Acquire);
                 if cur & FLAG_FROZEN != 0 {
                     slot_inc.store(cur & !FLAG_FROZEN, Ordering::Release);
@@ -306,15 +314,6 @@ pub unsafe fn cancel_relocation(src_block: BlockRef, reloc: &RelocEntry) -> Move
     bail_out_relocation(src_block, reloc)
 }
 
-impl RelocEntry {
-    fn obj_size(&self, src_block: BlockRef) -> usize {
-        // The object size travels with the list; reach it through the header.
-        let list = src_block.header().reloc_list.load(Ordering::Acquire);
-        debug_assert!(!list.is_null());
-        unsafe { (*list).obj_size as usize }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,10 +322,13 @@ mod tests {
     use crate::indirection::IndirectionTable;
     use crate::slot::SlotState;
 
+    fn layout() -> BlockLayout {
+        BlockLayout::rows_of::<u64>().unwrap()
+    }
+
     fn setup_pair() -> (BlockRef, BlockRef, IndirectionTable) {
-        let layout = BlockLayout::rows_of::<u64>().unwrap();
-        let src = BlockRef::allocate(&layout, type_id_of::<u64>(), 1).unwrap();
-        let dst = BlockRef::allocate(&layout, type_id_of::<u64>(), 1).unwrap();
+        let src = BlockRef::allocate(&layout(), type_id_of::<u64>(), 1).unwrap();
+        let dst = BlockRef::allocate(&layout(), type_id_of::<u64>(), 1).unwrap();
         (src, dst, IndirectionTable::new())
     }
 
@@ -354,7 +356,7 @@ mod tests {
             let e = install(src, &table, 5, 12345);
             freeze(e, src, 5, 0);
             let reloc = RelocEntry::new(5, e.addr(), 0, dst.obj_ptr(9) as usize, 9);
-            let list = Box::new(RelocationList::new(8, vec![]));
+            let list = Box::new(RelocationList::new(layout(), vec![]));
             src.header()
                 .reloc_list
                 .store(Box::into_raw(list), Ordering::Release);
@@ -389,7 +391,7 @@ mod tests {
             let e = install(src, &table, 0, 7);
             freeze(e, src, 0, 0);
             let reloc = RelocEntry::new(0, e.addr(), 0, dst.obj_ptr(0) as usize, 0);
-            let list = Box::new(RelocationList::new(8, vec![]));
+            let list = Box::new(RelocationList::new(layout(), vec![]));
             src.header()
                 .reloc_list
                 .store(Box::into_raw(list), Ordering::Release);
@@ -442,7 +444,7 @@ mod tests {
             RelocEntry::new(2, 0x20, 0, 0x200, 1),
             RelocEntry::new(5, 0x30, 0, 0x300, 2),
         ];
-        let list = RelocationList::new(8, entries);
+        let list = RelocationList::new(layout(), entries);
         assert_eq!(list.find(2).unwrap().entry_addr, 0x20);
         assert_eq!(list.find(5).unwrap().entry_addr, 0x30);
         assert_eq!(list.find(9).unwrap().entry_addr, 0x10);
@@ -464,7 +466,7 @@ mod tests {
                     dst.obj_ptr(7) as usize,
                     7,
                 ));
-                let list = Box::new(RelocationList::new(8, vec![]));
+                let list = Box::new(RelocationList::new(layout(), vec![]));
                 src.header()
                     .reloc_list
                     .store(Box::into_raw(list), Ordering::Release);

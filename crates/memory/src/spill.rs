@@ -78,7 +78,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
 
 use crate::block::BlockRef;
-use crate::context::{LayoutMode, Membership, MemoryContext};
+use crate::context::{Membership, MemoryContext};
 use crate::error::MemError;
 use crate::fault::FaultSite;
 use crate::indirection::EntryRef;
@@ -319,7 +319,7 @@ impl MemoryContext {
     /// relocation protocol reads unconditionally — spill tagging is a
     /// row-store feature).
     pub fn enable_spill(self: &Arc<Self>, store: Arc<dyn PageStore>) -> bool {
-        if self.mode != LayoutMode::Rows {
+        if self.layout.is_columnar() {
             return false;
         }
         let mut s = self.spill.lock();
@@ -415,7 +415,7 @@ impl MemoryContext {
             // A free that locked before the mark finishes here; after it
             // the slot is no longer `Valid` and is not ours to spill.
             entry.get().inc().wait_unlocked();
-            let home = self.payload_of(&victim, slot_id);
+            let home = victim.payload(slot_id);
             if victim.slot_word(slot_id).state() != SlotState::Valid
                 || entry.get().load_payload(Ordering::Acquire) != home
             {
@@ -423,7 +423,7 @@ impl MemoryContext {
             }
             // Retire direct pointers into the page — a spilled slot must
             // not satisfy a §6 direct dereference against stale memory.
-            self.slot_inc(&victim, slot_id).bump_exclusive();
+            victim.payload_inc(slot_id).bump_exclusive();
             entry.get().store_payload(tag, Ordering::Release);
             entries.push(back);
             slots.push(slot_id);
@@ -445,7 +445,7 @@ impl MemoryContext {
         let mut page = PageWriter::begin(
             &mut s.page_buf,
             block_id,
-            self.obj_size as usize,
+            self.layout.obj_size as usize,
             self.layout.capacity as usize,
         );
         for &slot_id in &slots {
@@ -466,7 +466,7 @@ impl MemoryContext {
                 let entry = unsafe { EntryRef::from_addr(back) };
                 entry
                     .get()
-                    .store_payload(self.payload_of(&victim, slot_id), Ordering::Release);
+                    .store_payload(victim.payload(slot_id), Ordering::Release);
             }
             // The tag was published: a pinned reader may have loaded it
             // before the restore and dereferences the stub before it takes
@@ -547,7 +547,7 @@ impl MemoryContext {
         // faults in must fail only when the OS refuses.
         let fresh = self.runtime.hand_out(&self.layout, self.type_id, self.id)?;
         let page = slot.remove();
-        let obj_size = self.obj_size as usize;
+        let obj_size = self.layout.obj_size as usize;
         let mut live: u32 = 0;
         for (i, (obj, &entry_addr)) in records.zip(&page.entries).enumerate() {
             let slot_id = i as SlotId;
@@ -563,7 +563,7 @@ impl MemoryContext {
             if entry.get().load_payload(Ordering::Acquire) == page.tag {
                 entry
                     .get()
-                    .store_payload(self.payload_of(&fresh, slot_id), Ordering::Release);
+                    .store_payload(fresh.payload(slot_id), Ordering::Release);
                 live += 1;
             } else {
                 // Defensive: the entry no longer references this page (it
@@ -613,7 +613,7 @@ impl MemoryContext {
             && store.load_page(page.ticket, block_id, bytes).is_ok();
         let bytes: &'b [u8] = bytes;
         loaded
-            .then(|| crate::page::decode(bytes, block_id, self.obj_size as u64).ok())
+            .then(|| crate::page::decode(bytes, block_id, self.layout.obj_size as u64).ok())
             .flatten()
             .filter(|records| records.len() == page.entries.len())
             .ok_or_else(|| {
@@ -640,7 +640,7 @@ impl MemoryContext {
         &self,
         visit: &mut dyn FnMut(usize, *const u8),
     ) -> Result<Membership, MemError> {
-        if self.mode != LayoutMode::Rows || in_spill_scan() {
+        if self.layout.is_columnar() || in_spill_scan() {
             return Ok(self.membership_snapshot());
         }
         let mut s = self.spill.lock();
@@ -658,7 +658,7 @@ impl MemoryContext {
         // Page records are packed back to back, so a record may sit at an
         // address the object type cannot be read from; such a record is
         // handed to `visit` as an aligned scratch copy.
-        let obj_size = self.obj_size as usize;
+        let obj_size = self.layout.obj_size as usize;
         let mut scratch = vec![0u8; obj_size + self.obj_align];
         let aligned = scratch.as_ptr().align_offset(self.obj_align);
         let scratch = &mut scratch[aligned..aligned + obj_size];
@@ -1036,7 +1036,7 @@ mod tests {
         let c = Arc::new(
             MemoryContext::new_columnar(
                 rt.clone(),
-                12,
+                &[8],
                 type_id_of::<u64>(),
                 ContextConfig::default(),
             )

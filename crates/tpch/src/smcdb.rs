@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use smc::{ColumnArrays, Columnar, ColumnarSmc, DirectRef, Ref, Smc};
+use smc::{ColumnArrays, Columnar, Columns, DirectRef, Ref, Smc};
 use smc_memory::{Decimal, Runtime, Tabular};
 
 use crate::gen::Generator;
@@ -342,7 +342,7 @@ pub struct SmcDb {
     /// The `lineitem` table.
     pub lineitems: Smc<Lineitem>,
     /// Columnar twin of the lineitem collection (loaded on demand).
-    pub lineitems_col: Option<ColumnarSmc<LineitemCol>>,
+    pub lineitems_col: Option<Smc<LineitemCol, Columns>>,
 }
 
 impl SmcDb {
@@ -358,8 +358,8 @@ impl SmcDb {
         let customers: Smc<Customer> = Smc::new(&runtime);
         let orders: Smc<Order> = Smc::new(&runtime);
         let lineitems: Smc<Lineitem> = Smc::new(&runtime);
-        let lineitems_col: Option<ColumnarSmc<LineitemCol>> =
-            with_columnar.then(|| ColumnarSmc::new(&runtime));
+        let lineitems_col: Option<Smc<LineitemCol, Columns>> =
+            with_columnar.then(|| Smc::columnar(&runtime));
 
         // Key → reference maps, dense (keys are 0.. or 1..N).
         let mut region_refs = Vec::new();

@@ -3,8 +3,8 @@
 //! churn — checked under injected failures and a context budget.
 //!
 //! Worker threads each own a model pool of `(key, ref)` over one `Smc` of a
-//! self-checking row and run a seeded mix of add, remove, read and
-//! enumerate, or fill-and-decimate churn. Compaction runs either inline, one
+//! self-checking row, stored in rows or in columns, and run a seeded mix of
+//! add, remove, read and enumerate, or fill-and-decimate churn. Compaction runs either inline, one
 //! pass before each worker joins and one after the last, with faults armed,
 //! or in a maintenance `Coordinator` beside a scanning thread. Every round
 //! ends quiescent:
@@ -14,8 +14,8 @@
 //!
 //! Each test is one configuration, and each asserts it was not vacuous:
 //! every site it arms injects, a budgeted run meets the budget gate's
-//! refusal, an inline run interrupts a pass, and a coordinator run both
-//! fails a pass and completes one. A seed fixes which call
+//! refusal, an inline run interrupts a pass and moves an object, and a
+//! coordinator run both fails a pass and completes one. A seed fixes which call
 //! indices fail at each site, not which thread draws them, so with more than
 //! one thread the counters vary from run to run; the rates are set so that
 //! a call index every run reaches fails. `--nocapture` prints the counters.
@@ -26,29 +26,46 @@ use std::time::{Duration, Instant};
 
 use smc_maint::{Coordinator, MaintConfig, MaintPolicy};
 use smc_obs::hist::Histogram;
-use smc_repro::smc::{ContextConfig, Ref, Smc};
+use smc_repro::smc::{ColumnArrays, Columnar, Columns, ContextConfig, Layout, Ref, Smc, Tabular};
 use smc_repro::smc_memory::error::MemError;
 use smc_repro::smc_memory::fault::FaultSite;
 use smc_repro::smc_memory::{Runtime, BLOCK_SIZE};
 use smc_repro::smc_util::Pcg32;
 
 /// 64 bytes: the key, then seven words derived from it, so a read of a
-/// half-moved or half-written row fails [`coherent`].
-type Row = [u64; 8];
+/// half-moved or half-written row fails [`coherent`]. Stored in columns,
+/// each word is a column.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Row([u64; 8]);
+unsafe impl Tabular for Row {}
+
+unsafe impl Columnar for Row {
+    const COLUMN_WIDTHS: &'static [usize] = &[8; 8];
+
+    unsafe fn scatter(&self, cols: &ColumnArrays, slot: usize) {
+        for (i, word) in self.0.iter().enumerate() {
+            cols.cell::<u64>(i, slot).write(*word);
+        }
+    }
+
+    unsafe fn gather(cols: &ColumnArrays, slot: usize) -> Self {
+        Row(std::array::from_fn(|i| cols.cell::<u64>(i, slot).read()))
+    }
+}
 
 fn row(key: u64) -> Row {
-    std::array::from_fn(|i| match i {
+    Row(std::array::from_fn(|i| match i {
         0 => key,
         _ => key.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (0x5ca1_ab1e + i as u64),
-    })
+    }))
 }
 
 fn coherent(r: &Row) -> bool {
-    *r == row(r[0])
+    *r == row(r.0[0])
 }
 
 /// A worker's model: the rows it added and has not removed.
-type Pool = Vec<(u64, Ref<Row>)>;
+type Pool<L> = Vec<(u64, Ref<Row, L>)>;
 
 /// The shape of a worker's churn.
 #[derive(Clone, Copy)]
@@ -101,17 +118,19 @@ struct Tally {
     injected: Vec<(FaultSite, u64)>,
     budget_rejections: u64,
     interrupted_passes: u64,
+    /// Objects the inline passes moved.
+    objects_moved: u64,
     /// Limbo slots that in-place reclamation handed out again.
     slots_reclaimed: u64,
 }
 
 /// Runs `ops` operations of `mix` on `pool`, fewer once `stop` is set;
 /// returns the torn rows it read.
-fn churn(
-    c: &Smc<Row>,
+fn churn<L: Layout<Row>>(
+    c: &Smc<Row, L>,
     mix: Mix,
     rng: &mut Pcg32,
-    pool: &mut Pool,
+    pool: &mut Pool<L>,
     ops: usize,
     stop: &AtomicBool,
     next_key: &AtomicU64,
@@ -141,10 +160,10 @@ fn churn(
     }
 }
 
-fn random(
-    c: &Smc<Row>,
+fn random<L: Layout<Row>>(
+    c: &Smc<Row, L>,
     rng: &mut Pcg32,
-    pool: &mut Pool,
+    pool: &mut Pool<L>,
     ops: usize,
     stop: &AtomicBool,
     next_key: &AtomicU64,
@@ -165,7 +184,7 @@ fn random(
                 let (key, r) = pool[rng.gen_range(0..pool.len())];
                 match c.runtime().try_pin() {
                     Ok(guard) => match c.read(r, &guard) {
-                        Some(v) => torn += u64::from(v[0] != key || !coherent(&v)),
+                        Some(v) => torn += u64::from(v.0[0] != key || !coherent(&v)),
                         None => panic!("own live ref read as null"),
                     },
                     Err(MemError::TooManyThreads) => {}
@@ -187,13 +206,13 @@ fn random(
 
 /// Adds the next key's row to `pool`. Refused for the budget, it sheds the
 /// oldest quarter of `pool`: the application's answer to pressure.
-fn add(c: &Smc<Row>, pool: &mut Pool, next_key: &AtomicU64) {
+fn add<L: Layout<Row>>(c: &Smc<Row, L>, pool: &mut Pool<L>, next_key: &AtomicU64) {
     let key = next_key.fetch_add(1, Ordering::Relaxed);
     match c.try_add(row(key)) {
         Ok(r) => pool.push((key, r)),
         Err(MemError::OutOfMemory) => {
             let shed = (pool.len() / 4).max(1).min(pool.len());
-            let oldest: Pool = pool.drain(..shed).collect();
+            let oldest: Pool<L> = pool.drain(..shed).collect();
             for taken in oldest {
                 remove(c, pool, taken);
             }
@@ -205,7 +224,7 @@ fn add(c: &Smc<Row>, pool: &mut Pool, next_key: &AtomicU64) {
 
 /// Removes `taken`, which the caller took out of `pool`; when the remove
 /// does not happen (a refused thread claim), puts exactly it back.
-fn remove(c: &Smc<Row>, pool: &mut Pool, taken: (u64, Ref<Row>)) {
+fn remove<L: Layout<Row>>(c: &Smc<Row, L>, pool: &mut Pool<L>, taken: (u64, Ref<Row, L>)) {
     match c.try_remove(taken.1) {
         Ok(true) => {}
         Ok(false) => panic!("own live ref was already removed"),
@@ -215,7 +234,7 @@ fn remove(c: &Smc<Row>, pool: &mut Pool, taken: (u64, Ref<Row>)) {
 }
 
 /// Scans under a pin until `done`; returns the torn rows seen.
-fn scan_until(c: &Smc<Row>, mut done: impl FnMut() -> bool) -> u64 {
+fn scan_until<L: Layout<Row>>(c: &Smc<Row, L>, mut done: impl FnMut() -> bool) -> u64 {
     let mut torn = 0;
     while !done() {
         let guard = c.runtime().pin();
@@ -230,7 +249,7 @@ fn scan_until(c: &Smc<Row>, mut done: impl FnMut() -> bool) -> u64 {
 /// SLO gauge, which must complete passes and defer none, then a 1 s scan on
 /// the gauge's record, under which a due pass must be deferred. Returns the
 /// coordinator and the torn rows the scans saw.
-fn soak_and_defer(c: &Smc<Row>) -> (Coordinator, u64) {
+fn soak_and_defer<L: Layout<Row>>(c: &Smc<Row, L>) -> (Coordinator, u64) {
     let gauge = Arc::new(Histogram::new());
     let coordinator = Coordinator::new(MaintConfig {
         gauge: Some(gauge.clone()),
@@ -254,18 +273,24 @@ fn soak_and_defer(c: &Smc<Row>) -> (Coordinator, u64) {
     (coordinator, torn)
 }
 
-/// Runs `cfg`, asserting every correctness property on the way.
-fn run(name: &str, cfg: &Config) -> Tally {
+/// Builds the collection under test: `Smc::with_config` for rows,
+/// `Smc::columnar_with_config` for columns.
+type Make<L> = fn(&Arc<Runtime>, ContextConfig) -> Smc<Row, L>;
+
+/// Runs `cfg` on a collection from `make`, asserting every correctness
+/// property on the way.
+fn run<L: Layout<Row>>(name: &str, cfg: &Config, make: Make<L>) -> Tally {
     println!("{name}: seed {:#x}", cfg.seed); // shown on failure
     let rt = Runtime::new();
-    let c: Arc<Smc<Row>> = Arc::new(Smc::with_config(&rt, cfg.context));
+    let c = Arc::new(make(&rt, cfg.context));
     for &(site, rate) in &cfg.rates {
         rt.faults().set_rate(site, rate);
     }
     rt.faults().set_limit(cfg.fault_limit);
     let next_key = Arc::new(AtomicU64::new(0));
-    let mut pools: Vec<Pool> = vec![Vec::new(); cfg.threads];
+    let mut pools: Vec<Pool<L>> = vec![Vec::new(); cfg.threads];
     let mut interrupted_passes = 0;
+    let mut objects_moved = 0;
     for round in 0..cfg.rounds {
         rt.faults().enable(cfg.seed.wrapping_add(round as u64));
         // Detached threads, not a scope: a failed assert below must fail
@@ -298,7 +323,9 @@ fn run(name: &str, cfg: &Config) -> Tally {
         // mid-group, which must leave the collection valid.
         let mut compact_inline = || {
             if coordinator.is_none() {
-                interrupted_passes += u64::from(c.compact().interrupted);
+                let pass = c.compact();
+                interrupted_passes += u64::from(pass.interrupted);
+                objects_moved += pass.moved as u64;
                 c.release_retired();
             }
         };
@@ -358,7 +385,7 @@ fn run(name: &str, cfg: &Config) -> Tally {
     let guard = rt.pin();
     for &(key, r) in pools.iter().flatten() {
         let v = c.read(r, &guard).expect("survivor read as null");
-        assert!(v[0] == key && coherent(&v), "survivor {key} reads {v:?}");
+        assert!(v.0[0] == key && coherent(&v), "survivor {key} reads {v:?}");
     }
     drop(guard);
 
@@ -368,6 +395,7 @@ fn run(name: &str, cfg: &Config) -> Tally {
             .collect(),
         budget_rejections: rt.stats.snapshot().context_budget_rejections,
         interrupted_passes,
+        objects_moved,
         slots_reclaimed: rt.stats.snapshot().slots_reclaimed,
     };
     println!("{name}: {tally:?}\n{name}: {}", rt.faults());
@@ -375,8 +403,9 @@ fn run(name: &str, cfg: &Config) -> Tally {
 }
 
 /// What makes a run of `cfg` vacuous: an armed site that never injected, a
-/// budget the gate never enforced, inline compaction never interrupted, or
-/// in-place reclamation on but never handing a slot out again.
+/// budget the gate never enforced, inline compaction never interrupted or
+/// never moving an object, or in-place reclamation on but never handing a
+/// slot out again.
 fn vacuous(cfg: &Config, tally: &Tally) -> Vec<String> {
     let mut why: Vec<String> = (tally.injected.iter())
         .filter(|&&(_, n)| n == 0)
@@ -388,14 +417,17 @@ fn vacuous(cfg: &Config, tally: &Tally) -> Vec<String> {
     if matches!(cfg.compaction, Compaction::Inline) && tally.interrupted_passes == 0 {
         why.push("no inline pass was interrupted".into());
     }
+    if matches!(cfg.compaction, Compaction::Inline) && tally.objects_moved == 0 {
+        why.push("no inline pass moved an object".into());
+    }
     if cfg.context.reclamation_threshold <= 1.0 && tally.slots_reclaimed == 0 {
         why.push("in-place reclamation never reused a slot".into());
     }
     why
 }
 
-fn check(name: &str, cfg: Config) {
-    let tally = run(name, &cfg);
+fn check<L: Layout<Row>>(name: &str, cfg: Config, make: Make<L>) {
+    let tally = run(name, &cfg, make);
     let why = vacuous(&cfg, &tally);
     assert!(why.is_empty(), "{name} was vacuous: {why:?}");
 }
@@ -444,17 +476,28 @@ fn stress(seed: u64) -> Config {
 
 #[test]
 fn stress_seed_5eed() {
-    check("stress_seed_5eed", stress(0x5eed));
+    check("stress_seed_5eed", stress(0x5eed), Smc::with_config);
 }
 
 #[test]
 fn stress_seed_31337() {
-    check("stress_seed_31337", stress(31337));
+    check("stress_seed_31337", stress(31337), Smc::with_config);
 }
 
 #[test]
 fn stress_seed_7() {
-    check("stress_seed_7", stress(7));
+    check("stress_seed_7", stress(7), Smc::with_config);
+}
+
+/// The stress configuration over the columnar layout: relocation must move
+/// each object's cells, so every survivor of a pass reads back its own row.
+#[test]
+fn columns_stress_seed_5eed() {
+    check(
+        "columns_stress_seed_5eed",
+        stress(0x5eed),
+        Smc::<Row, Columns>::columnar_with_config,
+    );
 }
 
 /// One worker, six rounds of 2 000 operations under a four-block budget,
@@ -486,7 +529,7 @@ fn one_thread_six_rounds() {
         },
         compaction: Compaction::Inline,
     };
-    check("one_thread_six_rounds", cfg);
+    check("one_thread_six_rounds", cfg, Smc::with_config);
 }
 
 /// The coordinator soak: fill-and-decimate churn, a scanning foreground
@@ -510,7 +553,7 @@ fn coordinator_soak() {
         context: ContextConfig::default(),
         compaction: Compaction::Coordinator,
     };
-    check("coordinator_soak", cfg);
+    check("coordinator_soak", cfg, Smc::with_config);
 }
 
 /// Each way a run can be vacuous is named, on a hand-made tally of a
@@ -528,6 +571,7 @@ fn vacuous_names_every_reason() {
         injected: vec![(FaultSite::BlockAlloc, 3), (FaultSite::ThreadClaim, 0)],
         budget_rejections: 0,
         interrupted_passes: 0,
+        objects_moved: 0,
         slots_reclaimed: 0,
     };
     assert_eq!(
@@ -536,6 +580,7 @@ fn vacuous_names_every_reason() {
             "thread-claim armed, never injected",
             "the budget gate never refused",
             "no inline pass was interrupted",
+            "no inline pass moved an object",
             "in-place reclamation never reused a slot",
         ]
     );
@@ -543,6 +588,7 @@ fn vacuous_names_every_reason() {
         injected: vec![(FaultSite::ThreadClaim, 1)],
         budget_rejections: 1,
         interrupted_passes: 1,
+        objects_moved: 1,
         slots_reclaimed: 1,
     };
     assert!(vacuous(&cfg, &busy).is_empty());

@@ -420,7 +420,7 @@ fn one_block_cache() {
 /// test. This fails if either comes back, as a file or as a declared bin.
 #[test]
 fn one_churn_driver() {
-    assert!(read("tests/seeded_churn.rs").contains("fn churn("));
+    assert!(read("tests/seeded_churn.rs").contains("fn churn<"));
     for gone in [
         "crates/bench/src/bin/stress.rs",
         "crates/maint/tests/soak.rs",
@@ -429,6 +429,22 @@ fn one_churn_driver() {
     }
     let bins = read("crates/bench/Cargo.toml");
     none(bins.lines().filter(|l| l.trim() == "name = \"stress\""));
+}
+
+/// One collection type: the columnar layout (§4.1) is `Smc<T, Columns>`,
+/// not a second collection, and the column geometry is computed in one
+/// place, the memory layer's `BlockLayout::columnar`, which relocation reads
+/// to move a columnar object's cells.
+#[test]
+fn one_collection() {
+    forbid("struct ColumnarSmc", &["crates", "src", "tests"]);
+    let geometry = grep_r("fn column_offsets", &["crates", "src", "tests"]);
+    assert!(!geometry.is_empty(), "no column geometry at all");
+    none(
+        geometry
+            .iter()
+            .filter(|hit| !hit.starts_with("crates/memory/src/block.rs:")),
+    );
 }
 
 /// Every `pub fn` (`const` and `unsafe` ones too) above the first
