@@ -622,3 +622,74 @@ fn columnar_compaction_keeps_every_survivor() {
     keys.sort_unstable();
     assert_eq!(keys, (0..20_000u64).step_by(5).collect::<Vec<_>>());
 }
+
+/// A 2 KiB row: 31 fill a block, so 63 rows leave one in the tail block.
+#[derive(Clone, Copy)]
+struct Slab {
+    id: u64,
+    pad: [u8; 2040],
+}
+unsafe impl Tabular for Slab {}
+
+/// A spill-enabled collection of `n` wide rows, spilled down to the block
+/// its loading thread still allocates into.
+fn spilled_slabs(rt: &Arc<Runtime>, n: u64) -> (Smc<Slab>, Vec<Ref<Slab>>) {
+    let c: Smc<Slab> = Smc::new(rt);
+    assert!(c.enable_spill(Arc::new(smc_memory::MemoryPageStore::new())));
+    let refs = (0..n)
+        .map(|id| {
+            c.add(Slab {
+                id,
+                pad: [id as u8; 2040],
+            })
+        })
+        .collect();
+    while c.context().try_spill_one() {}
+    assert!(c.spilled_objects() > 0 && c.spilled_objects() < n);
+    (c, refs)
+}
+
+#[test]
+fn a_scan_inside_a_spilled_scan_sees_every_spilled_row() {
+    // The reference joins of §7 follow `Ref`s from inside a scan. Over
+    // spilled data the inner scan and every dereference must answer as
+    // they would over resident data: no rows missing, no refs null. Each
+    // outer row spills B down to its tail block again first, so every
+    // inner scan starts from spilled pages.
+    let rt = Runtime::new();
+    let (a, _) = spilled_slabs(&rt, 63);
+    let (b, b_refs) = spilled_slabs(&rt, 63);
+    let g = rt.pin();
+    let (mut outer, mut respilled, mut none) = (0, 0, 0);
+    let mut nested_visits = usize::MAX;
+    a.for_each(&g, |_| {
+        outer += 1;
+        while b.context().try_spill_one() {
+            respilled += 1;
+        }
+        let mut ids = Vec::new();
+        b.for_each(&g, |w| {
+            assert_eq!(w.pad, [w.id as u8; 2040], "row {} torn", w.id);
+            ids.push(w.id);
+        });
+        ids.sort_unstable();
+        ids.dedup();
+        nested_visits = nested_visits.min(ids.len());
+        none += b_refs
+            .iter()
+            .enumerate()
+            .filter(|(id, r)| r.get(&g).map(|w| w.id) != Some(*id as u64))
+            .count();
+    });
+    assert_eq!(outer, 63, "the outer scan visits every row of A");
+    assert_eq!(
+        (nested_visits, none),
+        (63, 0),
+        "nested_visits={nested_visits} none={none} of {}",
+        63 * 63
+    );
+    assert!(respilled > 0, "B was never spilled again inside the scan");
+    drop(g);
+    a.verify().unwrap();
+    b.verify().unwrap();
+}
