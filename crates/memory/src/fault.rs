@@ -10,8 +10,9 @@
 //! ## Determinism
 //!
 //! Whether call `n` at a site fails is a pure function of `(seed, site, n)`:
-//! each site keeps an atomic call counter, and the decision hashes the seed,
-//! a per-site salt, and the call index through SplitMix64. Re-running a
+//! each site keeps an atomic call counter, and the decision hashes the call
+//! index mixed into a key that SplitMix64 draws from the seed and a per-site
+//! salt, so no two sites, and no two neighbouring seeds, share a schedule. Re-running a
 //! single-threaded workload with the same seed therefore injects failures at
 //! exactly the same calls. Under concurrency the *set* of failing call
 //! indices is still fixed by the seed; only which thread draws which index
@@ -103,10 +104,13 @@ impl FaultSite {
         self as usize
     }
 
-    /// Stable per-site hash salt (decorrelates sites under one seed).
+    /// What call `call` at this site under `seed` hashes: the call index
+    /// mixed into a key drawn through SplitMix64 from the seed and the
+    /// site's salt. The key spreads both, so sites and neighbouring seeds do
+    /// not differ only in the low bits the call index also fills.
     #[inline]
-    fn salt(self) -> u64 {
-        0x9e37_79b9_0000_0000 | SALTS[self.index()]
+    fn hash_input(self, seed: u64, call: u64) -> u64 {
+        splitmix64(splitmix64(seed) ^ SALTS[self.index()]) ^ call
     }
 
     /// Human-readable site name.
@@ -220,7 +224,7 @@ impl FaultInjector {
         if rate == 0 {
             return false;
         }
-        let h = splitmix64(self.seed.load(Ordering::Relaxed) ^ site.salt() ^ call);
+        let h = splitmix64(site.hash_input(self.seed.load(Ordering::Relaxed), call));
         if (h % RATE_DENOMINATOR as u64) as u32 >= rate {
             return false;
         }
@@ -341,15 +345,15 @@ mod tests {
     #[test]
     fn every_site_decides_as_pinned() {
         const PINS: [(FaultSite, u64); NUM_SITES] = [
-            (FaultSite::BlockAlloc, 0xdde8_de12_58af_b743),
-            (FaultSite::EpochAdvance, 0xbb71_b784_a15f_de2c),
-            (FaultSite::ThreadClaim, 0x77b2_7b48_52af_ed1c),
-            (FaultSite::Relocation, 0xee4d_de12_4af5_b738),
-            (FaultSite::SnapshotPage, 0x772b_b784_25fa_dec1),
-            (FaultSite::SnapshotManifest, 0xd4ee_21ed_5fa4_837b),
-            (FaultSite::SnapshotRename, 0xe8dd_12de_af58_43b7),
-            (FaultSite::SpillStore, 0x71bb_84b7_5fa1_2cde),
-            (FaultSite::SpillLoad, 0xb277_487b_af52_1ced),
+            (FaultSite::BlockAlloc, 0xfadb_829a_2884_04de),
+            (FaultSite::EpochAdvance, 0xc3f2_b639_752b_d21a),
+            (FaultSite::ThreadClaim, 0x5627_a77a_d12f_419d),
+            (FaultSite::Relocation, 0x70cb_6a8a_5e3f_e2b5),
+            (FaultSite::SnapshotPage, 0x2281_bf9e_679e_c682),
+            (FaultSite::SnapshotManifest, 0x025e_9346_50b4_eb43),
+            (FaultSite::SnapshotRename, 0xac21_fa0c_9c8b_71de),
+            (FaultSite::SpillStore, 0x0a35_5d3b_7a0e_ed8b),
+            (FaultSite::SpillLoad, 0x4165_3c37_cca1_e1ff),
         ];
         assert_eq!(PINS.map(|(site, _)| site), FaultSite::ALL);
         let inj = FaultInjector::detached();
@@ -360,6 +364,28 @@ mod tests {
                 mask | u64::from(inj.should_fail(site)) << call
             });
             assert_eq!(decisions, pin, "{}: {decisions:#x}", site.name());
+        }
+    }
+
+    /// No two sites under one seed, and no site under seeds `s` and `s + 1`,
+    /// hash the same input in their first 16 calls: else one's decisions
+    /// are another's, reordered.
+    #[test]
+    fn sites_and_neighbouring_seeds_share_no_hash_input() {
+        for seed in (0..64).chain([7, 0x5b11, 0x5eed, 31337, u64::MAX - 1]) {
+            let mut inputs = std::collections::HashSet::new();
+            for s in [seed, seed + 1] {
+                for site in FaultSite::ALL {
+                    for call in 0..16 {
+                        let input = site.hash_input(s, call);
+                        assert!(
+                            inputs.insert(input),
+                            "seed {s:#x} {} call {call}",
+                            site.name()
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -505,7 +505,11 @@ fn columns_stress_seed_5eed() {
 /// ever formed a group here, so it takes the stress cutoff. A block is
 /// queued for reclamation at 25 % limbo, not 5 %: at 5 % the queue refills
 /// holes so fast that in some runs no armed pass formed a group, and then
-/// the pass that races the worker decided whether one did.
+/// the pass that races the worker decided whether one did. The thread
+/// claim is reached about eight times a run and a refused claim of the
+/// driving thread skips its inline pass, so the claim's rate stays low; the
+/// block allocation is reached about twelve times, so its rate is high
+/// enough that one of the calls every run reaches fails.
 #[test]
 fn one_thread_six_rounds() {
     let cfg = Config {
@@ -515,9 +519,9 @@ fn one_thread_six_rounds() {
         rounds: 6,
         mix: Mix::Random,
         rates: vec![
-            (FaultSite::BlockAlloc, 192),
+            (FaultSite::BlockAlloc, 384),
             (FaultSite::EpochAdvance, 192),
-            (FaultSite::ThreadClaim, 512),
+            (FaultSite::ThreadClaim, 128),
             (FaultSite::Relocation, 48),
         ],
         fault_limit: None,
