@@ -26,7 +26,8 @@
 //!   twice, while thread slots' magazines change hands and releases race
 //!   allocations.
 //! * **spill** — a free racing a spill of its object's block lands, and no
-//!   spilled page keeps the record of a freed object.
+//!   spilled page keeps the record of a freed object; a spilled scan racing
+//!   a fault-in and a free of its page visits each object once.
 //! * **rings and waiter** — a reply ring drained by its documented rule
 //!   loses and reorders nothing; a wake-up published while its waiter goes
 //!   to sleep is not lost; a trace-ring reader racing the owner sees only
@@ -75,6 +76,7 @@ pub fn all() -> Vec<NamedScenario> {
         ("foreign_free_vs_owner_pop", foreign_free_vs_owner_pop),
         ("entry_release_vs_owner_alloc", entry_release_vs_owner_alloc),
         ("spill_vs_free", spill_vs_free),
+        ("spilled_scan_vs_fault_in", spilled_scan_vs_fault_in),
         (
             "reply_ring_drain_vs_late_producer",
             reply_ring_drain_vs_late_producer,
@@ -872,6 +874,84 @@ pub fn spill_vs_free() -> Scenario {
                 "live objects {live} != model {model} (spilled {})",
                 ctx.spilled_objects()
             );
+            ctx.verify()
+                .unwrap_or_else(|v| panic!("context must verify at quiescence: {v:?}"));
+        })
+}
+
+/// A spilled scan races a fault-in and a free on the page it reads.
+///
+/// The context of [`spill_vs_free`] with its full block spilled: objects 0,
+/// 1 and 2 live in one page, object 3 in the resident tail block. Thread A
+/// runs the scan `Smc::for_each` runs
+/// ([`MemoryContext::scan_spilled_then_snapshot`], then the snapshot's
+/// blocks) while pinned; thread B frees object 0, which faults the page in
+/// first. Oracle: the scan succeeds and sees objects 1, 2 and 3 exactly once
+/// and object 0 at most once — from the page it listed, or from the block
+/// the page became, never both — the free succeeds, and `verify()` is clean.
+/// Catches [`smc_util::mutation::Mutation::ScanSnapshotsApart`].
+pub fn spilled_scan_vs_fault_in() -> Scenario {
+    const OBJ_SIZE: usize = 20_000;
+    let rt = Runtime::new();
+    let ctx = Arc::new(
+        MemoryContext::new_rows(
+            rt.clone(),
+            OBJ_SIZE,
+            8,
+            type_id_of::<[u8; OBJ_SIZE]>(),
+            ContextConfig::default(),
+        )
+        .expect("three wide slots fit a block"),
+    );
+    assert!(ctx.enable_spill(Arc::new(MemoryPageStore::new())));
+    let objects: Vec<_> = (0..4u8)
+        .map(|i| {
+            ctx.alloc_with(|block, slot| unsafe { block.obj_ptr(slot).write_bytes(i, OBJ_SIZE) })
+                .expect("four objects fit two blocks")
+        })
+        .collect();
+    assert!(ctx.try_spill_one());
+    assert_eq!(ctx.spilled_objects(), 3);
+    let seen = Arc::new(Mutex::new(None));
+    let freed = Arc::new(Mutex::new(None));
+    let (scanner, freer) = (ctx.clone(), ctx.clone());
+    let (seen_by_a, freed_by_b) = (seen.clone(), freed.clone());
+    let victim = (objects[0].entry, objects[0].entry_inc);
+    Scenario::new()
+        .thread(move || {
+            let guard = rt.pin();
+            let mut values = Vec::new();
+            let scanned = scanner
+                .scan_spilled_then_snapshot(&mut |_, obj| values.push(unsafe { *obj }))
+                .map(|m| {
+                    m.for_each_block(&guard, &rt.stats, |block| {
+                        for slot in block.valid_slots() {
+                            values.push(unsafe { *block.obj_ptr(slot) });
+                        }
+                    });
+                    values
+                });
+            *seen_by_a.lock().unwrap() = Some(scanned);
+        })
+        .thread(move || {
+            let outcome = freer.try_free(victim.0, victim.1);
+            *freed_by_b.lock().unwrap() = Some(outcome);
+        })
+        .finally(move || {
+            let scanned = seen.lock().unwrap().take().expect("thread A ran");
+            let mut values = scanned.expect("a spilled scan racing a fault-in must not fail");
+            values.sort_unstable();
+            assert!(
+                values == [1, 2, 3] || values == [0, 1, 2, 3],
+                "the scan saw {values:?}: each live object exactly once, the freed one at most once"
+            );
+            let outcome = freed.lock().unwrap().take().expect("thread B ran");
+            assert_eq!(
+                outcome,
+                Ok(true),
+                "object 0 was live, so its free must land"
+            );
+            assert_eq!(ctx.live_objects(), 3);
             ctx.verify()
                 .unwrap_or_else(|v| panic!("context must verify at quiescence: {v:?}"));
         })

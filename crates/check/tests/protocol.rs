@@ -180,6 +180,15 @@ fn catches_free_ignores_spill_claim() {
 }
 
 #[test]
+fn catches_scan_snapshots_apart() {
+    assert_mutation_caught(
+        Mutation::ScanSnapshotsApart,
+        "spilled_scan_vs_fault_in",
+        scenarios::spilled_scan_vs_fault_in,
+    );
+}
+
+#[test]
 fn catches_pop_releases_slot_before_read() {
     assert_mutation_caught(
         Mutation::PopReleasesSlotBeforeRead,

@@ -339,9 +339,11 @@ impl<T: Tabular> Smc<T> {
     /// (the scan stops — fail closed, no partial page is surfaced).
     pub fn try_for_each(&self, guard: &Guard<'_>, mut f: impl FnMut(&T)) -> Result<u64, MemError> {
         let mut n = 0;
-        // Spilled pages first: the membership snapshot is taken under the
-        // same spill mutex, so a page faulted in mid-scan cannot be seen
-        // twice (as page *and* block) or missed entirely.
+        // Spilled pages first: the page list and the membership snapshot
+        // are taken together, so a page faulted in mid-scan cannot be seen
+        // twice (as page *and* block) or missed entirely. No lock is held
+        // while `f` runs: it may follow `Ref`s into spilled pages or scan
+        // another collection.
         let m = self
             .ctx
             .scan_spilled_then_snapshot(&mut |_entry_addr, obj| {
@@ -367,7 +369,8 @@ impl<T: Tabular> Smc<T> {
     /// Like [`for_each`](Self::for_each) but also hands out the checked
     /// reference of each object (built from the slot's back-pointer, exactly
     /// as the paper's generated code yields `ObjRef`s, §4). Spilled objects
-    /// yield working references too — dereferencing one faults its page in.
+    /// yield working references too — dereferencing one faults its page in,
+    /// also from inside `f`, which runs with no lock held.
     /// Panics if a spilled page cannot be read.
     pub fn for_each_ref(&self, guard: &Guard<'_>, mut f: impl FnMut(Ref<T>, &T)) -> u64 {
         let mut n = 0;
@@ -398,9 +401,11 @@ impl<T: Tabular> Smc<T> {
     /// performance-critical query code; the pull iterator exists for
     /// ergonomic composition.
     ///
-    /// **Resident objects only**: spilled pages are not visited (a lazy
-    /// pull iterator cannot hold the spill mutex across `next` calls). Use
-    /// [`for_each`](Self::for_each) for scans that must see spilled data.
+    /// **Resident objects only**: spilled pages are not visited. A spilled
+    /// record lives only in a page buffer for as long as the page is being
+    /// read, and a pull iterator cannot lend a `&'g T` into that buffer
+    /// across `next` calls. Use [`for_each`](Self::for_each) for scans that
+    /// must see spilled data.
     pub fn iter<'g, 'e>(&self, guard: &'g Guard<'e>) -> Iter<'g, 'e, T> {
         Iter {
             guard,

@@ -170,10 +170,10 @@ impl<'a, T: Tabular + Sync> ParScan<'a, T> {
         // worker is done (the safety argument in the module docs).
         let _coord = runtime.pin();
         // Spilled pages first, on the coordinating thread: they are the cold
-        // tail, read sequentially from the page store while the membership
-        // snapshot is taken under the same spill mutex (a page faulted in
-        // mid-scan can't be seen twice or missed). Resident units then fan
-        // out to the workers as usual.
+        // tail, read sequentially from the page store. The membership
+        // snapshot is taken with the page list (a page faulted in mid-scan
+        // can't be seen twice or missed), and `body` runs with no lock
+        // held. Resident units then fan out to the workers as usual.
         let mut spilled_acc = make();
         let membership = self
             .collection

@@ -35,7 +35,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use smc_util::sync::{cpu_relax, fence, AtomicU64, AtomicUsize, Mutex, RwLock};
+use smc_util::sync::{fence, AtomicU64, AtomicUsize, Mutex, RwLock};
 
 use crate::block::{BlockLayout, BlockRef};
 pub use crate::compact::{CompactionGroup, CompactionReport};
@@ -244,8 +244,8 @@ pub struct MemoryContext {
     pub(crate) pending_retired: Mutex<Vec<BlockRef>>,
     /// Spill state ([`crate::spill`]): the page store, the spilled-page
     /// list, and a weak self-handle for stubs. One mutex covers spill,
-    /// fault-in and spilled-page scans — the holder is the only possible
-    /// writer of a tagged entry payload.
+    /// fault-in and a scan's listing of the pages — the holder is the only
+    /// possible writer of a tagged entry payload.
     pub(crate) spill: Mutex<SpillState>,
     /// Blocks currently spilled to the page store (gauge).
     pub(crate) spilled_blocks_gauge: AtomicU64,
@@ -687,15 +687,9 @@ impl MemoryContext {
             }
             // A spill holds the home block and tags its entries without
             // their locks: step aside until it has tagged this one (retry
-            // finds the tag) or given the block back. Inside a spilled scan
-            // this thread may hold a spill mutex already, so it retries
-            // instead of queueing for one.
+            // finds the tag) or given the block back.
             entry.get().inc().unlock_keep_flags(observed);
-            if spill::in_spill_scan() {
-                cpu_relax();
-            } else {
-                drop(self.spill.lock());
-            }
+            drop(self.spill.lock());
         };
         // Invalidate direct pointers.
         block.payload_inc(slot_id).bump_unlocked();
@@ -724,9 +718,7 @@ impl MemoryContext {
     pub fn live_objects(&self) -> u64 {
         let count = |b: BlockRef| b.header().valid_count.load(Ordering::Relaxed) as u64;
         self.membership.read().owned_blocks().map(count).sum::<u64>()
-            // The gauge, not the page list: `len()` must stay callable from
-            // inside a spilled-page scan callback, which holds the spill
-            // mutex.
+            // The gauge, not the page list: counting takes no spill mutex.
             + self.spilled_objects_gauge.load(Ordering::Relaxed)
     }
 }

@@ -64,14 +64,19 @@
 //!
 //! Enumerations must not thrash: a scan over a larger-than-budget dataset
 //! would otherwise fault every page back in and spill another to make room.
-//! `Smc::for_each` therefore walks spilled pages *first*, streaming records
-//! out of a transient read buffer without promoting them to residency, and
-//! takes its membership snapshot under the same spill mutex — a page and its
-//! resident reincarnation can never both be visited.
+//! `Smc::for_each` therefore reads spilled pages *first*, into a read buffer
+//! of its own, without promoting them to residency. Under the spill mutex it
+//! takes the page list and the membership snapshot together, so a page and
+//! its resident reincarnation are never both visited, and then lets the
+//! mutex go: a scan sees the directory as it stood, never a half state. Its
+//! `visit` holds no lock, so a fault-in, a free, a spill or another scan
+//! from inside it takes the ordinary path. The directory shares each page by
+//! `Arc`, and the store's ticket is discarded when the last holder drops it,
+//! so a page stays readable while a scan's list holds it, even after it
+//! faults back in.
 //!
 //! [`MemoryContext::try_free`]: crate::context::MemoryContext::try_free
 
-use std::cell::Cell;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 use std::sync::atomic::Ordering;
@@ -86,7 +91,8 @@ use crate::page::PageWriter;
 use crate::runtime::Grave;
 use crate::slot::{SlotId, SlotState};
 use crate::stats::MemoryStats;
-use smc_util::sync::fence;
+use smc_util::mutation::{self, Mutation};
+use smc_util::sync::{fence, yield_point};
 
 /// Bit 0 of an indirection-entry payload marks a spilled object. Row object
 /// pointers are always 4-byte aligned (see `BlockLayout::rows`), so the bit
@@ -216,9 +222,12 @@ pub(crate) struct SpillStub {
     pub(crate) block_id: u64,
 }
 
-/// Bookkeeping for one spilled block.
+/// Bookkeeping for one spilled block, shared by the page directory and the
+/// scans that listed it. The store's page goes when the last of them drops.
 #[derive(Debug)]
 pub(crate) struct SpilledPage {
+    /// The store that holds the page; the last drop discards it there.
+    store: Arc<dyn PageStore>,
     /// The store's handle for the page bytes.
     pub(crate) ticket: u64,
     /// The tagged stub pointer installed in every member entry's payload.
@@ -228,10 +237,16 @@ pub(crate) struct SpilledPage {
     pub(crate) entries: Vec<usize>,
 }
 
+impl Drop for SpilledPage {
+    fn drop(&mut self) {
+        self.store.discard_page(self.ticket);
+    }
+}
+
 /// Per-context spill state, behind one mutex: the store handle, a weak
 /// self-reference (stubs need `Weak<MemoryContext>`), the page directory
-/// and the one page buffer every spill encodes into and every fault-in and
-/// spilled scan loads into.
+/// and the one page buffer every spill encodes into and every fault-in
+/// loads into.
 #[derive(Debug, Default)]
 pub(crate) struct SpillState {
     pub(crate) store: Option<Arc<dyn PageStore>>,
@@ -239,42 +254,8 @@ pub(crate) struct SpillState {
     /// Spilled pages by the id of their (now buried) source block. Ordered,
     /// so a spilled scan reads the store in the order the pages were
     /// written.
-    pub(crate) pages: BTreeMap<u64, SpilledPage>,
+    pub(crate) pages: BTreeMap<u64, Arc<SpilledPage>>,
     page_buf: Vec<u8>,
-}
-
-// ---------------------------------------------------------------------
-// Scan re-entrancy guard
-// ---------------------------------------------------------------------
-
-thread_local! {
-    /// Depth of spill-page walks on this thread. While non-zero, the thread
-    /// holds the spill mutex of some context: fault-in and spill must not be
-    /// attempted (self-deadlock), and nested scans fall back to
-    /// resident-only enumeration.
-    static IN_SPILL_SCAN: Cell<u32> = const { Cell::new(0) };
-}
-
-/// True while this thread is inside a spill-page walk (and therefore holds
-/// a spill mutex).
-pub(crate) fn in_spill_scan() -> bool {
-    IN_SPILL_SCAN.with(|c| c.get() > 0)
-}
-
-/// RAII marker for a spill-page walk.
-pub(crate) struct SpillScanGuard;
-
-impl SpillScanGuard {
-    pub(crate) fn enter() -> SpillScanGuard {
-        IN_SPILL_SCAN.with(|c| c.set(c.get() + 1));
-        SpillScanGuard
-    }
-}
-
-impl Drop for SpillScanGuard {
-    fn drop(&mut self) {
-        IN_SPILL_SCAN.with(|c| c.set(c.get() - 1));
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -343,7 +324,7 @@ impl MemoryContext {
     /// a page list that cannot race fault-in.
     pub(crate) fn with_spill_pages<R>(
         &self,
-        f: impl FnOnce(&BTreeMap<u64, SpilledPage>) -> R,
+        f: impl FnOnce(&BTreeMap<u64, Arc<SpilledPage>>) -> R,
     ) -> R {
         let s = self.spill.lock();
         f(&s.pages)
@@ -351,12 +332,8 @@ impl MemoryContext {
 
     /// Evicts one cold resident block to the page store. Returns true when a
     /// block was spilled; false when spill is disabled, no block qualifies,
-    /// the store failed (rolled back), or the caller is inside a
-    /// spilled-page scan (the mutex is already held above us).
+    /// or the store failed (rolled back).
     pub fn try_spill_one(&self) -> bool {
-        if in_spill_scan() {
-            return false;
-        }
         self.try_spill_one_locked(&mut self.spill.lock())
     }
 
@@ -482,14 +459,13 @@ impl MemoryContext {
         self.spilled_objects_gauge
             .fetch_add(entries.len() as u64, Ordering::Relaxed);
         MemoryStats::inc(&self.runtime.stats.blocks_spilled);
-        s.pages.insert(
-            block_id,
-            SpilledPage {
-                ticket,
-                tag,
-                entries,
-            },
-        );
+        let page = SpilledPage {
+            store,
+            ticket,
+            tag,
+            entries,
+        };
+        s.pages.insert(block_id, Arc::new(page));
         // The victim's slots stay Valid with intact data until burial ripens:
         // a reader that loaded the resident payload just before our tag store
         // reads the old copy safely for two more epochs. (The copy pass runs
@@ -510,12 +486,9 @@ impl MemoryContext {
     /// this call faulted the page in, `Ok(false)` when the page was not
     /// spilled (typically: another thread won the race). Fails closed with
     /// [`MemError::SpillFault`] on any store or integrity failure — the page
-    /// stays spilled and the heap intact — and when called from inside a
-    /// spilled-page scan callback (the scan already streams the data).
+    /// stays spilled and the heap intact. A scan that listed the page before
+    /// keeps reading it from the store: the ticket goes with the last `Arc`.
     pub fn fault_in_block(&self, block_id: u64) -> Result<bool, MemError> {
-        if in_spill_scan() {
-            return Err(MemError::SpillFault);
-        }
         let start = smc_obs::clock::now();
         // What earlier spills and fault-ins buried ripens here: a run of
         // short-pinned reads advances the epoch once per fault, so each
@@ -532,16 +505,12 @@ impl MemoryContext {
             }
         }
         let SpillState {
-            store,
-            pages,
-            page_buf,
-            ..
+            pages, page_buf, ..
         } = &mut *s;
         let Entry::Occupied(slot) = pages.entry(block_id) else {
             return Ok(false);
         };
-        let store = store.as_ref().expect("page without store");
-        let records = self.read_page(&**store, block_id, slot.get(), page_buf)?;
+        let records = self.read_page(block_id, slot.get(), page_buf)?;
         // A block of its own, new block id: fault-in is a relocation, not a
         // revival. Allocation skips the `BlockAlloc` failpoint: a read that
         // faults in must fail only when the OS refuses.
@@ -578,7 +547,6 @@ impl MemoryContext {
             .alloc_cursor
             .store(page.entries.len() as SlotId, Ordering::Relaxed);
         self.membership.write().blocks.push(fresh);
-        store.discard_page(page.ticket);
         // The stub outlives the repoint by two epochs: a reader pinned now
         // may still hold the tagged payload it loaded before us.
         let stub = Grave::Stub(page.tag & !SPILL_TAG);
@@ -597,20 +565,19 @@ impl MemoryContext {
         Ok(true)
     }
 
-    /// The one verified page read: loads `page` from `store` into `bytes`
+    /// The one verified page read: loads `page` from its store into `bytes`
     /// and decodes it in place, checking checksum, block id, object size and
     /// that the record count matches the page directory. Any failure is
     /// counted in `spill_fault_failures` and fails closed as
     /// [`MemError::SpillFault`].
     fn read_page<'b>(
         &self,
-        store: &dyn PageStore,
         block_id: u64,
         page: &SpilledPage,
         bytes: &'b mut Vec<u8>,
     ) -> Result<impl ExactSizeIterator<Item = &'b [u8]>, MemError> {
         let loaded = !self.runtime.faults().should_fail(FaultSite::SpillLoad)
-            && store.load_page(page.ticket, block_id, bytes).is_ok();
+            && page.store.load_page(page.ticket, block_id, bytes).is_ok();
         let bytes: &'b [u8] = bytes;
         loaded
             .then(|| crate::page::decode(bytes, block_id, self.layout.obj_size as u64).ok())
@@ -623,38 +590,32 @@ impl MemoryContext {
     }
 
     /// Streams every spilled record through `visit` *without* promoting
-    /// pages to residency, then returns a membership snapshot taken under
-    /// the same spill mutex — the scan-without-thrashing primitive behind
-    /// `Smc::for_each`. A page and its resident reincarnation can never both
-    /// be visited: pages faulted in after this walk hold blocks that are not
-    /// in the returned snapshot, and blocks spilled after the snapshot keep
-    /// their (still live, epoch-protected) resident copies.
+    /// pages to residency, then returns the membership snapshot taken with
+    /// the page list — the scan-without-thrashing primitive behind
+    /// `Smc::for_each`. Both are taken under the spill mutex, so every object
+    /// is in exactly one of them: a page faulted in after it holds a block
+    /// that is not in the snapshot, and a block spilled after it keeps its
+    /// (still live, epoch-protected) resident copy in the snapshot.
     ///
     /// `visit` receives `(entry_addr, object_ptr)` per record — the pointer
     /// is aligned for the object type and valid for the duration of the
-    /// call — and runs with the spill mutex held: it may free resident
-    /// objects, allocate, and call [`live_objects`](Self::live_objects), but
-    /// freeing a *spilled* object or nesting another spilled scan fails with
-    /// [`MemError::SpillFault`].
+    /// call — and runs with no lock held: it may fault pages in, free,
+    /// allocate, spill and scan, this context or another.
     pub fn scan_spilled_then_snapshot(
         &self,
         visit: &mut dyn FnMut(usize, *const u8),
     ) -> Result<Membership, MemError> {
-        if self.layout.is_columnar() || in_spill_scan() {
-            return Ok(self.membership_snapshot());
+        let (pages, membership) = {
+            let s = self.spill.lock();
+            let pages: Vec<_> = s.pages.iter().map(|(&id, p)| (id, p.clone())).collect();
+            if mutation::enabled(Mutation::ScanSnapshotsApart) {
+                drop(s);
+            }
+            (pages, self.membership_snapshot())
+        };
+        if pages.is_empty() {
+            return Ok(membership);
         }
-        let mut s = self.spill.lock();
-        if s.pages.is_empty() {
-            return Ok(self.membership_snapshot());
-        }
-        let SpillState {
-            store,
-            pages,
-            page_buf,
-            ..
-        } = &mut *s;
-        let store = store.as_ref().expect("pages without store");
-        let _scan = SpillScanGuard::enter();
         // Page records are packed back to back, so a record may sit at an
         // address the object type cannot be read from; such a record is
         // handed to `visit` as an aligned scratch copy.
@@ -662,8 +623,12 @@ impl MemoryContext {
         let mut scratch = vec![0u8; obj_size + self.obj_align];
         let aligned = scratch.as_ptr().align_offset(self.obj_align);
         let scratch = &mut scratch[aligned..aligned + obj_size];
-        for (&block_id, page) in pages.iter() {
-            let records = self.read_page(&**store, block_id, page, page_buf)?;
+        let mut bytes = Vec::new();
+        for (block_id, page) in &pages {
+            // A page read is I/O, where a real scan is likeliest to lose its
+            // core: let the checker run another thread here.
+            yield_point();
+            let records = self.read_page(*block_id, page, &mut bytes)?;
             for (obj, &entry_addr) in records.zip(&page.entries) {
                 let obj = if obj.as_ptr().align_offset(self.obj_align) == 0 {
                     obj.as_ptr()
@@ -674,13 +639,13 @@ impl MemoryContext {
                 visit(entry_addr, obj);
             }
         }
-        Ok(self.membership_snapshot())
+        Ok(membership)
     }
 
     /// The spilled half of `Drop for MemoryContext`: retires the entries of
     /// every spilled page (stale refs upgrade the stub's weak context handle
-    /// and get null), releases the store pages, and buries the stubs like
-    /// any other epoch-protected object.
+    /// and get null), drops the pages, which releases their store pages, and
+    /// buries the stubs like any other epoch-protected object.
     pub(crate) fn release_spilled(&mut self, free_at: u64) {
         let s = self.spill.get_mut();
         let mut freed = 0;
@@ -694,9 +659,6 @@ impl MemoryContext {
             });
             // One lock and one count for the page's entries.
             freed += self.runtime.indirection.release_many(entries);
-            if let Some(store) = &s.store {
-                store.discard_page(page.ticket);
-            }
             self.runtime
                 .bury(Grave::Stub(page.tag & !SPILL_TAG), free_at);
         }
@@ -734,21 +696,6 @@ mod tests {
         store.discard_page(t2);
         store.discard_page(t3);
         assert!(store.is_empty());
-    }
-
-    #[test]
-    fn spill_scan_guard_nests() {
-        assert!(!in_spill_scan());
-        {
-            let _g = SpillScanGuard::enter();
-            assert!(in_spill_scan());
-            {
-                let _g2 = SpillScanGuard::enter();
-                assert!(in_spill_scan());
-            }
-            assert!(in_spill_scan());
-        }
-        assert!(!in_spill_scan());
     }
 
     // ---- the residency protocol ------------------------------------------
@@ -1016,6 +963,36 @@ mod tests {
             .map(|b| b.header().valid_count.load(Ordering::Relaxed) as usize)
             .sum();
         assert_eq!(resident, 4);
+    }
+
+    #[test]
+    fn a_page_faulted_in_mid_scan_stays_readable_to_the_scan() {
+        let rt = Runtime::new();
+        let (c, store) = spill_ctx(&rt);
+        let first = fill_two_blocks_and_spill(&c);
+        let mut seen = Vec::new();
+        let snapshot = c
+            .scan_spilled_then_snapshot(&mut |_entry_addr, obj| {
+                if seen.is_empty() {
+                    // Freeing a spilled object faults its page in, under
+                    // the scan that is reading that page.
+                    assert!(c.try_free(first[0].entry, first[0].entry_inc).unwrap());
+                    assert_eq!(c.spilled_blocks(), 0);
+                    assert_eq!(store.len(), 1, "the scan's list still holds the page");
+                }
+                seen.push(unsafe { obj.cast::<u64>().read() });
+            })
+            .unwrap();
+        assert_eq!(seen, (0..first.len() as u64).collect::<Vec<_>>());
+        assert_eq!(store.len(), 0, "the scan's drop of the page discards it");
+        // The block the page became joined membership after the snapshot.
+        let resident: u32 = snapshot
+            .blocks
+            .iter()
+            .map(|b| b.header().valid_count.load(Ordering::Relaxed))
+            .sum();
+        assert_eq!(resident, 4);
+        c.verify().unwrap();
     }
 
     #[test]

@@ -70,6 +70,11 @@ pub enum Mutation {
     /// record's words instead of before them, so a reader can validate a
     /// slot whose words are half the old record and half the new.
     BusyAfterWords = 1 << 12,
+    /// `scan_spilled_then_snapshot` lets the spill mutex go after it lists
+    /// the page directory and before it snapshots membership, so a page
+    /// that faults in between is visited twice: as a page and as the
+    /// resident block it became.
+    ScanSnapshotsApart = 1 << 13,
 }
 
 #[cfg(smc_check)]

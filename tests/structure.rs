@@ -267,6 +267,18 @@ fn one_spill_claim() {
     none(spill.iter().filter(|l| rmw(l)));
 }
 
+/// One spilled-scan path: a scan lists the page directory and snapshots
+/// membership under the spill mutex, then walks its list with no lock held,
+/// so a `visit` that faults a page in, frees, spills or scans again takes
+/// the ordinary path. This fails if the thread-local re-entrancy flag that
+/// switched those to other behaviour, or its guard, comes back.
+#[test]
+fn one_scan_path() {
+    forbid("in_spill_scan|SpillScanGuard", &["crates"]);
+    let spill = ["crates/memory/src/spill.rs"];
+    none(grep(&spill, any_of("thread_local!")));
+}
+
 /// One maintenance configuration: `MaintConfig` is the SLO gauge; its
 /// ceiling is a constant. One thread starts at most one pass per period, for
 /// a context with two blocks the pass would claim; it compacts, and eviction
