@@ -63,10 +63,9 @@ fn q1_identical_across_all_backends() {
     assert_eq!(cs_q::q1(&w.cs, &w.params), reference, "columnstore");
 }
 
-/// Spill-enables every row table of `db` on first call, then spills each
-/// down to the block its loading thread still allocates into.
-fn spill_every_row_table(db: &SmcDb) {
-    let contexts = [
+/// The memory context of every row table of `db`.
+fn row_contexts(db: &SmcDb) -> [&std::sync::Arc<smc_memory::MemoryContext>; 8] {
+    [
         db.regions.context(),
         db.nations.context(),
         db.suppliers.context(),
@@ -75,14 +74,7 @@ fn spill_every_row_table(db: &SmcDb) {
         db.customers.context(),
         db.orders.context(),
         db.lineitems.context(),
-    ];
-    for ctx in contexts {
-        if ctx.spilled_blocks() == 0 {
-            assert!(ctx.enable_spill(std::sync::Arc::new(smc_memory::MemoryPageStore::new())));
-        }
-        while ctx.try_spill_one() {}
-    }
-    assert!(db.orders.spilled_objects() > 0 && db.lineitems.spilled_objects() > 0);
+    ]
 }
 
 #[test]
@@ -106,6 +98,9 @@ fn spilled_world_answers_as_the_resident_one() {
     let q5 = smc_q::q5(&db, &p);
     let q6 = smc_q::q6(&db, &p);
     assert!(!q3.is_empty() && !q5.is_empty());
+    for ctx in row_contexts(&db) {
+        assert!(ctx.enable_spill(std::sync::Arc::new(smc_memory::MemoryPageStore::new())));
+    }
     same(&db, "q1", &q1, || smc_q::q1(&db, &p));
     same(&db, "q1_unsafe", &q1, || smc_q::q1_unsafe(&db, &p));
     same(&db, "q1_par", &q1, || smc_q::q1_par(&db, &p, &pool));
@@ -117,14 +112,18 @@ fn spilled_world_answers_as_the_resident_one() {
     same(&db, "q6_par", &q6, || smc_q::q6_par(&db, &p, &pool));
 }
 
-/// Spills every row table of `db`, then asserts `query` answers `resident`.
+/// Spills every row table of `db` down to the block its loading thread
+/// still allocates into, then asserts `query` answers `resident`.
 fn same<R: PartialEq + std::fmt::Debug>(
     db: &SmcDb,
     name: &str,
     resident: &R,
     query: impl Fn() -> R,
 ) {
-    spill_every_row_table(db);
+    for ctx in row_contexts(db) {
+        while ctx.try_spill_one() {}
+    }
+    assert!(db.orders.spilled_objects() > 0 && db.lineitems.spilled_objects() > 0);
     assert_eq!(&query(), resident, "{name} over spilled tables");
 }
 
