@@ -693,3 +693,37 @@ fn a_scan_inside_a_spilled_scan_sees_every_spilled_row() {
     a.verify().unwrap();
     b.verify().unwrap();
 }
+
+#[test]
+fn a_row_removed_mid_scan_yields_a_dead_reference() {
+    // The scan reads each spilled page from its own copy, so it still
+    // visits a row that `f` removed after the page was listed. The
+    // reference it hands out for that row must be as dead as the row:
+    // `get` answers `None`, and a second `remove` frees nothing.
+    let rt = Runtime::new();
+    let (c, refs) = spilled_slabs(&rt, 63);
+    let g = rt.pin();
+    let mut removed = None;
+    let mut handed_out = None;
+    c.for_each_ref(&g, |r, w| match removed {
+        // The first row visited is the first record of a spilled page;
+        // the next id is a later record of the same page.
+        None => {
+            assert!(c.remove(refs[w.id as usize + 1]));
+            removed = Some(w.id + 1);
+        }
+        Some(id) if w.id == id => handed_out = Some(r),
+        Some(_) => {}
+    });
+    let r = handed_out.expect("the scan visits the removed row from its page copy");
+    let read_back = r.get(&g).is_some();
+    drop(g);
+    let freed_again = c.remove(r);
+    assert_eq!(
+        (read_back, freed_again),
+        (false, false),
+        "read_back={read_back} freed_again={freed_again}"
+    );
+    assert_eq!(c.len(), 62);
+    c.verify().unwrap();
+}
