@@ -888,7 +888,9 @@ pub fn spill_vs_free() -> Scenario {
 /// blocks) while pinned; thread B frees object 0, which faults the page in
 /// first. Oracle: the scan succeeds and sees objects 1, 2 and 3 exactly once
 /// and object 0 at most once — from the page it listed, or from the block
-/// the page became, never both — the free succeeds, and `verify()` is clean.
+/// the page became, never both — the free succeeds, a page record names
+/// object 0 by the incarnation the free retired (so a second free through
+/// that name frees nothing), and `verify()` is clean.
 /// Catches [`smc_util::mutation::Mutation::ScanSnapshotsApart`].
 pub fn spilled_scan_vs_fault_in() -> Scenario {
     const OBJ_SIZE: usize = 20_000;
@@ -920,16 +922,19 @@ pub fn spilled_scan_vs_fault_in() -> Scenario {
     Scenario::new()
         .thread(move || {
             let guard = rt.pin();
-            let mut values = Vec::new();
+            let (mut values, mut names) = (Vec::new(), Vec::new());
             let scanned = scanner
-                .scan_spilled_then_snapshot(&mut |_, obj| values.push(unsafe { *obj }))
+                .scan_spilled_then_snapshot(&mut |_, inc, obj| {
+                    values.push(unsafe { *obj });
+                    names.push((unsafe { *obj }, inc));
+                })
                 .map(|m| {
                     m.for_each_block(&guard, &rt.stats, |block| {
                         for slot in block.valid_slots() {
                             values.push(unsafe { *block.obj_ptr(slot) });
                         }
                     });
-                    values
+                    (values, names)
                 });
             *seen_by_a.lock().unwrap() = Some(scanned);
         })
@@ -939,7 +944,8 @@ pub fn spilled_scan_vs_fault_in() -> Scenario {
         })
         .finally(move || {
             let scanned = seen.lock().unwrap().take().expect("thread A ran");
-            let mut values = scanned.expect("a spilled scan racing a fault-in must not fail");
+            let (mut values, names) =
+                scanned.expect("a spilled scan racing a fault-in must not fail");
             values.sort_unstable();
             assert!(
                 values == [1, 2, 3] || values == [0, 1, 2, 3],
@@ -951,6 +957,17 @@ pub fn spilled_scan_vs_fault_in() -> Scenario {
                 Ok(true),
                 "object 0 was live, so its free must land"
             );
+            for &(_, inc) in names.iter().filter(|(value, _)| *value == 0) {
+                assert_eq!(
+                    inc, victim.1,
+                    "the page named object 0 by another incarnation"
+                );
+                assert_eq!(
+                    ctx.try_free(victim.0, inc),
+                    Ok(false),
+                    "object 0 freed twice"
+                );
+            }
             assert_eq!(ctx.live_objects(), 3);
             ctx.verify()
                 .unwrap_or_else(|v| panic!("context must verify at quiescence: {v:?}"));

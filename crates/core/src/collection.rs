@@ -346,7 +346,7 @@ impl<T: Tabular> Smc<T> {
         // another collection.
         let m = self
             .ctx
-            .scan_spilled_then_snapshot(&mut |_entry_addr, obj| {
+            .scan_spilled_then_snapshot(&mut |_entry_addr, _inc, obj| {
                 // SAFETY: the callback's pointer addresses `size_of::<T>()`
                 // bytes of a decoded page record of this typed context.
                 f(unsafe { &*obj.cast::<T>() });
@@ -370,27 +370,34 @@ impl<T: Tabular> Smc<T> {
     /// reference of each object (built from the slot's back-pointer, exactly
     /// as the paper's generated code yields `ObjRef`s, §4). Spilled objects
     /// yield working references too — dereferencing one faults its page in,
-    /// also from inside `f`, which runs with no lock held.
+    /// also from inside `f`, which runs with no lock held. A spilled record
+    /// freed after the scan listed its page is still visited, from the
+    /// scan's copy of the page, but its reference carries the incarnation
+    /// the record was spilled at and so resolves to nothing.
     /// Panics if a spilled page cannot be read.
     pub fn for_each_ref(&self, guard: &Guard<'_>, mut f: impl FnMut(Ref<T>, &T)) -> u64 {
         let mut n = 0;
-        let mut each = |entry_addr: usize, obj: *const u8| {
-            // SAFETY: `entry_addr` is the live indirection entry of the
-            // object at `obj` (a page record's, or a valid slot's
-            // back-pointer), and `obj` addresses a `T` of this collection.
-            let (r, obj) = unsafe { (ref_of_entry(entry_addr), &*obj.cast::<T>()) };
-            f(r, obj);
+        let mut each = |r: Ref<T>, obj: *const u8| {
+            // SAFETY: `obj` addresses a `T` of this collection.
+            f(r, unsafe { &*obj.cast::<T>() });
             n += 1;
         };
         let m = self
             .ctx
-            .scan_spilled_then_snapshot(&mut each)
+            .scan_spilled_then_snapshot(&mut |entry_addr, inc, obj| {
+                // SAFETY: `entry_addr` is the entry that owned the record
+                // when its page was spilled, in the runtime's address-stable
+                // entry table.
+                let entry = unsafe { smc_memory::indirection::EntryRef::from_addr(entry_addr) };
+                each(Ref::from_parts(entry, inc), obj)
+            })
             .expect("spilled page unreadable");
         m.for_each_block(guard, &self.ctx.runtime().stats, |block| {
             block.valid_slots().for_each(|slot| {
                 let back = block.back_ptr(slot).load(Ordering::Acquire);
                 if back != 0 {
-                    each(back, block.obj_ptr(slot));
+                    // SAFETY: a valid slot's back-pointer is its live entry.
+                    each(unsafe { ref_of_entry(back) }, block.obj_ptr(slot));
                 }
             });
         });

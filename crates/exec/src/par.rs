@@ -178,7 +178,7 @@ impl<'a, T: Tabular + Sync> ParScan<'a, T> {
         let membership = self
             .collection
             .context()
-            .scan_spilled_then_snapshot(&mut |_entry_addr, obj| {
+            .scan_spilled_then_snapshot(&mut |_entry_addr, _inc, obj| {
                 // SAFETY: the callback's pointer addresses size_of::<T>()
                 // initialized bytes of a record this collection spilled.
                 body(&mut spilled_acc, unsafe { &*obj.cast::<T>() });

@@ -49,8 +49,9 @@
 //! buffer the context owns and hands the sealed page to the store; a
 //! fault-in loads into the same buffer, verifies it in place and copies each
 //! object once, buffer to slot. What a page looks like is [`crate::page`]'s
-//! business alone; which entry owns record *i* is the page directory's
-//! (`SpilledPage::entries[i]`). Both bury what they displace —
+//! business alone; which entry owns record *i*, and at which incarnation,
+//! is the page directory's (`SpilledPage::entries[i]`). Both bury what they
+//! displace —
 //! the victim block, the stub — two epochs out, and nothing but the memory
 //! manager moves the epoch (§3.4), so both call
 //! `Runtime::advance_and_drain`: the allocation path after a successful
@@ -232,9 +233,12 @@ pub(crate) struct SpilledPage {
     pub(crate) ticket: u64,
     /// The tagged stub pointer installed in every member entry's payload.
     pub(crate) tag: usize,
-    /// The entry that owns each record, in page order — the only place that
-    /// says so: a page holds objects and nothing about whose they are.
-    pub(crate) entries: Vec<usize>,
+    /// The entry that owns each record and its incarnation at spill time,
+    /// in page order — the only place that says so: a page holds objects
+    /// and nothing about whose they are. A spilled entry's incarnation does
+    /// not change (a free faults the page in first), so a scan reading a
+    /// page it listed earlier names each record as it was when listed.
+    pub(crate) entries: Vec<(usize, u32)>,
 }
 
 impl Drop for SpilledPage {
@@ -377,7 +381,7 @@ impl MemoryContext {
         let tag = stub | SPILL_TAG;
         let valid = victim.header().valid_count.load(Ordering::Relaxed) as usize;
         // The page directory: the only thing a spill allocates to keep.
-        let mut entries: Vec<usize> = Vec::with_capacity(valid);
+        let mut entries: Vec<(usize, u32)> = Vec::with_capacity(valid);
         // Where each came from, for the copy and the rollback.
         let mut slots: Vec<SlotId> = Vec::with_capacity(valid);
         // Tag pass. Under the marked claim nothing else writes the victim's
@@ -402,7 +406,7 @@ impl MemoryContext {
             // not satisfy a §6 direct dereference against stale memory.
             victim.payload_inc(slot_id).bump_exclusive();
             entry.get().store_payload(tag, Ordering::Release);
-            entries.push(back);
+            entries.push((back, entry.get().inc().incarnation()));
             slots.push(slot_id);
         });
         // Both no-progress exits below hand the victim back the same way.
@@ -439,7 +443,7 @@ impl MemoryContext {
             // Store failed: restore every tagged entry while the claim still
             // holds, then give the block back. A free or fault-in that saw a
             // tag waits for the spill mutex and finds no page.
-            for (&back, &slot_id) in entries.iter().zip(&slots) {
+            for (&(back, _), &slot_id) in entries.iter().zip(&slots) {
                 let entry = unsafe { EntryRef::from_addr(back) };
                 entry
                     .get()
@@ -518,7 +522,7 @@ impl MemoryContext {
         let page = slot.remove();
         let obj_size = self.layout.obj_size as usize;
         let mut live: u32 = 0;
-        for (i, (obj, &entry_addr)) in records.zip(&page.entries).enumerate() {
+        for (i, (obj, &(entry_addr, _))) in records.zip(&page.entries).enumerate() {
             let slot_id = i as SlotId;
             let entry = unsafe { EntryRef::from_addr(entry_addr) };
             // Object bytes (one copy, page buffer to slot), back pointer and
@@ -597,13 +601,15 @@ impl MemoryContext {
     /// that is not in the snapshot, and a block spilled after it keeps its
     /// (still live, epoch-protected) resident copy in the snapshot.
     ///
-    /// `visit` receives `(entry_addr, object_ptr)` per record — the pointer
-    /// is aligned for the object type and valid for the duration of the
-    /// call — and runs with no lock held: it may fault pages in, free,
+    /// `visit` receives `(entry_addr, incarnation, object_ptr)` per record —
+    /// the incarnation is the entry's when the page was spilled, so a record
+    /// freed after the page was listed is named by a dead reference; the
+    /// pointer is aligned for the object type and valid for the duration of
+    /// the call — and runs with no lock held: it may fault pages in, free,
     /// allocate, spill and scan, this context or another.
     pub fn scan_spilled_then_snapshot(
         &self,
-        visit: &mut dyn FnMut(usize, *const u8),
+        visit: &mut dyn FnMut(usize, u32, *const u8),
     ) -> Result<Membership, MemError> {
         let (pages, membership) = {
             let s = self.spill.lock();
@@ -629,14 +635,14 @@ impl MemoryContext {
             // core: let the checker run another thread here.
             yield_point();
             let records = self.read_page(*block_id, page, &mut bytes)?;
-            for (obj, &entry_addr) in records.zip(&page.entries) {
+            for (obj, &(entry_addr, inc)) in records.zip(&page.entries) {
                 let obj = if obj.as_ptr().align_offset(self.obj_align) == 0 {
                     obj.as_ptr()
                 } else {
                     scratch.copy_from_slice(obj);
                     scratch.as_ptr()
                 };
-                visit(entry_addr, obj);
+                visit(entry_addr, inc, obj);
             }
         }
         Ok(membership)
@@ -650,7 +656,7 @@ impl MemoryContext {
         let s = self.spill.get_mut();
         let mut freed = 0;
         for page in std::mem::take(&mut s.pages).into_values() {
-            let entries = page.entries.iter().filter_map(|&entry_addr| {
+            let entries = page.entries.iter().filter_map(|&(entry_addr, _)| {
                 let entry = unsafe { EntryRef::from_addr(entry_addr) };
                 (entry.get().load_payload(Ordering::Acquire) == page.tag).then(|| {
                     entry.get().inc().bump_unlocked();
@@ -947,7 +953,7 @@ mod tests {
         let cap = c.layout().capacity as usize;
         let mut seen = Vec::new();
         let snapshot = c
-            .scan_spilled_then_snapshot(&mut |_entry_addr, obj| {
+            .scan_spilled_then_snapshot(&mut |_entry_addr, _inc, obj| {
                 seen.push(unsafe { obj.cast::<u64>().read() });
             })
             .unwrap();
@@ -972,7 +978,7 @@ mod tests {
         let first = fill_two_blocks_and_spill(&c);
         let mut seen = Vec::new();
         let snapshot = c
-            .scan_spilled_then_snapshot(&mut |_entry_addr, obj| {
+            .scan_spilled_then_snapshot(&mut |_entry_addr, _inc, obj| {
                 if seen.is_empty() {
                     // Freeing a spilled object faults its page in, under
                     // the scan that is reading that page.

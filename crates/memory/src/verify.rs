@@ -16,7 +16,7 @@ use std::sync::atomic::Ordering;
 
 use crate::block::BlockRef;
 use crate::context::MemoryContext;
-use crate::incarnation::{FLAG_FORWARD, FLAG_FROZEN, FLAG_LOCK};
+use crate::incarnation::{FLAG_FORWARD, FLAG_FROZEN, FLAG_LOCK, INC_MASK};
 use crate::indirection::EntryRef;
 use crate::runtime::Runtime;
 use crate::slot::SlotState;
@@ -100,14 +100,15 @@ impl MemoryContext {
     /// spilled page claims must still carry that page's spill-stub tag
     /// (fault-in untags and removes the page atomically under the spill
     /// mutex, so a mismatch means a lost or double-resident object), must
-    /// not be left `LOCK`ed, and must not wait in the runtime's graveyard (a
-    /// page holding a freed object's record).
+    /// not be left `LOCK`ed, must still have the incarnation the page
+    /// recorded (scans name spilled records by it), and must not wait in the
+    /// runtime's graveyard (a page holding a freed object's record).
     fn verify_spilled(&self, v: &mut Violations, report: &mut VerifyReport) {
         let buried = self.runtime.buried_entries();
         let (pages, counted) = self.with_spill_pages(|pages| {
             let mut counted = 0u64;
             for (&id, page) in pages {
-                for (record, &back) in page.entries.iter().enumerate() {
+                for (record, &(back, inc)) in page.entries.iter().enumerate() {
                     counted += 1;
                     let entry = unsafe { EntryRef::from_addr(back) };
                     let payload = entry.get().load_payload(Ordering::Acquire);
@@ -122,6 +123,13 @@ impl MemoryContext {
                     if word & FLAG_LOCK != 0 {
                         v.push(format!(
                             "spilled block {id} record {record}: entry incarnation left LOCKed"
+                        ));
+                    }
+                    if word & INC_MASK != inc {
+                        v.push(format!(
+                            "spilled block {id} record {record}: entry incarnation {} != {inc} \
+                             recorded at spill",
+                            word & INC_MASK
                         ));
                     }
                     if buried.binary_search(&back).is_ok() {
