@@ -51,9 +51,8 @@
 //! object once, buffer to slot. What a page looks like is [`crate::page`]'s
 //! business alone; which entry owns record *i*, and at which incarnation,
 //! is the page directory's (`SpilledPage::entries[i]`). Both bury what they
-//! displace —
-//! the victim block, the stub — two epochs out, and nothing but the memory
-//! manager moves the epoch (§3.4), so both call
+//! displace — the victim block, the stub — two epochs out, and nothing but
+//! the memory manager moves the epoch (§3.4), so both call
 //! `Runtime::advance_and_drain`: the allocation path after a successful
 //! spill, [`MemoryContext::fault_in_block`] on entry. A load, or a run of
 //! reads each under its own pin, therefore gets the victim of two spills ago
@@ -74,7 +73,8 @@
 //! from inside it takes the ordinary path. The directory shares each page by
 //! `Arc`, and the store's ticket is discarded when the last holder drops it,
 //! so a page stays readable while a scan's list holds it, even after it
-//! faults back in.
+//! faults back in. The scan names each record by the incarnation its entry
+//! had at spill time, so a record freed mid-walk yields a dead reference.
 //!
 //! [`MemoryContext::try_free`]: crate::context::MemoryContext::try_free
 
