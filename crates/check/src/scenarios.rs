@@ -39,10 +39,8 @@ use std::sync::{Arc, Mutex};
 use smc_memory::alloc::ALLOC_BATCH;
 use smc_memory::block::{type_id_of, BlockLayout, BlockRef, BLOCK_SIZE};
 use smc_memory::context::{CompactionGroup, ContextConfig, Membership, MemoryContext};
-use smc_memory::epoch::EpochManager;
 use smc_memory::error::MemError;
 use smc_memory::incarnation::{IncWord, FLAG_FORWARD, FLAG_FROZEN, FLAG_LOCK, FLAG_MASK, INC_MASK};
-use smc_memory::indirection::{EntryRef, IndirectionTable};
 use smc_memory::reloc::{
     bail_out_relocation, cancel_relocation, try_move_object, MoveOutcome, RelocEntry, RelocStatus,
     RelocationList,
@@ -51,6 +49,7 @@ use smc_memory::runtime::Runtime;
 use smc_memory::slot::SlotState;
 use smc_memory::spill::MemoryPageStore;
 use smc_memory::stats::MemoryStats;
+use smc_memory::{EntryRef, EpochManager, IndirectionTable};
 use smc_obs::trace::{CheckRing, Event, TracedEvent, RING_CAPACITY};
 use smc_util::spsc;
 use smc_util::sync::{cpu_relax, AtomicBool, AtomicU32};
@@ -189,6 +188,13 @@ fn free_vs_freeze() -> Scenario {
 const SRC_SLOT: u32 = 3;
 const DEST_SLOT: u32 = 7;
 
+/// An entry of `table` for a fixture, taken by the thread that builds it
+/// through a registry of its own.
+fn fixture_entry(table: &IndirectionTable) -> EntryRef {
+    let registry = EpochManager::new();
+    table.allocate(registry.slot().expect("a fresh registry has room"))
+}
+
 /// A frozen object wired for relocation: source + destination blocks, one
 /// indirection entry, one pending [`RelocEntry`] installed in the source
 /// block's header list.
@@ -206,7 +212,7 @@ fn move_fixture(value: u64, slot_counter: u32) -> MoveFixture {
     let src = BlockRef::allocate(&layout, type_id_of::<u64>(), 1).expect("alloc src");
     let dst = BlockRef::allocate(&layout, type_id_of::<u64>(), 1).expect("alloc dst");
     let table = Arc::new(IndirectionTable::new());
-    let entry = table.allocate(0);
+    let entry = fixture_entry(&table);
     unsafe { src.obj_ptr(SRC_SLOT).cast::<u64>().write(value) };
     // The slot-side incarnation is an independent counter from the entry's;
     // seeding it differently is what makes counter confusion detectable.
@@ -537,7 +543,7 @@ pub fn exactly_once_visitation() -> Scenario {
     let table = Arc::new(IndirectionTable::new());
     let mut relocs = Vec::new();
     for slot in 0..VISIT_OBJECTS {
-        let entry = table.allocate(0);
+        let entry = fixture_entry(&table);
         unsafe {
             src.obj_ptr(slot)
                 .cast::<u64>()
@@ -776,8 +782,8 @@ pub fn entry_release_vs_owner_alloc() -> Scenario {
     let table = Arc::new(IndirectionTable::new());
     let (m, t) = (mgr.clone(), table.clone());
     let departed = move || {
-        let tid = m.thread_index().expect("the first registrant finds a slot");
-        (0..3).map(|_| t.allocate(tid)).collect::<Vec<EntryRef>>()
+        let me = m.slot().expect("the first registrant finds a slot");
+        (0..3).map(|_| t.allocate(me)).collect::<Vec<EntryRef>>()
     };
     let departed = std::thread::spawn(departed)
         .join()
@@ -792,8 +798,8 @@ pub fn entry_release_vs_owner_alloc() -> Scenario {
     for _ in 0..2 {
         let (mgr, table, live) = (mgr.clone(), table.clone(), live.clone());
         scenario = scenario.thread(move || {
-            let tid = mgr.thread_index().expect("two claimers, eight slots");
-            let mine: Vec<EntryRef> = (0..PER_THREAD).map(|_| table.allocate(tid)).collect();
+            let me = mgr.slot().expect("two claimers, eight slots");
+            let mine: Vec<EntryRef> = (0..PER_THREAD).map(|_| table.allocate(me)).collect();
             live.lock().unwrap().extend(mine);
         });
     }

@@ -29,14 +29,15 @@ use smc_memory::block::{type_id_of, BlockRef, ValidSlots};
 use smc_memory::context::{
     Allocation, CompactionReport, ContextConfig, Membership, MemoryContext, UnitRead,
 };
-use smc_memory::epoch::Guard;
 use smc_memory::error::MemError;
 use smc_memory::inspect::HeapSnapshot;
 use smc_memory::runtime::Runtime;
 use smc_memory::slot::SlotId;
+use smc_memory::spill::SpilledPages;
 use smc_memory::stats::MemoryStats;
 use smc_memory::tabular::Tabular;
 use smc_memory::verify::VerifyReport;
+use smc_memory::{EntryRef, Guard};
 
 use crate::refs::{DirectRef, Ref};
 
@@ -242,9 +243,18 @@ impl<T: Tabular, L: Layout<T>> Smc<T, L> {
     /// Runs one compaction pass over this collection's blocks (§5). After
     /// compacting, rewrite direct pointers held by referencing collections
     /// ([`fix_direct_refs`](Smc::fix_direct_refs)) and then call
-    /// [`release_retired`](Self::release_retired).
+    /// [`release_retired`](Self::release_retired). Panics if the calling
+    /// thread cannot claim an epoch slot, as [`add`](Self::add) does; use
+    /// [`try_compact`](Self::try_compact) where that must be an error.
     pub fn compact(&self) -> CompactionReport {
         self.ctx.compact()
+    }
+
+    /// Fallible [`compact`](Self::compact): `Err(MemError::TooManyThreads)`
+    /// when the calling thread cannot claim an epoch slot, and so no pass
+    /// ran.
+    pub fn try_compact(&self) -> Result<CompactionReport, MemError> {
+        self.ctx.try_compact()
     }
 
     /// Returns retired (emptied) blocks to the OS once direct pointers have
@@ -388,7 +398,7 @@ impl<T: Tabular> Smc<T> {
                 // SAFETY: `entry_addr` is the entry that owned the record
                 // when its page was spilled, in the runtime's address-stable
                 // entry table.
-                let entry = unsafe { smc_memory::indirection::EntryRef::from_addr(entry_addr) };
+                let entry = unsafe { EntryRef::from_addr(entry_addr) };
                 each(Ref::from_parts(entry, inc), obj)
             })
             .expect("spilled page unreadable");
@@ -404,20 +414,23 @@ impl<T: Tabular> Smc<T> {
         n
     }
 
-    /// Lazily iterates `(Ref<T>, &T)` pairs. Prefer [`for_each`](Smc::for_each) in
-    /// performance-critical query code; the pull iterator exists for
-    /// ergonomic composition.
-    ///
-    /// **Resident objects only**: spilled pages are not visited. A spilled
-    /// record lives only in a page buffer for as long as the page is being
-    /// read, and a pull iterator cannot lend a `&'g T` into that buffer
-    /// across `next` calls. Use [`for_each`](Self::for_each) for scans that
-    /// must see spilled data.
-    pub fn iter<'g, 'e>(&self, guard: &'g Guard<'e>) -> Iter<'g, 'e, T> {
+    /// Lazily iterates `(Ref<T>, T)` pairs, each object copied out, in
+    /// [`for_each_ref`](Self::for_each_ref)'s order: spilled pages first,
+    /// read one at a time and without promoting them, then the resident
+    /// blocks of the membership snapshot taken with the page listing.
+    /// Prefer [`for_each`](Smc::for_each) in performance-critical query
+    /// code; the pull iterator exists for ergonomic composition. It yields
+    /// copies because a spilled record lives only in a page buffer while its
+    /// page is read, and no borrow of that buffer may cross `next`. Panics
+    /// if a spilled page cannot be read.
+    pub fn iter<'g, 'e>(&'g self, guard: &'g Guard<'e>) -> Iter<'g, 'e, T> {
+        let (spilled, membership) = self.ctx.spilled_scan();
         Iter {
             guard,
-            stats: self.ctx.runtime().stats.clone(),
-            membership: self.ctx.membership_snapshot(),
+            stats: &self.ctx.runtime().stats,
+            spilled,
+            page: Vec::new().into_iter(),
+            membership,
             next_unit: 0,
             unit: None,
             slots: None,
@@ -473,15 +486,20 @@ impl<T: Tabular> Smc<T> {
 /// # Safety
 /// `addr` must be the address of a live indirection entry of a `T` object.
 unsafe fn ref_of_entry<T: Tabular>(addr: usize) -> Ref<T> {
-    let entry = smc_memory::indirection::EntryRef::from_addr(addr);
+    let entry = EntryRef::from_addr(addr);
     Ref::from_parts(entry, entry.get().inc().incarnation())
 }
 
-/// Pull iterator over `(Ref<T>, &T)`: the same unit walk as
-/// [`Smc::for_each`], suspended between items.
+/// Pull iterator over `(Ref<T>, T)`: the spilled pages, then the same unit
+/// walk as [`Smc::for_each`], suspended between items.
 pub struct Iter<'g, 'e, T: Tabular> {
     guard: &'g Guard<'e>,
-    stats: Arc<MemoryStats>,
+    stats: &'g MemoryStats,
+    /// The spilled pages not read yet.
+    spilled: SpilledPages<'g>,
+    /// The records of the page read last, copied out, not yielded yet.
+    page: std::vec::IntoIter<(Ref<T>, T)>,
+    /// The resident half, snapshotted with the page listing.
     membership: Membership,
     /// Next unit of `membership` to open.
     next_unit: usize,
@@ -496,10 +514,35 @@ pub struct Iter<'g, 'e, T: Tabular> {
     _marker: PhantomData<fn() -> T>,
 }
 
+impl<T: Tabular> Iter<'_, '_, T> {
+    /// Copies the records of the next spilled page into `page`.
+    fn read_page(&mut self) {
+        let mut records = Vec::new();
+        let mut copy = |entry_addr: usize, inc: u32, obj: *const u8| {
+            // SAFETY: `entry_addr` is the entry that owned the record when
+            // its page was spilled, in the runtime's address-stable table,
+            // and `obj` addresses an aligned `T` for the call.
+            let entry = unsafe { EntryRef::from_addr(entry_addr) };
+            records.push((Ref::from_parts(entry, inc), unsafe {
+                obj.cast::<T>().read()
+            }));
+        };
+        (self.spilled.next_page(&mut copy)).expect("spilled page unreadable");
+        self.page = records.into_iter();
+    }
+}
+
 impl<'g, 'e, T: Tabular> Iterator for Iter<'g, 'e, T> {
-    type Item = (Ref<T>, &'g T);
+    type Item = (Ref<T>, T);
 
     fn next(&mut self) -> Option<Self::Item> {
+        // The spilled pages first, one at a time, as `for_each` reads them.
+        while self.page.len() == 0 && self.spilled.pages_left() > 0 {
+            self.read_page();
+        }
+        if let Some(record) = self.page.next() {
+            return Some(record);
+        }
         loop {
             if let Some(slots) = &mut self.slots {
                 let block = slots.block();
@@ -509,7 +552,7 @@ impl<'g, 'e, T: Tabular> Iterator for Iter<'g, 'e, T> {
                         // SAFETY: valid slot in the guard's critical
                         // section; `back` is its live indirection entry.
                         return Some(unsafe {
-                            (ref_of_entry(back), &*block.obj_ptr(slot).cast::<T>())
+                            (ref_of_entry(back), block.obj_ptr(slot).cast::<T>().read())
                         });
                     }
                 }
@@ -527,12 +570,13 @@ impl<'g, 'e, T: Tabular> Iterator for Iter<'g, 'e, T> {
                 return None;
             }
             let m = &self.membership;
-            self.unit = Some((m.read_unit(self.next_unit, self.guard, &self.stats), 0));
+            self.unit = Some((m.read_unit(self.next_unit, self.guard, self.stats), 0));
             self.next_unit += 1;
         }
     }
 
-    /// Lower bound 0, upper bound the remaining slot *capacity*.
+    /// Lower bound 0, upper bound the remaining slot *capacity* (a page
+    /// not read yet counts a block's).
     ///
     /// The lower bound must stay 0 and the iterator cannot be
     /// `ExactSizeIterator`: other threads may remove objects (or the
@@ -558,6 +602,10 @@ impl<'g, 'e, T: Tabular> Iterator for Iter<'g, 'e, T> {
             .iter()
             .map(|g| g.sources.len() + 1)
             .sum();
-        (0, Some(slots + (open + plain + grouped) * self.capacity))
+        let spilled = self.page.len() + self.spilled.pages_left() * self.capacity;
+        (
+            0,
+            Some(spilled + slots + (open + plain + grouped) * self.capacity),
+        )
     }
 }

@@ -41,10 +41,10 @@ use std::sync::Arc;
 
 use smc_memory::block::{type_id_of, BlockRef, MAX_COLUMNS};
 use smc_memory::context::{ContextConfig, MemoryContext};
-use smc_memory::epoch::Guard;
 use smc_memory::runtime::Runtime;
 use smc_memory::slot::SlotId;
 use smc_memory::tabular::Tabular;
+use smc_memory::Guard;
 
 use crate::collection::{sealed, Layout, Smc};
 use crate::refs::Ref;
@@ -144,7 +144,7 @@ impl<T: Columnar> sealed::Store<T> for Columns {
     /// "the JIT compiler injects the code required to access columnarly
     /// stored data when following references".
     fn read(c: &Smc<T, Columns>, r: Ref<T, Columns>, guard: &Guard<'_>) -> Option<T> {
-        let payload = r.resolve(guard)?;
+        let payload = r.resolve(guard).expect("spilled page unreadable")?;
         // SAFETY: `resolve` validated the incarnation inside the guard's
         // critical section, so the payload is a live incarnation cell.
         unsafe {

@@ -71,6 +71,6 @@ pub use smc_memory::block::MAX_COLUMNS;
 
 // Re-export the memory runtime surface users need.
 pub use smc_memory::context::{CompactionReport, ContextConfig};
-pub use smc_memory::epoch::Guard;
+pub use smc_memory::Guard;
 pub use smc_memory::{Decimal, InlineStr, Runtime, Tabular};
 pub use smc_memory::{HeapSnapshot, Watermark};

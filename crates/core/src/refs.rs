@@ -29,12 +29,13 @@ use std::ptr::NonNull;
 use std::sync::atomic::Ordering;
 
 use smc_memory::block::BlockRef;
-use smc_memory::epoch::Guard;
+use smc_memory::error::MemError;
 use smc_memory::incarnation::{FLAG_FORWARD, INC_MASK};
-use smc_memory::indirection::EntryRef;
 use smc_memory::reloc::{bail_out_relocation, try_move_object};
 use smc_memory::spill;
 use smc_memory::tabular::Tabular;
+use smc_memory::EntryRef;
+use smc_memory::Guard;
 
 use crate::collection::Rows;
 
@@ -130,39 +131,42 @@ impl<T: Tabular, L> Ref<T, L> {
 
     /// Resolves the object's current indirection payload — the paper's
     /// `dereference_object` (§5.1): the object's address for rows, its
-    /// incarnation cell for columns. `None` if the object was removed.
+    /// incarnation cell for columns. `Ok(None)` if the object was removed;
+    /// `Err(MemError::SpillFault)` if it sits in a spilled page that cannot
+    /// be read back, or was spilled again under this reader eight times.
     #[inline]
-    pub(crate) fn resolve(&self, guard: &Guard<'_>) -> Option<usize> {
-        let entry = self.entry()?;
+    pub(crate) fn resolve(&self, guard: &Guard<'_>) -> Result<Option<usize>, MemError> {
+        let Some(entry) = self.entry() else {
+            return Ok(None);
+        };
         // Bounded retry: each iteration either returns or faults one spilled
         // page back in (repointing the entry at a resident slot). A page can
         // be re-spilled between our fault-in and the re-read only by a
         // concurrent evictor racing this hot object; 8 rounds outlasts any
-        // realistic eviction storm, and bailing to `None` afterwards is the
-        // same fail-closed answer an unreadable page gets.
+        // realistic eviction storm, and failing closed afterwards names it.
         for _ in 0..8 {
             let word = entry.get().inc().load(Ordering::Acquire);
             // Fast path: exact match, no flags set.
             if word == self.inc {
                 let payload = entry.get().load_payload(Ordering::Acquire);
                 if payload == 0 {
-                    return None;
+                    return Ok(None);
                 }
                 if spill::is_spill_tagged(payload) {
-                    if !spill::fault_in_tagged(payload) {
-                        return None; // page unreadable: fail closed
+                    if !spill::fault_in_tagged(payload)? {
+                        return Ok(None); // the collection is gone
                     }
                     continue;
                 }
-                return Some(payload);
+                return Ok(Some(payload));
             }
             // Masked match: alive but frozen/locked by compaction.
             if word & INC_MASK == self.inc & INC_MASK {
-                return self.slow_path(entry, guard);
+                return Ok(self.slow_path(entry, guard));
             }
-            return None;
+            return Ok(None);
         }
-        None
+        Err(MemError::SpillFault)
     }
 
     /// §5.1 cases a–c. Cold: only reachable while a compaction is in flight.
@@ -202,7 +206,7 @@ impl<T: Tabular, L> Ref<T, L> {
             // Not actually scheduled (e.g. flags from an aborted pass).
             return deref(entry);
         };
-        if !guard.manager().in_moving_phase() {
+        if !guard.in_moving_phase() {
             // Case b: waiting phase — relocations must not start while we
             // hold this pointer, and we may not perform them either. Bail
             // the relocation out.
@@ -227,13 +231,25 @@ impl<T: Tabular> Ref<T> {
     /// Returns `None` if the object was removed from its collection (the
     /// `NullReferenceException` rendering of §2). The returned borrow lives
     /// as long as the guard: within a critical section, a checked reference
-    /// stays valid without rechecking (§3.4).
+    /// stays valid without rechecking (§3.4). Panics if the object sits in a
+    /// spilled page that cannot be read back, as
+    /// [`Smc::for_each`](crate::Smc::for_each) does; use
+    /// [`try_get`](Self::try_get) where that must be an error.
     #[inline]
     pub fn get<'g>(&self, guard: &'g Guard<'_>) -> Option<&'g T> {
+        self.try_get(guard).expect("spilled page unreadable")
+    }
+
+    /// Fallible [`get`](Self::get): `Ok(None)` for a removed object,
+    /// `Err(MemError::SpillFault)` when its spilled page cannot be read back
+    /// (the page stays spilled — fail closed).
+    #[inline]
+    pub fn try_get<'g>(&self, guard: &'g Guard<'_>) -> Result<Option<&'g T>, MemError> {
         // SAFETY: `resolve` validated the incarnation inside the pinned
         // critical section; the slot cannot be reclaimed or relocated while
         // we are pinned (epoch protocol, §3.4/§5.1).
-        self.resolve(guard).map(|p| unsafe { &*(p as *const T) })
+        let obj = self.resolve(guard)?;
+        Ok(obj.map(|p| unsafe { &*(p as *const T) }))
     }
 
     /// Resolves the object's current raw pointer — used by compiled queries
@@ -242,7 +258,8 @@ impl<T: Tabular> Ref<T> {
     /// updates under the collection's read-uncommitted isolation level (§4).
     #[inline]
     pub fn get_ptr(&self, guard: &Guard<'_>) -> Option<*mut T> {
-        self.resolve(guard).map(|p| p as *mut T)
+        let obj = self.resolve(guard).expect("spilled page unreadable");
+        obj.map(|p| p as *mut T)
     }
 
     /// Copies the object out (`None` if removed).
@@ -371,7 +388,7 @@ impl<T: Tabular> DirectRef<T> {
                 let list = block.header().reloc_list.load(Ordering::Acquire);
                 if !list.is_null() {
                     if let Some(reloc) = unsafe { (*list).find(slot) } {
-                        if guard.manager().in_moving_phase() {
+                        if guard.in_moving_phase() {
                             unsafe { try_move_object(block, reloc) };
                         } else {
                             unsafe { bail_out_relocation(block, reloc) };

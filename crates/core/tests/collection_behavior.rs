@@ -185,8 +185,8 @@ fn slot_reuse_does_not_resurrect_references() {
         assert!(persons.remove(*r));
     }
     // Let epochs pass so slots are reclaimable.
-    rt.epochs.try_advance();
-    rt.epochs.try_advance();
+    rt.try_advance_epoch();
+    rt.try_advance_epoch();
     for i in 0..cap * 2 {
         persons.add(person("new", i as u32));
     }
@@ -726,4 +726,90 @@ fn a_row_removed_mid_scan_yields_a_dead_reference() {
     );
     assert_eq!(c.len(), 62);
     c.verify().unwrap();
+}
+
+#[test]
+fn iter_yields_spilled_rows_once_each() {
+    let rt = Runtime::new();
+    let (c, refs) = spilled_slabs(&rt, 63);
+    let g = rt.pin();
+    let mut seen: Vec<(u64, bool)> = (c.iter(&g))
+        .map(|(r, w)| {
+            (
+                w.id,
+                r == refs[w.id as usize] && w.pad == [w.id as u8; 2040],
+            )
+        })
+        .collect();
+    seen.sort_unstable();
+    let expected: Vec<(u64, bool)> = (0..63).map(|id| (id, true)).collect();
+    assert_eq!(seen, expected, "{} spilled rows", c.spilled_objects());
+}
+
+/// A page store whose loads hand back every page with one byte flipped
+/// once `corrupt` is set: a store that rotted under its pages.
+#[derive(Debug, Default)]
+struct RottingStore {
+    pages: smc_memory::MemoryPageStore,
+    corrupt: AtomicBool,
+}
+
+impl smc_memory::PageStore for RottingStore {
+    fn store_page(&self, block_id: u64, bytes: &[u8]) -> Result<u64, smc_memory::SpillIoError> {
+        self.pages.store_page(block_id, bytes)
+    }
+
+    fn load_page(
+        &self,
+        ticket: u64,
+        block_id: u64,
+        out: &mut Vec<u8>,
+    ) -> Result<(), smc_memory::SpillIoError> {
+        self.pages.load_page(ticket, block_id, out)?;
+        if self.corrupt.load(Ordering::SeqCst) {
+            let mid = out.len() / 2;
+            out[mid] ^= 0xff;
+        }
+        Ok(())
+    }
+
+    fn discard_page(&self, ticket: u64) {
+        self.pages.discard_page(ticket)
+    }
+}
+
+#[test]
+fn an_unreadable_spilled_row_is_an_error_not_a_removed_row() {
+    let rt = Runtime::new();
+    let c: Smc<Slab> = Smc::new(&rt);
+    let store = Arc::new(RottingStore::default());
+    assert!(c.enable_spill(store.clone()));
+    let slab = |id: u64| Slab {
+        id,
+        pad: [id as u8; 2040],
+    };
+    let refs: Vec<Ref<Slab>> = (0..63).map(|id| c.add(slab(id))).collect();
+    assert!(c.remove(refs[5]), "a row of the first block goes");
+    while c.context().try_spill_one() {}
+    assert!(c.spilled_objects() >= 30, "the first block is spilled");
+    store.corrupt.store(true, Ordering::SeqCst);
+    let g = rt.pin();
+    let spilled = refs[0];
+    assert_eq!(
+        spilled.try_get(&g).map(|w| w.map(|w| w.id)),
+        Err(smc_memory::MemError::SpillFault)
+    );
+    let get = std::panic::AssertUnwindSafe(|| spilled.get(&g).map(|w| w.id));
+    let got = std::panic::catch_unwind(get);
+    assert!(got.is_err(), "get answered {got:?} for an unreadable page");
+    assert!(refs[5].get(&g).is_none(), "a removed row is still None");
+    assert_eq!(refs[5].try_get(&g).map(|w| w.is_none()), Ok(true));
+    drop(g);
+    store.corrupt.store(false, Ordering::SeqCst);
+    let g = rt.pin();
+    assert_eq!(
+        spilled.get(&g).map(|w| w.id),
+        Some(0),
+        "the page stayed intact"
+    );
 }

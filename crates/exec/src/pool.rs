@@ -102,7 +102,7 @@ impl WorkerPool {
                     // Claim the epoch slot before reporting ready, so registry
                     // exhaustion surfaces from the constructor.
                     let claimed = match &runtime {
-                        Some(rt) => rt.epochs.thread_index().map(|_| ()),
+                        Some(rt) => rt.thread_slot().map(|_| ()),
                         None => Ok(()),
                     };
                     let ok = claimed.is_ok();

@@ -112,7 +112,7 @@ fn real_registry_exhaustion_is_a_constructor_error() {
     // claim a slot are torn down by the failed constructor, so the follow-up
     // pool finds free slots again.
     let rt = Runtime::new();
-    let oversubscribed = smc_memory::epoch::MAX_THREADS + 1;
+    let oversubscribed = smc_memory::MAX_THREADS + 1;
     match WorkerPool::for_runtime(&rt, oversubscribed) {
         Err(MemError::TooManyThreads) => {}
         Ok(_) => panic!("pool larger than the registry must fail"),
@@ -201,16 +201,15 @@ type Seen = (u64, Option<u64>);
 
 type EntryPoint = fn(&Smc<Obj>, &WorkerPool) -> Seen;
 
-/// Every enumeration entry point, by name. `iter` is resident-only by
-/// contract, so its row carries `resident_only = true`.
-const ENTRY_POINTS: &[(&str, bool, EntryPoint)] = &[
-    ("for_each", false, |c, _| {
+/// Every enumeration entry point, by name. Each sees spilled rows too.
+const ENTRY_POINTS: &[(&str, EntryPoint)] = &[
+    ("for_each", |c, _| {
         let guard = c.runtime().pin();
         let mut sum = 0u64;
         let n = c.for_each(&guard, |o| sum = sum.wrapping_add(o.key));
         (n, Some(sum))
     }),
-    ("for_each_ref", false, |c, _| {
+    ("for_each_ref", |c, _| {
         let guard = c.runtime().pin();
         let mut sum = 0u64;
         let n = c.for_each_ref(&guard, |r, o| {
@@ -219,7 +218,7 @@ const ENTRY_POINTS: &[(&str, bool, EntryPoint)] = &[
         });
         (n, Some(sum))
     }),
-    ("iter", true, |c, _| {
+    ("iter", |c, _| {
         let guard = c.runtime().pin();
         let (mut n, mut sum) = (0u64, 0u64);
         for (_, o) in c.iter(&guard) {
@@ -228,10 +227,10 @@ const ENTRY_POINTS: &[(&str, bool, EntryPoint)] = &[
         }
         (n, Some(sum))
     }),
-    ("ParScan::filter_count", false, |c, pool| {
+    ("ParScan::filter_count", |c, pool| {
         (ParScan::new(c, pool).filter_count(|_| true), None)
     }),
-    ("Persist::snapshot_to", false, |c, _| {
+    ("Persist::snapshot_to", |c, _| {
         static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
             "smc-parity-{}-{}",
@@ -315,7 +314,6 @@ fn every_entry_point_sees_the_same_live_set_in_every_collection_state() {
     for case in [dense, sparse, spilled] {
         let pool = WorkerPool::for_runtime(&case.rt, 3).unwrap();
         assert_eq!(case.c.len(), case.count);
-        let spilled = case.c.spilled_objects();
         let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
             let compactor = case.compactor_races.then(|| {
@@ -334,14 +332,11 @@ fn every_entry_point_sees_the_same_live_set_in_every_collection_state() {
             let table_run = SetOnDrop(&stop);
             let rounds = if case.compactor_races { 20 } else { 1 };
             for round in 0..rounds {
-                for &(entry, resident_only, run) in ENTRY_POINTS {
+                for &(entry, run) in ENTRY_POINTS {
                     let at = format!("{}: {entry}, round {round}", case.name);
                     let (n, sum) = run(&case.c, &pool);
-                    // `iter` skips spilled pages by contract (and nothing
-                    // faults pages in or out during the table run).
-                    let hidden = if resident_only { spilled } else { 0 };
-                    assert_eq!(n, case.count - hidden, "{at}: lost or doubled element");
-                    if let (Some(sum), 0) = (sum, hidden) {
+                    assert_eq!(n, case.count, "{at}: lost or doubled element");
+                    if let Some(sum) = sum {
                         assert_eq!(sum, case.sum, "{at}: wrong element set");
                     }
                 }

@@ -54,9 +54,10 @@ pub struct MaintConfig {
 pub enum PassOutcome {
     /// The pass completed.
     Done,
-    /// The pass aborted (a wait outlasted the context's patience) or was
-    /// interrupted mid-move; its pending relocations were rolled back
-    /// through the bail path and a later period runs it again.
+    /// The pass aborted (a wait outlasted the context's patience), was
+    /// interrupted mid-move — its pending relocations were rolled back
+    /// through the bail path — or never started, its thread refused an
+    /// epoch slot; a later period runs it again.
     Aborted,
 }
 
@@ -356,24 +357,26 @@ fn plan(inner: &Inner, now: u64) -> Option<Arc<MemoryContext>> {
 /// recorded as `last_pass`.
 fn run_pass(inner: &Inner, ctx: &MemoryContext) -> LastPass {
     trace::emit(Event::MaintPassStart { context: ctx.id() });
-    let report = ctx.compact();
-    ctx.release_retired();
-    let outcome = if report.aborted || report.interrupted {
-        PassOutcome::Aborted
-    } else {
-        inner.counters.completed.fetch_add(1, Ordering::Relaxed);
-        PassOutcome::Done
+    let (outcome, moved, bailed) = match ctx.try_compact() {
+        Ok(report) if !report.aborted && !report.interrupted => {
+            inner.counters.completed.fetch_add(1, Ordering::Relaxed);
+            (PassOutcome::Done, report.moved, report.bailed)
+        }
+        Ok(report) => (PassOutcome::Aborted, report.moved, report.bailed),
+        // The thread could not claim an epoch slot: no pass ran.
+        Err(_) => (PassOutcome::Aborted, 0, 0),
     };
+    ctx.release_retired();
     trace::emit(Event::MaintPassEnd {
         context: ctx.id(),
-        moved: report.moved as u64,
-        bailed: report.bailed as u64,
+        moved: moved as u64,
+        bailed: bailed as u64,
         outcome: ShortLabel::new(outcome.as_str()),
     });
     LastPass {
         context_id: ctx.id(),
         outcome,
-        moved: report.moved,
-        bailed: report.bailed,
+        moved,
+        bailed,
     }
 }

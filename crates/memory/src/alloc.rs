@@ -29,8 +29,8 @@
 
 use std::sync::atomic::Ordering;
 
-use crate::block::raw_dealloc_block;
-use crate::epoch::MAX_THREADS;
+use crate::block::{raw_dealloc_block, RawBlock};
+use crate::epoch::{Slot, MAX_THREADS};
 use smc_util::sync::AtomicU64;
 
 /// Fresh blocks mapped per slow-path trip: one handout plus
@@ -46,18 +46,17 @@ const NO_BLOCK: u64 = 0;
 
 /// The link word threaded through free blocks: the first 8 bytes of a
 /// retired block hold the address of the next block in its list.
-///
-/// # Safety
-/// `addr` must be the base of a raw block allocation in, or being pushed
-/// onto, a list the caller owns.
-unsafe fn link(addr: u64) -> &'static AtomicU64 {
-    &*(addr as usize as *const AtomicU64)
+fn link(block: &RawBlock) -> &AtomicU64 {
+    // SAFETY: the raw block is the caller's, aligned and mapped, and a
+    // block's first word is a list's link for as long as it is listed.
+    unsafe { &*(block.base() as *const AtomicU64) }
 }
 
 /// One thread slot's allocation shard, padded to a cache line so neighbours
-/// never false-share. Only the slot's holder touches `head` and the links,
-/// so `Relaxed` suffices: a slot changes hands through the registry's
-/// `Release` store and `AcqRel` claim of its flag, which order the accesses.
+/// never false-share. Only the slot's holder touches `head` and the links —
+/// every access takes the holder's [`Slot`] — so `Relaxed` suffices: a slot
+/// changes hands through the registry's `Release` store and `AcqRel` claim
+/// of its flag, which order the accesses.
 #[repr(align(64))]
 #[derive(Debug)]
 struct Shard {
@@ -104,9 +103,9 @@ impl BlockAllocator {
             .sum()
     }
 
-    /// Blocks parked in one shard's cache.
-    pub(crate) fn shard_cached(&self, idx: usize) -> u64 {
-        self.shards[idx].cached.load(Ordering::Relaxed)
+    /// Blocks parked in the cache of `slot`'s shard.
+    pub(crate) fn shard_cached(&self, slot: Slot<'_>) -> u64 {
+        self.shards[slot.index()].cached.load(Ordering::Relaxed)
     }
 
     /// Counts `n` blocks about to be mapped onto the `budgeted` gauge.
@@ -120,12 +119,10 @@ impl BlockAllocator {
         self.budgeted.fetch_sub(n, Ordering::Relaxed);
     }
 
-    /// Pops one recycled block off shard `idx`'s free list.
-    ///
-    /// # Safety
-    /// The calling thread must hold epoch slot `idx`, so the list's blocks
-    /// are its own: no other thread pops, pushes or frees them.
-    pub(crate) unsafe fn pop_cached(&self, idx: usize) -> Option<u64> {
+    /// Pops one recycled block off the free list of `slot`'s shard, which
+    /// only the slot's holder touches.
+    pub(crate) fn pop_cached(&self, slot: Slot<'_>) -> Option<RawBlock> {
+        let idx = slot.index();
         let shard = &self.shards[idx];
         let top = shard.head.load(Ordering::Relaxed);
         let cached = shard.cached.load(Ordering::Relaxed);
@@ -136,23 +133,24 @@ impl BlockAllocator {
         if top == NO_BLOCK {
             return None;
         }
-        // SAFETY: `top` is on the caller's own list (see `# Safety`).
-        let next = unsafe { link(top) }.load(Ordering::Relaxed);
-        shard.head.store(next, Ordering::Relaxed);
+        // SAFETY: `top` heads the holder's own list, and a listed block is
+        // owned by the list.
+        let block = unsafe { RawBlock::from_base(top as usize) };
+        shard
+            .head
+            .store(link(&block).load(Ordering::Relaxed), Ordering::Relaxed);
         shard.cached.store(cached - 1, Ordering::Relaxed);
-        Some(top)
+        Some(block)
     }
 
-    /// Parks a block on shard `idx`'s free list (a free or a batch refill).
-    ///
-    /// # Safety
-    /// The calling thread must hold epoch slot `idx`, and `addr` must be the
-    /// base of a retired block no other thread can reach.
-    pub(crate) unsafe fn push_cached(&self, idx: usize, addr: u64) {
-        let shard = &self.shards[idx];
-        // SAFETY: `addr` is the caller's retired block (see `# Safety`).
-        unsafe { link(addr) }.store(shard.head.load(Ordering::Relaxed), Ordering::Relaxed);
-        shard.head.store(addr, Ordering::Relaxed);
+    /// Parks a block on the free list of `slot`'s shard (a free or a batch
+    /// refill).
+    pub(crate) fn push_cached(&self, slot: Slot<'_>, block: RawBlock) {
+        let shard = &self.shards[slot.index()];
+        link(&block).store(shard.head.load(Ordering::Relaxed), Ordering::Relaxed);
+        shard
+            .head
+            .store(block.into_base() as u64, Ordering::Relaxed);
         let cached = shard.cached.load(Ordering::Relaxed);
         shard.cached.store(cached + 1, Ordering::Relaxed);
     }
@@ -165,9 +163,9 @@ impl Drop for BlockAllocator {
             while chain != NO_BLOCK {
                 // SAFETY: `&mut self`: no thread can still touch the shards,
                 // so every listed block is the allocator's to read and unmap.
-                let next = unsafe { link(chain) }.load(Ordering::Relaxed);
-                unsafe { raw_dealloc_block(chain as usize) };
-                chain = next;
+                let block = unsafe { RawBlock::from_base(chain as usize) };
+                chain = link(&block).load(Ordering::Relaxed);
+                raw_dealloc_block(block);
             }
         }
     }
@@ -191,44 +189,52 @@ pub struct AllocSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::epoch::EpochManager;
 
-    /// One batch of `N` raw blocks, as the slow path maps them.
+    /// One batch of `N` raw blocks, as the slow path maps them, by address.
     fn raw_blocks<const N: usize>() -> [u64; N] {
         let mut batch = crate::block::raw_alloc_blocks(N).expect("the OS backs a small batch");
-        std::array::from_fn(|_| batch.next().expect("N blocks") as u64)
+        std::array::from_fn(|_| batch.next().expect("N blocks").into_base() as u64)
+    }
+
+    fn owned(addr: u64) -> RawBlock {
+        unsafe { RawBlock::from_base(addr as usize) }
     }
 
     #[test]
     fn the_free_list_is_lifo_and_counts_its_blocks() {
+        let mgr = EpochManager::new();
+        let me = mgr.slot().unwrap();
         let alloc = BlockAllocator::new();
         let [a, b, c] = raw_blocks();
         alloc.reserve(3);
         for addr in [a, b, c] {
-            unsafe { alloc.push_cached(0, addr) };
+            alloc.push_cached(me, owned(addr));
         }
-        assert_eq!(alloc.shard_cached(0), 3);
+        assert_eq!(alloc.shard_cached(me), 3);
         assert_eq!(alloc.cached_blocks(), 3);
-        assert_eq!(unsafe { alloc.pop_cached(0) }, Some(c));
-        assert_eq!(unsafe { alloc.pop_cached(0) }, Some(b));
-        assert_eq!(unsafe { alloc.pop_cached(0) }, Some(a));
-        assert_eq!(unsafe { alloc.pop_cached(0) }, None);
-        assert_eq!(alloc.shard_cached(0), 0);
-        for addr in [a, b, c] {
-            unsafe { crate::block::raw_dealloc_block(addr as usize) };
+        let mut popped = Vec::new();
+        while let Some(block) = alloc.pop_cached(me) {
+            popped.push(block.base() as u64);
+            raw_dealloc_block(block);
         }
+        assert_eq!(popped, [c, b, a]);
+        assert_eq!(alloc.shard_cached(me), 0);
         alloc.unreserve(3);
         assert_eq!(alloc.budgeted_blocks(), 0);
     }
 
     #[test]
     fn allocator_drop_frees_cached_blocks() {
+        let mgr = EpochManager::new();
         let alloc = BlockAllocator::new();
         alloc.reserve(2);
         let [a, b] = raw_blocks();
-        unsafe {
-            alloc.push_cached(0, a);
-            alloc.push_cached(3, b);
-        }
+        alloc.push_cached(mgr.slot().unwrap(), owned(a));
+        let m2 = mgr.clone();
+        std::thread::scope(|s| {
+            s.spawn(|| alloc.push_cached(m2.slot().unwrap(), owned(b)));
+        });
         drop(alloc); // must not leak (asserted by miri / leak checkers)
     }
 }

@@ -310,12 +310,9 @@ pub struct BlockHeader {
     pub reloc_list: AtomicPtr<RelocationList>,
     /// Allocation-shard ownership ([`crate::alloc`]): `0` for blocks
     /// allocated outside the budgeted runtime path (tests, hand-built
-    /// fixtures), `thread_index + 1` for blocks handed out by a shard, or
-    /// `u32::MAX` for runtime blocks with no owning shard (allocating
-    /// thread could not register, or sharding disabled). Determines where
-    /// the block goes when freed: the owner's free list or straight back to
-    /// the OS. Recycling hands it back to the same shard
-    /// (`BlockRef::reuse_at`); ownership outlives tenancy.
+    /// fixtures), which go straight back to the OS when freed; otherwise the
+    /// allocating thread's epoch slot index + 1, which tells a free by
+    /// another thread (counted in `remote_frees`) from the allocator's own.
     pub owner_shard: AtomicU32,
 }
 
@@ -470,26 +467,51 @@ mod os {
     }
 }
 
+/// One raw block allocation its holder owns outright: mapped and not yet
+/// handed out, or retired with no pointer into it left in use. Owning one is
+/// what makes writing its first word (a shard free list's link, see
+/// [`crate::alloc`]) or unmapping it sound, so neither asks for more.
+#[derive(Debug)]
+pub(crate) struct RawBlock(usize);
+
+impl RawBlock {
+    /// Takes ownership of the raw block at `base`.
+    ///
+    /// # Safety
+    /// `base` must be the base of a live raw block allocation that no one
+    /// else owns and nothing points into.
+    pub(crate) unsafe fn from_base(base: usize) -> RawBlock {
+        RawBlock(base)
+    }
+
+    /// The block's base address.
+    pub(crate) fn base(&self) -> usize {
+        self.0
+    }
+
+    /// Gives ownership up and returns the base address.
+    pub(crate) fn into_base(self) -> usize {
+        self.0
+    }
+}
+
 /// Allocates `n` raw, zeroed, size-aligned blocks from the OS in one request
-/// and yields their base addresses; `None` if the OS refuses (nothing is
-/// held then). The caller owns each block separately: pair every one with
+/// and yields them; `None` if the OS refuses (nothing is held then). The
+/// caller owns each block separately: pair every one with
 /// [`raw_dealloc_block`] or promote it via [`BlockRef::init_at`].
-pub(crate) fn raw_alloc_blocks(n: usize) -> Option<impl Iterator<Item = usize>> {
+pub(crate) fn raw_alloc_blocks(n: usize) -> Option<impl Iterator<Item = RawBlock>> {
     #[cfg(test)]
     if tests::MAPS_REFUSED.get() {
         return None;
     }
-    os::alloc(n)
+    os::alloc(n).map(|blocks| blocks.map(RawBlock))
 }
 
 /// Returns one raw block (from [`raw_alloc_blocks`] or [`BlockRef::retire`])
 /// to the OS; a mapped block's pages leave the resident set at once.
-///
-/// # Safety
-/// `addr` must be the base of a live raw block allocation, and no pointers
-/// into it may remain in use.
-pub(crate) unsafe fn raw_dealloc_block(addr: usize) {
-    os::free(addr);
+pub(crate) fn raw_dealloc_block(block: RawBlock) {
+    // SAFETY: the caller owned the block, and owns nothing in it any more.
+    unsafe { os::free(block.0) };
 }
 
 impl BlockRef {
@@ -502,10 +524,10 @@ impl BlockRef {
         type_id: u64,
         context_id: u64,
     ) -> Result<BlockRef, MemError> {
-        let base = raw_alloc_blocks(1)
+        let block = raw_alloc_blocks(1)
             .and_then(|mut blocks| blocks.next())
             .ok_or(MemError::OutOfMemory)?;
-        Ok(unsafe { Self::init_at(base, layout, type_id, context_id, 0) })
+        Ok(unsafe { Self::init_at(block.into_base(), layout, type_id, context_id, 0) })
     }
 
     /// Writes a fresh block header over **zeroed** raw memory and returns
@@ -587,13 +609,13 @@ impl BlockRef {
     }
 
     /// Tears the block down to raw recyclable memory: drops any leftover
-    /// relocation list and returns the base address for a free list. The
+    /// relocation list and hands the raw block over for a free list. The
     /// header bytes are left in place (overwritten on reuse).
     ///
     /// # Safety
     /// Same quiescence contract as [`deallocate`](Self::deallocate); the
     /// handle must not be used afterwards.
-    pub(crate) unsafe fn retire(self) -> usize {
+    pub(crate) unsafe fn retire(self) -> RawBlock {
         let rl = self
             .header()
             .reloc_list
@@ -601,7 +623,7 @@ impl BlockRef {
         if !rl.is_null() {
             drop(Box::from_raw(rl));
         }
-        self.0.as_ptr() as usize
+        RawBlock(self.0.as_ptr() as usize)
     }
 
     /// Frees the block's memory. The caller must guarantee quiescence: no
@@ -900,7 +922,10 @@ pub(crate) mod tests {
 
     #[test]
     fn batch_members_are_zeroed_and_freed_independently_in_any_order() {
-        let batch: Vec<usize> = raw_alloc_blocks(6).unwrap().collect();
+        let batch: Vec<usize> = raw_alloc_blocks(6)
+            .unwrap()
+            .map(RawBlock::into_base)
+            .collect();
         assert_eq!(batch.len(), 6);
         for (i, &base) in batch.iter().enumerate() {
             assert_zeroed_block(base);
@@ -912,7 +937,7 @@ pub(crate) mod tests {
         let mut live: Vec<(usize, usize)> = batch.iter().copied().zip(1..).collect();
         for victim in [3, 0, 3, 1, 1, 0] {
             let (base, _) = live.remove(victim);
-            unsafe { raw_dealloc_block(base) };
+            raw_dealloc_block(unsafe { RawBlock::from_base(base) });
             for &(base, tag) in &live {
                 assert_eq!(unsafe { (base as *const usize).read() }, tag);
                 assert_eq!(
@@ -933,7 +958,7 @@ pub(crate) mod tests {
         }
         // Head and tail were given back: each member unmaps on its own.
         for i in [1, 2, 0] {
-            unsafe { raw_dealloc_block(base + i * BLOCK_SIZE) };
+            raw_dealloc_block(unsafe { RawBlock::from_base(base + i * BLOCK_SIZE) });
         }
     }
 
@@ -1051,7 +1076,7 @@ pub(crate) mod tests {
             .try_set_flag(1, crate::incarnation::FLAG_FORWARD));
         b.header().valid_count.store(1, Ordering::Relaxed);
         b.header().in_reclaim_queue.store(1, Ordering::Relaxed);
-        let base = unsafe { b.retire() };
+        let base = unsafe { b.retire() }.into_base();
         let b = unsafe { BlockRef::reuse_at(base, &layout, 1, 1, 0) };
         assert_eq!(b.slot_word(0).state(), SlotState::Free);
         assert_eq!(b.slot_inc(0).incarnation(), 1, "incarnation survives reuse");

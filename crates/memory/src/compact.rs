@@ -17,7 +17,8 @@ use smc_obs::clock;
 
 use crate::block::BlockRef;
 use crate::context::{MemoryContext, UnitRead};
-use crate::epoch::Guard;
+use crate::epoch::{Guard, Slot};
+use crate::error::MemError;
 use crate::fault::FaultSite;
 use crate::incarnation::FLAG_FROZEN;
 use crate::indirection::EntryRef;
@@ -61,7 +62,7 @@ impl CompactionGroup {
         let mut pinned = false;
         if !self.settled.load(Ordering::Acquire) && guard.in_relocation_epoch() {
             pinned = self.try_pin_pre_state();
-            if !pinned && guard.manager().in_moving_phase() {
+            if !pinned && guard.in_moving_phase() {
                 self.help_relocate(stats);
             }
         }
@@ -168,7 +169,6 @@ fn reloc_entries(src: &BlockRef) -> &[RelocEntry] {
 /// of every exit from [`MemoryContext::compact`], early or at the close.
 struct Pass<'a> {
     ctx: &'a MemoryContext,
-    tid: usize,
     /// Whether this pass took the advance reservation.
     reserved: bool,
     /// Claimed candidates that no group took.
@@ -181,7 +181,7 @@ impl Drop for Pass<'_> {
     fn drop(&mut self) {
         if self.reserved {
             self.ctx.runtime.set_relocation_epoch(0);
-            self.ctx.runtime.epochs.release_advance(self.tid);
+            self.ctx.runtime.epochs.release_advance(self.pin.slot());
         }
         self.ctx.unclaim(self.unplaced.drain(..));
     }
@@ -246,15 +246,22 @@ impl MemoryContext {
 
     /// Runs one compaction pass over this context, emptying every block with
     /// occupancy below `config.compaction_occupancy` into fresh blocks.
+    /// Panics if the calling thread cannot claim an epoch slot; use
+    /// [`try_compact`](Self::try_compact) where that must be an error.
     ///
     /// Must not be called while the calling thread holds a [`Guard`]; the
     /// pass pins its own critical section and drives the global epoch.
     pub fn compact(&self) -> CompactionReport {
+        self.try_compact().expect("epoch thread registry full")
+    }
+
+    /// Fallible [`compact`](Self::compact): `Err(MemError::TooManyThreads)`
+    /// when the calling thread cannot claim an epoch slot, so no pass ran —
+    /// where `compact` would answer an idle pass's empty report.
+    pub fn try_compact(&self) -> Result<CompactionReport, MemError> {
+        self.runtime.thread_slot()?;
         let _exclusive = self.runtime.compaction_mutex.lock();
         let mut report = CompactionReport::default();
-        let Ok(tid) = self.runtime.epochs.thread_index() else {
-            return report;
-        };
 
         // Claim candidate source blocks. They stay in the regular
         // membership until their groups are registered — the swap below is
@@ -262,7 +269,7 @@ impl MemoryContext {
         // a block in neither list.
         let candidates = self.claim(usize::MAX, |b| self.is_compaction_candidate(b));
         if candidates.is_empty() {
-            return report;
+            return Ok(report);
         }
         let pass_start = clock::now();
         smc_obs::trace::emit(smc_obs::Event::CompactionSelect {
@@ -273,21 +280,22 @@ impl MemoryContext {
         // From here on every exit unwinds through `Pass::drop`.
         let mut pass = Pass {
             ctx: self,
-            tid,
             reserved: false,
             unplaced: candidates,
+            // Registered above, so the pin cannot be refused.
             pin: self.runtime.pin(),
         };
-        pass.reserved = self.runtime.epochs.reserve_advance(tid);
+        let me = pass.pin.slot();
+        pass.reserved = self.runtime.epochs.reserve_advance(me);
         if !pass.reserved {
-            return report;
+            return Ok(report);
         }
         let e = pass.pin.epoch();
 
         // --- Freezing epoch: advance to e + 1, announce relocation at e + 2.
-        if !self.advance_to(e + 1, tid) {
+        if !self.advance_to(e + 1, me) {
             report.aborted = true;
-            return report;
+            return Ok(report);
         }
         self.runtime.set_relocation_epoch(e + 2);
 
@@ -304,7 +312,7 @@ impl MemoryContext {
             }
         }
         if groups.is_empty() {
-            return report;
+            return Ok(report);
         }
         // Atomic membership swap: grouped sources leave the block list and
         // appear in the group list in one step.
@@ -321,7 +329,7 @@ impl MemoryContext {
         // --- Relocation epoch: advance to e + 2, then the waiting phase:
         // wait for every other in-critical thread to reach the relocation
         // epoch, then open the moving phase.
-        if self.advance_to(e + 2, tid) && self.wait_all_at(e + 2, tid) {
+        if self.advance_to(e + 2, me) && self.wait_all_at(e + 2, me) {
             let pause_start = clock::now();
             self.runtime.set_moving_phase(true);
             for group in &groups {
@@ -344,7 +352,7 @@ impl MemoryContext {
         }
 
         // --- Close: advance to e + 3 and clear relocation state.
-        let _ = self.advance_to(e + 3, tid);
+        let _ = self.advance_to(e + 3, me);
         drop(pass);
 
         // Roll back anything still pending (an interrupted mover, or groups
@@ -370,7 +378,7 @@ impl MemoryContext {
         });
         let pass_ns = &self.runtime.stats.compaction_pass_ns;
         pass_ns.record(clock::now().saturating_sub(pass_start));
-        report
+        Ok(report)
     }
 
     /// Allocates the destination block and freezes every live object of the
@@ -549,20 +557,20 @@ impl MemoryContext {
         Some(clock::now() + self.config.compaction_patience.as_nanos() as u64)
     }
 
-    fn advance_to(&self, target: u64, tid: usize) -> bool {
+    fn advance_to(&self, target: u64, me: Slot<'_>) -> bool {
         let epochs = &self.runtime.epochs;
         poll_until(self.patience(), || {
             // Advance as far as it goes; a refused advance is waited out.
-            while epochs.global_epoch() < target && epochs.try_advance_excluding(tid).is_some() {}
+            while epochs.global_epoch() < target && epochs.try_advance_excluding(me).is_some() {}
             epochs.global_epoch() >= target
         })
     }
 
-    fn wait_all_at(&self, epoch: u64, tid: usize) -> bool {
+    fn wait_all_at(&self, epoch: u64, me: Slot<'_>) -> bool {
         // "All other threads in the relocation epoch" is exactly the
         // condition under which the epoch could advance past it.
         let epochs = &self.runtime.epochs;
-        poll_until(self.patience(), || epochs.can_advance_excluding(tid, epoch))
+        poll_until(self.patience(), || epochs.can_advance_excluding(me, epoch))
     }
 }
 
@@ -623,6 +631,42 @@ mod tests {
         assert_eq!(rt.next_relocation_epoch(), 0);
         assert!(!rt.in_moving_phase());
         assert!(c.membership_snapshot().groups.is_empty());
+    }
+
+    /// A pass whose thread cannot claim an epoch slot did not run, and says
+    /// so: `try_compact` answers the refused claim with an error where an
+    /// idle pass answers an empty report, and `compact` panics on it.
+    #[test]
+    fn a_refused_slot_claim_is_an_error_not_an_idle_pass() {
+        let rt = Runtime::new();
+        let config = ContextConfig {
+            reclamation_threshold: 1.1,
+            ..ContextConfig::default()
+        };
+        let c = Arc::new(ctx_with(&rt, config));
+        let cap = c.layout().capacity as u64;
+        for i in 0..cap * 4 {
+            let a = alloc_u64(&c, i);
+            if i % 10 != 0 {
+                assert!(c.free(a.entry, a.entry_inc));
+            }
+        }
+        assert!(c.compaction_due(), "a pass would have work");
+        rt.faults()
+            .set_rate(FaultSite::ThreadClaim, crate::fault::RATE_DENOMINATOR);
+        rt.faults().enable(0x5107);
+        let c2 = c.clone();
+        let fresh = std::thread::spawn(move || {
+            let tried = c2.try_compact().map(|r| r.groups);
+            let compact = std::panic::AssertUnwindSafe(|| c2.compact().groups);
+            (tried, std::panic::catch_unwind(compact).ok())
+        });
+        let (tried, compacted) = fresh.join().unwrap();
+        rt.faults().disable();
+        assert_eq!(tried, Err(MemError::TooManyThreads));
+        assert_eq!(compacted, None, "compact() answered a refused claim");
+        assert!(c.compaction_due(), "no pass ran");
+        assert!(c.try_compact().unwrap().groups >= 1);
     }
 
     #[test]

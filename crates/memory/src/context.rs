@@ -39,7 +39,7 @@ use smc_util::sync::{fence, AtomicU64, AtomicUsize, Mutex, RwLock};
 
 use crate::block::{BlockLayout, BlockRef};
 pub use crate::compact::{CompactionGroup, CompactionReport};
-use crate::epoch::Guard;
+use crate::epoch::{Guard, Slot};
 use crate::error::MemError;
 use crate::indirection::EntryRef;
 use crate::runtime::{Grave, Runtime};
@@ -234,7 +234,8 @@ pub struct MemoryContext {
     pub(crate) obj_align: usize,
     pub(crate) config: ContextConfig,
     pub(crate) membership: RwLock<Membership>,
-    /// Current allocation block per thread slot (block header address).
+    /// Current allocation block per thread slot (block header address),
+    /// indexed by the holder's [`Slot`].
     thread_blocks: Box<[AtomicUsize]>,
     /// Blocks with enough limbo slots to be worth reusing, with the epoch at
     /// which they become reclaimable.
@@ -361,12 +362,12 @@ impl MemoryContext {
     /// the slot is claimed but *before* it becomes visible to enumerations,
     /// so it must fully initialize the object's bytes.
     pub fn alloc_with(&self, init: impl FnOnce(&BlockRef, SlotId)) -> Result<Allocation, MemError> {
-        let tid = self.runtime.epochs.thread_index()?;
+        let me = self.runtime.thread_slot()?;
         let stats = &self.runtime.stats;
         loop {
-            let block = match self.current_thread_block(tid) {
+            let block = match self.current_thread_block(me) {
                 Some(b) => b,
-                None => self.acquire_block(tid)?,
+                None => self.acquire_block(me)?,
             };
             let header = block.header();
             let now = self.runtime.global_epoch();
@@ -388,18 +389,18 @@ impl MemoryContext {
                     _ => cursor += 1,
                 }
             };
-            stats.bump(Some(tid), |cell| &cell.alloc_scan_steps, scanned);
+            stats.bump(me, |cell| &cell.alloc_scan_steps, scanned);
             match claimed {
                 Some(slot_id) => {
                     header.alloc_cursor.store(slot_id + 1, Ordering::Relaxed);
-                    return Ok(self.wire_slot(tid, block, slot_id, init));
+                    return Ok(self.wire_slot(me, block, slot_id, init));
                 }
                 None => {
                     // Block exhausted: abandon it and fetch another.
                     header
                         .alloc_cursor
                         .store(header.capacity, Ordering::Relaxed);
-                    self.abandon_thread_block(tid, block);
+                    self.abandon_thread_block(me, block);
                 }
             }
         }
@@ -407,13 +408,13 @@ impl MemoryContext {
 
     fn wire_slot(
         &self,
-        tid: usize,
+        me: Slot<'_>,
         block: BlockRef,
         slot_id: SlotId,
         init: impl FnOnce(&BlockRef, SlotId),
     ) -> Allocation {
         let stats = &self.runtime.stats;
-        let entry = self.runtime.indirection.allocate(tid);
+        let entry = self.runtime.indirection.allocate(me);
         let slot_inc = block.payload_inc(slot_id).incarnation();
         let entry_inc = entry.get().inc().incarnation();
         // Initialize object bytes before publishing the slot as Valid.
@@ -426,7 +427,7 @@ impl MemoryContext {
             .store_payload(block.payload(slot_id), Ordering::Release);
         block.slot_word(slot_id).set_valid();
         block.header().valid_count.fetch_add(1, Ordering::Relaxed);
-        stats.bump(Some(tid), |cell| &cell.objects_allocated, 1);
+        stats.bump(me, |cell| &cell.objects_allocated, 1);
         Allocation {
             entry,
             entry_inc,
@@ -436,8 +437,8 @@ impl MemoryContext {
         }
     }
 
-    fn current_thread_block(&self, tid: usize) -> Option<BlockRef> {
-        let addr = self.thread_blocks[tid].load(Ordering::Acquire);
+    fn current_thread_block(&self, me: Slot<'_>) -> Option<BlockRef> {
+        let addr = self.thread_blocks[me.index()].load(Ordering::Acquire);
         if addr == 0 {
             None
         } else {
@@ -445,33 +446,33 @@ impl MemoryContext {
         }
     }
 
-    fn abandon_thread_block(&self, tid: usize, block: BlockRef) {
-        self.thread_blocks[tid].store(0, Ordering::Release);
+    fn abandon_thread_block(&self, me: Slot<'_>, block: BlockRef) {
+        self.thread_blocks[me.index()].store(0, Ordering::Release);
         block.header().active_owner.store(0, Ordering::Release);
         // A full block may already deserve a spot in the reclamation queue
         // (its removals were deferred while we owned it).
         self.maybe_enqueue_for_reclamation(block);
     }
 
-    fn adopt_thread_block(&self, tid: usize, block: BlockRef) {
+    fn adopt_thread_block(&self, me: Slot<'_>, block: BlockRef) {
         block
             .header()
             .active_owner
-            .store(tid as u32 + 1, Ordering::Release);
-        self.thread_blocks[tid].store(block.base() as usize, Ordering::Release);
+            .store(me.index() as u32 + 1, Ordering::Release);
+        self.thread_blocks[me.index()].store(block.base() as usize, Ordering::Release);
     }
 
-    fn acquire_block(&self, tid: usize) -> Result<BlockRef, MemError> {
+    fn acquire_block(&self, me: Slot<'_>) -> Result<BlockRef, MemError> {
         self.runtime.drain_graveyard();
         // Prefer a reclaimable block from the queue (§3.5).
-        if let Some(block) = self.pop_reclaimable(tid) {
+        if let Some(block) = self.pop_reclaimable(me) {
             return Ok(block);
         }
         // Blocks may be waiting on epochs: lazily advance (§3.5) and look
         // again.
         if !self.reclaim_queue.lock().is_empty() {
             self.runtime.advance_and_drain();
-            if let Some(block) = self.pop_reclaimable(tid) {
+            if let Some(block) = self.pop_reclaimable(me) {
                 return Ok(block);
             }
         }
@@ -489,13 +490,13 @@ impl MemoryContext {
             if (self.bytes() + crate::block::BLOCK_SIZE) as u64 > budget {
                 let queued = !self.reclaim_queue.lock().is_empty();
                 if queued && self.runtime.advance_and_drain() {
-                    if let Some(block) = self.pop_reclaimable(tid) {
+                    if let Some(block) = self.pop_reclaimable(me) {
                         return Ok(block);
                     }
                 }
                 if !self.try_spill_one() {
                     MemoryStats::inc(&self.runtime.stats.context_budget_rejections);
-                    return self.pop_reclaimable(tid).ok_or(MemError::OutOfMemory);
+                    return self.pop_reclaimable(me).ok_or(MemError::OutOfMemory);
                 }
                 // The victim waits two epochs in the graveyard, and a load
                 // is the only thing running: move the clock here, so the
@@ -509,7 +510,7 @@ impl MemoryContext {
             let block = self
                 .runtime
                 .allocate_block(&self.layout, self.type_id, self.id)?;
-            self.adopt_thread_block(tid, block);
+            self.adopt_thread_block(me, block);
             self.membership.write().blocks.push(block);
             Ok(block)
         };
@@ -523,19 +524,19 @@ impl MemoryContext {
                     return Ok(block);
                 }
             }
-            self.pop_reclaimable(tid).ok_or(e)
+            self.pop_reclaimable(me).ok_or(e)
         })
     }
 
     /// Pops the reclaim queue's front block if its epoch has matured, resets
-    /// its allocation cursor, and adopts it for `tid`.
+    /// its allocation cursor, and adopts it for the holder of `me`.
     ///
     /// Adoption happens *while holding the queue lock*: compaction's
     /// candidate selection takes the same lock and requires
     /// `active_owner == 0`, so releasing the lock before claiming ownership
     /// would let a concurrent pass freeze — and later retire and free — the
     /// block this thread is about to allocate from.
-    fn pop_reclaimable(&self, tid: usize) -> Option<BlockRef> {
+    fn pop_reclaimable(&self, me: Slot<'_>) -> Option<BlockRef> {
         let mut q = self.reclaim_queue.lock();
         let &(block, ready_at) = q.front()?;
         if ready_at > self.runtime.global_epoch() {
@@ -549,7 +550,7 @@ impl MemoryContext {
         );
         block.header().in_reclaim_queue.store(0, Ordering::Release);
         block.header().alloc_cursor.store(0, Ordering::Relaxed);
-        self.adopt_thread_block(tid, block);
+        self.adopt_thread_block(me, block);
         drop(q);
         Some(block)
     }
@@ -669,7 +670,7 @@ impl MemoryContext {
                 // then retry the lock: the fault-in repointed the entry at a
                 // resident slot.
                 entry.get().inc().unlock_keep_flags(observed);
-                if !spill::fault_in_tagged(payload) {
+                if !spill::fault_in_tagged(payload)? {
                     return Err(MemError::SpillFault);
                 }
                 continue;
@@ -697,9 +698,8 @@ impl MemoryContext {
         block.slot_word(slot_id).set_limbo(epoch);
         block.header().valid_count.fetch_sub(1, Ordering::Relaxed);
         block.header().limbo_count.fetch_add(1, Ordering::Relaxed);
-        let tid = guard.thread_index();
-        let stats = &self.runtime.stats;
-        stats.bump(Some(tid), |cell| &cell.objects_freed, 1);
+        let me = guard.slot();
+        self.runtime.stats.bump(me, |cell| &cell.objects_freed, 1);
         // The bump both retires the incarnation — failing every outstanding
         // reference — and releases the lock bit (a bump clears all flags).
         // Its release ordering publishes the slot surgery above, which is
@@ -709,7 +709,7 @@ impl MemoryContext {
         // Entry reuse waits two epochs: a direct pointer chasing a
         // forwarding tombstone (§6) may still read this entry until every
         // critical section that could hold such a pointer has ended.
-        self.runtime.indirection.note_freed(tid);
+        self.runtime.indirection.note_freed(me);
         self.runtime.bury(Grave::Entry(entry), epoch + 2);
         Ok(true)
     }
@@ -748,7 +748,7 @@ impl Drop for MemoryContext {
             self.runtime.indirection.release_many(entries);
             self.runtime.bury_block(block, free_at);
         }
-        self.runtime.note_objects_freed(freed);
+        self.runtime.stats.note_dropped_objects(freed);
         self.runtime.drain_graveyard();
     }
 }

@@ -25,6 +25,16 @@
 //! memory that is still block-resident — never unmapped memory, because a
 //! buried block is freed only once the global epoch has passed the epoch it
 //! was buried at ([`Runtime::drain_graveyard`](crate::runtime::Runtime::drain_graveyard)).
+//!
+//! ## One handle per thread slot
+//!
+//! Every per-thread structure of the memory system (a slot's block cache,
+//! entry magazine and counter cell, a context's allocation block, the
+//! advance reservation) is indexed by the registry slot of the thread that
+//! uses it, and is reached only through the [`Slot`] token this module
+//! makes: [`EpochManager::slot`] on registration, [`Guard::slot`] from a
+//! pin. DESIGN.md §16 "One handle per thread slot" says what the token
+//! proves and why none outlives its thread's registration.
 
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
@@ -126,7 +136,8 @@ impl Drop for TlsRegistry {
         // First: a slot released below may be claimed by another thread at
         // once, and a destructor of some other thread-local that runs after
         // this one must not be answered from the cache with a slot this
-        // thread no longer holds.
+        // thread no longer holds. (Nor can it register again: the registry
+        // is gone, so `slot` answers it with an error.)
         LAST_HIT.set((0, 0));
         for reg in &self.regs {
             if let Some(mgr) = reg.mgr.upgrade() {
@@ -138,7 +149,7 @@ impl Drop for TlsRegistry {
 
 thread_local! {
     static REGISTRY: RefCell<TlsRegistry> = const { RefCell::new(TlsRegistry { regs: Vec::new() }) };
-    /// The `(manager id, slot)` [`EpochManager::thread_index`] answered last
+    /// The `(manager id, slot)` [`EpochManager::slot`] answered last
     /// on this thread, in front of the registry walk. A manager's id is
     /// never reused (`NEXT_MANAGER_ID`), so an entry left behind by a
     /// dropped manager matches no live one; `(0, 0)` matches nothing.
@@ -146,7 +157,9 @@ thread_local! {
 }
 
 impl EpochManager {
-    /// Creates a manager with epoch 0 and no registered threads.
+    /// Creates a manager with epoch 0 and no registered threads (the
+    /// runtime's own is [`with_faults`](Self::with_faults)).
+    #[cfg(any(test, smc_check))]
     pub fn new() -> Arc<Self> {
         Self::with_faults(Arc::new(FaultInjector::detached()))
     }
@@ -176,21 +189,24 @@ impl EpochManager {
         self.global.load(Ordering::SeqCst)
     }
 
-    /// Index of the calling thread's slot, registering on first use. One
+    /// The calling thread's [`Slot`], registering on first use. One
     /// thread-local load and one compare when the thread asked this manager
-    /// last; otherwise the registry walk.
+    /// last; otherwise the registry walk. `Err(MemError::TooManyThreads)`
+    /// when every slot is held, when an injected [`FaultSite::ThreadClaim`]
+    /// failure refuses the claim, or when the thread's registry is already
+    /// gone (a thread-local destructor that runs after the registry's).
     #[inline]
-    pub fn thread_index(self: &Arc<Self>) -> Result<usize, MemError> {
+    pub fn slot(self: &Arc<Self>) -> Result<Slot<'_>, MemError> {
         let (id, idx) = LAST_HIT.get();
         if id == self.id {
-            return Ok(idx);
+            return Ok(self.token(idx));
         }
-        self.thread_index_slow()
+        self.slot_slow()
     }
 
     #[cold]
-    fn thread_index_slow(self: &Arc<Self>) -> Result<usize, MemError> {
-        REGISTRY.with(|r| {
+    fn slot_slow(self: &Arc<Self>) -> Result<Slot<'_>, MemError> {
+        let registered = REGISTRY.try_with(|r| {
             let mut reg = r.borrow_mut();
             let idx = match reg.regs.iter().find(|x| x.mgr_id == self.id) {
                 Some(existing) => existing.idx,
@@ -210,7 +226,20 @@ impl EpochManager {
             };
             LAST_HIT.set((self.id, idx));
             Ok(idx)
-        })
+        });
+        let idx = registered.unwrap_or(Err(MemError::TooManyThreads))?;
+        Ok(self.token(idx))
+    }
+
+    /// The token for slot `idx` of this manager; the callers above have
+    /// just found the calling thread holding it.
+    #[inline]
+    fn token(&self, idx: usize) -> Slot<'_> {
+        Slot {
+            idx,
+            manager: self.id,
+            _held_here: PhantomData,
+        }
     }
 
     fn claim_slot(&self) -> Result<usize, MemError> {
@@ -230,9 +259,15 @@ impl EpochManager {
         Err(MemError::TooManyThreads)
     }
 
+    /// Gives slot `idx` back when its thread exits, unless a guard of the
+    /// thread still pins it: a `Guard` kept in a thread-local whose
+    /// destructor runs after the registry's drops after this, and the slot
+    /// it would unpin must not be another thread's by then. Such a slot
+    /// stays claimed for the life of the manager.
     fn release_slot(&self, idx: usize) {
-        debug_assert_eq!(self.slots[idx].depth.load(Ordering::Acquire), 0);
-        self.slots[idx].claimed.store(0, Ordering::Release);
+        if self.slots[idx].depth.load(Ordering::Acquire) == 0 {
+            self.slots[idx].claimed.store(0, Ordering::Release);
+        }
     }
 
     /// Enters a critical section (the paper's `enter_critical_section`) and
@@ -241,6 +276,7 @@ impl EpochManager {
     ///
     /// Panics if the thread registry is full; use [`try_pin`](Self::try_pin)
     /// where that must surface as an error instead.
+    #[cfg(any(test, smc_check))]
     pub fn pin(self: &Arc<Self>) -> Guard<'_> {
         self.try_pin().expect("epoch thread registry full")
     }
@@ -249,7 +285,7 @@ impl EpochManager {
     /// calling thread cannot register (registry exhausted, or an injected
     /// [`FaultSite::ThreadClaim`] failure).
     pub fn try_pin(self: &Arc<Self>) -> Result<Guard<'_>, MemError> {
-        let idx = self.thread_index()?;
+        let idx = self.slot()?.idx;
         self.enter(idx);
         Ok(Guard {
             mgr: self,
@@ -333,12 +369,19 @@ impl EpochManager {
         self.try_advance_from(None)
     }
 
-    /// [`try_advance`](Self::try_advance) on behalf of thread slot `idx`,
+    /// [`try_advance`](Self::try_advance) on behalf of the holder of `me`,
     /// ignoring that thread's own pinned epoch (used by the compaction
     /// thread, which sits in a critical section at `e` while driving the
     /// global epoch forward, §5.1).
-    pub fn try_advance_excluding(&self, idx: usize) -> Option<u64> {
-        self.try_advance_from(Some(idx))
+    pub(crate) fn try_advance_excluding(&self, me: Slot<'_>) -> Option<u64> {
+        self.try_advance_from(Some(self.index_of(me)))
+    }
+
+    /// `slot`'s index, which must name a slot of this manager.
+    #[inline]
+    fn index_of(&self, slot: Slot<'_>) -> usize {
+        debug_assert_eq!(slot.manager, self.id, "a slot of another manager");
+        slot.idx
     }
 
     fn try_advance_from(&self, me: Option<usize>) -> Option<u64> {
@@ -367,11 +410,11 @@ impl EpochManager {
         }
     }
 
-    /// True if every in-critical thread other than `idx` has reached
-    /// `epoch` — the §5.1 condition for the compaction thread to conclude
-    /// that "all other threads are in the relocation epoch".
-    pub fn can_advance_excluding(&self, idx: usize, epoch: u64) -> bool {
-        self.all_threads_at(epoch, Some(idx))
+    /// True if every in-critical thread other than the holder of `me` has
+    /// reached `epoch` — the §5.1 condition for the compaction thread to
+    /// conclude that "all other threads are in the relocation epoch".
+    pub(crate) fn can_advance_excluding(&self, me: Slot<'_>, epoch: u64) -> bool {
+        self.all_threads_at(epoch, Some(self.index_of(me)))
     }
 
     /// The announced relocation epoch, 0 if no compaction is pending (§5.1).
@@ -396,18 +439,19 @@ impl EpochManager {
         self.in_moving_phase.store(on, Ordering::SeqCst);
     }
 
-    /// Reserves epoch advancement for thread slot `idx`. Returns false if
+    /// Reserves epoch advancement for the holder of `me`. Returns false if
     /// another reservation is active.
-    pub fn reserve_advance(&self, idx: usize) -> bool {
+    pub(crate) fn reserve_advance(&self, me: Slot<'_>) -> bool {
+        let idx = self.index_of(me);
         self.reserved_by
             .compare_exchange(NO_RESERVATION, idx, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
     }
 
-    /// Releases an advance reservation taken by `idx`.
-    pub fn release_advance(&self, idx: usize) {
+    /// Releases an advance reservation taken by the holder of `me`.
+    pub(crate) fn release_advance(&self, me: Slot<'_>) {
         let _ = self.reserved_by.compare_exchange(
-            idx,
+            self.index_of(me),
             NO_RESERVATION,
             Ordering::AcqRel,
             Ordering::Acquire,
@@ -461,6 +505,68 @@ impl EpochManager {
     }
 }
 
+/// The calling thread's hold on one thread slot of its runtime's epoch
+/// registry (an epoch *thread* slot, not an object's
+/// [`SlotId`](crate::slot::SlotId) in a block). Each per-thread structure
+/// of the memory system — the slot's entry magazine, its block cache, its
+/// hot-counter cell, a context's current allocation block, the advance
+/// reservation a compaction pass takes — is reached through one, and only
+/// the registry makes one: for the thread that holds the slot, on
+/// registration or from a pinned [`Guard`]. A token is the slot's index and
+/// its manager's id, copied by value.
+///
+/// It is neither `Send` nor `Sync`, so it never leaves the thread that holds
+/// the slot, and its lifetime is a borrow of the runtime (or, from
+/// [`Guard::slot`], of the guard). The crate derives one per operation and
+/// keeps none, and no public function takes one: a token that outlived its
+/// thread's registration could be used for nothing.
+///
+/// ```compile_fail
+/// let rt = smc_memory::Runtime::new();
+/// let guard = rt.pin();
+/// let slot = guard.slot();
+/// std::thread::scope(|s| {
+///     s.spawn(move || slot.index());
+/// });
+/// ```
+///
+/// The entry table behind it is the runtime's own, out of reach from
+/// outside the crate:
+///
+/// ```compile_fail
+/// let rt = smc_memory::Runtime::new();
+/// let guard = rt.pin();
+/// let entry = rt.indirection.allocate(guard.slot());
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Slot<'m> {
+    idx: usize,
+    /// [`EpochManager::id`] of the registry the slot belongs to.
+    manager: u64,
+    _held_here: PhantomData<(&'m EpochManager, *const ())>,
+}
+
+impl Slot<'_> {
+    /// The slot's index, below [`MAX_THREADS`]: the same index for as long
+    /// as the thread lives, and reused by a later thread after it exits.
+    #[inline]
+    pub fn index(self) -> usize {
+        self.idx
+    }
+}
+
+/// A token for slot `idx` that the calling thread does not hold. Only the
+/// model checker's mutations make one, to write another thread's
+/// per-thread structure: the bug each of them re-introduces.
+#[cfg(smc_check)]
+pub(crate) fn forged_slot(idx: usize) -> Slot<'static> {
+    Slot {
+        idx,
+        manager: 0,
+        _held_here: PhantomData,
+    }
+}
+
 /// An active critical section. Object dereferences require a `&Guard`; the
 /// guard's lifetime bounds every reference obtained through it, which is the
 /// Rust rendering of "all accesses to objects are valid as long as the
@@ -489,16 +595,18 @@ impl<'e> Guard<'e> {
         self.mgr.slots[self.idx].epoch.load(Ordering::Acquire)
     }
 
-    /// The thread-slot index of this guard (used by compaction).
+    /// The thread slot this guard pins, for the per-thread structures it
+    /// indexes. Borrowed from the guard, so it lives no longer than the pin.
     #[inline]
-    pub fn thread_index(&self) -> usize {
-        self.idx
+    pub fn slot(&self) -> Slot<'_> {
+        self.mgr.token(self.idx)
     }
 
-    /// The manager this guard pins.
+    /// True while the in-flight compaction of this guard's runtime is in
+    /// its moving phase (§5.1).
     #[inline]
-    pub fn manager(&self) -> &Arc<EpochManager> {
-        self.mgr
+    pub fn in_moving_phase(&self) -> bool {
+        self.mgr.in_moving_phase()
     }
 
     /// True if this guard's thread is pinned in the announced relocation
@@ -525,10 +633,10 @@ pub(crate) fn with_registry_exhausted(mgr: &Arc<EpochManager>, f: impl FnOnce())
         .map(|_| {
             let (m, b) = (mgr.clone(), barrier.clone());
             std::thread::spawn(move || {
-                let idx = m.thread_index();
+                let registered = m.slot().is_ok();
                 b.wait(); // all slots taken
                 b.wait(); // `f` has run
-                idx.is_ok()
+                registered
             })
         })
         .collect();
@@ -590,14 +698,16 @@ mod tests {
     #[test]
     fn reservation_gates_other_threads() {
         let mgr = EpochManager::new();
-        let idx = mgr.thread_index().unwrap();
-        assert!(mgr.reserve_advance(idx));
-        assert!(!mgr.reserve_advance(idx + 1));
+        let me = mgr.slot().unwrap();
+        assert!(mgr.reserve_advance(me));
+        let m2 = mgr.clone();
+        let other = move || m2.reserve_advance(m2.slot().unwrap());
+        assert!(!std::thread::spawn(other).join().unwrap());
         // Other threads (None = anonymous) cannot advance.
         assert_eq!(mgr.try_advance(), None);
         // The reserving thread can, excluding itself.
-        assert_eq!(mgr.try_advance_excluding(idx), Some(1));
-        mgr.release_advance(idx);
+        assert_eq!(mgr.try_advance_excluding(me), Some(1));
+        mgr.release_advance(me);
         assert_eq!(mgr.try_advance(), Some(2));
     }
 
@@ -632,7 +742,7 @@ mod tests {
         let mut first_idx = None;
         for _ in 0..MAX_THREADS + 10 {
             let m = mgr.clone();
-            let idx = std::thread::spawn(move || m.thread_index().unwrap())
+            let idx = std::thread::spawn(move || m.slot().unwrap().index())
                 .join()
                 .unwrap();
             match first_idx {
@@ -649,17 +759,17 @@ mod tests {
         let body = || {
             let registered = || REGISTRY.with(|r| r.borrow().regs.len());
             let keeper = EpochManager::new();
-            let keeper_idx = keeper.thread_index().unwrap();
+            let keeper_idx = keeper.slot().unwrap().index();
             // A manager is ~10 KB of atomics to initialise: fewer under Miri.
             for _ in 0..if cfg!(miri) { 50 } else { 1000 } {
                 let mgr = EpochManager::new();
-                let idx = mgr.thread_index().unwrap();
+                let idx = mgr.slot().unwrap().index();
                 // Claimed for real: the cache still names the keeper (or a
                 // dropped manager's id, which is never issued again).
                 assert_eq!(mgr.slots[idx].claimed.load(Ordering::Acquire), 1);
                 drop(mgr.pin());
-                assert_eq!(mgr.thread_index().unwrap(), idx);
-                assert_eq!(keeper.thread_index().unwrap(), keeper_idx);
+                assert_eq!(mgr.slot().unwrap().index(), idx);
+                assert_eq!(keeper.slot().unwrap().index(), keeper_idx);
                 drop(mgr);
                 // The keeper, this round's manager, and at most the round
                 // before's: pruned when this round's registered.
@@ -670,16 +780,70 @@ mod tests {
         std::thread::spawn(body).join().unwrap();
     }
 
+    /// A thread-local whose destructor runs after the registry's (its value
+    /// was set before the thread first registered: destructors run in the
+    /// reverse order of first use) cannot register again, and a guard such
+    /// a value holds keeps its slot from the next thread.
+    // The manager is leaked on purpose (a guard in a thread-local needs a
+    // `'static` one), which Miri's leak check would report.
+    #[cfg(target_os = "linux")]
+    #[cfg_attr(miri, ignore)]
+    #[test]
+    fn a_thread_local_destroyed_after_the_registry_gets_no_slot_and_keeps_its_pin() {
+        struct Late {
+            mgr: &'static Arc<EpochManager>,
+            guard: Option<Guard<'static>>,
+            refused: Arc<AtomicBool>,
+        }
+        impl Drop for Late {
+            fn drop(&mut self) {
+                let refused = matches!(self.mgr.slot(), Err(MemError::TooManyThreads));
+                self.refused.store(refused, Ordering::SeqCst);
+                drop(self.guard.take());
+            }
+        }
+        thread_local! {
+            static LATE: RefCell<Option<Late>> = const { RefCell::new(None) };
+        }
+        let mgr: &'static Arc<EpochManager> = Box::leak(Box::new(EpochManager::new()));
+        let refused = Arc::new(AtomicBool::new(false));
+        let r2 = refused.clone();
+        let idx = std::thread::spawn(move || {
+            LATE.with(|late| {
+                *late.borrow_mut() = Some(Late {
+                    mgr,
+                    guard: None,
+                    refused: r2,
+                })
+            });
+            let guard = mgr.pin();
+            let idx = guard.slot().index();
+            LATE.with(|late| late.borrow_mut().as_mut().unwrap().guard = Some(guard));
+            idx
+        })
+        .join()
+        .unwrap();
+        assert!(
+            refused.load(Ordering::SeqCst),
+            "a late destructor registered"
+        );
+        let claimed = mgr.slots[idx].claimed.load(Ordering::Acquire);
+        assert_eq!(claimed, 1, "the pinned slot was handed back");
+        assert_eq!(mgr.slots[idx].depth.load(Ordering::Acquire), 0);
+        let next = std::thread::spawn(move || mgr.slot().unwrap().index());
+        assert_ne!(next.join().unwrap(), idx);
+    }
+
     #[test]
     fn registry_exhaustion_errors_then_recovers() {
         let mgr = EpochManager::new();
         with_registry_exhausted(&mgr, || {
             // Registrant MAX_THREADS + 1: must fail, not panic.
-            assert!(matches!(mgr.thread_index(), Err(MemError::TooManyThreads)));
+            assert!(matches!(mgr.slot(), Err(MemError::TooManyThreads)));
             assert!(matches!(mgr.try_pin(), Err(MemError::TooManyThreads)));
         });
         // Exited threads released their slots: registration works again.
-        assert!(mgr.thread_index().is_ok());
+        assert!(mgr.slot().is_ok());
         assert!(mgr.try_pin().is_ok());
     }
 

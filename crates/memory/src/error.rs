@@ -34,13 +34,15 @@ pub enum MemError {
     },
     /// The process ran out of memory while allocating a block.
     OutOfMemory,
-    /// Thread registry is full: more concurrent threads touched the runtime
-    /// than `epoch::MAX_THREADS`.
+    /// The calling thread cannot have an epoch thread slot: more concurrent
+    /// threads touched the runtime than [`MAX_THREADS`](crate::MAX_THREADS)
+    /// (or an injected `ThreadClaim` failure refused the claim).
     TooManyThreads,
     /// A spilled page could not be brought back to residency: the page store
-    /// failed the read, the page failed its checksum, or the operation was
-    /// attempted from inside a spill-page scan. The page stays spilled and
-    /// the heap stays intact — spill I/O always fails closed.
+    /// failed the read, or the page failed its checksum (or, for a
+    /// reference, was spilled again under its reader eight times in a row).
+    /// The page stays spilled and the heap stays intact — spill I/O always
+    /// fails closed.
     SpillFault,
 }
 

@@ -63,7 +63,7 @@ fault_sites! {
     /// makes the attempt report failure, as if a straggling critical section
     /// were pinned behind the current epoch.
     EpochAdvance = 2 => "epoch-advance",
-    /// Thread-slot registration (`EpochManager::thread_index` on first use).
+    /// Thread-slot registration (`EpochManager::slot` on first use).
     /// Injection returns
     /// [`MemError::TooManyThreads`](crate::error::MemError::TooManyThreads),
     /// as if the registry were full.

@@ -40,8 +40,9 @@
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, Ordering};
 
-use crate::epoch::MAX_THREADS;
+use crate::epoch::{Slot, MAX_THREADS};
 use crate::incarnation::{IncWord, INC_LIMIT};
+#[cfg(smc_check)]
 use smc_util::mutation::{self, Mutation};
 use smc_util::sync::{AtomicU64, AtomicUsize, Mutex};
 
@@ -100,7 +101,7 @@ impl IndirEntry {
 
 /// A stable, copyable handle to an [`IndirEntry`].
 ///
-/// Valid for as long as the owning [`IndirectionTable`] is alive; the `smc`
+/// Valid for as long as the runtime's entry table is alive; the `smc`
 /// crate guarantees this by routing every dereference through a collection
 /// handle that keeps the runtime (and thus the table) alive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -225,25 +226,19 @@ impl IndirectionTable {
         }
     }
 
-    /// Allocates an entry with a null payload for the thread holding epoch
-    /// thread slot `tid`
-    /// ([`EpochManager::thread_index`](crate::epoch::EpochManager::thread_index)
-    /// of the manager this table is used beside). Holding the slot is the
-    /// caller's side of the contract: two threads passing one `tid` at once
-    /// may be handed the same entry.
+    /// Allocates an entry with a null payload from the magazine of `slot`,
+    /// a slot of the epoch registry this table is used beside, which the
+    /// calling thread holds.
     ///
     /// The returned entry keeps whatever incarnation its previous life ended
     /// with — references to the previous occupant already fail their check
     /// because release bumped the incarnation.
-    ///
-    /// # Panics
-    /// If `tid >= MAX_THREADS`.
     #[inline]
-    pub fn allocate(&self, tid: usize) -> EntryRef {
-        let magazine = &self.magazines[tid];
+    pub fn allocate(&self, slot: Slot<'_>) -> EntryRef {
+        let magazine = &self.magazines[slot.index()];
         let mut len = magazine.len.load(Ordering::Relaxed);
         if len == 0 {
-            len = self.refill(magazine, tid);
+            len = self.refill(magazine, slot);
         }
         len -= 1;
         magazine.len.store(len, Ordering::Relaxed);
@@ -257,8 +252,8 @@ impl IndirectionTable {
     /// (never 0): recycled entries if some shard has any, else the next run
     /// of fresh ones.
     #[cold]
-    fn refill(&self, magazine: &Magazine, tid: usize) -> usize {
-        let home = tid & (SHARDS - 1);
+    fn refill(&self, magazine: &Magazine, slot: Slot<'_>) -> usize {
+        let home = slot.index() & (SHARDS - 1);
         for offset in 0..SHARDS {
             let shard = &self.free[(home + offset) & (SHARDS - 1)];
             if shard.len.load(Ordering::Relaxed) == 0 {
@@ -316,13 +311,15 @@ impl IndirectionTable {
             self.quarantined.fetch_add(worn_out, Ordering::Relaxed);
         }
         let target = self.next_shard.fetch_add(1, Ordering::Relaxed);
+        #[cfg(smc_check)]
         if mutation::enabled(Mutation::ReleaseIntoForeignMagazine) {
             // Re-introduced bug: skip the lock and stock a magazine directly
             // — one whose slot the releasing thread does not hold, so its
             // plain read-then-write of `len` races the holder's pop. The
             // magazine's words are not switch points; the mutation names the
             // window between its load and its stores itself.
-            let magazine = &self.magazines[target % self.magazines.len()];
+            let foreign = crate::epoch::forged_slot(target % MAX_THREADS);
+            let magazine = &self.magazines[foreign.index()];
             for entry in batch {
                 let len = magazine.len.load(Ordering::Relaxed).min(MAGAZINE - 1);
                 smc_util::sync::yield_point();
@@ -357,12 +354,12 @@ impl IndirectionTable {
         released
     }
 
-    /// Counts one entry, freed by the holder of thread slot `tid`, out of
-    /// the live total. The entry itself waits in the runtime's graveyard: a
-    /// stale direct pointer following a tombstone (§6) reads it until every
+    /// Counts one entry, freed by the holder of `slot`, out of the live
+    /// total. The entry itself waits in the runtime's graveyard: a stale
+    /// direct pointer following a tombstone (§6) reads it until every
     /// critical section that could still hold such a pointer has ended.
-    pub(crate) fn note_freed(&self, tid: usize) {
-        let live = &self.magazines[tid].live;
+    pub(crate) fn note_freed(&self, slot: Slot<'_>) {
+        let live = &self.magazines[slot.index()].live;
         live.store(
             live.load(Ordering::Relaxed).wrapping_sub(1),
             Ordering::Relaxed,
@@ -451,10 +448,17 @@ mod tests {
         t.check_conserved(0).unwrap();
     }
 
+    /// Runs `f` with a slot of a fresh registry, which the calling thread
+    /// holds.
+    fn with_slot<R>(f: impl FnOnce(Slot<'_>) -> R) -> R {
+        let mgr = EpochManager::new();
+        f(mgr.slot().expect("a fresh registry has room"))
+    }
+
     #[test]
     fn allocate_initializes_null_payload() {
         let t = IndirectionTable::new();
-        let e = t.allocate(0);
+        let e = with_slot(|me| t.allocate(me));
         assert_eq!(e.get().load_payload(Ordering::Acquire), 0);
         assert_eq!(t.live_entries(), 1);
         assert_eq!(t.capacity(), CHUNK_ENTRIES);
@@ -465,8 +469,10 @@ mod tests {
 
     #[test]
     fn release_allows_reuse_with_bumped_incarnation() {
+        let mgr = EpochManager::new();
+        let me = mgr.slot().unwrap();
         let t = IndirectionTable::new();
-        let e = t.allocate(0);
+        let e = t.allocate(me);
         e.get().store_payload(0xdead0, Ordering::Release);
         let old_inc = e.get().inc().incarnation();
         e.get().inc().bump();
@@ -476,7 +482,7 @@ mod tests {
         // comes back once the stock in hand is used up.
         let mut found = false;
         for _ in 0..CHUNK_ENTRIES {
-            let e2 = t.allocate(0);
+            let e2 = t.allocate(me);
             if e2 == e {
                 assert_ne!(e2.get().inc().incarnation(), old_inc);
                 assert_eq!(e2.get().load_payload(Ordering::Acquire), 0);
@@ -492,7 +498,7 @@ mod tests {
     #[test]
     fn addr_round_trip() {
         let t = IndirectionTable::new();
-        let e = t.allocate(3);
+        let e = with_slot(|me| t.allocate(me));
         let addr = e.addr();
         let e2 = unsafe { EntryRef::from_addr(addr) };
         assert_eq!(e, e2);
@@ -502,7 +508,7 @@ mod tests {
     fn grows_beyond_one_chunk() {
         let t = IndirectionTable::new();
         let n = CHUNK_ENTRIES * 2 + 5;
-        let entries: Vec<_> = (0..n).map(|i| t.allocate(i % MAX_THREADS)).collect();
+        let entries: Vec<_> = with_slot(|me| (0..n).map(|_| t.allocate(me)).collect());
         assert!(t.capacity() >= CHUNK_ENTRIES * 2);
         // All distinct.
         let set: HashSet<_> = entries.iter().map(|e| e.addr()).collect();
@@ -513,10 +519,12 @@ mod tests {
     #[test]
     fn entries_are_address_stable_across_growth() {
         let t = IndirectionTable::new();
-        let first = t.allocate(0);
+        let mgr = EpochManager::new();
+        let me = mgr.slot().unwrap();
+        let first = t.allocate(me);
         first.get().store_payload(42, Ordering::Release);
-        for i in 0..CHUNK_ENTRIES * 3 {
-            t.allocate(i % MAX_THREADS);
+        for _ in 0..CHUNK_ENTRIES * 3 {
+            t.allocate(me);
         }
         assert_eq!(first.get().load_payload(Ordering::Acquire), 42);
     }
@@ -524,14 +532,16 @@ mod tests {
     #[test]
     fn overflowed_entries_are_quarantined() {
         let t = IndirectionTable::new();
-        let e = t.allocate(0);
+        let mgr = EpochManager::new();
+        let me = mgr.slot().unwrap();
+        let e = t.allocate(me);
         // Force the incarnation to the limit, then release.
         e.get().inc().store(INC_LIMIT - 1, Ordering::Release);
         t.release_many([e]);
         assert_eq!(t.quarantined_entries(), 1);
         // The quarantined entry must not come back.
-        for i in 0..CHUNK_ENTRIES * 2 {
-            assert_ne!(t.allocate(i % MAX_THREADS), e);
+        for _ in 0..CHUNK_ENTRIES * 2 {
+            assert_ne!(t.allocate(me), e);
         }
         assert_conserved(&t);
     }
@@ -539,16 +549,27 @@ mod tests {
     #[test]
     fn a_refill_takes_one_lock_for_a_whole_magazine() {
         let t = IndirectionTable::new();
-        let fresh: Vec<_> = (0..3 * MAGAZINE).map(|_| t.allocate(0)).collect();
+        let mgr = EpochManager::new();
+        let me = mgr.slot().unwrap();
+        assert_eq!(me.index(), 0, "the first registrant");
+        let fresh: Vec<_> = (0..3 * MAGAZINE).map(|_| t.allocate(me)).collect();
         assert_eq!(t.entry_refills(), 3, "fresh runs, one lock each");
         // A released batch lands on one shard under one lock, whichever
         // shard that is, and restocks whole magazines from there: recycled
-        // entries first, and slot 5's home shard holds none of them.
+        // entries first, and the second registrant's home shard holds none
+        // of them.
         for e in &fresh {
             e.get().inc().bump();
         }
         t.release_many(fresh.iter().copied());
-        let recycled: HashSet<_> = (0..3 * MAGAZINE).map(|_| t.allocate(5)).collect();
+        let second = || {
+            let other = mgr.slot().unwrap();
+            assert_eq!(other.index(), 1, "the second registrant");
+            (0..3 * MAGAZINE)
+                .map(|_| t.allocate(other))
+                .collect::<HashSet<_>>()
+        };
+        let recycled = std::thread::scope(|s| s.spawn(second).join().unwrap());
         assert_eq!(recycled, fresh.into_iter().collect());
         assert_eq!(t.entry_refills(), 6);
         assert_eq!(t.capacity(), CHUNK_ENTRIES, "nothing grew");
@@ -569,9 +590,9 @@ mod tests {
             let take = [5, MAGAZINE, 0, MAGAZINE + 7][round % 4];
             let (m, t) = (mgr.clone(), table.clone());
             let body = move || {
-                let tid = m.thread_index().unwrap();
-                let taken: Vec<_> = (0..take).map(|_| t.allocate(tid).addr()).collect();
-                (tid, taken)
+                let me = m.slot().unwrap();
+                let taken: Vec<_> = (0..take).map(|_| t.allocate(me).addr()).collect();
+                (me.index(), taken)
             };
             let (tid, taken) = std::thread::spawn(body).join().unwrap();
             assert_eq!(tid, 0, "sequential threads land on the freed slot");
@@ -591,13 +612,15 @@ mod tests {
     #[test]
     fn concurrent_allocate_release() {
         let t = std::sync::Arc::new(IndirectionTable::new());
+        let mgr = EpochManager::new();
         let mut handles = Vec::new();
-        for tid in 0..8 {
-            let t = t.clone();
+        for _ in 0..8 {
+            let (t, m) = (t.clone(), mgr.clone());
             handles.push(std::thread::spawn(move || {
+                let me = m.slot().unwrap();
                 let mut held = Vec::new();
                 for i in 0..2000 {
-                    held.push(t.allocate(tid));
+                    held.push(t.allocate(me));
                     if i % 3 == 0 {
                         let e: EntryRef = held.swap_remove(held.len() / 2);
                         e.get().inc().bump();
@@ -605,7 +628,7 @@ mod tests {
                             t.release_many([e]);
                         } else {
                             // A `free`'s path, its graveyard wait skipped.
-                            t.note_freed(tid);
+                            t.note_freed(me);
                             t.recycle([e]);
                         }
                     }

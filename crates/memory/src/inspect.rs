@@ -53,7 +53,7 @@ pub struct Watermark {
     /// Global epoch observed after the last block.
     pub global_epoch_end: u64,
     /// The announced relocation epoch at capture time (0 = no compaction
-    /// pending), [`EpochManager::next_relocation_epoch`](crate::epoch::EpochManager::next_relocation_epoch).
+    /// pending), [`Runtime::next_relocation_epoch`](crate::runtime::Runtime::next_relocation_epoch).
     pub relocation_epoch: u64,
     /// True when an in-flight compaction was in its moving phase.
     pub in_moving_phase: bool,
@@ -222,8 +222,7 @@ pub struct IndirectionLoad {
     /// Total entries across all allocated chunks.
     pub capacity: u64,
     /// Locks entry allocation has taken since the runtime started: one per
-    /// refill of a thread slot's magazine
-    /// ([`IndirectionTable::entry_refills`](crate::indirection::IndirectionTable::entry_refills)).
+    /// refill of a thread slot's magazine (`IndirectionTable::entry_refills`).
     pub entry_refills: u64,
 }
 

@@ -18,10 +18,10 @@
 //!   and per indirection entry that detects use-after-free; its top bits carry
 //!   the `FROZEN`, `LOCK` and `FORWARD` flags used by concurrent compaction
 //!   (§5) and direct pointers (§6).
-//! * **Indirection table** ([`indirection`]): references point at a stable
+//! * **Indirection table** (`indirection`): references point at a stable
 //!   table entry which in turn points at the object's current slot, allowing
 //!   objects to be relocated by a single atomic pointer store.
-//! * **Epoch-based reclamation** ([`epoch`]): readers enter *critical
+//! * **Epoch-based reclamation** (`epoch`, [`Guard`], [`Slot`]): readers enter *critical
 //!   sections* (grace periods); memory freed in global epoch `e` is reused no
 //!   earlier than epoch `e + 2`, when no thread can still observe it.
 //! * **Memory contexts** ([`context`]): per-collection groups of blocks that
@@ -63,11 +63,11 @@ pub mod block;
 mod compact;
 pub mod context;
 pub mod decimal;
-pub mod epoch;
+mod epoch;
 pub mod error;
 pub mod fault;
 pub mod incarnation;
-pub mod indirection;
+mod indirection;
 pub mod inline_str;
 pub mod inspect;
 pub mod page;
@@ -83,11 +83,15 @@ pub use alloc::{AllocSnapshot, ALLOC_BATCH, MAX_SHARD_CACHE};
 pub use block::{BlockHeader, BlockLayout, BLOCK_ALIGN, BLOCK_SIZE};
 pub use context::{ContextConfig, MemoryContext};
 pub use decimal::Decimal;
-pub use epoch::{EpochManager, Guard};
+#[cfg(smc_check)]
+pub use epoch::EpochManager;
+pub use epoch::{Guard, Slot, MAX_THREADS};
 pub use error::{MemError, NullReference};
 pub use fault::{FaultInjector, FaultSite};
 pub use incarnation::{IncWord, FLAG_FORWARD, FLAG_FROZEN, FLAG_LOCK, INC_MASK};
-pub use indirection::{EntryRef, IndirEntry, IndirectionTable};
+#[cfg(smc_check)]
+pub use indirection::IndirectionTable;
+pub use indirection::{EntryRef, IndirEntry};
 pub use inline_str::InlineStr;
 pub use inspect::{BlockSnapshot, CollectionSnapshot, HeapSnapshot, IndirectionLoad, Watermark};
 pub use runtime::Runtime;

@@ -182,9 +182,14 @@ pub unsafe fn try_move_object(src_block: BlockRef, reloc: &RelocEntry) -> MoveOu
             // The layout travels with the list; reach it through the header.
             let list = src_block.header().reloc_list.load(Ordering::Acquire);
             debug_assert!(!list.is_null());
+            // A panic while copying (a slot accessor's assertion) must not
+            // leave the entry locked, or every later locker spins on it for
+            // good: the unwind takes the bail path, and the object stays put.
+            let bail = locked.then_some(BailOnUnwind { src_block, reloc });
             (*list)
                 .layout
                 .copy_object(src_block, reloc.src_slot, dest_block, reloc.dest_slot);
+            std::mem::forget(bail);
             // The slot-side incarnation is an independent counter from the
             // entry's (`reloc.inc`); direct pointers (§6) validate against
             // the slot side, so the *slot* counter is what must survive the
@@ -263,29 +268,51 @@ pub unsafe fn bail_out_relocation(src_block: BlockRef, reloc: &RelocEntry) -> Mo
             MoveOutcome::BailedOut
         }
         RelocStatus::Pending => {
-            reloc.set_status(RelocStatus::Failed);
-            // Clear freeze on the source slot word too, so direct readers
-            // stop taking the slow path. Holding the entry lock with status
-            // Pending proves the object still sits in the source slot (a
-            // free would have bumped the entry counter and failed our lock;
-            // a mover needs the lock we hold), so the slot word is ours to
-            // unfreeze regardless of how its counter relates to the entry's
-            // — the two incarnations are independent counters.
-            if !mutation::enabled(Mutation::BailKeepsFrozen) {
-                // Re-introduced bug (`BailKeepsFrozen`) skips this unfreeze,
-                // wedging readers that wait for the freeze to resolve.
-                let slot_inc = src_block.payload_inc(reloc.src_slot);
-                let cur = slot_inc.load(Ordering::Acquire);
-                if cur & FLAG_FROZEN != 0 {
-                    slot_inc.store(cur & !FLAG_FROZEN, Ordering::Release);
-                }
-            }
-            entry_inc.unlock_with_flags(0);
-            smc_obs::trace::emit(smc_obs::Event::RelocationBailed {
-                src_slot: reloc.src_slot as u64,
-            });
+            fail_pending(src_block, reloc);
             MoveOutcome::BailedOut
         }
+    }
+}
+
+/// Settles a `Pending` relocation as `Failed` and releases the entry lock
+/// its caller holds: the object stays at its source, unfrozen.
+fn fail_pending(src_block: BlockRef, reloc: &RelocEntry) {
+    reloc.set_status(RelocStatus::Failed);
+    // Clear freeze on the source slot word too, so direct readers stop
+    // taking the slow path. Holding the entry lock with status Pending
+    // proves the object still sits in the source slot (a free would have
+    // bumped the entry counter and failed our lock; a mover needs the lock
+    // we hold), so the slot word is ours to unfreeze regardless of how its
+    // counter relates to the entry's — the two incarnations are independent
+    // counters.
+    if !mutation::enabled(Mutation::BailKeepsFrozen) {
+        // Re-introduced bug (`BailKeepsFrozen`) skips this unfreeze,
+        // wedging readers that wait for the freeze to resolve.
+        let slot_inc = src_block.payload_inc(reloc.src_slot);
+        let cur = slot_inc.load(Ordering::Acquire);
+        if cur & FLAG_FROZEN != 0 {
+            slot_inc.store(cur & !FLAG_FROZEN, Ordering::Release);
+        }
+    }
+    // SAFETY: `reloc` names a live entry of a live table (the callers'
+    // contract).
+    let entry = unsafe { EntryRef::from_addr(reloc.entry_addr) };
+    entry.get().inc().unlock_with_flags(0);
+    smc_obs::trace::emit(smc_obs::Event::RelocationBailed {
+        src_slot: reloc.src_slot as u64,
+    });
+}
+
+/// Armed across a mover's copy while it holds the entry lock; dropped only
+/// by an unwind, which it turns into the bail outcome.
+struct BailOnUnwind<'r> {
+    src_block: BlockRef,
+    reloc: &'r RelocEntry,
+}
+
+impl Drop for BailOnUnwind<'_> {
+    fn drop(&mut self) {
+        fail_pending(self.src_block, self.reloc);
     }
 }
 
@@ -334,7 +361,8 @@ mod tests {
 
     /// Puts a value object at src slot `s` and wires up an indirection entry.
     unsafe fn install(src: BlockRef, table: &IndirectionTable, s: SlotId, v: u64) -> EntryRef {
-        let e = table.allocate(0);
+        let registry = crate::epoch::EpochManager::new();
+        let e = table.allocate(registry.slot().unwrap());
         src.obj_ptr(s).cast::<u64>().write(v);
         src.slot_word(s).set_valid();
         src.back_ptr(s).store(e.addr(), Ordering::Release);
@@ -432,6 +460,40 @@ mod tests {
             e.get().inc().bump();
             let reloc = RelocEntry::new(1, e.addr(), 0, dst.obj_ptr(0) as usize, 0);
             assert_eq!(try_move_object(src, &reloc), MoveOutcome::Freed);
+            src.deallocate();
+            dst.deallocate();
+        }
+    }
+
+    /// A mover that panics mid-copy — here `slot_base`'s bounds assertion,
+    /// tripped by a destination slot one past the block — takes the bail
+    /// outcome on the way out: the object stays at its source, unfrozen,
+    /// and its entry locks again at once.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_mover_that_panics_leaves_its_entry_unlocked() {
+        let (src, dst, table) = setup_pair();
+        unsafe {
+            let e = install(src, &table, 2, 77);
+            freeze(e, src, 2, 0);
+            let past_the_end = layout().capacity;
+            let reloc = RelocEntry::new(2, e.addr(), 0, dst.obj_ptr(0) as usize, past_the_end);
+            let list = Box::new(RelocationList::new(layout(), vec![]));
+            src.header()
+                .reloc_list
+                .store(Box::into_raw(list), Ordering::Release);
+            let mover = std::panic::AssertUnwindSafe(|| try_move_object(src, &reloc));
+            assert!(
+                std::panic::catch_unwind(mover).is_err(),
+                "the copy panicked"
+            );
+            let word = e.get().inc().load(Ordering::Acquire);
+            assert_eq!(word & (FLAG_LOCK | FLAG_FROZEN), 0, "entry word {word:#x}");
+            assert_eq!(reloc.status(), RelocStatus::Failed);
+            assert_eq!(src.slot_inc(2).load(Ordering::Acquire) & FLAG_FROZEN, 0);
+            assert_eq!(src.obj_ptr(2).cast::<u64>().read(), 77);
+            assert!(e.get().inc().lock(0).is_some(), "the entry locks again");
+            e.get().inc().unlock_with_flags(0);
             src.deallocate();
             dst.deallocate();
         }

@@ -21,13 +21,14 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::alloc::{AllocSnapshot, BlockAllocator, ALLOC_BATCH, MAX_SHARD_CACHE};
-use crate::block::{raw_alloc_blocks, raw_dealloc_block, BlockLayout, BlockRef};
-use crate::epoch::{EpochManager, Guard};
+use crate::block::{raw_alloc_blocks, raw_dealloc_block, BlockLayout, BlockRef, RawBlock};
+use crate::epoch::{EpochManager, Guard, Slot};
 use crate::error::MemError;
 use crate::fault::{FaultInjector, FaultSite};
 use crate::indirection::{EntryRef, IndirectionTable};
 use crate::spill::SpillStub;
 use crate::stats::MemoryStats;
+#[cfg(smc_check)]
 use smc_util::mutation::{self, Mutation};
 use smc_util::sync::{AtomicU64, Mutex};
 
@@ -40,9 +41,9 @@ use smc_util::sync::{AtomicU64, Mutex};
 #[derive(Debug)]
 pub struct Runtime {
     /// Epoch-based reclamation state (§3.4).
-    pub epochs: Arc<EpochManager>,
+    pub(crate) epochs: Arc<EpochManager>,
     /// The global indirection table (§3.2).
-    pub indirection: IndirectionTable,
+    pub(crate) indirection: IndirectionTable,
     /// Observability counters (shared with the fault registry).
     pub stats: Arc<MemoryStats>,
     /// Failpoint registry covering blocks, epochs, thread slots, relocation.
@@ -97,16 +98,32 @@ impl Runtime {
     /// Fallible [`pin`](Self::pin).
     pub fn try_pin(&self) -> Result<Guard<'_>, MemError> {
         let guard = self.epochs.try_pin()?;
-        let tid = Some(guard.thread_index());
-        self.stats.bump(tid, |cell| &cell.pins_taken, 1);
+        self.stats.bump(guard.slot(), |cell| &cell.pins_taken, 1);
         Ok(guard)
     }
 
-    /// Counts `n` objects freed wholesale (a context dropped) by a thread
-    /// that may hold no epoch slot.
-    pub(crate) fn note_objects_freed(&self, n: u64) {
-        let tid = self.epochs.thread_index().ok();
-        self.stats.bump(tid, |cell| &cell.objects_freed, n);
+    /// The calling thread's epoch thread slot, registering the thread on
+    /// first use: `Err(MemError::TooManyThreads)` when the registry is full
+    /// (or an injected [`FaultSite::ThreadClaim`] failure refuses the
+    /// claim). A registered thread keeps its slot until it exits, so a
+    /// worker that registers up front cannot be refused later.
+    #[inline]
+    pub fn thread_slot(&self) -> Result<Slot<'_>, MemError> {
+        self.epochs.slot()
+    }
+
+    /// Tries to advance the global epoch by one (§3.4): `None` while some
+    /// pinned thread lags behind it, or a compaction pass holds the advance.
+    /// The memory system advances lazily on its own; this is for tests and
+    /// tools that need the clock to move now.
+    pub fn try_advance_epoch(&self) -> Option<u64> {
+        self.epochs.try_advance()
+    }
+
+    /// Indirection entries the runtime has ever materialized: its entry
+    /// table's capacity, which only grows.
+    pub fn entry_capacity(&self) -> usize {
+        self.indirection.capacity()
     }
 
     /// Allocates one block, behind the `BlockAlloc` failpoint. All block
@@ -137,14 +154,20 @@ impl Runtime {
 
     /// Acquires raw memory and writes the block header over it. Spill
     /// fault-in calls this directly: it must not trip the `BlockAlloc`
-    /// failpoint mid-read.
+    /// failpoint mid-read. `Err(MemError::TooManyThreads)` for a thread
+    /// that cannot have an epoch slot: every block comes from, and is
+    /// tagged with, the allocating thread's shard.
     pub(crate) fn hand_out(
         &self,
         layout: &BlockLayout,
         type_id: u64,
         context_id: u64,
     ) -> Result<BlockRef, MemError> {
-        let (base, owner, recycled) = self.acquire_raw()?;
+        let me = self.thread_slot()?;
+        let (raw, recycled) = self.acquire_raw(me)?;
+        let (base, owner) = (raw.into_base(), me.index() as u32 + 1);
+        // SAFETY: the raw block is ours alone: freshly mapped (zeroed), or
+        // recycled from our own shard after its burial epoch passed.
         let block = unsafe {
             if recycled {
                 BlockRef::reuse_at(base, layout, type_id, context_id, owner)
@@ -155,44 +178,27 @@ impl Runtime {
         Ok(block)
     }
 
-    /// Acquires one raw block's memory: `(base, owner_shard_tag, recycled)`.
+    /// Acquires one raw block for the holder of `me`: `(block, recycled)`.
     /// Owns all allocation accounting (`blocks_allocated`/`blocks_live`
     /// count *handouts*, fresh or recycled).
-    ///
-    /// A thread the epoch registry could not index has no shard: it maps
-    /// one block at a time and tags it `u32::MAX`, the slot of no thread.
-    fn acquire_raw(&self) -> Result<(usize, u32, bool), MemError> {
-        let shard = self.epochs.thread_index().ok();
-        if let Some(idx) = shard {
-            // SAFETY: `idx` is the calling thread's own slot.
-            if let Some(addr) = unsafe { self.alloc.pop_cached(idx) } {
-                MemoryStats::inc(&self.stats.blocks_recycled);
-                self.note_handout();
-                return Ok((addr as usize, idx as u32 + 1, true));
-            }
+    fn acquire_raw(&self, me: Slot<'_>) -> Result<(RawBlock, bool), MemError> {
+        if let Some(block) = self.alloc.pop_cached(me) {
+            MemoryStats::inc(&self.stats.blocks_recycled);
+            self.note_handout();
+            return Ok((block, true));
         }
-        let want = if shard.is_some() { ALLOC_BATCH } else { 1 };
-        let mut blocks = self.map_fresh(want).ok_or(MemError::OutOfMemory)?;
-        let base = blocks.next().expect("a mapping holds at least one block");
+        let mut blocks = self.map_fresh(ALLOC_BATCH).ok_or(MemError::OutOfMemory)?;
+        let block = blocks.next().expect("a mapping holds at least one block");
         self.note_handout();
-        if want > 1 {
-            let idx = shard.expect("batched mappings only with a shard");
-            // SAFETY: `idx` is the calling thread's own slot, and the spares
-            // were mapped just now.
-            blocks.for_each(|spare| unsafe { self.alloc.push_cached(idx, spare as u64) });
-            MemoryStats::inc(&self.stats.alloc_batch_refills);
-        }
-        let owner = match shard {
-            Some(idx) => idx as u32 + 1,
-            None => u32::MAX,
-        };
-        Ok((base, owner, false))
+        blocks.for_each(|spare| self.alloc.push_cached(me, spare));
+        MemoryStats::inc(&self.stats.alloc_batch_refills);
+        Ok((block, false))
     }
 
     /// Reserves `n` fresh blocks on the `budgeted` gauge and maps them in
     /// one request ([`raw_alloc_blocks`]). A mapping the OS refuses yields
     /// `None` with the reservation handed back.
-    fn map_fresh(&self, n: u64) -> Option<impl Iterator<Item = usize>> {
+    fn map_fresh(&self, n: u64) -> Option<impl Iterator<Item = RawBlock>> {
         if n == 0 {
             return None;
         }
@@ -228,34 +234,37 @@ impl Runtime {
     /// the OS. Does not touch the handout gauges — callers do.
     fn release_block(&self, block: BlockRef) {
         let owner = block.header().owner_shard.load(Ordering::Relaxed);
-        let base = unsafe { block.retire() };
+        // SAFETY: `free_block`'s caller guarantees no thread can still
+        // dereference into the block.
+        let raw = unsafe { block.retire() };
         if owner == 0 {
             // Hand-allocated outside the runtime (tests, fixtures): never
             // reserved, so nothing to unreserve or recycle.
-            unsafe { raw_dealloc_block(base) };
+            raw_dealloc_block(raw);
             return;
         }
-        if let Ok(me) = self.epochs.thread_index() {
-            if owner != me as u32 + 1 {
+        // A thread without a slot may free: a graveyard drain run by a
+        // context's drop needs none, and may run where none can be had.
+        if let Ok(me) = self.thread_slot() {
+            if owner != me.index() as u32 + 1 {
                 MemoryStats::inc(&self.stats.remote_frees);
             }
             // The re-introduced bug routes the free to the allocating
             // thread's list, which that thread pops without a lock.
-            let shard = if owner != u32::MAX && mutation::enabled(Mutation::FreeIntoForeignCache) {
-                owner as usize - 1
+            #[cfg(smc_check)]
+            let me = if mutation::enabled(Mutation::FreeIntoForeignCache) {
+                crate::epoch::forged_slot(owner as usize - 1)
             } else {
                 me
             };
-            if self.alloc.shard_cached(shard) < MAX_SHARD_CACHE {
-                // SAFETY: `shard` is the calling thread's own slot (but for
-                // the mutation), and `base` was retired above.
-                unsafe { self.alloc.push_cached(shard, base as u64) };
+            if self.alloc.shard_cached(me) < MAX_SHARD_CACHE {
+                self.alloc.push_cached(me, raw);
                 return;
             }
         }
         // Cache cap, or a freeing thread without a slot: return the memory
         // and its reservation.
-        unsafe { raw_dealloc_block(base) };
+        raw_dealloc_block(raw);
         self.alloc.unreserve(1);
     }
 
@@ -263,18 +272,16 @@ impl Runtime {
     /// cache — one mapping, populated in one kernel pass — so a worker's
     /// first allocations skip the slow path. The cache never grows past
     /// [`MAX_SHARD_CACHE`], the cap frees enforce. Returns the number of
-    /// blocks parked.
+    /// blocks parked: 0 for a thread that cannot have a slot.
     pub fn prewarm_local_blocks(&self, n: u64) -> u64 {
-        let Ok(idx) = self.epochs.thread_index() else {
+        let Ok(me) = self.thread_slot() else {
             return 0;
         };
-        let want = n.min(MAX_SHARD_CACHE.saturating_sub(self.alloc.shard_cached(idx)));
+        let want = n.min(MAX_SHARD_CACHE.saturating_sub(self.alloc.shard_cached(me)));
         let Some(blocks) = self.map_fresh(want) else {
             return 0;
         };
-        // SAFETY: `idx` is the calling thread's own slot, and the blocks
-        // were mapped just now.
-        blocks.for_each(|spare| unsafe { self.alloc.push_cached(idx, spare as u64) });
+        blocks.for_each(|spare| self.alloc.push_cached(me, spare));
         want
     }
 
@@ -486,16 +493,16 @@ mod tests {
     #[test]
     fn graveyard_releases_every_kind_at_its_epoch_and_not_before() {
         let rt = Runtime::new();
-        let tid = rt.epochs.thread_index().unwrap();
+        let me = rt.thread_slot().unwrap();
         let kinds = || {
             let b = rt.buried();
             (b.blocks, b.stubs, b.entries)
         };
         let bury_entry = |free_at| {
-            let e = rt.indirection.allocate(tid);
+            let e = rt.indirection.allocate(me);
             e.get().store_payload(0xbeef0, Ordering::Release);
             e.get().inc().bump();
-            rt.indirection.note_freed(tid);
+            rt.indirection.note_freed(me);
             rt.bury(Grave::Entry(e), free_at);
             e
         };
@@ -586,21 +593,18 @@ mod tests {
     }
 
     #[test]
-    fn registry_exhausted_thread_allocates_without_a_shard() {
+    fn registry_exhausted_thread_gets_no_block() {
         let rt = Runtime::new();
         crate::epoch::with_registry_exhausted(&rt.epochs, || {
-            // This thread is registrant MAX_THREADS + 1: it has no shard.
-            assert!(rt.epochs.thread_index().is_err());
+            // This thread is registrant MAX_THREADS + 1: it has no shard,
+            // so it is refused before anything is mapped.
+            assert!(rt.thread_slot().is_err());
             let layout = BlockLayout::rows_of::<u64>().unwrap();
-            let a = rt.allocate_block(&layout, 1, 1).unwrap();
-            assert_eq!(a.header().owner_shard.load(Ordering::Relaxed), u32::MAX);
-            assert_eq!(rt.alloc.budgeted_blocks(), 1, "one block, no batch");
-            assert_eq!(rt.alloc.cached_blocks(), 0);
-            rt.free_block(a);
-            assert_eq!(rt.alloc.cached_blocks(), 0, "shardless frees go to the OS");
-            assert_eq!(rt.alloc.budgeted_blocks(), 0, "reservation released");
-            assert_eq!(MemoryStats::get(&rt.stats.blocks_recycled), 0);
-            assert_eq!(MemoryStats::get(&rt.stats.alloc_batch_refills), 0);
+            let refused = rt.allocate_block(&layout, 1, 1);
+            assert!(matches!(refused, Err(MemError::TooManyThreads)));
+            assert_eq!(rt.prewarm_local_blocks(2), 0);
+            assert_eq!(rt.alloc.budgeted_blocks(), 0, "nothing mapped");
+            assert_eq!(MemoryStats::get(&rt.stats.blocks_allocated), 0);
             rt.verify().unwrap();
         });
     }
@@ -623,9 +627,10 @@ mod tests {
         };
         let doomed = std::thread::spawn(build).join().unwrap();
         crate::epoch::with_registry_exhausted(&rt.epochs, || {
-            assert!(rt.epochs.thread_index().is_err());
+            assert!(rt.thread_slot().is_err());
             // No slot, so no counter cell: the drop's frees land in the
-            // shared cell, and the validator's object count still balances.
+            // shared cell, its blocks go back to the OS, and the
+            // validator's books still balance.
             drop(doomed);
             assert_eq!(rt.stats.hot(|cell| &cell.objects_freed), 3);
             rt.drain_graveyard_blocking();

@@ -269,20 +269,83 @@ pub(crate) struct SpillState {
 /// Faults in the block behind a tagged entry payload. Called by `smc-core`'s
 /// `Ref::resolve` when it observes [`SPILL_TAG`]; returns true when the
 /// caller should re-read the entry payload (the object may now be resident),
-/// false when the reference is dead or the page is unreadable (fail closed).
+/// false when the reference is dead (its collection was dropped), and the
+/// fault-in's error when the page cannot be read back (fail closed).
 ///
 /// # Safety contract (checked by construction, not by this signature)
 ///
 /// `payload` must have been loaded from an indirection entry *while the
 /// calling thread holds an epoch guard*: stubs are freed through the epoch
 /// graveyard, so a pinned reader's stub pointer stays dereferenceable.
-pub fn fault_in_tagged(payload: usize) -> bool {
+pub fn fault_in_tagged(payload: usize) -> Result<bool, MemError> {
     debug_assert!(is_spill_tagged(payload));
     let stub = unsafe { &*((payload & !SPILL_TAG) as *const SpillStub) };
     let Some(ctx) = stub.ctx.upgrade() else {
-        return false; // collection dropped: the reference is null
+        return Ok(false); // collection dropped: the reference is null
     };
-    ctx.fault_in_block(stub.block_id).is_ok()
+    ctx.fault_in_block(stub.block_id).map(|_| true)
+}
+
+/// One scan's listing of a context's spilled pages
+/// ([`MemoryContext::spilled_scan`]), read page by page: the one
+/// spilled-scan path, behind `Smc::for_each` and its pull iterator alike.
+#[derive(Debug)]
+pub struct SpilledPages<'c> {
+    ctx: &'c MemoryContext,
+    /// The pages still to read, each kept readable by its `Arc` even if it
+    /// faults in meanwhile.
+    pages: std::vec::IntoIter<(u64, Arc<SpilledPage>)>,
+    /// The page read last.
+    bytes: Vec<u8>,
+    /// Room for an aligned copy of one record.
+    scratch: Vec<u8>,
+}
+
+impl SpilledPages<'_> {
+    /// Reads the next listed page and hands each of its records to `visit`
+    /// as `(entry_addr, incarnation, object_ptr)`: the incarnation is the
+    /// entry's when the page was spilled, so a record freed after the page
+    /// was listed is named by a dead reference; the pointer is aligned for
+    /// the object type and valid for the duration of the call. `visit` runs
+    /// with no lock held: it may fault pages in, free, allocate, spill and
+    /// scan, this context or another. `Ok(false)` once every page was read;
+    /// [`MemError::SpillFault`] for a page that cannot be read back.
+    pub fn next_page(
+        &mut self,
+        visit: &mut dyn FnMut(usize, u32, *const u8),
+    ) -> Result<bool, MemError> {
+        let Some((block_id, page)) = self.pages.next() else {
+            return Ok(false);
+        };
+        // A page read is I/O, where a real scan is likeliest to lose its
+        // core: let the checker run another thread here.
+        yield_point();
+        let ctx = self.ctx;
+        // Page records are packed back to back, so a record may sit at an
+        // address the object type cannot be read from; such a record is
+        // handed to `visit` as an aligned scratch copy.
+        let obj_size = ctx.layout.obj_size as usize;
+        self.scratch.resize(obj_size + ctx.obj_align, 0);
+        let aligned = self.scratch.as_ptr().align_offset(ctx.obj_align);
+        let scratch = &mut self.scratch[aligned..aligned + obj_size];
+        let records = ctx.read_page(block_id, &page, &mut self.bytes)?;
+        for (obj, &(entry_addr, inc)) in records.zip(&page.entries) {
+            let obj = if obj.as_ptr().align_offset(ctx.obj_align) == 0 {
+                obj.as_ptr()
+            } else {
+                scratch.copy_from_slice(obj);
+                scratch.as_ptr()
+            };
+            visit(entry_addr, inc, obj);
+        }
+        Ok(true)
+    }
+
+    /// Pages not read yet; each holds at most one block's capacity of
+    /// records.
+    pub fn pages_left(&self) -> usize {
+        self.pages.len()
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -596,56 +659,36 @@ impl MemoryContext {
     /// Streams every spilled record through `visit` *without* promoting
     /// pages to residency, then returns the membership snapshot taken with
     /// the page list — the scan-without-thrashing primitive behind
-    /// `Smc::for_each`. Both are taken under the spill mutex, so every object
-    /// is in exactly one of them: a page faulted in after it holds a block
-    /// that is not in the snapshot, and a block spilled after it keeps its
-    /// (still live, epoch-protected) resident copy in the snapshot.
-    ///
-    /// `visit` receives `(entry_addr, incarnation, object_ptr)` per record —
-    /// the incarnation is the entry's when the page was spilled, so a record
-    /// freed after the page was listed is named by a dead reference; the
-    /// pointer is aligned for the object type and valid for the duration of
-    /// the call — and runs with no lock held: it may fault pages in, free,
-    /// allocate, spill and scan, this context or another.
+    /// `Smc::for_each`: [`spilled_scan`](Self::spilled_scan) read to its
+    /// end. `visit` receives what [`SpilledPages::next_page`] hands it.
     pub fn scan_spilled_then_snapshot(
         &self,
         visit: &mut dyn FnMut(usize, u32, *const u8),
     ) -> Result<Membership, MemError> {
-        let (pages, membership) = {
-            let s = self.spill.lock();
-            let pages: Vec<_> = s.pages.iter().map(|(&id, p)| (id, p.clone())).collect();
-            if mutation::enabled(Mutation::ScanSnapshotsApart) {
-                drop(s);
-            }
-            (pages, self.membership_snapshot())
-        };
-        if pages.is_empty() {
-            return Ok(membership);
-        }
-        // Page records are packed back to back, so a record may sit at an
-        // address the object type cannot be read from; such a record is
-        // handed to `visit` as an aligned scratch copy.
-        let obj_size = self.layout.obj_size as usize;
-        let mut scratch = vec![0u8; obj_size + self.obj_align];
-        let aligned = scratch.as_ptr().align_offset(self.obj_align);
-        let scratch = &mut scratch[aligned..aligned + obj_size];
-        let mut bytes = Vec::new();
-        for (block_id, page) in &pages {
-            // A page read is I/O, where a real scan is likeliest to lose its
-            // core: let the checker run another thread here.
-            yield_point();
-            let records = self.read_page(*block_id, page, &mut bytes)?;
-            for (obj, &(entry_addr, inc)) in records.zip(&page.entries) {
-                let obj = if obj.as_ptr().align_offset(self.obj_align) == 0 {
-                    obj.as_ptr()
-                } else {
-                    scratch.copy_from_slice(obj);
-                    scratch.as_ptr()
-                };
-                visit(entry_addr, inc, obj);
-            }
-        }
+        let (mut pages, membership) = self.spilled_scan();
+        while pages.next_page(visit)? {}
         Ok(membership)
+    }
+
+    /// Lists the spilled pages and snapshots membership, both under the
+    /// spill mutex, so every object is in exactly one of them: a page
+    /// faulted in after it holds a block that is not in the snapshot, and a
+    /// block spilled after it keeps its (still live, epoch-protected)
+    /// resident copy in the snapshot. The pages are then read one at a
+    /// time, with no lock held ([`SpilledPages::next_page`]).
+    pub fn spilled_scan(&self) -> (SpilledPages<'_>, Membership) {
+        let s = self.spill.lock();
+        let pages: Vec<_> = s.pages.iter().map(|(&id, p)| (id, p.clone())).collect();
+        if mutation::enabled(Mutation::ScanSnapshotsApart) {
+            drop(s);
+        }
+        let pages = SpilledPages {
+            ctx: self,
+            pages: pages.into_iter(),
+            bytes: Vec::new(),
+            scratch: Vec::new(),
+        };
+        (pages, self.membership_snapshot())
     }
 
     /// The spilled half of `Drop for MemoryContext`: retires the entries of
@@ -668,7 +711,7 @@ impl MemoryContext {
             self.runtime
                 .bury(Grave::Stub(page.tag & !SPILL_TAG), free_at);
         }
-        self.runtime.note_objects_freed(freed);
+        self.runtime.stats.note_dropped_objects(freed);
         self.spilled_blocks_gauge.store(0, Ordering::Relaxed);
         self.spilled_objects_gauge.store(0, Ordering::Relaxed);
     }
@@ -823,7 +866,11 @@ mod tests {
                 if !is_spill_tagged(p) {
                     break p;
                 }
-                assert!(fault_in_tagged(p), "a spilled object faults back in");
+                assert_eq!(
+                    fault_in_tagged(p),
+                    Ok(true),
+                    "a spilled object faults back in"
+                );
             };
             assert_eq!(unsafe { (payload as *const u64).read() }, i as u64);
         }

@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use smc_obs::Histogram;
 
-use crate::epoch::MAX_THREADS;
+use crate::epoch::{Slot, MAX_THREADS};
 
 /// Declares the scalar counters once: the atomic fields of [`MemoryStats`]
 /// and [`HotCell`], the plain fields of [`StatsSnapshot`], `snapshot()` and
@@ -73,11 +73,11 @@ macro_rules! scalar_counters {
             }
 
             /// Every live counter with its name, in declaration order (for
-            /// a hot counter, the shared cell of unindexed threads).
+            /// a hot counter, the shared cell of dropped contexts).
             #[cfg(test)]
             fn counters(&self) -> Vec<(&'static str, &AtomicU64)> {
                 vec![
-                    $((stringify!($hot), &self.cells.unindexed.$hot),)+
+                    $((stringify!($hot), &self.cells.dropped.$hot),)+
                     $((stringify!($name), &self.$name),)+
                 ]
             }
@@ -164,20 +164,22 @@ scalar_counters! {
     }
 }
 
-/// One [`HotCell`] per epoch thread slot, plus the cell shared by threads
-/// the registry could not index (`MAX_THREADS` already registered).
+/// One [`HotCell`] per epoch thread slot, plus the cell shared by context
+/// drops.
 #[derive(Debug)]
 struct HotCells {
     /// Indexed by epoch thread slot; written only by the slot's holder.
     slots: [HotCell; MAX_THREADS],
-    unindexed: HotCell,
+    /// Objects freed wholesale by dropping a context
+    /// ([`MemoryStats::note_dropped_objects`]).
+    dropped: HotCell,
 }
 
 impl Default for HotCells {
     fn default() -> Self {
         HotCells {
             slots: std::array::from_fn(|_| HotCell::default()),
-            unindexed: HotCell::default(),
+            dropped: HotCell::default(),
         }
     }
 }
@@ -206,27 +208,23 @@ impl MemoryStats {
         counter.load(Ordering::Relaxed)
     }
 
-    /// Bumps a per-object counter by `n` for the calling thread, which
-    /// holds epoch thread slot `tid` (`None`: the registry could not index
-    /// it). A slot has one holder at a time and hands over through the
-    /// registry's release/acquire on its claim flag, so the holder's cell
-    /// takes a plain load and store — no locked read-modify-write, no line
-    /// shared with another core. Unindexed threads share one cell and pay
-    /// the RMW.
+    /// Bumps a per-object counter by `n` in the cell of `slot`, which the
+    /// calling thread holds. A slot has one holder at a time and hands over
+    /// through the registry's release/acquire on its claim flag, so the
+    /// holder's cell takes a plain load and store — no locked
+    /// read-modify-write, no line shared with another core.
     #[inline]
-    pub(crate) fn bump(
-        &self,
-        tid: Option<usize>,
-        counter: impl Fn(&HotCell) -> &AtomicU64,
-        n: u64,
-    ) {
-        match tid {
-            Some(tid) => {
-                let mine = counter(&self.cells.slots[tid]);
-                mine.store(mine.load(Ordering::Relaxed) + n, Ordering::Relaxed);
-            }
-            None => Self::add(counter(&self.cells.unindexed), n),
-        }
+    pub(crate) fn bump(&self, slot: Slot<'_>, counter: impl Fn(&HotCell) -> &AtomicU64, n: u64) {
+        let mine = counter(&self.cells.slots[slot.index()]);
+        mine.store(mine.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+    }
+
+    /// Counts `n` objects freed wholesale by dropping a context: one
+    /// read-modify-write on a shared cell, whichever thread drops it. A drop
+    /// may run where no slot can be had (a thread-local destructor after the
+    /// registry's, or a full registry), so it asks for none.
+    pub(crate) fn note_dropped_objects(&self, n: u64) {
+        Self::add(&self.cells.dropped.objects_freed, n);
     }
 
     /// Reads a per-object counter: the sum over every thread's cell, e.g.
@@ -237,7 +235,7 @@ impl MemoryStats {
         cells
             .slots
             .iter()
-            .chain([&cells.unindexed])
+            .chain([&cells.dropped])
             .map(|cell| Self::get(counter(cell)))
             .sum()
     }
@@ -277,14 +275,17 @@ mod tests {
 
     #[test]
     fn a_hot_counter_is_the_sum_of_every_slot_cell_and_the_shared_one() {
+        let mgr = crate::epoch::EpochManager::new();
         let s = MemoryStats::new();
-        s.bump(Some(0), |cell| &cell.pins_taken, 2);
-        s.bump(Some(MAX_THREADS - 1), |cell| &cell.pins_taken, 3);
-        s.bump(None, |cell| &cell.pins_taken, 5);
-        s.bump(Some(0), |cell| &cell.objects_freed, 7);
-        assert_eq!(s.hot(|cell| &cell.pins_taken), 10);
-        assert_eq!(s.snapshot().pins_taken, 10);
-        assert_eq!(s.snapshot().objects_freed, 7);
+        s.bump(mgr.slot().unwrap(), |cell| &cell.pins_taken, 2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| s.bump(mgr.slot().unwrap(), |cell| &cell.pins_taken, 3));
+        });
+        s.note_dropped_objects(5);
+        s.bump(mgr.slot().unwrap(), |cell| &cell.objects_freed, 7);
+        assert_eq!(s.hot(|cell| &cell.pins_taken), 5);
+        assert_eq!(s.snapshot().pins_taken, 5);
+        assert_eq!(s.snapshot().objects_freed, 12);
         assert_eq!(
             std::mem::align_of::<HotCell>(),
             64,

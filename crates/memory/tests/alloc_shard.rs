@@ -186,7 +186,7 @@ fn a_reused_thread_slot_keeps_the_sum_monotonic() {
             for _ in 0..1_000 {
                 drop(rt2.pin());
             }
-            rt2.epochs.thread_index().unwrap()
+            rt2.thread_slot().unwrap().index()
         })
         .join()
         .unwrap();

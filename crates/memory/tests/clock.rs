@@ -50,7 +50,7 @@ fn compaction_waits_while_the_clock_is_held_and_bails_once_patience_passes() {
         })
     };
     pinned_rx.recv().unwrap();
-    assert!(rt.epochs.try_advance().is_some(), "reader pinned at e");
+    assert!(rt.try_advance_epoch().is_some(), "reader pinned at e");
 
     let (done_tx, done_rx) = mpsc::channel();
     let pass = {

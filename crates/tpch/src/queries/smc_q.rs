@@ -126,7 +126,7 @@ pub fn q1_linq(db: &SmcDb, p: &Params) -> Vec<Q1Row> {
     let groups = db
         .lineitems
         .iter(&guard)
-        .map(|(_, l)| *l)
+        .map(|(_, l)| l)
         .linq()
         .where_(move |l| l.shipdate <= cutoff)
         .group_by(|l| (l.returnflag, l.linestatus));
@@ -610,7 +610,7 @@ pub fn q6_linq(db: &SmcDb, p: &Params) -> Decimal {
     let q6_quantity = p.q6_quantity;
     db.lineitems
         .iter(&guard)
-        .map(|(_, l)| *l)
+        .map(|(_, l)| l)
         .linq()
         .where_(move |l| {
             l.shipdate >= q6_date

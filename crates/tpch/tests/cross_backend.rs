@@ -83,11 +83,10 @@ fn spilled_world_answers_as_the_resident_one() {
     // so every scan starts on spilled pages and every reference join of
     // Q2–Q5 follows a `Ref` into one from inside that scan. Series left
     // out: the columnar ones (`*_columnar`, `q6_columnar_par`), because the
-    // columnar layout cannot spill; the LINQ plans (`q1_linq`, `q6_linq`),
-    // because they read through `Smc::iter`, which visits resident blocks
-    // only; the direct-pointer ones (`*_direct`), because a spill buries
-    // its victim block without the §6 fix-up compaction runs, so a
-    // `DirectRef` into it dangles once the block is recycled.
+    // columnar layout cannot spill; the direct-pointer ones (`*_direct`),
+    // because a spill buries its victim block without the §6 fix-up
+    // compaction runs, so a `DirectRef` into it dangles once the block is
+    // recycled.
     let db = SmcDb::load(&Generator::new(0.004), false);
     let p = Params::default();
     let pool = smc_exec::WorkerPool::for_runtime(&db.runtime, 2).unwrap();
@@ -104,12 +103,14 @@ fn spilled_world_answers_as_the_resident_one() {
     same(&db, "q1", &q1, || smc_q::q1(&db, &p));
     same(&db, "q1_unsafe", &q1, || smc_q::q1_unsafe(&db, &p));
     same(&db, "q1_par", &q1, || smc_q::q1_par(&db, &p, &pool));
+    same(&db, "q1_linq", &q1, || smc_q::q1_linq(&db, &p));
     same(&db, "q2", &q2, || smc_q::q2(&db, &p));
     same(&db, "q3", &q3, || smc_q::q3(&db, &p));
     same(&db, "q4", &q4, || smc_q::q4(&db, &p));
     same(&db, "q5", &q5, || smc_q::q5(&db, &p));
     same(&db, "q6", &q6, || smc_q::q6(&db, &p));
     same(&db, "q6_par", &q6, || smc_q::q6_par(&db, &p, &pool));
+    same(&db, "q6_linq", &q6, || smc_q::q6_linq(&db, &p));
 }
 
 /// Spills every row table of `db` down to the block its loading thread

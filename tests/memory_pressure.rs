@@ -121,7 +121,7 @@ fn fifo_churn_reuses_freed_entries_instead_of_growing_the_table() {
         rows.push_back(c.add(payload(key)));
     }
     assert_eq!(c.len(), LIVE);
-    let capacity = rt.indirection.capacity() as u64;
+    let capacity = rt.entry_capacity() as u64;
     assert!(
         capacity <= 2 * LIVE,
         "{capacity} indirection entries for {LIVE} live rows"
@@ -547,8 +547,8 @@ fn spill_file_rides_out_seeded_store_and_load_faults() {
         assert!(c.spilled_blocks() >= 2 * BUDGET);
 
         // Removes and reads of random rows, most of them spilled. A failed
-        // fault-in is a named error (a null read), the page still spilled
-        // and the row still there for the next attempt.
+        // fault-in is a named error, the page still spilled and the row
+        // still there for the next attempt.
         let mut rng = Pcg32::seed_from_u64(seed);
         let mut failed_ops = Vec::new();
         for op in 0..OPS {
@@ -565,9 +565,10 @@ fn spill_file_rides_out_seeded_store_and_load_faults() {
                 }
             } else {
                 let guard = rt.pin();
-                match r.get(&guard) {
-                    Some(row) => assert_eq!(*row, payload(key)),
-                    None => failed_ops.push(op),
+                match r.try_get(&guard) {
+                    Ok(Some(row)) => assert_eq!(*row, payload(key)),
+                    Err(MemError::SpillFault) => failed_ops.push(op),
+                    other => panic!("row {key}: {other:?}"),
                 }
             }
             if failed_ops.last() == Some(&op) {

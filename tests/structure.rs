@@ -228,7 +228,7 @@ fn one_block_source() {
     assert_eq!(grep_r("fn mmap(|fn munmap(|fn madvise(", &[BLOCK]).len(), 3);
 }
 
-/// One entry path: `IndirectionTable::allocate(tid)` pops the calling thread
+/// One entry path: `IndirectionTable::allocate(slot)` pops the calling thread
 /// slot's magazine and there is no locked per-entry path beside it, so `add`
 /// takes no lock. This fails if `allocate` takes a shard hint again, or if a
 /// lock shows up in the body of `MemoryContext::alloc_with` or `wire_slot`
@@ -237,7 +237,7 @@ fn one_block_source() {
 fn one_entry_path() {
     const TABLE: &str = "crates/memory/src/indirection.rs";
     const CONTEXT: &str = "crates/memory/src/context.rs";
-    let allocate = "pub fn allocate(&self, tid: usize)";
+    let allocate = "pub fn allocate(&self, slot: Slot<'_>)";
     assert_eq!(grep_r(allocate, &[TABLE]).len(), 1);
     let hint = |l: &str| {
         l.split_once("fn allocate(")
@@ -248,6 +248,35 @@ fn one_entry_path() {
     assert!(add.iter().any(|l| l.contains("fn wire_slot")), "{add:#?}");
     assert!(add.len() > 60, "{} lines", add.len());
     none(add.iter().filter(|l| l.contains(".lock()")));
+}
+
+/// One thread-slot handle: every per-thread structure of the memory system
+/// (an entry magazine, a block cache, a hot-counter cell, a context's
+/// allocation block, the advance reservation) is reached through the
+/// `epoch::Slot` token the registry hands out, never a raw index. This fails
+/// if a function outside `epoch.rs` takes a raw `tid` or `idx` again, if
+/// `alloc.rs` declares an `unsafe fn` (the block cache's contract is the
+/// token and the owned `RawBlock`), or if the runtime's epoch manager or
+/// entry table is a public field again.
+#[test]
+fn one_thread_slot_handle() {
+    let memory = walk(&["crates/memory/src"], true);
+    assert!(
+        memory.iter().any(|f| f.ends_with("/epoch.rs")),
+        "{memory:#?}"
+    );
+    let others: Vec<&String> = (memory.iter())
+        .filter(|f| !f.ends_with("/epoch.rs"))
+        .collect();
+    none(grep(
+        &others,
+        any_of("tid: usize|idx: usize|tid: Option<usize>"),
+    ));
+    none(grep(&["crates/memory/src/alloc.rs"], any_of("unsafe fn")));
+    let runtime = ["crates/memory/src/runtime.rs"];
+    let fields = "pub(crate) epochs: |pub(crate) indirection: ";
+    assert_eq!(grep(&runtime, any_of(fields)).len(), 2, "the fields moved");
+    none(grep(&runtime, any_of("pub epochs|pub indirection")));
 }
 
 /// One spill claim: a spill claims its victim once, marks the claim
