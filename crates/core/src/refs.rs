@@ -245,10 +245,10 @@ impl<T: Tabular> Ref<T> {
     /// (the page stays spilled — fail closed).
     #[inline]
     pub fn try_get<'g>(&self, guard: &'g Guard<'_>) -> Result<Option<&'g T>, MemError> {
+        let obj = self.resolve(guard)?;
         // SAFETY: `resolve` validated the incarnation inside the pinned
         // critical section; the slot cannot be reclaimed or relocated while
         // we are pinned (epoch protocol, §3.4/§5.1).
-        let obj = self.resolve(guard)?;
         Ok(obj.map(|p| unsafe { &*(p as *const T) }))
     }
 

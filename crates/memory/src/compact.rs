@@ -256,8 +256,8 @@ impl MemoryContext {
     }
 
     /// Fallible [`compact`](Self::compact): `Err(MemError::TooManyThreads)`
-    /// when the calling thread cannot claim an epoch slot, so no pass ran —
-    /// where `compact` would answer an idle pass's empty report.
+    /// when the calling thread cannot claim an epoch slot, so no pass ran
+    /// (a pass that found nothing to do answers `Ok` with an empty report).
     pub fn try_compact(&self) -> Result<CompactionReport, MemError> {
         self.runtime.thread_slot()?;
         let _exclusive = self.runtime.compaction_mutex.lock();

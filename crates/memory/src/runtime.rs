@@ -138,7 +138,8 @@ impl Runtime {
     /// reservation is handed back and the call returns
     /// [`MemError::OutOfMemory`] at once; a context's `acquire_block` has
     /// already drained the graveyard and tries its spill rung and reclaim
-    /// queue after the failure.
+    /// queue after the failure. A thread that cannot have an epoch slot has
+    /// no shard and gets [`MemError::TooManyThreads`].
     pub fn allocate_block(
         &self,
         layout: &BlockLayout,
