@@ -16,7 +16,9 @@
 //!   and no leaked compaction flags, no matter how `free` races a freeze.
 //! * **relocation** — every live reference resolves to exactly one
 //!   incarnation in exactly one location: one winner per move, slot-side
-//!   counters survive relocation, bailed-out objects are unfrozen.
+//!   counters survive relocation, bailed-out objects are unfrozen, and a
+//!   reader's dereference (§5.1 cases b and c) lands on the object's one
+//!   live home.
 //! * **§5.2 visitation** — a scanner visits each live object exactly once
 //!   under concurrent compaction.
 //! * **budget** — a context's budget admits racing adders up to one block
@@ -68,6 +70,7 @@ pub fn all() -> Vec<NamedScenario> {
         ("double_mover", double_mover),
         ("move_vs_bail", move_vs_bail),
         ("cancel_vs_inflight_move", cancel_vs_inflight_move),
+        ("deref_vs_move", deref_vs_move),
         ("slot_vs_entry_incarnation", slot_vs_entry_incarnation),
         ("exactly_once_visitation", exactly_once_visitation),
         ("budget_race", budget_race),
@@ -196,13 +199,13 @@ fn fixture_entry(table: &IndirectionTable) -> EntryRef {
 }
 
 /// A frozen object wired for relocation: source + destination blocks, one
-/// indirection entry, one pending [`RelocEntry`] installed in the source
-/// block's header list.
+/// indirection entry, and a relocation list in the source block's header
+/// holding its one pending [`RelocEntry`], where movers and readers find
+/// it ([`reloc_of`]).
 struct MoveFixture {
     src: BlockRef,
     dst: BlockRef,
     entry: EntryRef,
-    reloc: Arc<RelocEntry>,
     /// Keeps the entry's backing storage alive for the scenario's duration.
     table: Arc<IndirectionTable>,
 }
@@ -231,23 +234,82 @@ fn move_fixture(value: u64, slot_counter: u32) -> MoveFixture {
     assert!(src
         .slot_inc(SRC_SLOT)
         .try_set_flag(slot_counter, FLAG_FROZEN));
-    let reloc = Arc::new(RelocEntry::new(
-        SRC_SLOT,
-        entry.addr(),
-        0,
-        dst.obj_ptr(DEST_SLOT) as usize,
-        DEST_SLOT,
-    ));
-    let list = Box::new(RelocationList::new(layout, Vec::new()));
-    src.header()
-        .reloc_list
-        .store(Box::into_raw(list), Ordering::Release);
+    let dest = dst.obj_ptr(DEST_SLOT) as usize;
+    let reloc = RelocEntry::new(SRC_SLOT, entry.addr(), 0, dest, DEST_SLOT);
+    RelocationList::new(layout, vec![reloc]).install(&src);
     MoveFixture {
         src,
         dst,
         entry,
-        reloc,
         table,
+    }
+}
+
+/// The fixture's one relocation, read from the source header's list the way
+/// a mover or a reader finds it. Valid until the source block is freed.
+fn reloc_of(src: &BlockRef) -> &RelocEntry {
+    &RelocationList::of(src).expect("the fixture's list").entries[0]
+}
+
+/// The oracle of a settled relocation of `move_fixture(value, 0)`, which
+/// then frees both blocks. A move leaves the object at its destination,
+/// counted once, the entry pointing there and the source a clean forwarding
+/// tombstone; a `what` (bail-out or cancel) that won leaves the object in
+/// place with freeze and lock stripped from the slot and the entry, exactly
+/// as `Smc::verify` demands after a pass.
+fn assert_settled(fx: &MoveFixture, value: u64, what: &str) {
+    let (src, dst, entry) = (fx.src, fx.dst, fx.entry);
+    let src_word = src.slot_inc(SRC_SLOT).load(Ordering::SeqCst);
+    match reloc_of(&src).status() {
+        RelocStatus::Succeeded => {
+            assert_eq!(
+                unsafe { dst.obj_ptr(DEST_SLOT).cast::<u64>().read() },
+                value
+            );
+            assert_eq!(dst.slot_word(DEST_SLOT).state(), SlotState::Valid);
+            assert_eq!(
+                dst.header().valid_count.load(Ordering::SeqCst),
+                1,
+                "destination must count the object exactly once"
+            );
+            assert_eq!(
+                entry.get().load_payload(Ordering::SeqCst),
+                dst.obj_ptr(DEST_SLOT) as usize,
+                "the indirection entry must resolve to the new location"
+            );
+            assert_ne!(
+                src_word & FLAG_FORWARD,
+                0,
+                "source slot must be a forwarding tombstone"
+            );
+            assert_eq!(src_word & (FLAG_FROZEN | FLAG_LOCK), 0);
+        }
+        RelocStatus::Failed => {
+            assert_eq!(src.slot_word(SRC_SLOT).state(), SlotState::Valid);
+            assert_eq!(unsafe { src.obj_ptr(SRC_SLOT).cast::<u64>().read() }, value);
+            assert_eq!(
+                src_word & FLAG_FROZEN,
+                0,
+                "{what} left the source slot frozen: the quiesced heap would \
+                 fail Smc::verify and readers would wedge on the §5.1 slow path"
+            );
+            assert_eq!(src_word & FLAG_LOCK, 0);
+            assert_eq!(
+                entry.get().inc().load(Ordering::SeqCst) & FLAG_MASK,
+                0,
+                "{what} must strip the entry-side freeze too"
+            );
+            assert_eq!(
+                entry.get().load_payload(Ordering::SeqCst),
+                src.obj_ptr(SRC_SLOT) as usize
+            );
+            assert_eq!(dst.header().valid_count.load(Ordering::SeqCst), 0);
+        }
+        RelocStatus::Pending => panic!("relocation never settled ({what} raced a move)"),
+    }
+    unsafe {
+        src.deallocate();
+        dst.deallocate();
     }
 }
 
@@ -259,19 +321,17 @@ fn move_fixture(value: u64, slot_counter: u32) -> MoveFixture {
 pub fn double_mover() -> Scenario {
     let fx = move_fixture(4242, 0);
     let outcomes = Arc::new(Mutex::new(Vec::new()));
-    let (src, dst, entry, reloc) = (fx.src, fx.dst, fx.entry, fx.reloc.clone());
+    let src = fx.src;
     let mut scenario = Scenario::new();
     for _ in 0..2 {
-        let reloc = reloc.clone();
         let outcomes = outcomes.clone();
         let table = fx.table.clone();
         scenario = scenario.thread(move || {
-            let outcome = unsafe { try_move_object(src, &reloc) };
+            let outcome = unsafe { try_move_object(src, reloc_of(&src)) };
             outcomes.lock().unwrap().push(outcome);
             drop(table);
         });
     }
-    let table = fx.table;
     scenario.finally(move || {
         let outcomes = outcomes.lock().unwrap();
         let winners = outcomes
@@ -282,176 +342,127 @@ pub fn double_mover() -> Scenario {
             winners, 1,
             "exactly one mover must win the relocation, got {outcomes:?}"
         );
-        assert_eq!(reloc.status(), RelocStatus::Succeeded);
-        assert_eq!(unsafe { dst.obj_ptr(DEST_SLOT).cast::<u64>().read() }, 4242);
-        assert_eq!(dst.slot_word(DEST_SLOT).state(), SlotState::Valid);
-        assert_eq!(
-            dst.header().valid_count.load(Ordering::SeqCst),
-            1,
-            "destination must count the object exactly once"
-        );
-        assert_eq!(
-            entry.get().load_payload(Ordering::SeqCst),
-            dst.obj_ptr(DEST_SLOT) as usize,
-            "the indirection entry must resolve to the new location"
-        );
-        let src_word = src.slot_inc(SRC_SLOT).load(Ordering::SeqCst);
-        assert_ne!(
-            src_word & FLAG_FORWARD,
-            0,
-            "source slot must be a forwarding tombstone"
-        );
-        assert_eq!(src_word & (FLAG_FROZEN | FLAG_LOCK), 0);
-        unsafe {
-            src.deallocate();
-            dst.deallocate();
-        }
-        drop(table);
+        assert_eq!(reloc_of(&fx.src).status(), RelocStatus::Succeeded);
+        assert_settled(&fx, 4242, "a second mover");
     })
 }
 
 /// A mover races a reader that bails the relocation out (§5.1 case b).
-/// Oracle: whichever side wins, the world is consistent — a successful move
-/// leaves a forwarding source and a valid destination; a bail-out leaves the
-/// object in place with the freeze fully stripped so readers stop taking the
-/// slow path. Catches [`smc_util::mutation::Mutation::BailKeepsFrozen`].
+/// Oracle ([`assert_settled`]): whichever side wins, the world is
+/// consistent — a successful move leaves a forwarding source and a valid
+/// destination; a bail-out leaves the object in place with the freeze fully
+/// stripped so readers stop taking the slow path. Catches
+/// [`smc_util::mutation::Mutation::BailKeepsFrozen`].
 pub fn move_vs_bail() -> Scenario {
     let fx = move_fixture(77, 0);
-    let (src, dst, entry, reloc) = (fx.src, fx.dst, fx.entry, fx.reloc.clone());
-    let mover_reloc = reloc.clone();
-    let bailer_reloc = reloc.clone();
-    let mover_table = fx.table.clone();
-    let bailer_table = fx.table.clone();
-    let table = fx.table;
+    let src = fx.src;
+    let (mover_table, bailer_table) = (fx.table.clone(), fx.table.clone());
     Scenario::new()
         .thread(move || {
-            let _ = unsafe { try_move_object(src, &mover_reloc) };
+            let _ = unsafe { try_move_object(src, reloc_of(&src)) };
             drop(mover_table);
         })
         .thread(move || {
-            let _ = unsafe { bail_out_relocation(src, &bailer_reloc) };
+            let _ = unsafe { bail_out_relocation(src, reloc_of(&src)) };
             drop(bailer_table);
         })
-        .finally(move || {
-            match reloc.status() {
-                RelocStatus::Succeeded => {
-                    assert_eq!(unsafe { dst.obj_ptr(DEST_SLOT).cast::<u64>().read() }, 77);
-                    assert_eq!(dst.slot_word(DEST_SLOT).state(), SlotState::Valid);
-                    assert_eq!(
-                        entry.get().load_payload(Ordering::SeqCst),
-                        dst.obj_ptr(DEST_SLOT) as usize
-                    );
-                    let src_word = src.slot_inc(SRC_SLOT).load(Ordering::SeqCst);
-                    assert_ne!(src_word & FLAG_FORWARD, 0);
-                    assert_eq!(src_word & (FLAG_FROZEN | FLAG_LOCK), 0);
-                }
-                RelocStatus::Failed => {
-                    // Bail-out won: object stays put, fully thawed.
-                    assert_eq!(src.slot_word(SRC_SLOT).state(), SlotState::Valid);
-                    assert_eq!(unsafe { src.obj_ptr(SRC_SLOT).cast::<u64>().read() }, 77);
-                    let src_word = src.slot_inc(SRC_SLOT).load(Ordering::SeqCst);
-                    assert_eq!(
-                        src_word & FLAG_FROZEN,
-                        0,
-                        "bailed-out relocation left the source slot frozen: \
-                         readers would wedge on the §5.1 slow path forever"
-                    );
-                    assert_eq!(src_word & FLAG_LOCK, 0);
-                    assert_eq!(
-                        entry.get().inc().load(Ordering::SeqCst) & FLAG_MASK,
-                        0,
-                        "bail-out must strip the entry-side freeze too"
-                    );
-                    assert_eq!(
-                        entry.get().load_payload(Ordering::SeqCst),
-                        src.obj_ptr(SRC_SLOT) as usize
-                    );
-                    assert_eq!(dst.header().valid_count.load(Ordering::SeqCst), 0);
-                }
-                RelocStatus::Pending => panic!("relocation never settled"),
-            }
-            unsafe {
-                src.deallocate();
-                dst.deallocate();
-            }
-            drop(table);
-        })
+        .finally(move || assert_settled(&fx, 77, "a bailed-out relocation"))
 }
 
 /// The pass epilogue's rollback races a mover still moving the entry: an
 /// interrupted or aborted pass rolls every still-pending relocation back
 /// through [`cancel_relocation`] while a helping reader may be mid-move.
-/// Oracle: the rollback is *exact* — whichever side settles the entry, the
-/// world reconciles bit-exact. A completed move leaves a forwarding source
-/// and valid destination; a rolled-back move leaves the object in place with
-/// freeze and lock fully stripped on both the slot and the entry, exactly as
-/// `Smc::verify` demands after the pass. Catches
+/// Oracle ([`assert_settled`]): the rollback is *exact* — whichever side
+/// settles the entry, the world reconciles bit-exact, with freeze and lock
+/// fully stripped on both the slot and the entry after a cancel. Catches
 /// [`smc_util::mutation::Mutation::CancelSkipsBailRollback`].
 pub fn cancel_vs_inflight_move() -> Scenario {
     let fx = move_fixture(5150, 0);
-    let (src, dst, entry, reloc) = (fx.src, fx.dst, fx.entry, fx.reloc.clone());
-    let mover_reloc = reloc.clone();
-    let canceller_reloc = reloc.clone();
-    let mover_table = fx.table.clone();
-    let canceller_table = fx.table.clone();
-    let table = fx.table;
+    let src = fx.src;
+    let (mover_table, canceller_table) = (fx.table.clone(), fx.table.clone());
     Scenario::new()
         .thread(move || {
             // A helping reader, moving the entry.
-            let _ = unsafe { try_move_object(src, &mover_reloc) };
+            let _ = unsafe { try_move_object(src, reloc_of(&src)) };
             drop(mover_table);
         })
         .thread(move || {
             // The interrupted pass's epilogue, rolling the entry back.
-            let _ = unsafe { cancel_relocation(src, &canceller_reloc) };
+            let _ = unsafe { cancel_relocation(src, reloc_of(&src)) };
             drop(canceller_table);
         })
+        .finally(move || assert_settled(&fx, 5150, "a cancelled relocation"))
+}
+
+/// A pinned reader dereferences a frozen object through the shipped
+/// [`EntryRef::resolve`] — §5.1's `dereference_object` — while a mover runs
+/// [`try_move_object`] on it, once in a relocation epoch's waiting phase
+/// (the reader bails the move out, case b) and once, on a second fixture,
+/// in its moving phase (the reader helps move, case c). Oracle: each read
+/// returns the pre-pass value at the object's one live home — the
+/// destination if the move succeeded, the source if it was bailed out —
+/// (no free runs, so never `None`), and both relocations settle as
+/// [`assert_settled`] requires. Catches
+/// [`smc_util::mutation::Mutation::DerefSkipsReread`],
+/// [`smc_util::mutation::Mutation::BailKeepsFrozen`] and
+/// [`smc_util::mutation::Mutation::MoveSkipsLock`].
+pub fn deref_vs_move() -> Scenario {
+    const VALUES: [u64; 2] = [31, 32];
+    let worlds: Vec<(MoveFixture, Arc<EpochManager>)> = [false, true]
+        .into_iter()
+        .zip(VALUES)
+        .map(|(moving, value)| {
+            // Pinned in relocation epoch 1, so the reader takes case b or c.
+            let mgr = EpochManager::new();
+            mgr.try_advance().expect("nothing is pinned");
+            mgr.set_relocation_epoch(1);
+            mgr.set_moving_phase(moving);
+            (move_fixture(value, 0), mgr)
+        })
+        .collect();
+    let worlds = Arc::new(worlds);
+    let homes = Arc::new(Mutex::new(Vec::new()));
+    let (reader_worlds, mover_worlds) = (worlds.clone(), worlds.clone());
+    let reader_homes = homes.clone();
+    Scenario::new()
+        .thread(move || {
+            for ((fx, mgr), value) in reader_worlds.iter().zip(VALUES) {
+                let guard = mgr.pin();
+                let home = fx.entry.resolve(0, &guard);
+                let home = home.expect("no page is spilled").expect("no free runs");
+                let read = unsafe { (home as *const u64).read() };
+                assert_eq!(read, value, "the reader read a value no one wrote");
+                reader_homes.lock().unwrap().push(home);
+                drop(guard);
+            }
+        })
+        .thread(move || {
+            for (fx, _) in mover_worlds.iter() {
+                let _ = unsafe { try_move_object(fx.src, reloc_of(&fx.src)) };
+            }
+        })
         .finally(move || {
-            match reloc.status() {
-                RelocStatus::Succeeded => {
-                    // The move beat the cancel: normal post-move state.
-                    assert_eq!(unsafe { dst.obj_ptr(DEST_SLOT).cast::<u64>().read() }, 5150);
-                    assert_eq!(dst.slot_word(DEST_SLOT).state(), SlotState::Valid);
-                    assert_eq!(
-                        entry.get().load_payload(Ordering::SeqCst),
-                        dst.obj_ptr(DEST_SLOT) as usize
-                    );
-                    let src_word = src.slot_inc(SRC_SLOT).load(Ordering::SeqCst);
-                    assert_ne!(src_word & FLAG_FORWARD, 0);
-                    assert_eq!(src_word & (FLAG_FROZEN | FLAG_LOCK), 0);
-                }
-                RelocStatus::Failed => {
-                    // Cancel won: the object must stay put, fully thawed, so
-                    // a later pass can retry it and verify reconciles now.
-                    assert_eq!(src.slot_word(SRC_SLOT).state(), SlotState::Valid);
-                    assert_eq!(unsafe { src.obj_ptr(SRC_SLOT).cast::<u64>().read() }, 5150);
-                    let src_word = src.slot_inc(SRC_SLOT).load(Ordering::SeqCst);
-                    assert_eq!(
-                        src_word & FLAG_FROZEN,
-                        0,
-                        "cancelled relocation left the source slot frozen: \
-                         the quiesced heap would fail Smc::verify and readers \
-                         would wedge on the §5.1 slow path"
-                    );
-                    assert_eq!(src_word & FLAG_LOCK, 0);
-                    assert_eq!(
-                        entry.get().inc().load(Ordering::SeqCst) & FLAG_MASK,
-                        0,
-                        "cancel must strip the entry-side freeze too"
-                    );
-                    assert_eq!(
-                        entry.get().load_payload(Ordering::SeqCst),
-                        src.obj_ptr(SRC_SLOT) as usize
-                    );
-                    assert_eq!(dst.header().valid_count.load(Ordering::SeqCst), 0);
-                }
-                RelocStatus::Pending => panic!("cancelled relocation never settled"),
+            let homes = homes.lock().unwrap();
+            for (((fx, _), value), &home) in worlds.iter().zip(VALUES).zip(homes.iter()) {
+                // Sides, not addresses: the message must replay identically.
+                let side = |at: usize| match at {
+                    _ if at == fx.src.obj_ptr(SRC_SLOT) as usize => "source",
+                    _ if at == fx.dst.obj_ptr(DEST_SLOT) as usize => "destination",
+                    _ => "neither block",
+                };
+                let status = reloc_of(&fx.src).status();
+                let live = match status {
+                    RelocStatus::Succeeded => "destination",
+                    _ => "source",
+                };
+                assert_eq!(
+                    side(home),
+                    live,
+                    "the reader of {value} resolved to the {} after the relocation {status:?}",
+                    side(home)
+                );
+                assert_settled(fx, value, "a reader's bail-out");
             }
-            unsafe {
-                src.deallocate();
-                dst.deallocate();
-            }
-            drop(table);
         })
 }
 
@@ -465,12 +476,12 @@ pub fn cancel_vs_inflight_move() -> Scenario {
 pub fn slot_vs_entry_incarnation() -> Scenario {
     const SLOT_COUNTER: u32 = 5;
     let fx = move_fixture(9001, SLOT_COUNTER);
-    let (src, dst, reloc) = (fx.src, fx.dst, fx.reloc.clone());
+    let (src, dst) = (fx.src, fx.dst);
     let mover_table = fx.table.clone();
     let table = fx.table;
     Scenario::new()
         .thread(move || {
-            let outcome = unsafe { try_move_object(src, &reloc) };
+            let outcome = unsafe { try_move_object(src, reloc_of(&src)) };
             assert_eq!(outcome, MoveOutcome::MovedByUs);
             drop(mover_table);
         })
@@ -565,10 +576,7 @@ pub fn exactly_once_visitation() -> Scenario {
             slot,
         ));
     }
-    let list = Box::new(RelocationList::new(layout, relocs));
-    src.header()
-        .reloc_list
-        .store(Box::into_raw(list), Ordering::Release);
+    RelocationList::new(layout, relocs).install(&src);
     let group = Arc::new(CompactionGroup {
         sources: vec![src],
         dest: dst,
@@ -600,7 +608,7 @@ pub fn exactly_once_visitation() -> Scenario {
             // The scanner may help, so losing an object's move to it is fine.
             mover_group.started.store(true, Ordering::SeqCst);
             assert!(mover_group.wait_pre_readers(None));
-            let list = unsafe { &*src.header().reloc_list.load(Ordering::SeqCst) };
+            let list = RelocationList::of(&src).expect("the group's list");
             for reloc in &list.entries {
                 let outcome = unsafe { try_move_object(src, reloc) };
                 assert!(matches!(

@@ -214,3 +214,21 @@ fn catches_busy_after_words() {
         scenarios::trace_ring_reader_vs_owner,
     );
 }
+
+#[test]
+fn catches_deref_skips_reread() {
+    assert_mutation_caught(
+        Mutation::DerefSkipsReread,
+        "deref_vs_move",
+        scenarios::deref_vs_move,
+    );
+}
+
+/// The reader of `deref_vs_move` bails out and moves through the shipped
+/// primitives, so the scenario catches their re-introduced bugs too.
+#[test]
+fn deref_vs_move_catches_the_bail_and_move_mutations() {
+    for m in [Mutation::BailKeepsFrozen, Mutation::MoveSkipsLock] {
+        assert_mutation_caught(m, "deref_vs_move", scenarios::deref_vs_move);
+    }
+}

@@ -325,7 +325,9 @@ impl<T: Tabular> Smc<T> {
         self.ctx.spilled_objects()
     }
 
-    /// Mutates the referenced object in place.
+    /// Mutates the referenced object in place: `Ok(None)` if it was
+    /// removed, `Err(MemError::SpillFault)` if it sits in a spilled page
+    /// that cannot be read back (nothing is updated — fail closed).
     ///
     /// This is the §7 "compiled unsafe C#" capability: operating on object
     /// fields through pointers, possible only because the collection — not a
@@ -337,11 +339,13 @@ impl<T: Tabular> Smc<T> {
         r: Ref<T>,
         guard: &Guard<'_>,
         f: impl FnOnce(&mut T) -> R,
-    ) -> Option<R> {
-        let ptr = r.get_ptr(guard)?;
+    ) -> Result<Option<R>, MemError> {
+        let Some(obj) = r.resolve(guard)? else {
+            return Ok(None);
+        };
         // SAFETY: the object is alive for the guard's critical section; the
         // collection's isolation level permits racy field updates (§4).
-        Some(f(unsafe { &mut *ptr }))
+        Ok(Some(f(unsafe { &mut *(obj as *mut T) })))
     }
 
     /// Fallible [`for_each`](Self::for_each):

@@ -1,18 +1,21 @@
 //! Reference types for self-managed objects.
 //!
 //! [`Ref`] is the paper's `ObjRef` (Figure 1): a fat pointer holding the
-//! address of the object's indirection-table entry plus the incarnation
-//! number observed when the reference was created. Dereferencing validates
-//! the incarnation and, when compaction flags are set, runs the three-case
-//! slow path of §5.1 (`dereference_object` in the paper) — returning the
-//! pointer during the freezing epoch, bailing the relocation out during the
-//! waiting phase, or helping move the object during the moving phase.
+//! object's indirection-table entry plus the incarnation number observed
+//! when the reference was created. Dereferencing is the memory layer's
+//! [`EntryRef::resolve`], the paper's `dereference_object` (§5.1): it
+//! validates the incarnation and, when compaction flags are set, returns
+//! the pointer during the freezing epoch, bails the relocation out during
+//! the waiting phase, or helps move the object during the moving phase.
 //!
 //! [`DirectRef`] is the §6 alternative: a raw pointer to the object's memory
-//! slot, validated against the *slot-header* incarnation word. It skips the
-//! indirection hop — the optimization Figure 12 measures — at the price of
-//! chasing forwarding tombstones after compaction and needing the fix-up
-//! scan (`Smc::fix_direct_refs`).
+//! slot, validated against the *slot-header* incarnation word (the memory
+//! layer's [`DirectPtr`]). It skips the indirection hop — the optimization
+//! Figure 12 measures — at the price of chasing forwarding tombstones after
+//! compaction and needing the fix-up scan (`Smc::fix_direct_refs`).
+//!
+//! Both are typed wrappers: the protocol is untyped and lives in
+//! `smc-memory`, and this module only casts the address it hands back.
 //!
 //! Both types are `Copy` plain data: they can be stored inside other tabular
 //! objects (that is how reference-based joins work in the TPC-H adaptation)
@@ -25,17 +28,10 @@
 //! its collection ([`Smc::read`](crate::Smc::read)), which gathers a copy.
 
 use std::marker::PhantomData;
-use std::ptr::NonNull;
-use std::sync::atomic::Ordering;
 
-use smc_memory::block::BlockRef;
 use smc_memory::error::MemError;
-use smc_memory::incarnation::{FLAG_FORWARD, INC_MASK};
-use smc_memory::reloc::{bail_out_relocation, try_move_object};
-use smc_memory::spill;
 use smc_memory::tabular::Tabular;
-use smc_memory::EntryRef;
-use smc_memory::Guard;
+use smc_memory::{DirectPtr, EntryRef, Guard};
 
 use crate::collection::Rows;
 
@@ -44,8 +40,8 @@ use crate::collection::Rows;
 ///
 /// 12–16 bytes of plain data; copying it never touches the object.
 pub struct Ref<T: Tabular, L = Rows> {
-    /// Address of the indirection entry; 0 encodes the null reference.
-    entry_addr: usize,
+    /// The indirection entry; `None` is the null reference.
+    entry: Option<EntryRef>,
     /// Incarnation of the entry at assignment time.
     inc: u32,
     _marker: PhantomData<fn() -> (T, L)>,
@@ -60,22 +56,23 @@ impl<T: Tabular, L> Copy for Ref<T, L> {}
 
 impl<T: Tabular, L> PartialEq for Ref<T, L> {
     fn eq(&self, other: &Self) -> bool {
-        self.entry_addr == other.entry_addr && self.inc == other.inc
+        self.entry == other.entry && self.inc == other.inc
     }
 }
 impl<T: Tabular, L> Eq for Ref<T, L> {}
 
 impl<T: Tabular, L> std::hash::Hash for Ref<T, L> {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.entry_addr.hash(state);
+        self.entry.hash(state);
         self.inc.hash(state);
     }
 }
 
 impl<T: Tabular, L> std::fmt::Debug for Ref<T, L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let entry = self.entry.map_or(0, |e| e.addr());
         f.debug_struct("Ref")
-            .field("entry", &(self.entry_addr as *const ()))
+            .field("entry", &(entry as *const ()))
             .field("inc", &self.inc)
             .finish()
     }
@@ -94,7 +91,7 @@ impl<T: Tabular, L> Ref<T, L> {
     /// The null reference: dereferences to `None`.
     pub const fn null() -> Ref<T, L> {
         Ref {
-            entry_addr: 0,
+            entry: None,
             inc: 0,
             _marker: PhantomData,
         }
@@ -102,14 +99,14 @@ impl<T: Tabular, L> Ref<T, L> {
 
     /// True for [`null`](Self::null) references.
     pub fn is_null(&self) -> bool {
-        self.entry_addr == 0
+        self.entry.is_none()
     }
 
     /// Builds a reference from an entry and its incarnation. Crate-internal:
     /// collections construct references on `add` and during enumeration.
     pub(crate) fn from_parts(entry: EntryRef, inc: u32) -> Ref<T, L> {
         Ref {
-            entry_addr: entry.addr(),
+            entry: Some(entry),
             inc,
             _marker: PhantomData,
         }
@@ -117,11 +114,7 @@ impl<T: Tabular, L> Ref<T, L> {
 
     /// The entry handle, if non-null.
     pub(crate) fn entry(&self) -> Option<EntryRef> {
-        if self.entry_addr == 0 {
-            None
-        } else {
-            Some(unsafe { EntryRef::from_addr(self.entry_addr) })
-        }
+        self.entry
     }
 
     /// The incarnation this reference was created with.
@@ -129,99 +122,17 @@ impl<T: Tabular, L> Ref<T, L> {
         self.inc
     }
 
-    /// Resolves the object's current indirection payload — the paper's
-    /// `dereference_object` (§5.1): the object's address for rows, its
+    /// Resolves the object's current indirection payload
+    /// ([`EntryRef::resolve`], §5.1): the object's address for rows, its
     /// incarnation cell for columns. `Ok(None)` if the object was removed;
     /// `Err(MemError::SpillFault)` if it sits in a spilled page that cannot
-    /// be read back, or was spilled again under this reader eight times.
+    /// be read back.
     #[inline]
     pub(crate) fn resolve(&self, guard: &Guard<'_>) -> Result<Option<usize>, MemError> {
-        let Some(entry) = self.entry() else {
-            return Ok(None);
-        };
-        // Bounded retry: each iteration either returns or faults one spilled
-        // page back in (repointing the entry at a resident slot). A page can
-        // be re-spilled between our fault-in and the re-read only by a
-        // concurrent evictor racing this hot object; 8 rounds outlasts any
-        // realistic eviction storm, and failing closed afterwards names it.
-        for _ in 0..8 {
-            let word = entry.get().inc().load(Ordering::Acquire);
-            // Fast path: exact match, no flags set.
-            if word == self.inc {
-                let payload = entry.get().load_payload(Ordering::Acquire);
-                if payload == 0 {
-                    return Ok(None);
-                }
-                if spill::is_spill_tagged(payload) {
-                    if !spill::fault_in_tagged(payload)? {
-                        return Ok(None); // the collection is gone
-                    }
-                    continue;
-                }
-                return Ok(Some(payload));
-            }
-            // Masked match: alive but frozen/locked by compaction.
-            if word & INC_MASK == self.inc & INC_MASK {
-                return Ok(self.slow_path(entry, guard));
-            }
-            return Ok(None);
+        match self.entry {
+            Some(entry) => entry.resolve(self.inc, guard),
+            None => Ok(None),
         }
-        Err(MemError::SpillFault)
-    }
-
-    /// §5.1 cases a–c. Cold: only reachable while a compaction is in flight.
-    #[cold]
-    fn slow_path(&self, entry: EntryRef, guard: &Guard<'_>) -> Option<usize> {
-        let deref = |e: EntryRef| -> Option<usize> {
-            let payload = e.get().load_payload(Ordering::Acquire);
-            // A spill tag cannot coexist with compaction flags (eviction
-            // skips compacting blocks), so seeing one here means the world
-            // changed under us — fail closed rather than deref a stub.
-            if payload == 0 || spill::is_spill_tagged(payload) {
-                None
-            } else {
-                Some(payload)
-            }
-        };
-        // Case a: we are not in the relocation epoch (e.g. the freezing
-        // epoch). No relocation can happen this epoch; the current pointer
-        // is safe for the rest of our critical section.
-        if !guard.in_relocation_epoch() {
-            return deref(entry);
-        }
-        // Locate the relocation-list entry for this object.
-        let payload = entry.get().load_payload(Ordering::Acquire);
-        if payload == 0 {
-            return None;
-        }
-        let block = unsafe { BlockRef::from_interior_ptr(payload as *const u8) };
-        let slot = unsafe { block.slot_of_payload(payload) };
-        let list = block.header().reloc_list.load(Ordering::Acquire);
-        let reloc = if list.is_null() {
-            None
-        } else {
-            unsafe { (*list).find(slot) }
-        };
-        let Some(reloc) = reloc else {
-            // Not actually scheduled (e.g. flags from an aborted pass).
-            return deref(entry);
-        };
-        if !guard.in_moving_phase() {
-            // Case b: waiting phase — relocations must not start while we
-            // hold this pointer, and we may not perform them either. Bail
-            // the relocation out.
-            unsafe { bail_out_relocation(block, reloc) };
-        } else {
-            // Case c: moving phase — help move the object, then proceed at
-            // its new location.
-            unsafe { try_move_object(block, reloc) };
-        }
-        // Re-validate: the object may have been freed while we negotiated.
-        let word = entry.get().inc().load(Ordering::Acquire);
-        if word & INC_MASK != self.inc & INC_MASK {
-            return None;
-        }
-        deref(entry)
     }
 }
 
@@ -252,16 +163,6 @@ impl<T: Tabular> Ref<T> {
         Ok(obj.map(|p| unsafe { &*(p as *const T) }))
     }
 
-    /// Resolves the object's current raw pointer — used by compiled queries
-    /// that update fields in place (§7's "compiled unsafe C#"). Validation
-    /// is identical to [`get`](Self::get); concurrent readers observe such
-    /// updates under the collection's read-uncommitted isolation level (§4).
-    #[inline]
-    pub fn get_ptr(&self, guard: &Guard<'_>) -> Option<*mut T> {
-        let obj = self.resolve(guard).expect("spilled page unreadable");
-        obj.map(|p| p as *mut T)
-    }
-
     /// Copies the object out (`None` if removed).
     #[inline]
     pub fn read(&self, guard: &Guard<'_>) -> Option<T> {
@@ -269,16 +170,13 @@ impl<T: Tabular> Ref<T> {
     }
 
     /// Converts to a direct pointer (§6), resolving the current memory
-    /// location and capturing the slot-header incarnation.
+    /// location and capturing the slot-header incarnation. Panics where
+    /// [`get`](Self::get) does.
     pub fn to_direct(&self, guard: &Guard<'_>) -> Option<DirectRef<T>> {
-        let obj = self.get(guard)?;
-        let addr = obj as *const T as usize;
-        let block = unsafe { BlockRef::from_interior_ptr(addr as *const u8) };
-        let slot = unsafe { block.slot_of_payload(addr) };
-        let inc = block.payload_inc(slot).incarnation();
+        let ptr = self.entry?.to_direct(self.inc, guard);
+        let ptr = ptr.expect("spilled page unreadable")?;
         Some(DirectRef {
-            ptr: NonNull::new(addr as *mut u8)?,
-            inc,
+            ptr,
             _marker: PhantomData,
         })
     }
@@ -287,8 +185,7 @@ impl<T: Tabular> Ref<T> {
 /// A direct pointer between self-managed objects (§6): the object's slot
 /// address plus the slot-header incarnation.
 pub struct DirectRef<T: Tabular> {
-    ptr: NonNull<u8>,
-    inc: u32,
+    ptr: DirectPtr,
     _marker: PhantomData<fn() -> T>,
 }
 
@@ -301,27 +198,22 @@ impl<T: Tabular> Copy for DirectRef<T> {}
 
 impl<T: Tabular> std::fmt::Debug for DirectRef<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DirectRef")
-            .field("ptr", &self.ptr)
-            .field("inc", &self.inc)
-            .finish()
+        f.debug_tuple("DirectRef").field(&self.ptr).finish()
     }
 }
-
-unsafe impl<T: Tabular> Send for DirectRef<T> {}
-unsafe impl<T: Tabular> Sync for DirectRef<T> {}
 
 /// An optional direct pointer, suitable as a field type inside tabular
 /// objects (`DirectRef` itself has no null state).
 pub type OptDirectRef<T> = Option<DirectRef<T>>;
 
+// SAFETY: plain data validated at every dereference.
 unsafe impl<T: Tabular> Tabular for DirectRef<T> {}
 
 impl<T: Tabular> DirectRef<T> {
     /// Raw slot address (for the fix-up scan's block-address probe, §6).
     #[inline]
     pub fn addr(&self) -> usize {
-        self.ptr.as_ptr() as usize
+        self.ptr.addr()
     }
 
     /// Dereferences through the slot-header incarnation; follows forwarding
@@ -337,70 +229,22 @@ impl<T: Tabular> DirectRef<T> {
     #[inline]
     pub fn get_healing<'g>(&mut self, guard: &'g Guard<'_>) -> Option<&'g T> {
         let (obj, healed) = self.resolve(guard)?;
-        if let Some(new) = healed {
-            *self = new;
+        if let Some(ptr) = healed {
+            self.ptr = ptr;
         }
         Some(obj)
     }
 
-    fn resolve<'g>(&self, guard: &'g Guard<'_>) -> Option<(&'g T, Option<DirectRef<T>>)> {
-        let mut addr = self.ptr.as_ptr() as usize;
-        let mut healed = None;
-        // Tombstones can chain across successive compactions; bounded by
-        // the number of passes since the pointer was written.
-        for _ in 0..64 {
-            let block = unsafe { BlockRef::from_interior_ptr(addr as *const u8) };
-            let slot = unsafe { block.slot_of_payload(addr) };
-            let word = block.payload_inc(slot).load(Ordering::Acquire);
-            if word == self.inc {
-                // SAFETY: slot-header incarnation matched inside a critical
-                // section; same argument as `Ref::get`.
-                return Some((unsafe { &*(addr as *const T) }, healed));
-            }
-            if word & INC_MASK != self.inc & INC_MASK {
-                return None; // freed
-            }
-            if word & FLAG_FORWARD != 0 {
-                // Tombstone: the back-pointer leads to the indirection entry,
-                // which holds the new location (§6).
-                let back = block.back_ptr(slot).load(Ordering::Acquire);
-                if back == 0 {
-                    return None;
-                }
-                let entry = unsafe { EntryRef::from_addr(back) };
-                let payload = entry.get().load_payload(Ordering::Acquire);
-                // A forwarded object that was then spilled has no resident
-                // address to heal to — fail closed (re-resolve via `Ref`).
-                if payload == 0 || spill::is_spill_tagged(payload) {
-                    return None;
-                }
-                addr = payload;
-                healed = Some(DirectRef {
-                    ptr: NonNull::new(addr as *mut u8)?,
-                    inc: self.inc & INC_MASK,
-                    _marker: PhantomData,
-                });
-                continue;
-            }
-            // Frozen (compaction in flight): mirror the §5.1 cases through
-            // the relocation list, then retry.
-            if guard.in_relocation_epoch() {
-                let list = block.header().reloc_list.load(Ordering::Acquire);
-                if !list.is_null() {
-                    if let Some(reloc) = unsafe { (*list).find(slot) } {
-                        if guard.in_moving_phase() {
-                            unsafe { try_move_object(block, reloc) };
-                        } else {
-                            unsafe { bail_out_relocation(block, reloc) };
-                        }
-                        continue;
-                    }
-                }
-            }
-            // Freezing epoch (case a): the current location stays valid.
-            return Some((unsafe { &*(addr as *const T) }, healed));
-        }
-        None
+    #[inline]
+    fn resolve<'g>(&self, guard: &'g Guard<'_>) -> Option<(&'g T, Option<DirectPtr>)> {
+        // SAFETY: the pointer was taken from a live `T` of a row collection
+        // and is healed by the fix-up scan before `release_retired` unmaps
+        // the blocks it points into (§6); a validated address is a live `T`
+        // for the guard's critical section, as for `Ref::get`. A pointer
+        // into a block that was spilled and recycled since is the one case
+        // this does not cover.
+        let (addr, healed) = unsafe { self.ptr.resolve(guard) }?;
+        Some((unsafe { &*(addr as *const T) }, healed))
     }
 }
 

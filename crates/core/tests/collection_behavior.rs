@@ -159,12 +159,12 @@ fn update_in_place() {
     let persons: Smc<Person> = Smc::new(&rt);
     let r = persons.add(person("Carol", 20));
     let g = rt.pin();
-    persons.update(r, &g, |p| p.age += 1).unwrap();
+    assert_eq!(persons.update(r, &g, |p| p.age += 1), Ok(Some(())));
     assert_eq!(r.get(&g).unwrap().age, 21);
     drop(g);
     persons.remove(r);
     let g = rt.pin();
-    assert!(persons.update(r, &g, |p| p.age += 1).is_none());
+    assert_eq!(persons.update(r, &g, |p| p.age += 1), Ok(None));
 }
 
 #[test]
@@ -802,6 +802,8 @@ fn an_unreadable_spilled_row_is_an_error_not_a_removed_row() {
     let get = std::panic::AssertUnwindSafe(|| spilled.get(&g).map(|w| w.id));
     let got = std::panic::catch_unwind(get);
     assert!(got.is_err(), "get answered {got:?} for an unreadable page");
+    let update = c.update(spilled, &g, |w| w.pad[0] = 0);
+    assert_eq!(update, Err(smc_memory::MemError::SpillFault));
     assert!(refs[5].get(&g).is_none(), "a removed row is still None");
     assert_eq!(refs[5].try_get(&g).map(|w| w.is_none()), Ok(true));
     drop(g);

@@ -174,7 +174,9 @@ fn update_in_place_survives_compaction() {
     {
         let g = rt.pin();
         for (r, _) in &kept {
-            c.update(*r, &g, |o| o.payload[0] = o.key * 2).unwrap();
+            c.update(*r, &g, |o| o.payload[0] = o.key * 2)
+                .unwrap()
+                .unwrap();
         }
     }
     c.compact();

@@ -307,7 +307,7 @@ pub struct BlockHeader {
     pub compacting: AtomicU32,
     /// Relocation list for the in-flight compaction, if any (§5.1: "This
     /// list is accessible through the block's header").
-    pub reloc_list: AtomicPtr<RelocationList>,
+    pub(crate) reloc_list: AtomicPtr<RelocationList>,
     /// Allocation-shard ownership ([`crate::alloc`]): `0` for blocks
     /// allocated outside the budgeted runtime path (tests, hand-built
     /// fixtures), which go straight back to the OS when freed; otherwise the
@@ -662,7 +662,7 @@ impl BlockRef {
     /// # Safety
     /// `ptr` must point into a live block allocated by [`allocate`](Self::allocate).
     #[inline]
-    pub unsafe fn from_interior_ptr(ptr: *const u8) -> BlockRef {
+    pub(crate) unsafe fn from_interior_ptr(ptr: *const u8) -> BlockRef {
         let base = (ptr as usize) & !(BLOCK_SIZE - 1);
         let header = base as *mut BlockHeader;
         debug_assert_eq!((*header).magic, MAGIC, "interior pointer outside any block");
@@ -790,7 +790,7 @@ impl BlockRef {
     /// # Safety
     /// `payload` must address into this block's object store.
     #[inline]
-    pub unsafe fn slot_of_payload(&self, payload: usize) -> SlotId {
+    pub(crate) unsafe fn slot_of_payload(&self, payload: usize) -> SlotId {
         if self.is_columnar() {
             ((payload - self.store_base() as usize) / 4) as SlotId
         } else {
@@ -801,7 +801,7 @@ impl BlockRef {
     /// The slot-header incarnation word of `slot`, regardless of layout
     /// (columnar stores keep incarnations in the leading column).
     #[inline]
-    pub fn payload_inc(&self, slot: SlotId) -> &IncWord {
+    pub(crate) fn payload_inc(&self, slot: SlotId) -> &IncWord {
         if self.is_columnar() {
             unsafe { &*self.store_base().add(slot as usize * 4).cast::<IncWord>() }
         } else {

@@ -161,8 +161,7 @@ fn poll_until(deadline: Option<u64>, mut done: impl FnMut() -> bool) -> bool {
 /// before that). The list lives as long as the block, which the caller's
 /// hold on `src` (group membership, epoch) keeps alive.
 fn reloc_entries(src: &BlockRef) -> &[RelocEntry] {
-    let list = src.header().reloc_list.load(Ordering::Acquire);
-    unsafe { list.as_ref() }.map_or(&[], |list| &list.entries)
+    RelocationList::of(src).map_or(&[], |list| &list.entries)
 }
 
 /// What one pass holds for its duration; dropping it is the single unwind
@@ -444,14 +443,7 @@ impl MemoryContext {
                 let dest_addr = dest.payload(dest_slot);
                 entries.push(RelocEntry::new(slot_id, back, inc, dest_addr, dest_slot));
             }
-            let list = Box::new(RelocationList::new(self.layout, entries));
-            let old = src
-                .header()
-                .reloc_list
-                .swap(Box::into_raw(list), Ordering::AcqRel);
-            if !old.is_null() {
-                drop(unsafe { Box::from_raw(old) });
-            }
+            RelocationList::new(self.layout, entries).install(&src);
         }
         Ok(Arc::new(CompactionGroup {
             sources,

@@ -25,7 +25,7 @@
 //!
 //! ## Emptying whole blocks
 //!
-//! The §5 compaction pass (`compact.rs`, beside [`crate::reloc`]) and the
+//! The §5 compaction pass (`compact.rs`, beside `reloc.rs`) and the
 //! residency protocol ([`crate::spill`]) are further `impl MemoryContext`
 //! blocks in their own files. What they share is here: `claim` / `unclaim`,
 //! the one way a block leaves and re-enters slot-level allocation.

@@ -605,14 +605,14 @@ impl<'e> Guard<'e> {
     /// True while the in-flight compaction of this guard's runtime is in
     /// its moving phase (§5.1).
     #[inline]
-    pub fn in_moving_phase(&self) -> bool {
+    pub(crate) fn in_moving_phase(&self) -> bool {
         self.mgr.in_moving_phase()
     }
 
     /// True if this guard's thread is pinned in the announced relocation
     /// epoch — the precondition for the §5.1 slow-path cases b and c.
     #[inline]
-    pub fn in_relocation_epoch(&self) -> bool {
+    pub(crate) fn in_relocation_epoch(&self) -> bool {
         let r = self.mgr.next_relocation_epoch();
         r != 0 && self.epoch() == r
     }

@@ -21,6 +21,10 @@
 //! * **Indirection table** (`indirection`): references point at a stable
 //!   table entry which in turn points at the object's current slot, allowing
 //!   objects to be relocated by a single atomic pointer store.
+//! * **Dereference** ([`EntryRef::resolve`], [`DirectPtr`]): the paper's
+//!   `dereference_object` (§5.1) and the §6 direct-pointer walk, once each,
+//!   beside the relocation protocol they negotiate with; the `smc` crate's
+//!   references are typed wrappers of them.
 //! * **Epoch-based reclamation** (`epoch`, [`Guard`], [`Slot`]): readers enter *critical
 //!   sections* (grace periods); memory freed in global epoch `e` is reused no
 //!   earlier than epoch `e + 2`, when no thread can still observe it.
@@ -71,7 +75,10 @@ mod indirection;
 pub mod inline_str;
 pub mod inspect;
 pub mod page;
+#[cfg(smc_check)]
 pub mod reloc;
+#[cfg(not(smc_check))]
+mod reloc;
 pub mod runtime;
 pub mod slot;
 pub mod spill;
@@ -94,6 +101,7 @@ pub use indirection::IndirectionTable;
 pub use indirection::{EntryRef, IndirEntry};
 pub use inline_str::InlineStr;
 pub use inspect::{BlockSnapshot, CollectionSnapshot, HeapSnapshot, IndirectionLoad, Watermark};
+pub use reloc::DirectPtr;
 pub use runtime::Runtime;
 pub use slot::{SlotId, SlotState};
 pub use spill::{MemoryPageStore, PageStore, SpillIoError};

@@ -20,13 +20,25 @@
 //! A reader that cannot yet tolerate relocations (waiting phase, §5.1 case b)
 //! instead *bails the relocation out*: it marks the list entry `Failed` and
 //! strips the freeze bit, excluding the object from this compaction pass.
+//!
+//! The reader's side lives here too, as the one dereference every handle
+//! goes through: [`EntryRef::resolve`] is the paper's `dereference_object`
+//! (the fast path, the spill fault-in retry and cases a–c), and
+//! [`DirectPtr`] is the §6 direct pointer with its tombstone chase. Both
+//! settle a frozen object through one per-slot negotiation, which finds the
+//! slot's relocation entry and bails it out or helps it move. `smc`'s
+//! `Ref` and `DirectRef` are typed wrappers that cast the address they get.
 
+use std::ptr::NonNull;
 use std::sync::atomic::Ordering;
 
 use crate::block::{BlockLayout, BlockRef};
+use crate::epoch::Guard;
+use crate::error::MemError;
 use crate::incarnation::{FLAG_FORWARD, FLAG_FROZEN, INC_MASK};
 use crate::indirection::EntryRef;
 use crate::slot::SlotId;
+use crate::spill;
 use smc_util::mutation::{self, Mutation};
 use smc_util::sync::AtomicU32;
 
@@ -117,9 +129,26 @@ impl RelocationList {
             .map(|i| &self.entries[i])
     }
 
-    /// Count of entries with the given status.
-    pub fn count(&self, s: RelocStatus) -> usize {
-        self.entries.iter().filter(|e| e.status() == s).count()
+    /// Hangs the list off `block`'s header, where readers find it (§5.1),
+    /// and drops the list a previous pass left there, if any.
+    pub fn install(self, block: &BlockRef) {
+        let list = Box::into_raw(Box::new(self));
+        let old = block.header().reloc_list.swap(list, Ordering::AcqRel);
+        if !old.is_null() {
+            // SAFETY: a list is only ever installed from a `Box`, and the
+            // swap took the old one out of the header.
+            drop(unsafe { Box::from_raw(old) });
+        }
+    }
+
+    /// The list hung off `block`'s header, if any. It lives as long as the
+    /// block, which the caller's hold on `block` (group membership, epoch)
+    /// keeps alive.
+    pub fn of(block: &BlockRef) -> Option<&RelocationList> {
+        let list = block.header().reloc_list.load(Ordering::Acquire);
+        // SAFETY: installed from a `Box` and dropped only when the block is
+        // retired or a later list replaces it.
+        unsafe { list.as_ref() }
     }
 }
 
@@ -180,14 +209,12 @@ pub unsafe fn try_move_object(src_block: BlockRef, reloc: &RelocEntry) -> MoveOu
             let dest = reloc.dest_obj_addr as *mut u8;
             let dest_block = BlockRef::from_interior_ptr(dest);
             // The layout travels with the list; reach it through the header.
-            let list = src_block.header().reloc_list.load(Ordering::Acquire);
-            debug_assert!(!list.is_null());
+            let list = RelocationList::of(&src_block).expect("a scheduled block has a list");
             // A panic while copying (a slot accessor's assertion) must not
             // leave the entry locked, or every later locker spins on it for
             // good: the unwind takes the bail path, and the object stays put.
             let bail = locked.then_some(BailOnUnwind { src_block, reloc });
-            (*list)
-                .layout
+            list.layout
                 .copy_object(src_block, reloc.src_slot, dest_block, reloc.dest_slot);
             std::mem::forget(bail);
             // The slot-side incarnation is an independent counter from the
@@ -341,10 +368,244 @@ pub unsafe fn cancel_relocation(src_block: BlockRef, reloc: &RelocEntry) -> Move
     bail_out_relocation(src_block, reloc)
 }
 
+// ---------------------------------------------------------------------
+// The reader's side: §5.1 `dereference_object` and the §6 direct walk
+// ---------------------------------------------------------------------
+
+/// Rounds of spill fault-in one dereference takes before it fails closed.
+/// Each round either returns or faults one spilled page back in; a page is
+/// re-spilled between a fault-in and the re-read only by an evictor racing
+/// this very object, and eight rounds outlast any such storm.
+const FAULT_IN_ROUNDS: usize = 8;
+
+/// Forwarding tombstones one direct dereference follows: they chain across
+/// successive compactions, one per pass since the pointer was written.
+const FORWARD_HOPS: usize = 64;
+
+impl EntryRef {
+    /// Resolves a checked reference — this entry, as assigned at
+    /// incarnation `inc` — to the object's current payload: its address for
+    /// rows, its incarnation cell for columns. This is the paper's
+    /// `dereference_object` (§5.1). `Ok(None)` if the object was removed;
+    /// `Err(MemError::SpillFault)` if it sits in a spilled page that cannot
+    /// be read back, or was spilled again under this reader eight times.
+    /// The payload stays valid for the guard's critical section (§3.4).
+    ///
+    /// The fast path — an exact incarnation match and a resident payload —
+    /// is two loads and inlines into the caller; everything else takes an
+    /// out-of-line call.
+    #[inline]
+    pub fn resolve(self, inc: u32, guard: &Guard<'_>) -> Result<Option<usize>, MemError> {
+        if self.get().inc().load(Ordering::Acquire) == inc {
+            let payload = self.get().load_payload(Ordering::Acquire);
+            if payload != 0 && !spill::is_spill_tagged(payload) {
+                return Ok(Some(payload));
+            }
+        }
+        self.resolve_slow(inc, guard)
+    }
+
+    /// [`resolve`](Self::resolve) past its fast path: a removed object, the
+    /// spill fault-in retry, and a frozen object.
+    #[inline(never)]
+    fn resolve_slow(self, inc: u32, guard: &Guard<'_>) -> Result<Option<usize>, MemError> {
+        for _ in 0..FAULT_IN_ROUNDS {
+            let word = self.get().inc().load(Ordering::Acquire);
+            // Fast path: exact match, no flags set.
+            if word == inc {
+                let payload = self.get().load_payload(Ordering::Acquire);
+                if payload == 0 {
+                    return Ok(None);
+                }
+                if spill::is_spill_tagged(payload) {
+                    if !spill::fault_in_tagged(payload)? {
+                        return Ok(None); // the collection is gone
+                    }
+                    continue;
+                }
+                return Ok(Some(payload));
+            }
+            // Masked match: alive but frozen or locked by compaction.
+            if word & INC_MASK == inc & INC_MASK {
+                return Ok(self.resolve_frozen(inc, guard));
+            }
+            return Ok(None);
+        }
+        Err(MemError::SpillFault)
+    }
+
+    /// §5.1 cases a–c for a frozen object. Cold: only reachable while a
+    /// compaction is in flight.
+    #[cold]
+    fn resolve_frozen(self, inc: u32, guard: &Guard<'_>) -> Option<usize> {
+        // A spill tag cannot coexist with compaction flags (eviction skips
+        // compacting blocks), so seeing one here means the world changed
+        // under us: fail closed rather than follow a stub.
+        let resident = || {
+            let payload = self.get().load_payload(Ordering::Acquire);
+            (payload != 0 && !spill::is_spill_tagged(payload)).then_some(payload)
+        };
+        let payload = resident()?;
+        // SAFETY: a resident payload read under the guard addresses a live
+        // block (epoch protection).
+        let (block, slot) = unsafe { BlockRef::locate(payload) };
+        if !negotiate(block, slot, guard) || mutation::enabled(Mutation::DerefSkipsReread) {
+            // Re-introduced bug (`DerefSkipsReread`): after settling the
+            // relocation, keep the address read before it.
+            return Some(payload);
+        }
+        // Re-validate: the object may have been freed while we negotiated,
+        // and it may live somewhere else now.
+        if self.get().inc().incarnation() != inc & INC_MASK {
+            return None;
+        }
+        resident()
+    }
+
+    /// Resolves like [`resolve`](Self::resolve) and captures a direct
+    /// pointer to where the object lives now, with the slot-header
+    /// incarnation it is validated against (§6).
+    #[inline]
+    pub fn to_direct(self, inc: u32, guard: &Guard<'_>) -> Result<Option<DirectPtr>, MemError> {
+        let Some(payload) = self.resolve(inc, guard)? else {
+            return Ok(None);
+        };
+        // SAFETY: `resolve` returned a resident payload inside the guard's
+        // critical section.
+        let (block, slot) = unsafe { BlockRef::locate(payload) };
+        let inc = block.payload_inc(slot).incarnation();
+        Ok(NonNull::new(payload as *mut u8).map(|addr| DirectPtr { addr, inc }))
+    }
+}
+
+/// The one §5.1 negotiation of a reader that found the object in `slot` of
+/// `block` frozen. In the freezing epoch (case a) there is nothing to do:
+/// no relocation happens this epoch, so the current location stays valid
+/// for the reader's critical section. In the relocation epoch, find the
+/// slot's relocation entry and bail it out in the waiting phase (case b) or
+/// help move the object in the moving phase (case c). Returns true when it
+/// settled a relocation, after which the caller re-reads where the object
+/// lives; false when it found none to settle (case a, or freeze flags of an
+/// aborted pass).
+fn negotiate(block: BlockRef, slot: SlotId, guard: &Guard<'_>) -> bool {
+    if !guard.in_relocation_epoch() {
+        return false;
+    }
+    let Some(reloc) = RelocationList::of(&block).and_then(|list| list.find(slot)) else {
+        return false;
+    };
+    // SAFETY: `block` owns the list `reloc` came from, and the caller's
+    // guard keeps the block, its destination and the entry table alive.
+    unsafe {
+        if guard.in_moving_phase() {
+            try_move_object(block, reloc);
+        } else {
+            bail_out_relocation(block, reloc);
+        }
+    }
+    true
+}
+
+/// An untyped direct pointer (§6): an object's slot address plus the
+/// slot-header incarnation it was taken at. It skips the indirection hop at
+/// the price of chasing forwarding tombstones after compaction.
+/// `smc::DirectRef` is its typed wrapper; [`EntryRef::to_direct`] makes one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DirectPtr {
+    addr: NonNull<u8>,
+    inc: u32,
+}
+
+// SAFETY: plain data, validated at every dereference.
+unsafe impl Send for DirectPtr {}
+unsafe impl Sync for DirectPtr {}
+
+impl DirectPtr {
+    /// The slot address (for the fix-up scan's block-address probe, §6).
+    #[inline]
+    pub fn addr(&self) -> usize {
+        self.addr.as_ptr() as usize
+    }
+
+    /// Dereferences through the slot-header incarnation: the object's
+    /// address, and the pointer to heal `self` to when the walk crossed a
+    /// forwarding tombstone. A frozen slot is settled by the §5.1
+    /// negotiation and retried. `None` once the object was freed, or when
+    /// it was forwarded and then spilled, so that no resident address is
+    /// left to heal to (re-resolve through the entry).
+    ///
+    /// # Safety
+    /// The blocks the walk reads must still be mapped: the pointer's block
+    /// and every forwarding source since were not released
+    /// (`release_retired` runs only after the fix-up scan healed the
+    /// pointers into them, §6), and the pointer's block was not spilled and
+    /// recycled. The caller holds `guard`, so nothing the walk reads is
+    /// reused before the critical section ends.
+    #[inline]
+    pub unsafe fn resolve(&self, guard: &Guard<'_>) -> Option<(usize, Option<DirectPtr>)> {
+        // Fast path: the slot's incarnation matches, no flags set.
+        let addr = self.addr();
+        let (block, slot) = BlockRef::locate(addr);
+        if block.payload_inc(slot).load(Ordering::Acquire) == self.inc {
+            return Some((addr, None));
+        }
+        self.walk(guard)
+    }
+
+    /// [`resolve`](Self::resolve) past its fast path: the tombstone chase
+    /// and the §5.1 negotiation over a frozen slot.
+    ///
+    /// # Safety
+    /// As for [`resolve`](Self::resolve).
+    #[inline(never)]
+    unsafe fn walk(&self, guard: &Guard<'_>) -> Option<(usize, Option<DirectPtr>)> {
+        let mut addr = self.addr();
+        let mut healed = None;
+        for _ in 0..FORWARD_HOPS {
+            let (block, slot) = BlockRef::locate(addr);
+            let word = block.payload_inc(slot).load(Ordering::Acquire);
+            if word == self.inc {
+                return Some((addr, healed));
+            }
+            if word & INC_MASK != self.inc & INC_MASK {
+                return None; // freed
+            }
+            if word & FLAG_FORWARD != 0 {
+                // Tombstone: the back-pointer leads to the indirection
+                // entry, which holds the new location (§6).
+                let back = block.back_ptr(slot).load(Ordering::Acquire);
+                if back == 0 {
+                    return None;
+                }
+                // A tombstone's back-pointer is its object's live entry, in
+                // the runtime's address-stable table.
+                let payload = EntryRef::from_addr(back)
+                    .get()
+                    .load_payload(Ordering::Acquire);
+                if payload == 0 || spill::is_spill_tagged(payload) {
+                    return None;
+                }
+                addr = payload;
+                let inc = self.inc & INC_MASK;
+                healed = Some(DirectPtr {
+                    addr: NonNull::new(addr as *mut u8)?,
+                    inc,
+                });
+                continue;
+            }
+            if !negotiate(block, slot, guard) {
+                return Some((addr, healed));
+            }
+        }
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::block::{type_id_of, BlockLayout};
+    use crate::epoch::EpochManager;
     use crate::incarnation::FLAG_LOCK;
     use crate::indirection::IndirectionTable;
     use crate::slot::SlotState;
@@ -384,10 +645,7 @@ mod tests {
             let e = install(src, &table, 5, 12345);
             freeze(e, src, 5, 0);
             let reloc = RelocEntry::new(5, e.addr(), 0, dst.obj_ptr(9) as usize, 9);
-            let list = Box::new(RelocationList::new(layout(), vec![]));
-            src.header()
-                .reloc_list
-                .store(Box::into_raw(list), Ordering::Release);
+            RelocationList::new(layout(), vec![]).install(&src);
 
             assert_eq!(try_move_object(src, &reloc), MoveOutcome::MovedByUs);
             // Destination holds the object, valid, right incarnation/backptr.
@@ -419,10 +677,7 @@ mod tests {
             let e = install(src, &table, 0, 7);
             freeze(e, src, 0, 0);
             let reloc = RelocEntry::new(0, e.addr(), 0, dst.obj_ptr(0) as usize, 0);
-            let list = Box::new(RelocationList::new(layout(), vec![]));
-            src.header()
-                .reloc_list
-                .store(Box::into_raw(list), Ordering::Release);
+            RelocationList::new(layout(), vec![]).install(&src);
             assert_eq!(try_move_object(src, &reloc), MoveOutcome::MovedByUs);
             assert_eq!(try_move_object(src, &reloc), MoveOutcome::AlreadyMoved);
             src.deallocate();
@@ -478,10 +733,7 @@ mod tests {
             freeze(e, src, 2, 0);
             let past_the_end = layout().capacity;
             let reloc = RelocEntry::new(2, e.addr(), 0, dst.obj_ptr(0) as usize, past_the_end);
-            let list = Box::new(RelocationList::new(layout(), vec![]));
-            src.header()
-                .reloc_list
-                .store(Box::into_raw(list), Ordering::Release);
+            RelocationList::new(layout(), vec![]).install(&src);
             let mover = std::panic::AssertUnwindSafe(|| try_move_object(src, &reloc));
             assert!(
                 std::panic::catch_unwind(mover).is_err(),
@@ -511,7 +763,203 @@ mod tests {
         assert_eq!(list.find(5).unwrap().entry_addr, 0x30);
         assert_eq!(list.find(9).unwrap().entry_addr, 0x10);
         assert!(list.find(7).is_none());
-        assert_eq!(list.count(RelocStatus::Pending), 3);
+    }
+
+    // ---- the reader's side -------------------------------------------------
+
+    /// A frozen object holding `v` in src slot 5, scheduled to move to dst
+    /// slot 9 through a list in the source header, as a pass's freezing
+    /// epoch leaves it.
+    unsafe fn scheduled(
+        src: BlockRef,
+        dst: BlockRef,
+        table: &IndirectionTable,
+        v: u64,
+    ) -> EntryRef {
+        let e = install(src, table, 5, v);
+        freeze(e, src, 5, 0);
+        let reloc = RelocEntry::new(5, e.addr(), 0, dst.obj_ptr(9) as usize, 9);
+        RelocationList::new(layout(), vec![reloc]).install(&src);
+        e
+    }
+
+    /// An epoch manager pinned in relocation epoch 1, in the waiting phase
+    /// or the moving one.
+    fn relocation_epoch(moving: bool) -> std::sync::Arc<EpochManager> {
+        let mgr = EpochManager::new();
+        mgr.try_advance().unwrap();
+        mgr.set_relocation_epoch(1);
+        mgr.set_moving_phase(moving);
+        mgr
+    }
+
+    fn status(src: &BlockRef) -> RelocStatus {
+        RelocationList::of(src).unwrap().entries[0].status()
+    }
+
+    #[test]
+    fn case_a_a_frozen_object_resolves_in_place_outside_the_relocation_epoch() {
+        let (src, dst, table) = setup_pair();
+        unsafe {
+            let e = scheduled(src, dst, &table, 11);
+            let mgr = EpochManager::new();
+            let g = mgr.pin();
+            assert_eq!(e.resolve(0, &g), Ok(Some(src.obj_ptr(5) as usize)));
+            assert_eq!(status(&src), RelocStatus::Pending, "no negotiation");
+            assert_ne!(e.get().inc().load(Ordering::Acquire) & FLAG_FROZEN, 0);
+            assert_eq!(e.resolve(1, &g), Ok(None), "another incarnation");
+            drop(g);
+            src.deallocate();
+            dst.deallocate();
+        }
+    }
+
+    #[test]
+    fn case_b_the_waiting_phase_bails_the_relocation_out() {
+        let (src, dst, table) = setup_pair();
+        unsafe {
+            let e = scheduled(src, dst, &table, 22);
+            let mgr = relocation_epoch(false);
+            let g = mgr.pin();
+            assert!(g.in_relocation_epoch());
+            assert_eq!(e.resolve(0, &g), Ok(Some(src.obj_ptr(5) as usize)));
+            assert_eq!(status(&src), RelocStatus::Failed);
+            assert_eq!(e.get().inc().load(Ordering::Acquire), 0, "thawed");
+            assert_eq!(src.slot_inc(5).load(Ordering::Acquire), 0);
+            drop(g);
+            src.deallocate();
+            dst.deallocate();
+        }
+    }
+
+    #[test]
+    fn case_c_the_moving_phase_helps_move_and_resolves_at_the_destination() {
+        let (src, dst, table) = setup_pair();
+        unsafe {
+            let e = scheduled(src, dst, &table, 33);
+            let mgr = relocation_epoch(true);
+            let g = mgr.pin();
+            let home = e.resolve(0, &g).unwrap().unwrap();
+            assert_eq!(home, dst.obj_ptr(9) as usize);
+            assert_eq!((home as *const u64).read(), 33);
+            assert_eq!(status(&src), RelocStatus::Succeeded);
+            drop(g);
+            src.deallocate();
+            dst.deallocate();
+        }
+    }
+
+    #[test]
+    fn flags_of_an_aborted_pass_resolve_in_place() {
+        let (src, dst, table) = setup_pair();
+        unsafe {
+            let e = install(src, &table, 5, 44);
+            freeze(e, src, 5, 0);
+            let mgr = relocation_epoch(true);
+            let g = mgr.pin();
+            assert_eq!(e.resolve(0, &g), Ok(Some(src.obj_ptr(5) as usize)));
+            drop(g);
+            src.deallocate();
+            dst.deallocate();
+        }
+    }
+
+    #[test]
+    fn a_spilled_object_faults_in_and_an_unreadable_page_fails_closed() {
+        use crate::fault::FaultSite;
+        use crate::spill::tests::{fail_next, fill_two_blocks_and_spill, spill_ctx};
+        let rt = crate::runtime::Runtime::new();
+        let (c, _store) = spill_ctx(&rt);
+        let first = fill_two_blocks_and_spill(&c);
+        fail_next(&rt, FaultSite::SpillLoad);
+        let g = rt.pin();
+        let (a, b) = (&first[0], &first[1]);
+        assert_eq!(a.entry.resolve(a.entry_inc, &g), Err(MemError::SpillFault));
+        assert_eq!(c.spilled_blocks(), 1, "the page stays spilled");
+        let home = b.entry.resolve(b.entry_inc, &g).unwrap().unwrap();
+        assert_eq!(unsafe { (home as *const u64).read() }, 1);
+        assert_eq!(c.spilled_blocks(), 0, "the retry faulted the page in");
+        assert_eq!(a.entry.resolve(a.entry_inc + 1, &g), Ok(None));
+    }
+
+    /// An entry that faulting in never makes resident — a stub whose page
+    /// is not in the directory — fails closed after the bounded rounds, and
+    /// one whose collection is gone resolves to nothing.
+    #[test]
+    fn a_payload_that_stays_spilled_fails_closed_after_the_bound() {
+        use crate::spill::{SpillStub, SPILL_TAG};
+        let rt = crate::runtime::Runtime::new();
+        let c = std::sync::Arc::new(crate::context::tests::ctx(&rt));
+        let table = IndirectionTable::new();
+        let registry = EpochManager::new();
+        let e = table.allocate(registry.slot().unwrap());
+        let stub = |ctx| {
+            Box::into_raw(Box::new(SpillStub {
+                ctx,
+                block_id: u64::MAX,
+            }))
+        };
+        let stuck = stub(std::sync::Arc::downgrade(&c));
+        e.get()
+            .store_payload(stuck as usize | SPILL_TAG, Ordering::Release);
+        let g = rt.pin();
+        assert_eq!(e.resolve(0, &g), Err(MemError::SpillFault));
+        let orphan = stub(std::sync::Weak::new());
+        e.get()
+            .store_payload(orphan as usize | SPILL_TAG, Ordering::Release);
+        assert_eq!(e.resolve(0, &g), Ok(None), "the collection is gone");
+        drop(g);
+        unsafe {
+            drop(Box::from_raw(stuck));
+            drop(Box::from_raw(orphan));
+        }
+    }
+
+    #[test]
+    fn a_direct_pointer_chases_the_tombstone_and_heals() {
+        let (src, dst, table) = setup_pair();
+        unsafe {
+            let e = install(src, &table, 5, 55);
+            src.slot_inc(5).store(3, Ordering::Release);
+            let plain = EpochManager::new();
+            let g = plain.pin();
+            let direct = e.to_direct(0, &g).unwrap().unwrap();
+            assert_eq!(direct.addr(), src.obj_ptr(5) as usize);
+            assert_eq!(direct.resolve(&g), Some((direct.addr(), None)));
+            drop(g);
+            // The pass's freeze: the slot counter (3) is not the entry's (0).
+            let schedule = || {
+                assert!(e.get().inc().try_set_flag(0, FLAG_FROZEN));
+                assert!(src.slot_inc(5).try_set_flag(3, FLAG_FROZEN));
+                let reloc = RelocEntry::new(5, e.addr(), 0, dst.obj_ptr(9) as usize, 9);
+                RelocationList::new(layout(), vec![reloc]).install(&src);
+            };
+            schedule();
+            // Frozen in the waiting phase: the walk bails the move out and
+            // stays where it is.
+            let waiting = relocation_epoch(false);
+            let g = waiting.pin();
+            assert_eq!(direct.resolve(&g), Some((direct.addr(), None)));
+            assert_eq!(status(&src), RelocStatus::Failed);
+            drop(g);
+            // Moved by a later pass: the walk crosses the tombstone.
+            schedule();
+            let moving = relocation_epoch(true);
+            let g = moving.pin();
+            let (home, healed) = direct.resolve(&g).unwrap();
+            assert_eq!(home, dst.obj_ptr(9) as usize);
+            assert_eq!((home as *const u64).read(), 55);
+            let healed = healed.expect("a tombstone was crossed");
+            assert_eq!(healed.addr(), home);
+            assert_eq!(healed.resolve(&g), Some((home, None)));
+            // A free bumps the slot counter: both go null.
+            dst.slot_inc(9).bump();
+            assert_eq!(healed.resolve(&g), None);
+            assert_eq!(direct.resolve(&g), None);
+            drop(g);
+            src.deallocate();
+            dst.deallocate();
+        }
     }
 
     #[test]
@@ -528,10 +976,7 @@ mod tests {
                     dst.obj_ptr(7) as usize,
                     7,
                 ));
-                let list = Box::new(RelocationList::new(layout(), vec![]));
-                src.header()
-                    .reloc_list
-                    .store(Box::into_raw(list), Ordering::Release);
+                RelocationList::new(layout(), vec![]).install(&src);
 
                 let r2 = reloc.clone();
                 let src2 = src;

@@ -14,8 +14,9 @@
 //! guarantees stride and object offset are multiples of 4), so bit 0 of an
 //! entry payload is free. A spilled object's entry keeps its incarnation —
 //! references stay valid — but its payload becomes a *tagged stub pointer*:
-//! `Box<SpillStub> | SPILL_TAG`. Dereference (`Ref::resolve` in
-//! `smc-core`) sees the tag, calls [`fault_in_tagged`], and retries; free
+//! `Box<SpillStub> | SPILL_TAG`. Dereference
+//! ([`EntryRef::resolve`](crate::EntryRef::resolve)) sees the tag, calls
+//! `fault_in_tagged`, and retries; free
 //! ([`MemoryContext::try_free`]) does the same. The stub carries a weak
 //! context handle plus the spilled block id, which is all a bare entry
 //! payload needs to find its way home.
@@ -103,7 +104,7 @@ pub const SPILL_TAG: usize = 1;
 /// True when an entry payload is a tagged `SpillStub` pointer rather than
 /// a resident object address.
 #[inline]
-pub fn is_spill_tagged(payload: usize) -> bool {
+pub(crate) fn is_spill_tagged(payload: usize) -> bool {
     payload & SPILL_TAG != 0
 }
 
@@ -266,8 +267,9 @@ pub(crate) struct SpillState {
 // Dereference hook
 // ---------------------------------------------------------------------
 
-/// Faults in the block behind a tagged entry payload. Called by `smc-core`'s
-/// `Ref::resolve` when it observes [`SPILL_TAG`]; returns true when the
+/// Faults in the block behind a tagged entry payload. Called by
+/// [`EntryRef::resolve`](crate::EntryRef::resolve) when it observes
+/// [`SPILL_TAG`]; returns true when the
 /// caller should re-read the entry payload (the object may now be resident),
 /// false when the reference is dead (its collection was dropped), and the
 /// fault-in's error when the page cannot be read back (fail closed).
@@ -277,7 +279,7 @@ pub(crate) struct SpillState {
 /// `payload` must have been loaded from an indirection entry *while the
 /// calling thread holds an epoch guard*: stubs are freed through the epoch
 /// graveyard, so a pinned reader's stub pointer stays dereferenceable.
-pub fn fault_in_tagged(payload: usize) -> Result<bool, MemError> {
+pub(crate) fn fault_in_tagged(payload: usize) -> Result<bool, MemError> {
     debug_assert!(is_spill_tagged(payload));
     let stub = unsafe { &*((payload & !SPILL_TAG) as *const SpillStub) };
     let Some(ctx) = stub.ctx.upgrade() else {
@@ -718,7 +720,7 @@ impl MemoryContext {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::block::type_id_of;
     use crate::context::tests::{alloc_u64, ctx, ctx_with, read_u64};
@@ -749,7 +751,7 @@ mod tests {
 
     // ---- the residency protocol ------------------------------------------
 
-    fn spill_ctx(rt: &Arc<Runtime>) -> (Arc<MemoryContext>, Arc<MemoryPageStore>) {
+    pub(crate) fn spill_ctx(rt: &Arc<Runtime>) -> (Arc<MemoryContext>, Arc<MemoryPageStore>) {
         let c = Arc::new(ctx(rt));
         let store = Arc::new(MemoryPageStore::new());
         assert!(c.enable_spill(store.clone()));
@@ -757,7 +759,7 @@ mod tests {
     }
 
     /// Arms `rt`'s failpoint registry so the next call at `site` fails, once.
-    fn fail_next(rt: &Runtime, site: FaultSite) {
+    pub(crate) fn fail_next(rt: &Runtime, site: FaultSite) {
         rt.faults().set_rate(site, crate::fault::RATE_DENOMINATOR);
         rt.faults().set_limit(Some(1));
         rt.faults().enable(0x5b11);
@@ -765,7 +767,7 @@ mod tests {
 
     /// Fills one block and four slots of a second, spills the first (cold)
     /// one and returns its allocations.
-    fn fill_two_blocks_and_spill(c: &MemoryContext) -> Vec<Allocation> {
+    pub(crate) fn fill_two_blocks_and_spill(c: &MemoryContext) -> Vec<Allocation> {
         let cap = c.layout().capacity as usize;
         let mut first: Vec<_> = (0..cap + 4).map(|i| alloc_u64(c, i as u64)).collect();
         first.truncate(cap);

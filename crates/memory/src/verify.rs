@@ -18,6 +18,7 @@ use crate::block::BlockRef;
 use crate::context::MemoryContext;
 use crate::incarnation::{FLAG_FORWARD, FLAG_FROZEN, FLAG_LOCK, INC_MASK};
 use crate::indirection::EntryRef;
+use crate::reloc::RelocationList;
 use crate::runtime::Runtime;
 use crate::slot::SlotState;
 use crate::stats::MemoryStats;
@@ -265,16 +266,10 @@ impl MemoryContext {
             ));
         }
         if slot_word & FLAG_FROZEN != 0 && !compacting {
-            let reloc = {
-                let list = block.header().reloc_list.load(Ordering::Acquire);
-                if list.is_null() {
-                    "no reloc list".to_string()
-                } else {
-                    match unsafe { (*list).find(slot) } {
-                        Some(r) => format!("reloc status {:?} inc {:#x}", r.status(), r.inc),
-                        None => "not in reloc list".to_string(),
-                    }
-                }
+            let reloc = match RelocationList::of(&block).map(|list| list.find(slot)) {
+                None => "no reloc list".to_string(),
+                Some(Some(r)) => format!("reloc status {:?} inc {:#x}", r.status(), r.inc),
+                Some(None) => "not in reloc list".to_string(),
             };
             v.push(format!(
                 "block {id} slot {slot}: slot FROZEN outside compaction \

@@ -611,20 +611,30 @@ fn upsert(
     rows: Vec<(u64, u64)>,
 ) -> ShardReply {
     let mut applied = 0u64;
+    let failed = |e: MemError| {
+        let message = format!("upsert failed on shard {}: {e}", shared.index);
+        ShardReply::Error(ErrorCode::Internal, message)
+    };
     for (key, value) in rows {
         if let Some(&r) = local.index.get(&key) {
             let guard = shared.runtime.pin();
-            if local
+            match local
                 .smc
                 .update(r, &guard, |row: &mut Row| row.value = value)
-                .is_some()
             {
-                applied += 1;
-                continue;
+                Ok(Some(())) => {
+                    applied += 1;
+                    continue;
+                }
+                // The reference went stale (removed behind the index, which
+                // only drain paths can cause); fall through to reinsert.
+                Ok(None) => {
+                    local.index.remove(&key);
+                }
+                // The row sits in a spilled page that cannot be read back:
+                // answer with the error and keep serving.
+                Err(e) => return failed(e),
             }
-            // The reference went stale (removed behind the index, which
-            // only drain paths can cause); fall through to reinsert.
-            local.index.remove(&key);
         }
         match local.smc.try_add(Row { key, value }) {
             Ok(r) => {
@@ -644,12 +654,7 @@ fn upsert(
                     ),
                 );
             }
-            Err(e) => {
-                return ShardReply::Error(
-                    ErrorCode::Internal,
-                    format!("upsert failed on shard {}: {e}", shared.index),
-                );
-            }
+            Err(e) => return failed(e),
         }
     }
     ShardReply::Upserted(applied)

@@ -27,10 +27,10 @@ pub enum Mutation {
     /// `EpochManager::enter` publishes its epoch once without the
     /// publish-recheck loop, racing with a concurrent advance.
     NoPublishRecheck = 1 << 2,
-    /// `bail_out_relocation` forgets to clear `FLAG_FROZEN` on the source
-    /// slot, wedging readers that wait for the freeze to resolve.
+    /// A reader's bail-out (§5.1 case b) forgets to clear the freeze flag on
+    /// the source slot, wedging readers that wait for the freeze to resolve.
     BailKeepsFrozen = 1 << 3,
-    /// `try_move_object` skips taking the entry lock bit before copying, so
+    /// Moving an object skips taking the entry lock bit before copying, so
     /// two movers can both believe they won the race.
     MoveSkipsLock = 1 << 4,
     /// `cancel_relocation` (the pass epilogue's rollback) marks
@@ -75,6 +75,11 @@ pub enum Mutation {
     /// that faults in between is visited twice: as a page and as the
     /// resident block it became.
     ScanSnapshotsApart = 1 << 13,
+    /// A reader that settled a frozen object's relocation (§5.1 cases b and
+    /// c) returns the address it read before settling instead of re-reading
+    /// the entry, so a reader that helped move the object goes on reading
+    /// the source slot it left behind.
+    DerefSkipsReread = 1 << 14,
 }
 
 #[cfg(smc_check)]

@@ -1,6 +1,7 @@
 //! The documents quote what the code declares (the precedent is `smc-obs`'s
 //! `design_table_lists_exactly_the_declared_variants`): README.md's table
-//! names every crate, and README.md and DESIGN.md quote the declared counts.
+//! names every crate, README.md and DESIGN.md quote the declared counts, and
+//! DESIGN.md's inventory and experiment tables name only modules that exist.
 
 use smc_repro::smc_memory::fault::NUM_SITES;
 
@@ -85,6 +86,68 @@ fn count_drift<T: AsRef<str>>(docs: &[(&str, T)], declared: &[(&str, usize)]) ->
         }
     }
     problems
+}
+
+/// The `(path prefix, lib.rs)` of the crates whose modules DESIGN.md's
+/// tables name.
+const LIBS: [(&str, &str); 3] = [
+    ("smc::", include_str!("../crates/core/src/lib.rs")),
+    ("smc_memory::", include_str!("../crates/memory/src/lib.rs")),
+    ("tpch::", include_str!("../crates/tpch/src/lib.rs")),
+];
+
+/// Every backticked `smc::<mod>`, `smc_memory::<mod>` or `tpch::<mod>` path
+/// in the table rows of DESIGN.md §2 (inventory) and §4 (experiment index)
+/// whose module its crate's `lib.rs` does not declare (public or not), and
+/// how many such paths the tables hold.
+fn undeclared_modules(design: &str) -> (Vec<String>, usize) {
+    let declares = |lib: &str, module: &str| {
+        let decl = format!("mod {module};");
+        lib.lines()
+            .any(|l| l.trim().trim_start_matches("pub ") == decl)
+    };
+    let (mut problems, mut paths, mut section) = (Vec::new(), 0, "");
+    for (n, line) in design.lines().enumerate() {
+        if line.starts_with("## ") {
+            section = line;
+        }
+        let table = section.starts_with("## 2.") || section.starts_with("## 4.");
+        if !table || !line.starts_with('|') {
+            continue;
+        }
+        for span in line.split('`').skip(1).step_by(2) {
+            for (prefix, lib) in LIBS {
+                let Some(rest) = span.strip_prefix(prefix) else {
+                    continue;
+                };
+                paths += 1;
+                let module: String = rest
+                    .chars()
+                    .take_while(|&c| c.is_alphanumeric() || c == '_')
+                    .collect();
+                if !declares(lib, &module) {
+                    problems.push(format!(
+                        "DESIGN.md:{}: `{span}` is no declared module",
+                        n + 1
+                    ));
+                }
+            }
+        }
+    }
+    (problems, paths)
+}
+
+#[test]
+fn design_tables_name_declared_modules() {
+    let (problems, paths) = undeclared_modules(DOCS[1].1);
+    assert!(problems.is_empty(), "{}", problems.join("\n"));
+    assert!(
+        paths >= 4,
+        "only {paths} module paths in DESIGN.md's tables"
+    );
+    let renamed = DOCS[1].1.replace("`smc::refs`", "`smc::direct`");
+    let (problems, _) = undeclared_modules(&renamed);
+    assert!(!problems.is_empty(), "a renamed module passes");
 }
 
 #[test]

@@ -279,6 +279,42 @@ fn one_thread_slot_handle() {
     none(grep(&runtime, any_of("pub epochs|pub indirection")));
 }
 
+/// One dereference: §5.1's `dereference_object` (the fast path, the spill
+/// fault-in retry and cases a–c) and the §6 direct-pointer walk live in
+/// `smc-memory`'s `reloc.rs`, and `Ref` and `DirectRef` are typed wrappers
+/// of them. This fails if a crate other than `smc-memory` and the checker
+/// names a relocation or spill primitive, an incarnation mask or the block
+/// mask again, if `refs.rs` imports from `reloc`, `spill` or `incarnation`
+/// or names `BlockRef`, or if `reloc` is a public module outside
+/// `cfg(smc_check)`.
+#[test]
+fn one_dereference() {
+    let others: Vec<String> = (crate_srcs().into_iter())
+        .filter(|src| !["crates/memory/src", "crates/check/src"].contains(&src.as_str()))
+        .collect();
+    assert!(
+        others.contains(&"crates/core/src".to_string()),
+        "{others:#?}"
+    );
+    let internals = "try_move_object|bail_out_relocation|fault_in_tagged|is_spill_tagged\
+                     |reloc_list|FLAG_FORWARD|INC_MASK|from_interior_ptr";
+    forbid(internals, &others);
+    let refs = ["crates/core/src/refs.rs"];
+    none(grep(
+        &refs,
+        any_of("reloc::|spill::|incarnation::|BlockRef"),
+    ));
+    let lib = read("crates/memory/src/lib.rs");
+    let lines: Vec<&str> = lib.lines().collect();
+    let public = (1..lines.len()).filter(|&i| lines[i] == "pub mod reloc;");
+    let ungated = public.filter(|&i| lines[i - 1] != "#[cfg(smc_check)]");
+    none(ungated.map(|i| format!("crates/memory/src/lib.rs:{}:{}", i + 1, lines[i])));
+    assert!(
+        lines.contains(&"mod reloc;"),
+        "reloc is not a private module"
+    );
+}
+
 /// One spill claim: a spill claims its victim once, marks the claim
 /// `SPILLING`, and tags each live entry with plain stores; a free of an
 /// object in a block being spilled steps aside. This fails if the per-entry
