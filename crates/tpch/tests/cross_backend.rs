@@ -81,12 +81,10 @@ fn row_contexts(db: &SmcDb) -> [&std::sync::Arc<smc_memory::MemoryContext>; 8] {
 fn spilled_world_answers_as_the_resident_one() {
     // Every row table is spilled down to its tail block before each query,
     // so every scan starts on spilled pages and every reference join of
-    // Q2–Q5 follows a `Ref` into one from inside that scan. Series left
-    // out: the columnar ones (`*_columnar`, `q6_columnar_par`), because the
-    // columnar layout cannot spill; the direct-pointer ones (`*_direct`),
-    // because a spill buries its victim block without the §6 fix-up
-    // compaction runs, so a `DirectRef` into it dangles once the block is
-    // recycled.
+    // Q2–Q5 follows a `Ref` into one from inside that scan, and the direct
+    // series follow `DirectRef`s whose targets were spilled under them.
+    // Series left out: the columnar ones (`*_columnar`, `q6_columnar_par`),
+    // because the columnar layout cannot spill.
     let db = SmcDb::load(&Generator::new(0.004), false);
     let p = Params::default();
     let pool = smc_exec::WorkerPool::for_runtime(&db.runtime, 2).unwrap();
@@ -96,6 +94,7 @@ fn spilled_world_answers_as_the_resident_one() {
     let q4 = smc_q::q4(&db, &p);
     let q5 = smc_q::q5(&db, &p);
     let q6 = smc_q::q6(&db, &p);
+    let nested = tpch::workloads::smc_enumerate_nested(&db);
     assert!(!q3.is_empty() && !q5.is_empty());
     for ctx in row_contexts(&db) {
         assert!(ctx.enable_spill(std::sync::Arc::new(smc_memory::MemoryPageStore::new())));
@@ -111,6 +110,12 @@ fn spilled_world_answers_as_the_resident_one() {
     same(&db, "q6", &q6, || smc_q::q6(&db, &p));
     same(&db, "q6_par", &q6, || smc_q::q6_par(&db, &p, &pool));
     same(&db, "q6_linq", &q6, || smc_q::q6_linq(&db, &p));
+    same(&db, "q3_direct", &q3, || smc_q::q3_direct(&db, &p));
+    same(&db, "q4_direct", &q4, || smc_q::q4_direct(&db, &p));
+    same(&db, "q5_direct", &q5, || smc_q::q5_direct(&db, &p));
+    same(&db, "smc_enumerate_nested_direct", &nested, || {
+        tpch::workloads::smc_enumerate_nested_direct(&db)
+    });
 }
 
 /// Spills every row table of `db` down to the block its loading thread
