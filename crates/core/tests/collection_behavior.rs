@@ -337,6 +337,82 @@ fn fix_direct_refs_rewrites_pointers_into_retired_blocks() {
     rt.drain_graveyard_blocking();
 }
 
+/// A holder of §6 direct pointers: each object points at one person through
+/// a checked reference and through its direct twin.
+#[derive(Clone, Copy)]
+struct Holder {
+    to: Ref<Person>,
+    to_d: Option<DirectRef<Person>>,
+}
+unsafe impl Tabular for Holder {}
+
+/// Four blocks of persons, a holder with direct pointers to every 20th of
+/// them, and every other person removed: the first three blocks are sparse
+/// enough for a compaction pass to empty.
+fn linked_world(rt: &Arc<Runtime>) -> (Smc<Person>, Smc<Holder>) {
+    let config = ContextConfig {
+        reclamation_threshold: 1.1,
+        ..ContextConfig::default()
+    };
+    let persons: Smc<Person> = Smc::with_config(rt, config);
+    let holders: Smc<Holder> = Smc::new(rt);
+    let cap = persons.context().layout().capacity as usize;
+    let refs: Vec<Ref<Person>> = (0..cap * 4)
+        .map(|i| persons.add(person("h", i as u32)))
+        .collect();
+    let g = rt.pin();
+    for r in refs.iter().step_by(20) {
+        holders.add(Holder {
+            to: *r,
+            to_d: r.to_direct(&g),
+        });
+    }
+    drop(g);
+    for (i, r) in refs.iter().enumerate() {
+        if i % 20 != 0 {
+            persons.remove(*r);
+        }
+    }
+    (persons, holders)
+}
+
+/// Every holder pointer lies in one of the target's live blocks and reads
+/// the person its checked reference reads.
+fn assert_pointers_live(persons: &Smc<Person>, holders: &Smc<Holder>) {
+    let live: std::collections::HashSet<usize> = (persons.context().membership_snapshot())
+        .blocks
+        .iter()
+        .map(|b| b.base() as usize)
+        .collect();
+    let g = persons.runtime().pin();
+    let mut checked = 0;
+    holders.for_each(&g, |h| {
+        let d = h.to_d.expect("a live person's pointer stays set");
+        let base = d.addr() & !(smc_memory::BLOCK_SIZE - 1);
+        assert!(live.contains(&base), "a pointer into a block that left");
+        let via_direct = d.get(&g).expect("the pointer resolves");
+        assert_eq!(via_direct.age, h.to.get(&g).expect("ref resolves").age);
+        checked += 1;
+    });
+    assert!(checked > 0);
+}
+
+#[test]
+fn a_coordinator_pass_leaves_no_linked_pointer_stale() {
+    let rt = Runtime::new();
+    let (persons, holders) = linked_world(&rt);
+    let coordinator = smc_maint::Coordinator::new(smc_maint::MaintConfig::default());
+    persons.register_maintenance(&coordinator, smc_maint::MaintPolicy);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while coordinator.snapshot().passes_completed == 0 {
+        assert!(std::time::Instant::now() < deadline, "no pass completed");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    coordinator.quiesce();
+    rt.drain_graveyard_blocking();
+    assert_pointers_live(&persons, &holders);
+}
+
 #[test]
 fn concurrent_enumeration_during_compaction() {
     // Readers enumerate continuously while compaction runs; every pass must
