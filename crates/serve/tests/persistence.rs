@@ -175,3 +175,48 @@ fn an_unreadable_spilled_page_fails_the_upsert_not_the_shard() {
     drop(server);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A `COUNT` or `SUM` over a tenant whose spilled pages cannot be read back
+/// is answered with an error frame naming the spill fault, and the shard
+/// keeps serving, as an upsert over such pages is.
+#[test]
+fn an_unreadable_spilled_page_fails_the_count_not_the_shard() {
+    let dir = tmpdir("unreadable-count");
+    let budget = Some((SHARDS * BLOCK_SIZE) as u64);
+    let n = (SHARDS * 3 * BLOCK_SIZE / 16) as u64;
+    let server = server_at(&dir, budget);
+    let mut client = connect(&server);
+    let rows: Vec<(u64, u64)> = (0..n).map(|k| (k, k)).collect();
+    for batch in rows.chunks(512) {
+        assert_eq!(
+            client.upsert(0, batch.to_vec()).unwrap(),
+            batch.len() as u64
+        );
+    }
+    let mut zeroed = 0;
+    for shard in 0..SHARDS {
+        let path = dir.join(format!("shard-{shard}/tenant-0/spill.dat"));
+        let len = std::fs::metadata(&path).unwrap().len();
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        std::os::unix::fs::FileExt::write_all_at(&file, &vec![0; len as usize], 0).unwrap();
+        zeroed += len;
+    }
+    assert!(zeroed > 0, "the budget spilled nothing");
+
+    let refused = |answer: Result<String, smc_serve::ClientError>| match answer {
+        Err(smc_serve::ClientError::Server(code, msg)) => {
+            assert_eq!(code, smc_serve::wire::ErrorCode::Internal, "{msg}");
+            assert!(msg.contains("spilled page"), "{msg}");
+        }
+        other => panic!("a scan over unreadable pages answered {other:?}"),
+    };
+    refused(client.count(0, 0, u64::MAX).map(|n| n.to_string()));
+    refused(client.sum(0, 0, u64::MAX).map(|s| format!("{s:?}")));
+    // The shards are still serving: a ping, and fresh keys on both shards.
+    client.ping().unwrap();
+    let fresh: Vec<(u64, u64)> = (n..n + 64).map(|k| (k, k)).collect();
+    assert_eq!(client.upsert(0, fresh).unwrap(), 64);
+    drop(client);
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
+}
