@@ -39,7 +39,7 @@ use smc_memory::tabular::Tabular;
 use smc_memory::verify::VerifyReport;
 use smc_memory::{EntryRef, Guard};
 
-use crate::refs::{DirectRef, Ref};
+use crate::refs::{DirectRef, LinkedField, Ref};
 
 /// How a collection stores objects in its blocks (§4.1): [`Rows`], one
 /// object per slot, or [`Columns`](crate::Columns), parallel column arrays.
@@ -240,11 +240,12 @@ impl<T: Tabular, L: Layout<T>> Smc<T, L> {
     // Compaction (§5) and maintenance
     // ------------------------------------------------------------------
 
-    /// Runs one compaction pass over this collection's blocks (§5). After
-    /// compacting, rewrite direct pointers held by referencing collections
-    /// ([`fix_direct_refs`](Smc::fix_direct_refs)) and then call
-    /// [`release_retired`](Self::release_retired). Panics if the calling
-    /// thread cannot claim an epoch slot, as [`add`](Self::add) does; use
+    /// Runs one compaction pass over this collection's blocks (§5). The
+    /// blocks it empties are retired: the direct pointers that linked
+    /// collections ([`link_direct`](Smc::link_direct)) hold into them are
+    /// healed first (§6), and the blocks are released once no reader can
+    /// still be in them. Panics if the calling thread cannot claim an epoch
+    /// slot, as [`add`](Self::add) does; use
     /// [`try_compact`](Self::try_compact) where that must be an error.
     pub fn compact(&self) -> CompactionReport {
         self.ctx.compact()
@@ -255,12 +256,6 @@ impl<T: Tabular, L: Layout<T>> Smc<T, L> {
     /// ran.
     pub fn try_compact(&self) -> Result<CompactionReport, MemError> {
         self.ctx.try_compact()
-    }
-
-    /// Returns retired (emptied) blocks to the OS once direct pointers have
-    /// been fixed up. Tombstones inside them stay readable until then.
-    pub fn release_retired(&self) {
-        self.ctx.release_retired()
     }
 
     /// Hands this collection's maintenance to a background
@@ -304,7 +299,7 @@ impl<T: Tabular, L: Layout<T>> Smc<T, L> {
 }
 
 /// Row-only operations: those that borrow an object in place, spill, or
-/// fix up direct pointers.
+/// hold direct pointers.
 impl<T: Tabular> Smc<T> {
     /// Attaches a page store and enables the larger-than-memory tier: under
     /// budget pressure the collection evicts cold blocks to the store, and
@@ -444,44 +439,26 @@ impl<T: Tabular> Smc<T> {
     }
 
     // ------------------------------------------------------------------
-    // Direct-pointer fix-up (§6)
+    // Direct pointers (§6)
     // ------------------------------------------------------------------
 
-    /// The §6 fix-up scan, run on a *referencing* collection after a
-    /// *referenced* collection was compacted: for every live object, probe
-    /// whether the direct pointer selected by `field` points into a retired
-    /// block (hash-set probe on the block base address — "instead of
-    /// following a direct pointer to see if the forwarding flag is set, we
-    /// first compute the address of the corresponding block \[and\] probe it
-    /// in the hash table"), and if so chase the tombstone and rewrite it.
-    pub fn fix_direct_refs<U: Tabular>(
+    /// Declares that this collection's objects keep a §6 direct pointer
+    /// into `target` in `field`, so that the memory manager keeps it valid:
+    /// before `target` retires a block — a compaction emptied it, a spill
+    /// evicted it, or `target` was dropped — it heals every such pointer
+    /// into the block to where its object lives now, or clears it to `None`
+    /// when no resident address is left (the object was removed or spilled;
+    /// its [`Ref`] twin still reads it). A spill of this collection clears
+    /// `field` in every object it writes to a page. Declare the link before
+    /// the first object holds such a pointer. A [`DirectRef`] kept anywhere
+    /// but a linked field is healed by nothing.
+    pub fn link_direct<U: Tabular>(
         &self,
-        report: &CompactionReport,
-        guard: &Guard<'_>,
-        field: impl Fn(&mut T) -> &mut DirectRef<U>,
-    ) -> u64 {
-        if report.retired_bases.is_empty() {
-            return 0;
-        }
-        let retired: std::collections::HashSet<usize> =
-            report.retired_bases.iter().copied().collect();
-        let mut fixed = 0;
-        let stats = &self.ctx.runtime().stats;
-        let m = self.ctx.membership_snapshot();
-        m.for_each_block(guard, stats, |block| {
-            for slot in block.valid_slots() {
-                // SAFETY: valid slot, pinned critical section; field updates
-                // race benignly under the collection's isolation level.
-                let obj = unsafe { &mut *block.obj_ptr(slot).cast::<T>() };
-                let dref = field(obj);
-                let base = dref.addr() & !(smc_memory::BLOCK_SIZE - 1);
-                if retired.contains(&base) && dref.get_healing(guard).is_some() {
-                    fixed += 1;
-                }
-            }
-        });
-        MemoryStats::add(&stats.direct_pointers_fixed, fixed);
-        fixed
+        target: &Smc<U>,
+        field: fn(&mut T) -> &mut Option<DirectRef<U>>,
+    ) {
+        self.ctx
+            .link_direct(&target.ctx, Arc::new(LinkedField { field }));
     }
 }
 

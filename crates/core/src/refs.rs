@@ -12,7 +12,9 @@
 //! slot, validated against the *slot-header* incarnation word (the memory
 //! layer's [`DirectPtr`]). It skips the indirection hop — the optimization
 //! Figure 12 measures — at the price of chasing forwarding tombstones after
-//! compaction and needing the fix-up scan (`Smc::fix_direct_refs`).
+//! compaction and needing the §6 fix-up scan, which the memory manager runs
+//! over every field declared with [`Smc::link_direct`](crate::Smc::link_direct)
+//! before a block leaves its collection.
 //!
 //! Both are typed wrappers: the protocol is untyped and lives in
 //! `smc-memory`, and this module only casts the address it hands back.
@@ -31,7 +33,7 @@ use std::marker::PhantomData;
 
 use smc_memory::error::MemError;
 use smc_memory::tabular::Tabular;
-use smc_memory::{DirectPtr, EntryRef, Guard};
+use smc_memory::{DirectField, DirectPtr, EntryRef, Guard};
 
 use crate::collection::Rows;
 
@@ -217,7 +219,13 @@ impl<T: Tabular> DirectRef<T> {
     }
 
     /// Dereferences through the slot-header incarnation; follows forwarding
-    /// tombstones left by compaction (§6).
+    /// tombstones left by compaction (§6). Kept in a field declared with
+    /// [`Smc::link_direct`](crate::Smc::link_direct), the pointer is healed
+    /// or cleared before its block leaves the collection. Kept anywhere else
+    /// (a local, a `Vec`), it is healed by nothing: once a block it points
+    /// into has left and its burial has ripened, dereferencing it reads
+    /// freed memory, so use such a pointer inside the critical section it
+    /// was taken in.
     #[inline]
     pub fn get<'g>(&self, guard: &'g Guard<'_>) -> Option<&'g T> {
         self.resolve(guard).map(|(r, _)| r)
@@ -237,14 +245,45 @@ impl<T: Tabular> DirectRef<T> {
 
     #[inline]
     fn resolve<'g>(&self, guard: &'g Guard<'_>) -> Option<(&'g T, Option<DirectPtr>)> {
-        // SAFETY: the pointer was taken from a live `T` of a row collection
-        // and is healed by the fix-up scan before `release_retired` unmaps
-        // the blocks it points into (§6); a validated address is a live `T`
-        // for the guard's critical section, as for `Ref::get`. A pointer
-        // into a block that was spilled and recycled since is the one case
-        // this does not cover.
+        // SAFETY: the pointer was taken from a live `T` of a row collection.
+        // Kept in a linked field (`Smc::link_direct`), it is healed or
+        // cleared before any block it points into leaves its collection, so
+        // no linked pointer outlives its block's residency (§6); a validated
+        // address is a live `T` for the guard's critical section, as for
+        // `Ref::get`. A pointer kept anywhere else is covered only inside
+        // the critical section it was taken in (see `get`).
         let (addr, healed) = unsafe { self.ptr.resolve(guard) }?;
         Some((unsafe { &*(addr as *const T) }, healed))
+    }
+}
+
+/// A field declared with [`Smc::link_direct`](crate::Smc::link_direct): the
+/// typed accessor the memory manager's fix-up reads and rewrites objects
+/// through.
+pub(crate) struct LinkedField<T, U: Tabular> {
+    pub(crate) field: fn(&mut T) -> &mut Option<DirectRef<U>>,
+}
+
+impl<T, U: Tabular> std::fmt::Debug for LinkedField<T, U> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LinkedField")
+            .field("holder", &std::any::type_name::<T>())
+            .field("target", &std::any::type_name::<U>())
+            .finish()
+    }
+}
+
+impl<T: Tabular, U: Tabular> DirectField for LinkedField<T, U> {
+    unsafe fn get(&self, obj: *mut u8) -> Option<DirectPtr> {
+        (self.field)(&mut *obj.cast::<T>()).map(|d| d.ptr)
+    }
+
+    unsafe fn set(&self, obj: *mut u8, ptr: Option<DirectPtr>) {
+        let marker = PhantomData;
+        *(self.field)(&mut *obj.cast::<T>()) = ptr.map(|ptr| DirectRef {
+            ptr,
+            _marker: marker,
+        });
     }
 }
 

@@ -222,7 +222,6 @@ fn compaction_preserves_references_and_values() {
     let before_bytes = persons.memory_bytes();
     let report = persons.compact();
     assert!(report.moved > 0, "compaction should move survivors");
-    persons.release_retired();
     rt.drain_graveyard_blocking();
     assert!(
         persons.memory_bytes() < before_bytes,
@@ -264,7 +263,10 @@ fn direct_refs_fast_path_and_tombstone_healing() {
     }
     let report = persons.compact();
     assert!(report.moved >= 1);
-    // The direct ref crosses the tombstone and heals itself.
+    // The direct ref crosses the tombstone and heals itself. It is held in
+    // no linked field, so nothing healed it before the pass retired its
+    // block; the block is still mapped because nothing has moved the epoch
+    // since the pass buried it.
     let g = rt.pin();
     let old_addr = direct.addr();
     let p = direct.get_healing(&g).expect("tombstone must forward");
@@ -276,65 +278,6 @@ fn direct_refs_fast_path_and_tombstone_healing() {
     persons.remove(survivor);
     let g = rt.pin();
     assert!(direct.get(&g).is_none(), "direct ref nulls after removal");
-}
-
-#[derive(Clone, Copy)]
-struct Wide {
-    #[allow(dead_code)] // padding ahead of the pointer fields under test
-    a: u64,
-    b: Ref<Person>,
-    c: DirectRef<Person>,
-}
-unsafe impl Tabular for Wide {}
-
-#[test]
-fn fix_direct_refs_rewrites_pointers_into_retired_blocks() {
-    let rt = Runtime::new();
-    let config = ContextConfig {
-        reclamation_threshold: 1.1,
-        ..ContextConfig::default()
-    };
-    let persons: Smc<Person> = Smc::with_config(&rt, config);
-    let wides: Smc<Wide> = Smc::new(&rt);
-    let cap = persons.context().layout().capacity as usize;
-    let prefs: Vec<Ref<Person>> = (0..cap * 3)
-        .map(|i| persons.add(person("w", i as u32)))
-        .collect();
-    // Wide objects hold direct pointers to every 20th person.
-    {
-        let g = rt.pin();
-        for (i, pr) in prefs.iter().enumerate().step_by(20) {
-            wides.add(Wide {
-                a: i as u64,
-                b: *pr,
-                c: pr.to_direct(&g).unwrap(),
-            });
-        }
-    }
-    // Kill everyone not directly referenced.
-    for (i, pr) in prefs.iter().enumerate() {
-        if i % 20 != 0 {
-            persons.remove(*pr);
-        }
-    }
-    let report = persons.compact();
-    assert!(!report.retired_bases.is_empty());
-    let g = rt.pin();
-    let fixed = wides.fix_direct_refs(&report, &g, |w| &mut w.c);
-    assert!(fixed > 0, "fix-up must rewrite stale direct pointers");
-    // After fix-up every direct pointer resolves on the fast path and agrees
-    // with the checked reference.
-    let mut checked = 0;
-    wides.for_each(&g, |w| {
-        let via_direct = w.c.get(&g).expect("fixed pointer resolves");
-        let via_ref = w.b.get(&g).expect("checked ref resolves");
-        assert_eq!(via_direct.age, via_ref.age);
-        checked += 1;
-    });
-    assert!(checked > 0);
-    drop(g);
-    persons.release_retired();
-    rt.drain_graveyard_blocking();
 }
 
 /// A holder of §6 direct pointers: each object points at one person through
@@ -401,6 +344,7 @@ fn assert_pointers_live(persons: &Smc<Person>, holders: &Smc<Holder>) {
 fn a_coordinator_pass_leaves_no_linked_pointer_stale() {
     let rt = Runtime::new();
     let (persons, holders) = linked_world(&rt);
+    holders.link_direct(&persons, |h| &mut h.to_d);
     let coordinator = smc_maint::Coordinator::new(smc_maint::MaintConfig::default());
     persons.register_maintenance(&coordinator, smc_maint::MaintPolicy);
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
@@ -411,6 +355,108 @@ fn a_coordinator_pass_leaves_no_linked_pointer_stale() {
     coordinator.quiesce();
     rt.drain_graveyard_blocking();
     assert_pointers_live(&persons, &holders);
+}
+
+#[test]
+fn an_inline_pass_leaves_no_linked_pointer_stale() {
+    let rt = Runtime::new();
+    let (persons, holders) = linked_world(&rt);
+    holders.link_direct(&persons, |h| &mut h.to_d);
+    let fixed = || smc_memory::MemoryStats::get(&rt.stats.direct_pointers_fixed);
+    let before = fixed();
+    let report = persons.compact();
+    assert!(report.retired > 0, "{report:?}");
+    assert!(fixed() > before, "the pass's retirement fixed no pointer");
+    rt.drain_graveyard_blocking();
+    assert_pointers_live(&persons, &holders);
+}
+
+/// A target dropped on a thread that cannot claim an epoch slot cannot run
+/// the fix-up: the drop does not panic, its blocks stay mapped instead of
+/// being buried, and the holder's pointers into them read `None` (the drop
+/// retired their slots' counters).
+#[test]
+fn a_drop_that_cannot_fix_up_leaks_its_blocks_and_does_not_panic() {
+    let rt = Runtime::new();
+    let (persons, holders) = linked_world(&rt);
+    holders.link_direct(&persons, |h| &mut h.to_d);
+    let rate = smc_memory::fault::RATE_DENOMINATOR;
+    rt.faults()
+        .set_rate(smc_memory::FaultSite::ThreadClaim, rate);
+    rt.faults().enable(0x1eaf);
+    let dropped = std::thread::spawn(move || drop(persons)).join();
+    rt.faults().disable();
+    assert!(dropped.is_ok(), "the drop panicked");
+    assert_eq!(rt.buried().blocks, 0, "blocks buried without their fix-up");
+    let g = rt.pin();
+    holders.for_each(&g, |h| assert!(h.to_d.and_then(|d| d.get(&g)).is_none()));
+}
+
+/// A spill of the target clears every linked pointer into its victim, and a
+/// spill of the holder clears the linked field of each record it writes, so
+/// no page carries a direct pointer and a faulted-in record holds none.
+#[test]
+fn spills_leave_no_linked_pointer_behind() {
+    let rt = Runtime::new();
+    let (persons, holders) = linked_world(&rt);
+    holders.link_direct(&persons, |h| &mut h.to_d);
+    let store = || Arc::new(smc_memory::MemoryPageStore::new());
+    assert!(persons.enable_spill(store()) && holders.enable_spill(store()));
+    // Counts the holders whose pointer is cleared; every one still set
+    // reads what its checked reference reads.
+    let cleared = || {
+        let g = rt.pin();
+        let mut cleared = 0;
+        holders.for_each(&g, |h| match h.to_d {
+            Some(d) => assert_eq!(d.get(&g).map(|p| p.age), h.to.get(&g).map(|p| p.age)),
+            None => cleared += 1,
+        });
+        cleared
+    };
+    assert_eq!(cleared(), 0);
+    // The target's side: all but the block the loading thread owns spill.
+    while persons.context().try_spill_one() {}
+    assert!(persons.spilled_blocks() >= 3);
+    rt.drain_graveyard_blocking();
+    let into_spilled = cleared();
+    assert!(
+        into_spilled > 0,
+        "no pointer into a spilled block was cleared"
+    );
+    // The holder's side: a full block of pointers at a resident person,
+    // then a spill of that block.
+    let resident = persons.add(person("r", 0));
+    let cap = holders.context().layout().capacity as usize;
+    let added: Vec<Ref<Holder>> = {
+        let g = rt.pin();
+        let to_d = resident.to_direct(&g);
+        let holder = Holder { to: resident, to_d };
+        (0..cap).map(|_| holders.add(holder)).collect()
+    };
+    assert!(holders.context().try_spill_one());
+    let mut paged = 0;
+    let scan = holders
+        .context()
+        .scan_spilled_then_snapshot(&mut |_, _, obj| {
+            // SAFETY: a record of a `Holder` page, aligned for the call.
+            let h = unsafe { &*obj.cast::<Holder>() };
+            assert!(h.to_d.is_none(), "a page kept a pointer");
+            paged += 1;
+        });
+    assert!(scan.is_ok() && paged > 0);
+    let after_spill = cleared();
+    assert!(
+        after_spill > into_spilled,
+        "the holder's spill cleared nothing"
+    );
+    // Faulted back in, the records hold no pointer either.
+    let g = rt.pin();
+    for r in &added {
+        assert_eq!(holders.update(*r, &g, |_| ()), Ok(Some(())));
+    }
+    drop(g);
+    assert_eq!(holders.spilled_blocks(), 0);
+    assert_eq!(cleared(), after_spill);
 }
 
 #[test]
@@ -460,7 +506,6 @@ fn concurrent_enumeration_during_compaction() {
     for _ in 0..5 {
         let report = persons.compact();
         total_moved += report.moved;
-        persons.release_retired();
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
     stop.store(true, Ordering::SeqCst);
@@ -670,7 +715,6 @@ fn columnar_compaction_keeps_every_survivor() {
         }
     }
     let report = pairs.compact();
-    pairs.release_retired();
     assert!(report.moved > 0, "the pass moved nothing: {report:?}");
     let clean = pairs.verify().is_ok();
     let g = rt.pin();

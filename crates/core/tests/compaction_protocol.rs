@@ -51,7 +51,6 @@ fn repeated_compactions_converge() {
     let mut last_moved = usize::MAX;
     for pass in 0..4 {
         let report = c.compact();
-        c.release_retired();
         assert!(!report.aborted, "pass {pass} aborted");
         assert!(report.moved <= last_moved || report.moved == 0);
         last_moved = report.moved.max(1);
@@ -71,7 +70,6 @@ fn references_survive_multiple_generations_of_moves() {
     let rt = Runtime::new();
     let (c, kept) = sparse_collection(&rt, 4, 10);
     c.compact();
-    c.release_retired();
     // Second shrink: remove half the survivors, compact again.
     let survivors: Vec<_> = kept.iter().step_by(2).copied().collect();
     for (i, (r, _)) in kept.iter().enumerate() {
@@ -80,7 +78,6 @@ fn references_survive_multiple_generations_of_moves() {
         }
     }
     let report = c.compact();
-    c.release_retired();
     let _ = report;
     let g = rt.pin();
     for (r, key) in &survivors {
@@ -98,15 +95,16 @@ fn direct_ref_heals_across_two_compactions() {
         let g = rt.pin();
         target.to_direct(&g).unwrap()
     };
-    // First compaction: the direct ref crosses one tombstone.
+    // First compaction: the direct ref crosses one tombstone. It is held
+    // in no linked field, so it heals only itself, each time before the
+    // burial of the block it left has ripened: nothing moves the epoch
+    // between a pass and the heal after it.
     c.compact();
     {
         let g = rt.pin();
         assert_eq!(direct.get_healing(&g).unwrap().key, key);
     }
-    // Keep old tombstoned blocks alive until the ref has healed, then
-    // release; compact again after another shrink.
-    c.release_retired();
+    // Compact again after another shrink.
     let caps = c.context().layout().capacity as usize;
     let fillers: Vec<_> = (0..caps * 2)
         .map(|i| c.add(obj(900_000 + i as u64)))
@@ -120,7 +118,6 @@ fn direct_ref_heals_across_two_compactions() {
     // And the checked reference agrees.
     assert_eq!(target.get(&g).unwrap().key, key);
     drop(g);
-    c.release_retired();
     rt.drain_graveyard_blocking();
 }
 
@@ -139,7 +136,6 @@ fn enumeration_during_pre_state_pin_is_complete() {
     assert_eq!(seen, kept.len());
     drop(g);
     c.compact();
-    c.release_retired();
     let g = rt.pin();
     assert_eq!(c.iter(&g).count(), kept.len());
 }
@@ -160,7 +156,6 @@ fn compaction_with_zero_occupancy_blocks_retires_them() {
     }
     let before = c.memory_bytes();
     let report = c.compact();
-    c.release_retired();
     rt.drain_graveyard_blocking();
     let _ = report;
     assert!(c.memory_bytes() < before, "empty blocks must be reclaimed");
@@ -180,7 +175,6 @@ fn update_in_place_survives_compaction() {
         }
     }
     c.compact();
-    c.release_retired();
     let g = rt.pin();
     for (r, key) in &kept {
         assert_eq!(

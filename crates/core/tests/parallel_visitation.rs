@@ -89,7 +89,6 @@ fn concurrent_for_each_sees_live_set_exactly_once_during_compaction() {
         let mut passes = 0u64;
         while passes < 200 {
             c.compact();
-            c.release_retired();
             passes += 1;
         }
         stop.store(true, Ordering::Relaxed);
@@ -102,7 +101,6 @@ fn concurrent_for_each_sees_live_set_exactly_once_during_compaction() {
 
     rt.faults().disable();
     c.compact();
-    c.release_retired();
     rt.drain_graveyard_blocking();
     let report = c.verify().expect("verify after concurrent scans");
     assert_eq!(report.valid_slots, expected_count);

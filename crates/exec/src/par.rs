@@ -31,7 +31,7 @@ use smc::{ColumnArrays, Columnar, Columns, Smc, Tabular};
 use smc_memory::block::BlockRef;
 use smc_memory::context::Membership;
 use smc_memory::stats::MemoryStats;
-use smc_memory::Runtime;
+use smc_memory::{MemError, Runtime};
 
 use crate::pool::WorkerPool;
 
@@ -156,12 +156,13 @@ impl<'a, T: Tabular + Sync> ParScan<'a, T> {
         ParScan { collection, pool }
     }
 
-    /// Runs the morsel loop, returning each worker's accumulator.
+    /// Runs the morsel loop, returning each worker's accumulator;
+    /// [`MemError::SpillFault`] when a spilled page cannot be read back.
     fn partials<A>(
         &self,
         make: &(impl Fn() -> A + Sync),
         body: impl Fn(&mut A, &T) + Sync,
-    ) -> Vec<A>
+    ) -> Result<Vec<A>, MemError>
     where
         A: Send,
     {
@@ -175,15 +176,13 @@ impl<'a, T: Tabular + Sync> ParScan<'a, T> {
         // can't be seen twice or missed), and `body` runs with no lock
         // held. Resident units then fan out to the workers as usual.
         let mut spilled_acc = make();
-        let membership = self
-            .collection
-            .context()
-            .scan_spilled_then_snapshot(&mut |_entry_addr, _inc, obj| {
+        let membership = self.collection.context().scan_spilled_then_snapshot(
+            &mut |_entry_addr, _inc, obj| {
                 // SAFETY: the callback's pointer addresses size_of::<T>()
                 // initialized bytes of a record this collection spilled.
                 body(&mut spilled_acc, unsafe { &*obj.cast::<T>() });
-            })
-            .expect("spilled page unreadable");
+            },
+        )?;
         let mut partials = scan_units(self.pool, runtime, &membership, make, |acc, block| {
             block.valid_slots().for_each(|slot| {
                 // SAFETY: valid slot, read inside the worker's pinned
@@ -194,40 +193,39 @@ impl<'a, T: Tabular + Sync> ParScan<'a, T> {
             });
         });
         partials.push(spilled_acc);
-        partials
+        Ok(partials)
     }
 
     /// Counts objects passing `pred` — parallel `filter_for_each` without a
-    /// consumer.
+    /// consumer. Panics if a spilled page cannot be read back; count with
+    /// [`filter_fold`](Self::filter_fold) where that must be an error.
     pub fn filter_count(&self, pred: impl Fn(&T) -> bool + Sync) -> u64 {
-        self.partials(&|| 0u64, |acc, obj| {
-            if pred(obj) {
-                *acc += 1;
-            }
-        })
-        .into_iter()
-        .sum()
+        let count = |n: &mut u64, _: &T| *n += 1;
+        let merge = |total: &mut u64, n| *total += n;
+        (self.filter_fold(|| 0u64, pred, count, merge)).expect("spilled page unreadable")
     }
 
     /// Parallel fused scan→filter→fold: each worker folds into its own
     /// accumulator (from `init`); `merge` combines the per-worker partials.
+    /// [`MemError::SpillFault`] when a spilled page cannot be read back (the
+    /// scan stops — fail closed, no partial answer is surfaced).
     pub fn filter_fold<A: Send>(
         &self,
         init: impl Fn() -> A + Sync,
         pred: impl Fn(&T) -> bool + Sync,
         fold: impl Fn(&mut A, &T) + Sync,
         mut merge: impl FnMut(&mut A, A),
-    ) -> A {
+    ) -> Result<A, MemError> {
         let partials = self.partials(&init, |acc, obj| {
             if pred(obj) {
                 fold(acc, obj);
             }
-        });
+        })?;
         let mut out = init();
         for p in partials {
             merge(&mut out, p);
         }
-        out
+        Ok(out)
     }
 }
 

@@ -62,7 +62,7 @@ fn parallel_results_match_sequential() {
             |acc, o| *acc = acc.wrapping_add(o.key),
             |a, b| *a = a.wrapping_add(b),
         );
-        assert_eq!(sum, seq_sum, "{threads} threads");
+        assert_eq!(sum, Ok(seq_sum), "{threads} threads");
     }
 }
 
@@ -158,25 +158,26 @@ fn parallel_scan_during_compaction_visits_live_set_exactly_once() {
             let mut passes = 0u64;
             while !compactor_stop.load(Ordering::Relaxed) {
                 cc.compact();
-                cc.release_retired();
                 passes += 1;
             }
             passes
         });
         let scan = ParScan::new(&c, &pool);
         for round in 0..60 {
-            let (n, sum) = scan.filter_fold(
-                || (0u64, 0u64),
-                |_| true,
-                |acc, o| {
-                    acc.0 += 1;
-                    acc.1 = acc.1.wrapping_add(o.key);
-                },
-                |a, b| {
-                    a.0 += b.0;
-                    a.1 = a.1.wrapping_add(b.1);
-                },
-            );
+            let (n, sum) = scan
+                .filter_fold(
+                    || (0u64, 0u64),
+                    |_| true,
+                    |acc, o| {
+                        acc.0 += 1;
+                        acc.1 = acc.1.wrapping_add(o.key);
+                    },
+                    |a, b| {
+                        a.0 += b.0;
+                        a.1 = a.1.wrapping_add(b.1);
+                    },
+                )
+                .expect("nothing spilled");
             assert_eq!(n, expected_count, "round {round}: lost or doubled visit");
             assert_eq!(sum, expected_sum, "round {round}: wrong element set");
         }
@@ -189,7 +190,6 @@ fn parallel_scan_during_compaction_visits_live_set_exactly_once() {
     // Let a final clean pass settle any faulted group, then verify the
     // structure end-to-end.
     c.compact();
-    c.release_retired();
     rt.drain_graveyard_blocking();
     let report = c.verify().expect("structure intact after concurrent scans");
     assert_eq!(report.valid_slots, expected_count);
@@ -321,7 +321,6 @@ fn every_entry_point_sees_the_same_live_set_in_every_collection_state() {
                     let mut passes = 0u64;
                     while !stop.load(Ordering::Relaxed) {
                         case.c.compact();
-                        case.c.release_retired();
                         passes += 1;
                     }
                     passes
@@ -350,7 +349,6 @@ fn every_entry_point_sees_the_same_live_set_in_every_collection_state() {
         // Racers stopped: the reference recount must agree too.
         case.rt.faults().disable();
         case.c.compact();
-        case.c.release_retired();
         let report = case.c.verify().expect("verify after the table run");
         assert_eq!(
             report.valid_slots + report.spilled_slots,

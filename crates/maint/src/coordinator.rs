@@ -353,7 +353,7 @@ fn plan(inner: &Inner, now: u64) -> Option<Arc<MemoryContext>> {
     Some(reg.ctx.clone())
 }
 
-/// Runs one pass and releases the sources it retired. Returns the summary
+/// Runs one pass, which retires the blocks it empties. Returns the summary
 /// recorded as `last_pass`.
 fn run_pass(inner: &Inner, ctx: &MemoryContext) -> LastPass {
     trace::emit(Event::MaintPassStart { context: ctx.id() });
@@ -366,7 +366,6 @@ fn run_pass(inner: &Inner, ctx: &MemoryContext) -> LastPass {
         // The thread could not claim an epoch slot: no pass ran.
         Err(_) => (PassOutcome::Aborted, 0, 0),
     };
-    ctx.release_retired();
     trace::emit(Event::MaintPassEnd {
         context: ctx.id(),
         moved: moved as u64,

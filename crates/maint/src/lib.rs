@@ -106,7 +106,6 @@ mod tests {
         assert!(snap.last_pass.is_some());
         // Bit-exact after quiesce: every survivor is still there, the
         // runtime's invariants hold.
-        ctx.release_retired();
         rt.drain_graveyard_blocking();
         assert_eq!(ctx.live_objects(), live);
         assert!(ctx.verify().is_ok(), "context verify after quiesce");
@@ -181,7 +180,6 @@ mod tests {
         // Only a due context gets a pass: the interrupted one was still due.
         assert!(snap.passes_planned > snap.passes_completed, "{snap:?}");
         assert!(snap.last_pass.is_some_and(|lp| lp.moved > 0), "{snap:?}");
-        ctx.release_retired();
         rt.drain_graveyard_blocking();
         assert_eq!(ctx.live_objects(), live);
         assert!(ctx.verify().is_ok(), "context verify after quiesce");

@@ -132,9 +132,9 @@ pub struct CompactionReport {
     pub moved: usize,
     /// Relocations bailed out by readers (will be retried by a later pass).
     pub bailed: usize,
-    /// Source blocks fully emptied and retired, by base address. Used by the
-    /// direct-pointer fix-up scan (§6) to identify stale pointers cheaply.
-    pub retired_bases: Vec<usize>,
+    /// Source blocks fully emptied and retired: the linked direct pointers
+    /// into them were healed or cleared (§6) before they were buried.
+    pub retired: usize,
     /// The pass was aborted (e.g. a reader held a critical section longer
     /// than the configured patience); the context is unchanged.
     pub aborted: bool,
@@ -368,12 +368,13 @@ impl MemoryContext {
             }
         }
 
-        self.publish_groups(&groups, &mut report);
+        let leaving = self.publish_groups(&groups, &mut report);
+        self.retire(leaving);
         MemoryStats::inc(&self.runtime.stats.compactions);
         report.groups = groups.len();
         smc_obs::trace::emit(smc_obs::Event::CompactionRetire {
             context: self.id,
-            retired: report.retired_bases.len() as u64,
+            retired: report.retired as u64,
         });
         let pass_ns = &self.runtime.stats.compaction_pass_ns;
         pass_ns.record(clock::now().saturating_sub(pass_start));
@@ -496,9 +497,16 @@ impl MemoryContext {
         true
     }
 
-    /// Disbands groups after a pass: publishes destinations, retires emptied
-    /// sources, and returns partially-moved sources to regular membership.
-    fn publish_groups(&self, groups: &[Arc<CompactionGroup>], report: &mut CompactionReport) {
+    /// Disbands groups after a pass: publishes destinations, returns
+    /// partially-moved sources to regular membership, and returns the blocks
+    /// that leave — emptied sources and unused destinations — for the caller
+    /// to retire once the membership lock is released.
+    fn publish_groups(
+        &self,
+        groups: &[Arc<CompactionGroup>],
+        report: &mut CompactionReport,
+    ) -> Vec<BlockRef> {
+        let mut leaving = Vec::new();
         let mut m = self.membership.write();
         for group in groups {
             m.groups.retain(|g| !Arc::ptr_eq(g, group));
@@ -512,8 +520,7 @@ impl MemoryContext {
                 // retired sources below: the block is headed for the
                 // graveyard and must stay un-enqueueable.
                 // Nothing moved (fully bailed/aborted): discard the dest.
-                self.runtime
-                    .bury_block(group.dest, self.runtime.global_epoch() + 2);
+                leaving.push(group.dest);
             }
             for &src in &group.sources {
                 if src.header().valid_count.load(Ordering::Relaxed) == 0 {
@@ -522,8 +529,8 @@ impl MemoryContext {
                     // before the move) from re-enqueueing a block that is
                     // headed for the graveyard. The flag is reinitialized
                     // with the rest of the header if the memory is reused.
-                    report.retired_bases.push(src.base() as usize);
-                    self.pending_retired.lock().push(src);
+                    report.retired += 1;
+                    leaving.push(src);
                 } else {
                     src.header().compacting.store(0, Ordering::Release);
                     m.blocks.push(src);
@@ -531,17 +538,7 @@ impl MemoryContext {
             }
             group.settled.store(true, Ordering::Release);
         }
-    }
-
-    /// Buries retired source blocks once the caller has finished fixing up
-    /// direct pointers into them (§6). Tombstones stay readable until every
-    /// epoch that could observe them has passed.
-    pub fn release_retired(&self) {
-        let retired: Vec<BlockRef> = self.pending_retired.lock().drain(..).collect();
-        let free_at = self.runtime.global_epoch() + 2;
-        for block in retired {
-            self.runtime.bury_block(block, free_at);
-        }
+        leaving
     }
 
     /// The patience deadline for one wait of the pass, from now.
@@ -605,15 +602,14 @@ mod tests {
         assert!(!report.aborted);
         assert!(report.groups >= 1, "sparse blocks should form groups");
         assert!(report.moved > 0);
-        assert!(!report.retired_bases.is_empty());
-        assert!(!c.pending_retired.lock().is_empty());
+        assert!(report.retired > 0);
+        assert!(rt.buried().blocks >= report.retired, "retired, not kept");
         // Every kept object survives, reachable through its entry, with the
         // same entry incarnation (references stay valid across compaction).
         for (a, v) in &kept {
             assert_eq!(a.entry.get().inc().incarnation(), a.entry_inc);
             assert_eq!(read_u64(a.entry), *v);
         }
-        c.release_retired();
         rt.drain_graveyard_blocking();
         assert!(
             c.block_count() < blocks_before,
@@ -752,7 +748,6 @@ mod tests {
         free(2, [2, 4]);
         assert!(c.compaction_due());
         assert!(c.compact().groups >= 1, "the pass agrees");
-        c.release_retired();
     }
 
     #[test]
@@ -802,14 +797,11 @@ mod tests {
         unpin_second();
         let report = pass.join().unwrap();
         assert!(!report.aborted && report.moved > 0, "{report:?}");
-        // Published: the retired sources wait in `pending_retired` for
-        // burial and no longer count.
-        let retired = c.pending_retired.lock().len();
-        assert_eq!(retired, report.retired_bases.len());
+        // Published: the retired sources are buried and no longer count.
+        let retired = report.retired;
         assert!(retired > 0, "{report:?}");
+        assert!(rt.buried().blocks >= retired, "{report:?}");
         let published = before + groups * BLOCK_SIZE - retired * BLOCK_SIZE;
-        assert_eq!(c.bytes(), published);
-        c.release_retired();
         assert_eq!(c.bytes(), published);
     }
 

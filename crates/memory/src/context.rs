@@ -28,11 +28,31 @@
 //! The §5 compaction pass (`compact.rs`, beside `reloc.rs`) and the
 //! residency protocol ([`crate::spill`]) are further `impl MemoryContext`
 //! blocks in their own files. What they share is here: `claim` / `unclaim`,
-//! the one way a block leaves and re-enters slot-level allocation.
+//! the one way a block leaves and re-enters slot-level allocation, and
+//! `retire`, the one way a block leaves the context.
+//!
+//! ## Retirement and direct pointers (§6)
+//!
+//! A block leaves a context four ways: a pass emptied it, a pass discarded
+//! its unused destination, a spill evicted it, or the context was dropped.
+//! Each ends in `retire`, which first runs the §6 fix-up — "for each
+//! collection which has direct pointers to the compacted collection, we
+//! scan it and fix up direct pointers" — and then buries the blocks, two
+//! epochs out. Which collections hold direct pointers into this one, and
+//! where, is declared once per field with
+//! [`link_direct`](MemoryContext::link_direct): the target keeps each link
+//! with its holder held weakly. The fix-up walks every linked holder's
+//! resident objects and probes each linked pointer's block base in a hash
+//! set of the retired blocks; a hit is healed to where the object lives now
+//! (the tombstone chase of [`DirectPtr`]) or, when no
+//! resident address is left (the object was freed or spilled), cleared to
+//! `None`. A holder's own spill clears its linked fields in every object it
+//! copies into a page, so no page carries a direct pointer. No linked
+//! pointer therefore outlives its block's residency.
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use smc_util::sync::{fence, AtomicU64, AtomicUsize, Mutex, RwLock};
@@ -42,6 +62,7 @@ pub use crate::compact::{CompactionGroup, CompactionReport};
 use crate::epoch::{Guard, Slot};
 use crate::error::MemError;
 use crate::indirection::EntryRef;
+use crate::reloc::{DirectField, DirectPtr};
 use crate::runtime::{Grave, Runtime};
 use crate::slot::{self, SlotId, SlotState};
 use crate::spill::{self, SpillState};
@@ -223,6 +244,14 @@ impl Drop for UnitRead {
     }
 }
 
+/// A holder's direct-pointer field into a context ([`MemoryContext::link_direct`]).
+#[derive(Debug)]
+struct Link {
+    /// Weak: a link must not keep a dropped holder alive.
+    holder: Weak<MemoryContext>,
+    field: Arc<dyn DirectField>,
+}
+
 /// A per-collection group of typed memory blocks.
 #[derive(Debug)]
 pub struct MemoryContext {
@@ -240,9 +269,9 @@ pub struct MemoryContext {
     /// Blocks with enough limbo slots to be worth reusing, with the epoch at
     /// which they become reclaimable.
     reclaim_queue: Mutex<VecDeque<(BlockRef, u64)>>,
-    /// Fully-emptied compaction sources awaiting direct-pointer fix-up and
-    /// burial (released by [`release_retired`](Self::release_retired)).
-    pub(crate) pending_retired: Mutex<Vec<BlockRef>>,
+    /// The holders' fields that point into this context: what
+    /// [`retire`](Self::retire) fixes up before it buries a block.
+    links: Mutex<Vec<Link>>,
     /// Spill state ([`crate::spill`]): the page store, the spilled-page
     /// list, and a weak self-handle for stubs. One mutex covers spill,
     /// fault-in and a scan's listing of the pages — the holder is the only
@@ -303,7 +332,7 @@ impl MemoryContext {
             membership: RwLock::new(Membership::default()),
             thread_blocks: thread_blocks.into_boxed_slice(),
             reclaim_queue: Mutex::new(VecDeque::new()),
-            pending_retired: Mutex::new(Vec::new()),
+            links: Mutex::new(Vec::new()),
             spill: Mutex::new(SpillState::default()),
             spilled_blocks_gauge: AtomicU64::new(0),
             spilled_objects_gauge: AtomicU64::new(0),
@@ -348,8 +377,7 @@ impl MemoryContext {
 
     /// Total off-heap bytes owned by this context: its regular blocks, plus
     /// the sources and destinations of an in-flight pass. The sources a pass
-    /// emptied stop counting when it publishes, while they still wait for
-    /// [`release_retired`](Self::release_retired) to bury them.
+    /// emptied stop counting when it publishes, and are retired right after.
     pub fn bytes(&self) -> usize {
         self.block_count() * crate::block::BLOCK_SIZE
     }
@@ -721,19 +749,114 @@ impl MemoryContext {
             // The gauge, not the page list: counting takes no spill mutex.
             + self.spilled_objects_gauge.load(Ordering::Relaxed)
     }
+
+    // ------------------------------------------------------------------
+    // Retirement and the §6 fix-up
+    // ------------------------------------------------------------------
+
+    /// Declares that objects of this (row) context keep a direct pointer
+    /// into `target` in `field`, so that every block `target` retires has
+    /// its pointers healed or cleared first, and a spill of this context
+    /// clears `field` in every object it copies into a page. Declare it
+    /// before the first object holds such a pointer: a page spilled earlier
+    /// keeps what it holds. Panics if this context is columnar: its slots
+    /// hold cells, not objects `field` could be read from.
+    pub fn link_direct(self: &Arc<Self>, target: &MemoryContext, field: Arc<dyn DirectField>) {
+        assert!(
+            !self.layout.is_columnar(),
+            "a columnar holder links nothing"
+        );
+        self.spill.lock().direct_fields.push(field.clone());
+        let holder = Arc::downgrade(self);
+        target.links.lock().push(Link { holder, field });
+    }
+
+    /// The one way blocks leave this context: runs the §6 fix-up of every
+    /// linked holder over `blocks`, then buries them two epochs out. The
+    /// caller holds no lock of this context.
+    pub(crate) fn retire(&self, blocks: impl IntoIterator<Item = BlockRef>) {
+        let blocks: Vec<BlockRef> = blocks.into_iter().collect();
+        if blocks.is_empty() {
+            return;
+        }
+        if !self.fix_links(&blocks) {
+            // The fix-up was due and this thread could not claim an epoch
+            // slot to run it: the blocks leak, still mapped, rather than let
+            // a linked pointer into them dangle. (`Drop` must not panic.)
+            return;
+        }
+        // After the fix-up: a reader pinned while it ran may still follow
+        // a pointer it loaded before the heal.
+        let free_at = self.runtime.global_epoch() + 2;
+        for block in blocks {
+            self.runtime.bury(Grave::Block(block), free_at);
+        }
+    }
+
+    /// The §6 fix-up scan over every live holder linked to this context:
+    /// each linked pointer whose block base is one of `retired` ("instead of
+    /// following a direct pointer to see if the forwarding flag is set, we
+    /// first compute the address of the corresponding block \[and\] probe it
+    /// in the hash table") is healed to the object's resident address, or
+    /// cleared to `None` when none is left. Healed and cleared pointers both count in
+    /// `direct_pointers_fixed`. False when a holder is linked and the
+    /// calling thread cannot claim an epoch slot, so nothing was fixed.
+    fn fix_links(&self, retired: &[BlockRef]) -> bool {
+        let holders: Vec<(Arc<MemoryContext>, Arc<dyn DirectField>)> = {
+            let mut links = self.links.lock();
+            links.retain(|link| link.holder.strong_count() > 0);
+            let live = links
+                .iter()
+                .filter_map(|link| Some((link.holder.upgrade()?, link.field.clone())));
+            live.collect()
+        };
+        if holders.is_empty() {
+            return true;
+        }
+        let Ok(guard) = self.runtime.try_pin() else {
+            return false;
+        };
+        let retired: HashSet<usize> = retired.iter().map(|b| b.base() as usize).collect();
+        let is_retired =
+            |ptr: &DirectPtr| retired.contains(&(ptr.addr() & !(crate::block::BLOCK_SIZE - 1)));
+        let stats = &self.runtime.stats;
+        let mut fixed = 0;
+        for (holder, field) in &holders {
+            let m = holder.membership_snapshot();
+            m.for_each_block(&guard, stats, |block| {
+                for slot in block.valid_slots() {
+                    let obj = block.obj_ptr(slot);
+                    // SAFETY: a valid slot of a row holder, in the pinned
+                    // critical section; the field is the holder's own.
+                    let Some(ptr) = (unsafe { field.get(obj) }).filter(is_retired) else {
+                        continue;
+                    };
+                    // SAFETY: the pointer's block is retired but not yet
+                    // buried, and a forwarding hop leads to where its entry
+                    // points now: a resident block, under the guard.
+                    let resolved = unsafe { ptr.resolve(&guard) };
+                    let healed = resolved.and_then(|(_, healed)| healed);
+                    unsafe { field.set(obj, healed.filter(|p| !is_retired(p))) };
+                    fixed += 1;
+                }
+            });
+        }
+        MemoryStats::add(&stats.direct_pointers_fixed, fixed);
+        true
+    }
 }
 
 impl Drop for MemoryContext {
     fn drop(&mut self) {
         // Invalidate every live object — spilled, then resident — so stale
         // references dereference to null rather than into recycled blocks,
-        // and hand all blocks to the graveyard for epoch-safe burial.
-        let free_at = self.runtime.global_epoch() + 2;
-        self.release_spilled(free_at);
+        // and retire all blocks, which clears the holders' direct pointers
+        // into them and buries them epoch-safely.
+        self.release_spilled(self.runtime.global_epoch() + 2);
         let m = std::mem::take(self.membership.get_mut());
-        let retired = std::mem::take(self.pending_retired.get_mut());
+        let blocks: Vec<BlockRef> = m.owned_blocks().collect();
         let mut freed = 0;
-        for block in m.owned_blocks().chain(retired) {
+        for &block in &blocks {
             let entries = block.valid_slots().filter_map(|slot_id| {
                 block.payload_inc(slot_id).bump_unlocked();
                 freed += 1;
@@ -746,9 +869,9 @@ impl Drop for MemoryContext {
             });
             // One lock and one count for the block's entries.
             self.runtime.indirection.release_many(entries);
-            self.runtime.bury_block(block, free_at);
         }
         self.runtime.stats.note_dropped_objects(freed);
+        self.retire(blocks);
         self.runtime.drain_graveyard();
     }
 }

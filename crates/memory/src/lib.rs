@@ -101,7 +101,7 @@ pub use indirection::IndirectionTable;
 pub use indirection::{EntryRef, IndirEntry};
 pub use inline_str::InlineStr;
 pub use inspect::{BlockSnapshot, CollectionSnapshot, HeapSnapshot, IndirectionLoad, Watermark};
-pub use reloc::DirectPtr;
+pub use reloc::{DirectField, DirectPtr};
 pub use runtime::Runtime;
 pub use slot::{SlotId, SlotState};
 pub use spill::{MemoryPageStore, PageStore, SpillIoError};

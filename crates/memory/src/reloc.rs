@@ -536,11 +536,16 @@ impl DirectPtr {
     ///
     /// # Safety
     /// The blocks the walk reads must still be mapped: the pointer's block
-    /// and every forwarding source since were not released
-    /// (`release_retired` runs only after the fix-up scan healed the
-    /// pointers into them, §6), and the pointer's block was not spilled and
-    /// recycled. The caller holds `guard`, so nothing the walk reads is
-    /// reused before the critical section ends.
+    /// and every forwarding source since were not released. A pointer kept
+    /// in a linked field ([`MemoryContext::link_direct`]) meets this by
+    /// construction: a block leaves its context only through the context's
+    /// retirement, which heals or clears every linked pointer into it before
+    /// burying it (§6), so no linked pointer outlives its block's residency.
+    /// A pointer kept anywhere else meets it only while it was taken inside
+    /// the caller's critical section. The caller holds `guard`, so nothing
+    /// the walk reads is reused before the critical section ends.
+    ///
+    /// [`MemoryContext::link_direct`]: crate::context::MemoryContext::link_direct
     #[inline]
     pub unsafe fn resolve(&self, guard: &Guard<'_>) -> Option<(usize, Option<DirectPtr>)> {
         // Fast path: the slot's incarnation matches, no flags set.
@@ -599,6 +604,28 @@ impl DirectPtr {
         }
         None
     }
+}
+
+/// One direct-pointer field of a holder's objects (§6), as the typed layer
+/// declares it with [`MemoryContext::link_direct`]: how to read and
+/// overwrite the pointer an object holds there. The fix-up that retirement
+/// runs heals each pointer through it, and a spill of the holder clears it
+/// in every object it copies into a page.
+///
+/// [`MemoryContext::link_direct`]: crate::context::MemoryContext::link_direct
+pub trait DirectField: Send + Sync + std::fmt::Debug {
+    /// The pointer the object at `obj` holds in this field.
+    ///
+    /// # Safety
+    /// `obj` addresses an initialized, aligned object of the holder's type.
+    unsafe fn get(&self, obj: *mut u8) -> Option<DirectPtr>;
+
+    /// Overwrites the pointer the object at `obj` holds in this field.
+    ///
+    /// # Safety
+    /// As for [`get`](Self::get); the write races benignly with readers of
+    /// the object, under the collection's isolation level (§4).
+    unsafe fn set(&self, obj: *mut u8, ptr: Option<DirectPtr>);
 }
 
 #[cfg(test)]

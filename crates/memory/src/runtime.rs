@@ -327,15 +327,12 @@ impl Runtime {
         self.epochs.set_moving_phase(on);
     }
 
-    /// Hands a block to the graveyard, to be returned to the allocator once
-    /// the global epoch reaches `free_at` (ripe blocks recycle through the
-    /// draining thread's shard cache, or the OS past the cache cap).
-    pub fn bury_block(&self, block: BlockRef, free_at: u64) {
-        self.bury(Grave::Block(block), free_at);
-    }
-
     /// Hands unlinked memory to the graveyard, to be released once the
-    /// global epoch reaches `free_at`.
+    /// global epoch reaches `free_at` (a ripe block recycles through the
+    /// draining thread's shard cache, or the OS past the cache cap). A
+    /// context's block gets here only through its retirement
+    /// (`MemoryContext::retire`), which heals the direct pointers into it
+    /// first (§6).
     pub(crate) fn bury(&self, grave: Grave, free_at: u64) {
         let mut yard = self.graveyard.lock();
         yard.push((grave, free_at));
@@ -436,7 +433,7 @@ impl Runtime {
 /// Unlinked memory waiting in the graveyard for its epoch.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Grave {
-    /// A block its context released, or a spilled victim.
+    /// A block its context retired.
     Block(BlockRef),
     /// A spill stub: the raw `Box<SpillStub>` address, tag bit stripped.
     Stub(usize),
@@ -511,7 +508,7 @@ mod tests {
         let late = bury_entry(5);
         let layout = BlockLayout::rows_of::<u64>().unwrap();
         let block = rt.allocate_block(&layout, type_id_of::<u64>(), 1).unwrap();
-        rt.bury_block(block, 2);
+        rt.bury(Grave::Block(block), 2);
         let ctx = Arc::new(crate::context::tests::ctx(&rt));
         let stub = Box::new(SpillStub {
             ctx: Arc::downgrade(&ctx),
@@ -550,7 +547,7 @@ mod tests {
         let rt = Runtime::new();
         let layout = BlockLayout::rows_of::<u64>().unwrap();
         let b = BlockRef::allocate(&layout, type_id_of::<u64>(), 1).unwrap();
-        rt.bury_block(b, u64::MAX); // would never free by epoch
+        rt.bury(Grave::Block(b), u64::MAX); // would never free by epoch
         drop(rt); // must free anyway, without leaking
     }
 
@@ -682,7 +679,7 @@ mod tests {
         assert_eq!(MemoryStats::get(&rt.stats.faults_injected), 1);
         rt.faults().disable();
         let b = rt.allocate_block(&layout, 1, 1).unwrap();
-        rt.bury_block(b, 0);
+        rt.bury(Grave::Block(b), 0);
         rt.drain_graveyard();
     }
 }

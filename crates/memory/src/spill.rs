@@ -52,9 +52,14 @@
 //! object once, buffer to slot. What a page looks like is [`crate::page`]'s
 //! business alone; which entry owns record *i*, and at which incarnation,
 //! is the page directory's (`SpilledPage::entries[i]`). Both bury what they
-//! displace — the victim block, the stub — two epochs out, and nothing but
-//! the memory manager moves the epoch (§3.4), so both call
-//! `Runtime::advance_and_drain`: the allocation path after a successful
+//! displace two epochs out: a fault-in its stub, a spill its victim block,
+//! which goes through the context's retirement once the spill mutex is
+//! released, so every linked direct pointer into it is cleared first (no
+//! linked pointer outlives its block's residency, §6). A spill of a context
+//! that holds linked pointers itself copies each object through a scratch
+//! record and clears those fields there, so no page carries a direct
+//! pointer. Nothing but the memory manager moves the epoch (§3.4), so both
+//! call `Runtime::advance_and_drain`: the allocation path after a successful
 //! spill, [`MemoryContext::fault_in_block`] on entry. A load, or a run of
 //! reads each under its own pin, therefore gets the victim of two spills ago
 //! back through the shard cache instead of a first-touched block from the
@@ -90,6 +95,7 @@ use crate::error::MemError;
 use crate::fault::FaultSite;
 use crate::indirection::EntryRef;
 use crate::page::PageWriter;
+use crate::reloc::DirectField;
 use crate::runtime::Grave;
 use crate::slot::{SlotId, SlotState};
 use crate::stats::MemoryStats;
@@ -249,9 +255,9 @@ impl Drop for SpilledPage {
 }
 
 /// Per-context spill state, behind one mutex: the store handle, a weak
-/// self-reference (stubs need `Weak<MemoryContext>`), the page directory
-/// and the one page buffer every spill encodes into and every fault-in
-/// loads into.
+/// self-reference (stubs need `Weak<MemoryContext>`), the page directory,
+/// the one page buffer every spill encodes into and every fault-in loads
+/// into, and the linked direct-pointer fields a spill clears.
 #[derive(Debug, Default)]
 pub(crate) struct SpillState {
     pub(crate) store: Option<Arc<dyn PageStore>>,
@@ -261,6 +267,9 @@ pub(crate) struct SpillState {
     /// written.
     pub(crate) pages: BTreeMap<u64, Arc<SpilledPage>>,
     page_buf: Vec<u8>,
+    /// This context's fields that hold linked direct pointers
+    /// ([`MemoryContext::link_direct`]), cleared in every page record.
+    pub(crate) direct_fields: Vec<Arc<dyn DirectField>>,
 }
 
 // ---------------------------------------------------------------------
@@ -403,7 +412,10 @@ impl MemoryContext {
     /// block was spilled; false when spill is disabled, no block qualifies,
     /// or the store failed (rolled back).
     pub fn try_spill_one(&self) -> bool {
-        self.try_spill_one_locked(&mut self.spill.lock())
+        let victim = self.try_spill_one_locked(&mut self.spill.lock());
+        let spilled = victim.is_some();
+        self.retire(victim);
+        spilled
     }
 
     /// Spill body; requires the spill mutex. The victim is claimed the way
@@ -414,14 +426,12 @@ impl MemoryContext {
     /// at the stub and retires its slot's counter, with plain stores and no
     /// entry lock; the copy pass writes the tagged objects into the page.
     /// A failed store puts the payloads back before the claim is released.
-    fn try_spill_one_locked(&self, s: &mut SpillState) -> bool {
-        let Some(store) = s.store.clone() else {
-            return false;
-        };
+    /// Returns the spilled victim, which the caller retires once it has
+    /// released the spill mutex.
+    fn try_spill_one_locked(&self, s: &mut SpillState) -> Option<BlockRef> {
+        let store = s.store.clone()?;
         let live = |b: &BlockRef| b.header().valid_count.load(Ordering::Relaxed) > 0;
-        let Some(victim) = self.claim(1, live).pop() else {
-            return false;
-        };
+        let victim = self.claim(1, live).pop()?;
         // Mark the claim as a spill before reading any entry. A free that
         // locked an entry before the mark is waited out below; one that
         // locks after it sees the mark and steps aside. The fence pairs with
@@ -484,20 +494,41 @@ impl MemoryContext {
             // the stub and it is freed on the spot.
             drop(unsafe { Box::from_raw(stub as *mut SpillStub) });
             give_back();
-            return false;
+            return None;
         }
         // Copy pass: each tagged object goes from its slot straight into the
-        // page buffer, once, in slot order.
-        let mut page = PageWriter::begin(
-            &mut s.page_buf,
-            block_id,
-            self.layout.obj_size as usize,
-            self.layout.capacity as usize,
-        );
+        // page buffer, once, in slot order — or, where this context holds
+        // linked direct pointers, through an aligned scratch record whose
+        // linked fields are cleared: a page outlives any address.
+        let obj_size = self.layout.obj_size as usize;
+        let SpillState {
+            page_buf,
+            direct_fields,
+            ..
+        } = &mut *s;
+        let mut page =
+            PageWriter::begin(page_buf, block_id, obj_size, self.layout.capacity as usize);
+        let mut scratch = Vec::new();
+        if !direct_fields.is_empty() {
+            scratch.resize(obj_size + self.obj_align, 0u8);
+        }
+        let aligned = scratch.as_ptr().align_offset(self.obj_align);
         for &slot_id in &slots {
+            let obj = victim.obj_ptr(slot_id);
             // SAFETY: a tagged object of a block we hold under the claim: a
             // free faults it in first, which waits for the spill mutex.
-            unsafe { page.push(victim.obj_ptr(slot_id)) };
+            // `record` is an aligned copy of it, and each field is one of
+            // this context's own.
+            unsafe {
+                if direct_fields.is_empty() {
+                    page.push(obj);
+                } else {
+                    let record = scratch[aligned..aligned + obj_size].as_mut_ptr();
+                    std::ptr::copy_nonoverlapping(obj, record, obj_size);
+                    direct_fields.iter().for_each(|f| f.set(record, None));
+                    page.push(record);
+                }
+            }
         }
         let stored = if self.runtime.faults().should_fail(FaultSite::SpillStore) {
             Err(SpillIoError("injected fault at spill-store".into()))
@@ -522,7 +553,7 @@ impl MemoryContext {
                 .bury(Grave::Stub(stub), self.runtime.global_epoch() + 2);
             give_back();
             MemoryStats::inc(&self.runtime.stats.spill_fault_failures);
-            return false;
+            return None;
         };
         self.spilled_blocks_gauge.fetch_add(1, Ordering::Relaxed);
         self.spilled_objects_gauge
@@ -542,13 +573,11 @@ impl MemoryContext {
         // may miss the page or tear its record — the same isolation caveat
         // as a §5 relocation mid-copy; mutate through `try_update`-style
         // replace, not in place, when spill is enabled.)
-        self.runtime
-            .bury_block(victim, self.runtime.global_epoch() + 2);
         smc_obs::trace::emit(smc_obs::Event::BlockSpilled {
             context: self.id,
             block_id,
         });
-        true
+        Some(victim)
     }
 
     /// Brings the spilled page `block_id` back to residency. `Ok(true)` when
@@ -568,14 +597,33 @@ impl MemoryContext {
         let mut s = self.spill.lock();
         // Make room first if the budget is hot: faulting one page in while
         // over budget should displace another page, not grow the footprint.
-        if let Some(budget) = self.config.budget_bytes {
-            if (self.bytes() + crate::block::BLOCK_SIZE) as u64 > budget {
-                let _ = self.try_spill_one_locked(&mut s);
-            }
+        let hot = |budget| (self.bytes() + crate::block::BLOCK_SIZE) as u64 > budget;
+        let victim = match self.config.budget_bytes {
+            Some(budget) if hot(budget) => self.try_spill_one_locked(&mut s),
+            _ => None,
+        };
+        let faulted = self.fault_in_locked(&mut s, block_id);
+        drop(s);
+        if faulted == Ok(true) {
+            MemoryStats::inc(&self.runtime.stats.blocks_faulted_in);
+            let nanos = smc_obs::clock::now().saturating_sub(start);
+            self.runtime.stats.spill_fault_ns.record(nanos);
+            smc_obs::trace::emit(smc_obs::Event::BlockFaulted {
+                context: self.id,
+                block_id,
+                nanos,
+            });
         }
+        self.retire(victim);
+        faulted
+    }
+
+    /// The body of [`fault_in_block`](Self::fault_in_block), under the spill
+    /// mutex.
+    fn fault_in_locked(&self, s: &mut SpillState, block_id: u64) -> Result<bool, MemError> {
         let SpillState {
             pages, page_buf, ..
-        } = &mut *s;
+        } = s;
         let Entry::Occupied(slot) = pages.entry(block_id) else {
             return Ok(false);
         };
@@ -623,14 +671,6 @@ impl MemoryContext {
         self.spilled_blocks_gauge.fetch_sub(1, Ordering::Relaxed);
         self.spilled_objects_gauge
             .fetch_sub(page.entries.len() as u64, Ordering::Relaxed);
-        MemoryStats::inc(&self.runtime.stats.blocks_faulted_in);
-        let nanos = smc_obs::clock::now().saturating_sub(start);
-        self.runtime.stats.spill_fault_ns.record(nanos);
-        smc_obs::trace::emit(smc_obs::Event::BlockFaulted {
-            context: self.id,
-            block_id,
-            nanos,
-        });
         Ok(true)
     }
 

@@ -128,7 +128,8 @@ scalar_counters! {
         relocations_helped,
         /// Compaction passes completed.
         compactions,
-        /// Direct pointers rewritten by post-compaction fix-up scans (§6).
+        /// Linked direct pointers into retired blocks that the fix-up
+        /// healed or cleared (§6).
         direct_pointers_fixed,
         /// Fresh-block requests rejected by a context's budget
         /// ([`ContextConfig::budget_bytes`](crate::context::ContextConfig::budget_bytes)),

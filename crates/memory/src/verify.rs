@@ -385,7 +385,6 @@ mod tests {
         }
         let report = c.compact();
         assert!(report.moved > 0);
-        c.release_retired();
         rt.drain_graveyard_blocking();
         let vr = c.verify().unwrap();
         assert_eq!(vr.groups, 0, "no groups survive a finished pass");
@@ -432,7 +431,6 @@ mod tests {
         assert_eq!(c.verify().unwrap().valid_slots, survivors);
         let report = c.compact();
         assert!(report.moved > 0, "{report:?}");
-        c.release_retired();
         rt.drain_graveyard_blocking();
         let vr = c.verify().unwrap();
         assert_eq!(vr.valid_slots, survivors);

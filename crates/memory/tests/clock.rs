@@ -92,7 +92,6 @@ fn compaction_waits_while_the_clock_is_held_and_bails_once_patience_passes() {
     let report = c.compact();
     assert!(!report.aborted, "{report:?}");
     assert!(report.moved > 0, "{report:?}");
-    c.release_retired();
     rt.drain_graveyard_blocking();
     c.verify().expect("verify after the second pass");
     let guard = rt.pin();

@@ -125,7 +125,6 @@ fn snapshots_race_compaction_and_reconcile_with_verify() {
     decimate(&c, &mut refs, &mut rng, 0.5);
     let report = c.compact();
     assert!(!report.interrupted, "no faults armed yet");
-    c.release_retired();
 
     // Round 2: decimate again and compact with the Relocation failpoint
     // armed — interrupted passes leave groups mid-flight, exactly the state
@@ -137,7 +136,6 @@ fn snapshots_race_compaction_and_reconcile_with_verify() {
     rt.faults().enable(0x0b5e_7a70);
     for _ in 0..4 {
         c.compact();
-        c.release_retired();
     }
     rt.faults().disable();
 
@@ -145,7 +143,6 @@ fn snapshots_race_compaction_and_reconcile_with_verify() {
     // off; keep snapshotting throughout.
     let retry = c.compact();
     assert!(!retry.interrupted, "compaction interrupted without faults");
-    c.release_retired();
 
     stop.store(true, Ordering::Relaxed);
     let (taken, saw_groups) = snapshotter.join().expect("snapshot thread panicked");

@@ -436,15 +436,14 @@ pub(crate) fn run_shard(shared: Arc<ShardShared>, cfg: ShardConfig) -> ShardDrai
         });
     }
 
-    // Quiesce maintenance exactly (no half-moved state), release retired
-    // blocks, drain the graveyard, then reconcile bit-exact.
+    // Quiesce maintenance exactly (no half-moved state), let the retired
+    // blocks ripen and drain the graveyard, then reconcile bit-exact.
     coordinator.quiesce();
     let mut verify_errors = Vec::new();
     let mut tenants_verified = 0usize;
     let mut snapshots_written = 0usize;
     for t in &shared.tenants {
         let local = &tenants[&t.id];
-        local.smc.release_retired();
         runtime.drain_graveyard_blocking();
         match local.smc.verify() {
             Ok(_) => tenants_verified += 1,
@@ -561,16 +560,20 @@ fn execute(
             ShardOp::Delete(keys) => delete(local, keys),
             ShardOp::Count { lo, hi } => {
                 let start = clock::now();
-                let n = ParScan::new(&local.smc, pool)
-                    .filter_count(|row: &Row| row.value >= lo && row.value < hi);
+                let n = ParScan::new(&local.smc, pool).filter_fold(
+                    || 0u64,
+                    |row: &Row| row.value >= lo && row.value < hi,
+                    |n, _| *n += 1,
+                    |n, part| *n += part,
+                );
                 shared
                     .query_latency
                     .record(clock::now().saturating_sub(start));
-                ShardReply::Counted(n)
+                n.map_or_else(|e| scan_failed(shared, e), ShardReply::Counted)
             }
             ShardOp::Sum { lo, hi } => {
                 let start = clock::now();
-                let (count, sum) = ParScan::new(&local.smc, pool).filter_fold(
+                let summed = ParScan::new(&local.smc, pool).filter_fold(
                     || (0u64, 0u64),
                     |row: &Row| row.value >= lo && row.value < hi,
                     |acc, row| {
@@ -585,7 +588,10 @@ fn execute(
                 shared
                     .query_latency
                     .record(clock::now().saturating_sub(start));
-                ShardReply::Summed { count, sum }
+                summed.map_or_else(
+                    |e| scan_failed(shared, e),
+                    |(count, sum)| ShardReply::Summed { count, sum },
+                )
             }
         },
     };
@@ -602,6 +608,13 @@ fn execute(
         maint_active: coordinator.passes_active() > 0,
     };
     (reply, timing)
+}
+
+/// The answer to a scan that hit a spilled page it cannot read back: an
+/// error frame, and the shard keeps serving.
+fn scan_failed(shared: &ShardShared, e: MemError) -> ShardReply {
+    let message = format!("scan failed on shard {}: {e}", shared.index);
+    ShardReply::Error(ErrorCode::Internal, message)
 }
 
 fn upsert(

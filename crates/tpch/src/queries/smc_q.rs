@@ -21,7 +21,7 @@ use smc_memory::Decimal;
 use smc_query::LinqExt;
 
 use super::*;
-use crate::smcdb::{licol, SmcDb};
+use crate::smcdb::{direct_or, licol, SmcDb};
 
 // ---------------------------------------------------------------------
 // Q1 — pricing summary report
@@ -247,7 +247,8 @@ pub fn q3(db: &SmcDb, p: &Params) -> Vec<Q3Row> {
     q3_finalize(groups)
 }
 
-/// Q3 with §6 direct-pointer joins.
+/// Q3 with §6 direct-pointer joins, each falling back to its `Ref` twin
+/// where the pointer is `None` (`direct_or`).
 pub fn q3_direct(db: &SmcDb, p: &Params) -> Vec<Q3Row> {
     let _span = super::qspan("smc.q3_direct");
     let guard = db.runtime.pin();
@@ -260,13 +261,13 @@ pub fn q3_direct(db: &SmcDb, p: &Params) -> Vec<Q3Row> {
         if l.shipdate <= p.q3_date {
             return;
         }
-        let Some(o) = l.order_d.and_then(|d| d.get(&guard)) else {
+        let Some(o) = direct_or(l.order_d, l.order, &guard) else {
             return;
         };
         if o.orderdate >= p.q3_date {
             return;
         }
-        let Some(c) = o.customer_d.and_then(|d| d.get(&guard)) else {
+        let Some(c) = direct_or(o.customer_d, o.customer, &guard) else {
             return;
         };
         if c.mktsegment != seg {
@@ -373,7 +374,7 @@ pub fn q4(db: &SmcDb, p: &Params) -> Vec<Q4Row> {
     q4_finalize(counts)
 }
 
-/// Q4 with direct-pointer joins.
+/// Q4 with direct-pointer joins, falling back as [`q3_direct`] does.
 pub fn q4_direct(db: &SmcDb, p: &Params) -> Vec<Q4Row> {
     let _span = super::qspan("smc.q4_direct");
     let guard = db.runtime.pin();
@@ -384,7 +385,7 @@ pub fn q4_direct(db: &SmcDb, p: &Params) -> Vec<Q4Row> {
         if l.commitdate >= l.receiptdate || late.contains(&l.orderkey) {
             return;
         }
-        let Some(o) = l.order_d.and_then(|d| d.get(&guard)) else {
+        let Some(o) = direct_or(l.order_d, l.order, &guard) else {
             return;
         };
         if o.orderdate < p.q4_date || o.orderdate >= end {
@@ -437,20 +438,20 @@ pub fn q5(db: &SmcDb, p: &Params) -> Vec<Q5Row> {
     q5_finalize(groups)
 }
 
-/// Q5 with direct-pointer joins where available.
+/// Q5 with direct-pointer joins, falling back as [`q3_direct`] does.
 pub fn q5_direct(db: &SmcDb, p: &Params) -> Vec<Q5Row> {
     let _span = super::qspan("smc.q5_direct");
     let guard = db.runtime.pin();
     let end = plus_months(p.q5_date, 12);
     let mut groups: HashMap<String, Decimal> = HashMap::new();
     db.lineitems.for_each(&guard, |l| {
-        let Some(o) = l.order_d.and_then(|d| d.get(&guard)) else {
+        let Some(o) = direct_or(l.order_d, l.order, &guard) else {
             return;
         };
         if o.orderdate < p.q5_date || o.orderdate >= end {
             return;
         }
-        let Some(s) = l.supplier_d.and_then(|d| d.get(&guard)) else {
+        let Some(s) = direct_or(l.supplier_d, l.supplier, &guard) else {
             return;
         };
         let Some(n) = s.nation.get(&guard) else {
@@ -462,7 +463,7 @@ pub fn q5_direct(db: &SmcDb, p: &Params) -> Vec<Q5Row> {
         if r.name.as_str() != p.q5_region {
             return;
         }
-        let Some(c) = o.customer_d.and_then(|d| d.get(&guard)) else {
+        let Some(c) = direct_or(o.customer_d, o.customer, &guard) else {
             return;
         };
         if c.nationkey != s.nationkey {
@@ -647,7 +648,7 @@ pub fn q1_par(db: &SmcDb, p: &Params, pool: &smc_exec::WorkerPool) -> Vec<Q1Row>
         },
         |into, from| q1_merge_tables(into, &from),
     );
-    q1_rows_from_table(&table)
+    q1_rows_from_table(&table.expect("spilled page unreadable"))
 }
 
 /// Q6 in parallel: per-worker revenue partials, summed in the reduce step.
@@ -667,6 +668,7 @@ pub fn q6_par(db: &SmcDb, p: &Params, pool: &smc_exec::WorkerPool) -> Decimal {
         |revenue, l| *revenue += l.extendedprice * l.discount,
         |into, from| *into += from,
     )
+    .expect("spilled page unreadable")
 }
 
 /// Q6 over columnar storage in parallel: blocks are the row-group morsels.

@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use smc::{ColumnArrays, Columnar, Columns, DirectRef, Ref, Smc};
+use smc::{ColumnArrays, Columnar, Columns, DirectRef, Guard, Ref, Smc};
 use smc_memory::{Decimal, Runtime, Tabular};
 
 use crate::gen::Generator;
@@ -150,7 +150,8 @@ pub struct Order {
     /// The customer (FK).
     pub customer: Ref<Customer>,
     /// §6 direct pointer to the same customer (Fig 10 nested enumeration,
-    /// Fig 12 direct variant).
+    /// Fig 12 direct variant); linked, so `None` once the customer's block
+    /// was spilled or this order was spilled and faulted back in.
     pub customer_d: Option<DirectRef<Customer>>,
     /// Order status flag.
     pub orderstatus: u8,
@@ -184,9 +185,11 @@ pub struct Lineitem {
     pub part: Ref<Part>,
     /// The supplier (FK).
     pub supplier: Ref<Supplier>,
-    /// Direct-pointer twins of the reference joins (§6).
+    /// Direct-pointer twins of the reference joins (§6), linked: `None`
+    /// where no resident address was left to heal to, and the [`Ref`] twin
+    /// reads the row then.
     pub order_d: Option<DirectRef<Order>>,
-    /// Direct pointer (§6) to the supplier, set when direct mode is on.
+    /// Direct pointer (§6) to the supplier, linked as `order_d` is.
     pub supplier_d: Option<DirectRef<Supplier>>,
     /// Line number within the order.
     pub linenumber: i32,
@@ -321,6 +324,20 @@ unsafe impl Columnar for LineitemCol {
     }
 }
 
+/// Follows a linked §6 direct pointer, or its checked [`Ref`] twin where
+/// the pointer is `None`: cleared because no resident address was left to
+/// heal it to, or never set. `None` when the row was removed.
+pub(crate) fn direct_or<'g, T: Tabular>(
+    direct: Option<DirectRef<T>>,
+    checked: Ref<T>,
+    guard: &'g Guard<'_>,
+) -> Option<&'g T> {
+    match direct {
+        Some(d) => d.get(guard),
+        None => checked.get(guard),
+    }
+}
+
 /// The full TPC-H database over self-managed collections.
 pub struct SmcDb {
     /// The runtime owning every collection's memory context.
@@ -360,6 +377,12 @@ impl SmcDb {
         let lineitems: Smc<Lineitem> = Smc::new(&runtime);
         let lineitems_col: Option<Smc<LineitemCol, Columns>> =
             with_columnar.then(|| Smc::columnar(&runtime));
+        // The §6 direct pointers, declared before any is stored: whatever
+        // block of a target leaves it, the memory manager heals or clears
+        // the pointers into it first.
+        lineitems.link_direct(&orders, |l| &mut l.order_d);
+        lineitems.link_direct(&suppliers, |l| &mut l.supplier_d);
+        orders.link_direct(&customers, |o| &mut o.customer_d);
 
         // Key → reference maps, dense (keys are 0.. or 1..N).
         let mut region_refs = Vec::new();

@@ -15,7 +15,7 @@ use smc_memory::Decimal;
 
 use crate::dates::{LAST_ORDER_DATE, START_DATE};
 use crate::gcdb::{lineitem_key, GcDb, GcLineitem};
-use crate::smcdb::{Lineitem, SmcDb};
+use crate::smcdb::{direct_or, Lineitem, SmcDb};
 
 /// Synthesizes a fresh lineitem for insert streams (keys beyond the loaded
 /// population so removals never collide with inserts).
@@ -194,14 +194,15 @@ pub fn smc_enumerate_nested(db: &SmcDb) -> (u64, i64) {
     (n, acc)
 }
 
-/// Nested enumeration using §6 direct pointers.
+/// Nested enumeration using §6 direct pointers, each falling back to its
+/// `Ref` twin where the pointer is `None` (`direct_or`).
 pub fn smc_enumerate_nested_direct(db: &SmcDb) -> (u64, i64) {
     let guard = db.runtime.pin();
     let mut acc = 0i64;
     let mut n = 0u64;
     db.lineitems.for_each(&guard, |l| {
-        if let Some(o) = l.order_d.and_then(|d| d.get(&guard)) {
-            if let Some(c) = o.customer_d.and_then(|d| d.get(&guard)) {
+        if let Some(o) = direct_or(l.order_d, l.order, &guard) {
+            if let Some(c) = direct_or(o.customer_d, o.customer, &guard) {
                 acc = acc.wrapping_add(c.key);
                 n += 1;
             }

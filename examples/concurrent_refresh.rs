@@ -83,12 +83,12 @@ fn main() {
     }
     let before = db.lineitems.memory_bytes();
     let report = db.lineitems.compact();
-    db.lineitems.release_retired();
     db.runtime.drain_graveyard_blocking();
     println!(
-        "after 90% shrinkage: compaction moved {} objects ({} bailed), {} KiB -> {} KiB",
+        "after 90% shrinkage: compaction moved {} objects ({} bailed), retired {} blocks, {} KiB -> {} KiB",
         report.moved,
         report.bailed,
+        report.retired,
         before / 1024,
         db.lineitems.memory_bytes() / 1024
     );

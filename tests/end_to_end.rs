@@ -54,7 +54,6 @@ fn full_pipeline_load_query_refresh_compact() {
     let bytes_before = db.lineitems.memory_bytes();
     let report = db.lineitems.compact();
     assert!(report.moved > 0, "sparse blocks must compact");
-    db.lineitems.release_retired();
     db.runtime.drain_graveyard_blocking();
     assert!(db.lineitems.memory_bytes() < bytes_before);
     assert_eq!(
@@ -135,7 +134,6 @@ fn smc_survives_interleaved_concurrent_everything() {
     // Compactor.
     for _ in 0..10 {
         let report = c.compact();
-        c.release_retired();
         let _ = report;
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
@@ -227,7 +225,6 @@ mod properties {
                 }
             }
             c.compact();
-            c.release_retired();
             let g = rt.pin();
             for (r, i) in &kept {
                 let item = r.get(&g);

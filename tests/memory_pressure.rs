@@ -162,7 +162,6 @@ fn interrupted_compaction_is_retriable_and_loses_nothing() {
             c.verify()
                 .unwrap_or_else(|v| panic!("invalid after interruption: {v:?}"));
         }
-        c.release_retired();
     }
     assert_eq!(
         interruptions, 3,
@@ -173,7 +172,6 @@ fn interrupted_compaction_is_retriable_and_loses_nothing() {
     // With faults off, a retry pass completes; the survivors are intact.
     let report = c.compact();
     assert!(!report.interrupted);
-    c.release_retired();
     rt.drain_graveyard_blocking();
     assert_eq!(c.len(), live.len() as u64);
     let guard = rt.pin();

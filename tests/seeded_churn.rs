@@ -334,7 +334,6 @@ fn run<L: Layout<Row>>(name: &str, cfg: &Config, make: Make<L>) -> Tally {
                     Ok(pass) => {
                         interrupted_passes += u64::from(pass.interrupted);
                         objects_moved += pass.moved as u64;
-                        c.release_retired();
                     }
                     Err(e) => {
                         assert_eq!(e, MemError::TooManyThreads, "round {round}");
@@ -371,7 +370,6 @@ fn run<L: Layout<Row>>(name: &str, cfg: &Config, make: Make<L>) -> Tally {
                 !pass.interrupted,
                 "round {round}: interrupted with faults off"
             );
-            c.release_retired();
             if pass.groups == 0 || compacted() {
                 break;
             }

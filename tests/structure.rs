@@ -422,6 +422,42 @@ fn one_graveyard() {
     forbid(twins, &["crates/memory/src"]);
 }
 
+/// One retirement: every block that leaves a context — a pass's emptied
+/// source or unused destination, a spill's victim, a dropped context's
+/// blocks — goes through `MemoryContext::retire`, which runs the §6 fix-up
+/// of every linked holder before it buries them. This fails if the caller
+/// protocol (a queue of retired blocks released by hand, the report's list
+/// of their bases, a caller-side fix-up scan) comes back, or if a block is
+/// buried anywhere but in `retire` and the graveyard itself.
+#[test]
+fn one_retirement() {
+    let roots = ["crates", "src", "tests", "examples"];
+    let protocol = "release_retired|pending_retired|retired_bases|fix_direct_refs";
+    forbid(protocol, &roots);
+    let context = "crates/memory/src/context.rs";
+    let text = read(context);
+    let at = |needle: &str| {
+        let line = text.lines().position(|l| l.contains(needle));
+        line.unwrap_or_else(|| panic!("{context}: no line holds {needle:?}")) + 1
+    };
+    let retire = at("fn retire(")..at("fn fix_links(");
+    let graveyard = "crates/memory/src/runtime.rs:";
+    let in_retire = |hit: &str| {
+        let line = hit
+            .strip_prefix(context)
+            .and_then(|h| h[1..].split(':').next());
+        line.and_then(|l| l.parse().ok())
+            .is_some_and(|l: usize| retire.contains(&l))
+    };
+    let burials = grep_r("Grave::Block|bury_block", &roots);
+    assert!(burials.iter().any(|h| in_retire(h)), "{burials:#?}");
+    none(
+        burials
+            .iter()
+            .filter(|h| !h.starts_with(graveyard) && !in_retire(h)),
+    );
+}
+
 /// One trace sink: the tracer has one switch and one kind of ring, one per
 /// emitting thread, written only by its owner; a flight dump writes what the
 /// rings hold. This fails if the flight recorder's own ring, its capacity,
