@@ -342,6 +342,13 @@ pub(crate) fn direct_or<'g, T: Tabular>(
 pub struct SmcDb {
     /// The runtime owning every collection's memory context.
     pub runtime: Arc<Runtime>,
+    // The holders of linked direct pointers come before the tables those
+    // lead into: fields drop in declaration order, and a table dropped
+    // before its holders would have to clear their pointers first.
+    /// The `lineitem` table.
+    pub lineitems: Smc<Lineitem>,
+    /// The `order` table.
+    pub orders: Smc<Order>,
     /// The `region` table.
     pub regions: Smc<Region>,
     /// The `nation` table.
@@ -354,10 +361,6 @@ pub struct SmcDb {
     pub partsupps: Smc<PartSupp>,
     /// The `customer` table.
     pub customers: Smc<Customer>,
-    /// The `order` table.
-    pub orders: Smc<Order>,
-    /// The `lineitem` table.
-    pub lineitems: Smc<Lineitem>,
     /// Columnar twin of the lineitem collection (loaded on demand).
     pub lineitems_col: Option<Smc<LineitemCol, Columns>>,
 }
