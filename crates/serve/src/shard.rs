@@ -569,7 +569,7 @@ fn execute(
                 shared
                     .query_latency
                     .record(clock::now().saturating_sub(start));
-                n.map_or_else(|e| scan_failed(shared, e), ShardReply::Counted)
+                n.map_or_else(|e| failed(shared, "count", e), ShardReply::Counted)
             }
             ShardOp::Sum { lo, hi } => {
                 let start = clock::now();
@@ -589,7 +589,7 @@ fn execute(
                     .query_latency
                     .record(clock::now().saturating_sub(start));
                 summed.map_or_else(
-                    |e| scan_failed(shared, e),
+                    |e| failed(shared, "sum", e),
                     |(count, sum)| ShardReply::Summed { count, sum },
                 )
             }
@@ -610,10 +610,10 @@ fn execute(
     (reply, timing)
 }
 
-/// The answer to a scan that hit a spilled page it cannot read back: an
-/// error frame, and the shard keeps serving.
-fn scan_failed(shared: &ShardShared, e: MemError) -> ShardReply {
-    let message = format!("scan failed on shard {}: {e}", shared.index);
+/// The answer to an operation the memory layer failed — a spilled page that
+/// cannot be read back, say: an error frame, and the shard keeps serving.
+fn failed(shared: &ShardShared, op: &str, e: MemError) -> ShardReply {
+    let message = format!("{op} failed on shard {}: {e}", shared.index);
     ShardReply::Error(ErrorCode::Internal, message)
 }
 
@@ -624,10 +624,6 @@ fn upsert(
     rows: Vec<(u64, u64)>,
 ) -> ShardReply {
     let mut applied = 0u64;
-    let failed = |e: MemError| {
-        let message = format!("upsert failed on shard {}: {e}", shared.index);
-        ShardReply::Error(ErrorCode::Internal, message)
-    };
     for (key, value) in rows {
         if let Some(&r) = local.index.get(&key) {
             let guard = shared.runtime.pin();
@@ -646,7 +642,7 @@ fn upsert(
                 }
                 // The row sits in a spilled page that cannot be read back:
                 // answer with the error and keep serving.
-                Err(e) => return failed(e),
+                Err(e) => return failed(shared, "upsert", e),
             }
         }
         match local.smc.try_add(Row { key, value }) {
@@ -667,7 +663,7 @@ fn upsert(
                     ),
                 );
             }
-            Err(e) => return failed(e),
+            Err(e) => return failed(shared, "upsert", e),
         }
     }
     ShardReply::Upserted(applied)
