@@ -319,25 +319,37 @@ fn linked_world(rt: &Arc<Runtime>) -> (Smc<Person>, Smc<Holder>) {
     (persons, holders)
 }
 
-/// Every holder pointer lies in one of the target's live blocks and reads
-/// the person its checked reference reads.
-fn assert_pointers_live(persons: &Smc<Person>, holders: &Smc<Holder>) {
+/// Every holder pointer still set lies in one of the target's live blocks
+/// and reads the person its checked reference reads. Returns how many are
+/// set and how many cleared.
+fn linked_pointers(persons: &Smc<Person>, holders: &Smc<Holder>) -> (usize, usize) {
     let live: std::collections::HashSet<usize> = (persons.context().membership_snapshot())
         .blocks
         .iter()
         .map(|b| b.base() as usize)
         .collect();
     let g = persons.runtime().pin();
-    let mut checked = 0;
+    let (mut set, mut cleared) = (0, 0);
     holders.for_each(&g, |h| {
-        let d = h.to_d.expect("a live person's pointer stays set");
+        let Some(d) = h.to_d else {
+            cleared += 1;
+            return;
+        };
         let base = d.addr() & !(smc_memory::BLOCK_SIZE - 1);
         assert!(live.contains(&base), "a pointer into a block that left");
         let via_direct = d.get(&g).expect("the pointer resolves");
         assert_eq!(via_direct.age, h.to.get(&g).expect("ref resolves").age);
-        checked += 1;
+        set += 1;
     });
-    assert!(checked > 0);
+    (set, cleared)
+}
+
+/// Every holder pointer is set, lies in one of the target's live blocks and
+/// reads the person its checked reference reads.
+fn assert_pointers_live(persons: &Smc<Person>, holders: &Smc<Holder>) {
+    let (set, cleared) = linked_pointers(persons, holders);
+    assert_eq!(cleared, 0, "a live person's pointer stays set");
+    assert!(set > 0);
 }
 
 #[test]
@@ -390,6 +402,66 @@ fn a_drop_that_cannot_fix_up_leaks_its_blocks_and_does_not_panic() {
     assert_eq!(rt.buried().blocks, 0, "blocks buried without their fix-up");
     let g = rt.pin();
     holders.for_each(&g, |h| assert!(h.to_d.and_then(|d| d.get(&g)).is_none()));
+}
+
+/// A page store that runs a compaction pass over another context, then
+/// fails the write: the pass retires blocks while the spilling holder's
+/// victim is out of the holder's membership, where no fix-up reaches it.
+#[derive(Debug)]
+struct CompactThenFail {
+    target: Arc<smc_memory::MemoryContext>,
+    retired: std::sync::atomic::AtomicUsize,
+}
+
+impl smc_memory::PageStore for CompactThenFail {
+    fn store_page(&self, _: u64, _: &[u8]) -> Result<u64, smc_memory::SpillIoError> {
+        let report = self.target.compact();
+        self.retired.fetch_add(report.retired, Ordering::Relaxed);
+        Err(smc_memory::SpillIoError("the write failed".into()))
+    }
+
+    fn load_page(&self, _: u64, _: u64, _: &mut Vec<u8>) -> Result<(), smc_memory::SpillIoError> {
+        unreachable!("no page was stored")
+    }
+
+    fn discard_page(&self, _: u64) {}
+}
+
+/// A holder's spill whose store fails hands its victim back, and the target
+/// retired blocks while the victim was away: the victim comes back holding
+/// no pointer into them.
+#[test]
+fn a_failed_holder_spill_keeps_no_pointer_into_a_retired_block() {
+    let rt = Runtime::new();
+    let (persons, holders) = linked_world(&rt);
+    holders.link_direct(&persons, |h| &mut h.to_d);
+    // Fill the holders' first block with pointers into the sparse blocks;
+    // the loading thread moves on to a second, so the first can spill.
+    let copies: Vec<Holder> = {
+        let g = rt.pin();
+        let mut copies = Vec::new();
+        holders.for_each(&g, |h| copies.push(*h));
+        copies
+    };
+    let cap = holders.context().layout().capacity as usize;
+    for h in copies.iter().cycle().take(cap) {
+        holders.add(*h);
+    }
+    let store = Arc::new(CompactThenFail {
+        target: persons.context().clone(),
+        retired: Default::default(),
+    });
+    assert!(holders.enable_spill(store.clone()));
+    assert!(!holders.context().try_spill_one(), "the store failed");
+    assert_eq!(holders.spilled_blocks(), 0);
+    assert!(
+        store.retired.load(Ordering::Relaxed) > 0,
+        "no block retired"
+    );
+    rt.drain_graveyard_blocking();
+    let (set, cleared) = linked_pointers(&persons, &holders);
+    assert!(set > 0, "no pointer outside the victim was healed");
+    assert!(cleared > 0, "the victim kept its pointers");
 }
 
 /// A spill of the target clears every linked pointer into its victim, and a
