@@ -451,7 +451,8 @@ impl<T: Tabular> Smc<T> {
     /// its [`Ref`] twin still reads it). A spill of this collection clears
     /// `field` in every object it writes to a page. Declare the link before
     /// the first object holds such a pointer. A [`DirectRef`] kept anywhere
-    /// but a linked field is healed by nothing.
+    /// but a linked field is healed by nothing. Panics if `target` belongs
+    /// to another runtime.
     pub fn link_direct<U: Tabular>(
         &self,
         target: &Smc<U>,

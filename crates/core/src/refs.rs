@@ -221,11 +221,12 @@ impl<T: Tabular> DirectRef<T> {
     /// Dereferences through the slot-header incarnation; follows forwarding
     /// tombstones left by compaction (§6). Kept in a field declared with
     /// [`Smc::link_direct`](crate::Smc::link_direct), the pointer is healed
-    /// or cleared before its block leaves the collection. Kept anywhere else
-    /// (a local, a `Vec`), it is healed by nothing: once a block it points
-    /// into has left and its burial has ripened, dereferencing it reads
-    /// freed memory, so use such a pointer inside the critical section it
-    /// was taken in.
+    /// or cleared before its block leaves the collection, unless it was
+    /// stored there while that block was leaving: the fix-up may have passed
+    /// the slot already. Kept anywhere else (a local, a `Vec`), it is healed
+    /// by nothing: once a block it points into has left and its burial has
+    /// ripened, dereferencing it reads freed memory, so use such a pointer
+    /// inside the critical section it was taken in.
     #[inline]
     pub fn get<'g>(&self, guard: &'g Guard<'_>) -> Option<&'g T> {
         self.resolve(guard).map(|(r, _)| r)
@@ -250,8 +251,10 @@ impl<T: Tabular> DirectRef<T> {
         // cleared before any block it points into leaves its collection, so
         // no linked pointer outlives its block's residency (§6); a validated
         // address is a live `T` for the guard's critical section, as for
-        // `Ref::get`. A pointer kept anywhere else is covered only inside
-        // the critical section it was taken in (see `get`).
+        // `Ref::get`. Not covered: a pointer stored into a linked field
+        // while the target retires its block, which the fix-up may miss
+        // (see `get`), and a pointer kept anywhere else outside the
+        // critical section it was taken in.
         let (addr, healed) = unsafe { self.ptr.resolve(guard) }?;
         Some((unsafe { &*(addr as *const T) }, healed))
     }

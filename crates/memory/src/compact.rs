@@ -259,7 +259,7 @@ impl MemoryContext {
     /// (a pass that found nothing to do answers `Ok` with an empty report).
     pub fn try_compact(&self) -> Result<CompactionReport, MemError> {
         self.runtime.thread_slot()?;
-        let _exclusive = self.runtime.compaction_mutex.lock();
+        let exclusive = self.runtime.compaction_mutex.lock();
         let mut report = CompactionReport::default();
 
         // Claim candidate source blocks. They stay in the regular
@@ -369,6 +369,8 @@ impl MemoryContext {
         }
 
         let leaving = self.publish_groups(&groups, &mut report);
+        // The fix-up `retire` runs takes the compaction mutex itself.
+        drop(exclusive);
         self.retire(leaving);
         MemoryStats::inc(&self.runtime.stats.compactions);
         report.groups = groups.len();

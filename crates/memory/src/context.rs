@@ -46,9 +46,13 @@
 //! set of the retired blocks; a hit is healed to where the object lives now
 //! (the tombstone chase of [`DirectPtr`]) or, when no
 //! resident address is left (the object was freed or spilled), cleared to
-//! `None`. A holder's own spill clears its linked fields in every object it
-//! copies into a page, so no page carries a direct pointer. No linked
-//! pointer therefore outlives its block's residency.
+//! `None`. The fix-up holds the runtime's compaction mutex, so no pass of a
+//! holder copies an object while its pointers are rewritten. A holder's own
+//! spill clears its linked fields in every object it copies into a page, so
+//! no page carries a direct pointer. No linked pointer therefore outlives
+//! its block's residency, with one exception: a pointer that an add or an
+//! update of the holder stores into a linked field while its target retires
+//! the block. The fix-up may have passed that slot before the store lands.
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::Ordering;
@@ -760,11 +764,17 @@ impl MemoryContext {
     /// clears `field` in every object it copies into a page. Declare it
     /// before the first object holds such a pointer: a page spilled earlier
     /// keeps what it holds. Panics if this context is columnar: its slots
-    /// hold cells, not objects `field` could be read from.
+    /// hold cells, not objects `field` could be read from; or if `target`
+    /// belongs to another runtime: the fix-up is ordered against this
+    /// context's compaction passes by the runtime's compaction mutex.
     pub fn link_direct(self: &Arc<Self>, target: &MemoryContext, field: Arc<dyn DirectField>) {
         assert!(
             !self.layout.is_columnar(),
             "a columnar holder links nothing"
+        );
+        assert!(
+            Arc::ptr_eq(&self.runtime, &target.runtime),
+            "a holder links only into its own runtime"
         );
         self.spill.lock().direct_fields.push(field.clone());
         let holder = Arc::downgrade(self);
@@ -773,7 +783,10 @@ impl MemoryContext {
 
     /// The one way blocks leave this context: runs the §6 fix-up of every
     /// linked holder over `blocks`, then buries them two epochs out. The
-    /// caller holds no lock of this context.
+    /// caller holds no lock of this context and not the runtime's
+    /// compaction mutex, which the fix-up takes when a holder is linked. A
+    /// caller pinned in a critical section may then wait for a pass in
+    /// flight, and that pass waits out its patience for the pin.
     pub(crate) fn retire(&self, blocks: impl IntoIterator<Item = BlockRef>) {
         let blocks: Vec<BlockRef> = blocks.into_iter().collect();
         if blocks.is_empty() {
@@ -799,8 +812,11 @@ impl MemoryContext {
     /// first compute the address of the corresponding block \[and\] probe it
     /// in the hash table") is healed to the object's resident address, or
     /// cleared to `None` when none is left. Healed and cleared pointers both count in
-    /// `direct_pointers_fixed`. False when a holder is linked and the
-    /// calling thread cannot claim an epoch slot, so nothing was fixed.
+    /// `direct_pointers_fixed`. It runs under the runtime's compaction
+    /// mutex, so no pass of a holder copies an object while its pointers
+    /// are rewritten: a pointer healed in a slot the mover had already
+    /// copied would be lost. False when a holder is linked and the calling
+    /// thread cannot claim an epoch slot, so nothing was fixed.
     fn fix_links(&self, retired: &[BlockRef]) -> bool {
         let holders: Vec<(Arc<MemoryContext>, Arc<dyn DirectField>)> = {
             let mut links = self.links.lock();
@@ -813,6 +829,10 @@ impl MemoryContext {
         if holders.is_empty() {
             return true;
         }
+        // Taken before the pin (a pass in flight waits for pinned threads)
+        // and let go before `holders`, whose drop may be a holder's last,
+        // which retires its own blocks.
+        let _passes = self.runtime.compaction_mutex.lock();
         let Ok(guard) = self.runtime.try_pin() else {
             return false;
         };

@@ -538,11 +538,15 @@ impl DirectPtr {
     /// The blocks the walk reads must still be mapped: the pointer's block
     /// and every forwarding source since were not released. A pointer kept
     /// in a linked field ([`MemoryContext::link_direct`]) meets this by
-    /// construction: a block leaves its context only through the context's
-    /// retirement, which heals or clears every linked pointer into it before
-    /// burying it (§6), so no linked pointer outlives its block's residency.
-    /// A pointer kept anywhere else meets it only while it was taken inside
-    /// the caller's critical section. The caller holds `guard`, so nothing
+    /// construction, but for one case: a block leaves its context only
+    /// through the context's retirement, which heals or clears every linked
+    /// pointer into it before burying it (§6), ordered against the holder's
+    /// compaction passes. The case it misses is a pointer that an add or an
+    /// update of the holder stores into a linked field while the target
+    /// retires the pointer's block: the fix-up may have passed that slot
+    /// already, and the pointer outlives the block. A pointer kept anywhere
+    /// else meets it only while it was taken inside the caller's critical
+    /// section. The caller holds `guard`, so nothing
     /// the walk reads is reused before the critical section ends.
     ///
     /// [`MemoryContext::link_direct`]: crate::context::MemoryContext::link_direct

@@ -52,7 +52,8 @@ pub struct Runtime {
     /// gauge). Policy lives here in the runtime.
     pub(crate) alloc: BlockAllocator,
     /// Serializes compaction passes ("the compaction thread", §5.1 — one at
-    /// a time per runtime).
+    /// a time per runtime) and the §6 fix-up a retirement runs over linked
+    /// holders, which must not race a holder's mover.
     pub(crate) compaction_mutex: Mutex<()>,
     /// Unlinked memory, each with the global epoch at which no reader can
     /// still reach it.

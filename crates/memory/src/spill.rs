@@ -55,10 +55,10 @@
 //! displace two epochs out: a fault-in its stub, a spill its victim block,
 //! which goes through the context's retirement once the spill mutex is
 //! released, so every linked direct pointer into it is cleared first (no
-//! linked pointer outlives its block's residency, §6). A spill of a context
-//! that holds linked pointers itself copies each object through a scratch
-//! record and clears those fields there, so no page carries a direct
-//! pointer. Nothing but the memory manager moves the epoch (§3.4), so both
+//! linked pointer outlives its block's residency, §6, but for one stored
+//! while the retirement runs; see [`crate::context`]). A spill of a context
+//! that holds linked pointers itself clears those fields in each object
+//! before it copies it into the page, so no page carries a direct pointer. Nothing but the memory manager moves the epoch (§3.4), so both
 //! call `Runtime::advance_and_drain`: the allocation path after a successful
 //! spill, [`MemoryContext::fault_in_block`] on entry. A load, or a run of
 //! reads each under its own pin, therefore gets the victim of two spills ago
@@ -497,9 +497,10 @@ impl MemoryContext {
             return None;
         }
         // Copy pass: each tagged object goes from its slot straight into the
-        // page buffer, once, in slot order — or, where this context holds
-        // linked direct pointers, through an aligned scratch record whose
-        // linked fields are cleared: a page outlives any address.
+        // page buffer, once, in slot order, its linked direct-pointer fields
+        // cleared first, in the slot: a page outlives any address, and a
+        // victim the failed store below hands back holds no pointer that a
+        // target's fix-up passed over while the victim was out of membership.
         let obj_size = self.layout.obj_size as usize;
         let SpillState {
             page_buf,
@@ -508,26 +509,14 @@ impl MemoryContext {
         } = &mut *s;
         let mut page =
             PageWriter::begin(page_buf, block_id, obj_size, self.layout.capacity as usize);
-        let mut scratch = Vec::new();
-        if !direct_fields.is_empty() {
-            scratch.resize(obj_size + self.obj_align, 0u8);
-        }
-        let aligned = scratch.as_ptr().align_offset(self.obj_align);
         for &slot_id in &slots {
             let obj = victim.obj_ptr(slot_id);
             // SAFETY: a tagged object of a block we hold under the claim: a
-            // free faults it in first, which waits for the spill mutex.
-            // `record` is an aligned copy of it, and each field is one of
-            // this context's own.
+            // free faults it in first, which waits for the spill mutex. Each
+            // field is one of this context's own.
             unsafe {
-                if direct_fields.is_empty() {
-                    page.push(obj);
-                } else {
-                    let record = scratch[aligned..aligned + obj_size].as_mut_ptr();
-                    std::ptr::copy_nonoverlapping(obj, record, obj_size);
-                    direct_fields.iter().for_each(|f| f.set(record, None));
-                    page.push(record);
-                }
+                direct_fields.iter().for_each(|f| f.set(obj, None));
+                page.push(obj);
             }
         }
         let stored = if self.runtime.faults().should_fail(FaultSite::SpillStore) {
