@@ -11,7 +11,8 @@ use std::collections::HashSet;
 
 use smc_util::rng::Pcg32 as StdRng;
 
-use smc_memory::Decimal;
+use smc::Smc;
+use smc_memory::{Decimal, Tabular};
 
 use crate::dates::{LAST_ORDER_DATE, START_DATE};
 use crate::gcdb::{lineitem_key, GcDb, GcLineitem};
@@ -91,10 +92,15 @@ pub fn smc_removal_stream(db: &SmcDb, victims: &HashSet<i64>) -> usize {
 /// blocks under a context's `compaction_occupancy` cutoff and gives a
 /// subsequent [`Smc::compact`](smc::Smc::compact) pass actual candidates.
 pub fn smc_decimate(db: &SmcDb, rng: &mut StdRng, fraction: f64) -> usize {
+    decimate(&db.lineitems, rng, fraction)
+}
+
+/// [`smc_decimate`] over any row table.
+pub fn decimate<T: Tabular>(table: &Smc<T>, rng: &mut StdRng, fraction: f64) -> usize {
     let cutoff = (fraction * 1024.0) as u32;
-    let guard = db.runtime.pin();
+    let guard = table.runtime().pin();
     let mut to_remove = Vec::new();
-    db.lineitems.for_each_ref(&guard, |r, _| {
+    table.for_each_ref(&guard, |r, _| {
         if rng.gen_range(0u32..1024) < cutoff {
             to_remove.push(r);
         }
@@ -102,7 +108,7 @@ pub fn smc_decimate(db: &SmcDb, rng: &mut StdRng, fraction: f64) -> usize {
     drop(guard);
     let mut removed = 0;
     for r in to_remove {
-        if db.lineitems.remove(r) {
+        if table.remove(r) {
             removed += 1;
         }
     }
