@@ -919,6 +919,49 @@ pub(crate) mod tests {
         unsafe { (payload as *const u64).read() }
     }
 
+    /// A holder row that is one direct pointer.
+    #[derive(Debug)]
+    struct WholeRow;
+
+    impl DirectField for WholeRow {
+        unsafe fn get(&self, obj: *mut u8) -> Option<DirectPtr> {
+            obj.cast::<Option<DirectPtr>>().read()
+        }
+
+        unsafe fn set(&self, obj: *mut u8, ptr: Option<DirectPtr>) {
+            obj.cast::<Option<DirectPtr>>().write(ptr)
+        }
+    }
+
+    /// A retirement's fix-up waits for a pass in flight (here: the held
+    /// compaction mutex), so no holder's mover copies an object while the
+    /// fix-up rewrites its pointers.
+    #[test]
+    fn the_fix_up_waits_for_a_pass_in_flight() {
+        let rt = Runtime::new();
+        let target = ctx(&rt);
+        let size = std::mem::size_of::<Option<DirectPtr>>();
+        let row = type_id_of::<Option<DirectPtr>>();
+        let holder = MemoryContext::new_rows(rt.clone(), size, 8, row, ContextConfig::default());
+        let holder = Arc::new(holder.unwrap());
+        holder.link_direct(&target, Arc::new(WholeRow));
+        alloc_u64(&target, 7);
+        let pass = rt.compaction_mutex.lock();
+        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let dropper = {
+            let done = done.clone();
+            std::thread::spawn(move || {
+                drop(target);
+                done.store(true, Ordering::SeqCst);
+            })
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(!done.load(Ordering::SeqCst), "the fix-up ran beside a pass");
+        drop(pass);
+        dropper.join().unwrap();
+        assert!(done.load(Ordering::SeqCst));
+    }
+
     #[test]
     fn alloc_writes_before_publishing() {
         let rt = Runtime::new();
