@@ -206,3 +206,77 @@ fn compaction_respects_occupancy_threshold_config() {
     assert_eq!(report.groups, 0);
     assert_eq!(report.moved, 0);
 }
+
+/// A holder of a §6 direct pointer into a person collection, beside the
+/// checked reference it twins.
+#[derive(Clone, Copy)]
+struct Holder {
+    to: Ref<Obj>,
+    to_d: Option<DirectRef<Obj>>,
+}
+unsafe impl Tabular for Holder {}
+
+/// A pass that dies mid-group leaves a source it only partly emptied. That
+/// source goes back into the collection as any claimed block does: its
+/// moved-out slots are ordinary counted limbo, reused by a refill once
+/// their epoch has passed, and the linked pointers into it were healed.
+#[test]
+fn a_partly_moved_source_refills_as_ordinary_limbo() {
+    for seed in 0..4u64 {
+        let rt = Runtime::new();
+        let persons: Smc<Obj> = Smc::new(&rt);
+        let holders: Smc<Holder> = Smc::new(&rt);
+        holders.link_direct(&persons, |h| &mut h.to_d);
+        let cap = persons.context().layout().capacity as usize;
+        let refs: Vec<Ref<Obj>> = (0..cap * 4).map(|i| persons.add(obj(i as u64))).collect();
+        let mut kept = Vec::new();
+        for (i, r) in refs.iter().enumerate() {
+            if i % 5 == 0 {
+                kept.push(*r);
+            } else {
+                persons.remove(*r);
+            }
+        }
+        {
+            let g = rt.pin();
+            for r in &kept {
+                holders.add(Holder {
+                    to: *r,
+                    to_d: r.to_direct(&g),
+                });
+            }
+        }
+        // An inline pass whose mover dies after at least one move.
+        rt.faults().set_rate(smc_memory::FaultSite::Relocation, 96);
+        rt.faults().set_limit(Some(1));
+        rt.faults().enable(seed);
+        let report = persons.compact();
+        rt.faults().disable();
+        assert!(
+            report.interrupted && report.moved > 0,
+            "seed {seed}: {report:?}"
+        );
+        for r in kept.iter().step_by(7) {
+            assert!(persons.remove(*r));
+        }
+        for _ in 0..4 {
+            rt.try_advance_epoch();
+        }
+        for i in 0..cap * 2 {
+            persons.add(obj(1_000_000 + i as u64));
+        }
+        rt.drain_graveyard_blocking();
+        let errors = persons.verify().err().into_iter().chain(rt.verify().err());
+        let errors: Vec<String> = errors.flatten().collect();
+        assert!(errors.is_empty(), "seed {seed}: {errors:?}");
+        let g = rt.pin();
+        let mut mismatched = 0;
+        holders.for_each(&g, |h| {
+            if let Some(p) = h.to.get(&g) {
+                let direct = h.to_d.and_then(|d| d.get(&g)).map(|o| o.key);
+                mismatched += usize::from(direct != Some(p.key));
+            }
+        });
+        assert_eq!(mismatched, 0, "seed {seed}: linked pointers that misread");
+    }
+}
