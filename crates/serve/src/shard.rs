@@ -557,7 +557,7 @@ fn execute(
         ),
         Some(local) => match job.op {
             ShardOp::Upsert(rows) => upsert(shared, tenant_id, local, rows),
-            ShardOp::Delete(keys) => delete(local, keys),
+            ShardOp::Delete(keys) => delete(shared, local, keys),
             ShardOp::Count { lo, hi } => {
                 let start = clock::now();
                 let n = ParScan::new(&local.smc, pool).filter_fold(
@@ -669,13 +669,21 @@ fn upsert(
     ShardReply::Upserted(applied)
 }
 
-fn delete(local: &mut TenantLocal, keys: Vec<u64>) -> ShardReply {
+fn delete(shared: &ShardShared, local: &mut TenantLocal, keys: Vec<u64>) -> ShardReply {
     let mut deleted = 0u64;
     for key in keys {
-        if let Some(r) = local.index.remove(&key) {
-            if matches!(local.smc.try_remove(r), Ok(true)) {
-                deleted += 1;
+        let Some(&r) = local.index.get(&key) else {
+            continue;
+        };
+        match local.smc.try_remove(r) {
+            Ok(removed) => {
+                local.index.remove(&key);
+                deleted += u64::from(removed);
             }
+            // The row sits in a spilled page that cannot be read back: it
+            // stays, so its key stays too. Answer with the error and keep
+            // serving.
+            Err(e) => return failed(shared, "delete", e),
         }
     }
     ShardReply::Deleted(deleted)

@@ -130,13 +130,12 @@ fn budget_smaller_than_dataset_spills_instead_of_rejecting() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// An upsert that lands on a key whose spilled page cannot be read back is
-/// answered with an error frame naming the spill fault, and the shard keeps
-/// serving: the spill file is zero-filled under a running server, so every
-/// spilled page fails its checksum.
-#[test]
-fn an_unreadable_spilled_page_fails_the_upsert_not_the_shard() {
-    let dir = tmpdir("unreadable");
+/// A server whose tenant holds the keys `0..n` under a budget that spills
+/// most of them, with every spilled page then made unreadable: the spill
+/// files are zero-filled under the running server, so each page fails its
+/// checksum. Returns the directory, the server, a client and `n`.
+fn unreadable_spill(tag: &str) -> (PathBuf, Server, Client, u64) {
+    let dir = tmpdir(tag);
     let budget = Some((SHARDS * BLOCK_SIZE) as u64);
     let n = (SHARDS * 3 * BLOCK_SIZE / 16) as u64;
     let server = server_at(&dir, budget);
@@ -157,17 +156,23 @@ fn an_unreadable_spilled_page_fails_the_upsert_not_the_shard() {
         zeroed += len;
     }
     assert!(zeroed > 0, "the budget spilled nothing");
+    (dir, server, client, n)
+}
 
-    // Every key once: the ones in spilled pages cannot be updated.
-    let rewrite: Vec<(u64, u64)> = (0..n).map(|k| (k, k + 1)).collect();
-    match client.upsert(0, rewrite) {
+/// `answer` is the error frame of a spill fault.
+fn refused<T: std::fmt::Debug>(answer: Result<T, smc_serve::ClientError>) {
+    match answer {
         Err(smc_serve::ClientError::Server(code, msg)) => {
             assert_eq!(code, smc_serve::wire::ErrorCode::Internal, "{msg}");
             assert!(msg.contains("spilled page"), "{msg}");
         }
-        other => panic!("an upsert over unreadable pages answered {other:?}"),
+        other => panic!("an operation over unreadable pages answered {other:?}"),
     }
-    // The shards are still serving: a ping, and fresh keys on both shards.
+}
+
+/// The shards are still serving: a ping, and fresh keys on both shards.
+/// Stops the server.
+fn still_serving(dir: PathBuf, server: Server, mut client: Client, n: u64) {
     client.ping().unwrap();
     let fresh: Vec<(u64, u64)> = (n..n + 64).map(|k| (k, k)).collect();
     assert_eq!(client.upsert(0, fresh).unwrap(), 64);
@@ -176,47 +181,38 @@ fn an_unreadable_spilled_page_fails_the_upsert_not_the_shard() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// An upsert that lands on a key whose spilled page cannot be read back is
+/// answered with an error frame naming the spill fault, and the shard keeps
+/// serving.
+#[test]
+fn an_unreadable_spilled_page_fails_the_upsert_not_the_shard() {
+    let (dir, server, mut client, n) = unreadable_spill("unreadable");
+    // Every key once: the ones in spilled pages cannot be updated.
+    let rewrite: Vec<(u64, u64)> = (0..n).map(|k| (k, k + 1)).collect();
+    refused(client.upsert(0, rewrite));
+    still_serving(dir, server, client, n);
+}
+
 /// A `COUNT` or `SUM` over a tenant whose spilled pages cannot be read back
 /// is answered with an error frame naming the spill fault, and the shard
 /// keeps serving, as an upsert over such pages is.
 #[test]
 fn an_unreadable_spilled_page_fails_the_count_not_the_shard() {
-    let dir = tmpdir("unreadable-count");
-    let budget = Some((SHARDS * BLOCK_SIZE) as u64);
-    let n = (SHARDS * 3 * BLOCK_SIZE / 16) as u64;
-    let server = server_at(&dir, budget);
-    let mut client = connect(&server);
-    let rows: Vec<(u64, u64)> = (0..n).map(|k| (k, k)).collect();
-    for batch in rows.chunks(512) {
-        assert_eq!(
-            client.upsert(0, batch.to_vec()).unwrap(),
-            batch.len() as u64
-        );
-    }
-    let mut zeroed = 0;
-    for shard in 0..SHARDS {
-        let path = dir.join(format!("shard-{shard}/tenant-0/spill.dat"));
-        let len = std::fs::metadata(&path).unwrap().len();
-        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-        std::os::unix::fs::FileExt::write_all_at(&file, &vec![0; len as usize], 0).unwrap();
-        zeroed += len;
-    }
-    assert!(zeroed > 0, "the budget spilled nothing");
+    let (dir, server, mut client, n) = unreadable_spill("unreadable-count");
+    refused(client.count(0, 0, u64::MAX));
+    refused(client.sum(0, 0, u64::MAX));
+    still_serving(dir, server, client, n);
+}
 
-    let refused = |answer: Result<String, smc_serve::ClientError>| match answer {
-        Err(smc_serve::ClientError::Server(code, msg)) => {
-            assert_eq!(code, smc_serve::wire::ErrorCode::Internal, "{msg}");
-            assert!(msg.contains("spilled page"), "{msg}");
-        }
-        other => panic!("a scan over unreadable pages answered {other:?}"),
-    };
-    refused(client.count(0, 0, u64::MAX).map(|n| n.to_string()));
-    refused(client.sum(0, 0, u64::MAX).map(|s| format!("{s:?}")));
-    // The shards are still serving: a ping, and fresh keys on both shards.
-    client.ping().unwrap();
-    let fresh: Vec<(u64, u64)> = (n..n + 64).map(|k| (k, k)).collect();
-    assert_eq!(client.upsert(0, fresh).unwrap(), 64);
-    drop(client);
-    drop(server);
-    std::fs::remove_dir_all(&dir).ok();
+/// A `DELETE` of a key whose spilled page cannot be read back is answered
+/// with an error frame naming the spill fault, and the row keeps its key: a
+/// second delete meets the same page and fails the same way. The shard
+/// keeps serving.
+#[test]
+fn an_unreadable_spilled_page_fails_the_delete_not_the_shard() {
+    let (dir, server, mut client, n) = unreadable_spill("unreadable-delete");
+    let every_key: Vec<u64> = (0..n).collect();
+    refused(client.delete(0, every_key.clone()));
+    refused(client.delete(0, every_key));
+    still_serving(dir, server, client, n);
 }
