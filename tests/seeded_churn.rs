@@ -6,11 +6,13 @@
 //! self-checking row, stored in rows or in columns, and run a seeded mix of
 //! add, remove, read and enumerate, or fill-and-decimate churn. Compaction runs either inline, one
 //! pass before each worker joins and one after the last, with faults armed,
-//! or in a maintenance `Coordinator` beside a scanning thread. Every round
-//! ends quiescent:
-//! faults off, passes that are not interrupted, `Smc::verify` and
-//! `Runtime::verify` clean, `len` and `valid_slots` equal to the models, and
-//! no torn read. The run ends by reading every survivor back.
+//! or in a maintenance `Coordinator` beside a scanning thread. Once the
+//! workers have joined, with faults off and no pass in flight, `Smc::verify`
+//! and `Runtime::verify` check what the churn left, before any quiescent
+//! pass tidies it. Every round then ends quiescent:
+//! passes that are not interrupted, both verifies clean again, `len` and
+//! `valid_slots` equal to the models, and no torn read. The run ends by
+//! reading every survivor back.
 //!
 //! Each test is one configuration, and each asserts it was not vacuous:
 //! every site it arms injects, a budgeted run meets the budget gate's
@@ -359,10 +361,21 @@ fn run<L: Layout<Row>>(name: &str, cfg: &Config, make: Make<L>) -> Tally {
             );
         }
 
-        // Quiescent: faults off, then compact until a pass forms no group
-        // or none would (the context is not due; a pass's own part-filled
-        // destination can be a candidate).
+        // Faults off and no pass in flight: verify what the churn and its
+        // passes left, before the quiescent passes below tidy it up.
         rt.faults().disable();
+        let verify = |when: &str| {
+            let fail = |what: &str, v: Vec<String>| {
+                format!("round {round}, {when}: {what}:\n  {}", v.join("\n  "))
+            };
+            let report = (c.verify()).unwrap_or_else(|v| panic!("{}", fail("Smc::verify", v)));
+            (rt.verify()).unwrap_or_else(|v| panic!("{}", fail("Runtime::verify", v)));
+            report
+        };
+        verify("after the joins");
+        // Then compact until a pass forms no group or none would (the
+        // context is not due; a pass's own part-filled destination can be a
+        // candidate).
         let compacted = || !c.context().compaction_due();
         for _ in 0..4 {
             let pass = c.compact();
@@ -377,11 +390,7 @@ fn run<L: Layout<Row>>(name: &str, cfg: &Config, make: Make<L>) -> Tally {
         rt.drain_graveyard_blocking();
 
         assert_eq!(torn, 0, "round {round}: torn rows read");
-        let report = c
-            .verify()
-            .unwrap_or_else(|v| panic!("round {round}: Smc::verify:\n  {}", v.join("\n  ")));
-        rt.verify()
-            .unwrap_or_else(|v| panic!("round {round}: Runtime::verify:\n  {}", v.join("\n  ")));
+        let report = verify("quiescent");
         let live = pools.iter().map(Vec::len).sum::<usize>() as u64;
         assert_eq!(c.len(), live, "round {round}: len != the models");
         assert_eq!(report.valid_slots, live, "round {round}: valid_slots");
