@@ -144,16 +144,11 @@ impl CollectionSnapshot {
     /// whole consistency argument.
     pub fn capture(ctx: &MemoryContext, _guard: &Guard<'_>) -> CollectionSnapshot {
         let membership = ctx.membership_snapshot();
-        let mut blocks = Vec::with_capacity(membership.blocks.len());
-        for block in &membership.blocks {
-            blocks.push(block_snapshot(block, false));
-        }
-        for group in &membership.groups {
-            for block in &group.sources {
-                blocks.push(block_snapshot(block, true));
-            }
-            blocks.push(block_snapshot(&group.dest, true));
-        }
+        // Group blocks are the ones past the regular list.
+        let regular = membership.blocks.len();
+        let blocks = (membership.owned_blocks().enumerate())
+            .map(|(i, block)| block_snapshot(&block, i >= regular))
+            .collect();
         let mut snap = CollectionSnapshot {
             context_id: ctx.id(),
             slot_bytes: slot_bytes(ctx),
