@@ -236,7 +236,7 @@ fn move_fixture(value: u64, slot_counter: u32) -> MoveFixture {
         .try_set_flag(slot_counter, FLAG_FROZEN));
     let dest = dst.obj_ptr(DEST_SLOT) as usize;
     let reloc = RelocEntry::new(SRC_SLOT, entry.addr(), 0, dest, DEST_SLOT);
-    RelocationList::new(layout, vec![reloc]).install(&src);
+    RelocationList::new(layout, 0, vec![reloc]).install(&src);
     MoveFixture {
         src,
         dst,
@@ -576,7 +576,7 @@ pub fn exactly_once_visitation() -> Scenario {
             slot,
         ));
     }
-    RelocationList::new(layout, relocs).install(&src);
+    RelocationList::new(layout, 0, relocs).install(&src);
     let group = Arc::new(CompactionGroup {
         sources: vec![src],
         dest: dst,

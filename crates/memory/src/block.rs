@@ -570,12 +570,14 @@ impl BlockRef {
     /// Re-initializes a **recycled** (retired, possibly dirty) raw block for
     /// a new tenancy without paying a full 64 KiB zeroing: one memset covers
     /// the header, slot directory and back-pointers (everything before the
-    /// object store), and the store is only normalized at the new geometry's
-    /// incarnation words — flags cleared, counter bits kept, so a stale
-    /// direct pointer into the recycled block still fails its incarnation
-    /// check. This is the one block-reset path. Payload bytes are left
-    /// as-is: reads are gated by the slot directory (all `Free` after the
-    /// memset) and the incarnation check.
+    /// object store). The store — payload bytes and incarnation words — is
+    /// left as the last tenant left it: reads are gated by the slot
+    /// directory (all `Free` after the memset), and every path that fills a
+    /// slot writes its incarnation word without flags: an add or a fault-in
+    /// bumps the counter past the last tenant's, so a stale direct pointer
+    /// into a slot it refilled fails its incarnation check, and a move
+    /// installs the moved object's own counter. This is the one block-reset
+    /// path.
     ///
     /// # Safety
     /// `base` must be a retired block allocation ([`retire`](Self::retire))
@@ -589,23 +591,7 @@ impl BlockRef {
         owner_shard: u32,
     ) -> BlockRef {
         std::ptr::write_bytes(base as *mut u8, 0, layout.store_offset as usize);
-        let block = Self::init_at(base, layout, type_id, context_id, owner_shard);
-        let h = block.header();
-        if h.slot_stride > 0 {
-            for slot in 0..h.capacity {
-                let inc = block.slot_inc(slot);
-                let cur = inc.load(Ordering::Relaxed);
-                inc.store(cur & crate::incarnation::INC_MASK, Ordering::Relaxed);
-            }
-        } else {
-            // Columnar stores keep incarnations in the leading column.
-            for slot in 0..h.capacity {
-                let inc = block.payload_inc(slot);
-                let cur = inc.load(Ordering::Relaxed);
-                inc.store(cur & crate::incarnation::INC_MASK, Ordering::Relaxed);
-            }
-        }
-        block
+        Self::init_at(base, layout, type_id, context_id, owner_shard)
     }
 
     /// Tears the block down to raw recyclable memory: drops any leftover
@@ -1065,8 +1051,11 @@ pub(crate) mod tests {
         unsafe { b.deallocate() };
     }
 
+    /// Reuse resets the header and the slot directory and leaves the object
+    /// store alone, incarnation words included: the fill that reuses a slot
+    /// resets its word (`context::tests::a_refill_of_a_recycled_block_*`).
     #[test]
-    fn reuse_preserves_incarnations_but_resets_state() {
+    fn reuse_resets_header_and_directory_and_leaves_the_store() {
         let layout = BlockLayout::rows_of::<u64>().unwrap();
         let b = BlockRef::allocate(&layout, 1, 1).unwrap();
         b.slot_word(0).set_valid();
@@ -1074,17 +1063,13 @@ pub(crate) mod tests {
         assert!(b
             .slot_inc(0)
             .try_set_flag(1, crate::incarnation::FLAG_FORWARD));
+        let word = b.slot_inc(0).load(Ordering::Relaxed);
         b.header().valid_count.store(1, Ordering::Relaxed);
         b.header().in_reclaim_queue.store(1, Ordering::Relaxed);
         let base = unsafe { b.retire() }.into_base();
         let b = unsafe { BlockRef::reuse_at(base, &layout, 1, 1, 0) };
         assert_eq!(b.slot_word(0).state(), SlotState::Free);
-        assert_eq!(b.slot_inc(0).incarnation(), 1, "incarnation survives reuse");
-        assert_eq!(
-            b.slot_inc(0).load(Ordering::Relaxed) & crate::incarnation::FLAG_MASK,
-            0,
-            "flags reset"
-        );
+        assert_eq!(b.slot_inc(0).load(Ordering::Relaxed), word, "store kept");
         assert_eq!(b.header().valid_count.load(Ordering::Relaxed), 0);
         assert_eq!(b.header().in_reclaim_queue.load(Ordering::Relaxed), 0);
         unsafe { b.deallocate() };

@@ -305,7 +305,7 @@ impl MemoryContext {
         pass.unplaced = leftovers;
         let mut groups = Vec::new();
         for sources in packed {
-            match self.freeze_group(sources) {
+            match self.freeze_group(sources, e + 2) {
                 Ok(group) => groups.push(group),
                 Err(sources) => pass.unplaced.extend(sources),
             }
@@ -368,10 +368,10 @@ impl MemoryContext {
             }
         }
 
-        let leaving = self.publish_groups(&groups, &mut report);
+        let (leaving, kept) = self.publish_groups(&groups, &mut report);
         // The fix-up `retire` runs takes the compaction mutex itself.
         drop(exclusive);
-        self.retire(leaving);
+        self.retire(leaving, kept);
         MemoryStats::inc(&self.runtime.stats.compactions);
         report.groups = groups.len();
         smc_obs::trace::emit(smc_obs::Event::CompactionRetire {
@@ -384,9 +384,14 @@ impl MemoryContext {
     }
 
     /// Allocates the destination block and freezes every live object of the
-    /// group's sources, building their relocation lists.
+    /// group's sources, building their relocation lists for the pass's
+    /// `relocation_epoch`.
     /// Hands the sources back when no destination can be allocated.
-    fn freeze_group(&self, sources: Vec<BlockRef>) -> Result<Arc<CompactionGroup>, Vec<BlockRef>> {
+    fn freeze_group(
+        &self,
+        sources: Vec<BlockRef>,
+        relocation_epoch: u64,
+    ) -> Result<Arc<CompactionGroup>, Vec<BlockRef>> {
         // Destinations are exempt from the context budget (see
         // `ContextConfig::budget_bytes`), so the only ways to get "no groups
         // formed" here are an injected `BlockAlloc` failure or the OS
@@ -397,12 +402,12 @@ impl MemoryContext {
         else {
             return Err(sources);
         };
-        // Destinations are born mid-pass: a free of a just-moved object must
-        // not hand the block to the reclamation queue while the pass still
-        // writes into it — `publish_groups` may even bury it (fully-freed
-        // dest) and a queued-but-buried block is a use-after-free waiting in
-        // `pop_reclaimable`. The flag comes off when the block enters
-        // regular membership.
+        // Destinations are born mid-pass, claimed: a free of a just-moved
+        // object must not hand the block to the reclamation queue while the
+        // pass still writes into it — the pass may even retire it
+        // (fully-freed dest) and a queued-but-buried block is a
+        // use-after-free waiting in `pop_reclaimable`. A kept destination is
+        // unclaimed as a kept source is, after the pass's fix-up.
         dest.header().compacting.store(1, Ordering::Release);
         let mut next_dest_slot: SlotId = 0;
         for &src in &sources {
@@ -446,7 +451,7 @@ impl MemoryContext {
                 let dest_addr = dest.payload(dest_slot);
                 entries.push(RelocEntry::new(slot_id, back, inc, dest_addr, dest_slot));
             }
-            RelocationList::new(self.layout, entries).install(&src);
+            RelocationList::new(self.layout, relocation_epoch, entries).install(&src);
         }
         Ok(Arc::new(CompactionGroup {
             sources,
@@ -499,48 +504,37 @@ impl MemoryContext {
         true
     }
 
-    /// Disbands groups after a pass: publishes destinations, returns
-    /// partially-moved sources to regular membership, and returns the blocks
-    /// that leave — emptied sources and unused destinations — for the caller
-    /// to retire once the membership lock is released.
+    /// Disbands groups after a pass. Every block of a group that still holds
+    /// an object — a destination, a source the pass only partly emptied —
+    /// rejoins regular membership, still claimed; the rest — emptied
+    /// sources, unused destinations — leave. Returns `(leaving, kept)` for
+    /// [`retire`](Self::retire), which runs the pass's one fix-up over both
+    /// once the membership lock is released, buries the leaving blocks and
+    /// hands the kept ones back through `unclaim`. Until then the claim
+    /// keeps a free from enqueueing any of them, so no moved-out slot is
+    /// refilled before the fix-up has healed the pointers into it.
     fn publish_groups(
         &self,
         groups: &[Arc<CompactionGroup>],
         report: &mut CompactionReport,
-    ) -> Vec<BlockRef> {
-        let mut leaving = Vec::new();
+    ) -> (Vec<BlockRef>, Vec<BlockRef>) {
+        let (mut leaving, mut kept) = (Vec::new(), Vec::new());
         let mut m = self.membership.write();
         for group in groups {
             m.groups.retain(|g| !Arc::ptr_eq(g, group));
-            if group.dest.header().valid_count.load(Ordering::Relaxed) > 0 {
-                // Joining regular membership lifts the mid-pass reclamation
-                // embargo set at allocation (see `freeze_group`).
-                group.dest.header().compacting.store(0, Ordering::Release);
-                m.blocks.push(group.dest);
-            } else {
-                // `compacting` stays set on the discarded dest, same as on
-                // retired sources below: the block is headed for the
-                // graveyard and must stay un-enqueueable.
-                // Nothing moved (fully bailed/aborted): discard the dest.
-                leaving.push(group.dest);
-            }
-            for &src in &group.sources {
-                if src.header().valid_count.load(Ordering::Relaxed) == 0 {
-                    // `compacting` stays set on retired sources: it is what
-                    // keeps a straggling `free` (which sampled the block
-                    // before the move) from re-enqueueing a block that is
-                    // headed for the graveyard. The flag is reinitialized
-                    // with the rest of the header if the memory is reused.
-                    report.retired += 1;
-                    leaving.push(src);
+            let blocks = std::iter::once(group.dest).chain(group.sources.iter().copied());
+            for (i, block) in blocks.enumerate() {
+                if block.header().valid_count.load(Ordering::Relaxed) > 0 {
+                    kept.push(block);
                 } else {
-                    src.header().compacting.store(0, Ordering::Release);
-                    m.blocks.push(src);
+                    report.retired += usize::from(i > 0);
+                    leaving.push(block);
                 }
             }
             group.settled.store(true, Ordering::Release);
         }
-        leaving
+        m.blocks.extend(&kept);
+        (leaving, kept)
     }
 
     /// The patience deadline for one wait of the pass, from now.

@@ -29,7 +29,10 @@
 //! residency protocol ([`crate::spill`]) are further `impl MemoryContext`
 //! blocks in their own files. What they share is here: `claim` / `unclaim`,
 //! the one way a block leaves and re-enters slot-level allocation, and
-//! `retire`, the one way a block leaves the context.
+//! `retire`, the one way a block leaves the context. A pass ends in
+//! `retire` too: a block it keeps — a destination, or a source it only
+//! partly emptied, whose moved-out slots are limbo counted as freed ones
+//! are — comes back through `unclaim` there, after the fix-up.
 //!
 //! ## Retirement and direct pointers (§6)
 //!
@@ -43,9 +46,9 @@
 //! [`link_direct`](MemoryContext::link_direct): the target keeps each link
 //! with its holder held weakly. The fix-up walks every linked holder's
 //! resident objects and probes each linked pointer's block base in a hash
-//! set of the retired blocks; a hit is healed to where the object lives now
-//! (the tombstone chase of [`DirectPtr`]) or, when no
-//! resident address is left (the object was freed or spilled), cleared to
+//! table of the retired blocks and the blocks a pass keeps; a hit is set to
+//! where the object lives now (the tombstone chase of [`DirectPtr`]) or,
+//! when no resident address is left (the object was freed or spilled), cleared to
 //! `None`. The fix-up holds the runtime's compaction mutex, so no pass of a
 //! holder copies an object while its pointers are rewritten. A holder's own
 //! spill clears its linked fields in every object it copies into a page, so
@@ -54,14 +57,14 @@
 //! update of the holder stores into a linked field while its target retires
 //! the block. The fix-up may have passed that slot before the store lands.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use smc_util::sync::{fence, AtomicU64, AtomicUsize, Mutex, RwLock};
 
-use crate::block::{BlockLayout, BlockRef};
+use crate::block::{BlockLayout, BlockRef, BLOCK_SIZE};
 pub use crate::compact::{CompactionGroup, CompactionReport};
 use crate::epoch::{Guard, Slot};
 use crate::error::MemError;
@@ -383,7 +386,7 @@ impl MemoryContext {
     /// the sources and destinations of an in-flight pass. The sources a pass
     /// emptied stop counting when it publishes, and are retired right after.
     pub fn bytes(&self) -> usize {
-        self.block_count() * crate::block::BLOCK_SIZE
+        self.block_count() * BLOCK_SIZE
     }
 
     // ------------------------------------------------------------------
@@ -447,7 +450,9 @@ impl MemoryContext {
     ) -> Allocation {
         let stats = &self.runtime.stats;
         let entry = self.runtime.indirection.allocate(me);
-        let slot_inc = block.payload_inc(slot_id).incarnation();
+        // The fill resets the slot: no flag a former tenant left (a
+        // tombstone's FORWARD), and a counter past any pointer taken before.
+        let slot_inc = block.payload_inc(slot_id).bump_exclusive();
         let entry_inc = entry.get().inc().incarnation();
         // Initialize object bytes before publishing the slot as Valid.
         init(&block, slot_id);
@@ -519,7 +524,7 @@ impl MemoryContext {
         // runtime-wide stall. The gate is check-then-act: racing allocators
         // may each pass it, overshooting by one block per racer.
         if let Some(budget) = self.config.budget_bytes {
-            if (self.bytes() + crate::block::BLOCK_SIZE) as u64 > budget {
+            if (self.bytes() + BLOCK_SIZE) as u64 > budget {
                 let queued = !self.reclaim_queue.lock().is_empty();
                 if queued && self.runtime.advance_and_drain() {
                     if let Some(block) = self.pop_reclaimable(me) {
@@ -781,18 +786,23 @@ impl MemoryContext {
         target.links.lock().push(Link { holder, field });
     }
 
-    /// The one way blocks leave this context: runs the §6 fix-up of every
-    /// linked holder over `blocks`, then buries them two epochs out. The
-    /// caller holds no lock of this context and not the runtime's
-    /// compaction mutex, which the fix-up takes when a holder is linked. A
-    /// caller pinned in a critical section may then wait for a pass in
-    /// flight, and that pass waits out its patience for the pin.
-    pub(crate) fn retire(&self, blocks: impl IntoIterator<Item = BlockRef>) {
-        let blocks: Vec<BlockRef> = blocks.into_iter().collect();
-        if blocks.is_empty() {
+    /// The one way blocks leave this context, and the close of every
+    /// compaction pass: runs the §6 fix-up of every linked holder over
+    /// `leaving` and `kept`, buries `leaving` two epochs out, and hands
+    /// `kept` — claimed blocks a pass keeps — back through
+    /// [`unclaim`](Self::unclaim). The caller holds no lock of this context
+    /// and not the runtime's compaction mutex, which the fix-up takes when a
+    /// holder is linked. A caller pinned in a critical section may then wait
+    /// for a pass in flight, and that pass waits out its patience for the
+    /// pin.
+    pub(crate) fn retire(&self, leaving: impl IntoIterator<Item = BlockRef>, kept: Vec<BlockRef>) {
+        let leaving: Vec<BlockRef> = leaving.into_iter().collect();
+        if leaving.is_empty() && kept.is_empty() {
             return;
         }
-        if !self.fix_links(&blocks) {
+        let fixed = self.fix_links(&leaving, &kept);
+        self.unclaim(kept);
+        if !fixed {
             // The fix-up was due and this thread could not claim an epoch
             // slot to run it: the blocks leak, still mapped, rather than let
             // a linked pointer into them dangle. (`Drop` must not panic.)
@@ -801,23 +811,25 @@ impl MemoryContext {
         // After the fix-up: a reader pinned while it ran may still follow
         // a pointer it loaded before the heal.
         let free_at = self.runtime.global_epoch() + 2;
-        for block in blocks {
+        for block in leaving {
             self.runtime.bury(Grave::Block(block), free_at);
         }
     }
 
     /// The §6 fix-up scan over every live holder linked to this context:
-    /// each linked pointer whose block base is one of `retired` ("instead of
-    /// following a direct pointer to see if the forwarding flag is set, we
-    /// first compute the address of the corresponding block \[and\] probe it
-    /// in the hash table") is healed to the object's resident address, or
-    /// cleared to `None` when none is left. Healed and cleared pointers both count in
+    /// each linked pointer whose block base is one of `leaving` or `kept`
+    /// ("instead of following a direct pointer to see if the forwarding flag
+    /// is set, we first compute the address of the corresponding block
+    /// \[and\] probe it in the hash table") is set to where the tombstone
+    /// chase of [`DirectPtr`] finds its object now, or cleared to `None`
+    /// when no resident address is left (the object was freed, spilled, or
+    /// still sits in a leaving block). Each pointer it rewrites counts in
     /// `direct_pointers_fixed`. It runs under the runtime's compaction
     /// mutex, so no pass of a holder copies an object while its pointers
     /// are rewritten: a pointer healed in a slot the mover had already
     /// copied would be lost. False when a holder is linked and the calling
     /// thread cannot claim an epoch slot, so nothing was fixed.
-    fn fix_links(&self, retired: &[BlockRef]) -> bool {
+    fn fix_links(&self, leaving: &[BlockRef], kept: &[BlockRef]) -> bool {
         let holders: Vec<(Arc<MemoryContext>, Arc<dyn DirectField>)> = {
             let mut links = self.links.lock();
             links.retain(|link| link.holder.strong_count() > 0);
@@ -836,9 +848,11 @@ impl MemoryContext {
         let Ok(guard) = self.runtime.try_pin() else {
             return false;
         };
-        let retired: HashSet<usize> = retired.iter().map(|b| b.base() as usize).collect();
-        let is_retired =
-            |ptr: &DirectPtr| retired.contains(&(ptr.addr() & !(crate::block::BLOCK_SIZE - 1)));
+        // Block base → whether the block leaves.
+        let probed: HashMap<usize, bool> = (leaving.iter().map(|b| (b.base() as usize, true)))
+            .chain(kept.iter().map(|b| (b.base() as usize, false)))
+            .collect();
+        let probe = |ptr: &DirectPtr| probed.get(&(ptr.addr() & !(BLOCK_SIZE - 1))).copied();
         let stats = &self.runtime.stats;
         let mut fixed = 0;
         for (holder, field) in &holders {
@@ -848,16 +862,20 @@ impl MemoryContext {
                     let obj = block.obj_ptr(slot);
                     // SAFETY: a valid slot of a row holder, in the pinned
                     // critical section; the field is the holder's own.
-                    let Some(ptr) = (unsafe { field.get(obj) }).filter(is_retired) else {
+                    let ptr = unsafe { field.get(obj) };
+                    let Some(ptr) = ptr.filter(|p| probe(p).is_some()) else {
                         continue;
                     };
-                    // SAFETY: the pointer's block is retired but not yet
-                    // buried, and a forwarding hop leads to where its entry
-                    // points now: a resident block, under the guard.
+                    // SAFETY: the pointer's block is not yet buried, and a
+                    // forwarding hop leads to where its entry points now: a
+                    // resident block, under the guard.
                     let resolved = unsafe { ptr.resolve(&guard) };
-                    let healed = resolved.and_then(|(_, healed)| healed);
-                    unsafe { field.set(obj, healed.filter(|p| !is_retired(p))) };
-                    fixed += 1;
+                    let now = resolved.map(|(_, healed)| healed.unwrap_or(ptr));
+                    let now = now.filter(|p| probe(p) != Some(true));
+                    if now != Some(ptr) {
+                        unsafe { field.set(obj, now) };
+                        fixed += 1;
+                    }
                 }
             });
         }
@@ -891,7 +909,7 @@ impl Drop for MemoryContext {
             self.runtime.indirection.release_many(entries);
         }
         self.runtime.stats.note_dropped_objects(freed);
-        self.retire(blocks);
+        self.retire(blocks, Vec::new());
         self.runtime.drain_graveyard();
     }
 }
@@ -960,6 +978,100 @@ pub(crate) mod tests {
         drop(pass);
         dropper.join().unwrap();
         assert!(done.load(Ordering::SeqCst));
+    }
+
+    /// Tombstones a pass left in the blocks it emptied, recycled through
+    /// this thread's block cache.
+    pub(crate) struct Recycled {
+        /// The pass's context, kept alive so its own blocks stay its own.
+        _ctx: MemoryContext,
+        /// Each recycled block's base, with its slots' incarnation words as
+        /// the pass left them.
+        pub(crate) words: HashMap<usize, Vec<u32>>,
+        /// A direct pointer taken before the pass into a slot it moved out.
+        pub(crate) stale: DirectPtr,
+    }
+
+    /// Empties three sparse blocks with one pass and drains the graveyard,
+    /// so the next blocks this thread takes are those three, dirty.
+    pub(crate) fn recycled_tombstones(rt: &Arc<Runtime>) -> Recycled {
+        let config = ContextConfig {
+            reclamation_threshold: 1.1,
+            ..ContextConfig::default()
+        };
+        let c = ctx_with(rt, config);
+        let cap = c.layout().capacity as usize;
+        let allocs: Vec<_> = (0..cap * 4).map(|i| alloc_u64(&c, i as u64)).collect();
+        for a in allocs.iter().filter(|a| a.slot % 10 != 0) {
+            assert!(c.free(a.entry, a.entry_inc));
+        }
+        let g = rt.pin();
+        let stale = allocs[0].entry.to_direct(allocs[0].entry_inc, &g);
+        drop(g);
+        let sources = c.membership_snapshot().blocks;
+        let report = c.compact();
+        assert!(report.retired >= 2, "{report:?}");
+        let words = (sources.iter())
+            .filter(|b| !c.membership_snapshot().blocks.contains(b))
+            .map(|b| {
+                let word = |slot| b.payload_inc(slot).load(Ordering::Acquire);
+                (
+                    b.base() as usize,
+                    (0..b.header().capacity).map(word).collect(),
+                )
+            })
+            .collect();
+        rt.drain_graveyard_blocking();
+        Recycled {
+            _ctx: c,
+            words,
+            stale: stale.unwrap().unwrap(),
+        }
+    }
+
+    impl Recycled {
+        /// Checks every slot of `c` that a fill wrote into a recycled block:
+        /// no flag, and the counter one past the word the pass left there.
+        /// Returns how many there were.
+        pub(crate) fn check_refills(&self, c: &MemoryContext) -> usize {
+            let mut refilled = 0;
+            for block in c.membership_snapshot().blocks {
+                let Some(old) = self.words.get(&(block.base() as usize)) else {
+                    continue;
+                };
+                for slot in block.valid_slots() {
+                    let word = block.payload_inc(slot).load(Ordering::Acquire);
+                    let past = (old[slot as usize] & crate::INC_MASK) + 1;
+                    assert_eq!(word, past, "slot {slot} was {:#x}", old[slot as usize]);
+                    refilled += 1;
+                }
+            }
+            refilled
+        }
+    }
+
+    /// An add that refills a slot of a recycled block resets its
+    /// incarnation word, so a direct pointer into the slot's former tenant
+    /// reads `None`, not the new object.
+    #[test]
+    fn a_refill_of_a_recycled_block_fails_a_stale_direct_pointer() {
+        let rt = Runtime::new();
+        let recycled = recycled_tombstones(&rt);
+        let c = ctx(&rt);
+        let cap = c.layout().capacity as usize;
+        for i in 0..cap * 3 {
+            alloc_u64(&c, 1_000 + i as u64);
+        }
+        let (block, slot) = unsafe { BlockRef::locate(recycled.stale.addr()) };
+        assert_eq!(block.header().context_id, c.id(), "the slot was recycled");
+        assert_eq!(block.slot_word(slot).state(), SlotState::Valid);
+        let g = rt.pin();
+        // SAFETY: the block is mapped: it is one of `c`'s.
+        assert_eq!(unsafe { recycled.stale.resolve(&g) }, None);
+        assert!(
+            recycled.check_refills(&c) >= cap,
+            "no recycled block refilled"
+        );
     }
 
     #[test]
@@ -1080,7 +1192,7 @@ pub(crate) mod tests {
         let rt = Runtime::new();
         let config = ContextConfig {
             // One block exactly: the second fresh block breaches the budget.
-            budget_bytes: Some(crate::block::BLOCK_SIZE as u64),
+            budget_bytes: Some(BLOCK_SIZE as u64),
             reclamation_threshold: 0.0,
             ..ContextConfig::default()
         };

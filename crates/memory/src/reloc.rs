@@ -110,15 +110,21 @@ pub struct RelocationList {
     /// Layout of the source and destination blocks: which bytes, or which
     /// column cells, make up one object.
     pub layout: BlockLayout,
+    /// The pass's relocation epoch: a slot moved out enters limbo at it.
+    pub epoch: u64,
     /// Entries sorted by `src_slot` for binary-search lookup from readers.
     pub entries: Vec<RelocEntry>,
 }
 
 impl RelocationList {
     /// Builds a list from entries (sorts them by source slot).
-    pub fn new(layout: BlockLayout, mut entries: Vec<RelocEntry>) -> Self {
+    pub fn new(layout: BlockLayout, epoch: u64, mut entries: Vec<RelocEntry>) -> Self {
         entries.sort_by_key(|e| e.src_slot);
-        RelocationList { layout, entries }
+        RelocationList {
+            layout,
+            epoch,
+            entries,
+        }
     }
 
     /// Finds the relocation entry for `slot`, if that slot is scheduled.
@@ -253,13 +259,14 @@ pub unsafe fn try_move_object(src_block: BlockRef, reloc: &RelocEntry) -> MoveOu
             src_block
                 .payload_inc(reloc.src_slot)
                 .store(slot_inc | FLAG_FORWARD, Ordering::Release);
-            // The source slot no longer holds the object.
-            let epoch_hint = 0; // retired blocks are reclaimed wholesale
-            src_block.slot_word(reloc.src_slot).set_limbo(epoch_hint);
-            src_block
-                .header()
-                .valid_count
-                .fetch_sub(1, Ordering::Relaxed);
+            // The source slot no longer holds the object: it enters limbo at
+            // the pass's relocation epoch, counted as a freed slot is, so a
+            // source the pass only partly empties goes back to allocation
+            // with ordinary limbo.
+            src_block.slot_word(reloc.src_slot).set_limbo(list.epoch);
+            let header = src_block.header();
+            header.valid_count.fetch_sub(1, Ordering::Relaxed);
+            header.limbo_count.fetch_add(1, Ordering::Relaxed);
             reloc.set_status(RelocStatus::Succeeded);
             if locked {
                 entry_inc.unlock_with_flags(0);
@@ -676,7 +683,7 @@ mod tests {
             let e = install(src, &table, 5, 12345);
             freeze(e, src, 5, 0);
             let reloc = RelocEntry::new(5, e.addr(), 0, dst.obj_ptr(9) as usize, 9);
-            RelocationList::new(layout(), vec![]).install(&src);
+            RelocationList::new(layout(), 0, vec![]).install(&src);
 
             assert_eq!(try_move_object(src, &reloc), MoveOutcome::MovedByUs);
             // Destination holds the object, valid, right incarnation/backptr.
@@ -694,6 +701,7 @@ mod tests {
             assert_ne!(src_word & FLAG_FORWARD, 0);
             assert_eq!(src_word & (FLAG_FROZEN | FLAG_LOCK), 0);
             assert_eq!(src.slot_word(5).state(), SlotState::Limbo);
+            assert_eq!(src.header().limbo_count.load(Ordering::Relaxed), 1);
             assert_eq!(reloc.status(), RelocStatus::Succeeded);
 
             src.deallocate();
@@ -708,7 +716,7 @@ mod tests {
             let e = install(src, &table, 0, 7);
             freeze(e, src, 0, 0);
             let reloc = RelocEntry::new(0, e.addr(), 0, dst.obj_ptr(0) as usize, 0);
-            RelocationList::new(layout(), vec![]).install(&src);
+            RelocationList::new(layout(), 0, vec![]).install(&src);
             assert_eq!(try_move_object(src, &reloc), MoveOutcome::MovedByUs);
             assert_eq!(try_move_object(src, &reloc), MoveOutcome::AlreadyMoved);
             src.deallocate();
@@ -764,7 +772,7 @@ mod tests {
             freeze(e, src, 2, 0);
             let past_the_end = layout().capacity;
             let reloc = RelocEntry::new(2, e.addr(), 0, dst.obj_ptr(0) as usize, past_the_end);
-            RelocationList::new(layout(), vec![]).install(&src);
+            RelocationList::new(layout(), 0, vec![]).install(&src);
             let mover = std::panic::AssertUnwindSafe(|| try_move_object(src, &reloc));
             assert!(
                 std::panic::catch_unwind(mover).is_err(),
@@ -789,7 +797,7 @@ mod tests {
             RelocEntry::new(2, 0x20, 0, 0x200, 1),
             RelocEntry::new(5, 0x30, 0, 0x300, 2),
         ];
-        let list = RelocationList::new(layout(), entries);
+        let list = RelocationList::new(layout(), 0, entries);
         assert_eq!(list.find(2).unwrap().entry_addr, 0x20);
         assert_eq!(list.find(5).unwrap().entry_addr, 0x30);
         assert_eq!(list.find(9).unwrap().entry_addr, 0x10);
@@ -810,7 +818,7 @@ mod tests {
         let e = install(src, table, 5, v);
         freeze(e, src, 5, 0);
         let reloc = RelocEntry::new(5, e.addr(), 0, dst.obj_ptr(9) as usize, 9);
-        RelocationList::new(layout(), vec![reloc]).install(&src);
+        RelocationList::new(layout(), 0, vec![reloc]).install(&src);
         e
     }
 
@@ -963,7 +971,7 @@ mod tests {
                 assert!(e.get().inc().try_set_flag(0, FLAG_FROZEN));
                 assert!(src.slot_inc(5).try_set_flag(3, FLAG_FROZEN));
                 let reloc = RelocEntry::new(5, e.addr(), 0, dst.obj_ptr(9) as usize, 9);
-                RelocationList::new(layout(), vec![reloc]).install(&src);
+                RelocationList::new(layout(), 0, vec![reloc]).install(&src);
             };
             schedule();
             // Frozen in the waiting phase: the walk bails the move out and
@@ -1007,7 +1015,7 @@ mod tests {
                     dst.obj_ptr(7) as usize,
                     7,
                 ));
-                RelocationList::new(layout(), vec![]).install(&src);
+                RelocationList::new(layout(), 0, vec![]).install(&src);
 
                 let r2 = reloc.clone();
                 let src2 = src;

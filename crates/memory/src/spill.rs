@@ -414,7 +414,7 @@ impl MemoryContext {
     pub fn try_spill_one(&self) -> bool {
         let victim = self.try_spill_one_locked(&mut self.spill.lock());
         let spilled = victim.is_some();
-        self.retire(victim);
+        self.retire(victim, Vec::new());
         spilled
     }
 
@@ -603,7 +603,7 @@ impl MemoryContext {
                 nanos,
             });
         }
-        self.retire(victim);
+        self.retire(victim, Vec::new());
         faulted
     }
 
@@ -627,12 +627,14 @@ impl MemoryContext {
         for (i, (obj, &(entry_addr, _))) in records.zip(&page.entries).enumerate() {
             let slot_id = i as SlotId;
             let entry = unsafe { EntryRef::from_addr(entry_addr) };
-            // Object bytes (one copy, page buffer to slot), back pointer and
-            // slot state land before the payload repoint publishes the slot
-            // to retrying readers.
+            // Object bytes (one copy, page buffer to slot), a reset slot
+            // incarnation (as every fill writes it), back pointer and slot
+            // state land before the payload repoint publishes the slot to
+            // retrying readers.
             unsafe {
                 std::ptr::copy_nonoverlapping(obj.as_ptr(), fresh.obj_ptr(slot_id), obj_size)
             };
+            fresh.payload_inc(slot_id).bump_exclusive();
             fresh.back_ptr(slot_id).store(entry_addr, Ordering::Release);
             fresh.slot_word(slot_id).set_valid();
             if entry.get().load_payload(Ordering::Acquire) == page.tag {
@@ -840,6 +842,25 @@ pub(crate) mod tests {
                 "object {i} survives the round trip"
             );
         }
+        c.verify().unwrap();
+    }
+
+    /// A fault-in that lands in a recycled block resets each slot's
+    /// incarnation word as an add does: no flag the former tenant left, and
+    /// a counter past its old one.
+    #[test]
+    fn a_fault_in_into_a_recycled_block_resets_its_slots() {
+        let rt = Runtime::new();
+        let (c, _store) = spill_ctx(&rt);
+        let first = fill_two_blocks_and_spill(&c);
+        let spilled = first[0].block.header().block_id;
+        // The pass's emptied sources reach the block cache after the
+        // victim, so the fault-in takes one of them.
+        let recycled = crate::context::tests::recycled_tombstones(&rt);
+        assert_eq!(c.fault_in_block(spilled), Ok(true));
+        let cap = c.layout().capacity as usize;
+        assert_eq!(recycled.check_refills(&c), cap);
+        assert_eq!(read_u64(first[cap - 1].entry), cap as u64 - 1);
         c.verify().unwrap();
     }
 

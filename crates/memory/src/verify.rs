@@ -74,8 +74,7 @@ impl MemoryContext {
     /// - the header magic word is intact and the header identifies this
     ///   context's type and id;
     /// - the slot directory's recounted `Valid` slots equal the header's
-    ///   `valid_count`, and `limbo_count` never exceeds the recounted limbo
-    ///   slots (moved-out slots enter limbo without the trigger counter);
+    ///   `valid_count`, and the recounted `Limbo` slots equal `limbo_count`;
     /// - every `Valid` slot has a back-pointer to an indirection entry whose
     ///   payload points back at exactly this slot;
     /// - no `Valid` slot or its entry is left `LOCK`ed, no `Valid` slot
@@ -210,12 +209,12 @@ impl MemoryContext {
                 "block {id}: valid_count {counted_valid} != recounted {valid}"
             ));
         }
+        // Freed and moved-out slots both enter limbo counted, so the count
+        // is exact.
         let counted_limbo = header.limbo_count.load(Ordering::Relaxed) as u64;
-        if counted_limbo > limbo {
-            // Moved-out and drop-invalidated slots enter limbo state without
-            // the reclamation trigger counter, so the counter is a floor.
+        if counted_limbo != limbo {
             v.push(format!(
-                "block {id}: limbo_count {counted_limbo} exceeds recounted {limbo}"
+                "block {id}: limbo_count {counted_limbo} != recounted {limbo}"
             ));
         }
     }

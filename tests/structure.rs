@@ -468,6 +468,33 @@ fn one_trace_sink() {
     forbid(flight, &["crates/", "src/", "tests/"]);
 }
 
+/// One way out of a compaction pass: every block a pass keeps — a published
+/// destination or a source it only partly emptied — re-enters slot-level
+/// allocation through `unclaim`, its moved-out slots counted limbo, and a
+/// slot's incarnation is reset by the fill that reuses it, not by a walk of
+/// the object store when its block is recycled. This fails if a claim is
+/// lifted anywhere but in `unclaim`, or if `reuse_at` touches an
+/// incarnation word again.
+#[test]
+fn one_way_out_of_a_pass() {
+    let context = "crates/memory/src/context.rs";
+    let unclaim = range(context, "fn unclaim(", "fn ");
+    let lifts = grep_r("compacting.store(0", &["crates/memory/src"]);
+    let in_unclaim = |hit: &String| {
+        hit.starts_with(context) && unclaim.iter().any(|l| hit.ends_with(l.as_str()))
+    };
+    assert!(lifts.iter().any(in_unclaim), "{lifts:#?}");
+    none(lifts.iter().filter(|hit| !in_unclaim(hit)));
+    let block = "crates/memory/src/block.rs";
+    let reuse = range(block, "unsafe fn reuse_at(", "unsafe fn retire(");
+    assert!(reuse.len() > 5, "{reuse:#?}");
+    none(
+        reuse
+            .iter()
+            .filter(|l| any_of("slot_inc(|payload_inc(|INC_MASK")(l)),
+    );
+}
+
 /// One budget: a context's `budget_bytes` is the memory system's only
 /// budget, and its `acquire_block` the only ladder. This fails if the
 /// runtime-wide budget, its setter, its unbudgeted allocation twin, its
