@@ -512,7 +512,10 @@ impl MemoryContext {
     /// once the membership lock is released, buries the leaving blocks and
     /// hands the kept ones back through `unclaim`. Until then the claim
     /// keeps a free from enqueueing any of them, so no moved-out slot is
-    /// refilled before the fix-up has healed the pointers into it.
+    /// refilled before the fix-up has healed the pointers into it; a leaving
+    /// block keeps it for good, so a straggling free (which sampled the
+    /// block before the move) cannot enqueue a block headed for the
+    /// graveyard.
     fn publish_groups(
         &self,
         groups: &[Arc<CompactionGroup>],
@@ -527,6 +530,7 @@ impl MemoryContext {
                 if block.header().valid_count.load(Ordering::Relaxed) > 0 {
                     kept.push(block);
                 } else {
+                    // Block 0 is the destination; the rest are sources.
                     report.retired += usize::from(i > 0);
                     leaving.push(block);
                 }

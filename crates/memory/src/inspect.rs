@@ -87,8 +87,9 @@ pub struct BlockSnapshot {
     pub holes: u32,
     /// The allocation scan cursor (extent of the allocated prefix).
     pub alloc_cursor: u32,
-    /// Sum of slot incarnation counters over the allocated prefix — how
-    /// many times this block's slots have been reused since allocation.
+    /// Sum of slot incarnation counters over the allocated prefix — slot
+    /// turnover: every fill and every free of a slot bumps its counter, and
+    /// a recycled block keeps the counters its former tenant left.
     pub incarnation_churn: u64,
     /// True while the block is scheduled for (or undergoing) compaction.
     pub compacting: bool,
