@@ -317,6 +317,33 @@ mod tests {
         );
     }
 
+    /// A row's data sits a constant distance past its incarnation cell, the
+    /// entry payload: the typed layer's offset is the row layout's, and a
+    /// checked and a direct reference land on the same, aligned `T`. Rows of
+    /// alignment 1, 4, 8 and 16 (`Decimal`).
+    #[test]
+    fn typed_object_offset_is_the_row_layouts() {
+        use smc_memory::{BlockLayout, Decimal};
+        fn check<T: Tabular + PartialEq + std::fmt::Debug>(value: T, align: usize) {
+            assert_eq!(std::mem::align_of::<T>(), align);
+            let layout = BlockLayout::rows_of::<T>().unwrap();
+            assert_eq!(align.max(4), layout.obj_offset as usize, "align {align}");
+            let rt = smc_memory::Runtime::new();
+            let c = crate::Smc::<T>::new(&rt);
+            let r = c.add(value);
+            let g = rt.pin();
+            let d = r.to_direct(&g).unwrap();
+            let (checked, direct) = (r.get(&g).unwrap(), d.get(&g).unwrap());
+            assert!(std::ptr::eq(checked, direct), "align {align}");
+            assert_eq!(*direct, value);
+            assert_eq!(direct as *const T as usize % align, 0);
+        }
+        check([7u8; 3], 1);
+        check([7u32; 3], 4);
+        check(7u64, 8);
+        check(Decimal::from_int(7), 16);
+    }
+
     #[test]
     fn ref_equality_and_hash() {
         use std::collections::HashSet;

@@ -458,6 +458,43 @@ fn one_retirement() {
     );
 }
 
+/// One locator per object: an indirection entry's payload is the address of
+/// the object's slot-header incarnation cell in both layouts, so one header
+/// stride maps a slot to its payload and back, and a §6 direct pointer
+/// checks the word it points at. This fails if a layout branch comes back
+/// into `BlockRef`'s locator helpers, if the rows-only twins come back, or
+/// if `DirectPtr::resolve` or `EntryRef::to_direct` locates a slot (comment
+/// lines are not code; the line counts prove the ranges still match).
+#[test]
+fn one_locator() {
+    forbid(
+        "fn slot_inc(|fn slot_of_obj_ptr(",
+        &["crates", "src", "tests"],
+    );
+    let code = |l: &&String| !l.trim_start().starts_with("//");
+    let block = "crates/memory/src/block.rs";
+    for helper in [
+        "fn payload(",
+        "fn locate(",
+        "fn slot_of_payload(",
+        "fn payload_inc(",
+    ] {
+        let body = range(block, helper, "fn ");
+        assert!(body.len() > 2, "{helper}: {body:#?}");
+        none(
+            body.iter()
+                .filter(code)
+                .filter(|l| l.contains("is_columnar")),
+        );
+    }
+    let reloc = "crates/memory/src/reloc.rs";
+    for fast_path in ["pub unsafe fn resolve(&self, guard", "pub fn to_direct("] {
+        let body = range(reloc, fast_path, "fn ");
+        assert!(body.len() > 4, "{fast_path}: {body:#?}");
+        none(body.iter().filter(code).filter(|l| l.contains("locate(")));
+    }
+}
+
 /// One trace sink: the tracer has one switch and one kind of ring, one per
 /// emitting thread, written only by its owner; a flight dump writes what the
 /// rings hold. This fails if the flight recorder's own ring, its capacity,
