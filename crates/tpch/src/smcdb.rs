@@ -620,4 +620,24 @@ mod tests {
         col.for_each(&g, |l| col_sum += l.extendedprice);
         assert_eq!(row_sum, col_sum);
     }
+
+    /// Bytes a scan crosses per lineitem in each layout that Figs 11 and 12
+    /// compare, pinned before any row is narrowed: the row SMC's slot (the
+    /// incarnation word padded to the row's 16-byte alignment, then the
+    /// row), the managed row, and the columnar store's bytes per slot (the
+    /// 4-byte incarnation cell plus one cell per column, the `LineitemCol`
+    /// it gathers into being 128 bytes).
+    #[test]
+    fn bytes_per_scanned_lineitem_of_each_layout() {
+        use smc_memory::BlockLayout;
+        let rows = BlockLayout::rows_of::<Lineitem>().unwrap();
+        let cols = BlockLayout::columnar(LineitemCol::COLUMN_WIDTHS).unwrap();
+        assert_eq!(std::mem::size_of::<Lineitem>(), 224);
+        assert_eq!(rows.obj_offset, 16);
+        assert_eq!(rows.slot_stride, 240);
+        assert_eq!(std::mem::size_of::<crate::gcdb::GcLineitem>(), 144);
+        assert_eq!(std::mem::size_of::<LineitemCol>(), 128);
+        assert_eq!(LineitemCol::COLUMN_WIDTHS.iter().sum::<usize>(), 118);
+        assert_eq!(cols.store_len / cols.capacity, 4 + 118);
+    }
 }
