@@ -219,7 +219,7 @@ fn move_fixture(value: u64, slot_counter: u32) -> MoveFixture {
     unsafe { src.obj_ptr(SRC_SLOT).cast::<u64>().write(value) };
     // The slot-side incarnation is an independent counter from the entry's;
     // seeding it differently is what makes counter confusion detectable.
-    src.slot_inc(SRC_SLOT)
+    src.payload_inc(SRC_SLOT)
         .store(slot_counter, Ordering::Release);
     src.slot_word(SRC_SLOT).set_valid();
     src.back_ptr(SRC_SLOT)
@@ -227,14 +227,14 @@ fn move_fixture(value: u64, slot_counter: u32) -> MoveFixture {
     src.header().valid_count.fetch_add(1, Ordering::Relaxed);
     entry
         .get()
-        .store_payload(src.obj_ptr(SRC_SLOT) as usize, Ordering::Release);
+        .store_payload(src.payload(SRC_SLOT), Ordering::Release);
     // Freezing epoch work (§5.1): freeze both incarnation words and publish
     // the relocation list through the source header.
     assert!(entry.get().inc().try_set_flag(0, FLAG_FROZEN));
     assert!(src
-        .slot_inc(SRC_SLOT)
+        .payload_inc(SRC_SLOT)
         .try_set_flag(slot_counter, FLAG_FROZEN));
-    let dest = dst.obj_ptr(DEST_SLOT) as usize;
+    let dest = dst.payload(DEST_SLOT);
     let reloc = RelocEntry::new(SRC_SLOT, entry.addr(), 0, dest, DEST_SLOT);
     RelocationList::new(layout, 0, vec![reloc]).install(&src);
     MoveFixture {
@@ -259,7 +259,7 @@ fn reloc_of(src: &BlockRef) -> &RelocEntry {
 /// as `Smc::verify` demands after a pass.
 fn assert_settled(fx: &MoveFixture, value: u64, what: &str) {
     let (src, dst, entry) = (fx.src, fx.dst, fx.entry);
-    let src_word = src.slot_inc(SRC_SLOT).load(Ordering::SeqCst);
+    let src_word = src.payload_inc(SRC_SLOT).load(Ordering::SeqCst);
     match reloc_of(&src).status() {
         RelocStatus::Succeeded => {
             assert_eq!(
@@ -274,7 +274,7 @@ fn assert_settled(fx: &MoveFixture, value: u64, what: &str) {
             );
             assert_eq!(
                 entry.get().load_payload(Ordering::SeqCst),
-                dst.obj_ptr(DEST_SLOT) as usize,
+                dst.payload(DEST_SLOT),
                 "the indirection entry must resolve to the new location"
             );
             assert_ne!(
@@ -301,7 +301,7 @@ fn assert_settled(fx: &MoveFixture, value: u64, what: &str) {
             );
             assert_eq!(
                 entry.get().load_payload(Ordering::SeqCst),
-                src.obj_ptr(SRC_SLOT) as usize
+                src.payload(SRC_SLOT)
             );
             assert_eq!(dst.header().valid_count.load(Ordering::SeqCst), 0);
         }
@@ -430,7 +430,10 @@ pub fn deref_vs_move() -> Scenario {
                 let guard = mgr.pin();
                 let home = fx.entry.resolve(0, &guard);
                 let home = home.expect("no page is spilled").expect("no free runs");
-                let read = unsafe { (home as *const u64).read() };
+                let read = unsafe {
+                    let (block, slot) = BlockRef::locate(home);
+                    block.obj_ptr(slot).cast::<u64>().read()
+                };
                 assert_eq!(read, value, "the reader read a value no one wrote");
                 reader_homes.lock().unwrap().push(home);
                 drop(guard);
@@ -446,8 +449,8 @@ pub fn deref_vs_move() -> Scenario {
             for (((fx, _), value), &home) in worlds.iter().zip(VALUES).zip(homes.iter()) {
                 // Sides, not addresses: the message must replay identically.
                 let side = |at: usize| match at {
-                    _ if at == fx.src.obj_ptr(SRC_SLOT) as usize => "source",
-                    _ if at == fx.dst.obj_ptr(DEST_SLOT) as usize => "destination",
+                    _ if at == fx.src.payload(SRC_SLOT) => "source",
+                    _ if at == fx.dst.payload(DEST_SLOT) => "destination",
                     _ => "neither block",
                 };
                 let status = reloc_of(&fx.src).status();
@@ -489,9 +492,9 @@ pub fn slot_vs_entry_incarnation() -> Scenario {
             // A direct reference holds (slot address, counter 5). If it finds
             // the slot forwarded, revalidation at the destination must still
             // succeed against counter 5.
-            let word = src.slot_inc(SRC_SLOT).load(Ordering::SeqCst);
+            let word = src.payload_inc(SRC_SLOT).load(Ordering::SeqCst);
             if word & FLAG_FORWARD != 0 {
-                let dest_word = dst.slot_inc(DEST_SLOT).load(Ordering::SeqCst);
+                let dest_word = dst.payload_inc(DEST_SLOT).load(Ordering::SeqCst);
                 assert_eq!(
                     dest_word & INC_MASK,
                     SLOT_COUNTER,
@@ -508,14 +511,14 @@ pub fn slot_vs_entry_incarnation() -> Scenario {
             }
         })
         .finally(move || {
-            let dest_word = dst.slot_inc(DEST_SLOT).load(Ordering::SeqCst);
+            let dest_word = dst.payload_inc(DEST_SLOT).load(Ordering::SeqCst);
             assert_eq!(
                 dest_word & INC_MASK,
                 SLOT_COUNTER,
                 "relocation must install the slot-side incarnation at the destination \
                  (entry-side counter is an independent sequence)"
             );
-            let src_word = src.slot_inc(SRC_SLOT).load(Ordering::SeqCst);
+            let src_word = src.payload_inc(SRC_SLOT).load(Ordering::SeqCst);
             assert_eq!(
                 src_word & INC_MASK,
                 SLOT_COUNTER,
@@ -565,14 +568,14 @@ pub fn exactly_once_visitation() -> Scenario {
         src.header().valid_count.fetch_add(1, Ordering::Relaxed);
         entry
             .get()
-            .store_payload(src.obj_ptr(slot) as usize, Ordering::Release);
+            .store_payload(src.payload(slot), Ordering::Release);
         assert!(entry.get().inc().try_set_flag(0, FLAG_FROZEN));
-        assert!(src.slot_inc(slot).try_set_flag(0, FLAG_FROZEN));
+        assert!(src.payload_inc(slot).try_set_flag(0, FLAG_FROZEN));
         relocs.push(RelocEntry::new(
             slot,
             entry.addr(),
             0,
-            dst.obj_ptr(slot) as usize,
+            dst.payload(slot),
             slot,
         ));
     }

@@ -39,7 +39,7 @@ use smc_memory::tabular::Tabular;
 use smc_memory::verify::VerifyReport;
 use smc_memory::{EntryRef, Guard};
 
-use crate::refs::{DirectRef, LinkedField, Ref};
+use crate::refs::{row_object, DirectRef, LinkedField, Ref};
 
 /// How a collection stores objects in its blocks (§4.1): [`Rows`], one
 /// object per slot, or [`Columns`](crate::Columns), parallel column arrays.
@@ -340,7 +340,7 @@ impl<T: Tabular> Smc<T> {
         };
         // SAFETY: the object is alive for the guard's critical section; the
         // collection's isolation level permits racy field updates (§4).
-        Ok(Some(f(unsafe { &mut *(obj as *mut T) })))
+        Ok(Some(f(unsafe { &mut *row_object::<T>(obj) })))
     }
 
     /// Fallible [`for_each`](Self::for_each):

@@ -17,7 +17,9 @@
 //! before a block leaves its collection.
 //!
 //! Both are typed wrappers: the protocol is untyped and lives in
-//! `smc-memory`, and this module only casts the address it hands back.
+//! `smc-memory`, and hands back an object's payload, the address of its
+//! slot-header incarnation cell. Only this module turns a payload into a
+//! `&T` (`row_object`): a row's data follow the word at a constant offset.
 //!
 //! Both types are `Copy` plain data: they can be stored inside other tabular
 //! objects (that is how reference-based joins work in the TPC-H adaptation)
@@ -36,6 +38,23 @@ use smc_memory::tabular::Tabular;
 use smc_memory::{DirectField, DirectPtr, EntryRef, Guard};
 
 use crate::collection::Rows;
+
+/// Bytes from a row's incarnation cell to its data: the 4-byte word, padded
+/// to `T`'s alignment (the row layout's `obj_offset`).
+pub(crate) const fn obj_offset<T>() -> usize {
+    let align = std::mem::align_of::<T>();
+    if align > 4 {
+        align
+    } else {
+        4
+    }
+}
+
+/// The row whose payload, its incarnation cell, is at `payload`.
+#[inline]
+pub(crate) fn row_object<T>(payload: usize) -> *mut T {
+    (payload + obj_offset::<T>()) as *mut T
+}
 
 /// A checked reference to an object in a self-managed collection of layout
 /// `L`.
@@ -125,8 +144,8 @@ impl<T: Tabular, L> Ref<T, L> {
     }
 
     /// Resolves the object's current indirection payload
-    /// ([`EntryRef::resolve`], §5.1): the object's address for rows, its
-    /// incarnation cell for columns. `Ok(None)` if the object was removed;
+    /// ([`EntryRef::resolve`], §5.1): its incarnation cell, in both layouts.
+    /// `Ok(None)` if the object was removed;
     /// `Err(MemError::SpillFault)` if it sits in a spilled page that cannot
     /// be read back.
     #[inline]
@@ -162,7 +181,7 @@ impl<T: Tabular> Ref<T> {
         // SAFETY: `resolve` validated the incarnation inside the pinned
         // critical section; the slot cannot be reclaimed or relocated while
         // we are pinned (epoch protocol, §3.4/§5.1).
-        Ok(obj.map(|p| unsafe { &*(p as *const T) }))
+        Ok(obj.map(|p| unsafe { &*row_object::<T>(p) }))
     }
 
     /// Copies the object out (`None` if removed).
@@ -184,8 +203,10 @@ impl<T: Tabular> Ref<T> {
     }
 }
 
-/// A direct pointer between self-managed objects (§6): the object's slot
-/// address plus the slot-header incarnation.
+/// A direct pointer between self-managed objects (§6): the address of the
+/// object's slot-header incarnation cell plus the incarnation it was taken
+/// at. Its check reads the word it points at; the row follows it at a
+/// constant offset, `max(4, align_of::<T>())`.
 pub struct DirectRef<T: Tabular> {
     ptr: DirectPtr,
     _marker: PhantomData<fn() -> T>,
@@ -212,7 +233,8 @@ pub type OptDirectRef<T> = Option<DirectRef<T>>;
 unsafe impl<T: Tabular> Tabular for DirectRef<T> {}
 
 impl<T: Tabular> DirectRef<T> {
-    /// Raw slot address (for the fix-up scan's block-address probe, §6).
+    /// The incarnation cell's address, the object's payload (for the fix-up
+    /// scan's block-address probe, §6); the row itself lies past it.
     #[inline]
     pub fn addr(&self) -> usize {
         self.ptr.addr()
@@ -255,8 +277,8 @@ impl<T: Tabular> DirectRef<T> {
         // while the target retires its block, which the fix-up may miss
         // (see `get`), and a pointer kept anywhere else outside the
         // critical section it was taken in.
-        let (addr, healed) = unsafe { self.ptr.resolve(guard) }?;
-        Some((unsafe { &*(addr as *const T) }, healed))
+        let (payload, healed) = unsafe { self.ptr.resolve(guard) }?;
+        Some((unsafe { &*row_object::<T>(payload) }, healed))
     }
 }
 
@@ -327,7 +349,11 @@ mod tests {
         fn check<T: Tabular + PartialEq + std::fmt::Debug>(value: T, align: usize) {
             assert_eq!(std::mem::align_of::<T>(), align);
             let layout = BlockLayout::rows_of::<T>().unwrap();
-            assert_eq!(align.max(4), layout.obj_offset as usize, "align {align}");
+            assert_eq!(
+                obj_offset::<T>(),
+                layout.obj_offset as usize,
+                "align {align}"
+            );
             let rt = smc_memory::Runtime::new();
             let c = crate::Smc::<T>::new(&rt);
             let r = c.add(value);

@@ -25,7 +25,8 @@
 //! * The **object store** holds one fixed-size *slot* per object: a 4-byte
 //!   incarnation word (the object header of §6's refined layout, see
 //!   [`crate::incarnation`]) followed by the object's bytes, padded to the
-//!   object type's alignment.
+//!   object type's alignment. An indirection entry's payload is the address
+//!   of the incarnation word, in both layouts ([`BlockRef::payload`]).
 //!
 //! Row-wise layouts use a constant slot stride; columnar layouts (§4.1)
 //! reinterpret the object store as parallel column arrays, led by the
@@ -283,7 +284,9 @@ pub struct BlockHeader {
     pub block_id: u64,
     /// Geometry (copied from [`BlockLayout`]).
     pub capacity: u32,
-    slot_stride: u32,
+    /// Distance between consecutive slots' incarnation cells, the locator
+    /// stride: the slot stride for rows, 4 for the incarnation column.
+    loc_stride: u32,
     obj_offset: u32,
     slotdir_offset: u32,
     backptr_offset: u32,
@@ -550,7 +553,8 @@ impl BlockRef {
             context_id,
             block_id: NEXT_BLOCK_ID.fetch_add(1, Ordering::Relaxed),
             capacity: layout.capacity,
-            slot_stride: layout.slot_stride,
+            // A columnar store has no slot stride (0): its cells are 4 apart.
+            loc_stride: layout.slot_stride.max(4),
             obj_offset: layout.obj_offset,
             slotdir_offset: layout.slotdir_offset,
             backptr_offset: layout.backptr_offset,
@@ -698,64 +702,36 @@ impl BlockRef {
         }
     }
 
-    /// Start address of `slot` within the object store (row layouts).
-    #[inline]
-    pub fn slot_base(&self, slot: SlotId) -> *mut u8 {
-        let h = self.header();
-        debug_assert!(slot < h.capacity);
-        debug_assert!(h.slot_stride > 0, "row accessor on columnar block");
-        unsafe {
-            self.base()
-                .add(h.store_offset as usize + slot as usize * h.slot_stride as usize)
-        }
-    }
-
-    /// The slot-header incarnation word of `slot` (row layouts).
-    #[inline]
-    pub fn slot_inc(&self, slot: SlotId) -> &IncWord {
-        unsafe { &*self.slot_base(slot).cast::<IncWord>() }
-    }
-
-    /// Address of the object data in `slot` (row layouts).
-    #[inline]
-    pub fn obj_ptr(&self, slot: SlotId) -> *mut u8 {
-        unsafe { self.slot_base(slot).add(self.header().obj_offset as usize) }
-    }
-
-    /// Maps an object-data pointer back to its slot id (row layouts).
-    ///
-    /// # Safety
-    /// `ptr` must have been produced by [`obj_ptr`](Self::obj_ptr) on this block.
-    #[inline]
-    pub unsafe fn slot_of_obj_ptr(&self, ptr: *const u8) -> SlotId {
-        let h = self.header();
-        let rel = ptr as usize - self.base() as usize - h.store_offset as usize;
-        (rel / h.slot_stride as usize) as SlotId
-    }
-
     /// Base address of the object store (columnar layouts address into this).
     #[inline]
     pub fn store_base(&self) -> *mut u8 {
         unsafe { self.base().add(self.header().store_offset as usize) }
     }
 
-    /// True if this block hosts a columnar store (§4.1).
+    /// The slot-header incarnation cell of `slot`: where a row slot starts,
+    /// or the slot's cell of the leading incarnation column.
     #[inline]
-    pub fn is_columnar(&self) -> bool {
-        self.header().slot_stride == 0
+    fn inc_cell(&self, slot: SlotId) -> *mut u8 {
+        let h = self.header();
+        debug_assert!(slot < h.capacity);
+        unsafe { self.store_base().add(slot as usize * h.loc_stride as usize) }
     }
 
-    /// The payload indirection entries hold for `slot`: the object data
-    /// address for rows, the incarnation-cell address for columnar stores
-    /// (equivalent to the paper's packed block/slot locator, recoverable by
-    /// the same block-mask arithmetic).
+    /// Address of the object data in `slot` (row layouts).
+    #[inline]
+    pub fn obj_ptr(&self, slot: SlotId) -> *mut u8 {
+        let offset = self.header().obj_offset as usize;
+        debug_assert!(offset > 0, "row accessor on columnar block");
+        unsafe { self.inc_cell(slot).add(offset) }
+    }
+
+    /// The payload indirection entries hold for `slot`, in both layouts:
+    /// the address of its incarnation cell (the object header of §6's
+    /// layout; equivalent to the paper's packed block/slot locator,
+    /// recoverable by the same block-mask arithmetic).
     #[inline]
     pub fn payload(&self, slot: SlotId) -> usize {
-        if self.is_columnar() {
-            unsafe { self.store_base().add(slot as usize * 4) as usize }
-        } else {
-            self.obj_ptr(slot) as usize
-        }
+        self.inc_cell(slot) as usize
     }
 
     /// Maps an entry payload back to `(block, slot)`.
@@ -770,29 +746,29 @@ impl BlockRef {
         (block, block.slot_of_payload(payload))
     }
 
-    /// Maps an indirection-entry payload (object-data address for rows,
-    /// incarnation-cell address for columnar stores) back to its slot id.
+    /// Maps an indirection-entry payload back to its slot id.
     ///
     /// # Safety
     /// `payload` must address into this block's object store.
     #[inline]
     pub(crate) unsafe fn slot_of_payload(&self, payload: usize) -> SlotId {
-        if self.is_columnar() {
-            ((payload - self.store_base() as usize) / 4) as SlotId
-        } else {
-            self.slot_of_obj_ptr(payload as *const u8)
-        }
+        let rel = payload - self.store_base() as usize;
+        (rel / self.header().loc_stride as usize) as SlotId
     }
 
-    /// The slot-header incarnation word of `slot`, regardless of layout
-    /// (columnar stores keep incarnations in the leading column).
+    /// The word at a payload: the slot-header incarnation word it addresses.
+    ///
+    /// # Safety
+    /// As for [`locate`](Self::locate).
     #[inline]
-    pub(crate) fn payload_inc(&self, slot: SlotId) -> &IncWord {
-        if self.is_columnar() {
-            unsafe { &*self.store_base().add(slot as usize * 4).cast::<IncWord>() }
-        } else {
-            self.slot_inc(slot)
-        }
+    pub(crate) unsafe fn inc_at<'a>(payload: usize) -> &'a IncWord {
+        &*(payload as *const IncWord)
+    }
+
+    /// The slot-header incarnation word of `slot`.
+    #[inline]
+    pub fn payload_inc(&self, slot: SlotId) -> &IncWord {
+        unsafe { Self::inc_at(self.payload(slot)) }
     }
 
     /// Fraction of slots holding live objects.
@@ -999,13 +975,15 @@ pub(crate) mod tests {
         // Zeroed block: all slots free, all incarnations zero.
         for slot in [0, 1, layout.capacity - 1] {
             assert_eq!(b.slot_word(slot).state(), SlotState::Free);
-            assert_eq!(b.slot_inc(slot).load(Ordering::Relaxed), 0);
+            assert_eq!(b.payload_inc(slot).load(Ordering::Relaxed), 0);
         }
         // Write/read an object.
         unsafe { b.obj_ptr(3).cast::<u64>().write(0xfeed) };
         assert_eq!(unsafe { b.obj_ptr(3).cast::<u64>().read() }, 0xfeed);
-        // Slot recovery from object pointer.
-        assert_eq!(unsafe { b.slot_of_obj_ptr(b.obj_ptr(3)) }, 3);
+        // Slot recovery from the payload, the incarnation cell the object
+        // follows.
+        assert_eq!(unsafe { BlockRef::locate(b.payload(3)) }, (b, 3));
+        assert_eq!(b.obj_ptr(3) as usize, b.payload(3) + 8);
         unsafe { b.deallocate() };
     }
 
@@ -1039,14 +1017,14 @@ pub(crate) mod tests {
         let cap = layout.capacity;
         for slot in 0..cap {
             unsafe { b.obj_ptr(slot).cast::<[u64; 3]>().write([slot as u64; 3]) };
-            b.slot_inc(slot).store(slot, Ordering::Relaxed);
+            b.payload_inc(slot).store(slot, Ordering::Relaxed);
         }
         for slot in 0..cap {
             assert_eq!(
                 unsafe { b.obj_ptr(slot).cast::<[u64; 3]>().read() },
                 [slot as u64; 3]
             );
-            assert_eq!(b.slot_inc(slot).load(Ordering::Relaxed), slot);
+            assert_eq!(b.payload_inc(slot).load(Ordering::Relaxed), slot);
         }
         unsafe { b.deallocate() };
     }
@@ -1059,17 +1037,17 @@ pub(crate) mod tests {
         let layout = BlockLayout::rows_of::<u64>().unwrap();
         let b = BlockRef::allocate(&layout, 1, 1).unwrap();
         b.slot_word(0).set_valid();
-        b.slot_inc(0).bump();
+        b.payload_inc(0).bump();
         assert!(b
-            .slot_inc(0)
+            .payload_inc(0)
             .try_set_flag(1, crate::incarnation::FLAG_FORWARD));
-        let word = b.slot_inc(0).load(Ordering::Relaxed);
+        let word = b.payload_inc(0).load(Ordering::Relaxed);
         b.header().valid_count.store(1, Ordering::Relaxed);
         b.header().in_reclaim_queue.store(1, Ordering::Relaxed);
         let base = unsafe { b.retire() }.into_base();
         let b = unsafe { BlockRef::reuse_at(base, &layout, 1, 1, 0) };
         assert_eq!(b.slot_word(0).state(), SlotState::Free);
-        assert_eq!(b.slot_inc(0).load(Ordering::Relaxed), word, "store kept");
+        assert_eq!(b.payload_inc(0).load(Ordering::Relaxed), word, "store kept");
         assert_eq!(b.header().valid_count.load(Ordering::Relaxed), 0);
         assert_eq!(b.header().in_reclaim_queue.load(Ordering::Relaxed), 0);
         unsafe { b.deallocate() };
@@ -1119,6 +1097,9 @@ pub(crate) mod tests {
             cell(a, 0, 5).cast::<u64>().write(0xfeed_f00d);
             cell(a, 1, 5).cast::<u32>().write(42);
             l.copy_object(a, 5, b, 9);
+            // The payload is the slot's incarnation cell, 4 bytes apart.
+            assert_eq!(BlockRef::locate(b.payload(9)), (b, 9));
+            assert_eq!(b.payload(9) - b.payload(8), 4);
             assert_eq!(cell(b, 0, 9).cast::<u64>().read(), 0xfeed_f00d);
             assert_eq!(cell(b, 1, 9).cast::<u32>().read(), 42);
             a.deallocate();

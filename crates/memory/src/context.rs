@@ -932,9 +932,14 @@ pub(crate) mod tests {
             .unwrap()
     }
 
+    /// The `u64` row whose payload is `payload`.
+    pub(crate) unsafe fn u64_at(payload: usize) -> u64 {
+        let (block, slot) = BlockRef::locate(payload);
+        block.obj_ptr(slot).cast::<u64>().read()
+    }
+
     pub(crate) fn read_u64(entry: EntryRef) -> u64 {
-        let payload = entry.get().load_payload(Ordering::Acquire);
-        unsafe { (payload as *const u64).read() }
+        unsafe { u64_at(entry.get().load_payload(Ordering::Acquire)) }
     }
 
     /// A holder row that is one direct pointer.

@@ -27,7 +27,8 @@
 //! [`DirectPtr`] is the §6 direct pointer with its tombstone chase. Both
 //! settle a frozen object through one per-slot negotiation, which finds the
 //! slot's relocation entry and bails it out or helps it move. `smc`'s
-//! `Ref` and `DirectRef` are typed wrappers that cast the address they get.
+//! `Ref` and `DirectRef` are typed wrappers that turn the payload they get
+//! (an incarnation cell) into the row behind it.
 
 use std::ptr::NonNull;
 use std::sync::atomic::Ordering;
@@ -64,8 +65,8 @@ pub struct RelocEntry {
     pub entry_addr: usize,
     /// Incarnation counter of the object at freeze time.
     pub inc: u32,
-    /// Address of the destination object data.
-    pub dest_obj_addr: usize,
+    /// The destination slot's payload, its incarnation cell.
+    pub dest_payload: usize,
     /// Destination slot id (within the destination block).
     pub dest_slot: SlotId,
     status: AtomicU32,
@@ -77,14 +78,14 @@ impl RelocEntry {
         src_slot: SlotId,
         entry_addr: usize,
         inc: u32,
-        dest_obj_addr: usize,
+        dest_payload: usize,
         dest_slot: SlotId,
     ) -> Self {
         RelocEntry {
             src_slot,
             entry_addr,
             inc,
-            dest_obj_addr,
+            dest_payload,
             dest_slot,
             status: AtomicU32::new(RelocStatus::Pending as u32),
         }
@@ -212,7 +213,7 @@ pub unsafe fn try_move_object(src_block: BlockRef, reloc: &RelocEntry) -> MoveOu
             MoveOutcome::BailedOut
         }
         RelocStatus::Pending => {
-            let dest = reloc.dest_obj_addr as *mut u8;
+            let dest = reloc.dest_payload as *mut u8;
             let dest_block = BlockRef::from_interior_ptr(dest);
             // The layout travels with the list; reach it through the header.
             let list = RelocationList::of(&src_block).expect("a scheduled block has a list");
@@ -391,8 +392,8 @@ const FORWARD_HOPS: usize = 64;
 
 impl EntryRef {
     /// Resolves a checked reference — this entry, as assigned at
-    /// incarnation `inc` — to the object's current payload: its address for
-    /// rows, its incarnation cell for columns. This is the paper's
+    /// incarnation `inc` — to the object's current payload, the address of
+    /// its slot-header incarnation cell in both layouts. This is the paper's
     /// `dereference_object` (§5.1). `Ok(None)` if the object was removed;
     /// `Err(MemError::SpillFault)` if it sits in a spilled page that cannot
     /// be read back, or was spilled again under this reader eight times.
@@ -478,9 +479,8 @@ impl EntryRef {
             return Ok(None);
         };
         // SAFETY: `resolve` returned a resident payload inside the guard's
-        // critical section.
-        let (block, slot) = unsafe { BlockRef::locate(payload) };
-        let inc = block.payload_inc(slot).incarnation();
+        // critical section: the word at it is the slot's incarnation.
+        let inc = unsafe { BlockRef::inc_at(payload) }.incarnation();
         Ok(NonNull::new(payload as *mut u8).map(|addr| DirectPtr { addr, inc }))
     }
 }
@@ -513,9 +513,10 @@ fn negotiate(block: BlockRef, slot: SlotId, guard: &Guard<'_>) -> bool {
     true
 }
 
-/// An untyped direct pointer (§6): an object's slot address plus the
-/// slot-header incarnation it was taken at. It skips the indirection hop at
-/// the price of chasing forwarding tombstones after compaction.
+/// An untyped direct pointer (§6): the address of an object's slot-header
+/// incarnation cell (its payload) plus the incarnation it was taken at, so
+/// the check reads the word the pointer points at. It skips the indirection
+/// hop at the price of chasing forwarding tombstones after compaction.
 /// `smc::DirectRef` is its typed wrapper; [`EntryRef::to_direct`] makes one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DirectPtr {
@@ -528,14 +529,15 @@ unsafe impl Send for DirectPtr {}
 unsafe impl Sync for DirectPtr {}
 
 impl DirectPtr {
-    /// The slot address (for the fix-up scan's block-address probe, §6).
+    /// The incarnation cell's address, the object's payload (for the fix-up
+    /// scan's block-address probe, §6).
     #[inline]
     pub fn addr(&self) -> usize {
         self.addr.as_ptr() as usize
     }
 
     /// Dereferences through the slot-header incarnation: the object's
-    /// address, and the pointer to heal `self` to when the walk crossed a
+    /// payload, and the pointer to heal `self` to when the walk crossed a
     /// forwarding tombstone. A frozen slot is settled by the §5.1
     /// negotiation and retried. `None` once the object was freed, or when
     /// it was forwarded and then spilled, so that no resident address is
@@ -559,10 +561,9 @@ impl DirectPtr {
     /// [`MemoryContext::link_direct`]: crate::context::MemoryContext::link_direct
     #[inline]
     pub unsafe fn resolve(&self, guard: &Guard<'_>) -> Option<(usize, Option<DirectPtr>)> {
-        // Fast path: the slot's incarnation matches, no flags set.
+        // Fast path: the word it points at matches, no flags set.
         let addr = self.addr();
-        let (block, slot) = BlockRef::locate(addr);
-        if block.payload_inc(slot).load(Ordering::Acquire) == self.inc {
+        if BlockRef::inc_at(addr).load(Ordering::Acquire) == self.inc {
             return Some((addr, None));
         }
         self.walk(guard)
@@ -578,14 +579,14 @@ impl DirectPtr {
         let mut addr = self.addr();
         let mut healed = None;
         for _ in 0..FORWARD_HOPS {
-            let (block, slot) = BlockRef::locate(addr);
-            let word = block.payload_inc(slot).load(Ordering::Acquire);
+            let word = BlockRef::inc_at(addr).load(Ordering::Acquire);
             if word == self.inc {
                 return Some((addr, healed));
             }
             if word & INC_MASK != self.inc & INC_MASK {
                 return None; // freed
             }
+            let (block, slot) = BlockRef::locate(addr);
             if word & FLAG_FORWARD != 0 {
                 // Tombstone: the back-pointer leads to the indirection
                 // entry, which holds the new location (§6).
@@ -643,6 +644,7 @@ pub trait DirectField: Send + Sync + std::fmt::Debug {
 mod tests {
     use super::*;
     use crate::block::{type_id_of, BlockLayout};
+    use crate::context::tests::u64_at;
     use crate::epoch::EpochManager;
     use crate::incarnation::FLAG_LOCK;
     use crate::indirection::IndirectionTable;
@@ -666,14 +668,13 @@ mod tests {
         src.slot_word(s).set_valid();
         src.back_ptr(s).store(e.addr(), Ordering::Release);
         src.header().valid_count.fetch_add(1, Ordering::Relaxed);
-        e.get()
-            .store_payload(src.obj_ptr(s) as usize, Ordering::Release);
+        e.get().store_payload(src.payload(s), Ordering::Release);
         e
     }
 
     fn freeze(e: EntryRef, src: BlockRef, s: SlotId, inc: u32) {
         assert!(e.get().inc().try_set_flag(inc, FLAG_FROZEN));
-        assert!(src.slot_inc(s).try_set_flag(inc, FLAG_FROZEN));
+        assert!(src.payload_inc(s).try_set_flag(inc, FLAG_FROZEN));
     }
 
     #[test]
@@ -682,7 +683,7 @@ mod tests {
         unsafe {
             let e = install(src, &table, 5, 12345);
             freeze(e, src, 5, 0);
-            let reloc = RelocEntry::new(5, e.addr(), 0, dst.obj_ptr(9) as usize, 9);
+            let reloc = RelocEntry::new(5, e.addr(), 0, dst.payload(9), 9);
             RelocationList::new(layout(), 0, vec![]).install(&src);
 
             assert_eq!(try_move_object(src, &reloc), MoveOutcome::MovedByUs);
@@ -691,13 +692,10 @@ mod tests {
             assert_eq!(dst.slot_word(9).state(), SlotState::Valid);
             assert_eq!(dst.back_ptr(9).load(Ordering::Acquire), e.addr());
             // Entry repointed.
-            assert_eq!(
-                e.get().load_payload(Ordering::Acquire),
-                dst.obj_ptr(9) as usize
-            );
+            assert_eq!(e.get().load_payload(Ordering::Acquire), dst.payload(9));
             // Entry flags cleared; source slot is a forwarding tombstone.
             assert_eq!(e.get().inc().load(Ordering::Acquire), 0);
-            let src_word = src.slot_inc(5).load(Ordering::Acquire);
+            let src_word = src.payload_inc(5).load(Ordering::Acquire);
             assert_ne!(src_word & FLAG_FORWARD, 0);
             assert_eq!(src_word & (FLAG_FROZEN | FLAG_LOCK), 0);
             assert_eq!(src.slot_word(5).state(), SlotState::Limbo);
@@ -715,7 +713,7 @@ mod tests {
         unsafe {
             let e = install(src, &table, 0, 7);
             freeze(e, src, 0, 0);
-            let reloc = RelocEntry::new(0, e.addr(), 0, dst.obj_ptr(0) as usize, 0);
+            let reloc = RelocEntry::new(0, e.addr(), 0, dst.payload(0), 0);
             RelocationList::new(layout(), 0, vec![]).install(&src);
             assert_eq!(try_move_object(src, &reloc), MoveOutcome::MovedByUs);
             assert_eq!(try_move_object(src, &reloc), MoveOutcome::AlreadyMoved);
@@ -730,12 +728,12 @@ mod tests {
         unsafe {
             let e = install(src, &table, 3, 99);
             freeze(e, src, 3, 0);
-            let reloc = RelocEntry::new(3, e.addr(), 0, dst.obj_ptr(0) as usize, 0);
+            let reloc = RelocEntry::new(3, e.addr(), 0, dst.payload(0), 0);
             assert_eq!(bail_out_relocation(src, &reloc), MoveOutcome::BailedOut);
             assert_eq!(reloc.status(), RelocStatus::Failed);
             // Freeze bits stripped; object untouched at the source.
             assert_eq!(e.get().inc().load(Ordering::Acquire), 0);
-            assert_eq!(src.slot_inc(3).load(Ordering::Acquire), 0);
+            assert_eq!(src.payload_inc(3).load(Ordering::Acquire), 0);
             assert_eq!(src.obj_ptr(3).cast::<u64>().read(), 99);
             // A later mover must respect the bail-out.
             assert_eq!(try_move_object(src, &reloc), MoveOutcome::BailedOut);
@@ -752,14 +750,14 @@ mod tests {
             freeze(e, src, 1, 0);
             // Concurrent free: bump the entry incarnation.
             e.get().inc().bump();
-            let reloc = RelocEntry::new(1, e.addr(), 0, dst.obj_ptr(0) as usize, 0);
+            let reloc = RelocEntry::new(1, e.addr(), 0, dst.payload(0), 0);
             assert_eq!(try_move_object(src, &reloc), MoveOutcome::Freed);
             src.deallocate();
             dst.deallocate();
         }
     }
 
-    /// A mover that panics mid-copy — here `slot_base`'s bounds assertion,
+    /// A mover that panics mid-copy — here the slot accessors' bounds assertion,
     /// tripped by a destination slot one past the block — takes the bail
     /// outcome on the way out: the object stays at its source, unfrozen,
     /// and its entry locks again at once.
@@ -771,7 +769,7 @@ mod tests {
             let e = install(src, &table, 2, 77);
             freeze(e, src, 2, 0);
             let past_the_end = layout().capacity;
-            let reloc = RelocEntry::new(2, e.addr(), 0, dst.obj_ptr(0) as usize, past_the_end);
+            let reloc = RelocEntry::new(2, e.addr(), 0, dst.payload(0), past_the_end);
             RelocationList::new(layout(), 0, vec![]).install(&src);
             let mover = std::panic::AssertUnwindSafe(|| try_move_object(src, &reloc));
             assert!(
@@ -781,7 +779,7 @@ mod tests {
             let word = e.get().inc().load(Ordering::Acquire);
             assert_eq!(word & (FLAG_LOCK | FLAG_FROZEN), 0, "entry word {word:#x}");
             assert_eq!(reloc.status(), RelocStatus::Failed);
-            assert_eq!(src.slot_inc(2).load(Ordering::Acquire) & FLAG_FROZEN, 0);
+            assert_eq!(src.payload_inc(2).load(Ordering::Acquire) & FLAG_FROZEN, 0);
             assert_eq!(src.obj_ptr(2).cast::<u64>().read(), 77);
             assert!(e.get().inc().lock(0).is_some(), "the entry locks again");
             e.get().inc().unlock_with_flags(0);
@@ -817,7 +815,7 @@ mod tests {
     ) -> EntryRef {
         let e = install(src, table, 5, v);
         freeze(e, src, 5, 0);
-        let reloc = RelocEntry::new(5, e.addr(), 0, dst.obj_ptr(9) as usize, 9);
+        let reloc = RelocEntry::new(5, e.addr(), 0, dst.payload(9), 9);
         RelocationList::new(layout(), 0, vec![reloc]).install(&src);
         e
     }
@@ -843,7 +841,7 @@ mod tests {
             let e = scheduled(src, dst, &table, 11);
             let mgr = EpochManager::new();
             let g = mgr.pin();
-            assert_eq!(e.resolve(0, &g), Ok(Some(src.obj_ptr(5) as usize)));
+            assert_eq!(e.resolve(0, &g), Ok(Some(src.payload(5))));
             assert_eq!(status(&src), RelocStatus::Pending, "no negotiation");
             assert_ne!(e.get().inc().load(Ordering::Acquire) & FLAG_FROZEN, 0);
             assert_eq!(e.resolve(1, &g), Ok(None), "another incarnation");
@@ -861,10 +859,10 @@ mod tests {
             let mgr = relocation_epoch(false);
             let g = mgr.pin();
             assert!(g.in_relocation_epoch());
-            assert_eq!(e.resolve(0, &g), Ok(Some(src.obj_ptr(5) as usize)));
+            assert_eq!(e.resolve(0, &g), Ok(Some(src.payload(5))));
             assert_eq!(status(&src), RelocStatus::Failed);
             assert_eq!(e.get().inc().load(Ordering::Acquire), 0, "thawed");
-            assert_eq!(src.slot_inc(5).load(Ordering::Acquire), 0);
+            assert_eq!(src.payload_inc(5).load(Ordering::Acquire), 0);
             drop(g);
             src.deallocate();
             dst.deallocate();
@@ -879,8 +877,8 @@ mod tests {
             let mgr = relocation_epoch(true);
             let g = mgr.pin();
             let home = e.resolve(0, &g).unwrap().unwrap();
-            assert_eq!(home, dst.obj_ptr(9) as usize);
-            assert_eq!((home as *const u64).read(), 33);
+            assert_eq!(home, dst.payload(9));
+            assert_eq!(u64_at(home), 33);
             assert_eq!(status(&src), RelocStatus::Succeeded);
             drop(g);
             src.deallocate();
@@ -896,7 +894,7 @@ mod tests {
             freeze(e, src, 5, 0);
             let mgr = relocation_epoch(true);
             let g = mgr.pin();
-            assert_eq!(e.resolve(0, &g), Ok(Some(src.obj_ptr(5) as usize)));
+            assert_eq!(e.resolve(0, &g), Ok(Some(src.payload(5))));
             drop(g);
             src.deallocate();
             dst.deallocate();
@@ -916,7 +914,7 @@ mod tests {
         assert_eq!(a.entry.resolve(a.entry_inc, &g), Err(MemError::SpillFault));
         assert_eq!(c.spilled_blocks(), 1, "the page stays spilled");
         let home = b.entry.resolve(b.entry_inc, &g).unwrap().unwrap();
-        assert_eq!(unsafe { (home as *const u64).read() }, 1);
+        assert_eq!(unsafe { u64_at(home) }, 1);
         assert_eq!(c.spilled_blocks(), 0, "the retry faulted the page in");
         assert_eq!(a.entry.resolve(a.entry_inc + 1, &g), Ok(None));
     }
@@ -959,18 +957,18 @@ mod tests {
         let (src, dst, table) = setup_pair();
         unsafe {
             let e = install(src, &table, 5, 55);
-            src.slot_inc(5).store(3, Ordering::Release);
+            src.payload_inc(5).store(3, Ordering::Release);
             let plain = EpochManager::new();
             let g = plain.pin();
             let direct = e.to_direct(0, &g).unwrap().unwrap();
-            assert_eq!(direct.addr(), src.obj_ptr(5) as usize);
+            assert_eq!(direct.addr(), src.payload(5));
             assert_eq!(direct.resolve(&g), Some((direct.addr(), None)));
             drop(g);
             // The pass's freeze: the slot counter (3) is not the entry's (0).
             let schedule = || {
                 assert!(e.get().inc().try_set_flag(0, FLAG_FROZEN));
-                assert!(src.slot_inc(5).try_set_flag(3, FLAG_FROZEN));
-                let reloc = RelocEntry::new(5, e.addr(), 0, dst.obj_ptr(9) as usize, 9);
+                assert!(src.payload_inc(5).try_set_flag(3, FLAG_FROZEN));
+                let reloc = RelocEntry::new(5, e.addr(), 0, dst.payload(9), 9);
                 RelocationList::new(layout(), 0, vec![reloc]).install(&src);
             };
             schedule();
@@ -986,13 +984,13 @@ mod tests {
             let moving = relocation_epoch(true);
             let g = moving.pin();
             let (home, healed) = direct.resolve(&g).unwrap();
-            assert_eq!(home, dst.obj_ptr(9) as usize);
-            assert_eq!((home as *const u64).read(), 55);
+            assert_eq!(home, dst.payload(9));
+            assert_eq!(u64_at(home), 55);
             let healed = healed.expect("a tombstone was crossed");
             assert_eq!(healed.addr(), home);
             assert_eq!(healed.resolve(&g), Some((home, None)));
             // A free bumps the slot counter: both go null.
-            dst.slot_inc(9).bump();
+            dst.payload_inc(9).bump();
             assert_eq!(healed.resolve(&g), None);
             assert_eq!(direct.resolve(&g), None);
             drop(g);
@@ -1008,13 +1006,7 @@ mod tests {
             unsafe {
                 let e = install(src, &table, 4, 4242);
                 freeze(e, src, 4, 0);
-                let reloc = std::sync::Arc::new(RelocEntry::new(
-                    4,
-                    e.addr(),
-                    0,
-                    dst.obj_ptr(7) as usize,
-                    7,
-                ));
+                let reloc = std::sync::Arc::new(RelocEntry::new(4, e.addr(), 0, dst.payload(7), 7));
                 RelocationList::new(layout(), 0, vec![]).install(&src);
 
                 let r2 = reloc.clone();

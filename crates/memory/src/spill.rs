@@ -10,10 +10,11 @@
 //! ## How a spilled object stays reachable
 //!
 //! The indirection table is the paper's one level of indirection (§3.2), and
-//! spill rides it. Row payloads are always 4-byte aligned (`BlockLayout`
-//! guarantees stride and object offset are multiples of 4), so bit 0 of an
-//! entry payload is free. A spilled object's entry keeps its incarnation —
-//! references stay valid — but its payload becomes a *tagged stub pointer*:
+//! spill rides it. An entry payload is the address of a slot's incarnation
+//! word, which is 4-byte aligned (`BlockLayout` aligns the store and the
+//! slot stride to at least 4), so bit 0 of a resident payload is never set.
+//! A spilled object's entry keeps its incarnation — references stay valid —
+//! but its payload becomes a *tagged stub pointer*:
 //! `Box<SpillStub> | SPILL_TAG`. Dereference
 //! ([`EntryRef::resolve`](crate::EntryRef::resolve)) sees the tag, calls
 //! `fault_in_tagged`, and retries; free
@@ -35,21 +36,21 @@
 //! then on nothing else writes the victim's live entries or slot words:
 //! movers never claim a claimed block, and a free whose object's home block
 //! carries the mark unlocks and steps aside until the spill is done. A free
-//! that locked its entry *before* the mark is the one exception, so the tag
-//! pass waits for each entry's lock bit to clear and then takes only slots
-//! still `Valid` whose entry still points home. Each object then costs a
-//! plain store to its slot counter and a release store of the tag, and no
-//! entry lock or read-modify-write. The mark and the free's check form a
+//! that locked its entry *before* the mark is the one exception, so the spill
+//! waits for each entry's lock bit to clear and then takes only slots still
+//! `Valid` whose entry still points home. Each object then costs a plain
+//! store to its slot counter and a release store of the tag, and no entry
+//! lock or read-modify-write. The mark and the free's check form a
 //! store-then-load pair behind two `SeqCst` fences, so at least one side
 //! sees the other. A failed store puts the payloads back with plain stores
 //! while the claim still holds.
 //!
 //! ## One copy each way, and victims that ripen
 //!
-//! A spill copies each object from its slot straight into the one page
-//! buffer the context owns and hands the sealed page to the store; a
-//! fault-in loads into the same buffer, verifies it in place and copies each
-//! object once, buffer to slot. What a page looks like is [`crate::page`]'s
+//! A spill walks its victim once: it tags each object and copies it from its
+//! slot straight into the one page buffer the context owns, then hands the
+//! sealed page to the store; a fault-in loads into the same buffer, verifies
+//! it in place and copies each object once, buffer to slot. What a page looks like is [`crate::page`]'s
 //! business alone; which entry owns record *i*, and at which incarnation,
 //! is the page directory's (`SpilledPage::entries[i]`). Both bury what they
 //! displace two epochs out: a fault-in its stub, a spill its victim block,
@@ -102,9 +103,9 @@ use crate::stats::MemoryStats;
 use smc_util::mutation::{self, Mutation};
 use smc_util::sync::{fence, yield_point};
 
-/// Bit 0 of an indirection-entry payload marks a spilled object. Row object
-/// pointers are always 4-byte aligned (see `BlockLayout::rows`), so the bit
-/// is never set on a resident payload.
+/// Bit 0 of an indirection-entry payload marks a spilled object. A resident
+/// payload is a 4-byte aligned incarnation cell, so the bit is never set on
+/// one.
 pub const SPILL_TAG: usize = 1;
 
 /// True when an entry payload is a tagged `SpillStub` pointer rather than
@@ -244,8 +245,10 @@ pub(crate) struct SpilledPage {
     /// in page order — the only place that says so: a page holds objects
     /// and nothing about whose they are. A spilled entry's incarnation does
     /// not change (a free faults the page in first), so a scan reading a
-    /// page it listed earlier names each record as it was when listed.
-    pub(crate) entries: Vec<(usize, u32)>,
+    /// page it listed earlier names each record as it was when listed. The
+    /// third field, in the pair's padding, is the victim slot the record was
+    /// copied from, which a failed store's rollback repoints the entry at.
+    pub(crate) entries: Vec<(usize, u32, SlotId)>,
 }
 
 impl Drop for SpilledPage {
@@ -340,7 +343,7 @@ impl SpilledPages<'_> {
         let aligned = self.scratch.as_ptr().align_offset(ctx.obj_align);
         let scratch = &mut self.scratch[aligned..aligned + obj_size];
         let records = ctx.read_page(block_id, &page, &mut self.bytes)?;
-        for (obj, &(entry_addr, inc)) in records.zip(&page.entries) {
+        for (obj, &(entry_addr, inc, _)) in records.zip(&page.entries) {
             let obj = if obj.as_ptr().align_offset(ctx.obj_align) == 0 {
                 obj.as_ptr()
             } else {
@@ -373,10 +376,8 @@ pub(crate) const SPILLING: u32 = 2;
 
 impl MemoryContext {
     /// Attaches a page store, enabling the spill rung of the budget gate and
-    /// fault-in on dereference. Returns false for columnar contexts (their
-    /// entry payloads point into the incarnation column, whose cells the
-    /// relocation protocol reads unconditionally — spill tagging is a
-    /// row-store feature).
+    /// fault-in on dereference. Returns false for columnar contexts: a page
+    /// record is one row's bytes, and a columnar object is a set of cells.
     pub fn enable_spill(self: &Arc<Self>, store: Arc<dyn PageStore>) -> bool {
         if self.layout.is_columnar() {
             return false;
@@ -422,10 +423,11 @@ impl MemoryContext {
     /// compaction claims its candidates, minus the occupancy ceiling — any
     /// resident block with live objects qualifies, coldest-first being
     /// approximated by collection order — and the claim is marked
-    /// [`SPILLING`]. Then two passes: the tag pass points each live entry
-    /// at the stub and retires its slot's counter, with plain stores and no
-    /// entry lock; the copy pass writes the tagged objects into the page.
-    /// A failed store puts the payloads back before the claim is released.
+    /// [`SPILLING`]. Then one pass over the victim: each live object's entry
+    /// is pointed at the stub and its slot's counter retired, with plain
+    /// stores and no entry lock, its linked fields are cleared, and it is
+    /// copied into the page. A failed store puts the payloads back, through
+    /// the page directory, before the claim is released.
     /// Returns the spilled victim, which the caller retires once it has
     /// released the spill mutex.
     fn try_spill_one_locked(&self, s: &mut SpillState) -> Option<BlockRef> {
@@ -456,12 +458,23 @@ impl MemoryContext {
         let tag = stub | SPILL_TAG;
         let valid = victim.header().valid_count.load(Ordering::Relaxed) as usize;
         // The page directory: the only thing a spill allocates to keep.
-        let mut entries: Vec<(usize, u32)> = Vec::with_capacity(valid);
-        // Where each came from, for the copy and the rollback.
-        let mut slots: Vec<SlotId> = Vec::with_capacity(valid);
-        // Tag pass. Under the marked claim nothing else writes the victim's
+        let mut entries: Vec<(usize, u32, SlotId)> = Vec::with_capacity(valid);
+        let obj_size = self.layout.obj_size as usize;
+        let SpillState {
+            page_buf,
+            direct_fields,
+            ..
+        } = &mut *s;
+        let mut page =
+            PageWriter::begin(page_buf, block_id, obj_size, self.layout.capacity as usize);
+        // One pass. Under the marked claim nothing else writes the victim's
         // live entries or slot words (movers never claim it, frees step
-        // aside), so each object is tagged with plain stores.
+        // aside), so each object is tagged with plain stores. Then its
+        // linked direct-pointer fields are cleared, in the slot: a page
+        // outlives any address, and a victim the failed store below hands
+        // back holds no pointer that a target's fix-up passed over while the
+        // victim was out of membership. Then it goes from its slot straight
+        // into the page buffer, once, in slot order.
         victim.valid_slots().for_each(|slot_id| {
             let back = victim.back_ptr(slot_id).load(Ordering::Acquire);
             if back == 0 {
@@ -481,8 +494,15 @@ impl MemoryContext {
             // not satisfy a §6 direct dereference against stale memory.
             victim.payload_inc(slot_id).bump_exclusive();
             entry.get().store_payload(tag, Ordering::Release);
-            entries.push((back, entry.get().inc().incarnation()));
-            slots.push(slot_id);
+            entries.push((back, entry.get().inc().incarnation(), slot_id));
+            let obj = victim.obj_ptr(slot_id);
+            // SAFETY: a tagged object of a block we hold under the claim: a
+            // free faults it in first, which waits for the spill mutex. Each
+            // field is one of this context's own.
+            unsafe {
+                direct_fields.iter().for_each(|f| f.set(obj, None));
+                page.push(obj);
+            }
         });
         // Both no-progress exits below hand the victim back the same way.
         let give_back = || {
@@ -496,29 +516,6 @@ impl MemoryContext {
             give_back();
             return None;
         }
-        // Copy pass: each tagged object goes from its slot straight into the
-        // page buffer, once, in slot order, its linked direct-pointer fields
-        // cleared first, in the slot: a page outlives any address, and a
-        // victim the failed store below hands back holds no pointer that a
-        // target's fix-up passed over while the victim was out of membership.
-        let obj_size = self.layout.obj_size as usize;
-        let SpillState {
-            page_buf,
-            direct_fields,
-            ..
-        } = &mut *s;
-        let mut page =
-            PageWriter::begin(page_buf, block_id, obj_size, self.layout.capacity as usize);
-        for &slot_id in &slots {
-            let obj = victim.obj_ptr(slot_id);
-            // SAFETY: a tagged object of a block we hold under the claim: a
-            // free faults it in first, which waits for the spill mutex. Each
-            // field is one of this context's own.
-            unsafe {
-                direct_fields.iter().for_each(|f| f.set(obj, None));
-                page.push(obj);
-            }
-        }
         let stored = if self.runtime.faults().should_fail(FaultSite::SpillStore) {
             Err(SpillIoError("injected fault at spill-store".into()))
         } else {
@@ -528,7 +525,7 @@ impl MemoryContext {
             // Store failed: restore every tagged entry while the claim still
             // holds, then give the block back. A free or fault-in that saw a
             // tag waits for the spill mutex and finds no page.
-            for (&(back, _), &slot_id) in entries.iter().zip(&slots) {
+            for &(back, _, slot_id) in &entries {
                 let entry = unsafe { EntryRef::from_addr(back) };
                 entry
                     .get()
@@ -557,11 +554,11 @@ impl MemoryContext {
         s.pages.insert(block_id, Arc::new(page));
         // The victim's slots stay Valid with intact data until burial ripens:
         // a reader that loaded the resident payload just before our tag store
-        // reads the old copy safely for two more epochs. (The copy pass runs
-        // after the tag pass, so an in-place write through such a payload
-        // may miss the page or tear its record — the same isolation caveat
-        // as a §5 relocation mid-copy; mutate through `try_update`-style
-        // replace, not in place, when spill is enabled.)
+        // reads the old copy safely for two more epochs. (Each object is
+        // copied after it is tagged, so an in-place write through such a
+        // payload may miss the page or tear its record — the same isolation
+        // caveat as a §5 relocation mid-copy; mutate through
+        // `try_update`-style replace, not in place, when spill is enabled.)
         smc_obs::trace::emit(smc_obs::Event::BlockSpilled {
             context: self.id,
             block_id,
@@ -624,7 +621,7 @@ impl MemoryContext {
         let page = slot.remove();
         let obj_size = self.layout.obj_size as usize;
         let mut live: u32 = 0;
-        for (i, (obj, &(entry_addr, _))) in records.zip(&page.entries).enumerate() {
+        for (i, (obj, &(entry_addr, ..))) in records.zip(&page.entries).enumerate() {
             let slot_id = i as SlotId;
             let entry = unsafe { EntryRef::from_addr(entry_addr) };
             // Object bytes (one copy, page buffer to slot), a reset slot
@@ -732,7 +729,7 @@ impl MemoryContext {
         let s = self.spill.get_mut();
         let mut freed = 0;
         for page in std::mem::take(&mut s.pages).into_values() {
-            let entries = page.entries.iter().filter_map(|&(entry_addr, _)| {
+            let entries = page.entries.iter().filter_map(|&(entry_addr, ..)| {
                 let entry = unsafe { EntryRef::from_addr(entry_addr) };
                 (entry.get().load_payload(Ordering::Acquire) == page.tag).then(|| {
                     entry.get().inc().bump_unlocked();
@@ -754,7 +751,7 @@ impl MemoryContext {
 pub(crate) mod tests {
     use super::*;
     use crate::block::type_id_of;
-    use crate::context::tests::{alloc_u64, ctx, ctx_with, read_u64};
+    use crate::context::tests::{alloc_u64, ctx, ctx_with, read_u64, u64_at};
     use crate::context::{Allocation, ContextConfig};
     use crate::runtime::Runtime;
 
@@ -924,7 +921,7 @@ pub(crate) mod tests {
                     "a spilled object faults back in"
                 );
             };
-            assert_eq!(unsafe { (payload as *const u64).read() }, i as u64);
+            assert_eq!(unsafe { u64_at(payload) }, i as u64);
         }
         c.verify().unwrap();
     }

@@ -108,7 +108,7 @@ impl MemoryContext {
         let (pages, counted) = self.with_spill_pages(|pages| {
             let mut counted = 0u64;
             for (&id, page) in pages {
-                for (record, &(back, inc)) in page.entries.iter().enumerate() {
+                for (record, &(back, inc, _)) in page.entries.iter().enumerate() {
                     counted += 1;
                     let entry = unsafe { EntryRef::from_addr(back) };
                     let payload = entry.get().load_payload(Ordering::Acquire);
