@@ -326,7 +326,10 @@ unsafe impl Columnar for LineitemCol {
 
 /// Follows a linked §6 direct pointer, or its checked [`Ref`] twin where
 /// the pointer is `None`: cleared because no resident address was left to
-/// heal it to, or never set. `None` when the row was removed.
+/// heal it to, or never set. `None` when the row was removed. Inlined as
+/// `Ref::get` is: out of line, the call cost more than the dereference
+/// (Fig 10's nested direct walk ran 1.2× the checked one's time).
+#[inline]
 pub(crate) fn direct_or<'g, T: Tabular>(
     direct: Option<DirectRef<T>>,
     checked: Ref<T>,
