@@ -41,13 +41,8 @@ use crate::collection::Rows;
 
 /// Bytes from a row's incarnation cell to its data: the 4-byte word, padded
 /// to `T`'s alignment (the row layout's `obj_offset`).
-pub(crate) const fn obj_offset<T>() -> usize {
-    let align = std::mem::align_of::<T>();
-    if align > 4 {
-        align
-    } else {
-        4
-    }
+pub(crate) fn obj_offset<T>() -> usize {
+    std::mem::align_of::<T>().max(4)
 }
 
 /// The row whose payload, its incarnation cell, is at `payload`.

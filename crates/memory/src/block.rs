@@ -714,6 +714,7 @@ impl BlockRef {
     fn inc_cell(&self, slot: SlotId) -> *mut u8 {
         let h = self.header();
         debug_assert!(slot < h.capacity);
+        // SAFETY: `capacity` cells of `loc_stride` bytes fit the store.
         unsafe { self.store_base().add(slot as usize * h.loc_stride as usize) }
     }
 
@@ -722,6 +723,7 @@ impl BlockRef {
     pub fn obj_ptr(&self, slot: SlotId) -> *mut u8 {
         let offset = self.header().obj_offset as usize;
         debug_assert!(offset > 0, "row accessor on columnar block");
+        // SAFETY: a row slot holds its word, then the object at `offset`.
         unsafe { self.inc_cell(slot).add(offset) }
     }
 
@@ -768,6 +770,7 @@ impl BlockRef {
     /// The slot-header incarnation word of `slot`.
     #[inline]
     pub fn payload_inc(&self, slot: SlotId) -> &IncWord {
+        // SAFETY: the payload of a slot of this block, which `self` keeps.
         unsafe { Self::inc_at(self.payload(slot)) }
     }
 
