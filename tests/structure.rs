@@ -495,6 +495,31 @@ fn one_locator() {
     }
 }
 
+/// One epoch gate: a compaction pass pins at `e` for its whole life, so the
+/// §3.4 advance condition already refuses every other advancer once the
+/// global epoch reaches `e + 1`, which is §5.1's "no other but the
+/// compaction thread can increment the global epoch". This fails if an
+/// advance reservation comes back, if the lazy advance
+/// (`Runtime::advance_and_drain`) tests the relocation epoch again (the
+/// line count proves the range still matches), or if a type other than the
+/// epoch manager grows a forwarder of the §5.1 relocation flags.
+#[test]
+fn one_epoch_gate() {
+    let memory = ["crates/memory/src"];
+    forbid("reserved_by|reserve_advance|release_advance", &memory);
+    let runtime = "crates/memory/src/runtime.rs";
+    let drain = range(runtime, "fn advance_and_drain(", "fn ");
+    assert!(drain.len() > 4, "{drain:#?}");
+    none(drain.iter().filter(|l| l.contains("relocation_epoch")));
+    let others: Vec<String> = (walk(&memory, true).into_iter())
+        .filter(|f| !f.ends_with("/epoch.rs"))
+        .collect();
+    assert!(others.iter().any(|f| f == runtime), "{others:#?}");
+    let flags = "fn next_relocation_epoch(|fn in_moving_phase(\
+                 |fn set_relocation_epoch(|fn set_moving_phase(";
+    none(grep(&others, any_of(flags)));
+}
+
 /// One trace sink: the tracer has one switch and one kind of ring, one per
 /// emitting thread, written only by its owner; a flight dump writes what the
 /// rings hold. This fails if the flight recorder's own ring, its capacity,
