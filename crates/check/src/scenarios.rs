@@ -11,7 +11,8 @@
 //!
 //! * **pin/advance** — while a thread is pinned at epoch `e`, the global
 //!   epoch never exceeds `e + 1` (otherwise memory freed inside the reader's
-//!   grace period could already be reused under it).
+//!   grace period could already be reused under it); while a compaction
+//!   pass is pinned at `e`, no other thread moves it past `e + 1`.
 //! * **free/freeze** — a freed slot ends with its counter bumped exactly once
 //!   and no leaked compaction flags, no matter how `free` races a freeze.
 //! * **relocation** — every live reference resolves to exactly one
@@ -66,6 +67,7 @@ pub type NamedScenario = (&'static str, fn() -> Scenario);
 pub fn all() -> Vec<NamedScenario> {
     vec![
         ("pin_vs_advance", pin_vs_advance as fn() -> Scenario),
+        ("pass_vs_lazy_advance", pass_vs_lazy_advance),
         ("free_vs_freeze", free_vs_freeze),
         ("double_mover", double_mover),
         ("move_vs_bail", move_vs_bail),
@@ -111,6 +113,49 @@ pub fn pin_vs_advance() -> Scenario {
         .thread(move || {
             let _ = mgr.try_advance();
             let _ = mgr.try_advance();
+        })
+}
+
+/// A compaction pass drives the epoch while an allocator's lazy advance
+/// tries to. The pass pins at `e` and advances the epoch itself, past its
+/// own slot, to `e + 2`, as `MemoryContext::compact` does; the allocator
+/// calls `try_advance` in a loop. Oracle: while the pass is pinned, the
+/// allocator never moves the global epoch past `e + 1` — §5.1's "no other
+/// but the compaction thread can increment the global epoch until the
+/// compaction is finished", kept by the pass's pin and the §3.4 advance
+/// condition alone. Catches
+/// [`smc_util::mutation::Mutation::AdvanceIgnoresPinned`].
+pub fn pass_vs_lazy_advance() -> Scenario {
+    const UNPINNED: u64 = u64::MAX;
+    let mgr = EpochManager::new();
+    let pass_mgr = mgr.clone();
+    // Shadow state: the epoch the pass is pinned at, set after its pin and
+    // cleared before its unpin, so it never names a pin that is not held.
+    let pass_at = Arc::new(std::sync::atomic::AtomicU64::new(UNPINNED));
+    let shadow = pass_at.clone();
+    Scenario::new()
+        .thread(move || {
+            let guard = pass_mgr.pin();
+            let e = guard.epoch();
+            shadow.store(e, Ordering::SeqCst);
+            while pass_mgr.global_epoch() < e + 2 {
+                let _ = pass_mgr.try_advance_excluding(guard.slot());
+            }
+            shadow.store(UNPINNED, Ordering::SeqCst);
+            drop(guard);
+        })
+        .thread(move || {
+            for _ in 0..3 {
+                let Some(now) = mgr.try_advance() else {
+                    continue;
+                };
+                let e = pass_at.load(Ordering::SeqCst);
+                assert!(
+                    e == UNPINNED || now <= e + 1,
+                    "the allocator advanced to epoch {now} while the pass is \
+                     pinned at {e}: only the pass may pass its freezing epoch"
+                );
+            }
         })
 }
 

@@ -108,6 +108,15 @@ fn catches_advance_ignores_pinned() {
 }
 
 #[test]
+fn pass_vs_lazy_advance_catches_advance_ignores_pinned() {
+    assert_mutation_caught(
+        Mutation::AdvanceIgnoresPinned,
+        "pass_vs_lazy_advance",
+        scenarios::pass_vs_lazy_advance,
+    );
+}
+
+#[test]
 fn catches_move_skips_lock() {
     assert_mutation_caught(
         Mutation::MoveSkipsLock,

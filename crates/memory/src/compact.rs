@@ -168,20 +168,19 @@ fn reloc_entries(src: &BlockRef) -> &[RelocEntry] {
 /// of every exit from [`MemoryContext::compact`], early or at the close.
 struct Pass<'a> {
     ctx: &'a MemoryContext,
-    /// Whether this pass took the advance reservation.
-    reserved: bool,
     /// Claimed candidates that no group took.
     unplaced: Vec<BlockRef>,
-    /// The pass's own critical section; unpinned after `drop` below ran.
+    /// The pass's own critical section, at the epoch `e` the pass started
+    /// in: while it is held no other thread can advance the global epoch
+    /// past `e + 1` (§3.4), which is §5.1's "no other but the compaction
+    /// thread can increment the global epoch until the compaction is
+    /// finished". Unpinned after `drop` below ran.
     pin: Guard<'a>,
 }
 
 impl Drop for Pass<'_> {
     fn drop(&mut self) {
-        if self.reserved {
-            self.ctx.runtime.set_relocation_epoch(0);
-            self.ctx.runtime.epochs.release_advance(self.pin.slot());
-        }
+        self.ctx.runtime.epochs.set_relocation_epoch(0);
         self.ctx.unclaim(self.unplaced.drain(..));
     }
 }
@@ -279,24 +278,18 @@ impl MemoryContext {
         // From here on every exit unwinds through `Pass::drop`.
         let mut pass = Pass {
             ctx: self,
-            reserved: false,
             unplaced: candidates,
             // Registered above, so the pin cannot be refused.
             pin: self.runtime.pin(),
         };
-        let me = pass.pin.slot();
-        pass.reserved = self.runtime.epochs.reserve_advance(me);
-        if !pass.reserved {
-            return Ok(report);
-        }
-        let e = pass.pin.epoch();
+        let (me, e) = (pass.pin.slot(), pass.pin.epoch());
 
         // --- Freezing epoch: advance to e + 1, announce relocation at e + 2.
         if !self.advance_to(e + 1, me) {
             report.aborted = true;
             return Ok(report);
         }
-        self.runtime.set_relocation_epoch(e + 2);
+        self.runtime.epochs.set_relocation_epoch(e + 2);
 
         // Pack the claimed candidates into groups and freeze their objects,
         // building the relocation lists.
@@ -330,7 +323,7 @@ impl MemoryContext {
         // epoch, then open the moving phase.
         if self.advance_to(e + 2, me) && self.wait_all_at(e + 2, me) {
             let pause_start = clock::now();
-            self.runtime.set_moving_phase(true);
+            self.runtime.epochs.set_moving_phase(true);
             for group in &groups {
                 if !self.move_group(group, &mut report) {
                     // The mover "crashed" (injected fault): the rest of
@@ -339,7 +332,7 @@ impl MemoryContext {
                     break;
                 }
             }
-            self.runtime.set_moving_phase(false);
+            self.runtime.epochs.set_moving_phase(false);
             let pause_ns = clock::now().saturating_sub(pause_start);
             self.runtime.stats.compaction_pause_ns.record(pause_ns);
             smc_obs::trace::emit(smc_obs::Event::CompactionRelocate {
@@ -616,8 +609,8 @@ mod tests {
             "compaction should shrink the context"
         );
         // Relocation state fully cleared.
-        assert_eq!(rt.next_relocation_epoch(), 0);
-        assert!(!rt.in_moving_phase());
+        assert_eq!(rt.epochs.next_relocation_epoch(), 0);
+        assert!(!rt.epochs.in_moving_phase());
         assert!(c.membership_snapshot().groups.is_empty());
     }
 
@@ -849,7 +842,7 @@ mod tests {
         });
         rt.epochs.try_advance().expect("nothing is pinned");
         let guard = rt.pin();
-        rt.set_relocation_epoch(guard.epoch());
+        rt.epochs.set_relocation_epoch(guard.epoch());
         {
             // Pre-state: sources only, counter held for the reader's life.
             let read = group.read(&guard, &rt.stats);
@@ -864,7 +857,7 @@ mod tests {
         assert_eq!(group.query_counter.load(Ordering::SeqCst), 0);
         assert_eq!(read.blocks().collect::<Vec<_>>(), [dest, src]);
         drop(read);
-        rt.set_relocation_epoch(0);
+        rt.epochs.set_relocation_epoch(0);
         unsafe {
             src.deallocate();
             dest.deallocate();

@@ -29,12 +29,12 @@
 //! ## One handle per thread slot
 //!
 //! Every per-thread structure of the memory system (a slot's block cache,
-//! entry magazine and counter cell, a context's allocation block, the
-//! advance reservation) is indexed by the registry slot of the thread that
-//! uses it, and is reached only through the [`Slot`] token this module
-//! makes: [`EpochManager::slot`] on registration, [`Guard::slot`] from a
-//! pin. DESIGN.md §16 "One handle per thread slot" says what the token
-//! proves and why none outlives its thread's registration.
+//! entry magazine and counter cell, a context's allocation block) is
+//! indexed by the registry slot of the thread that uses it, and is reached
+//! only through the [`Slot`] token this module makes:
+//! [`EpochManager::slot`] on registration, [`Guard::slot`] from a pin.
+//! DESIGN.md §16 "One handle per thread slot" says what the token proves
+//! and why none outlives its thread's registration.
 
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
@@ -44,7 +44,7 @@ use std::sync::{Arc, Weak};
 use crate::error::MemError;
 use crate::fault::{FaultInjector, FaultSite};
 use smc_util::mutation::{self, Mutation};
-use smc_util::sync::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
+use smc_util::sync::{fence, AtomicBool, AtomicU32, AtomicU64};
 
 /// Maximum number of threads that may concurrently use one manager.
 #[cfg(not(smc_check))]
@@ -54,9 +54,6 @@ pub const MAX_THREADS: usize = 128;
 /// is a chain of interleaving points that would explode the state space).
 #[cfg(smc_check)]
 pub const MAX_THREADS: usize = 8;
-
-/// Sentinel for "no thread holds the advance reservation".
-const NO_RESERVATION: usize = usize::MAX;
 
 /// Per-thread epoch slot (the paper's `sectionCtx[threadId]`).
 #[derive(Debug)]
@@ -93,10 +90,6 @@ pub struct EpochManager {
     slots: Box<[ThreadSlot]>,
     /// Unique id used to key thread-local registrations.
     id: u64,
-    /// Advance reservation: during compaction only the compaction thread may
-    /// advance the global epoch (§5.1: "no other but the compaction thread
-    /// can increment the global epoch until the compaction is finished").
-    reserved_by: AtomicUsize,
     /// The relocation epoch announced by an in-flight compaction, or 0
     /// (§5.1's `nextRelocationEpoch`). Lives here so a dereference slow path
     /// can reach it through its [`Guard`] alone.
@@ -175,7 +168,6 @@ impl EpochManager {
             global: AtomicU64::new(0),
             slots: slots.into_boxed_slice(),
             id: NEXT_MANAGER_ID.fetch_add(1, Ordering::Relaxed),
-            reserved_by: AtomicUsize::new(NO_RESERVATION),
             next_relocation_epoch: AtomicU64::new(0),
             in_moving_phase: AtomicBool::new(false),
             faults,
@@ -363,17 +355,19 @@ impl EpochManager {
     }
 
     /// Attempts to advance the global epoch by one. Fails if some in-critical
-    /// thread lags behind, or if another thread holds the advance
-    /// reservation. Returns the new epoch on success.
+    /// thread lags behind. Returns the new epoch on success.
     pub fn try_advance(&self) -> Option<u64> {
         self.try_advance_from(None)
     }
 
     /// [`try_advance`](Self::try_advance) on behalf of the holder of `me`,
-    /// ignoring that thread's own pinned epoch (used by the compaction
-    /// thread, which sits in a critical section at `e` while driving the
-    /// global epoch forward, §5.1).
-    pub(crate) fn try_advance_excluding(&self, me: Slot<'_>) -> Option<u64> {
+    /// ignoring that thread's own pinned epoch. The compaction thread sits
+    /// in a critical section at `e` for its whole pass while it drives the
+    /// global epoch forward; that pin is what refuses every other advancer
+    /// once the global epoch reaches `e + 1`, so "no other but the
+    /// compaction thread can increment the global epoch until the
+    /// compaction is finished" (§5.1) needs no gate of its own.
+    pub fn try_advance_excluding(&self, me: Slot<'_>) -> Option<u64> {
         self.try_advance_from(Some(self.index_of(me)))
     }
 
@@ -386,10 +380,6 @@ impl EpochManager {
 
     fn try_advance_from(&self, me: Option<usize>) -> Option<u64> {
         if self.faults.should_fail(FaultSite::EpochAdvance) {
-            return None;
-        }
-        let reserved = self.reserved_by.load(Ordering::Acquire);
-        if reserved != NO_RESERVATION && Some(reserved) != me {
             return None;
         }
         let e = self.global.load(Ordering::SeqCst);
@@ -437,25 +427,6 @@ impl EpochManager {
     /// Opens or closes the moving phase.
     pub fn set_moving_phase(&self, on: bool) {
         self.in_moving_phase.store(on, Ordering::SeqCst);
-    }
-
-    /// Reserves epoch advancement for the holder of `me`. Returns false if
-    /// another reservation is active.
-    pub(crate) fn reserve_advance(&self, me: Slot<'_>) -> bool {
-        let idx = self.index_of(me);
-        self.reserved_by
-            .compare_exchange(NO_RESERVATION, idx, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-
-    /// Releases an advance reservation taken by the holder of `me`.
-    pub(crate) fn release_advance(&self, me: Slot<'_>) {
-        let _ = self.reserved_by.compare_exchange(
-            self.index_of(me),
-            NO_RESERVATION,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        );
     }
 
     /// Histogram of outermost critical-section (pin) hold times in
@@ -509,11 +480,10 @@ impl EpochManager {
 /// registry (an epoch *thread* slot, not an object's
 /// [`SlotId`](crate::slot::SlotId) in a block). Each per-thread structure
 /// of the memory system — the slot's entry magazine, its block cache, its
-/// hot-counter cell, a context's current allocation block, the advance
-/// reservation a compaction pass takes — is reached through one, and only
-/// the registry makes one: for the thread that holds the slot, on
-/// registration or from a pinned [`Guard`]. A token is the slot's index and
-/// its manager's id, copied by value.
+/// hot-counter cell, a context's current allocation block — is reached
+/// through one, and only the registry makes one: for the thread that holds
+/// the slot, on registration or from a pinned [`Guard`]. A token is the
+/// slot's index and its manager's id, copied by value.
 ///
 /// It is neither `Send` nor `Sync`, so it never leaves the thread that holds
 /// the slot, and its lifetime is a borrow of the runtime (or, from
@@ -695,20 +665,42 @@ mod tests {
         assert_eq!(mgr.try_advance(), Some(2));
     }
 
+    /// §5.1's "no other but the compaction thread can increment the global
+    /// epoch until the compaction is finished", on real threads: a pass
+    /// pinned at `e` advances itself to `e + 2` while another thread tries
+    /// to advance all along, and that thread never moves the epoch past
+    /// `e + 1` until the pass unpins.
     #[test]
-    fn reservation_gates_other_threads() {
+    fn a_pinned_pass_is_the_only_advancer_past_its_next_epoch() {
+        use std::sync::atomic::AtomicUsize;
         let mgr = EpochManager::new();
-        let me = mgr.slot().unwrap();
-        assert!(mgr.reserve_advance(me));
-        let m2 = mgr.clone();
-        let other = move || m2.reserve_advance(m2.slot().unwrap());
-        assert!(!std::thread::spawn(other).join().unwrap());
-        // Other threads (None = anonymous) cannot advance.
-        assert_eq!(mgr.try_advance(), None);
-        // The reserving thread can, excluding itself.
-        assert_eq!(mgr.try_advance_excluding(me), Some(1));
-        mgr.release_advance(me);
-        assert_eq!(mgr.try_advance(), Some(2));
+        let pass = mgr.pin();
+        let (e, me) = (pass.epoch(), pass.slot());
+        let stop = Arc::new(AtomicBool::new(false));
+        let tries = Arc::new(AtomicUsize::new(0));
+        let (m2, s2, t2) = (mgr.clone(), stop.clone(), tries.clone());
+        let allocator = std::thread::spawn(move || {
+            let mut highest = None;
+            while !s2.load(Ordering::SeqCst) {
+                highest = highest.max(m2.try_advance());
+                t2.fetch_add(1, Ordering::SeqCst);
+            }
+            highest
+        });
+        while mgr.global_epoch() < e + 2 {
+            let _ = mgr.try_advance_excluding(me);
+        }
+        // A thousand more tries of the other thread, each refused.
+        let seen = tries.load(Ordering::SeqCst);
+        while tries.load(Ordering::SeqCst) < seen + 1000 {
+            std::thread::yield_now();
+        }
+        assert_eq!(mgr.global_epoch(), e + 2);
+        stop.store(true, Ordering::SeqCst);
+        let highest = allocator.join().unwrap();
+        assert!(highest <= Some(e + 1), "the other reached {highest:?}");
+        drop(pass);
+        assert_eq!(mgr.try_advance(), Some(e + 3), "unpinned, the gate is gone");
     }
 
     #[test]

@@ -52,8 +52,8 @@ pub struct Watermark {
     pub global_epoch_begin: u64,
     /// Global epoch observed after the last block.
     pub global_epoch_end: u64,
-    /// The announced relocation epoch at capture time (0 = no compaction
-    /// pending), [`Runtime::next_relocation_epoch`](crate::runtime::Runtime::next_relocation_epoch).
+    /// The relocation epoch an in-flight compaction announced at capture
+    /// time, §5.1's `nextRelocationEpoch` (0 = no compaction pending).
     pub relocation_epoch: u64,
     /// True when an in-flight compaction was in its moving phase.
     pub in_moving_phase: bool,

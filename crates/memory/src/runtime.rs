@@ -114,7 +114,8 @@ impl Runtime {
     }
 
     /// Tries to advance the global epoch by one (§3.4): `None` while some
-    /// pinned thread lags behind it, or a compaction pass holds the advance.
+    /// pinned thread lags behind it — a compaction pass among them, which
+    /// stays pinned at the epoch it started in.
     /// The memory system advances lazily on its own; this is for tests and
     /// tools that need the clock to move now.
     pub fn try_advance_epoch(&self) -> Option<u64> {
@@ -308,26 +309,6 @@ impl Runtime {
         self.next_context_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// The announced relocation epoch (0 if no compaction is pending).
-    #[inline]
-    pub fn next_relocation_epoch(&self) -> u64 {
-        self.epochs.next_relocation_epoch()
-    }
-
-    /// True while the in-flight compaction is in its moving phase.
-    #[inline]
-    pub fn in_moving_phase(&self) -> bool {
-        self.epochs.in_moving_phase()
-    }
-
-    pub(crate) fn set_relocation_epoch(&self, e: u64) {
-        self.epochs.set_relocation_epoch(e);
-    }
-
-    pub(crate) fn set_moving_phase(&self, on: bool) {
-        self.epochs.set_moving_phase(on);
-    }
-
     /// Hands unlinked memory to the graveyard, to be released once the
     /// global epoch reaches `free_at` (a ripe block recycles through the
     /// draining thread's shard cache, or the OS past the cache cap). A
@@ -340,15 +321,16 @@ impl Runtime {
         self.next_ripe.fetch_min(free_at, Ordering::Relaxed);
     }
 
-    /// The §3.5 lazy advance, in one place: unless a compaction holds the
-    /// relocation reservation, tries to move the global epoch forward once
-    /// (counted in `epoch_advances`), then drains the graveyard. Called
-    /// where memory is known to wait on the clock — queued limbo blocks in
-    /// `acquire_block` and its budget gate, and wherever the residency
-    /// protocol buries a block or stub — because nothing else advances it
-    /// (§3.4). Returns whether the epoch moved.
+    /// The §3.5 lazy advance, in one place: tries to move the global epoch
+    /// forward once (counted in `epoch_advances`), then drains the
+    /// graveyard. Called where memory is known to wait on the clock —
+    /// queued limbo blocks in `acquire_block` and its budget gate, and
+    /// wherever the residency protocol buries a block or stub — because
+    /// nothing else advances it (§3.4). During a compaction pass it gets at
+    /// most to the pass's freezing epoch: the pass stays pinned at the epoch
+    /// before it. Returns whether the epoch moved.
     pub(crate) fn advance_and_drain(&self) -> bool {
-        let advanced = self.next_relocation_epoch() == 0 && self.epochs.try_advance().is_some();
+        let advanced = self.epochs.try_advance().is_some();
         if advanced {
             MemoryStats::inc(&self.stats.epoch_advances);
         }
@@ -555,8 +537,8 @@ mod tests {
     #[test]
     fn relocation_flags_default_off() {
         let rt = Runtime::new();
-        assert_eq!(rt.next_relocation_epoch(), 0);
-        assert!(!rt.in_moving_phase());
+        assert_eq!(rt.epochs.next_relocation_epoch(), 0);
+        assert!(!rt.epochs.in_moving_phase());
     }
 
     #[test]

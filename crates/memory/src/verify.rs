@@ -296,7 +296,7 @@ impl Runtime {
     ///   the entries in the graveyard.
     pub fn verify(&self) -> Result<(), Vec<String>> {
         let mut v = Violations::new();
-        if self.in_moving_phase() && self.next_relocation_epoch() == 0 {
+        if self.epochs.in_moving_phase() && self.epochs.next_relocation_epoch() == 0 {
             v.push("moving phase open without an announced relocation epoch".into());
         }
         let live = MemoryStats::get(&self.stats.blocks_live);

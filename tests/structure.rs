@@ -252,12 +252,12 @@ fn one_entry_path() {
 
 /// One thread-slot handle: every per-thread structure of the memory system
 /// (an entry magazine, a block cache, a hot-counter cell, a context's
-/// allocation block, the advance reservation) is reached through the
-/// `epoch::Slot` token the registry hands out, never a raw index. This fails
-/// if a function outside `epoch.rs` takes a raw `tid` or `idx` again, if
-/// `alloc.rs` declares an `unsafe fn` (the block cache's contract is the
-/// token and the owned `RawBlock`), or if the runtime's epoch manager or
-/// entry table is a public field again.
+/// allocation block) is reached through the `epoch::Slot` token the
+/// registry hands out, never a raw index. This fails if a function outside
+/// `epoch.rs` takes a raw `tid` or `idx` again, if `alloc.rs` declares an
+/// `unsafe fn` (the block cache's contract is the token and the owned
+/// `RawBlock`), or if the runtime's epoch manager or entry table is a
+/// public field again.
 #[test]
 fn one_thread_slot_handle() {
     let memory = walk(&["crates/memory/src"], true);
