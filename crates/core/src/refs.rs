@@ -246,23 +246,6 @@ impl<T: Tabular> DirectRef<T> {
     /// inside the critical section it was taken in.
     #[inline]
     pub fn get<'g>(&self, guard: &'g Guard<'_>) -> Option<&'g T> {
-        self.resolve(guard).map(|(r, _)| r)
-    }
-
-    /// Dereferences and rewrites `self` to the object's new location if a
-    /// tombstone was crossed — the paper's "the query also updates the
-    /// direct pointer to the object's new memory location" (§6).
-    #[inline]
-    pub fn get_healing<'g>(&mut self, guard: &'g Guard<'_>) -> Option<&'g T> {
-        let (obj, healed) = self.resolve(guard)?;
-        if let Some(ptr) = healed {
-            self.ptr = ptr;
-        }
-        Some(obj)
-    }
-
-    #[inline]
-    fn resolve<'g>(&self, guard: &'g Guard<'_>) -> Option<(&'g T, Option<DirectPtr>)> {
         // SAFETY: the pointer was taken from a live `T` of a row collection.
         // Kept in a linked field (`Smc::link_direct`), it is healed or
         // cleared before any block it points into leaves its collection, so
@@ -270,10 +253,10 @@ impl<T: Tabular> DirectRef<T> {
         // address is a live `T` for the guard's critical section, as for
         // `Ref::get`. Not covered: a pointer stored into a linked field
         // while the target retires its block, which the fix-up may miss
-        // (see `get`), and a pointer kept anywhere else outside the
+        // (see above), and a pointer kept anywhere else outside the
         // critical section it was taken in.
-        let (payload, healed) = unsafe { self.ptr.resolve(guard) }?;
-        Some((unsafe { &*row_object::<T>(payload) }, healed))
+        let (payload, _) = unsafe { self.ptr.resolve(guard) }?;
+        Some(unsafe { &*row_object::<T>(payload) })
     }
 }
 
