@@ -69,9 +69,13 @@ pub(crate) const MAGAZINE: usize = 32;
 
 /// One indirection table entry.
 ///
-/// `payload` is the address of the object's slot data for row layouts, or a
-/// packed `(block id, slot id)` pair for columnar layouts (§4.1) — the owner
-/// of the context decides the interpretation. `0` means null.
+/// `payload` is the address of the object's slot-header incarnation cell,
+/// in row and columnar layouts alike ([`BlockRef::payload`]): block-mask
+/// arithmetic recovers the block and slot from it, the paper's packed
+/// `(block id, slot id)` locator. A spilled object's payload is its spill
+/// stub, tagged in bit 0, which no resident payload sets. `0` means null.
+///
+/// [`BlockRef::payload`]: crate::block::BlockRef::payload
 #[derive(Debug)]
 #[repr(C)]
 pub struct IndirEntry {
@@ -80,7 +84,8 @@ pub struct IndirEntry {
 }
 
 impl IndirEntry {
-    /// Loads the payload (slot address or packed columnar locator).
+    /// Loads the payload (the slot's incarnation cell, or a tagged spill
+    /// stub).
     #[inline]
     pub fn load_payload(&self, order: Ordering) -> usize {
         self.payload.load(order)
